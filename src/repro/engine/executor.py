@@ -11,11 +11,12 @@ runs end to end and produces the same answers as its plaintext original.
 The hot path is batched and hash-partitioned: joins evaluate every
 equality conjunct through a hash-partitioned build/probe pass (building
 on the smaller operand) and apply only the true residual conjuncts per
-matched pair, selections and projections run compiled closures through
-the table bulk APIs, and an LRU result cache keyed by plan-node identity
-makes re-executed subtrees (common in the extension/assignment search)
-free.  The seed's ``σ_C(L×R)`` nested-loop semantics survive as the
-``join_strategy="nested-loop"`` reference path used by the benchmarks.
+matched pair, and selections and projections run compiled closures
+through the table bulk APIs.  The seed's ``σ_C(L×R)`` nested-loop
+semantics survive as the ``join_strategy="nested-loop"`` reference path
+used by the benchmarks.  An executor holds no results: every
+:meth:`Executor.execute` evaluates the whole plan against the state it
+finds (the distributed runtime memoizes whole fragments instead).
 
 With a :class:`~repro.parallel.WorkerPool` attached, the Encrypt/Decrypt
 operators fan column chunks across worker processes, and
@@ -27,7 +28,6 @@ the workers run), preserving the sequential output row order.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable, Mapping
 
 from repro.core.operators import (
@@ -85,7 +85,8 @@ class Executor:
     Parameters
     ----------
     catalog:
-        Relation name → :class:`Table` holding its stored tuples.
+        Relation name → :class:`Table` holding its stored tuples; the
+        executor keeps its own ``dict`` copy of the mapping.
     keystore:
         Key material available to this evaluator (encrypt/decrypt nodes
         and encrypted constants need the covering keys).
@@ -104,31 +105,6 @@ class Executor:
         A :class:`~repro.parallel.WorkerPool` for the CPU-bound column
         kernels (Encrypt/Decrypt) and the ``"parallel-hash"`` probe.
         ``None`` (the default) keeps every path inline and single-core.
-        The pool does not affect results, so rebinding it never
-        invalidates the cache.
-    cache_size:
-        Capacity of the LRU plan-subtree result cache (0 disables it).
-        Results are keyed by plan-node *identity*, so re-executing a
-        shared subtree — the extension/assignment search does this for
-        every candidate — returns the memoized table.  Mutating
-        :attr:`catalog` (item assignment or reassignment) invalidates
-        the cache automatically — as does rebinding :attr:`keystore`,
-        :attr:`udfs`, or :attr:`join_strategy`; caching assumes
-        deterministic UDFs — pass ``cache_size=0`` for nondeterministic
-        ones.  Entries are fully materialized tables, so for one-shot
-        executions over large data prefer a small capacity (or 0) over
-        the default.
-    cache_bytes:
-        Byte budget for the result cache, measured with
-        :meth:`~repro.engine.table.Table.estimated_bytes`.  ``None``
-        (the default) keeps the entry-count LRU behaviour of
-        ``cache_size``; a positive budget makes eviction byte-driven
-        instead (the entry count is then unbounded: ``cache_size`` stays
-        accepted for backward compatibility, and ``cache_size=0`` still
-        disables caching), and a table larger than the whole budget is
-        never cached at all; ``0`` disables the cache entirely.  The
-        long-lived executors of the service layer use this so large
-        catalogs cannot pin unbounded memory.
     """
 
     def __init__(self, catalog: Mapping[str, Table],
@@ -136,151 +112,26 @@ class Executor:
                  udfs: Mapping[str, UdfCallable] | None = None,
                  constant_keystore: KeyStore | None = None,
                  join_strategy: str = "hash",
-                 cache_size: int = 128,
-                 cache_bytes: int | None = None,
                  pool: "WorkerPool | None" = None) -> None:
+        if join_strategy not in JOIN_STRATEGIES:
+            raise ExecutionError(f"unknown join strategy {join_strategy!r}")
+        self.catalog = dict(catalog)
+        self.keystore = keystore
+        self.udfs = dict(udfs or {})
+        self.join_strategy = join_strategy
         self.pool = pool
-        self._cache_capacity = max(0, cache_size)
-        self._cache_byte_budget = (None if cache_bytes is None
-                                   else max(0, cache_bytes))
-        if self._cache_byte_budget == 0:
-            self._cache_capacity = 0
-        self._cache_bytes_used = 0
-        self._cache: OrderedDict[PlanNode, Table] = OrderedDict()
-        self.cache_hits = 0
-        self.cache_misses = 0
         # Constants in dispatched conditions arrive pre-encrypted by the
         # user (Figure 8); simulate that with a dedicated store.
         self._constant_store = constant_keystore
-        self.catalog = catalog  # each setter wraps/validates and
-        self.keystore = keystore  # invalidates the subtree cache
-        self.udfs = udfs or {}
-        self.join_strategy = join_strategy
-
-    # -- cached results are only valid for the state they were computed
-    # against, so every public mutable input invalidates on change -----
-    @property
-    def catalog(self) -> "_InvalidatingDict":
-        """The base tables; mutating it drops memoized subtree results."""
-        return self._catalog
-
-    @catalog.setter
-    def catalog(self, mapping: Mapping[str, Table]) -> None:
-        self._catalog = _InvalidatingDict(mapping, self.clear_cache)
-        self.clear_cache()
-
-    @property
-    def keystore(self) -> KeyStore | None:
-        """This evaluator's key material; rebinding drops the cache."""
-        return self._keystore
-
-    @keystore.setter
-    def keystore(self, store: KeyStore | None) -> None:
-        self._keystore = store
-        self._keystore_names = self._keystore_fingerprint()
-        self._encryptor = ConstantEncryptor(self._constant_store or store)
-        self.clear_cache()
-
-    def _keystore_fingerprint(self) -> tuple[object, object]:
-        """The held key names of both stores (cache staleness check)."""
-        return (
-            self._keystore.names() if self._keystore is not None else None,
-            self._constant_store.names()
-            if self._constant_store is not None else None,
-        )
-
-    @property
-    def udfs(self) -> "_InvalidatingDict":
-        """Udf name → callable; mutating it drops the cache."""
-        return self._udfs
-
-    @udfs.setter
-    def udfs(self, mapping: Mapping[str, UdfCallable]) -> None:
-        self._udfs = _InvalidatingDict(mapping, self.clear_cache)
-        self.clear_cache()
-
-    @property
-    def join_strategy(self) -> str:
-        """``"hash"``, ``"parallel-hash"``, or ``"nested-loop"``;
-        rebinding drops the cache."""
-        return self._join_strategy
-
-    @join_strategy.setter
-    def join_strategy(self, strategy: str) -> None:
-        if strategy not in JOIN_STRATEGIES:
-            raise ExecutionError(f"unknown join strategy {strategy!r}")
-        self._join_strategy = strategy
-        self.clear_cache()
 
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
     def execute(self, plan: QueryPlan | PlanNode) -> Table:
-        """Evaluate a plan (or subtree) and return the result table.
-
-        Tables are value objects; with the subtree cache enabled the
-        same :class:`Table` instance may be returned for repeated
-        executions — treat results as immutable.
-        """
-        # Keys added in place (KeyStore.add) change what cached subtrees
-        # would compute (note-2 fallbacks, encrypted constants,
-        # encrypt/decrypt); detect that by fingerprinting the held key
-        # names of both stores per top-level execution.
-        names = self._keystore_fingerprint()
-        if names != self._keystore_names:
-            self._keystore_names = names
-            self.clear_cache()
+        """Evaluate a plan (or subtree) and return the result table."""
         node = plan.root if isinstance(plan, QueryPlan) else plan
-        return self._execute(node)
-
-    def _execute(self, node: PlanNode) -> Table:
-        cached = self.lookup(node)
-        if cached is not None:
-            return cached
-        children = [self._execute(child) for child in node.children]
-        result = self.execute_node(node, children)
-        self.memoize(node, result)
-        return result
-
-    def lookup(self, node: PlanNode) -> Table | None:
-        """The memoized result for ``node``, or ``None`` (counts a hit)."""
-        if not self._cache_capacity:
-            return None
-        cached = self._cache.get(node)
-        if cached is None:
-            return None
-        self._cache.move_to_end(node)
-        self.cache_hits += 1
-        return cached
-
-    def memoize(self, node: PlanNode, result: Table) -> None:
-        """Store one subtree result, evicting LRU entries past budget.
-
-        With a byte budget the table's estimated footprint drives
-        eviction; entries larger than the whole budget are skipped so a
-        single huge intermediate cannot flush the entire cache.
-        """
-        if not self._cache_capacity:
-            return
-        self.cache_misses += 1
-        budget = self._cache_byte_budget
-        if budget is None:
-            self._cache[node] = result
-            while len(self._cache) > self._cache_capacity:
-                self._cache.popitem(last=False)
-            return
-        size = result.estimated_bytes()
-        if size > budget:
-            return
-        previous = self._cache.get(node)
-        if previous is not None:
-            self._cache_bytes_used -= previous.estimated_bytes()
-        self._cache_bytes_used += size
-        self._cache[node] = result
-        self._cache.move_to_end(node)
-        while self._cache_bytes_used > budget:
-            _, evicted = self._cache.popitem(last=False)
-            self._cache_bytes_used -= evicted.estimated_bytes()
+        children = [self.execute(child) for child in node.children]
+        return self.execute_node(node, children)
 
     def execute_node(self, node: PlanNode, children: list[Table]) -> Table:
         """Evaluate one operator over already materialized operands."""
@@ -304,22 +155,6 @@ class Executor:
             return self._decrypt(node, children[0])
         raise ExecutionError(f"no execution rule for {type(node).__name__}")
 
-    def clear_cache(self) -> None:
-        """Drop all memoized subtree results (after catalog changes)."""
-        self._cache.clear()
-        self._cache_bytes_used = 0
-
-    def cache_info(self) -> dict[str, int | None]:
-        """Hit/miss/size counters of the subtree result cache."""
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "size": len(self._cache),
-            "capacity": self._cache_capacity,
-            "bytes": self._cache_bytes_used,
-            "capacity_bytes": self._cache_byte_budget,
-        }
-
     # ------------------------------------------------------------------
     # Relational operators
     # ------------------------------------------------------------------
@@ -339,8 +174,8 @@ class Executor:
         return child.bulk_project(ordered, name="π")
 
     def _select(self, node: Selection, child: Table) -> Table:
-        keep = compile_predicate(node.predicate, child.columns,
-                                 self._encryptor,
+        encryptor = ConstantEncryptor(self._constant_store or self.keystore)
+        keep = compile_predicate(node.predicate, child.columns, encryptor,
                                  local_keystore=self.keystore)
         return child.bulk_filter(keep, name="σ")
 
@@ -399,7 +234,7 @@ class Executor:
             buckets, build_sigs = _build_buckets(right.rows, right_positions)
             probe_rows, probe_positions = left.rows, left_positions
         pool = self.pool
-        if (self._join_strategy == "parallel-hash" and pool is not None
+        if (self.join_strategy == "parallel-hash" and pool is not None
                 and pool.should_parallelize(len(probe_rows))):
             # Contiguous probe slices against the shared build side:
             # concatenating chunk outputs in slice order reproduces the
@@ -596,63 +431,6 @@ class Executor:
             replacements[attribute] = decrypt_column(
                 material, child.column_values(attribute), pool=self.pool)
         return child.replace_columns(replacements).rename("dec")
-
-
-class _InvalidatingDict(dict):
-    """A dict (catalog, udfs) whose mutations invalidate the subtree cache.
-
-    Cached subtree results are only valid for the inputs they were
-    computed against; every mutating ``dict`` operation that actually
-    changes content triggers ``on_change`` (the executor's
-    ``clear_cache``).
-    """
-
-    def __init__(self, data: Mapping[str, object],
-                 on_change: Callable[[], None]) -> None:
-        super().__init__(data)
-        self._on_change = on_change
-
-    def __setitem__(self, key: str, value: object) -> None:
-        super().__setitem__(key, value)
-        self._on_change()
-
-    def __delitem__(self, key: str) -> None:
-        super().__delitem__(key)
-        self._on_change()
-
-    def update(self, *args, **kwargs) -> None:
-        if not kwargs and len(args) <= 1 and (
-                not args or (isinstance(args[0], (dict, list, tuple))
-                             and not args[0])):
-            return  # nothing to merge (invalid args still reach dict)
-        super().update(*args, **kwargs)
-        self._on_change()
-
-    def __ior__(self, other):
-        result = super().__ior__(other)
-        self._on_change()
-        return result
-
-    def pop(self, *args):
-        result = super().pop(*args)
-        self._on_change()
-        return result
-
-    def popitem(self):
-        result = super().popitem()
-        self._on_change()
-        return result
-
-    def setdefault(self, key, default=None):
-        if key in self:
-            return self[key]  # pure read: nothing changed
-        result = super().setdefault(key, default)
-        self._on_change()
-        return result
-
-    def clear(self) -> None:
-        super().clear()
-        self._on_change()
 
 
 def _residual_specs(residual: list, left: Table,

@@ -13,15 +13,10 @@ operators resolve positions once per node instead of once per row.
 
 from __future__ import annotations
 
-import sys
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.exceptions import ExecutionError
-
-#: How many rows :meth:`Table.estimated_bytes` samples before
-#: extrapolating (footprints scale linearly in the row count).
-_BYTES_SAMPLE_ROWS = 64
 
 
 class Table:
@@ -36,8 +31,7 @@ class Table:
     2
     """
 
-    __slots__ = ("name", "columns", "rows", "_index", "_positions_cache",
-                 "_bytes_estimate")
+    __slots__ = ("name", "columns", "rows", "_index", "_positions_cache")
 
     def __init__(self, name: str, columns: Sequence[str],
                  rows: Iterable[Sequence[object]]) -> None:
@@ -47,7 +41,6 @@ class Table:
             raise ExecutionError(f"duplicate columns in table {name}")
         self._index = {c: i for i, c in enumerate(self.columns)}
         self._positions_cache: dict[tuple[str, ...], tuple[int, ...]] = {}
-        self._bytes_estimate: int | None = None
         materialized = []
         width = len(self.columns)
         for row in rows:
@@ -87,7 +80,6 @@ class Table:
         if len(table._index) != len(columns):
             raise ExecutionError(f"duplicate columns in table {name}")
         table._positions_cache = {}
-        table._bytes_estimate = None
         table.rows = rows
         return table
 
@@ -129,31 +121,6 @@ class Table:
         """Rows as dictionaries."""
         for row in self.rows:
             yield dict(zip(self.columns, row))
-
-    def estimated_bytes(self) -> int:
-        """Approximate in-memory footprint of this table, memoized.
-
-        Sums ``sys.getsizeof`` over the row list, the row tuples, and
-        (shallowly) each cell, sampling at most :data:`_BYTES_SAMPLE_ROWS`
-        evenly spaced rows and extrapolating linearly.  The estimate feeds
-        the executor's byte-bounded result cache, where a consistent
-        relative measure matters more than exact heap accounting.
-        """
-        if self._bytes_estimate is None:
-            total = sys.getsizeof(self.rows)
-            total += sum(sys.getsizeof(c) for c in self.columns)
-            count = len(self.rows)
-            if count:
-                step = max(1, count // _BYTES_SAMPLE_ROWS)
-                sample = self.rows[::step][:_BYTES_SAMPLE_ROWS]
-                sampled = sum(
-                    sys.getsizeof(row)
-                    + sum(sys.getsizeof(cell) for cell in row)
-                    for row in sample
-                )
-                total += int(sampled * (count / len(sample)))
-            self._bytes_estimate = total
-        return self._bytes_estimate
 
     def __len__(self) -> int:
         return len(self.rows)

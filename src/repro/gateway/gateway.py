@@ -296,11 +296,11 @@ class Gateway:
             labelnames=("subject",))
         self._cache_hits = registry.counter(
             "repro_cache_hits_total",
-            "Cache hits by cache (assignment, executor).",
+            "Cache hits by cache (assignment).",
             labelnames=("cache",))
         self._cache_misses = registry.counter(
             "repro_cache_misses_total",
-            "Cache misses by cache (assignment, executor).",
+            "Cache misses by cache (assignment).",
             labelnames=("cache",))
         self._cache_entries = registry.gauge(
             "repro_cache_entries",
@@ -324,10 +324,6 @@ class Gateway:
             assignment["hits"])
         self._cache_misses.labels("assignment").set_total(
             assignment["misses"])
-        self._cache_hits.labels("executor").set_total(
-            info["executor_hits"])
-        self._cache_misses.labels("executor").set_total(
-            info["executor_misses"])
         self._cache_entries.labels("plans").set(info["plans"])
         self._cache_entries.labels("assignment").set(assignment["size"])
         self._cache_entries.labels("fragments").set(

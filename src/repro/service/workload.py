@@ -20,13 +20,14 @@ across queries and drives SQL text through it end to end:
   assignment, so repeated queries stop paying fragment rendering and
   Paillier/symmetric keygen;
 * one persistent :class:`~repro.distributed.DistributedRuntime` whose
-  per-subject RSA keypairs are generated once, whose per-subject
-  executors keep byte-bounded result caches across queries, and whose
-  fragment/executor caches reconcile against the policy's delta journal.
+  per-subject RSA keypairs are generated once and whose fragment cache
+  — the runtime's only result cache — reconciles against the policy's
+  delta journal.
 
 Each :class:`QueryOutcome` carries the reconcile activity its query
-observed (entries kept/patched/evicted across all delta-aware caches),
-so churn behaviour is visible per request, not just in aggregate.
+observed (assignment and fragment entries kept/evicted, edge-table rows
+kept/patched/evicted), so churn behaviour is visible per request, not
+just in aggregate.
 
 :class:`WorkloadSession` is the per-user view: it fixes the querying
 user, runs SQL, and accumulates the session's cache-hit statistics.
@@ -72,9 +73,6 @@ from repro.exceptions import (
 )
 from repro.sql.planner import plan_query
 
-#: Default byte budget for each persistent per-subject executor cache.
-DEFAULT_EXECUTOR_CACHE_BYTES = 32 * 1024 * 1024
-
 #: Entries kept in the plan/dispatch-plan/distributed-key memos.
 _MEMO_LIMIT = 256
 
@@ -116,9 +114,10 @@ class QueryOutcome:
     keys_reused: bool
     assignment: AssignmentResult
     #: Reconcile activity this query observed across the delta-aware
-    #: caches (assignment/edge/fragment/executor entries kept, patched,
-    #: evicted or flushed), as counter increments.  Empty when the
-    #: policy did not change between this query and the previous one.
+    #: caches (assignment/fragment entries kept, evicted or flushed;
+    #: edge-table rows also patched), as counter increments.  Empty
+    #: when the policy did not change between this query and the
+    #: previous one.
     reconcile: dict[str, int] = field(default_factory=dict)
     #: Fragment execution attempts across every run of this query
     #: (retries and repair re-runs included).
@@ -254,9 +253,6 @@ class QueryService:
                  schedule: str = "parallel",
                  max_workers: int | None = None,
                  assignment_cache_size: int = 256,
-                 executor_cache_size: int = 128,
-                 executor_cache_bytes: int | None
-                 = DEFAULT_EXECUTOR_CACHE_BYTES,
                  latency_seconds: float | Mapping[str, float] = 0.0,
                  clock=None, sleeper=None,
                  health: HealthRegistry | None = None,
@@ -302,8 +298,6 @@ class QueryService:
             policy, list(self.subjects), authority_tables, user,
             udfs=udfs, rsa_keys=self.rsa_keys, schedule=schedule,
             max_workers=max_workers, latency_seconds=latency_seconds,
-            executor_cache_size=executor_cache_size,
-            executor_cache_bytes=executor_cache_bytes,
             clock=clock, sleeper=sleeper, health=health,
             fault_injector=fault_injector, retry=retry,
             failover=failover, settings=settings,
@@ -567,10 +561,10 @@ class QueryService:
     ) -> None:
         """Replace some authorities' stored tables and drop stale caches.
 
-        Executors snapshot the catalog they were built over and fragment
-        results memoise their outputs, so data changes must go through
-        here (or call ``runtime.invalidate_caches()`` after mutating a
-        node's ``tables`` directly).
+        Memoised fragment results were computed from the old tables, so
+        data changes must go through here (or call
+        ``runtime.invalidate_caches()`` after mutating a node's
+        ``tables`` directly).
         """
         # Validate every name before mutating anything: a partial update
         # that bails mid-way would leave refreshed tables served from
@@ -586,11 +580,13 @@ class QueryService:
             self.runtime.invalidate_caches()
 
     def cache_info(self) -> dict[str, object]:
-        """All cache counters: plans, assignments, executors, fragments."""
+        """All cache counters: plans, assignments, edge tables, fragments."""
         info: dict[str, object] = {
             "plans": len(self._plan_cache),
             "assignment": self.assignment_cache.info(),
             "edge_tables": self.edge_cache.info(),
+            # Read by benchmarks/e2e (engine.executor_cache_hit_ratio).
+            "executor_hits": 0, "executor_misses": 0,
         }
         info.update(self.runtime.cache_info())
         return info
@@ -614,8 +610,6 @@ class QueryService:
             f"service totals: {self.total_stats.describe()}\n"
             f"caches: {info['plans']} plans; assignment "
             f"{assignment['hits']}h/{assignment['misses']}m; "
-            f"{info['executors']} executors "
-            f"({info['executor_hits']}h/{info['executor_misses']}m); "
             f"{info['fragment_entries']} fragment results"
         )
 
@@ -637,8 +631,7 @@ class QueryService:
                 if key.startswith("reconcile_"):
                     counters[f"{prefix}_{key[len('reconcile_'):]}"] = value
         runtime = self.runtime.cache_info()
-        for key in ("fragment_kept", "fragment_evicted", "fragment_flushed",
-                    "executor_kept", "executor_evicted", "executor_flushed"):
+        for key in ("fragment_kept", "fragment_evicted", "fragment_flushed"):
             counters[key] = runtime[key]
         return counters
 

@@ -52,10 +52,10 @@ def plan_query(query: SelectQuery | str, schema: Schema,
     ``cache`` (keyed by the SQL text and the schema's identity) memoises
     whole plans for repeated queries: returning the *same* plan object —
     not merely an equal one — lets every identity-keyed layer downstream
-    (assignment cache short-circuit, executor subtree memos, fragment
-    reuse) hit as well.  Entries store ``(plan, schema)``: pinning the
-    schema keeps its ``id`` from being recycled onto a different schema
-    while the entry lives.  Only usable with string queries; callers
+    (assignment cache short-circuit, fragment reuse) hit as well.
+    Entries store ``(plan, schema)``: pinning the schema keeps its
+    ``id`` from being recycled onto a different schema while the entry
+    lives.  Only usable with string queries; callers
     must treat cached plans as immutable.
 
     Examples

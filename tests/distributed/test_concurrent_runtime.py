@@ -1,6 +1,6 @@
 """The concurrent fragment scheduler: dependency graph, equivalence with
 the sequential reference, enforcement under concurrency, and the
-cross-run fragment/executor caches."""
+cross-run fragment cache."""
 
 import threading
 import time
@@ -52,6 +52,7 @@ def pipeline_7a(example, example_tables, schedule="parallel",
     def run(**kwargs):
         return runtime.run(plan, extended, keys, distributed, **kwargs)
 
+    run.dispatch_plan = plan
     return runtime, run
 
 
@@ -368,26 +369,25 @@ class TestCrossRunCaches:
         assert info["fragment_evicted"] == 0
         assert info["fragment_flushed"] == 0
 
-    def test_unrelated_revoke_keeps_executor_memos(self, example,
-                                                   example_tables):
+    def test_unrelated_revoke_rebases_fragment_entries(self, example,
+                                                       example_tables):
         runtime, run = pipeline_7a(example, example_tables, "parallel")
         first, _ = run()
         with runtime._caches_guard:
-            old_executors = set(map(id, runtime._executors.values()))
+            old_results = {id(e[0]) for e in
+                           runtime._fragment_cache.values()}
         # The revoke leaves every other subject's view untouched, so the
-        # pooled executors (and their memos) survive, rebased onto the
-        # new policy version.
+        # very same result tables survive, re-keyed onto the new policy
+        # version (a stale version in the key could never hit again).
         example.policy.revoke("Hosp", "Z")
         second, trace = run()
         with runtime._caches_guard:
-            versions = {key[3] for key in runtime._executors}
-            new_executors = set(map(id, runtime._executors.values()))
+            versions = {key[3] for key in runtime._fragment_cache}
+            new_results = {id(e[0]) for e in
+                           runtime._fragment_cache.values()}
         assert versions == {example.policy.version}
-        assert old_executors <= new_executors
+        assert old_results == new_results
         assert second.rows == first.rows
-        info = runtime.cache_info()
-        assert info["executor_kept"] > 0
-        assert info["executor_evicted"] == 0
 
     def test_revoked_authorization_rejected_on_warm_rerun(
             self, example, example_tables):
@@ -404,25 +404,52 @@ class TestCrossRunCaches:
             run()
         info = runtime.cache_info()
         assert info["fragment_evicted"] > 0
-        assert info["executor_evicted"] > 0
 
-    def test_input_dependent_nodes_stay_out_of_executor_memo(
+    def test_changed_inputs_under_same_keystore_rerun_fresh(
             self, example, example_tables):
         runtime, run = pipeline_7a(example, example_tables, "parallel")
+        first, _ = run()
+        assert first.sorted_rows() == [("tpa", 120.0)]
+        # I's premiums change in place, and only I's cached fragment
+        # dies (revoking and re-granting I's own rule touches no other
+        # subject).  X and Y keep their entries and are delivered the
+        # very same keys, but X's input from I is now a different table:
+        # the cache keys on input identity, so X and then Y re-execute.
+        runtime.nodes["I"].tables["Ins"] = Table("Ins", ("C", "P"), [
+            ("s1", 250.0), ("s2", 90.0), ("s3", 200.0),
+            ("s4", 60.0), ("s5", 50.0),
+        ])
+        example.policy.grant(example.policy.revoke("Ins", "I"))
+        second, trace = run()
+        assert second.sorted_rows() == [("tpa", 170.0)]
+        assert trace.fragment_cache_hits == 1  # H's, the one unchanged
+
+    def test_reexecution_repeats_every_interior_check(
+            self, example, example_tables, monkeypatch):
+        runtime, run = pipeline_7a(example, example_tables, "sequential")
+        calls = []
+        original = runtime_module.check_relation
+
+        def counting(view, profile):
+            calls.append(view.subject)
+            return original(view, profile)
+
+        monkeypatch.setattr(runtime_module, "check_relation", counting)
+        # Def. 4.1 once per operator a subject evaluates (leaf scans are
+        # the subject's own data), plus the delivery to the user.
+        expected = 1 + sum(
+            not isinstance(node, BaseRelationNode)
+            for fragment in run.dispatch_plan.fragments.values()
+            for node in fragment.nodes)
         run()
-        with runtime._caches_guard:
-            by_subject = {}
-            for (subject, *_), executor in runtime._executors.items():
-                by_subject.setdefault(subject, []).append(executor)
-        # Authorities evaluate pure subtrees over their own catalogs:
-        # those are executor-memoized across runs.
-        assert any(len(e._cache) for e in by_subject["H"])
-        # Every node of X's fragment hangs off boundary inputs; the
-        # executor memo keys on node identity only, so memoizing them
-        # would serve stale results if the same fragment ever re-ran
-        # with value-different inputs under an identical keystore.
-        # Cross-run reuse for X comes from the fragment cache instead.
-        assert all(not e._cache for e in by_subject["X"])
+        assert len(calls) == expected
+        del calls[:]
+        run()  # warm: every fragment served from the cache
+        assert len(calls) == 1
+        runtime.invalidate_caches()
+        del calls[:]
+        run()
+        assert len(calls) == expected
 
     def test_invalidate_caches_drops_everything(self, example,
                                                 example_tables):
@@ -431,7 +458,6 @@ class TestCrossRunCaches:
         assert runtime.cache_info()["fragment_entries"] > 0
         runtime.invalidate_caches()
         assert runtime.cache_info()["fragment_entries"] == 0
-        assert runtime.cache_info()["executors"] == 0
         _, trace = run()
         assert trace.fragment_cache_hits == 0
 
@@ -442,25 +468,23 @@ class TestCrossRunCaches:
         fired = []
 
         def invalidating(self, context, fragment, node, executor, inputs,
-                         view, impure):
+                         view):
             # Simulate a concurrent refresh landing while the first
             # fragment (reqH, sequentially innermost) is mid-evaluation.
             if not fired:
                 fired.append(True)
                 self.invalidate_caches()
             return original(self, context, fragment, node, executor,
-                            inputs, view, impure)
+                            inputs, view)
 
         monkeypatch.setattr(runtime_module.DistributedRuntime,
                             "_evaluate", invalidating)
         result, _ = run()
         assert result.sorted_rows() == [("tpa", 120.0)]
-        # reqH captured the pre-invalidation generation: its executor
-        # was cleared and its fragment result must not be re-inserted;
-        # the three fragments that started afterwards cache normally.
-        info = runtime.cache_info()
-        assert info["fragment_entries"] == 3
-        assert info["executors"] == 3
+        # reqH captured the pre-invalidation generation: its fragment
+        # result must not be re-inserted; the three fragments that
+        # started afterwards cache normally.
+        assert runtime.cache_info()["fragment_entries"] == 3
 
     def test_pregenerated_rsa_keys_are_used(self, example,
                                             example_tables):

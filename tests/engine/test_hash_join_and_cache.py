@@ -1,16 +1,16 @@
-"""Hash-partitioned joins, compiled residuals, bulk table APIs, and the
-plan-subtree result cache — the ISSUE-1 hot-path rebuild."""
+"""Hash-partitioned joins, compiled residuals, bulk table APIs, and an
+executor that sees every change to its inputs on the next execute."""
 
 import random
 
 import pytest
 
-from repro.core.operators import BaseRelationNode, Join, Projection, Selection
+from repro.core.operators import BaseRelationNode, Join, Selection
 from repro.core.predicates import (
     AttributeComparisonPredicate,
+    AttributeValuePredicate,
     ComparisonOp,
     Conjunction,
-    equals,
 )
 from repro.core.schema import Relation
 from repro.engine import Executor, Table
@@ -34,6 +34,24 @@ def random_catalog(seed=1, left_rows=60, right_rows=80):
 def join_node(*predicates):
     return Join(BaseRelationNode(R), BaseRelationNode(S),
                 Conjunction(list(predicates)))
+
+
+def encrypted_selection():
+    """(store, table, node): a deterministic key for ``a``, R(a=1, b=2)
+    with ``a`` encrypted under it, and σ[a=1] over R — which only an
+    executor holding that key can evaluate."""
+    from repro.core.keys import QueryKey
+    from repro.core.requirements import EncryptionScheme
+    from repro.crypto.keymanager import KeyStore
+    from repro.engine.codec import encrypt_value
+
+    store = KeyStore.generate(
+        [QueryKey(frozenset({"a"}), EncryptionScheme.DETERMINISTIC)])
+    material = store.material_for_attribute("a")
+    table = Table("R", ("a", "b"), [(encrypt_value(material, 1), 2)])
+    node = Selection(BaseRelationNode(R),
+                     AttributeValuePredicate("a", ComparisonOp.EQ, 1))
+    return store, table, node
 
 
 def both_strategies(catalog, node):
@@ -145,62 +163,15 @@ class TestHashJoinEquivalence:
 
 
 class TestSubtreeCache:
-    def test_repeated_execution_hits_cache(self):
+    """An executor holds no results, so the next ``execute`` sees every
+    change to its inputs.  (The class and test names are the ids these
+    cases have had since the executor memoized subtree results.)"""
+
+    def test_catalog_is_a_private_copy(self):
         catalog = random_catalog()
-        node = join_node(
-            AttributeComparisonPredicate("a", ComparisonOp.EQ, "k"))
         executor = Executor(catalog)
-        first = executor.execute(node)
-        assert executor.cache_hits == 0
-        second = executor.execute(node)
-        assert second is first
-        assert executor.cache_hits == 1
-
-    def test_shared_subtree_reused_across_plans(self):
-        catalog = random_catalog()
-        leaf = BaseRelationNode(R)
-        selection = Selection(
-            leaf, AttributeComparisonPredicate("a", ComparisonOp.LT, "b"))
-        executor = Executor(catalog)
-        subtree_result = executor.execute(selection)
-        projection = Projection(selection, ["a"])
-        executor.execute(projection)
-        # The projection's child came from the cache, not a re-run.
-        assert executor.cache_hits >= 1
-        assert executor._cache[selection] is subtree_result
-
-    def test_cache_disabled(self):
-        catalog = random_catalog()
-        node = BaseRelationNode(R)
-        executor = Executor(catalog, cache_size=0)
-        executor.execute(node)
-        executor.execute(node)
-        assert executor.cache_info() == {
-            "hits": 0, "misses": 0, "size": 0, "capacity": 0,
-            "bytes": 0, "capacity_bytes": None,
-        }
-
-    def test_lru_eviction(self):
-        catalog = random_catalog()
-        r_leaf = BaseRelationNode(R)
-        s_leaf = BaseRelationNode(S)
-        executor = Executor(catalog, cache_size=1)
-        executor.execute(r_leaf)
-        executor.execute(s_leaf)  # evicts the R scan
-        executor.execute(r_leaf)
-        assert executor.cache_hits == 0
-        executor.execute(r_leaf)
-        assert executor.cache_hits == 1
-
-    def test_clear_cache(self):
-        catalog = random_catalog()
-        node = BaseRelationNode(R)
-        executor = Executor(catalog)
-        executor.execute(node)
-        executor.clear_cache()
-        assert executor.cache_info()["size"] == 0
-        executor.execute(node)
-        assert executor.cache_hits == 0
+        catalog["R"] = Table("R", ("a", "b"), [])
+        assert len(executor.execute(BaseRelationNode(R))) > 0
 
     def test_catalog_mutation_invalidates_cache(self):
         node = BaseRelationNode(R)
@@ -208,9 +179,7 @@ class TestSubtreeCache:
         first = executor.execute(node)
         assert len(first) > 0
         executor.catalog["R"] = Table("R", ("a", "b"), [])
-        empty = executor.execute(node)
-        assert len(empty) == 0
-        assert executor.cache_hits == 0
+        assert len(executor.execute(node)) == 0
 
     def test_catalog_ior_invalidates_cache(self):
         node = BaseRelationNode(R)
@@ -240,108 +209,31 @@ class TestSubtreeCache:
         assert executor.execute(node).rows == [(1, 102)]
 
     def test_strategy_and_keystore_rebind_invalidate_cache(self):
-        node = BaseRelationNode(R)
-        executor = Executor(random_catalog())
-        executor.execute(node)
-        executor.join_strategy = "nested-loop"
-        assert executor.cache_info()["size"] == 0
-        executor.execute(node)
+        store, encrypted, selection = encrypted_selection()
+        executor = Executor({"R": encrypted}, keystore=store)
+        assert executor.execute(selection).rows == encrypted.rows
+        # Without the key the constant can be neither encrypted nor the
+        # column decrypted: the very next execute must fail.
         executor.keystore = None
-        assert executor.cache_info()["size"] == 0
+        with pytest.raises(ExecutionError):
+            executor.execute(selection)
+        node = join_node(
+            AttributeComparisonPredicate("a", ComparisonOp.EQ, "k"))
+        executor = Executor(random_catalog())
+        hashed = executor.execute(node)
+        executor.join_strategy = "nested-loop"
+        assert executor.execute(node).same_content(hashed)
 
     def test_keystore_inplace_add_invalidates_cache(self):
-        from repro.core.keys import QueryKey
-        from repro.core.requirements import EncryptionScheme
         from repro.crypto.keymanager import KeyStore
 
-        node = BaseRelationNode(R)
-        store = KeyStore()
-        executor = Executor(random_catalog(), keystore=store)
-        executor.execute(node)
-        assert executor.cache_info()["size"] == 1
-        donor = KeyStore.generate(
-            [QueryKey(frozenset({"a"}), EncryptionScheme.DETERMINISTIC)])
-        store.add(donor.material_for_attribute("a"))
-        executor.execute(node)
-        assert executor.cache_hits == 0
-
-    def test_setdefault_on_existing_key_keeps_cache(self):
-        catalog = random_catalog()
-        node = BaseRelationNode(R)
-        executor = Executor(catalog)
-        executor.execute(node)
-        executor.catalog.setdefault("R", Table("R", ("a", "b"), []))
-        assert executor.cache_info()["size"] == 1
-        executor.catalog.update({})
-        assert executor.cache_info()["size"] == 1
-
-
-class TestByteBoundedCache:
-    """The ``cache_bytes`` budget replacing the entry-count LRU."""
-
-    def test_estimated_bytes_scales_with_rows(self):
-        small = Table("T", ("a",), [(i,) for i in range(10)])
-        large = Table("T", ("a",), [(i,) for i in range(1000)])
-        assert small.estimated_bytes() > 0
-        assert large.estimated_bytes() > 10 * small.estimated_bytes()
-        # Memoized: the same object computes once.
-        assert large.estimated_bytes() is large.estimated_bytes()
-
-    def test_byte_budget_evicts_lru(self):
-        catalog = random_catalog()
-        r_leaf = BaseRelationNode(R)
-        s_leaf = BaseRelationNode(S)
-        probe = Executor(catalog)
-        r_bytes = probe.execute(r_leaf).estimated_bytes()
-        s_bytes = probe.execute(s_leaf).estimated_bytes()
-        # Room for one table but not both: caching S must evict R.
-        executor = Executor(catalog,
-                            cache_bytes=max(r_bytes, s_bytes) + 16)
-        executor.execute(r_leaf)
-        executor.execute(s_leaf)
-        info = executor.cache_info()
-        assert info["size"] == 1
-        assert 0 < info["bytes"] <= info["capacity_bytes"]
-        executor.execute(s_leaf)
-        assert executor.cache_hits == 1  # S survived, R was evicted
-
-    def test_oversized_result_never_cached(self):
-        catalog = random_catalog()
-        node = BaseRelationNode(R)
-        executor = Executor(catalog, cache_bytes=8)
-        executor.execute(node)
-        executor.execute(node)
-        assert executor.cache_hits == 0
-        assert executor.cache_info()["size"] == 0
-        assert executor.cache_info()["bytes"] == 0
-
-    def test_zero_byte_budget_disables_cache(self):
-        catalog = random_catalog()
-        node = BaseRelationNode(R)
-        executor = Executor(catalog, cache_bytes=0)
-        executor.execute(node)
-        executor.execute(node)
-        assert executor.cache_info()["hits"] == 0
-        assert executor.cache_info()["misses"] == 0
-
-    def test_byte_mode_ignores_entry_count(self):
-        catalog = random_catalog()
-        r_leaf = BaseRelationNode(R)
-        s_leaf = BaseRelationNode(S)
-        executor = Executor(catalog, cache_size=1, cache_bytes=1 << 20)
-        executor.execute(r_leaf)
-        executor.execute(s_leaf)
-        # Entry-count LRU (cache_size=1) no longer governs in byte mode.
-        assert executor.cache_info()["size"] == 2
-
-    def test_clear_cache_resets_bytes(self):
-        catalog = random_catalog()
-        executor = Executor(catalog, cache_bytes=1 << 20)
-        executor.execute(BaseRelationNode(R))
-        assert executor.cache_info()["bytes"] > 0
-        executor.clear_cache()
-        assert executor.cache_info()["bytes"] == 0
-        assert executor.cache_info()["size"] == 0
+        store, encrypted, selection = encrypted_selection()
+        held = KeyStore()
+        executor = Executor({"R": encrypted}, keystore=held)
+        with pytest.raises(ExecutionError):
+            executor.execute(selection)
+        held.add(store.material_for_attribute("a"))
+        assert executor.execute(selection).rows == encrypted.rows
 
 
 class TestBulkTableApis:

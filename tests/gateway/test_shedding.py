@@ -70,7 +70,6 @@ class FakeService:
 
     def cache_info(self):
         return {"plans": 0, "fragment_entries": 0,
-                "executor_hits": 0, "executor_misses": 0,
                 "assignment": {"hits": 0, "misses": 0, "size": 0}}
 
 

@@ -193,18 +193,6 @@ class TestQueryService:
         again = service.execute(RUNNING_SQL)
         assert again.result.sorted_rows() == before.result.sorted_rows()
 
-    def test_byte_bounded_executors_still_correct(self, example,
-                                                  example_tables):
-        tiny = QueryService(
-            example.schema, example.policy, example.subjects,
-            example.owners,
-            {"H": {"Hosp": example_tables["Hosp"]},
-             "I": {"Ins": example_tables["Ins"]}},
-            user="U", executor_cache_bytes=1,
-        )
-        outcome = tiny.execute(RUNNING_SQL)
-        assert outcome.result.sorted_rows() == [("tpa", 120.0)]
-
 
 class TestWorkloadSession:
     def test_session_accumulates_stats(self, service):
