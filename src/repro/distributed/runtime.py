@@ -130,7 +130,12 @@ from repro.core.lineage import Lineage, augment_view, derived_lineage
 from repro.core.operators import BaseRelationNode, PlanNode
 from repro.core.visibility import check_relation, verify_assignment
 from repro.crypto.keymanager import DistributedKeys, KeyStore
-from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
+from repro.crypto.rsa import (
+    DEFAULT_RSA_BITS,
+    RsaPrivateKey,
+    RsaPublicKey,
+    generate_keypair,
+)
 from repro.distributed.faults import FaultInjector
 from repro.distributed.health import HealthRegistry, RetryPolicy
 from repro.distributed.messages import (
@@ -177,7 +182,7 @@ class SubjectNode:
     def create(cls, subject: Subject,
                tables: Mapping[str, Table] | None = None,
                udfs: Mapping[str, UdfCallable] | None = None,
-               rsa_bits: int = 1024,
+               rsa_bits: int = DEFAULT_RSA_BITS,
                rsa_keys: tuple[RsaPublicKey, RsaPrivateKey] | None = None,
                latency_seconds: float = 0.0) -> "SubjectNode":
         """Create a node, generating an RSA keypair unless one is given.
@@ -1090,7 +1095,7 @@ def _check_schedule(schedule: str) -> str:
 
 
 def generate_subject_keys(
-    subjects: list[Subject] | list[str], rsa_bits: int = 512,
+    subjects: list[Subject] | list[str], rsa_bits: int = DEFAULT_RSA_BITS,
 ) -> dict[str, tuple[RsaPublicKey, RsaPrivateKey]]:
     """One RSA keypair per subject, generated once for reuse.
 
@@ -1106,7 +1111,7 @@ def build_runtime(policy: Policy, subjects: list[Subject],
                   authority_tables: Mapping[str, Mapping[str, Table]],
                   user: str,
                   udfs: Mapping[str, UdfCallable] | None = None,
-                  rsa_bits: int = 512,
+                  rsa_bits: int = DEFAULT_RSA_BITS,
                   rsa_keys: Mapping[
                       str, tuple[RsaPublicKey, RsaPrivateKey]] | None = None,
                   schedule: str = "sequential",

@@ -52,6 +52,7 @@ from repro.core.visibility import verify_assignment
 from repro.cost.network import NetworkTopology
 from repro.cost.pricing import PriceList
 from repro.crypto.keymanager import DistributedKeys
+from repro.crypto.rsa import DEFAULT_RSA_BITS
 from repro.distributed.faults import FaultInjector
 from repro.distributed.health import HealthRegistry, RetryPolicy
 from repro.distributed.runtime import (
@@ -249,7 +250,7 @@ class QueryService:
                  prices: PriceList | None = None,
                  topology: NetworkTopology | None = None,
                  udfs: Mapping[str, UdfCallable] | None = None,
-                 rsa_bits: int = 512,
+                 rsa_bits: int = DEFAULT_RSA_BITS,
                  schedule: str = "parallel",
                  max_workers: int | None = None,
                  assignment_cache_size: int = 256,

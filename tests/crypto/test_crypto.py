@@ -11,7 +11,6 @@ from repro.crypto import primitives
 from repro.crypto.keymanager import DistributedKeys, KeyStore
 from repro.crypto.ope import OpeCipher, decode_numeric, encode_orderable
 from repro.crypto.paillier import generate_keypair
-from repro.crypto.rsa import generate_keypair as generate_rsa
 from repro.crypto.symmetric import DeterministicCipher, RandomizedCipher
 from repro.exceptions import CryptoError, KeyManagementError
 
@@ -161,29 +160,6 @@ class TestPaillier:
         public, _ = keys
         with pytest.raises(CryptoError):
             public.encrypt(2 ** 600)
-
-
-class TestRsa:
-    @pytest.fixture(scope="class")
-    def keys(self):
-        return generate_rsa(512)
-
-    def test_sign_verify(self, keys):
-        public, private = keys
-        signature = private.sign(b"message")
-        assert public.verify(b"message", signature)
-        assert not public.verify(b"other", signature)
-        assert not public.verify(b"message", b"\x00" * 64)
-
-    def test_hybrid_encryption_roundtrip(self, keys):
-        public, private = keys
-        payload = b"x" * 5000  # bigger than the modulus
-        assert private.decrypt(public.encrypt(payload)) == payload
-
-    def test_truncated_ciphertext_rejected(self, keys):
-        public, private = keys
-        with pytest.raises(CryptoError):
-            private.decrypt(b"\x00\x00")
 
 
 class TestKeyManager:

@@ -172,16 +172,23 @@ class TestEnforcementUnderConcurrency:
             blob = original(payload, sender_private, recipient_public)
             if payload.fragment_id == "reqX":
                 victims.append(payload.fragment_id)
-                blob = blob[:-1] + bytes([blob[-1] ^ 0x55])
+                tampered = bytearray(blob)
+                tampered[offset] ^= 0x55
+                blob = bytes(tampered)
             return blob
 
         monkeypatch.setattr(runtime_module, "seal_envelope",
                             tampering_seal)
-        _, run = pipeline_7a(example, example_tables, "parallel")
-        # In-flight corruption breaks the hybrid encryption layer.
-        with pytest.raises((DispatchError, CryptoError)):
-            run()
-        assert victims == ["reqX"]
+        # -1 is the hybrid tag; 10 sits inside the RSA-wrapped session
+        # key, right after the 4-byte length prefix.
+        for offset in (-1, 10):
+            for schedule in ("parallel", "sequential"):
+                victims.clear()
+                _, run = pipeline_7a(example, example_tables, schedule)
+                # In-flight corruption breaks the hybrid encryption layer.
+                with pytest.raises((DispatchError, CryptoError)):
+                    run()
+                assert victims == ["reqX"]
 
     def test_spoofed_signature_rejected(self, example, example_tables,
                                         monkeypatch):
@@ -496,3 +503,43 @@ class TestCrossRunCaches:
             assert runtime.nodes[name].rsa_private is private
         result, _ = run()
         assert result.sorted_rows() == [("tpa", 120.0)]
+
+
+class TestEnvelopeRsaCost:
+    def test_warm_query_costs_two_half_width_modexps_per_private_op(
+            self, example, example_tables, monkeypatch):
+        """Clock-free guard on the RSA-CRT kernel: each envelope sign and
+        each unwrap is exactly two half-modulus exponentiations, and
+        nothing but the 17-bit public exponent runs over the full one."""
+        from repro.crypto import rsa as rsa_module
+        from repro.crypto.rsa import DEFAULT_RSA_BITS
+
+        _, run = pipeline_7a(example, example_tables, "parallel")
+        cold, _ = run()
+
+        modexps = []
+        envelopes = []  # list.append is atomic across fragment threads
+
+        def counting_pow(base, exponent, modulus):
+            modexps.append((exponent.bit_length(), modulus.bit_length()))
+            return pow(base, exponent, modulus)
+
+        def counted(function):
+            def wrapper(*args):
+                envelopes.append(function.__name__)
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(rsa_module, "pow", counting_pow, raising=False)
+        for name in ("seal_envelope", "open_envelope"):
+            monkeypatch.setattr(runtime_module, name,
+                                counted(getattr(runtime_module, name)))
+        warm, trace = run()
+
+        assert warm.rows == cold.rows
+        assert envelopes.count("seal_envelope") \
+            == envelopes.count("open_envelope") \
+            == len(trace.fragments_run) > 0
+        private = [m for e, m in modexps if e > 17]
+        assert len(private) == 2 * len(envelopes)
+        assert max(private) <= DEFAULT_RSA_BITS // 2 + 1
