@@ -155,6 +155,7 @@ def run_fanout(leaves: int, providers: int, rows: int,
             table, trace = runtime.run(dispatch_plan, extended, keys,
                                        distributed)
             best = min(best, time.perf_counter() - start)
+            runtime.close()
         results[schedule] = table
         times[schedule] = best
 
@@ -199,6 +200,7 @@ def run_service(repeats: int) -> dict:
     for _ in range(repeats):
         warm_times.append(session.run(RUNNING_SQL).wall_seconds)
     warm_mean = sum(warm_times) / len(warm_times)
+    service.close()
     return {
         "repeats": repeats,
         "cold_seconds": cold.wall_seconds,

@@ -273,6 +273,7 @@ def run_workload(repeat: int, schedule: str, workers: int = 0,
             lines.append(f"  {user}: ABORTED — {error}")
         lines.append("")
     lines.append(service.describe())
+    service.close()
     return "\n".join(lines)
 
 
@@ -313,6 +314,7 @@ def run_metrics(tenants: int = 3, repeat: int = 2,
         return gateway.metrics_text()
     finally:
         gateway.close()
+        service.close()
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -105,7 +105,7 @@ class QueryPlan:
     """
 
     __slots__ = ("root", "_postorder", "_parents", "_profiles",
-                 "_fingerprint")
+                 "_fingerprint", "_requirements")
 
     def __init__(self, root: PlanNode) -> None:
         self.root = root
@@ -119,6 +119,9 @@ class QueryPlan:
         self._parents = parents
         self._profiles: NodeMap[RelationProfile] | None = None
         self._fingerprint: tuple | None = None
+        #: Scheme capabilities → ``Ap`` per operation, filled by
+        #: :func:`repro.core.requirements.infer_plaintext_requirements`.
+        self._requirements: dict[object, dict] = {}
 
     # ------------------------------------------------------------------
     # Traversal

@@ -249,9 +249,25 @@ def infer_plaintext_requirements(
 
     ``overrides`` lets callers force extra plaintext requirements per node
     (the paper's optimizer may do so for any reason, e.g. unsupported
-    operator variants).
+    operator variants).  Without them the answer depends only on the
+    immutable plan and ``capabilities``, so it is inferred once per plan
+    and each caller gets its own copy of the mapping.
     """
     capabilities = capabilities or SchemeCapabilities.all()
+    if overrides is not None:
+        return _infer_requirements(plan, capabilities, overrides)
+    inferred = plan._requirements.get(capabilities)
+    if inferred is None:
+        inferred = plan._requirements[capabilities] = \
+            _infer_requirements(plan, capabilities, None)
+    return dict(inferred)
+
+
+def _infer_requirements(
+    plan: QueryPlan,
+    capabilities: SchemeCapabilities,
+    overrides: Mapping[PlanNode, frozenset[str]] | None,
+) -> dict[PlanNode, frozenset[str]]:
     instances = _instance_maps(plan)
     born: dict[_Instance, frozenset[EncryptedCapability] | None] = {}
     for node in plan.postorder():

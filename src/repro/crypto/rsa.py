@@ -23,13 +23,23 @@ once at generation; the full exponent ``d`` is not kept.  One faulty CRT
 half would let ``gcd(s^e - H(m), n)`` reveal a factor, so
 :meth:`RsaPrivateKey.sign` re-checks its output with the public exponent
 and withholds a signature that does not verify.
+
+**Sign memo.**  A full-domain-hash signature is a pure function of the
+key and the digest, so each private key remembers its last
+:data:`_SIGN_MEMO_LIMIT` (digest → signature) pairs and re-signing
+byte-identical bytes — every warm re-dispatch of a query — costs the
+hash alone.  The memo hangs off the key object, never a name: another
+key signing the same bytes pays its own modexps and gets its own
+signature.  Only signatures that passed the self-check are kept, and a
+pure-function memo needs no invalidation, only its size bound.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 from repro.crypto import primitives
 from repro.crypto.symmetric import RandomizedCipher
@@ -41,6 +51,9 @@ PUBLIC_EXPONENT = 65537
 #: Modulus size used wherever a caller does not choose one; also the
 #: smallest :func:`generate_keypair` accepts.
 DEFAULT_RSA_BITS = 512
+
+#: Signatures one private key remembers (oldest dropped beyond it).
+_SIGN_MEMO_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -82,6 +95,13 @@ class RsaPrivateKey:
     dp: int
     dq: int
     q_inv: int
+    #: Digest → self-checked signature, in insertion order (module
+    #: docstring, *Sign memo*); not part of the key's value.
+    _signed: dict[int, bytes] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _signed_guard: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False,
+        compare=False)
 
     def _private_op(self, x: int) -> int:
         """``x^d mod n`` via two half-width exponentiations (Garner)."""
@@ -93,10 +113,18 @@ class RsaPrivateKey:
         """Full-domain-hash signature over SHA-256."""
         n = self.public.n
         digest = _digest_int(message, n)
-        signature = self._private_op(digest)
-        if pow(signature, self.public.e, n) != digest:
-            raise CryptoError("RSA self-check failed; signature withheld")
-        return signature.to_bytes(_modulus_bytes(n), "big")
+        signature = self._signed.get(digest)
+        if signature is None:
+            value = self._private_op(digest)
+            if pow(value, self.public.e, n) != digest:
+                raise CryptoError(
+                    "RSA self-check failed; signature withheld")
+            signature = value.to_bytes(_modulus_bytes(n), "big")
+            with self._signed_guard:
+                if len(self._signed) >= _SIGN_MEMO_LIMIT:
+                    del self._signed[next(iter(self._signed))]
+                self._signed[digest] = signature
+        return signature
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         """Invert :meth:`RsaPublicKey.encrypt`."""

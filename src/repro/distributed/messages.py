@@ -4,8 +4,9 @@
 the user and encrypted with the subject's public key" — the envelope
 format here is exactly that ``[[q, keys] priU ] pubS`` construction:
 
-* the payload (fragment id, query text, and serialized key material) is
-  signed with the user's RSA private key;
+* the payload — every sub-query (fragment id, query text) the user sends
+  this subject for one query, and the serialized key material they need,
+  once — is signed with the user's RSA private key;
 * payload + signature are hybrid-encrypted under the recipient's RSA
   public key;
 * the recipient decrypts with its private key and verifies the user's
@@ -18,6 +19,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.keys import QueryKey
 from repro.core.requirements import EncryptionScheme
@@ -29,11 +31,28 @@ from repro.exceptions import DispatchError
 
 @dataclass(frozen=True)
 class SubQueryPayload:
-    """What a subject receives: its sub-query and the keys it needs."""
+    """What a subject receives: its sub-queries and the keys they need.
+
+    A subject holding several fragments of one query gets them in one
+    message: the first as ``fragment_id``/``query_text``, the rest as
+    ``(fragment id, text)`` pairs in ``more``.
+    """
 
     fragment_id: str
     query_text: str
     keystore: KeyStore
+    more: tuple[tuple[str, str], ...] = ()
+
+    def carries(self, fragment_id: str) -> bool:
+        """Whether this payload delivered sub-query ``fragment_id``."""
+        return fragment_id == self.fragment_id \
+            or any(fragment_id == other for other, _ in self.more)
+
+    @cached_property
+    def keys_signature(self) -> str:
+        """:func:`keystore_signature` of the delivered keys, computed once
+        per payload however many of its sub-queries are evaluated."""
+        return keystore_signature(self.keystore)
 
 
 def serialize_key_material(material: KeyMaterial) -> dict:
@@ -108,6 +127,8 @@ def encode_payload(payload: SubQueryPayload) -> bytes:
             for name in sorted(payload.keystore.names())
         ],
     }
+    if payload.more:
+        body["more"] = payload.more
     return json.dumps(body, sort_keys=True).encode("utf-8")
 
 
@@ -122,8 +143,10 @@ def decode_payload(blob: bytes) -> SubQueryPayload:
             fragment_id=body["fragment_id"],
             query_text=body["query_text"],
             keystore=keystore,
+            more=tuple((other, text)
+                       for other, text in body.get("more", ())),
         )
-    except (json.JSONDecodeError, KeyError, UnicodeDecodeError) as error:
+    except (KeyError, TypeError, ValueError) as error:
         raise DispatchError(f"malformed payload: {error}") from None
 
 

@@ -4,9 +4,12 @@ Each subject of the scenario becomes a :class:`SubjectNode` with its own
 RSA keypair, its own stored tables (for data authorities), and — crucially
 — only the query keys its envelope delivered.  The
 :class:`DistributedRuntime` drives a dispatch plan the way §6 describes:
-the user seals one envelope per fragment; each subject opens its envelope,
-verifies the user's signature, pulls its input fragments from the subjects
-below, and evaluates its own operators locally.
+the user seals one envelope per subject, carrying every sub-query that
+subject runs for the query and its keys once; each subject opens its
+envelope once per run, verifies the user's signature before acting on
+anything in it, pulls its input fragments from the subjects below, and
+evaluates its own operators locally.  What was opened lives in the run's
+own context and is dropped with it.
 
 Two enforcement layers make violations fail loudly rather than silently:
 
@@ -24,14 +27,16 @@ Scheduling
 The §6 dispatch hands every provider an *independent* sub-query, so the
 runtime derives an explicit fragment dependency graph from
 :meth:`~repro.core.dispatch.DispatchPlan.dependencies` and can execute
-it on a worker pool: sibling fragments with no request path between them
-run concurrently, while a per-subject lock serializes the fragments of
-any one subject (a simulated provider serves one sub-query at a time).
+it on its worker pool (created on first use, shared by every run,
+released by :meth:`DistributedRuntime.close`): sibling fragments with no
+request path between them run concurrently, while a per-subject lock
+serializes the fragments of any one subject (a simulated provider serves
+one sub-query at a time).
 The concurrent scheduler is **opt-in**
 (``schedule="parallel"``); the default stays the seed's demand-driven
 recursion — root first, one fragment at a time — as the bit-identical
 reference path, so existing callers keep deterministic trace ordering
-and no thread pool.  Both schedules produce the same result table
+and no pool thread.  Both schedules produce the same result table
 because each fragment's output depends only on its inputs.
 
 The runtime is also built to be *long-lived*, with one result cache:
@@ -140,7 +145,6 @@ from repro.distributed.faults import FaultInjector
 from repro.distributed.health import HealthRegistry, RetryPolicy
 from repro.distributed.messages import (
     SubQueryPayload,
-    keystore_signature,
     open_envelope,
     seal_envelope,
 )
@@ -159,6 +163,9 @@ from repro.exceptions import (
 
 #: Upper bound on memoized whole-fragment results (LRU beyond it).
 _FRAGMENT_CACHE_LIMIT = 256
+
+#: Fragment-pool width when the constructor names none.
+_FRAGMENT_POOL_WIDTH = 32
 
 
 @dataclass
@@ -231,9 +238,13 @@ class FailoverEvent:
 class ExecutionTrace:
     """Observability: what moved where during a distributed run."""
 
+    #: Sealed envelopes (one per subject, plus one per failover reseal)
+    #: and inter-fragment table transfers.
     messages: int = 0
+    #: Total size of those envelopes.
     envelope_bytes: int = 0
     rows_transferred: int = 0
+    #: Every (fragment id, subject) evaluated, cache hits included.
     fragments_run: list[tuple[str, str]] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
     schedule: str = "sequential"
@@ -272,6 +283,7 @@ class _RunContext:
     """Per-``run`` state, so concurrent runs never share mutable state."""
 
     dispatch_plan: DispatchPlan
+    #: Recipient subject → its sealed envelope for this run.
     envelopes: dict[str, bytes]
     profiles: Mapping[PlanNode, object]
     lineage: Lineage
@@ -285,6 +297,10 @@ class _RunContext:
     #: The query's cancellation token (None = unbudgeted, no checks).
     token: CancellationToken | None = None
     trace_lock: threading.Lock = field(default_factory=threading.Lock)
+    #: Subject → the payload it unwrapped and verified from its envelope,
+    #: written under the subject's lock.  Per run by design: a repeated
+    #: query is delivered, unwrapped and verified again.
+    opened: dict[str, SubQueryPayload] = field(default_factory=dict)
 
 
 class DistributedRuntime:
@@ -298,8 +314,8 @@ class DistributedRuntime:
         fragments concurrently on a worker pool.  Both return identical
         results; only trace ordering (and wall time) differs.
     max_workers:
-        Worker-pool width for the parallel schedule (default: one per
-        fragment, capped at 32).
+        Width of the runtime's fragment pool, which every run on the
+        parallel schedule shares (default 32; threads start on demand).
     clock / sleeper:
         Injectable time sources (defaults: :func:`time.monotonic` and
         :func:`time.sleep`).  Simulated provider latency, retry backoff,
@@ -359,6 +375,7 @@ class DistributedRuntime:
             raise DispatchError(f"no runtime node for user {user!r}")
         self._subject_locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
+        self._fragment_pool: ThreadPoolExecutor | None = None
         self._fragment_cache: OrderedDict[
             tuple, tuple[Table, PlanNode, tuple[Table, ...], frozenset[str]]
         ] = OrderedDict()
@@ -386,14 +403,14 @@ class DistributedRuntime:
     def run(self, dispatch_plan: DispatchPlan, extended: ExtendedPlan,
             keys: KeyAssignment, distributed_keys: DistributedKeys,
             *, user: str | None = None, schedule: str | None = None,
-            max_workers: int | None = None,
             token: CancellationToken | None = None,
             ) -> tuple[Table, ExecutionTrace]:
         """Seal envelopes, execute every fragment, return the result.
 
-        The user signs each fragment's payload and encrypts it for the
-        fragment's subject; fragments then execute according to the
-        chosen schedule — demand-driven root-down recursion
+        The user signs one payload per subject — all of that subject's
+        sub-queries and its keys — and encrypts it for the subject;
+        fragments then execute according to the chosen schedule:
+        demand-driven root-down recursion
         (``"sequential"``, exactly the nested ``req`` calls of Figure 8)
         or dependency-graph order on a worker pool (``"parallel"``).
 
@@ -426,17 +443,21 @@ class DistributedRuntime:
 
         try:
             self._checkpoint(context, "runtime:dispatch")
+            batches: dict[str, list[SubQuery]] = {}
             for fragment in dispatch_plan.fragments.values():
-                subject_node = self._node_for(fragment.subject)
+                batches.setdefault(fragment.subject, []).append(fragment)
+            for subject, (first, *rest) in batches.items():
+                subject_node = self._node_for(subject)
                 payload = SubQueryPayload(
-                    fragment_id=fragment.fragment_id,
-                    query_text=fragment.text,
-                    keystore=distributed_keys.store_for(fragment.subject),
+                    fragment_id=first.fragment_id,
+                    query_text=first.text,
+                    keystore=distributed_keys.store_for(subject),
+                    more=tuple((f.fragment_id, f.text) for f in rest),
                 )
                 blob = seal_envelope(
                     payload, user_node.rsa_private, subject_node.rsa_public
                 )
-                context.envelopes[fragment.fragment_id] = blob
+                context.envelopes[subject] = blob
                 trace.messages += 1
                 trace.envelope_bytes += len(blob)
 
@@ -444,7 +465,7 @@ class DistributedRuntime:
                 result = self._run_sequential(
                     context, dispatch_plan.root_fragment_id)
             else:
-                result = self._run_parallel(context, max_workers)
+                result = self._run_parallel(context)
         except QueryAbortedError as abort:
             # Hand the caller whatever ran before the abort: the partial
             # trace is the audit record of the fragments already paid for.
@@ -481,6 +502,17 @@ class DistributedRuntime:
         with self._caches_guard:
             self._fragment_cache.clear()
             self._cache_generation += 1
+
+    def close(self) -> None:
+        """Stop the fragment pool's threads (no-op if never started).
+
+        Call with no run in flight; a later parallel run starts a new
+        pool.
+        """
+        with self._locks_guard:
+            pool, self._fragment_pool = self._fragment_pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def cache_info(self) -> dict[str, int]:
         """Fragment-cache size and policy-reconcile counters."""
@@ -592,7 +624,9 @@ class DistributedRuntime:
         self._checkpoint(context, f"runtime:fragment {fragment_id}")
         fragment = context.dispatch_plan.fragment(fragment_id)
         node = self._node_for(fragment.subject)
-        payload = self._open_and_record(context, fragment, node)
+        lock = self._lock_for(fragment.subject)
+        with lock:
+            payload = self._open_and_record(context, fragment, node)
         view = augment_view(self.policy.view(fragment.subject),
                             context.lineage)
         inputs: dict[int, Table] = {}
@@ -601,25 +635,26 @@ class DistributedRuntime:
             self._receive_input(context, fragment, view, table)
             inputs[boundary_id] = table
         # The subject lock serializes this subject's fragments across
-        # concurrent runs; it is taken around the evaluation only (never
-        # while recursing into children) so same-subject nesting cannot
-        # deadlock.
+        # concurrent runs; it is taken around the open and the evaluation
+        # only (never while recursing into children) so same-subject
+        # nesting cannot deadlock.
         try:
-            with self._lock_for(fragment.subject):
+            with lock:
                 return self._evaluate_fragment(context, fragment, node,
                                                payload, view, inputs)
         except _FragmentFailed as failure:
             return self._failover_fragment(context, fragment, inputs,
                                            failure)
 
-    def _run_parallel(self, context: _RunContext,
-                      max_workers: int | None) -> Table:
-        """Dependency-graph scheduling on a worker pool.
+    def _run_parallel(self, context: _RunContext) -> Table:
+        """Dependency-graph scheduling on the runtime's fragment pool.
 
         A fragment becomes ready once all fragments it requests have
         produced their tables; ready fragments are submitted immediately,
         and the per-subject locks inside the fragment task keep any one
-        subject's execution serialized.
+        subject's execution serialized.  However the run ends, its
+        not-yet-started tasks are cancelled and its running ones waited
+        for before this returns; other runs' tasks are not touched.
         """
         dispatch_plan = context.dispatch_plan
         dependencies = dispatch_plan.dependencies()
@@ -627,8 +662,6 @@ class DistributedRuntime:
         dispatch_plan.execution_levels()  # validates graph shape upfront
         remaining = {f: len(deps) for f, deps in dependencies.items()}
         results: dict[str, Table] = {}
-        workers = max_workers or self.max_workers \
-            or min(32, max(1, len(dispatch_plan.fragments)))
 
         def task(fragment_id: str) -> Table:
             self._checkpoint(context, f"runtime:fragment {fragment_id}")
@@ -650,9 +683,9 @@ class DistributedRuntime:
                 return self._failover_fragment(context, fragment, inputs,
                                                failure)
 
-        pool = ThreadPoolExecutor(max_workers=workers)
+        pool = self._pool()
+        pending = {}
         try:
-            pending = {}
             for fragment_id, count in remaining.items():
                 if count == 0:
                     pending[pool.submit(task, fragment_id)] = fragment_id
@@ -667,18 +700,44 @@ class DistributedRuntime:
                             pending[pool.submit(task, parent_id)] = \
                                 parent_id
         finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+            for future in pending:
+                future.cancel()
+            wait(pending)
         return results[dispatch_plan.root_fragment_id]
+
+    def _pool(self) -> ThreadPoolExecutor:
+        with self._locks_guard:
+            if self._fragment_pool is None:
+                self._fragment_pool = ThreadPoolExecutor(
+                    max_workers=self.max_workers or _FRAGMENT_POOL_WIDTH,
+                    thread_name_prefix="repro-fragment")
+            return self._fragment_pool
 
     # ------------------------------------------------------------------
     # Fragment execution
     # ------------------------------------------------------------------
     def _open_and_record(self, context: _RunContext, fragment: SubQuery,
-                         node: SubjectNode) -> SubQueryPayload:
-        payload = open_envelope(
-            context.envelopes[fragment.fragment_id], node.rsa_private,
-            context.user_node.rsa_public,
-        )
+                         node: SubjectNode,
+                         resealed: bytes | None = None) -> SubQueryPayload:
+        """What ``node`` was sent for ``fragment`` (caller holds its lock).
+
+        The subject unwraps its envelope and verifies the user's
+        signature once per run; its other fragments reuse the opened
+        payload.  ``resealed`` is a failover envelope carrying this
+        fragment alone: opened on its own and never shared, whatever the
+        replacement already holds.
+        """
+        user_public = context.user_node.rsa_public
+        if resealed is not None:
+            payload = open_envelope(resealed, node.rsa_private, user_public)
+        elif (payload := context.opened.get(fragment.subject)) is None:
+            payload = context.opened[fragment.subject] = open_envelope(
+                context.envelopes[fragment.subject], node.rsa_private,
+                user_public)
+        if not payload.carries(fragment.fragment_id):
+            raise DispatchError(
+                f"{fragment.subject} was sent no sub-query "
+                f"{fragment.fragment_id!r}")
         with context.trace_lock:
             context.trace.fragments_run.append(
                 (fragment.fragment_id, fragment.subject))
@@ -711,9 +770,8 @@ class DistributedRuntime:
         version and keep hitting; touched entries die and re-run their
         enforcement checks.
         """
-        signature = keystore_signature(payload.keystore)
         cache_key = (
-            id(fragment.root), fragment.subject, signature,
+            id(fragment.root), fragment.subject, payload.keys_signature,
             self.policy.version, self.enforce,
             tuple(sorted((b, id(t)) for b, t in inputs.items())),
         )
@@ -926,7 +984,6 @@ class DistributedRuntime:
             )
             blob = seal_envelope(payload, context.user_node.rsa_private,
                                  candidate_node.rsa_public)
-            context.envelopes[fragment.fragment_id] = blob
             with context.trace_lock:
                 context.trace.messages += 1
                 context.trace.envelope_bytes += len(blob)
@@ -936,7 +993,7 @@ class DistributedRuntime:
             try:
                 with self._lock_for(candidate):
                     opened = self._open_and_record(context, takeover,
-                                                   candidate_node)
+                                                   candidate_node, blob)
                     for table in inputs.values():
                         self._receive_input(context, takeover, view, table)
                     result = self._evaluate_fragment(
@@ -1059,9 +1116,9 @@ class DistributedRuntime:
                       trace: ExecutionTrace,
                       trace_lock: threading.Lock | None = None) -> None:
         """Value-level guard: representations must match authorizations."""
-        for column in table.columns:
-            values = table.column_values(column)
-            sample = next((v for v in values if v is not None), None)
+        for position, column in enumerate(table.columns):
+            sample = next((row[position] for row in table.rows
+                           if row[position] is not None), None)
             if sample is None:
                 continue
             if isinstance(sample, (EncryptedValue, EncryptedAggregate)):

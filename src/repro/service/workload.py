@@ -580,6 +580,10 @@ class QueryService:
         finally:
             self.runtime.invalidate_caches()
 
+    def close(self) -> None:
+        """Release the runtime's fragment-pool threads (idempotent)."""
+        self.runtime.close()
+
     def cache_info(self) -> dict[str, object]:
         """All cache counters: plans, assignments, edge tables, fragments."""
         info: dict[str, object] = {

@@ -109,6 +109,37 @@ class TestInferRequirements:
             example.plan, overrides={example.join: frozenset("S")})
         assert "S" in requirements[example.join]
 
+    def test_inferred_once_per_plan_and_capabilities(self, example,
+                                                     monkeypatch):
+        from repro.core import requirements as requirements_module
+
+        calls = []
+        original = requirements_module._infer_requirements
+
+        def counting(plan, capabilities, overrides):
+            calls.append((capabilities, overrides))
+            return original(plan, capabilities, overrides)
+
+        monkeypatch.setattr(requirements_module, "_infer_requirements",
+                            counting)
+        first = infer_plaintext_requirements(example.plan)
+        first[example.join] = frozenset("tampered")  # the caller's copy
+        again = infer_plaintext_requirements(
+            example.plan, SchemeCapabilities.all())
+        assert again[example.join] == frozenset()
+        assert len(calls) == 1
+        # Other capabilities, overrides and other plans are not served
+        # from that entry.
+        no_ope = infer_plaintext_requirements(
+            example.plan, SchemeCapabilities(ope=False))
+        assert no_ope[example.having] == frozenset("P")
+        overridden = infer_plaintext_requirements(
+            example.plan, overrides={example.join: frozenset("S")})
+        assert "S" in overridden[example.join]
+        infer_plaintext_requirements(build_running_example().plan)
+        assert len(calls) == 4
+        assert infer_plaintext_requirements(example.plan) == again
+
 
 class TestChosenSchemes:
     def test_running_example_schemes(self, example):

@@ -508,9 +508,10 @@ class TestCrossRunCaches:
 class TestEnvelopeRsaCost:
     def test_warm_query_costs_two_half_width_modexps_per_private_op(
             self, example, example_tables, monkeypatch):
-        """Clock-free guard on the RSA-CRT kernel: each envelope sign and
-        each unwrap is exactly two half-modulus exponentiations, and
-        nothing but the 17-bit public exponent runs over the full one."""
+        """Clock-free guard on the envelope cost of a warm query: one
+        envelope per subject, every signature served by the sign memo,
+        each unwrap exactly two half-modulus exponentiations, and nothing
+        but the 17-bit public exponent over the full one."""
         from repro.crypto import rsa as rsa_module
         from repro.crypto.rsa import DEFAULT_RSA_BITS
 
@@ -537,9 +538,10 @@ class TestEnvelopeRsaCost:
         warm, trace = run()
 
         assert warm.rows == cold.rows
+        subjects = {subject for _, subject in trace.fragments_run}
         assert envelopes.count("seal_envelope") \
             == envelopes.count("open_envelope") \
-            == len(trace.fragments_run) > 0
+            == len(subjects) > 0
         private = [m for e, m in modexps if e > 17]
-        assert len(private) == 2 * len(envelopes)
+        assert len(private) == 2 * envelopes.count("open_envelope")
         assert max(private) <= DEFAULT_RSA_BITS // 2 + 1
