@@ -44,12 +44,12 @@ results keyed by the plan fingerprint and the policy version.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping
 
 from repro.core.attrsets import AttributeUniverse
 from repro.core.authorization import Policy, Subject, SubjectView
+from repro.core.cache import LRU
 from repro.core.candidates import (
     CandidateAssignment,
     MinimumViewProfiles,
@@ -113,6 +113,11 @@ class AssignmentResult:
     #: mid-query, a standby that avoids it can be dispatched without
     #: re-planning.  Empty for single-proposal strategies.
     portfolio: tuple["AssignmentResult", ...] = ()
+    #: One write-once cell (empty, or one item) for what a caller
+    #: derives from this result and wants to live exactly as long as it
+    #: — the service keeps its ``(DistributedKeys, DispatchPlan)`` here.
+    #: A result rebound onto another plan object shares the same cell.
+    derived: list = field(default_factory=list, repr=False, compare=False)
 
     def assignee(self, node: PlanNode) -> str:
         """Chosen subject for an original-plan operation.
@@ -145,8 +150,6 @@ def assign(
     search_impl: str = "fast",
     cache: AssignmentCache | None = None,
     edge_cache: "EdgeTableCache | None" = None,
-    candidates: "CandidateAssignment | Callable[[], CandidateAssignment] "
-                "| None" = None,
 ) -> AssignmentResult:
     """Run the full §6 pipeline and return the cheapest authorized plan.
 
@@ -156,11 +159,9 @@ def assign(
     full results across calls: hits require an identical plan structure
     and the same live policy/price-list/topology objects, and survive
     policy mutations whose deltas do not touch the plan's dependency
-    footprint (see :mod:`repro.core.plancache`).  ``edge_cache`` shares
-    decomposed DP edge tables across queries.  ``candidates`` supplies a
-    precomputed (or incrementally maintained) Λ — pass a callable to
-    compute it lazily, only on a cache miss.  Cached results are shared,
-    not copied.
+    footprint (see :mod:`repro.core.cache`).  ``edge_cache`` shares
+    decomposed DP edge tables across queries.  Cached results are
+    shared, not copied.
 
     Raises :class:`NoCandidateError` when some operation has no candidate
     and :class:`UnauthorizedError` when the querying user may not receive
@@ -185,11 +186,8 @@ def assign(
         hit = cache.get(cache_key, cache_context, policy=policy)
         if hit is not None:
             return _rebind_result(hit, plan)
-    if candidates is None:
-        candidates = compute_candidates(plan, policy, subject_names,
-                                        requirements)
-    elif callable(candidates):
-        candidates = candidates()
+    candidates = compute_candidates(plan, policy, subject_names,
+                                    requirements)
     candidates.require_nonempty()
     if not user_can_receive_result(plan, policy, user, candidates.min_views):
         raise UnauthorizedError(
@@ -343,6 +341,7 @@ def _rebind_result(result: AssignmentResult,
         # Standbys are self-contained (extended plan + keys only are
         # consumed on failover), so no rebinding is needed for them.
         portfolio=result.portfolio,
+        derived=result.derived,
     )
 
 
@@ -1148,22 +1147,18 @@ class EdgeTableCache:
     part of a table) of touched subjects from tables whose visible
     attributes intersect the delta's touched mask — the (profile-mask,
     view-mask) granularity of the reconcile contract in
-    :mod:`repro.core.plancache`.  The identity check in
+    :mod:`repro.core.cache`.  The identity check in
     :meth:`_EdgeTable.receiver` independently guarantees correctness
     (a stale row can never be served), so the reconcile pass is about
     hygiene and observability, not safety.
     """
 
     def __init__(self, maxsize: int = 512) -> None:
-        if maxsize <= 0:
-            raise ValueError("maxsize must be positive")
-        self.maxsize = maxsize
         self.universe = AttributeUniverse()
-        self._tables: "OrderedDict[tuple, _EdgeTable]" = OrderedDict()
+        #: value signature → _EdgeTable.
+        self._tables = LRU(maxsize)
         self._policy: Policy | None = None
         self._version: int | None = None
-        self._hits = 0
-        self._misses = 0
         self._kept = 0
         self._patched = 0
         self._evicted = 0
@@ -1202,15 +1197,9 @@ class EdgeTableCache:
                              mode)
         table = self._tables.get(key)
         if table is None:
-            self._misses += 1
             table = _EdgeTable(self.universe, estimate, operand_attrs,
                                ap_attrs, schemes, mode)
-            self._tables[key] = table
-            while len(self._tables) > self.maxsize:
-                self._tables.popitem(last=False)
-        else:
-            self._hits += 1
-            self._tables.move_to_end(key)
+            self._tables.put(key, table)
         return table
 
     def begin(self, policy: Policy) -> None:
@@ -1250,24 +1239,13 @@ class EdgeTableCache:
             self._kept += len(table.receivers)
             self._patched += 1 if len(table.receivers) != before else 0
 
-    def clear(self) -> None:
-        """Drop all tables (statistics are kept)."""
-        self._tables.clear()
-        self._policy = None
-        self._version = None
-
     def info(self) -> dict[str, int]:
-        """Hit/miss/size counters plus reconcile statistics."""
+        """Hit/miss/size counters plus receiver-row reconcile statistics."""
         return {
+            **self._tables.info(),
             "tables": len(self._tables),
-            "maxsize": self.maxsize,
-            "hits": self._hits,
-            "misses": self._misses,
             "reconcile_kept": self._kept,
             "reconcile_patched": self._patched,
             "reconcile_evicted": self._evicted,
             "reconcile_flushed": self._flushed,
         }
-
-    def __len__(self) -> int:
-        return len(self._tables)

@@ -348,26 +348,6 @@ class AttributeUniverse:
         return cached
 
 
-def deltas_touch_masked(universe: AttributeUniverse,
-                        deltas: "Iterable[PolicyDelta]",
-                        subjects: "frozenset[str] | set[str]",
-                        attr_mask: int | None = None) -> bool:
-    """Whether any delta may change how ``subjects`` see ``attr_mask``.
-
-    The mask-level form of :meth:`PolicyDelta.touches`: a delta is
-    relevant when its subject matches (``ANY`` matches every subject)
-    and, if ``attr_mask`` is given, its touched mask intersects it.
-    Conservative by construction — ``False`` guarantees the restricted
-    views are identical across every delta in the stream.
-    """
-    for delta in deltas:
-        if not delta.any_subject and delta.subject not in subjects:
-            continue
-        if attr_mask is None or universe.delta_mask(delta) & attr_mask:
-            return True
-    return False
-
-
 def relation_authorized(view: MaskView, profile: MaskProfile) -> bool:
     """Definition 4.1 as pure integer operations (no diagnostics).
 

@@ -32,8 +32,8 @@ Two guarantees follow.  *Bounded abort latency*: the time between
 ``cancel()``/expiry and the error returning is at most one parallel
 chunk or one fragment attempt — whatever unit was in flight when the
 abort landed.  *No poisoned caches*: every cache along the pipeline
-(plan, assignment, dispatch/key memos, fragment results, executor
-memos) inserts only complete entries after full computation, and those
+(plan, assignment, per-assignment keys and dispatch plan, fragment
+results) inserts only complete entries after full computation, and those
 inserts stay generation-fenced exactly as for policy churn and catalog
 refresh — an abort raised at a checkpoint can only *skip* inserts,
 never leave a partial one, so a re-run after an abort is bit-identical

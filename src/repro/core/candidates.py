@@ -22,7 +22,6 @@ from typing import Iterable, Mapping
 from repro.core.attrsets import (
     AttributeUniverse,
     assignee_authorized,
-    deltas_touch_masked,
     relation_authorized,
 )
 from repro.core.authorization import Policy, Subject, SubjectView
@@ -213,125 +212,6 @@ def compute_candidates(
             if assignee_authorized(masks, operand_masks, result_masks)
         )
     return CandidateAssignment(plan, candidates, min_views)
-
-
-class IncrementalCandidates:
-    """Λ maintained incrementally across policy grant/revoke deltas.
-
-    The minimum-view profiles of Definition 5.2/5.3 depend only on the
-    plan and its ``Ap`` requirements — never on the policy — so they are
-    computed once per plan.  Per subject the class keeps one bitmask row
-    over the plan's operations (bit *i* set ⟺ the subject is a candidate
-    for the *i*-th operation in post-order).  When the policy moves, the
-    delta journal tells which subjects' views over the plan's attributes
-    may have changed; only *their* rows are re-evaluated against the
-    precomputed per-node mask profiles — a handful of Definition 4.2
-    checks per touched subject instead of the full subject × node sweep
-    of :func:`compute_candidates`.
-
-    A truncated journal (``deltas_since`` returning ``None``) falls back
-    to refreshing every row, so the class is exactly equivalent to a
-    from-scratch recompute at every version — the property tests in
-    ``tests/properties/test_policy_deltas.py`` pin this bit-for-bit.
-    Conservativeness note: a subject row is refreshed whenever a delta
-    *may* touch it (subject match and attribute-mask intersection with
-    the plan's footprint); refreshing recomputes from the live policy,
-    so under-invalidation is impossible by construction.
-    """
-
-    def __init__(self, plan: QueryPlan, policy: Policy,
-                 subjects: Iterable[Subject | str],
-                 requirements: Mapping[PlanNode, frozenset[str]] | None = None,
-                 capabilities: SchemeCapabilities | None = None) -> None:
-        self.plan = plan
-        self.policy = policy
-        self.subject_names = [
-            s.name if isinstance(s, Subject) else s for s in subjects
-        ]
-        self.min_views = minimum_view_profiles(plan, requirements,
-                                               capabilities)
-        self._lineage = derived_lineage(plan)
-        self.universe = AttributeUniverse()
-        self._operations = plan.operations()
-        self._node_masks = []
-        for node in self._operations:
-            operand_masks = tuple(
-                profile.masks(self.universe)
-                for profile in self.min_views.views_for(node)
-            )
-            result_masks = self.min_views.result_profile(node).masks(
-                self.universe)
-            self._node_masks.append((operand_masks, result_masks))
-        attributes: set[str] = set()
-        for leaf in plan.leaves():
-            attributes |= leaf.relation.attribute_set
-        attributes.update(self._lineage)
-        self._attr_mask = self.universe.mask(attributes)
-        self.stats = {
-            "full_refreshes": 0,
-            "subject_refreshes": 0,
-            "subjects_kept": 0,
-        }
-        self._version = policy.version
-        self._rows: dict[str, int] = {
-            name: self._subject_row(name) for name in self.subject_names
-        }
-        self._built: CandidateAssignment | None = None
-
-    def _subject_row(self, name: str) -> int:
-        """Definition 4.2 over every operation for one subject, as bits."""
-        view = augment_view(self.policy.view(name), self._lineage)
-        masks = view.masks(self.universe)
-        row = 0
-        bit = 1
-        for operand_masks, result_masks in self._node_masks:
-            if assignee_authorized(masks, operand_masks, result_masks):
-                row |= bit
-            bit <<= 1
-        return row
-
-    def refresh(self) -> None:
-        """Bring the rows up to the policy's current version."""
-        if self.policy.version == self._version:
-            return
-        deltas = self.policy.deltas_since(self._version)
-        self._version = self.policy.version
-        if deltas is None:
-            # Journal truncated under us: every row is suspect.
-            self.stats["full_refreshes"] += 1
-            affected = list(self.subject_names)
-        else:
-            affected = [
-                name for name in self.subject_names
-                if deltas_touch_masked(self.universe, deltas, {name},
-                                       self._attr_mask)
-            ]
-            self.stats["subject_refreshes"] += len(affected)
-            self.stats["subjects_kept"] += \
-                len(self.subject_names) - len(affected)
-        changed = False
-        for name in affected:
-            row = self._subject_row(name)
-            if row != self._rows[name]:
-                changed = True
-                self._rows[name] = row
-        if changed:
-            self._built = None
-
-    def current(self) -> CandidateAssignment:
-        """The up-to-date Λ (refreshes first; rebuilt only on change)."""
-        self.refresh()
-        if self._built is None:
-            candidates: dict[int, frozenset[str]] = {}
-            bit = 1
-            for node in self._operations:
-                candidates[id(node)] = frozenset(
-                    name for name, row in self._rows.items() if row & bit
-                )
-                bit <<= 1
-            self._built = CandidateAssignment(self.plan, candidates,
-                                              self.min_views)
-        return self._built
 
 
 def user_can_receive_result(plan: QueryPlan, policy: Policy,

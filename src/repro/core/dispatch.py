@@ -54,9 +54,13 @@ class SubQuery:
         return f"{self.subject} [{keys}]: {self.text}"
 
 
-@dataclass
+@dataclass(eq=False)
 class DispatchPlan:
-    """All sub-queries of one query execution, root fragment first."""
+    """All sub-queries of one query execution, root fragment first.
+
+    Compared and hashed by identity: the runtime keeps what it computed
+    for a plan in a weak map keyed on the plan object itself.
+    """
 
     fragments: dict[str, SubQuery]
     root_fragment_id: str

@@ -11,44 +11,12 @@ cache on every ``Policy.version`` bump would make warm caches a fiction.
 the runtime's fragment-result cache and keeps them alive *across* policy
 mutations via the policy's delta journal.
 
-The delta journal
------------------
-Every effective ``grant``/``revoke`` appends a
-:class:`~repro.core.authorization.PolicyDelta` to a bounded journal on
-the policy: the mutated (relation, subject) pair plus a conservative
-``touched`` attribute set — the rule's own ``P ∪ E`` union the
-attributes of the :data:`~repro.core.authorization.ANY` default the
-mutation displaced or restored (an explicit rule shadows the default, so
-granting one can *shrink* a view and revoking one can *grow* it).
-:meth:`Policy.deltas_since(v) <repro.core.authorization.Policy.deltas_since>`
-returns the deltas after version ``v``, or ``None`` when the journal no
-longer reaches back that far.
-
-The reconcile contract
-----------------------
-Entries record the policy version they were computed at plus a
-*dependency footprint* ``(subjects, attributes)`` — see
-:func:`plan_dependencies`.  On lookup with a live policy, the cache
-walks ``deltas_since(entry.version)``:
-
-* no delta touches the footprint → the entry is **kept** and its
-  version rebased to the current one (counter ``reconcile_kept``);
-* some delta touches it → the entry **dies** (``reconcile_evicted``);
-* the journal was truncated (or the entry's version is unknown to this
-  policy) → the entry **dies** unconditionally (``reconcile_flushed``).
-
-Safety invariant
-----------------
-Every cache reconciling against the journal must be *conservative
-toward eviction*: a revocation may never be under-invalidated.  An
-entry may only survive a delta stream when its dependency footprint is
-provably disjoint from every delta — the footprint must therefore
-over-approximate what the entry depends on (here: every subject the
-assignment chose among, and every attribute name the plan touches,
-including derived aliases, matched by name exactly as
-:meth:`Policy.view <repro.core.authorization.Policy.view>` unions rules
-by name).  When in doubt, evict; staleness bugs in an authorization
-planner are security bugs.
+The delta journal, the reconcile contract (kept / evicted / flushed) and
+the safety invariant every reconciling cache obeys live in
+:mod:`repro.core.cache`; this module adds what is particular to
+assignments: the dependency footprint (:func:`plan_dependencies` — every
+subject the assignment chose among, and every attribute name the plan
+touches, derived aliases included) and the key/context split.
 
 Key and context
 ---------------
@@ -69,10 +37,10 @@ results are shared (not copied); callers must treat them as immutable.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping
 
 from repro.core.authorization import Policy
+from repro.core.cache import LRU, Entry, Reconciler
 from repro.core.lineage import derived_lineage
 from repro.core.plan import NodeMap, QueryPlan
 from repro.core.operators import PlanNode
@@ -153,20 +121,6 @@ def assignment_cache_key(
     )
 
 
-class _Entry:
-    """One cached result with its reconcile bookkeeping."""
-
-    __slots__ = ("context", "result", "version", "depends")
-
-    def __init__(self, context: Context, result: object,
-                 version: int | None,
-                 depends: Dependencies | None) -> None:
-        self.context = context
-        self.result = result
-        self.version = version
-        self.depends = depends
-
-
 class AssignmentCache:
     """An LRU over full assignment results, reconciled via policy deltas.
 
@@ -183,41 +137,9 @@ class AssignmentCache:
     """
 
     def __init__(self, maxsize: int = 256) -> None:
-        if maxsize <= 0:
-            raise ValueError("maxsize must be positive")
-        self.maxsize = maxsize
-        self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._kept = 0
-        self._evicted = 0
-        self._flushed = 0
-
-    def _reconcile(self, key: tuple, entry: _Entry,
-                   policy: Policy) -> bool:
-        """Whether ``entry`` survives the deltas since it was stored.
-
-        Implements the module-level reconcile contract; surviving
-        entries are rebased to the current version so later lookups walk
-        only newer deltas.
-        """
-        if entry.version is None or entry.version == policy.version:
-            return True
-        deltas = policy.deltas_since(entry.version)
-        if deltas is None:
-            del self._entries[key]
-            self._flushed += 1
-            return False
-        subjects, attributes = entry.depends or (frozenset(), None)
-        if entry.depends is None or any(
-            delta.touches(subjects, attributes) for delta in deltas
-        ):
-            del self._entries[key]
-            self._evicted += 1
-            return False
-        entry.version = policy.version
-        self._kept += 1
-        return True
+        #: key → Entry whose value is ``(context, result)``.
+        self._entries = LRU(maxsize)
+        self._reconciler = Reconciler()
 
     def get(self, key: tuple, context: Context,
             policy: Policy | None = None) -> "AssignmentResult | None":
@@ -227,27 +149,21 @@ class AssignmentCache:
         (``is``), guarding against id-collisions between distinct
         policies/price lists with equal value keys.  With ``policy``
         given, the entry is first reconciled against the delta journal
-        (see the module docstring); without it, version-stamped entries
-        miss whenever the stamp could be stale (safe default).
+        (see :mod:`repro.core.cache`); without it, version-stamped
+        entries miss (safe default).  An entry that cannot be served is
+        dropped.
         """
-        entry = self._entries.get(key)
-        if entry is not None:
-            if len(entry.context) == len(context) and all(
-                stored is current
-                for stored, current in zip(entry.context, context)
-            ):
-                if policy is not None:
-                    if not self._reconcile(key, entry, policy):
-                        self._misses += 1
-                        return None
-                elif entry.version is not None:
-                    self._misses += 1
-                    return None
-                self._entries.move_to_end(key)
-                self._hits += 1
-                return entry.result
-        self._misses += 1
-        return None
+        def servable(entry: Entry) -> bool:
+            stored = entry.value[0]
+            if len(stored) != len(context) or any(
+                    old is not new for old, new in zip(stored, context)):
+                return False
+            if policy is None:
+                return entry.policy is None
+            return self._reconciler.survives(policy, entry)
+
+        entry = self._entries.get(key, servable)
+        return None if entry is None else entry.value[1]
 
     def put(self, key: tuple, context: Context, result: object,
             policy: Policy | None = None,
@@ -258,29 +174,9 @@ class AssignmentCache:
         ``depends`` is its dependency footprint (omitting it makes the
         entry die on any newer delta — conservative).
         """
-        self._entries[key] = _Entry(
-            tuple(context), result,
-            None if policy is None else policy.version, depends,
-        )
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop all entries (statistics are kept)."""
-        self._entries.clear()
+        self._entries.put(key, Entry((tuple(context), result), policy,
+                                     *(depends or (None, None))))
 
     def info(self) -> dict[str, int]:
         """Hit/miss/size counters plus reconcile statistics."""
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "size": len(self._entries),
-            "maxsize": self.maxsize,
-            "reconcile_kept": self._kept,
-            "reconcile_evicted": self._evicted,
-            "reconcile_flushed": self._flushed,
-        }
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        return {**self._entries.info(), **self._reconciler.info()}

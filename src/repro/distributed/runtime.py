@@ -39,18 +39,20 @@ reference path, so existing callers keep deterministic trace ordering
 and no pool thread.  Both schedules produce the same result table
 because each fragment's output depends only on its inputs.
 
-The runtime is also built to be *long-lived*, with one result cache:
-whole fragment results are reused when the same fragment arrives again
-at the same subject with the same key material and identical inputs —
-the repeat-query regime the service layer (:mod:`repro.service`)
-serves.  A fragment that misses is executed from scratch by a fresh
+The runtime is also built to be *long-lived*, with one result cache,
+kept per dispatch plan and only as long as the plan itself is alive:
+a whole fragment result is reused when the same fragment of the same
+dispatch plan arrives again at the same subject with the same key
+material and identical inputs — the repeat-query regime the service
+layer (:mod:`repro.service`) serves.  A fragment that misses is
+executed from scratch by a fresh
 :class:`~repro.engine.executor.Executor` built from its opened envelope,
 re-running the model-level check at every node.  Policy churn is
-absorbed by reconciling the fragment cache against the policy's delta
-journal (see :meth:`DistributedRuntime._reconcile_policy_caches_locked`):
-a ``grant``/``revoke`` only kills the entries whose subject and
-attribute footprint it touches, never the whole cache, while revocations
-can never be under-invalidated.
+absorbed by reconciling each entry against the policy's delta journal
+on lookup (the contract of :mod:`repro.core.cache`): a
+``grant``/``revoke`` only kills the entries whose subject and attribute
+footprint it touches, never the whole cache, while revocations can never
+be under-invalidated.
 
 Failover contract
 -----------------
@@ -121,13 +123,14 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
+import weakref
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from repro.core.authorization import Policy, Subject, SubjectView
 from repro.core.budget import CancellationToken, token_scope
+from repro.core.cache import Entry, Reconciler
 from repro.core.dispatch import DispatchPlan, SubQuery
 from repro.core.extension import ExtendedPlan
 from repro.core.keys import KeyAssignment
@@ -160,9 +163,6 @@ from repro.exceptions import (
     TransientProviderError,
     UnauthorizedError,
 )
-
-#: Upper bound on memoized whole-fragment results (LRU beyond it).
-_FRAGMENT_CACHE_LIMIT = 256
 
 #: Fragment-pool width when the constructor names none.
 _FRAGMENT_POOL_WIDTH = 32
@@ -376,26 +376,21 @@ class DistributedRuntime:
         self._subject_locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
         self._fragment_pool: ThreadPoolExecutor | None = None
-        self._fragment_cache: OrderedDict[
-            tuple, tuple[Table, PlanNode, tuple[Table, ...], frozenset[str]]
-        ] = OrderedDict()
+        #: dispatch plan → {(fragment id, subject) → Entry}; an entry's
+        #: value is ``(result, keys signature, enforce, input tables)``.
+        #: Weak-keyed: a plan nobody holds takes its results with it.
+        self._fragments: weakref.WeakKeyDictionary[
+            DispatchPlan, dict[tuple[str, str], Entry]
+        ] = weakref.WeakKeyDictionary()
+        self._fragment_hits = 0
+        self._fragment_misses = 0
+        #: Kept / evicted / flushed counts of the fragment entries.
+        self.reconciler = Reconciler()
         self._caches_guard = threading.Lock()
         # Bumped by invalidate_caches(); inserts check it so an entry
         # computed from a pre-invalidation catalog snapshot can never
         # repopulate the cache after the clear.
         self._cache_generation = 0
-        # Policy version the cache was last reconciled to.  On every
-        # bump the cache walks the delta journal: entries whose subject
-        # and attribute footprint are disjoint from all intervening
-        # deltas are rebased onto the new version; touched entries die
-        # (revocations may never be under-invalidated); a truncated
-        # journal flushes everything.
-        self._reconciled_version = policy.version
-        self._reconcile_stats = {
-            "fragment_kept": 0,
-            "fragment_evicted": 0,
-            "fragment_flushed": 0,
-        }
 
     # ------------------------------------------------------------------
     # Entry point
@@ -500,7 +495,7 @@ class DistributedRuntime:
         this method bumps.
         """
         with self._caches_guard:
-            self._fragment_cache.clear()
+            self._fragments.clear()
             self._cache_generation += 1
 
     def close(self) -> None:
@@ -515,10 +510,15 @@ class DistributedRuntime:
             pool.shutdown(wait=True)
 
     def cache_info(self) -> dict[str, int]:
-        """Fragment-cache size and policy-reconcile counters."""
+        """Fragment-cache size, traffic and policy-reconcile counters."""
         with self._caches_guard:
-            return {"fragment_entries": len(self._fragment_cache),
-                    **self._reconcile_stats}
+            return {
+                "fragment_entries": sum(
+                    len(entries) for entries in self._fragments.values()),
+                "fragment_hits": self._fragment_hits,
+                "fragment_misses": self._fragment_misses,
+                **self.reconciler.info("fragment_"),
+            }
 
     def health_info(self) -> dict[str, dict[str, object]]:
         """Per-subject health snapshot (breaker state, EWMA, counters)."""
@@ -535,45 +535,6 @@ class DistributedRuntime:
         Pass ``None`` to detach.
         """
         self._metrics_sink = sink
-
-    # ------------------------------------------------------------------
-    # Policy-delta reconcile
-    # ------------------------------------------------------------------
-    def _reconcile_policy_caches_locked(self) -> None:
-        """Walk the delta journal and surgically maintain the cache.
-
-        Caller holds ``_caches_guard``.  Fragment entries carry a
-        per-entry attribute footprint (every name in the fragment
-        subtree's profiles, plus lineage sources), so a delta kills an
-        entry only when it touches the entry's subject *and* intersects
-        that footprint.  Surviving keys are rebased onto the current
-        version.  A journal that no longer reaches back flushes
-        everything — the same conservative fallback as a version-keyed
-        purge, preserving the invariant that no stale
-        enforcement-skipping result can ever be served.
-        """
-        current = self.policy.version
-        if self._reconciled_version == current:
-            return
-        deltas = self.policy.deltas_since(self._reconciled_version)
-        self._reconciled_version = current
-        stats = self._reconcile_stats
-        if deltas is None:
-            stats["fragment_flushed"] += len(self._fragment_cache)
-            self._fragment_cache.clear()
-            return
-        fragments: OrderedDict[
-            tuple, tuple[Table, PlanNode, tuple[Table, ...], frozenset[str]]
-        ] = OrderedDict()
-        for key, entry in self._fragment_cache.items():
-            subject = {key[1]}
-            footprint = entry[3]
-            if any(d.touches(subject, footprint) for d in deltas):
-                stats["fragment_evicted"] += 1
-                continue
-            fragments[key[:3] + (current,) + key[4:]] = entry
-            stats["fragment_kept"] += 1
-        self._fragment_cache = fragments
 
     @staticmethod
     def _fragment_footprint(root: PlanNode,
@@ -758,55 +719,63 @@ class DistributedRuntime:
                            inputs: dict[int, Table]) -> Table:
         """Evaluate one fragment, reusing a memoized whole-fragment result.
 
-        The memo key ties the result to everything it can depend on: the
-        fragment's root node (identity — stable across repeated queries
-        served from the assignment cache), the executing subject, the
-        delivered key material, the policy version, the enforcement
-        flag, and the identity of every input table (a recomputed input
-        produces a fresh object and therefore a miss).  Before the
-        lookup, the cache reconciles against the policy's delta journal:
-        entries whose subject/footprint are disjoint from every
-        intervening ``grant``/``revoke`` are rebased to the current
-        version and keep hitting; touched entries die and re-run their
-        enforcement checks.
+        The dispatch plan holds one slot per (fragment, executing
+        subject).  The slot hits iff it was filled under the same
+        delivered key material and enforcement flag, from the very same
+        input tables (a recomputed input is a fresh object and therefore
+        a miss), and the entry survives the policy reconcile: disjoint
+        from every ``grant``/``revoke`` since it was stored, an entry is
+        rebased and keeps hitting; touched, it dies and the fragment
+        re-runs its enforcement checks.
         """
-        cache_key = (
-            id(fragment.root), fragment.subject, payload.keys_signature,
-            self.policy.version, self.enforce,
-            tuple(sorted((b, id(t)) for b, t in inputs.items())),
-        )
+        slot = (fragment.fragment_id, fragment.subject)
+        tables = tuple(inputs.values())
+        plan = context.dispatch_plan
         with self._caches_guard:
-            self._reconcile_policy_caches_locked()
             generation = self._cache_generation
-            cached = self._fragment_cache.get(cache_key)
-            if cached is not None:
-                self._fragment_cache.move_to_end(cache_key)
-        if cached is not None:
+            version = self.policy.version
+            entries = self._fragments.get(plan, {})
+            entry = entries.get(slot)
+            if entry is not None and entry.version != version:
+                # The policy moved since this plan last ran: reconcile
+                # all of its entries at once, so a delta that kills a
+                # sibling's entry frees it now, looked up again or not.
+                for dead in [key for key, cached in entries.items()
+                             if not self.reconciler.survives(self.policy,
+                                                             cached)]:
+                    del entries[dead]
+                entry = entries.get(slot)
+            if entry is not None:
+                result, signature, enforce, stored = entry.value
+                if not (signature == payload.keys_signature
+                        and enforce == self.enforce
+                        and len(stored) == len(tables)
+                        and all(a is b for a, b in zip(stored, tables))):
+                    entry = None
+            if entry is None:
+                self._fragment_misses += 1
+            else:
+                self._fragment_hits += 1
+        if entry is not None:
             with context.trace_lock:
                 context.trace.fragment_cache_hits += 1
-            return cached[0]
+            return result
         result = self._execute_with_retries(context, fragment, node,
                                             payload, view, inputs)
-        footprint = self._fragment_footprint(fragment.root, context)
+        fresh = Entry(
+            (result, payload.keys_signature, self.enforce, tables),
+            self.policy, {fragment.subject},
+            self._fragment_footprint(fragment.root, context))
         with self._caches_guard:
-            # The key holds id()s of the root node and the input tables;
-            # the entry pins those objects so the ids cannot be recycled
-            # into different objects while the entry exists.  Skip the
-            # insert if invalidate_caches() ran meanwhile — this result
-            # may have been computed from the pre-invalidation catalog.
-            # The same goes for a result keyed on an already-superseded
-            # policy version (a grant/revoke landed mid-run): its
-            # enforcement checks ran against the old policy.
-            self._reconcile_policy_caches_locked()
+            # Skip the insert if invalidate_caches() ran meanwhile —
+            # this result may have been computed from the
+            # pre-invalidation catalog.  The same goes for a result
+            # whose policy version is already superseded (a grant/revoke
+            # landed mid-run): its enforcement checks ran against the
+            # old policy.
             if self._cache_generation == generation \
-                    and cache_key[3] == self.policy.version:
-                self._fragment_cache[cache_key] = (
-                    result, fragment.root, tuple(inputs.values()),
-                    footprint,
-                )
-                self._fragment_cache.move_to_end(cache_key)
-                while len(self._fragment_cache) > _FRAGMENT_CACHE_LIMIT:
-                    self._fragment_cache.popitem(last=False)
+                    and fresh.version == version:
+                self._fragments.setdefault(plan, {})[slot] = fresh
         return result
 
     def _execute_with_retries(self, context: _RunContext,

@@ -40,9 +40,10 @@ deterministic under a fake clock.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Deque, Iterable
 
+from repro.core.cache import LRU
 from repro.exceptions import AdmissionRejected
 
 #: Default bound on queued queries per tenant.
@@ -69,43 +70,35 @@ class LatencyPredictor:
 
     def __init__(self, maxsize: int = DEFAULT_PREDICTOR_SIZE,
                  alpha: float = DEFAULT_PREDICTOR_ALPHA) -> None:
-        if not isinstance(maxsize, int) or maxsize < 1:
-            raise ValueError(
-                f"maxsize must be a positive integer, got {maxsize!r}")
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
         self.alpha = alpha
-        self._maxsize = maxsize
-        self._ewmas: OrderedDict[str, tuple[float, float]] = OrderedDict()
+        #: sql → (wall-seconds EWMA, cost EWMA); recency = last observed.
+        self._ewmas = LRU(maxsize)
         self._lock = threading.Lock()
 
     def observe(self, sql: str, wall_seconds: float,
                 cost_usd: float) -> None:
         """Fold one completed query into the EWMAs."""
         with self._lock:
-            entry = self._ewmas.get(sql)
-            if entry is None:
-                self._ewmas[sql] = (wall_seconds, cost_usd)
-            else:
+            entry = self._ewmas.peek(sql)
+            if entry is not None:
                 alpha = self.alpha
-                self._ewmas[sql] = (
-                    alpha * wall_seconds + (1.0 - alpha) * entry[0],
-                    alpha * cost_usd + (1.0 - alpha) * entry[1],
-                )
-            self._ewmas.move_to_end(sql)
-            while len(self._ewmas) > self._maxsize:
-                self._ewmas.popitem(last=False)
+                wall_seconds = alpha * wall_seconds \
+                    + (1.0 - alpha) * entry[0]
+                cost_usd = alpha * cost_usd + (1.0 - alpha) * entry[1]
+            self._ewmas.put(sql, (wall_seconds, cost_usd))
 
     def predict_seconds(self, sql: str) -> float | None:
         """Expected wall seconds for ``sql`` (None = never observed)."""
         with self._lock:
-            entry = self._ewmas.get(sql)
+            entry = self._ewmas.peek(sql)
             return None if entry is None else entry[0]
 
     def predict_cost(self, sql: str) -> float | None:
         """Expected §7 cost in USD for ``sql`` (None = never observed)."""
         with self._lock:
-            entry = self._ewmas.get(sql)
+            entry = self._ewmas.peek(sql)
             return None if entry is None else entry[1]
 
     def __len__(self) -> int:

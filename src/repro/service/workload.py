@@ -13,16 +13,16 @@ across queries and drives SQL text through it end to end:
   assignment results (PR 2), which identity-stable plans short-circuit
   and which policy churn maintains surgically instead of flushing;
 * a cross-query :class:`~repro.core.assignment.EdgeTableCache` sharing
-  decomposed DP edge tables between distinct queries, plus per-plan
-  :class:`~repro.core.candidates.IncrementalCandidates` maintaining Λ
-  under grant/revoke by refreshing only the touched subjects' rows;
-* memoised **dispatch plans** and **distributed key material** per cached
-  assignment, so repeated queries stop paying fragment rendering and
-  Paillier/symmetric keygen;
+  decomposed DP edge tables between distinct queries;
+* the **distributed key material** and **dispatch plan** of each
+  assignment, built once and kept on the assignment itself
+  (``AssignmentResult.derived``), so repeated queries stop paying
+  Paillier/symmetric keygen and fragment rendering, and an assignment
+  that leaves the cache takes them with it;
 * one persistent :class:`~repro.distributed.DistributedRuntime` whose
   per-subject RSA keypairs are generated once and whose fragment cache
-  — the runtime's only result cache — reconciles against the policy's
-  delta journal.
+  — the runtime's only result cache, held per dispatch plan —
+  reconciles against the policy's delta journal.
 
 Each :class:`QueryOutcome` carries the reconcile activity its query
 observed (assignment and fragment entries kept/evicted, edge-table rows
@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.core.assignment import AssignmentResult, EdgeTableCache, assign
 from repro.core.authorization import Policy, Subject
 from repro.core.budget import CancellationToken, QueryBudget
-from repro.core.candidates import IncrementalCandidates
+from repro.core.cache import LRU
 from repro.core.dispatch import DispatchPlan, dispatch
 from repro.core.plancache import AssignmentCache
 from repro.core.schema import Schema
@@ -74,30 +73,12 @@ from repro.exceptions import (
 )
 from repro.sql.planner import plan_query
 
-#: Entries kept in the plan/dispatch-plan/distributed-key memos.
+#: Entries kept in the plan cache and the per-user topology memo.
 _MEMO_LIMIT = 256
 
 #: Most recent outcomes a :class:`WorkloadSession` retains (stats cover
 #: every query regardless; full results must not pin unbounded memory).
 _SESSION_OUTCOME_LIMIT = 128
-
-
-class _BoundedCache(OrderedDict):
-    """An insertion-bounded mapping for the service's long-lived memos.
-
-    Evicts the oldest entry beyond ``limit`` — a service receiving many
-    distinct SQL texts (inlined literal parameters, ad-hoc queries) must
-    not grow without bound.
-    """
-
-    def __init__(self, limit: int = _MEMO_LIMIT) -> None:
-        super().__init__()
-        self._limit = limit
-
-    def __setitem__(self, key, value) -> None:
-        super().__setitem__(key, value)
-        while len(self) > self._limit:
-            self.popitem(last=False)
 
 
 @dataclass
@@ -274,11 +255,12 @@ class QueryService:
         # slow client link must follow whoever is querying), memoized so
         # the assignment cache's identity-compared context still hits.
         self.topology = topology
-        #: user → memoized topology; bounded like every other per-user
-        #: memo (arbitrary user strings reach here before authorization
-        #: checks run, so unbounded growth would be caller-controlled).
-        #: Eviction only costs a cold user an assignment-cache miss.
-        self._user_topologies: _BoundedCache = _BoundedCache()
+        #: user → memoized topology; bounded (arbitrary user strings
+        #: reach here before authorization checks run, so unbounded
+        #: growth would be caller-controlled) and least-recently-used,
+        #: so strangers push each other out, not a user who keeps
+        #: querying.  Eviction costs that user an assignment-cache miss.
+        self._user_topologies = LRU(_MEMO_LIMIT)
         #: Clock used when minting a CancellationToken from a bare
         #: QueryBudget; shared with the runtime so fake-clock tests see
         #: one consistent notion of time end to end.
@@ -288,10 +270,6 @@ class QueryService:
         #: Cross-query DP edge tables; receiver rows reconcile against
         #: the policy's delta journal at the start of each search.
         self.edge_cache = EdgeTableCache()
-        #: id(plan) → (IncrementalCandidates, pinned plan).  Identity
-        #: keys are safe because the plan cache returns identity-stable
-        #: plans; pinning the plan keeps the id valid while memoised.
-        self._candidates_memo: _BoundedCache = _BoundedCache()
         # Per-subject RSA keypairs are generated exactly once, here.
         self.rsa_keys = generate_subject_keys(list(self.subjects),
                                               rsa_bits=rsa_bits)
@@ -303,12 +281,8 @@ class QueryService:
             fault_injector=fault_injector, retry=retry,
             failover=failover, settings=settings,
         )
-        #: (sql, id(schema)) → (plan, pinned schema); see plan_query.
-        self._plan_cache: _BoundedCache = _BoundedCache()
-        #: id(extended), user → (dispatch plan, pinned extended plan).
-        self._dispatch_memo: _BoundedCache = _BoundedCache()
-        #: id(keys) → (distributed material, pinned key assignment).
-        self._keys_memo: _BoundedCache = _BoundedCache()
+        #: SQL text → identity-stable plan; see plan_query.
+        self._plan_cache = LRU(_MEMO_LIMIT)
         self._lock = threading.Lock()
         self.total_stats = SessionStats()
 
@@ -348,8 +322,9 @@ class QueryService:
             token.check("service:admitted")
         with self._lock:
             reconcile_before = self._reconcile_counters()
-            plan_cached = (sql, id(self.schema)) in self._plan_cache
+            plan_hits = self._plan_cache.info()["hits"]
             plan = plan_query(sql, self.schema, cache=self._plan_cache)
+            plan_cached = self._plan_cache.info()["hits"] > plan_hits
             hits_before = self.assignment_cache.info()["hits"]
             outcome = assign(
                 plan, self.policy, self.subject_names, self.prices,
@@ -357,7 +332,6 @@ class QueryService:
                 topology=self._topology_for(user),
                 cache=self.assignment_cache,
                 edge_cache=self.edge_cache,
-                candidates=lambda: self._candidates_for(plan).current(),
             )
             assignment_cached = (
                 self.assignment_cache.info()["hits"] > hits_before
@@ -365,12 +339,8 @@ class QueryService:
         if token is not None:
             token.check("service:planned")
             self._enforce_cost_ceiling(token, outcome)
-        # Key generation (Paillier — the most expensive planning step)
-        # and fragment rendering run outside the planning lock so cold
-        # queries from different users don't serialize on them; the memo
-        # helpers do their own double-checked locking.
-        distributed, keys_reused = self._distributed_keys(outcome)
-        dispatch_plan = self._dispatch_plan(outcome, user)
+        distributed, dispatch_plan, keys_reused = self._derived(outcome,
+                                                                user)
         partial_traces: list[ExecutionTrace] = []
         standby_used = replanned = False
         repair_seconds = 0.0
@@ -496,8 +466,7 @@ class QueryService:
             if token is not None:
                 self._enforce_cost_ceiling(token, repaired,
                                            where="failover")
-            distributed, _ = self._distributed_keys(repaired)
-            dispatch_plan = self._dispatch_plan(repaired, user)
+            distributed, dispatch_plan, _ = self._derived(repaired, user)
             try:
                 result, trace = self.runtime.run(
                     dispatch_plan, repaired.extended, repaired.keys,
@@ -588,6 +557,7 @@ class QueryService:
         """All cache counters: plans, assignments, edge tables, fragments."""
         info: dict[str, object] = {
             "plans": len(self._plan_cache),
+            "plan_cache": self._plan_cache.info(),
             "assignment": self.assignment_cache.info(),
             "edge_tables": self.edge_cache.info(),
             # Read by benchmarks/e2e (engine.executor_cache_hit_ratio).
@@ -610,16 +580,21 @@ class QueryService:
     def describe(self) -> str:
         """Service-level summary across every query it has run."""
         info = self.cache_info()
-        assignment = info["assignment"]
-        return (
-            f"service totals: {self.total_stats.describe()}\n"
-            f"caches: {info['plans']} plans; assignment "
-            f"{assignment['hits']}h/{assignment['misses']}m; "
-            f"{info['fragment_entries']} fragment results"
-        )
+        caches = [
+            ("plans", info["plan_cache"]),
+            ("assignments", info["assignment"]),
+            ("edge tables", info["edge_tables"]),
+        ]
+        traffic = [f"{label} {c['size']} {c['hits']}h/{c['misses']}m"
+                   for label, c in caches]
+        traffic.append(
+            f"fragment results {info['fragment_entries']} "
+            f"{info['fragment_hits']}h/{info['fragment_misses']}m")
+        return (f"service totals: {self.total_stats.describe()}\n"
+                f"caches: {'; '.join(traffic)}")
 
     # ------------------------------------------------------------------
-    # Memoised per-assignment artifacts
+    # Per-assignment artifacts
     # ------------------------------------------------------------------
     def _reconcile_counters(self) -> dict[str, int]:
         """Snapshot of every delta-reconcile counter, flat-keyed.
@@ -635,26 +610,8 @@ class QueryService:
             for key, value in info.items():
                 if key.startswith("reconcile_"):
                     counters[f"{prefix}_{key[len('reconcile_'):]}"] = value
-        runtime = self.runtime.cache_info()
-        for key in ("fragment_kept", "fragment_evicted", "fragment_flushed"):
-            counters[key] = runtime[key]
+        counters.update(self.runtime.reconciler.info("fragment_"))
         return counters
-
-    def _candidates_for(self, plan) -> IncrementalCandidates:
-        """The incremental Λ maintainer for ``plan`` (caller holds lock).
-
-        Built on the first cache-missing query over a plan; thereafter
-        each policy change refreshes only the touched subjects' rows
-        instead of re-deriving every subject × operation authorization.
-        """
-        entry = self._candidates_memo.get(id(plan))
-        if entry is None:
-            entry = (IncrementalCandidates(plan, self.policy,
-                                           self.subject_names), plan)
-            self._candidates_memo[id(plan)] = entry
-        else:
-            self._candidates_memo.move_to_end(id(plan))
-        return entry[0]
 
     def _topology_for(self, user: str) -> NetworkTopology:
         """The network topology pricing ``user``'s queries (memoized)."""
@@ -663,59 +620,35 @@ class QueryService:
         topology = self._user_topologies.get(user)
         if topology is None:
             topology = NetworkTopology.paper_defaults(user)
-            self._user_topologies[user] = topology
+            self._user_topologies.put(user, topology)
         return topology
 
-    def _memo_get_or_create(self, memo: _BoundedCache, key,
-                            factory) -> tuple[object, bool]:
-        """Double-checked get-or-insert; ``factory`` runs outside the lock.
+    def _derived(self, outcome: AssignmentResult, user: str,
+                 ) -> tuple[DistributedKeys, DispatchPlan, bool]:
+        """``outcome``'s key material and dispatch plan, built once.
 
-        Returns ``(entry, was_cached)``.  ``was_cached`` is True only
-        when the first check hit: a caller that loses the insert race
-        gets the winner's entry back but still paid the factory cost,
-        so it must not report a cache hit.
+        Both ride in the assignment's own ``derived`` cell — shared by
+        every rebound copy of a cached result — so repeated queries
+        redistribute the same Paillier/symmetric material and fragment
+        texts, and nothing outlives the assignment.  Key generation
+        (Paillier — the most expensive planning step) and fragment
+        rendering run outside the service lock so cold queries from
+        different users don't serialize on them; the cell is filled
+        compare-and-set under it.  The flag is True only when the first
+        look found the cell filled: a caller that loses the fill race
+        is handed the winner's pair but still paid for its own, so it
+        must not report reuse.
         """
         with self._lock:
-            entry = memo.get(key)
-            if entry is not None:
-                memo.move_to_end(key)
-                return entry, True
-        created = factory()
+            if outcome.derived:
+                return (*outcome.derived[0], True)
+        built = (DistributedKeys.from_assignment(outcome.keys),
+                 dispatch(outcome.extended, outcome.keys,
+                          owners=self.owners, user=user))
         with self._lock:
-            entry = memo.get(key)
-            if entry is not None:
-                memo.move_to_end(key)
-                return entry, False
-            memo[key] = created
-        return created, False
-
-    def _distributed_keys(
-        self, outcome: AssignmentResult,
-    ) -> tuple[DistributedKeys, bool]:
-        """Key material per assignment, generated once and redistributed.
-
-        Keyed by the :class:`~repro.core.keys.KeyAssignment`'s identity —
-        cache-served assignments share it, so repeated queries reuse the
-        same Paillier/symmetric material instead of regenerating it (the
-        entry pins the assignment so the id stays valid).
-        """
-        entry, cached = self._memo_get_or_create(
-            self._keys_memo, id(outcome.keys),
-            lambda: (DistributedKeys.from_assignment(outcome.keys),
-                     outcome.keys),
-        )
-        return entry[0], cached
-
-    def _dispatch_plan(self, outcome: AssignmentResult,
-                       user: str) -> DispatchPlan:
-        """Fragment partitioning per (assignment, user), memoised."""
-        entry, _ = self._memo_get_or_create(
-            self._dispatch_memo, (id(outcome.extended), user),
-            lambda: (dispatch(outcome.extended, outcome.keys,
-                              owners=self.owners, user=user),
-                     outcome.extended),
-        )
-        return entry[0]
+            if not outcome.derived:
+                outcome.derived.append(built)
+            return (*outcome.derived[0], False)
 
 
 @dataclass

@@ -11,8 +11,8 @@ pipeline (profiles → candidates → extension) consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import MutableMapping
 
+from repro.core.cache import LRU
 from repro.core.operators import (
     Aggregate,
     BaseRelationNode,
@@ -44,13 +44,11 @@ from repro.sql.parser import parse_sql
 
 
 def plan_query(query: SelectQuery | str, schema: Schema,
-               cache: MutableMapping[tuple[str, int],
-                                     tuple[QueryPlan, Schema]] | None
-               = None) -> QueryPlan:
+               cache: LRU | None = None) -> QueryPlan:
     """Build the query plan for ``query`` against ``schema``.
 
-    ``cache`` (keyed by the SQL text and the schema's identity) memoises
-    whole plans for repeated queries: returning the *same* plan object —
+    ``cache`` (an :class:`~repro.core.cache.LRU`, keyed by the SQL text
+    and the schema's identity) memoises whole plans for repeated queries: returning the *same* plan object —
     not merely an equal one — lets every identity-keyed layer downstream
     (assignment cache short-circuit, fragment reuse) hit as well.
     Entries store ``(plan, schema)``: pinning the schema keeps its
@@ -75,14 +73,7 @@ def plan_query(query: SelectQuery | str, schema: Schema,
             if entry is None:
                 entry = (_Planner(parse_sql(query), schema).build(),
                          schema)
-                cache[key] = entry
-            else:
-                # Refresh recency on ordered bounded caches so a hot
-                # plan is not evicted FIFO by a stream of one-off
-                # queries (losing the identity chain downstream).
-                refresh = getattr(cache, "move_to_end", None)
-                if refresh is not None:
-                    refresh(key)
+                cache.put(key, entry)
             return entry[0]
         query = parse_sql(query)
     return _Planner(query, schema).build()

@@ -380,18 +380,19 @@ class TestCrossRunCaches:
                                                        example_tables):
         runtime, run = pipeline_7a(example, example_tables, "parallel")
         first, _ = run()
-        with runtime._caches_guard:
-            old_results = {id(e[0]) for e in
-                           runtime._fragment_cache.values()}
+
+        def cached_entries():
+            with runtime._caches_guard:
+                return list(runtime._fragments[run.dispatch_plan].values())
+
+        old_results = {id(entry.value[0]) for entry in cached_entries()}
         # The revoke leaves every other subject's view untouched, so the
-        # very same result tables survive, re-keyed onto the new policy
-        # version (a stale version in the key could never hit again).
+        # very same result tables survive, rebased onto the new policy
+        # version (a stale stamp would walk the same deltas again).
         example.policy.revoke("Hosp", "Z")
         second, trace = run()
-        with runtime._caches_guard:
-            versions = {key[3] for key in runtime._fragment_cache}
-            new_results = {id(e[0]) for e in
-                           runtime._fragment_cache.values()}
+        versions = {entry.version for entry in cached_entries()}
+        new_results = {id(entry.value[0]) for entry in cached_entries()}
         assert versions == {example.policy.version}
         assert old_results == new_results
         assert second.rows == first.rows

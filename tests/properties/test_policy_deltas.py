@@ -4,17 +4,14 @@ Randomized grant/revoke streams drive the delta journal and every
 delta-aware consumer; after each mutation the incrementally maintained
 state must match a from-scratch recomputation exactly:
 
-* :class:`~repro.core.candidates.IncrementalCandidates` must produce the
-  same Λ as :func:`~repro.core.candidates.compute_candidates` at every
-  policy version — including under :data:`~repro.core.authorization.ANY`
-  churn, revoke-then-regrant, and a truncated or disabled journal;
 * :func:`~repro.core.assignment.assign` running over the reconciled
-  :class:`~repro.core.plancache.AssignmentCache`, a shared
-  :class:`~repro.core.assignment.EdgeTableCache` and incremental
-  candidates must pick the same assignment at the same cost as an
-  uncached, cache-free run — on the running example and the TPC-H
-  ablation queries (Q3/Q5/Q18) alike, and must refuse exactly when the
-  fresh run refuses.
+  :class:`~repro.core.plancache.AssignmentCache` and a shared
+  :class:`~repro.core.assignment.EdgeTableCache` must pick the same
+  assignment at the same cost as an uncached, cache-free run — on the
+  running example and the TPC-H ablation queries (Q3/Q5/Q18) alike,
+  including under :data:`~repro.core.authorization.ANY` churn,
+  revoke-then-regrant, and a truncated or disabled journal, and must
+  refuse exactly when the fresh run refuses.
 
 The streams are seeded, so failures reproduce deterministically.
 """
@@ -25,7 +22,6 @@ import pytest
 
 from repro.core.assignment import EdgeTableCache, assign
 from repro.core.authorization import ANY, Authorization, Policy
-from repro.core.candidates import IncrementalCandidates, compute_candidates
 from repro.core.plancache import AssignmentCache
 from repro.cost.pricing import PriceList
 from repro.exceptions import ReproError
@@ -52,79 +48,6 @@ def churn(rng, policy, schema, relation_names, subject_pool):
         relation, names[:split], names[split:count], subject))
 
 
-def assert_same_candidates(plan, incremental, fresh):
-    for node in plan.operations():
-        assert incremental[node] == fresh[node], node.label()
-
-
-class TestIncrementalCandidates:
-    """Λ maintained via the delta journal ≡ Λ recomputed from scratch."""
-
-    def test_running_example_stream(self, example):
-        rng = random.Random(601)
-        pool = list(example.subject_names) + [ANY]
-        inc = IncrementalCandidates(
-            example.plan, example.policy, example.subject_names)
-        for step in range(60):
-            churn(rng, example.policy, example.schema,
-                  ["Hosp", "Ins"], pool)
-            if step % 4 == 3:
-                continue  # let deltas batch up between refreshes
-            fresh = compute_candidates(
-                example.plan, example.policy, example.subject_names)
-            assert_same_candidates(example.plan, inc.current(), fresh)
-        # The stream must actually have exercised the surgical path.
-        assert inc.stats["subject_refreshes"] > 0
-        assert inc.stats["subjects_kept"] > 0
-
-    @pytest.mark.parametrize("limit", [0, 2])
-    def test_truncated_journal_falls_back_to_full_refresh(self, example,
-                                                          limit):
-        # journal_limit=0 disables the journal outright; limit=2 with
-        # batches of 3+ mutations truncates past the cached version.
-        # Either way deltas_since returns None and every row refreshes.
-        example.policy.journal_limit = limit
-        rng = random.Random(602)
-        pool = list(example.subject_names) + [ANY]
-        inc = IncrementalCandidates(
-            example.plan, example.policy, example.subject_names)
-        for _ in range(8):
-            for _ in range(3):
-                churn(rng, example.policy, example.schema,
-                      ["Hosp", "Ins"], pool)
-            fresh = compute_candidates(
-                example.plan, example.policy, example.subject_names)
-            assert_same_candidates(example.plan, inc.current(), fresh)
-        assert inc.stats["full_refreshes"] > 0
-
-    def test_revoke_then_regrant_is_identity(self, example):
-        inc = IncrementalCandidates(
-            example.plan, example.policy, example.subject_names)
-        before = {node.label(): inc.current()[node]
-                  for node in example.plan.operations()}
-        rule = example.policy.revoke("Ins", "Y")
-        assert rule is not None
-        example.policy.grant(rule)
-        after = {node.label(): inc.current()[node]
-                 for node in example.plan.operations()}
-        assert after == before
-        assert inc.stats["subject_refreshes"] > 0
-
-    def test_random_scenario_stream(self, random_scenario):
-        scenario = random_scenario
-        rng = random.Random(1003)
-        relation_names = [r.name for r in scenario.relations]
-        pool = list(scenario.subjects) + [ANY]
-        inc = IncrementalCandidates(
-            scenario.plan, scenario.policy, scenario.subjects)
-        for _ in range(30):
-            churn(rng, scenario.policy, scenario.schema,
-                  relation_names, pool)
-            fresh = compute_candidates(
-                scenario.plan, scenario.policy, scenario.subjects)
-            assert_same_candidates(scenario.plan, inc.current(), fresh)
-
-
 class TestCachedAssignMatchesFresh:
     """assign() over reconciled caches ≡ assign() with no caches at all."""
 
@@ -134,7 +57,6 @@ class TestCachedAssignMatchesFresh:
         rng = random.Random(seed)
         cache = AssignmentCache(maxsize=64)
         edge_cache = EdgeTableCache()
-        inc = IncrementalCandidates(plan, policy, subject_names)
         agreements = 0
         for step in range(steps):
             churn(rng, policy, schema, relation_names, pool)
@@ -142,8 +64,7 @@ class TestCachedAssignMatchesFresh:
             def cached():
                 return assign(plan, policy, subject_names, prices,
                               user=user, owners=owners, cache=cache,
-                              edge_cache=edge_cache,
-                              candidates=lambda: inc.current())
+                              edge_cache=edge_cache)
 
             try:
                 fresh = assign(plan, policy, subject_names, prices,
@@ -198,15 +119,12 @@ class TestCachedAssignMatchesFresh:
         prices = PriceList.from_subjects(example.subjects)
         cache = AssignmentCache(maxsize=64)
         edge_cache = EdgeTableCache()
-        inc = IncrementalCandidates(
-            example.plan, example.policy, example.subject_names)
 
         def run():
             return assign(example.plan, example.policy,
                           example.subject_names, prices, user="U",
                           owners=example.owners, cache=cache,
-                          edge_cache=edge_cache,
-                          candidates=lambda: inc.current())
+                          edge_cache=edge_cache)
 
         first = run()
         rule = example.policy.revoke("Ins", "Y")
