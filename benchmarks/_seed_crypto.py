@@ -16,15 +16,25 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
+import sys
+from pathlib import Path
 
 from repro.core.requirements import EncryptionScheme
 from repro.crypto import primitives
 from repro.crypto.keymanager import KeyMaterial
-from repro.crypto.paillier import PaillierCiphertext, PaillierPublicKey
+from repro.crypto.paillier import PaillierCiphertext
 from repro.engine.executor import Executor
 from repro.engine.table import Table
 from repro.engine.values import EncryptedAggregate, EncryptedValue
 from repro.exceptions import CryptoError, ExecutionError
+
+# The seed Paillier paths — double-pow encryption, λ/µ decryption — are
+# the test suite's oracles.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.paillier_reference import (  # noqa: E402
+    decrypt_reference as seed_paillier_decrypt,
+    encrypt_reference as seed_paillier_encrypt,
+)
 
 _BLOCK = 32
 _IV_LEN = 16
@@ -166,16 +176,6 @@ class SeedOpeCipher:
 
 
 # ---------------------------------------------------------------------------
-# Seed Paillier paths — double-pow encryption, λ/µ decryption.  These call
-# into the library's key objects (``encrypt_reference`` /
-# ``decrypt_reference`` preserve the seed formulas bit-identically).
-# ---------------------------------------------------------------------------
-def seed_paillier_encrypt(public: PaillierPublicKey,
-                          value: int | float) -> PaillierCiphertext:
-    return public.encrypt_reference(value)
-
-
-# ---------------------------------------------------------------------------
 # Seed codec + executor: per-cell cipher construction and dispatch, exactly
 # the seed's ``encrypt_value``/``decrypt_value`` + ``map_columns`` closures.
 # ---------------------------------------------------------------------------
@@ -216,8 +216,8 @@ def seed_decrypt_value(material: KeyMaterial, value: object) -> object:
             raise ExecutionError(
                 f"key {material.name} lacks the Paillier private part"
             )
-        total = material.paillier_private.decrypt_reference(
-            value.ciphertext_sum)
+        total = seed_paillier_decrypt(material.paillier_private,
+                                      value.ciphertext_sum)
         if value.is_average:
             return total / value.count
         return total
@@ -234,7 +234,7 @@ def seed_decrypt_value(material: KeyMaterial, value: object) -> object:
                 f"key {material.name} lacks the Paillier private part"
             )
         assert isinstance(value.token, PaillierCiphertext)
-        return material.paillier_private.decrypt_reference(value.token)
+        return seed_paillier_decrypt(material.paillier_private, value.token)
     if material.symmetric is None:
         raise ExecutionError(f"key {material.name} lacks symmetric material")
     if scheme is EncryptionScheme.DETERMINISTIC:

@@ -31,6 +31,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 try:
@@ -143,8 +144,8 @@ def main(argv: list[str] | None = None) -> int:
     public, private = generate_keypair(512)
     obfuscator = public._next_obfuscator()
     fast_c = public.encrypt(123.25, obfuscator=obfuscator)
-    if fast_c.value != public.encrypt_reference(
-            123.25, obfuscator=obfuscator).value:
+    if fast_c.value != seed.seed_paillier_encrypt(
+            public, 123.25, obfuscator=obfuscator).value:
         failures.append("binomial encryption diverges from the reference")
 
     seed_s = timed(lambda: [seed.seed_paillier_encrypt(public, v)
@@ -154,10 +155,12 @@ def main(argv: list[str] | None = None) -> int:
                               results)
 
     ciphertexts = public.encrypt_many(pai_values)
+    # Without its primes a key can only run the seed's λ/µ formula.
+    stripped = replace(private, p=None, q=None)
     if private.decrypt_many(ciphertexts) != \
-            [private.decrypt_reference(c) for c in ciphertexts]:
+            [stripped.decrypt(c) for c in ciphertexts]:
         failures.append("CRT decryption diverges from the reference")
-    seed_s = timed(lambda: [private.decrypt_reference(c)
+    seed_s = timed(lambda: [stripped.decrypt(c)
                             for c in ciphertexts], repeat)
     fast_s = timed(lambda: private.decrypt_many(ciphertexts), repeat)
     report("paillier decrypt", seed_s, fast_s, pai_n, results)

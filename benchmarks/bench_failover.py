@@ -180,8 +180,6 @@ def main(argv=None) -> int:
     blowup = faulted_mean / clean_mean if clean_mean else float("inf")
 
     health = faulted_service.health_info()
-    clean_service.close()
-    faulted_service.close()
     print(f"failover workload: {queries} queries, provider {victim!r} "
           f"killed before query {kill_after}")
     print(f"  fault-free: {sum(clean_timings) * 1000:8.1f} ms total, "

@@ -75,8 +75,7 @@ def build_service(journal: bool, rows: int,
 
     Every non-user subject simulates a provider round-trip of
     ``latency`` seconds — the cost a warm fragment cache avoids and a
-    flushed one pays again on every query, exactly as in
-    ``bench_distributed_workload.py``.
+    flushed one pays again on every query.
     """
     example = build_running_example()
     if not journal:

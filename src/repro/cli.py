@@ -7,8 +7,8 @@ Usage::
     python -m repro fig10 [--scale 0.1]  # cumulative economics + savings
     python -m repro dispatch             # the Figure 8 dispatch table
     python -m repro ablate-mix           # uniform-visibility ablation
-    python -m repro workload [--repeat 3] [--schedule parallel]
-                    [--workers 4] [--join-strategy parallel-hash]
+    python -m repro workload [--repeat 3] [--workers 4]
+                    [--join-strategy parallel-hash]
                     [--deadline-ms 500] [--cost-ceiling 0.01]
                                          # multi-user service session demo
     python -m repro metrics [--tenants 3] [--repeat 2]
@@ -151,9 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a multi-user SQL workload through the service layer")
     workload.add_argument("--repeat", type=_positive_int, default=3,
                           help="times each user repeats each query (>= 1)")
-    workload.add_argument("--schedule", type=str, default="parallel",
-                          choices=("parallel", "sequential"),
-                          help="fragment schedule for the runtime")
     workload.add_argument("--workers", type=_nonnegative_int, default=0,
                           help="data-plane worker processes "
                                "(0 = inline single-core execution)")
@@ -194,7 +191,7 @@ DEMO_SQL = ("select T, avg(P) from Hosp join Ins on S=C "
             "where D='stroke' group by T having avg(P)>100")
 
 
-def _demo_service(schedule: str = "parallel", settings=None):
+def _demo_service(settings=None):
     """The running example's service over a small concrete dataset."""
     from repro.engine.table import Table
     from repro.paper_example import build_running_example
@@ -215,7 +212,7 @@ def _demo_service(schedule: str = "parallel", settings=None):
     return QueryService(
         example.schema, example.policy, example.subjects,
         example.owners, {"H": {"Hosp": hosp}, "I": {"Ins": ins}},
-        user="U", schedule=schedule, settings=settings,
+        user="U", settings=settings,
     )
 
 
@@ -232,7 +229,7 @@ def _budget_from_flags(deadline_ms: float | None,
         cost_ceiling_usd=cost_ceiling)
 
 
-def run_workload(repeat: int, schedule: str, workers: int = 0,
+def run_workload(repeat: int, workers: int = 0,
                  join_strategy: str = "hash",
                  deadline_ms: float | None = None,
                  cost_ceiling: float | None = None) -> str:
@@ -257,7 +254,7 @@ def run_workload(repeat: int, schedule: str, workers: int = 0,
         raise SystemExit(2) from None
     budget = _budget_from_flags(deadline_ms, cost_ceiling)
     repeat = max(1, repeat)
-    service = _demo_service(schedule=schedule, settings=settings)
+    service = _demo_service(settings=settings)
     sql = DEMO_SQL
     lines = [f"query: {sql}", ""]
     for user in ("U", "Y", "X"):
@@ -273,7 +270,6 @@ def run_workload(repeat: int, schedule: str, workers: int = 0,
             lines.append(f"  {user}: ABORTED — {error}")
         lines.append("")
     lines.append(service.describe())
-    service.close()
     return "\n".join(lines)
 
 
@@ -314,7 +310,6 @@ def run_metrics(tenants: int = 3, repeat: int = 2,
         return gateway.metrics_text()
     finally:
         gateway.close()
-        service.close()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -342,8 +337,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         penalty = totals["alternating"] / totals["prefix"]
         print(f"uniform-visibility penalty: {penalty:.2f}x")
     elif arguments.command == "workload":
-        print(run_workload(arguments.repeat, arguments.schedule,
-                           arguments.workers, arguments.join_strategy,
+        print(run_workload(arguments.repeat, arguments.workers,
+                           arguments.join_strategy,
                            arguments.deadline_ms, arguments.cost_ceiling))
     elif arguments.command == "metrics":
         print(run_metrics(arguments.tenants, arguments.repeat,

@@ -22,20 +22,15 @@ ablation benchmarks.
 
 Performance
 -----------
-The DP runs in two implementations selected by ``search_impl``:
-
-* ``"fast"`` (default) — the decomposed, memoized search.  For every
-  plan edge the pairwise ``edge_cost`` is split into per-receiver tables
-  (scheme choice, encryption weights, decrypt baseline) and a per-sender
-  bitmask memo (overlap corrections), so the DP inner loop over
-  (child subject, parent subject) pairs costs a few multiply-adds
-  instead of re-deriving frozenset algebra per pair.  ``node_cost`` and
-  the per-edge tables are shared across the three portfolio passes.
-* ``"reference"`` — the direct per-pair computation the fast path was
-  derived from, kept for the scalability benchmark
-  (``benchmarks/bench_assignment_scalability.py``) and the equivalence
-  property tests.  Both implementations price the same model, so they
-  pick cost-identical assignments.
+The DP is a decomposed, memoized search.  For every plan edge the
+pairwise edge cost is split into per-receiver tables (scheme choice,
+encryption weights, decrypt baseline) and a per-sender bitmask memo
+(overlap corrections), so the DP inner loop over (child subject, parent
+subject) pairs costs a few multiply-adds instead of re-deriving
+frozenset algebra per pair.  ``node_cost`` and the per-edge tables are
+shared across the three portfolio passes.  The direct per-pair
+computation it was derived from is the oracle of the equivalence
+property tests (``tests/oracles/dp_reference.py``).
 
 Repeated queries over a stable policy can additionally pass an
 :class:`~repro.core.plancache.AssignmentCache`, which memoises full
@@ -147,15 +142,12 @@ def assign(
     requirements: Mapping[PlanNode, frozenset[str]] | None = None,
     capabilities: SchemeCapabilities | None = None,
     strategy: str = "dp",
-    search_impl: str = "fast",
     cache: AssignmentCache | None = None,
     edge_cache: "EdgeTableCache | None" = None,
 ) -> AssignmentResult:
     """Run the full §6 pipeline and return the cheapest authorized plan.
 
-    ``search_impl`` selects the DP implementation: ``"fast"`` (decomposed
-    memoized tables, the default) or ``"reference"`` (the direct per-pair
-    computation, kept for benchmarking).  ``cache`` optionally memoises
+    ``cache`` optionally memoises
     full results across calls: hits require an identical plan structure
     and the same live policy/price-list/topology objects, and survive
     policy mutations whose deltas do not touch the plan's dependency
@@ -167,8 +159,6 @@ def assign(
     and :class:`UnauthorizedError` when the querying user may not receive
     the query result.
     """
-    if search_impl not in ("fast", "reference"):
-        raise ValueError(f"unknown search_impl {search_impl!r}")
     subject_names = [
         s.name if isinstance(s, Subject) else s for s in subjects
     ]
@@ -179,7 +169,7 @@ def assign(
     if cache is not None:
         cache_key = assignment_cache_key(
             plan, policy, subject_names, user, owners,
-            f"{strategy}:{search_impl}", capabilities, requirements,
+            strategy, capabilities, requirements,
         )
         cache_context = (policy, prices, topology)
         depends = plan_dependencies(plan, subject_names, user, owners)
@@ -211,7 +201,6 @@ def assign(
         estimator=estimator,
         owners=dict(owners or {}),
         user=user,
-        search_impl=search_impl,
         edge_cache=edge_cache,
     )
     proposals: list[dict[PlanNode, str]] = []
@@ -354,7 +343,6 @@ class _AssignmentSearch:
                  schemes: Mapping[str, EncryptionScheme],
                  prices: PriceList, estimator: PlanEstimator,
                  owners: dict[str, str], user: str,
-                 search_impl: str = "fast",
                  edge_cache: "EdgeTableCache | None" = None) -> None:
         self.plan = plan
         self.policy = policy
@@ -365,13 +353,12 @@ class _AssignmentSearch:
         self.estimator = estimator
         self.owners = owners
         self.user = user
-        self.search_impl = search_impl
         self.edge_cache = edge_cache
         self.estimates = estimator.estimate(plan)
         self._lineage = derived_lineage(plan)
         self._views: dict[str, SubjectView] = {}
         self._requirement_map: NodeMap[frozenset[str]] = NodeMap(requirements)
-        # Fast-path state, shared across the three portfolio passes.
+        # DP state, shared across the three portfolio passes.
         # With a cross-query edge cache, masks live in *its* universe so
         # cached tables and this search's subject masks stay congruent.
         self.universe = edge_cache.universe if edge_cache is not None \
@@ -404,8 +391,7 @@ class _AssignmentSearch:
         """(plaintext mask, encrypted mask, cpu $/s, net $/byte) of a subject.
 
         Synthetic ``authority:`` owners have no policy view and encrypt
-        nothing of their own (mirroring the reference path's ``None``
-        sender view).
+        nothing of their own.
         """
         data = self._subject_masks.get(name)
         if data is None:
@@ -455,99 +441,18 @@ class _AssignmentSearch:
     #: tries both and compares exact costs.
     edge_scheme_mode = "optimistic"
 
-    def _edge_scheme(self, attribute: str, parent: PlanNode,
-                     receiver: str) -> EncryptionScheme:
-        """Scheme charged when encrypting ``attribute`` for ``parent``.
-
-        A receiver authorized for the attribute's plaintext computes in
-        the clear (note 2 / opportunistic decryption), so transit needs
-        only randomized encryption.  Otherwise, attributes the parent
-        operation computes on need the scheme their capability demands;
-        attributes merely passing through need only randomized encryption
-        (§6's highest-protection rule).
-        """
-        if self.view(receiver).can_view_plaintext(attribute):
-            return EncryptionScheme.RANDOMIZED
-        if self.edge_scheme_mode == "conservative" \
-                or attribute in parent.operand_attributes():
-            return self.schemes.get(attribute,
-                                    EncryptionScheme.DETERMINISTIC)
-        return EncryptionScheme.RANDOMIZED
-
-    def _crypto_seconds(self, attributes: Iterable[str], rows: float,
-                        table: Mapping[EncryptionScheme, float],
-                        parent: PlanNode | None = None,
-                        receiver: str | None = None) -> float:
-        seconds = 0.0
-        for attribute in attributes:
-            if parent is not None and receiver is not None:
-                scheme = self._edge_scheme(attribute, parent, receiver)
-            else:
-                scheme = self.schemes.get(attribute,
-                                          EncryptionScheme.DETERMINISTIC)
-            seconds += rows * table[scheme]
-        return seconds
-
-    def edge_cost(self, child: PlanNode, sender: str,
-                  parent: PlanNode, receiver: str) -> float:
-        """Approximate cost of handing ``child``'s output to ``receiver``.
-
-        Covers: encryption at the sender of visible attributes the
-        receiver may only see encrypted (skipping attributes the sender
-        itself already held encrypted), the network transfer of the
-        (partially encrypted) output, and decryption at the receiver of
-        attributes the parent operation needs in plaintext.
-        """
-        estimate = self.estimates[id(child)]
-        receiver_view = self.view(receiver)
-        visible = frozenset(estimate.plain_width)
-        needs_encrypted = receiver_view.encrypted & visible
-        sender_view = self.view(sender) if not sender.startswith(
-            "authority:") else None
-        already_encrypted = (sender_view.encrypted & visible
-                             if sender_view is not None else frozenset())
-        to_encrypt = needs_encrypted - already_encrypted
-        enc_seconds = self._crypto_seconds(
-            to_encrypt, estimate.rows, ENCRYPT_SECONDS_PER_VALUE,
-            parent=parent, receiver=receiver,
-        )
-        cost = enc_seconds * self.prices.rates(sender).cpu_usd_per_second
-
-        edge_schemes = {
-            attribute: self._edge_scheme(attribute, parent, receiver)
-            for attribute in visible
-        }
-        volume = estimate.bytes_if_encrypted(
-            needs_encrypted | already_encrypted, edge_schemes
-        )
-        if sender != receiver:
-            cost += volume / _GB * self.prices.rates(sender).net_usd_per_gb
-
-        to_decrypt = self.plaintext_needed(parent) & frozenset(
-            needs_encrypted | already_encrypted
-        )
-        dec_seconds = self._crypto_seconds(
-            to_decrypt, estimate.rows, DECRYPT_SECONDS_PER_VALUE
-        )
-        cost += dec_seconds * self.prices.rates(receiver).cpu_usd_per_second
-        return cost
-
     def node_cost(self, node: PlanNode, subject: str) -> float:
         """CPU + IO cost of executing ``node`` at ``subject`` (memoized)."""
         key = (id(node), subject)
         cost = self._node_cost_cache.get(key)
         if cost is None:
-            cost = self._node_cost_raw(node, subject)
+            estimate = self.estimates[id(node)]
+            rates = self.prices.rates(subject)
+            cost = (estimate.cpu_seconds * rates.cpu_usd_per_second
+                    + estimate.io_bytes / _GB * rates.io_usd_per_gb
+                    + self._scheme_penalty(node, subject))
             self._node_cost_cache[key] = cost
         return cost
-
-    def _node_cost_raw(self, node: PlanNode, subject: str) -> float:
-        """Uncached :meth:`node_cost` (the reference path's code)."""
-        estimate = self.estimates[id(node)]
-        rates = self.prices.rates(subject)
-        return (estimate.cpu_seconds * rates.cpu_usd_per_second
-                + estimate.io_bytes / _GB * rates.io_usd_per_gb
-                + self._scheme_penalty(node, subject))
 
     def _scheme_penalty(self, node: PlanNode, subject: str) -> float:
         """Extra cost implied by running ``node`` at ``subject`` encrypted.
@@ -597,7 +502,13 @@ class _AssignmentSearch:
         return penalty
 
     def delivery_cost(self, root_subject: str) -> float:
-        """Ship the result to the user and decrypt what arrives encrypted."""
+        """Ship the result to the user and decrypt what arrives encrypted.
+
+        Memoized: independent of the edge-scheme mode.
+        """
+        cost = self._delivery_cache.get(root_subject)
+        if cost is not None:
+            return cost
         estimate = self.estimates[id(self.plan.root)]
         cost = 0.0
         if root_subject != self.user:
@@ -605,18 +516,13 @@ class _AssignmentSearch:
                      * self.prices.rates(root_subject).net_usd_per_gb)
         visible = frozenset(estimate.plain_width)
         encrypted_at_root = self.view(root_subject).encrypted & visible
-        dec_seconds = self._crypto_seconds(
-            encrypted_at_root, estimate.rows, DECRYPT_SECONDS_PER_VALUE
-        )
+        dec_seconds = 0.0
+        for attribute in encrypted_at_root:
+            scheme = self.schemes.get(attribute,
+                                      EncryptionScheme.DETERMINISTIC)
+            dec_seconds += estimate.rows * DECRYPT_SECONDS_PER_VALUE[scheme]
         cost += dec_seconds * self.prices.rates(self.user).cpu_usd_per_second
-        return cost
-
-    def _delivery_cost_cached(self, root_subject: str) -> float:
-        """Memoized :meth:`delivery_cost` (mode-independent)."""
-        cost = self._delivery_cache.get(root_subject)
-        if cost is None:
-            cost = self.delivery_cost(root_subject)
-            self._delivery_cache[root_subject] = cost
+        self._delivery_cache[root_subject] = cost
         return cost
 
     # ------------------------------------------------------------------
@@ -629,22 +535,13 @@ class _AssignmentSearch:
         ``restrict_to`` limits the considered subjects (used by the
         portfolio to evaluate the no-provider baseline).  Raises
         :class:`NoCandidateError` when the restriction empties some
-        operation's candidate set.  Dispatches on ``search_impl``; both
-        implementations price the same model and pick cost-identical
-        assignments.
-        """
-        if self.search_impl == "reference":
-            return self._dp_reference(restrict_to)
-        return self._dp_fast(restrict_to)
+        operation's candidate set.
 
-    def _dp_fast(self, restrict_to: frozenset[str] | None = None,
-                 ) -> dict[PlanNode, str]:
-        """Decomposed, memoized DP: edge costs come from per-edge tables.
-
-        The inner (child subject, parent subject) loop is inlined: per
-        edge, the sender rows (name, accumulated cost, encrypted mask,
-        rates) are materialised once and each pair evaluation is a
-        table/memo lookup plus three multiply-adds.
+        Edge costs come from the per-edge tables, and the inner (child
+        subject, parent subject) loop is inlined: per edge, the sender
+        rows (name, accumulated cost, encrypted mask, rates) are
+        materialised once and each pair evaluation is a table/memo
+        lookup plus three multiply-adds.
         """
         table: dict[int, dict[str, float]] = {}
         choice: dict[int, dict[str, dict[int, str]]] = {}
@@ -710,74 +607,6 @@ class _AssignmentSearch:
                     total += best_cost
                     if not is_leaf:
                         picks[id(child)] = best_subject
-                if feasible:
-                    table[id(node)][subject] = total
-                    choice[id(node)][subject] = picks
-
-        root = self.plan.root
-        root_costs = {
-            subject: cost + self._delivery_cost_cached(subject)
-            for subject, cost in table[id(root)].items()
-        }
-        if not root_costs:
-            raise NoCandidateError(
-                "no feasible assignment for the plan root", node=root
-            )
-        best_root = min(root_costs, key=root_costs.__getitem__)
-
-        assignment: dict[PlanNode, str] = {}
-
-        def backtrack(node: PlanNode, subject: str) -> None:
-            assignment[node] = subject
-            for child in node.children:
-                if isinstance(child, BaseRelationNode):
-                    continue
-                backtrack(child, choice[id(node)][subject][id(child)])
-
-        backtrack(root, best_root)
-        return assignment
-
-    def _dp_reference(self, restrict_to: frozenset[str] | None = None,
-                      ) -> dict[PlanNode, str]:
-        """The direct per-pair DP (pre-decomposition code path)."""
-        table: dict[int, dict[str, float]] = {}
-        choice: dict[int, dict[str, dict[int, str]]] = {}
-
-        for node in self.plan.operations():
-            table[id(node)] = {}
-            choice[id(node)] = {}
-            allowed = self.candidates[node]
-            if restrict_to is not None:
-                allowed = allowed & restrict_to
-                if not allowed:
-                    raise NoCandidateError(
-                        f"restriction leaves no candidate for {node.label()}",
-                        node=node,
-                    )
-            for subject in allowed:
-                total = self._node_cost_raw(node, subject)
-                picks: dict[int, str] = {}
-                feasible = True
-                for child in node.children:
-                    if isinstance(child, BaseRelationNode):
-                        owner = self.owner_of(child)
-                        total += self._node_cost_raw(child, owner)
-                        total += self.edge_cost(child, owner, node, subject)
-                        continue
-                    best_cost = None
-                    best_subject = None
-                    for child_subject, child_cost in table[id(child)].items():
-                        candidate_cost = child_cost + self.edge_cost(
-                            child, child_subject, node, subject
-                        )
-                        if best_cost is None or candidate_cost < best_cost:
-                            best_cost = candidate_cost
-                            best_subject = child_subject
-                    if best_subject is None:
-                        feasible = False
-                        break
-                    total += best_cost
-                    picks[id(child)] = best_subject
                 if feasible:
                     table[id(node)][subject] = total
                     choice[id(node)][subject] = picks
@@ -949,9 +778,20 @@ class _ReceiverEntry:
 
 
 class _EdgeTable:
-    """Decomposed :meth:`_AssignmentSearch.edge_cost` for one plan edge.
+    """Approximate cost of handing a child's output to the parent's subject.
 
-    For a fixed (child, parent) edge the pairwise edge cost factors into
+    An edge costs: encryption at the sender of the visible attributes
+    the receiver may only see encrypted (skipping those the sender
+    itself already held encrypted), the network transfer of the
+    (partially encrypted) output, and decryption at the receiver of the
+    attributes the parent operation needs in plaintext.  An attribute
+    the receiver may see in plaintext travels randomized (note 2 /
+    opportunistic decryption); otherwise one the parent computes on — or
+    any, in ``"conservative"`` mode — needs the scheme its capability
+    demands, and one merely passing through only randomized encryption
+    (§6's highest-protection rule).
+
+    For a fixed (child, parent) edge that pairwise cost factors into
 
     * a **receiver part** — which visible attributes the receiver may
       only see encrypted (``needs``), the scheme each attribute travels
@@ -966,7 +806,8 @@ class _EdgeTable:
       sender mask, of which there are few (providers share policies).
 
     ``cost(sender, receiver)`` is then three multiply-adds, reproducing
-    the reference formula exactly (up to float reassociation).
+    the per-pair formula (``tests/oracles/dp_reference.py``) exactly, up
+    to float reassociation.
 
     Construction is pure-value — the table reads only the child's
     estimate, the parent's operand/``Ap`` attributes, the scheme map and
@@ -1045,7 +886,7 @@ class _EdgeTable:
         entry = self.receivers.get(name)
         if entry is None or entry.identity != identity:
             needs = enc_mask & self.visible_mask
-            # _edge_scheme per attribute, mask-backed: attributes the
+            # The scheme per attribute, mask-backed: attributes the
             # receiver may see plaintext travel randomized; otherwise the
             # demand scheme applies on demand_bits, randomized elsewhere.
             demand = self.demand_bits & ~plain_mask

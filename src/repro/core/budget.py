@@ -21,9 +21,9 @@ checkpoint that observes it.  The checkpoints are:
 * **service** — on entry, after planning (where the cost ceiling is
   enforced against the assignment's exact §7 cost), and at every
   standby/re-plan failover tier;
-* **runtime** — at every fragment boundary (both schedules), at every
-  retry iteration (backoff sleeps are clamped to the remaining
-  budget), and at every in-place failover candidate;
+* **runtime** — at every fragment boundary, at every retry iteration
+  (backoff sleeps are clamped to the remaining budget), and at every
+  in-place failover candidate;
 * **worker pool** — between chunks of a chunked parallel map, via the
   thread-scoped :func:`active_token` (a chunk in flight completes; the
   next never starts).

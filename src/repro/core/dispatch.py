@@ -81,57 +81,6 @@ class DispatchPlan:
             yield fragment
             pending.extend(fragment.requests.values())
 
-    # ------------------------------------------------------------------
-    # Dependency graph (consumed by the concurrent runtime scheduler)
-    # ------------------------------------------------------------------
-    def dependencies(self) -> dict[str, tuple[str, ...]]:
-        """Fragment id → ids of the fragments it pulls inputs from."""
-        return {
-            fragment_id: tuple(fragment.requests.values())
-            for fragment_id, fragment in self.fragments.items()
-        }
-
-    def dependents(self) -> dict[str, tuple[str, ...]]:
-        """Fragment id → ids of the fragments that consume its output."""
-        parents: dict[str, list[str]] = {f: [] for f in self.fragments}
-        for fragment_id, fragment in self.fragments.items():
-            for child_id in fragment.requests.values():
-                if child_id not in parents:
-                    raise DispatchError(
-                        f"fragment {fragment_id!r} requests unknown "
-                        f"fragment {child_id!r}"
-                    )
-                parents[child_id].append(fragment_id)
-        return {f: tuple(p) for f, p in parents.items()}
-
-    def execution_levels(self) -> tuple[tuple[str, ...], ...]:
-        """Topological waves, producers first.
-
-        Fragments within one level have no request path between them, so
-        a scheduler may run them concurrently (subject to per-subject
-        serialization).  Raises :class:`DispatchError` on a request
-        cycle or a request to an unknown fragment.
-        """
-        dependencies = self.dependencies()
-        self.dependents()  # validates that every request target exists
-        pending = {f: set(deps) for f, deps in dependencies.items()}
-        levels: list[tuple[str, ...]] = []
-        done: set[str] = set()
-        while pending:
-            ready = sorted(
-                f for f, deps in pending.items() if deps <= done
-            )
-            if not ready:
-                raise DispatchError(
-                    "request cycle among fragments: "
-                    + ", ".join(sorted(pending))
-                )
-            levels.append(tuple(ready))
-            done.update(ready)
-            for fragment_id in ready:
-                del pending[fragment_id]
-        return tuple(levels)
-
     def describe(self) -> str:
         """The Figure 8 table."""
         return "\n".join(f.describe() for f in self.in_call_order())

@@ -15,9 +15,7 @@ The hot path is built for batch encryption/decryption of whole columns:
 
 * **binomial encrypt** — with ``g = n + 1``, ``(n+1)^m ≡ 1 + n·m
   (mod n²)``, so the message part is one multiply instead of a modular
-  exponentiation (:meth:`PaillierPublicKey.encrypt`;
-  :meth:`~PaillierPublicKey.encrypt_reference` keeps the double-``pow``
-  textbook formula as the bit-identical reference);
+  exponentiation (:meth:`PaillierPublicKey.encrypt`);
 * **obfuscator pool** — the random ``r^n mod n²`` factors are
   precomputed in batches off the per-value path: each refill draws a few
   fresh units, raises them to ``n`` once, and expands them into many
@@ -30,8 +28,8 @@ The hot path is built for batch encryption/decryption of whole columns:
   exponentiations run off every encrypting thread's critical path;
 * **CRT decrypt** — :func:`generate_keypair` retains ``p``/``q``, so
   decryption works mod ``p²`` and ``q²`` and recombines, roughly 3–4×
-  cheaper than the ``λ/µ`` formula, which survives bit-identical as
-  :meth:`PaillierPrivateKey.decrypt_reference`;
+  cheaper than the ``λ/µ`` formula, which keys rebuilt without their
+  primes still run;
 * ``encrypt_many``/``decrypt_many`` bulk APIs and identity-aware
   ``__radd__`` so ``sum(ciphertexts)`` folds homomorphically.
 """
@@ -57,14 +55,14 @@ _POOL_SEEDS = 4
 _POOL_TARGET = 128
 
 #: Popping the pool below this many entries starts a background daemon
-#: refill, so sibling-fragment encrypts keep draining a warm pool
-#: instead of stalling on a synchronous refill at empty.
+#: refill, so encrypts keep draining a warm pool instead of stalling
+#: on a synchronous refill at empty.
 _POOL_LOW_WATER = 32
 
 #: Guards only the *lazy creation* of each key's pool lock.  The pool
 #: itself is protected by the per-key lock (public-key objects are
-#: shared across per-subject keystores and the runtime encrypts sibling
-#: fragments concurrently — check-then-pop must be atomic), so two keys
+#: shared across per-subject keystores and concurrent runs encrypt
+#: under one key — check-then-pop must be atomic), so two keys
 #: never serialize on each other's refills.  Locks live in the instance
 #: ``__dict__`` and are excluded from pickling/copying by
 #: ``__getstate__``.
@@ -91,8 +89,8 @@ class PaillierPublicKey:
 
         Uses the binomial shortcut ``Enc(m) = (1 + n·m) · r^n mod n²``;
         ``obfuscator`` (an ``r^n mod n²`` value) may be supplied
-        explicitly — the property tests use that to pin fast and
-        reference paths to the same randomness.
+        explicitly — the property tests use that to pin this and the
+        textbook formula to the same randomness.
         """
         message = _encode(value, self.n)
         n2 = self.n_squared
@@ -101,23 +99,6 @@ class PaillierPublicKey:
         return PaillierCiphertext(
             self, ((1 + self.n * message) * obfuscator) % n2
         )
-
-    def encrypt_reference(self, value: int | float,
-                          obfuscator: int | None = None,
-                          ) -> "PaillierCiphertext":
-        """The seed's double-``pow`` encryption (bit-identical reference).
-
-        Given the same ``obfuscator``, :meth:`encrypt` and this method
-        produce the same ciphertext; this one pays a full modular
-        exponentiation for the message part.
-        """
-        message = _encode(value, self.n)
-        n2 = self.n_squared
-        if obfuscator is None:
-            r = self._random_unit()
-            obfuscator = pow(r, self.n, n2)
-        cipher = (pow(self.n + 1, message, n2) * obfuscator) % n2
-        return PaillierCiphertext(self, cipher)
 
     def encrypt_many(self, values: Sequence[int | float],
                      ) -> list["PaillierCiphertext"]:
@@ -242,8 +223,7 @@ class PaillierPrivateKey:
     When the prime factors ``p``/``q`` are retained (the default from
     :func:`generate_keypair`), decryption runs via the Chinese Remainder
     Theorem over the half-size moduli; without them it falls back to the
-    ``λ/µ`` formula, which also survives as
-    :meth:`decrypt_reference` — the two are bit-identical.
+    ``λ/µ`` formula — the two are bit-identical.
     """
 
     public: PaillierPublicKey
@@ -255,12 +235,6 @@ class PaillierPrivateKey:
     def decrypt(self, ciphertext: "PaillierCiphertext") -> float | int:
         """Recover the (possibly fractional, possibly negative) plaintext."""
         return _decode(self._decrypt_message(ciphertext), self.public.n)
-
-    def decrypt_reference(self,
-                          ciphertext: "PaillierCiphertext") -> float | int:
-        """Reference ``λ/µ`` decryption (ignores the CRT shortcut)."""
-        return _decode(self._decrypt_message_reference(ciphertext),
-                       self.public.n)
 
     def decrypt_raw(self, ciphertext: "PaillierCiphertext") -> int:
         """Recover the raw fixed-point integer (no descaling)."""
@@ -321,12 +295,6 @@ class PaillierPrivateKey:
         mp = ((pow(cipher % p2, p - 1, p2) - 1) // p) * hp % p
         mq = ((pow(cipher % q2, q - 1, q2) - 1) // q) * hq % q
         return (mq + q * ((mp - mq) * q_inv % p)) % n
-
-    def _decrypt_message_reference(self,
-                                   ciphertext: "PaillierCiphertext") -> int:
-        if ciphertext.public.n != self.public.n:
-            raise CryptoError("ciphertext under a different Paillier key")
-        return self._reference_message(ciphertext.value)
 
     def _reference_message(self, cipher: int) -> int:
         n = self.public.n

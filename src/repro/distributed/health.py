@@ -23,8 +23,8 @@ errors): a dead subject is never admitted again until ``revive``.
 Time is injected: the registry only ever reads the ``clock`` callable
 it was constructed with, so breaker transitions are unit-testable with
 a fake clock instead of wall-clock sleeps.  All methods are
-thread-safe — the concurrent schedule feeds the registry from many
-worker threads at once.
+thread-safe — concurrent runs feed the registry from many threads at
+once.
 
 :class:`RetryPolicy` lives here too: the bounded-exponential-backoff
 parameters the runtime applies between transient-fault retries, with

@@ -24,20 +24,14 @@ Together they turn the paper's theorems into executable assertions.
 
 Scheduling
 ----------
-The §6 dispatch hands every provider an *independent* sub-query, so the
-runtime derives an explicit fragment dependency graph from
-:meth:`~repro.core.dispatch.DispatchPlan.dependencies` and can execute
-it on its worker pool (created on first use, shared by every run,
-released by :meth:`DistributedRuntime.close`): sibling fragments with no
-request path between them run concurrently, while a per-subject lock
-serializes the fragments of any one subject (a simulated provider serves
-one sub-query at a time).
-The concurrent scheduler is **opt-in**
-(``schedule="parallel"``); the default stays the seed's demand-driven
-recursion — root first, one fragment at a time — as the bit-identical
-reference path, so existing callers keep deterministic trace ordering
-and no pool thread.  Both schedules produce the same result table
-because each fragment's output depends only on its inputs.
+A run is one demand-driven recursion on the calling thread, exactly the
+nested ``req`` calls of Figure 8: the user asks the root fragment's
+subject, which asks the subjects below it, one fragment at a time, so
+the trace order is deterministic.  Concurrency is between runs: any
+number of threads may call :meth:`DistributedRuntime.run` on one
+runtime, and a per-subject lock serializes the fragments of any one
+subject across them (a simulated provider serves one sub-query at a
+time).
 
 The runtime is also built to be *long-lived*, with one result cache,
 kept per dispatch plan and only as long as the plan itself is alive:
@@ -104,11 +98,11 @@ Budgets and cancellation
 ``run`` accepts a :class:`~repro.core.budget.CancellationToken` and
 honors it cooperatively (the checkpoint contract lives in
 :mod:`repro.core.budget`): the token is checked before envelopes are
-sealed, at every fragment boundary on both schedules, at every retry
-iteration, after each simulated-latency sleep, and at every failover
-candidate; it is additionally scoped to the evaluating thread
-(``token_scope``) so chunked parallel maps deep inside the executor
-observe it between chunks.  Simulated-latency and backoff sleeps are
+sealed, at every fragment boundary, at every retry iteration, after each
+simulated-latency sleep, and at every failover candidate; it is
+additionally scoped to the evaluating thread (``token_scope``) so
+chunked parallel maps deep inside the executor observe it between
+chunks.  Simulated-latency and backoff sleeps are
 clamped to the *remaining* query budget (and to the per-fragment
 deadline), so a sleep can never overshoot either.  An abort unwinds as
 :class:`~repro.exceptions.DeadlineExceededError` /
@@ -124,7 +118,6 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -164,18 +157,14 @@ from repro.exceptions import (
     UnauthorizedError,
 )
 
-#: Fragment-pool width when the constructor names none.
-_FRAGMENT_POOL_WIDTH = 32
-
 
 @dataclass
 class SubjectNode:
     """One participant: identity, RSA keys, stored data, local state.
 
     ``latency_seconds`` simulates the per-fragment round-trip/processing
-    delay of a real remote provider; the scheduler overlaps these delays
-    across independent fragments (and the sequential reference path pays
-    their sum), which is what the workload benchmark measures.
+    delay of a real remote provider; a run pays the sum over its
+    fragments, and concurrent runs overlap theirs on different subjects.
     """
 
     subject: Subject
@@ -244,10 +233,10 @@ class ExecutionTrace:
     #: Total size of those envelopes.
     envelope_bytes: int = 0
     rows_transferred: int = 0
-    #: Every (fragment id, subject) evaluated, cache hits included.
+    #: Every (fragment id, subject) requested, in call order, cache hits
+    #: and failover takeovers included.
     fragments_run: list[tuple[str, str]] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
-    schedule: str = "sequential"
     fragment_cache_hits: int = 0
     #: Fragment execution attempts (first tries + retries; cache hits
     #: excluded — they never touch a provider).
@@ -264,10 +253,10 @@ class _FragmentFailed(Exception):
     """Internal control flow: a fragment exhausted its subject.
 
     Raised out of :meth:`DistributedRuntime._evaluate_fragment` *while
-    the subject lock is held*; the schedulers catch it after releasing
-    the lock and run failover lock-free (the replacement takes its own
-    subject lock), so two concurrent failovers can never deadlock on
-    each other's subject locks.  Never escapes ``run``.
+    the subject lock is held*; the recursion catches it after releasing
+    the lock and runs failover lock-free (the replacement takes its own
+    subject lock), so the failovers of two concurrent runs can never
+    deadlock on each other's subject locks.  Never escapes ``run``.
     """
 
     def __init__(self, subject: str, attempts: int,
@@ -280,7 +269,7 @@ class _FragmentFailed(Exception):
 
 @dataclass
 class _RunContext:
-    """Per-``run`` state, so concurrent runs never share mutable state."""
+    """Per-``run`` state, touched by the thread that called ``run`` only."""
 
     dispatch_plan: DispatchPlan
     #: Recipient subject → its sealed envelope for this run.
@@ -296,7 +285,6 @@ class _RunContext:
     extended: ExtendedPlan | None = None
     #: The query's cancellation token (None = unbudgeted, no checks).
     token: CancellationToken | None = None
-    trace_lock: threading.Lock = field(default_factory=threading.Lock)
     #: Subject → the payload it unwrapped and verified from its envelope,
     #: written under the subject's lock.  Per run by design: a repeated
     #: query is delivered, unwrapped and verified again.
@@ -308,14 +296,6 @@ class DistributedRuntime:
 
     Parameters
     ----------
-    schedule:
-        ``"sequential"`` (default) is the demand-driven recursive
-        reference path; ``"parallel"`` opts into running independent
-        fragments concurrently on a worker pool.  Both return identical
-        results; only trace ordering (and wall time) differs.
-    max_workers:
-        Width of the runtime's fragment pool, which every run on the
-        parallel schedule shares (default 32; threads start on demand).
     clock / sleeper:
         Injectable time sources (defaults: :func:`time.monotonic` and
         :func:`time.sleep`).  Simulated provider latency, retry backoff,
@@ -348,8 +328,6 @@ class DistributedRuntime:
 
     def __init__(self, policy: Policy, nodes: Mapping[str, SubjectNode],
                  user: str, enforce: bool = True,
-                 schedule: str = "sequential",
-                 max_workers: int | None = None,
                  clock=None, sleeper=None,
                  health: HealthRegistry | None = None,
                  fault_injector: FaultInjector | None = None,
@@ -361,8 +339,6 @@ class DistributedRuntime:
         self.nodes = dict(nodes)
         self.user = user
         self.enforce = enforce
-        self.schedule = _check_schedule(schedule)
-        self.max_workers = max_workers
         self._clock = clock or time.monotonic
         self._sleep = sleeper or time.sleep
         self.health = health or HealthRegistry(clock=self._clock)
@@ -375,7 +351,6 @@ class DistributedRuntime:
             raise DispatchError(f"no runtime node for user {user!r}")
         self._subject_locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
-        self._fragment_pool: ThreadPoolExecutor | None = None
         #: dispatch plan → {(fragment id, subject) → Entry}; an entry's
         #: value is ``(result, keys signature, enforce, input tables)``.
         #: Weak-keyed: a plan nobody holds takes its results with it.
@@ -397,17 +372,15 @@ class DistributedRuntime:
     # ------------------------------------------------------------------
     def run(self, dispatch_plan: DispatchPlan, extended: ExtendedPlan,
             keys: KeyAssignment, distributed_keys: DistributedKeys,
-            *, user: str | None = None, schedule: str | None = None,
+            *, user: str | None = None,
             token: CancellationToken | None = None,
             ) -> tuple[Table, ExecutionTrace]:
         """Seal envelopes, execute every fragment, return the result.
 
         The user signs one payload per subject — all of that subject's
         sub-queries and its keys — and encrypts it for the subject;
-        fragments then execute according to the chosen schedule:
-        demand-driven root-down recursion
-        (``"sequential"``, exactly the nested ``req`` calls of Figure 8)
-        or dependency-graph order on a worker pool (``"parallel"``).
+        fragments then execute by demand-driven root-down recursion,
+        exactly the nested ``req`` calls of Figure 8.
 
         ``token`` makes the run budget-aware: it is checked at every
         cooperative checkpoint (see the module docstring), and an abort
@@ -419,10 +392,9 @@ class DistributedRuntime:
         are memoized and shared across runs internally, so the delivered
         table is detached from the caches before it is handed out.
         """
-        schedule = _check_schedule(schedule or self.schedule)
         user = user or self.user
         user_node = self._node_for(user)
-        trace = ExecutionTrace(schedule=schedule)
+        trace = ExecutionTrace()
         context = _RunContext(
             dispatch_plan=dispatch_plan,
             envelopes={},
@@ -456,11 +428,8 @@ class DistributedRuntime:
                 trace.messages += 1
                 trace.envelope_bytes += len(blob)
 
-            if schedule == "sequential":
-                result = self._run_sequential(
-                    context, dispatch_plan.root_fragment_id)
-            else:
-                result = self._run_parallel(context)
+            result = self._run_fragment(
+                context, dispatch_plan.root_fragment_id)
         except QueryAbortedError as abort:
             # Hand the caller whatever ran before the abort: the partial
             # trace is the audit record of the fragments already paid for.
@@ -498,17 +467,6 @@ class DistributedRuntime:
             self._fragments.clear()
             self._cache_generation += 1
 
-    def close(self) -> None:
-        """Stop the fragment pool's threads (no-op if never started).
-
-        Call with no run in flight; a later parallel run starts a new
-        pool.
-        """
-        with self._locks_guard:
-            pool, self._fragment_pool = self._fragment_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
     def cache_info(self) -> dict[str, int]:
         """Fragment-cache size, traffic and policy-reconcile counters."""
         with self._caches_guard:
@@ -530,8 +488,9 @@ class DistributedRuntime:
         ``sink.observe_fragment(subject, seconds)`` is called once per
         successful fragment execution with the measured wall time (the
         same measurement that feeds the health registry's EWMA).  The
-        sink must be thread-safe — fragments complete on many worker
-        threads — and cheap: it runs on the fragment's critical path.
+        sink must be thread-safe — concurrent runs complete fragments on
+        their own threads — and cheap: it runs on the fragment's
+        critical path.
         Pass ``None`` to detach.
         """
         self._metrics_sink = sink
@@ -571,7 +530,7 @@ class DistributedRuntime:
         return frozenset(attrs)
 
     # ------------------------------------------------------------------
-    # Schedules
+    # Schedule
     # ------------------------------------------------------------------
     @staticmethod
     def _checkpoint(context: _RunContext, where: str) -> None:
@@ -579,9 +538,9 @@ class DistributedRuntime:
         if context.token is not None:
             context.token.check(where)
 
-    def _run_sequential(self, context: _RunContext,
-                        fragment_id: str) -> Table:
-        """Demand-driven recursion: the seed's bit-identical reference."""
+    def _run_fragment(self, context: _RunContext,
+                      fragment_id: str) -> Table:
+        """Demand-driven recursion: ask the children, then evaluate."""
         self._checkpoint(context, f"runtime:fragment {fragment_id}")
         fragment = context.dispatch_plan.fragment(fragment_id)
         node = self._node_for(fragment.subject)
@@ -592,7 +551,7 @@ class DistributedRuntime:
                             context.lineage)
         inputs: dict[int, Table] = {}
         for boundary_id, child_fragment_id in fragment.requests.items():
-            table = self._run_sequential(context, child_fragment_id)
+            table = self._run_fragment(context, child_fragment_id)
             self._receive_input(context, fragment, view, table)
             inputs[boundary_id] = table
         # The subject lock serializes this subject's fragments across
@@ -606,73 +565,6 @@ class DistributedRuntime:
         except _FragmentFailed as failure:
             return self._failover_fragment(context, fragment, inputs,
                                            failure)
-
-    def _run_parallel(self, context: _RunContext) -> Table:
-        """Dependency-graph scheduling on the runtime's fragment pool.
-
-        A fragment becomes ready once all fragments it requests have
-        produced their tables; ready fragments are submitted immediately,
-        and the per-subject locks inside the fragment task keep any one
-        subject's execution serialized.  However the run ends, its
-        not-yet-started tasks are cancelled and its running ones waited
-        for before this returns; other runs' tasks are not touched.
-        """
-        dispatch_plan = context.dispatch_plan
-        dependencies = dispatch_plan.dependencies()
-        dependents = dispatch_plan.dependents()
-        dispatch_plan.execution_levels()  # validates graph shape upfront
-        remaining = {f: len(deps) for f, deps in dependencies.items()}
-        results: dict[str, Table] = {}
-
-        def task(fragment_id: str) -> Table:
-            self._checkpoint(context, f"runtime:fragment {fragment_id}")
-            fragment = dispatch_plan.fragment(fragment_id)
-            node = self._node_for(fragment.subject)
-            inputs: dict[int, Table] = {}
-            try:
-                with self._lock_for(fragment.subject):
-                    payload = self._open_and_record(context, fragment, node)
-                    view = augment_view(self.policy.view(fragment.subject),
-                                        context.lineage)
-                    for boundary_id, child_id in fragment.requests.items():
-                        table = results[child_id]
-                        self._receive_input(context, fragment, view, table)
-                        inputs[boundary_id] = table
-                    return self._evaluate_fragment(context, fragment, node,
-                                                   payload, view, inputs)
-            except _FragmentFailed as failure:
-                return self._failover_fragment(context, fragment, inputs,
-                                               failure)
-
-        pool = self._pool()
-        pending = {}
-        try:
-            for fragment_id, count in remaining.items():
-                if count == 0:
-                    pending[pool.submit(task, fragment_id)] = fragment_id
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    fragment_id = pending.pop(future)
-                    results[fragment_id] = future.result()  # may raise
-                    for parent_id in dependents[fragment_id]:
-                        remaining[parent_id] -= 1
-                        if remaining[parent_id] == 0:
-                            pending[pool.submit(task, parent_id)] = \
-                                parent_id
-        finally:
-            for future in pending:
-                future.cancel()
-            wait(pending)
-        return results[dispatch_plan.root_fragment_id]
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._locks_guard:
-            if self._fragment_pool is None:
-                self._fragment_pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers or _FRAGMENT_POOL_WIDTH,
-                    thread_name_prefix="repro-fragment")
-            return self._fragment_pool
 
     # ------------------------------------------------------------------
     # Fragment execution
@@ -699,19 +591,16 @@ class DistributedRuntime:
             raise DispatchError(
                 f"{fragment.subject} was sent no sub-query "
                 f"{fragment.fragment_id!r}")
-        with context.trace_lock:
-            context.trace.fragments_run.append(
-                (fragment.fragment_id, fragment.subject))
+        context.trace.fragments_run.append(
+            (fragment.fragment_id, fragment.subject))
         return payload
 
     def _receive_input(self, context: _RunContext, fragment: SubQuery,
                        view: SubjectView, table: Table) -> None:
-        with context.trace_lock:
-            context.trace.messages += 1
-            context.trace.rows_transferred += len(table)
+        context.trace.messages += 1
+        context.trace.rows_transferred += len(table)
         if self.enforce and not fragment.subject.startswith("authority:"):
-            self._check_values(view, table, context.trace,
-                               context.trace_lock)
+            self._check_values(view, table, context.trace)
 
     def _evaluate_fragment(self, context: _RunContext, fragment: SubQuery,
                            node: SubjectNode, payload: SubQueryPayload,
@@ -757,8 +646,7 @@ class DistributedRuntime:
             else:
                 self._fragment_hits += 1
         if entry is not None:
-            with context.trace_lock:
-                context.trace.fragment_cache_hits += 1
+            context.trace.fragment_cache_hits += 1
             return result
         result = self._execute_with_retries(context, fragment, node,
                                             payload, view, inputs)
@@ -788,7 +676,7 @@ class DistributedRuntime:
         attempts, exponential backoff with deterministic jitter, within
         the per-fragment deadline *and* the remaining query budget).  A
         dead provider, an open breaker, or an exhausted budget raises
-        :class:`_FragmentFailed` so the scheduler can fail the fragment
+        :class:`_FragmentFailed` so the caller can fail the fragment
         over after releasing the subject lock.  Any other exception
         (tampering, authorization violations, executor bugs) propagates
         untouched — retrying a forged envelope or a policy violation
@@ -818,8 +706,7 @@ class DistributedRuntime:
                         f"(breaker {self.health.state(subject)})",
                         subject=subject))
             attempts += 1
-            with context.trace_lock:
-                context.trace.attempts += 1
+            context.trace.attempts += 1
             started = self._clock()
             try:
                 extra = 0.0
@@ -851,15 +738,13 @@ class DistributedRuntime:
                                             inputs, view)
             except TransientProviderError as fault:
                 if self.health.record_failure(subject):
-                    with context.trace_lock:
-                        context.trace.breaker_trips += 1
+                    context.trace.breaker_trips += 1
                 out_of_time = (deadline is not None
                                and self._clock() >= deadline)
                 if (attempts >= retry.max_attempts or out_of_time
                         or not self.health.available(subject)):
                     raise _FragmentFailed(subject, attempts, cause=fault)
-                with context.trace_lock:
-                    context.trace.retries += 1
+                context.trace.retries += 1
                 # The backoff sleep draws from whatever budget is
                 # tighter — the per-fragment deadline or the remaining
                 # end-to-end query budget — and can overshoot neither.
@@ -881,8 +766,7 @@ class DistributedRuntime:
                 continue
             except ProviderDeadError as fault:
                 if self.health.mark_dead(subject):
-                    with context.trace_lock:
-                        context.trace.breaker_trips += 1
+                    context.trace.breaker_trips += 1
                 raise _FragmentFailed(subject, attempts, cause=fault)
             except Exception:
                 # No health verdict: the failure says nothing about the
@@ -953,9 +837,8 @@ class DistributedRuntime:
             )
             blob = seal_envelope(payload, context.user_node.rsa_private,
                                  candidate_node.rsa_public)
-            with context.trace_lock:
-                context.trace.messages += 1
-                context.trace.envelope_bytes += len(blob)
+            context.trace.messages += 1
+            context.trace.envelope_bytes += len(blob)
             takeover = replace(fragment, subject=candidate)
             view = augment_view(self.policy.view(candidate),
                                 context.lineage)
@@ -979,8 +862,7 @@ class DistributedRuntime:
                 seconds=self._clock() - started,
                 repaired_assignment=repaired,
             )
-            with context.trace_lock:
-                context.trace.failovers.append(event)
+            context.trace.failovers.append(event)
             return result
 
     def _next_candidate(self, context: _RunContext, fragment: SubQuery,
@@ -1044,7 +926,6 @@ class DistributedRuntime:
             self._check_profile(
                 view, context.profiles[node],
                 f"relation at {node.label()}", context.trace,
-                context.trace_lock,
             )
         return result
 
@@ -1065,15 +946,10 @@ class DistributedRuntime:
             return lock
 
     def _check_profile(self, view: SubjectView, profile, context: str,
-                       trace: ExecutionTrace,
-                       trace_lock: threading.Lock | None = None) -> None:
+                       trace: ExecutionTrace) -> None:
         check = check_relation(view, profile)
         if not check.authorized:
-            if trace_lock is None:
-                trace.violations.extend(check.violations)
-            else:
-                with trace_lock:
-                    trace.violations.extend(check.violations)
+            trace.violations.extend(check.violations)
             raise UnauthorizedError(
                 f"{view.subject} is not authorized for {context}: "
                 + "; ".join(check.violations),
@@ -1082,8 +958,7 @@ class DistributedRuntime:
             )
 
     def _check_values(self, view: SubjectView, table: Table,
-                      trace: ExecutionTrace,
-                      trace_lock: threading.Lock | None = None) -> None:
+                      trace: ExecutionTrace) -> None:
         """Value-level guard: representations must match authorizations."""
         for position, column in enumerate(table.columns):
             sample = next((row[position] for row in table.rows
@@ -1094,30 +969,14 @@ class DistributedRuntime:
                 if not view.can_view_encrypted(column):
                     message = (f"{view.subject} received encrypted column "
                                f"{column} without any authorization")
-                    self._record_violation(trace, trace_lock, message)
+                    trace.violations.append(message)
                     raise UnauthorizedError(message, subject=view.subject)
             else:
                 if not view.can_view_plaintext(column):
                     message = (f"{view.subject} received plaintext column "
                                f"{column} without plaintext authorization")
-                    self._record_violation(trace, trace_lock, message)
+                    trace.violations.append(message)
                     raise UnauthorizedError(message, subject=view.subject)
-
-    @staticmethod
-    def _record_violation(trace: ExecutionTrace,
-                          trace_lock: threading.Lock | None,
-                          message: str) -> None:
-        if trace_lock is None:
-            trace.violations.append(message)
-        else:
-            with trace_lock:
-                trace.violations.append(message)
-
-
-def _check_schedule(schedule: str) -> str:
-    if schedule not in ("parallel", "sequential"):
-        raise DispatchError(f"unknown schedule {schedule!r}")
-    return schedule
 
 
 def generate_subject_keys(
@@ -1140,8 +999,6 @@ def build_runtime(policy: Policy, subjects: list[Subject],
                   rsa_bits: int = DEFAULT_RSA_BITS,
                   rsa_keys: Mapping[
                       str, tuple[RsaPublicKey, RsaPrivateKey]] | None = None,
-                  schedule: str = "sequential",
-                  max_workers: int | None = None,
                   latency_seconds: float | Mapping[str, float] = 0.0,
                   clock=None, sleeper=None,
                   health: HealthRegistry | None = None,
@@ -1183,8 +1040,7 @@ def build_runtime(policy: Policy, subjects: list[Subject],
             latency_seconds=latency,
         )
     return DistributedRuntime(
-        policy, nodes, user, schedule=schedule, max_workers=max_workers,
-        clock=clock, sleeper=sleeper, health=health,
+        policy, nodes, user, clock=clock, sleeper=sleeper, health=health,
         fault_injector=fault_injector, retry=retry, failover=failover,
         settings=settings,
     )

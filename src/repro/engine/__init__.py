@@ -38,9 +38,7 @@ The executor is built around batched, hash-partitioned operators:
 * **Joins** evaluate every equality conjunct with a hash build/probe
   pass — the hash table is built on the smaller operand — and apply only
   the true residual conjuncts (compiled once per node) to each matched
-  pair before the output row is materialized.  The seed's ``σ_C(L×R)``
-  nested-loop semantics survive behind ``join_strategy="nested-loop"``
-  as the benchmark baseline.
+  pair before the output row is materialized.
 * **Predicates** are compiled once per operator
   (:func:`repro.engine.expressions.compile_predicate`): positions,
   operators, and constants are resolved at compile time, so per-row work

@@ -12,9 +12,7 @@ The hot path is batched and hash-partitioned: joins evaluate every
 equality conjunct through a hash-partitioned build/probe pass (building
 on the smaller operand) and apply only the true residual conjuncts per
 matched pair, and selections and projections run compiled closures
-through the table bulk APIs.  The seed's ``σ_C(L×R)`` nested-loop
-semantics survive as the ``join_strategy="nested-loop"`` reference path
-used by the benchmarks.  An executor holds no results: every
+through the table bulk APIs.  An executor holds no results: every
 :meth:`Executor.execute` evaluates the whole plan against the state it
 finds (the distributed runtime memoizes whole fragments instead).
 
@@ -98,9 +96,7 @@ class Executor:
         per matched pair; ``"parallel-hash"`` is the same build/probe
         pass with the probe side partitioned across the worker pool
         (requires ``pool``; without one, or below the pool's size
-        threshold, it degrades to plain ``"hash"``); ``"nested-loop"``
-        keeps the seed ``σ_C(L×R)`` reference semantics (used by the
-        join benchmarks as the baseline).
+        threshold, it degrades to plain ``"hash"``).
     pool:
         A :class:`~repro.parallel.WorkerPool` for the CPU-bound column
         kernels (Encrypt/Decrypt) and the ``"parallel-hash"`` probe.
@@ -187,18 +183,6 @@ class Executor:
     # -- joins ----------------------------------------------------------
     def _join(self, node: Join, left: Table, right: Table) -> Table:
         columns = left.columns + right.columns
-        if self.join_strategy == "nested-loop":
-            # Seed reference semantics: σ_C(L × R), one compiled predicate
-            # over every operand pair.
-            basics = list(node.condition.basic_conditions())
-            checks = _compile_specs(_residual_specs(basics, left, right))
-            rows = [
-                lr + rr
-                for lr in left.rows for rr in right.rows
-                if _residuals_hold(checks, lr, rr)
-            ]
-            return Table._from_trusted("⋈", columns, rows)
-
         equalities, residual = node.partition_condition(left.columns,
                                                         right.columns)
         specs = _residual_specs(residual, left, right)
@@ -224,7 +208,7 @@ class Executor:
         # Build on the smaller operand, probe with the larger one; the
         # output row is always assembled left-then-right.  Both loops
         # also accumulate per-column value-representation signatures so
-        # incomparable keys raise (like the nested-loop reference does)
+        # incomparable keys raise (like a σ_C(L×R) evaluation does)
         # instead of silently never colliding — see _signature.
         build_is_left = len(left) <= len(right)
         if build_is_left:
@@ -528,11 +512,11 @@ def _signature(value: object) -> object | None:
 
     Incomparable representations can never hash-collide (different-key
     ciphertext group keys never match, plaintext never matches a token),
-    so a hash join would silently return no matches where the σ_C(L×R)
-    reference raises when it evaluates such a pair.  The join loops
+    so a hash join would silently return no matches where evaluating
+    σ_C(L×R) raises when it reaches such a pair.  The join loops
     accumulate these signatures per key column and raise on the first
-    mix observed across the operands — slightly *eager* versus the
-    reference's conjunct short-circuiting, but refusing loudly beats a
+    mix observed across the operands — slightly *eager* versus
+    σ_C(L×R)'s conjunct short-circuiting, but refusing loudly beats a
     silently empty result.  NULLs are exempt: NULL vs anything is
     UNKNOWN, not a representation mix.
     """

@@ -19,9 +19,8 @@ have.  This module implements the minimal consistent subset:
 
 Every metric family may declare label names once; children are
 obtained with :meth:`MetricFamily.labels` and are created on first
-use.  All operations are thread-safe — gateway workers, runtime
-fragment threads and the scraping thread all touch the registry
-concurrently.
+use.  All operations are thread-safe — gateway workers and the
+scraping thread all touch the registry concurrently.
 
 Registries also accept *collector callbacks*
 (:meth:`MetricsRegistry.register_collector`): callables invoked at the

@@ -1,7 +1,7 @@
 """Shared process-pool layer for the CPU-bound data plane.
 
-The GIL caps the runtime's thread pool at one core for CPU-bound work,
-so the hot kernels — whole-column Paillier CRT decryption (~650 µs per
+The GIL caps threads at one core for CPU-bound work, so the hot
+kernels — whole-column Paillier CRT decryption (~650 µs per
 value, the dominant crypto cost), columnar Encrypt/Decrypt, and
 hash-join probes — fan out across *worker processes* instead.  This
 package owns the machinery; the kernels themselves stay in the modules

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from repro.core.budget import active_token
 
 #: Join strategies the executor accepts, in preference order.
-JOIN_STRATEGIES = ("hash", "parallel-hash", "nested-loop")
+JOIN_STRATEGIES = ("hash", "parallel-hash")
 
 #: Below this many items a column runs inline: process transport costs
 #: more than it saves on small inputs (see the package docstring).
@@ -44,8 +44,8 @@ class WorkerPool:
     The underlying :class:`~concurrent.futures.ProcessPoolExecutor` is
     created on the first parallel submission (constructing a pool is
     free until it is actually needed) and is safe to share across
-    threads — the runtime's fragment scheduler submits column chunks
-    from several fragment threads into one pool.
+    threads — concurrent runs submit column chunks from their own
+    threads into one pool.
     """
 
     def __init__(self, workers: int,

@@ -162,8 +162,8 @@ class QueryOutcome:
         return (
             f"{self.user}: {len(self.result)} rows in "
             f"{self.wall_seconds * 1000:.1f} ms "
-            f"[{self.trace.schedule}, {len(self.trace.fragments_run)} "
-            f"fragments, {self.trace.fragment_cache_hits} cached, "
+            f"[{len(self.trace.fragments_run)} fragments, "
+            f"{self.trace.fragment_cache_hits} cached, "
             f"caches={flags}, ${self.cost_usd:.6f}]"
             f"{churn}{recovery}{budget_note}"
         )
@@ -232,8 +232,6 @@ class QueryService:
                  topology: NetworkTopology | None = None,
                  udfs: Mapping[str, UdfCallable] | None = None,
                  rsa_bits: int = DEFAULT_RSA_BITS,
-                 schedule: str = "parallel",
-                 max_workers: int | None = None,
                  assignment_cache_size: int = 256,
                  latency_seconds: float | Mapping[str, float] = 0.0,
                  clock=None, sleeper=None,
@@ -275,8 +273,8 @@ class QueryService:
                                               rsa_bits=rsa_bits)
         self.runtime = build_runtime(
             policy, list(self.subjects), authority_tables, user,
-            udfs=udfs, rsa_keys=self.rsa_keys, schedule=schedule,
-            max_workers=max_workers, latency_seconds=latency_seconds,
+            udfs=udfs, rsa_keys=self.rsa_keys,
+            latency_seconds=latency_seconds,
             clock=clock, sleeper=sleeper, health=health,
             fault_injector=fault_injector, retry=retry,
             failover=failover, settings=settings,
@@ -289,8 +287,7 @@ class QueryService:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def execute(self, sql: str, user: str | None = None,
-                schedule: str | None = None, *,
+    def execute(self, sql: str, user: str | None = None, *,
                 budget: QueryBudget | None = None,
                 token: CancellationToken | None = None) -> QueryOutcome:
         """Run one SQL query end to end for ``user``.
@@ -347,13 +344,12 @@ class QueryService:
         try:
             result, trace = self.runtime.run(
                 dispatch_plan, outcome.extended, outcome.keys, distributed,
-                user=user, schedule=schedule, token=token,
+                user=user, token=token,
             )
         except ProviderUnavailableError as failure:
             repair_started = time.perf_counter()
             outcome, result, trace, standby_used, partial_traces = \
-                self._repair_and_rerun(plan, outcome, failure, user,
-                                       schedule, token)
+                self._repair_and_rerun(plan, outcome, failure, user, token)
             replanned = not standby_used
             repair_seconds = time.perf_counter() - repair_started
         wall = time.perf_counter() - started
@@ -403,7 +399,6 @@ class QueryService:
     def _repair_and_rerun(
         self, plan, primary: AssignmentResult,
         failure: ProviderUnavailableError, user: str,
-        schedule: str | None,
         token: CancellationToken | None = None,
     ) -> tuple[AssignmentResult, Table, ExecutionTrace, bool,
                list[ExecutionTrace]]:
@@ -470,7 +465,7 @@ class QueryService:
             try:
                 result, trace = self.runtime.run(
                     dispatch_plan, repaired.extended, repaired.keys,
-                    distributed, user=user, schedule=schedule, token=token,
+                    distributed, user=user, token=token,
                 )
             except ProviderUnavailableError as again:
                 # Another provider died during the re-run: widen the
@@ -548,10 +543,6 @@ class QueryService:
                 self.runtime.nodes[subject].tables = dict(tables)
         finally:
             self.runtime.invalidate_caches()
-
-    def close(self) -> None:
-        """Release the runtime's fragment-pool threads (idempotent)."""
-        self.runtime.close()
 
     def cache_info(self) -> dict[str, object]:
         """All cache counters: plans, assignments, edge tables, fragments."""
@@ -666,12 +657,11 @@ class WorkloadSession:
     outcomes: list[QueryOutcome] = field(default_factory=list)
     stats: SessionStats = field(default_factory=SessionStats)
 
-    def run(self, sql: str, schedule: str | None = None, *,
+    def run(self, sql: str, *,
             budget: QueryBudget | None = None,
             token: CancellationToken | None = None) -> QueryOutcome:
         """Execute ``sql`` as this session's user and record the stats."""
         outcome = self.service.execute(sql, user=self.user,
-                                       schedule=schedule,
                                        budget=budget, token=token)
         self.outcomes.append(outcome)
         del self.outcomes[:-_SESSION_OUTCOME_LIMIT]

@@ -102,11 +102,6 @@ class TestAssign:
                          owners=example.owners)
         assert "total=$" in outcome.describe()
 
-    def test_unknown_search_impl_rejected(self, example, prices):
-        with pytest.raises(ValueError):
-            assign(example.plan, example.policy, example.subject_names,
-                   prices, user="U", search_impl="quantum")
-
 
 class TestExhaustive:
     def test_stats_account_for_every_combination(self, example, prices):

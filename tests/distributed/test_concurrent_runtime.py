@@ -1,6 +1,7 @@
-"""The concurrent fragment scheduler: dependency graph, equivalence with
-the sequential reference, enforcement under concurrency, and the
-cross-run fragment cache."""
+"""One runtime under concurrent runs: equivalence with the plaintext
+executor, enforcement, per-subject serialization across runs, and the
+cross-run fragment cache.  (Class and test names are the ids these
+cases have had since the runtime also had a thread-pool schedule.)"""
 
 import threading
 import time
@@ -9,7 +10,7 @@ import pytest
 
 from repro.core.authorization import Authorization, Policy, Subject, \
     SubjectKind
-from repro.core.dispatch import DispatchPlan, SubQuery, dispatch
+from repro.core.dispatch import dispatch
 from repro.core.extension import minimally_extend
 from repro.core.keys import establish_keys
 from repro.core.operators import BaseRelationNode, Join, Selection
@@ -32,8 +33,7 @@ from repro.tpch import TPCH_UDFS, all_scenarios, build_tpch_schema, \
 from repro.tpch.schema import table_owners
 
 
-def pipeline_7a(example, example_tables, schedule="parallel",
-                rsa_keys=None):
+def pipeline_7a(example, example_tables, rsa_keys=None):
     """The Figure 7(a) pipeline, returning (runtime, run-callable)."""
     extended = minimally_extend(
         example.plan, example.policy, example.assignment_7a(),
@@ -45,7 +45,7 @@ def pipeline_7a(example, example_tables, schedule="parallel",
         example.policy, list(example.subjects),
         {"H": {"Hosp": example_tables["Hosp"]},
          "I": {"Ins": example_tables["Ins"]}},
-        user="U", schedule=schedule, rsa_keys=rsa_keys,
+        user="U", rsa_keys=rsa_keys,
     )
     distributed = DistributedKeys.from_assignment(keys)
 
@@ -56,73 +56,7 @@ def pipeline_7a(example, example_tables, schedule="parallel",
     return runtime, run
 
 
-class TestDependencyGraph:
-    def dispatch_7a(self, example):
-        extended = minimally_extend(
-            example.plan, example.policy, example.assignment_7a(),
-            owners=example.owners,
-        )
-        keys = establish_keys(extended, example.policy)
-        return dispatch(extended, keys, owners=example.owners, user="U")
-
-    def test_dependencies_and_dependents(self, example):
-        plan = self.dispatch_7a(example)
-        dependencies = plan.dependencies()
-        assert sorted(dependencies["reqX"]) == ["reqH", "reqI"]
-        assert dependencies["reqY"] == ("reqX",)
-        assert dependencies["reqH"] == ()
-        dependents = plan.dependents()
-        assert dependents["reqH"] == ("reqX",)
-        assert dependents["reqY"] == ()
-
-    def test_execution_levels(self, example):
-        plan = self.dispatch_7a(example)
-        assert plan.execution_levels() == (
-            ("reqH", "reqI"), ("reqX",), ("reqY",),
-        )
-
-    def test_cycle_detected(self):
-        leaf = BaseRelationNode(Relation("R", ["a"], cardinality=1))
-        a = SubQuery("a", "S", leaf, (leaf,), requests={1: "b"})
-        b = SubQuery("b", "S", leaf, (leaf,), requests={2: "a"})
-        plan = DispatchPlan(fragments={"a": a, "b": b},
-                            root_fragment_id="a", user="U")
-        with pytest.raises(DispatchError, match="cycle"):
-            plan.execution_levels()
-
-    def test_unknown_request_target(self):
-        leaf = BaseRelationNode(Relation("R", ["a"], cardinality=1))
-        a = SubQuery("a", "S", leaf, (leaf,), requests={1: "ghost"})
-        plan = DispatchPlan(fragments={"a": a},
-                            root_fragment_id="a", user="U")
-        with pytest.raises(DispatchError, match="unknown"):
-            plan.dependents()
-
-
 class TestScheduleEquivalence:
-    def test_parallel_matches_sequential_running_example(
-            self, example, example_tables):
-        _, run_par = pipeline_7a(example, example_tables, "parallel")
-        _, run_seq = pipeline_7a(example, example_tables, "sequential")
-        parallel, trace_par = run_par()
-        sequential, trace_seq = run_seq()
-        # Identical tables — including row order, not just content.
-        assert parallel.columns == sequential.columns
-        assert parallel.rows == sequential.rows
-        assert trace_par.messages == trace_seq.messages
-        assert sorted(trace_par.fragments_run) == \
-            sorted(trace_seq.fragments_run)
-
-    def test_per_run_schedule_override(self, example, example_tables):
-        runtime, run = pipeline_7a(example, example_tables, "parallel")
-        result, trace = run(schedule="sequential")
-        assert trace.schedule == "sequential"
-        assert [f for f, _ in trace.fragments_run] == [
-            "reqY", "reqX", "reqH", "reqI",
-        ]
-        with pytest.raises(DispatchError):
-            run(schedule="zigzag")
-
     @pytest.mark.parametrize("number", [3, 5, 18])
     def test_tpch_parallel_matches_sequential_and_plaintext(self, number):
         scale = 0.002
@@ -142,24 +76,17 @@ class TestScheduleEquivalence:
         for name, owner in table_owners().items():
             authority_tables[owner][name] = data.table(name)
         distributed = DistributedKeys.from_assignment(keys)
-        results = {}
-        for schedule in ("parallel", "sequential"):
-            runtime = build_runtime(
-                scenario_obj.policy, list(scenario_obj.subjects),
-                authority_tables, user="U", udfs=TPCH_UDFS,
-                schedule=schedule,
-            )
-            table, trace = runtime.run(dispatch_plan, outcome.extended,
-                                       keys, distributed)
-            assert not trace.violations
-            results[schedule] = table
-        assert results["parallel"].columns == \
-            results["sequential"].columns
-        assert results["parallel"].rows == results["sequential"].rows
+        runtime = build_runtime(
+            scenario_obj.policy, list(scenario_obj.subjects),
+            authority_tables, user="U", udfs=TPCH_UDFS,
+        )
+        table, trace = runtime.run(dispatch_plan, outcome.extended,
+                                   keys, distributed)
+        assert not trace.violations
         plain = Executor(data.catalog(), udfs=TPCH_UDFS).execute(
             query_plan(number, schema))
-        assert set(results["parallel"].columns) == set(plain.columns)
-        assert len(results["parallel"]) == len(plain)
+        assert set(table.columns) == set(plain.columns)
+        assert len(table) == len(plain)
 
 
 class TestEnforcementUnderConcurrency:
@@ -182,13 +109,12 @@ class TestEnforcementUnderConcurrency:
         # -1 is the hybrid tag; 10 sits inside the RSA-wrapped session
         # key, right after the 4-byte length prefix.
         for offset in (-1, 10):
-            for schedule in ("parallel", "sequential"):
-                victims.clear()
-                _, run = pipeline_7a(example, example_tables, schedule)
-                # In-flight corruption breaks the hybrid encryption layer.
-                with pytest.raises((DispatchError, CryptoError)):
-                    run()
-                assert victims == ["reqX"]
+            victims.clear()
+            _, run = pipeline_7a(example, example_tables)
+            # In-flight corruption breaks the hybrid encryption layer.
+            with pytest.raises((DispatchError, CryptoError)):
+                run()
+            assert victims == ["reqX"]
 
     def test_spoofed_signature_rejected(self, example, example_tables,
                                         monkeypatch):
@@ -204,7 +130,7 @@ class TestEnforcementUnderConcurrency:
 
         monkeypatch.setattr(runtime_module, "seal_envelope",
                             spoofing_seal)
-        _, run = pipeline_7a(example, example_tables, "parallel")
+        _, run = pipeline_7a(example, example_tables)
         # A payload signed by anyone but the user fails verification.
         with pytest.raises(DispatchError, match="signature"):
             run()
@@ -223,7 +149,7 @@ class TestEnforcementUnderConcurrency:
             example.policy, list(example.subjects),
             {"H": {"Hosp": example_tables["Hosp"]},
              "I": {"Ins": example_tables["Ins"]}},
-            user="U", schedule="parallel",
+            user="U",
         )
         with pytest.raises(UnauthorizedError):
             runtime.run(plan, extended, keys,
@@ -258,7 +184,7 @@ class TestEnforcementUnderConcurrency:
             example.policy, list(example.subjects),
             {"H": {"Hosp": example_tables["Hosp"]},
              "I": {"Ins": example_tables["Ins"]}},
-            user="U", schedule="parallel",
+            user="U",
         )
         with pytest.raises(UnauthorizedError):
             runtime.run(plan, stripped, keys,
@@ -266,7 +192,8 @@ class TestEnforcementUnderConcurrency:
 
 
 class TestSubjectSerialization:
-    """Same-subject fragments never overlap; independent subjects do."""
+    """Across concurrent runs, same-subject fragments never overlap;
+    different subjects' do."""
 
     def build_scenario(self):
         schema = Schema()
@@ -301,25 +228,31 @@ class TestSubjectSerialization:
         return (schema, policy, subjects, plan, assignment, owners,
                 tables)
 
+    RUNS = 4
+
     def test_same_subject_fragments_serialize(self, monkeypatch):
         (_, policy, subjects, plan, assignment, owners,
          tables) = self.build_scenario()
         extended = minimally_extend(plan, policy, assignment,
                                     owners=owners, deliver_to="U")
         keys = establish_keys(extended, policy)
-        dispatch_plan = dispatch(extended, keys, owners=owners, user="U")
+        distributed = DistributedKeys.from_assignment(keys)
+        # One dispatch plan per run: fragment results are cached per
+        # plan, so every run really executes (and waits out the
+        # simulated latency of) every fragment.
+        plans = [dispatch(extended, keys, owners=owners, user="U")
+                 for _ in range(self.RUNS)]
         by_subject = {}
-        for fragment in dispatch_plan.fragments.values():
+        for fragment in plans[0].fragments.values():
             by_subject.setdefault(fragment.subject, []).append(
                 fragment.fragment_id)
         assert len(by_subject["P"]) == 2  # two sibling selections at P
 
         runtime = build_runtime(
             policy, list(subjects), tables, user="U",
-            schedule="parallel", latency_seconds=0.05,
+            latency_seconds=0.02,
         )
-        intervals = []
-        intervals_lock = threading.Lock()
+        intervals = []  # list.append is atomic across the run threads
         original = runtime_module.DistributedRuntime._evaluate_fragment
 
         def recording(self, context, fragment, node, payload, view,
@@ -329,30 +262,51 @@ class TestSubjectSerialization:
                 return original(self, context, fragment, node, payload,
                                 view, inputs)
             finally:
-                with intervals_lock:
-                    intervals.append(
-                        (fragment.subject, start, time.perf_counter()))
+                intervals.append(
+                    (fragment.subject, start, time.perf_counter()))
 
         monkeypatch.setattr(runtime_module.DistributedRuntime,
                             "_evaluate_fragment", recording)
-        result, _ = runtime.run(dispatch_plan, extended, keys,
-                                DistributedKeys.from_assignment(keys))
-        assert len(result) == 4
+        outcomes = []
+
+        def one_run(dispatch_plan):
+            outcomes.append(runtime.run(dispatch_plan, extended, keys,
+                                        distributed))
+
+        threads = [threading.Thread(target=one_run, args=(dispatch_plan,))
+                   for dispatch_plan in plans]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+
+        plain = Executor({"R1": tables["A1"]["R1"],
+                          "R2": tables["A2"]["R2"]}).execute(plan)
+        assert len(outcomes) == self.RUNS
+        for result, _ in outcomes:
+            assert result.same_content(plain)
+        requested = sum(len(trace.fragments_run) for _, trace in outcomes)
+        assert requested == self.RUNS * len(plans[0].fragments)
+        info = runtime.cache_info()
+        assert info["fragment_hits"] + info["fragment_misses"] == requested
 
         def overlap(x, y):
             return min(x[2], y[2]) - max(x[1], y[1]) > 0
 
-        same_p = [i for i in intervals if i[0] == "P"]
-        assert len(same_p) == 2
-        assert not overlap(*same_p)  # per-subject serialization
-        authorities = [i for i in intervals if i[0] in ("A1", "A2")]
-        assert overlap(*authorities)  # independent subjects do overlap
+        assert len(intervals) == requested
+        pairs = [(x, y) for i, x in enumerate(intervals)
+                 for y in intervals[i + 1:]]
+        # One subject serves one fragment at a time across all the runs;
+        # different subjects serve different runs at the same time.
+        assert not any(overlap(x, y) for x, y in pairs if x[0] == y[0])
+        assert any(overlap(x, y) for x, y in pairs if x[0] != y[0])
 
 
 class TestCrossRunCaches:
     def test_second_run_hits_fragment_cache(self, example,
                                             example_tables):
-        runtime, run = pipeline_7a(example, example_tables, "parallel")
+        runtime, run = pipeline_7a(example, example_tables)
         first, trace_first = run()
         assert trace_first.fragment_cache_hits == 0
         second, trace_second = run()
@@ -362,7 +316,7 @@ class TestCrossRunCaches:
 
     def test_unrelated_revoke_keeps_fragment_cache_warm(
             self, example, example_tables):
-        runtime, run = pipeline_7a(example, example_tables, "parallel")
+        runtime, run = pipeline_7a(example, example_tables)
         first, _ = run()
         # Z plays no role in 7(a): the revoke's delta touches only Z, so
         # the reconcile pass rebases every cached fragment onto the new
@@ -378,7 +332,7 @@ class TestCrossRunCaches:
 
     def test_unrelated_revoke_rebases_fragment_entries(self, example,
                                                        example_tables):
-        runtime, run = pipeline_7a(example, example_tables, "parallel")
+        runtime, run = pipeline_7a(example, example_tables)
         first, _ = run()
 
         def cached_entries():
@@ -399,7 +353,7 @@ class TestCrossRunCaches:
 
     def test_revoked_authorization_rejected_on_warm_rerun(
             self, example, example_tables):
-        runtime, run = pipeline_7a(example, example_tables, "parallel")
+        runtime, run = pipeline_7a(example, example_tables)
         run()
         # X joins over encrypted C/P; with its Ins authorization revoked
         # the warm re-run must fail enforcement instead of serving the
@@ -415,7 +369,7 @@ class TestCrossRunCaches:
 
     def test_changed_inputs_under_same_keystore_rerun_fresh(
             self, example, example_tables):
-        runtime, run = pipeline_7a(example, example_tables, "parallel")
+        runtime, run = pipeline_7a(example, example_tables)
         first, _ = run()
         assert first.sorted_rows() == [("tpa", 120.0)]
         # I's premiums change in place, and only I's cached fragment
@@ -434,7 +388,7 @@ class TestCrossRunCaches:
 
     def test_reexecution_repeats_every_interior_check(
             self, example, example_tables, monkeypatch):
-        runtime, run = pipeline_7a(example, example_tables, "sequential")
+        runtime, run = pipeline_7a(example, example_tables)
         calls = []
         original = runtime_module.check_relation
 
@@ -461,7 +415,7 @@ class TestCrossRunCaches:
 
     def test_invalidate_caches_drops_everything(self, example,
                                                 example_tables):
-        runtime, run = pipeline_7a(example, example_tables, "parallel")
+        runtime, run = pipeline_7a(example, example_tables)
         run()
         assert runtime.cache_info()["fragment_entries"] > 0
         runtime.invalidate_caches()
@@ -471,7 +425,7 @@ class TestCrossRunCaches:
 
     def test_invalidate_during_run_cannot_repopulate_caches(
             self, example, example_tables, monkeypatch):
-        runtime, run = pipeline_7a(example, example_tables, "sequential")
+        runtime, run = pipeline_7a(example, example_tables)
         original = runtime_module.DistributedRuntime._evaluate
         fired = []
 
@@ -497,7 +451,7 @@ class TestCrossRunCaches:
     def test_pregenerated_rsa_keys_are_used(self, example,
                                             example_tables):
         rsa_keys = generate_subject_keys(list(example.subjects))
-        runtime, run = pipeline_7a(example, example_tables, "parallel",
+        runtime, run = pipeline_7a(example, example_tables,
                                    rsa_keys=rsa_keys)
         for name, (public, private) in rsa_keys.items():
             assert runtime.nodes[name].rsa_public is public
@@ -516,11 +470,11 @@ class TestEnvelopeRsaCost:
         from repro.crypto import rsa as rsa_module
         from repro.crypto.rsa import DEFAULT_RSA_BITS
 
-        _, run = pipeline_7a(example, example_tables, "parallel")
+        _, run = pipeline_7a(example, example_tables)
         cold, _ = run()
 
         modexps = []
-        envelopes = []  # list.append is atomic across fragment threads
+        envelopes = []
 
         def counting_pow(base, exponent, modulus):
             modexps.append((exponent.bit_length(), modulus.bit_length()))

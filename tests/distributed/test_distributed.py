@@ -70,8 +70,7 @@ class TestMessages:
 
 
 class TestRuntime:
-    def run_7a(self, example, example_tables, enforce=True,
-               schedule="parallel"):
+    def run_7a(self, example, example_tables, enforce=True):
         extended = minimally_extend(
             example.plan, example.policy, example.assignment_7a(),
             owners=example.owners,
@@ -82,7 +81,7 @@ class TestRuntime:
             example.policy, list(example.subjects),
             {"H": {"Hosp": example_tables["Hosp"]},
              "I": {"Ins": example_tables["Ins"]}},
-            user="U", schedule=schedule,
+            user="U",
         )
         runtime.enforce = enforce
         return runtime.run(plan, extended, keys,
@@ -94,23 +93,20 @@ class TestRuntime:
         assert not trace.violations
 
     def test_trace_accounting(self, example, example_tables):
-        _, trace = self.run_7a(example, example_tables,
-                               schedule="sequential")
+        _, trace = self.run_7a(example, example_tables)
         # 4 envelopes + 3 inter-fragment transfers.
         assert trace.messages == 7
         assert trace.envelope_bytes > 0
-        # The sequential reference schedule is demand-driven: root first.
+        # The Figure 8 recursion is demand-driven: root first.
         assert [f for f, _ in trace.fragments_run] == [
             "reqY", "reqX", "reqH", "reqI",
         ]
 
     def test_trace_accounting_parallel(self, example, example_tables):
         _, trace = self.run_7a(example, example_tables)
-        assert trace.schedule == "parallel"
         assert trace.messages == 7
         assert trace.envelope_bytes > 0
-        # Under the concurrent schedule completion order varies, but the
-        # same four fragments run exactly once each.
+        # The four fragments are requested exactly once each.
         assert sorted(f for f, _ in trace.fragments_run) == [
             "reqH", "reqI", "reqX", "reqY",
         ]

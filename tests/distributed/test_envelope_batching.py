@@ -1,11 +1,10 @@
 """The dispatch contract: one envelope per (query, subject), opened once
 per run and verified before anything in it is used; identical bytes
-signed once per key; failover reseals one fragment alone; and a fragment
-pool that outlives the run without outliving ``close()``."""
+signed once per key; failover reseals one fragment alone; and a run
+that leaves nothing of its own behind in the runtime."""
 
 import dataclasses
 import threading
-import time
 
 import pytest
 
@@ -44,7 +43,6 @@ from repro.tpch.schema import table_owners
 from test_concurrent_runtime import pipeline_7a
 
 SCALE = 0.002
-SCHEDULES = ("parallel", "sequential")
 
 
 @pytest.fixture(scope="module")
@@ -80,10 +78,10 @@ class Query:
         for fragment in self.plan.fragments.values():
             self.by_subject.setdefault(fragment.subject, []).append(fragment)
 
-    def runtime(self, schedule, **kwargs):
+    def runtime(self, **kwargs):
         return build_runtime(
             self.scenario.policy, list(self.scenario.subjects), self.tables,
-            user=self.scenario.user, udfs=TPCH_UDFS, schedule=schedule,
+            user=self.scenario.user, udfs=TPCH_UDFS,
             rsa_keys=self.rsa_keys, **kwargs)
 
     def run(self, runtime, **kwargs):
@@ -109,7 +107,7 @@ def assert_same_answer(table, reference):
 
 def count_envelopes(monkeypatch):
     """Rebind the runtime's seal/open; returns the (name, payload) log."""
-    log = []  # list.append is atomic across fragment threads
+    log = []
 
     def counted(name):
         original = getattr(runtime_module, name)
@@ -153,32 +151,25 @@ class TestOneEnvelopePerSubject:
         transfers = sum(len(f.requests)
                         for f in query.plan.fragments.values())
         log = count_envelopes(monkeypatch)
-        results = {}
-        for schedule in SCHEDULES:
-            del log[:]
-            runtime = query.runtime(schedule)
-            results[schedule], trace = query.run(runtime)
-            runtime.close()
-            assert not trace.violations
-            assert trace.messages == len(query.by_subject) + transfers
-            assert sorted(trace.fragments_run) == sorted(
-                (f.fragment_id, f.subject)
-                for f in query.plan.fragments.values())
-            names = [name for name, _ in log]
-            assert names.count("seal_envelope") \
-                == names.count("open_envelope") == len(query.by_subject)
-            # Every sub-query travels exactly once, to its own subject,
-            # next to that subject's key set and nothing else.
-            for name, payload in log:
-                fragments = query.by_subject[
-                    query.plan.fragment(payload.fragment_id).subject]
-                assert [payload.fragment_id] + [f for f, _ in payload.more] \
-                    == [f.fragment_id for f in fragments]
-                assert payload.keystore.names() == query.distributed \
-                    .store_for(fragments[0].subject).names()
-        assert results["parallel"].columns == results["sequential"].columns
-        assert results["parallel"].rows == results["sequential"].rows
-        assert_same_answer(results["parallel"], query.plaintext())
+        result, trace = query.run(query.runtime())
+        assert not trace.violations
+        assert trace.messages == len(query.by_subject) + transfers
+        assert sorted(trace.fragments_run) == sorted(
+            (f.fragment_id, f.subject)
+            for f in query.plan.fragments.values())
+        names = [name for name, _ in log]
+        assert names.count("seal_envelope") \
+            == names.count("open_envelope") == len(query.by_subject)
+        # Every sub-query travels exactly once, to its own subject,
+        # next to that subject's key set and nothing else.
+        for name, payload in log:
+            fragments = query.by_subject[
+                query.plan.fragment(payload.fragment_id).subject]
+            assert [payload.fragment_id] + [f for f, _ in payload.more] \
+                == [f.fragment_id for f in fragments]
+            assert payload.keystore.names() == query.distributed \
+                .store_for(fragments[0].subject).names()
+        assert_same_answer(result, query.plaintext())
 
     def test_payload_roundtrip_keeps_every_sub_query(self):
         payload = SubQueryPayload("reqA2", "select 1", KeyStore(),
@@ -203,9 +194,8 @@ class TestOneEnvelopePerSubject:
 
         monkeypatch.setattr(runtime_module, "seal_envelope", dropping_seal)
         reached = record_reached(monkeypatch)
-        for schedule in SCHEDULES:
-            with pytest.raises(DispatchError, match="no sub-query"):
-                query.run(query.runtime(schedule))
+        with pytest.raises(DispatchError, match="no sub-query"):
+            query.run(query.runtime())
         assert [f.fragment_id for f in query.by_subject["A2"]] \
             == ["reqA2", "reqA22"]
         assert ("A2", "reqA22") not in reached["lookup"]
@@ -214,10 +204,9 @@ class TestOneEnvelopePerSubject:
 class TestBatchedEnvelopeIntegrity:
     """Verify-before-act covers every sub-query of a batched envelope."""
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
     @pytest.mark.parametrize("offset", [-1, 10])
     def test_flipped_byte_stops_every_fragment_of_the_subject(
-            self, tpch, schedule, offset, monkeypatch):
+            self, tpch, offset, monkeypatch):
         query = Query(tpch, 3)
         original = runtime_module.seal_envelope
         victims = []
@@ -234,14 +223,13 @@ class TestBatchedEnvelopeIntegrity:
         monkeypatch.setattr(runtime_module, "seal_envelope", tampering_seal)
         reached = record_reached(monkeypatch)
         with pytest.raises((DispatchError, CryptoError)):
-            query.run(query.runtime(schedule))
+            query.run(query.runtime())
         assert victims == ["reqA2"]
         for stage in reached.values():
             assert "A2" not in {subject for subject, _ in stage}
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_spoofed_batch_stops_every_fragment_of_the_subject(
-            self, tpch, schedule, monkeypatch):
+            self, tpch, monkeypatch):
         _, impostor_private = generate_keypair(512)
         query = Query(tpch, 3)
         original = runtime_module.seal_envelope
@@ -254,23 +242,22 @@ class TestBatchedEnvelopeIntegrity:
         monkeypatch.setattr(runtime_module, "seal_envelope", spoofing_seal)
         reached = record_reached(monkeypatch)
         with pytest.raises(DispatchError, match="signature"):
-            query.run(query.runtime(schedule))
+            query.run(query.runtime())
         for stage in reached.values():
             assert "A2" not in {subject for subject, _ in stage}
 
 
 class TestFailoverResealsOneFragment:
-    @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_provider_with_two_fragments_dies_mid_run(
-            self, tpch, schedule, monkeypatch):
+            self, tpch, monkeypatch):
         query = Query(tpch, 5, "UAPmix")
         lost = [f.fragment_id for f in query.by_subject["P1"]]
         assert len(lost) == 2
-        clean, _ = query.run(query.runtime(schedule))
+        clean, _ = query.run(query.runtime())
 
         injector = FaultInjector(seed=5)
         injector.kill("P1")
-        runtime = query.runtime(schedule, fault_injector=injector,
+        runtime = query.runtime(fault_injector=injector,
                                 sleeper=lambda seconds: None)
         log = count_envelopes(monkeypatch)
         verified = []
@@ -311,7 +298,7 @@ class TestFailoverResealsOneFragment:
 
     def test_reseal_carries_only_the_fragments_own_keys(
             self, example, example_tables, monkeypatch):
-        runtime, run = pipeline_7a(example, example_tables, "parallel")
+        runtime, run = pipeline_7a(example, example_tables)
         clean, _ = run()
         injector = FaultInjector(seed=5)
         injector.kill("Y")
@@ -437,10 +424,9 @@ class TestRunStateAndPoolLifetime:
         return {name: len(value) for name, value in vars(runtime).items()
                 if isinstance(value, (dict, list, set))}
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_cancel_between_seal_and_first_open(
-            self, example, example_tables, schedule, monkeypatch):
-        runtime, run = pipeline_7a(example, example_tables, schedule)
+            self, example, example_tables, monkeypatch):
+        runtime, run = pipeline_7a(example, example_tables)
         before = self.runtime_state(runtime)
         token = CancellationToken()
         log = count_envelopes(monkeypatch)
@@ -469,67 +455,3 @@ class TestRunStateAndPoolLifetime:
         assert names.count("seal_envelope") \
             == names.count("open_envelope") == 4
         assert len(trace.fragments_run) == 4
-        runtime.close()
-
-    def pool_threads(self):
-        return [thread for thread in threading.enumerate()
-                if thread.name.startswith("repro-fragment")]
-
-    def test_pool_outlives_the_run_but_not_close(self, example,
-                                                 example_tables):
-        baseline = set(self.pool_threads())
-        runtime, run = pipeline_7a(example, example_tables, "parallel")
-        assert set(self.pool_threads()) == baseline  # created lazily
-        run()
-        alive = set(self.pool_threads()) - baseline
-        assert alive
-        run()
-        grown = set(self.pool_threads()) - baseline
-        assert alive <= grown  # kept between runs, not rebuilt
-        assert len(grown) <= len(run.dispatch_plan.fragments)
-        runtime.close()
-        runtime.close()  # idempotent
-        assert not [t for t in grown if t.is_alive()]
-        result, _ = run()  # a later run starts a new pool
-        assert result.sorted_rows() == [("tpa", 120.0)]
-        runtime.close()
-        assert set(self.pool_threads()) <= baseline
-
-    def test_max_workers_is_the_pool_width(self, example, example_tables):
-        runtime, run = pipeline_7a(example, example_tables, "parallel")
-        runtime.max_workers = 1
-        baseline = set(self.pool_threads())
-        result, _ = run()
-        assert result.sorted_rows() == [("tpa", 120.0)]
-        assert len(set(self.pool_threads()) - baseline) == 1
-        runtime.close()
-
-    def test_failed_run_leaves_no_task_of_its_own_running(
-            self, example, example_tables, monkeypatch):
-        runtime, run = pipeline_7a(example, example_tables, "parallel")
-        running = []
-        started = threading.Event()
-        original = runtime_module.DistributedRuntime._evaluate_fragment
-
-        def evaluate(self, context, fragment, *rest):
-            if fragment.fragment_id == "reqH":
-                assert started.wait(timeout=30)
-                raise DispatchError("reqH refuses")
-            running.append(fragment.fragment_id)
-            try:
-                started.set()
-                time.sleep(0.2)  # still busy when reqH raises
-                return original(self, context, fragment, *rest)
-            finally:
-                running.remove(fragment.fragment_id)
-
-        monkeypatch.setattr(runtime_module.DistributedRuntime,
-                            "_evaluate_fragment", evaluate)
-        with pytest.raises(DispatchError, match="refuses"):
-            run()
-        assert running == []  # run() waited for its running task
-        monkeypatch.undo()
-        result, trace = run()  # the shared pool is still serviceable
-        assert result.sorted_rows() == [("tpa", 120.0)]
-        assert len(trace.fragments_run) == 4
-        runtime.close()

@@ -136,8 +136,7 @@ class TestInPlaceTakeover:
         victim = compute_victim(clean_outcome)
         injector = FaultInjector(seed=5)
         injector.kill(victim)
-        outcome = make_service(injector, schedule="sequential").execute(
-            SQL, schedule="sequential")
+        outcome = make_service(injector).execute(SQL)
         assert outcome.failed_over
         assert_rows_equal(outcome.result, clean_outcome.result)
 

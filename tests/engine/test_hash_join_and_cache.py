@@ -16,6 +16,8 @@ from repro.core.schema import Relation
 from repro.engine import Executor, Table
 from repro.exceptions import ExecutionError
 
+from oracles.nested_loop import nested_loop_join
+
 R = Relation("R", ["a", "b"], cardinality=100)
 S = Relation("S", ["k", "w"], cardinality=100)
 
@@ -56,7 +58,7 @@ def encrypted_selection():
 
 def both_strategies(catalog, node):
     hashed = Executor(catalog).execute(node)
-    reference = Executor(catalog, join_strategy="nested-loop").execute(node)
+    reference = nested_loop_join(node, catalog["R"], catalog["S"])
     return hashed, reference
 
 
@@ -156,10 +158,10 @@ class TestHashJoinEquivalence:
             "S": Table("S", ("k", "w"), [(encrypt_value(k2, 1), 0)]),
         }
         for catalog in (cross_key, plain_vs_enc):
-            for strategy in ("hash", "nested-loop"):
-                with pytest.raises(ExecutionError):
-                    Executor(catalog,
-                             join_strategy=strategy).execute(node)
+            with pytest.raises(ExecutionError):
+                Executor(catalog).execute(node)
+            with pytest.raises(ExecutionError):
+                nested_loop_join(node, catalog["R"], catalog["S"])
 
 
 class TestSubtreeCache:
@@ -221,7 +223,7 @@ class TestSubtreeCache:
             AttributeComparisonPredicate("a", ComparisonOp.EQ, "k"))
         executor = Executor(random_catalog())
         hashed = executor.execute(node)
-        executor.join_strategy = "nested-loop"
+        executor.join_strategy = "parallel-hash"
         assert executor.execute(node).same_content(hashed)
 
     def test_keystore_inplace_add_invalidates_cache(self):

@@ -37,12 +37,6 @@ class TestCli:
         assert "X: DENIED" in out
         assert "service totals:" in out
 
-    def test_workload_sequential_schedule(self, capsys):
-        assert main(["workload", "--repeat", "1",
-                     "--schedule", "sequential"]) == 0
-        out = capsys.readouterr().out
-        assert "[sequential," in out
-
     def test_workload_with_generous_budget_reports_remaining(self,
                                                              capsys):
         assert main(["workload", "--repeat", "1",
@@ -92,7 +86,7 @@ class TestCliValidation:
         (["workload", "--workers", "many"], ">= 0"),
         (["workload", "--join-strategy", "turbo"], "invalid choice"),
         (["workload", "--repeat", "0"], ">= 1"),
-        (["workload", "--schedule", "bogus"], "invalid choice"),
+        (["workload", "--join-strategy", "nested-loop"], "invalid choice"),
         (["metrics", "--tenants", "0"], "1..64"),
         (["metrics", "--tenants", "900"], "1..64"),
         (["metrics", "--repeat", "-1"], ">= 1"),
@@ -105,6 +99,7 @@ class TestCliValidation:
         (["workload", "--cost-ceiling", "-0.5"], "USD > 0"),
         (["metrics", "--deadline-ms", "-10"], "milliseconds > 0"),
         (["metrics", "--cost-ceiling", "free"], "USD > 0"),
+        (["workload", "--schedule", "parallel"], "unrecognized arguments"),
     ])
     def test_bad_knobs_exit_status_2(self, argv, needle, capsys):
         with pytest.raises(SystemExit) as excinfo:

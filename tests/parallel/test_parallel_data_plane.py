@@ -42,6 +42,8 @@ from repro.parallel import (
 )
 from repro.parallel import kernels
 
+from oracles.nested_loop import nested_loop_join
+
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
 
@@ -221,8 +223,7 @@ class TestParallelHashJoin:
         sequential = Executor(dict(catalog)).execute(node)
         parallel = Executor(dict(catalog), join_strategy="parallel-hash",
                             pool=pool).execute(node)
-        nested = Executor(dict(catalog),
-                          join_strategy="nested-loop").execute(node)
+        nested = nested_loop_join(node, catalog["L"], catalog["R"])
         assert len(sequential) > 0
         # Output row order is preserved, not just the multiset.
         assert list(parallel.rows) == list(sequential.rows)
@@ -288,13 +289,13 @@ class TestObfuscatorPool:
 class TestWorkloadCli:
     def test_negative_workers_exit_with_clear_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            run_workload(1, "sequential", workers=-2)
+            run_workload(1, workers=-2)
         assert excinfo.value.code == 2
         assert "non-negative" in capsys.readouterr().err
 
     def test_unknown_join_strategy_exits_with_choices(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            run_workload(1, "sequential", join_strategy="merge")
+            run_workload(1, join_strategy="merge")
         assert excinfo.value.code == 2
         assert "hash, parallel-hash" in capsys.readouterr().err
 
@@ -322,7 +323,7 @@ class TestServiceSettings:
                 example.schema, example.policy, example.subjects,
                 example.owners,
                 {"H": {"Hosp": hosp}, "I": {"Ins": ins}},
-                user="U", schedule="sequential", settings=settings,
+                user="U", settings=settings,
             )
             return service.execute(sql).result
 

@@ -6,17 +6,17 @@ Two equivalence obligations from ISSUE 2:
   :mod:`repro.core.attrsets` agree with the frozenset semantics of
   :mod:`repro.core.profile` / :mod:`repro.core.visibility` on random
   profiles and views;
-* the decomposed, memoized DP (``search_impl="fast"``) picks
-  cost-identical assignments to the per-pair reference implementation on
-  the running example, the TPC-H ablation queries (Q3/Q5/Q18), and the
-  random scenarios.
+* the decomposed, memoized DP picks cost-identical assignments to the
+  per-pair reference implementation (``tests/oracles/dp_reference.py``)
+  on the running example, the TPC-H ablation queries (Q3/Q5/Q18), and
+  the random scenarios.
 """
 
 import random
 
 import pytest
 
-from repro.core.assignment import assign
+from repro.core.assignment import _AssignmentSearch, assign
 from repro.core.attrsets import (
     AttributeUniverse,
     relation_authorized,
@@ -31,6 +31,8 @@ from repro.exceptions import (
     ProfileError,
     ReproError,
 )
+
+from oracles.dp_reference import dp_reference, edge_cost
 
 POOL = list("ABCDEFGHJK")
 
@@ -188,7 +190,6 @@ class TestEdgeTableMatchesEdgeCost:
     """_EdgeTable.cost ≡ the reference edge_cost, pair by pair."""
 
     def build_searcher(self, example):
-        from repro.core.assignment import _AssignmentSearch
         from repro.core.candidates import compute_candidates
         from repro.core.requirements import (
             chosen_schemes,
@@ -224,14 +225,22 @@ class TestEdgeTableMatchesEdgeCost:
                         for sender in senders:
                             assert edge.cost(sender, receiver) == \
                                 pytest.approx(
-                                    searcher.edge_cost(
-                                        child, sender, node, receiver),
+                                    edge_cost(searcher, child, sender,
+                                              node, receiver),
                                     rel=1e-12, abs=1e-18,
                                 ), (mode, sender, receiver, node.label())
 
 
+def assign_reference(*args, **kwargs):
+    """``assign`` with the oracle DP bound in as the search's DP."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_AssignmentSearch, "dynamic_programming",
+                      dp_reference)
+        return assign(*args, **kwargs)
+
+
 class TestFastDpMatchesReference:
-    """search_impl="fast" ≡ search_impl="reference" (cost-identical)."""
+    """The decomposed DP ≡ the per-pair oracle DP (cost-identical)."""
 
     TOLERANCE = 1e-3
 
@@ -239,9 +248,8 @@ class TestFastDpMatchesReference:
                           user, owners=None):
         fast = assign(plan_builder(), policy, subjects, prices, user=user,
                       owners=owners)
-        reference = assign(plan_builder(), policy, subjects, prices,
-                           user=user, owners=owners,
-                           search_impl="reference")
+        reference = assign_reference(plan_builder(), policy, subjects,
+                                     prices, user=user, owners=owners)
         drift = abs(fast.cost.total_usd - reference.cost.total_usd) \
             / max(reference.cost.total_usd, 1e-18)
         assert drift <= self.TOLERANCE, (
@@ -253,9 +261,9 @@ class TestFastDpMatchesReference:
         prices = PriceList.from_subjects(example.subjects)
         fast = assign(example.plan, example.policy, example.subject_names,
                       prices, user="U", owners=example.owners)
-        reference = assign(example.plan, example.policy,
-                           example.subject_names, prices, user="U",
-                           owners=example.owners, search_impl="reference")
+        reference = assign_reference(
+            example.plan, example.policy, example.subject_names, prices,
+            user="U", owners=example.owners)
         assert fast.cost.total_usd == pytest.approx(
             reference.cost.total_usd, rel=self.TOLERANCE)
         # On the running example the choice itself must agree, too.
@@ -288,9 +296,8 @@ class TestFastDpMatchesReference:
                           scenario.subjects, prices, user="U")
         except (NoCandidateError, ReproError):
             pytest.skip("unassignable scenario")
-        reference = assign(scenario.plan, scenario.policy,
-                           scenario.subjects, prices, user="U",
-                           search_impl="reference")
+        reference = assign_reference(scenario.plan, scenario.policy,
+                                     scenario.subjects, prices, user="U")
         assert fast.cost.total_usd == pytest.approx(
             reference.cost.total_usd, rel=self.TOLERANCE)
 
@@ -300,9 +307,8 @@ class TestFastDpMatchesReference:
             fast = assign(example.plan, example.policy,
                           example.subject_names, prices, user="U",
                           owners=example.owners, strategy=strategy)
-            reference = assign(example.plan, example.policy,
-                               example.subject_names, prices, user="U",
-                               owners=example.owners, strategy=strategy,
-                               search_impl="reference")
+            reference = assign_reference(
+                example.plan, example.policy, example.subject_names,
+                prices, user="U", owners=example.owners, strategy=strategy)
             assert fast.cost.total_usd == pytest.approx(
                 reference.cost.total_usd, rel=self.TOLERANCE)

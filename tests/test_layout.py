@@ -1,10 +1,12 @@
-"""Where caching code may live.
+"""Where caching code may live, and which paths ``src/`` may not regrow.
 
 ``repro/core/cache.py`` holds the only bounded LRU and the only
 reconcile of cached entries against the policy's delta journal; the
 service keeps per-assignment artifacts on the assignment, never in an
-``id()``-keyed side table.  These checks fail when a hand-rolled copy of
-either grows back somewhere else.
+``id()``-keyed side table.  A query takes one path: the reference
+implementations the equivalence suites compare against live in
+``tests/oracles/``, not behind a knob in ``src/``.  These checks fail
+when a hand-rolled copy of either grows back somewhere else.
 """
 
 import ast
@@ -19,6 +21,8 @@ ASSIGNMENT = SRC / "core" / "assignment.py"
 WORKLOAD = SRC / "service" / "workload.py"
 
 FORBIDDEN = ("OrderedDict", "popitem(last=False)", "deltas_since(")
+#: A second fragment scheduler, or a selectable reference path.
+RETIRED = ("ThreadPoolExecutor", "search_impl", "nested-loop", "_reference(")
 
 
 def code_of(path: Path, skip: tuple[str, str] | None = None) -> str:
@@ -79,3 +83,27 @@ def test_cache_module_is_a_leaf():
 
 def test_service_keeps_no_identity_keyed_side_tables():
     assert not re.search(r"\bid\(", code_of(WORKLOAD))
+
+
+def test_no_second_schedule_and_no_reference_knob():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        code = code_of(path)
+        offenders.extend(
+            f"{path.relative_to(SRC)}: {needle}"
+            for needle in RETIRED if needle in code)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                arguments = node.args
+                offenders.extend(
+                    f"{path.relative_to(SRC)}: {node.name}(schedule)"
+                    for argument in arguments.posonlyargs + arguments.args
+                    + arguments.kwonlyargs if argument.arg == "schedule")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names] \
+                    if isinstance(node, ast.Import) else [node.module or ""]
+                offenders.extend(
+                    f"{path.relative_to(SRC)}: imports {name}"
+                    for name in names
+                    if name.split(".")[0] in ("tests", "oracles", "helpers"))
+    assert not offenders, offenders
