@@ -212,6 +212,10 @@ class KeyStore:
         """Names of all held keys."""
         return frozenset(self._materials)
 
+    def __contains__(self, name: object) -> bool:
+        """Whether a key of that name is held (no set is built)."""
+        return name in self._materials
+
     def __len__(self) -> int:
         return len(self._materials)
 

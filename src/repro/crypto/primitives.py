@@ -7,9 +7,10 @@ contract the paper relies on (key-dependent, invertible, deterministic or
 randomized per mode) and gives the cost model a measurable cost per byte.
 
 The PRF is the innermost loop of every symmetric/OPE operation, so it is
-built for batch throughput: HMAC key schedules are derived once per key
-and reused via ``HMAC.copy()`` (the two key-pad compressions are paid
-once, not per call), the keystream assembles whole 32-byte blocks in a
+built for batch throughput: the two key-pad compressions of HMAC are
+paid once per key — the inner and outer SHA-256 states are kept and
+``copy()``-ed per message, without the ``hmac.HMAC`` wrapper object in
+between — the keystream assembles whole 32-byte blocks in a
 single ``join`` instead of growing a ``bytearray``, and ``xor_bytes``
 XORs arbitrary-length strings as two big integers.  All outputs are
 bit-identical to the straightforward per-call/per-byte formulations —
@@ -27,18 +28,22 @@ import hmac
 import os
 import struct
 from datetime import date
+from typing import Callable
 
 from repro.exceptions import CryptoError
 
 _BLOCK = 32  # SHA-256 output size
 
-#: Derive-once HMAC key schedules, keyed by the raw key bytes.  An
-#: ``hmac.new`` call hashes both key pads before any data arrives;
-#: caching the keyed state and ``copy()``-ing it per message halves the
-#: compression count for short inputs.  Bounded: a full cache is simply
-#: dropped (key counts are small and stable in practice).
+#: Derive-once HMAC key schedules, keyed by the raw key bytes.  HMAC
+#: hashes both key pads before any data arrives; caching the two keyed
+#: states and ``copy()``-ing them per message halves the compression
+#: count for short inputs.  Bounded: a full cache is simply dropped
+#: (key counts are small and stable in practice).
 _HMAC_CACHE_MAX = 512
-_hmac_cache: dict[bytes, "hmac.HMAC"] = {}
+_hmac_cache: dict[bytes, Callable[[bytes], bytes]] = {}
+_SHA256_BLOCK = 64
+_INNER_PAD = bytes(byte ^ 0x36 for byte in range(256))
+_OUTER_PAD = bytes(byte ^ 0x5C for byte in range(256))
 
 #: Type tags for the canonical value encoding.
 _TAG_NONE = b"N"
@@ -59,27 +64,38 @@ def generate_key(length: int = 32) -> bytes:
     return random_bytes(length)
 
 
-def keyed_hmac(key: bytes) -> "hmac.HMAC":
-    """The cached keyed HMAC schedule for ``key``.
+def keyed_hmac(key: bytes) -> Callable[[bytes], bytes]:
+    """HMAC-SHA256 under ``key`` as a cached ``message -> digest`` function.
 
-    Callers ``copy()`` the returned object per message; batch kernels
-    fetch it once per column instead of paying the cache lookup per
+    RFC 2104 over two pre-keyed ``hashlib.sha256`` states, bit-identical
+    to ``hmac.new(key, message, sha256).digest()``.  Batch kernels fetch
+    the function once per column instead of paying the cache lookup per
     value.
     """
-    keyed = _hmac_cache.get(key)
-    if keyed is None:
+    mac = _hmac_cache.get(key)
+    if mac is None:
         if len(_hmac_cache) >= _HMAC_CACHE_MAX:
             _hmac_cache.clear()
-        keyed = hmac.new(key, digestmod=hashlib.sha256)
-        _hmac_cache[key] = keyed
-    return keyed
+        block = hashlib.sha256(key).digest() if len(key) > _SHA256_BLOCK \
+            else key
+        block = block.ljust(_SHA256_BLOCK, b"\0")
+        inner = hashlib.sha256(block.translate(_INNER_PAD)).copy
+        outer = hashlib.sha256(block.translate(_OUTER_PAD)).copy
+
+        def mac(message: bytes) -> bytes:
+            state = inner()
+            state.update(message)
+            final = outer()
+            final.update(state.digest())
+            return final.digest()
+
+        _hmac_cache[key] = mac
+    return mac
 
 
 def prf(key: bytes, data: bytes) -> bytes:
     """HMAC-SHA256 pseudo-random function (cached key schedule)."""
-    mac = keyed_hmac(key).copy()
-    mac.update(data)
-    return mac.digest()
+    return keyed_hmac(key)(data)
 
 
 def keystream(key: bytes, iv: bytes, length: int) -> bytes:
@@ -89,12 +105,13 @@ def keystream(key: bytes, iv: bytes, length: int) -> bytes:
     ``join`` (no incremental ``bytearray`` growth) and the common
     one-block case returns a single truncated PRF call.
     """
+    mac = keyed_hmac(key)
     if length <= _BLOCK:
-        return prf(key, iv + _ZERO_COUNTER)[:length]
+        return mac(iv + _ZERO_COUNTER)[:length]
     blocks = (length + _BLOCK - 1) // _BLOCK
     pack = struct.Struct(">Q").pack
     return b"".join(
-        prf(key, iv + pack(counter)) for counter in range(blocks)
+        [mac(iv + pack(counter)) for counter in range(blocks)]
     )[:length]
 
 
@@ -105,28 +122,22 @@ def keystream_many(key: bytes, ivs: "list[bytes]",
                    lengths: "list[int]") -> list[bytes]:
     """Bulk :func:`keystream`: one keyed-HMAC sweep for a whole column.
 
-    The key schedule is fetched once and ``copy()``-ed per block, so a
-    column of short values pays one cache lookup total instead of one
-    per value.  Outputs are bit-identical to per-value
-    :func:`keystream` calls.
+    The keyed function is fetched once, so a column of short values
+    pays one cache lookup total instead of one per value.  Outputs are
+    bit-identical to per-value :func:`keystream` calls.
     """
-    keyed = keyed_hmac(key)
+    mac = keyed_hmac(key)
     pack = struct.Struct(">Q").pack
     out: list[bytes] = []
     append = out.append
     for iv, length in zip(ivs, lengths):
         if length <= _BLOCK:
-            mac = keyed.copy()
-            mac.update(iv + _ZERO_COUNTER)
-            append(mac.digest()[:length])
+            append(mac(iv + _ZERO_COUNTER)[:length])
             continue
         blocks = (length + _BLOCK - 1) // _BLOCK
-        parts = []
-        for counter in range(blocks):
-            mac = keyed.copy()
-            mac.update(iv + pack(counter))
-            parts.append(mac.digest())
-        append(b"".join(parts)[:length])
+        append(b"".join(
+            [mac(iv + pack(counter)) for counter in range(blocks)]
+        )[:length])
     return out
 
 

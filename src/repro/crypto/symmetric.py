@@ -85,36 +85,31 @@ class _StreamCipher:
         """
         streams = primitives.keystream_many(
             self._enc_key, list(ivs), [len(e) for e in encodeds])
-        mac_keyed = primitives.keyed_hmac(self._mac_key)
+        mac = primitives.keyed_hmac(self._mac_key)
         xor = primitives.xor_bytes
         out: list[bytes] = []
         for iv, encoded, stream in zip(ivs, encodeds, streams):
-            body = xor(encoded, stream)
-            mac = mac_keyed.copy()
-            mac.update(iv + body)
-            out.append(iv + body + mac.digest()[:_TAG_LEN])
+            sealed = iv + xor(encoded, stream)
+            out.append(sealed + mac(sealed)[:_TAG_LEN])
         return out
 
     def _open_many(self, ciphertexts: Sequence[bytes]) -> list[bytes]:
         """Bulk :meth:`_open`: tags verify in input order (raising on
         the first bad one, like the per-value loop), then the keystreams
         for the survivors derive in one sweep."""
-        mac_keyed = primitives.keyed_hmac(self._mac_key)
+        mac = primitives.keyed_hmac(self._mac_key)
         equal = primitives.constant_time_equal
         ivs: list[bytes] = []
         bodies: list[bytes] = []
         for ciphertext in ciphertexts:
             if len(ciphertext) < _IV_LEN + _TAG_LEN:
                 raise CryptoError("ciphertext too short")
-            iv = ciphertext[:_IV_LEN]
-            body = ciphertext[_IV_LEN:-_TAG_LEN]
-            mac = mac_keyed.copy()
-            mac.update(iv + body)
-            if not equal(ciphertext[-_TAG_LEN:], mac.digest()[:_TAG_LEN]):
+            if not equal(ciphertext[-_TAG_LEN:],
+                         mac(ciphertext[:-_TAG_LEN])[:_TAG_LEN]):
                 raise CryptoError(
                     "ciphertext authentication failed (wrong key?)")
-            ivs.append(iv)
-            bodies.append(body)
+            ivs.append(ciphertext[:_IV_LEN])
+            bodies.append(ciphertext[_IV_LEN:-_TAG_LEN])
         streams = primitives.keystream_many(
             self._enc_key, ivs, [len(b) for b in bodies])
         xor = primitives.xor_bytes

@@ -33,19 +33,28 @@ throughout the engine:
 
 Engine internals (the hot path)
 -------------------------------
-The executor is built around batched, hash-partitioned operators:
+Row tuples are the storage; every decision that depends on what a
+*column* holds is taken once per column, not once per cell:
 
+* **Selections** are column kernels
+  (:func:`repro.engine.expressions.compile_predicate`): the conjuncts
+  run in order over a selection vector, and each one groups the
+  surviving cells of its column by representation (plaintext, or key and
+  scheme) and picks one strategy per group — the bound operator on
+  plaintext, one encrypted constant against the tokens, or (§5 note 2,
+  own keys only) one column decryption shared by later conjuncts.
 * **Joins** evaluate every equality conjunct with a hash build/probe
   pass — the hash table is built on the smaller operand — and apply only
   the true residual conjuncts (compiled once per node) to each matched
-  pair before the output row is materialized.
-* **Predicates** are compiled once per operator
-  (:func:`repro.engine.expressions.compile_predicate`): positions,
-  operators, and constants are resolved at compile time, so per-row work
-  is a plain closure call.
+  pair before the output row is materialized.  Build, probe and group-by
+  take each key column once: one pass for its representations, one for
+  its keys.
+* **Column crypto** (:mod:`repro.engine.codec`) validates, groups per
+  scheme and sweeps; an :class:`EncryptedValue` is a slotted value
+  object hashed by its token.
 * **Tables** cache their column→position maps and expose
   :meth:`~repro.engine.table.Table.bulk_project` /
-  :meth:`~repro.engine.table.Table.bulk_filter` /
+  :meth:`~repro.engine.table.Table.replace_columns` /
   :meth:`~repro.engine.table.Table.map_columns` batch APIs.
 """
 

@@ -1,19 +1,21 @@
 """Value-level encryption/decryption against key material.
 
-Shared by the executor (Encrypt/Decrypt operators) and the expression
-evaluator (note 2 of §5: a subject holding the covering key may evaluate
-a condition on plaintext values even when the plan carries the attribute
-encrypted, by decrypting locally).
+Shared by the executor's Encrypt/Decrypt operators and its selections
+(note 2 of §5: a subject holding the covering key may evaluate a
+condition on plaintext values even when the plan carries the attribute
+encrypted, by decrypting the column locally).
 
 Two granularities: :func:`encrypt_value`/:func:`decrypt_value` transform
 one cell, while :func:`encrypt_column`/:func:`decrypt_column` transform a
-whole column in one Python-level dispatch — scheme routing, cipher
-construction, and key checks are resolved once per column, and the
-ciphers' bulk APIs (``encrypt_many``/``decrypt_many``) do the rest.  Both
-granularities share the memoized per-material cipher instances of
-:class:`~repro.crypto.keymanager.KeyMaterial`, produce identical
-ciphertexts, and raise the same errors (NULLs pass through untouched;
-already-encrypted inputs and foreign-key ciphertexts fail loudly).
+whole column: what the column holds (NULLs, stray ciphertexts, which
+schemes), the cipher and the key checks are decided once per column,
+and each scheme group goes through the ciphers' bulk APIs
+(``encrypt_many``/``decrypt_many``) in one sweep — inline, or as worker
+chunks with a pool.  Both granularities share the memoized per-material
+cipher instances of :class:`~repro.crypto.keymanager.KeyMaterial`,
+produce identical ciphertexts, and raise the same errors (NULLs pass
+through untouched; already-encrypted inputs and foreign-key ciphertexts
+fail loudly; every MAC is verified before a plaintext is returned).
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.requirements import EncryptionScheme
-from repro.crypto.keymanager import KeyMaterial, KeyStore
+from repro.crypto.keymanager import KeyMaterial
 from repro.engine.values import EncryptedAggregate, EncryptedValue
-from repro.exceptions import ExecutionError
+from repro.exceptions import CryptoError, ExecutionError
 
 
 def encrypt_value(material: KeyMaterial, value: object) -> EncryptedValue:
@@ -68,18 +70,13 @@ def encrypt_column(material: KeyMaterial, values: Sequence[object],
     the output is distributed identically to the inline path (workers
     draw their own IVs/obfuscators for the randomized schemes).
     """
-    out: list[object] = [None] * len(values)
-    positions: list[int] = []
-    plain: list[object] = []
-    for index, value in enumerate(values):
-        if value is None:
-            continue
-        if isinstance(value, (EncryptedValue, EncryptedAggregate)):
-            raise ExecutionError("value is already encrypted")
-        positions.append(index)
-        plain.append(value)
-    if not positions:
-        return out
+    plain = [value for value in values if value is not None]
+    kinds = set(map(type, plain))  # what the column holds, decided once
+    if any(issubclass(kind, (EncryptedValue, EncryptedAggregate))
+           for kind in kinds):
+        raise ExecutionError("value is already encrypted")
+    if not plain:
+        return [None] * len(values)
     scheme = material.scheme
     name = material.name
     parallel = pool is not None and pool.should_parallelize(len(plain))
@@ -88,9 +85,8 @@ def encrypt_column(material: KeyMaterial, values: Sequence[object],
     if scheme is EncryptionScheme.PAILLIER:
         if material.paillier_public is None:
             raise ExecutionError(f"key {name} lacks Paillier parts")
-        for value in plain:
-            if not isinstance(value, (int, float)):
-                raise ExecutionError("Paillier encrypts numeric values only")
+        if not all(issubclass(kind, (int, float)) for kind in kinds):
+            raise ExecutionError("Paillier encrypts numeric values only")
         if parallel:
             from repro.crypto.paillier import PaillierCiphertext
 
@@ -115,19 +111,22 @@ def encrypt_column(material: KeyMaterial, values: Sequence[object],
             tokens = material.randomized_cipher().encrypt_many(plain)
     elif scheme is EncryptionScheme.OPE:
         if parallel:
-            pairs = pool.map_chunks(kernels.column_encrypt_chunk,
-                                    kernels.dumps(material), plain)
+            tokens = pool.map_chunks(kernels.column_encrypt_chunk,
+                                     kernels.dumps(material), plain)
         else:
-            pairs = list(zip(material.ope_cipher().encrypt_many(plain),
-                             material.recovery_cipher().encrypt_many(plain)))
-        for index, (token, recovery) in zip(positions, pairs):
-            out[index] = EncryptedValue(name, scheme, token, recovery)
-        return out
+            tokens = zip(material.ope_cipher().encrypt_many(plain),
+                         material.recovery_cipher().encrypt_many(plain))
     else:
         raise ExecutionError(f"unsupported scheme {scheme}")
-    for index, token in zip(positions, tokens):
-        out[index] = EncryptedValue(name, scheme, token)
-    return out
+    if scheme is EncryptionScheme.OPE:
+        cells = [EncryptedValue(name, scheme, token, recovery)
+                 for token, recovery in tokens]
+    else:
+        cells = [EncryptedValue(name, scheme, token) for token in tokens]
+    if len(cells) == len(values):
+        return cells
+    encrypted = iter(cells)  # NULLs stay where they were
+    return [None if value is None else next(encrypted) for value in values]
 
 
 def decrypt_value(material: KeyMaterial, value: object) -> object:
@@ -169,58 +168,17 @@ def decrypt_column(material: KeyMaterial, values: Sequence[object],
                    pool=None) -> list[object]:
     """Bulk :func:`decrypt_value` over a whole column.
 
-    The scheme decoder is resolved once for the column's dominant scheme
-    (cells are checked individually, so a stray aggregate or foreign-key
-    ciphertext still gets the per-cell diagnostics).
+    One pass checks every cell (key name, recovery ciphertext, a stray
+    aggregate or plaintext — the per-cell diagnostics) and groups the
+    tokens per scheme in their raw transport form; each group then
+    decrypts in one sweep (:func:`decrypt_tokens`) and lands back at
+    its cells' positions.
 
     With a :class:`~repro.parallel.WorkerPool` (and a column past its
-    size threshold) the cells group per scheme and ship as raw tokens to
-    worker chunks; key-name checks, aggregates, and key-part validation
-    stay parent-side, and a tampered token's
-    :class:`~repro.exceptions.CryptoError` raises through the chunk's
-    future like the inline loop raises it.
+    size threshold) the groups fan out as worker chunks instead; a
+    tampered token's :class:`~repro.exceptions.CryptoError` raises
+    through the chunk's future like the inline sweep raises it.
     """
-    if pool is not None and pool.should_parallelize(len(values)):
-        return _decrypt_column_parallel(material, values, pool)
-    decoders: dict[EncryptionScheme, object] = {}
-
-    def decoder(scheme: EncryptionScheme):
-        decode = decoders.get(scheme)
-        if decode is None:
-            decode = _column_decoder(material, scheme)
-            decoders[scheme] = decode
-        return decode
-
-    name = material.name
-    out: list[object] = []
-    append = out.append
-    for value in values:
-        if value is None:
-            append(None)
-        elif isinstance(value, EncryptedValue):
-            if value.key_name != name:
-                raise ExecutionError(
-                    f"value encrypted under {value.key_name}, not {name}"
-                )
-            append(decoder(value.scheme)(value))
-        elif isinstance(value, EncryptedAggregate):
-            append(_decrypt_aggregate(material, value))
-        else:
-            raise ExecutionError("value is not encrypted")
-    return out
-
-
-def _decrypt_column_parallel(material: KeyMaterial,
-                             values: Sequence[object], pool) -> list[object]:
-    """The chunked worker path of :func:`decrypt_column`.
-
-    One parent-side pass groups cells per scheme (running every per-cell
-    check the inline loop runs) and strips tokens to their raw transport
-    form; each scheme group then fans out through the pool and lands
-    back at its cells' positions.
-    """
-    from repro.parallel import kernels
-
     name = material.name
     out: list[object] = [None] * len(values)
     groups: dict[EncryptionScheme, tuple[list[int], list[object]]] = {}
@@ -233,6 +191,10 @@ def _decrypt_column_parallel(material: KeyMaterial,
                     f"value encrypted under {value.key_name}, not {name}"
                 )
             scheme = value.scheme
+            group = groups.get(scheme)
+            if group is None:
+                _require_scheme_parts(material, scheme)
+                group = groups[scheme] = ([], [])
             if scheme is EncryptionScheme.OPE:
                 if value.recovery is None:
                     raise ExecutionError(
@@ -240,32 +202,58 @@ def _decrypt_column_parallel(material: KeyMaterial,
                     )
                 token: object = value.recovery
             elif scheme is EncryptionScheme.PAILLIER:
+                if value.token.public.n != material.paillier_private.public.n:
+                    raise CryptoError(
+                        "ciphertext under a different Paillier key")
                 token = value.token.value
             else:
                 token = value.token
-            positions, tokens = groups.setdefault(scheme, ([], []))
-            positions.append(index)
-            tokens.append(token)
+            group[0].append(index)
+            group[1].append(token)
         elif isinstance(value, EncryptedAggregate):
             out[index] = _decrypt_aggregate(material, value)
         else:
             raise ExecutionError("value is not encrypted")
-    if not groups:
-        return out
-    blob = kernels.dumps(material)
+    parallel = pool is not None and pool.should_parallelize(len(values))
+    if parallel:
+        from repro.parallel import kernels
+
+        blob = kernels.dumps(material)
     for scheme, (positions, tokens) in groups.items():
-        _require_scheme_parts(material, scheme)
-        plains = pool.map_chunks(kernels.column_decrypt_chunk,
-                                 (blob, scheme.name), tokens)
+        if parallel:
+            plains = pool.map_chunks(kernels.column_decrypt_chunk,
+                                     (blob, scheme.name), tokens)
+        else:
+            plains = decrypt_tokens(material, scheme, tokens)
         for index, plain in zip(positions, plains):
             out[index] = plain
     return out
 
 
+def decrypt_tokens(material: KeyMaterial, scheme: EncryptionScheme,
+                   tokens: list) -> list[object]:
+    """Decrypt one scheme group of raw tokens in a single sweep.
+
+    Raw means what crosses a process boundary: ciphertext integers for
+    Paillier (:func:`decrypt_column` checked key membership before
+    stripping the wrappers), token bytes for the symmetric schemes, the *recovery*
+    bytes for OPE.  The inline path of :func:`decrypt_column` and the
+    pool workers both end here.
+    """
+    if scheme is EncryptionScheme.PAILLIER:
+        return material.paillier_private.decrypt_values(tokens)
+    if scheme is EncryptionScheme.DETERMINISTIC:
+        return material.deterministic_cipher().decrypt_many(tokens)
+    if scheme is EncryptionScheme.RANDOMIZED:
+        return material.randomized_cipher().decrypt_many(tokens)
+    if scheme is EncryptionScheme.OPE:
+        return material.recovery_cipher().decrypt_many(tokens)
+    raise ExecutionError(f"unsupported scheme {scheme}")
+
+
 def _require_scheme_parts(material: KeyMaterial,
                           scheme: EncryptionScheme) -> None:
-    """The key-part checks of :func:`_column_decoder`, shared with the
-    parallel path (which validates before submitting chunks)."""
+    """The key must hold what decrypting ``scheme`` needs."""
     if scheme is EncryptionScheme.PAILLIER:
         if material.paillier_private is None:
             raise ExecutionError(
@@ -279,32 +267,6 @@ def _require_scheme_parts(material: KeyMaterial,
         raise ExecutionError(f"unsupported scheme {scheme}")
 
 
-def _column_decoder(material: KeyMaterial, scheme: EncryptionScheme):
-    """One specialized ``EncryptedValue -> plaintext`` closure per scheme."""
-    _require_scheme_parts(material, scheme)
-    if scheme is EncryptionScheme.PAILLIER:
-        private = material.paillier_private
-        return lambda value: private.decrypt(value.token)
-    if scheme is EncryptionScheme.DETERMINISTIC:
-        decrypt = material.deterministic_cipher().decrypt
-        return lambda value: decrypt(value.token)
-    if scheme is EncryptionScheme.RANDOMIZED:
-        decrypt = material.randomized_cipher().decrypt
-        return lambda value: decrypt(value.token)
-    if scheme is EncryptionScheme.OPE:
-        decrypt = material.recovery_cipher().decrypt
-
-        def decode_ope(value: EncryptedValue) -> object:
-            if value.recovery is None:
-                raise ExecutionError(
-                    "OPE value lacks its recovery ciphertext"
-                )
-            return decrypt(value.recovery)
-
-        return decode_ope
-    raise ExecutionError(f"unsupported scheme {scheme}")
-
-
 def _decrypt_aggregate(material: KeyMaterial,
                        value: EncryptedAggregate) -> object:
     if material.paillier_private is None:
@@ -315,24 +277,3 @@ def _decrypt_aggregate(material: KeyMaterial,
     if value.is_average:
         return total / value.count
     return total
-
-
-def try_decrypt(keystore: KeyStore | None, value: object) -> object:
-    """Decrypt ``value`` when the store holds its key; raise otherwise.
-
-    This is the note-2 path: a subject that knows the key can always fall
-    back to plaintext evaluation, whatever the scheme supports.
-    """
-    if not isinstance(value, (EncryptedValue, EncryptedAggregate)):
-        return value
-    if keystore is None:
-        raise ExecutionError("no keys held; cannot decrypt for evaluation")
-    if isinstance(value, EncryptedAggregate):
-        material = keystore.material(value.key_name)
-    else:
-        if value.key_name not in keystore.names():
-            raise ExecutionError(
-                f"key {value.key_name} not held; cannot decrypt"
-            )
-        material = keystore.material(value.key_name)
-    return decrypt_value(material, value)

@@ -11,8 +11,10 @@ runs end to end and produces the same answers as its plaintext original.
 The hot path is batched and hash-partitioned: joins evaluate every
 equality conjunct through a hash-partitioned build/probe pass (building
 on the smaller operand) and apply only the true residual conjuncts per
-matched pair, and selections and projections run compiled closures
-through the table bulk APIs.  An executor holds no results: every
+matched pair, selections run as column kernels over a selection vector
+(:func:`~repro.engine.expressions.compile_predicate`), and join and
+group-by keys are computed one key column at a time.  An executor
+holds no results: every
 :meth:`Executor.execute` evaluates the whole plan against the state it
 finds (the distributed runtime memoizes whole fragments instead).
 
@@ -26,6 +28,7 @@ the workers run), preserving the sequential output row order.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Mapping
 
 from repro.core.operators import (
@@ -57,7 +60,12 @@ from repro.engine.expressions import (
     compile_predicate,
 )
 from repro.engine.table import Table
-from repro.engine.values import EncryptedAggregate, EncryptedValue
+from repro.engine.values import (
+    PLAINTEXT,
+    EncryptedAggregate,
+    EncryptedValue,
+    signature,
+)
 from repro.exceptions import ExecutionError
 from repro.parallel.pool import JOIN_STRATEGIES, WorkerPool
 
@@ -171,9 +179,12 @@ class Executor:
 
     def _select(self, node: Selection, child: Table) -> Table:
         encryptor = ConstantEncryptor(self._constant_store or self.keystore)
-        keep = compile_predicate(node.predicate, child.columns, encryptor,
-                                 local_keystore=self.keystore)
-        return child.bulk_filter(keep, name="σ")
+        select = compile_predicate(node.predicate, child.columns, encryptor,
+                                   local_keystore=self.keystore)
+        # Note 2 decrypts through this module's decrypt_column, like the
+        # Decrypt operator: same pool, same name for whoever observes it.
+        rows = select(child.rows, partial(decrypt_column, pool=self.pool))
+        return Table._from_trusted("σ", child.columns, rows)
 
     def _product(self, left: Table, right: Table) -> Table:
         columns = left.columns + right.columns
@@ -206,10 +217,10 @@ class Executor:
         left_positions = left.positions([l for l, _ in equalities])
         right_positions = right.positions([r for _, r in equalities])
         # Build on the smaller operand, probe with the larger one; the
-        # output row is always assembled left-then-right.  Both loops
-        # also accumulate per-column value-representation signatures so
+        # output row is always assembled left-then-right.  Both sides
+        # also report their key columns' value representations so
         # incomparable keys raise (like a σ_C(L×R) evaluation does)
-        # instead of silently never colliding — see _signature.
+        # instead of silently never colliding — see _row_keys.
         build_is_left = len(left) <= len(right)
         if build_is_left:
             buckets, build_sigs = _build_buckets(left.rows, left_positions)
@@ -259,20 +270,11 @@ class Executor:
             )
             return Table._from_trusted("γ", tuple(out_columns), [output])
 
-        groups: dict[tuple, list[tuple]] = {}
-        originals: dict[tuple, tuple] = {}
-        for row in child.rows:
-            key = tuple(_join_key(row[p]) for p in positions)
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = [row]
-                originals[key] = tuple(row[p] for p in positions)
-            else:
-                bucket.append(row)
-
+        groups, _ = _build_buckets(child.rows, positions)
         rows = []
-        for key, members in groups.items():
-            output_row: list[object] = list(originals[key])
+        for members in groups.values():
+            first = members[0]
+            output_row: list[object] = [first[p] for p in positions]
             for aggregate, position in zip(node.aggregates, agg_positions):
                 if position is None:
                     output_row.append(len(members))
@@ -405,7 +407,7 @@ class Executor:
             material = keystore.material_for_attribute(attribute)
             replacements[attribute] = encrypt_column(
                 material, child.column_values(attribute), pool=self.pool)
-        return child.replace_columns(replacements).rename("enc")
+        return child.replace_columns(replacements, name="enc")
 
     def _decrypt(self, node: Decrypt, child: Table) -> Table:
         keystore = self._require_keystore()
@@ -414,7 +416,7 @@ class Executor:
             material = keystore.material_for_attribute(attribute)
             replacements[attribute] = decrypt_column(
                 material, child.column_values(attribute), pool=self.pool)
-        return child.replace_columns(replacements).rename("dec")
+        return child.replace_columns(replacements, name="dec")
 
 
 def _residual_specs(residual: list, left: Table,
@@ -466,33 +468,15 @@ def probe_partition(buckets: dict[object, list[tuple]],
     rows, order, and the representation-mix diagnostics (a mixing value
     raises within whichever partition probes it).
     """
-    probe_sigs: list[set[object]] = [set() for _ in probe_positions]
-
-    def note_probe(index: int, value: object) -> None:
-        signature = _signature(value)
-        if signature is None or signature in probe_sigs[index]:
-            return
-        probe_sigs[index].add(signature)
-        combined = build_sigs[index] | probe_sigs[index]
-        if build_sigs[index] and len(combined) > 1:
-            l, r = equalities[index]
+    keys, probe_sigs = _row_keys(probe_rows, probe_positions)
+    for (l, r), build, probe in zip(equalities, build_sigs, probe_sigs):
+        if build and len(build | probe) > 1:
             raise ExecutionError(
                 f"join condition {l}={r} compares incompatible value "
-                f"representations: {sorted(map(str, combined))}"
+                f"representations: {sorted(map(str, build | probe))}"
             )
-
-    single = len(probe_positions) == 1
-    position = probe_positions[0] if single else None
     joined: list[tuple] = []
-    for prow in probe_rows:
-        if single:
-            value = prow[position]
-            note_probe(0, value)
-            key = _join_key(value)
-        else:
-            for index, p in enumerate(probe_positions):
-                note_probe(index, prow[p])
-            key = tuple(_join_key(prow[p]) for p in probe_positions)
+    for key, prow in zip(keys, probe_rows):
         matches = buckets.get(key)
         if not matches:
             continue
@@ -507,24 +491,39 @@ def probe_partition(buckets: dict[object, list[tuple]],
     return joined
 
 
-def _signature(value: object) -> object | None:
-    """The value's representation: a key/scheme pair, plaintext, or None.
+def _row_keys(rows: list[tuple], positions: tuple[int, ...],
+              ) -> tuple[list, list[set[object]]]:
+    """The hashable join/group key of every row, one key column at a time.
+
+    Each key column is taken once — one pass for the representations
+    it holds (:func:`~repro.engine.values.signature`, NULLs exempt),
+    one for its keys — instead of deciding both per row.  Returns the
+    keys (the bare value for a single column, a tuple otherwise) and
+    the signatures per column.
 
     Incomparable representations can never hash-collide (different-key
-    ciphertext group keys never match, plaintext never matches a token),
-    so a hash join would silently return no matches where evaluating
-    σ_C(L×R) raises when it reaches such a pair.  The join loops
-    accumulate these signatures per key column and raise on the first
-    mix observed across the operands — slightly *eager* versus
-    σ_C(L×R)'s conjunct short-circuiting, but refusing loudly beats a
-    silently empty result.  NULLs are exempt: NULL vs anything is
-    UNKNOWN, not a representation mix.
+    ciphertext group keys never match, plaintext never matches a
+    token), so a hash join would silently return no matches where
+    evaluating σ_C(L×R) raises when it reaches such a pair.  The join
+    compares the signatures of its operands' key columns and raises on
+    a mix — slightly *eager* versus σ_C(L×R)'s conjunct
+    short-circuiting, but refusing loudly beats a silently empty
+    result.
     """
-    if value is None:
-        return None
-    if isinstance(value, EncryptedValue):
-        return (value.key_name, value.scheme)
-    return "plaintext"
+    columns, signatures = [], []
+    for position in positions:
+        column = [row[position] for row in rows]
+        seen = set(map(signature, column))
+        seen.discard(None)
+        signatures.append(seen)
+        if seen - {PLAINTEXT} or any(
+                issubclass(kind, (list, set, dict))
+                for kind in set(map(type, column))):
+            column = [_join_key(value) for value in column]
+        columns.append(column)
+    if len(columns) == 1:
+        return columns[0], signatures
+    return (list(zip(*columns)) if columns else [()] * len(rows)), signatures
 
 
 def _build_buckets(rows: list[tuple], positions: tuple[int, ...],
@@ -532,33 +531,12 @@ def _build_buckets(rows: list[tuple], positions: tuple[int, ...],
                               list[set[object]]]:
     """Partition ``rows`` by their (hashable) key on ``positions``.
 
-    Also returns the per-column value-representation signatures observed
-    while bucketing (see :func:`_signature`), so the probe loop can
-    reject incomparable keys without a separate pass over the data.
+    Also returns the per-column value-representation signatures (see
+    :func:`_row_keys`), so the probe can reject incomparable keys.
     """
+    keys, signatures = _row_keys(rows, positions)
     buckets: dict[object, list[tuple]] = {}
-    signatures: list[set[object]] = [set() for _ in positions]
-    if len(positions) == 1:
-        (position,) = positions
-        column = signatures[0]
-        for row in rows:
-            value = row[position]
-            sig = _signature(value)
-            if sig is not None:
-                column.add(sig)
-            key = _join_key(value)
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [row]
-            else:
-                bucket.append(row)
-        return buckets, signatures
-    for row in rows:
-        for index, position in enumerate(positions):
-            sig = _signature(row[position])
-            if sig is not None:
-                signatures[index].add(sig)
-        key = tuple(_join_key(row[p]) for p in positions)
+    for key, row in zip(keys, rows):
         bucket = buckets.get(key)
         if bucket is None:
             buckets[key] = [row]

@@ -1,4 +1,4 @@
-"""Predicate evaluation over plaintext and encrypted rows.
+"""Predicate evaluation over plaintext and encrypted columns.
 
 Selections and joins are evaluated uniformly over plaintext values and
 :class:`~repro.engine.values.EncryptedValue` tokens: equality works on
@@ -9,11 +9,26 @@ holds the covering key, mirroring §6's dispatch where conditions are
 "formulated on encrypted values" for subjects without plaintext
 visibility.
 
-Predicates are *compiled once per operator*: :func:`compile_predicate`
-specializes each basic condition into a closure with the row positions,
-the comparison operator, and the plaintext/encrypted dispatch strategy
-resolved up front, so the per-row work is a plain function call instead
-of re-dispatching on predicate and operator type for every tuple.
+A selection is a *column kernel* (:func:`compile_predicate`): the
+conjuncts run in order over a selection vector — conjunct *k* sees only
+the rows conjuncts 1…*k*−1 kept — and each one extracts its column
+once, groups the surviving cells by representation
+(:func:`~repro.engine.values.signature`) and decides how to compare
+once per group:
+
+* plaintext cells: one pass with the bound operator;
+* tokens the scheme can compare (:data:`_TOKEN_OPS`), with the
+  constant's key in the *encryptor's* store: the constant is encrypted
+  once and the tokens are compared in one pass;
+* anything else (§5 note 2, "the key holder may evaluate the condition
+  on plaintext"): the group is decrypted in one column call with the
+  key from the evaluating subject's *own* keystore — never the
+  encryptor's — every MAC verified before any plaintext is compared,
+  and the plaintexts are kept for later conjuncts on the same column.
+  Without the key the selection raises.
+
+Join residuals still compare one matched pair at a time
+(:func:`compile_comparison`).
 """
 
 from __future__ import annotations
@@ -21,7 +36,8 @@ from __future__ import annotations
 import operator as _operator
 import re
 from functools import lru_cache
-from typing import Callable
+from itertools import compress, repeat
+from typing import Callable, Sequence
 
 from repro.core.predicates import (
     AttributeComparisonPredicate,
@@ -29,12 +45,21 @@ from repro.core.predicates import (
     ComparisonOp,
     Predicate,
 )
-from repro.crypto.keymanager import KeyStore
-from repro.engine.codec import try_decrypt
-from repro.engine.values import EncryptedValue
+from repro.core.requirements import EncryptionScheme
+from repro.crypto.keymanager import KeyMaterial, KeyStore
+from repro.engine.values import (
+    EncryptedAggregate,
+    EncryptedValue,
+    signature,
+)
 from repro.exceptions import ExecutionError
 
 Row = tuple
+
+#: ``decrypt_column`` as the selection kernel calls it; the executor
+#: passes its own so note-2 decrypts run (and are traced) as column
+#: crypto, with its worker pool.
+ColumnDecryptor = Callable[[KeyMaterial, list], list]
 
 #: Order comparisons short-circuit to False on NULL operands (SQL
 #: three-valued logic collapses UNKNOWN to False in a filter).
@@ -48,6 +73,14 @@ _ORDERED_OPS: dict[ComparisonOp, Callable[[object, object], bool]] = {
 _EXACT_OPS: dict[ComparisonOp, Callable[[object, object], bool]] = {
     ComparisonOp.EQ: _operator.eq,
     ComparisonOp.NEQ: _operator.ne,
+}
+
+#: What can be decided on two tokens of a scheme alone (either scheme
+#: also serves ``IN`` against a collection constant: set membership of
+#: the token).  Everything else needs the plaintext.
+_TOKEN_OPS: dict[EncryptionScheme, frozenset[ComparisonOp]] = {
+    EncryptionScheme.DETERMINISTIC: frozenset(_EXACT_OPS),
+    EncryptionScheme.OPE: frozenset(_EXACT_OPS) | frozenset(_ORDERED_OPS),
 }
 
 
@@ -74,9 +107,7 @@ def compare_plain(left: object, op: ComparisonOp, right: object) -> bool:
             return False  # NULL LIKE p is UNKNOWN
         if not isinstance(left, str) or not isinstance(right, str):
             raise ExecutionError("LIKE requires string operands")
-        pattern = "^" + re.escape(right).replace("%", ".*").replace("_", ".") \
-            + "$"
-        return re.match(pattern, left) is not None
+        return _like_regex(right).match(left) is not None
     if op is ComparisonOp.IN:
         if not isinstance(right, (tuple, list, set, frozenset)):
             raise ExecutionError("IN requires a collection right operand")
@@ -85,6 +116,32 @@ def compare_plain(left: object, op: ComparisonOp, right: object) -> bool:
     if ordered is not None:
         return _compare_ordered(ordered, left, right)
     raise ExecutionError(f"unsupported operator {op}")
+
+
+@lru_cache(maxsize=256)
+def _like_regex(pattern: str) -> "re.Pattern[str]":
+    """A SQL ``LIKE`` pattern as an anchored regex, translated once."""
+    return re.compile(
+        "^" + re.escape(pattern).replace("%", ".*").replace("_", ".") + "$")
+
+
+def _plain_mask(op: ComparisonOp, lefts: Sequence[object],
+                rights) -> list[bool]:
+    """:func:`compare_plain` down two plaintext columns, operator bound
+    once (``rights`` may be ``repeat(constant)``)."""
+    exact = _EXACT_OPS.get(op)
+    if exact is not None:
+        return list(map(exact, lefts, rights))
+    ordered = _ORDERED_OPS.get(op)
+    if ordered is None:
+        return [compare_plain(left, op, right)
+                for left, right in zip(lefts, rights)]
+    try:
+        return [left is not None and right is not None
+                and ordered(left, right)
+                for left, right in zip(lefts, rights)]
+    except TypeError as error:
+        raise ExecutionError(f"incomparable values: {error}") from None
 
 
 def compare_encrypted(left: EncryptedValue, op: ComparisonOp,
@@ -163,213 +220,243 @@ class ConstantEncryptor:
 
     def __init__(self, keystore: KeyStore | None) -> None:
         self._keystore = keystore
-        self._cache: dict[tuple[str, ComparisonOp, object], object] = {}
 
     @property
     def keystore(self) -> KeyStore | None:
         """The key material available to this evaluator."""
         return self._keystore
 
-    def match_constant(self, sample: EncryptedValue, op: ComparisonOp,
+    def holds(self, key_name: str) -> bool:
+        """Whether constants can be encrypted under ``key_name``."""
+        return self._keystore is not None and key_name in self._keystore
+
+    def _cipher(self, sample: EncryptedValue):
+        """The cipher whose tokens compare against ``sample``'s."""
+        if not self.holds(sample.key_name):
+            raise ExecutionError(
+                f"cannot encrypt constant: no key {sample.key_name} held"
+            )
+        if sample.scheme not in _TOKEN_OPS:
+            raise ExecutionError(
+                f"constants cannot be compared under {sample.scheme}"
+            )
+        material = self._keystore.material(sample.key_name)
+        if material.symmetric is None:
+            raise ExecutionError(
+                f"key {material.name} lacks symmetric material"
+            )
+        # Memoized per-material cipher: the subkeys derive once and the
+        # deterministic/OPE memos are shared with the column kernels.
+        if sample.scheme is EncryptionScheme.DETERMINISTIC:
+            return material.deterministic_cipher()
+        return material.ope_cipher()
+
+    def match_constant(self, sample: EncryptedValue,
                        constant: object) -> EncryptedValue:
         """An :class:`EncryptedValue` comparable against ``sample``."""
         if isinstance(constant, EncryptedValue):
             return constant
-        if self._keystore is None \
-                or sample.key_name not in self._keystore.names():
-            raise ExecutionError(
-                f"cannot encrypt constant: no key {sample.key_name} held"
-            )
-        cache_key = (sample.key_name, op, _freeze(constant))
-        if cache_key in self._cache:
-            return self._cache[cache_key]  # type: ignore[return-value]
-        material = self._keystore.material(sample.key_name)
-        scheme = sample.scheme
-        from repro.core.requirements import EncryptionScheme
-
-        if scheme is EncryptionScheme.DETERMINISTIC:
-            if material.symmetric is None:
-                raise ExecutionError(
-                    f"key {material.name} lacks symmetric material"
-                )
-            # Memoized per-material cipher: the subkeys derive once and
-            # the deterministic memo is shared with the column kernels.
-            token: object = material.deterministic_cipher().encrypt(constant)
-        elif scheme is EncryptionScheme.OPE:
-            if material.symmetric is None:
-                raise ExecutionError(
-                    f"key {material.name} lacks symmetric material"
-                )
-            token = material.ope_cipher().encrypt(constant)
-        else:
-            raise ExecutionError(
-                f"constants cannot be compared under {scheme}"
-            )
-        value = EncryptedValue(
-            key_name=sample.key_name, scheme=scheme, token=token
-        )
-        self._cache[cache_key] = value
-        return value
+        return EncryptedValue(sample.key_name, sample.scheme,
+                              self._cipher(sample).encrypt(constant))
 
     def match_tokens(self, sample: EncryptedValue,
                      constants: tuple[object, ...]) -> frozenset[object]:
-        """The encrypted-token set of an IN collection, memoized.
-
-        Bulk-encrypts the whole collection under the sample's key via
-        the ciphers' ``encrypt_many`` (one dispatch), so the per-row IN
-        check is a single set-membership test.
-        """
-        cache_key = (sample.key_name, sample.scheme, "in",
-                     tuple(_freeze(c) for c in constants))
-        cached = self._cache.get(cache_key)
-        if cached is not None:
-            return cached  # type: ignore[return-value]
-        if self._keystore is None \
-                or sample.key_name not in self._keystore.names():
-            raise ExecutionError(
-                f"cannot encrypt constant: no key {sample.key_name} held"
-            )
-        from repro.core.requirements import EncryptionScheme
-
-        material = self._keystore.material(sample.key_name)
-        if sample.scheme is EncryptionScheme.DETERMINISTIC:
-            if material.symmetric is None:
-                raise ExecutionError(
-                    f"key {material.name} lacks symmetric material"
-                )
-            tokens = frozenset(
-                material.deterministic_cipher().encrypt_many(constants)
-            )
-        elif sample.scheme is EncryptionScheme.OPE:
-            if material.symmetric is None:
-                raise ExecutionError(
-                    f"key {material.name} lacks symmetric material"
-                )
-            tokens = frozenset(
-                material.ope_cipher().encrypt_many(constants)
-            )
-        else:
-            raise ExecutionError(
-                f"constants cannot be compared under {sample.scheme}"
-            )
-        self._cache[cache_key] = tokens  # type: ignore[assignment]
-        return tokens
+        """The encrypted-token set of an IN collection: one bulk
+        ``encrypt_many`` under the sample's key, so the IN check is a
+        set-membership test per cell."""
+        return frozenset(self._cipher(sample).encrypt_many(constants))
 
 
 def compile_predicate(predicate: Predicate, columns: tuple[str, ...],
                       encryptor: ConstantEncryptor,
                       local_keystore: KeyStore | None = None,
-                      ) -> Callable[[Row], bool]:
-    """Compile ``predicate`` into a row-level boolean function.
+                      ) -> Callable[[list[Row], ColumnDecryptor], list[Row]]:
+    """Compile ``predicate`` into a selection kernel over a row list.
 
-    Each basic condition becomes one specialized closure (positions,
-    operator, and constant resolved once); the composite predicate is
-    their conjunction.  ``encryptor`` encrypts constants (§6: the
-    dispatching user holds the keys and formulates conditions on
+    ``kernel(rows, decrypt_column)`` returns the rows satisfying every
+    basic condition, in order.  ``encryptor`` encrypts constants (§6:
+    the dispatching user holds the keys and formulates conditions on
     encrypted values, so it may wrap a richer store than the evaluating
     subject's own); ``local_keystore`` is the evaluating subject's own
-    material, the only thing the note-2 decrypt-and-compare fallback may
+    material, the only thing the note-2 decrypt-and-compare path may
     use.
     """
     positions = {c: i for i, c in enumerate(columns)}
-    basics = list(predicate.basic_conditions())
-    for basic in basics:
+    conjuncts = []
+    for basic in predicate.basic_conditions():
         for attribute in basic.attributes():
             if attribute not in positions:
                 raise ExecutionError(
                     f"predicate references missing column {attribute!r}"
                 )
-
+        if isinstance(basic, AttributeValuePredicate):
+            conjuncts.append(_value_conjunct(
+                basic, positions[basic.attribute], encryptor))
+        elif isinstance(basic, AttributeComparisonPredicate):
+            conjuncts.append(_attribute_conjunct(
+                basic, positions[basic.left], positions[basic.right]))
+        else:
+            raise ExecutionError(f"unsupported predicate {basic!r}")
     keystore = local_keystore if local_keystore is not None \
         else encryptor.keystore
 
-    checks = [
-        _compile_basic(basic, positions, encryptor, keystore)
-        for basic in basics
-    ]
-    if len(checks) == 1:
-        return checks[0]
+    def select(rows: list[Row], decrypt_column: ColumnDecryptor) -> list[Row]:
+        survivors = _Survivors(rows, keystore, decrypt_column)
+        for conjunct in conjuncts:
+            if not survivors.alive:
+                break
+            survivors.keep(conjunct(survivors))
+        return [rows[index] for index in survivors.alive]
 
-    def evaluate(row: Row) -> bool:
-        for check in checks:
-            if not check(row):
-                return False
-        return True
-
-    return evaluate
+    return select
 
 
-def _compile_basic(basic: Predicate, positions: dict[str, int],
-                   encryptor: ConstantEncryptor,
-                   keystore: KeyStore | None) -> Callable[[Row], bool]:
-    """One basic condition → one specialized row closure."""
-    if isinstance(basic, AttributeValuePredicate):
-        return _compile_value_check(basic, positions[basic.attribute],
-                                    encryptor, keystore)
-    if isinstance(basic, AttributeComparisonPredicate):
-        return _compile_attribute_check(basic, positions[basic.left],
-                                        positions[basic.right], keystore)
-    raise ExecutionError(f"unsupported predicate {basic!r}")
+class _Survivors:
+    """The selection vector of one kernel run, plus what note 2 has
+    already decrypted for it."""
+
+    def __init__(self, rows: list[Row], keystore: KeyStore | None,
+                 decrypt_column: ColumnDecryptor) -> None:
+        self.rows = rows
+        self.alive: Sequence[int] = range(len(rows))
+        self._keystore = keystore
+        self._decrypt_column = decrypt_column
+        #: column position → {row index: plaintext}
+        self._plain: dict[int, dict[int, object]] = {}
+
+    def column(self, position: int) -> list[object]:
+        """The surviving cells of one column."""
+        rows = self.rows
+        return [rows[index][position] for index in self.alive]
+
+    def keep(self, mask: list[bool]) -> None:
+        """Narrow the vector to the rows ``mask`` (aligned with it) kept."""
+        self.alive = list(compress(self.alive, mask))
+
+    def mask(self, columns: list[list], kinds: list,
+             evaluate) -> list[bool]:
+        """One mask over the vector from ``evaluate(self, kind, columns,
+        row indices)``, called once per representation group:
+        ``columns`` (of surviving cells) and ``kinds`` are aligned with
+        the vector, and each call sees one kind's slice of them."""
+        if kinds.count(kinds[0]) == len(kinds):
+            return evaluate(self, kinds[0], columns, self.alive)
+        mask = [False] * len(kinds)
+        for kind in set(kinds):
+            offsets = [o for o, k in enumerate(kinds) if k == kind]
+            group = evaluate(
+                self, kind,
+                [[column[o] for o in offsets] for column in columns],
+                [self.alive[o] for o in offsets])
+            for offset, keep in zip(offsets, group):
+                mask[offset] = keep
+        return mask
+
+    def plaintext(self, position: int, key_name: str,
+                  indices: Sequence[int], cells: Sequence) -> list[object]:
+        """Note 2 (§5): ``cells`` (rows ``indices`` of one column)
+        decrypted under the evaluating subject's own key — one column
+        call for whatever no earlier conjunct already decrypted."""
+        if self._keystore is None:
+            raise ExecutionError(
+                "no keys held; cannot decrypt for evaluation")
+        if key_name not in self._keystore:
+            raise ExecutionError(f"key {key_name} not held; cannot decrypt")
+        known = self._plain.setdefault(position, {})
+        missing = [o for o, index in enumerate(indices) if index not in known]
+        if missing:
+            known.update(zip(
+                [indices[o] for o in missing],
+                self._decrypt_column(self._keystore.material(key_name),
+                                     [cells[o] for o in missing])))
+        return [known[index] for index in indices]
 
 
-def _compile_value_check(basic: AttributeValuePredicate, position: int,
-                         encryptor: ConstantEncryptor,
-                         keystore: KeyStore | None) -> Callable[[Row], bool]:
+def _value_conjunct(basic: AttributeValuePredicate, position: int,
+                    encryptor: ConstantEncryptor):
+    """``attribute op constant`` as a mask over the surviving rows."""
     op = basic.op
     constant = basic.value
-    comparator = compile_comparison(op)
-    constant_encrypted = isinstance(constant, EncryptedValue)
     in_collection = (op is ComparisonOp.IN
                      and isinstance(constant,
                                     (tuple, list, set, frozenset)))
-
-    def check(row: Row) -> bool:
-        value = row[position]
-        if isinstance(value, EncryptedValue) and not constant_encrypted:
-            if in_collection:
-                try:
-                    tokens = encryptor.match_tokens(
-                        value, tuple(constant)  # type: ignore[arg-type]
-                    )
-                    return value.token in tokens
-                except ExecutionError:
-                    # Note 2 (§5): the key holder evaluates on plaintext
-                    # values instead.
-                    return compare_plain(try_decrypt(keystore, value),
-                                         op, constant)
-            try:
-                matched = encryptor.match_constant(value, op, constant)
-                return comparator(value, matched)
-            except ExecutionError:
-                # Note 2 (§5): decrypt locally when the keys are held.
-                return compare_plain(try_decrypt(keystore, value),
-                                     op, constant)
-        return comparator(value, constant)
-
-    return check
-
-
-def _compile_attribute_check(basic: AttributeComparisonPredicate,
-                             left_position: int, right_position: int,
-                             keystore: KeyStore | None,
-                             ) -> Callable[[Row], bool]:
-    op = basic.op
     comparator = compile_comparison(op)
 
-    def check(row: Row) -> bool:
-        left = row[left_position]
-        right = row[right_position]
-        try:
-            return comparator(left, right)
-        except ExecutionError:
-            # Note 2: decrypt locally when the keys are held.
-            return compare_plain(try_decrypt(keystore, left), op,
-                                 try_decrypt(keystore, right))
+    def evaluate(survivors, kind, columns, indices):
+        (cells,) = columns
+        if not isinstance(kind, tuple):  # plaintext or NULL
+            return _plain_mask(op, cells, repeat(constant))
+        key_name, scheme = kind
+        token_ops = _TOKEN_OPS.get(scheme)
+        if token_ops is not None and (in_collection or op in token_ops) \
+                and encryptor.holds(key_name):
+            if in_collection:
+                tokens = encryptor.match_tokens(
+                    cells[0], tuple(constant))  # type: ignore[arg-type]
+                return [cell.token in tokens for cell in cells]
+            matched = encryptor.match_constant(cells[0], constant)
+            return _plain_mask(op, [cell.token for cell in cells],
+                               repeat(matched.token))
+        return _plain_mask(
+            op, survivors.plaintext(position, key_name, indices, cells),
+            repeat(constant))
 
-    return check
+    def conjunct(survivors: _Survivors) -> list[bool]:
+        cells = survivors.column(position)
+        if isinstance(constant, EncryptedValue):
+            # A pre-encrypted constant (Figure 8) compares token to
+            # token or not at all: no plaintext side to fall back to.
+            return [comparator(cell, constant) for cell in cells]
+        return survivors.mask([cells], list(map(signature, cells)), evaluate)
+
+    return conjunct
 
 
-def _freeze(value: object) -> object:
-    if isinstance(value, (list, set)):
-        return tuple(sorted(map(repr, value)))
-    return value
+#: In the scheme slot of an operand's kind: an encrypted aggregate,
+#: which no token comparison serves but note 2 resolves.
+_AGGREGATE = "aggregate"
+
+
+def _operand_kind(value: object) -> object | None:
+    """:func:`signature`, with encrypted aggregates set apart."""
+    if value.__class__ is EncryptedAggregate:
+        return (value.key_name, _AGGREGATE)  # type: ignore[attr-defined]
+    return signature(value)
+
+
+def _attribute_conjunct(basic: AttributeComparisonPredicate,
+                        left_position: int, right_position: int):
+    """``left op right`` between two columns, as a mask."""
+    op = basic.op
+    positions = (left_position, right_position)
+
+    def evaluate(survivors, kinds, sides, indices):
+        tokens = [isinstance(kind, tuple) and kind[1] is not _AGGREGATE
+                  for kind in kinds]
+        if all(tokens) and kinds[0] == kinds[1] \
+                and op in _TOKEN_OPS.get(kinds[0][1], ()):
+            return _plain_mask(op, *([cell.token for cell in side]
+                                     for side in sides))
+        if any(tokens) and None in kinds:
+            # NULL vs a ciphertext is not a representation mix (Encrypt
+            # passes NULL through): as in plaintext, only ≠ holds.
+            return [op is ComparisonOp.NEQ] * len(indices)
+        if any(tokens) or (op in _ORDERED_OPS and None not in kinds):
+            # Note 2 for whichever side is not plaintext already; an
+            # aggregate alone asks for it only where plaintext would
+            # not compare either (order).
+            sides = [
+                survivors.plaintext(position, kind[0], indices, side)
+                if isinstance(kind, tuple) else side
+                for position, kind, side in zip(positions, kinds, sides)]
+        return _plain_mask(op, *sides)
+
+    def conjunct(survivors: _Survivors) -> list[bool]:
+        lefts = survivors.column(left_position)
+        rights = survivors.column(right_position)
+        return survivors.mask(
+            [lefts, rights],
+            list(zip(map(_operand_kind, lefts), map(_operand_kind, rights))),
+            evaluate)
+
+    return conjunct

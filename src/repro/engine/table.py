@@ -177,11 +177,11 @@ class Table:
 
     def bulk_filter(self, keep: Callable[[tuple[object, ...]], bool],
                     name: str | None = None) -> "Table":
-        """Batch filter with a pre-compiled row predicate.
+        """Batch filter with a row predicate.
 
-        ``keep`` is expected to be compiled once per operator (see
-        :func:`repro.engine.expressions.compile_predicate`), so this is a
-        single pass with no per-row dispatch beyond the call itself.
+        One pass, one call per row.  The executor's selections do not
+        come through here: they run as column kernels
+        (:func:`repro.engine.expressions.compile_predicate`).
         """
         return Table._from_trusted(
             name or self.name, self.columns,
@@ -216,7 +216,7 @@ class Table:
         return Table._from_trusted(self.name, self.columns, rows)
 
     def replace_columns(self, replacements: Mapping[str, Sequence[object]],
-                        ) -> "Table":
+                        name: str | None = None) -> "Table":
         """Swap whole columns for precomputed value lists, one zip pass.
 
         This is the columnar counterpart of :meth:`map_columns`: the
@@ -227,7 +227,7 @@ class Table:
         the row count.
         """
         if not replacements:
-            return self
+            return self if name is None else self.rename(name)
         count = len(self.rows)
         items = []
         for column, column_values in replacements.items():
@@ -249,7 +249,7 @@ class Table:
             for position, column_values in items:
                 columns_data[position] = list(column_values)
             rows = [tuple(r) for r in zip(*columns_data)] if count else []
-        return Table._from_trusted(self.name, self.columns, rows)
+        return Table._from_trusted(name or self.name, self.columns, rows)
 
     def rename(self, name: str) -> "Table":
         """The same content under a new name (rows list is copied)."""

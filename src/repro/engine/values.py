@@ -17,9 +17,13 @@ from repro.crypto.paillier import PaillierCiphertext
 from repro.exceptions import ExecutionError
 
 
-@dataclass(frozen=True)
 class EncryptedValue:
     """One encrypted attribute value flowing through the engine.
+
+    An immutable value object.  Every Encrypt builds one per cell and
+    every dedup hashes one per row, so the class is slotted, its
+    constructor is written out and its hash is the token's (equal
+    values have equal tokens).
 
     Attributes
     ----------
@@ -38,10 +42,35 @@ class EncryptedValue:
         tokens themselves only come back as scaled integers).
     """
 
-    key_name: str
-    scheme: EncryptionScheme
-    token: object
-    recovery: bytes | None = None
+    __slots__ = ("key_name", "scheme", "token", "recovery")
+
+    def __init__(self, key_name: str, scheme: EncryptionScheme,
+                 token: object, recovery: bytes | None = None) -> None:
+        _set_key_name(self, key_name)
+        _set_scheme(self, scheme)
+        _set_token(self, token)
+        _set_recovery(self, recovery)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not EncryptedValue:
+            return NotImplemented
+        return (self.token == other.token  # type: ignore[attr-defined]
+                and self.key_name == other.key_name
+                and self.scheme is other.scheme
+                and self.recovery == other.recovery)
+
+    def __hash__(self) -> int:
+        return hash(self.token)
+
+    def __reduce__(self) -> tuple:
+        return (EncryptedValue,
+                (self.key_name, self.scheme, self.token, self.recovery))
 
     def comparable_with(self, other: "EncryptedValue") -> bool:
         """Whether equality between the two tokens is meaningful."""
@@ -114,6 +143,33 @@ class EncryptedValue:
         else:
             preview = str(self.token)[:12]
         return f"Enc<{self.key_name}:{self.scheme.value}:{preview}>"
+
+
+# The constructor stores through the slot descriptors: ``__setattr__``
+# refuses every assignment, and these skip ``object.__setattr__``'s
+# name lookup.
+_set_key_name = EncryptedValue.key_name.__set__  # type: ignore[attr-defined]
+_set_scheme = EncryptedValue.scheme.__set__  # type: ignore[attr-defined]
+_set_token = EncryptedValue.token.__set__  # type: ignore[attr-defined]
+_set_recovery = EncryptedValue.recovery.__set__  # type: ignore[attr-defined]
+
+#: :func:`signature` of every unencrypted non-NULL value.
+PLAINTEXT = "plaintext"
+
+
+def signature(value: object) -> object | None:
+    """The value's representation: a key/scheme pair, plaintext, or None.
+
+    Values are comparable only within one representation, so the
+    column kernels (selection, hash join, group-by) decide how to
+    compare once per signature instead of once per cell.  NULL has
+    none: NULL vs anything is UNKNOWN, never a representation mix.
+    """
+    if value is None:
+        return None
+    if value.__class__ is EncryptedValue:
+        return (value.key_name, value.scheme)  # type: ignore[attr-defined]
+    return PLAINTEXT
 
 
 @dataclass(frozen=True)

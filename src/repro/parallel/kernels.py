@@ -91,20 +91,11 @@ def column_decrypt_chunk(payload: tuple[bytes, str], tokens: list) -> list:
     :class:`~repro.exceptions.CryptoError` here and propagates to the
     caller through the chunk's future, like the sequential loop raises.
     """
+    from repro.engine.codec import decrypt_tokens
+
     blob, scheme_name = payload
-    material = _rehydrate(blob)
-    scheme = EncryptionScheme[scheme_name]
-    if scheme is EncryptionScheme.PAILLIER:
-        return material.paillier_private.decrypt_values(tokens)
-    if scheme is EncryptionScheme.DETERMINISTIC:
-        return material.deterministic_cipher().decrypt_many(tokens)
-    if scheme is EncryptionScheme.RANDOMIZED:
-        return material.randomized_cipher().decrypt_many(tokens)
-    if scheme is EncryptionScheme.OPE:
-        # OPE plaintexts travel in the recovery ciphertext; the tokens
-        # here are those recovery bytes.
-        return material.recovery_cipher().decrypt_many(tokens)
-    raise ValueError(f"unsupported scheme {scheme}")
+    return decrypt_tokens(_rehydrate(blob), EncryptionScheme[scheme_name],
+                          tokens)
 
 
 # -- join probing -------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit and property tests for the encryption substrate."""
 
+import hashlib
+import hmac
 from datetime import date
 
 import pytest
@@ -40,6 +42,28 @@ class TestEncoding:
     def test_unsupported_type(self):
         with pytest.raises(CryptoError):
             primitives.encode_value(object())
+
+
+class TestPrf:
+    """The PRF copies two pre-keyed SHA-256 states instead of going
+    through ``hmac.HMAC``; it must stay HMAC-SHA256 bit for bit."""
+
+    @given(st.binary(min_size=1, max_size=100), st.binary(max_size=200))
+    def test_prf_is_hmac_sha256(self, key, message):
+        expected = hmac.new(key, message, hashlib.sha256).digest()
+        assert primitives.prf(key, message) == expected
+        assert primitives.keyed_hmac(key)(message) == expected
+
+    @given(st.binary(min_size=16, max_size=16),
+           st.integers(min_value=0, max_value=150))
+    def test_keystream_blocks_are_counter_prfs(self, iv, length):
+        blocks = b"".join(
+            hmac.new(KEY, iv + counter.to_bytes(8, "big"),
+                     hashlib.sha256).digest()
+            for counter in range(max(1, -(-length // 32))))
+        assert primitives.keystream(KEY, iv, length) == blocks[:length]
+        assert primitives.keystream_many(KEY, [iv], [length]) \
+            == [blocks[:length]]
 
 
 class TestSymmetric:

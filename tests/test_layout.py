@@ -21,8 +21,10 @@ ASSIGNMENT = SRC / "core" / "assignment.py"
 WORKLOAD = SRC / "service" / "workload.py"
 
 FORBIDDEN = ("OrderedDict", "popitem(last=False)", "deltas_since(")
-#: A second fragment scheduler, or a selectable reference path.
-RETIRED = ("ThreadPoolExecutor", "search_impl", "nested-loop", "_reference(")
+#: A second fragment scheduler, a selectable reference path, or the
+#: per-value decoder that kept ``decrypt_column`` from being bulk.
+RETIRED = ("ThreadPoolExecutor", "search_impl", "nested-loop", "_reference(",
+           "_column_decoder")
 
 
 def code_of(path: Path, skip: tuple[str, str] | None = None) -> str:
@@ -107,3 +109,10 @@ def test_no_second_schedule_and_no_reference_knob():
                     for name in names
                     if name.split(".")[0] in ("tests", "oracles", "helpers"))
     assert not offenders, offenders
+
+
+def test_selection_decides_per_column_not_by_exception_per_row():
+    """The row closure (``tests/oracles/row_predicate.py``) found out
+    what a scheme cannot do by catching ``ExecutionError`` per row."""
+    assert "except ExecutionError" not in code_of(
+        SRC / "engine" / "expressions.py")
