@@ -1,66 +1,17 @@
-"""Ablation — assignment-search strategies (§7's dynamic programming).
+"""Ablation — the UAPmix attribute split.
 
-The paper's tool uses dynamic programming to pick the cheapest candidate
-assignment.  This bench compares the DP portfolio against the greedy
-baseline on the TPC-H workload (expected: DP never loses, often wins),
-and against exhaustive search on the running example (expected: DP finds
-the optimum).
-
-A second section benchmarks the UAPmix attribute-split ablation: the
-alternating split violates uniform visibility (Definition 4.1, condition
-3) across join pairs and erases the provider savings.
+The alternating split violates uniform visibility (Definition 4.1,
+condition 3) across join pairs and erases the provider savings the
+prefix split keeps.  (That the DP portfolio finds the exhaustive optimum
+on the running example is a tier-1 test against
+``tests/oracles/exhaustive_search.py``.)
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.assignment import assign
-from repro.cost.pricing import PriceList
-from repro.experiments.ablation import (
-    assignment_strategy_ablation,
-    mix_split_ablation,
-)
-from repro.paper_example import build_running_example
+from repro.experiments.ablation import mix_split_ablation
 
 from conftest import BENCH_SCALE
-
-STRATEGY_QUERIES = (3, 5, 13, 18, 21)
-
-
-@pytest.mark.parametrize("query_number", STRATEGY_QUERIES)
-def test_dp_vs_greedy(benchmark, scenarios, query_number, capsys):
-    """DP portfolio vs greedy per-node choice under UAPenc."""
-    scenario_obj = scenarios["UAPenc"]
-    costs = benchmark.pedantic(
-        assignment_strategy_ablation,
-        args=(query_number, scenario_obj),
-        kwargs={"scale": BENCH_SCALE},
-        rounds=1, iterations=1,
-    )
-    with capsys.disabled():
-        print(f"\nQ{query_number}: dp=${costs['dp']:.6f} "
-              f"greedy=${costs['greedy']:.6f}")
-    assert costs["dp"] <= costs["greedy"] * 1.001
-
-
-def test_dp_matches_exhaustive_on_running_example(benchmark):
-    """On the 4-operation running example, DP finds the optimum."""
-    example = build_running_example()
-    prices = PriceList.from_subjects(example.subjects)
-
-    def run_both():
-        dp = assign(example.plan, example.policy, example.subject_names,
-                    prices, user="U", owners=example.owners, strategy="dp")
-        exhaustive = assign(example.plan, example.policy,
-                            example.subject_names, prices, user="U",
-                            owners=example.owners, strategy="exhaustive")
-        return dp.cost.total_usd, exhaustive.cost.total_usd
-
-    dp_cost, exhaustive_cost = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
-    assert dp_cost <= exhaustive_cost * 1.02
 
 
 def test_mix_split_ablation(benchmark, capsys):

@@ -1,18 +1,16 @@
 #!/usr/bin/env python
 """Multicore data-plane scale-out: process-pool kernels vs single-core.
 
-The ISSUE-7 acceptance bar: fanning the CPU-bound hot paths across the
-shared :class:`~repro.parallel.WorkerPool` must buy ≥3× on whole-column
+The ISSUE-7 acceptance bar: fanning column crypto across the shared
+:class:`~repro.parallel.WorkerPool` must buy ≥3× on whole-column
 Paillier decryption at ≥4 workers, while every parallel path stays
-**bit-identical** to the single-core reference it shadows.
+**bit-identical** to the single-core path it shadows.
 
-Three phases:
+Two phases:
 
 1. whole-column Paillier decrypt (`decrypt_column`) with 1 worker vs N;
 2. encrypted TPC-H Q3 through a :class:`~repro.service.QueryService`
-   with ``workers=0`` (today's inline plane) vs ``workers=N`` with
-   ``join_strategy="parallel-hash"``;
-3. a 2k×2k equi-join with residual, ``hash`` vs ``parallel-hash``.
+   with ``workers=0`` (the inline plane) vs ``workers=N``.
 
 Structural invariants always gate the exit status: parallel results
 must equal the sequential rows *exactly* (values and order).  The
@@ -44,19 +42,13 @@ except ImportError:  # allow running without PYTHONPATH set
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.keys import QueryKey
-from repro.core.operators import BaseRelationNode, Join
-from repro.core.predicates import (
-    AttributeComparisonPredicate,
-    ComparisonOp,
-    Conjunction,
-)
 from repro.core.requirements import EncryptionScheme
-from repro.core.schema import Relation
 from repro.crypto.keymanager import KeyMaterial
 from repro.crypto.paillier import generate_keypair
-from repro.engine import Executor, Table
+from repro.engine import Table
 from repro.engine.codec import decrypt_column, encrypt_column
-from repro.parallel import ExecutionSettings, WorkerPool
+from repro.parallel import WorkerPool, shared_pool
+from repro.parallel.pool import MIN_PARALLEL_ITEMS
 from repro.service import QueryService
 from repro.tpch import TPCH_UDFS, all_scenarios, build_tpch_schema, \
     generate, query
@@ -73,7 +65,7 @@ def pick_workers() -> int:
 
 def warm(pool: WorkerPool) -> None:
     """Spawn the pool's processes before any timing starts."""
-    count = max(pool.workers * 2, pool.min_parallel_items)
+    count = max(pool.workers * 2, MIN_PARALLEL_ITEMS)
     pool.map_chunks(_noop_task, None, list(range(count)))
 
 
@@ -98,7 +90,7 @@ def bench_paillier_decrypt(values: int, bits: int,
     timings: dict[str, float] = {}
     rows: dict[str, list] = {}
     for label, count in (("workers_1", 1), ("workers_n", workers)):
-        pool = WorkerPool(count, min_parallel_items=1)
+        pool = WorkerPool(count)
         warm(pool)
         started = time.perf_counter()
         rows[label] = decrypt_column(material, column, pool=pool)
@@ -128,24 +120,24 @@ def bench_tpch_q3(scale: float, workers: int) -> dict[str, object]:
         authority_tables[owner][name] = data.table(name)
     sql = query(3).sql
 
-    def run(settings: ExecutionSettings) -> tuple[float, list]:
+    def run(count: int) -> tuple[float, list]:
         service = QueryService(
             schema, scenario.policy, scenario.subjects, scenario.owners,
             authority_tables, user=scenario.user, udfs=TPCH_UDFS,
-            settings=settings,
+            workers=count,
         )
-        pool = settings.pool()
+        pool = shared_pool(count)
         if pool is not None:
             warm(pool)
         started = time.perf_counter()
         outcome = service.execute(sql)
-        return time.perf_counter() - started, list(outcome.result.rows)
+        seconds = time.perf_counter() - started
+        if pool is not None:
+            pool.close()
+        return seconds, list(outcome.result.rows)
 
-    inline_seconds, inline_rows = run(ExecutionSettings())
-    parallel_seconds, parallel_rows = run(ExecutionSettings(
-        workers=workers, join_strategy="parallel-hash",
-        min_parallel_items=64,
-    ))
+    inline_seconds, inline_rows = run(0)
+    parallel_seconds, parallel_rows = run(workers)
     return {
         "scale": scale,
         "workers_n": workers,
@@ -154,50 +146,6 @@ def bench_tpch_q3(scale: float, workers: int) -> dict[str, object]:
         "seconds_parallel": parallel_seconds,
         "speedup": inline_seconds / parallel_seconds,
         "matches_sequential": parallel_rows == inline_rows,
-    }
-
-
-def bench_join(rows_per_side: int, workers: int) -> dict[str, object]:
-    """Phase 3: equi-join with residual, hash vs parallel-hash probe."""
-    rng = random.Random(23)
-    keyspace = max(rows_per_side // 10, 1)
-    left = Relation("L", ["a", "x"], cardinality=rows_per_side)
-    right = Relation("R", ["b", "y"], cardinality=rows_per_side)
-    catalog = {
-        "L": Table("L", ("a", "x"), [
-            (rng.randrange(keyspace), rng.randrange(1000))
-            for _ in range(rows_per_side)
-        ]),
-        "R": Table("R", ("b", "y"), [
-            (rng.randrange(keyspace), rng.randrange(1000))
-            for _ in range(rows_per_side)
-        ]),
-    }
-    node = Join(BaseRelationNode(left), BaseRelationNode(right), Conjunction([
-        AttributeComparisonPredicate("a", ComparisonOp.EQ, "b"),
-        AttributeComparisonPredicate("x", ComparisonOp.LT, "y"),
-    ]))
-
-    started = time.perf_counter()
-    sequential = Executor(dict(catalog)).execute(node)
-    hash_seconds = time.perf_counter() - started
-
-    pool = WorkerPool(workers, min_parallel_items=1)
-    warm(pool)
-    started = time.perf_counter()
-    parallel = Executor(dict(catalog), join_strategy="parallel-hash",
-                        pool=pool).execute(node)
-    parallel_seconds = time.perf_counter() - started
-    pool.close()
-
-    return {
-        "rows_per_side": rows_per_side,
-        "workers_n": workers,
-        "output_rows": len(sequential),
-        "seconds_hash": hash_seconds,
-        "seconds_parallel": parallel_seconds,
-        "speedup": hash_seconds / parallel_seconds,
-        "matches_sequential": list(parallel.rows) == list(sequential.rows),
     }
 
 
@@ -212,13 +160,11 @@ def main() -> int:
     workers = pick_workers()
     cpus = os.cpu_count() or 1
     if arguments.quick:
-        decrypt_values, paillier_bits = 240, 256
+        decrypt_values, paillier_bits = 320, 256
         tpch_scale = 0.002
-        join_rows = 300
     else:
         decrypt_values, paillier_bits = 3000, 512
         tpch_scale = 0.002
-        join_rows = 2000
 
     print(f"multicore scale-out: {cpus} CPUs, using {workers} workers")
 
@@ -235,13 +181,6 @@ def main() -> int:
           f"parallel {tpch['seconds_parallel'] * 1000:.1f} ms "
           f"→ {tpch['speedup']:.2f}x")
 
-    join = bench_join(join_rows, workers)
-    print(f"  join {join['rows_per_side']}x{join['rows_per_side']} "
-          f"({join['output_rows']} output rows): "
-          f"hash {join['seconds_hash'] * 1000:.1f} ms, "
-          f"parallel-hash {join['seconds_parallel'] * 1000:.1f} ms "
-          f"→ {join['speedup']:.2f}x")
-
     if arguments.json is not None:
         arguments.json.write_text(json.dumps({
             "quick": arguments.quick,
@@ -249,16 +188,14 @@ def main() -> int:
             "workers": workers,
             "paillier_decrypt": paillier,
             "tpch_q3": tpch,
-            "join": join,
         }, indent=2, sort_keys=True))
         print(f"measurements written to {arguments.json}")
 
     failures = []
-    for name, phase in (("paillier decrypt", paillier),
-                        ("tpch q3", tpch), ("join", join)):
+    for name, phase in (("paillier decrypt", paillier), ("tpch q3", tpch)):
         if not phase["matches_sequential"]:
             failures.append(
-                f"{name}: parallel rows differ from sequential reference")
+                f"{name}: parallel rows differ from the inline rows")
     if paillier["speedup"] < SPEEDUP_BAR:
         miss = (f"paillier decrypt speedup {paillier['speedup']:.2f}x "
                 f"< bar {SPEEDUP_BAR}x at {workers} workers")

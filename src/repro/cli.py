@@ -8,7 +8,6 @@ Usage::
     python -m repro dispatch             # the Figure 8 dispatch table
     python -m repro ablate-mix           # uniform-visibility ablation
     python -m repro workload [--repeat 3] [--workers 4]
-                    [--join-strategy parallel-hash]
                     [--deadline-ms 500] [--cost-ceiling 0.01]
                                          # multi-user service session demo
     python -m repro metrics [--tenants 3] [--repeat 2]
@@ -28,7 +27,6 @@ from typing import Sequence
 from repro.experiments.ablation import mix_split_ablation
 from repro.experiments.economics import run_economics
 from repro.experiments.running_example import run_running_example
-from repro.parallel import JOIN_STRATEGIES
 
 #: Upper bound for ``metrics --tenants``: the demo gateway is a smoke
 #: scrape, not a load test.
@@ -154,9 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--workers", type=_nonnegative_int, default=0,
                           help="data-plane worker processes "
                                "(0 = inline single-core execution)")
-    workload.add_argument("--join-strategy", type=str, default="hash",
-                          choices=JOIN_STRATEGIES,
-                          help="join strategy for the data plane")
     workload.add_argument("--deadline-ms", type=_deadline_ms,
                           default=None,
                           help="per-query wall-clock deadline in "
@@ -191,7 +186,7 @@ DEMO_SQL = ("select T, avg(P) from Hosp join Ins on S=C "
             "where D='stroke' group by T having avg(P)>100")
 
 
-def _demo_service(settings=None):
+def _demo_service(workers: int = 0):
     """The running example's service over a small concrete dataset."""
     from repro.engine.table import Table
     from repro.paper_example import build_running_example
@@ -212,7 +207,7 @@ def _demo_service(settings=None):
     return QueryService(
         example.schema, example.policy, example.subjects,
         example.owners, {"H": {"Hosp": hosp}, "I": {"Ins": ins}},
-        user="U", settings=settings,
+        user="U", workers=workers,
     )
 
 
@@ -230,7 +225,6 @@ def _budget_from_flags(deadline_ms: float | None,
 
 
 def run_workload(repeat: int, workers: int = 0,
-                 join_strategy: str = "hash",
                  deadline_ms: float | None = None,
                  cost_ceiling: float | None = None) -> str:
     """A small multi-user workload over the running example's service.
@@ -238,23 +232,22 @@ def run_workload(repeat: int, workers: int = 0,
     Users U and Y repeat the paper's query (Y is entitled to the
     plaintext result: its view covers T and P); X is refused — the
     assignment pipeline blocks users the policy does not authorize for
-    the result, before anything executes.  ``workers``/``join_strategy``
-    select the data plane; ``deadline_ms``/``cost_ceiling`` bound each
-    query with a :class:`~repro.core.budget.QueryBudget`.  Invalid
-    values exit with a clear message before the service is built.
+    the result, before anything executes.  ``workers`` sizes the data
+    plane; ``deadline_ms``/``cost_ceiling`` bound each query with a
+    :class:`~repro.core.budget.QueryBudget`.  An invalid worker count
+    exits with a clear message.
     """
     from repro.exceptions import QueryAbortedError, UnauthorizedError
-    from repro.parallel import ExecutionSettings
+    from repro.parallel import shared_pool
 
     try:
-        settings = ExecutionSettings(workers=workers,
-                                     join_strategy=join_strategy)
+        shared_pool(workers)
     except ValueError as error:
         print(f"workload: {error}", file=sys.stderr)
         raise SystemExit(2) from None
     budget = _budget_from_flags(deadline_ms, cost_ceiling)
     repeat = max(1, repeat)
-    service = _demo_service(settings=settings)
+    service = _demo_service(workers)
     sql = DEMO_SQL
     lines = [f"query: {sql}", ""]
     for user in ("U", "Y", "X"):
@@ -338,7 +331,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"uniform-visibility penalty: {penalty:.2f}x")
     elif arguments.command == "workload":
         print(run_workload(arguments.repeat, arguments.workers,
-                           arguments.join_strategy,
                            arguments.deadline_ms, arguments.cost_ceiling))
     elif arguments.command == "metrics":
         print(run_metrics(arguments.tenants, arguments.repeat,

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.exceptions import ProfileError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.core.authorization import PolicyDelta, SubjectView
+    from repro.core.authorization import SubjectView
     from repro.core.equivalence import EquivalenceClasses
     from repro.core.profile import RelationProfile
 
@@ -253,8 +253,7 @@ class AttributeUniverse:
     ['C', 'S']
     """
 
-    __slots__ = ("_bits", "_names", "_profiles", "_views", "_equivalences",
-                 "_deltas")
+    __slots__ = ("_bits", "_names", "_profiles", "_views", "_equivalences")
 
     def __init__(self, attributes: Iterable[str] = ()) -> None:
         self._bits: dict[str, int] = {}
@@ -262,7 +261,6 @@ class AttributeUniverse:
         self._profiles: dict["RelationProfile", MaskProfile] = {}
         self._views: dict["SubjectView", MaskView] = {}
         self._equivalences: dict["EquivalenceClasses", tuple[int, ...]] = {}
-        self._deltas: dict[object, int] = {}
         for name in attributes:
             self.bit(name)
 
@@ -333,18 +331,6 @@ class AttributeUniverse:
         if cached is None:
             cached = tuple(sorted(self.mask(c) for c in equivalences))
             self._equivalences[equivalences] = cached
-        return cached
-
-    def delta_mask(self, delta: "PolicyDelta") -> int:
-        """Touched-attribute mask of a policy delta (memoised).
-
-        Deltas are frozen dataclasses, so memoising by the delta object
-        itself is safe; journals are bounded, which bounds this memo.
-        """
-        cached = self._deltas.get(delta)
-        if cached is None:
-            cached = self.mask(delta.touched)
-            self._deltas[delta] = cached
         return cached
 
 

@@ -23,7 +23,7 @@ Key and context
 * the **key** combines the plan's structural fingerprint
   (:meth:`~repro.core.plan.QueryPlan.fingerprint`) and the remaining
   value-like inputs of :func:`~repro.core.assignment.assign` (subjects,
-  user, owners, strategy, scheme capabilities, per-node plaintext
+  user, owners, scheme capabilities, per-node plaintext
   requirements).  The policy version is deliberately *not* part of the
   key any more — versioning lives in the reconcile path;
 * the **context** holds the identity-compared inputs (the policy and
@@ -99,7 +99,6 @@ def assignment_cache_key(
     subject_names: Iterable[str],
     user: str,
     owners: Mapping[str, str] | None,
-    strategy: str,
     capabilities: Hashable,
     requirements: Mapping[PlanNode, frozenset[str]],
 ) -> tuple:
@@ -115,7 +114,6 @@ def assignment_cache_key(
         tuple(sorted(subject_names)),
         user,
         tuple(sorted((owners or {}).items())),
-        strategy,
         capabilities,
         requirements_signature(plan, requirements),
     )

@@ -23,9 +23,8 @@ The hot path is built for batch encryption/decryption of whole columns:
   ``(∏ r_i)^n``, still a valid obfuscator; adequate randomness for this
   simulator, not a hardened RNG — real deployments precompute true
   ``r^n`` offline, which is exactly the cost model's assumption).
-  Each key guards its pool with its own lock, and draining past the
-  low-water mark kicks off a *background* daemon refill — the expensive
-  exponentiations run off every encrypting thread's critical path;
+  Each key guards its pool with its own lock; an empty pool is
+  refilled by the encrypt that finds it empty;
 * **CRT decrypt** — :func:`generate_keypair` retains ``p``/``q``, so
   decryption works mod ``p²`` and ``q²`` and recombines, roughly 3–4×
   cheaper than the ``λ/µ`` formula, which keys rebuilt without their
@@ -53,11 +52,6 @@ FIXED_POINT_SCALE = 10 ** 6
 #: is ``_POOL_SEEDS/_POOL_TARGET`` exponentiations plus ~two multiplies.
 _POOL_SEEDS = 4
 _POOL_TARGET = 128
-
-#: Popping the pool below this many entries starts a background daemon
-#: refill, so encrypts keep draining a warm pool instead of stalling
-#: on a synchronous refill at empty.
-_POOL_LOW_WATER = 32
 
 #: Guards only the *lazy creation* of each key's pool lock.  The pool
 #: itself is protected by the per-key lock (public-key objects are
@@ -127,32 +121,11 @@ class PaillierPublicKey:
             self._extend_pool(seeds, target)
 
     def _next_obfuscator(self) -> int:
-        lock = self._pool_lock
-        start_refill = False
-        with lock:
+        with self._pool_lock:
             pool = self._pool
             if not pool:
-                # Empty pool: refill synchronously — callers need a
-                # value now, whatever a background refill is up to.
                 self._extend_pool(self._pool_seeds(), _POOL_TARGET)
-            value = pool.pop()
-            if (len(pool) < _POOL_LOW_WATER
-                    and not self.__dict__.get("_refilling")):
-                object.__setattr__(self, "_refilling", True)
-                start_refill = True
-        if start_refill:
-            threading.Thread(
-                target=self._background_refill, daemon=True).start()
-        return value
-
-    def _background_refill(self) -> None:
-        """Daemon-thread refill: the pows run outside the pool lock."""
-        try:
-            seeds = self._pool_seeds()
-            with self._pool_lock:
-                self._extend_pool(seeds, _POOL_TARGET)
-        finally:
-            object.__setattr__(self, "_refilling", False)
+            return pool.pop()
 
     @property
     def _pool_lock(self) -> threading.Lock:
@@ -177,9 +150,9 @@ class PaillierPublicKey:
     def _pool_seeds(self) -> list[int]:
         """The ``_POOL_SEEDS`` true ``r^n`` exponentiations of a refill.
 
-        Lock-free: only :func:`os.urandom` and arithmetic on the frozen
-        modulus, so refilling threads pay the expensive pows without
-        blocking concurrent encrypts.
+        Touches no shared state — only :func:`os.urandom` and arithmetic
+        on the frozen modulus — so :meth:`precompute_obfuscators` pays
+        the expensive pows before taking the pool lock.
         """
         n, n2 = self.n, self.n_squared
         return [pow(self._random_unit(), n, n2) for _ in range(_POOL_SEEDS)]

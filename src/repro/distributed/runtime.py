@@ -11,7 +11,8 @@ anything in it, pulls its input fragments from the subjects below, and
 evaluates its own operators locally.  What was opened lives in the run's
 own context and is dropped with it.
 
-Two enforcement layers make violations fail loudly rather than silently:
+Two enforcement layers make violations fail loudly rather than silently,
+on every run — there is no switch that turns them off:
 
 * **model-level** — before producing a relation, a subject re-checks
   Definition 4.1 against the relation's profile;
@@ -146,7 +147,7 @@ from repro.distributed.messages import (
 )
 from repro.engine.executor import Executor, UdfCallable
 from repro.engine.table import Table
-from repro.parallel.pool import ExecutionSettings
+from repro.parallel.pool import shared_pool
 from repro.engine.values import EncryptedAggregate, EncryptedValue
 from repro.exceptions import (
     DispatchError,
@@ -316,29 +317,26 @@ class DistributedRuntime:
         module docstring's failover contract); when False the failure
         surfaces immediately as
         :class:`~repro.exceptions.ProviderUnavailableError`.
-    settings:
-        The data-plane :class:`~repro.parallel.pool.ExecutionSettings`
-        (worker count, join strategy, parallelism threshold).  Every
-        subject's executor is built over the same shared
-        :class:`~repro.parallel.pool.WorkerPool`, so per-subject
+    workers:
+        Data-plane worker processes for the column-crypto kernels.
+        Every subject's executor is built over the same
+        :func:`~repro.parallel.pool.shared_pool`, so per-subject
         fragments and intra-fragment column chunks draw from one bounded
-        set of processes instead of multiplying pools.  Defaults to
-        inline single-core execution (``workers=0``).
+        set of processes instead of multiplying pools.  ``0`` (the
+        default) is inline single-core execution.
     """
 
     def __init__(self, policy: Policy, nodes: Mapping[str, SubjectNode],
-                 user: str, enforce: bool = True,
-                 clock=None, sleeper=None,
+                 user: str, clock=None, sleeper=None,
                  health: HealthRegistry | None = None,
                  fault_injector: FaultInjector | None = None,
                  retry: RetryPolicy | None = None,
                  failover: bool = True,
-                 settings: ExecutionSettings | None = None) -> None:
+                 workers: int = 0) -> None:
         self.policy = policy
-        self.settings = settings or ExecutionSettings()
+        self.pool = shared_pool(workers)
         self.nodes = dict(nodes)
         self.user = user
-        self.enforce = enforce
         self._clock = clock or time.monotonic
         self._sleep = sleeper or time.sleep
         self.health = health or HealthRegistry(clock=self._clock)
@@ -352,7 +350,7 @@ class DistributedRuntime:
         self._subject_locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
         #: dispatch plan → {(fragment id, subject) → Entry}; an entry's
-        #: value is ``(result, keys signature, enforce, input tables)``.
+        #: value is ``(result, keys signature, input tables)``.
         #: Weak-keyed: a plan nobody holds takes its results with it.
         self._fragments: weakref.WeakKeyDictionary[
             DispatchPlan, dict[tuple[str, str], Entry]
@@ -439,14 +437,12 @@ class DistributedRuntime:
 
         # Final delivery to the user: the user must be entitled to the
         # root relation, and to every column representation it contains.
-        if self.enforce:
-            root_view = augment_view(self.policy.view(user),
-                                     context.lineage)
-            self._check_profile(
-                root_view, context.profiles[extended.plan.root],
-                "query result", trace,
-            )
-            self._check_values(root_view, result, trace)
+        root_view = augment_view(self.policy.view(user), context.lineage)
+        self._check_profile(
+            root_view, context.profiles[extended.plan.root],
+            "query result", trace,
+        )
+        self._check_values(root_view, result, trace)
         trace.rows_transferred += len(result)
         # The result may live in (and be served again from) the fragment
         # cache; Table.rows is a public mutable list, so hand the caller
@@ -599,7 +595,7 @@ class DistributedRuntime:
                        view: SubjectView, table: Table) -> None:
         context.trace.messages += 1
         context.trace.rows_transferred += len(table)
-        if self.enforce and not fragment.subject.startswith("authority:"):
+        if not fragment.subject.startswith("authority:"):
             self._check_values(view, table, context.trace)
 
     def _evaluate_fragment(self, context: _RunContext, fragment: SubQuery,
@@ -610,9 +606,9 @@ class DistributedRuntime:
 
         The dispatch plan holds one slot per (fragment, executing
         subject).  The slot hits iff it was filled under the same
-        delivered key material and enforcement flag, from the very same
-        input tables (a recomputed input is a fresh object and therefore
-        a miss), and the entry survives the policy reconcile: disjoint
+        delivered key material, from the very same input tables (a
+        recomputed input is a fresh object and therefore a miss), and
+        the entry survives the policy reconcile: disjoint
         from every ``grant``/``revoke`` since it was stored, an entry is
         rebased and keeps hitting; touched, it dies and the fragment
         re-runs its enforcement checks.
@@ -635,9 +631,8 @@ class DistributedRuntime:
                     del entries[dead]
                 entry = entries.get(slot)
             if entry is not None:
-                result, signature, enforce, stored = entry.value
+                result, signature, stored = entry.value
                 if not (signature == payload.keys_signature
-                        and enforce == self.enforce
                         and len(stored) == len(tables)
                         and all(a is b for a, b in zip(stored, tables))):
                     entry = None
@@ -651,7 +646,7 @@ class DistributedRuntime:
         result = self._execute_with_retries(context, fragment, node,
                                             payload, view, inputs)
         fresh = Entry(
-            (result, payload.keys_signature, self.enforce, tables),
+            (result, payload.keys_signature, tables),
             self.policy, {fragment.subject},
             self._fragment_footprint(fragment.root, context))
         with self._caches_guard:
@@ -729,8 +724,7 @@ class DistributedRuntime:
                 executor = Executor(
                     node.tables, keystore=payload.keystore, udfs=node.udfs,
                     constant_keystore=context.constant_store,
-                    join_strategy=self.settings.join_strategy,
-                    pool=self.settings.pool(),
+                    pool=self.pool,
                 )
                 with token_scope(token):
                     result = self._evaluate(context, fragment,
@@ -921,7 +915,7 @@ class DistributedRuntime:
             for child in node.children
         ]
         result = executor.execute_node(node, children)
-        if self.enforce and not isinstance(node, BaseRelationNode) \
+        if not isinstance(node, BaseRelationNode) \
                 and not fragment.subject.startswith("authority:"):
             self._check_profile(
                 view, context.profiles[node],
@@ -1005,7 +999,7 @@ def build_runtime(policy: Policy, subjects: list[Subject],
                   fault_injector: FaultInjector | None = None,
                   retry: RetryPolicy | None = None,
                   failover: bool = True,
-                  settings: ExecutionSettings | None = None,
+                  workers: int = 0,
                   ) -> DistributedRuntime:
     """Convenience constructor: one node per subject, tables at owners.
 
@@ -1017,7 +1011,7 @@ def build_runtime(policy: Policy, subjects: list[Subject],
     :class:`ValueError` before any node is built (a silently ignored
     name would make its latency vanish instead of failing loudly).
     ``clock``/``sleeper``/``health``/``fault_injector``/``retry``/
-    ``failover``/``settings`` pass through to
+    ``failover``/``workers`` pass through to
     :class:`DistributedRuntime`.
     """
     if isinstance(latency_seconds, Mapping):
@@ -1042,5 +1036,5 @@ def build_runtime(policy: Policy, subjects: list[Subject],
     return DistributedRuntime(
         policy, nodes, user, clock=clock, sleeper=sleeper, health=health,
         fault_injector=fault_injector, retry=retry, failover=failover,
-        settings=settings,
+        workers=workers,
     )

@@ -19,11 +19,8 @@ holds no results: every
 finds (the distributed runtime memoizes whole fragments instead).
 
 With a :class:`~repro.parallel.WorkerPool` attached, the Encrypt/Decrypt
-operators fan column chunks across worker processes, and
-``join_strategy="parallel-hash"`` probes contiguous slices of the probe
-side concurrently against the shared build table
-(:func:`probe_partition` is the exact loop both the sequential path and
-the workers run), preserving the sequential output row order.
+operators (and §5 note 2's selection decrypts) fan column chunks across
+worker processes; everything else runs inline.
 """
 
 from __future__ import annotations
@@ -67,7 +64,7 @@ from repro.engine.values import (
     signature,
 )
 from repro.exceptions import ExecutionError
-from repro.parallel.pool import JOIN_STRATEGIES, WorkerPool
+from repro.parallel.pool import WorkerPool
 
 #: A user-defined function: receives {input attribute: value}, returns one
 #: value (named after the node's output attribute).
@@ -78,11 +75,6 @@ UdfCallable = Callable[[dict[str, object]], object]
 _ResidualCheck = tuple[
     tuple[bool, int], Callable[[object, object], bool], tuple[bool, int]
 ]
-
-#: The picklable form of a residual conjunct: the comparator travels as
-#: its :class:`~repro.core.predicates.ComparisonOp` (closures don't
-#: pickle) and is compiled worker-side, once per join payload.
-_ResidualSpec = tuple[tuple[bool, int], object, tuple[bool, int]]
 
 
 class Executor:
@@ -98,31 +90,20 @@ class Executor:
         and encrypted constants need the covering keys).
     udfs:
         Udf name → callable.
-    join_strategy:
-        ``"hash"`` (default) evaluates every equality conjunct through the
-        hash-partitioned build/probe path and applies residual conjuncts
-        per matched pair; ``"parallel-hash"`` is the same build/probe
-        pass with the probe side partitioned across the worker pool
-        (requires ``pool``; without one, or below the pool's size
-        threshold, it degrades to plain ``"hash"``).
     pool:
         A :class:`~repro.parallel.WorkerPool` for the CPU-bound column
-        kernels (Encrypt/Decrypt) and the ``"parallel-hash"`` probe.
-        ``None`` (the default) keeps every path inline and single-core.
+        kernels (Encrypt/Decrypt).  ``None`` (the default) keeps every
+        path inline and single-core.
     """
 
     def __init__(self, catalog: Mapping[str, Table],
                  keystore: KeyStore | None = None,
                  udfs: Mapping[str, UdfCallable] | None = None,
                  constant_keystore: KeyStore | None = None,
-                 join_strategy: str = "hash",
                  pool: "WorkerPool | None" = None) -> None:
-        if join_strategy not in JOIN_STRATEGIES:
-            raise ExecutionError(f"unknown join strategy {join_strategy!r}")
         self.catalog = dict(catalog)
         self.keystore = keystore
         self.udfs = dict(udfs or {})
-        self.join_strategy = join_strategy
         self.pool = pool
         # Constants in dispatched conditions arrive pre-encrypted by the
         # user (Figure 8); simulate that with a dedicated store.
@@ -196,10 +177,9 @@ class Executor:
         columns = left.columns + right.columns
         equalities, residual = node.partition_condition(left.columns,
                                                         right.columns)
-        specs = _residual_specs(residual, left, right)
-        checks = _compile_specs(specs)
+        checks = _residual_checks(residual, left, right)
         if equalities:
-            rows = self._hash_join(left, right, equalities, checks, specs)
+            rows = self._hash_join(left, right, equalities, checks)
         else:
             # Pure theta-join: no hashable conjunct, fall back to a
             # filtered product (the predicate is still compiled once).
@@ -212,8 +192,7 @@ class Executor:
 
     def _hash_join(self, left: Table, right: Table,
                    equalities: list[tuple[str, str]],
-                   checks: list[_ResidualCheck],
-                   specs: list[_ResidualSpec]) -> list[tuple]:
+                   checks: list[_ResidualCheck]) -> list[tuple]:
         left_positions = left.positions([l for l, _ in equalities])
         right_positions = right.positions([r for _, r in equalities])
         # Build on the smaller operand, probe with the larger one; the
@@ -228,24 +207,27 @@ class Executor:
         else:
             buckets, build_sigs = _build_buckets(right.rows, right_positions)
             probe_rows, probe_positions = left.rows, left_positions
-        pool = self.pool
-        if (self.join_strategy == "parallel-hash" and pool is not None
-                and pool.should_parallelize(len(probe_rows))):
-            # Contiguous probe slices against the shared build side:
-            # concatenating chunk outputs in slice order reproduces the
-            # sequential row order.  The build payload ships once per
-            # chunk (workers memoize rehydration per payload); residuals
-            # travel as specs because compiled closures don't pickle.
-            from repro.parallel import kernels
-
-            payload = kernels.dumps(
-                (buckets, build_sigs, probe_positions, equalities, specs,
-                 build_is_left))
-            return pool.map_chunks(kernels.join_probe_chunk, payload,
-                                   probe_rows)
-        return probe_partition(buckets, build_sigs, probe_rows,
-                               probe_positions, equalities, checks,
-                               build_is_left)
+        keys, probe_sigs = _row_keys(probe_rows, probe_positions)
+        for (l, r), build, probe in zip(equalities, build_sigs, probe_sigs):
+            if build and len(build | probe) > 1:
+                raise ExecutionError(
+                    f"join condition {l}={r} compares incompatible value "
+                    f"representations: {sorted(map(str, build | probe))}"
+                )
+        joined: list[tuple] = []
+        for key, prow in zip(keys, probe_rows):
+            matches = buckets.get(key)
+            if not matches:
+                continue
+            if build_is_left:
+                for brow in matches:
+                    if _residuals_hold(checks, brow, prow):
+                        joined.append(brow + prow)
+            else:
+                for brow in matches:
+                    if _residuals_hold(checks, prow, brow):
+                        joined.append(prow + brow)
+        return joined
 
     # -- grouping and aggregation ---------------------------------------
     def _group_by(self, node: GroupBy, child: Table) -> Table:
@@ -419,76 +401,28 @@ class Executor:
         return child.replace_columns(replacements, name="dec")
 
 
-def _residual_specs(residual: list, left: Table,
-                    right: Table) -> list[_ResidualSpec]:
-    """Residual conjuncts as (selector, op, selector) triples.
+def _residual_checks(residual: list, left: Table,
+                     right: Table) -> list[_ResidualCheck]:
+    """Residual conjuncts compiled to (selector, comparator, selector).
 
     Selectors address the *operand* rows directly, so residuals are
-    tested on matched pairs before the output row is materialized; the
-    op stays symbolic so the spec can cross a process boundary.
+    tested on matched pairs before the output row is materialized.
     """
     left_width = len(left.columns)
     combined = {c: i for i, c in enumerate(left.columns + right.columns)}
-    specs: list[_ResidualSpec] = []
+    checks: list[_ResidualCheck] = []
     for basic in residual:
         assert isinstance(basic, AttributeComparisonPredicate)
         lpos = combined[basic.left]
         rpos = combined[basic.right]
-        specs.append((
+        checks.append((
             (lpos < left_width, lpos if lpos < left_width
              else lpos - left_width),
-            basic.op,
+            compile_comparison(basic.op),
             (rpos < left_width, rpos if rpos < left_width
              else rpos - left_width),
         ))
-    return specs
-
-
-def _compile_specs(specs: list[_ResidualSpec]) -> list[_ResidualCheck]:
-    """Compile residual specs into executable checks."""
-    return [
-        (left_sel, compile_comparison(op), right_sel)
-        for left_sel, op, right_sel in specs
-    ]
-
-
-def probe_partition(buckets: dict[object, list[tuple]],
-                    build_sigs: list[set[object]],
-                    probe_rows: list[tuple],
-                    probe_positions: tuple[int, ...],
-                    equalities: list[tuple[str, str]],
-                    checks: list[_ResidualCheck],
-                    build_is_left: bool) -> list[tuple]:
-    """Probe rows against prebuilt hash buckets (one partition).
-
-    The sequential probe loop of :meth:`Executor._hash_join`, shared
-    verbatim with the ``parallel-hash`` workers: each worker probes one
-    contiguous slice of the probe side, so concatenating partition
-    outputs in slice order reproduces the sequential output exactly —
-    rows, order, and the representation-mix diagnostics (a mixing value
-    raises within whichever partition probes it).
-    """
-    keys, probe_sigs = _row_keys(probe_rows, probe_positions)
-    for (l, r), build, probe in zip(equalities, build_sigs, probe_sigs):
-        if build and len(build | probe) > 1:
-            raise ExecutionError(
-                f"join condition {l}={r} compares incompatible value "
-                f"representations: {sorted(map(str, build | probe))}"
-            )
-    joined: list[tuple] = []
-    for key, prow in zip(keys, probe_rows):
-        matches = buckets.get(key)
-        if not matches:
-            continue
-        if build_is_left:
-            for brow in matches:
-                if _residuals_hold(checks, brow, prow):
-                    joined.append(brow + prow)
-        else:
-            for brow in matches:
-                if _residuals_hold(checks, prow, brow):
-                    joined.append(prow + brow)
-    return joined
+    return checks
 
 
 def _row_keys(rows: list[tuple], positions: tuple[int, ...],

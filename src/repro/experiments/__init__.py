@@ -2,7 +2,6 @@
 
 from repro.experiments.ablation import (
     AblationPoint,
-    assignment_strategy_ablation,
     mix_split_ablation,
     visibility_ablation,
 )
@@ -19,7 +18,7 @@ from repro.experiments.running_example import (
 
 __all__ = [
     "AblationPoint", "EconomicResults", "QueryScenarioCost",
-    "RunningExampleResults", "assignment_strategy_ablation",
+    "RunningExampleResults",
     "mix_split_ablation", "run_economics", "run_query_scenario",
     "run_running_example", "visibility_ablation",
 ]

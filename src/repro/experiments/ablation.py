@@ -5,8 +5,6 @@
   minimizing visibility (encrypt everything at the sources and decrypt
   on demand — the "minimum required view" plan), and the paper's
   candidate-driven middle ground;
-* **assignment strategy** (§7): dynamic programming vs greedy vs
-  exhaustive search;
 * **UAPmix attribute split**: prefix vs alternating halves — the latter
   scatters plaintext across join equivalences and triggers condition 3 of
   Definition 4.1 (uniform visibility), collapsing provider eligibility.
@@ -108,26 +106,6 @@ def visibility_ablation(query_number: int, scenario_obj: Scenario,
     ))
     _ = keys
     return points
-
-
-def assignment_strategy_ablation(query_number: int, scenario_obj: Scenario,
-                                 scale: float = 0.1,
-                                 strategies: tuple[str, ...] = (
-                                     "dp", "greedy"),
-                                 ) -> dict[str, float]:
-    """Total cost per assignment strategy on one query."""
-    schema = build_tpch_schema(scale)
-    prices = PriceList.from_subjects(scenario_obj.subjects)
-    costs: dict[str, float] = {}
-    for strategy in strategies:
-        plan = all_queries()[query_number - 1].plan(schema)
-        outcome = assign(
-            plan, scenario_obj.policy, scenario_obj.subject_names, prices,
-            user=scenario_obj.user, owners=scenario_obj.owners,
-            strategy=strategy,
-        )
-        costs[strategy] = outcome.cost.total_usd
-    return costs
 
 
 def mix_split_ablation(query_numbers: tuple[int, ...],

@@ -120,8 +120,7 @@ class EconomicResults:
 
 
 def run_query_scenario(query_number: int, scenario_obj: Scenario,
-                       scale: float = DEFAULT_SCALE,
-                       strategy: str = "dp") -> AssignmentResult:
+                       scale: float = DEFAULT_SCALE) -> AssignmentResult:
     """Assign one query under one scenario (shared by benches/tests)."""
     schema = build_tpch_schema(scale)
     plan = all_queries()[query_number - 1].plan(schema)
@@ -129,14 +128,12 @@ def run_query_scenario(query_number: int, scenario_obj: Scenario,
     return assign(
         plan, scenario_obj.policy, scenario_obj.subject_names, prices,
         user=scenario_obj.user, owners=scenario_obj.owners,
-        strategy=strategy,
     )
 
 
 def run_economics(scale: float = DEFAULT_SCALE,
                   queries: tuple[int, ...] | None = None,
-                  mix_split: str = "prefix",
-                  strategy: str = "dp") -> EconomicResults:
+                  mix_split: str = "prefix") -> EconomicResults:
     """Regenerate the Figure 9/10 data.
 
     ``queries`` restricts the run (all 22 by default); ``mix_split``
@@ -155,7 +152,6 @@ def run_economics(scale: float = DEFAULT_SCALE,
             outcome = assign(
                 plan, scenario_obj.policy, scenario_obj.subject_names,
                 prices, user=scenario_obj.user, owners=scenario_obj.owners,
-                strategy=strategy,
             )
             results.costs[(number, name)] = QueryScenarioCost(
                 query=number,

@@ -79,6 +79,10 @@ from repro.service import QueryOutcome, QueryService
 _LATENCY_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
                     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 
+#: Query-latency quantile of the tenant's own histogram that stands in
+#: for a run-time prediction when the per-SQL predictor has no signal.
+_SHED_QUANTILE = 0.9
+
 #: Breaker states as gauge values.
 _BREAKER_STATES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 
@@ -175,7 +179,6 @@ class Gateway:
                  clock=time.monotonic,
                  registry: MetricsRegistry | None = None,
                  ledger: Ledger | None = None,
-                 shed_quantile: float = 0.9,
                  shed_safety: float = 1.0) -> None:
         tenants = list(tenants)
         if not tenants:
@@ -183,15 +186,11 @@ class Gateway:
         names = [config.name for config in tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names in {names}")
-        if not 0.0 <= shed_quantile <= 1.0:
-            raise ValueError(
-                f"shed_quantile must be in [0, 1], got {shed_quantile!r}")
         if shed_safety <= 0:
             raise ValueError(
                 f"shed_safety must be positive, got {shed_safety!r}")
         self.service = service
         self.clock = clock
-        self.shed_quantile = shed_quantile
         self.shed_safety = shed_safety
         self.tenants: Mapping[str, TenantConfig] = {
             config.name: config for config in tenants}
@@ -395,7 +394,7 @@ class Gateway:
         """Refuse work the predictor expects to blow its budget.
 
         Deadline: the predicted run time (per-SQL EWMA, else the
-        tenant's ``shed_quantile`` query-latency quantile) is scaled by
+        tenant's p90 query latency, :data:`_SHED_QUANTILE`) is scaled by
         the standing backlog relative to the in-flight window and by
         ``shed_safety``; if that exceeds the token's remaining budget
         the query is shed with a retry-after equal to the queue-wait
@@ -412,7 +411,7 @@ class Gateway:
             run_seconds = self._predictor.predict_seconds(sql)
             if run_seconds is None:
                 quantile = self._query_seconds.labels(tenant).quantile(
-                    self.shed_quantile)
+                    _SHED_QUANTILE)
                 if quantile > 0.0 and quantile != float("inf"):
                     run_seconds = quantile
             if run_seconds is not None:

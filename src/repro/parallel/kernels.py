@@ -10,11 +10,10 @@ reuses the worker's warmed cipher state (deterministic/OPE memos,
 obfuscator pools, HMAC key schedules).
 
 The kernels delegate to the same batch methods the sequential paths
-use (``decrypt_values``, ``encrypt_many``,
-:func:`repro.engine.executor.probe_partition` …), so parallel output is
+use (``decrypt_values``, ``encrypt_many`` …), so parallel output is
 the sequential output, chunk by chunk.  Values cross the process
-boundary in *raw* form — ciphertext integers, token bytes, plain rows —
-and the callers rebuild :class:`~repro.engine.values.EncryptedValue`
+boundary in *raw* form — ciphertext integers, token bytes — and the
+callers rebuild :class:`~repro.engine.values.EncryptedValue`
 wrappers parent-side, keeping transport minimal.
 """
 
@@ -25,14 +24,10 @@ import pickle
 from repro.core.requirements import EncryptionScheme
 
 #: Bound on memoized payloads per worker; a full registry is dropped
-#: wholesale (key material counts are small; join payloads churn).
+#: wholesale (key material counts are small).
 _REGISTRY_MAX = 64
 
 _materials: dict[bytes, object] = {}
-
-#: Pickled-then-compiled join build payloads (buckets, signatures,
-#: compiled residual checks …), keyed by the payload blob.
-_probe_states: dict[bytes, tuple] = {}
 
 
 def dumps(obj: object) -> bytes:
@@ -96,35 +91,3 @@ def column_decrypt_chunk(payload: tuple[bytes, str], tokens: list) -> list:
     blob, scheme_name = payload
     return decrypt_tokens(_rehydrate(blob), EncryptionScheme[scheme_name],
                           tokens)
-
-
-# -- join probing -------------------------------------------------------
-def join_probe_chunk(blob: bytes, rows: list[tuple]) -> list[tuple]:
-    """Probe one contiguous slice of the probe side against the build.
-
-    ``blob`` pickles ``(buckets, build_sigs, probe_positions,
-    equalities, residual_specs, build_is_left)``; residual comparators
-    are compiled once per payload worker-side (closures don't pickle —
-    the spec ships the :class:`~repro.core.predicates.ComparisonOp`).
-    """
-    state = _probe_states.get(blob)
-    if state is None:
-        from repro.engine.expressions import compile_comparison
-
-        (buckets, build_sigs, probe_positions, equalities, specs,
-         build_is_left) = pickle.loads(blob)
-        checks = [
-            (left_sel, compile_comparison(op), right_sel)
-            for left_sel, op, right_sel in specs
-        ]
-        state = (buckets, build_sigs, probe_positions, equalities, checks,
-                 build_is_left)
-        if len(_probe_states) >= _REGISTRY_MAX:
-            _probe_states.clear()
-        _probe_states[blob] = state
-    from repro.engine.executor import probe_partition
-
-    (buckets, build_sigs, probe_positions, equalities, checks,
-     build_is_left) = state
-    return probe_partition(buckets, build_sigs, rows, probe_positions,
-                           equalities, checks, build_is_left)

@@ -1,4 +1,4 @@
-"""The bounded process pool and the knobs that size it.
+"""The bounded process pool, sized by one number: the worker count.
 
 See the package docstring (:mod:`repro.parallel`) for the
 chunking/ordering/fallback contract.  This module deliberately imports
@@ -11,22 +11,26 @@ from __future__ import annotations
 import multiprocessing
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.budget import active_token
 
-#: Join strategies the executor accepts, in preference order.
-JOIN_STRATEGIES = ("hash", "parallel-hash")
-
 #: Below this many items a column runs inline: process transport costs
 #: more than it saves on small inputs (see the package docstring).
-DEFAULT_MIN_PARALLEL_ITEMS = 256
+MIN_PARALLEL_ITEMS = 256
 
 #: Contiguous chunks submitted per worker.  More than one evens out
 #: skew between chunks (a worker that finishes early picks up another)
 #: without shrinking chunks to where per-task overhead dominates.
 _CHUNKS_PER_WORKER = 2
+
+
+def _checked_workers(workers: int) -> int:
+    if (not isinstance(workers, int) or isinstance(workers, bool)
+            or workers < 0):
+        raise ValueError(
+            f"workers must be a non-negative integer, got {workers!r}")
+    return workers
 
 
 class WorkerPool:
@@ -37,9 +41,9 @@ class WorkerPool:
     workers:
         Worker process count.  ``0`` disables the pool entirely:
         :meth:`map_chunks` always runs inline and no process is ever
-        spawned — the single-core reference behaviour.
-    min_parallel_items:
-        Inputs smaller than this run inline even with workers available.
+        spawned — the single-core reference behaviour.  Inputs smaller
+        than :data:`MIN_PARALLEL_ITEMS` run inline even with workers
+        available.
 
     The underlying :class:`~concurrent.futures.ProcessPoolExecutor` is
     created on the first parallel submission (constructing a pool is
@@ -48,20 +52,14 @@ class WorkerPool:
     threads into one pool.
     """
 
-    def __init__(self, workers: int,
-                 min_parallel_items: int = DEFAULT_MIN_PARALLEL_ITEMS,
-                 ) -> None:
-        if workers < 0:
-            raise ValueError(
-                f"workers must be a non-negative integer, got {workers!r}")
-        self.workers = workers
-        self.min_parallel_items = max(1, min_parallel_items)
+    def __init__(self, workers: int) -> None:
+        self.workers = _checked_workers(workers)
         self._executor: ProcessPoolExecutor | None = None
         self._guard = threading.Lock()
 
     def should_parallelize(self, count: int) -> bool:
         """Whether an input of ``count`` items goes to the workers."""
-        return self.workers > 0 and count >= self.min_parallel_items
+        return self.workers > 0 and count >= MIN_PARALLEL_ITEMS
 
     def map_chunks(self, task: Callable[[object, list], list],
                    payload: object, items: Sequence) -> list:
@@ -127,64 +125,26 @@ class WorkerPool:
             executor.shutdown(wait=True, cancel_futures=True)
 
 
-#: One pool per configuration, shared by every settings object that
-#: names it — fragments and intra-fragment chunks draw from the same
-#: bounded worker budget.  Shared pools live for the process; nothing
-#: closes them (worker processes idle between uses).
-_SHARED_POOLS: dict[tuple[int, int], WorkerPool] = {}
+#: One pool per worker count, shared by every runtime that names it —
+#: fragments and intra-fragment chunks draw from the same bounded worker
+#: budget.  Shared pools live for the process; nothing closes them
+#: (worker processes idle between uses).
+_SHARED_POOLS: dict[int, WorkerPool] = {}
 _SHARED_GUARD = threading.Lock()
 
 
-def shared_pool(workers: int,
-                min_parallel_items: int = DEFAULT_MIN_PARALLEL_ITEMS,
-                ) -> WorkerPool | None:
-    """The process-wide :class:`WorkerPool` for this configuration.
+def shared_pool(workers: int) -> WorkerPool | None:
+    """The process-wide :class:`WorkerPool` of ``workers`` processes.
 
     ``workers=0`` returns ``None`` — callers treat a missing pool as
-    "run the sequential path", so zero workers reproduces today's
-    single-core behaviour exactly.
+    "run the sequential path", so zero workers keeps every kernel inline
+    and single-core.  Anything but a non-negative integer raises
+    :class:`ValueError`.
     """
-    if workers <= 0:
+    if _checked_workers(workers) == 0:
         return None
-    key = (workers, min_parallel_items)
     with _SHARED_GUARD:
-        pool = _SHARED_POOLS.get(key)
+        pool = _SHARED_POOLS.get(workers)
         if pool is None:
-            pool = WorkerPool(workers, min_parallel_items)
-            _SHARED_POOLS[key] = pool
+            pool = _SHARED_POOLS[workers] = WorkerPool(workers)
         return pool
-
-
-@dataclass(frozen=True)
-class ExecutionSettings:
-    """The data-plane parallelism knob, wired service → runtime → executor.
-
-    ``workers=0`` (the default) keeps every path inline and
-    single-core; a positive count fans column crypto and
-    ``parallel-hash`` probes across that many worker processes, shared
-    across all fragments via :func:`shared_pool`.
-    """
-
-    workers: int = 0
-    join_strategy: str = "hash"
-    min_parallel_items: int = DEFAULT_MIN_PARALLEL_ITEMS
-
-    def __post_init__(self) -> None:
-        if (not isinstance(self.workers, int)
-                or isinstance(self.workers, bool) or self.workers < 0):
-            raise ValueError(
-                f"workers must be a non-negative integer, "
-                f"got {self.workers!r}")
-        if self.join_strategy not in JOIN_STRATEGIES:
-            raise ValueError(
-                f"unknown join strategy {self.join_strategy!r}; "
-                f"expected one of: {', '.join(JOIN_STRATEGIES)}")
-        if not isinstance(self.min_parallel_items, int) \
-                or self.min_parallel_items < 1:
-            raise ValueError(
-                f"min_parallel_items must be a positive integer, "
-                f"got {self.min_parallel_items!r}")
-
-    def pool(self) -> WorkerPool | None:
-        """The shared pool for these settings (``None`` when inline)."""
-        return shared_pool(self.workers, self.min_parallel_items)

@@ -12,7 +12,7 @@ across queries and drives SQL text through it end to end:
   :class:`~repro.core.plancache.AssignmentCache` memoising full
   assignment results (PR 2), which identity-stable plans short-circuit
   and which policy churn maintains surgically instead of flushing;
-* a cross-query :class:`~repro.core.assignment.EdgeTableCache` sharing
+* a cross-query :class:`~repro.core.edgecost.EdgeTableCache` sharing
   decomposed DP edge tables between distinct queries;
 * the **distributed key material** and **dispatch plan** of each
   assignment, built once and kept on the assignment itself
@@ -25,9 +25,8 @@ across queries and drives SQL text through it end to end:
   reconciles against the policy's delta journal.
 
 Each :class:`QueryOutcome` carries the reconcile activity its query
-observed (assignment and fragment entries kept/evicted, edge-table rows
-kept/patched/evicted), so churn behaviour is visible per request, not
-just in aggregate.
+observed (assignment and fragment entries kept/evicted/flushed), so
+churn behaviour is visible per request, not just in aggregate.
 
 :class:`WorkloadSession` is the per-user view: it fixes the querying
 user, runs SQL, and accumulates the session's cache-hit statistics.
@@ -40,11 +39,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.core.assignment import AssignmentResult, EdgeTableCache, assign
+from repro.core.assignment import AssignmentResult, assign
 from repro.core.authorization import Policy, Subject
 from repro.core.budget import CancellationToken, QueryBudget
 from repro.core.cache import LRU
 from repro.core.dispatch import DispatchPlan, dispatch
+from repro.core.edgecost import EdgeTableCache
 from repro.core.plancache import AssignmentCache
 from repro.core.schema import Schema
 from repro.core.visibility import verify_assignment
@@ -62,7 +62,6 @@ from repro.distributed.runtime import (
 )
 from repro.engine.executor import UdfCallable
 from repro.engine.table import Table
-from repro.parallel.pool import ExecutionSettings
 from repro.exceptions import (
     CostCeilingExceededError,
     DispatchError,
@@ -73,7 +72,8 @@ from repro.exceptions import (
 )
 from repro.sql.planner import plan_query
 
-#: Entries kept in the plan cache and the per-user topology memo.
+#: Entries kept in the plan cache, the assignment cache and the
+#: per-user topology memo.
 _MEMO_LIMIT = 256
 
 #: Most recent outcomes a :class:`WorkloadSession` retains (stats cover
@@ -96,8 +96,8 @@ class QueryOutcome:
     keys_reused: bool
     assignment: AssignmentResult
     #: Reconcile activity this query observed across the delta-aware
-    #: caches (assignment/fragment entries kept, evicted or flushed;
-    #: edge-table rows also patched), as counter increments.  Empty
+    #: caches (assignment/fragment entries kept, evicted or flushed),
+    #: as counter increments.  Empty
     #: when the policy did not change between this query and the
     #: previous one.
     reconcile: dict[str, int] = field(default_factory=dict)
@@ -215,10 +215,9 @@ class QueryService:
     participating subjects, the relation owners, and the authorities'
     stored tables.  Prices default to
     :meth:`~repro.cost.pricing.PriceList.from_subjects`.
-    ``settings`` selects the multicore data plane — worker count, join
-    strategy, and parallelism threshold
-    (:class:`~repro.parallel.pool.ExecutionSettings`) — shared by every
-    provider executor in the runtime.  See
+    ``workers`` sizes the multicore data plane: that many processes,
+    shared by every provider executor in the runtime, run the
+    column-crypto kernels (``0``, the default, keeps them inline).  See
     ``examples/workload_service.py`` for a complete walkthrough and
     ``python -m repro workload`` for a runnable multi-user demo.
     """
@@ -232,14 +231,13 @@ class QueryService:
                  topology: NetworkTopology | None = None,
                  udfs: Mapping[str, UdfCallable] | None = None,
                  rsa_bits: int = DEFAULT_RSA_BITS,
-                 assignment_cache_size: int = 256,
                  latency_seconds: float | Mapping[str, float] = 0.0,
                  clock=None, sleeper=None,
                  health: HealthRegistry | None = None,
                  fault_injector: FaultInjector | None = None,
                  retry: RetryPolicy | None = None,
                  failover: bool = True,
-                 settings: ExecutionSettings | None = None,
+                 workers: int = 0,
                  ) -> None:
         self.schema = schema
         self.policy = policy
@@ -263,10 +261,9 @@ class QueryService:
         #: QueryBudget; shared with the runtime so fake-clock tests see
         #: one consistent notion of time end to end.
         self._clock_fn = clock or time.monotonic
-        self.assignment_cache = AssignmentCache(
-            maxsize=assignment_cache_size)
-        #: Cross-query DP edge tables; receiver rows reconcile against
-        #: the policy's delta journal at the start of each search.
+        self.assignment_cache = AssignmentCache(maxsize=_MEMO_LIMIT)
+        #: Cross-query DP edge tables; a receiver row is rebuilt when
+        #: the subject's view no longer matches the one it was built for.
         self.edge_cache = EdgeTableCache()
         # Per-subject RSA keypairs are generated exactly once, here.
         self.rsa_keys = generate_subject_keys(list(self.subjects),
@@ -277,7 +274,7 @@ class QueryService:
             latency_seconds=latency_seconds,
             clock=clock, sleeper=sleeper, health=health,
             fault_injector=fault_injector, retry=retry,
-            failover=failover, settings=settings,
+            failover=failover, workers=workers,
         )
         #: SQL text → identity-stable plan; see plan_query.
         self._plan_cache = LRU(_MEMO_LIMIT)
@@ -595,12 +592,11 @@ class QueryService:
         neighbour's window — the counters are monotone, so totals stay
         exact even when per-query attribution is approximate.
         """
-        counters: dict[str, int] = {}
-        for prefix, info in (("assignment", self.assignment_cache.info()),
-                             ("edge", self.edge_cache.info())):
-            for key, value in info.items():
-                if key.startswith("reconcile_"):
-                    counters[f"{prefix}_{key[len('reconcile_'):]}"] = value
+        counters = {
+            f"assignment_{key[len('reconcile_'):]}": value
+            for key, value in self.assignment_cache.info().items()
+            if key.startswith("reconcile_")
+        }
         counters.update(self.runtime.reconciler.info("fragment_"))
         return counters
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.assignment import assign
 from repro.core.authorization import Authorization, Policy
+from repro.core.extension import minimally_extend
 from repro.core.lineage import augment_view, derived_lineage
 from repro.core.operators import (
     Aggregate,
@@ -17,48 +18,54 @@ from repro.core.visibility import verify_assignment
 from repro.cost.pricing import PriceList
 from repro.exceptions import NoCandidateError, UnauthorizedError
 
+from oracles.exhaustive_search import exact_cost, exhaustive_search
+
 
 @pytest.fixture()
 def prices(example):
     return PriceList.from_subjects(example.subjects)
 
 
+def search_exhaustively(example, prices, **options):
+    return exhaustive_search(example.plan, example.policy,
+                             example.subject_names, prices, user="U",
+                             owners=example.owners, **options)
+
+
+def assign_example(example, prices):
+    return assign(example.plan, example.policy, example.subject_names,
+                  prices, user="U", owners=example.owners)
+
+
+class CountingExtend:
+    """``minimally_extend``, remembering the assignment of every call."""
+
+    def __init__(self):
+        self.assignments = []
+
+    def __call__(self, plan, policy, assignment, **options):
+        self.assignments.append(dict(assignment))
+        return minimally_extend(plan, policy, assignment, **options)
+
+
 class TestAssign:
     def test_dp_matches_exhaustive(self, example, prices):
-        dp = assign(example.plan, example.policy, example.subject_names,
-                    prices, user="U", owners=example.owners, strategy="dp")
-        exhaustive = assign(example.plan, example.policy,
-                            example.subject_names, prices, user="U",
-                            owners=example.owners, strategy="exhaustive")
-        assert dp.cost.total_usd <= exhaustive.cost.total_usd * 1.02
-
-    def test_dp_beats_or_matches_greedy(self, example, prices):
-        dp = assign(example.plan, example.policy, example.subject_names,
-                    prices, user="U", owners=example.owners, strategy="dp")
-        greedy = assign(example.plan, example.policy,
-                        example.subject_names, prices, user="U",
-                        owners=example.owners, strategy="greedy")
-        assert dp.cost.total_usd <= greedy.cost.total_usd * 1.001
+        dp = assign_example(example, prices)
+        optimum, _ = search_exhaustively(example, prices)
+        assert dp.cost.total_usd <= 1.02 * exact_cost(
+            example.plan, example.policy, optimum, prices, user="U",
+            owners=example.owners)
 
     def test_result_is_verified_authorized(self, example, prices):
-        outcome = assign(example.plan, example.policy,
-                         example.subject_names, prices, user="U",
-                         owners=example.owners)
+        outcome = assign_example(example, prices)
         assert verify_assignment(
             outcome.extended.plan, example.policy,
             outcome.extended.assignment)
 
     def test_assignment_within_candidates(self, example, prices):
-        outcome = assign(example.plan, example.policy,
-                         example.subject_names, prices, user="U",
-                         owners=example.owners)
+        outcome = assign_example(example, prices)
         for node, subject in outcome.assignment.items():
             assert subject in outcome.candidates[node]
-
-    def test_unknown_strategy_rejected(self, example, prices):
-        with pytest.raises(ValueError):
-            assign(example.plan, example.policy, example.subject_names,
-                   prices, user="U", strategy="quantum")
 
     def test_unauthorized_user_rejected(self, example, prices):
         with pytest.raises(UnauthorizedError):
@@ -84,62 +91,144 @@ class TestAssign:
 
         expensive = prices.with_rates(
             "X", ResourceRates(cpu_usd_per_second=1e3))
-        costly = assign(example.plan, example.policy,
-                        example.subject_names, expensive, user="U",
-                        owners=example.owners)
+        costly = assign_example(example, expensive)
         assert not any(s == "X" for s in costly.assignment.values())
 
     def test_assignee_lookup(self, example, prices):
-        outcome = assign(example.plan, example.policy,
-                         example.subject_names, prices, user="U",
-                         owners=example.owners)
+        outcome = assign_example(example, prices)
         assert outcome.assignee(example.having) in \
             outcome.candidates[example.having]
 
     def test_describe_contains_cost(self, example, prices):
-        outcome = assign(example.plan, example.policy,
-                         example.subject_names, prices, user="U",
-                         owners=example.owners)
+        outcome = assign_example(example, prices)
         assert "total=$" in outcome.describe()
 
 
+class TestPortfolioExtendsEachDistinctProposalOnce:
+    """Three DP passes, but the exact pipeline (extension → schemes →
+    keys → cost) runs once per *distinct* proposal — and the winner, its
+    cost and the standbys are what extending all three would give."""
+
+    @staticmethod
+    def cell(scenario_name, query_number):
+        from repro.tpch.queries import query_plan
+        from repro.tpch.scenarios import scenario
+        from repro.tpch.schema import build_tpch_schema
+
+        schema = build_tpch_schema()
+        bundle = scenario(scenario_name, schema)
+        prices = PriceList.from_subjects(bundle.subjects)
+        return (lambda: assign(
+            query_plan(query_number, schema), bundle.policy,
+            bundle.subject_names, prices, user=bundle.user,
+            owners=bundle.owners))
+
+    @staticmethod
+    def proposals_of(run, monkeypatch):
+        """(result, the assignment of every ``minimally_extend`` call)."""
+        import repro.core.assignment as assignment_module
+
+        counting = CountingExtend()
+        monkeypatch.setattr(assignment_module, "minimally_extend", counting)
+        return run(), counting.assignments
+
+    @staticmethod
+    def extend_all_three(run):
+        """``run()`` with the dedup defeated: every pass is extended."""
+        from repro.core.search import _AssignmentSearch
+
+        class Proposal(dict):
+            """Equal only to itself, so no pass repeats another."""
+            __eq__ = object.__eq__
+            __hash__ = None
+
+        search = _AssignmentSearch.dynamic_programming
+
+        def never_equal(self, restrict_to=None):
+            return Proposal(search(self, restrict_to=restrict_to))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_AssignmentSearch, "dynamic_programming",
+                          never_equal)
+            return run()
+
+    @staticmethod
+    def names(result):
+        return {node.label(): s for node, s in result.assignment.items()}
+
+    def test_one_distinct_proposal_is_extended_once(self, monkeypatch):
+        # Under UA nobody needs encryption, the three passes agree.
+        result, extended = self.proposals_of(self.cell("UA", 3),
+                                             monkeypatch)
+        assert len(extended) == 1
+        assert result.portfolio == ()
+
+    def test_three_distinct_proposals_are_extended_three_times(
+            self, monkeypatch):
+        result, extended = self.proposals_of(self.cell("UAPenc", 3),
+                                             monkeypatch)
+        assert len(extended) == 3
+        assert len(result.portfolio) == 2
+
+    @pytest.mark.parametrize("scenario_name, query_number", [
+        ("UA", 3), ("UAPenc", 1), ("UAPenc", 3), ("UAPenc", 21),
+        ("UAPmix", 5),
+    ])
+    def test_same_winner_and_standbys_as_extending_every_pass(
+            self, scenario_name, query_number):
+        run = self.cell(scenario_name, query_number)
+        deduplicated, every_pass = run(), self.extend_all_three(run)
+        assert len(every_pass.portfolio) == 2
+        assert self.names(deduplicated) == self.names(every_pass)
+        assert deduplicated.cost.total_usd == every_pass.cost.total_usd
+        # Extending all three repeats some proposals; the standbys are
+        # the distinct losers, cheapest first, first occurrence kept.
+        distinct = []
+        for standby in every_pass.portfolio:
+            if self.names(standby) != self.names(every_pass) \
+                    and self.names(standby) not in map(self.names, distinct):
+                distinct.append(standby)
+        assert [self.names(s) for s in deduplicated.portfolio] \
+            == [self.names(s) for s in distinct]
+        assert [s.cost.total_usd for s in deduplicated.portfolio] \
+            == [s.cost.total_usd for s in distinct]
+
+
 class TestExhaustive:
+    """The oracle's own accounting (``tests/oracles/exhaustive_search``)."""
+
     def test_stats_account_for_every_combination(self, example, prices):
-        outcome = assign(example.plan, example.policy,
-                         example.subject_names, prices, user="U",
-                         owners=example.owners, strategy="exhaustive")
-        stats = outcome.search_stats
-        assert stats is not None
+        _, stats = search_exhaustively(example, prices)
         assert stats["combinations"] > 0
         # Every combination is evaluated, pruned, or skipped-unauthorized.
         assert (stats["evaluated"] + stats["pruned"]
                 + stats["skipped_unauthorized"]) == stats["combinations"]
 
     def test_pruning_preserves_the_optimum(self, example, prices):
-        # The pruned search must still find the same minimum cost the DP
-        # portfolio approximates from above.
-        exhaustive = assign(example.plan, example.policy,
-                            example.subject_names, prices, user="U",
-                            owners=example.owners, strategy="exhaustive")
-        dp = assign(example.plan, example.policy, example.subject_names,
-                    prices, user="U", owners=example.owners, strategy="dp")
-        assert exhaustive.cost.total_usd <= dp.cost.total_usd * 1.0001
+        # Pruned ≡ unpruned: the lower bound may only skip combinations
+        # that cannot win — and the DP portfolio approximates that same
+        # minimum from above.
+        pruned, _ = search_exhaustively(example, prices)
+        unpruned, stats = search_exhaustively(example, prices, prune=False)
+        assert stats["pruned"] == 0
+        assert stats["evaluated"] == stats["combinations"]
+        assert pruned == unpruned
+        optimum = exact_cost(example.plan, example.policy, pruned, prices,
+                             user="U", owners=example.owners)
+        dp = assign_example(example, prices)
+        assert optimum <= dp.cost.total_usd * 1.0001
 
     def test_pruning_actually_prunes(self, example, prices):
         # With user-rate 10× and authority-rate 3× subjects in the
         # domains, the CPU lower bound must cut at least some subtrees.
-        outcome = assign(example.plan, example.policy,
-                         example.subject_names, prices, user="U",
-                         owners=example.owners, strategy="exhaustive")
-        assert outcome.search_stats["pruned"] > 0
+        _, stats = search_exhaustively(example, prices)
+        assert stats["pruned"] > 0
 
     def test_candidate_combinations_never_skip(self, example, prices):
         # Theorem 5.2(ii): every λ ∈ Λ extends successfully, so the
         # unauthorized-skip counter stays zero for in-Λ enumeration.
-        outcome = assign(example.plan, example.policy,
-                         example.subject_names, prices, user="U",
-                         owners=example.owners, strategy="exhaustive")
-        assert outcome.search_stats["skipped_unauthorized"] == 0
+        _, stats = search_exhaustively(example, prices, prune=False)
+        assert stats["skipped_unauthorized"] == 0
 
     def test_unauthorized_skips_are_counted_and_reported(
             self, example, prices, monkeypatch):
@@ -148,27 +237,19 @@ class TestExhaustive:
         # tally in the error.
         import re
 
-        import repro.core.assignment as assignment_module
+        import oracles.exhaustive_search as oracle_module
 
         def always_unauthorized(*args, **kwargs):
             raise UnauthorizedError("forced by the test")
 
-        monkeypatch.setattr(assignment_module, "minimally_extend",
+        monkeypatch.setattr(oracle_module, "minimally_extend",
                             always_unauthorized)
         with pytest.raises(NoCandidateError) as excinfo:
-            assign(example.plan, example.policy, example.subject_names,
-                   prices, user="U", owners=example.owners,
-                   strategy="exhaustive")
+            search_exhaustively(example, prices)
         match = re.search(r"\((\d+) combinations skipped as unauthorized",
                           str(excinfo.value))
         assert match is not None
         assert int(match.group(1)) > 0
-
-    def test_dp_results_have_no_stats(self, example, prices):
-        outcome = assign(example.plan, example.policy,
-                         example.subject_names, prices, user="U",
-                         owners=example.owners)
-        assert outcome.search_stats is None
 
 
 class TestLineage:

@@ -152,16 +152,6 @@ class TestAssignmentCache:
                         owners=example.owners, cache=cache)
         assert second is not first
 
-    def test_different_strategy_misses(self, example, prices):
-        cache = AssignmentCache()
-        assign(example.plan, example.policy, example.subject_names, prices,
-               user="U", owners=example.owners, cache=cache)
-        assign(example.plan, example.policy, example.subject_names, prices,
-               user="U", owners=example.owners, cache=cache,
-               strategy="greedy")
-        assert cache.info()["hits"] == 0
-        assert cache.info()["size"] == 2
-
     def test_lru_eviction(self):
         cache = AssignmentCache(maxsize=2)
         cache.put(("a",), (), 1)

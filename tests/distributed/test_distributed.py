@@ -70,7 +70,7 @@ class TestMessages:
 
 
 class TestRuntime:
-    def run_7a(self, example, example_tables, enforce=True):
+    def run_7a(self, example, example_tables):
         extended = minimally_extend(
             example.plan, example.policy, example.assignment_7a(),
             owners=example.owners,
@@ -83,7 +83,6 @@ class TestRuntime:
              "I": {"Ins": example_tables["Ins"]}},
             user="U",
         )
-        runtime.enforce = enforce
         return runtime.run(plan, extended, keys,
                            DistributedKeys.from_assignment(keys))
 

@@ -128,10 +128,6 @@ class TestHashJoinEquivalence:
         hashed, reference = both_strategies(catalog, node)
         assert hashed.same_content(reference)
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ExecutionError):
-            Executor({}, join_strategy="sort-merge")
-
     def test_incomparable_key_representations_raise_in_both_strategies(self):
         # Ciphertexts under different keys (or plaintext vs ciphertext)
         # can never hash-match; the reference strategy raises, so the
@@ -219,12 +215,6 @@ class TestSubtreeCache:
         executor.keystore = None
         with pytest.raises(ExecutionError):
             executor.execute(selection)
-        node = join_node(
-            AttributeComparisonPredicate("a", ComparisonOp.EQ, "k"))
-        executor = Executor(random_catalog())
-        hashed = executor.execute(node)
-        executor.join_strategy = "parallel-hash"
-        assert executor.execute(node).same_content(hashed)
 
     def test_keystore_inplace_add_invalidates_cache(self):
         from repro.crypto.keymanager import KeyStore

@@ -1,55 +1,38 @@
-"""The ISSUE-7 multicore data plane: pool mechanics, parallel ≡
-sequential pins for column crypto and joins, background obfuscator
-refill, and the CLI knob.
+"""The multicore data plane: pool mechanics, parallel ≡ sequential pins
+for column crypto, the obfuscator pool's per-process state, and the
+``workers`` knob from the CLI and the service down to the executor.
 
 Worker tasks must be importable in spawn children, so every process
 test goes through the :mod:`repro.parallel.kernels` functions — never a
 function defined in this module.  One two-worker pool is shared across
 the module (spawning processes is the slow part)."""
 
+import inspect
 import pickle
 import random
 import threading
-import time
 
 import pytest
 
 from repro.cli import run_workload
 from repro.core.keys import QueryKey
-from repro.core.operators import BaseRelationNode, Join
-from repro.core.predicates import (
-    AttributeComparisonPredicate,
-    ComparisonOp,
-    Conjunction,
-)
 from repro.core.requirements import EncryptionScheme
-from repro.core.schema import Relation
 from repro.crypto import primitives
 from repro.crypto.keymanager import KeyMaterial
-from repro.crypto.paillier import (
-    _POOL_LOW_WATER,
-    _POOL_TARGET,
-    generate_keypair,
-)
-from repro.engine import Executor, Table
+from repro.crypto.paillier import generate_keypair
 from repro.engine.codec import decrypt_column, encrypt_column
 from repro.engine.values import EncryptedValue
 from repro.exceptions import CryptoError, ExecutionError
-from repro.parallel import (
-    ExecutionSettings,
-    WorkerPool,
-    shared_pool,
-)
-from repro.parallel import kernels
-
-from oracles.nested_loop import nested_loop_join
+from repro.parallel import WorkerPool, shared_pool
+from repro.parallel.pool import MIN_PARALLEL_ITEMS
+from repro.service import QueryService
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
 
 @pytest.fixture(scope="module")
 def pool():
-    pool = WorkerPool(2, min_parallel_items=1)
+    pool = WorkerPool(2)
     yield pool
     pool.close()
 
@@ -69,34 +52,24 @@ def material_for(scheme, paillier_keys):
 
 
 class TestExecutionSettings:
+    """The data plane has one setting left, ``workers``; the shared pool
+    it names validates it."""
+
     def test_defaults_are_inline_single_core(self):
-        settings = ExecutionSettings()
-        assert settings.workers == 0
-        assert settings.join_strategy == "hash"
-        assert settings.pool() is None
+        default = inspect.signature(QueryService).parameters["workers"]
+        assert default.default == 0
+        assert shared_pool(0) is None
 
     @pytest.mark.parametrize("workers", [-1, -100, 1.5, True, "4"])
     def test_bad_workers_rejected(self, workers):
         with pytest.raises(ValueError, match="workers must be"):
-            ExecutionSettings(workers=workers)
-
-    def test_unknown_join_strategy_lists_valid_ones(self):
-        with pytest.raises(ValueError, match="parallel-hash"):
-            ExecutionSettings(join_strategy="sort-merge")
-
-    @pytest.mark.parametrize("threshold", [0, -5, "many"])
-    def test_bad_threshold_rejected(self, threshold):
-        with pytest.raises(ValueError, match="min_parallel_items"):
-            ExecutionSettings(min_parallel_items=threshold)
+            shared_pool(workers)
 
     def test_shared_pool_is_per_configuration(self):
-        a = ExecutionSettings(workers=3, min_parallel_items=512)
-        b = ExecutionSettings(workers=3, min_parallel_items=512,
-                              join_strategy="parallel-hash")
-        c = ExecutionSettings(workers=3, min_parallel_items=1024)
-        assert a.pool() is b.pool()
-        assert a.pool() is not c.pool()
-        assert shared_pool(0) is None
+        assert shared_pool(3) is shared_pool(3)
+        assert shared_pool(3) is not shared_pool(5)
+        assert shared_pool(3).workers == 3
+        assert shared_pool(3)._executor is None  # nothing spawned yet
 
 
 class TestWorkerPool:
@@ -105,7 +78,7 @@ class TestWorkerPool:
             WorkerPool(-1)
 
     def test_zero_workers_always_runs_inline(self):
-        inline = WorkerPool(0, min_parallel_items=1)
+        inline = WorkerPool(0)
         assert not inline.should_parallelize(10 ** 9)
         # Inline fallback never pickles, so a local closure is fine here.
         calls = []
@@ -119,9 +92,9 @@ class TestWorkerPool:
         assert inline._executor is None  # no process was ever spawned
 
     def test_small_inputs_run_inline_even_with_workers(self):
-        pool = WorkerPool(4, min_parallel_items=100)
-        assert not pool.should_parallelize(99)
-        assert pool.should_parallelize(100)
+        pool = WorkerPool(4)
+        assert not pool.should_parallelize(MIN_PARALLEL_ITEMS - 1)
+        assert pool.should_parallelize(MIN_PARALLEL_ITEMS)
         assert pool._executor is None
 
 
@@ -130,11 +103,14 @@ class TestColumnCryptoEquivalence:
                EncryptionScheme.OPE, EncryptionScheme.PAILLIER]
 
     def values_for(self, scheme):
+        """A column long enough that the pool really takes it."""
         rng = random.Random(5)
         if scheme in (EncryptionScheme.PAILLIER, EncryptionScheme.OPE):
-            values = [rng.randrange(10_000) for _ in range(20)]
+            values = [rng.randrange(10_000)
+                      for _ in range(MIN_PARALLEL_ITEMS + 20)]
         else:
-            values = ["alpha", "beta", 7, b"raw", "alpha", -3.5] * 4
+            values = ["alpha", "beta", 7, b"raw", "alpha", -3.5] \
+                * (MIN_PARALLEL_ITEMS // 6 + 4)
         values[3] = None
         values[11] = None
         return values
@@ -145,6 +121,7 @@ class TestColumnCryptoEquivalence:
                                           paillier_keys):
         material = material_for(scheme, paillier_keys)
         values = self.values_for(scheme)
+        assert pool.should_parallelize(len(values) - 2)  # NULLs stay home
         parallel = encrypt_column(material, values, pool=pool)
         sequential = encrypt_column(material, values)
         if scheme in (EncryptionScheme.DETERMINISTIC, EncryptionScheme.OPE):
@@ -161,7 +138,8 @@ class TestColumnCryptoEquivalence:
 
     def test_tampered_token_raises_through_pool(self, pool):
         material = material_for(EncryptionScheme.DETERMINISTIC, None)
-        cells = encrypt_column(material, ["x", "y", "z"])
+        cells = encrypt_column(
+            material, [f"v{i}" for i in range(MIN_PARALLEL_ITEMS)])
         token = cells[1].token
         cells[1] = EncryptedValue(
             material.name, EncryptionScheme.DETERMINISTIC,
@@ -182,7 +160,8 @@ class TestColumnCryptoEquivalence:
     def test_paillier_decrypt_many_matches_inline(self, pool,
                                                   paillier_keys):
         public, private = paillier_keys
-        ciphertexts = public.encrypt_many(list(range(-10, 30)))
+        ciphertexts = public.encrypt_many(
+            list(range(-10, MIN_PARALLEL_ITEMS)))
         assert private.decrypt_many(ciphertexts, pool=pool) \
             == private.decrypt_many(ciphertexts)
 
@@ -194,82 +173,7 @@ class TestColumnCryptoEquivalence:
             other_private.decrypt_many(ciphertexts, pool=pool)
 
 
-class TestParallelHashJoin:
-    def catalog(self, rows=400, seed=9):
-        rng = random.Random(seed)
-        return {
-            "L": Table("L", ("a", "x"), [
-                (rng.randrange(20), rng.randrange(50))
-                for _ in range(rows)
-            ]),
-            "R": Table("R", ("b", "y"), [
-                (rng.randrange(20), rng.randrange(50))
-                for _ in range(rows)
-            ]),
-        }
-
-    def node(self, *predicates):
-        left = Relation("L", ["a", "x"], cardinality=100)
-        right = Relation("R", ["b", "y"], cardinality=100)
-        return Join(BaseRelationNode(left), BaseRelationNode(right),
-                    Conjunction(list(predicates)))
-
-    def test_parallel_hash_matches_hash_exactly(self, pool):
-        node = self.node(
-            AttributeComparisonPredicate("a", ComparisonOp.EQ, "b"),
-            AttributeComparisonPredicate("x", ComparisonOp.LT, "y"),
-        )
-        catalog = self.catalog()
-        sequential = Executor(dict(catalog)).execute(node)
-        parallel = Executor(dict(catalog), join_strategy="parallel-hash",
-                            pool=pool).execute(node)
-        nested = nested_loop_join(node, catalog["L"], catalog["R"])
-        assert len(sequential) > 0
-        # Output row order is preserved, not just the multiset.
-        assert list(parallel.rows) == list(sequential.rows)
-        assert parallel.same_content(nested)
-
-    def test_parallel_hash_without_pool_degrades_to_hash(self):
-        node = self.node(
-            AttributeComparisonPredicate("a", ComparisonOp.EQ, "b"))
-        catalog = self.catalog(rows=60)
-        sequential = Executor(dict(catalog)).execute(node)
-        degraded = Executor(dict(catalog),
-                            join_strategy="parallel-hash").execute(node)
-        assert list(degraded.rows) == list(sequential.rows)
-
-    def test_theta_only_join_under_parallel_hash(self, pool):
-        node = self.node(
-            AttributeComparisonPredicate("a", ComparisonOp.LT, "b"))
-        catalog = self.catalog(rows=80)
-        sequential = Executor(dict(catalog)).execute(node)
-        parallel = Executor(dict(catalog), join_strategy="parallel-hash",
-                            pool=pool).execute(node)
-        assert list(parallel.rows) == list(sequential.rows)
-
-    def test_unknown_strategy_still_rejected(self):
-        with pytest.raises(ExecutionError, match="unknown join strategy"):
-            Executor({}, join_strategy="sort-merge")
-
-
 class TestObfuscatorPool:
-    def test_background_refill_below_low_water(self):
-        public, _ = generate_keypair(256)
-        public.precompute_obfuscators()
-        # Drain to exactly the low-water mark: the next pop arms the
-        # background refill daemon.
-        while len(public._obfuscators) > _POOL_LOW_WATER:
-            public._next_obfuscator()
-        public._next_obfuscator()
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            with public._pool_lock:
-                if (len(public._obfuscators) >= _POOL_TARGET
-                        and not public.__dict__.get("_refilling")):
-                    break
-            time.sleep(0.01)
-        assert len(public._obfuscators) >= _POOL_TARGET
-
     def test_locks_are_per_key(self):
         a, _ = generate_keypair(256)
         b, _ = generate_keypair(256)
@@ -293,44 +197,42 @@ class TestWorkloadCli:
         assert excinfo.value.code == 2
         assert "non-negative" in capsys.readouterr().err
 
-    def test_unknown_join_strategy_exits_with_choices(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            run_workload(1, join_strategy="merge")
-        assert excinfo.value.code == 2
-        assert "hash, parallel-hash" in capsys.readouterr().err
-
 
 class TestServiceSettings:
     def test_parallel_settings_reproduce_inline_results(self):
-        from repro.engine.table import Table as EngineTable
+        """``workers`` reaches the executors: with columns long enough
+        for the pool, the service's answer is the inline answer."""
+        from repro.engine.table import Table
         from repro.paper_example import build_running_example
-        from repro.service import QueryService
 
         example = build_running_example()
-        hosp = EngineTable("Hosp", ("S", "B", "D", "T"), [
-            ("s1", 1980, "stroke", "tpa"),
-            ("s2", 1975, "stroke", "tpa"),
-            ("s3", 1990, "flu", "rest"),
+        size = MIN_PARALLEL_ITEMS + 40
+        hosp = Table("Hosp", ("S", "B", "D", "T"), [
+            (f"s{i}", 1950 + i % 40, "stroke" if i % 3 else "flu",
+             ("tpa", "rest", "surgery")[i % 3 - 1])
+            for i in range(size)
         ])
-        ins = EngineTable("Ins", ("C", "P"), [
-            ("s1", 150.0), ("s2", 90.0), ("s3", 200.0),
+        ins = Table("Ins", ("C", "P"), [
+            (f"s{i}", 50.0 + i % 170) for i in range(size)
         ])
         sql = ("select T, avg(P) from Hosp join Ins on S=C "
                "where D='stroke' group by T")
 
-        def run(settings):
+        def run(**options):
             service = QueryService(
                 example.schema, example.policy, example.subjects,
                 example.owners,
                 {"H": {"Hosp": hosp}, "I": {"Ins": ins}},
-                user="U", settings=settings,
+                user="U", **options,
             )
             return service.execute(sql).result
 
-        baseline = run(None)
-        # workers=0 with a parallel strategy must degrade to the exact
-        # single-core rows: no pool exists, every path runs inline.
-        tuned = run(ExecutionSettings(workers=0,
-                                      join_strategy="parallel-hash"))
-        assert list(tuned.rows) == list(baseline.rows)
+        baseline = run()
+        pool = shared_pool(2)
+        try:
+            tuned = run(workers=2)
+            assert pool._executor is not None  # the workers really ran
+        finally:
+            pool.close()
+        assert tuned.sorted_rows() == baseline.sorted_rows()
         assert tuned.columns == baseline.columns

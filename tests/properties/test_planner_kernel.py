@@ -189,7 +189,7 @@ class TestMaskAlgebraMatchesFrozensets:
 class TestEdgeTableMatchesEdgeCost:
     """_EdgeTable.cost ≡ the reference edge_cost, pair by pair."""
 
-    def build_searcher(self, example):
+    def build_searcher(self, example, edge_cache=None):
         from repro.core.candidates import compute_candidates
         from repro.core.requirements import (
             chosen_schemes,
@@ -209,6 +209,7 @@ class TestEdgeTableMatchesEdgeCost:
             schemes=schemes, prices=prices,
             estimator=PlanEstimator(schemes),
             owners=dict(example.owners), user="U",
+            edge_cache=edge_cache,
         ), candidates
 
     def test_every_pair_on_the_running_example(self, example):
@@ -229,6 +230,48 @@ class TestEdgeTableMatchesEdgeCost:
                                               node, receiver),
                                     rel=1e-12, abs=1e-18,
                                 ), (mode, sender, receiver, node.label())
+
+    def test_cached_table_never_serves_a_pre_revoke_receiver_row(
+            self, example):
+        """The identity check in ``_EdgeTable.receiver`` is the only
+        guard between a cross-query table and a policy that moved: the
+        same cached table, looked up after a revoke, must price the
+        receiver under the *new* policy."""
+        from repro.core.edgecost import EdgeTableCache
+
+        edge_cache = EdgeTableCache()
+        node, child = example.join, example.join.children[1]
+        receiver = "Y"
+
+        def lookup():
+            # A fresh search per policy state, as ``assign`` makes one
+            # per call; the table itself comes from the shared cache.
+            searcher, _ = self.build_searcher(example, edge_cache)
+            edge = searcher.edge_table(child, node)
+            return searcher, edge, edge.receiver(receiver)
+
+        searcher, table, before = lookup()
+        sender = searcher.owner_of(child)
+        assert lookup()[2] is before  # policy unchanged: the row is kept
+
+        rule = example.policy.revoke("Ins", receiver)
+        assert rule is not None
+        searcher, same_table, after = lookup()
+        assert same_table is table  # a cache hit, not a rebuilt table
+        assert after is not before and after.identity != before.identity
+        assert same_table.cost(sender, receiver) == pytest.approx(
+            edge_cost(searcher, child, sender, node, receiver),
+            rel=1e-12, abs=1e-18)
+
+        # Re-granting restores the masks; the row is rebuilt again and
+        # prices exactly what it priced before the revoke.
+        example.policy.grant(rule)
+        searcher, _, restored = lookup()
+        assert restored.identity == before.identity
+        assert restored.total_enc_seconds == before.total_enc_seconds
+        assert restored.dec_base_seconds == before.dec_base_seconds
+        assert edge_cache.info()["hits"] == 3
+        assert edge_cache.info()["misses"] == 1
 
 
 def assign_reference(*args, **kwargs):
@@ -300,15 +343,3 @@ class TestFastDpMatchesReference:
                                      scenario.subjects, prices, user="U")
         assert fast.cost.total_usd == pytest.approx(
             reference.cost.total_usd, rel=self.TOLERANCE)
-
-    def test_greedy_and_exhaustive_unaffected(self, example):
-        prices = PriceList.from_subjects(example.subjects)
-        for strategy in ("greedy", "exhaustive"):
-            fast = assign(example.plan, example.policy,
-                          example.subject_names, prices, user="U",
-                          owners=example.owners, strategy=strategy)
-            reference = assign_reference(
-                example.plan, example.policy, example.subject_names,
-                prices, user="U", owners=example.owners, strategy=strategy)
-            assert fast.cost.total_usd == pytest.approx(
-                reference.cost.total_usd, rel=self.TOLERANCE)

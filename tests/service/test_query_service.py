@@ -137,7 +137,7 @@ class TestQueryService:
         service.execute(RUNNING_SQL)
         info = service.cache_info()
         assert info["edge_tables"]["tables"] > 0
-        assert "reconcile_kept" in info["edge_tables"]
+        assert info["edge_tables"]["misses"] > 0
 
     def test_each_user_priced_from_own_seat(self, example,
                                             example_tables, service):
