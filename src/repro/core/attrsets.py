@@ -17,11 +17,11 @@ AND/OR/subset operations:
   :class:`~repro.core.equivalence.EquivalenceClasses`), so equal values
   share one mask representation.
 * :class:`MaskProfile` — a relation profile ``[Rvp, Rve, Rip, Rie, R≃]``
-  with every component an ``int`` bitmask (``R≃`` a tuple of masks).  It
-  mirrors the Figure 2 algebra of ``RelationProfile`` (``project``,
-  ``add_implicit``, ``add_equivalence``, ``combine``, ``encrypt``,
-  ``decrypt``) with identical error behaviour, which the property tests
-  in ``tests/properties/test_planner_kernel.py`` assert.
+  with every component an ``int`` bitmask (``R≃`` a tuple of masks).  Of
+  the Figure 2 algebra it carries the one row the planner applies to
+  masks, ``decrypt``, with the error behaviour of ``RelationProfile``'s
+  (asserted by ``tests/properties/test_planner_kernel.py``); operators
+  and the extension use ``RelationProfile``'s algebra.
 * :class:`MaskView` — a subject's overall view ``P_S`` / ``E_S`` as two
   masks.
 * :func:`relation_authorized` / :func:`assignee_authorized` — the
@@ -34,8 +34,8 @@ Interning scheme
 ----------------
 Bits are allocated first-come-first-served and never reassigned, so a
 mask created early stays valid as the universe grows.  Masks from
-different universes must never be mixed; :class:`MaskProfile` carries its
-universe and asserts this on :meth:`MaskProfile.combine`.  A universe is
+different universes must never be mixed (a :class:`MaskProfile` carries
+its universe and compares unequal across them).  A universe is
 cheap (two dicts); planners create one per planning session (or per
 plan) and throw it away, which also bounds the memoised conversions.
 """
@@ -50,30 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.authorization import SubjectView
     from repro.core.equivalence import EquivalenceClasses
     from repro.core.profile import RelationProfile
-
-
-def merge_class_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    """Closure of a family of class masks into disjoint classes.
-
-    The mask-level counterpart of the ``EquivalenceClasses`` closure:
-    intersecting classes are merged; classes with fewer than two members
-    are dropped (singletons are implicit).  The result is sorted for
-    canonical equality.
-    """
-    classes: list[int] = []
-    for candidate in masks:
-        if not candidate:
-            continue
-        merged = candidate
-        keep: list[int] = []
-        for existing in classes:
-            if existing & merged:
-                merged |= existing
-            else:
-                keep.append(existing)
-        keep.append(merged)
-        classes = keep
-    return tuple(sorted(m for m in classes if m.bit_count() > 1))
 
 
 class MaskView:
@@ -142,59 +118,8 @@ class MaskProfile:
         return self.ve | self.ie
 
     # ------------------------------------------------------------------
-    # Figure 2 algebra, mask-backed
+    # Figure 2 algebra, mask-backed (the one row the planner applies)
     # ------------------------------------------------------------------
-    def project(self, keep: int) -> "MaskProfile":
-        """Fig. 2 projection row: keep only ``keep`` visible."""
-        missing = keep & ~self.visible
-        if missing:
-            raise ProfileError(
-                "projection on attributes not in schema: "
-                f"{sorted(self.universe.names(missing))}"
-            )
-        return MaskProfile(self.universe, self.vp & keep, self.ve & keep,
-                           self.ip, self.ie, self.eq)
-
-    def add_implicit(self, added: int) -> "MaskProfile":
-        """Move ``added`` into the implicit component (by visible form)."""
-        unknown = added & ~self.visible
-        if unknown:
-            raise ProfileError(
-                "cannot mark non-visible attributes implicit: "
-                f"{sorted(self.universe.names(unknown))}"
-            )
-        return MaskProfile(self.universe, self.vp, self.ve,
-                           self.ip | (self.vp & added),
-                           self.ie | (self.ve & added), self.eq)
-
-    def add_equivalence(self, added: int) -> "MaskProfile":
-        """Insert an equivalence class (``R≃ ∪ A``)."""
-        if added.bit_count() < 2:
-            return self
-        return MaskProfile(self.universe, self.vp, self.ve, self.ip,
-                           self.ie, merge_class_masks(self.eq + (added,)))
-
-    def combine(self, other: "MaskProfile") -> "MaskProfile":
-        """Fig. 2 cartesian-product row: componentwise union."""
-        assert self.universe is other.universe, \
-            "cannot combine masks from different universes"
-        eq = self.eq + other.eq
-        return MaskProfile(self.universe, self.vp | other.vp,
-                           self.ve | other.ve, self.ip | other.ip,
-                           self.ie | other.ie,
-                           merge_class_masks(eq) if eq else ())
-
-    def encrypt(self, moved: int) -> "MaskProfile":
-        """Fig. 2 encryption row: visible plaintext → visible encrypted."""
-        missing = moved & ~self.vp
-        if missing:
-            raise ProfileError(
-                "cannot encrypt attributes not visible plaintext: "
-                f"{sorted(self.universe.names(missing))}"
-            )
-        return MaskProfile(self.universe, self.vp & ~moved,
-                           self.ve | moved, self.ip, self.ie, self.eq)
-
     def decrypt(self, moved: int) -> "MaskProfile":
         """Fig. 2 decryption row: visible encrypted → visible plaintext."""
         missing = moved & ~self.ve

@@ -30,10 +30,10 @@ guarantees this is always possible for assignments drawn from Λ.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.core.authorization import Policy
-from repro.core.lineage import Lineage, augment_view, derived_lineage
+from repro.core.lineage import augment_view, derived_lineage
 from repro.core.operators import (
     BaseRelationNode,
     Decrypt,
@@ -46,7 +46,6 @@ from repro.core.operators import (
 from repro.core.plan import NodeMap, QueryPlan
 from repro.core.predicates import AttributeComparisonPredicate
 from repro.core.profile import RelationProfile
-from repro.core.predicates import EncryptedCapability
 from repro.core.requirements import (
     SchemeCapabilities,
     _node_demands,

@@ -202,8 +202,14 @@ def establish_keys(
     authorizations, §6).
     """
     root_profile = extended.plan.root_profile()
+    # A decryption may name the alias of an attribute that was encrypted
+    # below it (``dec[revenue]`` over a Paillier sum of l_extendedprice);
+    # the root profile holds the two as equivalent, so clustering it too
+    # puts the alias under its source's key.
+    decrypted = {attribute for node in extended.decryption_operations()
+                 for attribute in node.attributes}
     clusters = cluster_encrypted_attributes(
-        extended.encrypted_attributes, root_profile.equivalences
+        extended.encrypted_attributes | decrypted, root_profile.equivalences
     )
     if schemes is None:
         schemes = schemes_for_extended_plan(extended, capabilities)

@@ -19,23 +19,24 @@ as unrestricted.
 from __future__ import annotations
 
 from repro.core.authorization import SubjectView
-from repro.core.operators import GroupBy, PlanNode
+from repro.core.operators import GroupBy
 from repro.core.plan import QueryPlan
 
 #: alias name → source attribute name (``None`` for count(*) outputs).
 Lineage = dict[str, str | None]
 
 
-def derived_lineage(plan: QueryPlan | PlanNode) -> Lineage:
+def derived_lineage(plan: QueryPlan) -> Lineage:
     """Collect the alias → source mapping of every derived attribute.
 
     Transitive aliases (an aggregate over a lower aggregate's alias) are
-    resolved down to base attributes.
+    resolved down to base attributes.  Computed once per plan (a plan is
+    immutable) and shared by every caller: read it, never write it.
     """
-    nodes = plan.postorder() if isinstance(plan, QueryPlan) \
-        else _walk(plan)
+    if plan._lineage is not None:
+        return plan._lineage
     lineage: Lineage = {}
-    for node in nodes:
+    for node in plan.postorder():
         if not isinstance(node, GroupBy):
             continue
         for aggregate in node.aggregates:
@@ -54,6 +55,7 @@ def derived_lineage(plan: QueryPlan | PlanNode) -> Lineage:
             seen.add(source)
             source = lineage[source]
         resolved[name] = source
+    plan._lineage = resolved
     return resolved
 
 
@@ -80,11 +82,3 @@ def augment_view(view: SubjectView, lineage: Lineage) -> SubjectView:
         plaintext=frozenset(plaintext),
         encrypted=frozenset(encrypted),
     )
-
-
-def _walk(node: PlanNode):
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        stack.extend(current.children)

@@ -27,7 +27,6 @@ from repro.core.predicates import (
     AttributeComparisonPredicate,
     AttributeValuePredicate,
     ComparisonOp,
-    Conjunction,
     EncryptedCapability,
     Predicate,
 )
@@ -740,7 +739,3 @@ class Decrypt(PlanNode):
 
     def label(self) -> str:
         return f"dec[{','.join(sorted(self.attributes))}]"
-
-
-#: Node classes introduced by plan extension rather than by the query.
-CRYPTO_NODE_TYPES = (Encrypt, Decrypt)

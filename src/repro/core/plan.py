@@ -105,7 +105,7 @@ class QueryPlan:
     """
 
     __slots__ = ("root", "_postorder", "_parents", "_profiles",
-                 "_fingerprint", "_requirements")
+                 "_fingerprint", "_requirements", "_lineage")
 
     def __init__(self, root: PlanNode) -> None:
         self.root = root
@@ -122,6 +122,9 @@ class QueryPlan:
         #: Scheme capabilities → ``Ap`` per operation, filled by
         #: :func:`repro.core.requirements.infer_plaintext_requirements`.
         self._requirements: dict[object, dict] = {}
+        #: Alias → source attribute, filled by
+        #: :func:`repro.core.lineage.derived_lineage`.
+        self._lineage: dict[str, str | None] | None = None
 
     # ------------------------------------------------------------------
     # Traversal

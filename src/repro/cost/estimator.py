@@ -131,11 +131,6 @@ class PlanEstimator:
             estimates[id(node)] = self._estimate_node(node, children)
         return estimates
 
-    def estimate_node(self, node: PlanNode,
-                      children: list[NodeEstimate]) -> NodeEstimate:
-        """Estimate a single node from its children's estimates."""
-        return self._estimate_node(node, children)
-
     # ------------------------------------------------------------------
     # Per-operator rules
     # ------------------------------------------------------------------

@@ -133,10 +133,6 @@ class CostModel:
                 )
         return breakdown
 
-    def estimate_map(self, extended: ExtendedPlan) -> dict[int, NodeEstimate]:
-        """Node-id → estimate for an extended plan (convenience)."""
-        return self.estimator.estimate(extended.plan)
-
 
 def normalized_costs(costs: Mapping[str, CostBreakdown],
                      baseline: str) -> dict[str, float]:

@@ -63,10 +63,10 @@ class ResourceRates:
         )
 
 
-def provider_rates(cpu_usd_per_hour: float = PROVIDER_CPU_USD_PER_HOUR,
-                   ) -> ResourceRates:
+def provider_rates() -> ResourceRates:
     """Baseline rates of an open-market cloud provider."""
-    return ResourceRates(cpu_usd_per_second=cpu_usd_per_hour / 3600.0)
+    return ResourceRates(
+        cpu_usd_per_second=PROVIDER_CPU_USD_PER_HOUR / 3600.0)
 
 
 class PriceList:
@@ -93,7 +93,6 @@ class PriceList:
         providers: Iterable[str],
         authorities: Iterable[str],
         user: str,
-        provider_cpu_usd_per_hour: float = PROVIDER_CPU_USD_PER_HOUR,
         provider_spread: float = 0.25,
     ) -> "PriceList":
         """The §7 configuration.
@@ -104,7 +103,7 @@ class PriceList:
         further provider costs ``1 + k·spread`` times more).  Authorities
         cost 3× and the user 10× the baseline.
         """
-        base = provider_rates(provider_cpu_usd_per_hour)
+        base = provider_rates()
         rates: dict[str, ResourceRates] = {}
         for index, name in enumerate(sorted(providers)):
             rates[name] = base.scaled(1.0 + provider_spread * index)
@@ -115,8 +114,6 @@ class PriceList:
 
     @classmethod
     def from_subjects(cls, subjects: Iterable[Subject],
-                      provider_cpu_usd_per_hour: float =
-                      PROVIDER_CPU_USD_PER_HOUR,
                       provider_spread: float = 0.25) -> "PriceList":
         """Paper defaults derived from typed :class:`Subject` objects."""
         subjects = list(subjects)
@@ -131,7 +128,6 @@ class PriceList:
             )
         return cls.paper_defaults(
             providers, authorities, users[0],
-            provider_cpu_usd_per_hour=provider_cpu_usd_per_hour,
             provider_spread=provider_spread,
         )
 

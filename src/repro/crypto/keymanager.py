@@ -137,13 +137,12 @@ class KeyStore:
             self.add(material)
 
     @classmethod
-    def generate(cls, keys: Iterable[QueryKey],
-                 paillier_bits: int = 512) -> "KeyStore":
+    def generate(cls, keys: Iterable[QueryKey]) -> "KeyStore":
         """Generate fresh material for every query key."""
         store = cls()
         for key in keys:
             if key.scheme is EncryptionScheme.PAILLIER:
-                public, private = generate_keypair(paillier_bits)
+                public, private = generate_keypair()
                 store.add(KeyMaterial(
                     query_key=key,
                     paillier_public=public,
@@ -228,10 +227,9 @@ class DistributedKeys:
     per_subject: dict[str, KeyStore] = field(default_factory=dict)
 
     @classmethod
-    def from_assignment(cls, assignment: KeyAssignment,
-                        paillier_bits: int = 512) -> "DistributedKeys":
+    def from_assignment(cls, assignment: KeyAssignment) -> "DistributedKeys":
         """Generate material and split it according to ``assignment``."""
-        master = KeyStore.generate(assignment.keys, paillier_bits)
+        master = KeyStore.generate(assignment.keys)
         per_subject = {
             subject: master.subset(k.name for k in keys)
             for subject, keys in assignment.distribution.items()

@@ -209,14 +209,6 @@ class PaillierPrivateKey:
         """Recover the (possibly fractional, possibly negative) plaintext."""
         return _decode(self._decrypt_message(ciphertext), self.public.n)
 
-    def decrypt_raw(self, ciphertext: "PaillierCiphertext") -> int:
-        """Recover the raw fixed-point integer (no descaling)."""
-        n = self.public.n
-        message = self._decrypt_message(ciphertext)
-        if message > n // 2:
-            message -= n
-        return message
-
     def decrypt_many(self, ciphertexts: Iterable["PaillierCiphertext"],
                      pool=None) -> list[float | int]:
         """Bulk :meth:`decrypt`: one dispatch per column.

@@ -22,13 +22,12 @@ from repro.distributed.messages import (
     open_envelope,
     seal_envelope,
 )
+from repro.distributed.nodes import SubjectNode, generate_subject_keys
 from repro.distributed.runtime import (
     DistributedRuntime,
     ExecutionTrace,
     FailoverEvent,
-    SubjectNode,
     build_runtime,
-    generate_subject_keys,
 )
 
 __all__ = [

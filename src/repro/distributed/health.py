@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Circuit breaker states.
 CLOSED = "closed"
@@ -47,15 +47,13 @@ HALF_OPEN = "half_open"
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Retry/backoff/deadline parameters for transient fragment faults.
+    """Retry/backoff parameters for transient fragment faults.
 
     ``backoff(attempt)`` grows exponentially from ``base`` by
     ``multiplier`` up to ``cap``, minus a deterministic jitter of at
     most ``jitter_fraction`` of the raw delay (derived by hashing the
     attempt number with the caller's salt — reproducible, yet distinct
     fragments desynchronize instead of retrying in lockstep).
-    ``fragment_deadline_seconds`` bounds the whole retry loop of one
-    fragment; ``None`` disables the deadline.
     """
 
     max_attempts: int = 3
@@ -63,16 +61,15 @@ class RetryPolicy:
     backoff_cap_seconds: float = 1.0
     backoff_multiplier: float = 2.0
     jitter_fraction: float = 0.25
-    fragment_deadline_seconds: float | None = None
 
     def backoff(self, attempt: int, salt: str = "",
                 remaining_seconds: float | None = None) -> float:
         """Delay before retry number ``attempt`` (1-based), in seconds.
 
-        ``remaining_seconds`` clamps the delay to whatever is left of a
-        deadline (fragment or end-to-end query budget), so a backoff
-        sleep can never overshoot it — the runtime then re-checks the
-        deadline after the (possibly truncated) sleep.
+        ``remaining_seconds`` clamps the delay to whatever is left of
+        the end-to-end query budget, so a backoff sleep can never
+        overshoot it — the retry loop then re-checks the budget after
+        the (possibly truncated) sleep.
         """
         raw = min(
             self.backoff_cap_seconds,

@@ -83,10 +83,6 @@ class Table:
         table.rows = rows
         return table
 
-    def empty_like(self) -> "Table":
-        """An empty table with the same shape."""
-        return Table(self.name, self.columns, [])
-
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
@@ -187,11 +183,6 @@ class Table:
             name or self.name, self.columns,
             [row for row in self.rows if keep(row)],
         )
-
-    def map_column(self, column: str,
-                   transform: Callable[[object], object]) -> "Table":
-        """Apply ``transform`` to one column."""
-        return self.map_columns({column: transform})
 
     def map_columns(self, transforms: Mapping[str, Callable[[object], object]],
                     ) -> "Table":

@@ -72,13 +72,6 @@ class EncryptedValue:
         return (EncryptedValue,
                 (self.key_name, self.scheme, self.token, self.recovery))
 
-    def comparable_with(self, other: "EncryptedValue") -> bool:
-        """Whether equality between the two tokens is meaningful."""
-        return (self.key_name == other.key_name
-                and self.scheme == other.scheme
-                and self.scheme in (EncryptionScheme.DETERMINISTIC,
-                                    EncryptionScheme.OPE))
-
     def require_comparable(self, other: "EncryptedValue") -> None:
         """Raise unless the two values share key and a comparable scheme."""
         if self.key_name != other.key_name:

@@ -18,7 +18,6 @@ from repro.core.assignment import assign
 from repro.core.candidates import compute_candidates
 from repro.core.extension import minimally_extend
 from repro.core.keys import establish_keys, schemes_for_extended_plan
-from repro.core.plan import QueryPlan
 from repro.cost.estimator import PlanEstimator
 from repro.cost.model import CostModel
 from repro.cost.network import NetworkTopology

@@ -74,11 +74,6 @@ from repro.gateway.quotas import TenantQuota
 from repro.obs.metrics import DEFAULT_FRACTION_BUCKETS, MetricsRegistry
 from repro.service import QueryOutcome, QueryService
 
-#: Fragment executions are mostly sub-millisecond cache hits; queue
-#: waits under saturation reach seconds.  One bucket ladder covers both.
-_LATENCY_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-                    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
-
 #: Query-latency quantile of the tenant's own histogram that stands in
 #: for a run-time prediction when the per-SQL predictor has no signal.
 _SHED_QUANTILE = 0.9
@@ -253,12 +248,11 @@ class Gateway:
             "Admitted queries currently executing.")
         self._queue_wait = registry.histogram(
             "repro_gateway_queue_wait_seconds",
-            "Admission-to-dispatch wait.", buckets=_LATENCY_BUCKETS,
-            labelnames=("tenant",))
+            "Admission-to-dispatch wait.", labelnames=("tenant",))
         self._query_seconds = registry.histogram(
             "repro_gateway_query_seconds",
             "End-to-end execution time of admitted queries.",
-            buckets=_LATENCY_BUCKETS, labelnames=("tenant",))
+            labelnames=("tenant",))
         self._credits_spent = registry.counter(
             "repro_gateway_credits_spent_usd_total",
             "Metered spend per tenant (sum of costed traces).",
@@ -284,7 +278,7 @@ class Gateway:
         self._fragment_latency = registry.histogram(
             "repro_fragment_latency_seconds",
             "Per-subject fragment execution time (runtime sink).",
-            buckets=_LATENCY_BUCKETS, labelnames=("subject",))
+            labelnames=("subject",))
         self._breaker_state = registry.gauge(
             "repro_breaker_state",
             "Circuit breaker per subject (0 closed, 1 half-open, "

@@ -52,14 +52,10 @@ from repro.cost.network import NetworkTopology
 from repro.cost.pricing import PriceList
 from repro.crypto.keymanager import DistributedKeys
 from repro.crypto.rsa import DEFAULT_RSA_BITS
+from repro.distributed import build_runtime, generate_subject_keys
 from repro.distributed.faults import FaultInjector
 from repro.distributed.health import HealthRegistry, RetryPolicy
-from repro.distributed.runtime import (
-    ExecutionTrace,
-    FailoverEvent,
-    build_runtime,
-    generate_subject_keys,
-)
+from repro.distributed.runtime import ExecutionTrace, FailoverEvent
 from repro.engine.executor import UdfCallable
 from repro.engine.table import Table
 from repro.exceptions import (
@@ -597,7 +593,7 @@ class QueryService:
             for key, value in self.assignment_cache.info().items()
             if key.startswith("reconcile_")
         }
-        counters.update(self.runtime.reconciler.info("fragment_"))
+        counters.update(self.runtime.fragments.reconciler.info("fragment_"))
         return counters
 
     def _topology_for(self, user: str) -> NetworkTopology:

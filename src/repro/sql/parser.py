@@ -49,15 +49,6 @@ _OPERATOR_MAP = {
     ">=": ComparisonOp.GE,
 }
 
-_NEGATED = {
-    ComparisonOp.EQ: ComparisonOp.NEQ,
-    ComparisonOp.NEQ: ComparisonOp.EQ,
-    ComparisonOp.LT: ComparisonOp.GE,
-    ComparisonOp.LE: ComparisonOp.GT,
-    ComparisonOp.GT: ComparisonOp.LE,
-    ComparisonOp.GE: ComparisonOp.LT,
-}
-
 
 def parse_sql(sql: str) -> SelectQuery:
     """Parse one SELECT statement.

@@ -29,7 +29,6 @@ from repro.core.operators import (
     BaseRelationNode,
     GroupBy,
     Join,
-    PlanNode,
     Projection,
     Selection,
     Udf,

@@ -24,7 +24,8 @@ from repro.core.schema import Relation, Schema
 from repro.cost.pricing import PriceList
 from repro.core.assignment import assign
 from repro.crypto.keymanager import DistributedKeys
-from repro.distributed import build_runtime, generate_subject_keys
+from repro.distributed import build_runtime, enforcement, \
+    generate_subject_keys
 from repro.distributed import runtime as runtime_module
 from repro.engine import Executor, Table
 from repro.exceptions import CryptoError, DispatchError, UnauthorizedError
@@ -336,8 +337,9 @@ class TestCrossRunCaches:
         first, _ = run()
 
         def cached_entries():
-            with runtime._caches_guard:
-                return list(runtime._fragments[run.dispatch_plan].values())
+            cache = runtime.fragments
+            with cache._guard:
+                return list(cache._plans[run.dispatch_plan].values())
 
         old_results = {id(entry.value[0]) for entry in cached_entries()}
         # The revoke leaves every other subject's view untouched, so the
@@ -390,13 +392,13 @@ class TestCrossRunCaches:
             self, example, example_tables, monkeypatch):
         runtime, run = pipeline_7a(example, example_tables)
         calls = []
-        original = runtime_module.check_relation
+        original = enforcement.check_relation
 
         def counting(view, profile):
             calls.append(view.subject)
             return original(view, profile)
 
-        monkeypatch.setattr(runtime_module, "check_relation", counting)
+        monkeypatch.setattr(enforcement, "check_relation", counting)
         # Def. 4.1 once per operator a subject evaluates (leaf scans are
         # the subject's own data), plus the delivery to the user.
         expected = 1 + sum(

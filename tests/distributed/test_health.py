@@ -1,4 +1,5 @@
-"""Deterministic unit tests for the circuit breaker and retry policy.
+"""Deterministic unit tests for the circuit breaker, the retry policy
+and the retry loop.
 
 Every test drives :class:`HealthRegistry` with a fake, manually
 advanced clock — no wall-clock sleeps — so the closed → open →
@@ -14,6 +15,9 @@ from repro.distributed.health import (
     HealthRegistry,
     RetryPolicy,
 )
+from repro.distributed.retry import FragmentFailed, run_with_retries
+from repro.distributed.runtime import ExecutionTrace
+from repro.exceptions import TransientProviderError
 
 
 class FakeClock:
@@ -219,3 +223,63 @@ class TestRetryPolicy:
         policy = RetryPolicy(jitter_fraction=0.25)
         delays = {policy.backoff(1, salt=f"frag{i}") for i in range(8)}
         assert len(delays) > 1
+
+
+class TestRunWithRetries:
+    """The retry loop on its own: an attempt is any callable."""
+
+    def run(self, registry, clock, attempt, trace):
+        return run_with_retries(
+            "Y", "reqY", attempt, health=registry,
+            retry=RetryPolicy(max_attempts=3, backoff_base_seconds=0.01,
+                              jitter_fraction=0.0),
+            clock=clock, sleep=clock.advance, token=None, trace=trace,
+            observe=None)
+
+    def test_transient_twice_then_success(self, clock):
+        registry = HealthRegistry(clock, failure_threshold=5)
+        trace = ExecutionTrace()
+        outcomes = [TransientProviderError("slow"),
+                    TransientProviderError("slow"), "done"]
+
+        def attempt():
+            outcome = outcomes.pop(0)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        assert self.run(registry, clock, attempt, trace) == "done"
+        assert (trace.attempts, trace.retries) == (3, 2)
+        assert clock.now == pytest.approx(0.01 + 0.02)  # two backoffs
+        assert registry.subject("Y").consecutive_errors == 0
+
+    def test_exhausted_attempts_fail_the_fragment(self, clock):
+        registry = HealthRegistry(clock, failure_threshold=5)
+        trace = ExecutionTrace()
+
+        def attempt():
+            raise TransientProviderError("slow")
+
+        with pytest.raises(FragmentFailed) as failed:
+            self.run(registry, clock, attempt, trace)
+        assert (failed.value.subject, failed.value.attempts) == ("Y", 3)
+        assert (trace.attempts, trace.retries) == (3, 2)
+
+    def test_other_exceptions_release_the_probe_and_are_not_retried(
+            self, registry, clock):
+        for _ in range(3):
+            registry.record_failure("Y")
+        clock.advance(0.5)  # the next admit is the half-open probe
+        trace = ExecutionTrace()
+        calls = []
+
+        def attempt():
+            calls.append(registry.subject("Y").probes_in_flight)
+            raise ValueError("not the provider's fault")
+
+        with pytest.raises(ValueError):
+            self.run(registry, clock, attempt, trace)
+        assert calls == [1]
+        assert (trace.attempts, trace.retries) == (1, 0)
+        assert registry.state("Y") == HALF_OPEN
+        assert registry.subject("Y").probes_in_flight == 0

@@ -101,89 +101,25 @@ class TestMaskChecksMatchFrozensets:
 
 
 class TestMaskAlgebraMatchesFrozensets:
-    """The Figure 2 algebra on masks ≡ on RelationProfile."""
-
-    def check_op(self, universe, profile, op, mask_op):
-        """Apply both forms; identical results or identical errors."""
-        try:
-            expected = op(profile)
-            failed = None
-        except ProfileError as error:
-            expected = None
-            failed = error
-        masks = profile.masks(universe)
-        if failed is not None:
-            with pytest.raises(ProfileError):
-                mask_op(masks)
-            return
-        assert mask_op(masks).to_profile() == expected
+    """The Figure 2 row the planner applies to masks ≡ on
+    RelationProfile (the other rows exist on ``RelationProfile`` only)."""
 
     def test_unary_operations(self):
+        """``decrypt``: identical results or identical errors."""
         rng = random.Random(42)
         universe = AttributeUniverse()
         for _ in range(300):
             profile = random_profile(rng)
             attrs = frozenset(rng.sample(POOL, rng.randint(0, 4)))
-            mask = universe.mask(attrs)
-            case = rng.randrange(5)
-            if case == 0:
-                if not attrs:
-                    continue  # empty projection is rejected upstream
-                self.check_op(universe, profile,
-                              lambda p: p.project(attrs),
-                              lambda m: m.project(mask))
-            elif case == 1:
-                self.check_op(universe, profile,
-                              lambda p: p.add_implicit(attrs),
-                              lambda m: m.add_implicit(mask))
-            elif case == 2:
-                self.check_op(universe, profile,
-                              lambda p: p.add_equivalence(attrs),
-                              lambda m: m.add_equivalence(mask))
-            elif case == 3:
-                self.check_op(universe, profile,
-                              lambda p: p.encrypt(attrs),
-                              lambda m: m.encrypt(mask))
-            else:
-                self.check_op(universe, profile,
-                              lambda p: p.decrypt(attrs),
-                              lambda m: m.decrypt(mask))
-
-    def test_combine(self):
-        rng = random.Random(99)
-        universe = AttributeUniverse()
-        for _ in range(200):
-            left = random_profile(rng)
-            right = random_profile(rng)
+            masks = profile.masks(universe)
             try:
-                expected = left.combine(right)
+                expected = profile.decrypt(attrs)
             except ProfileError:
-                # overlap of one side's vp with the other's ve: the mask
-                # form must reject it too.
                 with pytest.raises(ProfileError):
-                    left.masks(universe).combine(right.masks(universe))
+                    masks.decrypt(universe.mask(attrs))
                 continue
-            actual = left.masks(universe).combine(right.masks(universe))
-            assert actual.to_profile() == expected
-
-    def test_chained_operations_preserve_equivalences(self):
-        universe = AttributeUniverse()
-        profile = RelationProfile(
-            visible_plaintext=frozenset("ABC"),
-            visible_encrypted=frozenset("D"),
-        )
-        chained = (
-            profile.masks(universe)
-            .add_equivalence(universe.mask("AB"))
-            .add_equivalence(universe.mask("BC"))
-            .encrypt(universe.mask("A"))
-        )
-        expected = (
-            profile.add_equivalence("AB").add_equivalence("BC")
-            .encrypt("A")
-        )
-        assert chained.to_profile() == expected
-        assert len(chained.eq) == 1  # {A,B,C} merged
+            assert masks.decrypt(universe.mask(attrs)).to_profile() \
+                == expected
 
 
 class TestEdgeTableMatchesEdgeCost:

@@ -2,16 +2,23 @@
 
 These are the workhorse integration checks behind Figures 9/10: for all
 22 queries × 3 scenarios, the assignment pipeline must produce a
-verified-authorized extended plan whose keys distribute consistently,
-with scenario costs dominated UA ≥ UAPenc ≥ UAPmix.
+verified-authorized extended plan whose keys distribute consistently
+and which renders into sub-queries, with scenario costs dominated
+UA ≥ UAPenc ≥ UAPmix.
 """
 
 import pytest
 
+from repro.core.dispatch import dispatch
+from repro.core.operators import Decrypt, Encrypt
 from repro.core.visibility import verify_assignment
 from repro.cost.pricing import PriceList
 from repro.core.assignment import assign
-from repro.tpch import all_scenarios, build_tpch_schema, query_plan
+from repro.engine import Executor
+from repro.service import QueryService
+from repro.tpch import TPCH_UDFS, all_scenarios, build_tpch_schema, \
+    generate, query, query_plan
+from repro.tpch.schema import AUTHORITY_TABLES
 
 SCALE = 0.05
 
@@ -44,9 +51,22 @@ def test_pipeline_all_queries_all_scenarios(schema, scenarios, number):
         # ...its assignment is drawn from Λ...
         for node, subject in outcome.assignment.items():
             assert subject in outcome.candidates[node]
-        # ...and every encrypted attribute has an established key.
+        # ...every encrypted attribute has an established key...
         for attribute in outcome.extended.encrypted_attributes:
             assert outcome.keys.key_for(attribute)
+        # ...and the plan renders into sub-queries, each encryption and
+        # decryption (which may name the alias of what was encrypted
+        # below it) holding the key of every attribute it names.
+        assert dispatch(outcome.extended, outcome.keys,
+                        owners=scenario_obj.owners,
+                        user=scenario_obj.user).fragments
+        for node in outcome.extended.plan.postorder():
+            if isinstance(node, (Encrypt, Decrypt)):
+                held = outcome.keys.keys_for_subject(
+                    outcome.extended.assignee(node))
+                for attribute in node.attributes:
+                    assert outcome.keys.key_for(attribute) in held, \
+                        (name, node.label(), attribute)
         costs[name] = outcome.cost.total_usd
     assert costs["UAPenc"] <= costs["UA"] * (1 + 1e-9)
     assert costs["UAPmix"] <= costs["UAPenc"] * (1 + 1e-9)
@@ -80,3 +100,37 @@ def test_uapenc_assignments_use_providers(schema, scenarios, number):
     assert any(
         subject.startswith("P") for subject in outcome.assignment.values()
     )
+
+
+@pytest.fixture(scope="module")
+def executing():
+    """A UAPenc service planning on the benchmark's statistics over the
+    smallest data that returns rows for both Q5 and Q7."""
+    schema = build_tpch_schema(0.1)
+    data = generate(scale=0.002, seed=107)
+    scenario_obj = all_scenarios(schema)["UAPenc"]
+    tables = {authority: {name: data.table(name) for name in names}
+              for authority, names in AUTHORITY_TABLES.items()}
+    service = QueryService(
+        schema, scenario_obj.policy, scenario_obj.subjects,
+        scenario_obj.owners, tables, user=scenario_obj.user,
+        udfs=TPCH_UDFS)
+    return schema, data, service
+
+
+@pytest.mark.parametrize("number", [5, 7])
+def test_decrypted_aggregate_alias_executes(executing, number):
+    """Q5 / Q7 under UAPenc decrypt ``revenue``, the alias of a Paillier
+    sum over ``l_extendedprice``, at the user: the alias needs its
+    source's key there."""
+    schema, data, service = executing
+    outcome = service.execute(query(number).sql)
+    assert any("revenue" in node.attributes
+               for node in outcome.assignment.extended.decryption_operations())
+    plain = Executor(data.catalog(), udfs=TPCH_UDFS).execute(
+        query_plan(number, schema))
+    assert outcome.result.columns == plain.columns
+    assert len(plain) > 0
+    # Paillier sums are fixed-point: equal up to rounding.
+    assert outcome.result.sorted_rows() == [
+        pytest.approx(row) for row in plain.sorted_rows()]
