@@ -4,7 +4,11 @@
 Builds the UAPenc TPC-H service at scale 0.002, swaps the other dataset in
 before every round (as ``cold_exec`` does, so every fragment executes) and
 times each ``Executor.execute_node`` call — the operator's own work, its
-operands are materialized — plus what §5 note 2 decrypts in selections.
+operands are materialized — and counts, per template, the values that go
+through the executor's ``encrypt_column`` (sealed) and ``decrypt_column``
+(opened; those §5 note 2 opens inside a selection apart), averaged over
+the rounds — the two datasets in turn; a round on dataset 107 alone is the
+exact pair ``tests/engine/test_selection_safety_and_cost.py`` guards.
 Read shares over a few rounds: the collector runs where it runs.
 Usage: ``PYTHONPATH=src python scripts/cold_operator_profile.py [ROUNDS]``
 """
@@ -33,9 +37,10 @@ def main(rounds: int = 2) -> None:
     for sql in sqls.values():  # plans, assignments and keys warm
         service.execute(sql)
     cells = defaultdict(lambda: [0, 0, 0.0])  # calls, input rows, seconds
-    note2: Counter = Counter()
+    values: Counter = Counter()  # (template, sealed | opened | note 2)
     running = []  # the template, then the class of every open operator
     raw_node = Executor.execute_node
+    raw_encrypt = executor_module.encrypt_column
     raw_decrypt = executor_module.decrypt_column
 
     def execute_node(self, node, children):
@@ -49,13 +54,19 @@ def main(rounds: int = 2) -> None:
             cell[1] += sum(map(len, children))
             cell[2] += time.perf_counter() - start
 
-    def decrypt_column(material, values, pool=None):
+    def encrypt_column(material, column, pool=None):
+        values[running[0], "sealed"] += len(column)
+        return raw_encrypt(material, column, pool=pool)
+
+    def decrypt_column(material, column, pool=None):
+        values[running[0], "opened"] += len(column)
         if running[-1] == "Selection":
-            note2[running[0]] += len(values)
-        return raw_decrypt(material, values, pool=pool)
+            values[running[0], "note 2"] += len(column)
+        return raw_decrypt(material, column, pool=pool)
 
     # Rebound for the life of the process: this script exits when done.
     Executor.execute_node = execute_node
+    executor_module.encrypt_column = encrypt_column
     executor_module.decrypt_column = decrypt_column
     for index in range(rounds):
         service.refresh_tables(datasets[(index + 1) % 2])
@@ -71,8 +82,14 @@ def main(rounds: int = 2) -> None:
     for operator, seconds in totals.most_common():
         print(f"{'all':9}{operator:34}{1000 * seconds / rounds:10.1f}"
               f"{100 * seconds / sum(totals.values()):6.1f} %")
-    print("note-2 values decrypted in selections per round:",
-          {f"Q{number}": n // rounds for number, n in note2.items()})
+    print("template   values sealed    opened  by note 2  (per round)")
+    for (number, kind), count in list(values.items()):
+        values["all", kind] += count
+    for number in [*sqls, "all"]:
+        sealed, opened, note2 = (values[number, kind] // rounds
+                                 for kind in ("sealed", "opened", "note 2"))
+        print(f"{number if number == 'all' else f'Q{number}':9}"
+              f"{sealed:15}{opened:10}{note2:11}")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ subject needs; the communication layer in :mod:`repro.distributed` seals
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -292,18 +293,17 @@ class _RenderState:
             predicate, operand = node.predicate, node.left
         else:
             predicate, operand = node.condition, None
-        text = str(predicate)
         if operand is not None:
-            profile = self.profiles[operand]
-            encrypted = profile.visible_encrypted
+            encrypted = self.profiles[operand].visible_encrypted
         else:
             encrypted = (self.profiles[node.left].visible_encrypted
                          | self.profiles[node.right].visible_encrypted)
-        for attribute in sorted(predicate.attributes(), key=len,
-                                reverse=True):
-            if attribute in encrypted:
-                text = text.replace(attribute, f"{attribute}^k")
-        return text
+        # Whole identifiers only: ``s_suppkey`` is also a substring of
+        # ``ps_suppkey``.
+        marked = predicate.attributes() & encrypted
+        return re.sub(
+            r"\w+", lambda m: m[0] + ("^k" if m[0] in marked else ""),
+            str(predicate))
 
     def _below_group_by(self, node: PlanNode) -> bool:
         """Whether a selection follows a group-by in this same fragment."""

@@ -121,7 +121,7 @@ from repro.distributed.nodes import (
     generate_subject_keys,  # noqa: F401  (the benchmark imports it here)
 )
 from repro.distributed.retry import FragmentFailed, run_with_retries
-from repro.engine.executor import Executor, UdfCallable
+from repro.engine.executor import Executor, UdfCallable, physical_step
 from repro.engine.table import Table
 from repro.parallel.pool import shared_pool
 from repro.exceptions import (
@@ -643,17 +643,17 @@ class DistributedRuntime:
                   inputs: dict[int, Table], view: SubjectView) -> Table:
         if id(node) in inputs:
             return inputs[id(node)]
-        children = [
+        # One node, or (own Encrypt, σ) — the engine may run that σ first.
+        step = physical_step(node, inputs)
+        result = executor.execute_step(step, [
             self._evaluate(context, fragment, child, executor, inputs, view)
-            for child in node.children
-        ]
-        result = executor.execute_node(node, children)
-        if not isinstance(node, BaseRelationNode) \
-                and not is_exempt(fragment.subject):
-            check_profile(
-                view, context.profiles[node],
-                f"relation at {node.label()}", context.trace,
-            )
+            for child in step[0].children])
+        for checked in step:
+            if not isinstance(checked, BaseRelationNode) \
+                    and not is_exempt(fragment.subject):
+                check_profile(
+                    view, context.profiles[checked],
+                    f"relation at {checked.label()}", context.trace)
         return result
 
     # ------------------------------------------------------------------

@@ -21,6 +21,15 @@ finds (the distributed runtime memoizes whole fragments instead).
 With a :class:`~repro.parallel.WorkerPool` attached, the Encrypt/Decrypt
 operators (and §5 note 2's selection decrypts) fan column chunks across
 worker processes; everything else runs inline.
+
+One physical rule reorders plan nodes, ``σ_p(enc_A(X)) = enc_A(σ_p(X))``
+(:func:`physical_step`, :meth:`Executor.execute_step`): a selection
+directly over an Encrypt (A) of the same evaluator (B) whose operand
+holds every predicate column in plaintext is decided on that operand,
+and only the surviving rows are sealed.  The *plan* keeps the Encrypt
+below: Fig. 2's encrypt row leaves ``Rip`` alone, so the reordered plan
+would carry the attribute implicit-plaintext past Def. 4.1.  ``π∘enc``
+stays: a projection dedupes, and equal rows' RANDOMIZED ciphertexts differ.
 """
 
 from __future__ import annotations
@@ -77,6 +86,17 @@ _ResidualCheck = tuple[
 ]
 
 
+def physical_step(node: PlanNode, received=()) -> tuple[PlanNode, ...]:
+    """The plan nodes evaluated together to produce ``node``, bottom-up:
+    ``(node,)``, or ``(Encrypt, node)`` for a selection directly over an
+    Encrypt of the same evaluator — not one of the tables ``received``
+    (by node ``id``) from another fragment."""
+    if isinstance(node, Selection) and isinstance(node.left, Encrypt) \
+            and id(node.left) not in received:
+        return (node.left, node)
+    return (node,)
+
+
 class Executor:
     """Evaluates plans against a catalog of base tables.
 
@@ -115,8 +135,26 @@ class Executor:
     def execute(self, plan: QueryPlan | PlanNode) -> Table:
         """Evaluate a plan (or subtree) and return the result table."""
         node = plan.root if isinstance(plan, QueryPlan) else plan
-        children = [self.execute(child) for child in node.children]
-        return self.execute_node(node, children)
+        step = physical_step(node)
+        return self.execute_step(
+            step, [self.execute(child) for child in step[0].children])
+
+    def execute_step(self, step: tuple[PlanNode, ...],
+                     children: list[Table]) -> Table:
+        """Evaluate a :func:`physical_step` over its lowest node's
+        operands.  The selection of a pair runs first — same rows, order
+        and representations as plan order — unless a predicate column
+        already holds ciphertext: comparing it needs the Encrypt's
+        tokens, or note 2 on a column this evaluator did not seal."""
+        if len(step) == 2:
+            (source,), attributes = children, step[1].predicate.attributes()
+            if not any({EncryptedValue, EncryptedAggregate}
+                       & set(map(type, source.column_values(a)))
+                       for a in attributes if a in source.columns):
+                step = step[::-1]
+        for node in step:
+            children = [self.execute_node(node, children)]
+        return children[0]
 
     def execute_node(self, node: PlanNode, children: list[Table]) -> Table:
         """Evaluate one operator over already materialized operands."""

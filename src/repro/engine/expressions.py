@@ -25,7 +25,9 @@ once per group:
   key from the evaluating subject's *own* keystore — never the
   encryptor's — every MAC verified before any plaintext is compared,
   and the plaintexts are kept for later conjuncts on the same column.
-  Without the key the selection raises.
+  Without the key the selection raises.  A column the evaluator sealed
+  itself one node below never gets here: the executor filters first, on
+  the plaintext (``executor.physical_step`` and its two preconditions).
 
 Join residuals still compare one matched pair at a time
 (:func:`compile_comparison`).

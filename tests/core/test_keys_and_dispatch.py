@@ -1,8 +1,10 @@
 """Key establishment (Definition 6.1) and sub-query dispatch (Figure 8)."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core.dispatch import dispatch
+from repro.core.dispatch import _RenderState, dispatch
 from repro.core.extension import minimally_extend
 from repro.core.keys import (
     QueryKey,
@@ -10,7 +12,15 @@ from repro.core.keys import (
     establish_keys,
     schemes_for_extended_plan,
 )
+from repro.core.operators import BaseRelationNode, Encrypt, Selection
+from repro.core.plan import QueryPlan
+from repro.core.predicates import (
+    AttributeValuePredicate,
+    ComparisonOp,
+    Conjunction,
+)
 from repro.core.requirements import EncryptionScheme
+from repro.core.schema import Relation
 from repro.exceptions import DispatchError, KeyManagementError
 
 
@@ -149,6 +159,19 @@ class TestDispatch:
         h_text = plan.fragment("reqH").text
         # The condition is formulated on encrypted values (note 2).
         assert "D^k='stroke'" in h_text
+
+    def test_marker_is_placed_on_whole_identifiers(self):
+        """``key`` encrypted and ``okey`` not: only ``key`` is marked."""
+        relation = Relation("R", ["key", "okey"], cardinality=4)
+        selection = Selection(
+            Encrypt(BaseRelationNode(relation), ["key"]),
+            Conjunction([
+                AttributeValuePredicate("okey", ComparisonOp.EQ, 1),
+                AttributeValuePredicate("key", ComparisonOp.EQ, 2)]))
+        state = _RenderState(
+            SimpleNamespace(requests={}), None,
+            SimpleNamespace(plan=QueryPlan(selection)))
+        assert state._render_predicate(selection) == "okey=1 AND key^k=2"
 
     def test_unknown_fragment_raises(self, example):
         plan, _, _ = self.make(example, example.assignment_7a())

@@ -2,9 +2,10 @@
 
 What a selection may read (only surviving rows, every MAC verified,
 only the evaluating subject's own keys for note 2) and how often it may
-decide (once per column and representation group, never per row).
-``tests/properties/test_selection_kernel.py`` holds the equivalence
-with the row closure.
+decide (once per column and representation group, never per row), when
+it may run ahead of the Encrypt below it, and how many values a cold
+round then seals and opens.  ``tests/properties/test_selection_kernel.py``
+holds the equivalence with the row closure.
 """
 
 import pytest
@@ -12,8 +13,9 @@ import pytest
 import repro.engine.codec as codec_module
 import repro.engine.executor as executor_module
 from repro.core.keys import QueryKey
-from repro.core.operators import BaseRelationNode, Selection
+from repro.core.operators import BaseRelationNode, Encrypt, Selection
 from repro.core.predicates import (
+    AttributeComparisonPredicate,
     AttributeValuePredicate,
     ComparisonOp,
     Conjunction,
@@ -23,12 +25,14 @@ from repro.core.schema import Relation
 from repro.crypto.keymanager import KeyStore
 from repro.engine import EncryptedValue, Executor, Table
 from repro.engine.codec import encrypt_column
+from repro.engine.executor import physical_step
 from repro.engine.expressions import ConstantEncryptor
 from repro.exceptions import CryptoError, ExecutionError
 from repro.service import QueryService
 from repro.tpch import (
     AUTHORITY_TABLES,
     TPCH_UDFS,
+    all_queries,
     build_tpch_schema,
     generate,
     query,
@@ -99,58 +103,116 @@ class TestNoteTwoReadsOnlyTheOwnKeystore:
             == [4, 5, 6]
 
 
-class TestSelectionCost:
-    def test_q7_decides_once_per_column_not_once_per_row(self, monkeypatch):
-        """Clock-free guard on TPC-H Q7 under UAPenc: A2 encrypts
-        ``l_shipdate`` (RANDOMIZED) and filters it with two conjuncts —
-        one ``decrypt_column`` call serves both; P1's ``n_name IN (…)``
-        over the DETERMINISTIC column encrypts its constants once."""
-        schema = build_tpch_schema(0.001)
-        data = generate(0.001, seed=107)
-        setting = scenario("UAPenc", schema)
-        service = QueryService(
-            schema, setting.policy, setting.subjects, setting.owners,
-            {authority: {name: data.table(name) for name in names}
-             for authority, names in AUTHORITY_TABLES.items()},
-            user=setting.user, udfs=TPCH_UDFS)
+def uapenc_service(scale):
+    schema = build_tpch_schema(scale)
+    data = generate(scale, seed=107)
+    setting = scenario("UAPenc", schema)
+    return QueryService(
+        schema, setting.policy, setting.subjects, setting.owners,
+        {authority: {name: data.table(name) for name in names}
+         for authority, names in AUTHORITY_TABLES.items()},
+        user=setting.user, udfs=TPCH_UDFS)
+
+
+def count_calls(monkeypatch, calls, owner, name):
+    """Append ``(name, args)`` to ``calls`` whenever ``owner.name`` runs."""
+    function = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((name, args))
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def record_selections(monkeypatch, calls):
+    """(node, operand, the ``calls`` it made) of every ``_select``."""
+    raw_select = Executor._select
+    selections = []
+
+    def recording(self, node, child):
+        before = len(calls)
+        try:
+            return raw_select(self, node, child)
+        finally:
+            selections.append((node, child, calls[before:]))
+
+    monkeypatch.setattr(Executor, "_select", recording)
+    return selections
+
+
+class TestFilterBeforeEncrypt:
+    """``σ[k=d](enc[k](R))``: when the selection may run first
+    (``tests/properties/test_filter_before_encrypt.py`` has the
+    equivalence with plan order)."""
+
+    plan = Selection(Encrypt(BaseRelationNode(R), ["k"]),
+                     AttributeComparisonPredicate("k", ComparisonOp.EQ, "d"))
+
+    def test_only_over_an_encrypt_the_evaluator_runs_itself(self):
+        sealed = self.plan.children[0]
+        assert physical_step(self.plan) == (sealed, self.plan)
+        assert physical_step(sealed) == (sealed,)
+        received = {id(sealed): catalog(store_for(
+            EncryptionScheme.DETERMINISTIC))["R"]}
+        assert physical_step(self.plan, received) == (self.plan,)
+
+    def test_only_on_plaintext_predicate_columns(self, monkeypatch):
+        """``d`` arrived sealed under the key ``k`` is sealed with: the
+        tokens compare after ``enc[k]``; filtering first would have the
+        evaluator open ``d``."""
+        store = KeyStore.generate([QueryKey(
+            frozenset({"k", "d"}), EncryptionScheme.DETERMINISTIC)])
         calls = []
+        count_calls(monkeypatch, calls, executor_module, "decrypt_column")
+        kept = Executor(catalog(store), keystore=store).execute(self.plan)
+        assert len(kept) == 8 and not calls
+        assert all(isinstance(cell, EncryptedValue)
+                   for row in kept.rows for cell in row)
+        plain = {"R": Table("R", ("k", "d"), [(n, n % 2) for n in range(8)])}
+        kept = Executor(plain, keystore=store).execute(self.plan)
+        assert [row[1] for row in kept.rows] == [0, 1] and not calls
 
-        def counted(label, function):
-            def wrapper(*args, **kwargs):
-                calls.append((label, args))
-                return function(*args, **kwargs)
-            return wrapper
 
-        monkeypatch.setattr(executor_module, "decrypt_column", counted(
-            "decrypt_column", executor_module.decrypt_column))
+class TestSelectionCost:
+    def test_one_decrypt_serves_two_conjuncts_on_a_received_column(
+            self, monkeypatch):
+        """``d`` arrived RANDOMIZED-encrypted — there is no Encrypt of
+        this evaluator's to filter ahead of — so §5 note 2 stands: the
+        two conjuncts on ``d`` share one ``decrypt_column`` call, over
+        the rows ``k>=4`` kept."""
+        store = store_for(EncryptionScheme.RANDOMIZED)
+        tables = catalog(store)
+        calls = []
+        count_calls(monkeypatch, calls, executor_module, "decrypt_column")
+        assert [row[0] for row in select(store, tables).rows] == [4, 5, 6]
+        (_, (material, cells)), = calls
+        assert material.query_key.covers("d")
+        assert cells == [row[1] for row in tables["R"].rows[4:]]
+
+    def test_q7_decides_once_per_column_not_once_per_row(self, monkeypatch):
+        """Clock-free guard on TPC-H Q7 under UAPenc: A2 filters
+        ``l_shipdate`` with two conjuncts on the plaintext it holds,
+        *before* it seals the column (RANDOMIZED) — no
+        ``decrypt_column``; P1's ``n_name IN (…)`` over the
+        DETERMINISTIC column it received encrypts its constants once."""
+        service = uapenc_service(0.001)
+        calls = []
+        count_calls(monkeypatch, calls, executor_module, "decrypt_column")
         for name in ("match_constant", "match_tokens"):
-            monkeypatch.setattr(ConstantEncryptor, name, counted(
-                name, getattr(ConstantEncryptor, name)))
-        raw_select = Executor._select
-        selections = []
-
-        def counting_select(self, node, child):
-            before = len(calls)
-            try:
-                return raw_select(self, node, child)
-            finally:
-                selections.append((node, len(child), calls[before:]))
-
-        monkeypatch.setattr(Executor, "_select", counting_select)
+            count_calls(monkeypatch, calls, ConstantEncryptor, name)
+        selections = record_selections(monkeypatch, calls)
         outcome = service.execute(query(7).sql)
 
         assert ("reqA23", "A2") in outcome.trace.fragments_run
-        by_text = {str(node.predicate): (rows, made)
-                   for node, rows, made in selections}
-        rows, made = by_text[
+        by_text = {str(node.predicate): (child, made)
+                   for node, child, made in selections}
+        child, made = by_text[
             "l_shipdate>=1995-01-01 AND l_shipdate<=1996-12-31"]
-        (label, (material, cells)), = made
-        assert label == "decrypt_column"
-        assert material.query_key.covers("l_shipdate")
-        assert len(cells) == rows > 1000
-        assert all(isinstance(cell, EncryptedValue)
-                   and cell.scheme is EncryptionScheme.RANDOMIZED
-                   for cell in cells)
+        assert made == []
+        cells = child.column_values("l_shipdate")
+        assert len(cells) > 1000
+        assert not any(isinstance(cell, EncryptedValue) for cell in cells)
         _, made = by_text["n_name in ('FRANCE', 'GERMANY')"]
         assert [label for label, _ in made] == ["match_tokens"]
         # Every column here holds one representation, so: one constant
@@ -163,3 +225,24 @@ class TestSelectionCost:
                 <= len(node.predicate.attributes())
         # No per-row note-2 entry point is left to call.
         assert not hasattr(codec_module, "try_decrypt")
+
+    def test_cold_round_seals_and_opens_an_exact_number_of_values(
+            self, monkeypatch):
+        """One cold execution of each of the 17 SQL templates (UAPenc,
+        scale 0.002, seed 107).  Before selections ran ahead of their
+        own Encrypt: 122,808 sealed, 32,982 opened, 30,421 of those by
+        a selection re-opening what its subject had just sealed."""
+        service = uapenc_service(0.002)
+        calls = []
+        for name in ("encrypt_column", "decrypt_column"):
+            count_calls(monkeypatch, calls, executor_module, name)
+        selections = record_selections(monkeypatch, calls)
+        templates = [q.sql for q in all_queries() if q.sql is not None]
+        assert len(templates) == 17
+        for sql in templates:
+            service.execute(sql)
+        values = {name: sum(len(args[1]) for label, args in calls
+                            if label == name)
+                  for name in ("encrypt_column", "decrypt_column")}
+        assert values == {"encrypt_column": 96_500, "decrypt_column": 2_561}
+        assert not any(made for _, _, made in selections)

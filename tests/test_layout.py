@@ -165,6 +165,29 @@ def test_selection_decides_per_column_not_by_exception_per_row():
         SRC / "engine" / "expressions.py")
 
 
+def test_one_statement_of_the_filter_before_encrypt_rule():
+    """``physical_step`` (engine) says when a selection may run ahead of
+    the Encrypt below it; the executor's recursion and the runtime's are
+    its only callers, and both hand the step to ``execute_step``."""
+    callers = {}
+    for path in sorted(SRC.rglob("*.py")):
+        source = path.read_text()
+        if "physical_step" not in source:
+            continue
+        for function in ast.walk(ast.parse(source)):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            called = {getattr(call.func, "id", None)
+                      or getattr(call.func, "attr", None)
+                      for call in ast.walk(function)
+                      if isinstance(call, ast.Call)}
+            if "physical_step" in called:
+                callers[function.name] = path.relative_to(SRC).as_posix()
+                assert "execute_step" in called
+    assert callers == {"execute": "engine/executor.py",
+                       "_evaluate": "distributed/runtime.py"}
+
+
 def test_modules_stay_within_their_line_budgets():
     budgets = {**PLANNER_BUDGETS, **RUNTIME_PART_BUDGETS, **SHRINK_ONLY}
     lengths = {

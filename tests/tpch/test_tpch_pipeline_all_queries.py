@@ -7,6 +7,8 @@ and which renders into sub-queries, with scenario costs dominated
 UA ≥ UAPenc ≥ UAPmix.
 """
 
+import re
+
 import pytest
 
 from repro.core.dispatch import dispatch
@@ -70,6 +72,31 @@ def test_pipeline_all_queries_all_scenarios(schema, scenarios, number):
         costs[name] = outcome.cost.total_usd
     assert costs["UAPenc"] <= costs["UA"] * (1 + 1e-9)
     assert costs["UAPmix"] <= costs["UAPenc"] * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("number", [11, 20])
+def test_encryption_marker_sits_once_on_each_encrypted_attribute(
+        schema, scenarios, number):
+    """``s_suppkey`` is a substring of ``ps_suppkey``: P1's join
+    condition under UAPenc read ``ps_suppkey^k^k=s_suppkey^k`` while the
+    marker was placed by substring replacement."""
+    for scenario_obj in scenarios.values():
+        outcome = assign(
+            query_plan(number, schema), scenario_obj.policy,
+            scenario_obj.subject_names,
+            PriceList.from_subjects(scenario_obj.subjects),
+            user=scenario_obj.user, owners=scenario_obj.owners)
+        plan = dispatch(outcome.extended, outcome.keys,
+                        owners=scenario_obj.owners, user=scenario_obj.user)
+        profiles = outcome.extended.plan.profiles()
+        for fragment in plan.fragments.values():
+            assert "^k^k" not in fragment.text
+            inside = list(fragment.nodes) + [
+                plan.fragment(child).root
+                for child in fragment.requests.values()]
+            encrypted = frozenset().union(
+                *(profiles[node].visible_encrypted for node in inside))
+            assert set(re.findall(r"(\w+)\^k", fragment.text)) <= encrypted
 
 
 @pytest.mark.parametrize("number", [3, 9, 18])
