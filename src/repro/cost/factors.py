@@ -3,9 +3,10 @@
 Per-tuple CPU costs follow the usual textbook operator model (hash-based
 join and aggregation, streaming selection/projection); per-value
 encryption costs are calibrated against the *measured* batch-crypto
-kernels of :mod:`repro.crypto` (see ``benchmarks/bench_crypto.py``,
-which emits the measurements as ``BENCH_crypto.json``), in the spirit of
-the "common benchmarks" the paper cites for its four schemes:
+kernels of :mod:`repro.crypto` (the end-to-end benchmark's per-layer
+metrics ``crypto.{det,rnd,ope,paillier_enc,paillier_dec}_us_per_value``,
+``python3 benchmarks/e2e/run.py --trace 1``), in the spirit of the
+"common benchmarks" the paper cites for its four schemes:
 deterministic symmetric encryption is effectively free, randomized and
 pooled Paillier encryption cost single-digit microseconds, OPE somewhat
 more, and Paillier *decryption* dominates everything by two orders of
@@ -38,9 +39,9 @@ NESTED_LOOP_PAIR_SECONDS = 1.0e-7
 
 # ---------------------------------------------------------------------------
 # Per-value encryption/decryption costs, in CPU seconds, recalibrated
-# against the measured batch-crypto kernels (``benchmarks/bench_crypto.py``
-# emits the numbers as BENCH_crypto.json; the *ratios* between schemes
-# are what drives the assignment search):
+# against the measured batch-crypto kernels (the e2e per-layer metrics
+# ``crypto.*_us_per_value`` are where to read them; the *ratios*
+# between schemes are what drives the assignment search):
 #
 # * deterministic is near-free — derive-once subkeys plus the
 #   equality-aware memo amortize the PRF walk over repeated column

@@ -11,10 +11,11 @@ Everything on the encrypted-execution hot path is built as columnar
 batch kernels: ciphers derive their subkeys once and expose
 ``encrypt_many``/``decrypt_many``, deterministic/OPE encryption is
 equality-aware memoized, and Paillier uses the binomial ``g = n + 1``
-shortcut, a precomputed ``r^n`` obfuscator pool, and CRT decryption
-(with bit-identical ``*_reference`` paths kept alongside).  See
-``benchmarks/bench_crypto.py`` for the measured fast-vs-seed ratios
-that calibrate ``repro.cost.factors``.
+shortcut, a precomputed ``r^n`` obfuscator pool, and CRT decryption.
+The per-value costs that calibrate ``repro.cost.factors`` are the
+end-to-end benchmark's per-layer metrics
+``crypto.{det,rnd,ope,paillier_enc,paillier_dec}_us_per_value``
+(``python3 benchmarks/e2e/run.py --trace 1``).
 """
 
 from repro.crypto.keymanager import DistributedKeys, KeyMaterial, KeyStore

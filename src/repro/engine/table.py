@@ -166,11 +166,6 @@ class Table:
         return Table._from_trusted(name or self.name, tuple(columns),
                                    projected)
 
-    def filter(self, keep: Callable[[tuple[object, ...]], bool],
-               name: str | None = None) -> "Table":
-        """Rows satisfying ``keep``."""
-        return self.bulk_filter(keep, name=name)
-
     def bulk_filter(self, keep: Callable[[tuple[object, ...]], bool],
                     name: str | None = None) -> "Table":
         """Batch filter with a row predicate.

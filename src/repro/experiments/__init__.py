@@ -9,7 +9,6 @@ from repro.experiments.economics import (
     EconomicResults,
     QueryScenarioCost,
     run_economics,
-    run_query_scenario,
 )
 from repro.experiments.running_example import (
     RunningExampleResults,
@@ -19,6 +18,6 @@ from repro.experiments.running_example import (
 __all__ = [
     "AblationPoint", "EconomicResults", "QueryScenarioCost",
     "RunningExampleResults",
-    "mix_split_ablation", "run_economics", "run_query_scenario",
-    "run_running_example", "visibility_ablation",
+    "mix_split_ablation", "run_economics", "run_running_example",
+    "visibility_ablation",
 ]

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.assignment import AssignmentResult, assign
+from repro.core.assignment import assign
 from repro.cost.pricing import PriceList
 from repro.exceptions import ReproError
 from repro.tpch.queries import all_queries
-from repro.tpch.scenarios import SCENARIOS, Scenario, all_scenarios
+from repro.tpch.scenarios import SCENARIOS, all_scenarios
 from repro.tpch.schema import build_tpch_schema
 
-#: Scale factor used by the benchmarks (estimates only; no data needed).
+#: The paper-scale default of ``fig9`` / ``fig10`` (estimates only; no
+#: data is generated).
 DEFAULT_SCALE = 0.1
 
 
@@ -117,18 +118,6 @@ class EconomicResults:
             f"(paper: 71.3%)"
         )
         return "\n".join(lines)
-
-
-def run_query_scenario(query_number: int, scenario_obj: Scenario,
-                       scale: float = DEFAULT_SCALE) -> AssignmentResult:
-    """Assign one query under one scenario (shared by benches/tests)."""
-    schema = build_tpch_schema(scale)
-    plan = all_queries()[query_number - 1].plan(schema)
-    prices = PriceList.from_subjects(scenario_obj.subjects)
-    return assign(
-        plan, scenario_obj.policy, scenario_obj.subject_names, prices,
-        user=scenario_obj.user, owners=scenario_obj.owners,
-    )
 
 
 def run_economics(scale: float = DEFAULT_SCALE,

@@ -271,12 +271,6 @@ class AdmissionController:
         with self._condition:
             return self._inflight
 
-    @property
-    def dispatched(self) -> int:
-        """Total requests handed to workers so far."""
-        with self._condition:
-            return self._dispatched
-
     def depths(self) -> dict[str, int]:
         with self._condition:
             return self._scheduler.depths()

@@ -544,14 +544,6 @@ class Gateway:
         """The tenant's live credit account (deposit/balance access)."""
         return self._quotas[tenant].account
 
-    def queue_depths(self) -> dict[str, int]:
-        """Queued queries per tenant right now."""
-        return self._controller.depths()
-
-    def dispatched(self) -> int:
-        """Total queries handed to workers so far."""
-        return self._controller.dispatched
-
     def close(self, drain: bool = True) -> None:
         """Stop the gateway.
 

@@ -68,8 +68,7 @@ from repro.exceptions import (
 )
 from repro.sql.planner import plan_query
 
-#: Entries kept in the plan cache, the assignment cache and the
-#: per-user topology memo.
+#: Entries kept in the plan cache and in the assignment cache.
 _MEMO_LIMIT = 256
 
 #: Most recent outcomes a :class:`WorkloadSession` retains (stats cover
@@ -243,16 +242,10 @@ class QueryService:
         self.user = user
         self.prices = prices or PriceList.from_subjects(self.subjects)
         # An explicit topology applies to every querying user; without
-        # one, each user gets the §7 defaults *from their own seat* (the
-        # slow client link must follow whoever is querying), memoized so
-        # the assignment cache's identity-compared context still hits.
+        # one, ``assign`` prices each user with the §7 defaults *from
+        # their own seat* (the slow client link follows whoever is
+        # querying) — the user is part of the assignment-cache key.
         self.topology = topology
-        #: user → memoized topology; bounded (arbitrary user strings
-        #: reach here before authorization checks run, so unbounded
-        #: growth would be caller-controlled) and least-recently-used,
-        #: so strangers push each other out, not a user who keeps
-        #: querying.  Eviction costs that user an assignment-cache miss.
-        self._user_topologies = LRU(_MEMO_LIMIT)
         #: Clock used when minting a CancellationToken from a bare
         #: QueryBudget; shared with the runtime so fake-clock tests see
         #: one consistent notion of time end to end.
@@ -319,7 +312,7 @@ class QueryService:
             outcome = assign(
                 plan, self.policy, self.subject_names, self.prices,
                 user=user, owners=self.owners,
-                topology=self._topology_for(user),
+                topology=self.topology,
                 cache=self.assignment_cache,
                 edge_cache=self.edge_cache,
             )
@@ -438,7 +431,7 @@ class QueryService:
                         repaired = assign(
                             plan, self.policy, available, self.prices,
                             user=user, owners=self.owners,
-                            topology=self._topology_for(user),
+                            topology=self.topology,
                             cache=self.assignment_cache,
                             edge_cache=self.edge_cache,
                         )
@@ -595,16 +588,6 @@ class QueryService:
         }
         counters.update(self.runtime.fragments.reconciler.info("fragment_"))
         return counters
-
-    def _topology_for(self, user: str) -> NetworkTopology:
-        """The network topology pricing ``user``'s queries (memoized)."""
-        if self.topology is not None:
-            return self.topology
-        topology = self._user_topologies.get(user)
-        if topology is None:
-            topology = NetworkTopology.paper_defaults(user)
-            self._user_topologies.put(user, topology)
-        return topology
 
     def _derived(self, outcome: AssignmentResult, user: str,
                  ) -> tuple[DistributedKeys, DispatchPlan, bool]:

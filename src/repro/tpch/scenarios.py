@@ -70,7 +70,7 @@ def scenario(name: str, schema: Schema,
     The alternating split scatters plaintext across join equivalences and
     triggers Definition 4.1's condition 3 — non-uniform visibility — so
     providers lose eligibility for most joins: a built-in ablation of the
-    uniform-visibility rule (see the ablation benchmarks).
+    uniform-visibility rule (``python -m repro ablate-mix``).
 
     Examples
     --------

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.keys import QueryKey
 from repro.core.requirements import EncryptionScheme
-from repro.crypto.keymanager import KeyStore
+from repro.crypto.keymanager import KeyMaterial, KeyStore
 from repro.crypto.ope import OpeCipher
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.symmetric import DeterministicCipher, RandomizedCipher
@@ -25,6 +25,7 @@ from repro.engine.codec import (
     encrypt_column,
     encrypt_value,
 )
+from repro.engine.values import EncryptedValue
 from repro.exceptions import CryptoError, ExecutionError
 
 from oracles.paillier_reference import decrypt_reference, encrypt_reference
@@ -188,6 +189,52 @@ class TestPaillierFastVsReference:
             _ = 1 + single  # only the identity folds
 
 
+class TestWireFormatKnownAnswers:
+    """Fixed key, fixed inputs, fixed tokens: the wire format has not moved.
+
+    Stored ciphertexts and tokens held by other parties outlive a code
+    change, so the subkey labels (``enc`` / ``mac`` / ``siv`` / ``ope`` /
+    ``recovery``), the value encoding and the token layout are pinned by
+    literals (taken from this repository's ciphers, which agreed with
+    the seed's per-call implementations when that copy was retired).
+    """
+
+    def test_deterministic_tokens(self):
+        cipher = DeterministicCipher(KEY)
+        for value, token in [
+            ("stroke", "27eb89215858bf41c99b1eaf432a842fb6c4a2c78437bae9"
+                       "b7fcd5f6b2cf1b7953a114"),
+            (-42, "929cf6f1fce41871f3dbeecc44f0047fcb39d15aa434be606456"
+                  "3dd897ce83042aeae4de59"),
+            (date(1995, 3, 15), "db3271bf9927efebc6ad82eca6b3038c9ec8fcfc"
+                                "1a2bd5ec212733783b61836d599580b908"),
+        ]:
+            assert cipher.encrypt(value).hex() == token
+            assert cipher.decrypt(bytes.fromhex(token)) == value
+
+    def test_ope_and_recovery_tokens(self):
+        material = KeyMaterial(
+            QueryKey(frozenset({"D"}), EncryptionScheme.OPE), symmetric=KEY)
+        for value, token, recovery in [
+            (0, 0x74e49c6ad847db0e,
+             "000102030405060708090a0b0c0d0e0f8cbcd1ba3432db12a1be5faf"
+             "495b7122af2a2d60a6"),
+            (-42, 0x74e49c6ad745a9cd,
+             "000102030405060708090a0b0c0d0e0f8c432e45cbcd24ed77197f55"
+             "ad9d1eebcdd6a0d485"),
+            (100.5, 0x74e49c6b52b248e1,
+             "000102030405060708090a0b0c0d0e0f83fc889a3432db12a1c94980"
+             "91dc11a96b2b87330a"),
+        ]:
+            assert OpeCipher(KEY).encrypt(value) == token
+            assert encrypt_value(material, value).token == token
+            # The recovery ciphertext is randomized: a token sealed
+            # earlier (IV 00..0f) must still open under the derived key.
+            cell = EncryptedValue(material.name, EncryptionScheme.OPE,
+                                  token, bytes.fromhex(recovery))
+            assert decrypt_value(material, cell) == value
+
+
 class TestMemoizedEqualsUnmemoized:
     """Warm memos change nothing observable, across distinct keys."""
 
@@ -330,8 +377,6 @@ class TestColumnCodec:
             decrypt_column(material, ["plaintext"])
 
     def test_tampered_cell_raises_through_column(self, store):
-        from repro.engine.values import EncryptedValue
-
         material = store.material_for_attribute("S")
         cell = encrypt_column(material, ["secret"])[0]
         tampered = bytearray(cell.token)

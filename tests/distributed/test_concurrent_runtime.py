@@ -1,7 +1,7 @@
-"""One runtime under concurrent runs: equivalence with the plaintext
-executor, enforcement, per-subject serialization across runs, and the
-cross-run fragment cache.  (Class and test names are the ids these
-cases have had since the runtime also had a thread-pool schedule.)"""
+"""One runtime under concurrent runs: enforcement, per-subject
+serialization across runs, and the cross-run fragment cache.  (Class and
+test names are the ids these cases have had since the runtime also had a
+thread-pool schedule.)"""
 
 import threading
 import time
@@ -21,17 +21,12 @@ from repro.core.predicates import (
     equals,
 )
 from repro.core.schema import Relation, Schema
-from repro.cost.pricing import PriceList
-from repro.core.assignment import assign
 from repro.crypto.keymanager import DistributedKeys
 from repro.distributed import build_runtime, enforcement, \
     generate_subject_keys
 from repro.distributed import runtime as runtime_module
 from repro.engine import Executor, Table
 from repro.exceptions import CryptoError, DispatchError, UnauthorizedError
-from repro.tpch import TPCH_UDFS, all_scenarios, build_tpch_schema, \
-    generate, query_plan
-from repro.tpch.schema import table_owners
 
 
 def pipeline_7a(example, example_tables, rsa_keys=None):
@@ -55,39 +50,6 @@ def pipeline_7a(example, example_tables, rsa_keys=None):
 
     run.dispatch_plan = plan
     return runtime, run
-
-
-class TestScheduleEquivalence:
-    @pytest.mark.parametrize("number", [3, 5, 18])
-    def test_tpch_parallel_matches_sequential_and_plaintext(self, number):
-        scale = 0.002
-        schema = build_tpch_schema(scale)
-        data = generate(scale=scale, seed=7)
-        scenario_obj = all_scenarios(schema)["UAPenc"]
-        plan = query_plan(number, schema)
-        prices = PriceList.from_subjects(scenario_obj.subjects)
-        outcome = assign(plan, scenario_obj.policy,
-                         scenario_obj.subject_names, prices,
-                         user=scenario_obj.user,
-                         owners=scenario_obj.owners)
-        keys = establish_keys(outcome.extended, scenario_obj.policy)
-        dispatch_plan = dispatch(outcome.extended, keys,
-                                 owners=scenario_obj.owners, user="U")
-        authority_tables = {"A1": {}, "A2": {}}
-        for name, owner in table_owners().items():
-            authority_tables[owner][name] = data.table(name)
-        distributed = DistributedKeys.from_assignment(keys)
-        runtime = build_runtime(
-            scenario_obj.policy, list(scenario_obj.subjects),
-            authority_tables, user="U", udfs=TPCH_UDFS,
-        )
-        table, trace = runtime.run(dispatch_plan, outcome.extended,
-                                   keys, distributed)
-        assert not trace.violations
-        plain = Executor(data.catalog(), udfs=TPCH_UDFS).execute(
-            query_plan(number, schema))
-        assert set(table.columns) == set(plain.columns)
-        assert len(table) == len(plain)
 
 
 class TestEnforcementUnderConcurrency:

@@ -144,7 +144,7 @@ def record_reached(monkeypatch):
 
 class TestOneEnvelopePerSubject:
     @pytest.mark.parametrize("number", [3, 5, 18])
-    def test_batched_run_matches_sequential_and_plaintext(
+    def test_batched_run_matches_plaintext(
             self, tpch, number, monkeypatch):
         query = Query(tpch, number)
         assert max(map(len, query.by_subject.values())) >= 2

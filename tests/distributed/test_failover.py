@@ -102,8 +102,15 @@ class TestInPlaceTakeover:
     def test_dead_provider_triggers_verified_takeover(self, clean_outcome):
         victim = compute_victim(clean_outcome)
         injector = FaultInjector(seed=5)
-        injector.kill(victim)
         service = make_service(injector)
+        # The provider dies mid-stream (distinct SQL per query, so none
+        # rides the fragment cache): nothing fails over before the kill.
+        stream = [SQL.replace(">100", f">{threshold}")
+                  for threshold in (101, 102, 103, 104)]
+        for sql in stream[:2]:
+            before = service.execute(sql)
+            assert not before.failed_over and before.failovers == ()
+        injector.kill(victim)
         outcome = service.execute(SQL)
 
         assert outcome.failed_over
@@ -119,6 +126,11 @@ class TestInPlaceTakeover:
                               service.policy, event.repaired_assignment)
         assert outcome.breaker_trips >= 1
         assert outcome.failover_seconds >= 0.0
+        # No later query names the dead provider as a replacement.
+        for sql in stream[2:]:
+            later = service.execute(sql)
+            assert later.failed_over
+            assert victim not in {e.replacement for e in later.failovers}
         # The recovery is visible in the human-readable trace line.
         assert "failover[" in outcome.describe()
 
@@ -131,14 +143,6 @@ class TestInPlaceTakeover:
         info = service.health_info()
         assert info[victim]["dead"] is True
         assert info[victim]["state"] == "open"
-
-    def test_sequential_schedule_fails_over_too(self, clean_outcome):
-        victim = compute_victim(clean_outcome)
-        injector = FaultInjector(seed=5)
-        injector.kill(victim)
-        outcome = make_service(injector).execute(SQL)
-        assert outcome.failed_over
-        assert_rows_equal(outcome.result, clean_outcome.result)
 
     def test_all_compute_providers_dead_still_recovers(self, clean_outcome):
         injector = FaultInjector(seed=5)

@@ -191,6 +191,11 @@ def test_queue_overflow_rejects_then_recovers():
         assert rejected[("t", "queue_full")] == 1.0
         # Conservation: submitted == completed + rejected.
         assert len(service.calls) == 3
+        (_, _, submitted), = families[
+            "repro_gateway_queries_submitted_total"]["samples"]
+        (_, _, completed), = families[
+            "repro_gateway_queries_completed_total"]["samples"]
+        assert (submitted, completed) == (4.0, 3.0)
     finally:
         gate.set()
         gateway.close()

@@ -29,6 +29,10 @@ class TestCli:
                      "--queries", "3,10"]) == 0
         out = capsys.readouterr().out
         assert "uniform-visibility penalty" in out
+        # The alternating split breaks uniform visibility over join
+        # pairs: it is never cheaper than the prefix split.
+        penalty = float(out.rsplit("penalty: ", 1)[1].strip().rstrip("x"))
+        assert penalty >= 1.0
 
     def test_workload_command(self, capsys):
         assert main(["workload", "--repeat", "2"]) == 0
@@ -139,3 +143,24 @@ class TestEconomicsApi:
     def test_cumulative_rows_accumulate(self, results):
         rows = results.cumulative_rows()
         assert rows[-1][1] == pytest.approx(len(rows))  # UA sums to N
+
+    def test_paper_shape_over_all_22_queries(self):
+        # §7's result at the paper's scale: per query UA = 1 ≥ UAPenc ≥
+        # UAPmix (Fig. 9), cumulative series monotone and ordered, and
+        # involving providers saves, more so under the looser policy
+        # (Fig. 10; the paper reports 54.2 % and 71.3 %).
+        full = run_economics(scale=0.1)
+        rows = full.per_query_rows()
+        assert [query for query, *_ in rows] == list(range(1, 23))
+        for query, ua, enc, mix in rows:
+            assert ua == 1.0
+            assert enc <= 1.0 + 1e-9, f"Q{query}: UAPenc worse than UA"
+            assert mix <= enc + 1e-9, f"Q{query}: UAPmix worse than UAPenc"
+        previous = (0.0, 0.0, 0.0)
+        for _, ua, enc, mix in full.cumulative_rows():
+            assert ua >= previous[0] and enc >= previous[1] \
+                and mix >= previous[2]
+            assert ua >= enc - 1e-9 >= mix - 2e-9
+            previous = (ua, enc, mix)
+        assert 0.10 <= full.saving("UAPenc") < full.saving("UAPmix") < 1.0
+        assert full.saving("UAPmix") >= 0.40

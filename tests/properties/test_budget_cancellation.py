@@ -158,6 +158,11 @@ class TestRunningExampleCancellation:
         assert excinfo.value.where.startswith(("runtime:", "pool:",
                                                "service:"))
         assert excinfo.value.deadline_seconds == pytest.approx(0.015)
+        # The abort overshoots the deadline by at most one provider call
+        # (a checkpoint follows every call) — and by nothing here: the
+        # second call's latency is clamped to the 5ms that were left.
+        assert excinfo.value.elapsed_seconds - 0.015 <= 0.010 + 1e-9
+        assert excinfo.value.elapsed_seconds == pytest.approx(0.015)
         rerun = service.execute(RUNNING_SQL)
         assert_rows_equal(rerun.result, clean.result)
 

@@ -58,11 +58,6 @@ class TestQueryService:
         for name, node in service.runtime.nodes.items():
             assert node.rsa_public is before[name]
 
-    def test_sequential_override_matches_parallel(self, service):
-        parallel = service.execute(RUNNING_SQL)
-        sequential = service.execute(RUNNING_SQL)
-        assert sequential.result.rows == parallel.result.rows
-
     def test_unauthorized_user_is_refused(self, service):
         # X sees P only encrypted: it may never receive the plaintext
         # result, so the pipeline refuses before anything executes.
@@ -141,17 +136,27 @@ class TestQueryService:
 
     def test_each_user_priced_from_own_seat(self, example,
                                             example_tables, service):
+        from repro.core.assignment import assign
         from repro.cost.network import NetworkTopology
+        from repro.cost.pricing import PriceList
+        from repro.sql.planner import plan_query
+
+        def priced(topology):
+            return assign(
+                plan_query(RUNNING_SQL, example.schema), example.policy,
+                example.subject_names,
+                PriceList.from_subjects(example.subjects), user="Y",
+                owners=example.owners, topology=topology,
+            ).cost.elapsed_seconds
 
         # Without an explicit topology the slow client link follows the
-        # querying user — and the per-user object is memoized so the
-        # assignment cache's identity-compared context still hits.
-        assert service._topology_for("U").client_subjects == \
-            frozenset({"U"})
-        assert service._topology_for("Y").client_subjects == \
-            frozenset({"Y"})
-        assert service._topology_for("Y") is service._topology_for("Y")
+        # querying user: Y's plan is priced over Y's 100 Mbps link.
         explicit = NetworkTopology.paper_defaults("U")
+        own_seat = service.execute(RUNNING_SQL, user="Y")
+        assert own_seat.assignment.cost.elapsed_seconds \
+            == priced(NetworkTopology.paper_defaults("Y")) \
+            != priced(explicit)
+        # An explicit topology is the one used, whoever queries.
         pinned = QueryService(
             example.schema, example.policy, example.subjects,
             example.owners,
@@ -159,7 +164,8 @@ class TestQueryService:
              "I": {"Ins": example_tables["Ins"]}},
             user="U", topology=explicit,
         )
-        assert pinned._topology_for("Y") is explicit
+        assert pinned.execute(RUNNING_SQL, user="Y") \
+            .assignment.cost.elapsed_seconds == priced(explicit)
 
     def test_plan_cache_hot_entry_survives_one_off_queries(self, example):
         from repro.core.cache import LRU
