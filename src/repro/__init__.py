@@ -63,7 +63,6 @@ from repro.core import (
     equals,
     establish_keys,
     infer_plaintext_requirements,
-    is_authorized_for_relation,
     minimally_extend,
     minimum_view_profiles,
     user_can_receive_result,
@@ -84,7 +83,7 @@ __all__ = [
     "SchemeCapabilities", "Selection", "Subject", "SubjectKind",
     "SubjectView", "Udf", "authorized_assignees", "check_relation",
     "compute_candidates", "equals", "establish_keys",
-    "infer_plaintext_requirements", "is_authorized_for_relation",
-    "minimally_extend", "minimum_view_profiles", "user_can_receive_result",
+    "infer_plaintext_requirements", "minimally_extend",
+    "minimum_view_profiles", "user_can_receive_result",
     "value_equals", "verify_assignment", "__version__",
 ]

@@ -38,7 +38,6 @@ from repro.core.candidates import (
 from repro.core.equivalence import EquivalenceClasses
 from repro.core.extension import (
     ExtendedPlan,
-    extension_encrypted_attributes,
     minimally_extend,
 )
 from repro.core.keys import (
@@ -95,9 +94,6 @@ from repro.core.visibility import (
     authorized_assignees,
     check_assignee,
     check_relation,
-    is_authorized_assignee,
-    is_authorized_for_relation,
-    require_authorized,
     verify_assignment,
 )
 
@@ -120,11 +116,9 @@ __all__ = [
     "authorized_assignees",
     "active_token", "check_assignee", "check_relation", "chosen_schemes",
     "cluster_encrypted_attributes", "compute_candidates", "equals",
-    "establish_keys", "extension_encrypted_attributes",
-    "infer_plaintext_requirements", "is_authorized_assignee",
-    "is_authorized_for_relation", "minimally_extend",
+    "establish_keys", "infer_plaintext_requirements", "minimally_extend",
     "minimum_required_view", "minimum_view_profiles",
-    "relation_authorized", "require_authorized",
-    "select_scheme", "token_scope", "user_can_receive_result",
+    "relation_authorized", "select_scheme", "token_scope",
+    "user_can_receive_result",
     "value_equals", "verify_assignment",
 ]

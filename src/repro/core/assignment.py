@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.core.authorization import Policy, Subject
+from repro.core.authorization import Policy, Subject, stands_in_for
 from repro.core.candidates import (
     CandidateAssignment,
     MinimumViewProfiles,
@@ -61,7 +61,11 @@ from repro.cost.estimator import PlanEstimator
 from repro.cost.model import CostBreakdown, CostModel
 from repro.cost.network import NetworkTopology
 from repro.cost.pricing import PriceList
-from repro.exceptions import NoCandidateError, UnauthorizedError
+from repro.exceptions import (
+    AuthorizationError,
+    NoCandidateError,
+    UnauthorizedError,
+)
 
 
 @dataclass
@@ -125,13 +129,21 @@ def assign(
     decomposed DP edge tables across queries.  Cached results are
     shared, not copied.
 
-    Raises :class:`NoCandidateError` when some operation has no candidate
-    and :class:`UnauthorizedError` when the querying user may not receive
-    the query result.
+    Raises :class:`NoCandidateError` when some operation has no candidate,
+    :class:`UnauthorizedError` when the querying user may not receive
+    the query result, and :class:`AuthorizationError` when a name in
+    ``subjects`` is reserved for a stand-in
+    (:data:`~repro.core.authorization.STAND_IN_PREFIX`).
     """
     subject_names = [
         s.name if isinstance(s, Subject) else s for s in subjects
     ]
+    reserved = [n for n in subject_names if stands_in_for(n) is not None]
+    if reserved:
+        raise AuthorizationError(
+            f"subject names {reserved} are reserved for the stand-ins of "
+            "relations nobody owns"
+        )
     if requirements is None:
         requirements = infer_plaintext_requirements(plan, capabilities)
     if cache is not None:

@@ -27,6 +27,34 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 #: Pseudo-subject matching every subject without an explicit authorization.
 ANY = "any"
 
+#: Reserved name prefix of the *stand-in* for a relation nobody owns: the
+#: placeholder that holds the leaf and seals it at the source when
+#: ``owners`` has no entry for the relation.  It has no policy view, no
+#: keys and no runtime node, so it exists at plan time only, where it may
+#: run exactly one thing (:func:`repro.core.visibility.is_source_encryption`),
+#: and no real subject may take a name that starts with the prefix.
+STAND_IN_PREFIX = "authority:"
+
+
+def holder_of(relation_name: str, owners: Mapping[str, str] | None) -> str:
+    """Who holds ``relation_name``: its owner, else its stand-in.
+
+    >>> holder_of("Hosp", {"Hosp": "H"}), holder_of("Ins", {"Hosp": "H"})
+    ('H', 'authority:Ins')
+    """
+    return (owners or {}).get(relation_name, STAND_IN_PREFIX + relation_name)
+
+
+def stands_in_for(subject_name: str) -> str | None:
+    """The relation ``subject_name`` stands in for; ``None`` if it is real.
+
+    >>> stands_in_for("authority:Ins"), stands_in_for("H")
+    ('Ins', None)
+    """
+    if subject_name.startswith(STAND_IN_PREFIX):
+        return subject_name[len(STAND_IN_PREFIX):]
+    return None
+
 
 class SubjectKind(enum.Enum):
     """The three subject roles of the paper's scenario (§1)."""
@@ -55,6 +83,11 @@ class Subject:
         if self.name == ANY:
             raise AuthorizationError(
                 "'any' is reserved for the default authorization subject"
+            )
+        if stands_in_for(self.name) is not None:
+            raise AuthorizationError(
+                f"subject name {self.name!r} is reserved for the stand-in "
+                "of a relation nobody owns"
             )
 
     def __str__(self) -> str:

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
+from repro.core.authorization import holder_of
 from repro.core.extension import ExtendedPlan
 from repro.core.keys import KeyAssignment
 from repro.core.operators import (
@@ -97,13 +98,11 @@ def dispatch(extended: ExtendedPlan, keys: KeyAssignment,
     attached to the fragments containing the encryption/decryption
     operations that need them, reproducing §6's key distribution.
     """
-    owners = owners or {}
     plan = extended.plan
 
     def location(node: PlanNode) -> str:
         if isinstance(node, BaseRelationNode):
-            name = node.relation.name
-            return owners.get(name, f"authority:{name}")
+            return holder_of(node.relation.name, owners)
         return extended.assignee(node)
 
     # Identify fragment roots: plan root + every node whose parent runs

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.core.authorization import Policy
+from repro.core.authorization import Policy, holder_of
 from repro.core.lineage import augment_view, derived_lineage
 from repro.core.operators import (
     BaseRelationNode,
@@ -142,8 +142,9 @@ def minimally_extend(
         The per-node plaintext requirement ``Ap``; inferred when omitted.
     owners:
         Relation name → data-authority subject performing encryption at
-        the source.  When omitted, source encryptions are assigned to the
-        synthetic subject ``"authority:<relation>"``.
+        the source.  A relation without an entry has its source
+        encryption assigned to its stand-in
+        (:func:`~repro.core.authorization.holder_of`).
     deliver_to:
         When given, a final decryption of all visible encrypted attributes
         is appended for delivery to this subject (the querying user).
@@ -269,10 +270,7 @@ def minimally_extend(
                 if node.is_leaf:
                     assert isinstance(node, BaseRelationNode)
                     relation_name = node.relation.name
-                    owner = (owners or {}).get(
-                        relation_name, f"authority:{relation_name}"
-                    )
-                    new_assignment[built] = owner
+                    new_assignment[built] = holder_of(relation_name, owners)
                     source_encryption[relation_name] = frozenset(to_encrypt)
                 else:
                     new_assignment[built] = subject
@@ -396,12 +394,3 @@ def _harmonise_forms(
             encrypted_attributes |= encrypt_per_operand[index]
             new_assignment[operands[index]] = subject
     return operands, operand_profiles
-
-
-def extension_encrypted_attributes(plan: QueryPlan) -> frozenset[str]:
-    """The ``Ak`` set of a (possibly extended) plan: all encrypted attrs."""
-    attrs: set[str] = set()
-    for node in plan.postorder():
-        if isinstance(node, Encrypt):
-            attrs |= node.attributes
-    return frozenset(attrs)

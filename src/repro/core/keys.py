@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.core.authorization import Policy
+from repro.core.authorization import Policy, stands_in_for
 from repro.core.extension import ExtendedPlan
 from repro.core.lineage import augment_view, derived_lineage
 from repro.core.operators import Decrypt, Encrypt
@@ -23,6 +23,7 @@ from repro.core.requirements import (
     EncryptionScheme,
     SchemeCapabilities,
 )
+from repro.core.visibility import is_source_encryption
 from repro.exceptions import KeyManagementError
 
 
@@ -262,9 +263,15 @@ def _validate_distribution(extended: ExtendedPlan, policy: Policy,
         if not isinstance(node, (Encrypt, Decrypt)):
             continue
         subject = extended.assignee(node)
-        if subject.startswith("authority:"):
-            # Synthetic owner of a base relation: authorized for its own
-            # content by definition (§2).
+        relation = stands_in_for(subject)
+        if relation is not None:
+            # No policy view to check against; it holds its own relation.
+            if not is_source_encryption(node, relation):
+                raise KeyManagementError(
+                    f"{subject} stands in for the owner of {relation} and "
+                    f"may hold a key only to encrypt it at the source, not "
+                    f"for {node.label()}"
+                )
             continue
         view = augment_view(policy.view(subject), lineage)
         unauthorized = frozenset(node.attributes) - view.plaintext

@@ -26,7 +26,12 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.core.attrsets import AttributeUniverse
-from repro.core.authorization import Policy, SubjectView
+from repro.core.authorization import (
+    Policy,
+    SubjectView,
+    holder_of,
+    stands_in_for,
+)
 from repro.core.candidates import CandidateAssignment
 from repro.core.edgecost import EdgeTableCache, _EdgeTable
 from repro.core.lineage import augment_view, derived_lineage
@@ -88,8 +93,7 @@ class _AssignmentSearch:
         return self._views[subject]
 
     def owner_of(self, leaf: BaseRelationNode) -> str:
-        name = leaf.relation.name
-        return self.owners.get(name, f"authority:{name}")
+        return holder_of(leaf.relation.name, self.owners)
 
     def plaintext_needed(self, node: PlanNode) -> frozenset[str]:
         return self._requirement_map.get(node, frozenset())
@@ -97,13 +101,12 @@ class _AssignmentSearch:
     def subject_masks(self, name: str) -> tuple[int, int, float, float]:
         """(plaintext mask, encrypted mask, cpu $/s, net $/byte) of a subject.
 
-        Synthetic ``authority:`` owners have no policy view and encrypt
-        nothing of their own.
+        A stand-in has no policy view and encrypts nothing of its own.
         """
         data = self._subject_masks.get(name)
         if data is None:
             rates = self.prices.rates(name)
-            if name.startswith("authority:"):
+            if stands_in_for(name) is not None:
                 plain = encrypted = 0
             else:
                 view = self.view(name)

@@ -4,6 +4,14 @@ Implements Definition 4.1 (when a subject is *authorized for a relation*,
 given its profile) and Definition 4.2 (when a subject is an *authorized
 assignee* of a plan operation, i.e. authorized for the operands and for the
 produced relation).
+
+The two definitions are stated twice in the package, each for a reason:
+here over attribute sets, saying *why* a subject is refused
+(:func:`check_relation` / :func:`check_assignee` — what
+:func:`verify_assignment` and the run-time enforcement call), and in
+:mod:`repro.core.attrsets` over bitmasks, answering yes or no
+(``relation_authorized`` / ``assignee_authorized`` — the planner's inner
+loop).  ``tests/properties/test_planner_kernel.py`` holds the two equal.
 """
 
 from __future__ import annotations
@@ -12,9 +20,14 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.core.attrsets import AttributeUniverse, assignee_authorized
-from repro.core.authorization import Policy, Subject, SubjectView
+from repro.core.authorization import (
+    Policy,
+    Subject,
+    SubjectView,
+    stands_in_for,
+)
 from repro.core.lineage import augment_view, derived_lineage
-from repro.core.operators import PlanNode
+from repro.core.operators import BaseRelationNode, Encrypt, PlanNode
 from repro.core.plan import NodeMap, QueryPlan
 from repro.core.profile import RelationProfile
 from repro.exceptions import UnauthorizedError
@@ -90,40 +103,6 @@ def check_relation(view: SubjectView,
     )
 
 
-def is_authorized_for_relation(view: SubjectView,
-                               profile: RelationProfile) -> bool:
-    """Boolean form of :func:`check_relation` (Definition 4.1).
-
-    Diagnostics-free fast path: evaluates the three conditions with
-    set-subset tests only, without formatting any violation strings.
-    Use :func:`check_relation` when the *reasons* are needed.
-    """
-    if not (profile.visible_plaintext
-            | profile.implicit_plaintext) <= view.plaintext:
-        return False
-    visible = view.plaintext | view.encrypted
-    if not (profile.visible_encrypted
-            | profile.implicit_encrypted) <= visible:
-        return False
-    for eq_class in profile.equivalences:
-        if not (eq_class <= view.plaintext or eq_class <= view.encrypted):
-            return False
-    return True
-
-
-def require_authorized(view: SubjectView, profile: RelationProfile,
-                       context: str = "relation") -> None:
-    """Raise :class:`UnauthorizedError` unless Definition 4.1 holds."""
-    check = check_relation(view, profile)
-    if not check.authorized:
-        raise UnauthorizedError(
-            f"subject {view.subject} is not authorized for {context}: "
-            + "; ".join(check.violations),
-            subject=view.subject,
-            violations=check.violations,
-        )
-
-
 def check_assignee(view: SubjectView, node: PlanNode,
                    operand_profiles: Iterable[RelationProfile],
                    result_profile: RelationProfile) -> AuthorizationCheck:
@@ -147,18 +126,19 @@ def check_assignee(view: SubjectView, node: PlanNode,
     )
 
 
-def is_authorized_assignee(view: SubjectView, node: PlanNode,
-                           operand_profiles: Iterable[RelationProfile],
-                           result_profile: RelationProfile) -> bool:
-    """Boolean form of :func:`check_assignee` (Definition 4.2).
+def is_source_encryption(node: PlanNode, relation: str) -> bool:
+    """Whether ``node`` is the ``Encrypt`` directly over ``relation``'s leaf.
 
-    Diagnostics-free: short-circuits on the first failing operand
-    instead of collecting violations.
+    The whole exemption of a stand-in
+    (:data:`~repro.core.authorization.STAND_IN_PREFIX`): it holds that
+    relation already, so sealing it at the source shows it nothing, and
+    :func:`~repro.core.extension.minimally_extend` never assigns it
+    anything else.  Any other node would put data in front of a name the
+    policy knows nothing about.
     """
-    for operand in operand_profiles:
-        if not is_authorized_for_relation(view, operand):
-            return False
-    return is_authorized_for_relation(view, result_profile)
+    return (isinstance(node, Encrypt)
+            and isinstance(node.left, BaseRelationNode)
+            and node.left.relation.name == relation)
 
 
 def authorized_assignees(plan: QueryPlan, policy: Policy,
@@ -209,10 +189,16 @@ def verify_assignment(plan: QueryPlan, policy: Policy,
             raise UnauthorizedError(
                 f"assignment does not cover operation {node.label()}"
             )
-        if subject.startswith("authority:"):
-            # Synthetic owner of a base relation: authorized for its own
-            # content by definition (§2); used when no explicit owner
-            # subject was supplied.
+        relation = stands_in_for(subject)
+        if relation is not None:
+            # No policy view to check against; it holds its own relation.
+            if not is_source_encryption(node, relation):
+                raise UnauthorizedError(
+                    f"{subject} stands in for the owner of {relation} and "
+                    f"may only encrypt it at the source, not run "
+                    f"{node.label()}",
+                    subject=subject,
+                )
             continue
         view = augment_view(policy.view(subject), lineage)
         check = check_assignee(

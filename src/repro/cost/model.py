@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.core.authorization import holder_of
 from repro.core.extension import ExtendedPlan
 from repro.core.operators import BaseRelationNode, PlanNode
 from repro.cost.estimator import NodeEstimate, PlanEstimator
@@ -102,15 +103,13 @@ class CostModel:
         network transfer of the child's output; the root result is
         shipped to ``user``.
         """
-        owners = owners or {}
         plan = extended.plan
         estimates = self.estimator.estimate(plan)
         breakdown = CostBreakdown()
 
         def location_of(node: PlanNode) -> str:
             if isinstance(node, BaseRelationNode):
-                name = node.relation.name
-                return owners.get(name, f"authority:{name}")
+                return holder_of(node.relation.name, owners)
             return extended.assignee(node)
 
         for node in plan.postorder():

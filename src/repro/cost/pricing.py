@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
-from repro.core.authorization import Subject, SubjectKind
+from repro.core.authorization import Subject, SubjectKind, stands_in_for
 from repro.exceptions import EstimationError
 
 #: Baseline provider rates (2017-era public cloud list prices).  The
@@ -135,7 +135,8 @@ class PriceList:
         """Rates of ``subject`` (authorities fall back to the default)."""
         if subject in self._rates:
             return self._rates[subject]
-        if subject.startswith("authority:") and self._default is not None:
+        if stands_in_for(subject) is not None \
+                and self._default is not None:
             return self._default.scaled(AUTHORITY_CPU_MULTIPLIER)
         if self._default is not None:
             return self._default

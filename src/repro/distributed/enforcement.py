@@ -12,12 +12,16 @@ run — there is no switch that turns them off:
 
 Together they turn the paper's theorems into executable assertions.
 ``view`` is the subject's policy view already augmented with the plan's
-alias lineage; every violation is appended to ``trace.violations``
-before :class:`~repro.exceptions.UnauthorizedError` is raised.
+alias lineage; the reasons ride on the raised
+:class:`~repro.exceptions.UnauthorizedError`.
 
-One exemption, :func:`is_exempt`: the synthetic ``authority:<relation>``
-subject that stands in for a relation nobody owns holds that relation
-already and has no policy view to check against.
+Nobody is exempt, and neither check looks at a subject's name.  The
+stand-in for a relation nobody owns
+(:data:`~repro.core.authorization.STAND_IN_PREFIX`) exists at plan time
+only: it stores nothing, so it has no runtime node
+(:func:`~repro.distributed.nodes.build_nodes` refuses the name) and no
+fragment can reach these checks under it.  A node that carries such a
+name anyway is judged by its policy view like everybody else.
 """
 
 from __future__ import annotations
@@ -29,16 +33,10 @@ from repro.engine.values import EncryptedAggregate, EncryptedValue
 from repro.exceptions import UnauthorizedError
 
 
-def is_exempt(subject: str) -> bool:
-    """Whether ``subject`` is a synthetic data authority (no view)."""
-    return subject.startswith("authority:")
-
-
-def check_profile(view: SubjectView, profile, what: str, trace) -> None:
+def check_profile(view: SubjectView, profile, what: str) -> None:
     """Model-level guard: Definition 4.1 of ``view`` over ``profile``."""
     check = check_relation(view, profile)
     if not check.authorized:
-        trace.violations.extend(check.violations)
         raise UnauthorizedError(
             f"{view.subject} is not authorized for {what}: "
             + "; ".join(check.violations),
@@ -47,7 +45,7 @@ def check_profile(view: SubjectView, profile, what: str, trace) -> None:
         )
 
 
-def check_values(view: SubjectView, table: Table, trace) -> None:
+def check_values(view: SubjectView, table: Table) -> None:
     """Value-level guard: representations must match authorizations."""
     for position, column in enumerate(table.columns):
         sample = next((row[position] for row in table.rows
@@ -56,13 +54,12 @@ def check_values(view: SubjectView, table: Table, trace) -> None:
             continue
         if isinstance(sample, (EncryptedValue, EncryptedAggregate)):
             if not view.can_view_encrypted(column):
-                message = (f"{view.subject} received encrypted column "
-                           f"{column} without any authorization")
-                trace.violations.append(message)
-                raise UnauthorizedError(message, subject=view.subject)
-        else:
-            if not view.can_view_plaintext(column):
-                message = (f"{view.subject} received plaintext column "
-                           f"{column} without plaintext authorization")
-                trace.violations.append(message)
-                raise UnauthorizedError(message, subject=view.subject)
+                raise UnauthorizedError(
+                    f"{view.subject} received encrypted column "
+                    f"{column} without any authorization",
+                    subject=view.subject)
+        elif not view.can_view_plaintext(column):
+            raise UnauthorizedError(
+                f"{view.subject} received plaintext column "
+                f"{column} without plaintext authorization",
+                subject=view.subject)

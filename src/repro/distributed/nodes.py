@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.core.authorization import Subject
+from repro.core.authorization import Subject, stands_in_for
 from repro.crypto.rsa import (
     DEFAULT_RSA_BITS,
     RsaPrivateKey,
@@ -21,6 +21,7 @@ from repro.crypto.rsa import (
 )
 from repro.engine.executor import UdfCallable
 from repro.engine.table import Table
+from repro.exceptions import AuthorizationError
 
 
 @dataclass
@@ -43,7 +44,6 @@ class SubjectNode:
     def create(cls, subject: Subject,
                tables: Mapping[str, Table] | None = None,
                udfs: Mapping[str, UdfCallable] | None = None,
-               rsa_bits: int = DEFAULT_RSA_BITS,
                rsa_keys: tuple[RsaPublicKey, RsaPrivateKey] | None = None,
                latency_seconds: float = 0.0) -> "SubjectNode":
         """Create a node, generating an RSA keypair unless one is given.
@@ -53,7 +53,7 @@ class SubjectNode:
         and reuse it instead of paying keygen per construction.
         """
         if rsa_keys is None:
-            rsa_keys = generate_keypair(rsa_bits)
+            rsa_keys = generate_keypair(DEFAULT_RSA_BITS)
         public, private = rsa_keys
         return cls(
             subject=subject,
@@ -70,7 +70,7 @@ class SubjectNode:
 
 
 def generate_subject_keys(
-    subjects: list[Subject] | list[str], rsa_bits: int = DEFAULT_RSA_BITS,
+    subjects: list[Subject] | list[str],
 ) -> dict[str, tuple[RsaPublicKey, RsaPrivateKey]]:
     """One RSA keypair per subject, generated once for reuse.
 
@@ -79,13 +79,12 @@ def generate_subject_keys(
     construction stops paying keygen per query run.
     """
     names = [s.name if isinstance(s, Subject) else s for s in subjects]
-    return {name: generate_keypair(rsa_bits) for name in names}
+    return {name: generate_keypair(DEFAULT_RSA_BITS) for name in names}
 
 
 def build_nodes(subjects: list[Subject],
                 authority_tables: Mapping[str, Mapping[str, Table]],
                 udfs: Mapping[str, UdfCallable] | None = None,
-                rsa_bits: int = DEFAULT_RSA_BITS,
                 rsa_keys: Mapping[
                     str, tuple[RsaPublicKey, RsaPrivateKey]] | None = None,
                 latency_seconds: float | Mapping[str, float] = 0.0,
@@ -98,8 +97,17 @@ def build_nodes(subjects: list[Subject],
     mapping — simulates provider round-trip delay per fragment.  A
     mapping naming a subject with no node here raises
     :class:`ValueError` before any node is built (a silently ignored
-    name would make its latency vanish instead of failing loudly).
+    name would make its latency vanish instead of failing loudly).  A
+    stand-in name (:data:`~repro.core.authorization.STAND_IN_PREFIX`)
+    gets no node: a stand-in stores nothing and the run-time checks
+    exempt nobody.
     """
+    reserved = sorted(subject.name for subject in subjects
+                      if stands_in_for(subject.name) is not None)
+    if reserved:
+        raise AuthorizationError(
+            f"subject names {reserved} are reserved for the stand-ins of "
+            "relations nobody owns; a stand-in has no runtime node")
     if isinstance(latency_seconds, Mapping):
         known = {subject.name for subject in subjects}
         unknown = sorted(set(latency_seconds) - known)
@@ -115,7 +123,7 @@ def build_nodes(subjects: list[Subject],
         else:
             latency = latency_seconds
         nodes[subject.name] = SubjectNode.create(
-            subject, tables=tables, udfs=udfs, rsa_bits=rsa_bits,
+            subject, tables=tables, udfs=udfs,
             rsa_keys=(rsa_keys or {}).get(subject.name),
             latency_seconds=latency,
         )

@@ -101,12 +101,8 @@ from repro.core.lineage import Lineage, augment_view, derived_lineage
 from repro.core.operators import BaseRelationNode, PlanNode
 from repro.core.visibility import verify_assignment
 from repro.crypto.keymanager import DistributedKeys, KeyStore
-from repro.crypto.rsa import DEFAULT_RSA_BITS, RsaPrivateKey, RsaPublicKey
-from repro.distributed.enforcement import (
-    check_profile,
-    check_values,
-    is_exempt,
-)
+from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
+from repro.distributed.enforcement import check_profile, check_values
 from repro.distributed.faults import FaultInjector
 from repro.distributed.fragcache import FragmentCache, fragment_footprint
 from repro.distributed.health import HealthRegistry, RetryPolicy
@@ -148,7 +144,6 @@ class FailoverEvent:
     attempts: int
     seconds: float
     repaired_assignment: dict[PlanNode, str] = field(default_factory=dict)
-    verified: bool = True
 
 
 @dataclass
@@ -164,7 +159,6 @@ class ExecutionTrace:
     #: Every (fragment id, subject) requested, in call order, cache hits
     #: and failover takeovers included.
     fragments_run: list[tuple[str, str]] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
     fragment_cache_hits: int = 0
     #: Fragment execution attempts (first tries + retries; cache hits
     #: excluded — they never touch a provider).
@@ -336,10 +330,8 @@ class DistributedRuntime:
         # root relation, and to every column representation it contains.
         root_view = self._view_for(context, user)
         check_profile(
-            root_view, context.profiles[extended.plan.root],
-            "query result", trace,
-        )
-        check_values(root_view, result, trace)
+            root_view, context.profiles[extended.plan.root], "query result")
+        check_values(root_view, result)
         trace.rows_transferred += len(result)
         # The result may live in (and be served again from) the fragment
         # cache; Table.rows is a public mutable list, so hand the caller
@@ -394,7 +386,7 @@ class DistributedRuntime:
         inputs: dict[int, Table] = {}
         for boundary_id, child_fragment_id in fragment.requests.items():
             table = self._run_fragment(context, child_fragment_id)
-            self._receive_input(context, fragment, view, table)
+            self._receive_input(context, view, table)
             inputs[boundary_id] = table
         # The subject lock serializes this subject's fragments across
         # concurrent runs; it is taken around the open and the evaluation
@@ -437,12 +429,11 @@ class DistributedRuntime:
             (fragment.fragment_id, fragment.subject))
         return payload
 
-    def _receive_input(self, context: _RunContext, fragment: SubQuery,
-                       view: SubjectView, table: Table) -> None:
+    def _receive_input(self, context: _RunContext, view: SubjectView,
+                       table: Table) -> None:
         context.trace.messages += 1
         context.trace.rows_transferred += len(table)
-        if not is_exempt(fragment.subject):
-            check_values(view, table, context.trace)
+        check_values(view, table)
 
     def _evaluate_fragment(self, context: _RunContext, fragment: SubQuery,
                            node: SubjectNode, payload: SubQueryPayload,
@@ -498,8 +489,8 @@ class DistributedRuntime:
                 pool=self.pool,
             )
             with token_scope(token):
-                return self._evaluate(context, fragment, fragment.root,
-                                      executor, inputs, view)
+                return self._evaluate(context, fragment.root, executor,
+                                      inputs, view)
 
         sink = self._metrics_sink
         return run_with_retries(
@@ -574,7 +565,7 @@ class DistributedRuntime:
                     opened = self._open_and_record(context, takeover,
                                                    candidate_node, blob)
                     for table in inputs.values():
-                        self._receive_input(context, takeover, view, table)
+                        self._receive_input(context, view, table)
                     result = self._evaluate_fragment(
                         context, takeover, candidate_node, opened, view,
                         inputs)
@@ -598,19 +589,18 @@ class DistributedRuntime:
                         operations: list[PlanNode]) -> str | None:
         """The next failover candidate to try, or None when exhausted.
 
-        Candidates are runtime subjects that are not excluded, not
-        synthetic authorities, currently available per the health
-        registry, and hold every base relation the fragment reads
-        locally (a fragment embedding stored data can only move to a
-        subject that stores the same relations).  Ordered by latency
-        EWMA then name, so failover prefers the fastest healthy
-        provider deterministically; the querying user is kept as the
-        last resort — pulling computation back to the client defeats
-        the outsourcing the assignment paid for.
+        Candidates are runtime subjects that are not excluded, currently
+        available per the health registry, and hold every base relation
+        the fragment reads locally (a fragment embedding stored data can
+        only move to a subject that stores the same relations).  Ordered
+        by latency EWMA then name, so failover prefers the fastest healthy
+        provider deterministically; the querying user is kept as the last
+        resort — pulling computation back to the client defeats the
+        outsourcing the assignment paid for.
         """
         candidates = []
         for name, node in self.nodes.items():
-            if name in excluded or name.startswith("authority:"):
+            if name in excluded:
                 continue
             if not self.health.available(name):
                 continue
@@ -638,22 +628,20 @@ class DistributedRuntime:
             trace=context.trace,
         )
 
-    def _evaluate(self, context: _RunContext, fragment: SubQuery,
-                  node: PlanNode, executor: Executor,
-                  inputs: dict[int, Table], view: SubjectView) -> Table:
+    def _evaluate(self, context: _RunContext, node: PlanNode,
+                  executor: Executor, inputs: dict[int, Table],
+                  view: SubjectView) -> Table:
         if id(node) in inputs:
             return inputs[id(node)]
         # One node, or (own Encrypt, σ) — the engine may run that σ first.
         step = physical_step(node, inputs)
         result = executor.execute_step(step, [
-            self._evaluate(context, fragment, child, executor, inputs, view)
+            self._evaluate(context, child, executor, inputs, view)
             for child in step[0].children])
         for checked in step:
-            if not isinstance(checked, BaseRelationNode) \
-                    and not is_exempt(fragment.subject):
-                check_profile(
-                    view, context.profiles[checked],
-                    f"relation at {checked.label()}", context.trace)
+            if not isinstance(checked, BaseRelationNode):
+                check_profile(view, context.profiles[checked],
+                              f"relation at {checked.label()}")
         return result
 
     # ------------------------------------------------------------------
@@ -684,7 +672,6 @@ def build_runtime(policy: Policy, subjects: list[Subject],
                   authority_tables: Mapping[str, Mapping[str, Table]],
                   user: str,
                   udfs: Mapping[str, UdfCallable] | None = None,
-                  rsa_bits: int = DEFAULT_RSA_BITS,
                   rsa_keys: Mapping[
                       str, tuple[RsaPublicKey, RsaPrivateKey]] | None = None,
                   latency_seconds: float | Mapping[str, float] = 0.0,
@@ -699,8 +686,7 @@ def build_runtime(policy: Policy, subjects: list[Subject],
     (``subjects`` … ``latency_seconds``), everything else passed through
     to :class:`DistributedRuntime`."""
     nodes = build_nodes(subjects, authority_tables, udfs=udfs,
-                        rsa_bits=rsa_bits, rsa_keys=rsa_keys,
-                        latency_seconds=latency_seconds)
+                        rsa_keys=rsa_keys, latency_seconds=latency_seconds)
     return DistributedRuntime(
         policy, nodes, user, clock=clock, sleeper=sleeper, health=health,
         fault_injector=fault_injector, retry=retry, failover=failover,

@@ -58,7 +58,8 @@ Row tuples are the storage; every decision that depends on what a
   :meth:`~repro.engine.table.Table.map_columns` batch APIs.
 """
 
-from repro.engine.executor import Executor, decrypt_value, encrypt_value
+from repro.engine.codec import decrypt_value, encrypt_value
+from repro.engine.executor import Executor
 from repro.engine.expressions import compile_comparison, compile_predicate
 from repro.engine.table import Table
 from repro.engine.values import EncryptedAggregate, EncryptedValue

@@ -54,12 +54,7 @@ from repro.core.plan import QueryPlan
 from repro.core.predicates import AttributeComparisonPredicate
 from repro.core.requirements import EncryptionScheme
 from repro.crypto.keymanager import KeyStore
-from repro.engine.codec import (
-    decrypt_column,
-    decrypt_value,
-    encrypt_column,
-    encrypt_value,
-)
+from repro.engine.codec import decrypt_column, encrypt_column
 from repro.engine.expressions import (
     ConstantEncryptor,
     compile_comparison,

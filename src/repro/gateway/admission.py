@@ -68,13 +68,9 @@ class LatencyPredictor:
     must never brick a cold start.
     """
 
-    def __init__(self, maxsize: int = DEFAULT_PREDICTOR_SIZE,
-                 alpha: float = DEFAULT_PREDICTOR_ALPHA) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
-        self.alpha = alpha
+    def __init__(self) -> None:
         #: sql → (wall-seconds EWMA, cost EWMA); recency = last observed.
-        self._ewmas = LRU(maxsize)
+        self._ewmas = LRU(DEFAULT_PREDICTOR_SIZE)
         self._lock = threading.Lock()
 
     def observe(self, sql: str, wall_seconds: float,
@@ -83,7 +79,7 @@ class LatencyPredictor:
         with self._lock:
             entry = self._ewmas.peek(sql)
             if entry is not None:
-                alpha = self.alpha
+                alpha = DEFAULT_PREDICTOR_ALPHA
                 wall_seconds = alpha * wall_seconds \
                     + (1.0 - alpha) * entry[0]
                 cost_usd = alpha * cost_usd + (1.0 - alpha) * entry[1]

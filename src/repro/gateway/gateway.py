@@ -172,8 +172,6 @@ class Gateway:
                  tenants: Iterable[TenantConfig], *,
                  max_inflight: int = 4,
                  clock=time.monotonic,
-                 registry: MetricsRegistry | None = None,
-                 ledger: Ledger | None = None,
                  shed_safety: float = 1.0) -> None:
         tenants = list(tenants)
         if not tenants:
@@ -189,9 +187,8 @@ class Gateway:
         self.shed_safety = shed_safety
         self.tenants: Mapping[str, TenantConfig] = {
             config.name: config for config in tenants}
-        self.ledger = ledger if ledger is not None else Ledger()
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
+        self.ledger = Ledger()
+        self.registry = MetricsRegistry()
         self._controller = AdmissionController(max_inflight)
         self._max_inflight = max_inflight
         self._predictor = LatencyPredictor()

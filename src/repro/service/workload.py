@@ -51,7 +51,6 @@ from repro.core.visibility import verify_assignment
 from repro.cost.network import NetworkTopology
 from repro.cost.pricing import PriceList
 from repro.crypto.keymanager import DistributedKeys
-from repro.crypto.rsa import DEFAULT_RSA_BITS
 from repro.distributed import build_runtime, generate_subject_keys
 from repro.distributed.faults import FaultInjector
 from repro.distributed.health import HealthRegistry, RetryPolicy
@@ -225,7 +224,6 @@ class QueryService:
                  prices: PriceList | None = None,
                  topology: NetworkTopology | None = None,
                  udfs: Mapping[str, UdfCallable] | None = None,
-                 rsa_bits: int = DEFAULT_RSA_BITS,
                  latency_seconds: float | Mapping[str, float] = 0.0,
                  clock=None, sleeper=None,
                  health: HealthRegistry | None = None,
@@ -246,17 +244,17 @@ class QueryService:
         # their own seat* (the slow client link follows whoever is
         # querying) — the user is part of the assignment-cache key.
         self.topology = topology
-        #: Clock used when minting a CancellationToken from a bare
-        #: QueryBudget; shared with the runtime so fake-clock tests see
-        #: one consistent notion of time end to end.
+        #: The one clock of a query: its token, ``wall_seconds`` and
+        #: ``failover_seconds`` are read here and the runtime's failover
+        #: events, breaker and backoff on the same callable, so what is
+        #: added or compared is always on one time base.
         self._clock_fn = clock or time.monotonic
         self.assignment_cache = AssignmentCache(maxsize=_MEMO_LIMIT)
         #: Cross-query DP edge tables; a receiver row is rebuilt when
         #: the subject's view no longer matches the one it was built for.
         self.edge_cache = EdgeTableCache()
         # Per-subject RSA keypairs are generated exactly once, here.
-        self.rsa_keys = generate_subject_keys(list(self.subjects),
-                                              rsa_bits=rsa_bits)
+        self.rsa_keys = generate_subject_keys(list(self.subjects))
         self.runtime = build_runtime(
             policy, list(self.subjects), authority_tables, user,
             udfs=udfs, rsa_keys=self.rsa_keys,
@@ -300,7 +298,7 @@ class QueryService:
         user = user or self.user
         if token is None and budget is not None:
             token = CancellationToken(budget, clock=self._clock_fn)
-        started = time.perf_counter()
+        started = self._clock_fn()
         if token is not None:
             token.check("service:admitted")
         with self._lock:
@@ -333,12 +331,12 @@ class QueryService:
                 user=user, token=token,
             )
         except ProviderUnavailableError as failure:
-            repair_started = time.perf_counter()
+            repair_started = self._clock_fn()
             outcome, result, trace, standby_used, partial_traces = \
                 self._repair_and_rerun(plan, outcome, failure, user, token)
             replanned = not standby_used
-            repair_seconds = time.perf_counter() - repair_started
-        wall = time.perf_counter() - started
+            repair_seconds = self._clock_fn() - repair_started
+        wall = self._clock_fn() - started
         reconcile_after = self._reconcile_counters()
         reconcile = {
             key: reconcile_after[key] - reconcile_before[key]
@@ -415,8 +413,7 @@ class QueryService:
             if token is not None:
                 token.check("service:failover")
             unavailable |= self.runtime.health.unavailable_subjects()
-            if failure.subject in set(self.owners.values()) \
-                    or failure.subject.startswith("authority:"):
+            if failure.subject in set(self.owners.values()):
                 raise UnrecoverableAssignmentError(
                     f"data authority {failure.subject!r} is unavailable "
                     "and its stored relations cannot be reassigned"

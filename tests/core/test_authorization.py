@@ -9,6 +9,8 @@ from repro.core.authorization import (
     Subject,
     SubjectKind,
     SubjectView,
+    holder_of,
+    stands_in_for,
 )
 from repro.core.schema import Relation, Schema
 from repro.exceptions import AuthorizationError
@@ -38,6 +40,16 @@ class TestSubject:
     def test_reserved_any_rejected(self):
         with pytest.raises(AuthorizationError):
             Subject("any")
+
+    @pytest.mark.parametrize("kind", SubjectKind)
+    def test_stand_in_prefix_is_reserved(self, kind):
+        """No real subject may carry the name of a stand-in for an
+        unowned relation, whatever its role (and an authority least)."""
+        with pytest.raises(AuthorizationError, match="reserved"):
+            Subject("authority:x", kind)
+        assert stands_in_for("authority:x") == "x"
+        assert stands_in_for(holder_of("Ins", {"Hosp": "H"})) == "Ins"
+        assert stands_in_for(holder_of("Hosp", {"Hosp": "H"})) is None
 
     def test_kinds(self):
         assert Subject("U", SubjectKind.USER).kind is SubjectKind.USER

@@ -11,8 +11,6 @@ from repro.core.profile import RelationProfile
 from repro.core.visibility import (
     authorized_assignees,
     check_relation,
-    is_authorized_for_relation,
-    require_authorized,
     verify_assignment,
 )
 from repro.exceptions import UnauthorizedError
@@ -32,7 +30,7 @@ def view(name: str) -> SubjectView:
 
 class TestExample41:
     def test_y_is_authorized(self):
-        assert is_authorized_for_relation(view("Y"), EXAMPLE_41)
+        assert check_relation(view("Y"), EXAMPLE_41).authorized
 
     def test_h_fails_condition_1(self):
         check = check_relation(view("H"), EXAMPLE_41)
@@ -59,12 +57,12 @@ class TestConditions:
             implicit_plaintext=frozenset("D"),
         )
         subject = SubjectView("s", frozenset("T"), frozenset("D"))
-        assert not is_authorized_for_relation(subject, profile)
+        assert not check_relation(subject, profile).authorized
 
     def test_plaintext_covers_encrypted_requirement(self):
         profile = RelationProfile(visible_encrypted=frozenset("A"))
         subject = SubjectView("s", frozenset("A"), frozenset())
-        assert is_authorized_for_relation(subject, profile)
+        assert check_relation(subject, profile).authorized
 
     def test_uniform_visibility_applies_to_invisible_members(self):
         # All equivalence-set members count, visible or not (§4).
@@ -73,17 +71,9 @@ class TestConditions:
             equivalences=EquivalenceClasses.of({"A", "B"}),
         )
         missing_b = SubjectView("s", frozenset("A"), frozenset())
-        assert not is_authorized_for_relation(missing_b, profile)
+        assert not check_relation(missing_b, profile).authorized
         has_b = SubjectView("s", frozenset("AB"), frozenset())
-        assert is_authorized_for_relation(has_b, profile)
-
-    def test_require_authorized_raises_with_context(self):
-        profile = RelationProfile(visible_plaintext=frozenset("A"))
-        subject = SubjectView("s", frozenset(), frozenset())
-        with pytest.raises(UnauthorizedError) as error:
-            require_authorized(subject, profile, "test relation")
-        assert error.value.subject == "s"
-        assert error.value.violations
+        assert check_relation(has_b, profile).authorized
 
 
 class TestFigure3Assignees:

@@ -157,11 +157,13 @@ class TestKeySize:
             generate_keypair(bits)
 
     def test_one_default_everywhere(self):
+        """``generate_keypair`` alone takes a size; every constructor
+        above it builds at the default and offers no way to pick one."""
         assert DEFAULT_RSA_BITS == 512
-        for site, name in ((generate_keypair, "bits"),
-                           (SubjectNode.create, "rsa_bits"),
-                           (generate_subject_keys, "rsa_bits"),
-                           (build_runtime, "rsa_bits"),
-                           (QueryService.__init__, "rsa_bits")):
-            default = inspect.signature(site).parameters[name].default
-            assert default == DEFAULT_RSA_BITS, site
+        assert inspect.signature(generate_keypair).parameters[
+            "bits"].default == DEFAULT_RSA_BITS
+        for site in (SubjectNode.create, generate_subject_keys,
+                     build_runtime, QueryService.__init__):
+            assert "rsa_bits" not in inspect.signature(site).parameters, site
+        for _, private in generate_subject_keys(["X"]).values():
+            assert private.p.bit_length() == DEFAULT_RSA_BITS // 2

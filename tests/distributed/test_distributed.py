@@ -87,9 +87,8 @@ class TestRuntime:
                            DistributedKeys.from_assignment(keys))
 
     def test_end_to_end_result(self, example, example_tables):
-        result, trace = self.run_7a(example, example_tables)
+        result, _ = self.run_7a(example, example_tables)
         assert result.sorted_rows() == [("tpa", 120.0)]
-        assert not trace.violations
 
     def test_trace_accounting(self, example, example_tables):
         _, trace = self.run_7a(example, example_tables)

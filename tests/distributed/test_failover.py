@@ -119,7 +119,6 @@ class TestInPlaceTakeover:
         for event in outcome.failovers:
             assert event.failed_subject == victim
             assert event.replacement != victim
-            assert event.verified
             # Independent audit: the repaired assignment must satisfy
             # Definition 4.2 on the extended plan under the live policy.
             verify_assignment(outcome.assignment.extended.plan,
@@ -179,6 +178,52 @@ class TestServiceTierRepair:
         with pytest.raises(UnrecoverableAssignmentError,
                            match="data authority"):
             make_service(injector).execute(SQL)
+
+
+class FakeClock:
+    """Time that only moves when somebody sleeps on it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += seconds
+
+
+class TestOneClock:
+    @pytest.mark.parametrize("takeover", (True, False),
+                             ids=("takeover", "standby-or-replan"))
+    def test_wall_and_failover_seconds_read_the_injected_clock(
+            self, clean_outcome, takeover):
+        """Half a (fake) second of provider latency per fragment, slept
+        on a clock that nothing else moves: the query took exactly the
+        time that was slept, and recovery exactly the time from the loss
+        of the provider to delivery — whichever tier recovered.  Read on
+        any other clock, both are a few real milliseconds."""
+        victim = compute_victim(clean_outcome)
+        injector = FaultInjector(seed=5)
+        injector.kill(victim)
+        clock = FakeClock()
+        lost_at = []
+        on_execute = injector.on_execute
+
+        def watched(subject):
+            if subject == victim and not lost_at:
+                lost_at.append(clock.now)
+            return on_execute(subject)
+
+        injector.on_execute = watched
+        outcome = make_service(
+            injector, failover=takeover, clock=clock, sleeper=clock.sleep,
+            latency_seconds=0.5).execute(SQL)
+        assert outcome.failed_over and bool(outcome.failovers) == takeover
+        assert_rows_equal(outcome.result, clean_outcome.result)
+        assert 0.0 < lost_at[0] < clock.now
+        assert outcome.wall_seconds == clock.now
+        assert outcome.failover_seconds == clock.now - lost_at[0]
 
 
 class TestEnforcementNeverRetried:

@@ -70,7 +70,6 @@ def run_and_audit(service, sql):
     """Execute, re-verifying every failover event independently."""
     outcome = service.execute(sql)
     for event in outcome.failovers:
-        assert event.verified
         verify_assignment(outcome.assignment.extended.plan,
                           service.policy, event.repaired_assignment)
     return outcome

@@ -6,22 +6,28 @@ joins, group-bys, and random policies), plus targeted hypothesis tests
 where the statement is local.
 """
 
+import dataclasses
 import itertools
 
 import pytest
 
+from repro.core.authorization import Subject
 from repro.core.candidates import compute_candidates, minimum_view_profiles
 from repro.core.extension import minimally_extend
+from repro.core.keys import establish_keys
 from repro.core.lineage import augment_view, derived_lineage
 from repro.core.operators import Decrypt, Encrypt
 from repro.core.plan import QueryPlan
 from repro.core.requirements import infer_plaintext_requirements
 from repro.core.visibility import (
     check_assignee,
-    is_authorized_assignee,
     verify_assignment,
 )
-from repro.exceptions import UnauthorizedError
+from repro.exceptions import (
+    AuthorizationError,
+    KeyManagementError,
+    UnauthorizedError,
+)
 
 
 class TestTheorem31:
@@ -183,10 +189,10 @@ class TestTheorem52:
             for subject in scenario.subjects:
                 view = augment_view(
                     scenario.policy.view(subject), lineage)
-                authorized = is_authorized_assignee(
+                authorized = check_assignee(
                     view, counterpart, operand_profiles,
                     profiles[counterpart],
-                )
+                ).authorized
                 # The plaintext requirements bound what extension may
                 # encrypt; a subject authorized under *this* extension
                 # must be a candidate.
@@ -258,6 +264,52 @@ class TestTheorem53:
         assert extended.encrypted_attributes <= frozenset(
             fully_encrypted
         ) | {a for a in extended.encrypted_attributes}
+
+
+class TestStandInRule:
+    """The stand-in for a relation nobody owns (``authority:<relation>``,
+    spelled here on purpose) runs the source ``Encrypt`` of that
+    relation and nothing else."""
+
+    def test_only_its_own_source_encrypt_may_run_at_a_stand_in(
+            self, random_scenario):
+        scenario = random_scenario
+        candidates = compute_candidates(
+            scenario.plan, scenario.policy, scenario.subjects)
+        assignment = {}
+        for node in scenario.plan.operations():
+            if not candidates[node]:
+                pytest.skip("unassignable scenario")
+            assignment[node] = sorted(candidates[node])[0]
+        # Planned without ``owners``, as the suites above do: every
+        # source encryption lands on a stand-in, and the plan verifies.
+        extended = minimally_extend(
+            scenario.plan, scenario.policy, assignment)
+        stand_ins = {leaf.relation.name: f"authority:{leaf.relation.name}"
+                     for leaf in scenario.plan.leaves()}
+        for stand_in in stand_ins.values():
+            with pytest.raises(AuthorizationError, match="reserved"):
+                Subject(stand_in)
+        for node in extended.plan.operations():
+            own = None
+            if isinstance(node, Encrypt) and node.left.is_leaf:
+                own = stand_ins[node.left.relation.name]
+                assert extended.assignee(node) == own
+            for stand_in in stand_ins.values():
+                moved = {**extended.assignment, node: stand_in}
+                if stand_in == own:
+                    assert verify_assignment(
+                        extended.plan, scenario.policy, moved)
+                    continue
+                with pytest.raises(UnauthorizedError,
+                                   match="stands in for"):
+                    verify_assignment(extended.plan, scenario.policy, moved)
+                if isinstance(node, (Encrypt, Decrypt)):
+                    with pytest.raises(KeyManagementError,
+                                       match="stands in for"):
+                        establish_keys(
+                            dataclasses.replace(extended, assignment=moved),
+                            scenario.policy)
 
 
 def _extend_without(example, assignment, dropped: str):

@@ -30,7 +30,6 @@ class TestQueryService:
         outcome = service.execute(RUNNING_SQL)
         assert outcome.result.sorted_rows() == [("tpa", 120.0)]
         assert outcome.user == "U"
-        assert not outcome.trace.violations
         assert outcome.wall_seconds > 0
         assert outcome.cost_usd > 0
         assert not outcome.plan_cached

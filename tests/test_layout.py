@@ -26,12 +26,15 @@ FORBIDDEN = ("OrderedDict", "popitem(last=False)", "deltas_since(")
 #: A second fragment scheduler, a selectable reference path, the
 #: per-value decoder that kept ``decrypt_column`` from being bulk, a
 #: second join strategy with its settings object and threshold knob, the
-#: obfuscator refill thread, an off-switch for runtime enforcement, or
-#: a second deadline beside the query's in the retry loop.
+#: obfuscator refill thread, an off-switch for runtime enforcement, a
+#: second deadline beside the query's in the retry loop, a run-time
+#: exemption by subject name, or a third statement of Def. 4.1 / 4.2.
 RETIRED = ("ThreadPoolExecutor", "search_impl", "nested-loop", "_reference(",
            "_column_decoder", "parallel-hash", "join_strategy",
            "ExecutionSettings", "min_parallel_items=", "_background_refill",
-           "self.enforce", "fragment_deadline_seconds")
+           "self.enforce", "fragment_deadline_seconds", "is_exempt",
+           "is_authorized_for_relation", "is_authorized_assignee",
+           "require_authorized")
 #: Parameters that selected between paths which no longer exist.
 RETIRED_PARAMETERS = ("schedule", "strategy")
 
@@ -50,9 +53,9 @@ RUNTIME_PART_BUDGETS = {
 #: … and the files already over it may only shrink: lower a ceiling
 #: with the file, never raise it, and drop the row once it fits.
 SHRINK_ONLY = {
-    "distributed/runtime.py": 708,
+    "distributed/runtime.py": 694,
     "core/operators.py": 741,
-    "service/workload.py": 647,
+    "service/workload.py": 644,
 }
 
 #: What the retired per-layer ratio benches left their name on (spelled
@@ -122,20 +125,19 @@ def test_runtime_parts_do_not_reach_back_into_the_runtime():
                     "repro.engine.executor"} & set(imported), name
 
 
-def test_one_statement_of_the_enforcement_exemption():
-    """``authority:<relation>`` is tested for in the enforcement part
-    (the exemption) and in the takeover's candidate walk, nowhere else
-    in the package."""
-    needle = 'startswith("authority:")'
-    found = {path.name: code_of(path).count(needle)
-             for path in sorted(DISTRIBUTED.glob("*.py"))
-             if needle in code_of(path)}
-    assert found == {"enforcement.py": 1, "runtime.py": 1}
-    source = (DISTRIBUTED / "runtime.py").read_text()
-    assert [node.name for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.FunctionDef)
-            and needle in ast.get_source_segment(source, node)] \
-        == ["_next_candidate"]
+def test_one_spelling_of_the_stand_in_prefix():
+    """``authority:<relation>`` — the stand-in for a relation nobody
+    owns — is spelled where it is defined, beside ``Subject``; every
+    other module asks ``holder_of`` / ``stands_in_for``, and nothing on
+    the run-time path asks at all."""
+    spelled = [path.relative_to(SRC).as_posix()
+               for path in sorted(SRC.rglob("*.py"))
+               if "authority:" in code_of(path)]
+    assert spelled == ["core/authorization.py"]
+    for path in sorted(DISTRIBUTED.glob("*.py")):
+        if path.name != "nodes.py":  # build_nodes refuses the name
+            assert "stands_in_for" not in code_of(path), path.name
+    assert "stands_in_for" not in code_of(WORKLOAD)
 
 
 def test_service_keeps_no_identity_keyed_side_tables():
