@@ -7,7 +7,9 @@ Metering is therefore a wiring problem: the gateway debits each
 outcome's ``cost_usd`` from the querying tenant's
 :class:`CreditAccount` and appends a :class:`LedgerEntry` to the shared
 :class:`Ledger`, giving operators a per-tenant spend history and the
-quota layer a balance to gate admission on.
+quota layer a balance to gate admission on.  The ledger is the one
+record of a tenant's queries: lifetime spend and the gateway's
+per-status counters are read from it, not kept beside it.
 
 Billing is **postpaid**: admission checks that the balance is positive,
 the debit happens after execution with the query's *actual* cost, so a
@@ -31,8 +33,8 @@ False
 ...                       cost_usd=0.25, wall_seconds=0.01)
 >>> entry.sequence
 1
->>> ledger.spend_usd("gold")
-0.25
+>>> ledger.lifetime()
+{('gold', 'completed'): (1, 0.25)}
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ class CreditAccount:
     """A tenant's prepaid credit balance, debited per executed query.
 
     ``credits_usd=None`` means unmetered (the account is always
-    admissible and debits only accumulate ``spent_usd``).  Thread-safe:
-    gateway workers debit concurrently with admission-time balance
-    checks.
+    admissible and a debit changes nothing).  Lifetime spend is the
+    :class:`Ledger`'s, not the account's.  Thread-safe: gateway workers
+    debit concurrently with admission-time balance checks.
     """
 
     def __init__(self, tenant: str,
@@ -64,7 +66,6 @@ class CreditAccount:
         self.tenant = tenant
         self._unmetered = credits_usd is None
         self._balance = 0.0 if credits_usd is None else float(credits_usd)
-        self._spent = 0.0
         self._lock = threading.Lock()
 
     @property
@@ -78,12 +79,6 @@ class CreditAccount:
             return self._balance
 
     @property
-    def spent_usd(self) -> float:
-        """Total debited over the account's lifetime."""
-        with self._lock:
-            return self._spent
-
-    @property
     def admissible(self) -> bool:
         """Whether a new query may be admitted against this account."""
         with self._lock:
@@ -94,7 +89,6 @@ class CreditAccount:
         if amount_usd < 0:
             raise ValueError(f"cannot debit {amount_usd!r}")
         with self._lock:
-            self._spent += amount_usd
             if not self._unmetered:
                 self._balance -= amount_usd
             return self._balance
@@ -134,8 +128,10 @@ class Ledger:
     """Thread-safe per-tenant spend history with bounded retention.
 
     Entries get a global monotone ``sequence`` in recording (completion)
-    order; per-tenant totals cover every query ever recorded while only
-    the last ``history_limit`` entries per tenant are retained.
+    order; the lifetime count and spend per ``(tenant, status)`` cover
+    every query ever recorded — the gateway's outcome counters are read
+    from them — while only the last ``history_limit`` entries per
+    tenant are retained.
     """
 
     def __init__(self, history_limit: int = DEFAULT_HISTORY_LIMIT) -> None:
@@ -143,8 +139,7 @@ class Ledger:
             raise ValueError("history_limit must be >= 1")
         self._history_limit = history_limit
         self._entries: dict[str, Deque[LedgerEntry]] = {}
-        self._totals: dict[str, float] = {}
-        self._counts: dict[str, int] = {}
+        self._lifetime: dict[tuple[str, str], tuple[int, float]] = {}
         self._sequence = 0
         self._lock = threading.Lock()
 
@@ -166,8 +161,8 @@ class Ledger:
                 history = deque(maxlen=self._history_limit)
                 self._entries[tenant] = history
             history.append(entry)
-            self._totals[tenant] = self._totals.get(tenant, 0.0) + cost_usd
-            self._counts[tenant] = self._counts.get(tenant, 0) + 1
+            count, spend = self._lifetime.get((tenant, status), (0, 0.0))
+            self._lifetime[tenant, status] = (count + 1, spend + cost_usd)
             return entry
 
     def entries(self, tenant: str) -> tuple[LedgerEntry, ...]:
@@ -182,17 +177,18 @@ class Ledger:
                       for entry in history]
         return tuple(sorted(merged, key=lambda entry: entry.sequence))
 
-    def spend_usd(self, tenant: str) -> float:
-        """Lifetime metered spend of ``tenant`` (not just retained)."""
+    def lifetime(self) -> Mapping[tuple[str, str], tuple[int, float]]:
+        """``(tenant, status)`` → (queries, spend) over every query ever
+        recorded, not just the retained history."""
         with self._lock:
-            return self._totals.get(tenant, 0.0)
+            return dict(self._lifetime)
+
+    def spend_usd(self, tenant: str) -> float:
+        """Lifetime metered spend of ``tenant``."""
+        return sum((spend for (name, _), (_, spend)
+                    in self.lifetime().items() if name == tenant), 0.0)
 
     def query_count(self, tenant: str) -> int:
         """Lifetime recorded query count of ``tenant``."""
-        with self._lock:
-            return self._counts.get(tenant, 0)
-
-    def totals(self) -> Mapping[str, float]:
-        """Lifetime spend per tenant."""
-        with self._lock:
-            return dict(self._totals)
+        return sum(count for (name, _), (count, _)
+                   in self.lifetime().items() if name == tenant)

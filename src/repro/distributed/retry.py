@@ -58,14 +58,13 @@ def run_with_retries(subject: str, label: str, attempt: Callable[[], T], *,
                      health: HealthRegistry, retry: RetryPolicy,
                      clock: Callable[[], float],
                      sleep: Callable[[float], None],
-                     token: CancellationToken | None, trace,
-                     observe: Callable[[str, float], None] | None) -> T:
+                     token: CancellationToken | None, trace) -> T:
     """``attempt()`` on ``subject``, absorbing transient faults.
 
     ``label`` names the work in checkpoints and salts the jitter;
-    ``trace`` counts ``attempts`` / ``retries`` / ``breaker_trips``;
-    ``observe(subject, seconds)`` sees each success's wall time (the same
-    measurement that feeds the health registry's EWMA).
+    ``trace`` counts ``attempts`` / ``retries`` / ``breaker_trips`` and
+    gets ``(subject, seconds)`` appended to its ``executions`` for the
+    success — the same wall time that feeds the health registry's EWMA.
     """
     attempts = 0
     while True:
@@ -109,6 +108,5 @@ def run_with_retries(subject: str, label: str, attempt: Callable[[], T], *,
             raise
         elapsed = clock() - started
         health.record_success(subject, elapsed)
-        if observe is not None:
-            observe(subject, elapsed)
+        trace.executions.append((subject, elapsed))
         return result

@@ -89,7 +89,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 from repro.core.authorization import Policy, Subject, SubjectView
@@ -148,7 +148,8 @@ class FailoverEvent:
 
 @dataclass
 class ExecutionTrace:
-    """Observability: what moved where during a distributed run."""
+    """What moved where during one run; folded with :meth:`absorb`, the
+    one record of every run of a query, which every counter reads."""
 
     #: Sealed envelopes (one per subject, plus one per failover reseal)
     #: and inter-fragment table transfers.
@@ -169,6 +170,14 @@ class ExecutionTrace:
     breaker_trips: int = 0
     #: Mid-query fragment re-dispatches, in completion order.
     failovers: list[FailoverEvent] = field(default_factory=list)
+    #: (subject, seconds) per successful fragment execution, the wall
+    #: time the health registry's latency EWMA is fed.
+    executions: list[tuple[str, float]] = field(default_factory=list)
+
+    def absorb(self, later: "ExecutionTrace") -> None:
+        """Append a later run of the same query: counts add, lists join."""
+        for name in (f.name for f in fields(self)):
+            setattr(self, name, getattr(self, name) + getattr(later, name))
 
 
 @dataclass
@@ -248,8 +257,6 @@ class DistributedRuntime:
         self.fault_injector = fault_injector
         self.retry_policy = retry or RetryPolicy()
         self.failover_enabled = failover
-        #: Optional observability sink (see :meth:`attach_metrics`).
-        self._metrics_sink = None
         if user not in self.nodes:
             raise DispatchError(f"no runtime node for user {user!r}")
         self._subject_locks: dict[str, threading.Lock] = {}
@@ -350,19 +357,6 @@ class DistributedRuntime:
     def health_info(self) -> dict[str, dict[str, object]]:
         """Per-subject health snapshot (breaker state, EWMA, counters)."""
         return self.health.snapshot()
-
-    def attach_metrics(self, sink) -> None:
-        """Attach an observability sink for per-fragment latencies.
-
-        ``sink.observe_fragment(subject, seconds)`` is called once per
-        successful fragment execution with the measured wall time (the
-        same measurement that feeds the health registry's EWMA).  The
-        sink must be thread-safe — concurrent runs complete fragments on
-        their own threads — and cheap: it runs on the fragment's
-        critical path.
-        Pass ``None`` to detach.
-        """
-        self._metrics_sink = sink
 
     # ------------------------------------------------------------------
     # Schedule
@@ -492,13 +486,11 @@ class DistributedRuntime:
                 return self._evaluate(context, fragment.root, executor,
                                       inputs, view)
 
-        sink = self._metrics_sink
         return run_with_retries(
             subject, fragment.fragment_id, attempt,
             health=self.health, retry=self.retry_policy,
             clock=self._clock, sleep=self._sleep, token=token,
-            trace=context.trace,
-            observe=None if sink is None else sink.observe_fragment)
+            trace=context.trace)
 
     # ------------------------------------------------------------------
     # Mid-query failover

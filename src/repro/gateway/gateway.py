@@ -15,11 +15,16 @@ tenants concurrently under explicit resource arbitration:
   tenants are rejected at :meth:`Gateway.submit`, before a single
   planning cycle is spent on them;
 * **observability** — every admission decision, queue depth, dispatch,
-  query latency, fragment latency (via the runtime's metrics sink),
-  breaker state and cache hit rate lands in a
-  :class:`~repro.obs.metrics.MetricsRegistry`, scrapable as Prometheus
-  text from :meth:`Gateway.metrics_text` (and ``python -m repro
-  metrics`` on the CLI);
+  query latency, fragment latency, breaker state and cache hit rate
+  lands in a :class:`~repro.obs.metrics.MetricsRegistry`, scrapable as
+  Prometheus text from :meth:`Gateway.metrics_text` (and ``python -m
+  repro metrics`` on the CLI).  What happened is written once, in two
+  records, and the counters read them: a tenant's completed, failed,
+  cancelled and deadline counts and its spend are the ledger's lifetime
+  totals (derived at scrape time), and fragment latencies are the
+  ``executions`` of each query's
+  :class:`~repro.distributed.runtime.ExecutionTrace` (the outcome's,
+  or the one an aborted query's error carries);
 * **budgets & graceful degradation** — each query runs under a
   :class:`~repro.core.budget.QueryBudget` (the caller's request merged
   over the tenant's defaults) carried in a
@@ -43,14 +48,15 @@ admission controller, each executing one admitted query at a time
 through the shared service; :meth:`Gateway.submit` returns a
 :class:`concurrent.futures.Future` resolving to the
 :class:`~repro.service.QueryOutcome` (or raising the query's error).
-Time is injected via ``clock`` for deterministic queue-wait
-accounting; execution itself is as concurrent as the service allows.
+Time is the service's ``clock``: the token, queue wait, rate buckets
+and ledger entries are on the same time base as the service's
+``wall_seconds`` and the runtime's deadline checks; execution itself is
+as concurrent as the service allows.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -155,23 +161,12 @@ class _Request:
         self.token = token
 
 
-class _FragmentSink:
-    """Adapter: runtime fragment completions → a labelled histogram."""
-
-    def __init__(self, histogram) -> None:
-        self._histogram = histogram
-
-    def observe_fragment(self, subject: str, seconds: float) -> None:
-        self._histogram.labels(subject).observe(seconds)
-
-
 class Gateway:
     """Multi-tenant admission/quota/metering front-end over one service."""
 
     def __init__(self, service: QueryService,
                  tenants: Iterable[TenantConfig], *,
                  max_inflight: int = 4,
-                 clock=time.monotonic,
                  shed_safety: float = 1.0) -> None:
         tenants = list(tenants)
         if not tenants:
@@ -183,7 +178,7 @@ class Gateway:
             raise ValueError(
                 f"shed_safety must be positive, got {shed_safety!r}")
         self.service = service
-        self.clock = clock
+        self.clock = service.clock
         self.shed_safety = shed_safety
         self.tenants: Mapping[str, TenantConfig] = {
             config.name: config for config in tenants}
@@ -201,10 +196,8 @@ class Gateway:
                 burst=config.burst, credits_usd=config.credits_usd,
                 deadline_seconds=config.deadline_seconds,
                 cost_ceiling_usd=config.cost_ceiling_usd,
-                clock=clock)
+                clock=self.clock)
         self._register_metrics()
-        self.service.attach_metrics(
-            _FragmentSink(self._fragment_latency))
         self._closed = False
         self._close_lock = threading.Lock()
         self._workers = [
@@ -224,10 +217,10 @@ class Gateway:
             "repro_gateway_queries_submitted_total",
             "Queries offered to the gateway, admitted or not.",
             labelnames=("tenant",))
-        self._completed = registry.counter(
+        completed = registry.counter(
             "repro_gateway_queries_completed_total",
             "Queries executed to a result.", labelnames=("tenant",))
-        self._failed = registry.counter(
+        failed = registry.counter(
             "repro_gateway_queries_failed_total",
             "Admitted queries whose execution raised.",
             labelnames=("tenant",))
@@ -254,14 +247,18 @@ class Gateway:
             "repro_gateway_credits_spent_usd_total",
             "Metered spend per tenant (sum of costed traces).",
             labelnames=("tenant",))
-        self._deadline_exceeded = registry.counter(
+        deadline = registry.counter(
             "repro_gateway_deadline_exceeded_total",
             "Queries whose end-to-end deadline expired (at dequeue or "
             "mid-execution).", labelnames=("tenant",))
-        self._cancelled = registry.counter(
+        cancelled = registry.counter(
             "repro_gateway_cancelled_total",
             "Queries cancelled by their client via the token.",
             labelnames=("tenant",))
+        #: Ledger status → the counter its lifetime count is (part of).
+        self._status_counters = {
+            "completed": completed, "failed": failed,
+            "cancelled": cancelled, "shed": deadline, "deadline": deadline}
         self._shed_predicted = registry.counter(
             "repro_gateway_shed_predicted_total",
             "Queries shed at submit because the predictor expected them "
@@ -274,7 +271,7 @@ class Gateway:
             labelnames=("tenant",))
         self._fragment_latency = registry.histogram(
             "repro_fragment_latency_seconds",
-            "Per-subject fragment execution time (runtime sink).",
+            "Per-subject fragment execution time (query traces).",
             labelnames=("subject",))
         self._breaker_state = registry.gauge(
             "repro_breaker_state",
@@ -299,7 +296,17 @@ class Gateway:
         registry.register_collector(self._collect)
 
     def _collect(self) -> None:
-        """Mirror service/runtime snapshots into the registry (scrape)."""
+        """Mirror the ledger and service/runtime snapshots into the
+        registry (scrape)."""
+        totals: dict[tuple[object, str], float] = {}
+        for (tenant, status), (count, spend) \
+                in self.ledger.lifetime().items():
+            key = (self._status_counters[status], tenant)
+            totals[key] = totals.get(key, 0) + count
+            if status == "completed":
+                totals[self._credits_spent, tenant] = spend
+        for (counter, tenant), total in totals.items():
+            counter.labels(tenant).set_total(total)
         for tenant, depth in self._controller.depths().items():
             self._queue_depth.labels(tenant).set(depth)
         for subject, record in self.service.health_info().items():
@@ -475,51 +482,26 @@ class Gateway:
             try:
                 token.check("gateway:dequeue")
             except QueryCancelledError as error:
-                self._cancelled.labels(tenant).inc()
-                self.ledger.record(
-                    tenant, user=request.user, sql=request.sql,
-                    cost_usd=0.0, wall_seconds=self.clock() - started,
-                    status="cancelled",
-                    dispatch_sequence=request.dispatch_sequence)
-                request.future.set_exception(error)
+                self._settle_failure(tenant, request, started, error,
+                                     "cancelled")
                 return
             except DeadlineExceededError as error:
-                self._deadline_exceeded.labels(tenant).inc()
-                self.ledger.record(
-                    tenant, user=request.user, sql=request.sql,
-                    cost_usd=0.0, wall_seconds=self.clock() - started,
-                    status="shed",
-                    dispatch_sequence=request.dispatch_sequence)
-                request.future.set_exception(error)
+                self._settle_failure(tenant, request, started, error, "shed")
                 return
         try:
-            if token is None:
-                outcome = self.service.execute(request.sql,
-                                               user=request.user)
-            else:
-                outcome = self.service.execute(request.sql,
-                                               user=request.user,
-                                               token=token)
+            outcome = self.service.execute(request.sql, user=request.user,
+                                           token=token)
         except BaseException as error:  # noqa: BLE001 — relayed, not hidden
             if isinstance(error, QueryCancelledError):
-                self._cancelled.labels(tenant).inc()
                 status = "cancelled"
             elif isinstance(error, DeadlineExceededError):
-                self._deadline_exceeded.labels(tenant).inc()
                 status = "deadline"
             else:
-                self._failed.labels(tenant).inc()
                 status = "failed"
-            self.ledger.record(
-                tenant, user=request.user, sql=request.sql,
-                cost_usd=0.0, wall_seconds=self.clock() - started,
-                status=status,
-                dispatch_sequence=request.dispatch_sequence)
-            request.future.set_exception(error)
+            self._settle_failure(tenant, request, started, error, status)
             return
         quota.settle(outcome.cost_usd)
-        self._credits_spent.labels(tenant).inc(outcome.cost_usd)
-        self._completed.labels(tenant).inc()
+        self._read_fragment_latency(outcome.trace)
         self._query_seconds.labels(tenant).observe(outcome.wall_seconds)
         self._predictor.observe(request.sql, outcome.wall_seconds,
                                 outcome.cost_usd)
@@ -533,6 +515,25 @@ class Gateway:
             wall_seconds=outcome.wall_seconds, status="completed",
             dispatch_sequence=request.dispatch_sequence)
         request.future.set_result(outcome)
+
+    def _settle_failure(self, tenant: str, request: _Request,
+                        started: float, error: BaseException,
+                        status: str) -> None:
+        """Ledger a query that delivered no result and relay ``error``."""
+        self._read_fragment_latency(getattr(error, "trace", None))
+        self.ledger.record(
+            tenant, user=request.user, sql=request.sql, cost_usd=0.0,
+            wall_seconds=self.clock() - started, status=status,
+            dispatch_sequence=request.dispatch_sequence)
+        request.future.set_exception(error)
+
+    def _read_fragment_latency(self, trace) -> None:
+        """Per-subject fragment latency, read off a query's trace (None
+        when the query failed before anything ran)."""
+        if trace is None:
+            return
+        for subject, seconds in trace.executions:
+            self._fragment_latency.labels(subject).observe(seconds)
 
     # ------------------------------------------------------------------
     # Introspection & lifecycle
@@ -559,7 +560,6 @@ class Gateway:
                 GatewayError("gateway closed before execution"))
         for worker in self._workers:
             worker.join()
-        self.service.attach_metrics(None)
 
     def __enter__(self) -> "Gateway":
         return self

@@ -269,6 +269,10 @@ class MetricsRegistry:
         self._families: dict[str, MetricFamily] = {}
         self._collectors: list[Callable[[], None]] = []
         self._lock = threading.Lock()
+        #: One scrape's collectors at a time: a collector reads a monotone
+        #: source and sets a total, and two interleaved scrapes could set
+        #: the older total over the newer one.
+        self._collect_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Registration
@@ -351,8 +355,9 @@ class MetricsRegistry:
         """The registry in Prometheus text exposition format."""
         with self._lock:
             collectors = list(self._collectors)
-        for collect in collectors:
-            collect()
+        with self._collect_lock:
+            for collect in collectors:
+                collect()
         with self._lock:
             families = [self._families[name]
                         for name in sorted(self._families)]

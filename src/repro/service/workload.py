@@ -62,6 +62,7 @@ from repro.exceptions import (
     DispatchError,
     NoCandidateError,
     ProviderUnavailableError,
+    QueryAbortedError,
     UnauthorizedError,
     UnrecoverableAssignmentError,
 )
@@ -77,7 +78,13 @@ _SESSION_OUTCOME_LIMIT = 128
 
 @dataclass
 class QueryOutcome:
-    """One executed query: its result plus the per-query trace."""
+    """One executed query: its result plus the per-query trace.
+
+    ``trace`` covers every run of the query — the primary run and any
+    standby or re-plan re-run after a lost provider, failed runs
+    included — and is the one record of what moved: ``retries`` and
+    ``failovers`` read it, nothing is summed beside it.
+    """
 
     sql: str
     user: str
@@ -95,16 +102,6 @@ class QueryOutcome:
     #: when the policy did not change between this query and the
     #: previous one.
     reconcile: dict[str, int] = field(default_factory=dict)
-    #: Fragment execution attempts across every run of this query
-    #: (retries and repair re-runs included).
-    attempts: int = 0
-    #: Transient-fault retries absorbed without failover.
-    retries: int = 0
-    #: Circuit-breaker trips observed (provider deaths included).
-    breaker_trips: int = 0
-    #: Mid-query fragment re-dispatches, each carrying the repaired
-    #: assignment that :func:`verify_assignment` approved.
-    failovers: tuple[FailoverEvent, ...] = ()
     #: Whether the query was re-run on a warm §6 standby plan.
     standby_used: bool = False
     #: Whether the query was re-planned from scratch over the healthy
@@ -118,6 +115,17 @@ class QueryOutcome:
     #: Seconds left on the deadline when the result was delivered
     #: (None = no deadline).
     budget_remaining_seconds: float | None = None
+
+    @property
+    def retries(self) -> int:
+        """Transient-fault retries absorbed without failover."""
+        return self.trace.retries
+
+    @property
+    def failovers(self) -> tuple[FailoverEvent, ...]:
+        """Mid-query fragment re-dispatches, each carrying the repaired
+        assignment that :func:`verify_assignment` approved."""
+        return tuple(self.trace.failovers)
 
     @property
     def failed_over(self) -> bool:
@@ -174,10 +182,6 @@ class SessionStats:
     assignment_cache_hits: int = 0
     fragment_cache_hits: int = 0
     fragments_run: int = 0
-    retries: int = 0
-    breaker_trips: int = 0
-    failovers: int = 0
-    queries_failed_over: int = 0
 
     def observe(self, outcome: QueryOutcome) -> None:
         self.queries += 1
@@ -187,10 +191,6 @@ class SessionStats:
         self.assignment_cache_hits += int(outcome.assignment_cached)
         self.fragment_cache_hits += outcome.trace.fragment_cache_hits
         self.fragments_run += len(outcome.trace.fragments_run)
-        self.retries += outcome.retries
-        self.breaker_trips += outcome.breaker_trips
-        self.failovers += len(outcome.failovers)
-        self.queries_failed_over += int(outcome.failed_over)
 
     def describe(self) -> str:
         return (
@@ -245,10 +245,11 @@ class QueryService:
         # querying) — the user is part of the assignment-cache key.
         self.topology = topology
         #: The one clock of a query: its token, ``wall_seconds`` and
-        #: ``failover_seconds`` are read here and the runtime's failover
-        #: events, breaker and backoff on the same callable, so what is
-        #: added or compared is always on one time base.
-        self._clock_fn = clock or time.monotonic
+        #: ``failover_seconds`` are read here, the runtime's failover
+        #: events, breaker and backoff and the gateway's token, queue
+        #: wait, rate buckets and ledger on the same callable, so what
+        #: is added or compared is always on one time base.
+        self.clock = clock or time.monotonic
         self.assignment_cache = AssignmentCache(maxsize=_MEMO_LIMIT)
         #: Cross-query DP edge tables; a receiver row is rebuilt when
         #: the subject's view no longer matches the one it was built for.
@@ -259,7 +260,7 @@ class QueryService:
             policy, list(self.subjects), authority_tables, user,
             udfs=udfs, rsa_keys=self.rsa_keys,
             latency_seconds=latency_seconds,
-            clock=clock, sleeper=sleeper, health=health,
+            clock=self.clock, sleeper=sleeper, health=health,
             fault_injector=fault_injector, retry=retry,
             failover=failover, workers=workers,
         )
@@ -297,8 +298,8 @@ class QueryService:
         """
         user = user or self.user
         if token is None and budget is not None:
-            token = CancellationToken(budget, clock=self._clock_fn)
-        started = self._clock_fn()
+            token = CancellationToken(budget, clock=self.clock)
+        started = self.clock()
         if token is not None:
             token.check("service:admitted")
         with self._lock:
@@ -322,7 +323,6 @@ class QueryService:
             self._enforce_cost_ceiling(token, outcome)
         distributed, dispatch_plan, keys_reused = self._derived(outcome,
                                                                 user)
-        partial_traces: list[ExecutionTrace] = []
         standby_used = replanned = False
         repair_seconds = 0.0
         try:
@@ -331,20 +331,18 @@ class QueryService:
                 user=user, token=token,
             )
         except ProviderUnavailableError as failure:
-            repair_started = self._clock_fn()
-            outcome, result, trace, standby_used, partial_traces = \
-                self._repair_and_rerun(plan, outcome, failure, user, token)
+            repair_started = self.clock()
+            outcome, result, trace, standby_used = self._repair_and_rerun(
+                plan, outcome, failure, user, token)
             replanned = not standby_used
-            repair_seconds = self._clock_fn() - repair_started
-        wall = self._clock_fn() - started
+            repair_seconds = self.clock() - repair_started
+        wall = self.clock() - started
         reconcile_after = self._reconcile_counters()
         reconcile = {
             key: reconcile_after[key] - reconcile_before[key]
             for key in reconcile_after
             if reconcile_after[key] != reconcile_before[key]
         }
-        traces = partial_traces + [trace]
-        failovers = tuple(e for t in traces for e in t.failovers)
         executed = QueryOutcome(
             sql=sql,
             user=user,
@@ -357,14 +355,10 @@ class QueryService:
             keys_reused=keys_reused,
             assignment=outcome,
             reconcile=reconcile,
-            attempts=sum(t.attempts for t in traces),
-            retries=sum(t.retries for t in traces),
-            breaker_trips=sum(t.breaker_trips for t in traces),
-            failovers=failovers,
             standby_used=standby_used,
             replanned=replanned,
             failover_seconds=(repair_seconds
-                              + sum(e.seconds for e in failovers)),
+                              + sum(e.seconds for e in trace.failovers)),
             budget=token.budget if token is not None else None,
             budget_remaining_seconds=(token.remaining_seconds()
                                       if token is not None else None),
@@ -384,8 +378,7 @@ class QueryService:
         self, plan, primary: AssignmentResult,
         failure: ProviderUnavailableError, user: str,
         token: CancellationToken | None = None,
-    ) -> tuple[AssignmentResult, Table, ExecutionTrace, bool,
-               list[ExecutionTrace]]:
+    ) -> tuple[AssignmentResult, Table, ExecutionTrace, bool]:
         """Recover a query whose fragment lost every in-place candidate.
 
         Two escalation tiers beyond the runtime's fragment takeover:
@@ -404,62 +397,50 @@ class QueryService:
         worth re-planning) and a repaired assignment is re-gated against
         the cost ceiling before dispatch — failover may not buy a result
         the budget already refused.
+
+        The failed run's trace becomes the query's record: every re-run,
+        failed or not, is folded into it, and an abort on the way out
+        carries it as its ``trace``.
         """
+        record: ExecutionTrace = failure.trace
         unavailable = set(failure.excluded)
-        partial_traces: list[ExecutionTrace] = []
-        if failure.trace is not None:
-            partial_traces.append(failure.trace)
-        while True:
-            if token is not None:
-                token.check("service:failover")
-            unavailable |= self.runtime.health.unavailable_subjects()
-            if failure.subject in set(self.owners.values()):
-                raise UnrecoverableAssignmentError(
-                    f"data authority {failure.subject!r} is unavailable "
-                    "and its stored relations cannot be reassigned"
-                ) from failure
-            repaired, standby_used = self._standby_for(primary,
-                                                       unavailable)
-            if repaired is None:
-                available = [name for name in self.subject_names
-                             if name not in unavailable]
-                try:
-                    with self._lock:
-                        repaired = assign(
-                            plan, self.policy, available, self.prices,
-                            user=user, owners=self.owners,
-                            topology=self.topology,
-                            cache=self.assignment_cache,
-                            edge_cache=self.edge_cache,
-                        )
-                except (NoCandidateError, UnauthorizedError) as exc:
+        try:
+            while True:
+                if token is not None:
+                    token.check("service:failover")
+                unavailable |= self.runtime.health.unavailable_subjects()
+                if failure.subject in set(self.owners.values()):
                     raise UnrecoverableAssignmentError(
-                        "no authorized candidate remains for the query "
-                        f"after losing {sorted(unavailable)}"
-                    ) from exc
-                # Defense in depth: the repaired plan must re-verify as
-                # an authorized assignment before anything is dispatched.
-                verify_assignment(repaired.extended.plan, self.policy,
-                                  repaired.extended.assignment)
-            if token is not None:
-                self._enforce_cost_ceiling(token, repaired,
-                                           where="failover")
-            distributed, dispatch_plan, _ = self._derived(repaired, user)
-            try:
-                result, trace = self.runtime.run(
-                    dispatch_plan, repaired.extended, repaired.keys,
-                    distributed, user=user, token=token,
-                )
-            except ProviderUnavailableError as again:
-                # Another provider died during the re-run: widen the
-                # exclusion set and escalate once more.  The subject
-                # pool strictly shrinks, so this terminates.
-                unavailable |= set(again.excluded)
-                if again.trace is not None:
-                    partial_traces.append(again.trace)
-                failure = again
-                continue
-            return repaired, result, trace, standby_used, partial_traces
+                        f"data authority {failure.subject!r} is "
+                        "unavailable and its stored relations cannot be "
+                        "reassigned") from failure
+                repaired, standby_used = self._repaired_for(
+                    plan, primary, unavailable, user)
+                if token is not None:
+                    self._enforce_cost_ceiling(token, repaired,
+                                               where="failover")
+                distributed, dispatch_plan, _ = self._derived(repaired,
+                                                              user)
+                try:
+                    result, trace = self.runtime.run(
+                        dispatch_plan, repaired.extended, repaired.keys,
+                        distributed, user=user, token=token,
+                    )
+                except ProviderUnavailableError as again:
+                    # Another provider died during the re-run: widen the
+                    # exclusion set and escalate once more.  The subject
+                    # pool strictly shrinks, so this terminates.
+                    unavailable |= set(again.excluded)
+                    record.absorb(again.trace)
+                    failure = again
+                    continue
+                record.absorb(trace)
+                return repaired, result, record, standby_used
+        except QueryAbortedError as abort:
+            if abort.trace is not None:
+                record.absorb(abort.trace)
+            abort.trace = record
+            raise
 
     @staticmethod
     def _enforce_cost_ceiling(token: CancellationToken,
@@ -480,10 +461,12 @@ class QueryService:
                 f"${ceiling:.6f} ceiling", where=where,
                 cost_usd=cost, ceiling_usd=ceiling)
 
-    def _standby_for(self, primary: AssignmentResult,
-                     unavailable: set[str],
-                     ) -> tuple[AssignmentResult | None, bool]:
-        """The cheapest warm standby avoiding ``unavailable``, if any.
+    def _repaired_for(self, plan, primary: AssignmentResult,
+                      unavailable: set[str], user: str,
+                      ) -> tuple[AssignmentResult, bool]:
+        """An assignment avoiding ``unavailable``, and whether it is a
+        standby: the cheapest warm standby if one qualifies, else a
+        re-plan over the remaining subjects.
 
         Standbys were verified when planned; the policy may have changed
         since, so each is re-gated with :func:`verify_assignment` before
@@ -499,7 +482,27 @@ class QueryService:
             except UnauthorizedError:
                 continue
             return standby, True
-        return None, False
+        available = [name for name in self.subject_names
+                     if name not in unavailable]
+        try:
+            with self._lock:
+                repaired = assign(
+                    plan, self.policy, available, self.prices,
+                    user=user, owners=self.owners,
+                    topology=self.topology,
+                    cache=self.assignment_cache,
+                    edge_cache=self.edge_cache,
+                )
+        except (NoCandidateError, UnauthorizedError) as exc:
+            raise UnrecoverableAssignmentError(
+                "no authorized candidate remains for the query "
+                f"after losing {sorted(unavailable)}"
+            ) from exc
+        # Defense in depth: the repaired plan must re-verify as an
+        # authorized assignment before anything is dispatched.
+        verify_assignment(repaired.extended.plan, self.policy,
+                          repaired.extended.assignment)
+        return repaired, False
 
     # ------------------------------------------------------------------
     # Shared-state management
@@ -543,13 +546,6 @@ class QueryService:
     def health_info(self) -> dict[str, dict[str, object]]:
         """Per-subject health snapshot (breaker state, EWMA, counters)."""
         return self.runtime.health_info()
-
-    def attach_metrics(self, sink) -> None:
-        """Attach a runtime observability sink (see
-        :meth:`~repro.distributed.runtime.DistributedRuntime.attach_metrics`);
-        the gateway (:mod:`repro.gateway`) uses this to fill its
-        fragment-latency histograms."""
-        self.runtime.attach_metrics(sink)
 
     def describe(self) -> str:
         """Service-level summary across every query it has run."""

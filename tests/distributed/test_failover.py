@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from helpers import FakeClock, parse_prometheus
 from repro.core.visibility import verify_assignment
 from repro.distributed import FaultInjector, build_runtime
 from repro.distributed import runtime as runtime_module
@@ -25,6 +26,7 @@ from repro.exceptions import (
     DispatchError,
     UnrecoverableAssignmentError,
 )
+from repro.gateway import Gateway, TenantConfig
 from repro.paper_example import build_running_example
 from repro.service import QueryService
 
@@ -123,7 +125,7 @@ class TestInPlaceTakeover:
             # Definition 4.2 on the extended plan under the live policy.
             verify_assignment(outcome.assignment.extended.plan,
                               service.policy, event.repaired_assignment)
-        assert outcome.breaker_trips >= 1
+        assert outcome.trace.breaker_trips >= 1
         assert outcome.failover_seconds >= 0.0
         # No later query names the dead provider as a replacement.
         for sql in stream[2:]:
@@ -172,25 +174,58 @@ class TestServiceTierRepair:
         assert victim not in set(
             outcome.assignment.extended.assignment.values())
 
+    def test_the_outcome_trace_covers_every_run(self, clean_outcome,
+                                                monkeypatch):
+        """The primary run that lost its provider and the re-run that
+        recovered are one query: every envelope sealed for it is in the
+        outcome's trace, not only the last run's."""
+        victim = compute_victim(clean_outcome)
+        injector = FaultInjector(seed=5)
+        injector.kill(victim)
+        service = make_service(injector, failover=False)
+        sealed = []
+        original = runtime_module.seal_envelope
+
+        def counting_seal(payload, sender_private, recipient_public):
+            blob = original(payload, sender_private, recipient_public)
+            sealed.append(len(blob))
+            return blob
+
+        monkeypatch.setattr(runtime_module, "seal_envelope", counting_seal)
+        outcome = service.execute(SQL)
+        assert outcome.standby_used or outcome.replanned
+        assert outcome.trace.envelope_bytes == sum(sealed)
+        assert outcome.trace.breaker_trips >= 1
+
+    def test_fragment_latency_is_read_off_the_trace(self, clean_outcome):
+        """The gateway's per-subject fragment histogram counts exactly
+        the executions the query's trace recorded, the failed run's
+        included."""
+        victim = compute_victim(clean_outcome)
+        injector = FaultInjector(seed=5)
+        injector.kill(victim)
+        gateway = Gateway(make_service(injector, failover=False),
+                          [TenantConfig("t")], max_inflight=1)
+        try:
+            outcome = gateway.execute("t", SQL)
+            families = parse_prometheus(gateway.metrics_text())
+        finally:
+            gateway.close()
+        assert outcome.replanned or outcome.standby_used
+        counts = {labels["subject"]: value for name, labels, value
+                  in families["repro_fragment_latency_seconds"]["samples"]
+                  if name.endswith("_count")}
+        executed = [subject for subject, _ in outcome.trace.executions]
+        assert counts == {subject: executed.count(subject)
+                          for subject in set(executed)}
+        assert victim not in counts
+
     def test_dead_data_authority_is_unrecoverable(self):
         injector = FaultInjector(seed=5)
         injector.kill("H")  # owner of Hosp: its data cannot move
         with pytest.raises(UnrecoverableAssignmentError,
                            match="data authority"):
             make_service(injector).execute(SQL)
-
-
-class FakeClock:
-    """Time that only moves when somebody sleeps on it."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def sleep(self, seconds):
-        self.now += seconds
 
 
 class TestOneClock:

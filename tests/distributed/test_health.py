@@ -233,8 +233,7 @@ class TestRunWithRetries:
             "Y", "reqY", attempt, health=registry,
             retry=RetryPolicy(max_attempts=3, backoff_base_seconds=0.01,
                               jitter_fraction=0.0),
-            clock=clock, sleep=clock.advance, token=None, trace=trace,
-            observe=None)
+            clock=clock, sleep=clock.advance, token=None, trace=trace)
 
     def test_transient_twice_then_success(self, clock):
         registry = HealthRegistry(clock, failure_threshold=5)
@@ -251,6 +250,7 @@ class TestRunWithRetries:
         assert self.run(registry, clock, attempt, trace) == "done"
         assert (trace.attempts, trace.retries) == (3, 2)
         assert clock.now == pytest.approx(0.01 + 0.02)  # two backoffs
+        assert trace.executions == [("Y", 0.0)]  # the success, timed
         assert registry.subject("Y").consecutive_errors == 0
 
     def test_exhausted_attempts_fail_the_fragment(self, clock):

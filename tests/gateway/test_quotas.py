@@ -4,20 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import FakeClock
 from repro.cost.metering import CreditAccount, Ledger
 from repro.exceptions import QuotaExceeded
 from repro.gateway.quotas import TenantQuota, TokenBucket
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 # ----------------------------------------------------------------------
@@ -74,7 +64,6 @@ def test_account_postpaid_overdraw_then_refusal():
     assert account.admissible
     assert account.debit(0.75) == pytest.approx(-0.5)  # one overdraw
     assert not account.admissible
-    assert account.spent_usd == pytest.approx(1.5)
     account.deposit(1.0)
     assert account.admissible
 
@@ -82,9 +71,8 @@ def test_account_postpaid_overdraw_then_refusal():
 def test_unmetered_account_always_admissible_until_deposit():
     account = CreditAccount("t")
     assert account.unmetered and account.admissible
-    account.debit(100.0)
+    assert account.debit(100.0) == 0.0  # unmetered: nothing to draw down
     assert account.admissible
-    assert account.spent_usd == pytest.approx(100.0)
     account.deposit(0.5)  # converts to metered
     assert not account.unmetered
     account.debit(1.0)
@@ -111,12 +99,16 @@ def test_ledger_sequences_totals_and_bounded_history():
                               cost_usd=0.25, wall_seconds=0.01,
                               dispatch_sequence=index + 10)
         assert entry.sequence == index + 1
-    assert ledger.spend_usd("t") == pytest.approx(0.75)  # all three
-    assert ledger.query_count("t") == 3
+    ledger.record("t", user="U", sql="q3", cost_usd=0.0, wall_seconds=0,
+                  status="failed")
+    assert ledger.spend_usd("t") == pytest.approx(0.75)  # all of them
+    assert ledger.query_count("t") == 4
     retained = ledger.entries("t")
-    assert [entry.sql for entry in retained] == ["q1", "q2"]
-    assert retained[0].dispatch_sequence == 11
-    assert ledger.totals() == {"t": pytest.approx(0.75)}
+    assert [entry.sql for entry in retained] == ["q2", "q3"]
+    assert retained[0].dispatch_sequence == 12
+    # Lifetime totals per (tenant, status): the gateway's counters.
+    assert ledger.lifetime() == {("t", "completed"): (3, 0.75),
+                                 ("t", "failed"): (1, 0.0)}
 
 
 def test_ledger_merges_all_entries_in_sequence_order():

@@ -10,13 +10,11 @@ default budgets merge under per-query requests, and
 from __future__ import annotations
 
 import threading
-import types
 
 import pytest
 
-from helpers import parse_prometheus
+from helpers import FakeClock, FakeService, parse_prometheus
 from repro.core.budget import CancellationToken, QueryBudget
-from repro.engine.table import Table
 from repro.exceptions import (
     DeadlineExceededError,
     QueryCancelledError,
@@ -25,58 +23,12 @@ from repro.exceptions import (
 from repro.gateway import Gateway, TenantConfig, TenantQuota
 
 
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
-class FakeService:
-    """Stand-in service with controllable wall time / cost / blocking."""
-
-    user = "U"
-
-    def __init__(self, wall_seconds: float = 0.001,
-                 cost_usd: float = 0.001,
-                 gate: threading.Event | None = None) -> None:
-        self.wall_seconds = wall_seconds
-        self.cost_usd = cost_usd
-        self.gate = gate
-        self.calls: list[str] = []
-        self._lock = threading.Lock()
-
-    def execute(self, sql: str, user: str | None = None, token=None):
-        if self.gate is not None:
-            assert self.gate.wait(timeout=30)
-        if token is not None:
-            token.check("service:admitted")
-        with self._lock:
-            self.calls.append(sql)
-        return types.SimpleNamespace(
-            sql=sql, user=user, cost_usd=self.cost_usd,
-            wall_seconds=self.wall_seconds,
-            result=Table("R", ("a",), [(1,)]))
-
-    def attach_metrics(self, sink) -> None:
-        self.sink = sink
-
-    def health_info(self):
-        return {}
-
-    def cache_info(self):
-        return {"plans": 0, "fragment_entries": 0,
-                "assignment": {"hits": 0, "misses": 0, "size": 0}}
-
-
 def make_gateway(service, clock, **kwargs):
+    """A one-worker gateway over ``service``, which keeps time on
+    ``clock`` (the gateway reads the service's clock)."""
+    service.clock = clock
     tenants = kwargs.pop("tenants", [TenantConfig("t", user="U")])
-    return Gateway(service, tenants, max_inflight=1, clock=clock,
-                   **kwargs)
+    return Gateway(service, tenants, max_inflight=1, **kwargs)
 
 
 # ----------------------------------------------------------------------

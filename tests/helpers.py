@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import re
+import threading
+import time
+import types
 
 from repro.core.operators import BaseRelationNode, Udf
 from repro.core.plan import QueryPlan
 from repro.core.schema import Relation, Schema
+from repro.distributed.runtime import ExecutionTrace
+from repro.engine.table import Table
+from repro.exceptions import UnauthorizedError
 
 #: One exposition sample: name, optional {labels}, value.
 _SAMPLE_LINE = re.compile(
@@ -89,3 +95,64 @@ def make_udf_plan(schema_attrs: int = 3) -> tuple[QueryPlan, Schema]:
     udf = Udf(leaf, ["m0", "m1"], "m0", encrypted_capable=False,
               name="model")
     return QueryPlan(udf), schema
+
+
+class FakeClock:
+    """Time that moves only when a test advances it or sleeps on it."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+    sleep = advance
+
+
+class FakeService:
+    """A stand-in :class:`~repro.service.QueryService` behind a gateway.
+
+    Records the SQL it runs, optionally blocks on ``gate`` until the test
+    opens it, honours the gateway's token at entry, raises
+    ``UnauthorizedError`` for the SQL ``"boom"`` and keeps time on
+    ``clock`` — which the gateway reads, as it reads a real service's.
+    """
+
+    user = "U"
+
+    def __init__(self, wall_seconds: float = 0.001,
+                 cost_usd: float = 0.001,
+                 gate: threading.Event | None = None,
+                 clock=time.monotonic) -> None:
+        self.wall_seconds = wall_seconds
+        self.cost_usd = cost_usd
+        self.gate = gate
+        self.clock = clock
+        self.calls: list[str] = []
+        self.started = threading.Event()
+        self._lock = threading.Lock()
+
+    def execute(self, sql: str, user: str | None = None, token=None):
+        self.started.set()
+        if self.gate is not None:
+            assert self.gate.wait(timeout=30)
+        if token is not None:
+            token.check("service:admitted")
+        if sql == "boom":
+            raise UnauthorizedError("denied", subject=user)
+        with self._lock:
+            self.calls.append(sql)
+        return types.SimpleNamespace(
+            sql=sql, user=user, cost_usd=self.cost_usd,
+            wall_seconds=self.wall_seconds,
+            result=Table("R", ("a",), [(1,)]), trace=ExecutionTrace())
+
+    def health_info(self):
+        return {}
+
+    def cache_info(self):
+        return {"plans": 0, "fragment_entries": 0,
+                "assignment": {"hits": 0, "misses": 0, "size": 0}}

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import sys
 import threading
+import time
 
 import pytest
 
@@ -116,6 +119,44 @@ def test_collectors_run_at_render_time():
     state["depth"] = 7
     families = parse_prometheus(registry.render())
     assert families["depth"]["samples"][0][2] == 7.0
+
+
+def test_concurrent_scrapes_never_move_a_derived_total_backwards():
+    """A collector reads a monotone source and sets a counter's total;
+    two scrapes interleaving the read and the set would set an older
+    total over a newer one and raise."""
+    registry = MetricsRegistry()
+    counter = registry.counter("events_total", "help")
+    source = itertools.count(1)
+
+    def collect():
+        total = next(source)
+        time.sleep(0)  # yield between the read and the set
+        counter.set_total(total)
+
+    registry.register_collector(collect)
+    failures = []
+
+    def scrape():
+        try:
+            for _ in range(200):
+                registry.render()
+        except ValueError as error:
+            failures.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=scrape) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert counter.value() == 1600.0
 
 
 def test_thread_safety_of_increments():

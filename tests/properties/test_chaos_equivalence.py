@@ -120,7 +120,7 @@ class TestRunningExampleChaos:
             outcome = run_and_audit(self.make_service(injector),
                                     RUNNING_SQL)
             describes.append((sorted(map(repr, outcome.result.rows)),
-                              outcome.retries, outcome.attempts,
+                              outcome.retries, outcome.trace.attempts,
                               tuple((e.fragment_id, e.failed_subject,
                                      e.replacement)
                                     for e in outcome.failovers)))
