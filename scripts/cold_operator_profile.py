@@ -5,10 +5,13 @@ Builds the UAPenc TPC-H service at scale 0.002, swaps the other dataset in
 before every round (as ``cold_exec`` does, so every fragment executes) and
 times each ``Executor.execute_node`` call — the operator's own work, its
 operands are materialized — and counts, per template, the values that go
-through the executor's ``encrypt_column`` (sealed) and ``decrypt_column``
-(opened; those §5 note 2 opens inside a selection apart), averaged over
-the rounds — the two datasets in turn; a round on dataset 107 alone is the
-exact pair ``tests/engine/test_selection_safety_and_cost.py`` guards.
+through the executor's ``encrypt_column`` (sealed), those of them that
+reach ``DeterministicCipher.encrypt_many`` (one per distinct value of a
+DETERMINISTIC column, constants included) and the values through
+``decrypt_column`` (opened; those §5 note 2 opens inside a selection
+apart), averaged over the rounds — the two datasets in turn; a round on
+dataset 107 alone is the exact triple
+``tests/engine/test_selection_safety_and_cost.py`` guards.
 Read shares over a few rounds: the collector runs where it runs.
 Usage: ``PYTHONPATH=src python scripts/cold_operator_profile.py [ROUNDS]``
 """
@@ -17,6 +20,7 @@ import time
 from collections import Counter, defaultdict
 
 import repro.engine.executor as executor_module
+from repro.crypto.symmetric import DeterministicCipher
 from repro.engine import Executor
 from repro.service import QueryService
 from repro.tpch import (
@@ -37,11 +41,12 @@ def main(rounds: int = 2) -> None:
     for sql in sqls.values():  # plans, assignments and keys warm
         service.execute(sql)
     cells = defaultdict(lambda: [0, 0, 0.0])  # calls, input rows, seconds
-    values: Counter = Counter()  # (template, sealed | opened | note 2)
+    values: Counter = Counter()  # (template, sealed | det | opened | note 2)
     running = []  # the template, then the class of every open operator
     raw_node = Executor.execute_node
     raw_encrypt = executor_module.encrypt_column
     raw_decrypt = executor_module.decrypt_column
+    raw_deterministic = DeterministicCipher.encrypt_many
 
     def execute_node(self, node, children):
         running.append(type(node).__name__)
@@ -58,6 +63,10 @@ def main(rounds: int = 2) -> None:
         values[running[0], "sealed"] += len(column)
         return raw_encrypt(material, column, pool=pool)
 
+    def encrypt_many(cipher, column):
+        values[running[0], "det"] += len(column)
+        return raw_deterministic(cipher, column)
+
     def decrypt_column(material, column, pool=None):
         values[running[0], "opened"] += len(column)
         if running[-1] == "Selection":
@@ -68,6 +77,7 @@ def main(rounds: int = 2) -> None:
     Executor.execute_node = execute_node
     executor_module.encrypt_column = encrypt_column
     executor_module.decrypt_column = decrypt_column
+    DeterministicCipher.encrypt_many = encrypt_many
     for index in range(rounds):
         service.refresh_tables(datasets[(index + 1) % 2])
         for number, sql in sqls.items():
@@ -82,14 +92,16 @@ def main(rounds: int = 2) -> None:
     for operator, seconds in totals.most_common():
         print(f"{'all':9}{operator:34}{1000 * seconds / rounds:10.1f}"
               f"{100 * seconds / sum(totals.values()):6.1f} %")
-    print("template   values sealed    opened  by note 2  (per round)")
+    print("template   values sealed det cipher    opened  by note 2"
+          "  (per round)")
     for (number, kind), count in list(values.items()):
         values["all", kind] += count
     for number in [*sqls, "all"]:
-        sealed, opened, note2 = (values[number, kind] // rounds
-                                 for kind in ("sealed", "opened", "note 2"))
+        sealed, det, opened, note2 = (
+            values[number, kind] // rounds
+            for kind in ("sealed", "det", "opened", "note 2"))
         print(f"{number if number == 'all' else f'Q{number}':9}"
-              f"{sealed:15}{opened:10}{note2:11}")
+              f"{sealed:15}{det:11}{opened:10}{note2:11}")
 
 
 if __name__ == "__main__":

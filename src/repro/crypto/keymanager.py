@@ -33,8 +33,12 @@ class KeyMaterial:
     Cipher instances are memoized per material (``*_cipher`` accessors):
     constructing a cipher derives its HMAC subkeys, so the engine's
     bulk column transforms reuse one instance per key instead of paying
-    the derivation per cell — and the deterministic/OPE memos accumulate
-    across calls, which is where the equality-aware speedups live.
+    the derivation per cell.  The deterministic/OPE memos live as long
+    as the material, and that is short: every opened envelope decodes a
+    fresh one (:func:`repro.distributed.messages.decode_payload`) and a
+    subject opens its envelope once per run, so a memo serves one
+    subject's run — the repeats across that run's columns under one
+    key — and the next run seals its values again.
     """
 
     query_key: QueryKey

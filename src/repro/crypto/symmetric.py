@@ -16,15 +16,20 @@ Both modes append a truncated HMAC tag, so decryption with a wrong key or
 a tampered ciphertext fails loudly instead of returning garbage.
 
 Built for columnar batch work: the enc/mac (and SIV) subkeys are derived
-once at construction, ``encrypt_many``/``decrypt_many`` process whole
-columns with one Python-level dispatch and derive the column's
-keystreams and tags in a single HMAC sweep per chunk
-(``_seal_many``/``_open_many``) instead of per-value ``prf`` calls,
-randomized IVs for a batch come
-from a single ``os.urandom`` draw, and :class:`DeterministicCipher`
-keeps a bounded equality-aware memo — equal plaintexts (exactly what
-equi-join and grouping columns repeat thousands of times) pay the PRF
-walk once.  Ciphertexts are bit-identical to the per-call construction.
+once at construction, and ``encrypt_many``/``decrypt_many`` process
+whole columns with one Python-level dispatch.  A seal is one fused
+sweep per value over the cached keyed-HMAC functions — SIV
+(deterministic only), keystream block, XOR, tag — so a value costs the
+format's floor of two HMACs (randomized) or three (deterministic); the
+single-value ``encrypt`` is the same sweep over one value.  Opens verify
+every tag, then derive the keystreams in one sweep (``_open_many``).
+Randomized IVs for a batch come from a single ``os.urandom`` draw.
+:class:`DeterministicCipher` keeps a bounded equality-aware memo: a
+repeated plaintext costs a dict hit instead of a seal.  The memo lives
+on the cipher instance, so on its
+:class:`~repro.crypto.keymanager.KeyMaterial` — one opened envelope, one
+subject's run — and the engine seals each distinct value of a column
+once on its own (:func:`repro.engine.codec.encrypt_column`).
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ _TAG_LEN = 12
 _ENC_DOMAIN = b"enc"
 _MAC_DOMAIN = b"mac"
 _SIV_DOMAIN = b"siv"
+_BLOCK = 32  # one HMAC-SHA256 keystream block
+_FIRST_BLOCK = bytes(8)  # the keystream's block counter 0, as ``>Q``
 
 #: Bound on the deterministic encrypt/decrypt memos (entries, per
 #: cipher).  A full memo is dropped wholesale — column value sets are
@@ -47,10 +54,10 @@ _MEMO_MAX = 8192
 
 
 class _StreamCipher:
-    """Shared IV + keystream + tag machinery for both modes.
+    """Shared subkeys and open (tag check, keystream) for both modes;
+    each mode's ``encrypt_many`` is its seal.
 
-    The per-domain subkeys are derived once here; the seed derived them
-    inside every ``_seal``/``_open`` call.
+    The per-domain subkeys are derived once here, not per value.
     """
 
     def __init__(self, key: bytes) -> None:
@@ -64,34 +71,6 @@ class _StreamCipher:
     def key(self) -> bytes:
         """The raw key material."""
         return self._key
-
-    def _seal(self, iv: bytes, encoded: bytes) -> bytes:
-        body = primitives.xor_bytes(
-            encoded,
-            primitives.keystream(self._enc_key, iv, len(encoded)),
-        )
-        tag = primitives.prf(self._mac_key, iv + body)[:_TAG_LEN]
-        return iv + body + tag
-
-    def _seal_many(self, ivs: Sequence[bytes],
-                   encodeds: Sequence[bytes]) -> list[bytes]:
-        """Bulk :meth:`_seal`: one HMAC sweep per column.
-
-        The enc and mac key schedules are fetched once; the column's
-        keystreams derive in a single sweep
-        (:func:`~repro.crypto.primitives.keystream_many`) instead of a
-        per-value ``prf`` call.  Ciphertexts are bit-identical to the
-        per-value path.
-        """
-        streams = primitives.keystream_many(
-            self._enc_key, list(ivs), [len(e) for e in encodeds])
-        mac = primitives.keyed_hmac(self._mac_key)
-        xor = primitives.xor_bytes
-        out: list[bytes] = []
-        for iv, encoded, stream in zip(ivs, encodeds, streams):
-            sealed = iv + xor(encoded, stream)
-            out.append(sealed + mac(sealed)[:_TAG_LEN])
-        return out
 
     def _open_many(self, ciphertexts: Sequence[bytes]) -> list[bytes]:
         """Bulk :meth:`_open`: tags verify in input order (raising on
@@ -159,22 +138,31 @@ class RandomizedCipher(_StreamCipher):
 
     def encrypt(self, value: object) -> bytes:
         """Encrypt ``value`` under a fresh random IV."""
-        return self._seal(
-            primitives.random_bytes(_IV_LEN), primitives.encode_value(value)
-        )
+        return self.encrypt_many((value,))[0]
 
     def encrypt_many(self, values: Sequence[object]) -> list[bytes]:
-        """Bulk :meth:`encrypt`: one urandom draw for the batch IVs, one
-        HMAC sweep for the column's keystreams and tags."""
+        """Bulk :meth:`encrypt`: one urandom draw for the batch IVs, then
+        one fused sweep — keystream block, XOR, tag — per value."""
         count = len(values)
         if not count:
             return []
         ivs = primitives.random_bytes(_IV_LEN * count)
         encode = primitives.encode_value
-        return self._seal_many(
-            [ivs[i * _IV_LEN:(i + 1) * _IV_LEN] for i in range(count)],
-            [encode(v) for v in values],
-        )
+        enc_key = self._enc_key
+        stream = primitives.keyed_hmac(enc_key)
+        mac = primitives.keyed_hmac(self._mac_key)
+        out: list[bytes] = []
+        append = out.append
+        for start, value in zip(range(0, _IV_LEN * count, _IV_LEN), values):
+            iv = ivs[start:start + _IV_LEN]
+            encoded = encode(value)
+            size = len(encoded)
+            pad = stream(iv + _FIRST_BLOCK)[:size] if size <= _BLOCK \
+                else primitives.keystream(enc_key, iv, size)
+            sealed = iv + (int.from_bytes(encoded, "big")
+                           ^ int.from_bytes(pad, "big")).to_bytes(size, "big")
+            append(sealed + mac(sealed)[:_TAG_LEN])
+        return out
 
 
 class DeterministicCipher(_StreamCipher):
@@ -203,20 +191,36 @@ class DeterministicCipher(_StreamCipher):
 
     def encrypt(self, value: object) -> bytes:
         """Encrypt ``value`` under a plaintext-derived synthetic IV."""
-        encoded = primitives.encode_value(value)
-        memo = self._encrypt_memo
-        token = memo.get(encoded)
-        if token is None:
-            iv = primitives.prf(self._siv_key, encoded)[:_IV_LEN]
-            token = self._seal(iv, encoded)
-            if len(memo) >= _MEMO_MAX:
-                memo.clear()
-            memo[encoded] = token
-        return token
+        return self.encrypt_many((value,))[0]
 
     def encrypt_many(self, values: Sequence[object]) -> list[bytes]:
-        """Bulk :meth:`encrypt`; each distinct plaintext is sealed once."""
-        return [self.encrypt(v) for v in values]
+        """Bulk :meth:`encrypt`: a memoized plaintext is a dict hit, any
+        other is one fused sweep — SIV, keystream block, XOR, tag."""
+        memo = self._encrypt_memo
+        encode = primitives.encode_value
+        enc_key = self._enc_key
+        siv = primitives.keyed_hmac(self._siv_key)
+        stream = primitives.keyed_hmac(enc_key)
+        mac = primitives.keyed_hmac(self._mac_key)
+        out: list[bytes] = []
+        append = out.append
+        for value in values:
+            encoded = encode(value)
+            token = memo.get(encoded)
+            if token is None:
+                iv = siv(encoded)[:_IV_LEN]
+                size = len(encoded)
+                pad = stream(iv + _FIRST_BLOCK)[:size] if size <= _BLOCK \
+                    else primitives.keystream(enc_key, iv, size)
+                sealed = iv + (int.from_bytes(encoded, "big")
+                               ^ int.from_bytes(pad, "big")
+                               ).to_bytes(size, "big")
+                token = sealed + mac(sealed)[:_TAG_LEN]
+                if len(memo) >= _MEMO_MAX:
+                    memo.clear()
+                memo[encoded] = token
+            append(token)
+        return out
 
     def decrypt(self, ciphertext: bytes) -> object:
         """Recover the plaintext value (memoized per ciphertext)."""

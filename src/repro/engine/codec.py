@@ -20,12 +20,17 @@ fail loudly; every MAC is verified before a plaintext is returned).
 
 from __future__ import annotations
 
+from datetime import date
 from typing import Sequence
 
 from repro.core.requirements import EncryptionScheme
 from repro.crypto.keymanager import KeyMaterial
 from repro.engine.values import EncryptedAggregate, EncryptedValue
 from repro.exceptions import CryptoError, ExecutionError
+
+#: Plaintext types whose value equality is encoding equality: a column
+#: of nothing else can seal DETERMINISTIC per distinct value.
+_EXACT = frozenset({int, str, date, bytes})
 
 
 def encrypt_value(material: KeyMaterial, value: object) -> EncryptedValue:
@@ -64,6 +69,12 @@ def encrypt_column(material: KeyMaterial, values: Sequence[object],
     NULLs stay NULL (Encrypt passes them through); everything else must
     be plaintext.  Equivalent to the per-cell loop, one dispatch total.
 
+    A DETERMINISTIC column whose cells are all of the :data:`_EXACT`
+    types — where equal values are exactly the equally encoded ones —
+    seals each distinct value once, and its equal cells share one
+    immutable :class:`EncryptedValue`.  Any other column (``0.0`` and
+    ``-0.0``, ``1`` and ``True``, a ``datetime``) is sealed cell by cell.
+
     With a :class:`~repro.parallel.WorkerPool` (and a column past its
     size threshold) the plaintexts partition into per-worker chunks;
     validation stays parent-side, raw tokens come back in order, and
@@ -79,6 +90,9 @@ def encrypt_column(material: KeyMaterial, values: Sequence[object],
         return [None] * len(values)
     scheme = material.scheme
     name = material.name
+    distinct = scheme is EncryptionScheme.DETERMINISTIC and kinds <= _EXACT
+    if distinct:
+        plain = list(dict.fromkeys(plain))
     parallel = pool is not None and pool.should_parallelize(len(plain))
     if parallel:
         from repro.parallel import kernels
@@ -123,6 +137,10 @@ def encrypt_column(material: KeyMaterial, values: Sequence[object],
                  for token, recovery in tokens]
     else:
         cells = [EncryptedValue(name, scheme, token) for token in tokens]
+    if distinct:
+        sealed = dict(zip(plain, cells))
+        sealed[None] = None
+        return list(map(sealed.__getitem__, values))
     if len(cells) == len(values):
         return cells
     encrypted = iter(cells)  # NULLs stay where they were

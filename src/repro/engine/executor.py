@@ -80,6 +80,9 @@ _ResidualCheck = tuple[
     tuple[bool, int], Callable[[object, object], bool], tuple[bool, int]
 ]
 
+#: Schemes whose tokens are their own join/group keys (see _row_keys).
+_TOKEN_KEYED = (EncryptionScheme.DETERMINISTIC, EncryptionScheme.OPE)
+
 
 def physical_step(node: PlanNode, received=()) -> tuple[PlanNode, ...]:
     """The plan nodes evaluated together to produce ``node``, bottom-up:
@@ -466,7 +469,13 @@ def _row_keys(rows: list[tuple], positions: tuple[int, ...],
     it holds (:func:`~repro.engine.values.signature`, NULLs exempt),
     one for its keys — instead of deciding both per row.  Returns the
     keys (the bare value for a single column, a tuple otherwise) and
-    the signatures per column.
+    the signatures per column.  A column of one DETERMINISTIC or OPE
+    signature is keyed by the raw tokens (bytes or int, hashed and
+    compared in C): within one key and scheme they are equal exactly
+    when :meth:`~repro.engine.values.EncryptedValue.group_key` is, and
+    a join raises before a token meets a key of another signature.
+    Any other encrypted column is keyed by ``group_key()``, which
+    refuses the schemes that cannot be grouped.
 
     Incomparable representations can never hash-collide (different-key
     ciphertext group keys never match, plaintext never matches a
@@ -483,9 +492,13 @@ def _row_keys(rows: list[tuple], positions: tuple[int, ...],
         seen = set(map(signature, column))
         seen.discard(None)
         signatures.append(seen)
-        if seen - {PLAINTEXT} or any(
-                issubclass(kind, (list, set, dict))
-                for kind in set(map(type, column))):
+        encrypted = seen - {PLAINTEXT}
+        if len(seen) == 1 and encrypted \
+                and next(iter(seen))[1] in _TOKEN_KEYED:
+            column = [None if value is None else value.token
+                      for value in column]
+        elif encrypted or any(issubclass(kind, (list, set, dict))
+                              for kind in set(map(type, column))):
             column = [_join_key(value) for value in column]
         columns.append(column)
     if len(columns) == 1:

@@ -137,8 +137,9 @@ class Table:
         """Batch projection: one position lookup, then a tight row loop.
 
         With ``dedupe`` (relational semantics) duplicate result rows are
-        dropped; rows with unhashable values are kept from the first
-        offender onward.  Without it the row count is preserved.
+        dropped, first occurrences kept in order, in one C-level
+        ``dict.fromkeys``; rows with unhashable values are kept from the
+        first offender onward.  Without it the row count is preserved.
         """
         positions = self.positions(columns)
         if not positions:
@@ -150,19 +151,22 @@ class Table:
             getter = itemgetter(*positions)
             projected = [getter(row) for row in self.rows]
         if dedupe:
-            seen: set[tuple[object, ...]] = set()
-            rows: list[tuple[object, ...]] = []
-            hashable = True
-            for row in projected:
-                if hashable:
-                    try:
-                        if row in seen:
-                            continue
-                        seen.add(row)
-                    except TypeError:
-                        hashable = False  # unhashable values: keep duplicates
-                rows.append(row)
-            projected = rows
+            try:
+                projected = list(dict.fromkeys(projected))
+            except TypeError:  # an unhashable cell: the row loop below
+                seen: set[tuple[object, ...]] = set()
+                rows: list[tuple[object, ...]] = []
+                hashable = True
+                for row in projected:
+                    if hashable:
+                        try:
+                            if row in seen:
+                                continue
+                            seen.add(row)
+                        except TypeError:
+                            hashable = False  # keep duplicates from here on
+                    rows.append(row)
+                projected = rows
         return Table._from_trusted(name or self.name, tuple(columns),
                                    projected)
 

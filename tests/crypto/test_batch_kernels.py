@@ -7,7 +7,7 @@ formulations — these tests hold them to that, including error behavior
 (tampered ciphertexts raise through the bulk paths too).
 """
 
-from datetime import date
+from datetime import date, datetime
 from math import gcd
 
 import pytest
@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.keys import QueryKey
 from repro.core.requirements import EncryptionScheme
+from repro.crypto import primitives
 from repro.crypto.keymanager import KeyMaterial, KeyStore
 from repro.crypto.ope import OpeCipher
 from repro.crypto.paillier import generate_keypair
@@ -32,6 +33,7 @@ from oracles.paillier_reference import decrypt_reference, encrypt_reference
 
 KEY = b"unit-test-key-32-bytes-long!!!!!"
 OTHER_KEY = b"other-test-key-32-bytes-long!!!!"
+LONG = "a carefully unhurried forty-byte comment"
 
 VALUES = st.one_of(
     st.integers(min_value=-(2**40), max_value=2**40),
@@ -208,9 +210,35 @@ class TestWireFormatKnownAnswers:
                   "3dd897ce83042aeae4de59"),
             (date(1995, 3, 15), "db3271bf9927efebc6ad82eca6b3038c9ec8fcfc"
                                 "1a2bd5ec212733783b61836d599580b908"),
+            # 41 encoded bytes: a keystream of two blocks.
+            (LONG, "631a5823e4b64a9b55a75dda201b38df8e1eb10b4d655486d7974cef"
+                   "339469231a28a828eeaaf553646b94f1bffa1e8a9c392f0df5d5dbbc"
+                   "b0a44e6b384426afc43a4bd208"),
         ]:
             assert cipher.encrypt(value).hex() == token
             assert cipher.decrypt(bytes.fromhex(token)) == value
+
+    def test_randomized_tokens(self, monkeypatch):
+        """IVs are the one random input: with the draw fixed, the bulk
+        seal's tokens are pinned like the deterministic ones."""
+        monkeypatch.setattr(primitives, "random_bytes",
+                            lambda length: bytes(i % 256
+                                                 for i in range(length)))
+        values = ["stroke", -42, date(1995, 3, 15), LONG]
+        tokens = [
+            "000102030405060708090a0b0c0d0e0fe2591cace1aa95657bccc38baebf83"
+            "991f35f0",
+            "101112131415161718191a1b1c1d1e1f9cee894a946448c13c3d561df9a238"
+            "216532fa1fb4",
+            "202122232425262728292a2b2c2d2e2faa9e1165efcb350a6872368995179683"
+            "b9a7488b1c",
+            "303132333435363738393a3b3c3d3e3fb72356cfe2752fe501c9561f3bec9921"
+            "1af1e7b3a17c9a915a73975362146c6bf8cb8b780feaaf4887bf5b50ce1803a0"
+            "fca9b36ab8",
+        ]
+        cipher = RandomizedCipher(KEY)
+        assert [t.hex() for t in cipher.encrypt_many(values)] == tokens
+        assert cipher.decrypt_many(map(bytes.fromhex, tokens)) == values
 
     def test_ope_and_recovery_tokens(self):
         material = KeyMaterial(
@@ -350,13 +378,39 @@ class TestColumnCodec:
             [None if c is None else decrypt_value(material, c)
              for c in column]
 
+    #: (column, whether equal cells share one cell).  Exact kinds seal
+    #: each distinct value once; any other column is sealed cell by cell.
+    DETERMINISTIC_COLUMNS = [
+        (["a", "b", "a", None, 7, "a", None, 7, b"a", date(2001, 2, 3),
+          date(2001, 2, 3)], True),
+        ([1, 1.0, True], False),
+        ([0.0, -0.0], False),
+        ([date(2001, 2, 3), datetime(2001, 2, 3, 4, 5)], False),
+    ]
+
     def test_column_equals_per_cell_for_deterministic(self, store):
         material = store.material_for_attribute("S")
-        values = ["a", "b", "a", None]
-        column = encrypt_column(material, values)
-        for plain, cell in zip(values, column):
-            if plain is not None:
-                assert cell.token == encrypt_value(material, plain).token
+        for values, shared in self.DETERMINISTIC_COLUMNS:
+            column = encrypt_column(material, values)
+            tokens = [None if plain is None
+                      else encrypt_value(material, plain).token
+                      for plain in values]
+            assert [None if cell is None else cell.token
+                    for cell in column] == tokens
+            for index, plain in enumerate(values):
+                for other, cell in zip(values[index + 1:],
+                                       column[index + 1:]):
+                    if plain is not None and plain == other \
+                            and type(plain) is type(other):
+                        assert (cell is column[index]) is shared
+        one, one_float, true = (encrypt_value(material, v).token
+                                for v in (1, 1.0, True))
+        assert one == true != one_float
+        assert encrypt_value(material, 0.0).token \
+            != encrypt_value(material, -0.0).token
+        for encrypt in (encrypt_value, lambda m, v: encrypt_column(m, [v])):
+            with pytest.raises(CryptoError, match="out of encodable range"):
+                encrypt(material, 2**63)
 
     def test_already_encrypted_rejected(self, store):
         material = store.material_for_attribute("S")

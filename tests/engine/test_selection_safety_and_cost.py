@@ -23,6 +23,7 @@ from repro.core.predicates import (
 from repro.core.requirements import EncryptionScheme
 from repro.core.schema import Relation
 from repro.crypto.keymanager import KeyStore
+from repro.crypto.symmetric import DeterministicCipher
 from repro.engine import EncryptedValue, Executor, Table
 from repro.engine.codec import encrypt_column
 from repro.engine.executor import physical_step
@@ -231,12 +232,20 @@ class TestSelectionCost:
         """One cold execution of each of the 17 SQL templates (UAPenc,
         scale 0.002, seed 107).  Before selections ran ahead of their
         own Encrypt: 122,808 sealed, 32,982 opened, 30,421 of those by
-        a selection re-opening what its subject had just sealed."""
+        a selection re-opening what its subject had just sealed.
+
+        Of the cells sealed, the DETERMINISTIC ones reach the cipher once
+        per distinct value of their column: 19,273 from ``Encrypt``
+        columns plus 5 constants (one ``encrypt`` each).  Cell by cell
+        it was 68,016 (constants apart)."""
         service = uapenc_service(0.002)
         calls = []
         for name in ("encrypt_column", "decrypt_column"):
             count_calls(monkeypatch, calls, executor_module, name)
         selections = record_selections(monkeypatch, calls)
+        deterministic = []
+        count_calls(monkeypatch, deterministic, DeterministicCipher,
+                    "encrypt_many")
         templates = [q.sql for q in all_queries() if q.sql is not None]
         assert len(templates) == 17
         for sql in templates:
@@ -245,4 +254,6 @@ class TestSelectionCost:
                             if label == name)
                   for name in ("encrypt_column", "decrypt_column")}
         assert values == {"encrypt_column": 96_500, "decrypt_column": 2_561}
+        assert sum(len(column) for _, (_, column) in deterministic) \
+            == 19_278
         assert not any(made for _, _, made in selections)

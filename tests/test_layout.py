@@ -28,15 +28,16 @@ FORBIDDEN = ("OrderedDict", "popitem(last=False)", "deltas_since(")
 #: second join strategy with its settings object and threshold knob, the
 #: obfuscator refill thread, an off-switch for runtime enforcement, a
 #: second deadline beside the query's in the retry loop, a run-time
-#: exemption by subject name, a third statement of Def. 4.1 / 4.2, or a
-#: metrics sink threaded through the layers beside the query's trace.
+#: exemption by subject name, a third statement of Def. 4.1 / 4.2, a
+#: metrics sink threaded through the layers beside the query's trace, or
+#: a second bulk seal beside the ciphers' fused ``encrypt_many`` sweeps.
 RETIRED = ("ThreadPoolExecutor", "search_impl", "nested-loop", "_reference(",
            "_column_decoder", "parallel-hash", "join_strategy",
            "ExecutionSettings", "min_parallel_items=", "_background_refill",
            "self.enforce", "fragment_deadline_seconds", "is_exempt",
            "is_authorized_for_relation", "is_authorized_assignee",
            "require_authorized", "attach_metrics", "_FragmentSink",
-           "observe_fragment", "_metrics_sink")
+           "observe_fragment", "_metrics_sink", "_seal_many")
 #: Parameters that selected between paths which no longer exist.
 RETIRED_PARAMETERS = ("schedule", "strategy")
 
