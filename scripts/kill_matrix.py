@@ -118,6 +118,11 @@ MUTANTS = (
            "            if False:\n",
            "establish_keys hands a key to any authority: name, as it did "
            "before PR 24"),
+    # The policy's per-version view memo.
+    Mutant("view-memo-survives-mutation", "repro/core/authorization.py",
+           "        self._views.clear()\n",
+           "",
+           "Policy.view serves a view memoised before a grant or revoke"),
 )
 
 

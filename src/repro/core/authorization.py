@@ -15,6 +15,7 @@ any subject, the *overall view* ``P_S`` / ``E_S`` used throughout Sections
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -250,6 +251,12 @@ class Policy:
     mutations — granting a rule identical to the one in force, or
     revoking a rule that does not exist — are version- and
     journal-neutral.
+
+    :meth:`view` memoises each subject's view until the next effective
+    mutation.  :meth:`grant`, :meth:`revoke` and the memo's
+    compute-and-store hold one re-entrant lock, so a view read
+    concurrently with a mutation is the view from before or after it,
+    and never a pre-mutation view once the mutation has returned.
     """
 
     schema: Schema | None = None
@@ -257,6 +264,10 @@ class Policy:
     _version: int = 0
     journal_limit: int = DEFAULT_JOURNAL_LIMIT
     _journal: list[PolicyDelta] = field(default_factory=list)
+    _views: dict[str, SubjectView] = field(
+        default_factory=dict, repr=False, compare=False)
+    _lock: threading.RLock = field(
+        default_factory=threading.RLock, repr=False, compare=False)
 
     @property
     def version(self) -> int:
@@ -265,7 +276,8 @@ class Policy:
 
     def _record_delta(self, kind: str, relation: str, subject: str,
                       touched: frozenset[str]) -> None:
-        """Bump the version and journal one mutation (bounded)."""
+        """Bump the version, drop the view memo, journal one mutation."""
+        self._views.clear()
         self._version += 1
         self._journal.append(PolicyDelta(
             version=self._version, kind=kind, relation=relation,
@@ -311,29 +323,31 @@ class Policy:
                     f"authorization over {authorization.relation} references "
                     f"unknown attributes {sorted(unknown)}"
                 )
-        per_relation = self._rules.setdefault(authorization.relation, {})
-        existing = per_relation.get(authorization.subject)
-        if existing is not None:
-            if existing == authorization:
-                return existing
-            raise AuthorizationError(
-                f"duplicate authorization for subject {authorization.subject} "
-                f"on relation {authorization.relation}"
+        with self._lock:
+            per_relation = self._rules.setdefault(authorization.relation, {})
+            existing = per_relation.get(authorization.subject)
+            if existing is not None:
+                if existing == authorization:
+                    return existing
+                raise AuthorizationError(
+                    f"duplicate authorization for subject "
+                    f"{authorization.subject} on relation "
+                    f"{authorization.relation}"
+                )
+            # An explicit grant shadows the relation's ANY default for
+            # this subject, so the displaced default's attributes may
+            # *lose* visibility — they belong in the delta's touched set.
+            displaced: frozenset[str] = frozenset()
+            if authorization.subject != ANY:
+                default = per_relation.get(ANY)
+                if default is not None:
+                    displaced = default.plaintext | default.encrypted
+            per_relation[authorization.subject] = authorization
+            self._record_delta(
+                "grant", authorization.relation, authorization.subject,
+                authorization.plaintext | authorization.encrypted | displaced,
             )
-        # An explicit grant shadows the relation's ANY default for this
-        # subject, so the displaced default's attributes may *lose*
-        # visibility — they belong in the delta's touched set.
-        displaced: frozenset[str] = frozenset()
-        if authorization.subject != ANY:
-            default = per_relation.get(ANY)
-            if default is not None:
-                displaced = default.plaintext | default.encrypted
-        per_relation[authorization.subject] = authorization
-        self._record_delta(
-            "grant", authorization.relation, authorization.subject,
-            authorization.plaintext | authorization.encrypted | displaced,
-        )
-        return authorization
+            return authorization
 
     def grant_all(self, authorizations: Iterable[Authorization]) -> None:
         """Register many rules at once."""
@@ -353,24 +367,25 @@ class Policy:
             else relation
         subject_name = subject.name if isinstance(subject, Subject) \
             else subject
-        per_relation = self._rules.get(relation_name)
-        if per_relation is None or subject_name not in per_relation:
-            return None
-        rule = per_relation.pop(subject_name)
-        # Revoking an explicit rule un-shadows the ANY default: the
-        # subject may *gain* the default's attributes.
-        restored: frozenset[str] = frozenset()
-        if subject_name != ANY:
-            default = per_relation.get(ANY)
-            if default is not None:
-                restored = default.plaintext | default.encrypted
-        if not per_relation:
-            del self._rules[relation_name]
-        self._record_delta(
-            "revoke", relation_name, subject_name,
-            rule.plaintext | rule.encrypted | restored,
-        )
-        return rule
+        with self._lock:
+            per_relation = self._rules.get(relation_name)
+            if per_relation is None or subject_name not in per_relation:
+                return None
+            rule = per_relation.pop(subject_name)
+            # Revoking an explicit rule un-shadows the ANY default: the
+            # subject may *gain* the default's attributes.
+            restored: frozenset[str] = frozenset()
+            if subject_name != ANY:
+                default = per_relation.get(ANY)
+                if default is not None:
+                    restored = default.plaintext | default.encrypted
+            if not per_relation:
+                del self._rules[relation_name]
+            self._record_delta(
+                "revoke", relation_name, subject_name,
+                rule.plaintext | rule.encrypted | restored,
+            )
+            return rule
 
     def rule_for(self, relation: str, subject: str | Subject) -> Authorization | None:
         """The rule applying to ``subject`` on ``relation``.
@@ -386,22 +401,31 @@ class Policy:
         return per_relation.get(ANY)
 
     def view(self, subject: str | Subject) -> SubjectView:
-        """The overall view ``P_S`` / ``E_S`` of ``subject`` (Figure 4)."""
+        """The overall view ``P_S`` / ``E_S`` of ``subject`` (Figure 4).
+
+        Memoised until the next effective grant or revoke.
+        """
         subject_name = subject.name if isinstance(subject, Subject) else subject
-        plaintext: set[str] = set()
-        encrypted: set[str] = set()
-        for relation in self._rules:
-            rule = self.rule_for(relation, subject_name)
-            if rule is not None:
-                plaintext |= rule.plaintext
-                encrypted |= rule.encrypted
-        # Plaintext subsumes encrypted: normalise so the sets are disjoint.
-        encrypted -= plaintext
-        return SubjectView(
-            subject=subject_name,
-            plaintext=frozenset(plaintext),
-            encrypted=frozenset(encrypted),
-        )
+        view = self._views.get(subject_name)
+        if view is not None:
+            return view
+        with self._lock:
+            plaintext: set[str] = set()
+            encrypted: set[str] = set()
+            for relation in self._rules:
+                rule = self.rule_for(relation, subject_name)
+                if rule is not None:
+                    plaintext |= rule.plaintext
+                    encrypted |= rule.encrypted
+            # Plaintext subsumes encrypted: normalise so they are disjoint.
+            encrypted -= plaintext
+            view = SubjectView(
+                subject=subject_name,
+                plaintext=frozenset(plaintext),
+                encrypted=frozenset(encrypted),
+            )
+            self._views[subject_name] = view
+            return view
 
     def relations(self) -> frozenset[str]:
         """Relations with at least one rule."""

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.core.authorization import Policy, holder_of
+from repro.core.authorization import Policy, SubjectView, holder_of
 from repro.core.lineage import augment_view, derived_lineage
 from repro.core.operators import (
     BaseRelationNode,
@@ -174,9 +174,14 @@ def minimally_extend(
     if requirements is None:
         requirements = infer_plaintext_requirements(plan, capabilities)
     lineage = derived_lineage(plan)
+    views: dict[str, SubjectView] = {}
 
-    def subject_view(subject: str):
-        return augment_view(policy.view(subject), lineage)
+    def subject_view(subject: str) -> SubjectView:
+        view = views.get(subject)
+        if view is None:
+            view = views[subject] = augment_view(policy.view(subject),
+                                                 lineage)
+        return view
 
     assignment_map: NodeMap[str] = NodeMap(assignment)
     requirement_map: NodeMap[frozenset[str]] = NodeMap(requirements)

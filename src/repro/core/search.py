@@ -33,7 +33,7 @@ from repro.core.authorization import (
     stands_in_for,
 )
 from repro.core.candidates import CandidateAssignment
-from repro.core.edgecost import EdgeTableCache, _EdgeTable
+from repro.core.edgecost import EdgeTableCache, _EdgeTable, _ReceiverEntry
 from repro.core.lineage import augment_view, derived_lineage
 from repro.core.operators import BaseRelationNode, PlanNode
 from repro.core.plan import NodeMap, QueryPlan
@@ -48,6 +48,65 @@ from repro.cost.pricing import PriceList
 from repro.exceptions import NoCandidateError
 
 _GB = 1e9
+
+
+class _Senders:
+    """One child edge's sender rows in one pass, and those that can win.
+
+    Rows are (name, cost so far, visible encrypted mask, cpu $/s,
+    net $/byte) in table order.  For one receiver and one mask a pair
+    costs ``((acc + cpu·A) + B·net) + C`` with A, B, C fixed by
+    (receiver, mask); with A, B ≥ 0 every step is monotone under IEEE
+    rounding.  So a row no better than an *earlier* row of its mask on
+    all of acc, cpu and net is never the first strict minimum the full
+    scan picks, and :attr:`kept` drops it.  :meth:`for_receiver` adds
+    back the receiver's own row (it pays no transfer to itself) and
+    every row of a mask whose A or B came out negative: A is a
+    difference of sums taken in different orders and can be −1 ulp.
+    """
+
+    __slots__ = ("rows", "kept", "dropped")
+
+    def __init__(self, rows: list[tuple]) -> None:
+        self.rows = rows
+        self.kept: list[tuple] = []
+        #: mask → name → (index in ``kept`` it sorts before, row)
+        self.dropped: dict[int, dict[str, tuple[int, tuple]]] = {}
+        by_mask: dict[int, list[tuple]] = {}
+        for row in rows:
+            _name, cost, mask, cpu, net = row
+            group = by_mask.setdefault(mask, [])
+            if any(c <= cost and p <= cpu and n <= net
+                   for _s, c, _m, p, n in group):
+                self.dropped.setdefault(mask, {})[row[0]] = (
+                    len(self.kept), row)
+            else:
+                group.append(row)
+                self.kept.append(row)
+
+    def for_receiver(self, subject: str, entry: _ReceiverEntry,
+                     edge: _EdgeTable) -> list[tuple]:
+        """The rows to score for ``subject``, in table order."""
+        if not self.dropped:
+            return self.kept
+        needs_volume = edge.base_bytes + entry.vol_needs_bytes
+        unsafe: set[int] = set()
+        own = None
+        for mask, dropped in self.dropped.items():
+            parts = entry.memo.get(mask) or edge.memo_parts(entry, mask)
+            if entry.total_enc_seconds - parts[0] < 0.0 \
+                    or needs_volume + parts[1] < 0.0:
+                unsafe.add(mask)
+            elif own is None:
+                own = dropped.get(subject)
+        if unsafe:
+            return [row for row in self.rows
+                    if row[2] in unsafe or row[0] == subject
+                    or row[0] not in self.dropped.get(row[2], ())]
+        if own is None:
+            return self.kept
+        at, row = own
+        return self.kept[:at] + [row] + self.kept[at:]
 
 
 class _AssignmentSearch:
@@ -81,6 +140,11 @@ class _AssignmentSearch:
         self._node_cost_cache: dict[tuple[int, str], float] = {}
         self._edge_tables: dict[tuple[int, int, str], _EdgeTable] = {}
         self._delivery_cache: dict[str, float] = {}
+        self._authority_rate = max(
+            (prices.rates(owner).cpu_usd_per_second
+             for owner in owners.values()),
+            default=prices.rates(user).cpu_usd_per_second,
+        )
 
     # ------------------------------------------------------------------
     # Helpers
@@ -178,11 +242,6 @@ class _AssignmentSearch:
         operand_rows = sum(
             self.estimates[id(child)].rows for child in node.children
         )
-        authority_rate = max(
-            (self.prices.rates(owner).cpu_usd_per_second
-             for owner in self.owners.values()),
-            default=self.prices.rates(self.user).cpu_usd_per_second,
-        )
         penalty = 0.0
         for attribute, capability in _node_demands(node):
             if capability not in (EncryptedCapability.ADDITION,
@@ -202,7 +261,7 @@ class _AssignmentSearch:
             upgrade = (ENCRYPT_SECONDS_PER_VALUE[scheme]
                        - ENCRYPT_SECONDS_PER_VALUE[
                            EncryptionScheme.RANDOMIZED])
-            penalty += operand_rows * upgrade * authority_rate
+            penalty += operand_rows * upgrade * self._authority_rate
             output_rows = self.estimates[id(node)].rows
             penalty += (
                 output_rows * DECRYPT_SECONDS_PER_VALUE[scheme]
@@ -246,11 +305,10 @@ class _AssignmentSearch:
         :class:`NoCandidateError` when the restriction empties some
         operation's candidate set.
 
-        Edge costs come from the per-edge tables, and the inner (child
-        subject, parent subject) loop is inlined: per edge, the sender
-        rows (name, accumulated cost, encrypted mask, rates) are
-        materialised once and each pair evaluation is a table/memo
-        lookup plus three multiply-adds.
+        Edge costs come from the per-edge tables; the inner (child
+        subject, parent subject) loop is inlined over each edge's
+        frontier (:class:`_Senders`), a table/memo lookup plus three
+        multiply-adds per pair.
         """
         table: dict[int, dict[str, float]] = {}
         choice: dict[int, dict[str, dict[int, str]]] = {}
@@ -266,28 +324,26 @@ class _AssignmentSearch:
                         f"restriction leaves no candidate for {node.label()}",
                         node=node,
                     )
-            # Per child: the edge tables plus one row per sender —
-            # (name, cost so far, encrypted mask, cpu $/s, net $/byte).
             children_info = []
             for child in node.children:
                 edge = self.edge_table(child, node)
-                if isinstance(child, BaseRelationNode):
+                is_leaf = isinstance(child, BaseRelationNode)
+                if is_leaf:
                     owner = self.owner_of(child)
-                    _p, enc_mask, cpu, net = self.subject_masks(owner)
-                    rows = [(owner, self.node_cost(child, owner),
-                             enc_mask, cpu, net)]
-                    children_info.append((child, edge, True, rows))
+                    costs = ((owner, self.node_cost(child, owner)),)
                 else:
-                    rows = [
-                        (sender, cost) + self.subject_masks(sender)[1:]
-                        for sender, cost in table[id(child)].items()
-                    ]
-                    children_info.append((child, edge, False, rows))
+                    costs = table[id(child)].items()
+                rows = []
+                for sender, cost in costs:
+                    _p, enc_mask, cpu, net = self.subject_masks(sender)
+                    rows.append((sender, cost, enc_mask & edge.visible_mask,
+                                 cpu, net))
+                children_info.append((child, edge, is_leaf, _Senders(rows)))
             for subject in sorted(allowed):
                 total = self.node_cost(node, subject)
                 picks: dict[int, str] = {}
                 feasible = True
-                for child, edge, is_leaf, rows in children_info:
+                for child, edge, is_leaf, senders in children_info:
                     entry = edge.receiver(subject)
                     memo = entry.memo
                     memo_parts = edge.memo_parts
@@ -295,11 +351,10 @@ class _AssignmentSearch:
                     total_enc = entry.total_enc_seconds
                     receiver_dec = entry.cpu_rate
                     dec_base = entry.dec_base_seconds
-                    visible = edge.visible_mask
                     best_cost = None
                     best_subject = None
-                    for sender, cost, enc_mask, cpu, net in rows:
-                        mask = enc_mask & visible
+                    for sender, cost, mask, cpu, net in senders.for_receiver(
+                            subject, entry, edge):
                         parts = memo.get(mask)
                         if parts is None:
                             parts = memo_parts(entry, mask)

@@ -327,7 +327,8 @@ class PlanEstimator:
                          encrypting: bool) -> NodeEstimate:
         scheme_map = dict(child.scheme)
         cpu = 0.0
-        for attribute in node.attributes:
+        # Sorted: a float sum over a frozenset would follow string hashing.
+        for attribute in sorted(node.attributes):
             if encrypting:
                 scheme = self.scheme_for(attribute)
                 scheme_map[attribute] = scheme

@@ -121,6 +121,111 @@ class TestPolicy:
         assert policy.relations() == frozenset({"R"})
         assert len(list(policy.rules())) == 2
 
+    def test_view_is_memoised_until_an_effective_mutation(self):
+        policy, _ = self.make_policy()
+        policy.grant(Authorization("R", ["a"], ["b"], "S"))
+        before = policy.view("S")
+        assert policy.view(Subject("S")) is before
+        # A no-op grant or revoke moves nothing, the memo included.
+        policy.grant(Authorization("R", ["a"], ["b"], "S"))
+        policy.revoke("R", "T")
+        assert policy.view("S") is before
+
+        policy.revoke("R", "S")
+        after = policy.view("S")
+        assert not after.plaintext and not after.encrypted
+        # The ANY default reaches every subject without its own rule.
+        policy.grant(Authorization("R", [], ["a"], ANY))
+        assert policy.view("S").encrypted == frozenset({"a"})
+        policy.grant(Authorization("R", ["b"], [], "S"))
+        assert policy.view("S").plaintext == frozenset({"b"})
+        assert not policy.view("S").encrypted
+
+    def test_a_view_computed_across_a_revoke_is_not_served_after_it(self):
+        """``view`` computes and stores under the lock ``revoke`` takes,
+        so a revoke that lands mid-computation waits for the store and
+        then clears it.  Unlocked, the reader would store the view it
+        read before the revoke, after the revoke had cleared the memo."""
+        import threading
+
+        policy, _ = self.make_policy()
+        policy.grant(Authorization("R", ["a"], ["b"], "S"))
+        # A second rule keeps R's rule table alive through the revoke.
+        policy.grant(Authorization("R", ["a"], [], "T"))
+        entered, gate = threading.Event(), threading.Event()
+        rule_for = policy.rule_for
+
+        def gated_rule_for(relation, subject):
+            rule = rule_for(relation, subject)
+            entered.set()
+            assert gate.wait(5)
+            return rule
+
+        policy.rule_for = gated_rule_for
+        read: list = []
+        reader = threading.Thread(
+            target=lambda: read.append(policy.view("S")))
+        reader.start()
+        assert entered.wait(5)
+        revoker = threading.Thread(target=policy.revoke, args=("R", "S"))
+        revoker.start()
+        revoker.join(0.2)  # blocked behind the reader while it holds the lock
+        gate.set()
+        reader.join(5)
+        revoker.join(5)
+        assert not reader.is_alive() and not revoker.is_alive()
+        assert read[0].plaintext == frozenset({"a"})  # read before the revoke
+        for _ in range(3):
+            view = policy.view("S")
+            assert not view.plaintext and not view.encrypted
+
+    def test_views_stay_current_under_concurrent_churn(self):
+        """Readers call ``view`` in a loop while one thread grants and
+        revokes; the mutating thread must see each mutation's effect
+        as soon as the mutation returns, and no reader may crash on a
+        rule table that changed under it."""
+        import sys
+        import threading
+
+        # Many relations make a view computation long enough for a
+        # mutation to land inside it.
+        schema = Schema()
+        for index in range(100):
+            schema.add(Relation(f"R{index}", [f"a{index}", f"b{index}"]))
+        policy = Policy(schema)
+        for index in range(1, 100):
+            policy.grant(Authorization(f"R{index}", [f"a{index}"], [], "S"))
+        rule = Authorization("R0", [], ["b0"], "S")
+        stop = threading.Event()
+
+        errors: list[Exception] = []
+
+        def read():
+            try:
+                while not stop.is_set():
+                    policy.view("S")
+            except RuntimeError as error:  # the rule table moved mid-read
+                errors.append(error)
+
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for _ in range(300):
+                policy.grant(rule)
+                assert policy.view("S").encrypted == frozenset({"b0"})
+                policy.revoke("R0", "S")
+                assert not policy.view("S").encrypted
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            for reader in readers:
+                reader.join(5)
+        assert not any(reader.is_alive() for reader in readers)
+        assert not errors
+
 
 class TestSubjectView:
     def test_plaintext_subsumes_encrypted(self):

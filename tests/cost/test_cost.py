@@ -164,3 +164,49 @@ class TestCostModel:
         assert ratios == {"UA": 1.0, "enc": 0.5}
         with pytest.raises(EstimationError):
             normalized_costs({"enc": b}, "UA")
+
+
+#: Plans TPC-H Q18 under UAPenc at the Fig. 9/10 estimate scale and
+#: prints ``float.hex`` of the chosen plan's and every standby's cost.
+_PLAN_Q18_UAPENC = """
+import json
+from repro.core.assignment import assign
+from repro.cost.pricing import PriceList
+from repro.tpch.queries import query_plan
+from repro.tpch.scenarios import scenario
+from repro.tpch.schema import build_tpch_schema
+
+schema = build_tpch_schema(0.1)
+bundle = scenario("UAPenc", schema)
+result = assign(query_plan(18, schema), bundle.policy, bundle.subject_names,
+                PriceList.from_subjects(bundle.subjects), user=bundle.user,
+                owners=bundle.owners)
+print(json.dumps([member.cost.total_usd.hex()
+                  for member in (result,) + result.portfolio]))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_q18_uapenc_costs_repeat_across_hash_seeds(self):
+        """The §7 estimate sums floats over attribute sets; summed in
+        string-hash order, Q18 / UAPenc's standby differed in its last
+        bits between ``PYTHONHASHSEED`` 1 and 2."""
+        import json
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        costs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            out = subprocess.run(
+                [sys.executable, "-c", _PLAN_Q18_UAPENC], env=env,
+                capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            costs.append(json.loads(out))
+        assert len(costs[0]) == 2  # the chosen plan and one standby
+        assert costs[0] == costs[1]

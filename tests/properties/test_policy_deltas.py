@@ -138,6 +138,54 @@ class TestCachedAssignMatchesFresh:
         assert {n.label(): s for n, s in second.assignment.items()} == \
             {n.label(): s for n, s in first.assignment.items()}
 
+    @pytest.mark.parametrize("case", ["example", "Q3", "Q5", "Q18"])
+    def test_replan_after_a_touching_revoke_never_assigns_the_revoked(
+            self, example, case):
+        """Every provider the plan uses loses all its rules, one at a
+        time; each re-plan (through the same caches) and each of its
+        standbys must leave that provider out, or refuse."""
+        if case == "example":
+            plan, policy, names = example.plan, example.policy, \
+                example.subject_names
+            prices = PriceList.from_subjects(example.subjects)
+            user, owners = "U", example.owners
+        else:
+            from repro.tpch.queries import query_plan
+            from repro.tpch.scenarios import scenario
+            from repro.tpch.schema import build_tpch_schema
+
+            schema = build_tpch_schema()
+            bundle = scenario("UAPmix", schema)
+            plan = query_plan(int(case[1:]), schema)
+            policy, names = bundle.policy, bundle.subject_names
+            prices = PriceList.from_subjects(bundle.subjects)
+            user, owners = bundle.user, bundle.owners
+        cache, edge_cache = AssignmentCache(maxsize=64), EdgeTableCache()
+
+        def plan_it():
+            return assign(plan, policy, names, prices, user=user,
+                          owners=owners, cache=cache, edge_cache=edge_cache)
+
+        revoked: set[str] = set()
+        result = plan_it()
+        while True:
+            used = set(result.extended.assignment.values())
+            for member in result.portfolio:
+                used |= set(member.extended.assignment.values())
+            assert not used & revoked, (case, used & revoked)
+            providers = sorted(used - {user} - set(owners.values()))
+            if not providers:
+                break
+            victim = providers[0]
+            for rule in [r for r in policy.rules() if r.subject == victim]:
+                policy.revoke(rule.relation, victim)
+            revoked.add(victim)
+            try:
+                result = plan_it()
+            except ReproError:
+                break
+        assert revoked
+
     def test_journal_disabled_policy_still_correct(self, example):
         # journal_limit=0 turns every reconcile into a flush: the cached
         # path degrades to PR 2 behaviour but must never serve staleness.
