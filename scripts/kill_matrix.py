@@ -51,6 +51,8 @@ ENFORCEMENT = "repro/distributed/enforcement.py"
 RUNTIME = "repro/distributed/runtime.py"
 EXECUTOR = "repro/engine/executor.py"
 VISIBILITY = "repro/core/visibility.py"
+MESSAGES = "repro/distributed/messages.py"
+QUOTAS = "repro/gateway/quotas.py"
 
 MUTANTS = (
     # The run-time enforcement sites (PR 21).
@@ -123,6 +125,20 @@ MUTANTS = (
            "        self._views.clear()\n",
            "",
            "Policy.view serves a view memoised before a grant or revoke"),
+    # Verify-before-act on a delivered envelope, and the gateway's
+    # refusal before any planning work is spent.
+    Mutant("open-envelope-skips-signature", MESSAGES,
+           "    if not sender_public.verify(body, signature):\n",
+           "    if False:\n",
+           "a subject acts on an envelope whatever signed it"),
+    Mutant("quota-check-admits-everything", QUOTAS,
+           "        spent = ledger.spend_usd(self.tenant)\n"
+           "        if not self.account.admissible:\n",
+           "        return\n"
+           "        spent = ledger.spend_usd(self.tenant)\n"
+           "        if not self.account.admissible:\n",
+           "TenantQuota.check refuses no tenant, out of credit or over "
+           "its rate"),
 )
 
 

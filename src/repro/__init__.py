@@ -51,7 +51,6 @@ from repro.core import (
     Relation,
     RelationProfile,
     Schema,
-    SchemeCapabilities,
     Selection,
     Subject,
     SubjectKind,
@@ -80,7 +79,7 @@ __all__ = [
     "EncryptionScheme", "EquivalenceClasses", "ExtendedPlan", "GroupBy",
     "Join", "KeyAssignment", "PlanNode", "Policy", "Projection",
     "QueryKey", "QueryPlan", "Relation", "RelationProfile", "Schema",
-    "SchemeCapabilities", "Selection", "Subject", "SubjectKind",
+    "Selection", "Subject", "SubjectKind",
     "SubjectView", "Udf", "authorized_assignees", "check_relation",
     "compute_candidates", "equals", "establish_keys",
     "infer_plaintext_requirements", "minimally_extend",

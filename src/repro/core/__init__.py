@@ -75,7 +75,6 @@ from repro.core.predicates import (
 from repro.core.profile import RelationProfile
 from repro.core.requirements import (
     EncryptionScheme,
-    SchemeCapabilities,
     chosen_schemes,
     infer_plaintext_requirements,
     select_scheme,
@@ -111,7 +110,7 @@ __all__ = [
     "PlanNode", "Policy", "Predicate",
     "Projection", "QueryBudget", "QueryKey", "QueryPlan", "Relation",
     "RelationProfile",
-    "Schema", "SchemeCapabilities", "Selection", "Subject", "SubjectKind",
+    "Schema", "Selection", "Subject", "SubjectKind",
     "SubjectView", "Udf", "VARCHAR", "assignee_authorized",
     "authorized_assignees",
     "active_token", "check_assignee", "check_relation", "chosen_schemes",

@@ -51,15 +51,10 @@ from repro.core.plancache import (
     assignment_cache_key,
     plan_dependencies,
 )
-from repro.core.requirements import (
-    SchemeCapabilities,
-    chosen_schemes,
-    infer_plaintext_requirements,
-)
+from repro.core.requirements import chosen_schemes
 from repro.core.search import _AssignmentSearch
 from repro.cost.estimator import PlanEstimator
 from repro.cost.model import CostBreakdown, CostModel
-from repro.cost.network import NetworkTopology
 from repro.cost.pricing import PriceList
 from repro.exceptions import (
     AuthorizationError,
@@ -113,9 +108,6 @@ def assign(
     prices: PriceList,
     user: str,
     owners: Mapping[str, str] | None = None,
-    topology: NetworkTopology | None = None,
-    requirements: Mapping[PlanNode, frozenset[str]] | None = None,
-    capabilities: SchemeCapabilities | None = None,
     cache: AssignmentCache | None = None,
     edge_cache: EdgeTableCache | None = None,
 ) -> AssignmentResult:
@@ -123,7 +115,7 @@ def assign(
 
     ``cache`` optionally memoises
     full results across calls: hits require an identical plan structure
-    and the same live policy/price-list/topology objects, and survive
+    and the same live policy and price-list objects, and survive
     policy mutations whose deltas do not touch the plan's dependency
     footprint (see :mod:`repro.core.cache`).  ``edge_cache`` shares
     decomposed DP edge tables across queries.  Cached results are
@@ -144,20 +136,15 @@ def assign(
             f"subject names {reserved} are reserved for the stand-ins of "
             "relations nobody owns"
         )
-    if requirements is None:
-        requirements = infer_plaintext_requirements(plan, capabilities)
     if cache is not None:
         cache_key = assignment_cache_key(
-            plan, policy, subject_names, user, owners,
-            capabilities, requirements,
-        )
-        cache_context = (policy, prices, topology)
+            plan, policy, subject_names, user, owners)
+        cache_context = (policy, prices)
         depends = plan_dependencies(plan, subject_names, user, owners)
         hit = cache.get(cache_key, cache_context, policy=policy)
         if hit is not None:
             return _rebind_result(hit, plan)
-    candidates = compute_candidates(plan, policy, subject_names,
-                                    requirements)
+    candidates = compute_candidates(plan, policy, subject_names)
     candidates.require_nonempty()
     if not user_can_receive_result(plan, policy, user, candidates.min_views):
         raise UnauthorizedError(
@@ -165,13 +152,12 @@ def assign(
             subject=user,
         )
 
-    schemes = chosen_schemes(plan, capabilities)
-    topology = topology or NetworkTopology.paper_defaults(user)
+    schemes = chosen_schemes(plan)
     searcher = _AssignmentSearch(
         plan=plan,
         policy=policy,
         candidates=candidates,
-        requirements=requirements,
+        requirements=candidates.min_views.requirements,
         schemes=schemes,
         prices=prices,
         estimator=PlanEstimator(schemes),
@@ -201,18 +187,15 @@ def assign(
     results: list[AssignmentResult] = []
     for assignment in proposals:
         extended = minimally_extend(
-            plan, policy, assignment, requirements=requirements,
-            owners=owners, deliver_to=user,
+            plan, policy, assignment, owners=owners, deliver_to=user,
         )
         # §6: schemes depend on the chosen assignment — attributes
         # encrypted purely in transit get randomized encryption; only
         # attributes some assignee computes on encrypted need
         # det/OPE/Paillier.
-        exact_schemes = schemes_for_extended_plan(extended, capabilities,
-                                                  policy)
+        exact_schemes = schemes_for_extended_plan(extended, policy)
         keys = establish_keys(extended, policy, schemes=exact_schemes)
-        exact_model = CostModel(prices, topology,
-                                PlanEstimator(exact_schemes))
+        exact_model = CostModel(prices, PlanEstimator(exact_schemes))
         cost = exact_model.extended_plan_cost(extended, user, owners)
         results.append(AssignmentResult(
             assignment=assignment,

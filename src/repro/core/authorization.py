@@ -442,12 +442,3 @@ class Policy:
         """Iterate over every registered rule."""
         for per_relation in self._rules.values():
             yield from per_relation.values()
-
-    def describe(self) -> str:
-        """Multi-line rendering of all rules in paper notation."""
-        lines = []
-        for relation in sorted(self._rules):
-            for subject in sorted(self._rules[relation]):
-                rule = self._rules[relation][subject]
-                lines.append(f"{relation}: {rule.describe()}")
-        return "\n".join(lines)

@@ -29,10 +29,7 @@ from repro.core.lineage import augment_view, derived_lineage
 from repro.core.operators import PlanNode
 from repro.core.plan import NodeMap, QueryPlan
 from repro.core.profile import RelationProfile
-from repro.core.requirements import (
-    SchemeCapabilities,
-    infer_plaintext_requirements,
-)
+from repro.core.requirements import infer_plaintext_requirements
 from repro.exceptions import NoCandidateError, PlanError
 
 
@@ -79,19 +76,11 @@ class MinimumViewProfiles:
             raise PlanError(f"node {node!r} not in plan") from None
 
 
-def minimum_view_profiles(
-    plan: QueryPlan,
-    requirements: Mapping[PlanNode, frozenset[str]] | None = None,
-    capabilities: SchemeCapabilities | None = None,
-) -> MinimumViewProfiles:
-    """Compute the recursive minimum-view profiles of ``plan`` (Figure 6).
-
-    ``requirements`` is the per-node ``Ap`` mapping; when omitted it is
-    inferred from the available scheme capabilities
-    (:func:`~repro.core.requirements.infer_plaintext_requirements`).
-    """
-    if requirements is None:
-        requirements = infer_plaintext_requirements(plan, capabilities)
+def minimum_view_profiles(plan: QueryPlan) -> MinimumViewProfiles:
+    """Compute the recursive minimum-view profiles of ``plan`` (Figure 6),
+    over the per-node ``Ap`` of
+    :func:`~repro.core.requirements.infer_plaintext_requirements`."""
+    requirements = infer_plaintext_requirements(plan)
     requirement_map: NodeMap[frozenset[str]] = NodeMap(requirements)
 
     def plaintext_needed(node: PlanNode) -> frozenset[str]:
@@ -178,8 +167,6 @@ def compute_candidates(
     plan: QueryPlan,
     policy: Policy,
     subjects: Iterable[Subject | str],
-    requirements: Mapping[PlanNode, frozenset[str]] | None = None,
-    capabilities: SchemeCapabilities | None = None,
 ) -> CandidateAssignment:
     """Compute Λ for every operation of ``plan`` (Definition 5.3).
 
@@ -188,7 +175,7 @@ def compute_candidates(
     operation when Definition 4.2 holds over the minimum required views of
     the operands and the resulting minimum-view profile.
     """
-    min_views = minimum_view_profiles(plan, requirements, capabilities)
+    min_views = minimum_view_profiles(plan)
     lineage = derived_lineage(plan)
     universe = AttributeUniverse()
     views: list[SubjectView] = [

@@ -47,7 +47,6 @@ from repro.core.plan import NodeMap, QueryPlan
 from repro.core.predicates import AttributeComparisonPredicate
 from repro.core.profile import RelationProfile
 from repro.core.requirements import (
-    SchemeCapabilities,
     _node_demands,
     infer_plaintext_requirements,
 )
@@ -119,8 +118,6 @@ def minimally_extend(
     plan: QueryPlan,
     policy: Policy,
     assignment: Mapping[PlanNode, str],
-    requirements: Mapping[PlanNode, frozenset[str]] | None = None,
-    capabilities: SchemeCapabilities | None = None,
     owners: Mapping[str, str] | None = None,
     deliver_to: str | None = None,
     verify: bool = True,
@@ -138,8 +135,6 @@ def minimally_extend(
     assignment:
         ``λ``: subject name for every operation of ``plan``; must be drawn
         from the candidate sets Λ for the result to verify.
-    requirements:
-        The per-node plaintext requirement ``Ap``; inferred when omitted.
     owners:
         Relation name → data-authority subject performing encryption at
         the source.  A relation without an entry has its source
@@ -171,8 +166,6 @@ def minimally_extend(
             raise PlanError(
                 "minimally_extend expects a plan without crypto operations"
             )
-    if requirements is None:
-        requirements = infer_plaintext_requirements(plan, capabilities)
     lineage = derived_lineage(plan)
     views: dict[str, SubjectView] = {}
 
@@ -184,7 +177,8 @@ def minimally_extend(
         return view
 
     assignment_map: NodeMap[str] = NodeMap(assignment)
-    requirement_map: NodeMap[frozenset[str]] = NodeMap(requirements)
+    requirement_map: NodeMap[frozenset[str]] = NodeMap(
+        infer_plaintext_requirements(plan))
 
     def lam(node: PlanNode) -> str:
         subject = assignment_map.get(node)

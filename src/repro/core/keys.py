@@ -21,7 +21,8 @@ from repro.core.lineage import augment_view, derived_lineage
 from repro.core.operators import Decrypt, Encrypt
 from repro.core.requirements import (
     EncryptionScheme,
-    SchemeCapabilities,
+    _node_demands,
+    select_scheme,
 )
 from repro.core.visibility import is_source_encryption
 from repro.exceptions import KeyManagementError
@@ -114,7 +115,6 @@ def cluster_encrypted_attributes(
 
 def schemes_for_extended_plan(
     extended: ExtendedPlan,
-    capabilities: SchemeCapabilities | None = None,
     policy: Policy | None = None,
 ) -> dict[str, EncryptionScheme]:
     """Assignment-aware scheme selection (§6, steps 2–3 combined).
@@ -132,9 +132,6 @@ def schemes_for_extended_plan(
     condition on plaintext values and encrypts afterwards, so no
     ciphertext capability is demanded.
     """
-    from repro.core.requirements import _node_demands  # shared demand rules
-
-    capabilities = capabilities or SchemeCapabilities.all()
     plan = extended.plan
     profiles = plan.profiles()
 
@@ -167,18 +164,16 @@ def schemes_for_extended_plan(
                     and not note2_applies(subject, attribute):
                 demands.setdefault(attribute, set()).add(capability)
 
-    from repro.core.requirements import select_scheme
-
     schemes: dict[str, EncryptionScheme] = {}
     for attribute in extended.encrypted_attributes:
         needed = frozenset(demands.get(attribute, set()))
-        scheme = select_scheme(needed, capabilities)
+        scheme = select_scheme(needed)
         schemes[attribute] = scheme or EncryptionScheme.RANDOMIZED
     # Demands can also fall on derived (aliased) outputs that were born
     # encrypted; record them so key clusters unify correctly.
     for attribute, needed in demands.items():
         if attribute not in schemes:
-            scheme = select_scheme(frozenset(needed), capabilities)
+            scheme = select_scheme(frozenset(needed))
             schemes[attribute] = scheme or EncryptionScheme.RANDOMIZED
     return schemes
 
@@ -186,7 +181,6 @@ def schemes_for_extended_plan(
 def establish_keys(
     extended: ExtendedPlan,
     policy: Policy | None = None,
-    capabilities: SchemeCapabilities | None = None,
     schemes: Mapping[str, EncryptionScheme] | None = None,
 ) -> KeyAssignment:
     """Compute ``K_T`` and its distribution for an extended plan (Def. 6.1).
@@ -213,7 +207,7 @@ def establish_keys(
         extended.encrypted_attributes | decrypted, root_profile.equivalences
     )
     if schemes is None:
-        schemes = schemes_for_extended_plan(extended, capabilities)
+        schemes = schemes_for_extended_plan(extended)
 
     keys: list[QueryKey] = []
     for cluster in clusters:

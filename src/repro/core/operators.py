@@ -150,10 +150,6 @@ class PlanNode:
         """Attributes of the operands this operation reads."""
         return frozenset()
 
-    def required_capability(self) -> EncryptedCapability:
-        """Capability needed to run this operation on encrypted operands."""
-        return EncryptedCapability.EQUALITY
-
     def label(self) -> str:
         """Short human-readable operator label (paper notation)."""
         raise NotImplementedError
@@ -329,9 +325,6 @@ class Selection(PlanNode):
     def operand_attributes(self) -> frozenset[str]:
         return self.predicate.attributes()
 
-    def required_capability(self) -> EncryptedCapability:
-        return self.predicate.required_capability()
-
     def label(self) -> str:
         return f"σ[{self.predicate}]"
 
@@ -448,9 +441,6 @@ class Join(PlanNode):
     def operand_attributes(self) -> frozenset[str]:
         return self.condition.attributes()
 
-    def required_capability(self) -> EncryptedCapability:
-        return self.condition.required_capability()
-
     def label(self) -> str:
         return f"⋈[{self.condition}]"
 
@@ -497,11 +487,6 @@ class GroupBy(PlanNode):
                     f"aggregate attribute {aggregate.attribute!r} also "
                     f"appears in the grouping attributes"
                 )
-
-    @property
-    def aggregate(self) -> Aggregate:
-        """The first aggregate (the paper's single-aggregate γ)."""
-        return self.aggregates[0]
 
     def with_children(self, children: Sequence[PlanNode]) -> "GroupBy":
         (child,) = children
@@ -573,19 +558,6 @@ class GroupBy(PlanNode):
 
     def operand_attributes(self) -> frozenset[str]:
         return self._sources()
-
-    def required_capability(self) -> EncryptedCapability:
-        strongest = EncryptedCapability.EQUALITY
-        for aggregate in self.aggregates:
-            capability = aggregate.required_capability()
-            if capability is EncryptedCapability.NONE:
-                return EncryptedCapability.NONE
-            if capability is EncryptedCapability.ADDITION:
-                strongest = EncryptedCapability.ADDITION
-            elif capability is EncryptedCapability.ORDER \
-                    and strongest is EncryptedCapability.EQUALITY:
-                strongest = EncryptedCapability.ORDER
-        return strongest
 
     def label(self) -> str:
         group = ",".join(sorted(self.group_attributes))

@@ -15,6 +15,7 @@ from repro.core.operators import (
     Decrypt,
     Encrypt,
     PlanNode,
+    Udf,
 )
 from repro.core.profile import RelationProfile
 from repro.exceptions import PlanError
@@ -119,9 +120,9 @@ class QueryPlan:
         self._parents = parents
         self._profiles: NodeMap[RelationProfile] | None = None
         self._fingerprint: tuple | None = None
-        #: Scheme capabilities → ``Ap`` per operation, filled by
+        #: ``Ap`` per operation, filled by
         #: :func:`repro.core.requirements.infer_plaintext_requirements`.
-        self._requirements: dict[object, dict] = {}
+        self._requirements: dict | None = None
         #: Alias → source attribute, filled by
         #: :func:`repro.core.lineage.derived_lineage`.
         self._lineage: dict[str, str | None] | None = None
@@ -206,12 +207,13 @@ class QueryPlan:
         """A hashable structural fingerprint of the plan (cached).
 
         Two plans share a fingerprint exactly when they have the same
-        shape, the same operator parameters (via :meth:`PlanNode.label`),
-        and leaves over relations with the same name, cardinality, and
-        per-attribute statistics — i.e. when the assignment pipeline
-        would treat them identically.  Used as (part of) the key of the
-        policy-versioned assignment cache
-        (:class:`repro.core.plancache.AssignmentCache`).
+        shape, the same operator parameters (via :meth:`PlanNode.label`,
+        plus whether a udf has an encrypted variant), and leaves over
+        relations with the same name, cardinality, and per-attribute
+        statistics — i.e. when the assignment pipeline would treat them
+        identically, plaintext requirements and scheme choices included.
+        Used as (part of) the key of the policy-versioned assignment
+        cache (:class:`repro.core.plancache.AssignmentCache`).
         """
         if self._fingerprint is None:
             parts = []
@@ -227,7 +229,9 @@ class QueryPlan:
                                   relation.cardinality, stats))
                 else:
                     parts.append((type(node).__name__, node.label(),
-                                  len(node.children)))
+                                  len(node.children),
+                                  isinstance(node, Udf)
+                                  and node.encrypted_capable))
             self._fingerprint = tuple(parts)
         return self._fingerprint
 

@@ -21,15 +21,15 @@ touches, derived aliases included) and the key/context split.
 Key and context
 ---------------
 * the **key** combines the plan's structural fingerprint
-  (:meth:`~repro.core.plan.QueryPlan.fingerprint`) and the remaining
+  (:meth:`~repro.core.plan.QueryPlan.fingerprint`, which also fixes the
+  per-node plaintext requirements and scheme choices) and the remaining
   value-like inputs of :func:`~repro.core.assignment.assign` (subjects,
-  user, owners, scheme capabilities, per-node plaintext
-  requirements).  The policy version is deliberately *not* part of the
-  key any more — versioning lives in the reconcile path;
+  user, owners).  The policy version is deliberately *not* part of the
+  key — versioning lives in the reconcile path;
 * the **context** holds the identity-compared inputs (the policy and
-  price-list/topology objects).  Entries keep strong references to
-  their context, so a hit requires the *same live objects* — two
-  different policies can never alias.
+  price-list objects).  Entries keep strong references to their
+  context, so a hit requires the *same live objects* — two different
+  policies can never alias.
 
 Entries are evicted least-recently-used beyond ``maxsize``.  Cached
 results are shared (not copied); callers must treat them as immutable.
@@ -37,13 +37,12 @@ results are shared (not copied); callers must treat them as immutable.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.authorization import Policy
 from repro.core.cache import LRU, Entry, Reconciler
 from repro.core.lineage import derived_lineage
-from repro.core.plan import NodeMap, QueryPlan
-from repro.core.operators import PlanNode
+from repro.core.plan import QueryPlan
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.core.assignment import AssignmentResult
@@ -54,18 +53,6 @@ Context = tuple[object, ...]
 #: An entry's dependency footprint: the subjects whose views it read and
 #: the attribute names those reads were restricted to (``None`` = all).
 Dependencies = tuple[frozenset[str], "frozenset[str] | None"]
-
-
-def requirements_signature(
-    plan: QueryPlan,
-    requirements: Mapping[PlanNode, frozenset[str]],
-) -> tuple[tuple[str, ...], ...]:
-    """Hashable per-operation ``Ap`` signature, in post-order."""
-    requirement_map: NodeMap[frozenset[str]] = NodeMap(requirements)
-    return tuple(
-        tuple(sorted(requirement_map.get(node, frozenset())))
-        for node in plan.operations()
-    )
 
 
 def plan_dependencies(
@@ -99,8 +86,6 @@ def assignment_cache_key(
     subject_names: Iterable[str],
     user: str,
     owners: Mapping[str, str] | None,
-    capabilities: Hashable,
-    requirements: Mapping[PlanNode, frozenset[str]],
 ) -> tuple:
     """The value part of a cache key for one ``assign`` invocation.
 
@@ -114,8 +99,6 @@ def assignment_cache_key(
         tuple(sorted(subject_names)),
         user,
         tuple(sorted((owners or {}).items())),
-        capabilities,
-        requirements_signature(plan, requirements),
     )
 
 

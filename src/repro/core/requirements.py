@@ -11,11 +11,10 @@ supporting the operations executed on its encrypted values.
 
 This module implements that optimizer logic:
 
-* :class:`SchemeCapabilities` — which scheme families the deployment
-  offers (the paper's tool uses randomized + deterministic symmetric
-  encryption, Paillier, and an OPE scheme);
 * :func:`select_scheme` — the highest-protection scheme supporting a set
-  of required capabilities, if any;
+  of required capabilities, if any, among the four families the paper's
+  tool offers (randomized + deterministic symmetric encryption, Paillier,
+  and an OPE scheme — all of them, always);
 * :func:`infer_plaintext_requirements` — compute ``Ap`` for every node of
   a plan, tracking attribute *instances*: an aggregate or udf output is a
   new instance whose encrypted form only supports what its producing
@@ -27,7 +26,6 @@ This module implements that optimizer logic:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.operators import (
@@ -81,40 +79,9 @@ _PROTECTION_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class SchemeCapabilities:
-    """Which encryption-scheme families are available to the deployment."""
-
-    deterministic: bool = True
-    ope: bool = True
-    paillier: bool = True
-
-    def available(self) -> tuple[EncryptionScheme, ...]:
-        """Available schemes in decreasing-protection order."""
-        schemes = [EncryptionScheme.RANDOMIZED]
-        if self.paillier:
-            schemes.append(EncryptionScheme.PAILLIER)
-        if self.deterministic:
-            schemes.append(EncryptionScheme.DETERMINISTIC)
-        if self.ope:
-            schemes.append(EncryptionScheme.OPE)
-        return tuple(s for s in _PROTECTION_ORDER if s in schemes)
-
-    @classmethod
-    def all(cls) -> "SchemeCapabilities":
-        """The paper's configuration: all four families available."""
-        return cls()
-
-    @classmethod
-    def none(cls) -> "SchemeCapabilities":
-        """Only randomized encryption: no computation on ciphertexts."""
-        return cls(deterministic=False, ope=False, paillier=False)
-
-
 def select_scheme(required: frozenset[EncryptedCapability],
-                  capabilities: SchemeCapabilities | None = None,
                   ) -> EncryptionScheme | None:
-    """Highest-protection available scheme supporting ``required``.
+    """Highest-protection scheme supporting ``required``.
 
     Returns ``None`` when no single scheme supports all the required
     capabilities (e.g., addition together with order), in which case the
@@ -129,8 +96,7 @@ def select_scheme(required: frozenset[EncryptedCapability],
     """
     if EncryptedCapability.NONE in required:
         return None
-    capabilities = capabilities or SchemeCapabilities.all()
-    for scheme in capabilities.available():
+    for scheme in _PROTECTION_ORDER:
         if required <= SCHEME_CAPABILITIES[scheme]:
             return scheme
     return None
@@ -232,42 +198,28 @@ def _node_demands(node: PlanNode) -> list[tuple[str, EncryptedCapability]]:
 
 def infer_plaintext_requirements(
     plan: QueryPlan,
-    capabilities: SchemeCapabilities | None = None,
-    overrides: Mapping[PlanNode, frozenset[str]] | None = None,
 ) -> dict[PlanNode, frozenset[str]]:
     """Compute the ``Ap`` set of every operation of ``plan``.
 
     The algorithm mirrors §6's scheme selection.  For every attribute
     instance it accumulates, in plan order, the capabilities demanded by
     the operations touching it.  A demand is *encryptable* when a single
-    available scheme supports it together with all previously accepted
-    demands on the same instance (and, for instances born encrypted at an
+    scheme supports it together with all previously accepted demands on
+    the same instance (and, for instances born encrypted at an
     aggregate/udf, when the producing operation's output supports it).
     Demands that are not encryptable put the attribute in the requiring
     node's ``Ap``; for attribute-comparison conditions, both sides are
     required plaintext together, preserving the uniform-visibility rule.
 
-    ``overrides`` lets callers force extra plaintext requirements per node
-    (the paper's optimizer may do so for any reason, e.g. unsupported
-    operator variants).  Without them the answer depends only on the
-    immutable plan and ``capabilities``, so it is inferred once per plan
-    and each caller gets its own copy of the mapping.
+    The answer depends only on the immutable plan, so it is inferred
+    once per plan and each caller gets its own copy of the mapping.
     """
-    capabilities = capabilities or SchemeCapabilities.all()
-    if overrides is not None:
-        return _infer_requirements(plan, capabilities, overrides)
-    inferred = plan._requirements.get(capabilities)
-    if inferred is None:
-        inferred = plan._requirements[capabilities] = \
-            _infer_requirements(plan, capabilities, None)
-    return dict(inferred)
+    if plan._requirements is None:
+        plan._requirements = _infer_requirements(plan)
+    return dict(plan._requirements)
 
 
-def _infer_requirements(
-    plan: QueryPlan,
-    capabilities: SchemeCapabilities,
-    overrides: Mapping[PlanNode, frozenset[str]] | None,
-) -> dict[PlanNode, frozenset[str]]:
+def _infer_requirements(plan: QueryPlan) -> dict[PlanNode, frozenset[str]]:
     instances = _instance_maps(plan)
     born: dict[_Instance, frozenset[EncryptedCapability] | None] = {}
     for node in plan.postorder():
@@ -300,8 +252,7 @@ def _infer_requirements(
                 rejected_attrs.add(attribute)
                 continue
             pinned = accepted.setdefault(instance, set())
-            if select_scheme(frozenset(pinned | {capability}),
-                             capabilities) is None:
+            if select_scheme(frozenset(pinned | {capability})) is None:
                 rejected_attrs.add(attribute)
             else:
                 pinned.add(capability)
@@ -318,17 +269,11 @@ def _infer_requirements(
                     rejected_attrs |= {basic.left, basic.right}
 
         requirements[node] |= rejected_attrs
-        if overrides is not None:
-            for key, extra in overrides.items():
-                if key is node:
-                    requirements[node] |= set(extra)
 
     return {node: frozenset(ap) for node, ap in requirements.items()}
 
 
-def chosen_schemes(plan: QueryPlan,
-                   capabilities: SchemeCapabilities | None = None,
-                   ) -> dict[str, EncryptionScheme]:
+def chosen_schemes(plan: QueryPlan) -> dict[str, EncryptionScheme]:
     """The scheme §6 would pick for each base attribute of ``plan``.
 
     Uses the accumulated capability demands of the plan; attributes with
@@ -336,10 +281,9 @@ def chosen_schemes(plan: QueryPlan,
     protection).  Attribute instances born at aggregates/udfs are keyed by
     their attribute name only when unambiguous.
     """
-    capabilities = capabilities or SchemeCapabilities.all()
     instances = _instance_maps(plan)
     demands: dict[_Instance, set[EncryptedCapability]] = {}
-    requirements = infer_plaintext_requirements(plan, capabilities)
+    requirements = infer_plaintext_requirements(plan)
     for node in plan.operations():
         operand_instances: dict[str, _Instance] = {}
         for child in node.children:
@@ -355,7 +299,7 @@ def chosen_schemes(plan: QueryPlan,
 
     result: dict[str, EncryptionScheme] = {}
     for instance, needed in demands.items():
-        scheme = select_scheme(frozenset(needed), capabilities)
+        scheme = select_scheme(frozenset(needed))
         if scheme is not None:
             result[instance[0]] = scheme
     # Attributes never touched by an encrypted demand: randomized.

@@ -44,9 +44,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Mapping
 
-#: Completed/failed entries retained per tenant (totals cover every
-#: query regardless; history must not pin unbounded memory).
-DEFAULT_HISTORY_LIMIT = 256
+#: Entries retained per tenant (totals cover every query regardless;
+#: history must not pin unbounded memory).
+RETAINED_ENTRIES = 256
 
 
 class CreditAccount:
@@ -130,14 +130,11 @@ class Ledger:
     Entries get a global monotone ``sequence`` in recording (completion)
     order; the lifetime count and spend per ``(tenant, status)`` cover
     every query ever recorded — the gateway's outcome counters are read
-    from them — while only the last ``history_limit`` entries per
+    from them — while only the last :data:`RETAINED_ENTRIES` entries per
     tenant are retained.
     """
 
-    def __init__(self, history_limit: int = DEFAULT_HISTORY_LIMIT) -> None:
-        if history_limit < 1:
-            raise ValueError("history_limit must be >= 1")
-        self._history_limit = history_limit
+    def __init__(self) -> None:
         self._entries: dict[str, Deque[LedgerEntry]] = {}
         self._lifetime: dict[tuple[str, str], tuple[int, float]] = {}
         self._sequence = 0
@@ -158,7 +155,7 @@ class Ledger:
             )
             history = self._entries.get(tenant)
             if history is None:
-                history = deque(maxlen=self._history_limit)
+                history = deque(maxlen=RETAINED_ENTRIES)
                 self._entries[tenant] = history
             history.append(entry)
             count, spend = self._lifetime.get((tenant, status), (0, 0.0))

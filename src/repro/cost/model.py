@@ -7,8 +7,14 @@ transfer of intermediate results priced at the sender's egress rate.
 
 Leaf scans happen at the data authority owning the relation; the final
 result is shipped to the querying user.  The model also estimates elapsed
-time (CPU + transfer over the §7 topology), supporting the paper's
+time (CPU + transfer over the §7 network), supporting the paper's
 "maximum performance overhead" threshold.
+
+The network is the one §7 fixes: "the authorities controlling the data
+and the cloud providers [are] connected by high-bandwidth (10 Gbps)
+connections; the client [is] connected to both with a lower-bandwidth
+(100 Mbps) connection."  It affects elapsed time only; the monetary cost
+of a transfer is volume × the sender's egress price.
 """
 
 from __future__ import annotations
@@ -20,11 +26,34 @@ from repro.core.authorization import holder_of
 from repro.core.extension import ExtendedPlan
 from repro.core.operators import BaseRelationNode, PlanNode
 from repro.cost.estimator import NodeEstimate, PlanEstimator
-from repro.cost.network import NetworkTopology
 from repro.cost.pricing import PriceList
 from repro.exceptions import EstimationError
 
 _GB = 1e9
+
+#: §7's link speeds, in bits per second.
+BACKBONE_BPS = 10_000_000_000  # between authorities and providers
+CLIENT_BPS = 100_000_000       # to and from the querying user
+
+
+def transfer_seconds(volume_bytes: float, sender: str, receiver: str,
+                     user: str) -> float:
+    """Time to move ``volume_bytes`` from ``sender`` to ``receiver``.
+
+    A link touching ``user`` is the slow client link; every other pair
+    of distinct subjects uses the backbone.
+
+    >>> transfer_seconds(10**9, "H", "X", user="U")
+    0.8
+    >>> transfer_seconds(10**9, "X", "U", user="U")
+    80.0
+    """
+    if volume_bytes < 0:
+        raise EstimationError("negative transfer volume")
+    if sender == receiver:
+        return 0.0
+    bandwidth = CLIENT_BPS if user in (sender, receiver) else BACKBONE_BPS
+    return volume_bytes * 8.0 / bandwidth
 
 
 @dataclass
@@ -66,13 +95,11 @@ class CostBreakdown:
 
 
 class CostModel:
-    """Prices an extended plan under a price list and network topology."""
+    """Prices an extended plan under a price list on the §7 network."""
 
     def __init__(self, prices: PriceList,
-                 topology: NetworkTopology,
                  estimator: PlanEstimator | None = None) -> None:
         self.prices = prices
-        self.topology = topology
         self.estimator = estimator or PlanEstimator()
 
     # ------------------------------------------------------------------
@@ -126,9 +153,8 @@ class CostModel:
                     subject,
                     f"{node.label()} → {receiver}",
                     net=self.transfer_cost_usd(volume, subject),
-                    seconds=self.topology.transfer_seconds(
-                        volume, subject, receiver
-                    ),
+                    seconds=transfer_seconds(volume, subject, receiver,
+                                             user),
                 )
         return breakdown
 

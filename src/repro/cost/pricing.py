@@ -147,7 +147,3 @@ class PriceList:
         updated = dict(self._rates)
         updated[subject] = rates
         return PriceList(updated, default=self._default)
-
-    def subjects(self) -> frozenset[str]:
-        """Subjects with explicit rates."""
-        return frozenset(self._rates)

@@ -9,11 +9,7 @@ mid-query fragment failover.
 """
 
 from repro.distributed.faults import FaultInjector, FaultSpec
-from repro.distributed.health import (
-    HealthRegistry,
-    RetryPolicy,
-    SubjectHealth,
-)
+from repro.distributed.health import HealthRegistry, SubjectHealth
 from repro.distributed.messages import (
     SubQueryPayload,
     decode_payload,
@@ -32,7 +28,7 @@ from repro.distributed.runtime import (
 
 __all__ = [
     "DistributedRuntime", "ExecutionTrace", "FailoverEvent",
-    "FaultInjector", "FaultSpec", "HealthRegistry", "RetryPolicy",
+    "FaultInjector", "FaultSpec", "HealthRegistry",
     "SubQueryPayload", "SubjectHealth", "SubjectNode", "build_runtime",
     "decode_payload", "encode_payload", "generate_subject_keys",
     "keystore_signature", "open_envelope", "seal_envelope",

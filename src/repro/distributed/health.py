@@ -1,18 +1,19 @@
 """Per-provider health state and circuit breakers for the runtime.
 
 Every fragment execution feeds a :class:`HealthRegistry`: successes
-update a latency EWMA and reset the consecutive-error count, failures
-increment it, and crossing ``failure_threshold`` trips the subject's
-circuit breaker.  The breaker is the classic three-state machine:
+update a latency EWMA (:data:`EWMA_ALPHA`) and reset the
+consecutive-error count, failures increment it, and reaching
+:data:`FAILURE_THRESHOLD` trips the subject's circuit breaker.  The
+breaker is the classic three-state machine:
 
 ``closed``
     Normal operation; every execution is admitted.
 ``open``
     The subject is out of rotation.  ``admit`` refuses execution until
-    ``reset_timeout_seconds`` have elapsed since the trip, at which
+    :data:`RESET_TIMEOUT_SECONDS` have elapsed since the trip, at which
     point the breaker moves to half-open.
 ``half_open``
-    At most ``half_open_probes`` concurrent probe executions are
+    At most :data:`HALF_OPEN_PROBES` concurrent probe executions are
     admitted.  A probe success closes the breaker (full recovery); a
     probe failure re-opens it and restarts the timeout.
 
@@ -25,16 +26,10 @@ it was constructed with, so breaker transitions are unit-testable with
 a fake clock instead of wall-clock sleeps.  All methods are
 thread-safe — concurrent runs feed the registry from many threads at
 once.
-
-:class:`RetryPolicy` lives here too: the bounded-exponential-backoff
-parameters the runtime applies between transient-fault retries, with
-*deterministic* jitter (hash-derived from the attempt and a caller
-salt) so chaos runs are reproducible.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from dataclasses import dataclass
@@ -44,45 +39,14 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry/backoff parameters for transient fragment faults.
-
-    ``backoff(attempt)`` grows exponentially from ``base`` by
-    ``multiplier`` up to ``cap``, minus a deterministic jitter of at
-    most ``jitter_fraction`` of the raw delay (derived by hashing the
-    attempt number with the caller's salt — reproducible, yet distinct
-    fragments desynchronize instead of retrying in lockstep).
-    """
-
-    max_attempts: int = 3
-    backoff_base_seconds: float = 0.02
-    backoff_cap_seconds: float = 1.0
-    backoff_multiplier: float = 2.0
-    jitter_fraction: float = 0.25
-
-    def backoff(self, attempt: int, salt: str = "",
-                remaining_seconds: float | None = None) -> float:
-        """Delay before retry number ``attempt`` (1-based), in seconds.
-
-        ``remaining_seconds`` clamps the delay to whatever is left of
-        the end-to-end query budget, so a backoff sleep can never
-        overshoot it — the retry loop then re-checks the budget after
-        the (possibly truncated) sleep.
-        """
-        raw = min(
-            self.backoff_cap_seconds,
-            self.backoff_base_seconds
-            * self.backoff_multiplier ** max(0, attempt - 1),
-        )
-        if self.jitter_fraction:
-            digest = hashlib.sha256(f"{salt}:{attempt}".encode()).digest()
-            unit = int.from_bytes(digest[:8], "big") / 2.0 ** 64
-            raw *= 1.0 - self.jitter_fraction * unit
-        if remaining_seconds is not None:
-            raw = min(raw, max(0.0, remaining_seconds))
-        return raw
+#: Weight of the newest latency sample in the EWMA, in (0, 1].
+EWMA_ALPHA = 0.2
+#: Consecutive errors that trip a closed breaker.
+FAILURE_THRESHOLD = 3
+#: Seconds an open breaker waits before admitting a probe.
+RESET_TIMEOUT_SECONDS = 0.5
+#: Probe executions a half-open breaker admits at once.
+HALF_OPEN_PROBES = 1
 
 
 @dataclass
@@ -115,22 +79,8 @@ class SubjectHealth:
 class HealthRegistry:
     """Thread-safe per-subject health state + circuit breakers."""
 
-    def __init__(self, clock=time.monotonic, *, ewma_alpha: float = 0.2,
-                 failure_threshold: int = 3,
-                 reset_timeout_seconds: float = 0.5,
-                 half_open_probes: int = 1) -> None:
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], "
-                             f"got {ewma_alpha}")
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if half_open_probes < 1:
-            raise ValueError("half_open_probes must be >= 1")
+    def __init__(self, clock=time.monotonic) -> None:
         self._clock = clock
-        self.ewma_alpha = ewma_alpha
-        self.failure_threshold = failure_threshold
-        self.reset_timeout_seconds = reset_timeout_seconds
-        self.half_open_probes = half_open_probes
         self._subjects: dict[str, SubjectHealth] = {}
         self._lock = threading.Lock()
 
@@ -175,8 +125,8 @@ class HealthRegistry:
                 return True
             if record.state == OPEN:
                 return (self._clock() - record.opened_at
-                        >= self.reset_timeout_seconds)
-            return record.probes_in_flight < self.half_open_probes
+                        >= RESET_TIMEOUT_SECONDS)
+            return record.probes_in_flight < HALF_OPEN_PROBES
 
     def unavailable_subjects(self) -> frozenset[str]:
         """Subjects failover planning must route around right now."""
@@ -207,12 +157,12 @@ class HealthRegistry:
                 return False
             if record.state == OPEN:
                 if (self._clock() - record.opened_at
-                        < self.reset_timeout_seconds):
+                        < RESET_TIMEOUT_SECONDS):
                     return False
                 record.state = HALF_OPEN
                 record.probes_in_flight = 0
             if record.state == HALF_OPEN:
-                if record.probes_in_flight >= self.half_open_probes:
+                if record.probes_in_flight >= HALF_OPEN_PROBES:
                     return False
                 record.probes_in_flight += 1
             return True
@@ -228,10 +178,9 @@ class HealthRegistry:
                 if record.latency_ewma_seconds is None:
                     record.latency_ewma_seconds = latency_seconds
                 else:
-                    alpha = self.ewma_alpha
                     record.latency_ewma_seconds = (
-                        alpha * latency_seconds
-                        + (1.0 - alpha) * record.latency_ewma_seconds
+                        EWMA_ALPHA * latency_seconds
+                        + (1.0 - EWMA_ALPHA) * record.latency_ewma_seconds
                     )
             if record.probes_in_flight > 0:
                 record.probes_in_flight -= 1
@@ -244,7 +193,7 @@ class HealthRegistry:
 
         A failure in ``half_open`` re-opens immediately (the probe
         disproved recovery); in ``closed``, reaching
-        ``failure_threshold`` consecutive errors — or any ``fatal``
+        :data:`FAILURE_THRESHOLD` consecutive errors — or any ``fatal``
         failure — trips the breaker open.
         """
         with self._lock:
@@ -258,7 +207,7 @@ class HealthRegistry:
             tripped = (
                 record.state == HALF_OPEN
                 or fatal
-                or record.consecutive_errors >= self.failure_threshold
+                or record.consecutive_errors >= FAILURE_THRESHOLD
             )
             if tripped:
                 record.state = OPEN

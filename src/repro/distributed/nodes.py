@@ -26,26 +26,20 @@ from repro.exceptions import AuthorizationError
 
 @dataclass
 class SubjectNode:
-    """One participant: identity, RSA keys, stored data, local state.
-
-    ``latency_seconds`` simulates the per-fragment round-trip/processing
-    delay of a real remote provider; a run pays the sum over its
-    fragments, and concurrent runs overlap theirs on different subjects.
-    """
+    """One participant: identity, RSA keys, stored data, local state."""
 
     subject: Subject
     rsa_public: RsaPublicKey
     rsa_private: RsaPrivateKey
     tables: dict[str, Table] = field(default_factory=dict)
     udfs: dict[str, UdfCallable] = field(default_factory=dict)
-    latency_seconds: float = 0.0
 
     @classmethod
     def create(cls, subject: Subject,
                tables: Mapping[str, Table] | None = None,
                udfs: Mapping[str, UdfCallable] | None = None,
                rsa_keys: tuple[RsaPublicKey, RsaPrivateKey] | None = None,
-               latency_seconds: float = 0.0) -> "SubjectNode":
+               ) -> "SubjectNode":
         """Create a node, generating an RSA keypair unless one is given.
 
         ``rsa_keys`` lets long-lived deployments (the service layer,
@@ -61,7 +55,6 @@ class SubjectNode:
             rsa_private=private,
             tables=dict(tables or {}),
             udfs=dict(udfs or {}),
-            latency_seconds=latency_seconds,
         )
 
     @property
@@ -87,18 +80,12 @@ def build_nodes(subjects: list[Subject],
                 udfs: Mapping[str, UdfCallable] | None = None,
                 rsa_keys: Mapping[
                     str, tuple[RsaPublicKey, RsaPrivateKey]] | None = None,
-                latency_seconds: float | Mapping[str, float] = 0.0,
                 ) -> dict[str, SubjectNode]:
     """One node per subject, tables at their owners.
 
     ``authority_tables`` maps authority name → {relation name → table};
-    ``rsa_keys`` (subject name → keypair) skips per-node key generation;
-    ``latency_seconds`` — one float for every subject or a per-subject
-    mapping — simulates provider round-trip delay per fragment.  A
-    mapping naming a subject with no node here raises
-    :class:`ValueError` before any node is built (a silently ignored
-    name would make its latency vanish instead of failing loudly).  A
-    stand-in name (:data:`~repro.core.authorization.STAND_IN_PREFIX`)
+    ``rsa_keys`` (subject name → keypair) skips per-node key generation.
+    A stand-in name (:data:`~repro.core.authorization.STAND_IN_PREFIX`)
     gets no node: a stand-in stores nothing and the run-time checks
     exempt nobody.
     """
@@ -108,23 +95,8 @@ def build_nodes(subjects: list[Subject],
         raise AuthorizationError(
             f"subject names {reserved} are reserved for the stand-ins of "
             "relations nobody owns; a stand-in has no runtime node")
-    if isinstance(latency_seconds, Mapping):
-        known = {subject.name for subject in subjects}
-        unknown = sorted(set(latency_seconds) - known)
-        if unknown:
-            raise ValueError(
-                "latency_seconds names unknown subjects: "
-                + ", ".join(repr(name) for name in unknown))
-    nodes: dict[str, SubjectNode] = {}
-    for subject in subjects:
-        tables = authority_tables.get(subject.name, {})
-        if isinstance(latency_seconds, Mapping):
-            latency = latency_seconds.get(subject.name, 0.0)
-        else:
-            latency = latency_seconds
-        nodes[subject.name] = SubjectNode.create(
-            subject, tables=tables, udfs=udfs,
-            rsa_keys=(rsa_keys or {}).get(subject.name),
-            latency_seconds=latency,
-        )
-    return nodes
+    return {
+        subject.name: SubjectNode.create(
+            subject, tables=authority_tables.get(subject.name, {}),
+            udfs=udfs, rsa_keys=(rsa_keys or {}).get(subject.name))
+        for subject in subjects}

@@ -8,11 +8,11 @@ executors — one attempt is an opaque callable — and classifies its
 failures strictly:
 
 * :class:`~repro.exceptions.TransientProviderError` is the **only**
-  retryable failure.  It is retried on the same subject with bounded
-  exponential backoff and deterministic jitter
-  (:class:`~repro.distributed.health.RetryPolicy`).  There is one
-  deadline, the query's: the ``token`` is checked before every attempt
-  and the backoff sleep is clamped to its remaining budget.
+  retryable failure.  It is retried on the same subject, at most
+  :data:`MAX_ATTEMPTS` attempts in all, with bounded exponential backoff
+  and deterministic jitter (:func:`backoff`).  There is one deadline,
+  the query's: the ``token`` is checked before every attempt and the
+  backoff sleep is clamped to its remaining budget.
 * :class:`~repro.exceptions.ProviderDeadError`, an open breaker or an
   exhausted attempt budget raise :class:`FragmentFailed`, which the
   runtime escalates to mid-query failover.
@@ -27,13 +27,51 @@ failures strictly:
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable, TypeVar
 
 from repro.core.budget import CancellationToken
-from repro.distributed.health import HealthRegistry, RetryPolicy
+from repro.distributed.health import HealthRegistry
 from repro.exceptions import ProviderDeadError, TransientProviderError
 
 T = TypeVar("T")
+
+#: Attempts per fragment per subject, the first one included.
+MAX_ATTEMPTS = 3
+#: The first retry's delay, its growth per retry, and its ceiling.
+BACKOFF_BASE_SECONDS = 0.02
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_CAP_SECONDS = 1.0
+#: Largest share of a delay the jitter takes off.
+JITTER_FRACTION = 0.25
+
+
+def backoff(attempt: int, salt: str = "",
+            remaining_seconds: float | None = None) -> float:
+    """Delay before retry number ``attempt`` (1-based), in seconds.
+
+    Grows from :data:`BACKOFF_BASE_SECONDS` by :data:`BACKOFF_MULTIPLIER`
+    up to :data:`BACKOFF_CAP_SECONDS`, minus a deterministic jitter of at
+    most :data:`JITTER_FRACTION` of the raw delay: the attempt number
+    hashed with ``salt``, reproducible, yet distinct fragments
+    desynchronize instead of retrying in lockstep.  ``remaining_seconds``
+    clamps the delay to what is left of the query's budget, so a backoff
+    sleep can never overshoot it.
+
+    >>> backoff(1) < backoff(2) < backoff(3)
+    True
+    >>> backoff(3, remaining_seconds=0.01)
+    0.01
+    """
+    raw = min(BACKOFF_CAP_SECONDS,
+              BACKOFF_BASE_SECONDS
+              * BACKOFF_MULTIPLIER ** max(0, attempt - 1))
+    digest = hashlib.sha256(f"{salt}:{attempt}".encode()).digest()
+    unit = int.from_bytes(digest[:8], "big") / 2.0 ** 64
+    raw *= 1.0 - JITTER_FRACTION * unit
+    if remaining_seconds is not None:
+        raw = min(raw, max(0.0, remaining_seconds))
+    return raw
 
 
 class FragmentFailed(Exception):
@@ -55,7 +93,7 @@ class FragmentFailed(Exception):
 
 
 def run_with_retries(subject: str, label: str, attempt: Callable[[], T], *,
-                     health: HealthRegistry, retry: RetryPolicy,
+                     health: HealthRegistry,
                      clock: Callable[[], float],
                      sleep: Callable[[float], None],
                      token: CancellationToken | None, trace) -> T:
@@ -85,13 +123,13 @@ def run_with_retries(subject: str, label: str, attempt: Callable[[], T], *,
         except TransientProviderError as fault:
             if health.record_failure(subject):
                 trace.breaker_trips += 1
-            if (attempts >= retry.max_attempts
+            if (attempts >= MAX_ATTEMPTS
                     or not health.available(subject)):
                 raise FragmentFailed(subject, attempts, cause=fault)
             trace.retries += 1
             # The backoff sleep draws from the remaining end-to-end
             # query budget and cannot overshoot it.
-            sleep(retry.backoff(
+            sleep(backoff(
                 attempts, salt=f"{label}:{subject}",
                 remaining_seconds=None if token is None
                 else token.remaining_seconds()))

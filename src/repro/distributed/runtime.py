@@ -64,9 +64,9 @@ subject pool, raising
 :class:`~repro.exceptions.UnrecoverableAssignmentError` only when no
 authorized candidate remains.
 
-Time is injectable (``clock``/``sleeper``): simulated provider latency,
-backoff sleeps, and breaker timeouts all go through the two
-callables, so resilience tests run fast and deterministic.
+Time is injectable (``clock``/``sleeper``): the latency a fault
+injector adds, backoff sleeps, and breaker timeouts all go through the
+two callables, so resilience tests run fast and deterministic.
 
 Budgets and cancellation
 ------------------------
@@ -74,10 +74,10 @@ Budgets and cancellation
 honors it cooperatively (the checkpoint contract lives in
 :mod:`repro.core.budget`): the token is checked before envelopes are
 sealed, at every fragment boundary, at every retry iteration, after each
-simulated-latency sleep, and at every failover candidate; it is
+injected-latency sleep, and at every failover candidate; it is
 additionally scoped to the evaluating thread (``token_scope``) so
 chunked parallel maps deep inside the executor observe it between
-chunks.  Simulated-latency and backoff sleeps are
+chunks.  Injected-latency and backoff sleeps are
 clamped to the *remaining* query budget, so a sleep can never overshoot
 it.  An abort unwinds as
 :class:`~repro.exceptions.DeadlineExceededError` /
@@ -105,7 +105,7 @@ from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
 from repro.distributed.enforcement import check_profile, check_values
 from repro.distributed.faults import FaultInjector
 from repro.distributed.fragcache import FragmentCache, fragment_footprint
-from repro.distributed.health import HealthRegistry, RetryPolicy
+from repro.distributed.health import HealthRegistry
 from repro.distributed.messages import (
     SubQueryPayload,
     open_envelope,
@@ -213,18 +213,15 @@ class DistributedRuntime:
     ----------
     clock / sleeper:
         Injectable time sources (defaults: :func:`time.monotonic` and
-        :func:`time.sleep`).  Simulated provider latency, retry backoff,
-        and breaker timeouts all go through these,
-        so tests can drive them with a fake clock instead of sleeping.
-    health:
-        A shared :class:`~repro.distributed.health.HealthRegistry`; one
-        is created (on ``clock``) when not given.
+        :func:`time.sleep`).  Injected provider latency, retry backoff
+        and the breaker timeouts of the runtime's own
+        :class:`~repro.distributed.health.HealthRegistry` (``health``)
+        all go through these, so tests can drive them with a fake clock
+        instead of sleeping.
     fault_injector:
         Optional :class:`~repro.distributed.faults.FaultInjector`
-        consulted before every fragment execution.
-    retry:
-        The :class:`~repro.distributed.health.RetryPolicy` for transient
-        faults (attempts, backoff).
+        consulted before every fragment execution: the only source of
+        simulated provider latency and faults.
     failover:
         When True (default), a fragment whose subject is lost is
         re-dispatched in place to the next authorized candidate (see the
@@ -242,9 +239,7 @@ class DistributedRuntime:
 
     def __init__(self, policy: Policy, nodes: Mapping[str, SubjectNode],
                  user: str, clock=None, sleeper=None,
-                 health: HealthRegistry | None = None,
                  fault_injector: FaultInjector | None = None,
-                 retry: RetryPolicy | None = None,
                  failover: bool = True,
                  workers: int = 0) -> None:
         self.policy = policy
@@ -253,9 +248,8 @@ class DistributedRuntime:
         self.user = user
         self._clock = clock or time.monotonic
         self._sleep = sleeper or time.sleep
-        self.health = health or HealthRegistry(clock=self._clock)
+        self.health = HealthRegistry(clock=self._clock)
         self.fault_injector = fault_injector
-        self.retry_policy = retry or RetryPolicy()
         self.failover_enabled = failover
         if user not in self.nodes:
             raise DispatchError(f"no runtime node for user {user!r}")
@@ -455,16 +449,15 @@ class DistributedRuntime:
                               fragment: SubQuery, node: SubjectNode,
                               payload: SubQueryPayload, view: SubjectView,
                               inputs: dict[int, Table]) -> Table:
-        """One attempt = simulated latency, a fresh executor, the
+        """One attempt = injected latency, a fresh executor, the
         evaluation (what is retried: :mod:`repro.distributed.retry`)."""
         subject = fragment.subject
         token = context.token
 
         def attempt() -> Table:
-            extra = 0.0
+            delay = 0.0
             if self.fault_injector is not None:
-                extra = self.fault_injector.on_execute(subject)
-            delay = node.latency_seconds + extra
+                delay = self.fault_injector.on_execute(subject)
             if delay:
                 # Clamp the simulated provider round-trip to the
                 # remaining budget: past the deadline the response
@@ -488,7 +481,7 @@ class DistributedRuntime:
 
         return run_with_retries(
             subject, fragment.fragment_id, attempt,
-            health=self.health, retry=self.retry_policy,
+            health=self.health,
             clock=self._clock, sleep=self._sleep, token=token,
             trace=context.trace)
 
@@ -666,21 +659,17 @@ def build_runtime(policy: Policy, subjects: list[Subject],
                   udfs: Mapping[str, UdfCallable] | None = None,
                   rsa_keys: Mapping[
                       str, tuple[RsaPublicKey, RsaPrivateKey]] | None = None,
-                  latency_seconds: float | Mapping[str, float] = 0.0,
                   clock=None, sleeper=None,
-                  health: HealthRegistry | None = None,
                   fault_injector: FaultInjector | None = None,
-                  retry: RetryPolicy | None = None,
                   failover: bool = True,
                   workers: int = 0,
                   ) -> DistributedRuntime:
     """Convenience constructor: :func:`~repro.distributed.nodes.build_nodes`
-    (``subjects`` … ``latency_seconds``), everything else passed through
-    to :class:`DistributedRuntime`."""
+    (``subjects`` … ``rsa_keys``), everything else passed through to
+    :class:`DistributedRuntime`."""
     nodes = build_nodes(subjects, authority_tables, udfs=udfs,
-                        rsa_keys=rsa_keys, latency_seconds=latency_seconds)
+                        rsa_keys=rsa_keys)
     return DistributedRuntime(
-        policy, nodes, user, clock=clock, sleeper=sleeper, health=health,
-        fault_injector=fault_injector, retry=retry, failover=failover,
-        workers=workers,
+        policy, nodes, user, clock=clock, sleeper=sleeper,
+        fault_injector=fault_injector, failover=failover, workers=workers,
     )

@@ -105,21 +105,6 @@ class EncryptedValue:
         assert isinstance(self.token, int) and isinstance(other.token, int)
         return self.token < other.token
 
-    def add(self, other: "EncryptedValue") -> "EncryptedValue":
-        """Homomorphic addition of Paillier ciphertexts."""
-        if self.scheme is not EncryptionScheme.PAILLIER \
-                or other.scheme is not EncryptionScheme.PAILLIER:
-            raise ExecutionError("homomorphic addition needs Paillier values")
-        if self.key_name != other.key_name:
-            raise ExecutionError("adding ciphertexts under different keys")
-        assert isinstance(self.token, PaillierCiphertext)
-        assert isinstance(other.token, PaillierCiphertext)
-        return EncryptedValue(
-            key_name=self.key_name,
-            scheme=EncryptionScheme.PAILLIER,
-            token=self.token + other.token,
-        )
-
     def group_key(self) -> object:
         """A hashable grouping/join key for the token."""
         if self.scheme is EncryptionScheme.DETERMINISTIC:
@@ -179,18 +164,6 @@ class EncryptedAggregate:
     ciphertext_sum: PaillierCiphertext
     count: int
     is_average: bool
-
-    def merge(self, other: "EncryptedAggregate") -> "EncryptedAggregate":
-        """Combine two partial aggregates."""
-        if self.key_name != other.key_name \
-                or self.is_average != other.is_average:
-            raise ExecutionError("merging incompatible encrypted aggregates")
-        return EncryptedAggregate(
-            key_name=self.key_name,
-            ciphertext_sum=self.ciphertext_sum + other.ciphertext_sum,
-            count=self.count + other.count,
-            is_average=self.is_average,
-        )
 
     def __repr__(self) -> str:
         kind = "avg" if self.is_average else "sum"

@@ -20,7 +20,6 @@ from repro.core.extension import minimally_extend
 from repro.core.keys import establish_keys, schemes_for_extended_plan
 from repro.cost.estimator import PlanEstimator
 from repro.cost.model import CostModel
-from repro.cost.network import NetworkTopology
 from repro.cost.pricing import PriceList
 from repro.exceptions import NoCandidateError
 from repro.tpch.queries import all_queries
@@ -90,8 +89,7 @@ def visibility_ablation(query_number: int, scenario_obj: Scenario,
     )
     schemes = schemes_for_extended_plan(extended)
     keys = establish_keys(extended, scenario_obj.policy, schemes=schemes)
-    model = CostModel(prices, NetworkTopology.paper_defaults(
-        scenario_obj.user), PlanEstimator(schemes))
+    model = CostModel(prices, PlanEstimator(schemes))
     cost = model.extended_plan_cost(
         extended, scenario_obj.user, scenario_obj.owners
     )

@@ -97,10 +97,6 @@ class LatencyPredictor:
             entry = self._ewmas.peek(sql)
             return None if entry is None else entry[1]
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._ewmas)
-
 
 class _TenantQueue:
     """One tenant's bounded FIFO plus its smooth-WRR priority state."""
@@ -138,9 +134,6 @@ class FairScheduler:
                 f"queue_depth must be a positive integer, "
                 f"got {queue_depth!r}")
         self._queues[tenant] = _TenantQueue(tenant, weight, queue_depth)
-
-    def tenants(self) -> tuple[str, ...]:
-        return tuple(self._queues)
 
     def offer(self, tenant: str, item: object) -> None:
         """Enqueue ``item`` or raise :class:`AdmissionRejected`."""

@@ -166,20 +166,15 @@ class Gateway:
 
     def __init__(self, service: QueryService,
                  tenants: Iterable[TenantConfig], *,
-                 max_inflight: int = 4,
-                 shed_safety: float = 1.0) -> None:
+                 max_inflight: int = 4) -> None:
         tenants = list(tenants)
         if not tenants:
             raise ValueError("a gateway needs at least one tenant")
         names = [config.name for config in tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names in {names}")
-        if shed_safety <= 0:
-            raise ValueError(
-                f"shed_safety must be positive, got {shed_safety!r}")
         self.service = service
         self.clock = service.clock
-        self.shed_safety = shed_safety
         self.tenants: Mapping[str, TenantConfig] = {
             config.name: config for config in tenants}
         self.ledger = Ledger()
@@ -393,10 +388,10 @@ class Gateway:
 
         Deadline: the predicted run time (per-SQL EWMA, else the
         tenant's p90 query latency, :data:`_SHED_QUANTILE`) is scaled by
-        the standing backlog relative to the in-flight window and by
-        ``shed_safety``; if that exceeds the token's remaining budget
-        the query is shed with a retry-after equal to the queue-wait
-        component (by then the backlog estimate has drained).  Cost:
+        the standing backlog relative to the in-flight window; if that
+        exceeds the token's remaining budget the query is shed with a
+        retry-after equal to the queue-wait component (by then the
+        backlog estimate has drained).  Cost:
         the per-SQL cost EWMA against the ceiling, no retry-after —
         waiting cannot make a plan cheaper.  No signal → admit: cold
         starts must pass, and a wrong admit still dies cheaply at the
@@ -415,8 +410,7 @@ class Gateway:
             if run_seconds is not None:
                 backlog_factor = 1.0 + (self._controller.backlog()
                                         / self._max_inflight)
-                predicted = run_seconds * backlog_factor \
-                    * self.shed_safety
+                predicted = run_seconds * backlog_factor
                 if predicted > remaining:
                     self._shed_predicted.labels(
                         tenant, "predicted_deadline").inc()

@@ -34,7 +34,9 @@ Contract
 * **Errors.**  An exception raised inside a worker (a tampered token's
   :class:`~repro.exceptions.CryptoError`) propagates to the caller
   through the earliest failing chunk, exactly as the sequential loop
-  raises it.
+  raises it.  A worker process that dies breaks its executor: that map
+  runs inline and the next parallel one spawns fresh workers, so a
+  killed worker costs one map its parallelism, not the shared pool.
 * **Sharing.**  :func:`shared_pool` hands out one bounded process pool
   per worker count, so the runtime's per-subject fragments and each
   fragment's intra-column chunks draw from the same worker budget

@@ -11,6 +11,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence
 
 from repro.core.budget import active_token
@@ -78,6 +79,11 @@ class WorkerPool:
         never preemptive), but no further chunk is *awaited* after an
         abort: pending futures are cancelled and the abort unwinds
         within one chunk, leaving the pool reusable.
+
+        A worker that dies (killed, out of memory) breaks its executor
+        for good.  The map that meets it drops that executor, so the
+        next parallel map spawns fresh workers, and runs inline instead:
+        the kernels are pure, so the inline result is the same.
         """
         token = active_token()
         if token is not None:
@@ -91,17 +97,22 @@ class WorkerPool:
         if len(chunks) == 1:
             return task(payload, items)
         executor = self._ensure_executor()
-        futures = [executor.submit(task, payload, chunk) for chunk in chunks]
-        out: list = []
-        for index, future in enumerate(futures):
-            if token is not None:
-                try:
-                    token.check(f"pool:chunk {index}/{len(futures)}")
-                except Exception:
-                    for pending in futures[index:]:
-                        pending.cancel()
-                    raise
-            out.extend(future.result())
+        try:
+            futures = [executor.submit(task, payload, chunk)
+                       for chunk in chunks]
+            out: list = []
+            for index, future in enumerate(futures):
+                if token is not None:
+                    try:
+                        token.check(f"pool:chunk {index}/{len(futures)}")
+                    except Exception:
+                        for pending in futures[index:]:
+                            pending.cancel()
+                        raise
+                out.extend(future.result())
+        except BrokenProcessPool:
+            self._discard(executor)
+            return task(payload, items)
         return out
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
@@ -116,6 +127,13 @@ class WorkerPool:
                     )
                     self._executor = executor
         return executor
+
+    def _discard(self, executor: ProcessPoolExecutor) -> None:
+        """Forget a broken executor (unless another map already has)."""
+        with self._guard:
+            if self._executor is executor:
+                self._executor = None
+        executor.shutdown(wait=False, cancel_futures=True)
 
     def close(self) -> None:
         """Shut the worker processes down (no-op if never started)."""

@@ -48,12 +48,10 @@ from repro.core.edgecost import EdgeTableCache
 from repro.core.plancache import AssignmentCache
 from repro.core.schema import Schema
 from repro.core.visibility import verify_assignment
-from repro.cost.network import NetworkTopology
 from repro.cost.pricing import PriceList
 from repro.crypto.keymanager import DistributedKeys
 from repro.distributed import build_runtime, generate_subject_keys
 from repro.distributed.faults import FaultInjector
-from repro.distributed.health import HealthRegistry, RetryPolicy
 from repro.distributed.runtime import ExecutionTrace, FailoverEvent
 from repro.engine.executor import UdfCallable
 from repro.engine.table import Table
@@ -207,8 +205,10 @@ class QueryService:
 
     Parameters mirror the hand-wired pipeline: a schema, a policy, the
     participating subjects, the relation owners, and the authorities'
-    stored tables.  Prices default to
-    :meth:`~repro.cost.pricing.PriceList.from_subjects`.
+    stored tables.  Prices are
+    :meth:`~repro.cost.pricing.PriceList.from_subjects`, and each user's
+    plan is priced on the §7 network from that user's own seat (the slow
+    client link follows whoever is querying).
     ``workers`` sizes the multicore data plane: that many processes,
     shared by every provider executor in the runtime, run the
     column-crypto kernels (``0``, the default, keeps them inline).  See
@@ -221,14 +221,9 @@ class QueryService:
                  owners: Mapping[str, str],
                  authority_tables: Mapping[str, Mapping[str, Table]],
                  user: str = "U",
-                 prices: PriceList | None = None,
-                 topology: NetworkTopology | None = None,
                  udfs: Mapping[str, UdfCallable] | None = None,
-                 latency_seconds: float | Mapping[str, float] = 0.0,
                  clock=None, sleeper=None,
-                 health: HealthRegistry | None = None,
                  fault_injector: FaultInjector | None = None,
-                 retry: RetryPolicy | None = None,
                  failover: bool = True,
                  workers: int = 0,
                  ) -> None:
@@ -238,12 +233,7 @@ class QueryService:
         self.subject_names = tuple(s.name for s in self.subjects)
         self.owners = dict(owners)
         self.user = user
-        self.prices = prices or PriceList.from_subjects(self.subjects)
-        # An explicit topology applies to every querying user; without
-        # one, ``assign`` prices each user with the §7 defaults *from
-        # their own seat* (the slow client link follows whoever is
-        # querying) — the user is part of the assignment-cache key.
-        self.topology = topology
+        self.prices = PriceList.from_subjects(self.subjects)
         #: The one clock of a query: its token, ``wall_seconds`` and
         #: ``failover_seconds`` are read here, the runtime's failover
         #: events, breaker and backoff and the gateway's token, queue
@@ -259,9 +249,8 @@ class QueryService:
         self.runtime = build_runtime(
             policy, list(self.subjects), authority_tables, user,
             udfs=udfs, rsa_keys=self.rsa_keys,
-            latency_seconds=latency_seconds,
-            clock=self.clock, sleeper=sleeper, health=health,
-            fault_injector=fault_injector, retry=retry,
+            clock=self.clock, sleeper=sleeper,
+            fault_injector=fault_injector,
             failover=failover, workers=workers,
         )
         #: SQL text → identity-stable plan; see plan_query.
@@ -311,7 +300,6 @@ class QueryService:
             outcome = assign(
                 plan, self.policy, self.subject_names, self.prices,
                 user=user, owners=self.owners,
-                topology=self.topology,
                 cache=self.assignment_cache,
                 edge_cache=self.edge_cache,
             )
@@ -489,7 +477,6 @@ class QueryService:
                 repaired = assign(
                     plan, self.policy, available, self.prices,
                     user=user, owners=self.owners,
-                    topology=self.topology,
                     cache=self.assignment_cache,
                     edge_cache=self.edge_cache,
                 )

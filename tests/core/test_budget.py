@@ -12,7 +12,7 @@ from repro.core.budget import (
     active_token,
     token_scope,
 )
-from repro.distributed.health import RetryPolicy
+from repro.distributed.retry import backoff
 from repro.exceptions import (
     DeadlineExceededError,
     QueryAbortedError,
@@ -148,14 +148,12 @@ def test_token_scope_is_thread_local():
 
 
 # ----------------------------------------------------------------------
-# RetryPolicy.backoff clamping (satellite a)
+# Backoff clamping
 # ----------------------------------------------------------------------
 def test_backoff_clamps_to_remaining_budget():
-    policy = RetryPolicy(max_attempts=5, backoff_base_seconds=4.0,
-                         backoff_cap_seconds=4.0, backoff_multiplier=1.0,
-                         jitter_fraction=0.0)
-    assert policy.backoff(1) == pytest.approx(4.0)
-    assert policy.backoff(1, remaining_seconds=1.5) == pytest.approx(1.5)
-    assert policy.backoff(1, remaining_seconds=10.0) == pytest.approx(4.0)
-    assert policy.backoff(1, remaining_seconds=0.0) == 0.0
-    assert policy.backoff(1, remaining_seconds=-3.0) == 0.0
+    full = backoff(7)  # capped at one second, less its jitter
+    assert 0.75 <= full <= 1.0
+    assert backoff(7, remaining_seconds=0.5) == 0.5
+    assert backoff(7, remaining_seconds=10.0) == full
+    assert backoff(7, remaining_seconds=0.0) == 0.0
+    assert backoff(7, remaining_seconds=-3.0) == 0.0

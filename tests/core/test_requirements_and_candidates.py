@@ -24,7 +24,6 @@ from repro.core.predicates import (
 from repro.core.profile import RelationProfile
 from repro.core.requirements import (
     EncryptionScheme,
-    SchemeCapabilities,
     chosen_schemes,
     infer_plaintext_requirements,
     select_scheme,
@@ -57,16 +56,6 @@ class TestSelectScheme:
         assert select_scheme(
             frozenset({EncryptedCapability.NONE})) is None
 
-    def test_disabled_capabilities(self):
-        no_ope = SchemeCapabilities(ope=False)
-        assert select_scheme(
-            frozenset({EncryptedCapability.ORDER}), no_ope) is None
-        none_caps = SchemeCapabilities.none()
-        assert select_scheme(
-            frozenset({EncryptedCapability.EQUALITY}), none_caps) is None
-        assert select_scheme(frozenset(), none_caps) \
-            is EncryptionScheme.RANDOMIZED
-
 
 class TestInferRequirements:
     def test_running_example_requirements(self, example):
@@ -93,51 +82,38 @@ class TestInferRequirements:
         requirements = infer_plaintext_requirements(plan)
         assert requirements[plan.root] == frozenset("n")
 
-    def test_no_ope_forces_plaintext_ranges(self):
+    def test_range_selection_runs_encrypted_under_ope(self):
+        # All four families are always available, so a range needs no
+        # plaintext: it is evaluated over order-preserving ciphertext.
         schema = Schema()
         relation = schema.add(Relation("R", ["n"]))
         plan = QueryPlan(Selection(
             BaseRelationNode(relation),
             AttributeValuePredicate("n", ComparisonOp.GT, 5),
         ))
-        requirements = infer_plaintext_requirements(
-            plan, SchemeCapabilities(ope=False))
-        assert requirements[plan.root] == frozenset("n")
+        assert infer_plaintext_requirements(plan)[plan.root] == frozenset()
+        assert chosen_schemes(plan)["n"] is EncryptionScheme.OPE
 
-    def test_overrides_are_merged(self, example):
-        requirements = infer_plaintext_requirements(
-            example.plan, overrides={example.join: frozenset("S")})
-        assert "S" in requirements[example.join]
-
-    def test_inferred_once_per_plan_and_capabilities(self, example,
-                                                     monkeypatch):
+    def test_inferred_once_per_plan(self, example, monkeypatch):
         from repro.core import requirements as requirements_module
 
         calls = []
         original = requirements_module._infer_requirements
 
-        def counting(plan, capabilities, overrides):
-            calls.append((capabilities, overrides))
-            return original(plan, capabilities, overrides)
+        def counting(plan):
+            calls.append(plan)
+            return original(plan)
 
         monkeypatch.setattr(requirements_module, "_infer_requirements",
                             counting)
         first = infer_plaintext_requirements(example.plan)
         first[example.join] = frozenset("tampered")  # the caller's copy
-        again = infer_plaintext_requirements(
-            example.plan, SchemeCapabilities.all())
+        again = infer_plaintext_requirements(example.plan)
         assert again[example.join] == frozenset()
         assert len(calls) == 1
-        # Other capabilities, overrides and other plans are not served
-        # from that entry.
-        no_ope = infer_plaintext_requirements(
-            example.plan, SchemeCapabilities(ope=False))
-        assert no_ope[example.having] == frozenset("P")
-        overridden = infer_plaintext_requirements(
-            example.plan, overrides={example.join: frozenset("S")})
-        assert "S" in overridden[example.join]
+        # Another plan is not served from that entry.
         infer_plaintext_requirements(build_running_example().plan)
-        assert len(calls) == 4
+        assert len(calls) == 2
         assert infer_plaintext_requirements(example.plan) == again
 
 

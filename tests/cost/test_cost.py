@@ -6,8 +6,7 @@ from repro.core.extension import minimally_extend
 from repro.core.requirements import EncryptionScheme, chosen_schemes
 from repro.cost.estimator import PlanEstimator
 from repro.cost.factors import encrypted_width
-from repro.cost.model import CostModel, normalized_costs
-from repro.cost.network import NetworkTopology
+from repro.cost.model import CostModel, normalized_costs, transfer_seconds
 from repro.cost.pricing import (
     AUTHORITY_CPU_MULTIPLIER,
     PriceList,
@@ -57,27 +56,21 @@ class TestPricing:
 
 class TestNetwork:
     def test_paper_topology(self):
-        topology = NetworkTopology.paper_defaults("U")
-        assert topology.bandwidth_bps("H", "X") == 10_000_000_000
-        assert topology.bandwidth_bps("U", "X") == 100_000_000
-        assert topology.transfer_seconds(0, "H", "X") == 0.0
-        assert topology.transfer_seconds(1000, "H", "H") == 0.0
+        # 10 Gbps backbone, 100 Mbps to and from the querying user.
+        assert transfer_seconds(10**10, "H", "X", "U") == 8.0
+        assert transfer_seconds(10**8, "U", "X", "U") == 8.0
+        assert transfer_seconds(10**8, "X", "U", "U") == 8.0
+        assert transfer_seconds(0, "H", "X", "U") == 0.0
+        assert transfer_seconds(1000, "H", "H", "U") == 0.0
 
     def test_transfer_time_scales(self):
-        topology = NetworkTopology.paper_defaults("U")
-        slow = topology.transfer_seconds(10**9, "U", "X")
-        fast = topology.transfer_seconds(10**9, "H", "X")
+        slow = transfer_seconds(10**9, "U", "X", "U")
+        fast = transfer_seconds(10**9, "H", "X", "U")
         assert slow == pytest.approx(fast * 100)
-
-    def test_override(self):
-        topology = NetworkTopology.paper_defaults("U").with_override(
-            "H", "X", 1_000.0)
-        assert topology.bandwidth_bps("X", "H") == 1_000.0
 
     def test_negative_volume_rejected(self):
         with pytest.raises(EstimationError):
-            NetworkTopology.paper_defaults("U").transfer_seconds(
-                -1, "H", "X")
+            transfer_seconds(-1, "H", "X", "U")
 
 
 class TestEstimator:
@@ -136,7 +129,7 @@ class TestCostModel:
             owners=example.owners,
         )
         prices = PriceList.from_subjects(example.subjects)
-        model = CostModel(prices, NetworkTopology.paper_defaults("U"))
+        model = CostModel(prices)
         breakdown = model.extended_plan_cost(extended, "U", example.owners)
         assert breakdown.total_usd == pytest.approx(
             breakdown.cpu_usd + breakdown.io_usd + breakdown.net_usd)
@@ -149,7 +142,7 @@ class TestCostModel:
             owners=example.owners,
         )
         prices = PriceList.from_subjects(example.subjects)
-        model = CostModel(prices, NetworkTopology.paper_defaults("U"))
+        model = CostModel(prices)
         breakdown = model.extended_plan_cost(extended, "U", example.owners)
         transfer_labels = [l for l, _, _ in breakdown.per_node if "→" in l]
         assert transfer_labels  # at least H→X, I→X, X→Y, Y→U

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from helpers import steady_latency
 from repro.core.authorization import Authorization, Policy, Subject, \
     SubjectKind
 from repro.core.dispatch import dispatch
@@ -213,7 +214,7 @@ class TestSubjectSerialization:
 
         runtime = build_runtime(
             policy, list(subjects), tables, user="U",
-            latency_seconds=0.02,
+            fault_injector=steady_latency(0.02, subjects),
         )
         intervals = []  # list.append is atomic across the run threads
         original = runtime_module.DistributedRuntime._evaluate_fragment

@@ -16,9 +16,9 @@ import time
 
 import pytest
 
-from helpers import FakeClock, parse_prometheus
+from helpers import FakeClock, parse_prometheus, steady_latency
 from repro.core.visibility import verify_assignment
-from repro.distributed import FaultInjector, build_runtime
+from repro.distributed import FaultInjector
 from repro.distributed import runtime as runtime_module
 from repro.engine import Table
 from repro.exceptions import (
@@ -91,13 +91,33 @@ class TestRetries:
         # Satellite: simulated provider latency goes through the
         # injected sleeper, not a real time.sleep.
         recorded = []
-        service = make_service(latency_seconds=5.0,
-                               sleeper=recorded.append)
+        service = make_service(
+            steady_latency(5.0, build_running_example().subject_names),
+            sleeper=recorded.append)
         started = time.monotonic()
         outcome = service.execute(SQL)
         assert time.monotonic() - started < 2.0
         assert 5.0 in recorded
         assert len(outcome.result) > 0
+
+
+class TestSimulatedLatency:
+    """A fault injector is the one source of simulated provider delay."""
+
+    def test_no_injector_sleeps_nothing(self, clean_outcome):
+        recorded = []
+        outcome = make_service(sleeper=recorded.append).execute(SQL)
+        assert recorded == []
+        assert_rows_equal(outcome.result, clean_outcome.result)
+
+    def test_steady_latency_delays_only_its_subjects(self, clean_outcome):
+        victim = compute_victim(clean_outcome)
+        injector = steady_latency(0.25, [victim])
+        recorded = []
+        outcome = make_service(injector, sleeper=recorded.append).execute(SQL)
+        assert injector.calls(victim) >= 1
+        assert recorded == [0.25] * injector.calls(victim)
+        assert_rows_equal(outcome.result, clean_outcome.result)
 
 
 class TestInPlaceTakeover:
@@ -239,7 +259,8 @@ class TestOneClock:
         of the provider to delivery — whichever tier recovered.  Read on
         any other clock, both are a few real milliseconds."""
         victim = compute_victim(clean_outcome)
-        injector = FaultInjector(seed=5)
+        injector = steady_latency(0.5, build_running_example().subject_names,
+                                  FaultInjector(seed=5))
         injector.kill(victim)
         clock = FakeClock()
         lost_at = []
@@ -252,8 +273,8 @@ class TestOneClock:
 
         injector.on_execute = watched
         outcome = make_service(
-            injector, failover=takeover, clock=clock, sleeper=clock.sleep,
-            latency_seconds=0.5).execute(SQL)
+            injector, failover=takeover, clock=clock,
+            sleeper=clock.sleep).execute(SQL)
         assert outcome.failed_over and bool(outcome.failovers) == takeover
         assert_rows_equal(outcome.result, clean_outcome.result)
         assert 0.0 < lost_at[0] < clock.now
@@ -298,21 +319,3 @@ class TestEnforcementNeverRetried:
         assert sum(injector.calls(s.name)
                    for s in service.subjects) == 0
 
-
-class TestBuildRuntimeValidation:
-    def test_unknown_latency_subject_rejected(self):
-        # Satellite bugfix: a typo in the latency map used to be
-        # silently ignored; it must raise.
-        example = build_running_example()
-        with pytest.raises(ValueError, match="unknown subjects.*'Q'"):
-            build_runtime(example.policy, list(example.subjects),
-                          make_tables(), "U",
-                          latency_seconds={"Q": 0.1})
-
-    def test_unknown_latency_subject_rejected_via_service(self):
-        with pytest.raises(ValueError, match="unknown subjects"):
-            make_service(latency_seconds={"Y": 0.1, "Nope": 0.2})
-
-    def test_known_latency_subjects_accepted(self):
-        service = make_service(latency_seconds={"Y": 0.0, "H": 0.0})
-        assert len(service.execute(SQL).result) > 0

@@ -1,5 +1,5 @@
-"""Deterministic unit tests for the circuit breaker, the retry policy
-and the retry loop.
+"""Deterministic unit tests for the circuit breaker, the backoff and
+the retry loop.
 
 Every test drives :class:`HealthRegistry` with a fake, manually
 advanced clock — no wall-clock sleeps — so the closed → open →
@@ -13,11 +13,10 @@ from repro.distributed.health import (
     HALF_OPEN,
     OPEN,
     HealthRegistry,
-    RetryPolicy,
 )
-from repro.distributed.retry import FragmentFailed, run_with_retries
+from repro.distributed.retry import FragmentFailed, backoff, run_with_retries
 from repro.distributed.runtime import ExecutionTrace
-from repro.exceptions import TransientProviderError
+from repro.exceptions import ProviderDeadError, TransientProviderError
 
 
 class FakeClock:
@@ -38,8 +37,9 @@ def clock():
 
 @pytest.fixture
 def registry(clock):
-    return HealthRegistry(clock, failure_threshold=3,
-                          reset_timeout_seconds=0.5, half_open_probes=1)
+    # Three consecutive errors trip it; it stays open for 0.5 s and then
+    # admits one probe at a time.
+    return HealthRegistry(clock)
 
 
 class TestBreakerTransitions:
@@ -85,15 +85,12 @@ class TestBreakerTransitions:
         assert registry.admit("Y")
         assert registry.state("Y") == HALF_OPEN
 
-    def test_half_open_admits_exactly_probe_budget(self, clock):
-        registry = HealthRegistry(clock, failure_threshold=1,
-                                  reset_timeout_seconds=0.5,
-                                  half_open_probes=2)
-        registry.record_failure("Y")
+    def test_half_open_admits_exactly_probe_budget(self, registry, clock):
+        for _ in range(3):
+            registry.record_failure("Y")
         clock.advance(1.0)
         assert registry.admit("Y")
-        assert registry.admit("Y")
-        assert not registry.admit("Y")  # both probe slots taken
+        assert not registry.admit("Y")  # the one probe slot is taken
         assert not registry.available("Y")
 
     def test_probe_success_closes_breaker(self, registry, clock):
@@ -163,13 +160,13 @@ class TestLatencyEwma:
         registry.record_success("Y", 0.10)
         assert registry.latency_hint("Y") == pytest.approx(0.10)
 
-    def test_ewma_update(self, clock):
-        registry = HealthRegistry(clock, ewma_alpha=0.5)
+    def test_ewma_update(self, registry):
+        # The newest sample weighs 0.2.
         registry.record_success("Y", 0.10)
         registry.record_success("Y", 0.20)
-        assert registry.latency_hint("Y") == pytest.approx(0.15)
+        assert registry.latency_hint("Y") == pytest.approx(0.12)
         registry.record_success("Y", 0.05)
-        assert registry.latency_hint("Y") == pytest.approx(0.10)
+        assert registry.latency_hint("Y") == pytest.approx(0.106)
 
     def test_snapshot_shape(self, registry):
         registry.record_success("Y", 0.01)
@@ -182,46 +179,24 @@ class TestLatencyEwma:
         assert snap["X"]["dead"] is False
 
 
-class TestConstructorValidation:
-    def test_bad_alpha(self, clock):
-        with pytest.raises(ValueError, match="ewma_alpha"):
-            HealthRegistry(clock, ewma_alpha=0.0)
+class TestBackoff:
+    #: 20 ms doubling per retry up to one second, before jitter.
+    RAW = {1: 0.02, 2: 0.04, 3: 0.08, 4: 0.16, 5: 0.32, 6: 0.64, 7: 1.0,
+           10: 1.0}
 
-    def test_bad_threshold(self, clock):
-        with pytest.raises(ValueError, match="failure_threshold"):
-            HealthRegistry(clock, failure_threshold=0)
-
-    def test_bad_probes(self, clock):
-        with pytest.raises(ValueError, match="half_open_probes"):
-            HealthRegistry(clock, half_open_probes=0)
-
-
-class TestRetryPolicy:
     def test_backoff_grows_exponentially_to_cap(self):
-        policy = RetryPolicy(backoff_base_seconds=0.1,
-                             backoff_cap_seconds=0.5,
-                             backoff_multiplier=2.0, jitter_fraction=0.0)
-        assert policy.backoff(1) == pytest.approx(0.1)
-        assert policy.backoff(2) == pytest.approx(0.2)
-        assert policy.backoff(3) == pytest.approx(0.4)
-        assert policy.backoff(4) == pytest.approx(0.5)  # capped
-        assert policy.backoff(10) == pytest.approx(0.5)
+        for attempt, raw in self.RAW.items():
+            assert raw * 0.75 <= backoff(attempt) <= raw
 
     def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff_base_seconds=0.1,
-                             jitter_fraction=0.25)
         for attempt in (1, 2, 3):
             for salt in ("reqX:Y", "reqZ:Z", ""):
-                a = policy.backoff(attempt, salt=salt)
-                b = policy.backoff(attempt, salt=salt)
-                assert a == b  # same inputs, same delay
-                raw = RetryPolicy(backoff_base_seconds=0.1,
-                                  jitter_fraction=0.0).backoff(attempt)
-                assert raw * 0.75 <= a <= raw
+                a = backoff(attempt, salt=salt)
+                assert a == backoff(attempt, salt=salt)  # same inputs
+                assert self.RAW[attempt] * 0.75 <= a <= self.RAW[attempt]
 
     def test_distinct_salts_desynchronize(self):
-        policy = RetryPolicy(jitter_fraction=0.25)
-        delays = {policy.backoff(1, salt=f"frag{i}") for i in range(8)}
+        delays = {backoff(1, salt=f"frag{i}") for i in range(8)}
         assert len(delays) > 1
 
 
@@ -231,12 +206,9 @@ class TestRunWithRetries:
     def run(self, registry, clock, attempt, trace):
         return run_with_retries(
             "Y", "reqY", attempt, health=registry,
-            retry=RetryPolicy(max_attempts=3, backoff_base_seconds=0.01,
-                              jitter_fraction=0.0),
             clock=clock, sleep=clock.advance, token=None, trace=trace)
 
-    def test_transient_twice_then_success(self, clock):
-        registry = HealthRegistry(clock, failure_threshold=5)
+    def test_transient_twice_then_success(self, registry, clock):
         trace = ExecutionTrace()
         outcomes = [TransientProviderError("slow"),
                     TransientProviderError("slow"), "done"]
@@ -249,12 +221,13 @@ class TestRunWithRetries:
 
         assert self.run(registry, clock, attempt, trace) == "done"
         assert (trace.attempts, trace.retries) == (3, 2)
-        assert clock.now == pytest.approx(0.01 + 0.02)  # two backoffs
+        # Two backoffs, salted with the fragment label and the subject.
+        assert clock.now == pytest.approx(
+            backoff(1, salt="reqY:Y") + backoff(2, salt="reqY:Y"))
         assert trace.executions == [("Y", 0.0)]  # the success, timed
         assert registry.subject("Y").consecutive_errors == 0
 
-    def test_exhausted_attempts_fail_the_fragment(self, clock):
-        registry = HealthRegistry(clock, failure_threshold=5)
+    def test_exhausted_attempts_fail_the_fragment(self, registry, clock):
         trace = ExecutionTrace()
 
         def attempt():
@@ -264,6 +237,53 @@ class TestRunWithRetries:
             self.run(registry, clock, attempt, trace)
         assert (failed.value.subject, failed.value.attempts) == ("Y", 3)
         assert (trace.attempts, trace.retries) == (3, 2)
+
+    def test_tripping_the_breaker_ends_the_retries(self, registry, clock):
+        registry.record_failure("Y")
+        registry.record_failure("Y")
+        trace = ExecutionTrace()
+
+        def attempt():
+            raise TransientProviderError("slow")
+
+        with pytest.raises(FragmentFailed) as failed:
+            self.run(registry, clock, attempt, trace)
+        # The third consecutive error opens the breaker: no retry waits
+        # on a subject that is out of rotation.
+        assert failed.value.attempts == 1
+        assert (trace.attempts, trace.retries, trace.breaker_trips) \
+            == (1, 0, 1)
+        assert clock.now == 0.0
+        assert registry.state("Y") == OPEN
+
+    def test_open_breaker_fails_before_any_attempt(self, registry, clock):
+        for _ in range(3):
+            registry.record_failure("Y")
+        trace = ExecutionTrace()
+        calls = []
+
+        with pytest.raises(FragmentFailed) as failed:
+            self.run(registry, clock, lambda: calls.append(1), trace)
+        assert calls == []
+        assert failed.value.attempts == 0
+        assert isinstance(failed.value.cause, ProviderDeadError)
+        assert trace.attempts == 0
+
+    def test_dead_provider_is_not_retried(self, registry, clock):
+        trace = ExecutionTrace()
+        calls = []
+
+        def attempt():
+            calls.append(1)
+            raise ProviderDeadError("gone", subject="Y")
+
+        with pytest.raises(FragmentFailed) as failed:
+            self.run(registry, clock, attempt, trace)
+        assert calls == [1]
+        assert failed.value.attempts == 1
+        assert (trace.retries, trace.breaker_trips) == (0, 1)
+        assert registry.is_dead("Y")
+        assert clock.now == 0.0  # no backoff before giving up
 
     def test_other_exceptions_release_the_probe_and_are_not_retried(
             self, registry, clock):

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from helpers import FakeClock, FakeService, parse_prometheus
+from helpers import FakeClock, FakeService, parse_prometheus, steady_latency
 from repro.engine.table import Table
 from repro.exceptions import (
     AdmissionRejected,
@@ -122,8 +122,9 @@ def test_gateway_keeps_time_on_the_service_clock():
     a clock of its own the gateway's token would read a few real
     milliseconds and the query would complete past its deadline."""
     clock = FakeClock()
-    service = make_service(clock=clock, sleeper=clock.sleep,
-                           latency_seconds=0.5)
+    service = make_service(
+        clock=clock, sleeper=clock.sleep, fault_injector=steady_latency(
+            0.5, build_running_example().subject_names))
     gateway = Gateway(service, [TenantConfig("t", deadline_seconds=1.0)],
                       max_inflight=1)
     try:

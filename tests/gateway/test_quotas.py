@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import FakeClock
-from repro.cost.metering import CreditAccount, Ledger
+from repro.cost.metering import RETAINED_ENTRIES, CreditAccount, Ledger
 from repro.exceptions import QuotaExceeded
 from repro.gateway.quotas import TenantQuota, TokenBucket
 
@@ -93,21 +93,24 @@ def test_account_validation():
 # Ledger
 # ----------------------------------------------------------------------
 def test_ledger_sequences_totals_and_bounded_history():
-    ledger = Ledger(history_limit=2)
-    for index in range(3):
+    ledger = Ledger()
+    completed = RETAINED_ENTRIES + 1
+    for index in range(completed):
         entry = ledger.record("t", user="U", sql=f"q{index}",
                               cost_usd=0.25, wall_seconds=0.01,
                               dispatch_sequence=index + 10)
         assert entry.sequence == index + 1
-    ledger.record("t", user="U", sql="q3", cost_usd=0.0, wall_seconds=0,
+    ledger.record("t", user="U", sql="last", cost_usd=0.0, wall_seconds=0,
                   status="failed")
-    assert ledger.spend_usd("t") == pytest.approx(0.75)  # all of them
-    assert ledger.query_count("t") == 4
+    assert ledger.spend_usd("t") == 0.25 * completed  # all of them
+    assert ledger.query_count("t") == completed + 1
     retained = ledger.entries("t")
-    assert [entry.sql for entry in retained] == ["q2", "q3"]
+    assert len(retained) == RETAINED_ENTRIES
+    assert [retained[0].sql, retained[-1].sql] == ["q2", "last"]
     assert retained[0].dispatch_sequence == 12
     # Lifetime totals per (tenant, status): the gateway's counters.
-    assert ledger.lifetime() == {("t", "completed"): (3, 0.75),
+    assert ledger.lifetime() == {("t", "completed"): (completed,
+                                                      0.25 * completed),
                                  ("t", "failed"): (1, 0.0)}
 
 

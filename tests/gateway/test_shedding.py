@@ -153,6 +153,53 @@ def test_predicted_costly_query_is_shed_at_submit():
     assert service.calls == ["select pricey"]
 
 
+def test_prediction_is_compared_with_the_budget_as_it_is():
+    clock = FakeClock()
+    service = FakeService(wall_seconds=1.0)
+    gateway = make_gateway(service, clock)
+    try:
+        gateway.execute("t", "q")  # teaches the predictor: 1.0 s
+        # 1.0 s predicted fits a 1.5 s budget: no safety margin on top.
+        assert gateway.execute(
+            "t", "q",
+            budget=QueryBudget(deadline_seconds=1.5)).result.rows == [(1,)]
+        with pytest.raises(SheddedError) as excinfo:
+            gateway.submit("t", "q",
+                           budget=QueryBudget(deadline_seconds=0.9))
+        assert excinfo.value.predicted_seconds == pytest.approx(1.0)
+    finally:
+        gateway.close()
+    assert service.calls == ["q", "q"]
+
+
+def test_queued_backlog_scales_the_prediction():
+    clock = FakeClock()
+    gate = threading.Event()
+    gate.set()
+    service = FakeService(wall_seconds=1.0, gate=gate)
+    gateway = make_gateway(service, clock)
+    try:
+        gateway.execute("t", "q")  # teaches the predictor: 1.0 s
+        gate.clear()
+        service.started.clear()
+        running = gateway.submit("t", "select 1")
+        assert service.started.wait(timeout=30)  # the one worker is busy
+        queued = gateway.submit("t", "select 2")
+        # One queued entry per worker doubles the expected wait.
+        with pytest.raises(SheddedError) as excinfo:
+            gateway.submit("t", "q",
+                           budget=QueryBudget(deadline_seconds=1.5))
+        assert excinfo.value.predicted_seconds == pytest.approx(2.0)
+        assert excinfo.value.retry_after_seconds == pytest.approx(1.0)
+        gate.set()
+        running.result(timeout=30)
+        queued.result(timeout=30)
+    finally:
+        gate.set()
+        gateway.close()
+    assert service.calls == ["q", "select 1", "select 2"]
+
+
 def test_unseen_sql_falls_back_to_latency_histogram():
     clock = FakeClock()
     service = FakeService(wall_seconds=5.0)
@@ -178,27 +225,6 @@ def test_cold_start_admits_without_any_signal():
         assert outcome.result.rows == [(1,)]
     finally:
         gateway.close()
-
-
-def test_shed_safety_scales_the_prediction():
-    clock = FakeClock()
-    service = FakeService(wall_seconds=1.0)
-    lax = make_gateway(FakeService(wall_seconds=1.0), clock,
-                       shed_safety=1.0)
-    strict = make_gateway(service, clock, shed_safety=10.0)
-    try:
-        lax.execute("t", "q")
-        strict.execute("t", "q")
-        # 1.0s predicted < 2.0s budget: admitted at safety 1, shed at 10.
-        assert lax.execute(
-            "t", "q",
-            budget=QueryBudget(deadline_seconds=2.0)).result.rows == [(1,)]
-        with pytest.raises(SheddedError):
-            strict.submit("t", "q",
-                          budget=QueryBudget(deadline_seconds=2.0))
-    finally:
-        lax.close()
-        strict.close()
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import types
 from repro.core.operators import BaseRelationNode, Udf
 from repro.core.plan import QueryPlan
 from repro.core.schema import Relation, Schema
+from repro.distributed.faults import FaultInjector, FaultSpec
 from repro.distributed.runtime import ExecutionTrace
 from repro.engine.table import Table
 from repro.exceptions import UnauthorizedError
@@ -95,6 +96,18 @@ def make_udf_plan(schema_attrs: int = 3) -> tuple[QueryPlan, Schema]:
     udf = Udf(leaf, ["m0", "m1"], "m0", encrypted_capable=False,
               name="model")
     return QueryPlan(udf), schema
+
+
+def steady_latency(seconds: float, subjects,
+                   injector: FaultInjector | None = None) -> FaultInjector:
+    """``injector`` (a fresh one by default) delaying every execution of
+    each of ``subjects`` (names or :class:`Subject` objects) by
+    ``seconds`` — the runtime's one source of simulated latency."""
+    injector = injector or FaultInjector()
+    for subject in subjects:
+        injector.set_fault(getattr(subject, "name", subject), FaultSpec(
+            latency_spike_seconds=seconds, latency_spike_rate=1.0))
+    return injector
 
 
 class FakeClock:

@@ -17,13 +17,9 @@ from repro.core.extension import minimally_extend
 from repro.core.keys import schemes_for_extended_plan
 from repro.core.operators import PlanNode
 from repro.core.plan import QueryPlan
-from repro.core.requirements import (
-    chosen_schemes,
-    infer_plaintext_requirements,
-)
+from repro.core.requirements import chosen_schemes
 from repro.cost.estimator import PlanEstimator
 from repro.cost.model import CostModel
-from repro.cost.network import NetworkTopology
 from repro.cost.pricing import PriceList
 from repro.exceptions import NoCandidateError, UnauthorizedError
 
@@ -50,13 +46,10 @@ def exhaustive_search(plan: QueryPlan, policy: Policy,
     :class:`NoCandidateError` raised when nothing is feasible.
     """
     owners = dict(owners or {})
-    requirements = infer_plaintext_requirements(plan)
-    candidates = compute_candidates(plan, policy, list(subjects),
-                                    requirements)
+    candidates = compute_candidates(plan, policy, list(subjects))
     candidates.require_nonempty()
     estimator = PlanEstimator(chosen_schemes(plan))
-    model = CostModel(prices, NetworkTopology.paper_defaults(user),
-                      estimator)
+    model = CostModel(prices, estimator)
     estimates = estimator.estimate(plan)
 
     operations = list(plan.operations())
@@ -111,8 +104,7 @@ def exhaustive_search(plan: QueryPlan, policy: Policy,
             assignment = dict(zip(operations, chosen))
             try:
                 extended = minimally_extend(
-                    plan, policy, assignment, requirements=requirements,
-                    owners=owners, deliver_to=user,
+                    plan, policy, assignment, owners=owners, deliver_to=user,
                 )
             except UnauthorizedError:
                 stats["skipped_unauthorized"] += 1
@@ -148,7 +140,6 @@ def exact_cost(plan: QueryPlan, policy: Policy,
     itself calls for."""
     extended = minimally_extend(plan, policy, dict(assignment),
                                 owners=owners, deliver_to=user)
-    schemes = schemes_for_extended_plan(extended, None, policy)
-    model = CostModel(prices, NetworkTopology.paper_defaults(user),
-                      PlanEstimator(schemes))
+    schemes = schemes_for_extended_plan(extended, policy)
+    model = CostModel(prices, PlanEstimator(schemes))
     return model.extended_plan_cost(extended, user, owners).total_usd

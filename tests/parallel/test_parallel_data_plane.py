@@ -7,10 +7,14 @@ test goes through the :mod:`repro.parallel.kernels` functions — never a
 function defined in this module.  One two-worker pool is shared across
 the module (spawning processes is the slow part)."""
 
+import contextlib
 import inspect
+import os
 import pickle
 import random
+import signal
 import threading
+from multiprocessing.connection import wait
 
 import pytest
 
@@ -24,6 +28,7 @@ from repro.engine.codec import decrypt_column, encrypt_column
 from repro.engine.values import EncryptedValue
 from repro.exceptions import CryptoError, ExecutionError
 from repro.parallel import WorkerPool, shared_pool
+from repro.parallel.kernels import column_encrypt_chunk, dumps
 from repro.parallel.pool import MIN_PARALLEL_ITEMS
 from repro.service import QueryService
 
@@ -96,6 +101,40 @@ class TestWorkerPool:
         assert not pool.should_parallelize(MIN_PARALLEL_ITEMS - 1)
         assert pool.should_parallelize(MIN_PARALLEL_ITEMS)
         assert pool._executor is None
+
+
+class TestKilledWorkers:
+    def test_sigkilled_workers_are_replaced_and_the_map_runs_inline(self):
+        """One SIGKILLed worker used to break the pool — and every
+        runtime sharing it — for the rest of the process."""
+        blob = dumps(material_for(EncryptionScheme.DETERMINISTIC, None))
+        values = [f"v{index}" for index in range(2 * MIN_PARALLEL_ITEMS)]
+        expected = column_encrypt_chunk(blob, values)
+        pool = WorkerPool(2)
+        try:
+            assert pool.map_chunks(column_encrypt_chunk, blob,
+                                   values) == expected
+            broken = pool._executor
+            workers = list(broken._processes.values())
+            for worker in workers:
+                # Once one is dead the executor's own thread terminates
+                # and reaps the others, so one may be gone already …
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(worker.pid, signal.SIGKILL)
+            for worker in workers:
+                # … which is also why the exit is waited on, not joined.
+                assert wait([worker.sentinel], timeout=30)
+            # The map that meets the dead workers answers inline …
+            assert pool.map_chunks(column_encrypt_chunk, blob,
+                                   values) == expected
+            assert pool._executor is None
+            # … and the one after it runs on a freshly spawned executor.
+            assert pool.map_chunks(column_encrypt_chunk, blob,
+                                   values) == expected
+            assert pool._executor is not None
+            assert pool._executor is not broken
+        finally:
+            pool.close()
 
 
 class TestColumnCryptoEquivalence:

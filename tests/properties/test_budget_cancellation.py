@@ -19,6 +19,7 @@ the UAPenc scenario.
 
 import pytest
 
+from helpers import steady_latency
 from repro.core.budget import CancellationToken, QueryBudget
 from repro.engine import Table
 from repro.exceptions import (
@@ -103,7 +104,8 @@ class TestRunningExampleCancellation:
         kwargs = {}
         if clock is not None:
             kwargs = dict(clock=clock, sleeper=clock.sleep,
-                          latency_seconds=0.01)
+                          fault_injector=steady_latency(
+                              0.01, example.subject_names))
         else:
             kwargs = dict(sleeper=lambda seconds: None)
         return QueryService(example.schema, example.policy,

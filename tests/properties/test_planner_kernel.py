@@ -138,21 +138,17 @@ class TestEdgeTableMatchesEdgeCost:
 
     def build_searcher(self, example, edge_cache=None):
         from repro.core.candidates import compute_candidates
-        from repro.core.requirements import (
-            chosen_schemes,
-            infer_plaintext_requirements,
-        )
+        from repro.core.requirements import chosen_schemes
         from repro.cost.estimator import PlanEstimator
 
         prices = PriceList.from_subjects(example.subjects)
-        requirements = infer_plaintext_requirements(example.plan)
         candidates = compute_candidates(
-            example.plan, example.policy, example.subject_names,
-            requirements)
+            example.plan, example.policy, example.subject_names)
         schemes = chosen_schemes(example.plan)
         return _AssignmentSearch(
             plan=example.plan, policy=example.policy,
-            candidates=candidates, requirements=requirements,
+            candidates=candidates,
+            requirements=candidates.min_views.requirements,
             schemes=schemes, prices=prices,
             estimator=PlanEstimator(schemes),
             owners=dict(example.owners), user="U",

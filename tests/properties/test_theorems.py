@@ -18,7 +18,6 @@ from repro.core.keys import establish_keys
 from repro.core.lineage import augment_view, derived_lineage
 from repro.core.operators import Decrypt, Encrypt
 from repro.core.plan import QueryPlan
-from repro.core.requirements import infer_plaintext_requirements
 from repro.core.visibility import (
     check_assignee,
     verify_assignment,
@@ -157,18 +156,15 @@ class TestTheorem52:
         operation.
         """
         scenario = random_scenario
-        requirements = infer_plaintext_requirements(scenario.plan)
         candidates = compute_candidates(
-            scenario.plan, scenario.policy, scenario.subjects,
-            requirements)
+            scenario.plan, scenario.policy, scenario.subjects)
         assignment = {}
         for node in scenario.plan.operations():
             if not candidates[node]:
                 pytest.skip("unassignable scenario")
             assignment[node] = sorted(candidates[node])[-1]
         extended = minimally_extend(
-            scenario.plan, scenario.policy, assignment,
-            requirements=requirements)
+            scenario.plan, scenario.policy, assignment)
         profiles = extended.plan.profiles()
         lineage = derived_lineage(extended.plan)
 
@@ -256,8 +252,7 @@ class TestTheorem53:
             assignment[node] = sorted(candidates[node])[0]
         extended = minimally_extend(
             scenario.plan, scenario.policy, assignment)
-        requirements = infer_plaintext_requirements(scenario.plan)
-        min_views = minimum_view_profiles(scenario.plan, requirements)
+        min_views = minimum_view_profiles(scenario.plan)
         fully_encrypted = set()
         for leaf in scenario.plan.leaves():
             fully_encrypted |= min_views.result_profile(leaf).visible

@@ -133,38 +133,27 @@ class TestQueryService:
         assert info["edge_tables"]["tables"] > 0
         assert info["edge_tables"]["misses"] > 0
 
-    def test_each_user_priced_from_own_seat(self, example,
-                                            example_tables, service):
-        from repro.core.assignment import assign
-        from repro.cost.network import NetworkTopology
+    def test_each_user_priced_from_own_seat(self, example, service):
+        from repro.core.keys import schemes_for_extended_plan
+        from repro.cost.estimator import PlanEstimator
+        from repro.cost.model import CostModel
         from repro.cost.pricing import PriceList
-        from repro.sql.planner import plan_query
 
-        def priced(topology):
-            return assign(
-                plan_query(RUNNING_SQL, example.schema), example.policy,
-                example.subject_names,
-                PriceList.from_subjects(example.subjects), user="Y",
-                owners=example.owners, topology=topology,
-            ).cost.elapsed_seconds
-
-        # Without an explicit topology the slow client link follows the
-        # querying user: Y's plan is priced over Y's 100 Mbps link.
-        explicit = NetworkTopology.paper_defaults("U")
+        # The slow client link follows the querying user: Y's plan is
+        # priced over Y's 100 Mbps link, not over the service user U's.
         own_seat = service.execute(RUNNING_SQL, user="Y")
-        assert own_seat.assignment.cost.elapsed_seconds \
-            == priced(NetworkTopology.paper_defaults("Y")) \
-            != priced(explicit)
-        # An explicit topology is the one used, whoever queries.
-        pinned = QueryService(
-            example.schema, example.policy, example.subjects,
-            example.owners,
-            {"H": {"Hosp": example_tables["Hosp"]},
-             "I": {"Ins": example_tables["Ins"]}},
-            user="U", topology=explicit,
-        )
-        assert pinned.execute(RUNNING_SQL, user="Y") \
-            .assignment.cost.elapsed_seconds == priced(explicit)
+        extended = own_seat.assignment.extended
+        model = CostModel(
+            PriceList.from_subjects(example.subjects),
+            PlanEstimator(schemes_for_extended_plan(extended,
+                                                    example.policy)))
+
+        def elapsed(user):
+            return model.extended_plan_cost(
+                extended, user, example.owners).elapsed_seconds
+
+        assert own_seat.assignment.cost.elapsed_seconds == elapsed("Y") \
+            != elapsed("U")
 
     def test_plan_cache_hot_entry_survives_one_off_queries(self, example):
         from repro.core.cache import LRU

@@ -28,11 +28,13 @@ MODULES = [
     "repro.core.requirements",
     "repro.core.visibility",
     "repro.cost.metering",
+    "repro.cost.model",
     "repro.cost.pricing",
     "repro.crypto.keymanager",
     "repro.crypto.ope",
     "repro.crypto.paillier",
     "repro.crypto.symmetric",
+    "repro.distributed.retry",
     "repro.engine.table",
     "repro.gateway.admission",
     "repro.gateway.gateway",
