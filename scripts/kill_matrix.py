@@ -52,6 +52,7 @@ RUNTIME = "repro/distributed/runtime.py"
 EXECUTOR = "repro/engine/executor.py"
 VISIBILITY = "repro/core/visibility.py"
 MESSAGES = "repro/distributed/messages.py"
+RSA = "repro/crypto/rsa.py"
 QUOTAS = "repro/gateway/quotas.py"
 
 MUTANTS = (
@@ -131,6 +132,29 @@ MUTANTS = (
            "    if not sender_public.verify(body, signature):\n",
            "    if False:\n",
            "a subject acts on an envelope whatever signed it"),
+    Mutant("payload-carries-everything", MESSAGES,
+           "        return fragment_id == self.fragment_id \\\n"
+           "            or any(fragment_id == other "
+           "for other, _ in self.more)\n",
+           "        return True\n",
+           "a subject runs a sub-query its envelope did not deliver"),
+    # The envelope session: one per sender key, never trusted past the
+    # body's tag.
+    Mutant("session-shared-across-senders", RSA,
+           "        sessions = self._sessions\n",
+           "        sessions = globals().setdefault(\"_by_recipient\", {})\n",
+           "the session table is keyed by recipient only, across senders"),
+    Mutant("unwrap-memo-skips-body-tag", RSA,
+           "        else:\n"
+           "            plaintext = cipher.decrypt(body)\n",
+           "        else:\n"
+           "            plaintext = primitives.decode_value("
+           "primitives.xor_bytes(\n"
+           "                body[16:-12], primitives.keystream(\n"
+           "                    cipher._enc_key, body[:16], "
+           "len(body) - 28)))\n",
+           "a session served from the unwrap memo opens without its tag "
+           "check"),
     Mutant("quota-check-admits-everything", QUOTAS,
            "        spent = ledger.spend_usd(self.tenant)\n"
            "        if not self.account.admissible:\n",

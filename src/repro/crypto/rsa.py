@@ -10,9 +10,10 @@ matching primitives:
   caller shares);
 * :meth:`RsaPrivateKey.sign` / :meth:`RsaPublicKey.verify` — full-domain
   hash signatures over SHA-256, exactly one modulus wide;
-* :meth:`RsaPublicKey.encrypt` / :meth:`RsaPrivateKey.decrypt` — hybrid
-  encryption (RSA-wrapped fresh symmetric key + randomized stream body),
-  so payloads of any size are supported.
+* :meth:`RsaPrivateKey.encrypt_for` / :meth:`RsaPrivateKey.decrypt` —
+  hybrid encryption from a sender key to a recipient key (an RSA-wrapped
+  session key + a randomized stream body), so payloads of any size are
+  supported.  The wire form is ``len ‖ wrapped ‖ IV ‖ body ‖ tag``.
 
 **CRT kernel.**  Every private-key operation is two half-width
 exponentiations ``(x mod p)^dp mod p`` and ``(x mod q)^dq mod q``
@@ -32,6 +33,23 @@ hash alone.  The memo hangs off the key object, never a name: another
 key signing the same bytes pays its own modexps and gets its own
 signature.  Only signatures that passed the self-check are kept, and a
 pure-function memo needs no invalidation, only its size bound.
+
+**Session.**  A sender's private key keeps one session per recipient
+public key: a fresh 32-byte key, RSA-wrapped once under the recipient's
+public key, and the :class:`RandomizedCipher` over it.  Every body is
+sealed under that cipher with a fresh IV and its own HMAC tag, and the
+session is replaced after :data:`_SESSION_USES` envelopes.  The table
+hangs off the *sender's* key object because one runtime dispatches for
+several users: keyed by recipient alone, user B's envelopes would ride
+user A's session key.  The recipient remembers wrapped bytes → session
+cipher (:data:`_UNWRAP_MEMO_LIMIT` of them), so it pays the RSA private
+op once per session instead of once per envelope.  Like the sign memo
+this is a pure-function memo — the unwrap depends on (key, wrapped bytes)
+alone — and it is kept honest on every call: the width check always
+runs; on a miss the range and ≤ 256-bit checks run before the private
+op; the body's tag is verified on every open, hit or miss; and an entry
+is stored only after its body authenticated, so a forged blob leaves
+the memo as it was.
 """
 
 from __future__ import annotations
@@ -55,6 +73,14 @@ DEFAULT_RSA_BITS = 512
 #: Signatures one private key remembers (oldest dropped beyond it).
 _SIGN_MEMO_LIMIT = 256
 
+#: Envelopes one sender seals under one session key before it wraps a
+#: fresh one for that recipient.
+_SESSION_USES = 1024
+
+#: Unwrapped session keys one private key remembers (oldest dropped
+#: beyond it).
+_UNWRAP_MEMO_LIMIT = 256
+
 
 @dataclass(frozen=True)
 class RsaPublicKey:
@@ -76,13 +102,22 @@ class RsaPublicKey:
         recovered = pow(sig_int, self.e, self.n)
         return recovered == _digest_int(message, self.n)
 
-    def encrypt(self, payload: bytes) -> bytes:
-        """Hybrid-encrypt ``payload`` for the key's owner."""
-        session_key = primitives.generate_key(32)
-        wrapped = pow(int.from_bytes(session_key, "big"), self.e, self.n)
-        wrapped_bytes = wrapped.to_bytes(_modulus_bytes(self.n), "big")
-        body = RandomizedCipher(session_key).encrypt(payload)
-        return struct.pack(">I", len(wrapped_bytes)) + wrapped_bytes + body
+
+class _Session:
+    """One sender's current session with one recipient (module
+    docstring, *Session*)."""
+
+    __slots__ = ("prefix", "cipher", "uses")
+
+    def __init__(self, recipient: RsaPublicKey) -> None:
+        key = primitives.generate_key(32)
+        width = _modulus_bytes(recipient.n)
+        wrapped = pow(int.from_bytes(key, "big"), recipient.e, recipient.n)
+        #: ``len ‖ wrapped``, the head of every envelope of the session.
+        self.prefix = struct.pack(">I", width) + wrapped.to_bytes(width, "big")
+        self.cipher = RandomizedCipher(key)
+        #: Envelopes sealed so far.
+        self.uses = 0
 
 
 @dataclass(frozen=True)
@@ -100,6 +135,20 @@ class RsaPrivateKey:
     _signed: dict[int, bytes] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _signed_guard: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False,
+        compare=False)
+    #: Recipient → this key's current session with it (module docstring,
+    #: *Session*): one entry per recipient this key has sealed for.
+    _sessions: dict[RsaPublicKey, _Session] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _sessions_guard: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False,
+        compare=False)
+    #: Wrapped session key → its cipher, in insertion order; only
+    #: sessions whose body authenticated enter.
+    _unwrapped: dict[bytes, RandomizedCipher] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _unwrapped_guard: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False,
         compare=False)
 
@@ -126,27 +175,53 @@ class RsaPrivateKey:
                 self._signed[digest] = signature
         return signature
 
+    def encrypt_for(self, recipient: RsaPublicKey, payload: bytes) -> bytes:
+        """Hybrid-encrypt ``payload`` for ``recipient`` under this key's
+        current session with it (module docstring, *Session*)."""
+        sessions = self._sessions
+        with self._sessions_guard:
+            session = sessions.get(recipient)
+            if session is None or session.uses >= _SESSION_USES:
+                session = sessions[recipient] = _Session(recipient)
+            session.uses += 1
+        return session.prefix + session.cipher.encrypt(payload)
+
     def decrypt(self, ciphertext: bytes) -> bytes:
-        """Invert :meth:`RsaPublicKey.encrypt`."""
+        """Invert :meth:`encrypt_for`; the session key is unwrapped once
+        per session, the body's tag checked every time."""
+        width = _modulus_bytes(self.public.n)
         if len(ciphertext) < 4:
             raise CryptoError("truncated hybrid ciphertext")
         (wrapped_len,) = struct.unpack(">I", ciphertext[:4])
-        if wrapped_len != _modulus_bytes(self.public.n):
+        if wrapped_len != width:
             raise CryptoError("wrapped key is not one modulus wide")
-        if len(ciphertext) < 4 + wrapped_len:
+        if len(ciphertext) < 4 + width:
             raise CryptoError("truncated hybrid ciphertext")
-        wrapped = int.from_bytes(ciphertext[4:4 + wrapped_len], "big")
-        if not 0 < wrapped < self.public.n:
-            raise CryptoError("wrapped key out of range")
-        session_int = self._private_op(wrapped)
-        if session_int >> 256:
-            raise CryptoError("wrapped key does not unwrap to a session key")
-        session_key = session_int.to_bytes(32, "big")
-        body = ciphertext[4 + wrapped_len:]
-        plaintext = RandomizedCipher(session_key).decrypt(body)
+        wrapped = ciphertext[4:4 + width]
+        body = ciphertext[4 + width:]
+        cipher = self._unwrapped.get(wrapped)
+        if cipher is None:
+            cipher = RandomizedCipher(self._unwrap(wrapped))
+            plaintext = cipher.decrypt(body)
+            with self._unwrapped_guard:
+                if len(self._unwrapped) >= _UNWRAP_MEMO_LIMIT:
+                    del self._unwrapped[next(iter(self._unwrapped))]
+                self._unwrapped[wrapped] = cipher
+        else:
+            plaintext = cipher.decrypt(body)
         if not isinstance(plaintext, bytes):
             raise CryptoError("hybrid payload must decode to bytes")
         return plaintext
+
+    def _unwrap(self, wrapped: bytes) -> bytes:
+        """The session key inside ``wrapped``: one RSA private op."""
+        value = int.from_bytes(wrapped, "big")
+        if not 0 < value < self.public.n:
+            raise CryptoError("wrapped key out of range")
+        session_int = self._private_op(value)
+        if session_int >> 256:
+            raise CryptoError("wrapped key does not unwrap to a session key")
+        return session_int.to_bytes(32, "big")
 
 
 def generate_keypair(

@@ -156,7 +156,7 @@ def seal_envelope(payload: SubQueryPayload, sender_private: RsaPrivateKey,
     body = encode_payload(payload)
     signature = sender_private.sign(body)
     framed = struct.pack(">I", len(body)) + body + signature
-    return recipient_public.encrypt(framed)
+    return sender_private.encrypt_for(recipient_public, framed)
 
 
 def open_envelope(blob: bytes, recipient_private: RsaPrivateKey,

@@ -200,9 +200,9 @@ class _RunContext:
     #: Subject → its policy view augmented with the plan's lineage, read
     #: once per subject: a run is exactly one read of the policy.
     views: dict[str, SubjectView] = field(default_factory=dict)
-    #: Subject → the payload it unwrapped and verified from its envelope,
+    #: Subject → the payload it opened and verified from its envelope,
     #: written under the subject's lock.  Per run by design: a repeated
-    #: query is delivered, unwrapped and verified again.
+    #: query is delivered, opened and verified again.
     opened: dict[str, SubQueryPayload] = field(default_factory=dict)
 
 

@@ -1,11 +1,14 @@
 """RSA envelope primitives: the CRT private-key kernel against the
-full-exponent formula, self-checked signatures, and strict rejection of
-malformed signatures and hybrid ciphertexts."""
+full-exponent formula, self-checked signatures, strict rejection of
+malformed signatures and hybrid ciphertexts, and the sender-to-recipient
+session that hybrid encryption runs in."""
 
 import dataclasses
 import inspect
 import random
 import struct
+import sys
+import threading
 
 import pytest
 
@@ -22,6 +25,12 @@ from repro.service.workload import QueryService
 
 MESSAGES = (b"", b"m", b"message", b"x" * 5000,
             random.Random(15).randbytes(257))
+
+
+@pytest.fixture(scope="module")
+def sender():
+    """A private key that seals for the recipients under test."""
+    return generate_keypair(512)[1]
 
 
 def full_exponent(private):
@@ -42,22 +51,22 @@ class TestRsa:
         assert not public.verify(b"other", signature)
         assert not public.verify(b"message", b"\x00" * 64)
 
-    def test_hybrid_encryption_roundtrip(self, keys):
+    def test_hybrid_encryption_roundtrip(self, keys, sender):
         public, private = keys
         payload = b"x" * 5000  # bigger than the modulus
-        assert private.decrypt(public.encrypt(payload)) == payload
+        assert private.decrypt(sender.encrypt_for(public, payload)) == payload
 
     def test_truncated_ciphertext_rejected(self, keys):
         public, private = keys
         with pytest.raises(CryptoError):
             private.decrypt(b"\x00\x00")
 
-    def test_wrong_key_rejected(self, keys):
+    def test_wrong_key_rejected(self, keys, sender):
         public, private = keys
         other_public, other_private = generate_keypair(512)
         assert not other_public.verify(b"message", private.sign(b"message"))
         with pytest.raises(CryptoError):
-            other_private.decrypt(public.encrypt(b"payload"))
+            other_private.decrypt(sender.encrypt_for(public, b"payload"))
 
     def test_signature_must_be_one_modulus_wide(self, keys):
         public, private = keys
@@ -76,9 +85,10 @@ class TestRsa:
             with pytest.raises(CryptoError, match="self-check"):
                 faulty.sign(b"message")
 
-    def test_every_flipped_ciphertext_byte_raises_crypto_error(self, keys):
+    def test_every_flipped_ciphertext_byte_raises_crypto_error(
+            self, keys, sender):
         public, private = keys
-        blob = public.encrypt(b"payload")
+        blob = sender.encrypt_for(public, b"payload")
         # length prefix | wrapped key | IV | body | tag — every offset.
         assert len(blob) > 4 + 64 + 16 + 12
         for offset in range(len(blob)):
@@ -87,9 +97,9 @@ class TestRsa:
             with pytest.raises(CryptoError):
                 private.decrypt(bytes(tampered))
 
-    def test_out_of_range_wrapped_key_rejected(self, keys):
+    def test_out_of_range_wrapped_key_rejected(self, keys, sender):
         public, private = keys
-        blob = public.encrypt(b"payload")
+        blob = sender.encrypt_for(public, b"payload")
         body = blob[4 + 64:]
         for wrapped in (0, public.n, public.n + 1, (1 << 512) - 1):
             with pytest.raises(CryptoError, match="out of range"):
@@ -121,11 +131,12 @@ class TestCrtAgainstFullExponent:
             assert signature == expected.to_bytes(width, "big")
             assert public.verify(message, signature)
 
-    def test_decrypt_matches_the_full_exponent_unwrap(self, sized_keys):
+    def test_decrypt_matches_the_full_exponent_unwrap(self, sized_keys,
+                                                      sender):
         public, private = sized_keys
         d = full_exponent(private)
         for payload in MESSAGES:
-            blob = public.encrypt(payload)
+            blob = sender.encrypt_for(public, payload)
             (wrapped_len,) = struct.unpack(">I", blob[:4])
             wrapped = int.from_bytes(blob[4:4 + wrapped_len], "big")
             session_key = pow(wrapped, d, public.n).to_bytes(32, "big")
@@ -148,6 +159,136 @@ class TestCrtAgainstFullExponent:
         assert private.p * private.q == public.n
         assert private.p.bit_length() == private.q.bit_length()
         assert not hasattr(private, "d")
+
+
+def wrapped_key(blob):
+    """The RSA-wrapped session key of a hybrid ciphertext."""
+    (width,) = struct.unpack(">I", blob[:4])
+    return blob[4:4 + width]
+
+
+class TestSession:
+    """One session per (sender key, recipient key): unwrapped once, every
+    body still authenticated, rotated after ``_SESSION_USES`` seals."""
+
+    @pytest.fixture()
+    def recipient(self):
+        return generate_keypair(512)
+
+    def test_seals_to_one_recipient_share_the_wrapped_key(self, recipient,
+                                                          sender):
+        public, private = recipient
+        first = sender.encrypt_for(public, b"payload")
+        second = sender.encrypt_for(public, b"payload")
+        head = 4 + len(wrapped_key(first))
+        assert first[:head] == second[:head]
+        assert first[head:] != second[head:]  # fresh IV per body
+        assert private.decrypt(first) == private.decrypt(second) \
+            == b"payload"
+
+    def test_session_rotates_after_its_uses(self, recipient, monkeypatch):
+        monkeypatch.setattr(rsa, "_SESSION_USES", 4)
+        public, private = recipient
+        _, sealer = generate_keypair(512)
+        blobs = [sealer.encrypt_for(public, b"m%d" % i) for i in range(9)]
+        wrapped = [wrapped_key(blob) for blob in blobs]
+        assert len(set(wrapped)) == 3
+        assert [wrapped.count(w) for w in dict.fromkeys(wrapped)] \
+            == [4, 4, 1]
+        assert [private.decrypt(blob) for blob in blobs] \
+            == [b"m%d" % i for i in range(9)]
+
+    def test_senders_never_share_a_session(self, recipient):
+        public, private = recipient
+        _, alice = generate_keypair(512)
+        _, bob = generate_keypair(512)
+        from_alice = alice.encrypt_for(public, b"from alice")
+        from_bob = bob.encrypt_for(public, b"from bob")
+        assert wrapped_key(from_alice) != wrapped_key(from_bob)
+        head = 4 + len(wrapped_key(from_alice))
+        # Neither session key opens the other sender's body …
+        for sealer, body in ((alice, from_bob[head:]),
+                             (bob, from_alice[head:])):
+            with pytest.raises(CryptoError, match="authentication"):
+                sealer._sessions[public].cipher.decrypt(body)
+        # … nor does the recipient, once both sessions are unwrapped.
+        assert private.decrypt(from_alice) == b"from alice"
+        assert private.decrypt(from_bob) == b"from bob"
+        for spliced in (from_alice[:head] + from_bob[head:],
+                        from_bob[:head] + from_alice[head:]):
+            with pytest.raises(CryptoError, match="authentication"):
+                private.decrypt(spliced)
+
+    def test_every_flipped_byte_of_a_later_envelope_raises(self, recipient,
+                                                           sender):
+        public, private = recipient
+        assert private.decrypt(sender.encrypt_for(public, b"first")) \
+            == b"first"
+        later = sender.encrypt_for(public, b"payload")
+        memo = dict(private._unwrapped)
+        assert list(memo) == [wrapped_key(later)]
+        for offset in range(len(later)):
+            tampered = bytearray(later)
+            tampered[offset] ^= 0x55
+            with pytest.raises(CryptoError):
+                private.decrypt(bytes(tampered))
+        assert private._unwrapped == memo
+        assert private.decrypt(later) == b"payload"
+
+    def test_forged_body_leaves_the_memo_unchanged(self, recipient):
+        public, private = recipient
+        _, forger = generate_keypair(512)
+        blob = forger.encrypt_for(public, b"forged")
+        head = 4 + len(wrapped_key(blob))
+        # A well-formed wrapped key in front of a body its tag refuses.
+        for forged in (blob[:-1] + bytes([blob[-1] ^ 1]),
+                       blob[:head] + bytes(len(blob) - head)):
+            with pytest.raises(CryptoError, match="authentication"):
+                private.decrypt(forged)
+            assert private._unwrapped == {}
+        assert private.decrypt(blob) == b"forged"
+        assert list(private._unwrapped) == [wrapped_key(blob)]
+
+    def test_memos_stay_bounded_under_concurrent_sealers_and_openers(
+            self, recipient, monkeypatch):
+        monkeypatch.setattr(rsa, "_SESSION_USES", 2)
+        monkeypatch.setattr(rsa, "_UNWRAP_MEMO_LIMIT", 3)
+        monkeypatch.setattr(rsa, "_SIGN_MEMO_LIMIT", 3)
+        public, private = recipient
+        sealers = [generate_keypair(512)[1] for _ in range(2)]
+        failures = []
+
+        def worker(index):
+            sealer = sealers[index % 2]
+            for step in range(30):
+                message = b"w%d-%d" % (index, step % 5)
+                try:
+                    blob = sealer.encrypt_for(public, message)
+                    signature = sealer.sign(message)
+                    if private.decrypt(blob) != message \
+                            or not sealer.public.verify(message, signature):
+                        failures.append(message)
+                except CryptoError as error:
+                    failures.append(error)
+                if len(private._unwrapped) > 3 \
+                        or len(sealer._signed) > 3 \
+                        or len(sealer._sessions) > 1:
+                    failures.append("bound")
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert len(private._unwrapped) <= 3
 
 
 class TestKeySize:

@@ -426,18 +426,20 @@ class TestCrossRunCaches:
 class TestEnvelopeRsaCost:
     def test_warm_query_costs_two_half_width_modexps_per_private_op(
             self, example, example_tables, monkeypatch):
-        """Clock-free guard on the envelope cost of a warm query: one
-        envelope per subject, every signature served by the sign memo,
-        each unwrap exactly two half-modulus exponentiations, and nothing
-        but the 17-bit public exponent over the full one."""
+        """Clock-free guard on the envelope cost of a query: one envelope
+        per subject; cold, one signature and one session unwrap each,
+        every private op two half-modulus exponentiations; warm, every
+        signature served by the sign memo and every session key by the
+        unwrap memo, so no private op at all, while each opened envelope
+        still has its signature verified."""
         from repro.crypto import rsa as rsa_module
         from repro.crypto.rsa import DEFAULT_RSA_BITS
 
         _, run = pipeline_7a(example, example_tables)
-        cold, _ = run()
 
         modexps = []
         envelopes = []
+        verify = rsa_module.RsaPublicKey.verify
 
         def counting_pow(base, exponent, modulus):
             modexps.append((exponent.bit_length(), modulus.bit_length()))
@@ -450,16 +452,22 @@ class TestEnvelopeRsaCost:
             return wrapper
 
         monkeypatch.setattr(rsa_module, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(rsa_module.RsaPublicKey, "verify",
+                            counted(verify))
         for name in ("seal_envelope", "open_envelope"):
             monkeypatch.setattr(runtime_module, name,
                                 counted(getattr(runtime_module, name)))
-        warm, trace = run()
-
-        assert warm.rows == cold.rows
+        cold, trace = run()
         subjects = {subject for _, subject in trace.fragments_run}
+        private = [m for e, m in modexps if e > 17]
+        assert len(private) == 2 * 2 * len(subjects)
+        assert max(private) <= DEFAULT_RSA_BITS // 2 + 1
+
+        del modexps[:], envelopes[:]
+        warm, trace = run()
+        assert warm.rows == cold.rows
         assert envelopes.count("seal_envelope") \
             == envelopes.count("open_envelope") \
+            == envelopes.count("verify") \
             == len(subjects) > 0
-        private = [m for e, m in modexps if e > 17]
-        assert len(private) == 2 * envelopes.count("open_envelope")
-        assert max(private) <= DEFAULT_RSA_BITS // 2 + 1
+        assert [m for e, m in modexps if e > 17] == []

@@ -1,9 +1,12 @@
 """The dispatch contract: one envelope per (query, subject), opened once
 per run and verified before anything in it is used; identical bytes
-signed once per key; failover reseals one fragment alone; and a run
-that leaves nothing of its own behind in the runtime."""
+signed once per key; a session key unwrapped once per (sender,
+recipient) session while every envelope in it is still tag-checked and
+verified; failover reseals one fragment alone; and a run that leaves
+nothing of its own behind in the runtime."""
 
 import dataclasses
+import struct
 import threading
 
 import pytest
@@ -245,6 +248,47 @@ class TestBatchedEnvelopeIntegrity:
         for stage in reached.values():
             assert "A2" not in {subject for subject, _ in stage}
 
+    def test_spoof_inside_a_warm_session_stops_every_fragment(
+            self, tpch, monkeypatch):
+        """The recipient already holds the session key and the body's
+        tag is good: only the per-envelope signature stands between a
+        warm A2 and a payload the user never signed."""
+        _, impostor_private = generate_keypair(512)
+        query = Query(tpch, 3)
+        runtime = query.runtime()
+        log = count_envelopes(monkeypatch)
+        counted_seal = runtime_module.seal_envelope
+        blobs = {}
+
+        def recording_seal(payload, sender_private, recipient_public):
+            blob = counted_seal(payload, sender_private, recipient_public)
+            blobs.setdefault(payload.fragment_id, []).append(blob)
+            return blob
+
+        monkeypatch.setattr(runtime_module, "seal_envelope", recording_seal)
+        query.run(runtime)
+        assert len(log) == 2 * len(query.by_subject)
+
+        def spoofing_seal(payload, sender_private, recipient_public):
+            if not payload.more:
+                return recording_seal(payload, sender_private,
+                                      recipient_public)
+            body = encode_payload(payload)
+            framed = struct.pack(">I", len(body)) + body \
+                + impostor_private.sign(body)
+            blob = sender_private.encrypt_for(recipient_public, framed)
+            blobs[payload.fragment_id].append(blob)
+            return blob
+
+        monkeypatch.setattr(runtime_module, "seal_envelope", spoofing_seal)
+        reached = record_reached(monkeypatch)
+        with pytest.raises(DispatchError, match="signature"):
+            query.run(runtime)
+        clean, spoofed = blobs["reqA2"]
+        assert clean[:4 + 64] == spoofed[:4 + 64]  # one session
+        for stage in reached.values():
+            assert "A2" not in {subject for subject, _ in stage}
+
 
 class TestFailoverResealsOneFragment:
     def test_provider_with_two_fragments_dies_mid_run(
@@ -346,11 +390,12 @@ class TestSignMemo:
         assert self.private_modexps(counted_pow) == 2
         second = seal_envelope(self.PAYLOAD, sender_private, public)
         assert self.private_modexps(counted_pow) == 0
-        # Both still verify, and unwrap at full price, at the recipient.
-        for blob in (first, second):
+        # Both still verify at the recipient, which unwraps the session
+        # key they share once.
+        for paid, blob in ((2, first), (0, second)):
             opened = open_envelope(blob, private, sender_public)
             assert opened.carries("reqX")
-        assert self.private_modexps(counted_pow) == 2 * 2
+            assert self.private_modexps(counted_pow) == paid
         body = encode_payload(self.PAYLOAD)
         assert sender_private.sign(body) == sender_private.sign(body)
 
@@ -416,6 +461,50 @@ class TestSignMemo:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert not failures
+
+
+class TestSessionEnvelopes:
+    """Verify-before-act on an envelope that is not the first of its
+    session: the recipient serves the session key from its memo, and
+    every other check still runs."""
+
+    PAYLOAD = SubQueryPayload("reqX", "select 1", KeyStore())
+
+    @pytest.fixture()
+    def parties(self):
+        recipient_public, recipient_private = generate_keypair(512)
+        user_public, user_private = generate_keypair(512)
+        first = seal_envelope(self.PAYLOAD, user_private, recipient_public)
+        assert open_envelope(first, recipient_private, user_public) \
+            .carries("reqX")
+        second = seal_envelope(self.PAYLOAD, user_private, recipient_public)
+        assert second[:4 + 64] == first[:4 + 64]
+        assert list(recipient_private._unwrapped) == [first[4:4 + 64]]
+        return recipient_public, recipient_private, user_public, \
+            user_private, second
+
+    @pytest.mark.parametrize("offset", [10, 4 + 64 + 16 + 40, -1],
+                             ids=["wrapped-key", "body", "tag"])
+    def test_flipped_byte_raises(self, parties, offset):
+        _, recipient_private, user_public, _, second = parties
+        tampered = bytearray(second)
+        tampered[offset] ^= 0x55
+        with pytest.raises(CryptoError):
+            open_envelope(bytes(tampered), recipient_private, user_public)
+        assert open_envelope(second, recipient_private, user_public) \
+            .carries("reqX")
+
+    def test_spoofed_signature_raises(self, parties):
+        recipient_public, recipient_private, user_public, user_private, \
+            second = parties
+        _, impostor_private = generate_keypair(512)
+        body = encode_payload(self.PAYLOAD)
+        framed = struct.pack(">I", len(body)) + body \
+            + impostor_private.sign(body)
+        spoofed = user_private.encrypt_for(recipient_public, framed)
+        assert spoofed[:4 + 64] == second[:4 + 64]
+        with pytest.raises(DispatchError, match="signature"):
+            open_envelope(spoofed, recipient_private, user_public)
 
 
 class TestRunStateAndPoolLifetime:

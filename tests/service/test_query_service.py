@@ -57,6 +57,34 @@ class TestQueryService:
         for name, node in service.runtime.nodes.items():
             assert node.rsa_public is before[name]
 
+    def test_users_of_one_service_never_share_an_envelope_session(
+            self, service, monkeypatch):
+        """One runtime dispatches for every user; a session key belongs
+        to the sending user's key, so a subject both users write to gets
+        a different wrapped session key from each."""
+        from repro.distributed import runtime as runtime_module
+
+        original = runtime_module.seal_envelope
+        wrapped = {}
+
+        def recording_seal(payload, sender_private, recipient_public):
+            blob = original(payload, sender_private, recipient_public)
+            wrapped.setdefault(recipient_public, {}).setdefault(
+                sender_private.public, set()).add(blob[4:4 + 64])
+            return blob
+
+        monkeypatch.setattr(runtime_module, "seal_envelope", recording_seal)
+        for user in ("U", "Y", "U", "Y"):
+            assert service.execute(RUNNING_SQL, user=user) \
+                .result.sorted_rows() == [("tpa", 120.0)]
+        shared = [by_sender for by_sender in wrapped.values()
+                  if len(by_sender) == 2]
+        assert shared
+        for by_sender in shared:
+            first, second = by_sender.values()
+            assert len(first) == len(second) == 1
+            assert first != second
+
     def test_unauthorized_user_is_refused(self, service):
         # X sees P only encrypted: it may never receive the plaintext
         # result, so the pipeline refuses before anything executes.

@@ -18,6 +18,7 @@ import inspect
 import re
 from pathlib import Path
 
+from repro.crypto.rsa import RsaPublicKey
 from repro.distributed.health import HealthRegistry
 from repro.distributed.runtime import DistributedRuntime, build_runtime
 from repro.gateway import Gateway, TenantConfig
@@ -42,7 +43,8 @@ FORBIDDEN = ("OrderedDict", "popitem(last=False)", "deltas_since(")
 #: second bulk seal beside the ciphers' fused ``encrypt_many`` sweeps, or
 #: a setting no caller outside the tests set (the §7 network, the scheme
 #: families, retry and breaker tuning, a second source of simulated
-#: provider latency, the shedding factor, the ledger's retention).
+#: provider latency, the shedding factor, the ledger's retention), or a
+#: one-shot hybrid encryption beside the sender-to-recipient session.
 RETIRED = ("ThreadPoolExecutor", "search_impl", "nested-loop", "_reference(",
            "_column_decoder", "parallel-hash", "join_strategy",
            "ExecutionSettings", "min_parallel_items=", "_background_refill",
@@ -51,7 +53,8 @@ RETIRED = ("ThreadPoolExecutor", "search_impl", "nested-loop", "_reference(",
            "require_authorized", "attach_metrics", "_FragmentSink",
            "observe_fragment", "_metrics_sink", "_seal_many",
            "SchemeCapabilities", "NetworkTopology", "RetryPolicy",
-           "shed_safety", "history_limit", "node.latency_seconds")
+           "shed_safety", "history_limit", "node.latency_seconds",
+           "RsaPublicKey.encrypt")
 #: Parameters that selected between paths which no longer exist.
 RETIRED_PARAMETERS = ("schedule", "strategy")
 
@@ -184,6 +187,13 @@ def test_no_second_schedule_and_no_reference_knob():
                     for name in names
                     if name.split(".")[0] in ("tests", "oracles", "helpers"))
     assert not offenders, offenders
+
+
+def test_hybrid_encryption_has_one_path():
+    """Envelopes are sealed by ``RsaPrivateKey.encrypt_for``, a session
+    between a sender key and a recipient key; the public key seals
+    nothing on its own."""
+    assert not hasattr(RsaPublicKey, "encrypt")
 
 
 def test_selection_decides_per_column_not_by_exception_per_row():
