@@ -62,15 +62,22 @@ def main() -> None:
           private.decrypt(total) == sum(premiums),
           f"(homomorphic sum = {private.decrypt(total)})")
 
-    # Key stores route attribute values to the right cipher.
+    # Key stores route attributes to their key; the key's material
+    # seals and opens a column under its own scheme.
     store = KeyStore.generate([
         QueryKey(frozenset({"S", "C"}), EncryptionScheme.DETERMINISTIC),
         QueryKey(frozenset({"P"}), EncryptionScheme.PAILLIER),
     ])
-    cipher = store.cipher_for_attribute("S")
+    material = store.material_for_attribute("S")
+    sealed = material.seal(["s42", "s7", "s42"])
     print("keystore:     ",
-          cipher.decrypt(cipher.encrypt("s42")) == "s42",
-          "(kSC routes S and C to the same deterministic key)")
+          material is store.material_for_attribute("C")
+          and material.open(sealed) == ["s42", "s7", "s42"],
+          "(kSC covers S and C; seal/open round-trip a column)")
+    paillier = store.material_for_attribute("P")
+    print("              ",
+          paillier.open(paillier.seal(premiums)) == premiums,
+          "(kP seals to raw Paillier ciphertexts and opens them)")
 
     # Dispatch envelopes: signed by the user, sealed to the recipient.
     user_pub, user_priv = generate_rsa(512)

@@ -54,6 +54,7 @@ VISIBILITY = "repro/core/visibility.py"
 MESSAGES = "repro/distributed/messages.py"
 RSA = "repro/crypto/rsa.py"
 QUOTAS = "repro/gateway/quotas.py"
+CODEC = "repro/engine/codec.py"
 
 MUTANTS = (
     # The run-time enforcement sites (PR 21).
@@ -163,6 +164,26 @@ MUTANTS = (
            "        if not self.account.admissible:\n",
            "TenantQuota.check refuses no tenant, out of credit or over "
            "its rate"),
+    # Column crypto: what a subject opens is what was sealed for it.
+    Mutant("column-open-skips-tag", "repro/crypto/symmetric.py",
+           "    if not primitives.constant_time_equal(\n"
+           "            ciphertext[-_TAG_LEN:], "
+           "mac(ciphertext[:-_TAG_LEN])[:_TAG_LEN]):\n",
+           "    if False:\n",
+           "a symmetric open, per value or bulk, skips its tag check"),
+    Mutant("decrypt-column-any-key", CODEC,
+           "        if key_name != name:\n",
+           "        if False:\n",
+           "decrypt_column opens a cell that names another key"),
+    Mutant("open-accepts-any-scheme", CODEC,
+           "        if tag is not scheme:\n",
+           "        if False:\n",
+           "decrypt_column opens a cell tagged with another scheme "
+           "than its key's"),
+    Mutant("fragment-hit-ignores-keys", "repro/distributed/fragcache.py",
+           "                if (stored_signature == signature\n",
+           "                if (True\n",
+           "a cached fragment result is served under other key material"),
 )
 
 

@@ -102,7 +102,6 @@ WAITING = {
     "crypto/paillier.py": "Paillier: decrypt and aggregate paths beyond the "
                           "warm keys",
     "parallel/pool.py": "the pool: every workload runs at workers=0",
-    "parallel/kernels.py": "the pool's kernels",
     "distributed/runtime.py": "failover: no workload injects a fault",
     "distributed/health.py": "the breaker: no workload injects a fault",
     "distributed/faults.py": "the fault injector itself",

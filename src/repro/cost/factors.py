@@ -51,10 +51,11 @@ NESTED_LOOP_PAIR_SECONDS = 1.0e-7
 #   (~10 µs encrypt); the engine decrypts OPE attributes through the
 #   randomized *recovery* ciphertext, so OPE decryption prices like
 #   randomized decryption;
-# * Paillier encryption uses the g = n+1 binomial shortcut with a
-#   precomputed r^n obfuscator pool (~4 µs measured — matching §7's
-#   "precomputed randomness" assumption); CRT decryption remains the
-#   dominant cost by two orders of magnitude (~650 µs at 512-bit n).
+# * Paillier encryption uses the g = n+1 binomial shortcut and is
+#   priced as §7's "precomputed randomness" assumption (~4 µs); the
+#   independent h^α obfuscator the code now draws online costs ~0.3 ms,
+#   and this table is not yet refitted to it.  CRT decryption remains
+#   the dominant cost (~650 µs at 512-bit n).
 # ---------------------------------------------------------------------------
 ENCRYPT_SECONDS_PER_VALUE = {
     EncryptionScheme.RANDOMIZED: 4.0e-6,

@@ -5,13 +5,16 @@
 * the Paillier additively homomorphic cryptosystem (``sum``/``avg``);
 * order-preserving encryption (range conditions);
 * RSA signatures and hybrid encryption for sub-query dispatch;
-* key management bridging model-level query keys to cipher material.
+* key management bridging model-level query keys to cipher material;
+  ``KeyMaterial.seal`` / ``open`` are the one place a scheme's column
+  work is chosen, inline and on the worker pool alike.
 
 Everything on the encrypted-execution hot path is built as columnar
 batch kernels: ciphers derive their subkeys once and expose
 ``encrypt_many``/``decrypt_many``, deterministic/OPE encryption is
 equality-aware memoized, and Paillier uses the binomial ``g = n + 1``
-shortcut, a precomputed ``r^n`` obfuscator pool, and CRT decryption.
+shortcut, an independent fixed-base ``h^α`` obfuscator per ciphertext,
+and CRT decryption.
 The per-value costs that calibrate ``repro.cost.factors`` are the
 end-to-end benchmark's per-layer metrics
 ``crypto.{det,rnd,ope,paillier_enc,paillier_dec}_us_per_value``

@@ -11,7 +11,7 @@ paper's key-distribution discipline faithfully.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.keys import KeyAssignment, QueryKey
 from repro.core.requirements import EncryptionScheme
@@ -30,10 +30,14 @@ from repro.exceptions import KeyManagementError
 class KeyMaterial:
     """Concrete key material for one :class:`QueryKey`.
 
+    :meth:`seal` and :meth:`open` are the one place a scheme's column
+    work is chosen: the engine codec calls them inline, and hands them
+    to a :class:`~repro.parallel.WorkerPool` as its chunk tasks.
+
     Cipher instances are memoized per material (``*_cipher`` accessors):
-    constructing a cipher derives its HMAC subkeys, so the engine's
-    bulk column transforms reuse one instance per key instead of paying
-    the derivation per cell.  The deterministic/OPE memos live as long
+    constructing a cipher derives its HMAC subkeys, so the bulk column
+    transforms reuse one instance per key instead of paying the
+    derivation per cell.  The deterministic/OPE memos live as long
     as the material, and that is short: every opened envelope decodes a
     fresh one (:func:`repro.distributed.messages.decode_payload`) and a
     subject opens its envelope once per run, so a memo serves one
@@ -55,6 +59,39 @@ class KeyMaterial:
     def scheme(self) -> EncryptionScheme:
         """The encryption scheme attached to the key."""
         return self.query_key.scheme
+
+    def seal(self, plains: Sequence[object]) -> list:
+        """Encrypt raw plaintexts under this key's scheme, in order.
+
+        Returns raw tokens: token bytes (randomized, deterministic),
+        ``(token, recovery)`` pairs (OPE), ciphertext ints (Paillier).
+        The caller has checked the values and that the key holds the
+        scheme's parts.
+        """
+        scheme = self.scheme
+        if scheme is EncryptionScheme.DETERMINISTIC:
+            return self.deterministic_cipher().encrypt_many(plains)
+        if scheme is EncryptionScheme.RANDOMIZED:
+            return self.randomized_cipher().encrypt_many(plains)
+        if scheme is EncryptionScheme.OPE:
+            return list(zip(self.ope_cipher().encrypt_many(plains),
+                            self.recovery_cipher().encrypt_many(plains)))
+        return self.paillier_public.encrypt_values(plains)
+
+    def open(self, tokens: Sequence[object]) -> list[object]:
+        """Invert :meth:`seal`; OPE takes its *recovery* bytes.
+
+        Every tag is checked before a plaintext is returned: a tampered
+        or wrong-key token raises :class:`~repro.exceptions.CryptoError`.
+        """
+        scheme = self.scheme
+        if scheme is EncryptionScheme.DETERMINISTIC:
+            return self.deterministic_cipher().decrypt_many(tokens)
+        if scheme is EncryptionScheme.RANDOMIZED:
+            return self.randomized_cipher().decrypt_many(tokens)
+        if scheme is EncryptionScheme.OPE:
+            return self.recovery_cipher().decrypt_many(tokens)
+        return self.paillier_private.decrypt_values(tokens)
 
     def deterministic_cipher(self) -> DeterministicCipher:
         """The memoized :class:`DeterministicCipher` for this key."""
@@ -99,26 +136,12 @@ class KeyMaterial:
         return cache
 
     def __getstate__(self) -> dict[str, object]:
-        # Memoized cipher instances stay home on worker transport: the
-        # receiving process rebuilds them lazily from the key bytes (and
-        # accumulates its own deterministic/OPE memos across chunks).
+        # Memoized cipher instances stay home on worker transport: each
+        # chunk's copy rebuilds them lazily from the key bytes.
         return {
             key: value for key, value in self.__dict__.items()
             if key != "_ciphers"
         }
-
-    def public_part(self) -> "KeyMaterial":
-        """Key material stripped to what encryption-only holders need.
-
-        For Paillier, encryption needs only the public key; symmetric and
-        OPE schemes need the full key either way.
-        """
-        return KeyMaterial(
-            query_key=self.query_key,
-            symmetric=self.symmetric,
-            paillier_public=self.paillier_public,
-            paillier_private=self.paillier_private,
-        )
 
 
 class KeyStore:
@@ -130,9 +153,9 @@ class KeyStore:
     >>> from repro.core.requirements import EncryptionScheme
     >>> store = KeyStore.generate([QueryKey(frozenset({"P"}),
     ...                                     EncryptionScheme.DETERMINISTIC)])
-    >>> cipher = store.cipher_for_attribute("P")
-    >>> cipher.decrypt(cipher.encrypt(42))
-    42
+    >>> material = store.material_for_attribute("P")
+    >>> material.open(material.seal([42, "x"]))
+    [42, 'x']
     """
 
     def __init__(self, materials: Iterable[KeyMaterial] = ()) -> None:
@@ -178,36 +201,14 @@ class KeyStore:
                 return material
         raise KeyManagementError(f"no key covers attribute {attribute!r}")
 
-    def has_attribute(self, attribute: str) -> bool:
-        """Whether some held key covers ``attribute``."""
-        return any(
-            m.query_key.covers(attribute) for m in self._materials.values()
-        )
-
-    def cipher_for_attribute(self, attribute: str):
-        """An encrypt/decrypt-capable cipher for ``attribute``.
-
-        Returns a :class:`DeterministicCipher`, :class:`RandomizedCipher`,
-        or :class:`OpeCipher`; Paillier is handled through
-        :meth:`material_for_attribute` because encryption and decryption
-        use different halves of the keypair.
-        """
-        material = self.material_for_attribute(attribute)
-        scheme = material.scheme
-        if scheme is EncryptionScheme.DETERMINISTIC:
-            return material.deterministic_cipher()
-        if scheme is EncryptionScheme.RANDOMIZED:
-            return material.randomized_cipher()
-        if scheme is EncryptionScheme.OPE:
-            return material.ope_cipher()
-        raise KeyManagementError(
-            f"attribute {attribute!r} uses Paillier; use material_for_attribute"
-        )
-
     def subset(self, key_names: Iterable[str]) -> "KeyStore":
-        """A store holding only the named keys (per-subject distribution)."""
+        """A store holding only the named keys (per-subject distribution).
+
+        The material is shared, not copied: a subject that receives a key
+        receives all of it, Paillier private part included.
+        """
         return KeyStore(
-            self._materials[name].public_part()
+            self._materials[name]
             for name in key_names if name in self._materials
         )
 

@@ -16,29 +16,32 @@ The hot path is built for batch encryption/decryption of whole columns:
 * **binomial encrypt** — with ``g = n + 1``, ``(n+1)^m ≡ 1 + n·m
   (mod n²)``, so the message part is one multiply instead of a modular
   exponentiation (:meth:`PaillierPublicKey.encrypt`);
-* **obfuscator pool** — the random ``r^n mod n²`` factors are
-  precomputed in batches off the per-value path: each refill draws a few
-  fresh units, raises them to ``n`` once, and expands them into many
-  obfuscators by modular products (a product of ``r_i^n`` is
-  ``(∏ r_i)^n``, still a valid obfuscator; adequate randomness for this
-  simulator, not a hardened RNG — real deployments precompute true
-  ``r^n`` offline, which is exactly the cost model's assumption).
-  Each key guards its pool with its own lock; an empty pool is
-  refilled by the encrypt that finds it empty;
+* **fixed-base obfuscators** — every ciphertext gets its own
+  obfuscator ``h^α mod n²``: ``h = y^n`` is one random ``n``-th residue
+  per key (and per process), ``α`` a fresh 256-bit exponent per value,
+  and the power runs through a 4-bit fixed-base table of ``h``
+  (``_fixed_base_table``, built on first use, about 128 KB at 512
+  bits), so one obfuscator costs ≈64 modular multiplies instead of the
+  textbook ``r^n`` modexp.  That ``h^α`` with a 256-bit ``α`` is
+  indistinguishable from a uniform ``r^n`` is the *short-exponent
+  assumption* under which fast Paillier / Damgård–Jurik encryption is
+  run.  Each ``α`` is drawn fresh, so no obfuscator is derived from
+  another;
 * **CRT decrypt** — :func:`generate_keypair` retains ``p``/``q``, so
   decryption works mod ``p²`` and ``q²`` and recombines, roughly 3–4×
   cheaper than the ``λ/µ`` formula, which keys rebuilt without their
   primes still run;
-* ``encrypt_many``/``decrypt_many`` bulk APIs and identity-aware
-  ``__radd__`` so ``sum(ciphertexts)`` folds homomorphically.
+* ``encrypt_values``/``decrypt_values`` bulk APIs over raw ciphertext
+  integers (what :meth:`repro.crypto.keymanager.KeyMaterial.seal` and
+  ``open`` hand out), and identity-aware ``__radd__`` so
+  ``sum(ciphertexts)`` folds homomorphically.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.crypto import primitives
 from repro.exceptions import CryptoError
@@ -46,26 +49,17 @@ from repro.exceptions import CryptoError
 #: Fixed-point scale for fractional plaintexts (six decimal digits).
 FIXED_POINT_SCALE = 10 ** 6
 
-#: Obfuscator pool shape: each refill computes ``_POOL_SEEDS`` true
-#: ``r^n`` exponentiations and stretches them into ``_POOL_TARGET``
-#: obfuscators by modular products, so the amortized per-encryption cost
-#: is ``_POOL_SEEDS/_POOL_TARGET`` exponentiations plus ~two multiplies.
-_POOL_SEEDS = 4
-_POOL_TARGET = 128
+#: Bits of the fresh exponent ``α`` behind each obfuscator ``h^α``.
+_ALPHA_BITS = 256
 
-#: Guards only the *lazy creation* of each key's pool lock.  The pool
-#: itself is protected by the per-key lock (public-key objects are
-#: shared across per-subject keystores and concurrent runs encrypt
-#: under one key — check-then-pop must be atomic), so two keys
-#: never serialize on each other's refills.  Locks live in the instance
-#: ``__dict__`` and are excluded from pickling/copying by
-#: ``__getstate__``.
-_LOCKS_GUARD = threading.Lock()
+#: Width of one window of the fixed-base table: a row per 4-bit digit
+#: of ``α``, holding ``h^(d·16^i)`` for every digit value ``d``.
+_WINDOW = 4
 
 
 @dataclass(frozen=True)
 class PaillierPublicKey:
-    """Public parameters ``(n, n²)`` plus the precomputed obfuscator pool."""
+    """Public parameters ``(n, n²)`` plus the fixed-base obfuscator table."""
 
     n: int
 
@@ -89,91 +83,73 @@ class PaillierPublicKey:
         message = _encode(value, self.n)
         n2 = self.n_squared
         if obfuscator is None:
-            obfuscator = self._next_obfuscator()
+            obfuscator = self._obfuscators(1)[0]
         return PaillierCiphertext(
             self, ((1 + self.n * message) * obfuscator) % n2
         )
 
-    def encrypt_many(self, values: Sequence[int | float],
-                     ) -> list["PaillierCiphertext"]:
-        """Bulk :meth:`encrypt`: one dispatch per column."""
-        return [
-            PaillierCiphertext(self, v) for v in self.encrypt_values(values)
-        ]
-
     def encrypt_values(self, values: Sequence[int | float]) -> list[int]:
         """Bulk encrypt to *raw* ciphertext integers.
 
-        The worker-transport form: parallel chunks ship plain ints and
-        the caller rebuilds :class:`PaillierCiphertext` wrappers, so
-        nothing but the numbers crosses the process boundary.
+        The form :meth:`~repro.crypto.keymanager.KeyMaterial.seal`
+        returns, so nothing but the numbers crosses a process boundary.
         """
         n, n2 = self.n, self.n_squared
-        encode, draw = _encode, self._next_obfuscator
-        return [((1 + n * encode(v, n)) * draw()) % n2 for v in values]
+        return [((1 + n * _encode(v, n)) * obfuscator) % n2
+                for v, obfuscator in zip(values,
+                                         self._obfuscators(len(values)))]
 
-    # -- obfuscator pool ------------------------------------------------
-    def precompute_obfuscators(self, count: int = _POOL_TARGET) -> None:
-        """Refill the ``r^n`` pool eagerly (off the encryption hot path)."""
-        target = max(count, _POOL_TARGET)
-        seeds = self._pool_seeds()
-        with self._pool_lock:
-            self._extend_pool(seeds, target)
+    # -- obfuscators ----------------------------------------------------
+    def _obfuscators(self, count: int) -> list[int]:
+        """``count`` independent obfuscators ``h^α mod n²``.
 
-    def _next_obfuscator(self) -> int:
-        with self._pool_lock:
-            pool = self._pool
-            if not pool:
-                self._extend_pool(self._pool_seeds(), _POOL_TARGET)
-            return pool.pop()
-
-    @property
-    def _pool_lock(self) -> threading.Lock:
-        lock = self.__dict__.get("_lock")
-        if lock is None:
-            with _LOCKS_GUARD:
-                lock = self.__dict__.get("_lock")
-                if lock is None:
-                    lock = threading.Lock()
-                    object.__setattr__(self, "_lock", lock)
-        return lock
-
-    @property
-    def _pool(self) -> list[int]:
-        # Callers hold _pool_lock (lazy init is a check-then-set too).
-        pool = self.__dict__.get("_obfuscators")
-        if pool is None:
-            pool = []
-            object.__setattr__(self, "_obfuscators", pool)
-        return pool
-
-    def _pool_seeds(self) -> list[int]:
-        """The ``_POOL_SEEDS`` true ``r^n`` exponentiations of a refill.
-
-        Touches no shared state — only :func:`os.urandom` and arithmetic
-        on the frozen modulus — so :meth:`precompute_obfuscators` pays
-        the expensive pows before taking the pool lock.
+        One ``os.urandom`` draw supplies every ``α``; each power is one
+        multiply per non-zero 4-bit digit of its ``α``.
         """
-        n, n2 = self.n, self.n_squared
-        return [pow(self._random_unit(), n, n2) for _ in range(_POOL_SEEDS)]
-
-    def _extend_pool(self, seeds: list[int], target: int) -> None:
-        # Caller holds _pool_lock.
+        table = self._fixed_base_table()
         n2 = self.n_squared
-        pool = self._pool
-        if len(pool) >= target:
-            return
-        mix = seeds[-1]
-        while len(pool) < target:
-            for seed in seeds:
-                mix = (mix * seed) % n2
-                pool.append(mix)
+        size = _ALPHA_BITS // 8
+        draws = primitives.random_bytes(size * count)
+        mask = (1 << _WINDOW) - 1
+        out: list[int] = []
+        for start in range(0, size * count, size):
+            alpha = int.from_bytes(draws[start:start + size], "big")
+            power = 1
+            for row in table:
+                digit = alpha & mask
+                if digit:
+                    power = power * row[digit] % n2
+                alpha >>= _WINDOW
+            out.append(power)
+        return out
+
+    def _fixed_base_table(self) -> tuple[tuple[int, ...], ...]:
+        """Row ``i`` holds ``h^(d·16^i) mod n²`` for ``d`` in ``0..15``.
+
+        Built on first use from one true ``y^n`` exponentiation.  Two
+        threads racing here may each build a table; either is a valid
+        base, and the last one stored serves later draws.
+        """
+        table = self.__dict__.get("_table")
+        if table is None:
+            n, n2 = self.n, self.n_squared
+            base = pow(self._random_unit(), n, n2)
+            rows = []
+            for _ in range(_ALPHA_BITS // _WINDOW):
+                row = [1]
+                for _ in range((1 << _WINDOW) - 1):
+                    row.append(row[-1] * base % n2)
+                rows.append(tuple(row))
+                base = row[-1] * base % n2
+            table = tuple(rows)
+            object.__setattr__(self, "_table", table)
+        return table
 
     # -- worker transport ----------------------------------------------
     def __getstate__(self) -> dict[str, int]:
-        # Only the modulus travels: the obfuscator pool, its lock, and
-        # the memoized n² are per-process state, rebuilt lazily on the
-        # receiving side.  (Also what keeps deepcopy lock-free.)
+        # Only the modulus travels: the fixed-base table and the
+        # memoized n² are per-process state, rebuilt lazily on the
+        # receiving side (which draws its own ``h``).
         return {"n": self.n}
 
     def __setstate__(self, state: dict[str, int]) -> None:
@@ -209,34 +185,8 @@ class PaillierPrivateKey:
         """Recover the (possibly fractional, possibly negative) plaintext."""
         return _decode(self._decrypt_message(ciphertext), self.public.n)
 
-    def decrypt_many(self, ciphertexts: Iterable["PaillierCiphertext"],
-                     pool=None) -> list[float | int]:
-        """Bulk :meth:`decrypt`: one dispatch per column.
-
-        With a :class:`~repro.parallel.WorkerPool` the column partitions
-        into per-worker chunks of raw ciphertext integers — CRT decrypt
-        dominates the cost, so throughput scales near-linearly with
-        workers — reassembled in order, bit-identical to the inline
-        loop.  Key-membership checks stay parent-side.
-        """
-        cts = list(ciphertexts)
-        if pool is not None and pool.should_parallelize(len(cts)):
-            n = self.public.n
-            for ciphertext in cts:
-                if ciphertext.public.n != n:
-                    raise CryptoError(
-                        "ciphertext under a different Paillier key")
-            from repro.parallel import kernels
-
-            return pool.map_chunks(
-                kernels.paillier_decrypt_chunk, kernels.dumps(self),
-                [ciphertext.value for ciphertext in cts])
-        decode, n = _decode, self.public.n
-        decrypt = self._decrypt_message
-        return [decode(decrypt(c), n) for c in cts]
-
     def decrypt_values(self, values: Sequence[int]) -> list[float | int]:
-        """Bulk decrypt *raw* ciphertext integers (worker-transport form).
+        """Bulk decrypt *raw* ciphertext integers.
 
         Raw ints carry no public key to check against — key membership
         is the caller's job before stripping the wrappers.

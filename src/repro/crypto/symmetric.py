@@ -53,6 +53,17 @@ _FIRST_BLOCK = bytes(8)  # the keystream's block counter 0, as ``>Q``
 _MEMO_MAX = 8192
 
 
+def _check_tag(ciphertext: bytes, mac) -> None:
+    """Raise unless ``ciphertext`` ends in the tag of what precedes it.
+
+    The one tag comparison of both opens, per value and bulk."""
+    if len(ciphertext) < _IV_LEN + _TAG_LEN:
+        raise CryptoError("ciphertext too short")
+    if not primitives.constant_time_equal(
+            ciphertext[-_TAG_LEN:], mac(ciphertext[:-_TAG_LEN])[:_TAG_LEN]):
+        raise CryptoError("ciphertext authentication failed (wrong key?)")
+
+
 class _StreamCipher:
     """Shared subkeys and open (tag check, keystream) for both modes;
     each mode's ``encrypt_many`` is its seal.
@@ -77,16 +88,10 @@ class _StreamCipher:
         the first bad one, like the per-value loop), then the keystreams
         for the survivors derive in one sweep."""
         mac = primitives.keyed_hmac(self._mac_key)
-        equal = primitives.constant_time_equal
         ivs: list[bytes] = []
         bodies: list[bytes] = []
         for ciphertext in ciphertexts:
-            if len(ciphertext) < _IV_LEN + _TAG_LEN:
-                raise CryptoError("ciphertext too short")
-            if not equal(ciphertext[-_TAG_LEN:],
-                         mac(ciphertext[:-_TAG_LEN])[:_TAG_LEN]):
-                raise CryptoError(
-                    "ciphertext authentication failed (wrong key?)")
+            _check_tag(ciphertext, mac)
             ivs.append(ciphertext[:_IV_LEN])
             bodies.append(ciphertext[_IV_LEN:-_TAG_LEN])
         streams = primitives.keystream_many(
@@ -95,14 +100,9 @@ class _StreamCipher:
         return [xor(body, stream) for body, stream in zip(bodies, streams)]
 
     def _open(self, ciphertext: bytes) -> bytes:
-        if len(ciphertext) < _IV_LEN + _TAG_LEN:
-            raise CryptoError("ciphertext too short")
+        _check_tag(ciphertext, primitives.keyed_hmac(self._mac_key))
         iv = ciphertext[:_IV_LEN]
         body = ciphertext[_IV_LEN:-_TAG_LEN]
-        tag = ciphertext[-_TAG_LEN:]
-        expected = primitives.prf(self._mac_key, iv + body)[:_TAG_LEN]
-        if not primitives.constant_time_equal(tag, expected):
-            raise CryptoError("ciphertext authentication failed (wrong key?)")
         return primitives.xor_bytes(
             body,
             primitives.keystream(self._enc_key, iv, len(body)),

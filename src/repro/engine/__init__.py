@@ -49,16 +49,16 @@ Row tuples are the storage; every decision that depends on what a
   pair before the output row is materialized.  Build, probe and group-by
   take each key column once: one pass for its representations, one for
   its keys.
-* **Column crypto** (:mod:`repro.engine.codec`) validates, groups per
-  scheme and sweeps; an :class:`EncryptedValue` is a slotted value
-  object hashed by its token.
+* **Column crypto** (:mod:`repro.engine.codec`) checks a column once
+  and wraps or unwraps its cells; the scheme's work is
+  :meth:`~repro.crypto.keymanager.KeyMaterial.seal` / ``open``.  An
+  :class:`EncryptedValue` is a slotted value object hashed by its token.
 * **Tables** cache their column→position maps and expose
   :meth:`~repro.engine.table.Table.bulk_project` /
   :meth:`~repro.engine.table.Table.replace_columns` /
   :meth:`~repro.engine.table.Table.map_columns` batch APIs.
 """
 
-from repro.engine.codec import decrypt_value, encrypt_value
 from repro.engine.executor import Executor
 from repro.engine.expressions import compile_comparison, compile_predicate
 from repro.engine.table import Table
@@ -67,5 +67,4 @@ from repro.engine.values import EncryptedAggregate, EncryptedValue
 __all__ = [
     "EncryptedAggregate", "EncryptedValue", "Executor", "Table",
     "compile_comparison", "compile_predicate",
-    "decrypt_value", "encrypt_value",
 ]

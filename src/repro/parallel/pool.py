@@ -83,7 +83,7 @@ class WorkerPool:
         A worker that dies (killed, out of memory) breaks its executor
         for good.  The map that meets it drops that executor, so the
         next parallel map spawns fresh workers, and runs inline instead:
-        the kernels are pure, so the inline result is the same.
+        the tasks are pure, so the inline result is the same.
         """
         token = active_token()
         if token is not None:

@@ -2,9 +2,10 @@
 
 The fast paths (bulk ``encrypt_many``/``decrypt_many``, the memoized
 deterministic/OPE ciphers, binomial + CRT Paillier, the columnar engine
-codec) must be *bit-identical* to the straightforward per-value
-formulations — these tests hold them to that, including error behavior
-(tampered ciphertexts raise through the bulk paths too).
+codec over ``KeyMaterial.seal``/``open``) must be *bit-identical* to the
+straightforward per-value formulations — these tests hold them to that,
+including error behavior (tampered ciphertexts raise through the bulk
+paths too).
 """
 
 from datetime import date, datetime
@@ -18,14 +19,13 @@ from repro.core.requirements import EncryptionScheme
 from repro.crypto import primitives
 from repro.crypto.keymanager import KeyMaterial, KeyStore
 from repro.crypto.ope import OpeCipher
-from repro.crypto.paillier import generate_keypair
-from repro.crypto.symmetric import DeterministicCipher, RandomizedCipher
-from repro.engine.codec import (
-    decrypt_column,
-    decrypt_value,
-    encrypt_column,
-    encrypt_value,
+from repro.crypto.paillier import (
+    PaillierCiphertext,
+    _encode,
+    generate_keypair,
 )
+from repro.crypto.symmetric import DeterministicCipher, RandomizedCipher
+from repro.engine.codec import decrypt_column, encrypt_column
 from repro.engine.values import EncryptedValue
 from repro.exceptions import CryptoError, ExecutionError
 
@@ -96,9 +96,10 @@ class TestBulkEqualsLoop:
     @settings(max_examples=10, deadline=None)
     def test_paillier(self, paillier, values):
         public, private = paillier
-        ciphertexts = public.encrypt_many(values)
-        decrypted = private.decrypt_many(ciphertexts)
-        assert decrypted == [private.decrypt(c) for c in ciphertexts]
+        ciphertexts = public.encrypt_values(values)
+        decrypted = private.decrypt_values(ciphertexts)
+        assert decrypted == [private.decrypt(PaillierCiphertext(public, c))
+                             for c in ciphertexts]
         for value, got in zip(values, decrypted):
             assert got == pytest.approx(value, abs=1e-5)
 
@@ -108,7 +109,7 @@ class TestPaillierFastVsReference:
     @settings(max_examples=25, deadline=None)
     def test_binomial_equals_pow_reference(self, paillier, value):
         public, _ = paillier
-        obfuscator = public._next_obfuscator()
+        obfuscator = public._obfuscators(1)[0]
         fast = public.encrypt(value, obfuscator=obfuscator)
         reference = encrypt_reference(public, value, obfuscator=obfuscator)
         assert fast.value == reference.value
@@ -138,39 +139,61 @@ class TestPaillierFastVsReference:
         assert stripped.decrypt(ciphertext) == private.decrypt(ciphertext)
 
     def test_obfuscators_are_units(self, paillier):
-        public, _ = paillier
+        public, private = paillier
         n2 = public.n_squared
-        seen = set()
-        for _ in range(300):  # spans multiple pool refills
-            obfuscator = public._next_obfuscator()
+        drawn = public._obfuscators(300)
+        for obfuscator in drawn:
             assert 0 < obfuscator < n2
             assert gcd(obfuscator, n2) == 1
-            seen.add(obfuscator)
-        assert len(seen) > 250  # fresh randomness, not a constant pool
+            # An n-th residue: as a ciphertext it encrypts 0, so it
+            # masks a message without shifting it.
+            assert private.decrypt(
+                PaillierCiphertext(public, obfuscator)) == 0
+        assert len(set(drawn)) == 300  # fresh randomness per value
 
-    def test_precompute_beyond_one_refill_terminates(self, paillier):
-        from repro.crypto.paillier import _POOL_TARGET
-
-        public, _ = paillier
-        public.precompute_obfuscators(_POOL_TARGET + 50)
-        assert len(public._pool) >= _POOL_TARGET + 50
-
-    def test_concurrent_draws_never_underflow(self, paillier):
-        # Public keys are shared across subject keystores and the
-        # parallel runtime encrypts on a thread pool: check-then-pop
-        # must be atomic.
+    def test_concurrent_draws_are_independent_units(self):
+        # Public keys are shared across subject keystores and concurrent
+        # runs encrypt under one key: racing first draws may each build
+        # a fixed-base table, and every draw is still a fresh unit.
         from concurrent.futures import ThreadPoolExecutor
 
-        public, _ = paillier
-        public._pool.clear()
+        public, private = generate_keypair(256)
 
         def draw_many(_):
-            return [public._next_obfuscator() for _ in range(40)]
+            return [public.encrypt(7) for _ in range(10)]
 
-        with ThreadPoolExecutor(max_workers=8) as executor:
-            batches = list(executor.map(draw_many, range(8)))
-        drawn = [o for batch in batches for o in batch]
-        assert len(drawn) == 320
+        with ThreadPoolExecutor(max_workers=4) as executor:
+            batches = list(executor.map(draw_many, range(4)))
+        drawn = [c for batch in batches for c in batch]
+        assert len({c.value for c in drawn}) == 40
+        assert {private.decrypt(c) for c in drawn} == {7}
+
+    def test_no_linear_relation_between_ciphertexts(self):
+        """Obfuscators must not derive from one another.  If each were
+        the one four draws earlier times a fixed product, any nine
+        consecutive encryptions would satisfy ``c0·c8·c4⁻² ≡ 1 +
+        n·(e0 + e8 − 2·e4) (mod n²)``, a relation between the encoded
+        plaintexts ``e`` that anyone holding ``n`` can read.  No window
+        may satisfy it, through ``encrypt`` or through the column
+        seal."""
+        public, private = generate_keypair(512)
+        material = KeyMaterial(
+            QueryKey(frozenset({"P"}), EncryptionScheme.PAILLIER),
+            paillier_public=public, paillier_private=private)
+        values = [3, 141, -59, 26, 5.35, 89, 7, 932, 384, 62, 643]
+        n, n2 = public.n, public.n_squared
+        encoded = [_encode(v, n) for v in values]
+        for ciphertexts in (
+                [public.encrypt(v).value for v in values],
+                [cell.token.value
+                 for cell in encrypt_column(material, values)]):
+            related = [
+                start for start in range(len(values) - 8)
+                if ciphertexts[start] * ciphertexts[start + 8]
+                * pow(ciphertexts[start + 4], -2, n2) % n2
+                == (1 + n * (encoded[start] + encoded[start + 8]
+                             - 2 * encoded[start + 4])) % n2]
+            assert related == []
 
     def test_random_unit_is_coprime(self, paillier):
         public, _ = paillier
@@ -182,7 +205,7 @@ class TestPaillierFastVsReference:
     def test_sum_builtin_folds_homomorphically(self, paillier):
         public, private = paillier
         values = [3, -5, 7.5, 100]
-        total = sum(public.encrypt_many(values))
+        total = sum(public.encrypt(v) for v in values)
         assert private.decrypt(total) == pytest.approx(sum(values))
         single = public.encrypt(9)
         assert private.decrypt(sum([single])) == 9
@@ -255,12 +278,12 @@ class TestWireFormatKnownAnswers:
              "91dc11a96b2b87330a"),
         ]:
             assert OpeCipher(KEY).encrypt(value) == token
-            assert encrypt_value(material, value).token == token
+            assert encrypt_column(material, [value])[0].token == token
             # The recovery ciphertext is randomized: a token sealed
             # earlier (IV 00..0f) must still open under the derived key.
             cell = EncryptedValue(material.name, EncryptionScheme.OPE,
                                   token, bytes.fromhex(recovery))
-            assert decrypt_value(material, cell) == value
+            assert decrypt_column(material, [cell]) == [value]
 
 
 class TestMemoizedEqualsUnmemoized:
@@ -335,15 +358,21 @@ class TestTamperingThroughBatchPath:
         public, _ = paillier
         other_public, other_private = generate_keypair(512)
         assert other_public.n != public.n
+        key = QueryKey(frozenset({"P"}), EncryptionScheme.PAILLIER)
+        cell = EncryptedValue(key.name, EncryptionScheme.PAILLIER,
+                              public.encrypt(1))
+        other = KeyMaterial(key, paillier_public=other_public,
+                            paillier_private=other_private)
         with pytest.raises(CryptoError):
-            other_private.decrypt_many([public.encrypt(1)])
+            decrypt_column(other, [cell])
 
 
 _IV_BYTE = 3  # flip inside the IV: the SIV no longer matches the body
 
 
 class TestColumnCodec:
-    """Engine-level ``encrypt_column``/``decrypt_column`` ≡ per-cell codec."""
+    """Engine-level ``encrypt_column``/``decrypt_column`` ≡ one cell at a
+    time, and ≡ the ciphers' per-value APIs."""
 
     @pytest.fixture(scope="class")
     def store(self):
@@ -369,13 +398,13 @@ class TestColumnCodec:
             else:
                 assert cell.key_name == material.name
                 assert cell.scheme is material.scheme
-                recovered = decrypt_value(material, cell)
+                recovered = decrypt_column(material, [cell])[0]
                 if isinstance(plain, float):
                     assert recovered == pytest.approx(plain, abs=1e-6)
                 else:
                     assert recovered == plain
         assert decrypt_column(material, column) == \
-            [None if c is None else decrypt_value(material, c)
+            [None if c is None else decrypt_column(material, [c])[0]
              for c in column]
 
     #: (column, whether equal cells share one cell).  Exact kinds seal
@@ -390,10 +419,10 @@ class TestColumnCodec:
 
     def test_column_equals_per_cell_for_deterministic(self, store):
         material = store.material_for_attribute("S")
+        cipher = DeterministicCipher(material.symmetric)
         for values, shared in self.DETERMINISTIC_COLUMNS:
             column = encrypt_column(material, values)
-            tokens = [None if plain is None
-                      else encrypt_value(material, plain).token
+            tokens = [None if plain is None else cipher.encrypt(plain)
                       for plain in values]
             assert [None if cell is None else cell.token
                     for cell in column] == tokens
@@ -403,14 +432,13 @@ class TestColumnCodec:
                     if plain is not None and plain == other \
                             and type(plain) is type(other):
                         assert (cell is column[index]) is shared
-        one, one_float, true = (encrypt_value(material, v).token
+        one, one_float, true = (encrypt_column(material, [v])[0].token
                                 for v in (1, 1.0, True))
         assert one == true != one_float
-        assert encrypt_value(material, 0.0).token \
-            != encrypt_value(material, -0.0).token
-        for encrypt in (encrypt_value, lambda m, v: encrypt_column(m, [v])):
-            with pytest.raises(CryptoError, match="out of encodable range"):
-                encrypt(material, 2**63)
+        assert encrypt_column(material, [0.0])[0].token \
+            != encrypt_column(material, [-0.0])[0].token
+        with pytest.raises(CryptoError, match="out of encodable range"):
+            encrypt_column(material, [2**63])
 
     def test_already_encrypted_rejected(self, store):
         material = store.material_for_attribute("S")
@@ -424,6 +452,20 @@ class TestColumnCodec:
         cell = encrypt_column(ope, [5])[0]
         with pytest.raises(ExecutionError):
             decrypt_column(det, [cell])
+
+    def test_mistagged_cell_is_refused(self):
+        """A cell sealed under a RANDOMIZED key but tagged DETERMINISTIC
+        is refused by its tag, not by its MAC: both schemes derive the
+        same subkeys from one key, so the MAC alone would let it open."""
+        material = KeyMaterial(
+            QueryKey(frozenset({"R"}), EncryptionScheme.RANDOMIZED),
+            symmetric=KEY)
+        sealed = encrypt_column(material, ["secret"])[0]
+        forged = EncryptedValue(sealed.key_name,
+                                EncryptionScheme.DETERMINISTIC, sealed.token)
+        assert decrypt_column(material, [sealed]) == ["secret"]
+        with pytest.raises(ExecutionError, match="tagged deterministic"):
+            decrypt_column(material, [forged])
 
     def test_plaintext_cell_rejected_on_decrypt(self, store):
         material = store.material_for_attribute("S")

@@ -196,12 +196,22 @@ class TestKeyManager:
         ])
 
     def test_cipher_routing(self):
+        """``seal`` picks the key's scheme and hands out raw tokens;
+        ``open`` inverts it."""
         store = self.make_store()
-        assert isinstance(store.cipher_for_attribute("S"),
-                          DeterministicCipher)
-        assert isinstance(store.cipher_for_attribute("D"), OpeCipher)
-        with pytest.raises(KeyManagementError):
-            store.cipher_for_attribute("P")  # Paillier needs material
+        det = store.material_for_attribute("S")
+        assert det.seal(["x", 7]) == \
+            DeterministicCipher(det.symmetric).encrypt_many(["x", 7])
+        ope = store.material_for_attribute("D")
+        pairs = ope.seal([5, -3])
+        assert [token for token, _ in pairs] == \
+            OpeCipher(ope.symmetric).encrypt_many([5, -3])
+        assert ope.open([recovery for _, recovery in pairs]) == [5, -3]
+        paillier = store.material_for_attribute("P")
+        raw = paillier.seal([4, -2.5])
+        assert all(isinstance(value, int) for value in raw)
+        assert paillier.open(raw) == [4, -2.5]
+        assert det.open(det.seal(["x", 7])) == ["x", 7]
 
     def test_shared_key_for_cluster(self):
         store = self.make_store()
@@ -210,15 +220,17 @@ class TestKeyManager:
 
     def test_missing_attribute(self):
         store = self.make_store()
-        assert not store.has_attribute("Z")
         with pytest.raises(KeyManagementError):
             store.material_for_attribute("Z")
 
     def test_subset_distribution(self):
         store = self.make_store()
-        subset = store.subset(["kCS"])
-        assert subset.has_attribute("S")
-        assert not subset.has_attribute("P")
+        subset = store.subset(["kCS", "kZ"])
+        assert subset.names() == {"kCS"}
+        # The material is shared, not copied.
+        assert subset.material_for_attribute("S") is store.material("kCS")
+        with pytest.raises(KeyManagementError):
+            subset.material_for_attribute("P")
 
     def test_distributed_keys(self):
         from repro.core.keys import KeyAssignment
@@ -229,8 +241,8 @@ class TestKeyManager:
             distribution={"I": frozenset(keys), "Y": frozenset(keys)},
         )
         distributed = DistributedKeys.from_assignment(assignment)
-        assert distributed.store_for("I").has_attribute("P")
-        assert not distributed.store_for("X").has_attribute("P")
+        assert "kP" in distributed.store_for("I")
+        assert "kP" not in distributed.store_for("X")
 
     def test_duplicate_key_rejected(self):
         store = self.make_store()

@@ -28,7 +28,7 @@ from repro.core.requirements import EncryptionScheme
 from repro.core.schema import Relation
 from repro.crypto.keymanager import DistributedKeys, KeyStore
 from repro.engine import Executor, Table
-from repro.engine.codec import decrypt_value, encrypt_value
+from repro.engine.codec import decrypt_column, encrypt_column
 from repro.engine.expressions import compare_plain
 from repro.engine.values import EncryptedValue
 from repro.exceptions import ExecutionError
@@ -153,13 +153,13 @@ class TestEncryptedValues:
             material = store.material_for_attribute("b")
             value = 42 if scheme in (EncryptionScheme.PAILLIER,
                                      EncryptionScheme.OPE) else "hello"
-            token = encrypt_value(material, value)
-            assert decrypt_value(material, token) == value
+            token = encrypt_column(material, [value])[0]
+            assert decrypt_column(material, [token])[0] == value
 
     def test_mixed_comparison_raises(self):
         store = self.make_store()
         material = store.material_for_attribute("b")
-        token = encrypt_value(material, "x")
+        token = encrypt_column(material, ["x"])[0]
         from repro.engine.expressions import compare_values
 
         with pytest.raises(ExecutionError):
@@ -217,7 +217,7 @@ class TestEncryptedExecution:
         ])
         material = store.material_for_attribute("c")
         encrypted_rows = [
-            (row[0], row[1], encrypt_value(material, row[2]))
+            (row[0], row[1], encrypt_column(material, [row[2]])[0])
             for row in T.rows
         ]
         catalog = {"R": Table("R", T.columns, encrypted_rows)}

@@ -59,12 +59,12 @@ def encrypted_selection():
     from repro.core.keys import QueryKey
     from repro.core.requirements import EncryptionScheme
     from repro.crypto.keymanager import KeyStore
-    from repro.engine.codec import encrypt_value
+    from repro.engine.codec import encrypt_column
 
     store = KeyStore.generate(
         [QueryKey(frozenset({"a"}), EncryptionScheme.DETERMINISTIC)])
     material = store.material_for_attribute("a")
-    table = Table("R", ("a", "b"), [(encrypt_value(material, 1), 2)])
+    table = Table("R", ("a", "b"), [(encrypt_column(material, [1])[0], 2)])
     node = Selection(BaseRelationNode(R),
                      AttributeValuePredicate("a", ComparisonOp.EQ, 1))
     return store, table, node
@@ -201,7 +201,7 @@ class TestHashJoinEquivalence:
         from repro.core.keys import QueryKey
         from repro.core.requirements import EncryptionScheme
         from repro.crypto.keymanager import KeyStore
-        from repro.engine.codec import encrypt_value
+        from repro.engine.codec import encrypt_column
 
         def det_store(names):
             return KeyStore.generate(
@@ -212,12 +212,12 @@ class TestHashJoinEquivalence:
         node = join_node(
             AttributeComparisonPredicate("a", ComparisonOp.EQ, "k"))
         cross_key = {
-            "R": Table("R", ("a", "b"), [(encrypt_value(k1, 1), 0)]),
-            "S": Table("S", ("k", "w"), [(encrypt_value(k2, 1), 0)]),
+            "R": Table("R", ("a", "b"), [(encrypt_column(k1, [1])[0], 0)]),
+            "S": Table("S", ("k", "w"), [(encrypt_column(k2, [1])[0], 0)]),
         }
         plain_vs_enc = {
             "R": Table("R", ("a", "b"), [(1, 0)]),
-            "S": Table("S", ("k", "w"), [(encrypt_value(k2, 1), 0)]),
+            "S": Table("S", ("k", "w"), [(encrypt_column(k2, [1])[0], 0)]),
         }
         for catalog in (cross_key, plain_vs_enc):
             with pytest.raises(ExecutionError):

@@ -23,7 +23,7 @@ from repro.core.requirements import EncryptionScheme
 from repro.core.schema import Relation
 from repro.crypto.keymanager import KeyStore
 from repro.engine import Executor, Table
-from repro.engine.codec import encrypt_value
+from repro.engine.codec import encrypt_column
 from repro.exceptions import ExecutionError
 
 from oracles.nested_loop import nested_loop_join
@@ -108,7 +108,7 @@ def encrypted_catalog(rows, scheme, extra_names=()):
         [QueryKey(frozenset({"v"}) | frozenset(extra_names), scheme)])
     material = store.material_for_attribute("v")
     enc_rows = [
-        (k, None if v is None else encrypt_value(material, v))
+        (k, None if v is None else encrypt_column(material, [v])[0])
         for k, v in rows
     ]
     return {"R": Table("R", ("k", "v"), enc_rows)}, store
@@ -193,7 +193,7 @@ class TestEncryptedNullSkipping:
         material = store.material_for_attribute("v")
 
         def enc(x):
-            return None if x is None else encrypt_value(material, x)
+            return None if x is None else encrypt_column(material, [x])[0]
 
         catalog = {
             "R": Table("R", ("k", "v"), [(1, enc(5)), (2, enc(None))]),

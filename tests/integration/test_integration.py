@@ -138,6 +138,35 @@ class TestTpchEndToEnd:
                 <= points["minimize-visibility"].total_usd * 1.001
 
 
+def test_rerun_under_fresh_keys_misses_every_keyed_fragment(
+        example, example_tables):
+    """A fragment result computed under one key set is never served to a
+    run that delivered another, on the same dispatch plan (Fig. 7(a):
+    H and I hold kSC, I and Y hold kP)."""
+    from repro.distributed import build_runtime
+
+    extended = minimally_extend(example.plan, example.policy,
+                                example.assignment_7a(),
+                                owners=example.owners)
+    keys = establish_keys(extended, example.policy)
+    plan = dispatch(extended, keys, owners=example.owners, user="U")
+    keyed = sum(1 for fragment in plan.fragments.values()
+                if fragment.key_names)
+    runtime = build_runtime(
+        example.policy, list(example.subjects),
+        {"H": {"Hosp": example_tables["Hosp"]},
+         "I": {"Ins": example_tables["Ins"]}}, user="U")
+    held = DistributedKeys.from_assignment(keys)
+    first, _ = runtime.run(plan, extended, keys, held)
+    warm, trace = runtime.run(plan, extended, keys, held)
+    assert trace.fragment_cache_hits == len(trace.fragments_run)
+    fresh, trace = runtime.run(plan, extended, keys,
+                               DistributedKeys.from_assignment(keys))
+    assert keyed >= 3
+    assert trace.fragment_cache_hits <= len(trace.fragments_run) - keyed
+    assert fresh.sorted_rows() == warm.sorted_rows() == first.sorted_rows()
+
+
 class TestEncryptedEquivalenceOnRandomPlans:
     """Encrypted execution computes the same answers as plaintext."""
 

@@ -20,7 +20,7 @@ from repro.core.predicates import (
     Predicate,
 )
 from repro.crypto.keymanager import KeyStore
-from repro.engine.codec import decrypt_value
+from repro.engine.codec import decrypt_column
 from repro.engine.expressions import (
     ConstantEncryptor,
     compare_plain,
@@ -163,4 +163,4 @@ def try_decrypt(keystore: KeyStore | None, value: object) -> object:
                 f"key {value.key_name} not held; cannot decrypt"
             )
         material = keystore.material(value.key_name)
-    return decrypt_value(material, value)
+    return decrypt_column(material, [value])[0]

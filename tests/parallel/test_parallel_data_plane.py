@@ -1,10 +1,10 @@
-"""The multicore data plane: pool mechanics, parallel ≡ sequential pins
-for column crypto, the obfuscator pool's per-process state, and the
+"""The multicore data plane: pool mechanics, parallel ≡ inline pins for
+column crypto, the Paillier table's per-process state, and the
 ``workers`` knob from the CLI and the service down to the executor.
 
 Worker tasks must be importable in spawn children, so every process
-test goes through the :mod:`repro.parallel.kernels` functions — never a
-function defined in this module.  One two-worker pool is shared across
+test runs ``KeyMaterial.seal``/``open`` — the codec's own tasks — never
+a function defined in this module.  One two-worker pool is shared across
 the module (spawning processes is the slow part)."""
 
 import contextlib
@@ -13,7 +13,6 @@ import os
 import pickle
 import random
 import signal
-import threading
 from multiprocessing.connection import wait
 
 import pytest
@@ -28,7 +27,6 @@ from repro.engine.codec import decrypt_column, encrypt_column
 from repro.engine.values import EncryptedValue
 from repro.exceptions import CryptoError, ExecutionError
 from repro.parallel import WorkerPool, shared_pool
-from repro.parallel.kernels import column_encrypt_chunk, dumps
 from repro.parallel.pool import MIN_PARALLEL_ITEMS
 from repro.service import QueryService
 
@@ -107,12 +105,12 @@ class TestKilledWorkers:
     def test_sigkilled_workers_are_replaced_and_the_map_runs_inline(self):
         """One SIGKILLed worker used to break the pool — and every
         runtime sharing it — for the rest of the process."""
-        blob = dumps(material_for(EncryptionScheme.DETERMINISTIC, None))
+        material = material_for(EncryptionScheme.DETERMINISTIC, None)
         values = [f"v{index}" for index in range(2 * MIN_PARALLEL_ITEMS)]
-        expected = column_encrypt_chunk(blob, values)
+        expected = material.seal(values)
         pool = WorkerPool(2)
         try:
-            assert pool.map_chunks(column_encrypt_chunk, blob,
+            assert pool.map_chunks(KeyMaterial.seal, material,
                                    values) == expected
             broken = pool._executor
             workers = list(broken._processes.values())
@@ -125,11 +123,11 @@ class TestKilledWorkers:
                 # … which is also why the exit is waited on, not joined.
                 assert wait([worker.sentinel], timeout=30)
             # The map that meets the dead workers answers inline …
-            assert pool.map_chunks(column_encrypt_chunk, blob,
+            assert pool.map_chunks(KeyMaterial.seal, material,
                                    values) == expected
             assert pool._executor is None
             # … and the one after it runs on a freshly spawned executor.
-            assert pool.map_chunks(column_encrypt_chunk, blob,
+            assert pool.map_chunks(KeyMaterial.seal, material,
                                    values) == expected
             assert pool._executor is not None
             assert pool._executor is not broken
@@ -175,14 +173,25 @@ class TestColumnCryptoEquivalence:
         assert decrypt_column(material, parallel) == values
         assert decrypt_column(material, sequential, pool=pool) == values
 
-    def test_tampered_token_raises_through_pool(self, pool):
-        material = material_for(EncryptionScheme.DETERMINISTIC, None)
+    @pytest.mark.parametrize("scheme", SCHEMES[:3],
+                             ids=lambda scheme: scheme.value)
+    def test_tampered_token_raises_through_pool(self, scheme, pool):
+        """The flipped byte sits in the last chunk: its error reaches
+        the caller through that chunk's future."""
+        material = material_for(scheme, None)
         cells = encrypt_column(
-            material, [f"v{i}" for i in range(MIN_PARALLEL_ITEMS)])
-        token = cells[1].token
-        cells[1] = EncryptedValue(
-            material.name, EncryptionScheme.DETERMINISTIC,
-            token[:-1] + bytes([token[-1] ^ 1]))
+            material, list(range(2 * MIN_PARALLEL_ITEMS)), pool=pool)
+        late = cells[-2]
+
+        def flip(sealed):
+            return sealed[:-1] + bytes([sealed[-1] ^ 1])
+
+        if scheme is EncryptionScheme.OPE:  # OPE opens its recovery
+            cells[-2] = EncryptedValue(late.key_name, scheme, late.token,
+                                       flip(late.recovery))
+        else:
+            cells[-2] = EncryptedValue(late.key_name, scheme,
+                                       flip(late.token))
         with pytest.raises(CryptoError, match="authentication failed"):
             decrypt_column(material, cells, pool=pool)
 
@@ -196,36 +205,37 @@ class TestColumnCryptoEquivalence:
         with pytest.raises(ExecutionError, match="encrypted under"):
             decrypt_column(mine, cells, pool=pool)
 
-    def test_paillier_decrypt_many_matches_inline(self, pool,
-                                                  paillier_keys):
-        public, private = paillier_keys
-        ciphertexts = public.encrypt_many(
-            list(range(-10, MIN_PARALLEL_ITEMS)))
-        assert private.decrypt_many(ciphertexts, pool=pool) \
-            == private.decrypt_many(ciphertexts)
-
-    def test_paillier_wrong_key_rejected_parent_side(self, pool):
-        public, _ = generate_keypair(256)
-        _, other_private = generate_keypair(256)
-        ciphertexts = public.encrypt_many([1, 2])
+    def test_paillier_wrong_key_rejected_parent_side(self, pool,
+                                                     paillier_keys):
+        mine = material_for(EncryptionScheme.PAILLIER, paillier_keys)
+        theirs = material_for(EncryptionScheme.PAILLIER,
+                              generate_keypair(256))
+        cells = encrypt_column(mine, list(range(MIN_PARALLEL_ITEMS))) \
+            + encrypt_column(theirs, [1])
         with pytest.raises(CryptoError, match="different Paillier key"):
-            other_private.decrypt_many(ciphertexts, pool=pool)
+            decrypt_column(mine, cells, pool=pool)
+
+    def test_no_pool_never_maps(self, monkeypatch, paillier_keys):
+        """Without a pool the codec calls ``seal``/``open`` itself, so
+        a run at ``workers=0`` records no pool task."""
+        def refuse(*args):
+            raise AssertionError("map_chunks called without a pool")
+
+        monkeypatch.setattr(WorkerPool, "map_chunks", refuse)
+        for scheme in self.SCHEMES:
+            material = material_for(scheme, paillier_keys)
+            values = self.values_for(scheme)
+            assert decrypt_column(
+                material, encrypt_column(material, values)) == values
 
 
-class TestObfuscatorPool:
-    def test_locks_are_per_key(self):
-        a, _ = generate_keypair(256)
-        b, _ = generate_keypair(256)
-        assert a._pool_lock is not b._pool_lock
-        assert a._pool_lock is a._pool_lock  # memoized, not re-created
-        assert isinstance(a._pool_lock, type(threading.Lock()))
-
-    def test_obfuscator_pool_stays_home_on_pickle(self):
+class TestPaillierTable:
+    def test_fixed_base_table_stays_home_on_pickle(self):
         public, private = generate_keypair(256)
-        public.precompute_obfuscators()
+        public.encrypt(1)  # builds the table
+        assert "_table" in public.__dict__
         restored = pickle.loads(pickle.dumps(public))
-        assert "_obfuscators" not in restored.__dict__
-        assert "_lock" not in restored.__dict__
+        assert "_table" not in restored.__dict__
         assert private.decrypt(restored.encrypt(77)) == 77
 
 

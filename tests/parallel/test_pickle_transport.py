@@ -1,10 +1,10 @@
 """Pickle round-trips for everything the worker transport ships.
 
-Spawn-context workers receive their key material, ciphertexts, and
-probe state as pickle blobs; these tests pin (a) that the round-trip
-preserves cryptographic behaviour exactly, and (b) that lazily built
-runtime state — cipher memos, obfuscator pools, locks — stays home
-rather than bloating every chunk submission."""
+Spawn-context workers receive their task (``KeyMaterial.seal`` or
+``open``), key material and raw tokens pickled; these tests pin (a) that
+the round-trip preserves cryptographic behaviour exactly, and (b) that
+lazily built runtime state — cipher memos, the Paillier fixed-base
+table — stays home rather than bloating every chunk submission."""
 
 import pickle
 
@@ -18,7 +18,6 @@ from repro.crypto.ope import OpeCipher
 from repro.crypto.paillier import PaillierCiphertext, generate_keypair
 from repro.crypto.symmetric import DeterministicCipher, RandomizedCipher
 from repro.exceptions import CryptoError
-from repro.parallel import kernels
 
 
 def roundtrip(obj):
@@ -65,7 +64,7 @@ class TestKeyMaterialTransport:
 class TestPaillierTransport:
     def test_public_key_state_is_just_the_modulus(self):
         public, private = generate_keypair(256)
-        public.precompute_obfuscators()
+        public.encrypt(1)  # builds the fixed-base table
         state = public.__getstate__()
         assert set(state) == {"n"}
         restored = roundtrip(public)
@@ -82,9 +81,9 @@ class TestPaillierTransport:
 
     def test_private_key_roundtrip_keeps_crt_decrypt(self):
         public, private = generate_keypair(256)
-        ciphertexts = public.encrypt_many([3, -7, 10 ** 6])
+        ciphertexts = public.encrypt_values([3, -7, 10 ** 6])
         restored = roundtrip(private)
-        assert restored.decrypt_many(ciphertexts) == [3, -7, 10 ** 6]
+        assert restored.decrypt_values(ciphertexts) == [3, -7, 10 ** 6]
 
 
 class TestCipherTransport:
@@ -116,22 +115,3 @@ class TestCipherTransport:
         tampered = token[:-1] + bytes([token[-1] ^ 1])
         with pytest.raises(CryptoError, match="authentication failed"):
             restored.decrypt(tampered)
-
-
-class TestKernelRegistry:
-    def test_rehydrate_memoizes_per_blob(self):
-        material = KeyMaterial(
-            query_key=QueryKey(frozenset({"A"}),
-                               EncryptionScheme.DETERMINISTIC),
-            symmetric=primitives.generate_key())
-        blob = kernels.dumps(material)
-        first = kernels._rehydrate(blob)
-        second = kernels._rehydrate(blob)
-        assert first is second
-        assert first.symmetric == material.symmetric
-
-    def test_registry_is_bounded(self):
-        kernels._materials.clear()
-        for index in range(kernels._REGISTRY_MAX + 5):
-            kernels._rehydrate(kernels.dumps(("filler", index)))
-        assert len(kernels._materials) <= kernels._REGISTRY_MAX + 1

@@ -26,7 +26,7 @@ from repro.core.requirements import EncryptionScheme
 from repro.core.schema import Relation
 from repro.crypto.keymanager import KeyStore
 from repro.engine import Executor, Table
-from repro.engine.codec import encrypt_value
+from repro.engine.codec import encrypt_column
 
 ROWS = st.lists(
     st.tuples(st.integers(0, 8), st.integers(-50, 50)),
@@ -45,7 +45,7 @@ def encrypted_catalog(rows, scheme, attribute="v"):
     material = store.material_for_attribute(attribute)
     position = 1 if attribute == "v" else 0
     enc_rows = [
-        tuple(encrypt_value(material, cell) if i == position else cell
+        tuple(encrypt_column(material, [cell])[0] if i == position else cell
               for i, cell in enumerate(row))
         for row in rows
     ]
@@ -93,7 +93,7 @@ class TestAggregationEquivalence:
             frozenset({"v", "total"}), EncryptionScheme.PAILLIER)])
         material = store.material_for_attribute("v")
         catalog = {"R": Table("R", ("k", "v"), [
-            (k, encrypt_value(material, v)) for k, v in rows])}
+            (k, encrypt_column(material, [v])[0]) for k, v in rows])}
         encrypted_plan = Decrypt(
             GroupBy(BaseRelationNode(R), ["k"], Aggregate(
                 AggregateFunction.SUM, "v", alias="total")),
@@ -119,7 +119,7 @@ class TestAggregationEquivalence:
             frozenset({"v", "lo"}), EncryptionScheme.OPE)])
         material = store.material_for_attribute("v")
         catalog = {"R": Table("R", ("k", "v"), [
-            (k, encrypt_value(material, v)) for k, v in rows])}
+            (k, encrypt_column(material, [v])[0]) for k, v in rows])}
         encrypted_plan = Decrypt(
             GroupBy(BaseRelationNode(R), ["k"], Aggregate(
                 AggregateFunction.MIN, "v", alias="lo")),
@@ -146,9 +146,9 @@ class TestJoinEquivalence:
             frozenset({"k", "j"}), EncryptionScheme.DETERMINISTIC)])
         material = store.material_for_attribute("k")
         enc_left = Table("R", ("k", "v"), [
-            (encrypt_value(material, k), v) for k, v in left_rows])
+            (encrypt_column(material, [k])[0], v) for k, v in left_rows])
         enc_right = Table("S", ("j", "w"), [
-            (encrypt_value(material, j), w) for j, w in right_rows])
+            (encrypt_column(material, [j])[0], w) for j, w in right_rows])
         encrypted = Executor(
             {"R": enc_left, "S": enc_right}, keystore=store
         ).execute(Join(BaseRelationNode(R), BaseRelationNode(S),

@@ -34,7 +34,7 @@ from repro.core.schema import Relation
 from repro.crypto import primitives
 from repro.crypto.keymanager import KeyMaterial, KeyStore
 from repro.engine import EncryptedValue, Executor, Table
-from repro.engine.codec import decrypt_value, encrypt_value
+from repro.engine.codec import decrypt_column, encrypt_column
 from repro.engine.values import signature
 
 from oracles.plan_order import execute_in_plan_order
@@ -91,8 +91,8 @@ def cases(draw):
         for column, (role, _) in zip(COLUMNS, layout):
             value = draw(st.one_of(st.none(), domain, domain, domain))
             if role is ARRIVED and value is not None:
-                value = encrypt_value(
-                    master.material_for_attribute(column), value)
+                value = encrypt_column(
+                    master.material_for_attribute(column), [value])[0]
             row.append(value)
         rows.append(tuple(row))
 
@@ -134,7 +134,7 @@ class Logged(Executor):
 def opened(table, master):
     """``table``'s rows decrypted, and each cell's representation."""
     return (
-        [tuple(decrypt_value(master.material(cell.key_name), cell)
+        [tuple(decrypt_column(master.material(cell.key_name), [cell])[0]
                if isinstance(cell, EncryptedValue) else cell for cell in row)
          for row in table.rows],
         [tuple(map(signature, row)) for row in table.rows])

@@ -22,7 +22,7 @@ from repro.core.predicates import (
 )
 from repro.core.requirements import EncryptionScheme
 from repro.crypto.keymanager import KeyStore
-from repro.engine.codec import decrypt_column, encrypt_value
+from repro.engine.codec import decrypt_column, encrypt_column
 from repro.engine.expressions import ConstantEncryptor, compile_predicate
 from repro.engine.values import EncryptedAggregate
 from repro.exceptions import ExecutionError, KeyManagementError, ReproError
@@ -62,7 +62,7 @@ def _cell(value, representation):
         return EncryptedAggregate(paillier.name,
                                   paillier.paillier_public.encrypt(value),
                                   count=1, is_average=False)
-    return encrypt_value(MASTER.material(representation), value)
+    return encrypt_column(MASTER.material(representation), [value])[0]
 
 
 #: Which keys a store holds: usually all, else a subset, rarely no store.
@@ -108,7 +108,7 @@ def cases(draw):
         if draw(st.integers(0, 5)) == 0:
             key = draw(st.sampled_from(NAMES[:3]))
             if key != "kope1" or isinstance(plain, int):
-                return encrypt_value(MASTER.material(key), plain)
+                return encrypt_column(MASTER.material(key), [plain])[0]
         return plain
 
     conjuncts = []
