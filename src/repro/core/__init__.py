@@ -60,7 +60,7 @@ from repro.core.operators import (
     Selection,
     Udf,
 )
-from repro.core.plan import NodeMap, QueryPlan
+from repro.core.plan import QueryPlan
 from repro.core.plancache import AssignmentCache
 from repro.core.predicates import (
     AttributeComparisonPredicate,
@@ -106,7 +106,7 @@ __all__ = [
     "Conjunction", "DATE", "DECIMAL", "Decrypt", "Encrypt",
     "EncryptedCapability", "EncryptionScheme", "EquivalenceClasses",
     "ExtendedPlan", "GroupBy", "INTEGER", "Join", "KeyAssignment",
-    "MaskProfile", "MaskView", "MinimumViewProfiles", "NodeMap",
+    "MaskProfile", "MaskView", "MinimumViewProfiles",
     "PlanNode", "Policy", "Predicate",
     "Projection", "QueryBudget", "QueryKey", "QueryPlan", "Relation",
     "RelationProfile",

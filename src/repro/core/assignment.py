@@ -22,7 +22,8 @@ cost of the materialised extended plan, and every proposal passes
 
 Repeated queries over a stable policy can additionally pass an
 :class:`~repro.core.plancache.AssignmentCache`, which memoises full
-results keyed by the plan fingerprint and the policy version.
+results keyed by the plan object itself and reconciled across policy
+versions; a structurally equal but distinct plan is planned afresh.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import Iterable, Mapping
 from repro.core.authorization import Policy, Subject, stands_in_for
 from repro.core.candidates import (
     CandidateAssignment,
-    MinimumViewProfiles,
     compute_candidates,
     user_can_receive_result,
 )
@@ -45,7 +45,7 @@ from repro.core.keys import (
     schemes_for_extended_plan,
 )
 from repro.core.operators import PlanNode
-from repro.core.plan import NodeMap, QueryPlan
+from repro.core.plan import QueryPlan
 from repro.core.plancache import (
     AssignmentCache,
     assignment_cache_key,
@@ -81,7 +81,6 @@ class AssignmentResult:
     #: One write-once cell (empty, or one item) for what a caller
     #: derives from this result and wants to live exactly as long as it
     #: — the service keeps its ``(DistributedKeys, DispatchPlan)`` here.
-    #: A result rebound onto another plan object shares the same cell.
     derived: list = field(default_factory=list, repr=False, compare=False)
 
     def assignee(self, node: PlanNode) -> str:
@@ -114,8 +113,8 @@ def assign(
     """Run the full §6 pipeline and return the cheapest authorized plan.
 
     ``cache`` optionally memoises
-    full results across calls: hits require an identical plan structure
-    and the same live policy and price-list objects, and survive
+    full results across calls: hits require the same plan object and
+    the same live policy and price-list objects, and survive
     policy mutations whose deltas do not touch the plan's dependency
     footprint (see :mod:`repro.core.cache`).  ``edge_cache`` shares
     decomposed DP edge tables across queries.  Cached results are
@@ -137,13 +136,11 @@ def assign(
             "relations nobody owns"
         )
     if cache is not None:
-        cache_key = assignment_cache_key(
-            plan, policy, subject_names, user, owners)
+        cache_key = assignment_cache_key(plan, subject_names, user, owners)
         cache_context = (policy, prices)
-        depends = plan_dependencies(plan, subject_names, user, owners)
         hit = cache.get(cache_key, cache_context, policy=policy)
         if hit is not None:
-            return _rebind_result(hit, plan)
+            return hit
     candidates = compute_candidates(plan, policy, subject_names)
     candidates.require_nonempty()
     if not user_can_receive_result(plan, policy, user, candidates.min_views):
@@ -212,65 +209,7 @@ def assign(
         key=lambda r: r.cost.total_usd))
     if cache is not None:
         cache.put(cache_key, cache_context, best, policy=policy,
-                  depends=depends)
+                  depends=plan_dependencies(plan, subject_names, user,
+                                            owners))
     return best
 
-
-def _rebind_result(result: AssignmentResult,
-                   plan: QueryPlan) -> AssignmentResult:
-    """Re-key a cached result onto a structurally identical plan.
-
-    Cache hits may come from a different (structurally equal) plan
-    object — the multi-tenant repeat-query scenario re-parses the same
-    query into fresh nodes.  The matching fingerprint guarantees the
-    post-order node sequences align one-to-one, so every node-keyed
-    structure (assignment, candidate sets, minimum-view profiles,
-    requirements) is remapped positionally onto the caller's nodes.  The
-    extended plan is self-contained (its nodes are created by the
-    extension, never shared with the input plan) and is reused as-is.
-    """
-    cached_plan = result.candidates.plan
-    if cached_plan.root is plan.root:
-        return result
-    old_nodes = cached_plan.nodes()
-    new_nodes = plan.nodes()
-    assert len(old_nodes) == len(new_nodes), "fingerprint collision"
-    old_min = result.candidates.min_views
-    requirement_map: NodeMap[frozenset[str]] = NodeMap(old_min.requirements)
-    assignment: dict[PlanNode, str] = {}
-    requirements: dict[PlanNode, frozenset[str]] = {}
-    results: dict[int, object] = {}
-    operand_views: dict[int, tuple] = {}
-    candidate_sets: dict[int, frozenset[str]] = {}
-    for old, new in zip(old_nodes, new_nodes):
-        subject = result.assignment.get(old)
-        if subject is not None:
-            assignment[new] = subject
-        needed = requirement_map.get(old)
-        if needed is not None:
-            requirements[new] = needed
-        profile = old_min.results.get(id(old))
-        if profile is not None:
-            results[id(new)] = profile
-        views = old_min.operand_views.get(id(old))
-        if views is not None:
-            operand_views[id(new)] = views
-    for old_op, new_op in zip(cached_plan.operations(), plan.operations()):
-        candidate_sets[id(new_op)] = result.candidates[old_op]
-    min_views = MinimumViewProfiles(
-        plan=plan,
-        requirements=requirements,
-        results=results,
-        operand_views=operand_views,
-    )
-    return AssignmentResult(
-        assignment=assignment,
-        extended=result.extended,
-        keys=result.keys,
-        cost=result.cost,
-        candidates=CandidateAssignment(plan, candidate_sets, min_views),
-        # Standbys are self-contained (extended plan + keys only are
-        # consumed on failover), so no rebinding is needed for them.
-        portfolio=result.portfolio,
-        derived=result.derived,
-    )

@@ -61,14 +61,6 @@ class MaskView:
         self.plaintext = plaintext
         self.encrypted = encrypted
 
-    def can_view_plaintext(self, bit: int) -> bool:
-        """Mask form of :meth:`SubjectView.can_view_plaintext`."""
-        return bool(self.plaintext & bit)
-
-    def can_view_encrypted(self, bit: int) -> bool:
-        """Mask form of :meth:`SubjectView.can_view_encrypted`."""
-        return bool((self.plaintext | self.encrypted) & bit)
-
 
 class MaskProfile:
     """A relation profile with bitmask components (Definition 3.1).
@@ -93,29 +85,6 @@ class MaskProfile:
         self.ip = ip
         self.ie = ie
         self.eq = eq
-
-    # ------------------------------------------------------------------
-    # Derived views (mirroring RelationProfile)
-    # ------------------------------------------------------------------
-    @property
-    def visible(self) -> int:
-        """``Rvp ∪ Rve`` as a mask."""
-        return self.vp | self.ve
-
-    @property
-    def implicit(self) -> int:
-        """``Rip ∪ Rie`` as a mask."""
-        return self.ip | self.ie
-
-    @property
-    def plaintext(self) -> int:
-        """All plaintext content, visible or implicit."""
-        return self.vp | self.ip
-
-    @property
-    def encrypted(self) -> int:
-        """All encrypted content, visible or implicit."""
-        return self.ve | self.ie
 
     # ------------------------------------------------------------------
     # Figure 2 algebra, mask-backed (the one row the planner applies)

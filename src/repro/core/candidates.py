@@ -27,7 +27,7 @@ from repro.core.attrsets import (
 from repro.core.authorization import Policy, Subject, SubjectView
 from repro.core.lineage import augment_view, derived_lineage
 from repro.core.operators import PlanNode
-from repro.core.plan import NodeMap, QueryPlan
+from repro.core.plan import QueryPlan
 from repro.core.profile import RelationProfile
 from repro.core.requirements import infer_plaintext_requirements
 from repro.exceptions import NoCandidateError, PlanError
@@ -58,20 +58,20 @@ class MinimumViewProfiles:
 
     plan: QueryPlan
     requirements: Mapping[PlanNode, frozenset[str]]
-    results: Mapping[int, RelationProfile]
-    operand_views: Mapping[int, tuple[RelationProfile, ...]]
+    results: Mapping[PlanNode, RelationProfile]
+    operand_views: Mapping[PlanNode, tuple[RelationProfile, ...]]
 
     def result_profile(self, node: PlanNode) -> RelationProfile:
         """Minimum-view profile of the relation produced by ``node``."""
         try:
-            return self.results[id(node)]
+            return self.results[node]
         except KeyError:
             raise PlanError(f"node {node!r} not in plan") from None
 
     def views_for(self, node: PlanNode) -> tuple[RelationProfile, ...]:
         """Minimum required views over the operands of ``node``."""
         try:
-            return self.operand_views[id(node)]
+            return self.operand_views[node]
         except KeyError:
             raise PlanError(f"node {node!r} not in plan") from None
 
@@ -81,24 +81,19 @@ def minimum_view_profiles(plan: QueryPlan) -> MinimumViewProfiles:
     over the per-node ``Ap`` of
     :func:`~repro.core.requirements.infer_plaintext_requirements`."""
     requirements = infer_plaintext_requirements(plan)
-    requirement_map: NodeMap[frozenset[str]] = NodeMap(requirements)
-
-    def plaintext_needed(node: PlanNode) -> frozenset[str]:
-        return requirement_map.get(node, frozenset())
-
-    results: dict[int, RelationProfile] = {}
-    operand_views: dict[int, tuple[RelationProfile, ...]] = {}
+    results: dict[PlanNode, RelationProfile] = {}
+    operand_views: dict[PlanNode, tuple[RelationProfile, ...]] = {}
     for node in plan.postorder():
         if node.is_leaf:
-            results[id(node)] = node.output_profile()
+            results[node] = node.output_profile()
             continue
-        needed = plaintext_needed(node)
+        needed = requirements.get(node, frozenset())
         views = tuple(
-            minimum_required_view(results[id(child)], needed)
+            minimum_required_view(results[child], needed)
             for child in node.children
         )
-        operand_views[id(node)] = views
-        results[id(node)] = node.output_profile(*views)
+        operand_views[node] = views
+        results[node] = node.output_profile(*views)
     return MinimumViewProfiles(
         plan=plan,
         requirements=requirements,
@@ -116,7 +111,7 @@ class CandidateAssignment:
     """
 
     def __init__(self, plan: QueryPlan,
-                 candidates: dict[int, frozenset[str]],
+                 candidates: dict[PlanNode, frozenset[str]],
                  min_views: MinimumViewProfiles) -> None:
         self._plan = plan
         self._candidates = candidates
@@ -130,7 +125,7 @@ class CandidateAssignment:
     def candidates(self, node: PlanNode) -> frozenset[str]:
         """Candidate subjects for ``node`` (Λ(n))."""
         try:
-            return self._candidates[id(node)]
+            return self._candidates[node]
         except KeyError:
             raise PlanError(
                 f"node {node!r} is not an operation of this plan"
@@ -142,7 +137,7 @@ class CandidateAssignment:
     def items(self) -> list[tuple[PlanNode, frozenset[str]]]:
         """(operation, candidate set) pairs in post-order."""
         return [
-            (node, self._candidates[id(node)])
+            (node, self._candidates[node])
             for node in self._plan.operations()
         ]
 
@@ -188,13 +183,13 @@ def compute_candidates(
     # views are interned once, so the subject × node loop is a handful
     # of integer subset tests per check instead of frozenset algebra.
     view_masks = [(view.subject, view.masks(universe)) for view in views]
-    candidates: dict[int, frozenset[str]] = {}
+    candidates: dict[PlanNode, frozenset[str]] = {}
     for node in plan.operations():
         operand_masks = tuple(
             profile.masks(universe) for profile in min_views.views_for(node)
         )
         result_masks = min_views.result_profile(node).masks(universe)
-        candidates[id(node)] = frozenset(
+        candidates[node] = frozenset(
             subject for subject, masks in view_masks
             if assignee_authorized(masks, operand_masks, result_masks)
         )

@@ -70,11 +70,6 @@ class EquivalenceClasses:
         """Build a partition from explicit classes (closure is applied)."""
         return cls(classes)
 
-    @property
-    def classes(self) -> frozenset[frozenset[str]]:
-        """The non-trivial equivalence classes."""
-        return self._classes
-
     def union_set(self, attributes: Iterable[str]) -> "EquivalenceClasses":
         """Return the partition with ``attributes`` made equivalent.
 
@@ -121,16 +116,6 @@ class EquivalenceClasses:
         for cls_ in self._classes:
             result |= cls_
         return frozenset(result)
-
-    def masks(self, universe) -> tuple[int, ...]:
-        """Bitmask fast path: one ``int`` mask per class (memoised).
-
-        ``universe`` is an
-        :class:`~repro.core.attrsets.AttributeUniverse`; the condition-3
-        uniform-visibility check over a class mask ``m`` is then just
-        ``m & ~P == 0 or m & ~E == 0``.
-        """
-        return universe.equivalence_masks(self)
 
     def restrict(self, attributes: Iterable[str]) -> "EquivalenceClasses":
         """Partition with every class intersected with ``attributes``.

@@ -43,7 +43,7 @@ from repro.core.operators import (
     Selection,
     Udf,
 )
-from repro.core.plan import NodeMap, QueryPlan
+from repro.core.plan import QueryPlan
 from repro.core.predicates import AttributeComparisonPredicate
 from repro.core.profile import RelationProfile
 from repro.core.requirements import (
@@ -176,32 +176,31 @@ def minimally_extend(
                                                  lineage)
         return view
 
-    assignment_map: NodeMap[str] = NodeMap(assignment)
-    requirement_map: NodeMap[frozenset[str]] = NodeMap(
-        infer_plaintext_requirements(plan))
+    requirements = infer_plaintext_requirements(plan)
 
     def lam(node: PlanNode) -> str:
-        subject = assignment_map.get(node)
+        subject = assignment.get(node)
         if subject is None:
             raise PlanError(f"assignment does not cover node {node.label()}")
         return subject
 
     def plaintext_needed(node: PlanNode) -> frozenset[str]:
-        return requirement_map.get(node, frozenset())
+        return requirements.get(node, frozenset())
 
     # Union of E_Sx over the strict ancestors of each node (the ``A`` term
     # of Definition 5.4(ii) ranges over the assignees above the node).
-    ancestor_encrypted: dict[int, frozenset[str]] = {id(plan.root): frozenset()}
+    ancestor_encrypted: dict[PlanNode, frozenset[str]] = {
+        plan.root: frozenset()}
     for node in reversed(plan.nodes()):  # reverse post-order = parents first
         if node.is_leaf:
             continue
-        inherited = (ancestor_encrypted[id(node)]
+        inherited = (ancestor_encrypted[node]
                      | subject_view(lam(node)).encrypted)
         for child in node.children:
-            ancestor_encrypted[id(child)] = inherited
+            ancestor_encrypted[child] = inherited
 
-    extended: dict[int, PlanNode] = {}
-    current_profile: dict[int, RelationProfile] = {}
+    extended: dict[PlanNode, PlanNode] = {}
+    current_profile: dict[PlanNode, RelationProfile] = {}
     new_assignment: dict[PlanNode, str] = {}
     encrypted_attributes: set[str] = set()
     source_encryption: dict[str, frozenset[str]] = {}
@@ -215,7 +214,7 @@ def minimally_extend(
             subject = lam(node)
             needed = plaintext_needed(node)
             protected = (node.implicit_introduced()
-                         & ancestor_encrypted[id(node)])
+                         & ancestor_encrypted[node])
             if opportunistic_decryption:
                 view = subject_view(subject)
                 decryptable = {
@@ -228,8 +227,8 @@ def minimally_extend(
             operands: list[PlanNode] = []
             operand_profiles: list[RelationProfile] = []
             for child in node.children:
-                child_built = extended[id(child)]
-                child_profile = current_profile[id(child)]
+                child_built = extended[child]
+                child_profile = current_profile[child]
                 to_decrypt = needed & child_profile.visible_encrypted
                 if to_decrypt:
                     child_built = Decrypt(child_built, to_decrypt)
@@ -253,7 +252,7 @@ def minimally_extend(
             implicit_at_parent = (
                 parent.implicit_introduced() & profile.visible_plaintext
             )
-            trace_term = implicit_at_parent & ancestor_encrypted[id(node)]
+            trace_term = implicit_at_parent & ancestor_encrypted[node]
             conflict = trace_term & plaintext_needed(parent)
             if conflict:
                 raise UnauthorizedError(
@@ -278,11 +277,11 @@ def minimally_extend(
             profile = profile.decrypt(profile.visible_encrypted)
             new_assignment[built] = deliver_to
 
-        extended[id(node)] = built
-        current_profile[id(node)] = profile
+        extended[node] = built
+        current_profile[node] = profile
 
     result = ExtendedPlan(
-        plan=QueryPlan(extended[id(plan.root)]),
+        plan=QueryPlan(extended[plan.root]),
         original=plan,
         assignment=new_assignment,
         encrypted_attributes=frozenset(encrypted_attributes),

@@ -8,92 +8,24 @@ profile computation (Figure 3), and structural validation.
 
 from __future__ import annotations
 
-from typing import Callable, Generic, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping
 
 from repro.core.operators import (
     BaseRelationNode,
     Decrypt,
     Encrypt,
     PlanNode,
-    Udf,
 )
 from repro.core.profile import RelationProfile
 from repro.exceptions import PlanError
 
-V = TypeVar("V")
-
-
-class NodeMap(Generic[V]):
-    """A node → value mapping keyed by object identity, O(1) per lookup.
-
-    Plan nodes compare by identity, and per-node annotations (profiles,
-    assignments, plaintext requirements, candidate sets) must never
-    confuse two structurally equal nodes at different plan positions.
-    ``NodeMap`` makes that contract explicit and cheap: keys are
-    ``id(node)`` with the node kept alive by the map, replacing the
-    ``for key, value in mapping.items(): if key is node`` identity scans
-    that used to be O(n) per lookup.
-
-    Examples
-    --------
-    >>> from repro.core.schema import Relation
-    >>> leaf = BaseRelationNode(Relation("R", ["a"]))
-    >>> m = NodeMap([(leaf, "X")])
-    >>> m[leaf]
-    'X'
-    >>> leaf in m and len(m) == 1
-    True
-    """
-
-    __slots__ = ("_values", "_nodes")
-
-    def __init__(self, items: Mapping[PlanNode, V]
-                 | Iterable[tuple[PlanNode, V]] = ()) -> None:
-        self._values: dict[int, V] = {}
-        self._nodes: dict[int, PlanNode] = {}
-        if isinstance(items, Mapping):
-            items = items.items()
-        for node, value in items:
-            self[node] = value
-
-    def __getitem__(self, node: PlanNode) -> V:
-        try:
-            return self._values[id(node)]
-        except KeyError:
-            raise KeyError(node) from None
-
-    def __setitem__(self, node: PlanNode, value: V) -> None:
-        self._values[id(node)] = value
-        self._nodes[id(node)] = node
-
-    def get(self, node: PlanNode, default: V | None = None) -> V | None:
-        """Value for ``node``, or ``default`` when absent."""
-        return self._values.get(id(node), default)
-
-    def __contains__(self, node: object) -> bool:
-        return isinstance(node, PlanNode) and id(node) in self._values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __iter__(self) -> Iterator[PlanNode]:
-        return iter(self._nodes.values())
-
-    def keys(self) -> Iterator[PlanNode]:
-        """The nodes, in insertion order."""
-        return iter(self._nodes.values())
-
-    def values(self) -> Iterator[V]:
-        """The values, in insertion order."""
-        return iter(self._values.values())
-
-    def items(self) -> Iterator[tuple[PlanNode, V]]:
-        """(node, value) pairs, in insertion order."""
-        return zip(self._nodes.values(), self._values.values())
-
 
 class QueryPlan:
     """An immutable operator tree with cached derived structure.
+
+    A plan, like each of its nodes, compares and hashes by identity, so
+    the plan object and its nodes are the keys of every per-plan and
+    per-node table: two structurally equal plans never share an entry.
 
     Examples
     --------
@@ -106,20 +38,19 @@ class QueryPlan:
     """
 
     __slots__ = ("root", "_postorder", "_parents", "_profiles",
-                 "_fingerprint", "_requirements", "_lineage")
+                 "_requirements", "_lineage")
 
     def __init__(self, root: PlanNode) -> None:
         self.root = root
         self._postorder: tuple[PlanNode, ...] = tuple(_postorder_walk(root))
-        if len({id(n) for n in self._postorder}) != len(self._postorder):
+        if len(set(self._postorder)) != len(self._postorder):
             raise PlanError("plan nodes must not be shared between positions")
-        parents: dict[int, PlanNode | None] = {id(root): None}
+        parents: dict[PlanNode, PlanNode | None] = {root: None}
         for node in self._postorder:
             for child in node.children:
-                parents[id(child)] = node
+                parents[child] = node
         self._parents = parents
-        self._profiles: NodeMap[RelationProfile] | None = None
-        self._fingerprint: tuple | None = None
+        self._profiles: dict[PlanNode, RelationProfile] | None = None
         #: ``Ap`` per operation, filled by
         #: :func:`repro.core.requirements.infer_plaintext_requirements`.
         self._requirements: dict | None = None
@@ -151,7 +82,7 @@ class QueryPlan:
     def parent(self, node: PlanNode) -> PlanNode | None:
         """Parent of ``node``, or ``None`` for the root."""
         try:
-            return self._parents[id(node)]
+            return self._parents[node]
         except KeyError:
             raise PlanError(f"node {node!r} is not part of this plan") from None
 
@@ -167,7 +98,7 @@ class QueryPlan:
         return any(a is ancestor for a in self.ancestors(node))
 
     def __contains__(self, node: object) -> bool:
-        return isinstance(node, PlanNode) and id(node) in self._parents
+        return isinstance(node, PlanNode) and node in self._parents
 
     def __len__(self) -> int:
         return len(self._postorder)
@@ -178,11 +109,11 @@ class QueryPlan:
     def profiles(self) -> Mapping[PlanNode, RelationProfile]:
         """Profile of the relation produced by every node (cached).
 
-        The result maps node → profile using identity semantics, mirroring
-        the per-node tags of Figure 3.
+        The result maps node → profile (nodes are their own keys),
+        mirroring the per-node tags of Figure 3.
         """
         if self._profiles is None:
-            computed: NodeMap[RelationProfile] = NodeMap()
+            computed: dict[PlanNode, RelationProfile] = {}
             for node in self._postorder:
                 child_profiles = [computed[c] for c in node.children]
                 computed[node] = node.output_profile(*child_profiles)
@@ -201,41 +132,6 @@ class QueryPlan:
         return self.profile(self.root)
 
     # ------------------------------------------------------------------
-    # Identification
-    # ------------------------------------------------------------------
-    def fingerprint(self) -> tuple:
-        """A hashable structural fingerprint of the plan (cached).
-
-        Two plans share a fingerprint exactly when they have the same
-        shape, the same operator parameters (via :meth:`PlanNode.label`,
-        plus whether a udf has an encrypted variant), and leaves over
-        relations with the same name, cardinality, and per-attribute
-        statistics — i.e. when the assignment pipeline would treat them
-        identically, plaintext requirements and scheme choices included.
-        Used as (part of) the key of the policy-versioned assignment
-        cache (:class:`repro.core.plancache.AssignmentCache`).
-        """
-        if self._fingerprint is None:
-            parts = []
-            for node in self._postorder:
-                if isinstance(node, BaseRelationNode):
-                    relation = node.relation
-                    stats = tuple(
-                        (name, relation.spec(name).width,
-                         relation.spec(name).distinct_fraction)
-                        for name in sorted(node.projection)
-                    )
-                    parts.append(("leaf", relation.name,
-                                  relation.cardinality, stats))
-                else:
-                    parts.append((type(node).__name__, node.label(),
-                                  len(node.children),
-                                  isinstance(node, Udf)
-                                  and node.encrypted_capable))
-            self._fingerprint = tuple(parts)
-        return self._fingerprint
-
-    # ------------------------------------------------------------------
     # Rewriting
     # ------------------------------------------------------------------
     def rewrite(self, transform: Callable[[PlanNode, tuple[PlanNode, ...]],
@@ -247,11 +143,11 @@ class QueryPlan:
         (typically ``node.with_children(children)`` possibly wrapped in
         :class:`~repro.core.operators.Encrypt` / ``Decrypt`` nodes).
         """
-        rebuilt: dict[int, PlanNode] = {}
+        rebuilt: dict[PlanNode, PlanNode] = {}
         for node in self._postorder:
-            children = tuple(rebuilt[id(c)] for c in node.children)
-            rebuilt[id(node)] = transform(node, children)
-        return QueryPlan(rebuilt[id(self.root)])
+            children = tuple(rebuilt[c] for c in node.children)
+            rebuilt[node] = transform(node, children)
+        return QueryPlan(rebuilt[self.root])
 
     def strip_crypto_nodes(self) -> "QueryPlan":
         """Remove all Encrypt/Decrypt nodes, recovering the original plan."""
@@ -274,7 +170,7 @@ class QueryPlan:
         def visit(node: PlanNode, depth: int) -> None:
             note = ""
             if annotations is not None:
-                extra = _identity_get(annotations, node)
+                extra = annotations.get(node)
                 if extra:
                     note = f"    -- {extra}"
             lines.append("  " * depth + node.label() + note)
@@ -288,12 +184,6 @@ class QueryPlan:
         """The tree annotated with each node's profile tag (Figure 3)."""
         profiles = self.profiles()
         return self.pretty({n: profiles[n].describe() for n in self.nodes()})
-
-
-def _identity_get(mapping: Mapping[PlanNode, str] | NodeMap[str],
-                  node: PlanNode) -> str | None:
-    """Fetch a per-node annotation (nodes hash by identity, so O(1))."""
-    return mapping.get(node)
 
 
 def _postorder_walk(root: PlanNode) -> Iterator[PlanNode]:

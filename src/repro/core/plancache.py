@@ -20,11 +20,15 @@ touches, derived aliases included) and the key/context split.
 
 Key and context
 ---------------
-* the **key** combines the plan's structural fingerprint
-  (:meth:`~repro.core.plan.QueryPlan.fingerprint`, which also fixes the
-  per-node plaintext requirements and scheme choices) and the remaining
-  value-like inputs of :func:`~repro.core.assignment.assign` (subjects,
-  user, owners).  The policy version is deliberately *not* part of the
+* the **key** combines the plan object itself — the one
+  :class:`~repro.service.QueryService` interned for the SQL text, which
+  hashes by identity and fixes the per-node plaintext requirements and
+  scheme choices — and the remaining value-like inputs of
+  :func:`~repro.core.assignment.assign` (subjects, user, owners).  The
+  key holds the plan, so a cached result's nodes are always the
+  caller's nodes.  A structurally equal but distinct plan misses, and
+  an entry whose plan has left the plan cache is unreachable and ages
+  out of the LRU.  The policy version is deliberately *not* part of the
   key — versioning lives in the reconcile path;
 * the **context** holds the identity-compared inputs (the policy and
   price-list objects).  Entries keep strong references to their
@@ -82,20 +86,19 @@ def plan_dependencies(
 
 def assignment_cache_key(
     plan: QueryPlan,
-    policy: Policy,
     subject_names: Iterable[str],
     user: str,
     owners: Mapping[str, str] | None,
 ) -> tuple:
-    """The value part of a cache key for one ``assign`` invocation.
+    """The cache key of one ``assign`` invocation: the plan object plus
+    the value-like inputs.
 
     The policy participates via the reconcile path (and the identity
     context), not the key: entries outlive version bumps that provably
     do not touch their dependency footprint.
     """
-    del policy  # identity-checked via the context; versions reconcile
     return (
-        plan.fingerprint(),
+        plan,
         tuple(sorted(subject_names)),
         user,
         tuple(sorted((owners or {}).items())),

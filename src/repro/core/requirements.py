@@ -102,32 +102,32 @@ def select_scheme(required: frozenset[EncryptedCapability],
     return None
 
 
-#: An attribute instance: the attribute name plus the id of the node that
-#: created its values (base relation, group-by, or udf node).
-_Instance = tuple[str, int]
+#: An attribute instance: the attribute name plus the node that created
+#: its values (base relation, group-by, or udf node).
+_Instance = tuple[str, PlanNode]
 
 
-def _instance_maps(plan: QueryPlan) -> dict[int, dict[str, _Instance]]:
+def _instance_maps(plan: QueryPlan) -> dict[PlanNode, dict[str, _Instance]]:
     """For every node, map each visible attribute to its instance."""
-    instances: dict[int, dict[str, _Instance]] = {}
-    attrs: dict[int, frozenset[str]] = {}
+    instances: dict[PlanNode, dict[str, _Instance]] = {}
+    attrs: dict[PlanNode, frozenset[str]] = {}
     for node in plan.postorder():
-        child_attrs = [attrs[id(c)] for c in node.children]
-        attrs[id(node)] = node.output_attributes(*child_attrs)
+        child_attrs = [attrs[c] for c in node.children]
+        attrs[node] = node.output_attributes(*child_attrs)
         current: dict[str, _Instance] = {}
         for child in node.children:
-            current.update(instances[id(child)])
+            current.update(instances[child])
         if node.is_leaf:
-            current = {a: (a, id(node)) for a in attrs[id(node)]}
+            current = {a: (a, node) for a in attrs[node]}
         elif isinstance(node, GroupBy):
             for aggregate in node.aggregates:
                 name = aggregate.output_name
-                current[name] = (name, id(node))
+                current[name] = (name, node)
         elif isinstance(node, Udf):
-            current[node.output] = (node.output, id(node))
+            current[node.output] = (node.output, node)
         # Restrict to the attributes actually visible at this node.
-        instances[id(node)] = {
-            a: inst for a, inst in current.items() if a in attrs[id(node)]
+        instances[node] = {
+            a: inst for a, inst in current.items() if a in attrs[node]
         }
     return instances
 
@@ -223,8 +223,8 @@ def _infer_requirements(plan: QueryPlan) -> dict[PlanNode, frozenset[str]]:
     instances = _instance_maps(plan)
     born: dict[_Instance, frozenset[EncryptedCapability] | None] = {}
     for node in plan.postorder():
-        for attribute, instance in instances[id(node)].items():
-            if instance not in born and instance[1] == id(node):
+        for attribute, instance in instances[node].items():
+            if instance not in born and instance[1] is node:
                 born[instance] = _born_capabilities(node, attribute)
 
     accepted: dict[_Instance, set[EncryptedCapability]] = {}
@@ -237,7 +237,7 @@ def _infer_requirements(plan: QueryPlan) -> dict[PlanNode, frozenset[str]]:
         # the children (for group-by, the aggregate input instance).
         operand_instances: dict[str, _Instance] = {}
         for child in node.children:
-            operand_instances.update(instances[id(child)])
+            operand_instances.update(instances[child])
 
         rejected_attrs: set[str] = set()
         for attribute, capability in _node_demands(node):
@@ -287,7 +287,7 @@ def chosen_schemes(plan: QueryPlan) -> dict[str, EncryptionScheme]:
     for node in plan.operations():
         operand_instances: dict[str, _Instance] = {}
         for child in node.children:
-            operand_instances.update(instances[id(child)])
+            operand_instances.update(instances[child])
         plaintext_needed = requirements[node]
         for attribute, capability in _node_demands(node):
             if attribute in plaintext_needed:

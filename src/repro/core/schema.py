@@ -131,11 +131,6 @@ class Relation:
         """Attribute names as a frozen set."""
         return frozenset(self._by_name)
 
-    @property
-    def specs(self) -> tuple[AttributeSpec, ...]:
-        """Full attribute metadata in declaration order."""
-        return self._specs
-
     def spec(self, attribute: str) -> AttributeSpec:
         """Return the :class:`AttributeSpec` for ``attribute``."""
         try:

@@ -36,7 +36,7 @@ from repro.core.candidates import CandidateAssignment
 from repro.core.edgecost import EdgeTableCache, _EdgeTable, _ReceiverEntry
 from repro.core.lineage import augment_view, derived_lineage
 from repro.core.operators import BaseRelationNode, PlanNode
-from repro.core.plan import NodeMap, QueryPlan
+from repro.core.plan import QueryPlan
 from repro.core.predicates import EncryptedCapability
 from repro.core.requirements import EncryptionScheme, _node_demands
 from repro.cost.estimator import PlanEstimator
@@ -130,15 +130,16 @@ class _AssignmentSearch:
         self.estimates = estimator.estimate(plan)
         self._lineage = derived_lineage(plan)
         self._views: dict[str, SubjectView] = {}
-        self._requirement_map: NodeMap[frozenset[str]] = NodeMap(requirements)
+        self._requirements = requirements
         # DP state, shared across the three portfolio passes.
         # With a cross-query edge cache, masks live in *its* universe so
         # cached tables and this search's subject masks stay congruent.
         self.universe = edge_cache.universe if edge_cache is not None \
             else AttributeUniverse()
         self._subject_masks: dict[str, tuple[int, int, float, float]] = {}
-        self._node_cost_cache: dict[tuple[int, str], float] = {}
-        self._edge_tables: dict[tuple[int, int, str], _EdgeTable] = {}
+        self._node_cost_cache: dict[tuple[PlanNode, str], float] = {}
+        self._edge_tables: dict[tuple[PlanNode, PlanNode, str],
+                                _EdgeTable] = {}
         self._delivery_cache: dict[str, float] = {}
         self._authority_rate = max(
             (prices.rates(owner).cpu_usd_per_second
@@ -160,7 +161,7 @@ class _AssignmentSearch:
         return holder_of(leaf.relation.name, self.owners)
 
     def plaintext_needed(self, node: PlanNode) -> frozenset[str]:
-        return self._requirement_map.get(node, frozenset())
+        return self._requirements.get(node, frozenset())
 
     def subject_masks(self, name: str) -> tuple[int, int, float, float]:
         """(plaintext mask, encrypted mask, cpu $/s, net $/byte) of a subject.
@@ -188,10 +189,10 @@ class _AssignmentSearch:
         edges of other queries share the table; the identity check in
         :meth:`_EdgeTable.receiver` keeps its receiver rows current.
         """
-        key = (id(child), id(parent), self.edge_scheme_mode)
+        key = (child, parent, self.edge_scheme_mode)
         table = self._edge_tables.get(key)
         if table is None:
-            estimate = self.estimates[id(child)]
+            estimate = self.estimates[child]
             operand_attrs = parent.operand_attributes()
             ap_attrs = self.plaintext_needed(parent)
             if self.edge_cache is not None:
@@ -216,10 +217,10 @@ class _AssignmentSearch:
 
     def node_cost(self, node: PlanNode, subject: str) -> float:
         """CPU + IO cost of executing ``node`` at ``subject`` (memoized)."""
-        key = (id(node), subject)
+        key = (node, subject)
         cost = self._node_cost_cache.get(key)
         if cost is None:
-            estimate = self.estimates[id(node)]
+            estimate = self.estimates[node]
             rates = self.prices.rates(subject)
             cost = (estimate.cpu_seconds * rates.cpu_usd_per_second
                     + estimate.io_bytes / _GB * rates.io_usd_per_gb
@@ -240,7 +241,7 @@ class _AssignmentSearch:
         """
         view = self.view(subject)
         operand_rows = sum(
-            self.estimates[id(child)].rows for child in node.children
+            self.estimates[child].rows for child in node.children
         )
         penalty = 0.0
         for attribute, capability in _node_demands(node):
@@ -262,7 +263,7 @@ class _AssignmentSearch:
                        - ENCRYPT_SECONDS_PER_VALUE[
                            EncryptionScheme.RANDOMIZED])
             penalty += operand_rows * upgrade * self._authority_rate
-            output_rows = self.estimates[id(node)].rows
+            output_rows = self.estimates[node].rows
             penalty += (
                 output_rows * DECRYPT_SECONDS_PER_VALUE[scheme]
                 * self.prices.rates(self.user).cpu_usd_per_second
@@ -277,7 +278,7 @@ class _AssignmentSearch:
         cost = self._delivery_cache.get(root_subject)
         if cost is not None:
             return cost
-        estimate = self.estimates[id(self.plan.root)]
+        estimate = self.estimates[self.plan.root]
         cost = 0.0
         if root_subject != self.user:
             cost += (estimate.output_bytes / _GB
@@ -310,12 +311,12 @@ class _AssignmentSearch:
         frontier (:class:`_Senders`), a table/memo lookup plus three
         multiply-adds per pair.
         """
-        table: dict[int, dict[str, float]] = {}
-        choice: dict[int, dict[str, dict[int, str]]] = {}
+        table: dict[PlanNode, dict[str, float]] = {}
+        choice: dict[PlanNode, dict[str, dict[PlanNode, str]]] = {}
 
         for node in self.plan.operations():
-            table[id(node)] = {}
-            choice[id(node)] = {}
+            table[node] = {}
+            choice[node] = {}
             allowed = self.candidates[node]
             if restrict_to is not None:
                 allowed = allowed & restrict_to
@@ -332,7 +333,7 @@ class _AssignmentSearch:
                     owner = self.owner_of(child)
                     costs = ((owner, self.node_cost(child, owner)),)
                 else:
-                    costs = table[id(child)].items()
+                    costs = table[child].items()
                 rows = []
                 for sender, cost in costs:
                     _p, enc_mask, cpu, net = self.subject_masks(sender)
@@ -341,7 +342,7 @@ class _AssignmentSearch:
                 children_info.append((child, edge, is_leaf, _Senders(rows)))
             for subject in sorted(allowed):
                 total = self.node_cost(node, subject)
-                picks: dict[int, str] = {}
+                picks: dict[PlanNode, str] = {}
                 feasible = True
                 for child, edge, is_leaf, senders in children_info:
                     entry = edge.receiver(subject)
@@ -370,15 +371,15 @@ class _AssignmentSearch:
                         break
                     total += best_cost
                     if not is_leaf:
-                        picks[id(child)] = best_subject
+                        picks[child] = best_subject
                 if feasible:
-                    table[id(node)][subject] = total
-                    choice[id(node)][subject] = picks
+                    table[node][subject] = total
+                    choice[node][subject] = picks
 
         root = self.plan.root
         root_costs = {
             subject: cost + self.delivery_cost(subject)
-            for subject, cost in table[id(root)].items()
+            for subject, cost in table[root].items()
         }
         if not root_costs:
             raise NoCandidateError(
@@ -393,7 +394,7 @@ class _AssignmentSearch:
             for child in node.children:
                 if isinstance(child, BaseRelationNode):
                     continue
-                backtrack(child, choice[id(node)][subject][id(child)])
+                backtrack(child, choice[node][subject][child])
 
         backtrack(root, best_root)
         return assignment

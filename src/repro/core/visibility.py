@@ -28,7 +28,7 @@ from repro.core.authorization import (
 )
 from repro.core.lineage import augment_view, derived_lineage
 from repro.core.operators import BaseRelationNode, Encrypt, PlanNode
-from repro.core.plan import NodeMap, QueryPlan
+from repro.core.plan import QueryPlan
 from repro.core.profile import RelationProfile
 from repro.exceptions import UnauthorizedError
 
@@ -182,9 +182,8 @@ def verify_assignment(plan: QueryPlan, policy: Policy,
     """
     profiles = plan.profiles()
     lineage = derived_lineage(plan)
-    assignees: NodeMap[str] = NodeMap(assignment)
     for node in plan.operations():
-        subject = assignees.get(node)
+        subject = assignment.get(node)
         if subject is None:
             raise UnauthorizedError(
                 f"assignment does not cover operation {node.label()}"

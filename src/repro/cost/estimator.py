@@ -123,12 +123,12 @@ class PlanEstimator:
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
-    def estimate(self, plan: QueryPlan) -> dict[int, NodeEstimate]:
-        """Estimate every node; the result maps ``id(node)`` → estimate."""
-        estimates: dict[int, NodeEstimate] = {}
+    def estimate(self, plan: QueryPlan) -> dict[PlanNode, NodeEstimate]:
+        """Estimate every node; the result maps node → estimate."""
+        estimates: dict[PlanNode, NodeEstimate] = {}
         for node in plan.postorder():
-            children = [estimates[id(c)] for c in node.children]
-            estimates[id(node)] = self._estimate_node(node, children)
+            children = [estimates[c] for c in node.children]
+            estimates[node] = self._estimate_node(node, children)
         return estimates
 
     # ------------------------------------------------------------------

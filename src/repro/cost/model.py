@@ -141,7 +141,7 @@ class CostModel:
 
         for node in plan.postorder():
             subject = location_of(node)
-            estimate = estimates[id(node)]
+            estimate = estimates[node]
             cpu, io = self.operation_cost_usd(estimate, subject)
             breakdown.charge(subject, node.label(), cpu=cpu, io=io,
                              seconds=estimate.cpu_seconds)

@@ -222,12 +222,6 @@ class DistributedRuntime:
         Optional :class:`~repro.distributed.faults.FaultInjector`
         consulted before every fragment execution: the only source of
         simulated provider latency and faults.
-    failover:
-        When True (default), a fragment whose subject is lost is
-        re-dispatched in place to the next authorized candidate (see the
-        module docstring's failover contract); when False the failure
-        surfaces immediately as
-        :class:`~repro.exceptions.ProviderUnavailableError`.
     workers:
         Data-plane worker processes for the column-crypto kernels.
         Every subject's executor is built over the same
@@ -240,7 +234,6 @@ class DistributedRuntime:
     def __init__(self, policy: Policy, nodes: Mapping[str, SubjectNode],
                  user: str, clock=None, sleeper=None,
                  fault_injector: FaultInjector | None = None,
-                 failover: bool = True,
                  workers: int = 0) -> None:
         self.policy = policy
         self.pool = shared_pool(workers)
@@ -250,7 +243,6 @@ class DistributedRuntime:
         self._sleep = sleeper or time.sleep
         self.health = HealthRegistry(clock=self._clock)
         self.fault_injector = fault_injector
-        self.failover_enabled = failover
         if user not in self.nodes:
             raise DispatchError(f"no runtime node for user {user!r}")
         self._subject_locks: dict[str, threading.Lock] = {}
@@ -503,9 +495,6 @@ class DistributedRuntime:
         this fragment with the already-computed input tables.  The
         caller must *not* hold the failed subject's lock.
         """
-        if not self.failover_enabled:
-            raise self._unavailable(context, fragment, failure,
-                                    {failure.subject})
         started = self._clock()
         extended = context.extended
         excluded = {failure.subject}
@@ -661,7 +650,6 @@ def build_runtime(policy: Policy, subjects: list[Subject],
                       str, tuple[RsaPublicKey, RsaPrivateKey]] | None = None,
                   clock=None, sleeper=None,
                   fault_injector: FaultInjector | None = None,
-                  failover: bool = True,
                   workers: int = 0,
                   ) -> DistributedRuntime:
     """Convenience constructor: :func:`~repro.distributed.nodes.build_nodes`
@@ -671,5 +659,5 @@ def build_runtime(policy: Policy, subjects: list[Subject],
                         rsa_keys=rsa_keys)
     return DistributedRuntime(
         policy, nodes, user, clock=clock, sleeper=sleeper,
-        fault_injector=fault_injector, failover=failover, workers=workers,
+        fault_injector=fault_injector, workers=workers,
     )

@@ -10,8 +10,10 @@ across queries and drives SQL text through it end to end:
   returning identity-stable plans for repeated SQL text;
 * the delta-reconciled
   :class:`~repro.core.plancache.AssignmentCache` memoising full
-  assignment results (PR 2), which identity-stable plans short-circuit
-  and which policy churn maintains surgically instead of flushing;
+  assignment results keyed by the plan object the plan cache interned
+  (a plan that leaves the plan cache re-parses into a new object, which
+  misses; its old entry is unreachable and ages out of the LRU), and
+  which policy churn maintains surgically instead of flushing;
 * a cross-query :class:`~repro.core.edgecost.EdgeTableCache` sharing
   decomposed DP edge tables between distinct queries;
 * the **distributed key material** and **dispatch plan** of each
@@ -224,7 +226,6 @@ class QueryService:
                  udfs: Mapping[str, UdfCallable] | None = None,
                  clock=None, sleeper=None,
                  fault_injector: FaultInjector | None = None,
-                 failover: bool = True,
                  workers: int = 0,
                  ) -> None:
         self.schema = schema
@@ -250,8 +251,7 @@ class QueryService:
             policy, list(self.subjects), authority_tables, user,
             udfs=udfs, rsa_keys=self.rsa_keys,
             clock=self.clock, sleeper=sleeper,
-            fault_injector=fault_injector,
-            failover=failover, workers=workers,
+            fault_injector=fault_injector, workers=workers,
         )
         #: SQL text → identity-stable plan; see plan_query.
         self._plan_cache = LRU(_MEMO_LIMIT)
@@ -573,10 +573,9 @@ class QueryService:
                  ) -> tuple[DistributedKeys, DispatchPlan, bool]:
         """``outcome``'s key material and dispatch plan, built once.
 
-        Both ride in the assignment's own ``derived`` cell — shared by
-        every rebound copy of a cached result — so repeated queries
-        redistribute the same Paillier/symmetric material and fragment
-        texts, and nothing outlives the assignment.  Key generation
+        Both ride in the assignment's own ``derived`` cell, so repeated
+        queries redistribute the same Paillier/symmetric material and
+        fragment texts, and nothing outlives the assignment.  Key generation
         (Paillier — the most expensive planning step) and fragment
         rendering run outside the service lock so cold queries from
         different users don't serialize on them; the cell is filled

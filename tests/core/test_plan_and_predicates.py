@@ -146,3 +146,35 @@ class TestQueryPlan:
     def test_describe_profiles_renders_tags(self):
         plan, _, _ = self.build()
         assert "v:" in plan.describe_profiles()
+
+
+class TestEqualLookingNodes:
+    """Nodes are their own keys: two operations with the same label in
+    one plan keep their own parent, profile and rewrite."""
+
+    def build(self):
+        relation = Relation("R", ["a", "b"], cardinality=100)
+        inner = Selection(BaseRelationNode(relation), value_equals("a", 1))
+        outer = Selection(inner, value_equals("a", 1))
+        return QueryPlan(outer), inner, outer
+
+    def test_each_keeps_its_own_parent_and_profile(self):
+        plan, inner, outer = self.build()
+        assert inner.label() == outer.label()
+        assert plan.parent(inner) is outer
+        assert plan.parent(outer) is None
+        assert list(plan.profiles()) == list(plan.nodes())
+        assert len(plan.profiles()) == 3
+
+    def test_rewrite_replaces_only_the_node_it_is_given(self):
+        plan, inner, _outer = self.build()
+
+        def transform(node, children):
+            if node is inner:
+                return Selection(children[0], value_equals("a", 2))
+            return node.with_children(children)
+
+        rewritten = plan.rewrite(transform)
+        assert str(rewritten.root.predicate) == str(value_equals("a", 1))
+        assert str(rewritten.root.children[0].predicate) == \
+            str(value_equals("a", 2))

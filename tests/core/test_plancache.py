@@ -1,16 +1,18 @@
-"""Policy-versioned assignment cache and plan fingerprints."""
+"""Policy-versioned assignment cache, keyed by the plan object."""
+
+import gc
+import weakref
 
 import pytest
 
+from repro.core import assignment as assignment_module
 from repro.core.assignment import assign
 from repro.core.authorization import Authorization, Policy
-from repro.core.operators import BaseRelationNode, Projection, Selection
-from repro.core.plan import NodeMap, QueryPlan
+from repro.core.plan import QueryPlan
 from repro.core.plancache import AssignmentCache
-from repro.core.predicates import value_equals
 from repro.core.schema import Relation, Schema
 from repro.cost.pricing import PriceList
-from repro.exceptions import AuthorizationError
+from repro.exceptions import AuthorizationError, UnauthorizedError
 
 
 @pytest.fixture()
@@ -70,30 +72,6 @@ class TestPolicyVersion:
         assert policy.version == before
 
 
-class TestPlanFingerprint:
-    def build(self, value=1):
-        relation = Relation("R", ["a", "b"], cardinality=100)
-        return QueryPlan(Selection(BaseRelationNode(relation),
-                                   value_equals("a", value)))
-
-    def test_structurally_equal_plans_share_fingerprints(self):
-        assert self.build().fingerprint() == self.build().fingerprint()
-
-    def test_different_predicates_differ(self):
-        assert self.build(1).fingerprint() != self.build(2).fingerprint()
-
-    def test_different_cardinality_differs(self):
-        small = Relation("R", ["a"], cardinality=10)
-        large = Relation("R", ["a"], cardinality=1000)
-        plan_small = QueryPlan(Projection(BaseRelationNode(small), ["a"]))
-        plan_large = QueryPlan(Projection(BaseRelationNode(large), ["a"]))
-        assert plan_small.fingerprint() != plan_large.fingerprint()
-
-    def test_fingerprint_is_cached(self):
-        plan = self.build()
-        assert plan.fingerprint() is plan.fingerprint()
-
-
 class TestAssignmentCache:
     def test_repeated_query_hits(self, example, prices):
         cache = AssignmentCache()
@@ -105,29 +83,31 @@ class TestAssignmentCache:
         info = cache.info()
         assert info["hits"] == 1 and info["misses"] == 1
 
-    def test_structurally_equal_plan_hits_and_rebinds(self, example,
-                                                      prices):
+    def test_structurally_equal_but_distinct_plan_misses(self, example,
+                                                         prices):
         from repro.paper_example import build_running_example
 
         cache = AssignmentCache()
         first = assign(example.plan, example.policy, example.subject_names,
                        prices, user="U", owners=example.owners, cache=cache)
         other = build_running_example()
-        # Same structure, same policy/prices objects: a hit, re-keyed
-        # onto the fresh plan's nodes (the repeat-query scenario
-        # re-parses the query per request).
+        # Same structure, same policy/prices objects, but another plan
+        # object: the key is the plan itself, so it is planned afresh
+        # and answers for its own nodes.
         second = assign(other.plan, example.policy, example.subject_names,
                         prices, user="U", owners=example.owners, cache=cache)
-        assert cache.info()["hits"] == 1
-        assert second.cost is first.cost
-        assert second.extended is first.extended
-        # The rebound result answers for the *caller's* nodes.
+        info = cache.info()
+        assert info["hits"] == 0 and info["misses"] == 2
+        assert info["size"] == 2
+        assert second is not first
+        assert second.candidates.plan is other.plan
+        assert second.cost.total_usd == first.cost.total_usd
         for node in other.plan.operations():
             assert second.assignee(node) in second.candidates[node]
-        assert second.assignee(other.having) == first.assignee(
-            example.having)
-        assert second.candidates.min_views.result_profile(other.plan.root) \
-            == first.candidates.min_views.result_profile(example.plan.root)
+        assert example.having not in second.assignment
+        assert assign(other.plan, example.policy, example.subject_names,
+                      prices, user="U", owners=example.owners,
+                      cache=cache) is second
 
     def test_policy_change_invalidates(self, example, prices):
         cache = AssignmentCache()
@@ -167,26 +147,83 @@ class TestAssignmentCache:
             AssignmentCache(maxsize=0)
 
 
-class TestNodeMap:
-    def test_identity_keyed(self):
-        relation = Relation("R", ["a"])
-        first = BaseRelationNode(relation)
-        second = BaseRelationNode(relation)  # structurally equal, distinct
-        mapping = NodeMap([(first, "one")])
-        assert mapping[first] == "one"
-        assert second not in mapping
-        assert mapping.get(second) is None
-        with pytest.raises(KeyError):
-            mapping[second]
+class TestKeyedByPlan:
+    """The key is the plan object plus subjects, user and owners."""
 
-    def test_from_mapping_and_iteration(self):
-        relation = Relation("R", ["a"])
-        nodes = [BaseRelationNode(relation) for _ in range(3)]
-        mapping = NodeMap({node: index for index, node in enumerate(nodes)})
-        assert len(mapping) == 3
-        assert list(mapping.values()) == [0, 1, 2]
-        assert [node for node, _ in mapping.items()] == nodes
-        assert all(node in mapping for node in nodes)
+    def run(self, example, prices, cache, **overrides):
+        arguments = dict(plan=example.plan, policy=example.policy,
+                         subjects=example.subject_names, prices=prices,
+                         user="U", owners=example.owners, cache=cache)
+        arguments.update(overrides)
+        return assign(**arguments)
+
+    def test_another_user_misses(self, example, prices):
+        cache = AssignmentCache()
+        first = self.run(example, prices, cache)
+        # H owns Hosp but may not read Ins: another key, planned afresh
+        # and refused, so nothing of U's entry is handed to H.
+        with pytest.raises(UnauthorizedError):
+            self.run(example, prices, cache, user="H")
+        assert cache.info()["hits"] == 0
+        assert self.run(example, prices, cache) is first
+
+    def test_other_subjects_miss(self, example, prices):
+        cache = AssignmentCache()
+        first = self.run(example, prices, cache)
+        fewer = [name for name in example.subject_names if name != "Z"]
+        second = self.run(example, prices, cache, subjects=fewer)
+        assert second is not first
+        assert "Z" not in set(second.extended.assignment.values())
+        reordered = self.run(example, prices, cache,
+                             subjects=list(reversed(example.subject_names)))
+        assert reordered is first
+
+    def test_other_owners_miss(self, example, prices):
+        cache = AssignmentCache()
+        first = self.run(example, prices, cache)
+        assert self.run(example, prices, cache, owners=None) is not first
+        assert cache.info()["misses"] == 2
+        assert self.run(example, prices, cache,
+                        owners=dict(example.owners)) is first
+
+    def test_dependency_footprint_is_built_only_on_a_miss(
+            self, example, prices, monkeypatch):
+        calls = []
+        original = assignment_module.plan_dependencies
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(assignment_module, "plan_dependencies", counted)
+        cache = AssignmentCache()
+        self.run(example, prices, cache)
+        assert calls == [example.plan]
+        for _ in range(3):
+            self.run(example, prices, cache)
+        assert cache.info()["hits"] == 3
+        assert calls == [example.plan]
+
+    def test_an_entry_keeps_its_plan_until_it_ages_out(self, example,
+                                                       prices):
+        """The key holds the plan, so its id cannot be recycled while
+        the entry lives; once the LRU drops the entry the plan goes."""
+        from repro.paper_example import build_running_example
+
+        class Referable(QueryPlan):
+            """A plan a weak reference can watch."""
+
+        cache = AssignmentCache(maxsize=1)
+        transient = Referable(build_running_example().plan.root)
+        self.run(example, prices, cache, plan=transient)
+        plan = weakref.ref(transient)
+        del transient
+        gc.collect()
+        assert plan() is not None
+        self.run(example, prices, cache)
+        gc.collect()
+        assert plan() is None
+        assert cache.info()["size"] == 1
 
 
 class TestAssigneeIsLive:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.authorization import Authorization, Policy
 from repro.core.candidates import (
     compute_candidates,
     minimum_required_view,
@@ -183,6 +184,24 @@ class TestCandidates:
         # Z lacks plaintext visibility on P: cannot take delivery.
         assert not user_can_receive_result(
             example.plan, example.policy, "Z")
+
+    def test_equal_looking_operations_get_their_own_entries(self):
+        schema = Schema()
+        relation = schema.add(Relation("R", ["a", "b"], cardinality=100))
+        policy = Policy(schema)
+        policy.grant(Authorization(relation, ["a", "b"], [], "U"))
+        policy.grant(Authorization(relation, [], ["a", "b"], "P"))
+        inner = Selection(BaseRelationNode(relation),
+                          AttributeValuePredicate("a", ComparisonOp.EQ, 1))
+        outer = Selection(inner,
+                          AttributeValuePredicate("a", ComparisonOp.EQ, 1))
+        plan = QueryPlan(outer)
+        assert inner.label() == outer.label()
+        candidates = compute_candidates(plan, policy, ["U", "P"])
+        assert [node for node, _ in candidates.items()] == [inner, outer]
+        assert candidates[inner] == candidates[outer] == frozenset("UP")
+        requirements = infer_plaintext_requirements(plan)
+        assert set(requirements) == {inner, outer}
 
     def test_describe_mentions_candidates(self, example):
         candidates = compute_candidates(

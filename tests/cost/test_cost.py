@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.extension import minimally_extend
+from repro.core.operators import BaseRelationNode, Selection
+from repro.core.plan import QueryPlan
+from repro.core.predicates import value_equals
 from repro.core.requirements import EncryptionScheme, chosen_schemes
+from repro.core.schema import Relation
 from repro.cost.estimator import PlanEstimator
 from repro.cost.factors import encrypted_width
 from repro.cost.model import CostModel, normalized_costs, transfer_seconds
@@ -77,20 +81,32 @@ class TestEstimator:
     def test_leaf_estimates(self, example):
         estimator = PlanEstimator()
         estimates = estimator.estimate(example.plan)
-        hosp = estimates[id(example.hosp_leaf)]
+        hosp = estimates[example.hosp_leaf]
         assert hosp.rows == 10_000
         assert hosp.row_bytes > 0
 
     def test_selection_reduces_rows(self, example):
         estimates = PlanEstimator().estimate(example.plan)
-        assert estimates[id(example.selection)].rows \
-            < estimates[id(example.hosp_leaf)].rows
+        assert estimates[example.selection].rows \
+            < estimates[example.hosp_leaf].rows
 
     def test_group_by_rows_bounded_by_groups(self, example):
         estimates = PlanEstimator().estimate(example.plan)
-        group = estimates[id(example.group_by)]
-        join = estimates[id(example.join)]
+        group = estimates[example.group_by]
+        join = estimates[example.join]
         assert group.rows <= join.rows
+
+    def test_equal_looking_nodes_get_their_own_estimates(self):
+        relation = Relation("R", ["a", "b"], cardinality=1000)
+        leaf = BaseRelationNode(relation)
+        inner = Selection(leaf, value_equals("a", 1))
+        outer = Selection(inner, value_equals("a", 1))
+        estimates = PlanEstimator().estimate(QueryPlan(outer))
+        assert inner.label() == outer.label()
+        assert list(estimates) == [leaf, inner, outer]
+        assert estimates[inner].rows < estimates[leaf].rows
+        # The outer selection scans only what the inner one kept.
+        assert estimates[outer].cpu_seconds < estimates[inner].cpu_seconds
 
     def test_encrypted_widths_tracked(self, example):
         extended = minimally_extend(
@@ -99,7 +115,7 @@ class TestEstimator:
         )
         schemes = chosen_schemes(example.plan)
         estimates = PlanEstimator(schemes).estimate(extended.plan)
-        root = estimates[id(extended.plan.root)]
+        root = estimates[extended.plan.root]
         # P decrypted for the having: plaintext width again.
         assert root.scheme.get("P") is None
 
@@ -112,7 +128,7 @@ class TestEstimator:
 
     def test_bytes_if_encrypted_grows(self, example):
         estimates = PlanEstimator().estimate(example.plan)
-        join = estimates[id(example.join)]
+        join = estimates[example.join]
         plain = join.output_bytes
         inflated = join.bytes_if_encrypted(
             frozenset({"S", "C"}),

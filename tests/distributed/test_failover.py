@@ -51,6 +51,14 @@ def make_service(injector=None, **kwargs):
                         fault_injector=injector, **kwargs)
 
 
+@pytest.fixture()
+def no_takeover(monkeypatch):
+    """The runtime finds no candidate to take a lost fragment over, so a
+    lost provider surfaces to the service's standby and re-plan tiers."""
+    monkeypatch.setattr(runtime_module.DistributedRuntime, "_next_candidate",
+                        lambda *args: None)
+
+
 @pytest.fixture(scope="module")
 def clean_outcome():
     """Fault-free reference run (fresh service, no injector)."""
@@ -179,14 +187,14 @@ class TestInPlaceTakeover:
 
 class TestServiceTierRepair:
     def test_runtime_failover_disabled_uses_standby_or_replan(
-            self, clean_outcome):
-        # With in-place takeover switched off the runtime escalates
+            self, clean_outcome, no_takeover):
+        # With no in-place takeover candidate the runtime escalates
         # ProviderUnavailableError and the service tier must recover
         # via a warm standby plan or a full re-plan.
         victim = compute_victim(clean_outcome)
         injector = FaultInjector(seed=5)
         injector.kill(victim)
-        outcome = make_service(injector, failover=False).execute(SQL)
+        outcome = make_service(injector).execute(SQL)
         assert outcome.failed_over
         assert outcome.standby_used or outcome.replanned
         assert outcome.failovers == ()  # no runtime-level takeover ran
@@ -195,14 +203,14 @@ class TestServiceTierRepair:
             outcome.assignment.extended.assignment.values())
 
     def test_the_outcome_trace_covers_every_run(self, clean_outcome,
-                                                monkeypatch):
+                                                monkeypatch, no_takeover):
         """The primary run that lost its provider and the re-run that
         recovered are one query: every envelope sealed for it is in the
         outcome's trace, not only the last run's."""
         victim = compute_victim(clean_outcome)
         injector = FaultInjector(seed=5)
         injector.kill(victim)
-        service = make_service(injector, failover=False)
+        service = make_service(injector)
         sealed = []
         original = runtime_module.seal_envelope
 
@@ -217,14 +225,15 @@ class TestServiceTierRepair:
         assert outcome.trace.envelope_bytes == sum(sealed)
         assert outcome.trace.breaker_trips >= 1
 
-    def test_fragment_latency_is_read_off_the_trace(self, clean_outcome):
+    def test_fragment_latency_is_read_off_the_trace(self, clean_outcome,
+                                                    no_takeover):
         """The gateway's per-subject fragment histogram counts exactly
         the executions the query's trace recorded, the failed run's
         included."""
         victim = compute_victim(clean_outcome)
         injector = FaultInjector(seed=5)
         injector.kill(victim)
-        gateway = Gateway(make_service(injector, failover=False),
+        gateway = Gateway(make_service(injector),
                           [TenantConfig("t")], max_inflight=1)
         try:
             outcome = gateway.execute("t", SQL)
@@ -252,12 +261,14 @@ class TestOneClock:
     @pytest.mark.parametrize("takeover", (True, False),
                              ids=("takeover", "standby-or-replan"))
     def test_wall_and_failover_seconds_read_the_injected_clock(
-            self, clean_outcome, takeover):
+            self, clean_outcome, takeover, request):
         """Half a (fake) second of provider latency per fragment, slept
         on a clock that nothing else moves: the query took exactly the
         time that was slept, and recovery exactly the time from the loss
         of the provider to delivery — whichever tier recovered.  Read on
         any other clock, both are a few real milliseconds."""
+        if not takeover:
+            request.getfixturevalue("no_takeover")
         victim = compute_victim(clean_outcome)
         injector = steady_latency(0.5, build_running_example().subject_names,
                                   FaultInjector(seed=5))
@@ -273,8 +284,7 @@ class TestOneClock:
 
         injector.on_execute = watched
         outcome = make_service(
-            injector, failover=takeover, clock=clock,
-            sleeper=clock.sleep).execute(SQL)
+            injector, clock=clock, sleeper=clock.sleep).execute(SQL)
         assert outcome.failed_over and bool(outcome.failovers) == takeover
         assert_rows_equal(outcome.result, clean_outcome.result)
         assert 0.0 < lost_at[0] < clock.now

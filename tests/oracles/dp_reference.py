@@ -47,7 +47,7 @@ def edge_cost(search, child: PlanNode, sender: str,
     encrypted) output, and decryption at the receiver of attributes the
     parent operation needs in plaintext.
     """
-    estimate = search.estimates[id(child)]
+    estimate = search.estimates[child]
     receiver_view = search.view(receiver)
     visible = frozenset(estimate.plain_width)
     needs_encrypted = receiver_view.encrypted & visible
@@ -87,12 +87,12 @@ def edge_cost(search, child: PlanNode, sender: str,
 def dp_reference(search, restrict_to: frozenset[str] | None = None,
                  ) -> dict[PlanNode, str]:
     """Optimal assignment under :func:`edge_cost`, pair by pair."""
-    table: dict[int, dict[str, float]] = {}
-    choice: dict[int, dict[str, dict[int, str]]] = {}
+    table: dict[PlanNode, dict[str, float]] = {}
+    choice: dict[PlanNode, dict[str, dict[PlanNode, str]]] = {}
 
     for node in search.plan.operations():
-        table[id(node)] = {}
-        choice[id(node)] = {}
+        table[node] = {}
+        choice[node] = {}
         allowed = search.candidates[node]
         if restrict_to is not None:
             allowed = allowed & restrict_to
@@ -103,7 +103,7 @@ def dp_reference(search, restrict_to: frozenset[str] | None = None,
                 )
         for subject in allowed:
             total = search.node_cost(node, subject)
-            picks: dict[int, str] = {}
+            picks: dict[PlanNode, str] = {}
             feasible = True
             for child in node.children:
                 if isinstance(child, BaseRelationNode):
@@ -113,7 +113,7 @@ def dp_reference(search, restrict_to: frozenset[str] | None = None,
                     continue
                 best_cost = None
                 best_subject = None
-                for child_subject, child_cost in table[id(child)].items():
+                for child_subject, child_cost in table[child].items():
                     candidate_cost = child_cost + edge_cost(
                         search, child, child_subject, node, subject
                     )
@@ -124,15 +124,15 @@ def dp_reference(search, restrict_to: frozenset[str] | None = None,
                     feasible = False
                     break
                 total += best_cost
-                picks[id(child)] = best_subject
+                picks[child] = best_subject
             if feasible:
-                table[id(node)][subject] = total
-                choice[id(node)][subject] = picks
+                table[node][subject] = total
+                choice[node][subject] = picks
 
     root = search.plan.root
     root_costs = {
         subject: cost + search.delivery_cost(subject)
-        for subject, cost in table[id(root)].items()
+        for subject, cost in table[root].items()
     }
     if not root_costs:
         raise NoCandidateError(
@@ -147,7 +147,7 @@ def dp_reference(search, restrict_to: frozenset[str] | None = None,
         for child in node.children:
             if isinstance(child, BaseRelationNode):
                 continue
-            backtrack(child, choice[id(node)][subject][id(child)])
+            backtrack(child, choice[node][subject][child])
 
     backtrack(root, best_root)
     return assignment

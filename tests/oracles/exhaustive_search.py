@@ -70,7 +70,7 @@ def exhaustive_search(plan: QueryPlan, policy: Policy,
     }
 
     def cpu_bound(node: PlanNode, subject: str) -> float:
-        return (estimates[id(node)].cpu_seconds
+        return (estimates[node].cpu_seconds
                 * prices.rates(subject).cpu_usd_per_second)
 
     # CPU charged to the data authorities is combination-independent.

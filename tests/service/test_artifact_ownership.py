@@ -130,25 +130,29 @@ class TestOwnershipUnderChurn:
 
 
 class TestSharedCell:
-    def test_rebound_results_share_keys_after_plan_cache_overflow(
+    def test_a_reparsed_plan_misses_after_plan_cache_overflow(
             self, service, built):
-        keys, _plans, made = built
+        _keys, _plans, made = built
         cold = service.execute(TEMPLATES[0])
         assert not cold.keys_reused
         # Push the hot SQL's plan out of the plan cache: its next query
-        # re-parses into fresh nodes, the assignment cache hits by
-        # fingerprint and the result is rebound onto the new plan.
+        # re-parses into a new plan object, and the assignment cache is
+        # keyed by the plan object, so the query is planned and keyed
+        # once more.
         for literal in range(service._plan_cache.maxsize + 1):
             service._plan_cache.put(f"filler {literal}", object())
         warm = service.execute(TEMPLATES[0])
         assert not warm.plan_cached
-        assert warm.assignment_cached
+        assert not warm.assignment_cached
         assert warm.assignment is not cold.assignment
-        assert warm.assignment.derived is cold.assignment.derived
-        assert warm.keys_reused
-        assert made["keys"] == 1 and len(keys) == 1
-        assert warm.trace.fragment_cache_hits == \
-            len(warm.trace.fragments_run)
+        assert warm.assignment.derived is not cold.assignment.derived
+        assert not warm.keys_reused
+        assert made["keys"] == 2
+        assert warm.result.sorted_rows() == cold.result.sorted_rows()
+        # The old plan's entry is unreachable; the LRU bounds it.
+        info = service.cache_info()["assignment"]
+        assert info["size"] == 2 and info["maxsize"] == 256
+        assert service.execute(TEMPLATES[0]).keys_reused
 
     def test_racing_cold_queries_attach_one_key_set(
             self, service, built, monkeypatch):

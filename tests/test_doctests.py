@@ -16,36 +16,19 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-MODULES = [
-    "repro.core.attrsets",
-    "repro.core.authorization",
-    "repro.core.equivalence",
-    "repro.core.keys",
-    "repro.core.plan",
-    "repro.core.plancache",
-    "repro.core.predicates",
-    "repro.core.profile",
-    "repro.core.requirements",
-    "repro.core.visibility",
-    "repro.cost.metering",
-    "repro.cost.model",
-    "repro.cost.pricing",
-    "repro.crypto.keymanager",
-    "repro.crypto.ope",
-    "repro.crypto.paillier",
-    "repro.crypto.symmetric",
-    "repro.distributed.retry",
-    "repro.engine.table",
-    "repro.gateway.admission",
-    "repro.gateway.gateway",
-    "repro.gateway.quotas",
-    "repro.obs.metrics",
-    "repro.sql.parser",
-    "repro.sql.planner",
-    "repro.sql.tokenizer",
-    "repro.tpch.datagen",
-    "repro.tpch.scenarios",
-]
+SRC = REPO_ROOT / "src"
+
+
+def _modules_with_examples():
+    """Every module under ``src/repro`` whose source holds a ``>>>``."""
+    return sorted(
+        ".".join(path.relative_to(SRC).with_suffix("").parts)
+        .removesuffix(".__init__")
+        for path in (SRC / "repro").rglob("*.py")
+        if ">>>" in path.read_text())
+
+
+MODULES = _modules_with_examples()
 
 
 @pytest.mark.parametrize("module_name", MODULES)

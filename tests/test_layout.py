@@ -3,7 +3,8 @@
 ``repro/core/cache.py`` holds the only bounded LRU and the only
 reconcile of cached entries against the policy's delta journal; the
 service keeps per-assignment artifacts on the assignment, never in an
-``id()``-keyed side table.  A query takes one path: the reference
+``id()``-keyed side table, and the planner keys its per-node tables by
+the plan nodes themselves.  A query takes one path: the reference
 implementations the equivalence suites compare against live in
 ``tests/oracles/``, not behind a knob in ``src/``.  These checks fail
 when a hand-rolled copy of either grows back somewhere else, when a
@@ -18,6 +19,9 @@ import inspect
 import re
 from pathlib import Path
 
+from repro.core.operators import BaseRelationNode, PlanNode
+from repro.core.plan import QueryPlan
+from repro.core.schema import Relation
 from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey
 from repro.crypto.rsa import RsaPublicKey
 from repro.distributed.health import HealthRegistry
@@ -48,7 +52,10 @@ FORBIDDEN = ("OrderedDict", "popitem(last=False)", "deltas_since(")
 #: one-shot hybrid encryption beside the sender-to-recipient session, or
 #: a second statement of a scheme's column work beside
 #: ``KeyMaterial.seal`` / ``open`` (the per-cell codec, the worker
-#: kernels and their blob registry, the stretched obfuscator pool).
+#: kernels and their blob registry, the stretched obfuscator pool), or a
+#: second way to say "this node" or "this plan" beside the object itself
+#: (an identity-keyed node map, a structural plan fingerprint, the
+#: remapping of a cached result onto another plan's nodes).
 RETIRED = ("ThreadPoolExecutor", "search_impl", "nested-loop", "_reference(",
            "_column_decoder", "parallel-hash", "join_strategy",
            "ExecutionSettings", "min_parallel_items=", "_background_refill",
@@ -63,9 +70,9 @@ RETIRED = ("ThreadPoolExecutor", "search_impl", "nested-loop", "_reference(",
            "parallel import kernels", "_rehydrate", "public_part",
            "cipher_for_attribute", "has_attribute", "_POOL_",
            "_LOCKS_GUARD", "precompute_obfuscators", "_extend_pool",
-           "_pool_seeds")
+           "_pool_seeds", "NodeMap", "fingerprint(", "_rebind_result")
 #: Parameters that selected between paths which no longer exist.
-RETIRED_PARAMETERS = ("schedule", "strategy")
+RETIRED_PARAMETERS = ("schedule", "strategy", "failover")
 
 #: No module outgrows this …
 LINE_BUDGET = 600
@@ -171,6 +178,33 @@ def test_one_spelling_of_the_stand_in_prefix():
 
 def test_service_keeps_no_identity_keyed_side_tables():
     assert not re.search(r"\bid\(", code_of(WORKLOAD))
+
+
+def test_plans_and_plan_nodes_are_their_own_keys():
+    """Every node class and the plan keep ``object``'s identity
+    ``__eq__`` / ``__hash__``, so two equal-looking nodes (or plans) are
+    distinct dictionary keys and the planner needs no ``id()``: it stays
+    only as the dispatch plan's boundary id (and a node's ``repr``)."""
+    classes, pending = [QueryPlan], [PlanNode]
+    while pending:
+        cls = pending.pop()
+        classes.append(cls)
+        pending.extend(cls.__subclasses__())
+    assert len(classes) > 8
+    for cls in classes:
+        assert cls.__eq__ is object.__eq__, cls.__name__
+        assert cls.__hash__ is object.__hash__, cls.__name__
+    relation = Relation("R", ["a"])
+    first, second = BaseRelationNode(relation), BaseRelationNode(relation)
+    assert first.label() == second.label()
+    table = {first: "one", QueryPlan(first): "plan"}
+    assert table[first] == "one"
+    assert second not in table and QueryPlan(second) not in table
+    planner = [path for package in ("core", "cost")
+               for path in sorted((SRC / package).glob("*.py"))
+               if path.name not in ("dispatch.py", "operators.py")]
+    assert not [path.name for path in planner
+                if re.search(r"\bid\(", code_of(path))]
 
 
 def test_no_second_schedule_and_no_reference_knob():
@@ -326,7 +360,7 @@ def test_operations_doc_names_exactly_the_settable_knobs():
 def test_runtime_takes_only_the_service_seams():
     """Below the service the same seams and nothing else: no network,
     scheme, retry, breaker or latency setting."""
-    seams = {"clock", "sleeper", "fault_injector", "failover", "workers"}
+    seams = {"clock", "sleeper", "fault_injector", "workers"}
     assert defaulted(DistributedRuntime) == seams
     assert defaulted(build_runtime) == seams | {"udfs", "rsa_keys"}
     assert list(inspect.signature(HealthRegistry).parameters) == ["clock"]
