@@ -7,6 +7,10 @@ mailto) are skipped; everything else must name an existing file or
 directory relative to the linking document (anchors are stripped, and a
 pure ``#anchor`` link must point at a heading in the same file).
 
+Every ``*.md`` name in a module under ``src/`` (a docstring's "see
+docs/architecture.md") must name an existing file relative to the
+repository root.
+
 Exit status 0 when everything resolves, 1 with one line per broken
 link otherwise. Run from anywhere::
 
@@ -23,6 +27,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 LINK = re.compile(r"(?<!!)\[[^\]]+\]\(([^)\s]+)\)")
 EXTERNAL = ("http://", "https://", "mailto:")
+MD_NAME = re.compile(r"[\w./-]*\.md\b")
 
 
 def heading_anchors(text: str) -> set[str]:
@@ -59,6 +64,20 @@ def check_file(path: Path) -> list[str]:
     return problems
 
 
+def check_source_citations() -> list[str]:
+    """Every ``*.md`` a module under ``src/`` names exists."""
+    problems = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        lines = path.read_text().splitlines()
+        for number, line in enumerate(lines, start=1):
+            for name in MD_NAME.findall(line):
+                if not (REPO_ROOT / name).is_file():
+                    problems.append(
+                        f"{path.relative_to(REPO_ROOT)}:{number}: names "
+                        f"{name}, which does not exist")
+    return problems
+
+
 def main() -> int:
     documents = [REPO_ROOT / "README.md"]
     documents.extend(sorted((REPO_ROOT / "docs").glob("*.md")))
@@ -68,10 +87,12 @@ def main() -> int:
             problems.append(f"missing document: {document.name}")
             continue
         problems.extend(check_file(document))
+    problems.extend(check_source_citations())
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)
     if not problems:
-        print(f"{len(documents)} documents checked, all links resolve")
+        print(f"{len(documents)} documents checked, all links and the "
+              f"documents src/ names resolve")
     return 1 if problems else 0
 
 

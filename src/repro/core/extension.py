@@ -34,22 +34,10 @@ from typing import Mapping
 
 from repro.core.authorization import Policy, SubjectView, holder_of
 from repro.core.lineage import augment_view, derived_lineage
-from repro.core.operators import (
-    BaseRelationNode,
-    Decrypt,
-    Encrypt,
-    Join,
-    PlanNode,
-    Selection,
-    Udf,
-)
+from repro.core.operators import BaseRelationNode, Decrypt, Encrypt, PlanNode
 from repro.core.plan import QueryPlan
-from repro.core.predicates import AttributeComparisonPredicate
 from repro.core.profile import RelationProfile
-from repro.core.requirements import (
-    _node_demands,
-    infer_plaintext_requirements,
-)
+from repro.core.requirements import infer_plaintext_requirements
 from repro.core.visibility import verify_assignment
 from repro.exceptions import PlanError, UnauthorizedError
 
@@ -219,7 +207,7 @@ def minimally_extend(
                 view = subject_view(subject)
                 decryptable = {
                     attribute
-                    for attribute, _capability in _node_demands(node)
+                    for attribute in node.operand_attributes()
                     if attribute in view.plaintext
                     and attribute not in protected
                 }
@@ -302,30 +290,20 @@ def _harmonise_forms(
     encrypted_attributes: set[str],
     protected: frozenset[str] = frozenset(),
 ) -> tuple[list[PlanNode], list[RelationProfile]]:
-    """Make comparison/udf operands representation-uniform.
+    """Make the operation's uniform groups representation-uniform.
 
-    Comparisons (and udf input sets) must see their attributes either all
-    plaintext or all encrypted.  When earlier steps left a mix, decrypt
-    the encrypted side if the assignee is authorized for its plaintext
-    (no new encrypted attributes → minimality preserved); otherwise
-    encrypt the plaintext side.  Attributes in ``protected`` were
+    Each of ``node.uniform_groups()`` (comparison sides, udf inputs) must
+    be seen all plaintext or all encrypted (§3.2).  When earlier steps
+    left a mix, decrypt the encrypted side if the assignee is authorized
+    for its plaintext (no new encrypted attributes → minimality
+    preserved); otherwise encrypt the plaintext side.  Attributes in ``protected`` were
     encrypted for the Definition 5.4(ii) trace term — this operation is
     about to turn them implicit and some ancestor may only see them
     encrypted — so they must never be decrypted here: their comparison
     partners are encrypted instead.
     """
-    pairs: list[frozenset[str]] = []
-    if isinstance(node, (Selection, Join)):
-        predicate = node.predicate if isinstance(node, Selection) \
-            else node.condition
-        pairs = [
-            basic.attributes()
-            for basic in predicate.basic_conditions()
-            if isinstance(basic, AttributeComparisonPredicate)
-        ]
-    elif isinstance(node, Udf) and len(node.inputs) > 1:
-        pairs = [node.inputs]
-    if not pairs:
+    groups = node.uniform_groups()
+    if not groups:
         return operands, operand_profiles
 
     decrypt_per_operand: list[set[str]] = [set() for _ in operands]
@@ -349,7 +327,7 @@ def _harmonise_forms(
     changed = True
     while changed:
         changed = False
-        for group in pairs:
+        for group in groups:
             plain = group & combined_plain
             encrypted = group & combined_encrypted
             if not plain or not encrypted:

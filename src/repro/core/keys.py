@@ -19,11 +19,7 @@ from repro.core.authorization import Policy, stands_in_for
 from repro.core.extension import ExtendedPlan
 from repro.core.lineage import augment_view, derived_lineage
 from repro.core.operators import Decrypt, Encrypt
-from repro.core.requirements import (
-    EncryptionScheme,
-    _node_demands,
-    select_scheme,
-)
+from repro.core.requirements import EncryptionScheme, select_scheme
 from repro.core.visibility import is_source_encryption
 from repro.exceptions import KeyManagementError
 
@@ -159,7 +155,7 @@ def schemes_for_extended_plan(
         for child in node.children:
             arriving_encrypted |= profiles[child].visible_encrypted
         subject = extended.assignee(node)
-        for attribute, capability in _node_demands(node):
+        for attribute, capability in node.demands():
             if attribute in arriving_encrypted \
                     and not note2_applies(subject, attribute):
                 demands.setdefault(attribute, set()).add(capability)

@@ -1,15 +1,23 @@
 """Query-plan nodes and the profile-propagation rules of Figure 2.
 
 A query plan is a tree whose leaves are base relations and whose internal
-nodes are relational operations (§1).  Each node class implements:
+nodes are relational operations (§1).  Each operator states its Figure 2
+row once, and declares what the other layers read off it:
 
-* ``output_attributes`` — the visible schema of the produced relation;
 * ``output_profile`` — the Figure 2 rule computing the result profile from
-  the operand profiles;
+  the operand profiles; the produced relation's schema is the result's
+  ``visible`` set;
+* ``demands`` — the operand attributes the operation reads, each with the
+  capability an encrypted value needs for it (``Ap`` inference, scheme
+  selection, the planner's scheme penalty, key establishment);
+* ``uniform_groups`` — the attribute sets the operation needs all
+  plaintext or all encrypted (§3.2): ``output_profile`` refuses a mix,
+  minimal extension repairs one;
 * ``implicit_introduced`` — the attributes the operation newly moves into
-  the implicit component (used by Definition 5.4(ii));
-* ``equivalences_introduced`` — the attribute sets the operation connects
-  (used for key establishment and by Definition 5.4).
+  the implicit component (used by Definition 5.4(ii)).
+
+An operator's constructor computes its ``demands`` and ``uniform_groups``
+once per node: the layers above read them many times per plan.
 
 Nodes use identity semantics (two structurally equal nodes are still
 distinct plan positions), which lets plans serve as dictionary keys for
@@ -88,10 +96,6 @@ class Aggregate:
         assert self.attribute is not None
         return self.attribute
 
-    def required_capability(self) -> EncryptedCapability:
-        """Scheme capability needed to aggregate encrypted values."""
-        return _AGGREGATE_CAPABILITY[self.function]
-
     def __str__(self) -> str:
         body = f"{self.function}({self.attribute or '*'})"
         if self.alias is not None and self.alias != self.attribute:
@@ -99,15 +103,39 @@ class Aggregate:
         return body
 
 
+#: An attribute an operation reads, with the capability it needs of an
+#: encrypted value of that attribute (``NONE``: none will do).
+Demand = tuple[str, EncryptedCapability]
+
+
+def _condition_demands(condition: Predicate) -> list[Demand]:
+    demands: list[Demand] = []
+    for basic in condition.basic_conditions():
+        capability = basic.required_capability()
+        for attribute in basic.attributes():
+            demands.append((attribute, capability))
+    return demands
+
+
+def _comparison_groups(condition: Predicate) -> list[frozenset[str]]:
+    """Each ``ai op aj`` compares its two sides in one representation."""
+    return [basic.attributes() for basic in condition.basic_conditions()
+            if isinstance(basic, AttributeComparisonPredicate)]
+
+
 class PlanNode:
     """Base class of all plan nodes.  Nodes compare by identity."""
 
-    __slots__ = ("children",)
+    __slots__ = ("children", "_demands", "_uniform_groups")
 
     children: tuple["PlanNode", ...]
 
-    def __init__(self, children: Sequence["PlanNode"]) -> None:
+    def __init__(self, children: Sequence["PlanNode"],
+                 demands: Iterable[Demand] = (),
+                 uniform_groups: Iterable[frozenset[str]] = ()) -> None:
         self.children = tuple(children)
+        self._demands = tuple(demands)
+        self._uniform_groups = tuple(uniform_groups)
 
     # -- structure -----------------------------------------------------
     @property
@@ -130,10 +158,6 @@ class PlanNode:
         raise NotImplementedError
 
     # -- semantics ------------------------------------------------------
-    def output_attributes(self, *child_attrs: frozenset[str]) -> frozenset[str]:
-        """Visible schema of the produced relation."""
-        raise NotImplementedError
-
     def output_profile(self, *child_profiles: RelationProfile) -> RelationProfile:
         """Figure 2 rule for this operator."""
         raise NotImplementedError
@@ -142,13 +166,19 @@ class PlanNode:
         """Attributes this operation newly adds to the implicit component."""
         return frozenset()
 
-    def equivalences_introduced(self) -> tuple[frozenset[str], ...]:
-        """Attribute sets this operation connects in ``R≃``."""
-        return ()
+    def demands(self) -> tuple[Demand, ...]:
+        """What the operation reads of its operands, in evaluation order,
+        each with the capability it needs of an encrypted value."""
+        return self._demands
 
     def operand_attributes(self) -> frozenset[str]:
         """Attributes of the operands this operation reads."""
-        return frozenset()
+        return frozenset([attribute for attribute, _ in self.demands()])
+
+    def uniform_groups(self) -> tuple[frozenset[str], ...]:
+        """Attribute sets the operation needs all plaintext or all
+        encrypted (§3.2)."""
+        return self._uniform_groups
 
     def label(self) -> str:
         """Short human-readable operator label (paper notation)."""
@@ -168,18 +198,28 @@ class PlanNode:
                 f"{sorted(missing)}"
             )
 
+    def _check_operands(self, profile: RelationProfile,
+                        what: str) -> tuple[frozenset[str], ...]:
+        """Check that the operation reads only visible attributes and that
+        each of its uniform groups is in one representation; return the
+        groups."""
+        self._check_visible(profile, self.operand_attributes(), what)
+        groups = self.uniform_groups()
+        plain, encrypted = profile.visible_plaintext, profile.visible_encrypted
+        for group in groups:
+            if group & plain and group & encrypted:
+                raise OperationRequirementError(
+                    f"{what} needs {sorted(group)} all plaintext or all "
+                    f"encrypted, not a mix"
+                )
+        return groups
+
     @staticmethod
-    def _check_uniform_form(profile: RelationProfile, first: str,
-                            second: str) -> None:
-        """Comparisons need both attributes plaintext or both encrypted."""
-        plain = profile.visible_plaintext
-        enc = profile.visible_encrypted
-        if not ((first in plain and second in plain)
-                or (first in enc and second in enc)):
-            raise OperationRequirementError(
-                f"condition compares {first} and {second} in different "
-                f"representations (one plaintext, one encrypted)"
-            )
+    def _check_disjoint(left: RelationProfile,
+                        right: RelationProfile) -> None:
+        overlap = left.visible & right.visible
+        if overlap:
+            raise PlanError(f"operand schemas overlap on {sorted(overlap)}")
 
 
 class BaseRelationNode(PlanNode):
@@ -216,9 +256,6 @@ class BaseRelationNode(PlanNode):
             raise PlanError("base relations have no operands")
         return BaseRelationNode(self.relation, self.projection)
 
-    def output_attributes(self, *child_attrs: frozenset[str]) -> frozenset[str]:
-        return self.projection
-
     def output_profile(self, *child_profiles: RelationProfile) -> RelationProfile:
         if child_profiles:
             raise PlanError("base relations take no operand profiles")
@@ -247,15 +284,6 @@ class Projection(PlanNode):
         (child,) = children
         return Projection(child, self.attributes)
 
-    def output_attributes(self, *child_attrs: frozenset[str]) -> frozenset[str]:
-        (attrs,) = child_attrs
-        missing = self.attributes - attrs
-        if missing:
-            raise OperationRequirementError(
-                f"projection keeps unknown attributes {sorted(missing)}"
-            )
-        return self.attributes
-
     def output_profile(self, *child_profiles: RelationProfile) -> RelationProfile:
         (profile,) = child_profiles
         self._check_visible(profile, self.attributes, "projection")
@@ -276,54 +304,30 @@ class Selection(PlanNode):
     __slots__ = ("predicate",)
 
     def __init__(self, child: PlanNode, predicate: Predicate) -> None:
-        super().__init__((child,))
         if not isinstance(predicate, Predicate):
             raise PlanError(f"selection needs a Predicate, got {predicate!r}")
+        super().__init__((child,), _condition_demands(predicate),
+                         _comparison_groups(predicate))
         self.predicate = predicate
 
     def with_children(self, children: Sequence[PlanNode]) -> "Selection":
         (child,) = children
         return Selection(child, self.predicate)
 
-    def output_attributes(self, *child_attrs: frozenset[str]) -> frozenset[str]:
-        (attrs,) = child_attrs
-        missing = self.predicate.attributes() - attrs
-        if missing:
-            raise OperationRequirementError(
-                f"selection references unknown attributes {sorted(missing)}"
-            )
-        return attrs
-
     def output_profile(self, *child_profiles: RelationProfile) -> RelationProfile:
         (profile,) = child_profiles
-        self._check_visible(profile, self.predicate.attributes(), "selection")
-        result = profile
-        for basic in self.predicate.basic_conditions():
-            if isinstance(basic, AttributeValuePredicate):
-                result = result.add_implicit({basic.attribute})
-            elif isinstance(basic, AttributeComparisonPredicate):
-                self._check_uniform_form(profile, basic.left, basic.right)
-                result = result.add_equivalence({basic.left, basic.right})
-            else:  # pragma: no cover - Conjunction flattens its members
-                raise PlanError(f"unsupported basic condition {basic!r}")
+        groups = self._check_operands(profile, "selection")
+        introduced = self.implicit_introduced()
+        result = profile.add_implicit(introduced) if introduced else profile
+        for group in groups:
+            result = result.add_equivalence(group)
         return result
 
     def implicit_introduced(self) -> frozenset[str]:
-        introduced: set[str] = set()
-        for basic in self.predicate.basic_conditions():
-            if isinstance(basic, AttributeValuePredicate):
-                introduced.add(basic.attribute)
-        return frozenset(introduced)
-
-    def equivalences_introduced(self) -> tuple[frozenset[str], ...]:
-        return tuple(
-            basic.attributes()
-            for basic in self.predicate.basic_conditions()
-            if isinstance(basic, AttributeComparisonPredicate)
-        )
-
-    def operand_attributes(self) -> frozenset[str]:
-        return self.predicate.attributes()
+        return frozenset([
+            basic.attribute for basic in self.predicate.basic_conditions()
+            if isinstance(basic, AttributeValuePredicate)
+        ])
 
     def label(self) -> str:
         return f"σ[{self.predicate}]"
@@ -339,16 +343,9 @@ class CartesianProduct(PlanNode):
         left, right = children
         return CartesianProduct(left, right)
 
-    def output_attributes(self, *child_attrs: frozenset[str]) -> frozenset[str]:
-        left, right = child_attrs
-        if left & right:
-            raise PlanError(
-                f"operand schemas overlap on {sorted(left & right)}"
-            )
-        return left | right
-
     def output_profile(self, *child_profiles: RelationProfile) -> RelationProfile:
         left, right = child_profiles
+        self._check_disjoint(left, right)
         return left.combine(right)
 
     def label(self) -> str:
@@ -367,7 +364,6 @@ class Join(PlanNode):
 
     def __init__(self, left: PlanNode, right: PlanNode,
                  condition: Predicate) -> None:
-        super().__init__((left, right))
         basics = list(condition.basic_conditions())
         if not basics or not all(
             isinstance(b, AttributeComparisonPredicate) for b in basics
@@ -375,40 +371,21 @@ class Join(PlanNode):
             raise PlanError(
                 "join conditions must be formulas of attribute comparisons"
             )
+        super().__init__((left, right), _condition_demands(condition),
+                         _comparison_groups(condition))
         self.condition = condition
 
     def with_children(self, children: Sequence[PlanNode]) -> "Join":
         left, right = children
         return Join(left, right, self.condition)
 
-    def output_attributes(self, *child_attrs: frozenset[str]) -> frozenset[str]:
-        left, right = child_attrs
-        if left & right:
-            raise PlanError(
-                f"operand schemas overlap on {sorted(left & right)}"
-            )
-        missing = self.condition.attributes() - (left | right)
-        if missing:
-            raise OperationRequirementError(
-                f"join condition references unknown attributes {sorted(missing)}"
-            )
-        return left | right
-
     def output_profile(self, *child_profiles: RelationProfile) -> RelationProfile:
         left, right = child_profiles
-        combined = left.combine(right)
-        self._check_visible(combined, self.condition.attributes(), "join")
-        result = combined
-        for basic in self.condition.basic_conditions():
-            assert isinstance(basic, AttributeComparisonPredicate)
-            self._check_uniform_form(combined, basic.left, basic.right)
-            result = result.add_equivalence({basic.left, basic.right})
+        self._check_disjoint(left, right)
+        result = left.combine(right)
+        for group in self._check_operands(result, "join"):
+            result = result.add_equivalence(group)
         return result
-
-    def equivalences_introduced(self) -> tuple[frozenset[str], ...]:
-        return tuple(
-            basic.attributes() for basic in self.condition.basic_conditions()
-        )
 
     def partition_condition(
         self, left_columns: Iterable[str], right_columns: Iterable[str],
@@ -438,9 +415,6 @@ class Join(PlanNode):
             residual.append(basic)
         return equalities, residual
 
-    def operand_attributes(self) -> frozenset[str]:
-        return self.condition.attributes()
-
     def label(self) -> str:
         return f"⋈[{self.condition}]"
 
@@ -460,7 +434,6 @@ class GroupBy(PlanNode):
 
     def __init__(self, child: PlanNode, group_attributes: Iterable[str],
                  aggregates: Aggregate | Sequence[Aggregate]) -> None:
-        super().__init__((child,))
         self.group_attributes = frozenset(group_attributes)
         if isinstance(aggregates, Aggregate):
             aggregates = (aggregates,)
@@ -487,36 +460,19 @@ class GroupBy(PlanNode):
                     f"aggregate attribute {aggregate.attribute!r} also "
                     f"appears in the grouping attributes"
                 )
+        demands = [(attribute, EncryptedCapability.EQUALITY)
+                   for attribute in self.group_attributes]
+        demands += [(a.attribute, _AGGREGATE_CAPABILITY[a.function])
+                    for a in self.aggregates if a.attribute is not None]
+        super().__init__((child,), demands)
 
     def with_children(self, children: Sequence[PlanNode]) -> "GroupBy":
         (child,) = children
         return GroupBy(child, self.group_attributes, self.aggregates)
 
-    def _sources(self) -> frozenset[str]:
-        """Operand attributes the operation reads."""
-        sources = set(self.group_attributes)
-        for aggregate in self.aggregates:
-            if aggregate.attribute is not None:
-                sources.add(aggregate.attribute)
-        return frozenset(sources)
-
-    def _outputs(self) -> frozenset[str]:
-        return self.group_attributes | {
-            a.output_name for a in self.aggregates
-        }
-
-    def output_attributes(self, *child_attrs: frozenset[str]) -> frozenset[str]:
-        (attrs,) = child_attrs
-        missing = self._sources() - attrs
-        if missing:
-            raise OperationRequirementError(
-                f"group-by references unknown attributes {sorted(missing)}"
-            )
-        return self._outputs()
-
     def output_profile(self, *child_profiles: RelationProfile) -> RelationProfile:
         (profile,) = child_profiles
-        self._check_visible(profile, self._sources(), "group-by")
+        self._check_operands(profile, "group-by")
         visible_plaintext = set(profile.visible_plaintext
                                 & self.group_attributes)
         visible_encrypted = set(profile.visible_encrypted
@@ -549,16 +505,6 @@ class GroupBy(PlanNode):
     def implicit_introduced(self) -> frozenset[str]:
         return self.group_attributes
 
-    def equivalences_introduced(self) -> tuple[frozenset[str], ...]:
-        return tuple(
-            frozenset({a.attribute, a.output_name})
-            for a in self.aggregates
-            if a.attribute is not None and a.output_name != a.attribute
-        )
-
-    def operand_attributes(self) -> frozenset[str]:
-        return self._sources()
-
     def label(self) -> str:
         group = ",".join(sorted(self.group_attributes))
         aggs = ", ".join(str(a) for a in self.aggregates)
@@ -582,7 +528,6 @@ class Udf(PlanNode):
     def __init__(self, child: PlanNode, inputs: Iterable[str], output: str,
                  encrypted_capable: bool = False,
                  name: str = "udf") -> None:
-        super().__init__((child,))
         self.inputs = frozenset(inputs)
         self.output = output
         self.encrypted_capable = encrypted_capable
@@ -592,32 +537,22 @@ class Udf(PlanNode):
                 f"udf output {output!r} must be named after one of its "
                 f"inputs {sorted(self.inputs)}"
             )
+        # An encrypted-execution variant is assumed deterministic.
+        capability = (EncryptedCapability.EQUALITY if encrypted_capable
+                      else EncryptedCapability.NONE)
+        super().__init__((child,),
+                         [(attribute, capability) for attribute in self.inputs],
+                         (self.inputs,))
 
     def with_children(self, children: Sequence[PlanNode]) -> "Udf":
         (child,) = children
         return Udf(child, self.inputs, self.output, self.encrypted_capable,
                    self.name)
 
-    def output_attributes(self, *child_attrs: frozenset[str]) -> frozenset[str]:
-        (attrs,) = child_attrs
-        missing = self.inputs - attrs
-        if missing:
-            raise OperationRequirementError(
-                f"udf references unknown attributes {sorted(missing)}"
-            )
-        return attrs - (self.inputs - {self.output})
-
     def output_profile(self, *child_profiles: RelationProfile) -> RelationProfile:
         (profile,) = child_profiles
-        self._check_visible(profile, self.inputs, "udf")
+        self._check_operands(profile, "udf")
         consumed = self.inputs - {self.output}
-        # The inputs must be all plaintext or all encrypted (§3.2).
-        plain = self.inputs & profile.visible_plaintext
-        if plain and plain != self.inputs:
-            raise OperationRequirementError(
-                f"udf inputs {sorted(self.inputs)} mix plaintext and "
-                f"encrypted attributes"
-            )
         return RelationProfile(
             visible_plaintext=profile.visible_plaintext - consumed,
             visible_encrypted=profile.visible_encrypted - consumed,
@@ -625,19 +560,6 @@ class Udf(PlanNode):
             implicit_encrypted=profile.implicit_encrypted,
             equivalences=profile.equivalences.union_set(self.inputs),
         )
-
-    def equivalences_introduced(self) -> tuple[frozenset[str], ...]:
-        if len(self.inputs) > 1:
-            return (self.inputs,)
-        return ()
-
-    def operand_attributes(self) -> frozenset[str]:
-        return self.inputs
-
-    def required_capability(self) -> EncryptedCapability:
-        if self.encrypted_capable:
-            return EncryptedCapability.EQUALITY
-        return EncryptedCapability.NONE
 
     def label(self) -> str:
         return f"µ:{self.name}[{','.join(sorted(self.inputs))}→{self.output}]"
@@ -658,21 +580,9 @@ class Encrypt(PlanNode):
         (child,) = children
         return Encrypt(child, self.attributes)
 
-    def output_attributes(self, *child_attrs: frozenset[str]) -> frozenset[str]:
-        (attrs,) = child_attrs
-        missing = self.attributes - attrs
-        if missing:
-            raise OperationRequirementError(
-                f"encryption of unknown attributes {sorted(missing)}"
-            )
-        return attrs
-
     def output_profile(self, *child_profiles: RelationProfile) -> RelationProfile:
         (profile,) = child_profiles
         return profile.encrypt(self.attributes)
-
-    def operand_attributes(self) -> frozenset[str]:
-        return self.attributes
 
     def label(self) -> str:
         return f"enc[{','.join(sorted(self.attributes))}]"
@@ -693,21 +603,9 @@ class Decrypt(PlanNode):
         (child,) = children
         return Decrypt(child, self.attributes)
 
-    def output_attributes(self, *child_attrs: frozenset[str]) -> frozenset[str]:
-        (attrs,) = child_attrs
-        missing = self.attributes - attrs
-        if missing:
-            raise OperationRequirementError(
-                f"decryption of unknown attributes {sorted(missing)}"
-            )
-        return attrs
-
     def output_profile(self, *child_profiles: RelationProfile) -> RelationProfile:
         (profile,) = child_profiles
         return profile.decrypt(self.attributes)
-
-    def operand_attributes(self) -> frozenset[str]:
-        return self.attributes
 
     def label(self) -> str:
         return f"dec[{','.join(sorted(self.attributes))}]"

@@ -180,8 +180,9 @@ class Conjunction(Predicate):
         return result
 
     def basic_conditions(self) -> Iterator[Predicate]:
-        for predicate in self.predicates:
-            yield from predicate.basic_conditions()
+        # The constructor flattened nested conjunctions: every member is
+        # a basic condition.
+        return iter(self.predicates)
 
     def required_capability(self) -> EncryptedCapability:
         # The strongest requirement among the conjuncts wins; NONE is the

@@ -28,19 +28,9 @@ from __future__ import annotations
 import enum
 from typing import Mapping
 
-from repro.core.operators import (
-    AggregateFunction,
-    GroupBy,
-    Join,
-    PlanNode,
-    Selection,
-    Udf,
-)
+from repro.core.operators import AggregateFunction, GroupBy, PlanNode, Udf
 from repro.core.plan import QueryPlan
-from repro.core.predicates import (
-    AttributeComparisonPredicate,
-    EncryptedCapability,
-)
+from repro.core.predicates import EncryptedCapability
 
 
 class EncryptionScheme(enum.Enum):
@@ -110,15 +100,14 @@ _Instance = tuple[str, PlanNode]
 def _instance_maps(plan: QueryPlan) -> dict[PlanNode, dict[str, _Instance]]:
     """For every node, map each visible attribute to its instance."""
     instances: dict[PlanNode, dict[str, _Instance]] = {}
-    attrs: dict[PlanNode, frozenset[str]] = {}
+    profiles = plan.profiles()
     for node in plan.postorder():
-        child_attrs = [attrs[c] for c in node.children]
-        attrs[node] = node.output_attributes(*child_attrs)
+        visible = profiles[node].visible
         current: dict[str, _Instance] = {}
         for child in node.children:
             current.update(instances[child])
         if node.is_leaf:
-            current = {a: (a, node) for a in attrs[node]}
+            current = {a: (a, node) for a in visible}
         elif isinstance(node, GroupBy):
             for aggregate in node.aggregates:
                 name = aggregate.output_name
@@ -127,7 +116,7 @@ def _instance_maps(plan: QueryPlan) -> dict[PlanNode, dict[str, _Instance]]:
             current[node.output] = (node.output, node)
         # Restrict to the attributes actually visible at this node.
         instances[node] = {
-            a: inst for a, inst in current.items() if a in attrs[node]
+            a: inst for a, inst in current.items() if a in visible
         }
     return instances
 
@@ -168,34 +157,6 @@ def _born_capabilities(
     return None
 
 
-def _node_demands(node: PlanNode) -> list[tuple[str, EncryptedCapability]]:
-    """(attribute, capability) pairs the operation demands of its operands."""
-    demands: list[tuple[str, EncryptedCapability]] = []
-    if isinstance(node, Selection):
-        for basic in node.predicate.basic_conditions():
-            capability = basic.required_capability()
-            for attribute in basic.attributes():
-                demands.append((attribute, capability))
-    elif isinstance(node, Join):
-        for basic in node.condition.basic_conditions():
-            capability = basic.required_capability()
-            for attribute in basic.attributes():
-                demands.append((attribute, capability))
-    elif isinstance(node, GroupBy):
-        for attribute in node.group_attributes:
-            demands.append((attribute, EncryptedCapability.EQUALITY))
-        for aggregate in node.aggregates:
-            if aggregate.attribute is not None:
-                demands.append(
-                    (aggregate.attribute, aggregate.required_capability())
-                )
-    elif isinstance(node, Udf):
-        capability = node.required_capability()
-        for attribute in node.inputs:
-            demands.append((attribute, capability))
-    return demands
-
-
 def infer_plaintext_requirements(
     plan: QueryPlan,
 ) -> dict[PlanNode, frozenset[str]]:
@@ -208,8 +169,8 @@ def infer_plaintext_requirements(
     the same instance (and, for instances born encrypted at an
     aggregate/udf, when the producing operation's output supports it).
     Demands that are not encryptable put the attribute in the requiring
-    node's ``Ap``; for attribute-comparison conditions, both sides are
-    required plaintext together, preserving the uniform-visibility rule.
+    node's ``Ap``; an operation's uniform groups (comparison sides, udf
+    inputs) are required plaintext together, preserving §3.2's rule.
 
     The answer depends only on the immutable plan, so it is inferred
     once per plan and each caller gets its own copy of the mapping.
@@ -240,7 +201,7 @@ def _infer_requirements(plan: QueryPlan) -> dict[PlanNode, frozenset[str]]:
             operand_instances.update(instances[child])
 
         rejected_attrs: set[str] = set()
-        for attribute, capability in _node_demands(node):
+        for attribute, capability in node.demands():
             instance = operand_instances.get(attribute)
             if instance is None:
                 continue
@@ -257,16 +218,11 @@ def _infer_requirements(plan: QueryPlan) -> dict[PlanNode, frozenset[str]]:
             else:
                 pinned.add(capability)
 
-        # Comparisons require both sides in the same form: if either side
-        # of a basic condition was rejected, require both in plaintext.
-        if isinstance(node, (Selection, Join)):
-            predicate = node.predicate if isinstance(node, Selection) \
-                else node.condition
-            for basic in predicate.basic_conditions():
-                if isinstance(basic, AttributeComparisonPredicate) and (
-                        basic.left in rejected_attrs
-                        or basic.right in rejected_attrs):
-                    rejected_attrs |= {basic.left, basic.right}
+        # A uniform group (§3.2) stays in one form: if any member was
+        # rejected, require the whole group in plaintext.
+        for group in node.uniform_groups():
+            if group & rejected_attrs:
+                rejected_attrs |= group
 
         requirements[node] |= rejected_attrs
 
@@ -289,7 +245,7 @@ def chosen_schemes(plan: QueryPlan) -> dict[str, EncryptionScheme]:
         for child in node.children:
             operand_instances.update(instances[child])
         plaintext_needed = requirements[node]
-        for attribute, capability in _node_demands(node):
+        for attribute, capability in node.demands():
             if attribute in plaintext_needed:
                 continue
             instance = operand_instances.get(attribute)

@@ -38,7 +38,7 @@ from repro.core.lineage import augment_view, derived_lineage
 from repro.core.operators import BaseRelationNode, PlanNode
 from repro.core.plan import QueryPlan
 from repro.core.predicates import EncryptedCapability
-from repro.core.requirements import EncryptionScheme, _node_demands
+from repro.core.requirements import EncryptionScheme
 from repro.cost.estimator import PlanEstimator
 from repro.cost.factors import (
     DECRYPT_SECONDS_PER_VALUE,
@@ -244,7 +244,7 @@ class _AssignmentSearch:
             self.estimates[child].rows for child in node.children
         )
         penalty = 0.0
-        for attribute, capability in _node_demands(node):
+        for attribute, capability in node.demands():
             if capability not in (EncryptedCapability.ADDITION,
                                   EncryptedCapability.ORDER):
                 continue

@@ -271,7 +271,8 @@ class PlanEstimator:
     def _estimate_group_by(self, node: GroupBy,
                            child: NodeEstimate) -> NodeEstimate:
         groups = 1.0
-        for attribute in node.group_attributes:
+        # Sorted: a float product must not depend on set order.
+        for attribute in sorted(node.group_attributes):
             groups *= max(1.0, child.ndv.get(attribute, 10.0))
         groups = max(1.0, min(groups, child.rows))
         widths: dict[str, int] = {}

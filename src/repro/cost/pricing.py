@@ -9,7 +9,8 @@ government-backed price lists), with provider prices set from the public
 2017-era listings of Amazon S3 / Google Compute Engine.
 
 Absolute magnitudes only scale the results; the figures of the paper are
-normalized, so the *ratios* are what matters (see DESIGN.md).
+normalized, so the *ratios* are what matters: the lists here stand in
+for the authors' price estimates, keeping their 10× / 3× proportions.
 """
 
 from __future__ import annotations

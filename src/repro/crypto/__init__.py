@@ -1,7 +1,8 @@
 """Encryption toolkit: the schemes the paper's tool relies on (§7).
 
-* randomized + deterministic symmetric encryption (HMAC-PRF stream
-  cipher standing in for AES — see DESIGN.md substitutions);
+* randomized + deterministic symmetric encryption (an HMAC-PRF stream
+  cipher stands in for the AES of the paper's tool: same modes, same
+  leakage, no dependency beyond the standard library);
 * the Paillier additively homomorphic cryptosystem (``sum``/``avg``);
 * order-preserving encryption (range conditions);
 * RSA signatures and hybrid encryption for sub-query dispatch;

@@ -8,9 +8,10 @@ range) rectangle, so that ``x < y  ⇒  Enc(x) < Enc(y)`` while individual
 mappings remain key-dependent.
 
 The scheme works on signed 48-bit integers; fractional values are
-fixed-point scaled, dates map to their ordinal, and strings map through a
-big-endian 6-byte prefix (an order-preserving approximation adequate for
-the simulator — documented in DESIGN.md).
+fixed-point scaled, dates map to their ordinal, and strings map through
+their big-endian 5-byte prefix: strings sharing those five bytes tie, an
+approximation of the paper's OPE that is adequate for range predicates
+over the synthetic workloads (:func:`encode_orderable`).
 
 The PRF walk is ~48 levels deep, so a cipher instance keeps two bounded
 memos: a *pivot* memo (rectangle → PRF pivot — every value shares the

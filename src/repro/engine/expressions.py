@@ -166,19 +166,10 @@ def compare_encrypted(left: EncryptedValue, op: ComparisonOp,
     )
 
 
-def compare_values(left: object, op: ComparisonOp, right: object) -> bool:
-    """Dispatch between plaintext and encrypted comparison.
-
-    Delegates to the memoized compiled comparator so the dispatch and
-    NULL/mix semantics have a single source of truth.
-    """
-    return compile_comparison(op)(left, right)
-
-
 @lru_cache(maxsize=None)
 def compile_comparison(op: ComparisonOp,
                        ) -> Callable[[object, object], bool]:
-    """Specialize :func:`compare_values` for one operator.
+    """The comparator of one operator, on plaintext or encrypted values.
 
     The returned two-argument comparator still dispatches on the *values*
     (a column may hold encrypted tokens), but the operator resolution —

@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of two design choices the model leaves open.
 
 * **visibility strategy** (§5's discussion): maximizing visibility
   (encrypt only when strictly required — our minimal extension),

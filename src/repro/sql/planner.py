@@ -31,6 +31,7 @@ from repro.core.predicates import (
     Conjunction,
     Predicate,
 )
+from repro.core.profile import RelationProfile
 from repro.core.schema import Schema
 from repro.exceptions import SqlAnalysisError
 from repro.sql.ast import (
@@ -105,6 +106,8 @@ class _Planner:
                 "self-joins are not supported (attribute names are global)"
             )
         self.owners = schema.attribute_owner_map()
+        #: Profile of each node built so far: its schema is ``visible``.
+        self._profiles: dict[PlanNode, RelationProfile] = {}
 
     # ------------------------------------------------------------------
     # Resolution helpers
@@ -397,5 +400,12 @@ class _Planner:
         return frozenset(needed)
 
     def _visible_attributes(self, node: PlanNode) -> frozenset[str]:
-        child_attrs = [self._visible_attributes(c) for c in node.children]
-        return node.output_attributes(*child_attrs)
+        return self._profile(node).visible
+
+    def _profile(self, node: PlanNode) -> RelationProfile:
+        profile = self._profiles.get(node)
+        if profile is None:
+            profile = node.output_profile(
+                *(self._profile(child) for child in node.children))
+            self._profiles[node] = profile
+        return profile

@@ -6,8 +6,8 @@ segments, ship modes, brands, date ranges, ...).  A fixed seed makes
 generation reproducible; sizes follow the TPC-H scaling rules via
 :func:`repro.tpch.schema.table_rows`.
 
-Substitutes the authors' 1 GB dbgen database (see DESIGN.md): the
-evaluation reports normalized costs, so the scale factor cancels out.
+Substitutes the authors' 1 GB dbgen database: the evaluation reports
+normalized costs, so the scale factor cancels out.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from repro.core.predicates import (
     AttributeComparisonPredicate,
     AttributeValuePredicate,
     ComparisonOp,
+    EncryptedCapability,
     equals,
 )
 from repro.core.profile import RelationProfile
@@ -101,7 +102,9 @@ class TestSelection:
         node = Selection(LEAF, AttributeValuePredicate(
             "D", ComparisonOp.GT, 1))
         assert node.implicit_introduced() == frozenset("D")
+        assert node.demands() == (("D", EncryptedCapability.ORDER),)
         assert node.operand_attributes() == frozenset("D")
+        assert node.uniform_groups() == ()
 
 
 class TestCartesianProduct:
@@ -116,7 +119,7 @@ class TestCartesianProduct:
     def test_rejects_overlapping_schemas(self):
         node = CartesianProduct(LEAF, LEAF.with_children(()))
         with pytest.raises(PlanError):
-            node.output_attributes(frozenset("A"), frozenset("A"))
+            node.output_profile(profile(vp="A"), profile(vp="AB"))
 
 
 class TestJoin:
@@ -147,6 +150,18 @@ class TestJoin:
         result = node.output_profile(left, right)
         assert result.equivalences.are_equivalent("S", "C")
 
+    def test_rejects_overlapping_schemas(self):
+        node = Join(LEAF, LEAF.with_children(()), equals("A", "B"))
+        with pytest.raises(PlanError):
+            node.output_profile(profile(vp="A"), profile(vp="AB"))
+
+    def test_declares_what_it_reads(self):
+        node = Join(LEAF, LEAF.with_children(()), equals("D", "C"))
+        assert sorted(node.demands()) == [
+            ("C", EncryptedCapability.EQUALITY),
+            ("D", EncryptedCapability.EQUALITY)]
+        assert node.uniform_groups() == (frozenset("CD"),)
+
     def test_join_requires_comparison_conditions(self):
         with pytest.raises(PlanError):
             Join(LEAF, BaseRelationNode(Relation("R2", ["x"])),
@@ -161,6 +176,17 @@ class TestGroupBy:
         node = GroupBy(LEAF, ["T"], Aggregate(AggregateFunction.AVG, "P"))
         result = node.output_profile(operand)
         assert result == profile(vp="TP", ip="DT", eq=({"S", "C"},))
+
+    def test_declares_what_it_reads(self):
+        node = GroupBy(LEAF, ["T"], [
+            Aggregate(AggregateFunction.AVG, "P"),
+            Aggregate(AggregateFunction.MAX, "S", alias="top"),
+            Aggregate(AggregateFunction.COUNT, alias="n")])
+        assert node.demands() == (
+            ("T", EncryptedCapability.EQUALITY),
+            ("P", EncryptedCapability.ADDITION),
+            ("S", EncryptedCapability.ORDER))
+        assert node.uniform_groups() == ()
 
     def test_grouping_on_encrypted_attribute(self):
         operand = profile(ve="T", vp="P")
@@ -226,6 +252,15 @@ class TestUdf:
         with pytest.raises(OperationRequirementError):
             node.output_profile(operand)
 
+    def test_declares_what_it_reads(self):
+        plain_only = Udf(LEAF, ["S", "B"], "S")
+        assert sorted(plain_only.demands()) == [
+            ("B", EncryptedCapability.NONE), ("S", EncryptedCapability.NONE)]
+        capable = Udf(LEAF, ["S", "B"], "S", encrypted_capable=True)
+        assert {c for _, c in capable.demands()} \
+            == {EncryptedCapability.EQUALITY}
+        assert capable.uniform_groups() == (frozenset("SB"),)
+
     def test_output_must_be_an_input(self):
         with pytest.raises(PlanError):
             Udf(LEAF, ["S", "B"], "Z")
@@ -242,6 +277,13 @@ class TestEncryptDecrypt:
         operand = profile(vp="SB", ve="T", ip="D")
         result = Decrypt(LEAF, ["T"]).output_profile(operand)
         assert result == profile(vp="SBT", ip="D")
+
+    def test_read_nothing(self):
+        # Encryption moves values between forms; it computes on none.
+        for node in (Encrypt(LEAF, ["T"]), Decrypt(LEAF, ["T"])):
+            assert node.demands() == ()
+            assert node.operand_attributes() == frozenset()
+            assert node.uniform_groups() == ()
 
     def test_empty_sets_rejected(self):
         with pytest.raises(PlanError):

@@ -15,6 +15,7 @@ from repro.core.operators import (
     BaseRelationNode,
     GroupBy,
     Selection,
+    Udf,
 )
 from repro.core.plan import QueryPlan
 from repro.core.predicates import (
@@ -72,6 +73,20 @@ class TestInferRequirements:
         requirements = infer_plaintext_requirements(plan)
         (udf,) = plan.operations()
         assert requirements[udf] == frozenset({"m0", "m1"})
+
+    def test_a_udf_keeps_its_inputs_in_one_form(self):
+        # §3.2: a udf reads its inputs all plaintext or all encrypted.
+        # A Paillier-born sum cannot serve an encrypted udf's equality
+        # demand, so the grouping attribute it is computed with must be
+        # plaintext too, although on its own it could stay encrypted.
+        schema = Schema()
+        relation = schema.add(Relation("R", ["g", "v"]))
+        group_by = GroupBy(BaseRelationNode(relation), ["g"],
+                           Aggregate(AggregateFunction.SUM, "v"))
+        udf = Udf(group_by, ["v", "g"], "v", encrypted_capable=True)
+        requirements = infer_plaintext_requirements(QueryPlan(udf))
+        assert requirements[group_by] == frozenset()
+        assert requirements[udf] == frozenset({"v", "g"})
 
     def test_like_forces_plaintext(self):
         schema = Schema()

@@ -175,10 +175,12 @@ class TestCostModel:
             normalized_costs({"enc": b}, "UA")
 
 
-#: Plans TPC-H Q18 under UAPenc at the Fig. 9/10 estimate scale and
-#: prints ``float.hex`` of the chosen plan's and every standby's cost.
-_PLAN_Q18_UAPENC = """
+#: Plans TPC-H query ``argv[1]`` under UAPenc at the Fig. 9/10 estimate
+#: scale and prints ``float.hex`` of the total and network cost of the
+#: chosen plan and of every standby.
+_PLAN_UAPENC = """
 import json
+import sys
 from repro.core.assignment import assign
 from repro.cost.pricing import PriceList
 from repro.tpch.queries import query_plan
@@ -187,12 +189,31 @@ from repro.tpch.schema import build_tpch_schema
 
 schema = build_tpch_schema(0.1)
 bundle = scenario("UAPenc", schema)
-result = assign(query_plan(18, schema), bundle.policy, bundle.subject_names,
-                PriceList.from_subjects(bundle.subjects), user=bundle.user,
-                owners=bundle.owners)
-print(json.dumps([member.cost.total_usd.hex()
+result = assign(query_plan(int(sys.argv[1]), schema), bundle.policy,
+                bundle.subject_names, PriceList.from_subjects(bundle.subjects),
+                user=bundle.user, owners=bundle.owners)
+print(json.dumps([[member.cost.total_usd.hex(), member.cost.net_usd.hex()]
                   for member in (result,) + result.portfolio]))
 """
+
+
+def _uapenc_costs(number: int, seed: str) -> list[list[str]]:
+    """``_PLAN_UAPENC``'s answer in an interpreter with ``seed``."""
+    import json
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", _PLAN_UAPENC, str(number)], env=env,
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    return json.loads(out)
 
 
 class TestHashSeedIndependence:
@@ -200,22 +221,13 @@ class TestHashSeedIndependence:
         """The §7 estimate sums floats over attribute sets; summed in
         string-hash order, Q18 / UAPenc's standby differed in its last
         bits between ``PYTHONHASHSEED`` 1 and 2."""
-        import json
-        import os
-        import pathlib
-        import subprocess
-        import sys
-
-        import repro
-
-        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
-        costs = []
-        for seed in ("1", "2"):
-            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
-            out = subprocess.run(
-                [sys.executable, "-c", _PLAN_Q18_UAPENC], env=env,
-                capture_output=True, text=True, check=True, timeout=120,
-            ).stdout
-            costs.append(json.loads(out))
+        costs = [_uapenc_costs(18, seed) for seed in ("1", "2")]
         assert len(costs[0]) == 2  # the chosen plan and one standby
+        assert costs[0] == costs[1]
+
+    def test_q16_uapenc_costs_repeat_across_hash_seeds(self):
+        """A group-by's cardinality is a product over its grouping
+        attributes; multiplied in string-hash order, Q16 / UAPenc's
+        network cost differed in its last bit between seeds 0 and 6."""
+        costs = [_uapenc_costs(16, seed) for seed in ("0", "6")]
         assert costs[0] == costs[1]

@@ -11,11 +11,20 @@ on what it decrypts again.
 from __future__ import annotations
 
 from repro.core.operators import PlanNode
+from repro.core.plan import QueryPlan
 from repro.engine.executor import Executor
 from repro.engine.table import Table
 
 
+def tables_in_plan_order(executor: Executor,
+                         plan: QueryPlan) -> dict[PlanNode, Table]:
+    """Every node's result table, children first."""
+    tables: dict[PlanNode, Table] = {}
+    for node in plan.postorder():
+        tables[node] = executor.execute_node(
+            node, [tables[child] for child in node.children])
+    return tables
+
+
 def execute_in_plan_order(executor: Executor, node: PlanNode) -> Table:
-    return executor.execute_node(
-        node, [execute_in_plan_order(executor, child)
-               for child in node.children])
+    return tables_in_plan_order(executor, QueryPlan(node))[node]

@@ -16,7 +16,7 @@ from repro.core.candidates import compute_candidates, minimum_view_profiles
 from repro.core.extension import minimally_extend
 from repro.core.keys import establish_keys
 from repro.core.lineage import augment_view, derived_lineage
-from repro.core.operators import Decrypt, Encrypt
+from repro.core.operators import Decrypt, Encrypt, GroupBy
 from repro.core.plan import QueryPlan
 from repro.core.visibility import (
     check_assignee,
@@ -60,7 +60,13 @@ class TestTheorem31:
         for node in plan.operations():
             for attribute in node.implicit_introduced():
                 assert attribute in root_universe
-            for group in node.equivalences_introduced():
+            connected = [group for group in node.uniform_groups()
+                         if len(group) > 1]
+            if isinstance(node, GroupBy):
+                connected += [{a.attribute, a.output_name}
+                              for a in node.aggregates
+                              if a.attribute not in (None, a.output_name)]
+            for group in connected:
                 assert group <= root_universe
 
     def test_equivalences_only_coarsen(self, random_scenario):
