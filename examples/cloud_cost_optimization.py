@@ -3,10 +3,8 @@
 
 Regenerates Figures 9 and 10 of the paper on the simulated substrate:
 22 TPC-H queries, two data authorities, three cloud providers, and the
-UA / UAPenc / UAPmix authorization scenarios.  Also demonstrates a
-sensitivity analysis the paper mentions ("the saving is expected to be
-high when the difference in the prices of cloud providers is
-significant") by varying the provider price spread.
+UA / UAPenc / UAPmix authorization scenarios, then shows who does
+what for one provider-friendly query.
 
 Run:  python examples/cloud_cost_optimization.py
 """
@@ -42,27 +40,6 @@ def main() -> None:
     print("\n=== Q5 under UAPenc: who does what ===")
     print(outcome.describe())
     print("keys:", outcome.keys.describe().replace("\n", " | ") or "-")
-
-    # Sensitivity: provider price spread (the paper notes the saving
-    # grows when provider prices differ significantly — here the spread
-    # prices P2/P3 above P1, so a larger spread pushes work to P1 and
-    # the relative UA cost up).
-    print("\n=== Sensitivity: provider price spread (Q5, UAPenc) ===")
-    for spread in (0.0, 0.25, 1.0):
-        prices = PriceList.from_subjects(
-            scenario_obj.subjects, provider_spread=spread
-        )
-        plan = all_queries()[4].plan(schema)
-        enc = assign(plan, scenario_obj.policy,
-                     scenario_obj.subject_names, prices,
-                     user=scenario_obj.user, owners=scenario_obj.owners)
-        plan = all_queries()[4].plan(schema)
-        ua_scenario = all_scenarios(schema)["UA"]
-        ua = assign(plan, ua_scenario.policy, ua_scenario.subject_names,
-                    prices, user=ua_scenario.user,
-                    owners=ua_scenario.owners)
-        ratio = enc.cost.total_usd / ua.cost.total_usd
-        print(f"  spread={spread:4.2f}: UAPenc/UA = {ratio:.3f}")
 
 
 if __name__ == "__main__":

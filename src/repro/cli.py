@@ -274,7 +274,7 @@ def run_metrics(tenants: int = 3, repeat: int = 2,
     ``tenants`` weighted tenants (weights cycling 1..3, users
     alternating U and Y) each run the paper's query ``repeat`` times
     through a shared :class:`~repro.gateway.Gateway`; the return value
-    is the registry's text exposition — admission counters, queue
+    is the gateway's text exposition — admission counters, queue
     depths, fragment latencies, breaker states, cache hit rates, and
     (when ``deadline_ms``/``cost_ceiling`` budget the queries) the
     deadline/shed counters and budget-remaining histogram.  Queries the

@@ -33,6 +33,11 @@ PROVIDER_NET_USD_PER_GB = 0.001
 AUTHORITY_CPU_MULTIPLIER = 3.0
 USER_CPU_MULTIPLIER = 10.0
 
+#: Providers' CPU price staggering (the paper notes savings grow with the
+#: spread of provider prices): the cheapest provider is the baseline and
+#: the ``k``-th further one costs ``1 + k·spread`` times more.
+PROVIDER_SPREAD = 0.25
+
 
 @dataclass(frozen=True)
 class ResourceRates:
@@ -94,28 +99,24 @@ class PriceList:
         providers: Iterable[str],
         authorities: Iterable[str],
         user: str,
-        provider_spread: float = 0.25,
     ) -> "PriceList":
         """The §7 configuration.
 
         Providers get the baseline CPU price staggered by
-        ``provider_spread`` (the paper notes savings grow with the spread
-        of provider prices: the cheapest provider is the baseline, each
-        further provider costs ``1 + k·spread`` times more).  Authorities
-        cost 3× and the user 10× the baseline.
+        :data:`PROVIDER_SPREAD`, in name order.  Authorities cost 3× and
+        the user 10× the baseline.
         """
         base = provider_rates()
         rates: dict[str, ResourceRates] = {}
         for index, name in enumerate(sorted(providers)):
-            rates[name] = base.scaled(1.0 + provider_spread * index)
+            rates[name] = base.scaled(1.0 + PROVIDER_SPREAD * index)
         for name in authorities:
             rates[name] = base.scaled(AUTHORITY_CPU_MULTIPLIER)
         rates[user] = base.scaled(USER_CPU_MULTIPLIER)
         return cls(rates, default=base)
 
     @classmethod
-    def from_subjects(cls, subjects: Iterable[Subject],
-                      provider_spread: float = 0.25) -> "PriceList":
+    def from_subjects(cls, subjects: Iterable[Subject]) -> "PriceList":
         """Paper defaults derived from typed :class:`Subject` objects."""
         subjects = list(subjects)
         providers = [s.name for s in subjects
@@ -127,10 +128,7 @@ class PriceList:
             raise EstimationError(
                 f"expected exactly one user subject, got {users}"
             )
-        return cls.paper_defaults(
-            providers, authorities, users[0],
-            provider_spread=provider_spread,
-        )
+        return cls.paper_defaults(providers, authorities, users[0])
 
     def rates(self, subject: str) -> ResourceRates:
         """Rates of ``subject`` (authorities fall back to the default)."""

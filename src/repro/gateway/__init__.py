@@ -3,9 +3,10 @@
 The production front-end the ROADMAP's north star asks for: many
 tenants share one :class:`~repro.service.QueryService` under bounded
 concurrency, weighted fair queueing, token-bucket rate limits, credit
-metering priced from the §7 cost model, and a Prometheus-style metrics
-registry.  See :mod:`repro.gateway.gateway` for the execution model and
-``docs/architecture.md`` for where the gateway sits in the stack.
+metering priced from the §7 cost model, and a Prometheus scrape read
+off the records those keep.  See :mod:`repro.gateway.gateway` for the
+execution model and ``docs/architecture.md`` for where the gateway sits
+in the stack.
 """
 
 from repro.exceptions import (

@@ -14,17 +14,17 @@ tenants concurrently under explicit resource arbitration:
   journaled in a :class:`~repro.cost.metering.Ledger`.  Quota-exhausted
   tenants are rejected at :meth:`Gateway.submit`, before a single
   planning cycle is spent on them;
-* **observability** — every admission decision, queue depth, dispatch,
-  query latency, fragment latency, breaker state and cache hit rate
-  lands in a :class:`~repro.obs.metrics.MetricsRegistry`, scrapable as
-  Prometheus text from :meth:`Gateway.metrics_text` (and ``python -m
-  repro metrics`` on the CLI).  What happened is written once, in two
-  records, and the counters read them: a tenant's completed, failed,
-  cancelled and deadline counts and its spend are the ledger's lifetime
-  totals (derived at scrape time), and fragment latencies are the
-  ``executions`` of each query's
+* **observability** — :meth:`Gateway.metrics_text` (and ``python -m
+  repro metrics`` on the CLI) renders Prometheus text as a view over
+  records: a tenant's completed, failed, cancelled and deadline counts
+  and its spend are the ledger's lifetime totals, queue depth and in
+  flight are the admission controller's, breaker and cache series are
+  the service's ``health_info()`` and ``cache_info()``, and fragment
+  latencies are the ``executions`` of each query's
   :class:`~repro.distributed.runtime.ExecutionTrace` (the outcome's,
-  or the one an aborted query's error carries);
+  or the one an aborted query's error carries).  The gateway itself
+  keeps only what no other layer records: the submit-time counts
+  (submitted, rejected, shed predicted) and four histograms;
 * **budgets & graceful degradation** — each query runs under a
   :class:`~repro.core.budget.QueryBudget` (the caller's request merged
   over the tenant's defaults) carried in a
@@ -57,6 +57,7 @@ as concurrent as the service allows.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -77,7 +78,7 @@ from repro.gateway.admission import (
     LatencyPredictor,
 )
 from repro.gateway.quotas import TenantQuota
-from repro.obs.metrics import DEFAULT_FRACTION_BUCKETS, MetricsRegistry
+from repro.obs.metrics import DEFAULT_FRACTION_BUCKETS, Histogram, render
 from repro.service import QueryOutcome, QueryService
 
 #: Query-latency quantile of the tenant's own histogram that stands in
@@ -86,6 +87,11 @@ _SHED_QUANTILE = 0.9
 
 #: Breaker states as gauge values.
 _BREAKER_STATES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
+
+
+def _keyed(by_name: Mapping[str, object]) -> dict[tuple[str], object]:
+    """Samples of a one-label family, from a mapping by label value."""
+    return {(name,): value for name, value in by_name.items()}
 
 
 @dataclass(frozen=True)
@@ -178,9 +184,7 @@ class Gateway:
         self.tenants: Mapping[str, TenantConfig] = {
             config.name: config for config in tenants}
         self.ledger = Ledger()
-        self.registry = MetricsRegistry()
         self._controller = AdmissionController(max_inflight)
-        self._max_inflight = max_inflight
         self._predictor = LatencyPredictor()
         self._quotas: dict[str, TenantQuota] = {}
         for config in tenants:
@@ -192,7 +196,17 @@ class Gateway:
                 deadline_seconds=config.deadline_seconds,
                 cost_ceiling_usd=config.cost_ceiling_usd,
                 clock=self.clock)
-        self._register_metrics()
+        #: What no other layer records: the submit-time counts, keyed
+        #: ``("submitted", tenant)`` or ``(event, tenant, reason)``, and
+        #: the histograms (fragment latency per subject on first use).
+        self._lock = threading.Lock()
+        self._events: Counter[tuple[str, ...]] = Counter()
+        self._queue_wait = {name: Histogram() for name in self.tenants}
+        self._query_seconds = {name: Histogram() for name in self.tenants}
+        self._budget_fraction = {
+            name: Histogram(DEFAULT_FRACTION_BUCKETS)
+            for name in self.tenants}
+        self._fragment_latency: dict[str, Histogram] = {}
         self._closed = False
         self._close_lock = threading.Lock()
         self._workers = [
@@ -206,124 +220,106 @@ class Gateway:
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-    def _register_metrics(self) -> None:
-        registry = self.registry
-        self._submitted = registry.counter(
-            "repro_gateway_queries_submitted_total",
-            "Queries offered to the gateway, admitted or not.",
-            labelnames=("tenant",))
-        completed = registry.counter(
-            "repro_gateway_queries_completed_total",
-            "Queries executed to a result.", labelnames=("tenant",))
-        failed = registry.counter(
-            "repro_gateway_queries_failed_total",
-            "Admitted queries whose execution raised.",
-            labelnames=("tenant",))
-        self._rejected = registry.counter(
-            "repro_gateway_queries_rejected_total",
-            "Queries rejected before planning, by reason "
-            "(queue_full, rate, credits).",
-            labelnames=("tenant", "reason"))
-        self._queue_depth = registry.gauge(
-            "repro_gateway_queue_depth",
-            "Queries queued per tenant right now.",
-            labelnames=("tenant",))
-        self._inflight = registry.gauge(
-            "repro_gateway_inflight",
-            "Admitted queries currently executing.")
-        self._queue_wait = registry.histogram(
-            "repro_gateway_queue_wait_seconds",
-            "Admission-to-dispatch wait.", labelnames=("tenant",))
-        self._query_seconds = registry.histogram(
-            "repro_gateway_query_seconds",
-            "End-to-end execution time of admitted queries.",
-            labelnames=("tenant",))
-        self._credits_spent = registry.counter(
-            "repro_gateway_credits_spent_usd_total",
-            "Metered spend per tenant (sum of costed traces).",
-            labelnames=("tenant",))
-        deadline = registry.counter(
-            "repro_gateway_deadline_exceeded_total",
-            "Queries whose end-to-end deadline expired (at dequeue or "
-            "mid-execution).", labelnames=("tenant",))
-        cancelled = registry.counter(
-            "repro_gateway_cancelled_total",
-            "Queries cancelled by their client via the token.",
-            labelnames=("tenant",))
-        #: Ledger status → the counter its lifetime count is (part of).
-        self._status_counters = {
-            "completed": completed, "failed": failed,
-            "cancelled": cancelled, "shed": deadline, "deadline": deadline}
-        self._shed_predicted = registry.counter(
-            "repro_gateway_shed_predicted_total",
-            "Queries shed at submit because the predictor expected them "
-            "to blow their budget (predicted_deadline, predicted_cost).",
-            labelnames=("tenant", "reason"))
-        self._budget_fraction = registry.histogram(
-            "repro_gateway_budget_remaining_fraction",
-            "Fraction of the deadline budget left when a budgeted query "
-            "delivered its result.", buckets=DEFAULT_FRACTION_BUCKETS,
-            labelnames=("tenant",))
-        self._fragment_latency = registry.histogram(
-            "repro_fragment_latency_seconds",
-            "Per-subject fragment execution time (query traces).",
-            labelnames=("subject",))
-        self._breaker_state = registry.gauge(
-            "repro_breaker_state",
-            "Circuit breaker per subject (0 closed, 1 half-open, "
-            "2 open, 3 dead).", labelnames=("subject",))
-        self._breaker_trips = registry.counter(
-            "repro_breaker_trips_total",
-            "Circuit breaker trips per subject.",
-            labelnames=("subject",))
-        self._cache_hits = registry.counter(
-            "repro_cache_hits_total",
-            "Cache hits by cache (assignment).",
-            labelnames=("cache",))
-        self._cache_misses = registry.counter(
-            "repro_cache_misses_total",
-            "Cache misses by cache (assignment).",
-            labelnames=("cache",))
-        self._cache_entries = registry.gauge(
-            "repro_cache_entries",
-            "Resident entries by cache (plans, fragments, assignment).",
-            labelnames=("cache",))
-        registry.register_collector(self._collect)
-
-    def _collect(self) -> None:
-        """Mirror the ledger and service/runtime snapshots into the
-        registry (scrape)."""
-        totals: dict[tuple[object, str], float] = {}
-        for (tenant, status), (count, spend) \
-                in self.ledger.lifetime().items():
-            key = (self._status_counters[status], tenant)
-            totals[key] = totals.get(key, 0) + count
-            if status == "completed":
-                totals[self._credits_spent, tenant] = spend
-        for (counter, tenant), total in totals.items():
-            counter.labels(tenant).set_total(total)
-        for tenant, depth in self._controller.depths().items():
-            self._queue_depth.labels(tenant).set(depth)
-        for subject, record in self.service.health_info().items():
-            state = 3.0 if record["dead"] \
-                else _BREAKER_STATES[record["state"]]
-            self._breaker_state.labels(subject).set(state)
-            self._breaker_trips.labels(subject).set_total(
-                record["breaker_trips"])
-        info = self.service.cache_info()
-        assignment = info["assignment"]
-        self._cache_hits.labels("assignment").set_total(
-            assignment["hits"])
-        self._cache_misses.labels("assignment").set_total(
-            assignment["misses"])
-        self._cache_entries.labels("plans").set(info["plans"])
-        self._cache_entries.labels("assignment").set(assignment["size"])
-        self._cache_entries.labels("fragments").set(
-            info["fragment_entries"])
-
     def metrics_text(self) -> str:
-        """The gateway's metrics in Prometheus text exposition format."""
-        return self.registry.render()
+        """The gateway's metrics in Prometheus text exposition format.
+
+        A view: each family is read now from the record that keeps it
+        (the table in ``docs/operations.md``, "Metrics").
+        """
+        # The ledger before the events: a query is counted submitted
+        # before it is ledgered, so no scrape ends more than it submitted.
+        lifetime = self.ledger.lifetime()
+        with self._lock:
+            events = dict(self._events)
+            fragments = dict(self._fragment_latency)
+        counts: dict[str, dict[tuple[str, ...], float]] = {
+            event: {} for event in (
+                "submitted", "rejected", "shed_predicted", "completed",
+                "failed", "cancelled", "deadline", "spent")}
+        for (event, *labels), count in events.items():
+            counts[event][tuple(labels)] = count
+        for (tenant, status), (count, spend) in lifetime.items():
+            # Shed at dequeue and out of deadline in flight are one series.
+            ended = counts["deadline" if status == "shed" else status]
+            ended[tenant,] = ended.get((tenant,), 0) + count
+            if status == "completed":
+                counts["spent"][tenant,] = spend
+        health = self.service.health_info()
+        cache = self.service.cache_info()
+        assignment = cache["assignment"]
+        tenant, subject, by_cache = ("tenant",), ("subject",), ("cache",)
+        return render([
+            ("repro_gateway_queries_submitted_total", "counter",
+             "Queries offered to the gateway, admitted or not.",
+             tenant, counts["submitted"]),
+            ("repro_gateway_queries_completed_total", "counter",
+             "Queries executed to a result.", tenant, counts["completed"]),
+            ("repro_gateway_queries_failed_total", "counter",
+             "Admitted queries whose execution raised or that "
+             "close(drain=False) dropped from the queue.",
+             tenant, counts["failed"]),
+            ("repro_gateway_queries_rejected_total", "counter",
+             "Queries rejected before planning, by reason "
+             "(queue_full, rate, credits).",
+             ("tenant", "reason"), counts["rejected"]),
+            ("repro_gateway_queue_depth", "gauge",
+             "Queries queued per tenant right now.", tenant,
+             _keyed(self._controller.depths())),
+            ("repro_gateway_inflight", "gauge",
+             "Admitted queries currently executing.", (),
+             {(): self._controller.inflight}),
+            ("repro_gateway_queue_wait_seconds", "histogram",
+             "Admission-to-dispatch wait.", tenant,
+             _keyed(self._queue_wait)),
+            ("repro_gateway_query_seconds", "histogram",
+             "End-to-end execution time of admitted queries.", tenant,
+             _keyed(self._query_seconds)),
+            ("repro_gateway_credits_spent_usd_total", "counter",
+             "Metered spend per tenant (sum of costed traces).",
+             tenant, counts["spent"]),
+            ("repro_gateway_deadline_exceeded_total", "counter",
+             "Queries whose end-to-end deadline expired (at dequeue or "
+             "mid-execution).", tenant, counts["deadline"]),
+            ("repro_gateway_cancelled_total", "counter",
+             "Queries cancelled by their client via the token.",
+             tenant, counts["cancelled"]),
+            ("repro_gateway_shed_predicted_total", "counter",
+             "Queries shed at submit because the predictor expected them "
+             "to blow their budget (predicted_deadline, predicted_cost).",
+             ("tenant", "reason"), counts["shed_predicted"]),
+            ("repro_gateway_budget_remaining_fraction", "histogram",
+             "Fraction of the deadline budget left when a budgeted query "
+             "delivered its result.", tenant,
+             _keyed(self._budget_fraction)),
+            ("repro_fragment_latency_seconds", "histogram",
+             "Per-subject fragment execution time (query traces).",
+             subject, _keyed(fragments)),
+            ("repro_breaker_state", "gauge",
+             "Circuit breaker per subject (0 closed, 1 half-open, "
+             "2 open, 3 dead).", subject,
+             {(name,): 3.0 if record["dead"]
+              else _BREAKER_STATES[record["state"]]
+              for name, record in health.items()}),
+            ("repro_breaker_trips_total", "counter",
+             "Circuit breaker trips per subject.", subject,
+             {(name,): record["breaker_trips"]
+              for name, record in health.items()}),
+            ("repro_cache_hits_total", "counter",
+             "Cache hits by cache (assignment).", by_cache,
+             {("assignment",): assignment["hits"]}),
+            ("repro_cache_misses_total", "counter",
+             "Cache misses by cache (assignment).", by_cache,
+             {("assignment",): assignment["misses"]}),
+            ("repro_cache_entries", "gauge",
+             "Resident entries by cache (plans, fragments, assignment).",
+             by_cache, {("plans",): cache["plans"],
+                        ("assignment",): assignment["size"],
+                        ("fragments",): cache["fragment_entries"]}),
+        ])
+
+    def _count(self, *event: str) -> None:
+        with self._lock:
+            self._events[event] += 1
 
     # ------------------------------------------------------------------
     # Submission
@@ -357,12 +353,12 @@ class Gateway:
                              f"{sorted(self.tenants)}")
         if self._closed:
             raise GatewayError("gateway is closed")
-        self._submitted.labels(tenant).inc()
+        self._count("submitted", tenant)
         quota = self._quotas[tenant]
         try:
             quota.check(self.ledger)
         except QuotaExceeded as refusal:
-            self._rejected.labels(tenant, refusal.reason).inc()
+            self._count("rejected", tenant, refusal.reason)
             raise
         if token is None:
             merged = quota.budget_for(budget)
@@ -374,7 +370,7 @@ class Gateway:
         try:
             self._controller.submit(tenant, request)
         except AdmissionRejected:
-            self._rejected.labels(tenant, "queue_full").inc()
+            self._count("rejected", tenant, "queue_full")
             raise
         # Expose the cancel handle on the future so callers who passed
         # only a budget can still abort mid-flight.
@@ -403,17 +399,17 @@ class Gateway:
         if remaining is not None:
             run_seconds = self._predictor.predict_seconds(sql)
             if run_seconds is None:
-                quantile = self._query_seconds.labels(tenant).quantile(
+                quantile = self._query_seconds[tenant].quantile(
                     _SHED_QUANTILE)
                 if quantile > 0.0 and quantile != float("inf"):
                     run_seconds = quantile
             if run_seconds is not None:
                 backlog_factor = 1.0 + (self._controller.backlog()
-                                        / self._max_inflight)
+                                        / self._controller.max_inflight)
                 predicted = run_seconds * backlog_factor
                 if predicted > remaining:
-                    self._shed_predicted.labels(
-                        tenant, "predicted_deadline").inc()
+                    self._count("shed_predicted", tenant,
+                                "predicted_deadline")
                     raise SheddedError(
                         f"tenant {tenant!r}: predicted "
                         f"{predicted:.3f}s exceeds the {remaining:.3f}s "
@@ -428,8 +424,7 @@ class Gateway:
         if ceiling is not None:
             cost = self._predictor.predict_cost(sql)
             if cost is not None and cost > ceiling:
-                self._shed_predicted.labels(
-                    tenant, "predicted_cost").inc()
+                self._count("shed_predicted", tenant, "predicted_cost")
                 raise SheddedError(
                     f"tenant {tenant!r}: predicted cost ${cost:.6f} "
                     f"exceeds the ${ceiling:.6f} ceiling; shed before "
@@ -454,13 +449,11 @@ class Gateway:
                 return
             tenant, request, dispatch_sequence = acquired
             request.dispatch_sequence = dispatch_sequence
-            self._queue_wait.labels(tenant).observe(
+            self._queue_wait[tenant].observe(
                 self.clock() - request.enqueued_at)
-            self._inflight.inc()
             try:
                 self._execute_request(tenant, request)
             finally:
-                self._inflight.dec()
                 self._controller.release()
 
     def _execute_request(self, tenant: str, request: _Request) -> None:
@@ -496,13 +489,13 @@ class Gateway:
             return
         quota.settle(outcome.cost_usd)
         self._read_fragment_latency(outcome.trace)
-        self._query_seconds.labels(tenant).observe(outcome.wall_seconds)
+        self._query_seconds[tenant].observe(outcome.wall_seconds)
         self._predictor.observe(request.sql, outcome.wall_seconds,
                                 outcome.cost_usd)
         if token is not None:
             fraction = token.remaining_fraction()
             if fraction is not None:
-                self._budget_fraction.labels(tenant).observe(fraction)
+                self._budget_fraction[tenant].observe(fraction)
         self.ledger.record(
             tenant, user=request.user, sql=request.sql,
             cost_usd=outcome.cost_usd,
@@ -527,7 +520,12 @@ class Gateway:
         if trace is None:
             return
         for subject, seconds in trace.executions:
-            self._fragment_latency.labels(subject).observe(seconds)
+            histogram = self._fragment_latency.get(subject)
+            if histogram is None:
+                with self._lock:
+                    histogram = self._fragment_latency.setdefault(
+                        subject, Histogram())
+            histogram.observe(seconds)
 
     # ------------------------------------------------------------------
     # Introspection & lifecycle
@@ -541,15 +539,19 @@ class Gateway:
 
         ``drain=True`` (default) finishes every queued query first;
         ``drain=False`` fails pending queries with
-        :class:`~repro.exceptions.GatewayError` — either way nothing is
-        silently dropped.  Idempotent; blocks until workers exit.
+        :class:`~repro.exceptions.GatewayError`, each ledgered ``failed``
+        at no cost — either way nothing is silently dropped.
+        Idempotent; blocks until workers exit.
         """
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
             dropped = self._controller.close(drain=drain)
-        for _, request in dropped:
+        for tenant, request in dropped:
+            self.ledger.record(
+                tenant, user=request.user, sql=request.sql, cost_usd=0.0,
+                wall_seconds=0.0, status="failed")
             request.future.set_exception(
                 GatewayError("gateway closed before execution"))
         for worker in self._workers:

@@ -1,22 +1,9 @@
-"""Observability: the dependency-free metrics layer.
+"""Observability: Prometheus text exposition over records kept elsewhere.
 
-:mod:`repro.obs.metrics` is a small Prometheus-style metrics registry
-(counters, gauges, fixed-bucket histograms, text exposition).  It
-deliberately imports nothing from the rest of the library, so every
-layer — the gateway, the distributed runtime, benchmarks — can emit
-metrics without creating import cycles.
+:mod:`repro.obs.metrics` holds :func:`render` and the fixed-bucket
+:class:`Histogram`; it imports nothing from the rest of the library.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Histogram, render
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-]
+__all__ = ["Histogram", "render"]

@@ -13,6 +13,7 @@ from repro.cost.factors import encrypted_width
 from repro.cost.model import CostModel, normalized_costs, transfer_seconds
 from repro.cost.pricing import (
     AUTHORITY_CPU_MULTIPLIER,
+    PROVIDER_SPREAD,
     PriceList,
     ResourceRates,
     USER_CPU_MULTIPLIER,
@@ -31,10 +32,12 @@ class TestPricing:
             == pytest.approx(base * AUTHORITY_CPU_MULTIPLIER)
 
     def test_provider_spread(self):
-        prices = PriceList.paper_defaults(
-            ["P1", "P2"], ["A"], "U", provider_spread=0.5)
-        assert prices.rates("P2").cpu_usd_per_second \
-            == pytest.approx(prices.rates("P1").cpu_usd_per_second * 1.5)
+        prices = PriceList.paper_defaults(["P1", "P2", "P3"], ["A"], "U")
+        base = prices.rates("P1").cpu_usd_per_second
+        assert base == provider_rates().cpu_usd_per_second
+        for index, name in enumerate(("P2", "P3"), start=1):
+            assert prices.rates(name).cpu_usd_per_second == pytest.approx(
+                base * (1.0 + PROVIDER_SPREAD * index))
 
     def test_synthetic_authority_fallback(self):
         prices = PriceList.paper_defaults(["P1"], [], "U")

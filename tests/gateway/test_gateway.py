@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
-from helpers import FakeClock, FakeService, parse_prometheus, steady_latency
+from helpers import (
+    FakeClock,
+    FakeService,
+    parse_prometheus,
+    steady_latency,
+    submitted_and_ended,
+)
 from repro.engine.table import Table
 from repro.exceptions import (
     AdmissionRejected,
@@ -270,6 +277,201 @@ def test_close_without_drain_fails_pending_queries():
         pending.result(timeout=10)
     with pytest.raises(GatewayError):
         gateway.submit("t", "late")
+
+
+def test_close_without_drain_ledgers_every_dropped_query():
+    """A dropped query is an ending: each is ledgered ``failed`` at no
+    cost, so submitted still equals the sum of the ways a query ends."""
+    gate = threading.Event()
+    service = FakeService(gate=gate)
+    gateway = Gateway(service, [TenantConfig("t", queue_depth=4)],
+                      max_inflight=1)
+    inflight = gateway.submit("t", "q0")
+    assert service.started.wait(timeout=5)
+    queued = [gateway.submit("t", f"q{index}") for index in (1, 2, 3)]
+    # close() joins the worker, which holds q0 until the gate opens.
+    closer = threading.Thread(target=gateway.close, kwargs={"drain": False})
+    closer.start()
+    for future in queued:
+        with pytest.raises(GatewayError):
+            future.result(timeout=10)
+    gate.set()
+    closer.join(timeout=10)
+    assert not closer.is_alive()
+    assert inflight.result(timeout=10).sql == "q0"
+    dropped = [(entry.sql, entry.status, entry.cost_usd,
+                entry.wall_seconds, entry.dispatch_sequence)
+               for entry in gateway.ledger.entries("t") if entry.sql != "q0"]
+    assert dropped == [(f"q{index}", "failed", 0.0, 0.0, None)
+                       for index in (1, 2, 3)]
+    families = parse_prometheus(gateway.metrics_text())
+    assert submitted_and_ended(families) == (4.0, 4.0)
+
+
+def test_concurrent_scrapes_never_move_a_total_backwards():
+    """Clients submit while another thread scrapes: no ``_total`` sample
+    and no histogram ``_count`` goes down from one scrape to the next, no
+    scrape ends more queries than it submitted, and once the gateway is
+    closed every submitted query has ended."""
+    gateway = Gateway(FakeService(wall_seconds=0.0005), [
+        TenantConfig("a", queue_depth=2),
+        TenantConfig("b", weight=2, queue_depth=2),
+    ], max_inflight=2)
+    clients_done = threading.Event()
+    scrapes: list[int] = []
+    regressions: list[tuple] = []
+
+    def scrape() -> None:
+        previous: dict[tuple, float] = {}
+        while not clients_done.is_set() or len(scrapes) < 100:
+            families = parse_prometheus(gateway.metrics_text())
+            current = {(name, tuple(sorted(labels.items()))): value
+                       for family in families.values()
+                       for name, labels, value in family["samples"]
+                       if name.endswith(("_total", "_count"))}
+            regressions.extend(
+                (key, value, current.get(key))
+                for key, value in previous.items()
+                if current.get(key, -1.0) < value)
+            submitted, ended = submitted_and_ended(families)
+            if ended > submitted:
+                regressions.append(("ended > submitted", submitted, ended))
+            previous = current
+            scrapes.append(1)
+
+    def client(tenant: str) -> None:
+        for index in range(60):
+            try:
+                gateway.submit(tenant, "boom" if index % 7 == 0
+                               else f"select {index}")
+            except AdmissionRejected:
+                pass
+
+    scraper = threading.Thread(target=scrape)
+    clients = [threading.Thread(target=client, args=(tenant,))
+               for tenant in ("a", "a", "b", "b")]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        scraper.start()
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=30)
+        clients_done.set()
+        scraper.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+        clients_done.set()
+        gateway.close()
+    assert not any(thread.is_alive() for thread in [scraper, *clients])
+    assert len(scrapes) >= 100
+    assert regressions == []
+    submitted, ended = submitted_and_ended(
+        parse_prometheus(gateway.metrics_text()))
+    assert submitted == ended == 240.0
+
+
+def by_label(families: dict, sample: str, label: str) -> dict[str, float]:
+    """Every ``sample`` series of a parsed scrape, by its ``label``."""
+    return {labels[label]: value for family in families.values()
+            for name, labels, value in family["samples"] if name == sample}
+
+
+def test_scrape_reads_queue_depth_and_inflight_from_the_controller():
+    gate = threading.Event()
+    service = FakeService(gate=gate)
+    gateway = Gateway(service, [TenantConfig("a", queue_depth=4),
+                                TenantConfig("b")], max_inflight=1)
+    try:
+        held = gateway.submit("a", "q0")
+        assert service.started.wait(timeout=5)
+        queued = [gateway.submit("a", "q1"), gateway.submit("a", "q2")]
+        during = parse_prometheus(gateway.metrics_text())
+        gate.set()
+        for future in [held, *queued]:
+            future.result(timeout=10)
+    finally:
+        gate.set()
+        gateway.close()
+    after = parse_prometheus(gateway.metrics_text())
+    for families, inflight, depths in ((during, 1.0, {"a": 2.0, "b": 0.0}),
+                                       (after, 0.0, {"a": 0.0, "b": 0.0})):
+        (_, _, value), = families["repro_gateway_inflight"]["samples"]
+        assert value == inflight
+        assert by_label(families, "repro_gateway_queue_depth", "tenant") \
+            == depths
+
+
+def test_scrape_reads_breaker_and_cache_series_from_the_service():
+    class ReportingService(FakeService):
+        def health_info(self):
+            return {"X": {"dead": False, "state": "half_open",
+                          "breaker_trips": 2},
+                    "Y": {"dead": True, "state": "open",
+                          "breaker_trips": 1}}
+
+        def cache_info(self):
+            return {"plans": 3, "fragment_entries": 7,
+                    "assignment": {"hits": 5, "misses": 2, "size": 4}}
+
+    gateway = Gateway(ReportingService(), [TenantConfig("t")],
+                      max_inflight=1)
+    try:
+        families = parse_prometheus(gateway.metrics_text())
+    finally:
+        gateway.close()
+    assert by_label(families, "repro_breaker_state", "subject") \
+        == {"X": 1.0, "Y": 3.0}
+    assert by_label(families, "repro_breaker_trips_total", "subject") \
+        == {"X": 2.0, "Y": 1.0}
+    assert by_label(families, "repro_cache_hits_total", "cache") \
+        == {"assignment": 5.0}
+    assert by_label(families, "repro_cache_misses_total", "cache") \
+        == {"assignment": 2.0}
+    assert by_label(families, "repro_cache_entries", "cache") \
+        == {"plans": 3.0, "assignment": 4.0, "fragments": 7.0}
+
+
+def test_tenant_histograms_exist_for_every_configured_tenant():
+    """Built at construction: a tenant that never ran a query still has
+    zero-valued queue-wait, query-seconds and budget-fraction series."""
+    gateway = Gateway(FakeService(), [TenantConfig("a"), TenantConfig("b")],
+                      max_inflight=1)
+    try:
+        gateway.execute("a", "select 1")
+        families = parse_prometheus(gateway.metrics_text())
+    finally:
+        gateway.close()
+    for family, ran in (("repro_gateway_queue_wait_seconds", 1.0),
+                        ("repro_gateway_query_seconds", 1.0),
+                        ("repro_gateway_budget_remaining_fraction", 0.0)):
+        assert by_label(families, f"{family}_count", "tenant") \
+            == {"a": ran, "b": 0.0}, family
+
+
+def test_fragment_latency_has_a_series_per_subject_on_first_use():
+    class TracingService(FakeService):
+        def execute(self, sql, user=None, token=None):
+            outcome = super().execute(sql, user=user, token=token)
+            outcome.trace.executions.extend([("X", 0.002), ("Y", 0.02),
+                                             ("X", 0.004)])
+            return outcome
+
+    gateway = Gateway(TracingService(), [TenantConfig("t")],
+                      max_inflight=1)
+    try:
+        before = parse_prometheus(gateway.metrics_text())
+        gateway.execute("t", "select 1")
+        after = parse_prometheus(gateway.metrics_text())
+    finally:
+        gateway.close()
+    family = "repro_fragment_latency_seconds"
+    assert before[family]["samples"] == []
+    assert by_label(after, f"{family}_count", "subject") \
+        == {"X": 2.0, "Y": 1.0}
+    assert by_label(after, f"{family}_sum", "subject") \
+        == pytest.approx({"X": 0.006, "Y": 0.02})
 
 
 def test_fair_dispatch_share_under_saturation():

@@ -18,7 +18,12 @@ from pathlib import Path
 
 import pytest
 
-from helpers import FakeClock, FakeService, parse_prometheus
+from helpers import (
+    FakeClock,
+    FakeService,
+    parse_prometheus,
+    submitted_and_ended,
+)
 from repro.core.budget import QueryBudget
 from repro.exceptions import (
     AdmissionRejected,
@@ -121,15 +126,7 @@ def test_the_docs_name_exactly_the_series_the_gateway_renders():
 
 def test_every_submitted_query_ends_exactly_one_way():
     families = parse_prometheus(drive_every_outcome())
-
-    def total(family: str) -> float:
-        return sum(value for _, _, value in families[family]["samples"])
-
-    submitted = total("repro_gateway_queries_submitted_total")
-    ended = sum(total(f"repro_gateway_{name}_total") for name in (
-        "queries_completed", "queries_failed", "cancelled",
-        "deadline_exceeded", "queries_rejected", "shed_predicted"))
-    assert (submitted, ended) == (13.0, 13.0)
+    assert submitted_and_ended(families) == (13.0, 13.0)
     by_reason = {labels["reason"]: value for _, labels, value
                  in families["repro_gateway_queries_rejected_total"]
                  ["samples"]}

@@ -66,6 +66,23 @@ def parse_prometheus(text: str) -> dict[str, dict]:
     return families
 
 
+#: The gateway families a submitted query ends in, exactly one of them.
+ENDINGS = tuple(f"repro_gateway_{name}_total" for name in (
+    "queries_completed", "queries_failed", "cancelled",
+    "deadline_exceeded", "queries_rejected", "shed_predicted"))
+
+
+def submitted_and_ended(families: dict[str, dict]) -> tuple[float, float]:
+    """A parsed gateway scrape's submitted total and the sum of its
+    :data:`ENDINGS` — equal once nothing is queued or in flight."""
+
+    def total(family: str) -> float:
+        return sum(value for _, _, value in families[family]["samples"])
+
+    return (total("repro_gateway_queries_submitted_total"),
+            sum(total(family) for family in ENDINGS))
+
+
 def _check_histogram(name: str, samples: list) -> None:
     """Bucket series must be cumulative and end at +Inf == _count."""
     by_labelset: dict[tuple, list[tuple[str, float]]] = {}

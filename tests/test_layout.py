@@ -60,7 +60,10 @@ FORBIDDEN = ("OrderedDict", "popitem(last=False)", "deltas_since(")
 #: statement of an operator's Figure 2 row beside ``output_profile`` (a
 #: schema rule, a list of the equivalences it adds, a switch on the
 #: operator's type for what it reads), or a wrapper over
-#: ``compile_comparison``.
+#: ``compile_comparison``, or a second copy of a record, mirrored beside
+#: the one it copies (a metrics registry whose collector callbacks set
+#: totals from the ledger, the controller and the service at scrape
+#: time).
 RETIRED = ("ThreadPoolExecutor", "search_impl", "nested-loop", "_reference(",
            "_column_decoder", "parallel-hash", "join_strategy",
            "ExecutionSettings", "min_parallel_items=", "_background_refill",
@@ -77,7 +80,8 @@ RETIRED = ("ThreadPoolExecutor", "search_impl", "nested-loop", "_reference(",
            "_LOCKS_GUARD", "precompute_obfuscators", "_extend_pool",
            "_pool_seeds", "NodeMap", "fingerprint(", "_rebind_result",
            "output_attributes", "equivalences_introduced", "_node_demands",
-           "compare_values")
+           "compare_values", "MetricsRegistry", "register_collector",
+           "set_total")
 #: Parameters that selected between paths which no longer exist.
 RETIRED_PARAMETERS = ("schedule", "strategy", "failover")
 
