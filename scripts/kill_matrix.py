@@ -59,9 +59,11 @@ CODEC = "repro/engine/codec.py"
 MUTANTS = (
     # The run-time enforcement sites (PR 21).
     Mutant("check-values-returns", ENFORCEMENT,
-           "    for position, column in enumerate(table.columns):\n",
+           "    for column, kind in zip(table.columns, "
+           "table.representations):\n",
            "    return\n"
-           "    for position, column in enumerate(table.columns):\n",
+           "    for column, kind in zip(table.columns, "
+           "table.representations):\n",
            "check_values accepts every table"),
     Mutant("receive-skips-check-values", RUNTIME,
            "        context.trace.rows_transferred += len(table)\n"
@@ -95,11 +97,24 @@ MUTANTS = (
            "isinstance(node.left, Encrypt):\n",
            "a selection runs ahead of an Encrypt another subject sent"),
     Mutant("filter-first-on-sealed-columns", EXECUTOR,
-           "            if not any({EncryptedValue, EncryptedAggregate}\n",
+           "            if not any(isinstance(source.representation(a), "
+           "tuple)\n",
            "            if True or not any("
-           "{EncryptedValue, EncryptedAggregate}\n",
+           "isinstance(source.representation(a), tuple)\n",
            "a selection runs first even when a predicate column arrived "
            "sealed"),
+    # A column states one representation, read where it is born.
+    Mutant("mixed-column", "repro/engine/values.py",
+           "    if len(found) == 1:\n"
+           "        return found.pop()\n",
+           "    first = next(cell for cell in cells if cell is not None)\n"
+           "    if first.__class__ is EncryptedValue:\n"
+           "        return first.key_name, first.scheme\n"
+           "    if first.__class__ is EncryptedAggregate:\n"
+           "        return first.key_name, AGGREGATE\n"
+           "    return PLAINTEXT\n",
+           "a column's birth site keeps the first representation it sees "
+           "and accepts a second"),
     # The stand-in rule (PR 24).
     Mutant("subject-accepts-the-stand-in-prefix",
            "repro/core/authorization.py",

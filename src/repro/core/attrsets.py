@@ -149,14 +149,12 @@ class AttributeUniverse:
 
     __slots__ = ("_bits", "_names", "_profiles", "_views", "_equivalences")
 
-    def __init__(self, attributes: Iterable[str] = ()) -> None:
+    def __init__(self) -> None:
         self._bits: dict[str, int] = {}
         self._names: list[str] = []
         self._profiles: dict["RelationProfile", MaskProfile] = {}
         self._views: dict["SubjectView", MaskView] = {}
         self._equivalences: dict["EquivalenceClasses", tuple[int, ...]] = {}
-        for name in attributes:
-            self.bit(name)
 
     def bit(self, name: str) -> int:
         """The bit of ``name``, interning it on first sight."""

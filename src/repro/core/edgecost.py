@@ -30,6 +30,9 @@ from repro.cost.factors import (
     encrypted_width,
 )
 
+#: Cross-query DP edge tables an :class:`EdgeTableCache` keeps (LRU).
+EDGE_TABLES_KEPT = 512
+
 
 class _ReceiverEntry:
     """Per-(edge, receiver) precomputation of the decomposed edge cost.
@@ -271,10 +274,10 @@ class EdgeTableCache:
     docstring): a revoke can never be served from a row built before it.
     """
 
-    def __init__(self, maxsize: int = 512) -> None:
+    def __init__(self) -> None:
         self.universe = AttributeUniverse()
         #: value signature → _EdgeTable.
-        self._tables = LRU(maxsize)
+        self._tables = LRU(EDGE_TABLES_KEPT)
 
     @staticmethod
     def signature(estimate: NodeEstimate, operand_attrs: Iterable[str],

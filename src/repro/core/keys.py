@@ -190,7 +190,8 @@ def establish_keys(
     When ``policy`` is given, distribution is validated: a subject may
     receive a key only if it is authorized for the plaintext of all the
     attributes it encrypts/decrypts with it (key distribution must obey
-    authorizations, §6).
+    authorizations, §6); without ``schemes``, they are chosen under it
+    too (:func:`schemes_for_extended_plan`, §5 note 2).
     """
     root_profile = extended.plan.root_profile()
     # A decryption may name the alias of an attribute that was encrypted
@@ -203,7 +204,7 @@ def establish_keys(
         extended.encrypted_attributes | decrypted, root_profile.equivalences
     )
     if schemes is None:
-        schemes = schemes_for_extended_plan(extended)
+        schemes = schemes_for_extended_plan(extended, policy)
 
     keys: list[QueryKey] = []
     for cluster in clusters:

@@ -167,19 +167,17 @@ class PaillierPublicKey:
 
 @dataclass(frozen=True)
 class PaillierPrivateKey:
-    """Private parameters (``λ = lcm(p-1, q-1)``, ``µ = λ⁻¹ mod n``).
-
-    When the prime factors ``p``/``q`` are retained (the default from
-    :func:`generate_keypair`), decryption runs via the Chinese Remainder
-    Theorem over the half-size moduli; without them it falls back to the
-    ``λ/µ`` formula — the two are bit-identical.
+    """Private parameters (``λ = lcm(p-1, q-1)``, ``µ = λ⁻¹ mod n``)
+    and the prime factors ``p``/``q``: decryption runs via the Chinese
+    Remainder Theorem over the half-size moduli, bit-identical to the
+    textbook ``λ/µ`` formula (``tests/oracles/paillier_reference.py``).
     """
 
     public: PaillierPublicKey
     lam: int
     mu: int
-    p: int | None = None
-    q: int | None = None
+    p: int
+    q: int
 
     def decrypt(self, ciphertext: "PaillierCiphertext") -> float | int:
         """Recover the (possibly fractional, possibly negative) plaintext."""
@@ -197,25 +195,17 @@ class PaillierPrivateKey:
 
     # -- internals ------------------------------------------------------
     def _decrypt_message(self, ciphertext: "PaillierCiphertext") -> int:
-        """The plaintext residue in ``[0, n)`` (CRT when p/q are held)."""
+        """The plaintext residue in ``[0, n)``."""
         if ciphertext.public.n != self.public.n:
             raise CryptoError("ciphertext under a different Paillier key")
         return self._message_from_int(ciphertext.value)
 
     def _message_from_int(self, cipher: int) -> int:
-        if self.p is None or self.q is None:
-            return self._reference_message(cipher)
         p, q, n = self.p, self.q, self.public.n
         p2, q2, hp, hq, q_inv = self._crt_parts()
         mp = ((pow(cipher % p2, p - 1, p2) - 1) // p) * hp % p
         mq = ((pow(cipher % q2, q - 1, q2) - 1) // q) * hq % q
         return (mq + q * ((mp - mq) * q_inv % p)) % n
-
-    def _reference_message(self, cipher: int) -> int:
-        n = self.public.n
-        n2 = self.public.n_squared
-        u = pow(cipher, self.lam, n2)
-        return ((u - 1) // n * self.mu) % n
 
     def _crt_parts(self) -> tuple[int, int, int, int, int]:
         """Memoized ``(p², q², hp, hq, q⁻¹ mod p)``.
@@ -227,7 +217,6 @@ class PaillierPrivateKey:
         parts = self.__dict__.get("_crt")
         if parts is None:
             p, q, n = self.p, self.q, self.public.n
-            assert p is not None and q is not None
             p2, q2 = p * p, q * q
             hp = primitives.modinv(
                 (pow(n + 1, p - 1, p2) - 1) // p, p)
@@ -286,8 +275,7 @@ class PaillierCiphertext:
 def generate_keypair(bits: int = 512) -> tuple[PaillierPublicKey, PaillierPrivateKey]:
     """Generate a Paillier keypair with an ``bits``-bit modulus.
 
-    512 bits keeps tests fast; real deployments use 2048+.  The private
-    key retains ``p``/``q`` so decryption takes the CRT fast path.
+    512 bits keeps tests fast; real deployments use 2048+.
     """
     half = bits // 2
     while True:

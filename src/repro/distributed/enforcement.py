@@ -9,6 +9,11 @@ run — there is no switch that turns them off:
   subject verifies it can legitimately see every column in the
   representation it arrives in (plaintext columns require plaintext
   authorization, encrypted columns at least encrypted authorization).
+  The check reads the representation the table states for each column
+  (:func:`~repro.engine.values.representation`), which is read from
+  every cell where the column is born — a scan, Encrypt, Decrypt, an
+  aggregate or a UDF — so a column mixing representations never gets
+  this far, and the check is exact in O(columns).
 
 Together they turn the paper's theorems into executable assertions.
 ``view`` is the subject's policy view already augmented with the plan's
@@ -29,7 +34,7 @@ from __future__ import annotations
 from repro.core.authorization import SubjectView
 from repro.core.visibility import check_relation
 from repro.engine.table import Table
-from repro.engine.values import EncryptedAggregate, EncryptedValue
+from repro.engine.values import PLAINTEXT
 from repro.exceptions import UnauthorizedError
 
 
@@ -47,12 +52,10 @@ def check_profile(view: SubjectView, profile, what: str) -> None:
 
 def check_values(view: SubjectView, table: Table) -> None:
     """Value-level guard: representations must match authorizations."""
-    for position, column in enumerate(table.columns):
-        sample = next((row[position] for row in table.rows
-                       if row[position] is not None), None)
-        if sample is None:
+    for column, kind in zip(table.columns, table.representations):
+        if kind is None:
             continue
-        if isinstance(sample, (EncryptedValue, EncryptedAggregate)):
+        if kind != PLAINTEXT:
             if not view.can_view_encrypted(column):
                 raise UnauthorizedError(
                     f"{view.subject} received encrypted column "

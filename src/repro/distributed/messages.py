@@ -66,8 +66,11 @@ def serialize_key_material(material: KeyMaterial) -> dict:
     if material.paillier_public is not None:
         encoded["paillier_n"] = hex(material.paillier_public.n)
     if material.paillier_private is not None:
-        encoded["paillier_lam"] = hex(material.paillier_private.lam)
-        encoded["paillier_mu"] = hex(material.paillier_private.mu)
+        private = material.paillier_private
+        encoded["paillier_lam"] = hex(private.lam)
+        encoded["paillier_mu"] = hex(private.mu)
+        encoded["paillier_p"] = hex(private.p)
+        encoded["paillier_q"] = hex(private.q)
     return encoded
 
 
@@ -88,6 +91,8 @@ def deserialize_key_material(encoded: dict) -> KeyMaterial:
                 public=public,
                 lam=int(encoded["paillier_lam"], 16),
                 mu=int(encoded["paillier_mu"], 16),
+                p=int(encoded["paillier_p"], 16),
+                q=int(encoded["paillier_q"], 16),
             )
         return KeyMaterial(
             query_key=query_key,

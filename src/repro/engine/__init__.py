@@ -27,28 +27,28 @@ throughout the engine:
   the standard single row — COUNT 0, every other aggregate NULL — while
   a grouped aggregate yields zero groups;
 * NULLs stay NULL under encryption: Encrypt/Decrypt pass ``None``
-  through, and encrypted aggregation skips NULLs before its
-  plaintext/ciphertext mix check, so encrypted and plaintext grouping
-  agree on NULL-bearing data.
+  through, a NULL cell has no representation, and encrypted aggregation
+  skips NULLs, so encrypted and plaintext grouping agree on NULL-bearing
+  data.
 
 Engine internals (the hot path)
 -------------------------------
 Row tuples are the storage; every decision that depends on what a
-*column* holds is taken once per column, not once per cell:
+*column* holds is taken once per column, not once per cell, from the
+representation the :class:`~repro.engine.table.Table` states for it
+(read from the cells only where the column is born):
 
 * **Selections** are column kernels
   (:func:`repro.engine.expressions.compile_predicate`): the conjuncts
-  run in order over a selection vector, and each one groups the
-  surviving cells of its column by representation (plaintext, or key and
-  scheme) and picks one strategy per group — the bound operator on
+  run in order over a selection vector, and each one picks one strategy
+  for its column from the stated representation — the bound operator on
   plaintext, one encrypted constant against the tokens, or (§5 note 2,
   own keys only) one column decryption shared by later conjuncts.
 * **Joins** evaluate every equality conjunct with a hash build/probe
   pass — the hash table is built on the smaller operand — and apply only
   the true residual conjuncts (compiled once per node) to each matched
   pair before the output row is materialized.  Build, probe and group-by
-  take each key column once: one pass for its representations, one for
-  its keys.
+  take each key column once, keyed as its stated representation allows.
 * **Column crypto** (:mod:`repro.engine.codec`) checks a column once
   and wraps or unwraps its cells; the scheme's work is
   :meth:`~repro.crypto.keymanager.KeyMaterial.seal` / ``open``.  An

@@ -35,6 +35,7 @@ stays: a projection dedupes, and equal rows' RANDOMIZED ciphertexts differ.
 from __future__ import annotations
 
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Mapping
 
 from repro.core.operators import (
@@ -62,10 +63,9 @@ from repro.engine.expressions import (
 )
 from repro.engine.table import Table
 from repro.engine.values import (
-    PLAINTEXT,
     EncryptedAggregate,
     EncryptedValue,
-    signature,
+    representation,
 )
 from repro.exceptions import ExecutionError
 from repro.parallel.pool import WorkerPool
@@ -82,6 +82,8 @@ _ResidualCheck = tuple[
 
 #: Schemes whose tokens are their own join/group keys (see _row_keys).
 _TOKEN_KEYED = (EncryptionScheme.DETERMINISTIC, EncryptionScheme.OPE)
+
+_TOKEN = attrgetter("token")
 
 
 def physical_step(node: PlanNode, received=()) -> tuple[PlanNode, ...]:
@@ -142,12 +144,11 @@ class Executor:
         """Evaluate a :func:`physical_step` over its lowest node's
         operands.  The selection of a pair runs first — same rows, order
         and representations as plan order — unless a predicate column
-        already holds ciphertext: comparing it needs the Encrypt's
+        is already stated encrypted: comparing it needs the Encrypt's
         tokens, or note 2 on a column this evaluator did not seal."""
         if len(step) == 2:
             (source,), attributes = children, step[1].predicate.attributes()
-            if not any({EncryptedValue, EncryptedAggregate}
-                       & set(map(type, source.column_values(a)))
+            if not any(isinstance(source.representation(a), tuple)
                        for a in attributes if a in source.columns):
                 step = step[::-1]
         for node in step:
@@ -200,13 +201,16 @@ class Executor:
                                    local_keystore=self.keystore)
         # Note 2 decrypts through this module's decrypt_column, like the
         # Decrypt operator: same pool, same name for whoever observes it.
-        rows = select(child.rows, partial(decrypt_column, pool=self.pool))
-        return Table._from_trusted("σ", child.columns, rows)
+        rows = select(child, partial(decrypt_column, pool=self.pool))
+        return Table._from_trusted("σ", child.columns, rows,
+                                   child.representations)
 
     def _product(self, left: Table, right: Table) -> Table:
         columns = left.columns + right.columns
         rows = [lr + rr for lr in left.rows for rr in right.rows]
-        return Table._from_trusted("×", columns, rows)
+        return Table._from_trusted("×", columns, rows,
+                                   left.representations
+                                   + right.representations)
 
     # -- joins ----------------------------------------------------------
     def _join(self, node: Join, left: Table, right: Table) -> Table:
@@ -224,31 +228,39 @@ class Executor:
                 for lr in left.rows for rr in right.rows
                 if _residuals_hold(checks, lr, rr)
             ]
-        return Table._from_trusted("⋈", columns, rows)
+        return Table._from_trusted(
+            "⋈", columns, rows, left.representations + right.representations)
 
     def _hash_join(self, left: Table, right: Table,
                    equalities: list[tuple[str, str]],
                    checks: list[_ResidualCheck]) -> list[tuple]:
         left_positions = left.positions([l for l, _ in equalities])
         right_positions = right.positions([r for _, r in equalities])
+        left_kinds = [left.representations[p] for p in left_positions]
+        right_kinds = [right.representations[p] for p in right_positions]
         # Build on the smaller operand, probe with the larger one; the
-        # output row is always assembled left-then-right.  Both sides
-        # also report their key columns' value representations so
-        # incomparable keys raise (like a σ_C(L×R) evaluation does)
-        # instead of silently never colliding — see _row_keys.
+        # output row is always assembled left-then-right.
         build_is_left = len(left) <= len(right)
         if build_is_left:
-            buckets, build_sigs = _build_buckets(left.rows, left_positions)
-            probe_rows, probe_positions = right.rows, right_positions
+            buckets = _build_buckets(left.rows, left_positions, left_kinds)
+            keys = _row_keys(right.rows, right_positions, right_kinds)
+            probe_rows = right.rows
         else:
-            buckets, build_sigs = _build_buckets(right.rows, right_positions)
-            probe_rows, probe_positions = left.rows, left_positions
-        keys, probe_sigs = _row_keys(probe_rows, probe_positions)
-        for (l, r), build, probe in zip(equalities, build_sigs, probe_sigs):
-            if build and len(build | probe) > 1:
+            buckets = _build_buckets(right.rows, right_positions, right_kinds)
+            keys = _row_keys(left.rows, left_positions, left_kinds)
+            probe_rows = left.rows
+        # Incomparable key representations can never hash-collide
+        # (different-key group keys never match, plaintext never matches
+        # a token), so a hash join would silently return no matches
+        # where evaluating σ_C(L×R) raises when it reaches such a pair:
+        # refuse them — slightly eager versus σ_C(L×R)'s conjunct
+        # short-circuiting, but refusing loudly beats a silently empty
+        # result.
+        for (l, r), *kinds in zip(equalities, left_kinds, right_kinds):
+            if None not in kinds and kinds[0] != kinds[1]:
                 raise ExecutionError(
                     f"join condition {l}={r} compares incompatible value "
-                    f"representations: {sorted(map(str, build | probe))}"
+                    f"representations: {sorted(map(str, kinds))}"
                 )
         joined: list[tuple] = []
         for key, prow in zip(keys, probe_rows):
@@ -286,9 +298,11 @@ class Executor:
                 0 if a.function is AggregateFunction.COUNT else None
                 for a in node.aggregates
             )
-            return Table._from_trusted("γ", tuple(out_columns), [output])
+            return Table("γ", out_columns, [output])
 
-        groups, _ = _build_buckets(child.rows, positions)
+        kinds = child.representations
+        groups = _build_buckets(child.rows, positions,
+                                [kinds[p] for p in positions])
         rows = []
         for members in groups.values():
             first = members[0]
@@ -298,94 +312,15 @@ class Executor:
                     output_row.append(len(members))
                     continue
                 values = [m[position] for m in members]
-                output_row.append(self._aggregate(aggregate.function, values))
+                output_row.append(_aggregate(aggregate.function,
+                                             kinds[position], values))
             rows.append(tuple(output_row))
-        return Table._from_trusted("γ", tuple(out_columns), rows)
-
-    def _aggregate(self, function: AggregateFunction,
-                   values: list[object]) -> object:
-        # SQL NULL semantics: aggregates skip NULLs; COUNT(attr) counts
-        # the non-NULL values; every other aggregate over an all-NULL
-        # (or empty) group is NULL.
-        non_null = [v for v in values if v is not None]
-        if function is AggregateFunction.COUNT:
-            return len(non_null)
-        if not non_null:
-            return None
-        if any(isinstance(v, EncryptedValue) for v in non_null):
-            # _aggregate_encrypted re-checks every value, so a group
-            # mixing representations raises the same diagnostic whatever
-            # order the values arrive in.
-            return self._aggregate_encrypted(function, non_null)
-        if function is AggregateFunction.SUM:
-            return sum(non_null)  # type: ignore[arg-type]
-        if function is AggregateFunction.AVG:
-            return sum(non_null) / len(non_null)  # type: ignore[arg-type]
-        if function is AggregateFunction.MIN:
-            return min(non_null)  # type: ignore[type-var]
-        if function is AggregateFunction.MAX:
-            return max(non_null)  # type: ignore[type-var]
-        raise ExecutionError(f"unsupported aggregate {function}")
-
-    def _aggregate_encrypted(self, function: AggregateFunction,
-                             values: list[object]) -> object:
-        encrypted = []
-        for value in values:
-            if value is None:
-                # NULLs stay NULL under encryption; skip them before the
-                # mix check so encrypted and plaintext grouping agree.
-                continue
-            if not isinstance(value, EncryptedValue):
-                raise ExecutionError(
-                    "aggregate mixes plaintext and encrypted values"
-                )
-            encrypted.append(value)
-        if not encrypted:
-            return None
-        scheme = encrypted[0].scheme
-        if function in (AggregateFunction.MIN, AggregateFunction.MAX):
-            if scheme is not EncryptionScheme.OPE:
-                raise ExecutionError(
-                    f"min/max over {scheme} ciphertexts is not supported"
-                )
-            chosen = encrypted[0]
-            for value in encrypted[1:]:
-                if function is AggregateFunction.MIN:
-                    if value.less_than(chosen):
-                        chosen = value
-                elif chosen.less_than(value):
-                    chosen = value
-            return chosen
-        if function in (AggregateFunction.SUM, AggregateFunction.AVG):
-            if scheme is not EncryptionScheme.PAILLIER:
-                raise ExecutionError(
-                    f"sum/avg over {scheme} ciphertexts is not supported"
-                )
-            from repro.crypto.paillier import PaillierCiphertext
-
-            key_name = encrypted[0].key_name
-            tokens = []
-            for value in encrypted:
-                if value.scheme is not EncryptionScheme.PAILLIER:
-                    raise ExecutionError(
-                        "homomorphic addition needs Paillier values"
-                    )
-                if value.key_name != key_name:
-                    raise ExecutionError(
-                        "adding ciphertexts under different keys"
-                    )
-                tokens.append(value.token)
-            # PaillierCiphertext.__radd__ folds sum()'s integer 0 start
-            # value to identity, so the whole group adds in one builtin.
-            total = sum(tokens)
-            assert isinstance(total, PaillierCiphertext)
-            return EncryptedAggregate(
-                key_name=key_name,
-                ciphertext_sum=total,
-                count=len(encrypted),
-                is_average=function is AggregateFunction.AVG,
-            )
-        raise ExecutionError(f"unsupported encrypted aggregate {function}")
+        # The group columns carry their representation; each aggregate's
+        # is born here.
+        return Table._from_trusted("γ", tuple(out_columns), rows, tuple(
+            [kinds[p] for p in positions]
+            + [representation([row[i] for row in rows], out_columns[i])
+               for i in range(len(positions), len(out_columns))]))
 
     def _udf(self, node: Udf, child: Table) -> Table:
         if node.name not in self.udfs:
@@ -405,7 +340,11 @@ class Executor:
             projected = [row[p] for p in out_positions]
             projected[output_index] = result
             rows.append(tuple(projected))
-        return Table._from_trusted("µ", tuple(out_columns), rows)
+        representations = [child.representations[p] for p in out_positions]
+        representations[output_index] = representation(
+            [row[output_index] for row in rows], node.output)
+        return Table._from_trusted("µ", tuple(out_columns), rows,
+                                   tuple(representations))
 
     # ------------------------------------------------------------------
     # Encryption operators
@@ -461,68 +400,103 @@ def _residual_checks(residual: list, left: Table,
     return checks
 
 
+def _aggregate(function: AggregateFunction, kind: object,
+               values: list[object]) -> object:
+    """One aggregate over one group's ``values`` of a column stated
+    ``kind``.
+
+    SQL NULL semantics: aggregates skip NULLs; COUNT(attr) counts the
+    non-NULL values; every other aggregate over an all-NULL (or empty)
+    group is NULL.
+    """
+    non_null = [v for v in values if v is not None]
+    if function is AggregateFunction.COUNT:
+        return len(non_null)
+    if not non_null:
+        return None
+    if isinstance(kind, tuple):
+        return _aggregate_encrypted(function, kind, non_null)
+    if function is AggregateFunction.SUM:
+        return sum(non_null)  # type: ignore[arg-type]
+    if function is AggregateFunction.AVG:
+        return sum(non_null) / len(non_null)  # type: ignore[arg-type]
+    if function is AggregateFunction.MIN:
+        return min(non_null)  # type: ignore[type-var]
+    if function is AggregateFunction.MAX:
+        return max(non_null)  # type: ignore[type-var]
+    raise ExecutionError(f"unsupported aggregate {function}")
+
+
+def _aggregate_encrypted(function: AggregateFunction,
+                         kind: tuple[str, object],
+                         values: list[EncryptedValue]) -> object:
+    """MIN/MAX over OPE tokens, SUM/AVG over Paillier ones: the column
+    is stated under one key and scheme, so no value is checked again."""
+    key_name, scheme = kind
+    if function in (AggregateFunction.MIN, AggregateFunction.MAX):
+        if scheme is not EncryptionScheme.OPE:
+            raise ExecutionError(
+                f"min/max over {scheme} ciphertexts is not supported"
+            )
+        pick = min if function is AggregateFunction.MIN else max
+        return pick(values, key=_TOKEN)
+    if function in (AggregateFunction.SUM, AggregateFunction.AVG):
+        if scheme is not EncryptionScheme.PAILLIER:
+            raise ExecutionError(
+                f"sum/avg over {scheme} ciphertexts is not supported"
+            )
+        # PaillierCiphertext.__radd__ folds sum()'s integer 0 start
+        # value to identity, so the whole group adds in one builtin.
+        return EncryptedAggregate(
+            key_name=key_name,
+            ciphertext_sum=sum(map(_TOKEN, values)),
+            count=len(values),
+            is_average=function is AggregateFunction.AVG,
+        )
+    raise ExecutionError(f"unsupported encrypted aggregate {function}")
+
+
 def _row_keys(rows: list[tuple], positions: tuple[int, ...],
-              ) -> tuple[list, list[set[object]]]:
+              kinds: list[object]) -> list:
     """The hashable join/group key of every row, one key column at a time.
 
-    Each key column is taken once — one pass for the representations
-    it holds (:func:`~repro.engine.values.signature`, NULLs exempt),
-    one for its keys — instead of deciding both per row.  Returns the
-    keys (the bare value for a single column, a tuple otherwise) and
-    the signatures per column.  A column of one DETERMINISTIC or OPE
-    signature is keyed by the raw tokens (bytes or int, hashed and
-    compared in C): within one key and scheme they are equal exactly
-    when :meth:`~repro.engine.values.EncryptedValue.group_key` is, and
-    a join raises before a token meets a key of another signature.
-    Any other encrypted column is keyed by ``group_key()``, which
-    refuses the schemes that cannot be grouped.
-
-    Incomparable representations can never hash-collide (different-key
-    ciphertext group keys never match, plaintext never matches a
-    token), so a hash join would silently return no matches where
-    evaluating σ_C(L×R) raises when it reaches such a pair.  The join
-    compares the signatures of its operands' key columns and raises on
-    a mix — slightly *eager* versus σ_C(L×R)'s conjunct
-    short-circuiting, but refusing loudly beats a silently empty
-    result.
+    Each key column is taken once and keyed as its stated
+    representation (``kinds``) allows; the key is the bare value for a
+    single column, a tuple otherwise.  A DETERMINISTIC or OPE column is
+    keyed by the raw tokens (bytes or int, hashed and compared in C):
+    within one key and scheme they are equal exactly when
+    :meth:`~repro.engine.values.EncryptedValue.group_key` is, and a join
+    refuses key columns of two representations before a token meets a
+    key of another.  Any other encrypted column is keyed by
+    ``group_key()``, which refuses the schemes that cannot be grouped.
     """
-    columns, signatures = [], []
-    for position in positions:
+    columns = []
+    for position, kind in zip(positions, kinds):
         column = [row[position] for row in rows]
-        seen = set(map(signature, column))
-        seen.discard(None)
-        signatures.append(seen)
-        encrypted = seen - {PLAINTEXT}
-        if len(seen) == 1 and encrypted \
-                and next(iter(seen))[1] in _TOKEN_KEYED:
+        if isinstance(kind, tuple) and kind[1] in _TOKEN_KEYED:
             column = [None if value is None else value.token
                       for value in column]
-        elif encrypted or any(issubclass(kind, (list, set, dict))
-                              for kind in set(map(type, column))):
+        elif isinstance(kind, tuple) or any(
+                issubclass(cls, (list, set, dict))
+                for cls in set(map(type, column))):
             column = [_join_key(value) for value in column]
         columns.append(column)
     if len(columns) == 1:
-        return columns[0], signatures
-    return (list(zip(*columns)) if columns else [()] * len(rows)), signatures
+        return columns[0]
+    return list(zip(*columns)) if columns else [()] * len(rows)
 
 
 def _build_buckets(rows: list[tuple], positions: tuple[int, ...],
-                   ) -> tuple[dict[object, list[tuple]],
-                              list[set[object]]]:
-    """Partition ``rows`` by their (hashable) key on ``positions``.
-
-    Also returns the per-column value-representation signatures (see
-    :func:`_row_keys`), so the probe can reject incomparable keys.
-    """
-    keys, signatures = _row_keys(rows, positions)
+                   kinds: list[object]) -> dict[object, list[tuple]]:
+    """Partition ``rows`` by their (hashable) key on ``positions``."""
     buckets: dict[object, list[tuple]] = {}
-    for key, row in zip(keys, rows):
+    for key, row in zip(_row_keys(rows, positions, kinds), rows):
         bucket = buckets.get(key)
         if bucket is None:
             buckets[key] = [row]
         else:
             bucket.append(row)
-    return buckets, signatures
+    return buckets
 
 
 def _residuals_hold(checks: list[_ResidualCheck],

@@ -12,20 +12,22 @@ visibility.
 A selection is a *column kernel* (:func:`compile_predicate`): the
 conjuncts run in order over a selection vector — conjunct *k* sees only
 the rows conjuncts 1…*k*−1 kept — and each one extracts its column
-once, groups the surviving cells by representation
-(:func:`~repro.engine.values.signature`) and decides how to compare
-once per group:
+once and decides how to compare once, from the representation the
+table states for the column (:attr:`~repro.engine.table.Table.representations`):
 
-* plaintext cells: one pass with the bound operator;
+* plaintext: one pass with the bound operator;
 * tokens the scheme can compare (:data:`_TOKEN_OPS`), with the
   constant's key in the *encryptor's* store: the constant is encrypted
   once and the tokens are compared in one pass;
 * anything else (§5 note 2, "the key holder may evaluate the condition
-  on plaintext"): the group is decrypted in one column call with the
+  on plaintext"): the column is decrypted in one call with the
   key from the evaluating subject's *own* keystore — never the
   encryptor's — every MAC verified before any plaintext is compared,
   and the plaintexts are kept for later conjuncts on the same column.
-  Without the key the selection raises.  A column the evaluator sealed
+  Without the key the selection raises.
+
+A NULL cell has no representation and compares as a plaintext NULL
+does: against a ciphertext, only ≠ holds.  A column the evaluator sealed
   itself one node below never gets here: the executor filters first, on
   the plaintext (``executor.physical_step`` and its two preconditions).
 
@@ -49,11 +51,8 @@ from repro.core.predicates import (
 )
 from repro.core.requirements import EncryptionScheme
 from repro.crypto.keymanager import KeyMaterial, KeyStore
-from repro.engine.values import (
-    EncryptedAggregate,
-    EncryptedValue,
-    signature,
-)
+from repro.engine.table import Table
+from repro.engine.values import AGGREGATE, EncryptedValue
 from repro.exceptions import ExecutionError
 
 Row = tuple
@@ -263,16 +262,16 @@ class ConstantEncryptor:
 def compile_predicate(predicate: Predicate, columns: tuple[str, ...],
                       encryptor: ConstantEncryptor,
                       local_keystore: KeyStore | None = None,
-                      ) -> Callable[[list[Row], ColumnDecryptor], list[Row]]:
-    """Compile ``predicate`` into a selection kernel over a row list.
+                      ) -> Callable[[Table, ColumnDecryptor], list[Row]]:
+    """Compile ``predicate`` into a selection kernel over a table.
 
-    ``kernel(rows, decrypt_column)`` returns the rows satisfying every
-    basic condition, in order.  ``encryptor`` encrypts constants (§6:
-    the dispatching user holds the keys and formulates conditions on
-    encrypted values, so it may wrap a richer store than the evaluating
-    subject's own); ``local_keystore`` is the evaluating subject's own
-    material, the only thing the note-2 decrypt-and-compare path may
-    use.
+    ``kernel(table, decrypt_column)`` returns the rows of ``table``
+    (whose columns are ``columns``) satisfying every basic condition, in
+    order.  ``encryptor`` encrypts constants (§6: the dispatching user
+    holds the keys and formulates conditions on encrypted values, so it
+    may wrap a richer store than the evaluating subject's own);
+    ``local_keystore`` is the evaluating subject's own material, the
+    only thing the note-2 decrypt-and-compare path may use.
     """
     positions = {c: i for i, c in enumerate(columns)}
     conjuncts = []
@@ -293,25 +292,38 @@ def compile_predicate(predicate: Predicate, columns: tuple[str, ...],
     keystore = local_keystore if local_keystore is not None \
         else encryptor.keystore
 
-    def select(rows: list[Row], decrypt_column: ColumnDecryptor) -> list[Row]:
-        survivors = _Survivors(rows, keystore, decrypt_column)
+    def select(table: Table, decrypt_column: ColumnDecryptor) -> list[Row]:
+        survivors = _Survivors(table, keystore, decrypt_column)
         for conjunct in conjuncts:
             if not survivors.alive:
                 break
             survivors.keep(conjunct(survivors))
-        return [rows[index] for index in survivors.alive]
+        return [table.rows[index] for index in survivors.alive]
 
     return select
+
+
+def _is_token(kind: object) -> bool:
+    """Whether a column stated ``kind`` holds :class:`EncryptedValue`
+    tokens (encrypted aggregates are not tokens)."""
+    return isinstance(kind, tuple) and kind[1] != AGGREGATE
+
+
+def _tokens(cells: Sequence) -> list[object]:
+    """The raw tokens of a token column's cells, NULL kept as None."""
+    return [None if cell is None else cell.token for cell in cells]
 
 
 class _Survivors:
     """The selection vector of one kernel run, plus what note 2 has
     already decrypted for it."""
 
-    def __init__(self, rows: list[Row], keystore: KeyStore | None,
+    def __init__(self, table: Table, keystore: KeyStore | None,
                  decrypt_column: ColumnDecryptor) -> None:
-        self.rows = rows
-        self.alive: Sequence[int] = range(len(rows))
+        self.rows = table.rows
+        #: Column position → its stated representation.
+        self.kinds = table.representations
+        self.alive: Sequence[int] = range(len(self.rows))
         self._keystore = keystore
         self._decrypt_column = decrypt_column
         #: column position → {row index: plaintext}
@@ -326,30 +338,12 @@ class _Survivors:
         """Narrow the vector to the rows ``mask`` (aligned with it) kept."""
         self.alive = list(compress(self.alive, mask))
 
-    def mask(self, columns: list[list], kinds: list,
-             evaluate) -> list[bool]:
-        """One mask over the vector from ``evaluate(self, kind, columns,
-        row indices)``, called once per representation group:
-        ``columns`` (of surviving cells) and ``kinds`` are aligned with
-        the vector, and each call sees one kind's slice of them."""
-        if kinds.count(kinds[0]) == len(kinds):
-            return evaluate(self, kinds[0], columns, self.alive)
-        mask = [False] * len(kinds)
-        for kind in set(kinds):
-            offsets = [o for o, k in enumerate(kinds) if k == kind]
-            group = evaluate(
-                self, kind,
-                [[column[o] for o in offsets] for column in columns],
-                [self.alive[o] for o in offsets])
-            for offset, keep in zip(offsets, group):
-                mask[offset] = keep
-        return mask
-
-    def plaintext(self, position: int, key_name: str,
-                  indices: Sequence[int], cells: Sequence) -> list[object]:
-        """Note 2 (§5): ``cells`` (rows ``indices`` of one column)
-        decrypted under the evaluating subject's own key — one column
-        call for whatever no earlier conjunct already decrypted."""
+    def plaintext(self, position: int, indices: Sequence[int],
+                  cells: Sequence) -> list[object]:
+        """Note 2 (§5): ``cells`` (rows ``indices`` of one encrypted
+        column) decrypted under the evaluating subject's own key — one
+        column call for whatever no earlier conjunct already decrypted."""
+        key_name = self.kinds[position][0]  # type: ignore[index]
         if self._keystore is None:
             raise ExecutionError(
                 "no keys held; cannot decrypt for evaluation")
@@ -375,46 +369,33 @@ def _value_conjunct(basic: AttributeValuePredicate, position: int,
                                     (tuple, list, set, frozenset)))
     comparator = compile_comparison(op)
 
-    def evaluate(survivors, kind, columns, indices):
-        (cells,) = columns
-        if not isinstance(kind, tuple):  # plaintext or NULL
-            return _plain_mask(op, cells, repeat(constant))
-        key_name, scheme = kind
-        token_ops = _TOKEN_OPS.get(scheme)
-        if token_ops is not None and (in_collection or op in token_ops) \
-                and encryptor.holds(key_name):
-            if in_collection:
-                tokens = encryptor.match_tokens(
-                    cells[0], tuple(constant))  # type: ignore[arg-type]
-                return [cell.token in tokens for cell in cells]
-            matched = encryptor.match_constant(cells[0], constant)
-            return _plain_mask(op, [cell.token for cell in cells],
-                               repeat(matched.token))
-        return _plain_mask(
-            op, survivors.plaintext(position, key_name, indices, cells),
-            repeat(constant))
-
     def conjunct(survivors: _Survivors) -> list[bool]:
         cells = survivors.column(position)
         if isinstance(constant, EncryptedValue):
             # A pre-encrypted constant (Figure 8) compares token to
             # token or not at all: no plaintext side to fall back to.
             return [comparator(cell, constant) for cell in cells]
-        return survivors.mask([cells], list(map(signature, cells)), evaluate)
+        kind = survivors.kinds[position]
+        sample = next((cell for cell in cells if cell is not None), None) \
+            if _is_token(kind) else None
+        if sample is None:  # plaintext, aggregates or no value left
+            return _plain_mask(op, cells, repeat(constant))
+        key_name, scheme = kind  # type: ignore[misc]
+        token_ops = _TOKEN_OPS.get(scheme)
+        if token_ops is not None and (in_collection or op in token_ops) \
+                and encryptor.holds(key_name):
+            if in_collection:
+                matched = encryptor.match_tokens(
+                    sample, tuple(constant))  # type: ignore[arg-type]
+                return [token in matched for token in _tokens(cells)]
+            return _plain_mask(
+                op, _tokens(cells),
+                repeat(encryptor.match_constant(sample, constant).token))
+        return _plain_mask(
+            op, survivors.plaintext(position, survivors.alive, cells),
+            repeat(constant))
 
     return conjunct
-
-
-#: In the scheme slot of an operand's kind: an encrypted aggregate,
-#: which no token comparison serves but note 2 resolves.
-_AGGREGATE = "aggregate"
-
-
-def _operand_kind(value: object) -> object | None:
-    """:func:`signature`, with encrypted aggregates set apart."""
-    if value.__class__ is EncryptedAggregate:
-        return (value.key_name, _AGGREGATE)  # type: ignore[attr-defined]
-    return signature(value)
 
 
 def _attribute_conjunct(basic: AttributeComparisonPredicate,
@@ -423,33 +404,30 @@ def _attribute_conjunct(basic: AttributeComparisonPredicate,
     op = basic.op
     positions = (left_position, right_position)
 
-    def evaluate(survivors, kinds, sides, indices):
-        tokens = [isinstance(kind, tuple) and kind[1] is not _AGGREGATE
-                  for kind in kinds]
-        if all(tokens) and kinds[0] == kinds[1] \
-                and op in _TOKEN_OPS.get(kinds[0][1], ()):
-            return _plain_mask(op, *([cell.token for cell in side]
-                                     for side in sides))
-        if any(tokens) and None in kinds:
-            # NULL vs a ciphertext is not a representation mix (Encrypt
-            # passes NULL through): as in plaintext, only ≠ holds.
-            return [op is ComparisonOp.NEQ] * len(indices)
-        if any(tokens) or (op in _ORDERED_OPS and None not in kinds):
-            # Note 2 for whichever side is not plaintext already; an
-            # aggregate alone asks for it only where plaintext would
-            # not compare either (order).
-            sides = [
-                survivors.plaintext(position, kind[0], indices, side)
-                if isinstance(kind, tuple) else side
-                for position, kind, side in zip(positions, kinds, sides)]
-        return _plain_mask(op, *sides)
-
     def conjunct(survivors: _Survivors) -> list[bool]:
-        lefts = survivors.column(left_position)
-        rights = survivors.column(right_position)
-        return survivors.mask(
-            [lefts, rights],
-            list(zip(map(_operand_kind, lefts), map(_operand_kind, rights))),
-            evaluate)
+        sides = [survivors.column(position) for position in positions]
+        kinds = [survivors.kinds[position] for position in positions]
+        tokens = [_is_token(kind) for kind in kinds]
+        if all(tokens) and kinds[0] == kinds[1] \
+                and op in _TOKEN_OPS.get(kinds[0][1], ()):  # type: ignore
+            return _plain_mask(op, *map(_tokens, sides))
+        if not (any(tokens) or op in _ORDERED_OPS
+                and any(isinstance(kind, tuple) for kind in kinds)):
+            return _plain_mask(op, *sides)
+        # Note 2 for whichever side is not plaintext already, on the
+        # rows where both cells hold a value (an aggregate alone asks
+        # for it only where plaintext would not compare either: order).
+        # A row with a NULL compares its cells as they are.
+        paired = [offset for offset, (left, right) in enumerate(zip(*sides))
+                  if left is not None and right is not None]
+        if paired:
+            indices = [survivors.alive[offset] for offset in paired]
+            for side, position, kind in zip(sides, positions, kinds):
+                if isinstance(kind, tuple):
+                    plain = survivors.plaintext(
+                        position, indices, [side[offset] for offset in paired])
+                    for offset, value in zip(paired, plain):
+                        side[offset] = value
+        return _plain_mask(op, *sides)
 
     return conjunct

@@ -7,8 +7,17 @@ executor produces a new table per plan node.
 
 The engine hot path works in *batches*: a table caches the column→index
 map and per-column-list position tuples, and exposes
-:meth:`bulk_project` / :meth:`bulk_filter` / :meth:`map_columns` so
-operators resolve positions once per node instead of once per row.
+:meth:`bulk_project` / :meth:`replace_columns` so operators resolve
+positions once per node instead of once per row.
+
+A table states one representation per column
+(:func:`~repro.engine.values.representation`: none, plaintext, or a
+key and scheme).  It is read from the cells only where a column is
+born — the constructor, the columns :meth:`replace_columns` (Encrypt,
+Decrypt) and :meth:`map_columns` swap in, and the columns the executor
+computes for γ and µ — and a second non-NULL representation is refused
+there; every other transformation carries it, and the operators and
+the receipt check read it instead of the cells.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from repro.engine.values import representation
 from repro.exceptions import ExecutionError
 
 
@@ -29,9 +39,12 @@ class Table:
     [120.0, 80.0]
     >>> len(t)
     2
+    >>> t.representation("P")
+    'plaintext'
     """
 
-    __slots__ = ("name", "columns", "rows", "_index", "_positions_cache")
+    __slots__ = ("name", "columns", "rows", "representations", "_index",
+                 "_positions_cache")
 
     def __init__(self, name: str, columns: Sequence[str],
                  rows: Iterable[Sequence[object]]) -> None:
@@ -52,30 +65,27 @@ class Table:
                 )
             materialized.append(row)
         self.rows = materialized
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_dicts(cls, name: str, columns: Sequence[str],
-                   records: Iterable[Mapping[str, object]]) -> "Table":
-        """Build from dictionaries, in the given column order."""
-        return cls(name, columns,
-                   [tuple(r[c] for c in columns) for r in records])
+        cells = zip(*materialized) if materialized else [()] * width
+        self.representations = tuple(map(representation, cells,
+                                          self.columns))
 
     @classmethod
     def _from_trusted(cls, name: str, columns: tuple[str, ...],
-                      rows: list[tuple[object, ...]]) -> "Table":
+                      rows: list[tuple[object, ...]],
+                      representations: tuple[object, ...]) -> "Table":
         """Internal fast constructor: ``rows`` are already shaped tuples.
 
-        Skips the per-row width validation of ``__init__`` — only for
-        rows the engine itself produced from an already valid table.
-        Column uniqueness is still checked (joins/products of operands
-        with clashing names must fail loudly, not shadow a column).
+        Skips the per-row width validation of ``__init__`` and reads no
+        cell: ``representations`` are carried from the operand tables —
+        only for rows the engine itself produced from already valid
+        tables.  Column uniqueness is still checked (joins/products of
+        operands with clashing names must fail loudly, not shadow a
+        column).
         """
         table = cls.__new__(cls)
         table.name = name
         table.columns = columns
+        table.representations = representations
         table._index = {c: i for i, c in enumerate(columns)}
         if len(table._index) != len(columns):
             raise ExecutionError(f"duplicate columns in table {name}")
@@ -108,6 +118,10 @@ class Table:
             self._positions_cache[key] = cached
         return cached
 
+    def representation(self, column: str) -> object | None:
+        """The stated representation of ``column``."""
+        return self.representations[self.column_position(column)]
+
     def column_values(self, column: str) -> list[object]:
         """All values of one column, in row order."""
         position = self.column_position(column)
@@ -127,11 +141,6 @@ class Table:
     # ------------------------------------------------------------------
     # Transformation
     # ------------------------------------------------------------------
-    def project(self, columns: Sequence[str],
-                name: str | None = None) -> "Table":
-        """Keep only ``columns`` (in the given order), dropping duplicates."""
-        return self.bulk_project(columns, name=name, dedupe=True)
-
     def bulk_project(self, columns: Sequence[str], name: str | None = None,
                      dedupe: bool = True) -> "Table":
         """Batch projection: one position lookup, then a tight row loop.
@@ -167,21 +176,9 @@ class Table:
                             hashable = False  # keep duplicates from here on
                     rows.append(row)
                 projected = rows
-        return Table._from_trusted(name or self.name, tuple(columns),
-                                   projected)
-
-    def bulk_filter(self, keep: Callable[[tuple[object, ...]], bool],
-                    name: str | None = None) -> "Table":
-        """Batch filter with a row predicate.
-
-        One pass, one call per row.  The executor's selections do not
-        come through here: they run as column kernels
-        (:func:`repro.engine.expressions.compile_predicate`).
-        """
         return Table._from_trusted(
-            name or self.name, self.columns,
-            [row for row in self.rows if keep(row)],
-        )
+            name or self.name, tuple(columns), projected,
+            tuple(self.representations[p] for p in positions))
 
     def map_columns(self, transforms: Mapping[str, Callable[[object], object]],
                     ) -> "Table":
@@ -203,7 +200,9 @@ class Table:
                 for position, transform in items:
                     cells[position] = transform(cells[position])
                 rows.append(tuple(cells))
-        return Table._from_trusted(self.name, self.columns, rows)
+        return self._born(self.name, rows, {
+            position: [row[position] for row in rows]
+            for position, _ in items})
 
     def replace_columns(self, replacements: Mapping[str, Sequence[object]],
                         name: str | None = None) -> "Table":
@@ -239,11 +238,24 @@ class Table:
             for position, column_values in items:
                 columns_data[position] = list(column_values)
             rows = [tuple(r) for r in zip(*columns_data)] if count else []
-        return Table._from_trusted(name or self.name, self.columns, rows)
+        return self._born(name or self.name, rows, dict(items))
+
+    def _born(self, name: str, rows: list[tuple[object, ...]],
+              born: Mapping[int, Sequence[object]]) -> "Table":
+        """``rows`` under this table's columns, where the columns at the
+        positions of ``born`` are new: their representations are read
+        from their cells (``born``), the others carried."""
+        representations = list(self.representations)
+        for position, cells in born.items():
+            representations[position] = representation(
+                cells, self.columns[position])
+        return Table._from_trusted(name, self.columns, rows,
+                                   tuple(representations))
 
     def rename(self, name: str) -> "Table":
         """The same content under a new name (rows list is copied)."""
-        return Table._from_trusted(name, self.columns, list(self.rows))
+        return Table._from_trusted(name, self.columns, list(self.rows),
+                                   self.representations)
 
     def copy(self) -> "Table":
         """A same-content table with a private ``rows`` list.

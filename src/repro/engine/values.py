@@ -11,6 +11,8 @@ support nothing — exactly the capability matrix of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Sequence
 
 from repro.core.requirements import EncryptionScheme
 from repro.crypto.paillier import PaillierCiphertext
@@ -131,23 +133,43 @@ _set_scheme = EncryptedValue.scheme.__set__  # type: ignore[attr-defined]
 _set_token = EncryptedValue.token.__set__  # type: ignore[attr-defined]
 _set_recovery = EncryptedValue.recovery.__set__  # type: ignore[attr-defined]
 
-#: :func:`signature` of every unencrypted non-NULL value.
+#: The representation of a column of unencrypted values.
 PLAINTEXT = "plaintext"
+#: In the scheme slot of a representation: encrypted aggregates, which
+#: no token comparison serves.
+AGGREGATE = "aggregate"
+
+_KEY_AND_SCHEME = attrgetter("key_name", "scheme")
 
 
-def signature(value: object) -> object | None:
-    """The value's representation: a key/scheme pair, plaintext, or None.
+def representation(cells: Sequence[object], column: str) -> object | None:
+    """The one representation of a column, read from its cells.
 
-    Values are comparable only within one representation, so the
-    column kernels (selection, hash join, group-by) decide how to
-    compare once per signature instead of once per cell.  NULL has
-    none: NULL vs anything is UNKNOWN, never a representation mix.
+    ``None`` when no cell holds a value, :data:`PLAINTEXT`, ``(key
+    name, scheme)`` for ciphertexts or ``(key name, AGGREGATE)`` for
+    encrypted aggregates.  Values are comparable only within
+    one representation, so a :class:`~repro.engine.table.Table` states
+    one per column, read here where the column is born, and a column
+    holding a second raises.  NULL has none: NULL vs anything is
+    UNKNOWN, never a representation mix.
     """
-    if value is None:
+    kinds = set(map(type, cells))
+    kinds.discard(type(None))
+    if not kinds:
         return None
-    if value.__class__ is EncryptedValue:
-        return (value.key_name, value.scheme)  # type: ignore[attr-defined]
-    return PLAINTEXT
+    if kinds.isdisjoint((EncryptedValue, EncryptedAggregate)):
+        return PLAINTEXT
+    if kinds == {EncryptedValue}:
+        found = set(map(_KEY_AND_SCHEME, filter(None, cells)))
+    elif kinds == {EncryptedAggregate}:
+        found = {(cell.key_name, AGGREGATE)  # type: ignore[attr-defined]
+                 for cell in filter(None, cells)}
+    else:  # plaintext beside ciphertext, or values beside aggregates
+        found = kinds
+    if len(found) == 1:
+        return found.pop()
+    raise ExecutionError(
+        f"column {column!r} holds more than one value representation")
 
 
 @dataclass(frozen=True)

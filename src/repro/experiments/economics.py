@@ -41,7 +41,6 @@ class EconomicResults:
     """All figure-9/10 data points plus derived series."""
 
     scale: float
-    mix_split: str
     costs: dict[tuple[int, str], QueryScenarioCost] = field(
         default_factory=dict
     )
@@ -121,17 +120,16 @@ class EconomicResults:
 
 
 def run_economics(scale: float = DEFAULT_SCALE,
-                  queries: tuple[int, ...] | None = None,
-                  mix_split: str = "prefix") -> EconomicResults:
+                  queries: tuple[int, ...] | None = None) -> EconomicResults:
     """Regenerate the Figure 9/10 data.
 
-    ``queries`` restricts the run (all 22 by default); ``mix_split``
-    selects the UAPmix attribute split (see
+    ``queries`` restricts the run (all 22 by default).  UAPmix splits
+    its attributes the way the paper does (``prefix``, see
     :func:`repro.tpch.scenarios.scenario`).
     """
     schema = build_tpch_schema(scale)
-    scenarios = all_scenarios(schema, mix_split)
-    results = EconomicResults(scale=scale, mix_split=mix_split)
+    scenarios = all_scenarios(schema)
+    results = EconomicResults(scale=scale)
     numbers = queries or tuple(range(1, 23))
     for number in numbers:
         plan_query = all_queries()[number - 1]

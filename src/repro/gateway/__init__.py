@@ -22,7 +22,6 @@ from repro.gateway.admission import (
     AdmissionController,
     FairScheduler,
     LatencyPredictor,
-    fair_shares,
 )
 from repro.gateway.gateway import Gateway, TenantConfig
 from repro.gateway.quotas import TenantQuota, TokenBucket
@@ -42,5 +41,4 @@ __all__ = [
     "TenantConfig",
     "TenantQuota",
     "TokenBucket",
-    "fair_shares",
 ]

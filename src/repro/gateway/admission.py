@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Iterable
+from typing import Deque
 
 from repro.core.cache import LRU
 from repro.exceptions import AdmissionRejected
@@ -267,19 +267,3 @@ class AdmissionController:
     def backlog(self) -> int:
         with self._condition:
             return self._scheduler.backlog()
-
-
-def fair_shares(weights: dict[str, int],
-                active: Iterable[str] | None = None) -> dict[str, float]:
-    """Each tenant's fair dispatch share among ``active`` tenants.
-
-    The reference for fairness gates: over a window where exactly the
-    ``active`` tenants stay backlogged, smooth WRR serves tenant ``t``
-    a ``weights[t] / sum(active weights)`` fraction of dispatches
-    (within one dispatch per tenant).
-    """
-    names = list(weights if active is None else active)
-    total = sum(weights[name] for name in names)
-    if total <= 0:
-        raise ValueError("no active weight")
-    return {name: weights[name] / total for name in names}

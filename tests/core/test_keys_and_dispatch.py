@@ -108,6 +108,16 @@ class TestSchemesForExtendedPlan:
             extended, policy=example.policy)
         assert with_note2["D"] is EncryptionScheme.RANDOMIZED
 
+    def test_keys_established_under_a_policy_honour_note2(self, example):
+        # Figure 7(b): kD is only in transit once H may evaluate D on
+        # plaintext, as assign's own key set has it.
+        extended = minimally_extend(
+            example.plan, example.policy, example.assignment_7b(),
+            owners=example.owners,
+        )
+        keys = establish_keys(extended, example.policy)
+        assert keys.key_for("D").scheme is EncryptionScheme.RANDOMIZED
+
 
 class TestQueryKey:
     def test_name_and_covers(self):

@@ -9,7 +9,7 @@ paths too).
 """
 
 from datetime import date, datetime
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,13 +130,13 @@ class TestPaillierFastVsReference:
             assert fast == decrypt_reference(private, ciphertext)
             assert fast == pytest.approx(value, abs=1e-6)
 
-    def test_reference_keypair_without_primes_still_decrypts(self, paillier):
-        from repro.crypto.paillier import PaillierPrivateKey
-
+    def test_key_holds_the_textbook_lambda_and_mu(self, paillier):
         public, private = paillier
-        stripped = PaillierPrivateKey(public, private.lam, private.mu)
         ciphertext = public.encrypt(-7.25)
-        assert stripped.decrypt(ciphertext) == private.decrypt(ciphertext)
+        assert decrypt_reference(private, ciphertext) == \
+            private.decrypt(ciphertext) == -7.25
+        assert private.lam == lcm(private.p - 1, private.q - 1)
+        assert private.mu == pow(private.lam, -1, public.n)
 
     def test_obfuscators_are_units(self, paillier):
         public, private = paillier

@@ -55,6 +55,19 @@ class TestMessages:
         received = open_envelope(blob, recipient_priv, sender_pub)
         assert received.query_text == payload.query_text
 
+    def test_paillier_key_from_an_envelope_keeps_its_primes(self):
+        sender_pub, sender_priv = generate_keypair(512)
+        recipient_pub, recipient_priv = generate_keypair(512)
+        payload = self.make_payload()
+        blob = seal_envelope(payload, sender_priv, recipient_pub)
+        received = open_envelope(blob, recipient_priv, sender_pub)
+        sent = payload.keystore.material_for_attribute("P").paillier_private
+        opened = received.keystore.material_for_attribute(
+            "P").paillier_private
+        assert (opened.p, opened.q) == (sent.p, sent.q)
+        ciphertext = sent.public.encrypt(-7.25)
+        assert opened.decrypt(ciphertext) == -7.25
+
     def test_wrong_sender_key_rejected(self):
         _, sender_priv = generate_keypair(512)
         impostor_pub, _ = generate_keypair(512)

@@ -34,8 +34,10 @@ from repro.distributed import runtime as runtime_module
 from repro.distributed.nodes import SubjectNode, build_nodes
 from repro.distributed.runtime import DistributedRuntime
 from repro.engine import executor as executor_module
+from repro.engine.values import EncryptedValue
 from repro.exceptions import (
     AuthorizationError,
+    ExecutionError,
     KeyManagementError,
     UnauthorizedError,
 )
@@ -68,6 +70,54 @@ def test_plaintext_from_a_faulty_authority_is_refused_on_receipt(
             match=r"P1 received plaintext column \w+ "
                   r"without plaintext authorization"):
         query.run(query.runtime())
+
+
+@pytest.mark.parametrize("sealed_first", [True, False],
+                         ids=["sealed-first", "plaintext-first"])
+def test_mixed_column_never_reaches_an_encrypted_only_subject(
+        example, example_tables, monkeypatch, sealed_first):
+    """Value level, at birth: in Fig. 7(a) X may see ``S`` encrypted
+    only.  An ``encrypt_column`` that seals one cell of ``S`` and leaves
+    the others in the clear — sealed cell first or plaintext first —
+    builds a column of two representations, which its table refuses
+    where Encrypt builds it, so no subject is handed it.  Judged by its
+    first cell, the sealed-first column would pass the receipt check."""
+    real = executor_module.encrypt_column
+
+    def faulty(material, values, pool=None):
+        sealed = real(material, values, pool=pool)
+        if not material.query_key.covers("S"):
+            return sealed
+        if sealed_first:
+            return sealed[:1] + list(values[1:])
+        return list(values[:1]) + sealed[1:]
+
+    accepted = []
+    check = runtime_module.check_values
+
+    def recording(view, table):
+        check(view, table)
+        accepted.append(table)
+
+    monkeypatch.setattr(executor_module, "encrypt_column", faulty)
+    monkeypatch.setattr(runtime_module, "check_values", recording)
+    extended = minimally_extend(
+        example.plan, example.policy, example.assignment_7a(),
+        owners=example.owners)
+    assert "S" in example.policy.view("X").encrypted
+    keys = establish_keys(extended, example.policy)
+    plan = dispatch(extended, keys, owners=example.owners, user="U")
+    runtime = build_runtime(
+        example.policy, list(example.subjects),
+        {"H": {"Hosp": example_tables["Hosp"]},
+         "I": {"Ins": example_tables["Ins"]}}, user="U")
+    with pytest.raises(ExecutionError, match="more than one value"):
+        runtime.run(plan, extended, keys,
+                    DistributedKeys.from_assignment(keys))
+    assert not [table for table in accepted
+                for column in zip(*table.rows)
+                if len({isinstance(cell, EncryptedValue)
+                        for cell in column if cell is not None}) > 1]
 
 
 def test_implicit_attribute_narrowed_after_planning_is_refused(

@@ -21,7 +21,7 @@ from repro.core.authorization import (
 )
 from repro.core.dispatch import dispatch
 from repro.core.extension import minimally_extend
-from repro.core.keys import establish_keys
+from repro.core.keys import establish_keys, schemes_for_extended_plan
 from repro.core.operators import (
     Aggregate,
     AggregateFunction,
@@ -162,7 +162,10 @@ def test_column_that_arrived_sealed_is_compared_sealed(watched):
     assert {extended.assignee(node) for node in (placed, outer, inner)} \
         == {"A"}
 
-    keys = establish_keys(extended, policy)
+    # Schemes chosen without §5 note 2, which would let A compare on
+    # plaintext: the tokens must serve the comparison here.
+    keys = establish_keys(extended, policy,
+                          schemes=schemes_for_extended_plan(extended))
     table = Table("R", ("a", "b", "c"), [
         (n % 3, n % 2 + (n % 5 == 0), n // 3) for n in range(12)
     ] + [(None, 1, 9), (1, None, 9)])

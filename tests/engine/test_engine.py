@@ -47,7 +47,7 @@ class TestTable:
             Table("t", ("a", "a"), [])
 
     def test_project_dedups(self):
-        projected = T.project(["b"])
+        projected = T.bulk_project(["b"])
         assert sorted(projected.rows) == [("x",), ("y",), ("z",)]
 
     def test_column_access(self):
@@ -55,8 +55,8 @@ class TestTable:
         with pytest.raises(ExecutionError):
             T.column_position("zzz")
 
-    def test_from_dicts_and_iter_dicts(self):
-        t = Table.from_dicts("t", ("a",), [{"a": 1}, {"a": 2}])
+    def test_iter_dicts(self):
+        t = Table("t", ("a",), [(1,), (2,)])
         assert list(t.iter_dicts()) == [{"a": 1}, {"a": 2}]
 
     def test_same_content_order_insensitive(self):

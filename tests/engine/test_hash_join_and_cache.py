@@ -320,10 +320,6 @@ class TestBulkTableApis:
         assert out.rows == [(1, "x"), (2, ["list"]), (1, "x"), (2, ["list"])]
         assert table.bulk_project(["a"]).rows == [(1,), (2,)]
 
-    def test_bulk_filter_uses_compiled_predicate(self):
-        out = self.T.bulk_filter(lambda row: row[2] > 15.0)
-        assert [row[2] for row in out.rows] == [20.0, 30.0]
-
     def test_map_columns_single_pass(self):
         out = self.T.map_columns({"a": lambda v: v * 10,
                                   "c": lambda v: -v})

@@ -209,13 +209,13 @@ class TestEncryptedNullSkipping:
         assert len(hashed) == 1  # only (k=1, v=5) > (j=1, w=3) survives
 
     def test_true_mix_still_rejected(self):
-        # NULLs are tolerated, genuine plaintext/ciphertext mixes are not.
+        # NULLs are tolerated, genuine plaintext/ciphertext mixes are
+        # not: such a column is refused where it is built.
         catalog, store = encrypted_catalog(
             [("a", 1), ("a", 2)], EncryptionScheme.PAILLIER)
         table = catalog["R"]
-        mixed = Table("R", table.columns,
-                      [table.rows[0], ("a", 5)])
-        with pytest.raises(ExecutionError):
+        with pytest.raises(ExecutionError, match="more than one value"):
+            mixed = Table("R", table.columns, [table.rows[0], ("a", 5)])
             Executor({"R": mixed}, keystore=store).execute(
                 grouped(AggregateFunction.SUM))
 

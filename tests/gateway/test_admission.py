@@ -7,11 +7,9 @@ import threading
 import pytest
 
 from repro.exceptions import AdmissionRejected
-from repro.gateway.admission import (
-    AdmissionController,
-    FairScheduler,
-    fair_shares,
-)
+from repro.gateway.admission import AdmissionController, FairScheduler
+
+from oracles.fair_shares import fair_shares
 
 
 def backlogged_scheduler(weights: dict[str, int], items: int,

@@ -205,8 +205,8 @@ class TestEncryptedEquivalenceOnRandomPlans:
             catalog, keystore=distributed.master).execute(extended.plan)
 
         assert set(encrypted.columns) == set(plain.columns)
-        reordered = encrypted.project(list(plain.columns))
-        deduped_plain = plain.project(list(plain.columns))
+        reordered = encrypted.bulk_project(list(plain.columns))
+        deduped_plain = plain.bulk_project(list(plain.columns))
         got = sorted(map(repr, reordered.rows))
         want = sorted(map(repr, deduped_plain.rows))
         assert got == want

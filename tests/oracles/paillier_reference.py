@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from math import lcm
 
 from repro.crypto.paillier import (
     PaillierCiphertext,
     PaillierPrivateKey,
     PaillierPublicKey,
+    _decode,
     _encode,
 )
 
@@ -29,5 +30,10 @@ def encrypt_reference(public: PaillierPublicKey, value: int | float,
 
 def decrypt_reference(private: PaillierPrivateKey,
                       ciphertext: PaillierCiphertext) -> float | int:
-    """``λ/µ`` decryption: all a key stripped of ``p``/``q`` can run."""
-    return replace(private, p=None, q=None).decrypt(ciphertext)
+    """``m = L(c^λ mod n²) · µ mod n`` with ``L(x) = (x-1)/n``, where
+    ``λ = lcm(p-1, q-1)`` and ``µ = λ⁻¹ mod n`` are derived here from
+    the key's primes."""
+    n, n2 = private.public.n, private.public.n_squared
+    lam = lcm(private.p - 1, private.q - 1)
+    mu = pow(lam, -1, n)
+    return _decode((pow(ciphertext.value, lam, n2) - 1) // n * mu % n, n)

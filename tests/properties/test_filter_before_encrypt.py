@@ -35,7 +35,7 @@ from repro.crypto import primitives
 from repro.crypto.keymanager import KeyMaterial, KeyStore
 from repro.engine import EncryptedValue, Executor, Table
 from repro.engine.codec import decrypt_column, encrypt_column
-from repro.engine.values import signature
+from repro.engine.values import representation
 
 from oracles.plan_order import execute_in_plan_order
 from test_selection_kernel import INTS, MASTER, PATTERNS, WORDS, outcome
@@ -137,7 +137,8 @@ def opened(table, master):
         [tuple(decrypt_column(master.material(cell.key_name), [cell])[0]
                if isinstance(cell, EncryptedValue) else cell for cell in row)
          for row in table.rows],
-        [tuple(map(signature, row)) for row in table.rows])
+        [tuple(map(representation, zip(row), table.columns))
+         for row in table.rows])
 
 
 @given(cases())

@@ -1,16 +1,18 @@
 """Hypothesis: the selection column kernel ≡ the seed's row closure.
 
-``compile_predicate`` decides how to compare once per representation
-group of a column; ``oracles.row_predicate`` decides it per row, through
-an exception.  Over generated tables — plaintext, deterministic, OPE,
-randomized and Paillier columns (two columns may share a key), encrypted
-aggregates, NULLs anywhere, a column that mixes representations, every
-operator, one to three conjuncts that may repeat a column, keys held or
-not by the evaluating subject and by the constant encryptor, a
-pre-encrypted constant — both must keep the same rows in the same
-order, and one must raise exactly when the other does.
+``compile_predicate`` decides how to compare once per column, from the
+representation its table states; ``oracles.row_predicate`` decides it
+per row, through an exception.  Over generated tables — plaintext,
+deterministic, OPE, randomized and Paillier columns (two columns may
+share a key), encrypted aggregates, NULLs anywhere, every operator, one
+to three conjuncts that may repeat a column, keys held or not by the
+evaluating subject and by the constant encryptor, a pre-encrypted
+constant — both must keep the same rows in the same order, and one must
+raise exactly when the other does.  A drawn column that mixes
+representations never reaches the kernel: the table refuses it.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.keys import QueryKey
@@ -24,7 +26,8 @@ from repro.core.requirements import EncryptionScheme
 from repro.crypto.keymanager import KeyStore
 from repro.engine.codec import decrypt_column, encrypt_column
 from repro.engine.expressions import ConstantEncryptor, compile_predicate
-from repro.engine.values import EncryptedAggregate
+from repro.engine.table import Table
+from repro.engine.values import EncryptedAggregate, EncryptedValue
 from repro.exceptions import ExecutionError, KeyManagementError, ReproError
 
 from oracles.row_predicate import compile_row_predicate
@@ -127,6 +130,21 @@ def cases(draw):
             _held(draw(STORES)), _held(draw(STORES)))
 
 
+def kind(cell):
+    """A cell's representation, judged on its own."""
+    if isinstance(cell, EncryptedValue):
+        return cell.key_name, cell.scheme
+    if isinstance(cell, EncryptedAggregate):
+        return cell.key_name, AGGREGATE
+    return None if cell is None else "plaintext"
+
+
+def mixed(rows):
+    """Whether a column of ``rows`` holds two non-NULL representations."""
+    return any(len({kind(cell) for cell in column} - {None}) > 1
+               for column in zip(*rows))
+
+
 def outcome(run):
     try:
         return run()
@@ -143,12 +161,17 @@ def outcome(run):
 @settings(max_examples=400, deadline=None)
 def test_kernel_keeps_what_the_row_closure_keeps(case):
     rows, predicate, keystore, constant_store = case
+    if mixed(rows):
+        with pytest.raises(ExecutionError, match="more than one value"):
+            Table("R", COLUMNS, rows)
+        return
+    table = Table("R", COLUMNS, rows)
 
     def kernel():
         select = compile_predicate(
             predicate, COLUMNS, ConstantEncryptor(constant_store or keystore),
             local_keystore=keystore)
-        return select(rows, decrypt_column)
+        return select(table, decrypt_column)
 
     def oracle():
         keep = compile_row_predicate(

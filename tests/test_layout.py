@@ -81,7 +81,8 @@ RETIRED = ("ThreadPoolExecutor", "search_impl", "nested-loop", "_reference(",
            "_pool_seeds", "NodeMap", "fingerprint(", "_rebind_result",
            "output_attributes", "equivalences_introduced", "_node_demands",
            "compare_values", "MetricsRegistry", "register_collector",
-           "set_total")
+           "set_total", "_operand_kind", "_reference_message",
+           "bulk_filter", "from_dicts")
 #: Parameters that selected between paths which no longer exist.
 RETIRED_PARAMETERS = ("schedule", "strategy", "failover")
 
