@@ -15,10 +15,10 @@ counted as a killer of everything::
     python scripts/kill_matrix.py stand-in-may-run-anything
     python scripts/kill_matrix.py --all tests/distributed tests/properties
 
-Test directories default to ``tests`` (≈37 s per mutant, so this is a
-tool, not a CI step).  ``benchmarks/e2e/test_harness.py`` puts the
-repository's own ``src/`` first on ``sys.path`` and so cannot judge a
-mutant.  The committed result is ``tests/KILL_MATRIX.md``;
+Test directories default to ``tests`` (≈46 s per mutant on a 2-CPU
+host, ≈18 min for ``--all``, so this is a tool, not a CI step).
+``benchmarks/e2e/test_harness.py`` puts the repository's own ``src/``
+first on ``sys.path`` and so cannot judge a mutant.  The committed result is ``tests/KILL_MATRIX.md``;
 ``tests/test_kill_matrix.py`` keeps every ``old`` text findable.
 """
 

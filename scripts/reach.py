@@ -13,13 +13,10 @@ tracer (``sys.settrace`` and ``threading.settrace``) restricted to
 processes included, and writes what it saw when the interpreter exits.
 A process killed on purpose (the pool tests SIGKILL workers) writes
 nothing, and a subprocess started with its own ``PYTHONPATH`` is not
-traced.  Tier-1's hypothesis tests draw fresh inputs on every run, so a
-few lines only generated inputs reach move between "tier-1 only" and
-"neither" from one run to the next.  Executable lines are the
-``co_lines()`` of every code object compiled from a module.  The result
-is a Markdown report: per module the
-lines run by both commands, by tier-1 only, by the benchmark only and by
-neither, then every named function neither command called::
+traced.  Executable lines are the ``co_lines()`` of every code object
+compiled from a module.  The result is a Markdown report: per module
+the lines run by both commands, by tier-1 only, by the benchmark only
+and by neither, then every named function neither command called::
 
     python scripts/reach.py                  # writes docs/reach.md
 

@@ -21,7 +21,7 @@ from repro.crypto.rsa import (
 )
 from repro.engine.executor import UdfCallable
 from repro.engine.table import Table
-from repro.exceptions import AuthorizationError
+from repro.exceptions import AuthorizationError, CryptoError
 
 
 @dataclass
@@ -33,29 +33,6 @@ class SubjectNode:
     rsa_private: RsaPrivateKey
     tables: dict[str, Table] = field(default_factory=dict)
     udfs: dict[str, UdfCallable] = field(default_factory=dict)
-
-    @classmethod
-    def create(cls, subject: Subject,
-               tables: Mapping[str, Table] | None = None,
-               udfs: Mapping[str, UdfCallable] | None = None,
-               rsa_keys: tuple[RsaPublicKey, RsaPrivateKey] | None = None,
-               ) -> "SubjectNode":
-        """Create a node, generating an RSA keypair unless one is given.
-
-        ``rsa_keys`` lets long-lived deployments (the service layer,
-        repeated-query benchmarks) generate each subject's keypair once
-        and reuse it instead of paying keygen per construction.
-        """
-        if rsa_keys is None:
-            rsa_keys = generate_keypair(DEFAULT_RSA_BITS)
-        public, private = rsa_keys
-        return cls(
-            subject=subject,
-            rsa_public=public,
-            rsa_private=private,
-            tables=dict(tables or {}),
-            udfs=dict(udfs or {}),
-        )
 
     @property
     def name(self) -> str:
@@ -84,10 +61,12 @@ def build_nodes(subjects: list[Subject],
     """One node per subject, tables at their owners.
 
     ``authority_tables`` maps authority name → {relation name → table};
-    ``rsa_keys`` (subject name → keypair) skips per-node key generation.
-    A stand-in name (:data:`~repro.core.authorization.STAND_IN_PREFIX`)
-    gets no node: a stand-in stores nothing and the run-time checks
-    exempt nobody.
+    ``rsa_keys`` (subject name → keypair) skips key generation for the
+    subjects it names, and :func:`generate_subject_keys` keys the rest.
+    Two subjects holding one modulus raise :class:`CryptoError`: either
+    could open every envelope sealed for the other.  A stand-in name
+    (:data:`~repro.core.authorization.STAND_IN_PREFIX`) gets no node: a
+    stand-in stores nothing and the run-time checks exempt nobody.
     """
     reserved = sorted(subject.name for subject in subjects
                       if stands_in_for(subject.name) is not None)
@@ -95,8 +74,22 @@ def build_nodes(subjects: list[Subject],
         raise AuthorizationError(
             f"subject names {reserved} are reserved for the stand-ins of "
             "relations nobody owns; a stand-in has no runtime node")
+    ring = {subject.name: (rsa_keys or {}).get(subject.name)
+            for subject in subjects}
+    ring.update(generate_subject_keys(
+        [name for name, keys in ring.items() if keys is None]))
+    holders: dict[int, list[str]] = {}
+    for name, (public, _) in ring.items():
+        holders.setdefault(public.n, []).append(name)
+    shared = sorted(sorted(names) for names in holders.values()
+                    if len(names) > 1)
+    if shared:
+        raise CryptoError(
+            f"subjects {shared} share an RSA modulus; each subject needs "
+            "its own keypair")
     return {
-        subject.name: SubjectNode.create(
-            subject, tables=authority_tables.get(subject.name, {}),
-            udfs=udfs, rsa_keys=(rsa_keys or {}).get(subject.name))
+        subject.name: SubjectNode(
+            subject, *ring[subject.name],
+            tables=dict(authority_tables.get(subject.name, {})),
+            udfs=dict(udfs or {}))
         for subject in subjects}

@@ -1,10 +1,20 @@
-"""Shared fixtures and plan generators for the test suite."""
+"""Shared fixtures and plan generators for the test suite.
+
+What is costly to build and only read is built once per session: node
+RSA keypairs come from one pool, and each TPC-H dataset is generated
+once per (scale, seed, null rate).  Hypothesis runs one deterministic
+profile, so a run never depends on ``.hypothesis/`` or on fresh draws.
+"""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import random
+import threading
 
 import pytest
+from hypothesis import settings
 
 from repro.core.authorization import ANY, Authorization, Policy
 from repro.core.operators import (
@@ -26,8 +36,71 @@ from repro.core.predicates import (
     equals,
 )
 from repro.core.schema import Relation, Schema
+from repro.crypto import rsa
+from repro.distributed import nodes
 from repro.engine.table import Table
 from repro.paper_example import RunningExample, build_running_example
+from repro.tpch import TpchData, generate
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+
+#: Keypairs in the session pool: more than any one run has subjects, so
+#: a ring drawn in one go never repeats a modulus (``build_nodes``
+#: refuses one that does).
+RSA_POOL_SIZE = 8
+
+
+class RsaKeyPool:
+    """Real RSA keypairs, each made once by ``generate_keypair`` and
+    handed out in turn.  A draw is a copy with cold sign and unwrap
+    memos, so a test meets the key as if it were new: only the primes
+    repeat."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.keys: list[tuple[rsa.RsaPublicKey, rsa.RsaPrivateKey]] = []
+        self.drawn = 0
+        self.guard = threading.Lock()
+
+    def __call__(self, bits: int = rsa.DEFAULT_RSA_BITS):
+        with self.guard:
+            slot = self.drawn % self.size
+            self.drawn += 1
+            if slot == len(self.keys):
+                self.keys.append(rsa.generate_keypair(bits))
+            public, private = self.keys[slot]
+        return public, dataclasses.replace(private)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def rsa_key_pool():
+    """Every node keypair (``generate_subject_keys``, and through it
+    ``build_nodes``, ``build_runtime`` and ``QueryService``) is drawn
+    from one session pool instead of fresh primes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nodes, "generate_keypair", RsaKeyPool(RSA_POOL_SIZE))
+        yield
+
+
+@pytest.fixture()
+def fresh_rsa_keys(monkeypatch):
+    """Node keypairs from fresh primes, for tests about key generation
+    itself."""
+    monkeypatch.setattr(nodes, "generate_keypair", rsa.generate_keypair)
+
+
+@pytest.fixture(scope="session")
+def tpch_data():
+    """``tpch_data(scale, seed, null_rate=0.0)``: the generated dataset,
+    built once per session.  Tests share it: one that changes a table
+    copies it first."""
+
+    @functools.cache
+    def build(scale: float, seed: int, null_rate: float = 0.0) -> TpchData:
+        return generate(scale=scale, seed=seed, null_rate=null_rate)
+
+    return build
 
 
 @pytest.fixture()

@@ -15,13 +15,13 @@ import pytest
 from repro.crypto import rsa
 from repro.crypto.rsa import DEFAULT_RSA_BITS, generate_keypair
 from repro.crypto.symmetric import RandomizedCipher
-from repro.distributed.runtime import (
-    SubjectNode,
-    build_runtime,
-    generate_subject_keys,
-)
+from repro.distributed.nodes import build_nodes
+from repro.distributed.runtime import build_runtime, generate_subject_keys
 from repro.exceptions import CryptoError
 from repro.service.workload import QueryService
+
+#: Key generation itself is under test here: no pooled keys.
+pytestmark = pytest.mark.usefixtures("fresh_rsa_keys")
 
 MESSAGES = (b"", b"m", b"message", b"x" * 5000,
             random.Random(15).randbytes(257))
@@ -303,7 +303,7 @@ class TestKeySize:
         assert DEFAULT_RSA_BITS == 512
         assert inspect.signature(generate_keypair).parameters[
             "bits"].default == DEFAULT_RSA_BITS
-        for site in (SubjectNode.create, generate_subject_keys,
+        for site in (build_nodes, generate_subject_keys,
                      build_runtime, QueryService.__init__):
             assert "rsa_bits" not in inspect.signature(site).parameters, site
         for _, private in generate_subject_keys(["X"]).values():

@@ -411,6 +411,7 @@ class TestCrossRunCaches:
         # started afterwards cache normally.
         assert runtime.cache_info()["fragment_entries"] == 3
 
+    @pytest.mark.usefixtures("fresh_rsa_keys")
     def test_pregenerated_rsa_keys_are_used(self, example,
                                             example_tables):
         rsa_keys = generate_subject_keys(list(example.subjects))
@@ -422,7 +423,22 @@ class TestCrossRunCaches:
         result, _ = run()
         assert result.sorted_rows() == [("tpa", 120.0)]
 
+    def test_key_ring_that_shares_a_keypair_is_refused(self, example,
+                                                       example_tables):
+        """With one keypair for two subjects either could open what is
+        sealed for the other, the user's result included."""
+        shared = generate_subject_keys(["U"])["U"]
+        with pytest.raises(CryptoError, match="share an RSA modulus") \
+                as refused:
+            pipeline_7a(example, example_tables, rsa_keys=dict.fromkeys(
+                [subject.name for subject in example.subjects], shared))
+        assert "'H', 'I', 'U', 'X', 'Y', 'Z'" in str(refused.value)
+        with pytest.raises(CryptoError, match=r"\[\['U', 'X'\]\]"):
+            pipeline_7a(example, example_tables,
+                        rsa_keys={"U": shared, "X": shared})
 
+
+@pytest.mark.usefixtures("fresh_rsa_keys")
 class TestEnvelopeRsaCost:
     def test_warm_query_costs_two_half_width_modexps_per_private_op(
             self, example, example_tables, monkeypatch):

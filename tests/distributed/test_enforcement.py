@@ -31,7 +31,8 @@ from repro.cost.pricing import PriceList
 from repro.crypto.keymanager import DistributedKeys
 from repro.distributed import build_runtime
 from repro.distributed import runtime as runtime_module
-from repro.distributed.nodes import SubjectNode, build_nodes
+from repro.distributed.nodes import SubjectNode, build_nodes, \
+    generate_subject_keys
 from repro.distributed.runtime import DistributedRuntime
 from repro.engine import executor as executor_module
 from repro.engine.values import EncryptedValue
@@ -201,7 +202,8 @@ def test_provider_named_like_a_stand_in_is_refused_by_every_layer(
     nodes = build_nodes(list(example.subjects),
                         {"H": {"Hosp": example_tables["Hosp"]},
                          "I": {"Ins": example_tables["Ins"]}})
-    nodes[EVIL] = SubjectNode.create(impostor)
+    nodes[EVIL] = SubjectNode(impostor,
+                              *generate_subject_keys([EVIL])[EVIL])
     runtime = DistributedRuntime(example.policy, nodes, "U")
 
     def run():

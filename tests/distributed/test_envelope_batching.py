@@ -40,24 +40,21 @@ from repro.exceptions import (
     QueryCancelledError,
 )
 from repro.tpch import TPCH_UDFS, all_scenarios, build_tpch_schema, \
-    generate, query_plan
-from repro.tpch.schema import table_owners
+    query_plan
 
+from helpers import authority_tables
 from test_concurrent_runtime import pipeline_7a
 
 SCALE = 0.002
 
 
 @pytest.fixture(scope="module")
-def tpch():
+def tpch(tpch_data):
     schema = build_tpch_schema(SCALE)
-    data = generate(scale=SCALE, seed=7)
-    authority_tables = {"A1": {}, "A2": {}}
-    for name, owner in table_owners().items():
-        authority_tables[owner][name] = data.table(name)
+    data = tpch_data(SCALE, 7)
     rsa_keys = generate_subject_keys(
         list(all_scenarios(schema)["UAPmix"].subjects))
-    return schema, data, authority_tables, rsa_keys
+    return schema, data, authority_tables(data), rsa_keys
 
 
 class Query:

@@ -31,14 +31,14 @@ from repro.engine.expressions import ConstantEncryptor
 from repro.exceptions import CryptoError, ExecutionError
 from repro.service import QueryService
 from repro.tpch import (
-    AUTHORITY_TABLES,
     TPCH_UDFS,
     all_queries,
     build_tpch_schema,
-    generate,
     query,
     scenario,
 )
+
+from helpers import authority_tables
 
 R = Relation("R", ["k", "d"], cardinality=8)
 KEPT_FIRST = Conjunction([
@@ -104,15 +104,12 @@ class TestNoteTwoReadsOnlyTheOwnKeystore:
             == [4, 5, 6]
 
 
-def uapenc_service(scale):
-    schema = build_tpch_schema(scale)
-    data = generate(scale, seed=107)
+def uapenc_service(data):
+    schema = build_tpch_schema(data.scale)
     setting = scenario("UAPenc", schema)
     return QueryService(
         schema, setting.policy, setting.subjects, setting.owners,
-        {authority: {name: data.table(name) for name in names}
-         for authority, names in AUTHORITY_TABLES.items()},
-        user=setting.user, udfs=TPCH_UDFS)
+        authority_tables(data), user=setting.user, udfs=TPCH_UDFS)
 
 
 def count_calls(monkeypatch, calls, owner, name):
@@ -191,13 +188,14 @@ class TestSelectionCost:
         assert material.query_key.covers("d")
         assert cells == [row[1] for row in tables["R"].rows[4:]]
 
-    def test_q7_decides_once_per_column_not_once_per_row(self, monkeypatch):
+    def test_q7_decides_once_per_column_not_once_per_row(
+            self, tpch_data, monkeypatch):
         """Clock-free guard on TPC-H Q7 under UAPenc: A2 filters
         ``l_shipdate`` with two conjuncts on the plaintext it holds,
         *before* it seals the column (RANDOMIZED) — no
         ``decrypt_column``; P1's ``n_name IN (…)`` over the
         DETERMINISTIC column it received encrypts its constants once."""
-        service = uapenc_service(0.001)
+        service = uapenc_service(tpch_data(0.001, 107))
         calls = []
         count_calls(monkeypatch, calls, executor_module, "decrypt_column")
         for name in ("match_constant", "match_tokens"):
@@ -228,7 +226,7 @@ class TestSelectionCost:
         assert not hasattr(codec_module, "try_decrypt")
 
     def test_cold_round_seals_and_opens_an_exact_number_of_values(
-            self, monkeypatch):
+            self, tpch_data, monkeypatch):
         """One cold execution of each of the 17 SQL templates (UAPenc,
         scale 0.002, seed 107).  Before selections ran ahead of their
         own Encrypt: 122,808 sealed, 32,982 opened, 30,421 of those by
@@ -238,7 +236,7 @@ class TestSelectionCost:
         per distinct value of their column: 19,273 from ``Encrypt``
         columns plus 5 constants (one ``encrypt`` each).  Cell by cell
         it was 68,016 (constants apart)."""
-        service = uapenc_service(0.002)
+        service = uapenc_service(tpch_data(0.002, 107))
         calls = []
         for name in ("encrypt_column", "decrypt_column"):
             count_calls(monkeypatch, calls, executor_module, name)

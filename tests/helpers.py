@@ -14,6 +14,8 @@ from repro.distributed.faults import FaultInjector, FaultSpec
 from repro.distributed.runtime import ExecutionTrace
 from repro.engine.table import Table
 from repro.exceptions import UnauthorizedError
+from repro.tpch import TpchData
+from repro.tpch.schema import AUTHORITY_TABLES
 
 #: One exposition sample: name, optional {labels}, value.
 _SAMPLE_LINE = re.compile(
@@ -113,6 +115,12 @@ def make_udf_plan(schema_attrs: int = 3) -> tuple[QueryPlan, Schema]:
     udf = Udf(leaf, ["m0", "m1"], "m0", encrypted_capable=False,
               name="model")
     return QueryPlan(udf), schema
+
+
+def authority_tables(data: TpchData) -> dict[str, dict[str, Table]]:
+    """Authority → {relation → table}: each TPC-H table at its owner."""
+    return {authority: {name: data.table(name) for name in names}
+            for authority, names in AUTHORITY_TABLES.items()}
 
 
 def steady_latency(seconds: float, subjects,

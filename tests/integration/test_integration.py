@@ -10,6 +10,7 @@ from repro.core.extension import minimally_extend
 from repro.core.keys import establish_keys
 from repro.cost.pricing import PriceList
 from repro.crypto.keymanager import DistributedKeys
+from repro.distributed import build_runtime
 from repro.engine import Executor, Table
 from repro.experiments import (
     run_economics,
@@ -20,9 +21,10 @@ from repro.tpch import (
     TPCH_UDFS,
     all_scenarios,
     build_tpch_schema,
-    generate,
     query_plan,
 )
+
+from helpers import authority_tables
 
 
 class TestRunningExampleFigures:
@@ -77,15 +79,24 @@ class TestRunningExampleFigures:
 
 class TestTpchEndToEnd:
     @pytest.fixture(scope="class")
-    def setup(self):
+    def setup(self, tpch_data):
         scale = 0.002
         schema = build_tpch_schema(scale)
-        data = generate(scale=scale, seed=42)
+        data = tpch_data(scale, 42)
         scenarios = all_scenarios(schema)
         return schema, data, scenarios
 
+    @pytest.fixture(scope="class")
+    def runtime(self, setup):
+        """One UAPenc runtime, shared by every query below."""
+        _, data, scenarios = setup
+        scenario_obj = scenarios["UAPenc"]
+        return build_runtime(
+            scenario_obj.policy, list(scenario_obj.subjects),
+            authority_tables(data), user="U", udfs=TPCH_UDFS)
+
     @pytest.mark.parametrize("number", [3, 5, 12])
-    def test_distributed_matches_plaintext(self, setup, number):
+    def test_distributed_matches_plaintext(self, setup, runtime, number):
         schema, data, scenarios = setup
         scenario_obj = scenarios["UAPenc"]
         plan = query_plan(number, schema)
@@ -97,17 +108,6 @@ class TestTpchEndToEnd:
         keys = establish_keys(outcome.extended, scenario_obj.policy)
         dispatch_plan = dispatch(outcome.extended, keys,
                                  owners=scenario_obj.owners, user="U")
-        from repro.distributed import build_runtime
-
-        authority_tables = {"A1": {}, "A2": {}}
-        from repro.tpch.schema import table_owners
-
-        for name, owner in table_owners().items():
-            authority_tables[owner][name] = data.table(name)
-        runtime = build_runtime(
-            scenario_obj.policy, list(scenario_obj.subjects),
-            authority_tables, user="U", udfs=TPCH_UDFS,
-        )
         result, _ = runtime.run(
             dispatch_plan, outcome.extended, keys,
             DistributedKeys.from_assignment(keys),
@@ -143,8 +143,6 @@ def test_rerun_under_fresh_keys_misses_every_keyed_fragment(
     """A fragment result computed under one key set is never served to a
     run that delivered another, on the same dispatch plan (Fig. 7(a):
     H and I hold kSC, I and Y hold kP)."""
-    from repro.distributed import build_runtime
-
     extended = minimally_extend(example.plan, example.policy,
                                 example.assignment_7a(),
                                 owners=example.owners)

@@ -19,7 +19,7 @@ the UAPenc scenario.
 
 import pytest
 
-from helpers import steady_latency
+from helpers import authority_tables, steady_latency
 from repro.core.budget import CancellationToken, QueryBudget
 from repro.engine import Table
 from repro.exceptions import (
@@ -29,9 +29,7 @@ from repro.exceptions import (
 )
 from repro.paper_example import build_running_example
 from repro.service import QueryService
-from repro.tpch import TPCH_UDFS, all_scenarios, build_tpch_schema, \
-    generate, query
-from repro.tpch.schema import table_owners
+from repro.tpch import TPCH_UDFS, all_scenarios, build_tpch_schema, query
 
 RUNNING_SQL = ("select T, avg(P) from Hosp join Ins on S=C "
                "where D='stroke' group by T having avg(P)>100")
@@ -200,20 +198,17 @@ class TestTpchCancellation:
     SCALE = 0.002
 
     @pytest.fixture(scope="class")
-    def tpch_setup(self):
+    def tpch_setup(self, tpch_data):
         schema = build_tpch_schema(self.SCALE)
-        data = generate(scale=self.SCALE, seed=7)
         scenario_obj = all_scenarios(schema)["UAPenc"]
-        authority_tables = {"A1": {}, "A2": {}}
-        for name, owner in table_owners().items():
-            authority_tables[owner][name] = data.table(name)
-        return schema, scenario_obj, authority_tables
+        return (schema, scenario_obj,
+                authority_tables(tpch_data(self.SCALE, 7)))
 
     def make_service(self, tpch_setup):
-        schema, scenario_obj, authority_tables = tpch_setup
+        schema, scenario_obj, tables = tpch_setup
         return QueryService(schema, scenario_obj.policy,
                             scenario_obj.subjects, scenario_obj.owners,
-                            authority_tables, user=scenario_obj.user,
+                            tables, user=scenario_obj.user,
                             udfs=TPCH_UDFS,
                             sleeper=lambda seconds: None)
 

@@ -11,6 +11,7 @@ running example and on TPC-H Q3/Q5/Q18 under the UAPenc scenario.
 
 import pytest
 
+from helpers import authority_tables
 from repro.core.visibility import verify_assignment
 from repro.distributed import FaultInjector
 from repro.distributed import runtime as runtime_module
@@ -18,9 +19,7 @@ from repro.exceptions import CryptoError, DispatchError
 from repro.paper_example import build_running_example
 from repro.engine import Table
 from repro.service import QueryService
-from repro.tpch import TPCH_UDFS, all_scenarios, build_tpch_schema, \
-    generate, query
-from repro.tpch.schema import table_owners
+from repro.tpch import TPCH_UDFS, all_scenarios, build_tpch_schema, query
 
 RUNNING_SQL = ("select T, avg(P) from Hosp join Ins on S=C "
                "where D='stroke' group by T having avg(P)>100")
@@ -168,48 +167,45 @@ class TestTpchChaos:
     SCALE = 0.002
 
     @pytest.fixture(scope="class")
-    def tpch_setup(self):
+    def tpch_setup(self, tpch_data):
         schema = build_tpch_schema(self.SCALE)
-        data = generate(scale=self.SCALE, seed=7)
         scenario_obj = all_scenarios(schema)["UAPenc"]
-        authority_tables = {"A1": {}, "A2": {}}
-        for name, owner in table_owners().items():
-            authority_tables[owner][name] = data.table(name)
-        return schema, scenario_obj, authority_tables
+        return (schema, scenario_obj,
+                authority_tables(tpch_data(self.SCALE, 7)))
 
     def make_service(self, tpch_setup, injector=None):
-        schema, scenario_obj, authority_tables = tpch_setup
+        schema, scenario_obj, tables = tpch_setup
         return QueryService(schema, scenario_obj.policy,
                             scenario_obj.subjects, scenario_obj.owners,
-                            authority_tables, user=scenario_obj.user,
+                            tables, user=scenario_obj.user,
                             udfs=TPCH_UDFS, fault_injector=injector,
                             sleeper=lambda seconds: None)
 
     @pytest.fixture(scope="class")
-    def clean_results(self, tpch_setup):
+    def clean_runs(self, tpch_setup):
+        """One fault-free run of each query, read by every cell."""
         service = self.make_service(tpch_setup)
-        return {number: service.execute(query(number).sql).result
+        return {number: service.execute(query(number).sql)
                 for number in (3, 5, 18)}
 
     @pytest.mark.parametrize("number", [3, 5, 18])
     def test_transient_chaos_matches_fault_free(self, tpch_setup,
-                                                clean_results, number):
+                                                clean_runs, number):
         subject_names = {s.name for s in tpch_setup[1].subjects}
         injector = make_injector("transient-bursts", number,
                                  subject_names)
         outcome = run_and_audit(self.make_service(tpch_setup, injector),
                                 query(number).sql)
-        assert_rows_equal(outcome.result, clean_results[number])
+        assert_rows_equal(outcome.result, clean_runs[number].result)
         assert outcome.retries >= 0
 
     @pytest.mark.parametrize("number", [3, 5, 18])
     def test_provider_death_matches_fault_free(self, tpch_setup,
-                                               clean_results, number):
-        schema, scenario_obj, authority_tables = tpch_setup
+                                               clean_runs, number):
+        scenario_obj = tpch_setup[1]
         # Kill a compute subject the clean plan actually uses, so the
         # run must fail over (authorities and the user are immortal).
-        clean_service = self.make_service(tpch_setup)
-        clean = clean_service.execute(query(number).sql)
+        clean = clean_runs[number]
         owners = set(scenario_obj.owners.values())
         assigned = sorted(
             s for s in set(clean.assignment.extended.assignment.values())
@@ -221,6 +217,6 @@ class TestTpchChaos:
         outcome = run_and_audit(self.make_service(tpch_setup, injector),
                                 query(number).sql)
         assert outcome.failed_over
-        assert_rows_equal(outcome.result, clean_results[number])
+        assert_rows_equal(outcome.result, clean.result)
         assert assigned[0] not in {e.replacement
                                    for e in outcome.failovers}

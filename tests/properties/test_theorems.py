@@ -12,7 +12,7 @@ import itertools
 import pytest
 
 from repro.core.authorization import Subject
-from repro.core.candidates import compute_candidates, minimum_view_profiles
+from repro.core.candidates import compute_candidates
 from repro.core.extension import minimally_extend
 from repro.core.keys import establish_keys
 from repro.core.lineage import augment_view, derived_lineage
@@ -25,6 +25,8 @@ from repro.core.visibility import (
 from repro.exceptions import (
     AuthorizationError,
     KeyManagementError,
+    OperationRequirementError,
+    ReproError,
     UnauthorizedError,
 )
 
@@ -234,37 +236,34 @@ class TestTheorem53:
             owners=example.owners,
         )
         assert extended.encrypted_attributes == frozenset("SCP")
-        from repro.exceptions import ReproError
-
         for dropped in "SCP":
             # Removing any encrypted attribute yields a plan that is
             # either unexecutable (mixed representations) or
             # unauthorized — never a valid cheaper alternative.
             with pytest.raises(ReproError):
-                reduced = _extend_without(example, assignment, dropped)
+                reduced = _extend_without(extended, dropped)
                 verify_assignment(reduced.plan, example.policy,
                                   reduced.assignment)
 
-    def test_minimality_against_encrypt_everything(self, random_scenario):
-        """The minimal extension never encrypts more than the full
-        min-view encryption (which encrypts every leaf attribute)."""
+    def test_part_ii_minimality_on_generated_scenarios(
+            self, random_scenario):
+        """No attribute the minimal extension encrypts can be left in
+        plaintext: without it (in every Encrypt and Decrypt) the plan
+        is unauthorized or mixes representations an operation needs
+        uniform."""
         scenario = random_scenario
         candidates = compute_candidates(
             scenario.plan, scenario.policy, scenario.subjects)
-        assignment = {}
-        for node in scenario.plan.operations():
-            if not candidates[node]:
-                pytest.skip("unassignable scenario")
-            assignment[node] = sorted(candidates[node])[0]
+        assignment = {node: sorted(candidates[node])[0]
+                      for node in scenario.plan.operations()}
         extended = minimally_extend(
             scenario.plan, scenario.policy, assignment)
-        min_views = minimum_view_profiles(scenario.plan)
-        fully_encrypted = set()
-        for leaf in scenario.plan.leaves():
-            fully_encrypted |= min_views.result_profile(leaf).visible
-        assert extended.encrypted_attributes <= frozenset(
-            fully_encrypted
-        ) | {a for a in extended.encrypted_attributes}
+        for dropped in sorted(extended.encrypted_attributes):
+            with pytest.raises((UnauthorizedError,
+                                OperationRequirementError)):
+                reduced = _extend_without(extended, dropped)
+                verify_assignment(reduced.plan, scenario.policy,
+                                  reduced.assignment)
 
 
 class TestStandInRule:
@@ -313,39 +312,26 @@ class TestStandInRule:
                             scenario.policy)
 
 
-def _extend_without(example, assignment, dropped: str):
-    """Rebuild Fig. 7(a)'s extension, stripping encryption of ``dropped``."""
-    extended = minimally_extend(
-        example.plan, example.policy, assignment, owners=example.owners,
-        verify=False,
-    )
+def _extend_without(extended, dropped: str):
+    """``extended`` with ``dropped`` taken out of every Encrypt and
+    Decrypt; a node left with nothing to do goes."""
     mapping = {}
 
     def strip(node, children):
-        if isinstance(node, Encrypt):
+        if isinstance(node, (Encrypt, Decrypt)) \
+                and dropped in node.attributes:
             remaining = node.attributes - {dropped}
             if not remaining:
-                mapping[id(node)] = None
                 return children[0]
-            rebuilt = Encrypt(children[0], remaining)
-            mapping[id(node)] = rebuilt
-            return rebuilt
-        rebuilt = node.with_children(children) if children \
-            else node.with_children(())
-        mapping[id(node)] = rebuilt
+            rebuilt = type(node)(children[0], remaining)
+        else:
+            rebuilt = node.with_children(children)
+        mapping[node] = rebuilt
         return rebuilt
 
-    new_plan = extended.plan.rewrite(strip)
-    new_assignment = {}
-    for node, subject in extended.assignment.items():
-        counterpart = mapping.get(id(node))
-        if counterpart is not None:
-            new_assignment[counterpart] = subject
-    from repro.core.extension import ExtendedPlan
-
-    return ExtendedPlan(
-        plan=new_plan,
-        original=example.plan,
-        assignment=new_assignment,
-        encrypted_attributes=extended.encrypted_attributes - {dropped},
-    )
+    return dataclasses.replace(
+        extended, plan=extended.plan.rewrite(strip),
+        assignment={mapping[node]: subject
+                    for node, subject in extended.assignment.items()
+                    if node in mapping},
+        encrypted_attributes=extended.encrypted_attributes - {dropped})

@@ -6,9 +6,9 @@ import pytest
 from repro.engine import Executor, Table
 from repro.exceptions import SqlAnalysisError, UnauthorizedError
 from repro.service import QueryService, WorkloadSession
-from repro.tpch import TPCH_UDFS, all_scenarios, build_tpch_schema, \
-    generate, query
-from repro.tpch.schema import table_owners
+from repro.tpch import TPCH_UDFS, all_scenarios, build_tpch_schema, query
+
+from helpers import authority_tables
 
 RUNNING_SQL = ("select T, avg(P) from Hosp join Ins on S=C "
                "where D='stroke' group by T having avg(P)>100")
@@ -49,6 +49,7 @@ class TestQueryService:
         assert info["plans"] == 1
         assert info["assignment"]["hits"] == 1
 
+    @pytest.mark.usefixtures("fresh_rsa_keys")
     def test_rsa_keys_generated_once(self, service):
         before = {name: node.rsa_public
                   for name, node in service.runtime.nodes.items()}
@@ -247,17 +248,14 @@ class TestWorkloadSession:
 
 class TestTpchWorkload:
     @pytest.fixture(scope="class")
-    def tpch_service(self):
+    def tpch_service(self, tpch_data):
         scale = 0.002
         schema = build_tpch_schema(scale)
-        data = generate(scale=scale, seed=11)
+        data = tpch_data(scale, 11)
         scenario_obj = all_scenarios(schema)["UAPenc"]
-        authority_tables = {"A1": {}, "A2": {}}
-        for name, owner in table_owners().items():
-            authority_tables[owner][name] = data.table(name)
         service = QueryService(
             schema, scenario_obj.policy, scenario_obj.subjects,
-            scenario_obj.owners, authority_tables,
+            scenario_obj.owners, authority_tables(data),
             user=scenario_obj.user, udfs=TPCH_UDFS,
         )
         return service, schema, data

@@ -10,11 +10,14 @@ implementations the equivalence suites compare against live in
 when a hand-rolled copy of either grows back somewhere else, when a
 module outgrows the size it was cut down to, when the service, the
 gateway or the runtime grows a setting ``docs/operations.md`` does not
-justify.
+justify.  Each file is read, parsed and stripped of its comments once
+per run (``source_of`` / ``tree_of`` / ``code_of``), however many gates
+walk it.
 """
 
 import ast
 import dataclasses
+import functools
 import importlib.util
 import inspect
 import re
@@ -37,6 +40,7 @@ CACHE = SRC / "core" / "cache.py"
 AUTHORIZATION = SRC / "core" / "authorization.py"
 WORKLOAD = SRC / "service" / "workload.py"
 DISTRIBUTED = SRC / "distributed"
+MODULES = sorted(SRC.rglob("*.py"))
 
 FORBIDDEN = ("OrderedDict", "popitem(last=False)", "deltas_since(")
 #: A second fragment scheduler, a selectable reference path, the
@@ -115,19 +119,30 @@ MAINTAINED = ("README.md", "docs", "src", "tests", "scripts", "examples",
               ".github", ".claude", ".gitignore")
 
 
+@functools.cache
+def source_of(path: Path) -> str:
+    """``path``'s text."""
+    return path.read_text(errors="ignore")
+
+
+@functools.cache
+def tree_of(path: Path) -> ast.Module:
+    """``path``'s syntax tree."""
+    return ast.parse(source_of(path))
+
+
+@functools.cache
 def code_of(path: Path) -> str:
     """``path``'s source without comments and docstrings."""
-    source = path.read_text()
-    tree = ast.parse(source)
     dropped: list[tuple[int, int]] = []
-    for node in ast.walk(tree):
+    for node in ast.walk(tree_of(path)):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
             first = node.body[0] if node.body else None
             if isinstance(first, ast.Expr) \
                     and isinstance(first.value, ast.Constant) \
                     and isinstance(first.value.value, str):
                 dropped.append((first.lineno, first.end_lineno))
-    lines = source.splitlines()
+    lines = source_of(path).splitlines()
     for start, end in dropped:
         for number in range(start - 1, end):
             lines[number] = ""
@@ -136,7 +151,7 @@ def code_of(path: Path) -> str:
 
 def test_one_lru_and_one_journal_walk():
     offenders = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in MODULES:
         if path in (CACHE, AUTHORIZATION):
             continue
         code = code_of(path)
@@ -150,7 +165,7 @@ def imports_of(path: Path) -> list[str]:
     """Every module ``path`` imports, or imports a name from."""
     return [
         alias.name if isinstance(node, ast.Import) else node.module
-        for node in ast.walk(ast.parse(path.read_text()))
+        for node in ast.walk(tree_of(path))
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names]
 
@@ -179,8 +194,7 @@ def test_one_spelling_of_the_stand_in_prefix():
     other module asks ``holder_of`` / ``stands_in_for``, and nothing on
     the run-time path asks at all."""
     spelled = [path.relative_to(SRC).as_posix()
-               for path in sorted(SRC.rglob("*.py"))
-               if "authority:" in code_of(path)]
+               for path in MODULES if "authority:" in code_of(path)]
     assert spelled == ["core/authorization.py"]
     for path in sorted(DISTRIBUTED.glob("*.py")):
         if path.name != "nodes.py":  # build_nodes refuses the name
@@ -221,12 +235,12 @@ def test_plans_and_plan_nodes_are_their_own_keys():
 
 def test_no_second_schedule_and_no_reference_knob():
     offenders = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in MODULES:
         code = code_of(path)
         offenders.extend(
             f"{path.relative_to(SRC)}: {needle}"
             for needle in RETIRED if needle in code)
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(tree_of(path)):
             if isinstance(node, ast.FunctionDef):
                 arguments = node.args
                 offenders.extend(
@@ -255,8 +269,8 @@ def test_column_crypto_states_each_scheme_once():
     """The codec wraps and unwraps cells; which cipher a scheme uses is
     chosen in ``KeyMaterial.seal`` / ``open`` only, inline and on the
     worker pool alike."""
-    tree = ast.parse((SRC / "engine" / "codec.py").read_text())
-    attributes = {node.attr for node in ast.walk(tree)
+    codec = tree_of(SRC / "engine" / "codec.py")
+    attributes = {node.attr for node in ast.walk(codec)
                   if isinstance(node, ast.Attribute)}
     accessors = {name for name in attributes
                  if name.endswith("_cipher") or name in (
@@ -303,11 +317,10 @@ def test_one_statement_of_the_filter_before_encrypt_rule():
     the Encrypt below it; the executor's recursion and the runtime's are
     its only callers, and both hand the step to ``execute_step``."""
     callers = {}
-    for path in sorted(SRC.rglob("*.py")):
-        source = path.read_text()
-        if "physical_step" not in source:
+    for path in MODULES:
+        if "physical_step" not in source_of(path):
             continue
-        for function in ast.walk(ast.parse(source)):
+        for function in ast.walk(tree_of(path)):
             if not isinstance(function, ast.FunctionDef):
                 continue
             called = {getattr(call.func, "id", None)
@@ -333,7 +346,7 @@ def test_one_benchmark_and_structural_gates_live_in_tier_1():
     offenders = [
         f"{path.relative_to(REPO)}: {needle}"
         for path in files
-        for text in [path.read_text(errors="ignore")]
+        for text in [source_of(path)]
         for needle in LEGACY_BENCH if needle in text]
     assert not offenders, offenders
 
@@ -341,8 +354,8 @@ def test_one_benchmark_and_structural_gates_live_in_tier_1():
 def test_modules_stay_within_their_line_budgets():
     budgets = {**PLANNER_BUDGETS, **RUNTIME_PART_BUDGETS, **SHRINK_ONLY}
     lengths = {
-        path.relative_to(SRC).as_posix(): len(path.read_text().splitlines())
-        for path in sorted(SRC.rglob("*.py"))}
+        path.relative_to(SRC).as_posix(): len(source_of(path).splitlines())
+        for path in MODULES}
     offenders = [
         f"{name}: {count} lines > {budgets.get(name, LINE_BUDGET)}"
         for name, count in lengths.items()

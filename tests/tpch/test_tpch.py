@@ -27,8 +27,8 @@ def schema():
 
 
 @pytest.fixture(scope="module")
-def data():
-    return generate(scale=0.001, seed=7)
+def data(tpch_data):
+    return tpch_data(0.001, 7)
 
 
 class TestSchema:
@@ -173,8 +173,8 @@ class TestNullBearingData:
     """``generate(null_rate=...)`` data runs end to end (ISSUE 1)."""
 
     @pytest.fixture(scope="class")
-    def sparse(self):
-        return generate(scale=0.001, seed=7, null_rate=0.3)
+    def sparse(self, tpch_data):
+        return tpch_data(0.001, 7, null_rate=0.3)
 
     def test_nulls_injected_only_in_nullable_columns(self, sparse):
         orders = sparse.table("orders")

@@ -22,8 +22,9 @@ from repro.engine import Executor
 from repro.service import QueryService
 from repro.sql.planner import plan_query
 from repro.tpch import SCENARIOS, TPCH_UDFS, all_queries, all_scenarios, \
-    build_tpch_schema, generate, query, query_plan
-from repro.tpch.schema import AUTHORITY_TABLES
+    build_tpch_schema, query, query_plan
+
+from helpers import authority_tables
 
 SCALE = 0.05
 
@@ -132,15 +133,26 @@ def test_uapenc_assignments_use_providers(schema, scenarios, number):
     )
 
 
+#: Scale and generator seed of the benchmark's first dataset: 16 of the
+#: 17 SQL templates return rows on it, and Q5 and Q7 both do.
+EXECUTE_SCALE, EXECUTE_SEED = 0.002, 107
+SQL_TEMPLATES = [q.number for q in all_queries() if q.sql is not None]
+
+
 @pytest.fixture(scope="module")
-def executing():
+def executed_data(tpch_data):
+    schema = build_tpch_schema(EXECUTE_SCALE)
+    data = tpch_data(EXECUTE_SCALE, EXECUTE_SEED)
+    return schema, data, authority_tables(data)
+
+
+@pytest.fixture(scope="module")
+def executing(executed_data):
     """A UAPenc service planning on the benchmark's statistics over the
     smallest data that returns rows for both Q5 and Q7."""
     schema = build_tpch_schema(0.1)
-    data = generate(scale=0.002, seed=107)
+    _, data, tables = executed_data
     scenario_obj = all_scenarios(schema)["UAPenc"]
-    tables = {authority: {name: data.table(name) for name in names}
-              for authority, names in AUTHORITY_TABLES.items()}
     service = QueryService(
         schema, scenario_obj.policy, scenario_obj.subjects,
         scenario_obj.owners, tables, user=scenario_obj.user,
@@ -164,21 +176,6 @@ def test_decrypted_aggregate_alias_executes(executing, number):
     # Paillier sums are fixed-point: equal up to rounding.
     assert outcome.result.sorted_rows() == [
         pytest.approx(row) for row in plain.sorted_rows()]
-
-
-#: Scale and generator seed of the benchmark's first dataset: 16 of the
-#: 17 SQL templates return rows on it.
-EXECUTE_SCALE, EXECUTE_SEED = 0.002, 107
-SQL_TEMPLATES = [q.number for q in all_queries() if q.sql is not None]
-
-
-@pytest.fixture(scope="module")
-def executed_data():
-    schema = build_tpch_schema(EXECUTE_SCALE)
-    data = generate(scale=EXECUTE_SCALE, seed=EXECUTE_SEED)
-    tables = {authority: {name: data.table(name) for name in names}
-              for authority, names in AUTHORITY_TABLES.items()}
-    return schema, data, tables
 
 
 @pytest.fixture(scope="module", params=SCENARIOS)
