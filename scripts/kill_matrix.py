@@ -115,6 +115,16 @@ MUTANTS = (
            "    return PLAINTEXT\n",
            "a column's birth site keeps the first representation it sees "
            "and accepts a second"),
+    Mutant("sealed-column-unchecked", EXECUTOR,
+           "            table = table.with_column(attribute, sealed)\n"
+           "            kind = table.representation(attribute)\n",
+           "            table = table._swapped(\n"
+           "                table.column_position(attribute),\n"
+           "                tuple(getattr(sealed, \"tokens\", sealed)),\n"
+           "                (material.name, material.scheme))\n"
+           "            kind = None\n",
+           "Encrypt states the material's key and scheme for the column "
+           "without reading what encrypt_column returned"),
     # The stand-in rule (PR 24).
     Mutant("subject-accepts-the-stand-in-prefix",
            "repro/core/authorization.py",

@@ -271,9 +271,8 @@ class DistributedRuntime:
         :class:`~repro.exceptions.QueryCancelledError` with the partial
         trace attached.
 
-        The returned table is the caller's own copy: fragment results
-        are memoized and shared across runs internally, so the delivered
-        table is detached from the caches before it is handed out.
+        The returned table may be a memoized fragment result shared
+        across runs; tables are immutable, so sharing it is safe.
         """
         user = user or self.user
         user_node = self._node_for(user)
@@ -327,9 +326,9 @@ class DistributedRuntime:
         check_values(root_view, result)
         trace.rows_transferred += len(result)
         # The result may live in (and be served again from) the fragment
-        # cache; Table.rows is a public mutable list, so hand the caller
-        # a private copy rather than the cached object itself.
-        return result.copy(), trace
+        # cache; a Table is immutable, so the cached object itself is
+        # safe to hand out.
+        return result, trace
 
     def invalidate_caches(self) -> None:
         """Call after changing a node's ``tables`` or ``udfs`` in place

@@ -33,38 +33,29 @@ throughout the engine:
 
 Engine internals (the hot path)
 -------------------------------
-Row tuples are the storage; every decision that depends on what a
-*column* holds is taken once per column, not once per cell, from the
-representation the :class:`~repro.engine.table.Table` states for it
-(read from the cells only where the column is born):
-
-* **Selections** are column kernels
-  (:func:`repro.engine.expressions.compile_predicate`): the conjuncts
-  run in order over a selection vector, and each one picks one strategy
-  for its column from the stated representation — the bound operator on
-  plaintext, one encrypted constant against the tokens, or (§5 note 2,
-  own keys only) one column decryption shared by later conjuncts.
-* **Joins** evaluate every equality conjunct with a hash build/probe
-  pass — the hash table is built on the smaller operand — and apply only
-  the true residual conjuncts (compiled once per node) to each matched
-  pair before the output row is materialized.  Build, probe and group-by
-  take each key column once, keyed as its stated representation allows.
-* **Column crypto** (:mod:`repro.engine.codec`) checks a column once
-  and wraps or unwraps its cells; the scheme's work is
-  :meth:`~repro.crypto.keymanager.KeyMaterial.seal` / ``open``.  An
-  :class:`EncryptedValue` is a slotted value object hashed by its token.
-* **Tables** cache their column→position maps and expose
-  :meth:`~repro.engine.table.Table.bulk_project` /
-  :meth:`~repro.engine.table.Table.replace_columns` /
-  :meth:`~repro.engine.table.Table.map_columns` batch APIs.
+A :class:`Table` stores one immutable sequence per column plus a row
+count, and states one representation per column, read from the cells
+only where the column is born; every decision that depends on what a
+column holds is taken once per column from it.  π and rename share the
+columns they keep; σ (a column kernel,
+:func:`~repro.engine.expressions.compile_predicate`), ⋈ (hash
+build/probe on the smaller operand) and γ gather each column by a list
+of row indices; Encrypt and Decrypt swap one column.  The codec
+(:mod:`repro.engine.codec`) checks a column once and leaves the
+scheme's work to :meth:`~repro.crypto.keymanager.KeyMaterial.seal` /
+``open``.  A sealed column (:class:`SealedColumn`) holds raw tokens and
+states their key and scheme; an :class:`EncryptedValue` is born only
+where a token leaves its column — the row views, udf arguments, join
+residuals and Figure 8's pre-encrypted constants.
 """
 
 from repro.engine.executor import Executor
 from repro.engine.expressions import compile_comparison, compile_predicate
 from repro.engine.table import Table
-from repro.engine.values import EncryptedAggregate, EncryptedValue
+from repro.engine.values import (
+    EncryptedAggregate, EncryptedValue, SealedColumn)
 
 __all__ = [
-    "EncryptedAggregate", "EncryptedValue", "Executor", "Table",
-    "compile_comparison", "compile_predicate",
+    "EncryptedAggregate", "EncryptedValue", "Executor", "SealedColumn",
+    "Table", "compile_comparison", "compile_predicate",
 ]

@@ -8,15 +8,20 @@ relational operators over encrypted values whenever the scheme permits
 so an extended plan produced by :func:`repro.core.extension.minimally_extend`
 runs end to end and produces the same answers as its plaintext original.
 
-The hot path is batched and hash-partitioned: joins evaluate every
-equality conjunct through a hash-partitioned build/probe pass (building
-on the smaller operand) and apply only the true residual conjuncts per
-matched pair, selections run as column kernels over a selection vector
-(:func:`~repro.engine.expressions.compile_predicate`), and join and
-group-by keys are computed one key column at a time.  An executor
-holds no results: every
-:meth:`Executor.execute` evaluates the whole plan against the state it
-finds (the distributed runtime memoizes whole fragments instead).
+Every operator works on columns (:class:`~repro.engine.table.Table`):
+π and rename pick columns; σ, ⋈ and γ compute row indices and gather
+each column by them in one C-level pass; Encrypt and Decrypt swap one
+column at a time.  Joins hash the smaller operand on every equality
+conjunct and test only the residual conjuncts on the matched pairs;
+selections are column kernels over a selection vector
+(:func:`~repro.engine.expressions.compile_predicate`).  An executor
+holds no results (the distributed runtime memoizes whole fragments).
+
+Encrypt states the representation read from the column
+:func:`~repro.engine.codec.encrypt_column` returned: a column sealed
+under another key or scheme than the material's, one whose cells are
+not its scheme's tokens, or a list mixing sealed and plaintext cells is
+refused where it is built.
 
 With a :class:`~repro.parallel.WorkerPool` attached, the Encrypt/Decrypt
 operators (and §5 note 2's selection decrypts) fan column chunks across
@@ -35,8 +40,9 @@ stays: a projection dedupes, and equal rows' RANDOMIZED ciphertexts differ.
 from __future__ import annotations
 
 from functools import partial
-from operator import attrgetter
-from typing import Callable, Mapping
+from itertools import compress
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence
 
 from repro.core.operators import (
     AggregateFunction,
@@ -61,11 +67,12 @@ from repro.engine.expressions import (
     compile_comparison,
     compile_predicate,
 )
-from repro.engine.table import Table
+from repro.engine.table import Table, gather, stored
 from repro.engine.values import (
+    PLAINTEXT,
     EncryptedAggregate,
-    EncryptedValue,
-    representation,
+    as_column,
+    is_sealed,
 )
 from repro.exceptions import ExecutionError
 from repro.parallel.pool import WorkerPool
@@ -74,16 +81,7 @@ from repro.parallel.pool import WorkerPool
 #: value (named after the node's output attribute).
 UdfCallable = Callable[[dict[str, object]], object]
 
-#: A compiled residual conjunct: (left-row selector, comparator,
-#: right-row selector) where each selector is (from_left, position).
-_ResidualCheck = tuple[
-    tuple[bool, int], Callable[[object, object], bool], tuple[bool, int]
-]
-
-#: Schemes whose tokens are their own join/group keys (see _row_keys).
-_TOKEN_KEYED = (EncryptionScheme.DETERMINISTIC, EncryptionScheme.OPE)
-
-_TOKEN = attrgetter("token")
+_ORDER = (AggregateFunction.MIN, AggregateFunction.MAX)
 
 
 def physical_step(node: PlanNode, received=()) -> tuple[PlanNode, ...]:
@@ -201,97 +199,35 @@ class Executor:
                                    local_keystore=self.keystore)
         # Note 2 decrypts through this module's decrypt_column, like the
         # Decrypt operator: same pool, same name for whoever observes it.
-        rows = select(child, partial(decrypt_column, pool=self.pool))
-        return Table._from_trusted("σ", child.columns, rows,
-                                   child.representations)
+        kept = select(child, partial(decrypt_column, pool=self.pool))
+        if len(kept) == len(child):
+            return child.rename("σ")
+        return child.take(kept, "σ")
 
     def _product(self, left: Table, right: Table) -> Table:
-        columns = left.columns + right.columns
-        rows = [lr + rr for lr in left.rows for rr in right.rows]
-        return Table._from_trusted("×", columns, rows,
-                                   left.representations
-                                   + right.representations)
+        return _joined("×", left, right, *_all_pairs(left, right))
 
     # -- joins ----------------------------------------------------------
     def _join(self, node: Join, left: Table, right: Table) -> Table:
-        columns = left.columns + right.columns
         equalities, residual = node.partition_condition(left.columns,
                                                         right.columns)
-        checks = _residual_checks(residual, left, right)
-        if equalities:
-            rows = self._hash_join(left, right, equalities, checks)
-        else:
-            # Pure theta-join: no hashable conjunct, fall back to a
-            # filtered product (the predicate is still compiled once).
-            rows = [
-                lr + rr
-                for lr in left.rows for rr in right.rows
-                if _residuals_hold(checks, lr, rr)
-            ]
-        return Table._from_trusted(
-            "⋈", columns, rows, left.representations + right.representations)
-
-    def _hash_join(self, left: Table, right: Table,
-                   equalities: list[tuple[str, str]],
-                   checks: list[_ResidualCheck]) -> list[tuple]:
-        left_positions = left.positions([l for l, _ in equalities])
-        right_positions = right.positions([r for _, r in equalities])
-        left_kinds = [left.representations[p] for p in left_positions]
-        right_kinds = [right.representations[p] for p in right_positions]
-        # Build on the smaller operand, probe with the larger one; the
-        # output row is always assembled left-then-right.
-        build_is_left = len(left) <= len(right)
-        if build_is_left:
-            buckets = _build_buckets(left.rows, left_positions, left_kinds)
-            keys = _row_keys(right.rows, right_positions, right_kinds)
-            probe_rows = right.rows
-        else:
-            buckets = _build_buckets(right.rows, right_positions, right_kinds)
-            keys = _row_keys(left.rows, left_positions, left_kinds)
-            probe_rows = left.rows
-        # Incomparable key representations can never hash-collide
-        # (different-key group keys never match, plaintext never matches
-        # a token), so a hash join would silently return no matches
-        # where evaluating σ_C(L×R) raises when it reaches such a pair:
-        # refuse them — slightly eager versus σ_C(L×R)'s conjunct
-        # short-circuiting, but refusing loudly beats a silently empty
-        # result.
-        for (l, r), *kinds in zip(equalities, left_kinds, right_kinds):
-            if None not in kinds and kinds[0] != kinds[1]:
-                raise ExecutionError(
-                    f"join condition {l}={r} compares incompatible value "
-                    f"representations: {sorted(map(str, kinds))}"
-                )
-        joined: list[tuple] = []
-        for key, prow in zip(keys, probe_rows):
-            matches = buckets.get(key)
-            if not matches:
-                continue
-            if build_is_left:
-                for brow in matches:
-                    if _residuals_hold(checks, brow, prow):
-                        joined.append(brow + prow)
-            else:
-                for brow in matches:
-                    if _residuals_hold(checks, prow, brow):
-                        joined.append(prow + brow)
-        return joined
+        # A pure theta-join has no hashable conjunct: its residuals
+        # filter the product's pairs.
+        pairs = _hash_join(left, right, equalities) if equalities \
+            else _all_pairs(left, right)
+        for basic in residual:
+            assert isinstance(basic, AttributeComparisonPredicate)
+            pairs = _residual(basic, left, right, *pairs)
+        return _joined("⋈", left, right, *pairs)
 
     # -- grouping and aggregation ---------------------------------------
     def _group_by(self, node: GroupBy, child: Table) -> Table:
         group_columns = [c for c in child.columns
                          if c in node.group_attributes]
-        positions = child.positions(group_columns)
-        agg_positions = [
-            child.column_position(a.attribute)
-            if a.attribute is not None else None
-            for a in node.aggregates
-        ]
-        out_columns = list(group_columns) + [
-            a.output_name for a in node.aggregates
-        ]
+        out_columns = tuple(group_columns) + tuple(
+            a.output_name for a in node.aggregates)
 
-        if not child.rows and not group_columns:
+        if not len(child) and not group_columns:
             # SQL standard: a global aggregate over an empty input yields
             # one row — COUNT is 0, every other aggregate is NULL.
             output = tuple(
@@ -300,51 +236,44 @@ class Executor:
             )
             return Table("γ", out_columns, [output])
 
-        kinds = child.representations
-        groups = _build_buckets(child.rows, positions,
-                                [kinds[p] for p in positions])
-        rows = []
-        for members in groups.values():
-            first = members[0]
-            output_row: list[object] = [first[p] for p in positions]
-            for aggregate, position in zip(node.aggregates, agg_positions):
-                if position is None:
-                    output_row.append(len(members))
-                    continue
-                values = [m[position] for m in members]
-                output_row.append(_aggregate(aggregate.function,
-                                             kinds[position], values))
-            rows.append(tuple(output_row))
+        groups = list(_buckets(_keys(child, group_columns)).values())
+        firsts = [members[0] for members in groups]
+        positions = child.positions(group_columns)
+        data = [gather(child.data[p], firsts) for p in positions]
+        kinds = [child.representations[p] for p in positions]
         # The group columns carry their representation; each aggregate's
         # is born here.
-        return Table._from_trusted("γ", tuple(out_columns), rows, tuple(
-            [kinds[p] for p in positions]
-            + [representation([row[i] for row in rows], out_columns[i])
-               for i in range(len(positions), len(out_columns))]))
+        for aggregate in node.aggregates:
+            if aggregate.attribute is None:
+                data.append(tuple(map(len, groups)))
+                kinds.append(PLAINTEXT if groups else None)
+                continue
+            position = child.column_position(aggregate.attribute)
+            column = child.data[position]
+            kind = child.representations[position]
+            cells = [_aggregate(aggregate.function, kind,
+                                gather(column, members))
+                     for members in groups]
+            if is_sealed(kind) and aggregate.function in _ORDER:
+                # OPE min/max: tokens of the column's own key.
+                cells = as_column(kind, cells)
+            cells, kind = stored(cells, aggregate.output_name)
+            data.append(cells)
+            kinds.append(kind)
+        return Table._of("γ", out_columns, tuple(data), tuple(kinds),
+                         len(groups))
 
     def _udf(self, node: Udf, child: Table) -> Table:
         if node.name not in self.udfs:
             raise ExecutionError(f"unknown udf {node.name!r}")
         function = self.udfs[node.name]
-        input_positions = {
-            a: child.column_position(a) for a in node.inputs
-        }
+        inputs = {a: child.column(a) for a in node.inputs}
+        results = [function(dict(zip(inputs, values)))
+                   for values in zip(*inputs.values())]
         out_columns = [c for c in child.columns
                        if c not in node.inputs or c == node.output]
-        out_positions = child.positions(out_columns)
-        output_index = out_columns.index(node.output)
-        rows = []
-        for row in child.rows:
-            arguments = {a: row[p] for a, p in input_positions.items()}
-            result = function(arguments)
-            projected = [row[p] for p in out_positions]
-            projected[output_index] = result
-            rows.append(tuple(projected))
-        representations = [child.representations[p] for p in out_positions]
-        representations[output_index] = representation(
-            [row[output_index] for row in rows], node.output)
-        return Table._from_trusted("µ", tuple(out_columns), rows,
-                                   tuple(representations))
+        table = child.with_column(node.output, results, name="µ")
+        return table.bulk_project(out_columns, name="µ", dedupe=False)
 
     # ------------------------------------------------------------------
     # Encryption operators
@@ -359,49 +288,103 @@ class Executor:
         # scheme routing, cipher lookup, and key checks resolve once,
         # not once per cell (NULLs pass through inside the kernel).
         keystore = self._require_keystore()
-        replacements = {}
+        table = child.rename("enc")
         for attribute in sorted(node.attributes):
             material = keystore.material_for_attribute(attribute)
-            replacements[attribute] = encrypt_column(
-                material, child.column_values(attribute), pool=self.pool)
-        return child.replace_columns(replacements, name="enc")
+            sealed = encrypt_column(material, child.column(attribute),
+                                    pool=self.pool)
+            table = table.with_column(attribute, sealed)
+            kind = table.representation(attribute)
+            if isinstance(kind, tuple) \
+                    and kind != (material.name, material.scheme):
+                raise ExecutionError(
+                    f"Encrypt of {attribute!r} under {material.name} "
+                    f"built a column sealed under {kind}")
+        return table
 
     def _decrypt(self, node: Decrypt, child: Table) -> Table:
         keystore = self._require_keystore()
-        replacements = {}
+        table = child.rename("dec")
         for attribute in sorted(node.attributes):
             material = keystore.material_for_attribute(attribute)
-            replacements[attribute] = decrypt_column(
-                material, child.column_values(attribute), pool=self.pool)
-        return child.replace_columns(replacements, name="dec")
+            table = table.with_column(attribute, decrypt_column(
+                material, child.column(attribute), pool=self.pool))
+        return table
 
 
-def _residual_checks(residual: list, left: Table,
-                     right: Table) -> list[_ResidualCheck]:
-    """Residual conjuncts compiled to (selector, comparator, selector).
+def _joined(name: str, left: Table, right: Table,
+            left_indices: list[int], right_indices: list[int]) -> Table:
+    """The pairs (``left_indices[i]``, ``right_indices[i]``) as one
+    table of both operands' columns."""
+    return Table._of(
+        name, left.columns + right.columns,
+        tuple(gather(column, left_indices) for column in left.data)
+        + tuple(gather(column, right_indices) for column in right.data),
+        left.representations + right.representations, len(left_indices))
 
-    Selectors address the *operand* rows directly, so residuals are
-    tested on matched pairs before the output row is materialized.
-    """
-    left_width = len(left.columns)
-    combined = {c: i for i, c in enumerate(left.columns + right.columns)}
-    checks: list[_ResidualCheck] = []
-    for basic in residual:
-        assert isinstance(basic, AttributeComparisonPredicate)
-        lpos = combined[basic.left]
-        rpos = combined[basic.right]
-        checks.append((
-            (lpos < left_width, lpos if lpos < left_width
-             else lpos - left_width),
-            compile_comparison(basic.op),
-            (rpos < left_width, rpos if rpos < left_width
-             else rpos - left_width),
-        ))
-    return checks
+
+def _all_pairs(left: Table, right: Table) -> tuple[list[int], list[int]]:
+    """Every (left, right) row pair, left-major."""
+    width = len(right)
+    return ([index for index in range(len(left)) for _ in range(width)],
+            list(range(width)) * len(left))
+
+
+def _hash_join(left: Table, right: Table,
+               equalities: list[tuple[str, str]],
+               ) -> tuple[list[int], list[int]]:
+    """The (left, right) row pairs whose equality keys match: hash the
+    smaller operand, probe with the larger one, pairs in probe order."""
+    build = (left, [l for l, _ in equalities])
+    probe = (right, [r for _, r in equalities])
+    build_is_left = len(left) <= len(right)
+    if not build_is_left:
+        build, probe = probe, build
+    buckets = _buckets(_keys(*build))
+    probe_keys = _keys(*probe)
+    # Incomparable key representations can never hash-collide
+    # (different-key group keys never match, plaintext never matches
+    # a token), so a hash join would silently return no matches
+    # where evaluating σ_C(L×R) raises when it reaches such a pair:
+    # refuse them — slightly eager versus σ_C(L×R)'s conjunct
+    # short-circuiting, but refusing loudly beats a silently empty
+    # result.
+    for l, r in equalities:
+        kinds = [left.representation(l), right.representation(r)]
+        if None not in kinds and kinds[0] != kinds[1]:
+            raise ExecutionError(
+                f"join condition {l}={r} compares incompatible value "
+                f"representations: {sorted(map(str, kinds))}"
+            )
+    built: list[int] = []
+    probed: list[int] = []
+    for index, key in enumerate(probe_keys):
+        matches = buckets.get(key)
+        if matches:
+            built += matches
+            probed += [index] * len(matches)
+    return (built, probed) if build_is_left else (probed, built)
+
+
+def _residual(basic: AttributeComparisonPredicate, left: Table,
+              right: Table, left_indices: list[int],
+              right_indices: list[int]) -> tuple[list[int], list[int]]:
+    """The pairs on which one residual conjunct holds, compared as
+    values (a sealed cell leaves its column as an EncryptedValue)."""
+    sides = []
+    for attribute in (basic.left, basic.right):
+        on_left = attribute in left.columns
+        table = left if on_left else right
+        column = table.column(attribute)
+        sides.append(map(column.__getitem__,
+                         left_indices if on_left else right_indices))
+    mask = list(map(compile_comparison(basic.op), *sides))
+    return (list(compress(left_indices, mask)),
+            list(compress(right_indices, mask)))
 
 
 def _aggregate(function: AggregateFunction, kind: object,
-               values: list[object]) -> object:
+               values: Sequence[object]) -> object:
     """One aggregate over one group's ``values`` of a column stated
     ``kind``.
 
@@ -429,17 +412,17 @@ def _aggregate(function: AggregateFunction, kind: object,
 
 def _aggregate_encrypted(function: AggregateFunction,
                          kind: tuple[str, object],
-                         values: list[EncryptedValue]) -> object:
+                         tokens: list[object]) -> object:
     """MIN/MAX over OPE tokens, SUM/AVG over Paillier ones: the column
     is stated under one key and scheme, so no value is checked again."""
     key_name, scheme = kind
-    if function in (AggregateFunction.MIN, AggregateFunction.MAX):
+    if function in _ORDER:
         if scheme is not EncryptionScheme.OPE:
             raise ExecutionError(
                 f"min/max over {scheme} ciphertexts is not supported"
             )
         pick = min if function is AggregateFunction.MIN else max
-        return pick(values, key=_TOKEN)
+        return pick(tokens, key=itemgetter(0))  # (token, recovery)
     if function in (AggregateFunction.SUM, AggregateFunction.AVG):
         if scheme is not EncryptionScheme.PAILLIER:
             raise ExecutionError(
@@ -449,71 +432,53 @@ def _aggregate_encrypted(function: AggregateFunction,
         # value to identity, so the whole group adds in one builtin.
         return EncryptedAggregate(
             key_name=key_name,
-            ciphertext_sum=sum(map(_TOKEN, values)),
-            count=len(values),
+            ciphertext_sum=sum(tokens),  # type: ignore[arg-type]
+            count=len(tokens),
             is_average=function is AggregateFunction.AVG,
         )
     raise ExecutionError(f"unsupported encrypted aggregate {function}")
 
 
-def _row_keys(rows: list[tuple], positions: tuple[int, ...],
-              kinds: list[object]) -> list:
-    """The hashable join/group key of every row, one key column at a time.
+def _keys(table: Table, columns: list[str]) -> Sequence[object]:
+    """The hashable join/group key of every row of ``table`` on
+    ``columns``: the bare value for a single column, a tuple otherwise.
 
-    Each key column is taken once and keyed as its stated
-    representation (``kinds``) allows; the key is the bare value for a
-    single column, a tuple otherwise.  A DETERMINISTIC or OPE column is
-    keyed by the raw tokens (bytes or int, hashed and compared in C):
-    within one key and scheme they are equal exactly when
-    :meth:`~repro.engine.values.EncryptedValue.group_key` is, and a join
-    refuses key columns of two representations before a token meets a
-    key of another.  Any other encrypted column is keyed by
-    ``group_key()``, which refuses the schemes that cannot be grouped.
+    A sealed DETERMINISTIC or OPE column is keyed by its tokens (bytes
+    or int, hashed and compared in C), which within one key and scheme
+    are equal exactly when the plaintexts are; a join refuses key
+    columns of two representations before a token meets a key of
+    another.  The other schemes cannot be grouped.
     """
-    columns = []
-    for position, kind in zip(positions, kinds):
-        column = [row[position] for row in rows]
-        if isinstance(kind, tuple) and kind[1] in _TOKEN_KEYED:
-            column = [None if value is None else value.token
-                      for value in column]
-        elif isinstance(kind, tuple) or any(
-                issubclass(cls, (list, set, dict))
-                for cls in set(map(type, column))):
-            column = [_join_key(value) for value in column]
-        columns.append(column)
-    if len(columns) == 1:
-        return columns[0]
-    return list(zip(*columns)) if columns else [()] * len(rows)
+    keys = []
+    for position in table.positions(columns):
+        column = table.data[position]
+        kind = table.representations[position]
+        if is_sealed(kind):
+            scheme = kind[1]  # type: ignore[index]
+            if scheme is EncryptionScheme.OPE:
+                column = [None if token is None else token[0]
+                          for token in column]
+            elif scheme is not EncryptionScheme.DETERMINISTIC:
+                raise ExecutionError(
+                    f"{scheme} ciphertexts cannot be grouped or hash-joined")
+        else:
+            for cls in set(map(type, column)):
+                if issubclass(cls, (list, set, dict)):
+                    raise ExecutionError(
+                        f"unhashable join key {cls.__name__}")
+        keys.append(column)
+    if len(keys) == 1:
+        return keys[0]
+    return list(zip(*keys)) if keys else [()] * len(table)
 
 
-def _build_buckets(rows: list[tuple], positions: tuple[int, ...],
-                   kinds: list[object]) -> dict[object, list[tuple]]:
-    """Partition ``rows`` by their (hashable) key on ``positions``."""
-    buckets: dict[object, list[tuple]] = {}
-    for key, row in zip(_row_keys(rows, positions, kinds), rows):
+def _buckets(keys: Sequence[object]) -> dict[object, list[int]]:
+    """Row indices by key, keys in first-seen order."""
+    buckets: dict[object, list[int]] = {}
+    for index, key in enumerate(keys):
         bucket = buckets.get(key)
         if bucket is None:
-            buckets[key] = [row]
+            buckets[key] = [index]
         else:
-            bucket.append(row)
+            bucket.append(index)
     return buckets
-
-
-def _residuals_hold(checks: list[_ResidualCheck],
-                    lrow: tuple, rrow: tuple) -> bool:
-    """Evaluate compiled residual conjuncts on one operand-row pair."""
-    for (left_side, lpos), comparator, (right_side, rpos) in checks:
-        left = lrow[lpos] if left_side else rrow[lpos]
-        right = lrow[rpos] if right_side else rrow[rpos]
-        if not comparator(left, right):
-            return False
-    return True
-
-
-def _join_key(value: object) -> object:
-    """A hashable grouping key for plaintext or encrypted values."""
-    if isinstance(value, EncryptedValue):
-        return value.group_key()
-    if isinstance(value, (list, set, dict)):
-        raise ExecutionError(f"unhashable join key {type(value).__name__}")
-    return value

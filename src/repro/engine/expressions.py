@@ -1,11 +1,11 @@
 """Predicate evaluation over plaintext and encrypted columns.
 
 Selections and joins are evaluated uniformly over plaintext values and
-:class:`~repro.engine.values.EncryptedValue` tokens: equality works on
-deterministic (and OPE) tokens, order works on OPE tokens, and anything
-else raises — the engine physically cannot do what the model says it must
-not.  Constants in predicates are encrypted on the fly when the evaluator
-holds the covering key, mirroring §6's dispatch where conditions are
+encrypted tokens: equality works on deterministic (and OPE) tokens,
+order works on OPE tokens, and anything else raises — the engine
+physically cannot do what the model says it must not.  Constants in
+predicates are encrypted on the fly when the evaluator holds the
+covering key, mirroring §6's dispatch where conditions are
 "formulated on encrypted values" for subjects without plaintext
 visibility.
 
@@ -18,7 +18,7 @@ table states for the column (:attr:`~repro.engine.table.Table.representations`):
 * plaintext: one pass with the bound operator;
 * tokens the scheme can compare (:data:`_TOKEN_OPS`), with the
   constant's key in the *encryptor's* store: the constant is encrypted
-  once and the tokens are compared in one pass;
+  once and the column's raw tokens are compared in one pass;
 * anything else (§5 note 2, "the key holder may evaluate the condition
   on plaintext"): the column is decrypted in one call with the
   key from the evaluating subject's *own* keystore — never the
@@ -28,11 +28,15 @@ table states for the column (:attr:`~repro.engine.table.Table.representations`):
 
 A NULL cell has no representation and compares as a plaintext NULL
 does: against a ciphertext, only ≠ holds.  A column the evaluator sealed
-  itself one node below never gets here: the executor filters first, on
-  the plaintext (``executor.physical_step`` and its two preconditions).
+itself one node below never gets here: the executor filters first, on
+the plaintext (``executor.physical_step`` and its two preconditions).
+The kernel returns the surviving row indices; the executor gathers
+each column by them.
 
-Join residuals still compare one matched pair at a time
-(:func:`compile_comparison`).
+Join residuals, and a column compared with one of Figure 8's
+pre-encrypted constants, compare values one at a time
+(:func:`compile_comparison`): a sealed cell leaves its column as an
+:class:`~repro.engine.values.EncryptedValue` there.
 """
 
 from __future__ import annotations
@@ -51,16 +55,17 @@ from repro.core.predicates import (
 )
 from repro.core.requirements import EncryptionScheme
 from repro.crypto.keymanager import KeyMaterial, KeyStore
-from repro.engine.table import Table
-from repro.engine.values import AGGREGATE, EncryptedValue
+from repro.engine.table import Table, gather
+from repro.engine.values import EncryptedValue, as_column, is_sealed
 from repro.exceptions import ExecutionError
-
-Row = tuple
 
 #: ``decrypt_column`` as the selection kernel calls it; the executor
 #: passes its own so note-2 decrypts run (and are traced) as column
 #: crypto, with its worker pool.
-ColumnDecryptor = Callable[[KeyMaterial, list], list]
+ColumnDecryptor = Callable[[KeyMaterial, Sequence], list]
+
+#: A sealed column's stated representation: (key name, scheme).
+Kind = tuple[str, EncryptionScheme]
 
 #: Order comparisons short-circuit to False on NULL operands (SQL
 #: three-valued logic collapses UNKNOWN to False in a filter).
@@ -148,21 +153,15 @@ def _plain_mask(op: ComparisonOp, lefts: Sequence[object],
 def compare_encrypted(left: EncryptedValue, op: ComparisonOp,
                       right: EncryptedValue) -> bool:
     """Comparison of two encrypted tokens, capability-checked."""
-    if op is ComparisonOp.EQ:
-        return left.equals(right)
-    if op is ComparisonOp.NEQ:
-        return not left.equals(right)
-    if op is ComparisonOp.LT:
-        return left.less_than(right)
-    if op is ComparisonOp.GT:
-        return right.less_than(left)
-    if op is ComparisonOp.LE:
-        return not right.less_than(left)
-    if op is ComparisonOp.GE:
-        return not left.less_than(right)
-    raise ExecutionError(
-        f"operator {op} is not supported on encrypted values"
-    )
+    compare = _EXACT_OPS.get(op) or _ORDERED_OPS.get(op)
+    if compare is None:
+        raise ExecutionError(
+            f"operator {op} is not supported on encrypted values")
+    left.require_comparable(right)
+    if op in _ORDERED_OPS and left.scheme is not EncryptionScheme.OPE:
+        raise ExecutionError(
+            "order comparison requires order-preserving encryption")
+    return compare(left.token, right.token)
 
 
 @lru_cache(maxsize=None)
@@ -222,54 +221,57 @@ class ConstantEncryptor:
         """Whether constants can be encrypted under ``key_name``."""
         return self._keystore is not None and key_name in self._keystore
 
-    def _cipher(self, sample: EncryptedValue):
-        """The cipher whose tokens compare against ``sample``'s."""
-        if not self.holds(sample.key_name):
+    def _cipher(self, kind: Kind):
+        """The cipher whose tokens compare against a column stated
+        ``kind``'s."""
+        key_name, scheme = kind
+        if not self.holds(key_name):
             raise ExecutionError(
-                f"cannot encrypt constant: no key {sample.key_name} held"
+                f"cannot encrypt constant: no key {key_name} held"
             )
-        if sample.scheme not in _TOKEN_OPS:
+        if scheme not in _TOKEN_OPS:
             raise ExecutionError(
-                f"constants cannot be compared under {sample.scheme}"
+                f"constants cannot be compared under {scheme}"
             )
-        material = self._keystore.material(sample.key_name)
+        material = self._keystore.material(key_name)
         if material.symmetric is None:
             raise ExecutionError(
                 f"key {material.name} lacks symmetric material"
             )
         # Memoized per-material cipher: the subkeys derive once and the
         # deterministic/OPE memos are shared with the column kernels.
-        if sample.scheme is EncryptionScheme.DETERMINISTIC:
+        if scheme is EncryptionScheme.DETERMINISTIC:
             return material.deterministic_cipher()
         return material.ope_cipher()
 
-    def match_constant(self, sample: EncryptedValue,
+    def match_constant(self, kind: Kind,
                        constant: object) -> EncryptedValue:
-        """An :class:`EncryptedValue` comparable against ``sample``."""
+        """An :class:`EncryptedValue` comparable against a column stated
+        ``kind``."""
         if isinstance(constant, EncryptedValue):
             return constant
-        return EncryptedValue(sample.key_name, sample.scheme,
-                              self._cipher(sample).encrypt(constant))
+        return EncryptedValue(*kind, self._cipher(kind).encrypt(constant))
 
-    def match_tokens(self, sample: EncryptedValue,
+    def match_tokens(self, kind: Kind,
                      constants: tuple[object, ...]) -> frozenset[object]:
         """The encrypted-token set of an IN collection: one bulk
-        ``encrypt_many`` under the sample's key, so the IN check is a
+        ``encrypt_many`` under the column's key, so the IN check is a
         set-membership test per cell."""
-        return frozenset(self._cipher(sample).encrypt_many(constants))
+        return frozenset(self._cipher(kind).encrypt_many(constants))
 
 
 def compile_predicate(predicate: Predicate, columns: tuple[str, ...],
                       encryptor: ConstantEncryptor,
                       local_keystore: KeyStore | None = None,
-                      ) -> Callable[[Table, ColumnDecryptor], list[Row]]:
+                      ) -> Callable[[Table, ColumnDecryptor], Sequence[int]]:
     """Compile ``predicate`` into a selection kernel over a table.
 
-    ``kernel(table, decrypt_column)`` returns the rows of ``table``
-    (whose columns are ``columns``) satisfying every basic condition, in
-    order.  ``encryptor`` encrypts constants (§6: the dispatching user
-    holds the keys and formulates conditions on encrypted values, so it
-    may wrap a richer store than the evaluating subject's own);
+    ``kernel(table, decrypt_column)`` returns the indices of the rows of
+    ``table`` (whose columns are ``columns``) satisfying every basic
+    condition, in order.  ``encryptor`` encrypts constants (§6: the
+    dispatching user holds the keys and formulates conditions on
+    encrypted values, so it may wrap a richer store than the evaluating
+    subject's own);
     ``local_keystore`` is the evaluating subject's own material, the
     only thing the note-2 decrypt-and-compare path may use.
     """
@@ -292,26 +294,24 @@ def compile_predicate(predicate: Predicate, columns: tuple[str, ...],
     keystore = local_keystore if local_keystore is not None \
         else encryptor.keystore
 
-    def select(table: Table, decrypt_column: ColumnDecryptor) -> list[Row]:
+    def select(table: Table,
+               decrypt_column: ColumnDecryptor) -> Sequence[int]:
         survivors = _Survivors(table, keystore, decrypt_column)
         for conjunct in conjuncts:
             if not survivors.alive:
                 break
             survivors.keep(conjunct(survivors))
-        return [table.rows[index] for index in survivors.alive]
+        return survivors.alive
 
     return select
 
 
-def _is_token(kind: object) -> bool:
-    """Whether a column stated ``kind`` holds :class:`EncryptedValue`
-    tokens (encrypted aggregates are not tokens)."""
-    return isinstance(kind, tuple) and kind[1] != AGGREGATE
-
-
-def _tokens(cells: Sequence) -> list[object]:
-    """The raw tokens of a token column's cells, NULL kept as None."""
-    return [None if cell is None else cell.token for cell in cells]
+def _comparable(kind: Kind, cells: Sequence) -> Sequence[object]:
+    """What a scheme compares of a sealed column's cells: the cells
+    themselves, or an OPE pair's order token (NULL kept as None)."""
+    if kind[1] is EncryptionScheme.OPE:
+        return [None if cell is None else cell[0] for cell in cells]
+    return cells
 
 
 class _Survivors:
@@ -320,42 +320,48 @@ class _Survivors:
 
     def __init__(self, table: Table, keystore: KeyStore | None,
                  decrypt_column: ColumnDecryptor) -> None:
-        self.rows = table.rows
+        self.data = table.data
         #: Column position → its stated representation.
         self.kinds = table.representations
-        self.alive: Sequence[int] = range(len(self.rows))
+        self.alive: Sequence[int] = range(len(table))
         self._keystore = keystore
         self._decrypt_column = decrypt_column
         #: column position → {row index: plaintext}
         self._plain: dict[int, dict[int, object]] = {}
 
-    def column(self, position: int) -> list[object]:
-        """The surviving cells of one column."""
-        rows = self.rows
-        return [rows[index][position] for index in self.alive]
+    def column(self, position: int) -> Sequence[object]:
+        """The surviving cells of one column, as stored."""
+        if isinstance(self.alive, range):
+            return self.data[position]
+        return gather(self.data[position], self.alive)
+
+    def values(self, position: int) -> list[object]:
+        """The surviving cells of one column as values: a sealed cell
+        leaves its column as an :class:`EncryptedValue`."""
+        return list(as_column(self.kinds[position], self.column(position)))
 
     def keep(self, mask: list[bool]) -> None:
         """Narrow the vector to the rows ``mask`` (aligned with it) kept."""
         self.alive = list(compress(self.alive, mask))
 
-    def plaintext(self, position: int, indices: Sequence[int],
-                  cells: Sequence) -> list[object]:
-        """Note 2 (§5): ``cells`` (rows ``indices`` of one encrypted
-        column) decrypted under the evaluating subject's own key — one
-        column call for whatever no earlier conjunct already decrypted."""
-        key_name = self.kinds[position][0]  # type: ignore[index]
+    def plaintext(self, position: int,
+                  indices: Sequence[int]) -> list[object]:
+        """Note 2 (§5): rows ``indices`` of one encrypted column
+        decrypted under the evaluating subject's own key — one column
+        call for whatever no earlier conjunct already decrypted."""
+        kind = self.kinds[position]
+        key_name = kind[0]  # type: ignore[index]
         if self._keystore is None:
             raise ExecutionError(
                 "no keys held; cannot decrypt for evaluation")
         if key_name not in self._keystore:
             raise ExecutionError(f"key {key_name} not held; cannot decrypt")
         known = self._plain.setdefault(position, {})
-        missing = [o for o, index in enumerate(indices) if index not in known]
+        missing = [index for index in indices if index not in known]
         if missing:
-            known.update(zip(
-                [indices[o] for o in missing],
-                self._decrypt_column(self._keystore.material(key_name),
-                                     [cells[o] for o in missing])))
+            known.update(zip(missing, self._decrypt_column(
+                self._keystore.material(key_name),
+                as_column(kind, gather(self.data[position], missing)))))
         return [known[index] for index in indices]
 
 
@@ -370,29 +376,30 @@ def _value_conjunct(basic: AttributeValuePredicate, position: int,
     comparator = compile_comparison(op)
 
     def conjunct(survivors: _Survivors) -> list[bool]:
-        cells = survivors.column(position)
         if isinstance(constant, EncryptedValue):
             # A pre-encrypted constant (Figure 8) compares token to
             # token or not at all: no plaintext side to fall back to.
-            return [comparator(cell, constant) for cell in cells]
+            return [comparator(cell, constant)
+                    for cell in survivors.values(position)]
+        cells = survivors.column(position)
         kind = survivors.kinds[position]
-        sample = next((cell for cell in cells if cell is not None), None) \
-            if _is_token(kind) else None
-        if sample is None:  # plaintext, aggregates or no value left
+        if not is_sealed(kind) or cells.count(None) == len(cells):
+            # plaintext, aggregates or no value left
             return _plain_mask(op, cells, repeat(constant))
         key_name, scheme = kind  # type: ignore[misc]
         token_ops = _TOKEN_OPS.get(scheme)
         if token_ops is not None and (in_collection or op in token_ops) \
                 and encryptor.holds(key_name):
+            tokens = _comparable(kind, cells)  # type: ignore[arg-type]
             if in_collection:
                 matched = encryptor.match_tokens(
-                    sample, tuple(constant))  # type: ignore[arg-type]
-                return [token in matched for token in _tokens(cells)]
+                    kind, tuple(constant))  # type: ignore[arg-type]
+                return [token in matched for token in tokens]
             return _plain_mask(
-                op, _tokens(cells),
-                repeat(encryptor.match_constant(sample, constant).token))
+                op, tokens,
+                repeat(encryptor.match_constant(kind, constant).token))
         return _plain_mask(
-            op, survivors.plaintext(position, survivors.alive, cells),
+            op, survivors.plaintext(position, survivors.alive),
             repeat(constant))
 
     return conjunct
@@ -405,27 +412,28 @@ def _attribute_conjunct(basic: AttributeComparisonPredicate,
     positions = (left_position, right_position)
 
     def conjunct(survivors: _Survivors) -> list[bool]:
-        sides = [survivors.column(position) for position in positions]
         kinds = [survivors.kinds[position] for position in positions]
-        tokens = [_is_token(kind) for kind in kinds]
-        if all(tokens) and kinds[0] == kinds[1] \
+        sealed = [is_sealed(kind) for kind in kinds]
+        if all(sealed) and kinds[0] == kinds[1] \
                 and op in _TOKEN_OPS.get(kinds[0][1], ()):  # type: ignore
-            return _plain_mask(op, *map(_tokens, sides))
-        if not (any(tokens) or op in _ORDERED_OPS
+            return _plain_mask(op, *(
+                _comparable(kind, survivors.column(position))
+                for kind, position in zip(kinds, positions)))
+        if not (any(sealed) or op in _ORDERED_OPS
                 and any(isinstance(kind, tuple) for kind in kinds)):
-            return _plain_mask(op, *sides)
+            return _plain_mask(op, *map(survivors.column, positions))
         # Note 2 for whichever side is not plaintext already, on the
         # rows where both cells hold a value (an aggregate alone asks
         # for it only where plaintext would not compare either: order).
         # A row with a NULL compares its cells as they are.
+        sides = [survivors.values(position) for position in positions]
         paired = [offset for offset, (left, right) in enumerate(zip(*sides))
                   if left is not None and right is not None]
         if paired:
             indices = [survivors.alive[offset] for offset in paired]
             for side, position, kind in zip(sides, positions, kinds):
                 if isinstance(kind, tuple):
-                    plain = survivors.plaintext(
-                        position, indices, [side[offset] for offset in paired])
+                    plain = survivors.plaintext(position, indices)
                     for offset, value in zip(paired, plain):
                         side[offset] = value
         return _plain_mask(op, *sides)

@@ -1,31 +1,34 @@
-"""In-memory relations.
+"""In-memory relations, stored by column.
 
-A :class:`Table` is an ordered list of equally shaped tuples with named
-columns — the runtime counterpart of the model-level
-:class:`repro.core.schema.Relation`.  Tables are cheap value objects: the
-executor produces a new table per plan node.
-
-The engine hot path works in *batches*: a table caches the column→index
-map and per-column-list position tuples, and exposes
-:meth:`bulk_project` / :meth:`replace_columns` so operators resolve
-positions once per node instead of once per row.
+A :class:`Table` is one immutable sequence per column plus a row count —
+the runtime counterpart of the model-level
+:class:`repro.core.schema.Relation`.  Tables are cheap value objects:
+the executor produces a new table per plan node, and a projection, a
+rename or an unchanged column shares the sequences it keeps, so no
+operator copies a column it does not change.
 
 A table states one representation per column
-(:func:`~repro.engine.values.representation`: none, plaintext, or a
-key and scheme).  It is read from the cells only where a column is
-born — the constructor, the columns :meth:`replace_columns` (Encrypt,
-Decrypt) and :meth:`map_columns` swap in, and the columns the executor
-computes for γ and µ — and a second non-NULL representation is refused
-there; every other transformation carries it, and the operators and
-the receipt check read it instead of the cells.
+(:func:`~repro.engine.values.representation`: none, plaintext, a key
+and scheme, or an aggregate's key).  It is read where a column is born
+— the constructor, a column :meth:`with_column` swaps in (Encrypt,
+Decrypt), and the columns the executor computes for γ and µ — and a
+second non-NULL representation is refused there; every other
+transformation carries it, and the operators and the receipt check read
+it instead of the cells.  A column stated ``(key, scheme)`` holds the
+raw tokens of a :class:`~repro.engine.values.SealedColumn`; the row
+views (:attr:`rows`, iteration, :meth:`iter_dicts`,
+:meth:`column_values`) hand its cells out as
+:class:`~repro.engine.values.EncryptedValue` objects, built on each
+call.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro.engine.values import representation
+from repro.engine.values import (
+    SealedColumn, as_column, is_sealed, representation)
 from repro.exceptions import ExecutionError
 
 
@@ -43,61 +46,55 @@ class Table:
     'plaintext'
     """
 
-    __slots__ = ("name", "columns", "rows", "representations", "_index",
-                 "_positions_cache")
+    __slots__ = ("name", "columns", "data", "representations", "_count",
+                 "_index", "_positions_cache")
 
     def __init__(self, name: str, columns: Sequence[str],
                  rows: Iterable[Sequence[object]]) -> None:
-        self.name = name
-        self.columns = tuple(columns)
-        if len(set(self.columns)) != len(self.columns):
-            raise ExecutionError(f"duplicate columns in table {name}")
-        self._index = {c: i for i, c in enumerate(self.columns)}
-        self._positions_cache: dict[tuple[str, ...], tuple[int, ...]] = {}
-        materialized = []
-        width = len(self.columns)
+        columns = tuple(columns)
+        rows = [tuple(row) for row in rows]
+        width = len(columns)
         for row in rows:
-            row = tuple(row)
             if len(row) != width:
                 raise ExecutionError(
                     f"row width {len(row)} != column count {width} "
                     f"in table {name}"
                 )
-            materialized.append(row)
-        self.rows = materialized
-        cells = zip(*materialized) if materialized else [()] * width
-        self.representations = tuple(map(representation, cells,
-                                          self.columns))
+        cells = zip(*rows) if rows else [()] * width
+        born = [stored(column_cells, column)
+                for column_cells, column in zip(cells, columns)]
+        self._set(name, columns, tuple(data for data, _ in born),
+                  tuple(kind for _, kind in born), len(rows))
+
+    def _set(self, name: str, columns: tuple[str, ...],
+             data: tuple[Sequence[object], ...],
+             representations: tuple[object, ...], count: int) -> None:
+        self.name = name
+        self.columns = columns
+        self.data = data
+        self.representations = representations
+        self._count = count
+        self._index = {c: i for i, c in enumerate(columns)}
+        if len(self._index) != len(columns):
+            raise ExecutionError(f"duplicate columns in table {name}")
+        self._positions_cache: dict[tuple[str, ...], tuple[int, ...]] = {}
 
     @classmethod
-    def _from_trusted(cls, name: str, columns: tuple[str, ...],
-                      rows: list[tuple[object, ...]],
-                      representations: tuple[object, ...]) -> "Table":
-        """Internal fast constructor: ``rows`` are already shaped tuples.
-
-        Skips the per-row width validation of ``__init__`` and reads no
-        cell: ``representations`` are carried from the operand tables —
-        only for rows the engine itself produced from already valid
-        tables.  Column uniqueness is still checked (joins/products of
-        operands with clashing names must fail loudly, not shadow a
-        column).
-        """
+    def _of(cls, name: str, columns: tuple[str, ...],
+            data: tuple[Sequence[object], ...],
+            representations: tuple[object, ...], count: int) -> "Table":
+        """Internal constructor over columns the engine carried or built
+        through :func:`stored`; clashing column names (a join's) still
+        fail loudly."""
         table = cls.__new__(cls)
-        table.name = name
-        table.columns = columns
-        table.representations = representations
-        table._index = {c: i for i, c in enumerate(columns)}
-        if len(table._index) != len(columns):
-            raise ExecutionError(f"duplicate columns in table {name}")
-        table._positions_cache = {}
-        table.rows = rows
+        table._set(name, columns, data, representations, count)
         return table
 
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
     def column_position(self, column: str) -> int:
-        """Index of ``column`` in each row tuple."""
+        """Index of ``column`` in :attr:`columns`."""
         try:
             return self._index[column]
         except KeyError:
@@ -106,11 +103,7 @@ class Table:
             ) from None
 
     def positions(self, columns: Sequence[str]) -> tuple[int, ...]:
-        """Row-tuple indices of ``columns``, cached per column list.
-
-        Operators resolve positions once per node through this method and
-        then index rows directly, instead of re-deriving the map per row.
-        """
+        """Indices of ``columns``, cached per column list."""
         key = tuple(columns)
         cached = self._positions_cache.get(key)
         if cached is None:
@@ -122,18 +115,30 @@ class Table:
         """The stated representation of ``column``."""
         return self.representations[self.column_position(column)]
 
+    def column(self, column: str) -> Sequence[object]:
+        """One column as the codec takes it: a
+        :class:`~repro.engine.values.SealedColumn` over the stored
+        tokens of a sealed column, the stored sequence otherwise."""
+        position = self.column_position(column)
+        return as_column(self.representations[position], self.data[position])
+
     def column_values(self, column: str) -> list[object]:
         """All values of one column, in row order."""
-        position = self.column_position(column)
-        return [row[position] for row in self.rows]
+        return list(self.column(column))
+
+    @property
+    def rows(self) -> list[tuple[object, ...]]:
+        """The rows, as a new list of tuples on every read."""
+        if not self.columns:
+            return [()] * self._count
+        return list(zip(*map(self.column, self.columns)))
 
     def iter_dicts(self) -> Iterator[dict[str, object]]:
         """Rows as dictionaries."""
-        for row in self.rows:
-            yield dict(zip(self.columns, row))
+        return (dict(zip(self.columns, row)) for row in self.rows)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._count
 
     def __iter__(self) -> Iterator[tuple[object, ...]]:
         return iter(self.rows)
@@ -143,127 +148,57 @@ class Table:
     # ------------------------------------------------------------------
     def bulk_project(self, columns: Sequence[str], name: str | None = None,
                      dedupe: bool = True) -> "Table":
-        """Batch projection: one position lookup, then a tight row loop.
+        """Projection: the kept columns are shared, not copied.
 
-        With ``dedupe`` (relational semantics) duplicate result rows are
-        dropped, first occurrences kept in order, in one C-level
-        ``dict.fromkeys``; rows with unhashable values are kept from the
-        first offender onward.  Without it the row count is preserved.
+        With ``dedupe`` (set semantics) a repeated row is dropped, first
+        occurrences kept in order (:func:`_distinct`), so a projection
+        onto no column keeps one row of a non-empty table.  Without it
+        the row count is preserved.
         """
         positions = self.positions(columns)
-        if not positions:
-            projected: list[tuple[object, ...]] = [() for _ in self.rows]
-        elif len(positions) == 1:
-            p = positions[0]
-            projected = [(row[p],) for row in self.rows]
-        else:
-            getter = itemgetter(*positions)
-            projected = [getter(row) for row in self.rows]
-        if dedupe:
-            try:
-                projected = list(dict.fromkeys(projected))
-            except TypeError:  # an unhashable cell: the row loop below
-                seen: set[tuple[object, ...]] = set()
-                rows: list[tuple[object, ...]] = []
-                hashable = True
-                for row in projected:
-                    if hashable:
-                        try:
-                            if row in seen:
-                                continue
-                            seen.add(row)
-                        except TypeError:
-                            hashable = False  # keep duplicates from here on
-                    rows.append(row)
-                projected = rows
-        return Table._from_trusted(
-            name or self.name, tuple(columns), projected,
-            tuple(self.representations[p] for p in positions))
+        data = tuple(self.data[p] for p in positions)
+        count = self._count
+        if dedupe and count > 1:
+            data, count = _distinct(data, count)
+        return Table._of(
+            name or self.name, tuple(columns), data,
+            tuple(self.representations[p] for p in positions), count)
 
-    def map_columns(self, transforms: Mapping[str, Callable[[object], object]],
-                    ) -> "Table":
-        """Apply several per-column transforms in one pass over the rows."""
-        if not transforms:
-            return self
-        items = [(self.column_position(c), f) for c, f in transforms.items()]
-        if len(items) == 1:
-            position, transform = items[0]
-            rows = [
-                row[:position] + (transform(row[position]),)
-                + row[position + 1:]
-                for row in self.rows
-            ]
-        else:
-            rows = []
-            for row in self.rows:
-                cells = list(row)
-                for position, transform in items:
-                    cells[position] = transform(cells[position])
-                rows.append(tuple(cells))
-        return self._born(self.name, rows, {
-            position: [row[position] for row in rows]
-            for position, _ in items})
+    def take(self, indices: Sequence[int], name: str) -> "Table":
+        """The rows at ``indices``, in that order, one gather per
+        column."""
+        return Table._of(name, self.columns,
+                         tuple(gather(column, indices)
+                               for column in self.data),
+                         self.representations, len(indices))
 
-    def replace_columns(self, replacements: Mapping[str, Sequence[object]],
-                        name: str | None = None) -> "Table":
-        """Swap whole columns for precomputed value lists, one zip pass.
+    def with_column(self, column: str, cells: Sequence[object],
+                    name: str | None = None) -> "Table":
+        """This table with ``column`` swapped for ``cells`` (a list or a
+        :class:`~repro.engine.values.SealedColumn`), whose
+        representation is read here; every other column is shared."""
+        if len(cells) != self._count:
+            raise ExecutionError(
+                f"replacement for column {column!r} has "
+                f"{len(cells)} values for {self._count} rows"
+            )
+        return self._swapped(self.column_position(column),
+                             *stored(cells, column), name)
 
-        This is the columnar counterpart of :meth:`map_columns`: the
-        caller transforms ``column_values`` in bulk (one Python-level
-        dispatch per column — the Encrypt/Decrypt operators do this
-        through the codec's column kernels) and this method stitches the
-        new columns back into rows.  Each replacement list must match
-        the row count.
-        """
-        if not replacements:
-            return self if name is None else self.rename(name)
-        count = len(self.rows)
-        items = []
-        for column, column_values in replacements.items():
-            if len(column_values) != count:
-                raise ExecutionError(
-                    f"replacement for column {column!r} has "
-                    f"{len(column_values)} values for {count} rows"
-                )
-            items.append((self.column_position(column), column_values))
-        if len(items) == 1:
-            position, column_values = items[0]
-            rows = [
-                row[:position] + (value,) + row[position + 1:]
-                for row, value in zip(self.rows, column_values)
-            ]
-        else:
-            columns_data = [list(c) for c in zip(*self.rows)] if count \
-                else [[] for _ in self.columns]
-            for position, column_values in items:
-                columns_data[position] = list(column_values)
-            rows = [tuple(r) for r in zip(*columns_data)] if count else []
-        return self._born(name or self.name, rows, dict(items))
-
-    def _born(self, name: str, rows: list[tuple[object, ...]],
-              born: Mapping[int, Sequence[object]]) -> "Table":
-        """``rows`` under this table's columns, where the columns at the
-        positions of ``born`` are new: their representations are read
-        from their cells (``born``), the others carried."""
-        representations = list(self.representations)
-        for position, cells in born.items():
-            representations[position] = representation(
-                cells, self.columns[position])
-        return Table._from_trusted(name, self.columns, rows,
-                                   tuple(representations))
+    def _swapped(self, position: int, data: Sequence[object], kind: object,
+                 name: str | None = None) -> "Table":
+        """This table with the column at ``position`` stored as ``data``
+        and stated ``kind``."""
+        return Table._of(
+            name or self.name, self.columns,
+            self.data[:position] + (data,) + self.data[position + 1:],
+            self.representations[:position] + (kind,)
+            + self.representations[position + 1:], self._count)
 
     def rename(self, name: str) -> "Table":
-        """The same content under a new name (rows list is copied)."""
-        return Table._from_trusted(name, self.columns, list(self.rows),
-                                   self.representations)
-
-    def copy(self) -> "Table":
-        """A same-content table with a private ``rows`` list.
-
-        Rows are immutable tuples, so the shallow copy is enough to
-        detach the caller from any cache the original lives in.
-        """
-        return self.rename(self.name)
+        """The same columns under a new name; nothing is copied."""
+        return Table._of(name, self.columns, self.data,
+                         self.representations, self._count)
 
     # ------------------------------------------------------------------
     # Comparison helpers (tests)
@@ -279,4 +214,59 @@ class Table:
 
     def __repr__(self) -> str:
         return (f"Table({self.name}: {', '.join(self.columns)}; "
-                f"{len(self.rows)} rows)")
+                f"{self._count} rows)")
+
+
+def stored(cells: Sequence[object],
+           column: str) -> tuple[tuple[object, ...], object | None]:
+    """A column born from ``cells`` as a table stores it, and its
+    representation: the tokens of a sealed column, or of a column of
+    :class:`~repro.engine.values.EncryptedValue` cells, and the cells
+    of any other."""
+    kind = representation(cells, column)
+    if isinstance(cells, SealedColumn):
+        return cells.tokens, kind
+    if is_sealed(kind):
+        return tuple(None if cell is None else cell.raw  # type: ignore
+                     for cell in cells), kind
+    return tuple(cells), kind
+
+
+def gather(column: Sequence[object],
+           indices: Sequence[int]) -> tuple[object, ...]:
+    """``column``'s cells at ``indices``, in one C-level pass."""
+    if len(indices) > 1:
+        return itemgetter(*indices)(column)
+    return tuple(column[index] for index in indices)
+
+
+def _distinct(data: tuple[Sequence[object], ...],
+              count: int) -> tuple[tuple[Sequence[object], ...], int]:
+    """The columns of ``data``'s first-occurrence distinct rows, found
+    in one C-level ``dict.fromkeys``, and their count; the same columns
+    when no row repeats.  Rows with an unhashable cell are kept from the
+    first one onward."""
+    if not data:
+        return data, min(count, 1)
+    try:
+        if len(data) == 1:
+            unique = tuple(dict.fromkeys(data[0]))
+            return ((data, count) if len(unique) == count
+                    else ((unique,), len(unique)))
+        rows = list(dict.fromkeys(zip(*data)))
+    except TypeError:  # an unhashable cell: the row loop below
+        seen: set[tuple[object, ...]] = set()
+        rows = []
+        hashable = True
+        for row in zip(*data):
+            if hashable:
+                try:
+                    if row in seen:
+                        continue
+                    seen.add(row)
+                except TypeError:
+                    hashable = False  # keep duplicates from here on
+            rows.append(row)
+    if len(rows) == count:
+        return data, count
+    return tuple(zip(*rows)), len(rows)

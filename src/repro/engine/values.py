@@ -1,10 +1,14 @@
 """Runtime value representations for encrypted execution.
 
-The engine carries encrypted attribute values as :class:`EncryptedValue`
-wrappers tagging the ciphertext with its query-key name and scheme.
-Deterministic tokens compare for equality, OPE tokens compare for order,
-Paillier ciphertexts add homomorphically, and randomized ciphertexts
-support nothing — exactly the capability matrix of
+A sealed column is a :class:`SealedColumn`: the raw tokens of one
+column plus the query-key name and scheme they were sealed under, which
+a :class:`~repro.engine.table.Table` states as the column's
+representation.  A token that leaves its column — through a table's row
+views, as a udf argument, or as one of Figure 8's pre-encrypted
+constants — is an :class:`EncryptedValue` carrying the same name and
+scheme.  Deterministic tokens compare for equality, OPE tokens compare
+for order, Paillier ciphertexts add homomorphically, and randomized
+ciphertexts support nothing — exactly the capability matrix of
 :data:`repro.core.requirements.SCHEME_CAPABILITIES`, enforced at runtime.
 """
 
@@ -19,13 +23,10 @@ from repro.crypto.paillier import PaillierCiphertext
 from repro.exceptions import ExecutionError
 
 
+@dataclass(frozen=True, slots=True)
 class EncryptedValue:
-    """One encrypted attribute value flowing through the engine.
-
-    An immutable value object.  Every Encrypt builds one per cell and
-    every dedup hashes one per row, so the class is slotted, its
-    constructor is written out and its hash is the token's (equal
-    values have equal tokens).
+    """One encrypted attribute value, born where a token leaves its
+    :class:`SealedColumn`: an immutable value object.
 
     Attributes
     ----------
@@ -44,35 +45,10 @@ class EncryptedValue:
         tokens themselves only come back as scaled integers).
     """
 
-    __slots__ = ("key_name", "scheme", "token", "recovery")
-
-    def __init__(self, key_name: str, scheme: EncryptionScheme,
-                 token: object, recovery: bytes | None = None) -> None:
-        _set_key_name(self, key_name)
-        _set_scheme(self, scheme)
-        _set_token(self, token)
-        _set_recovery(self, recovery)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not EncryptedValue:
-            return NotImplemented
-        return (self.token == other.token  # type: ignore[attr-defined]
-                and self.key_name == other.key_name
-                and self.scheme is other.scheme
-                and self.recovery == other.recovery)
-
-    def __hash__(self) -> int:
-        return hash(self.token)
-
-    def __reduce__(self) -> tuple:
-        return (EncryptedValue,
-                (self.key_name, self.scheme, self.token, self.recovery))
+    key_name: str
+    scheme: EncryptionScheme
+    token: object
+    recovery: bytes | None = None
 
     def require_comparable(self, other: "EncryptedValue") -> None:
         """Raise unless the two values share key and a comparable scheme."""
@@ -97,25 +73,12 @@ class EncryptedValue:
         self.require_comparable(other)
         return self.token == other.token
 
-    def less_than(self, other: "EncryptedValue") -> bool:
-        """Order comparison; OPE tokens only."""
-        self.require_comparable(other)
-        if self.scheme is not EncryptionScheme.OPE:
-            raise ExecutionError(
-                "order comparison requires order-preserving encryption"
-            )
-        assert isinstance(self.token, int) and isinstance(other.token, int)
-        return self.token < other.token
-
-    def group_key(self) -> object:
-        """A hashable grouping/join key for the token."""
-        if self.scheme is EncryptionScheme.DETERMINISTIC:
-            return (self.key_name, "det", self.token)
+    @property
+    def raw(self) -> object:
+        """The cell as a :class:`SealedColumn` holds it."""
         if self.scheme is EncryptionScheme.OPE:
-            return (self.key_name, "ope", self.token)
-        raise ExecutionError(
-            f"{self.scheme} ciphertexts cannot be grouped or hash-joined"
-        )
+            return self.token, self.recovery
+        return self.token
 
     def __repr__(self) -> str:
         if isinstance(self.token, bytes):
@@ -125,14 +88,6 @@ class EncryptedValue:
         return f"Enc<{self.key_name}:{self.scheme.value}:{preview}>"
 
 
-# The constructor stores through the slot descriptors: ``__setattr__``
-# refuses every assignment, and these skip ``object.__setattr__``'s
-# name lookup.
-_set_key_name = EncryptedValue.key_name.__set__  # type: ignore[attr-defined]
-_set_scheme = EncryptedValue.scheme.__set__  # type: ignore[attr-defined]
-_set_token = EncryptedValue.token.__set__  # type: ignore[attr-defined]
-_set_recovery = EncryptedValue.recovery.__set__  # type: ignore[attr-defined]
-
 #: The representation of a column of unencrypted values.
 PLAINTEXT = "plaintext"
 #: In the scheme slot of a representation: encrypted aggregates, which
@@ -140,6 +95,64 @@ PLAINTEXT = "plaintext"
 AGGREGATE = "aggregate"
 
 _KEY_AND_SCHEME = attrgetter("key_name", "scheme")
+
+#: The type of each scheme's raw tokens in a :class:`SealedColumn`.
+TOKEN_TYPES: dict[EncryptionScheme, type] = {
+    EncryptionScheme.DETERMINISTIC: bytes,
+    EncryptionScheme.RANDOMIZED: bytes,
+    EncryptionScheme.OPE: tuple,
+    EncryptionScheme.PAILLIER: PaillierCiphertext,
+}
+
+
+class SealedColumn:
+    """One column's raw tokens under one key and scheme: bytes
+    (deterministic, randomized), ``(token, recovery)`` pairs (OPE) or
+    :class:`PaillierCiphertext` objects, NULL kept as ``None``.
+
+    :func:`~repro.engine.codec.encrypt_column` returns one; a
+    :class:`~repro.engine.table.Table` stores its tokens and states
+    ``(key_name, scheme)``.  Indexing, slicing and iterating hand out
+    :class:`EncryptedValue` cells: values leaving the column.
+    """
+
+    __slots__ = ("key_name", "scheme", "tokens")
+
+    def __init__(self, key_name: str, scheme: EncryptionScheme,
+                 tokens: Sequence[object]) -> None:
+        self.key_name = key_name
+        self.scheme = scheme
+        self.tokens = tuple(tokens)
+
+    def _wrap(self, token: object) -> EncryptedValue | None:
+        if token is None:
+            return None
+        if self.scheme is EncryptionScheme.OPE:
+            return EncryptedValue(self.key_name, self.scheme, *token)
+        return EncryptedValue(self.key_name, self.scheme, token)
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    def __iter__(self):
+        return map(self._wrap, self.tokens)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(self._wrap, self.tokens[index]))
+        return self._wrap(self.tokens[index])
+
+
+def is_sealed(kind: object) -> bool:
+    """Whether a column stated ``kind`` holds a :class:`SealedColumn`'s
+    raw tokens (encrypted aggregates are cells, not tokens)."""
+    return isinstance(kind, tuple) and kind[1] != AGGREGATE
+
+
+def as_column(kind: object, cells: Sequence[object]) -> Sequence[object]:
+    """Stored ``cells`` of a column stated ``kind`` as the codec takes
+    them: a :class:`SealedColumn` over sealed tokens, else the cells."""
+    return SealedColumn(*kind, cells) if is_sealed(kind) else cells
 
 
 def representation(cells: Sequence[object], column: str) -> object | None:
@@ -151,12 +164,20 @@ def representation(cells: Sequence[object], column: str) -> object | None:
     one representation, so a :class:`~repro.engine.table.Table` states
     one per column, read here where the column is born, and a column
     holding a second raises.  NULL has none: NULL vs anything is
-    UNKNOWN, never a representation mix.
+    UNKNOWN, never a representation mix.  A :class:`SealedColumn`
+    states its key and scheme, once its cells are that scheme's tokens.
     """
-    kinds = set(map(type, cells))
+    sealed = isinstance(cells, SealedColumn)
+    kinds = set(map(type, cells.tokens if sealed else cells))
     kinds.discard(type(None))
     if not kinds:
         return None
+    if sealed:
+        if kinds != {TOKEN_TYPES[cells.scheme]}:
+            raise ExecutionError(
+                f"column {column!r} is sealed {cells.scheme.value} but "
+                f"holds {sorted(kind.__name__ for kind in kinds)}")
+        return cells.key_name, cells.scheme
     if kinds.isdisjoint((EncryptedValue, EncryptedAggregate)):
         return PLAINTEXT
     if kinds == {EncryptedValue}:

@@ -278,11 +278,15 @@ def _inject_nulls(tables: dict[str, Table], rate: float,
     """Blank out a ``rate`` fraction of the nullable measure columns."""
     for name, columns in NULLABLE_COLUMNS.items():
         table = tables[name]
-        transforms = {
-            column: (lambda v, r=rng: None if r.random() < rate else v)
-            for column in columns
-        }
-        tables[name] = table.map_columns(transforms)
+        positions = table.positions(columns)
+        rows = []
+        for row in table.rows:
+            cells = list(row)
+            for position in positions:
+                if rng.random() < rate:
+                    cells[position] = None
+            rows.append(tuple(cells))
+        tables[name] = Table(name, table.columns, rows)
 
 
 def _phone(rng: random.Random) -> str:

@@ -407,7 +407,7 @@ class TestColumnCodec:
             [None if c is None else decrypt_column(material, [c])[0]
              for c in column]
 
-    #: (column, whether equal cells share one cell).  Exact kinds seal
+    #: (column, whether equal cells share one token).  Exact kinds seal
     #: each distinct value once; any other column is sealed cell by cell.
     DETERMINISTIC_COLUMNS = [
         (["a", "b", "a", None, 7, "a", None, 7, b"a", date(2001, 2, 3),
@@ -427,11 +427,11 @@ class TestColumnCodec:
             assert [None if cell is None else cell.token
                     for cell in column] == tokens
             for index, plain in enumerate(values):
-                for other, cell in zip(values[index + 1:],
-                                       column[index + 1:]):
+                for other, token in zip(values[index + 1:],
+                                        column.tokens[index + 1:]):
                     if plain is not None and plain == other \
                             and type(plain) is type(other):
-                        assert (cell is column[index]) is shared
+                        assert (token is column.tokens[index]) is shared
         one, one_float, true = (encrypt_column(material, [v])[0].token
                                 for v in (1, 1.0, True))
         assert one == true != one_float

@@ -35,7 +35,7 @@ from repro.distributed.nodes import SubjectNode, build_nodes, \
     generate_subject_keys
 from repro.distributed.runtime import DistributedRuntime
 from repro.engine import executor as executor_module
-from repro.engine.values import EncryptedValue
+from repro.engine.values import EncryptedValue, SealedColumn
 from repro.exceptions import (
     AuthorizationError,
     ExecutionError,
@@ -119,6 +119,39 @@ def test_mixed_column_never_reaches_an_encrypted_only_subject(
                 for column in zip(*table.rows)
                 if len({isinstance(cell, EncryptedValue)
                         for cell in column if cell is not None}) > 1]
+
+
+@pytest.mark.parametrize("fault", ["foreign-key", "plaintext-tokens"])
+def test_sealed_column_is_stated_from_what_came_back(
+        example, example_tables, monkeypatch, fault):
+    """Value level, at birth: Encrypt states the key and scheme of the
+    column ``encrypt_column`` returned, not the material's.  In Fig. 7(a)
+    X may see ``S`` encrypted only; a column claiming another key, or
+    holding ``S``'s plaintexts under the right one, is refused where
+    Encrypt builds it, so X is never handed it."""
+    real = executor_module.encrypt_column
+
+    def faulty(material, values, pool=None):
+        sealed = real(material, values, pool=pool)
+        if not material.query_key.covers("S"):
+            return sealed
+        if fault == "foreign-key":
+            return SealedColumn("kforeign", material.scheme, sealed.tokens)
+        return SealedColumn(material.name, material.scheme, list(values))
+
+    monkeypatch.setattr(executor_module, "encrypt_column", faulty)
+    extended = minimally_extend(
+        example.plan, example.policy, example.assignment_7a(),
+        owners=example.owners)
+    keys = establish_keys(extended, example.policy)
+    plan = dispatch(extended, keys, owners=example.owners, user="U")
+    runtime = build_runtime(
+        example.policy, list(example.subjects),
+        {"H": {"Hosp": example_tables["Hosp"]},
+         "I": {"Ins": example_tables["Ins"]}}, user="U")
+    with pytest.raises(ExecutionError, match="sealed"):
+        runtime.run(plan, extended, keys,
+                    DistributedKeys.from_assignment(keys))
 
 
 def test_implicit_attribute_narrowed_after_planning_is_refused(

@@ -169,9 +169,14 @@ class TestEncryptedValues:
             equal("x", token)
 
     def test_randomized_cannot_group(self):
-        value = EncryptedValue("k", EncryptionScheme.RANDOMIZED, b"tok")
-        with pytest.raises(ExecutionError):
-            value.group_key()
+        material = self.make_store(
+            EncryptionScheme.RANDOMIZED).material_for_attribute("b")
+        cell = encrypt_column(material, ["x"])[0]
+        node = GroupBy(BaseRelationNode(R), ["b"], [
+            Aggregate(AggregateFunction.COUNT, alias="n")])
+        catalog = {"R": Table("R", T.columns, [(1, cell, 1.0)])}
+        with pytest.raises(ExecutionError, match="cannot be grouped"):
+            Executor(catalog).execute(node)
 
     def test_cross_key_comparison_rejected(self):
         a = EncryptedValue("k1", EncryptionScheme.DETERMINISTIC, b"t")

@@ -80,8 +80,8 @@ def sealed_keys_catalog(scheme, nulls, seed=7):
         key = table.columns[0]
         values = [None if nulls and index % 5 == 0 else value
                   for index, value in enumerate(table.column_values(key))]
-        sealed[name] = table.replace_columns(
-            {key: encrypt_column(material, values)})
+        sealed[name] = table.with_column(
+            key, encrypt_column(material, values))
     return sealed
 
 
@@ -163,7 +163,7 @@ class TestHashJoinEquivalence:
     def test_same_key_token_columns(self, scheme, nulls):
         """Key columns of one DETERMINISTIC or OPE signature hash on
         their raw tokens: the join equals the reference, and group-by
-        partitions exactly as ``group_key()`` does, cells kept."""
+        partitions exactly as the order tokens do, cells kept."""
         catalog = sealed_keys_catalog(scheme, nulls)
         for node in (
             join_node(AttributeComparisonPredicate("a", ComparisonOp.EQ, "k")),
@@ -177,7 +177,7 @@ class TestHashJoinEquivalence:
         grouped = Executor(catalog).execute(COUNT_BY_A)
         expected = {}
         for cell, _ in catalog["R"].rows:
-            key = None if cell is None else cell.group_key()
+            key = None if cell is None else cell.token
             expected.setdefault(key, [cell, 0])[1] += 1
         assert grouped.rows == [tuple(group) for group in expected.values()]
         assert all(type(row[0]) is EncryptedValue for row in grouped.rows
@@ -320,9 +320,12 @@ class TestBulkTableApis:
         assert out.rows == [(1, "x"), (2, ["list"]), (1, "x"), (2, ["list"])]
         assert table.bulk_project(["a"]).rows == [(1,), (2,)]
 
-    def test_map_columns_single_pass(self):
-        out = self.T.map_columns({"a": lambda v: v * 10,
-                                  "c": lambda v: -v})
+    def test_with_column_shares_every_other_column(self):
+        out = self.T.with_column("a", [10, 20, 10])
         assert out.rows == [
-            (10, "x", -10.0), (20, "y", -20.0), (10, "x", -30.0),
+            (10, "x", 10.0), (20, "y", 20.0), (10, "x", 30.0),
         ]
+        assert out.data[1] is self.T.data[1]
+        assert out.data[2] is self.T.data[2]
+        with pytest.raises(ExecutionError, match="2 values for 3 rows"):
+            self.T.with_column("a", [1, 2])

@@ -55,7 +55,8 @@ def store_for(scheme):
 def catalog(store, tampered_row=None):
     """R(k, d) with k = d = 0…7 and d encrypted; optionally one byte of
     one row's token flipped."""
-    cells = encrypt_column(store.material_for_attribute("d"), range(8))
+    cells = list(encrypt_column(store.material_for_attribute("d"),
+                                range(8)))
     if tampered_row is not None:
         cell = cells[tampered_row]
         token = bytes([cell.token[0] ^ 1]) + cell.token[1:]
@@ -186,7 +187,7 @@ class TestSelectionCost:
         assert [row[0] for row in select(store, tables).rows] == [4, 5, 6]
         (_, (material, cells)), = calls
         assert material.query_key.covers("d")
-        assert cells == [row[1] for row in tables["R"].rows[4:]]
+        assert list(cells) == [row[1] for row in tables["R"].rows[4:]]
 
     def test_q7_decides_once_per_column_not_once_per_row(
             self, tpch_data, monkeypatch):

@@ -5,8 +5,10 @@
 kernels — each basic condition a closure over the row, the §5 note-2
 decrypt taken per cell through ``try_decrypt`` after catching the
 token strategy's ``ExecutionError`` — moved here verbatim with
-``try_decrypt`` (``engine/codec.py``), its only caller.  One spelling
-follows ``src/``: ``match_constant`` lost its unused operator argument.
+``try_decrypt`` (``engine/codec.py``), its only caller.  Two spellings
+follow ``src/``: ``match_constant`` lost its unused operator argument,
+and ``match_constant`` / ``match_tokens`` take the column's (key name,
+scheme) instead of a sample cell.
 """
 
 from __future__ import annotations
@@ -105,7 +107,8 @@ def _compile_value_check(basic: AttributeValuePredicate, position: int,
             if in_collection:
                 try:
                     tokens = encryptor.match_tokens(
-                        value, tuple(constant)  # type: ignore[arg-type]
+                        (value.key_name, value.scheme),
+                        tuple(constant)  # type: ignore[arg-type]
                     )
                     return value.token in tokens
                 except ExecutionError:
@@ -114,7 +117,8 @@ def _compile_value_check(basic: AttributeValuePredicate, position: int,
                     return compare_plain(try_decrypt(keystore, value),
                                          op, constant)
             try:
-                matched = encryptor.match_constant(value, constant)
+                matched = encryptor.match_constant(
+                    (value.key_name, value.scheme), constant)
                 return comparator(value, matched)
             except ExecutionError:
                 # Note 2 (§5): decrypt locally when the keys are held.

@@ -179,8 +179,8 @@ class TestColumnCryptoEquivalence:
         """The flipped byte sits in the last chunk: its error reaches
         the caller through that chunk's future."""
         material = material_for(scheme, None)
-        cells = encrypt_column(
-            material, list(range(2 * MIN_PARALLEL_ITEMS)), pool=pool)
+        cells = list(encrypt_column(
+            material, list(range(2 * MIN_PARALLEL_ITEMS)), pool=pool))
         late = cells[-2]
 
         def flip(sealed):
@@ -201,7 +201,8 @@ class TestColumnCryptoEquivalence:
             query_key=QueryKey(frozenset({"B"}),
                                EncryptionScheme.DETERMINISTIC),
             symmetric=primitives.generate_key())
-        cells = encrypt_column(mine, ["x"]) + encrypt_column(theirs, ["y"])
+        cells = list(encrypt_column(mine, ["x"])) \
+            + list(encrypt_column(theirs, ["y"]))
         with pytest.raises(ExecutionError, match="encrypted under"):
             decrypt_column(mine, cells, pool=pool)
 
@@ -210,8 +211,8 @@ class TestColumnCryptoEquivalence:
         mine = material_for(EncryptionScheme.PAILLIER, paillier_keys)
         theirs = material_for(EncryptionScheme.PAILLIER,
                               generate_keypair(256))
-        cells = encrypt_column(mine, list(range(MIN_PARALLEL_ITEMS))) \
-            + encrypt_column(theirs, [1])
+        cells = list(encrypt_column(mine, list(range(MIN_PARALLEL_ITEMS)))) \
+            + list(encrypt_column(theirs, [1]))
         with pytest.raises(CryptoError, match="different Paillier key"):
             decrypt_column(mine, cells, pool=pool)
 

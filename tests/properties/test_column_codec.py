@@ -54,7 +54,7 @@ def test_cell_tagged_with_another_scheme_is_refused(sealed_under, tagged,
     if tagged is sealed_under:
         tagged = SCHEMES[(SCHEMES.index(tagged) + 1) % len(SCHEMES)]
     material = _material(MINE, sealed_under)
-    sealed = encrypt_column(material, _not_all_null(values))
+    sealed = list(encrypt_column(material, _not_all_null(values)))
     index = data.draw(st.sampled_from(
         [i for i, cell in enumerate(sealed) if cell is not None]))
     cell = sealed[index]
@@ -69,7 +69,7 @@ def test_cell_tagged_with_another_scheme_is_refused(sealed_under, tagged,
 def test_cell_sealed_under_another_key_is_refused(scheme, values):
     mine = _material(MINE, scheme)
     foreign = encrypt_column(_material(THEIRS, scheme), [7])
-    column = encrypt_column(mine, values) + foreign
+    column = list(encrypt_column(mine, values)) + list(foreign)
     with pytest.raises(ExecutionError, match="encrypted under"):
         decrypt_column(mine, column)
 
@@ -78,7 +78,7 @@ def test_cell_sealed_under_another_key_is_refused(scheme, values):
 @settings(max_examples=30, deadline=None)
 def test_cell_with_a_flipped_tag_byte_is_refused(scheme, values, data):
     material = _material(MINE, scheme)
-    sealed = encrypt_column(material, _not_all_null(values))
+    sealed = list(encrypt_column(material, _not_all_null(values)))
     index = data.draw(st.sampled_from(
         [i for i, cell in enumerate(sealed) if cell is not None]))
     position = data.draw(st.integers(-12, -1))

@@ -1,0 +1,205 @@
+"""Hypothesis: the columnar Table and Executor ≡ the row-tuple reference.
+
+Over drawn tables — small domains, so rows repeat, NULLs anywhere, each
+column plaintext or sealed DETERMINISTIC, RANDOMIZED, OPE or Paillier —
+the ``rows`` view of every operator's result equals
+``oracles.row_table`` on the same rows: π (also onto no column of its
+input, which keeps one row of a non-empty table), a leaf's projection,
+σ, ×, ⋈ with a residual conjunct, γ, and Encrypt followed by Decrypt.
+Where one raises, so must the other.  And Encrypt refuses a column its
+``encrypt_column`` hands back sealed under another key or scheme,
+holding what are not its scheme's tokens, or mixing sealed and
+plaintext cells.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.keys import QueryKey
+from repro.core.operators import (
+    Aggregate,
+    AggregateFunction,
+    BaseRelationNode,
+    CartesianProduct,
+    Decrypt,
+    Encrypt,
+    GroupBy,
+    Join,
+    Projection,
+    Selection,
+)
+from repro.core.predicates import (
+    AttributeComparisonPredicate,
+    AttributeValuePredicate,
+    ComparisonOp,
+    Conjunction,
+)
+from repro.core.requirements import EncryptionScheme
+from repro.core.schema import Relation
+from repro.crypto.keymanager import KeyStore
+from repro.engine import executor as executor_module
+from repro.engine.codec import encrypt_column
+from repro.engine.executor import Executor
+from repro.engine.expressions import ConstantEncryptor
+from repro.engine.table import Table
+from repro.engine.values import SealedColumn
+from repro.exceptions import ExecutionError, ReproError
+
+from oracles import row_table
+
+R = Relation("R", ["a", "b", "c"])
+S = Relation("S", ["k", "w"])
+SCHEMES = list(EncryptionScheme)
+#: One key per scheme, each covering every column (the scheme's value
+#: keeps the names apart).
+MATERIALS = {
+    scheme: KeyStore.generate([QueryKey(
+        frozenset({"a", "b", "c", "k", "w", scheme.value}), scheme)])
+    .material_for_attribute("a")
+    for scheme in SCHEMES}
+ALL = KeyStore(MATERIALS.values())
+VALUES = st.one_of(st.none(), st.integers(0, 3))
+#: Join keys hash on tokens only under these (or in plaintext).
+HASHABLE = [None, EncryptionScheme.DETERMINISTIC, EncryptionScheme.OPE]
+
+
+@st.composite
+def tables(draw, relation, layout=None):
+    """(rows, table): a few rows, some repeated, each column sealed as
+    ``layout`` says (drawn when not given)."""
+    columns = tuple(relation.attribute_names)
+    plain = draw(st.lists(st.tuples(*[VALUES] * len(columns)), max_size=5))
+    if plain:
+        plain += draw(st.lists(st.sampled_from(plain), max_size=3))
+    if layout is None:
+        layout = [draw(st.sampled_from([None] + SCHEMES)) for _ in columns]
+    cells = []
+    for index, scheme in enumerate(layout):
+        column = [row[index] for row in plain]
+        cells.append(column if scheme is None
+                     else list(encrypt_column(MATERIALS[scheme], column)))
+    rows = list(zip(*cells)) if plain else []
+    return rows, Table(relation.name, columns, rows)
+
+
+def outcome(run):
+    try:
+        return run()
+    except ReproError as error:
+        return type(error).__name__
+
+
+def agree(node, catalog, reference, keystore=ALL):
+    got = outcome(lambda: Executor(catalog, keystore=keystore)
+                  .execute(node).rows)
+    assert got == outcome(reference)
+
+
+@given(tables(R), st.sets(st.sampled_from(["a", "b", "c", "k"]),
+                          min_size=1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_projection_keeps_first_occurrences(case, attributes, at_leaf):
+    rows, table = case
+    kept = [c for c in R.attribute_names if c in attributes]
+    if at_leaf:
+        if not kept:
+            return
+        node = BaseRelationNode(R, kept)
+    else:
+        node = Projection(BaseRelationNode(R), attributes)
+    agree(node, {"R": table},
+          lambda: row_table.project(table.columns, rows, kept))
+
+
+@given(tables(R), st.sampled_from(["a", "b", "c"]),
+       st.sampled_from([ComparisonOp.EQ, ComparisonOp.NEQ, ComparisonOp.LT,
+                        ComparisonOp.GE, ComparisonOp.IN]),
+       st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_selection_keeps_what_the_row_closure_keeps(case, attribute, op,
+                                                     value):
+    rows, table = case
+    constant = (value, 3 - value) if op is ComparisonOp.IN else value
+    predicate = AttributeValuePredicate(attribute, op, constant)
+    agree(Selection(BaseRelationNode(R), predicate), {"R": table},
+          lambda: row_table.select(table.columns, rows, predicate,
+                                   ConstantEncryptor(ALL), ALL))
+
+
+@given(st.sampled_from(HASHABLE), st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_and_join_pair_as_the_nested_loop_does(key_scheme, data):
+    left, r = data.draw(tables(R, [key_scheme] + [
+        data.draw(st.sampled_from([None] + SCHEMES)) for _ in "bc"]))
+    right, s = data.draw(tables(S, [
+        key_scheme, data.draw(st.sampled_from([None] + SCHEMES))]))
+    catalog = {"R": r, "S": s}
+    leaves = BaseRelationNode(R), BaseRelationNode(S)
+    agree(CartesianProduct(*leaves), catalog,
+          lambda: row_table.product(left, right))
+    conjuncts = [AttributeComparisonPredicate("a", ComparisonOp.EQ, "k")]
+    if data.draw(st.booleans()):
+        conjuncts.append(AttributeComparisonPredicate(
+            "b", data.draw(st.sampled_from([ComparisonOp.LT,
+                                            ComparisonOp.NEQ])), "w"))
+    condition = Conjunction(conjuncts)
+    agree(Join(*leaves, condition), catalog,
+          lambda: row_table.join(condition, r.columns + s.columns,
+                                 left, right))
+
+
+@given(tables(R), st.sets(st.sampled_from(["a", "b"])),
+       st.sampled_from(list(AggregateFunction)))
+@settings(max_examples=60, deadline=None)
+def test_group_by_groups_as_the_reference_does(case, group, function):
+    rows, table = case
+    node = GroupBy(BaseRelationNode(R), group, [
+        Aggregate(AggregateFunction.COUNT, alias="n"),
+        Aggregate(function, "c")])
+    agree(node, {"R": table},
+          lambda: row_table.group_by(node, table.columns, rows))
+
+
+@given(tables(R, [None, None, None]), st.sampled_from(["a", "b", "c"]),
+       st.sampled_from(SCHEMES))
+@settings(max_examples=40, deadline=None)
+def test_encrypt_then_decrypt_gives_the_column_back(case, attribute, scheme):
+    rows, table = case
+    node = Decrypt(Encrypt(BaseRelationNode(R), {attribute}), {attribute})
+    agree(node, {"R": table}, lambda: rows,
+          keystore=KeyStore([MATERIALS[scheme]]))
+
+
+FAULTS = ("foreign key", "other scheme", "not its tokens", "mixed cells")
+
+
+@given(st.sampled_from(SCHEMES), st.sampled_from(FAULTS),
+       st.lists(VALUES, max_size=4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_encrypt_refuses_what_a_faulty_codec_returns(scheme, fault, values,
+                                                      data):
+    """The column Encrypt states is read from what ``encrypt_column``
+    returned, never taken from the material."""
+    material = MATERIALS[scheme]
+    values = [1, 2] + values
+    real = executor_module.encrypt_column
+
+    def faulty(material, column, pool=None):
+        sealed = real(material, column)
+        if fault == "foreign key":
+            return SealedColumn("kforeign", scheme, sealed.tokens)
+        if fault == "other scheme":
+            other = data.draw(st.sampled_from(
+                [s for s in SCHEMES if s is not scheme]))
+            return SealedColumn(material.name, other, sealed.tokens)
+        if fault == "not its tokens":
+            return SealedColumn(material.name, scheme, list(column))
+        return sealed[:1] + list(column[1:])
+
+    table = Table("R", R.attribute_names,
+                  [(value, None, None) for value in values])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(executor_module, "encrypt_column", faulty)
+        with pytest.raises(ExecutionError):
+            Executor({"R": table}, keystore=KeyStore([material])).execute(
+                Encrypt(BaseRelationNode(R), {"a"}))

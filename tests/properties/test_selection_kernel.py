@@ -171,7 +171,7 @@ def test_kernel_keeps_what_the_row_closure_keeps(case):
         select = compile_predicate(
             predicate, COLUMNS, ConstantEncryptor(constant_store or keystore),
             local_keystore=keystore)
-        return select(table, decrypt_column)
+        return [rows[index] for index in select(table, decrypt_column)]
 
     def oracle():
         keep = compile_row_predicate(

@@ -67,7 +67,9 @@ FORBIDDEN = ("OrderedDict", "popitem(last=False)", "deltas_since(")
 #: ``compile_comparison``, or a second copy of a record, mirrored beside
 #: the one it copies (a metrics registry whose collector callbacks set
 #: totals from the ledger, the controller and the service at scrape
-#: time).
+#: time), or the row-tuple storage a table's columns replaced (its
+#: column swap and transforms, the row-keyed join and group-by helpers,
+#: the per-cell token strip, the defensive copy of a result).
 RETIRED = ("ThreadPoolExecutor", "search_impl", "nested-loop", "_reference(",
            "_column_decoder", "parallel-hash", "join_strategy",
            "ExecutionSettings", "min_parallel_items=", "_background_refill",
@@ -86,7 +88,11 @@ RETIRED = ("ThreadPoolExecutor", "search_impl", "nested-loop", "_reference(",
            "output_attributes", "equivalences_introduced", "_node_demands",
            "compare_values", "MetricsRegistry", "register_collector",
            "set_total", "_operand_kind", "_reference_message",
-           "bulk_filter", "from_dicts")
+           "bulk_filter", "from_dicts", "replace_columns", "map_columns",
+           "def _born(", "def _tokens(", "def _is_token(", "_from_trusted",
+           "_residual_checks", "_residuals_hold", "_build_buckets",
+           "_row_keys", "_join_key", "group_key", "less_than",
+           "result.copy()")
 #: Parameters that selected between paths which no longer exist.
 RETIRED_PARAMETERS = ("schedule", "strategy", "failover")
 
@@ -109,6 +115,9 @@ SHRINK_ONLY = {
     "core/operators.py": 611,
     "service/workload.py": 627,
 }
+
+#: ``engine/``'s total line count, pinned when tables became columnar.
+ENGINE_LINES = 1646
 
 #: What the retired per-layer ratio benches left their name on (spelled
 #: in halves so this file passes its own check) …
@@ -362,6 +371,27 @@ def test_modules_stay_within_their_line_budgets():
         if count > budgets.get(name, LINE_BUDGET)]
     assert not offenders, offenders
     assert all(lengths[name] > LINE_BUDGET for name in SHRINK_ONLY)
+
+
+def test_the_row_view_stays_off_the_hot_path():
+    """A table's ``rows`` is built from its columns on every read: in
+    ``engine/`` only ``table.py`` reads it, and nothing in
+    ``distributed/`` or ``service/`` does."""
+    offenders = [
+        path.relative_to(SRC).as_posix()
+        for package in ("engine", "distributed", "service")
+        for path in sorted((SRC / package).glob("*.py"))
+        if path != SRC / "engine" / "table.py"
+        and re.search(r"\.rows\b", code_of(path))]
+    assert not offenders, offenders
+
+
+def test_engine_does_not_regrow():
+    """``engine/`` shrank when tables became columnar; it may shrink
+    further, never grow back."""
+    total = sum(len(source_of(path).splitlines())
+                for path in (SRC / "engine").glob("*.py"))
+    assert total <= ENGINE_LINES, total
 
 
 def table_rows(heading: str) -> list[list[str]]:
