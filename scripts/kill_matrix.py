@@ -181,6 +181,11 @@ MUTANTS = (
            "len(body) - 28)))\n",
            "a session served from the unwrap memo opens without its tag "
            "check"),
+    Mutant("verify-memo-ignores-signature", RSA,
+           "        if self._verified.get(digest) == signature:\n",
+           "        if digest in self._verified:\n",
+           "a public key accepts any signature over a message it verified "
+           "before"),
     Mutant("quota-check-admits-everything", QUOTAS,
            "        spent = ledger.spend_usd(self.tenant)\n"
            "        if not self.account.admissible:\n",

@@ -39,10 +39,11 @@ class KeyMaterial:
     transforms reuse one instance per key instead of paying the
     derivation per cell.  The deterministic/OPE memos live as long
     as the material, and that is short: every opened envelope decodes a
-    fresh one (:func:`repro.distributed.messages.decode_payload`) and a
-    subject opens its envelope once per run, so a memo serves one
-    subject's run — the repeats across that run's columns under one
-    key — and the next run seals its values again.
+    fresh one from the raw key bytes of its body
+    (:func:`repro.distributed.messages.decode_payload`) and a subject
+    opens its envelope once per run, so a memo serves one subject's run
+    — the repeats across that run's columns under one key — and the next
+    run seals its values again.
     """
 
     query_key: QueryKey

@@ -34,6 +34,16 @@ key signing the same bytes pays its own modexps and gets its own
 signature.  Only signatures that passed the self-check are kept, and a
 pure-function memo needs no invalidation, only its size bound.
 
+**Verify memo.**  Verification is a pure function of the key, the
+digest and the signature bytes, so each public key remembers the last
+:data:`_VERIFY_MEMO_LIMIT` (digest → signature bytes) pairs that
+verified, and re-verifying a warm re-dispatch costs the hash alone.  The
+digest is computed on every call, and a hit needs the very same
+signature bytes: another signature over the same message — an
+impostor's, or one byte flipped — misses and pays its modexp.  Only a
+successful verify is stored, and the memo hangs off the key object, so
+another public key verifies for itself.
+
 **Session.**  A sender's private key keeps one session per recipient
 public key: a fresh 32-byte key, RSA-wrapped once under the recipient's
 public key, and the :class:`RandomizedCipher` over it.  Every body is
@@ -73,6 +83,10 @@ DEFAULT_RSA_BITS = 512
 #: Signatures one private key remembers (oldest dropped beyond it).
 _SIGN_MEMO_LIMIT = 256
 
+#: Verified signatures one public key remembers (oldest dropped beyond
+#: it).
+_VERIFY_MEMO_LIMIT = 256
+
 #: Envelopes one sender seals under one session key before it wraps a
 #: fresh one for that recipient.
 _SESSION_USES = 1024
@@ -88,19 +102,34 @@ class RsaPublicKey:
 
     n: int
     e: int = PUBLIC_EXPONENT
+    #: Digest → the signature bytes that verified for it, in insertion
+    #: order (module docstring, *Verify memo*); not part of the key's
+    #: value.
+    _verified: dict[int, bytes] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _verified_guard: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False,
+        compare=False)
 
     def verify(self, message: bytes, signature: bytes) -> bool:
         """Whether ``signature`` is valid for ``message``."""
+        n = self.n
+        digest = _digest_int(message, n)
+        if self._verified.get(digest) == signature:
+            return True
         try:
-            if len(signature) != _modulus_bytes(self.n):
+            if len(signature) != _modulus_bytes(n):
                 return False
             sig_int = int.from_bytes(signature, "big")
         except (TypeError, ValueError):
             return False
-        if not 0 < sig_int < self.n:
+        if not 0 < sig_int < n or pow(sig_int, self.e, n) != digest:
             return False
-        recovered = pow(sig_int, self.e, self.n)
-        return recovered == _digest_int(message, self.n)
+        with self._verified_guard:
+            if len(self._verified) >= _VERIFY_MEMO_LIMIT:
+                del self._verified[next(iter(self._verified))]
+            self._verified[digest] = bytes(signature)
+        return True
 
 
 class _Session:

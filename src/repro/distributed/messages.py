@@ -11,12 +11,36 @@ format here is exactly that ``[[q, keys] priU ] pubS`` construction:
   public key;
 * the recipient decrypts with its private key and verifies the user's
   signature before acting, detecting tampering and spoofed dispatches.
+
+Wire layout
+-----------
+The payload body is one length-prefixed record, every integer
+big-endian::
+
+    body   = name fragment_id ‖ text query_text
+             ‖ u16 m ‖ m × (name fragment_id ‖ text query_text)
+             ‖ keys
+    keys   = u16 k ‖ k × key            (ascending key name, no repeats)
+    key    = u16 a ‖ a × name attribute (ascending, no repeats)
+             ‖ u8 scheme ‖ u8 parts
+             ‖ [bytes symmetric]               parts & 1
+             ‖ [int n]                         parts & 2
+             ‖ [int λ ‖ int µ ‖ int p ‖ int q] parts & 4 (needs & 2)
+    name   = u16 length ‖ UTF-8      text = u32 length ‖ UTF-8
+    bytes  = u16 length ‖ raw        int  = u16 length ‖ magnitude,
+                                            no leading zero byte
+
+``scheme`` is the position in :data:`_SCHEMES`.  The key section is the
+body's tail, and it has exactly one encoding per key store: a decoder
+refuses any other (out of order, repeated, padded, trailing bytes), so
+:attr:`SubQueryPayload.keys_signature` can hash the section as it
+arrived and still equal :func:`keystore_signature` of the decoded store.
+Every malformed body raises :class:`~repro.exceptions.DispatchError`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +51,17 @@ from repro.crypto.keymanager import KeyMaterial, KeyStore
 from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
 from repro.exceptions import DispatchError
+
+#: Wire code of each scheme: its position here.
+_SCHEMES = (EncryptionScheme.RANDOMIZED, EncryptionScheme.PAILLIER,
+            EncryptionScheme.DETERMINISTIC, EncryptionScheme.OPE)
+_SCHEME_CODES = {scheme: code for code, scheme in enumerate(_SCHEMES)}
+
+#: ``parts`` bits: which key material a key carries.
+_SYMMETRIC, _PUBLIC, _PRIVATE = 1, 2, 4
+
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
 
 
 @dataclass(frozen=True)
@@ -51,108 +86,52 @@ class SubQueryPayload:
     @cached_property
     def keys_signature(self) -> str:
         """:func:`keystore_signature` of the delivered keys, computed once
-        per payload however many of its sub-queries are evaluated."""
+        per payload however many of its sub-queries are evaluated.  A
+        decoded payload has it already: :func:`decode_payload` hashes the
+        key section as it arrived."""
         return keystore_signature(self.keystore)
 
 
-def serialize_key_material(material: KeyMaterial) -> dict:
-    """JSON-safe encoding of one key's material."""
-    encoded: dict[str, object] = {
-        "attributes": sorted(material.query_key.attributes),
-        "scheme": material.query_key.scheme.value,
-    }
-    if material.symmetric is not None:
-        encoded["symmetric"] = material.symmetric.hex()
-    if material.paillier_public is not None:
-        encoded["paillier_n"] = hex(material.paillier_public.n)
-    if material.paillier_private is not None:
-        private = material.paillier_private
-        encoded["paillier_lam"] = hex(private.lam)
-        encoded["paillier_mu"] = hex(private.mu)
-        encoded["paillier_p"] = hex(private.p)
-        encoded["paillier_q"] = hex(private.q)
-    return encoded
-
-
-def deserialize_key_material(encoded: dict) -> KeyMaterial:
-    """Inverse of :func:`serialize_key_material`."""
-    try:
-        query_key = QueryKey(
-            attributes=frozenset(encoded["attributes"]),
-            scheme=EncryptionScheme(encoded["scheme"]),
-        )
-        symmetric = bytes.fromhex(encoded["symmetric"]) \
-            if "symmetric" in encoded else None
-        public = private = None
-        if "paillier_n" in encoded:
-            public = PaillierPublicKey(int(encoded["paillier_n"], 16))
-        if "paillier_lam" in encoded and public is not None:
-            private = PaillierPrivateKey(
-                public=public,
-                lam=int(encoded["paillier_lam"], 16),
-                mu=int(encoded["paillier_mu"], 16),
-                p=int(encoded["paillier_p"], 16),
-                q=int(encoded["paillier_q"], 16),
-            )
-        return KeyMaterial(
-            query_key=query_key,
-            symmetric=symmetric,
-            paillier_public=public,
-            paillier_private=private,
-        )
-    except (KeyError, ValueError) as error:
-        raise DispatchError(f"malformed key material: {error}") from None
-
-
 def keystore_signature(store: KeyStore | None) -> str:
-    """Deterministic digest of a store's key material.
+    """Deterministic digest of a store's key material: SHA-256 of its
+    canonical key section.
 
     Two stores with the same signature hold value-identical material, so
     the runtime's fragment cache keyed on it keeps hitting across
-    queries: re-delivered envelopes carry *deserialized copies* of the
-    same keys, which must not read as a key change.
+    queries: re-delivered envelopes carry *decoded copies* of the same
+    keys, which must not read as a key change.
     """
     if store is None:
         return "-"
-    body = json.dumps(
-        [serialize_key_material(store.material(name))
-         for name in sorted(store.names())],
-        sort_keys=True,
-    )
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_encode_keys(store)).hexdigest()
 
 
 def encode_payload(payload: SubQueryPayload) -> bytes:
-    """Serialize a payload to bytes."""
-    body = {
-        "fragment_id": payload.fragment_id,
-        "query_text": payload.query_text,
-        "keys": [
-            serialize_key_material(payload.keystore.material(name))
-            for name in sorted(payload.keystore.names())
-        ],
-    }
-    if payload.more:
-        body["more"] = payload.more
-    return json.dumps(body, sort_keys=True).encode("utf-8")
+    """Serialize a payload to its body (module docstring, *Wire layout*)."""
+    parts = [_name(payload.fragment_id), _text(payload.query_text),
+             _count(len(payload.more))]
+    for fragment_id, text in payload.more:
+        parts += (_name(fragment_id), _text(text))
+    parts.append(_encode_keys(payload.keystore))
+    return b"".join(parts)
 
 
 def decode_payload(blob: bytes) -> SubQueryPayload:
-    """Inverse of :func:`encode_payload`."""
-    try:
-        body = json.loads(blob.decode("utf-8"))
-        keystore = KeyStore(
-            deserialize_key_material(k) for k in body["keys"]
-        )
-        return SubQueryPayload(
-            fragment_id=body["fragment_id"],
-            query_text=body["query_text"],
-            keystore=keystore,
-            more=tuple((other, text)
-                       for other, text in body.get("more", ())),
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise DispatchError(f"malformed payload: {error}") from None
+    """Inverse of :func:`encode_payload`; refuses any other bytes."""
+    reader = _Reader(blob)
+    fragment_id = reader.name()
+    query_text = reader.text()
+    more = tuple((reader.name(), reader.text())
+                 for _ in range(reader.count()))
+    section = reader.at
+    keystore = _decode_keys(reader)
+    if reader.at != len(blob):
+        raise DispatchError("malformed payload: trailing bytes")
+    payload = SubQueryPayload(fragment_id, query_text, keystore, more)
+    # Prime the cached property with the section as received.
+    vars(payload)["keys_signature"] = \
+        hashlib.sha256(blob[section:]).hexdigest()
+    return payload
 
 
 def seal_envelope(payload: SubQueryPayload, sender_private: RsaPrivateKey,
@@ -176,3 +155,133 @@ def open_envelope(blob: bytes, recipient_private: RsaPrivateKey,
     if not sender_public.verify(body, signature):
         raise DispatchError("envelope signature verification failed")
     return decode_payload(body)
+
+
+def _encode_keys(store: KeyStore) -> bytes:
+    """The canonical key section of ``store``."""
+    parts = [_count(len(store))]
+    for name in sorted(store.names()):
+        material = store.material(name)
+        attributes = sorted(material.query_key.attributes)
+        parts.append(_count(len(attributes)))
+        parts += map(_name, attributes)
+        flags = 0
+        values: list[bytes] = []
+        if material.symmetric is not None:
+            flags |= _SYMMETRIC
+            values.append(_sized(material.symmetric))
+        if material.paillier_public is not None:
+            flags |= _PUBLIC
+            values.append(_int(material.paillier_public.n))
+        if material.paillier_private is not None:
+            flags |= _PRIVATE
+            private = material.paillier_private
+            values += (_int(private.lam), _int(private.mu),
+                       _int(private.p), _int(private.q))
+        parts.append(bytes((_SCHEME_CODES[material.scheme], flags)))
+        parts += values
+    return b"".join(parts)
+
+
+def _decode_keys(reader: _Reader) -> KeyStore:
+    store = KeyStore()
+    previous = None
+    for _ in range(reader.count()):
+        attributes = [reader.name() for _ in range(reader.count())]
+        if any(a >= b for a, b in zip(attributes, attributes[1:])):
+            raise DispatchError(
+                "malformed key material: attributes not in ascending order")
+        scheme_code, flags = reader.take(2)
+        if scheme_code >= len(_SCHEMES):
+            raise DispatchError(
+                f"malformed key material: unknown scheme code {scheme_code}")
+        if flags & ~(_SYMMETRIC | _PUBLIC | _PRIVATE):
+            raise DispatchError(
+                f"malformed key material: unknown parts {flags:#x}")
+        if flags & _PRIVATE and not flags & _PUBLIC:
+            raise DispatchError(
+                "malformed key material: Paillier private part without "
+                "its public part")
+        query_key = QueryKey(frozenset(attributes), _SCHEMES[scheme_code])
+        if previous is not None and query_key.name <= previous:
+            raise DispatchError(
+                f"malformed key material: key {query_key.name!r} out of "
+                f"order or repeated")
+        previous = query_key.name
+        symmetric = reader.sized() if flags & _SYMMETRIC else None
+        public = private = None
+        if flags & _PUBLIC:
+            public = PaillierPublicKey(reader.integer())
+        if flags & _PRIVATE:
+            private = PaillierPrivateKey(
+                public=public, lam=reader.integer(), mu=reader.integer(),
+                p=reader.integer(), q=reader.integer())
+        store.add(KeyMaterial(query_key=query_key, symmetric=symmetric,
+                              paillier_public=public,
+                              paillier_private=private))
+    return store
+
+
+def _count(value: int) -> bytes:
+    if value > 0xFFFF:
+        raise DispatchError(f"payload field too large for the wire: {value}")
+    return _U16.pack(value)
+
+
+def _sized(value: bytes) -> bytes:
+    return _count(len(value)) + value
+
+
+def _name(value: str) -> bytes:
+    return _sized(value.encode("utf-8"))
+
+
+def _text(value: str) -> bytes:
+    encoded = value.encode("utf-8")
+    return _U32.pack(len(encoded)) + encoded
+
+
+def _int(value: int) -> bytes:
+    return _sized(value.to_bytes((value.bit_length() + 7) // 8, "big"))
+
+
+class _Reader:
+    """A cursor over a body; every read checks what is left."""
+
+    __slots__ = ("data", "at")
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.at = 0
+
+    def take(self, size: int) -> bytes:
+        start = self.at
+        end = self.at = start + size
+        if end > len(self.data):
+            raise DispatchError("malformed payload: truncated")
+        return self.data[start:end]
+
+    def count(self) -> int:
+        return _U16.unpack(self.take(2))[0]
+
+    def sized(self) -> bytes:
+        return self.take(self.count())
+
+    def name(self) -> str:
+        return _utf8(self.sized())
+
+    def text(self) -> str:
+        return _utf8(self.take(_U32.unpack(self.take(4))[0]))
+
+    def integer(self) -> int:
+        magnitude = self.sized()
+        if magnitude[:1] == b"\x00":
+            raise DispatchError("malformed key material: padded integer")
+        return int.from_bytes(magnitude, "big")
+
+
+def _utf8(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise DispatchError("malformed payload: invalid UTF-8") from None

@@ -258,6 +258,11 @@ class SqlAnalysisError(SqlError):
     """The SQL parsed but references unknown relations or attributes."""
 
 
+class SqlUnsupportedError(SqlError):
+    """The SQL is well formed but uses a construct the front end does not
+    implement, and refuses rather than evaluate it as something else."""
+
+
 class ExecutionError(ReproError):
     """The in-memory engine failed to evaluate a plan."""
 

@@ -6,6 +6,7 @@ Grammar (conjunctive conditions only, matching §1's query class)::
                  [GROUP BY columns] [HAVING conj]
     items     := item (',' item)*
     item      := column | agg '(' column | '*' ')' [AS ident]
+                 (agg '(' DISTINCT … ')' is refused, not read as agg)
     joins     := [INNER] JOIN table ON conj
     conj      := cond (AND cond)*
     cond      := operand op operand | column [NOT] LIKE string
@@ -21,7 +22,7 @@ from datetime import date
 
 from repro.core.operators import AggregateFunction
 from repro.core.predicates import ComparisonOp
-from repro.exceptions import SqlSyntaxError
+from repro.exceptions import SqlSyntaxError, SqlUnsupportedError
 from repro.sql.ast import (
     AggregateCall,
     ColumnRef,
@@ -179,8 +180,12 @@ class _Parser:
             self.advance()
             argument = None
         else:
-            if self.accept_keyword("distinct"):
-                pass  # distinct aggregates treated as plain (estimator-level)
+            if self.current.is_keyword("distinct"):
+                token = self.current
+                raise SqlUnsupportedError(
+                    f"{name}(distinct …) is not supported: it would be "
+                    f"evaluated as plain {name}(…) (line {token.line}, "
+                    f"column {token.column})")
             argument = self.parse_column()
         self.expect_punct(")")
         alias = None

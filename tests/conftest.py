@@ -53,9 +53,9 @@ RSA_POOL_SIZE = 8
 
 class RsaKeyPool:
     """Real RSA keypairs, each made once by ``generate_keypair`` and
-    handed out in turn.  A draw is a copy with cold sign and unwrap
-    memos, so a test meets the key as if it were new: only the primes
-    repeat."""
+    handed out in turn.  A draw is a copy with cold sign, unwrap and
+    verify memos, so a test meets the key as if it were new: only the
+    primes repeat."""
 
     def __init__(self, size: int) -> None:
         self.size = size
@@ -70,7 +70,8 @@ class RsaKeyPool:
             if slot == len(self.keys):
                 self.keys.append(rsa.generate_keypair(bits))
             public, private = self.keys[slot]
-        return public, dataclasses.replace(private)
+        public = dataclasses.replace(public)
+        return public, dataclasses.replace(private, public=public)
 
 
 @pytest.fixture(scope="session", autouse=True)

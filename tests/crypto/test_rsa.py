@@ -1,7 +1,7 @@
 """RSA envelope primitives: the CRT private-key kernel against the
 full-exponent formula, self-checked signatures, strict rejection of
-malformed signatures and hybrid ciphertexts, and the sender-to-recipient
-session that hybrid encryption runs in."""
+malformed signatures and hybrid ciphertexts, the sender-to-recipient
+session that hybrid encryption runs in, and the verify memo."""
 
 import dataclasses
 import inspect
@@ -289,6 +289,125 @@ class TestSession:
         assert not any(thread.is_alive() for thread in threads)
         assert not failures
         assert len(private._unwrapped) <= 3
+
+
+class TestVerifyMemo:
+    """A public key remembers the signature bytes that verified for a
+    digest: a repeat costs the hash alone, anything else its modexp."""
+
+    @pytest.fixture()
+    def modexps(self, monkeypatch):
+        """Exponents of every modexp ``repro.crypto.rsa`` runs."""
+        exponents = []
+
+        def counting_pow(base, exponent, modulus):
+            exponents.append(exponent)
+            return pow(base, exponent, modulus)
+
+        monkeypatch.setattr(rsa, "pow", counting_pow, raising=False)
+        return exponents
+
+    @pytest.fixture(scope="class")
+    def keys(self):
+        return generate_keypair(512)
+
+    def paid(self, modexps):
+        count = len(modexps)
+        del modexps[:]
+        return count
+
+    def test_repeated_verify_pays_no_modexp(self, keys, modexps):
+        public, private = keys
+        signature = private.sign(b"body")
+        fresh = rsa.RsaPublicKey(public.n)
+        del modexps[:]
+        assert fresh.verify(b"body", signature)
+        assert self.paid(modexps) == 1
+        for _ in range(3):
+            assert fresh.verify(b"body", signature)
+            assert self.paid(modexps) == 0
+
+    def test_flipped_signature_after_a_hit_is_refused_and_pays(
+            self, keys, modexps):
+        public, private = keys
+        signature = private.sign(b"body")
+        fresh = rsa.RsaPublicKey(public.n)
+        assert fresh.verify(b"body", signature)
+        del modexps[:]
+        for offset in (-1, 20):
+            flipped = bytearray(signature)
+            flipped[offset] ^= 0x01
+            assert not fresh.verify(b"body", bytes(flipped))
+            assert self.paid(modexps) == 1
+        assert list(fresh._verified.values()) == [signature]
+
+    def test_failed_verify_is_never_remembered(self, keys, modexps):
+        public, private = keys
+        signature = private.sign(b"body")
+        forged = signature[:-1] + bytes([signature[-1] ^ 0x01])
+        fresh = rsa.RsaPublicKey(public.n)
+        del modexps[:]
+        for _ in range(2):
+            assert not fresh.verify(b"body", forged)
+            assert self.paid(modexps) == 1
+            assert fresh._verified == {}
+        # Nor is a signature refused before its modexp.
+        assert not fresh.verify(b"body", b"\x00" * 64)
+        assert not fresh.verify(b"body", forged[:-1])
+        assert fresh._verified == {}
+
+    def test_another_public_key_pays_its_own_modexp(self, keys, modexps):
+        public, private = keys
+        other, _ = generate_keypair(512)
+        signature = private.sign(b"body")
+        first = rsa.RsaPublicKey(public.n)
+        assert first.verify(b"body", signature)
+        del modexps[:]
+        # An equal key is another object with its own memo …
+        twin = rsa.RsaPublicKey(public.n)
+        assert twin == first and twin.verify(b"body", signature)
+        assert self.paid(modexps) == 1
+        # … and a different key never accepts what the first verified.
+        assert not other.verify(b"body", signature)
+        assert other._verified == {}
+
+    def test_memo_stays_inside_its_bound_under_six_threads(
+            self, keys, monkeypatch):
+        monkeypatch.setattr(rsa, "_VERIFY_MEMO_LIMIT", 3)
+        public, private = keys
+        signed = {b"m%d" % index: private.sign(b"m%d" % index)
+                  for index in range(7)}
+        verifier = rsa.RsaPublicKey(public.n)
+        failures = []
+
+        def worker(offset):
+            for step in range(40):
+                message = b"m%d" % ((offset + step) % 7)
+                if not verifier.verify(message, signed[message]) \
+                        or verifier.verify(message, signed[
+                            b"m%d" % ((offset + step + 1) % 7)]) \
+                        or len(verifier._verified) > 3:
+                    failures.append(message)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert len(verifier._verified) == 3
+        # Every entry is a digest with the one signature that verified.
+        by_digest = {rsa._digest_int(message, public.n): signature
+                     for message, signature in signed.items()}
+        for digest, signature in verifier._verified.items():
+            assert by_digest[digest] == signature
 
 
 class TestKeySize:

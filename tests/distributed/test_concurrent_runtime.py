@@ -447,7 +447,8 @@ class TestEnvelopeRsaCost:
         every private op two half-modulus exponentiations; warm, every
         signature served by the sign memo and every session key by the
         unwrap memo, so no private op at all, while each opened envelope
-        still has its signature verified."""
+        still has its signature verified — by the verify memo, so no
+        public modexp either."""
         from repro.crypto import rsa as rsa_module
         from repro.crypto.rsa import DEFAULT_RSA_BITS
 
@@ -487,3 +488,4 @@ class TestEnvelopeRsaCost:
             == envelopes.count("verify") \
             == len(subjects) > 0
         assert [m for e, m in modexps if e > 17] == []
+        assert modexps == []

@@ -178,9 +178,15 @@ class TestOneEnvelopePerSubject:
             payload, keystore=decoded.keystore)
         assert decoded.carries("reqA2") and decoded.carries("reqA22")
         assert not decoded.carries("reqA23")
-        # A single sub-query keeps the wire form it always had.
-        single = SubQueryPayload("reqX", "select 1", KeyStore())
-        assert b"more" not in encode_payload(single)
+        # A single sub-query carries no other: its body is the batched
+        # one's with the count 1 → 0 and the extra (id, text) pair gone.
+        single = SubQueryPayload("reqA2", "select 1", KeyStore())
+        assert decode_payload(encode_payload(single)).more == ()
+        # ``name ‖ text`` of the pair: a body without its two zero counts.
+        pair = encode_payload(SubQueryPayload("reqA22", "select 2",
+                                              KeyStore()))[:-4]
+        assert encode_payload(single) == encode_payload(payload).replace(
+            b"\x00\x01" + pair, b"\x00\x00")
 
     def test_fragment_outside_the_envelope_is_refused(self, tpch,
                                                       monkeypatch):

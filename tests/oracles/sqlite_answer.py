@@ -1,0 +1,100 @@
+"""SQL's own answer to a query: the same SQL text, run by stdlib sqlite3.
+
+An answer oracle that is not the engine under test.  The tables are
+loaded into an in-memory ``sqlite3`` database and the very SQL text of a
+template runs there, with three adaptations and no others:
+
+* dates are stored as ISO strings, and each ``date '…'`` literal is
+  rewritten to ``'…'``, so dates compare in date order;
+* ``LIKE`` is case-sensitive (``pragma case_sensitive_like``), as in SQL;
+* an answer is a bag of rows: columns are matched by name, rows in any
+  order, and numbers compared to 1e-6.
+
+Nothing here is imported from ``repro.engine`` or ``repro.sql``.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+import sqlite3
+from collections.abc import Iterable, Mapping, Sequence
+from datetime import date
+
+#: ``(column names, rows)``.
+Answer = tuple[tuple[str, ...], list[tuple[object, ...]]]
+
+_DATE_LITERAL = re.compile(r"\bdate\s+'", re.IGNORECASE)
+
+#: Relative and absolute tolerance of a number.
+TOLERANCE = 1e-6
+
+
+def sqlite_answer(tables: Mapping[str, object], sql: str) -> Answer:
+    """Run ``sql`` over ``tables`` in a fresh in-memory database.
+
+    A table is anything with a ``columns`` sequence that iterates its
+    rows as tuples.
+    """
+    connection = sqlite3.connect(":memory:")
+    try:
+        connection.execute("pragma case_sensitive_like = on")
+        for name, table in tables.items():
+            columns = ", ".join(f'"{column}"' for column in table.columns)
+            marks = ", ".join("?" * len(table.columns))
+            connection.execute(f'create table "{name}" ({columns})')
+            connection.executemany(
+                f'insert into "{name}" values ({marks})',
+                (tuple(map(_stored, row)) for row in table))
+        cursor = connection.execute(_DATE_LITERAL.sub("'", sql))
+        names = tuple(column[0] for column in cursor.description)
+        return names, cursor.fetchall()
+    finally:
+        connection.close()
+
+
+def answer_difference(expected: Answer, actual: Answer) -> str | None:
+    """``None`` when the two answers are the same bag of rows, columns
+    matched by name; else what differs first."""
+    names, rows = expected
+    actual_names, actual_rows = actual
+    if sorted(names) != sorted(actual_names):
+        return f"columns {sorted(names)} != {sorted(actual_names)}"
+    order = [actual_names.index(name) for name in names]
+    reordered = [tuple(row[i] for i in order) for row in actual_rows]
+    if len(rows) != len(reordered):
+        return f"{len(rows)} rows != {len(reordered)} rows"
+    for want, got in zip(_bag(rows), _bag(reordered)):
+        if not all(map(_same_value, want, got)):
+            return f"row {want} != {got}"
+    return None
+
+
+def _stored(value: object) -> object:
+    return value.isoformat() if isinstance(value, date) else value
+
+
+def _bag(rows: Iterable[Sequence[object]]) -> list[tuple[object, ...]]:
+    normal = [tuple(map(_stored, row)) for row in rows]
+    return sorted(normal, key=lambda row: tuple(map(_order, row)))
+
+
+def _order(value: object) -> tuple[int, object]:
+    if value is None:
+        return 0, 0
+    if _is_number(value):
+        return 1, float(value)
+    if isinstance(value, str):
+        return 2, value
+    return 3, repr(value)
+
+
+def _same_value(want: object, got: object) -> bool:
+    if _is_number(want) and _is_number(got):
+        return math.isclose(want, got, rel_tol=TOLERANCE,
+                            abs_tol=TOLERANCE)
+    return want == got
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

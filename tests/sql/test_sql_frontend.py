@@ -16,7 +16,12 @@ from repro.core.predicates import (
     AttributeValuePredicate,
     ComparisonOp,
 )
-from repro.exceptions import SqlAnalysisError, SqlSyntaxError
+from repro.exceptions import (
+    SqlAnalysisError,
+    SqlError,
+    SqlSyntaxError,
+    SqlUnsupportedError,
+)
 from repro.paper_example import build_schema
 from repro.sql import parse_sql, plan_query, tokenize
 from repro.sql.tokenizer import TokenType, unquote_string
@@ -77,6 +82,22 @@ class TestParser:
         query = parse_sql("select count(*) from R group by a")
         call = query.select[0].expression
         assert call.alias == "count"
+
+    @pytest.mark.parametrize("aggregate", ["count", "sum", "avg"])
+    def test_distinct_aggregate_is_refused_not_read_as_plain(
+            self, aggregate):
+        sql = f"select T, {aggregate}(distinct P) from Hosp join Ins " \
+            "on S=C group by T"
+        with pytest.raises(SqlUnsupportedError,
+                           match=rf"{aggregate}\(distinct …\)") as error:
+            parse_sql(sql)
+        assert isinstance(error.value, SqlError)
+        assert f"column {sql.index('distinct') + 1})" in str(error.value)
+        with pytest.raises(SqlUnsupportedError):
+            plan_query(sql, build_schema())
+        # Without DISTINCT the same call is an ordinary aggregate.
+        call = parse_sql(sql.replace("distinct ", "")).select[1].expression
+        assert call.argument.name == "P"
 
     def test_syntax_errors(self):
         for bad in ("select", "select a from", "select a from R where",
