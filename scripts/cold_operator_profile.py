@@ -7,11 +7,14 @@ times each ``Executor.execute_node`` call — the operator's own work, its
 operands are materialized — and counts, per template, the values that go
 through the executor's ``encrypt_column`` (sealed), those of them that
 reach ``DeterministicCipher.encrypt_many`` (one per distinct value of a
-DETERMINISTIC column, constants included) and the values through
-``decrypt_column`` (opened; those §5 note 2 opens inside a selection
-apart), averaged over the rounds — the two datasets in turn; a round on
-dataset 107 alone is the exact triple
-``tests/engine/test_selection_safety_and_cost.py`` guards.
+DETERMINISTIC column, constants included), those of these the cipher
+actually sealed (its memo's misses: a value a subject sealed under the
+same key in an earlier run is a hit, the subject's keyring kept the key)
+and the values through ``decrypt_column`` (opened; those §5 note 2
+opens inside a selection apart), averaged over the rounds — the two
+datasets in turn; a round on dataset 107 alone is the exact triple
+``tests/engine/test_selection_safety_and_cost.py`` guards, and
+``tests/distributed/test_keyring.py`` the seals paid.
 Read shares over a few rounds: the collector runs where it runs.
 Usage: ``PYTHONPATH=src python scripts/cold_operator_profile.py [ROUNDS]``
 """
@@ -20,7 +23,7 @@ import time
 from collections import Counter, defaultdict
 
 import repro.engine.executor as executor_module
-from repro.crypto.symmetric import DeterministicCipher
+from repro.crypto.symmetric import _MEMO_MAX, DeterministicCipher
 from repro.engine import Executor
 from repro.service import QueryService
 from repro.tpch import (
@@ -65,7 +68,14 @@ def main(rounds: int = 2) -> None:
 
     def encrypt_many(cipher, column):
         values[running[0], "det"] += len(column)
-        return raw_deterministic(cipher, column)
+        before = len(cipher._encrypt_memo)
+        tokens = raw_deterministic(cipher, column)
+        after = len(cipher._encrypt_memo)
+        # A full memo is dropped wholesale, then refills (one drop here:
+        # a column seals each distinct value once, far under the bound).
+        values[running[0], "paid"] += after - before if after >= before \
+            else _MEMO_MAX - before + after
+        return tokens
 
     def decrypt_column(material, column, pool=None):
         values[running[0], "opened"] += len(column)
@@ -92,16 +102,16 @@ def main(rounds: int = 2) -> None:
     for operator, seconds in totals.most_common():
         print(f"{'all':9}{operator:34}{1000 * seconds / rounds:10.1f}"
               f"{100 * seconds / sum(totals.values()):6.1f} %")
-    print("template   values sealed det cipher    opened  by note 2"
-          "  (per round)")
+    print("template   values sealed det cipher  det paid    opened"
+          "  by note 2  (per round)")
     for (number, kind), count in list(values.items()):
         values["all", kind] += count
     for number in [*sqls, "all"]:
-        sealed, det, opened, note2 = (
+        sealed, det, paid, opened, note2 = (
             values[number, kind] // rounds
-            for kind in ("sealed", "det", "opened", "note 2"))
+            for kind in ("sealed", "det", "paid", "opened", "note 2"))
         print(f"{number if number == 'all' else f'Q{number}':9}"
-              f"{sealed:15}{det:11}{opened:10}{note2:11}")
+              f"{sealed:15}{det:11}{paid:10}{opened:10}{note2:11}")
 
 
 if __name__ == "__main__":

@@ -214,6 +214,30 @@ MUTANTS = (
            "                if (stored_signature == signature\n",
            "                if (True\n",
            "a cached fragment result is served under other key material"),
+    Mutant("keyring-ignores-key-bytes", MESSAGES,
+           "    keystore = None if keyring is None "
+           "else keyring.get(signature)\n"
+           "    if keystore is None:\n"
+           "        keystore = _decode_keys(reader)\n"
+           "        if reader.at != len(blob):\n"
+           "            raise DispatchError(\"malformed payload: "
+           "trailing bytes\")\n"
+           "        if keyring is not None:\n"
+           "            keyring.put(signature, keystore)\n",
+           "    decoded = _decode_keys(reader)\n"
+           "    names = repr(sorted((m.name, sorted(m.query_key.attributes))"
+           "\n                        for m in map(decoded.material, "
+           "decoded.names())))\n"
+           "    keystore = None if keyring is None else keyring.get(names)\n"
+           "    if keystore is None:\n"
+           "        keystore = decoded\n"
+           "        if reader.at != len(blob):\n"
+           "            raise DispatchError(\"malformed payload: "
+           "trailing bytes\")\n"
+           "        if keyring is not None:\n"
+           "            keyring.put(names, keystore)\n",
+           "a re-keyed run is handed the store of the keys it had before "
+           "(the ring keyed on key names and attributes alone)"),
 )
 
 

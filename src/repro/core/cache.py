@@ -78,6 +78,10 @@ class LRU:
         while len(self._data) > self.maxsize:
             self._data.popitem(last=False)
 
+    def clear(self) -> None:
+        """Drop every entry; the hit and miss counters keep counting."""
+        self._data.clear()
+
     def values(self):
         """Live view of the stored values, least recently used first."""
         return self._data.values()

@@ -37,13 +37,14 @@ class KeyMaterial:
     Cipher instances are memoized per material (``*_cipher`` accessors):
     constructing a cipher derives its HMAC subkeys, so the bulk column
     transforms reuse one instance per key instead of paying the
-    derivation per cell.  The deterministic/OPE memos live as long
-    as the material, and that is short: every opened envelope decodes a
-    fresh one from the raw key bytes of its body
-    (:func:`repro.distributed.messages.decode_payload`) and a subject
-    opens its envelope once per run, so a memo serves one subject's run
-    — the repeats across that run's columns under one key — and the next
-    run seals its values again.
+    derivation per cell.  The deterministic/OPE memos live as long as
+    the material.  A subject's material is decoded from an envelope's key
+    section (:func:`repro.distributed.messages.decode_payload`) and kept
+    in that subject's keyring (:mod:`repro.distributed.nodes`), so a
+    memo serves every run of that subject that is delivered the same
+    key bytes — a join key sealed last run is a dict hit — until the
+    section leaves the ring or the policy moves.  A decoded store
+    belongs to one node, and its ciphers run under that node's lock.
     """
 
     query_key: QueryKey

@@ -27,9 +27,14 @@ Randomized IVs for a batch come from a single ``os.urandom`` draw.
 :class:`DeterministicCipher` keeps a bounded equality-aware memo: a
 repeated plaintext costs a dict hit instead of a seal.  The memo lives
 on the cipher instance, so on its
-:class:`~repro.crypto.keymanager.KeyMaterial` — one opened envelope, one
-subject's run — and the engine seals each distinct value of a column
-once on its own (:func:`repro.engine.codec.encrypt_column`).
+:class:`~repro.crypto.keymanager.KeyMaterial`, which a subject keeps in
+its keyring for as long as envelopes deliver it the same key bytes
+(:mod:`repro.distributed.nodes`): the memo carries over from run to
+run, and the engine seals each distinct value of a column once on its
+own (:func:`repro.engine.codec.encrypt_column`).  A full memo
+(:data:`_MEMO_MAX` entries) is dropped wholesale and refills from the
+next misses, so a key whose columns hold more distinct values than
+that pays for some of them again.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ _FIRST_BLOCK = bytes(8)  # the keystream's block counter 0, as ``>Q``
 
 #: Bound on the deterministic encrypt/decrypt memos (entries, per
 #: cipher).  A full memo is dropped wholesale — column value sets are
-#: small relative to this in every workload we run.
+#: small relative to this in every workload we run (the largest
+#: DETERMINISTIC column of the benchmark's TPC-H data has 3,000).
 _MEMO_MAX = 8192
 
 

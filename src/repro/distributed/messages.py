@@ -45,6 +45,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 
+from repro.core.cache import LRU
 from repro.core.keys import QueryKey
 from repro.core.requirements import EncryptionScheme
 from repro.crypto.keymanager import KeyMaterial, KeyStore
@@ -116,21 +117,32 @@ def encode_payload(payload: SubQueryPayload) -> bytes:
     return b"".join(parts)
 
 
-def decode_payload(blob: bytes) -> SubQueryPayload:
-    """Inverse of :func:`encode_payload`; refuses any other bytes."""
+def decode_payload(blob: bytes, keyring: LRU | None = None,
+                   ) -> SubQueryPayload:
+    """Inverse of :func:`encode_payload`; refuses any other bytes.
+
+    ``keyring`` (the recipient node's, :mod:`repro.distributed.nodes`)
+    maps the SHA-256 of a key section this decoder accepted to the store
+    it decoded.  A section byte-identical to one accepted before gets
+    that store back, its ciphers and their memos warm; any other is
+    decoded with every refusal and then remembered.
+    """
     reader = _Reader(blob)
     fragment_id = reader.name()
     query_text = reader.text()
     more = tuple((reader.name(), reader.text())
                  for _ in range(reader.count()))
-    section = reader.at
-    keystore = _decode_keys(reader)
-    if reader.at != len(blob):
-        raise DispatchError("malformed payload: trailing bytes")
+    signature = hashlib.sha256(blob[reader.at:]).hexdigest()
+    keystore = None if keyring is None else keyring.get(signature)
+    if keystore is None:
+        keystore = _decode_keys(reader)
+        if reader.at != len(blob):
+            raise DispatchError("malformed payload: trailing bytes")
+        if keyring is not None:
+            keyring.put(signature, keystore)
     payload = SubQueryPayload(fragment_id, query_text, keystore, more)
     # Prime the cached property with the section as received.
-    vars(payload)["keys_signature"] = \
-        hashlib.sha256(blob[section:]).hexdigest()
+    vars(payload)["keys_signature"] = signature
     return payload
 
 
@@ -144,8 +156,10 @@ def seal_envelope(payload: SubQueryPayload, sender_private: RsaPrivateKey,
 
 
 def open_envelope(blob: bytes, recipient_private: RsaPrivateKey,
-                  sender_public: RsaPublicKey) -> SubQueryPayload:
-    """Decrypt, verify, and decode an envelope."""
+                  sender_public: RsaPublicKey,
+                  keyring: LRU | None = None) -> SubQueryPayload:
+    """Decrypt, verify, and decode an envelope; the keyring is consulted
+    (:func:`decode_payload`) only once the signature has verified."""
     framed = recipient_private.decrypt(blob)
     if len(framed) < 4:
         raise DispatchError("truncated envelope")
@@ -154,7 +168,7 @@ def open_envelope(blob: bytes, recipient_private: RsaPrivateKey,
     signature = framed[4 + body_len:]
     if not sender_public.verify(body, signature):
         raise DispatchError("envelope signature verification failed")
-    return decode_payload(body)
+    return decode_payload(body, keyring)
 
 
 def _encode_keys(store: KeyStore) -> bytes:

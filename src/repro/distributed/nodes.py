@@ -1,10 +1,27 @@
 """The simulated participants of a run.
 
 Each subject of the scenario becomes a :class:`SubjectNode` with its own
-RSA keypair and its own stored tables (for data authorities); the query
-keys it works with are only ever the ones its envelope delivered, so a
-node holds none.  :func:`build_nodes` makes one node per subject and
-places every authority's tables at their owner.
+RSA keypair and its own stored tables (for data authorities).
+:func:`build_nodes` makes one node per subject and places every
+authority's tables at their owner.
+
+The keyring
+-----------
+The query keys a node works with are only ever the ones this run's
+envelope delivered, but a node remembers the key sections it accepted:
+its :attr:`SubjectNode.keyring` maps the SHA-256 of a section, as it
+arrived, to the :class:`~repro.crypto.keymanager.KeyStore` decoded from
+it (:func:`~repro.distributed.messages.decode_payload`).  A run whose
+authenticated envelope carries a byte-identical section gets that store
+back, so its DETERMINISTIC and OPE memos carry over and a join key
+sealed last run is a dict hit; a re-keyed run carries other bytes and
+decodes a new store.  The ring holds :data:`KEYRING_SIZE` sections,
+least recently used dropped first, lives as long as its node, and is
+emptied when the policy version it is opened under moves
+(:meth:`SubjectNode.keyring_at`): the service re-keys only after a
+grant or revoke, so the stores of dead keys go with it.  Table changes
+leave it alone, keys do not depend on tables.  Every read and write of
+a ring happens under its subject's runtime lock.
 """
 
 from __future__ import annotations
@@ -13,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.core.authorization import Subject, stands_in_for
+from repro.core.cache import LRU
 from repro.crypto.rsa import (
     DEFAULT_RSA_BITS,
     RsaPrivateKey,
@@ -24,6 +42,11 @@ from repro.engine.table import Table
 from repro.exceptions import AuthorizationError, CryptoError
 
 
+#: Key sections one node remembers: above the 17 SQL templates of TPC-H,
+#: so a node serving each of them keeps every plan's keys.
+KEYRING_SIZE = 64
+
+
 @dataclass
 class SubjectNode:
     """One participant: identity, RSA keys, stored data, local state."""
@@ -33,10 +56,23 @@ class SubjectNode:
     rsa_private: RsaPrivateKey
     tables: dict[str, Table] = field(default_factory=dict)
     udfs: dict[str, UdfCallable] = field(default_factory=dict)
+    #: Section digest → decoded store (module docstring, *The keyring*).
+    keyring: LRU = field(default_factory=lambda: LRU(KEYRING_SIZE),
+                         init=False, repr=False, compare=False)
+    _keyring_version: int | None = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     @property
     def name(self) -> str:
         return self.subject.name
+
+    def keyring_at(self, version: int) -> LRU:
+        """The keyring, emptied first if the policy ``version`` moved
+        since it was last asked for (caller holds the subject's lock)."""
+        if version != self._keyring_version:
+            self.keyring.clear()
+            self._keyring_version = version
+        return self.keyring
 
 
 def generate_subject_keys(

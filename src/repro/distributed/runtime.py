@@ -9,7 +9,8 @@ subject runs for the query and its keys once; each subject opens its
 envelope once per run, verifies the user's signature before acting on
 anything in it, pulls its input fragments from the subjects below, and
 evaluates its own operators locally.  What was opened lives in the run's
-own context and is dropped with it.
+own context and is dropped with it; only the key stores decoded from it
+outlive the run, in the node's keyring (:mod:`repro.distributed.nodes`).
 
 This module is the recursion, the envelope I/O and the takeover.  Every
 other decision is stated once, by the part that owns it: what a subject
@@ -336,8 +337,13 @@ class DistributedRuntime:
         self.fragments.clear()
 
     def cache_info(self) -> dict[str, int]:
-        """Fragment-cache size, traffic and policy-reconcile counters."""
-        return self.fragments.info()
+        """Fragment-cache size, traffic and policy-reconcile counters,
+        and the keyrings' traffic and size summed over the nodes."""
+        info = self.fragments.info()
+        for name in ("hits", "misses", "size"):
+            info[f"keyring_{name}"] = sum(
+                node.keyring.info()[name] for node in self.nodes.values())
+        return info
 
     def health_info(self) -> dict[str, dict[str, object]]:
         """Per-subject health snapshot (breaker state, EWMA, counters)."""
@@ -391,15 +397,19 @@ class DistributedRuntime:
         signature once per run; its other fragments reuse the opened
         payload.  ``resealed`` is a failover envelope carrying this
         fragment alone: opened on its own and never shared, whatever the
-        replacement already holds.
+        replacement already holds.  Both decode through the node's
+        keyring (:mod:`repro.distributed.nodes`), flushed here when the
+        policy version moved.
         """
         user_public = context.user_node.rsa_public
+        keyring = node.keyring_at(self.policy.version)
         if resealed is not None:
-            payload = open_envelope(resealed, node.rsa_private, user_public)
+            payload = open_envelope(resealed, node.rsa_private, user_public,
+                                    keyring)
         elif (payload := context.opened.get(fragment.subject)) is None:
             payload = context.opened[fragment.subject] = open_envelope(
                 context.envelopes[fragment.subject], node.rsa_private,
-                user_public)
+                user_public, keyring)
         if not payload.carries(fragment.fragment_id):
             raise DispatchError(
                 f"{fragment.subject} was sent no sub-query "

@@ -518,7 +518,7 @@ class QueryService:
             self.runtime.invalidate_caches()
 
     def cache_info(self) -> dict[str, object]:
-        """All cache counters: plans, assignments, edge tables, fragments."""
+        """All cache counters: plans … fragment results, node keyrings."""
         info: dict[str, object] = {
             "plans": len(self._plan_cache),
             "plan_cache": self._plan_cache.info(),
@@ -544,9 +544,10 @@ class QueryService:
         ]
         traffic = [f"{label} {c['size']} {c['hits']}h/{c['misses']}m"
                    for label, c in caches]
-        traffic.append(
-            f"fragment results {info['fragment_entries']} "
-            f"{info['fragment_hits']}h/{info['fragment_misses']}m")
+        for label, key, size in (("fragment results", "fragment", "entries"),
+                                 ("keyrings", "keyring", "size")):
+            traffic.append(f"{label} {info[f'{key}_{size}']} "
+                           f"{info[key + '_hits']}h/{info[key + '_misses']}m")
         return (f"service totals: {self.total_stats.describe()}\n"
                 f"caches: {'; '.join(traffic)}")
 

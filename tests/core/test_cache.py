@@ -79,6 +79,15 @@ class TestLRU:
         cache.put("k", "fresh")
         assert cache.get("k", valid=lambda value: True) == "fresh"
 
+    def test_clear_drops_entries_and_keeps_counters(self):
+        cache = LRU(2)
+        cache.put("k", "v")
+        assert cache.get("k") == "v"
+        cache.clear()
+        assert cache.get("k") is None and len(cache) == 0
+        assert cache.info() == {
+            "hits": 1, "misses": 1, "size": 0, "maxsize": 2}
+
     @pytest.mark.parametrize("maxsize", [0, -1, 2.5, None])
     def test_rejects_bad_maxsize(self, maxsize):
         with pytest.raises(ValueError):

@@ -8,10 +8,12 @@ from repro.core.candidates import compute_candidates
 from repro.core.dispatch import dispatch
 from repro.core.extension import minimally_extend
 from repro.core.keys import establish_keys
+from repro.core.requirements import EncryptionScheme
 from repro.cost.pricing import PriceList
 from repro.crypto.keymanager import DistributedKeys
-from repro.distributed import build_runtime
+from repro.distributed import DistributedRuntime, build_runtime
 from repro.engine import Executor, Table
+from repro.engine.values import is_sealed
 from repro.experiments import (
     run_economics,
     run_running_example,
@@ -163,6 +165,51 @@ def test_rerun_under_fresh_keys_misses_every_keyed_fragment(
     assert keyed >= 3
     assert trace.fragment_cache_hits <= len(trace.fragments_run) - keyed
     assert fresh.sorted_rows() == warm.sorted_rows() == first.sorted_rows()
+
+
+def test_rerun_under_fresh_keys_ships_tokens_of_the_fresh_keys(
+        example, example_tables, monkeypatch):
+    """Each subject keeps the key stores its envelopes delivered, but a
+    run on the same dispatch plan under fresh key material seals what
+    it hands on under the keys that run delivered: every sealed column
+    moved between subjects opens under the fresh master store."""
+    extended = minimally_extend(example.plan, example.policy,
+                                example.assignment_7a(),
+                                owners=example.owners)
+    keys = establish_keys(extended, example.policy)
+    plan = dispatch(extended, keys, owners=example.owners, user="U")
+    runtime = build_runtime(
+        example.policy, list(example.subjects),
+        {"H": {"Hosp": example_tables["Hosp"]},
+         "I": {"Ins": example_tables["Ins"]}}, user="U")
+    first, _ = runtime.run(plan, extended, keys,
+                           DistributedKeys.from_assignment(keys))
+    moved = []
+    receive = DistributedRuntime._receive_input
+
+    def recording(self, context, view, table):
+        moved.append(table)
+        return receive(self, context, view, table)
+
+    monkeypatch.setattr(DistributedRuntime, "_receive_input", recording)
+    fresh = DistributedKeys.from_assignment(keys)
+    rekeyed, _ = runtime.run(plan, extended, keys, fresh)
+    sealed = [(kind, [token for token in column.tokens
+                      if token is not None])
+              for table in moved
+              for kind, column in zip(table.representations,
+                                      map(table.column, table.columns))
+              if is_sealed(kind)]
+    assert len(sealed) >= 2
+    for (key_name, scheme), tokens in sealed:
+        material = fresh.master.material(key_name)
+        if scheme is EncryptionScheme.PAILLIER:
+            assert {token.public.n for token in tokens} \
+                == {material.paillier_public.n}
+        else:  # raises on a tag sealed under any other key
+            material.open([token[1] if scheme is EncryptionScheme.OPE
+                           else token for token in tokens])
+    assert rekeyed.sorted_rows() == first.sorted_rows()
 
 
 class TestEncryptedEquivalenceOnRandomPlans:
