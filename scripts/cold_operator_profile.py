@@ -4,7 +4,9 @@
 Builds the UAPenc TPC-H service at scale 0.002, swaps the other dataset in
 before every round (as ``cold_exec`` does, so every fragment executes) and
 times each ``Executor.execute_node`` call — the operator's own work, its
-operands are materialized — and counts, per template, the values that go
+operands are materialized; an Encrypt whose σ and π ran first is one
+call over what they kept, also when π kept none of its columns (Q7's
+``enc[l_shipdate]``) — and counts, per template, the values that go
 through the executor's ``encrypt_column`` (sealed), those of them that
 reach ``DeterministicCipher.encrypt_many`` (one per distinct value of a
 DETERMINISTIC column, constants included), those of these the cipher

@@ -92,10 +92,11 @@ MUTANTS = (
            "the root profile is not checked against the user's view"),
     # The two preconditions of filter-before-encrypt (PR 22).
     Mutant("filter-ahead-of-a-received-encrypt", EXECUTOR,
-           "isinstance(node.left, Encrypt) \\\n"
-           "            and id(node.left) not in received:\n",
-           "isinstance(node.left, Encrypt):\n",
-           "a selection runs ahead of an Encrypt another subject sent"),
+           "            and isinstance(top.left, Encrypt) \\\n"
+           "            and id(top.left) not in received:\n",
+           "            and isinstance(top.left, Encrypt):\n",
+           "a selection or projection runs ahead of an Encrypt another "
+           "subject sent"),
     Mutant("filter-first-on-sealed-columns", EXECUTOR,
            "            if not any(isinstance(source.representation(a), "
            "tuple)\n",
@@ -103,6 +104,15 @@ MUTANTS = (
            "isinstance(source.representation(a), tuple)\n",
            "a selection runs first even when a predicate column arrived "
            "sealed"),
+    # The fused seal: π runs first, the Encrypt seals what π kept.
+    Mutant("fused-encrypt-skips-a-kept-column", EXECUTOR,
+           "            if attribute not in child.columns:  "
+           "# a π that ran first dropped it\n",
+           "            if attribute not in child.columns \\\n"
+           "                    or not node.attributes <= set(child.columns):"
+           "\n",
+           "an Encrypt whose π ran first leaves the columns π kept in "
+           "plaintext"),
     # A column states one representation, read where it is born.
     Mutant("mixed-column", "repro/engine/values.py",
            "    if len(found) == 1:\n"

@@ -616,7 +616,7 @@ class DistributedRuntime:
                   view: SubjectView) -> Table:
         if id(node) in inputs:
             return inputs[id(node)]
-        # One node, or (own Encrypt, σ) — the engine may run that σ first.
+        # One node, or (own Encrypt[, σ], π | σ): σ and π may run first.
         step = physical_step(node, inputs)
         result = executor.execute_step(step, [
             self._evaluate(context, child, executor, inputs, view)

@@ -27,14 +27,15 @@ With a :class:`~repro.parallel.WorkerPool` attached, the Encrypt/Decrypt
 operators (and §5 note 2's selection decrypts) fan column chunks across
 worker processes; everything else runs inline.
 
-One physical rule reorders plan nodes, ``σ_p(enc_A(X)) = enc_A(σ_p(X))``
-(:func:`physical_step`, :meth:`Executor.execute_step`): a selection
-directly over an Encrypt (A) of the same evaluator (B) whose operand
-holds every predicate column in plaintext is decided on that operand,
-and only the surviving rows are sealed.  The *plan* keeps the Encrypt
-below: Fig. 2's encrypt row leaves ``Rip`` alone, so the reordered plan
-would carry the attribute implicit-plaintext past Def. 4.1.  ``π∘enc``
-stays: a projection dedupes, and equal rows' RANDOMIZED ciphertexts differ.
+One physical rule reorders plan nodes (:func:`physical_step`,
+:meth:`Executor.execute_step`): a chain ``π(σ(enc_A(X)))``, ``π(enc_A(X))``
+or ``σ(enc_A(X))`` inside one evaluator runs as ``enc_{A∩kept}(π(σ(X)))``.
+A selection is decided on the Encrypt's operand when that operand holds
+every predicate column in plaintext (``σ_p(enc_A(X)) = enc_A(σ_p(X))``);
+π is a bag, so it commutes with per-column encryption, and the Encrypt
+seals only the columns π kept.  The *plan* keeps the Encrypt below:
+Fig. 2's encrypt row leaves ``Rip`` alone, so the reordered plan would
+carry the attribute implicit-plaintext past Def. 4.1.
 """
 
 from __future__ import annotations
@@ -86,12 +87,19 @@ _ORDER = (AggregateFunction.MIN, AggregateFunction.MAX)
 
 def physical_step(node: PlanNode, received=()) -> tuple[PlanNode, ...]:
     """The plan nodes evaluated together to produce ``node``, bottom-up:
-    ``(node,)``, or ``(Encrypt, node)`` for a selection directly over an
-    Encrypt of the same evaluator — not one of the tables ``received``
-    (by node ``id``) from another fragment."""
-    if isinstance(node, Selection) and isinstance(node.left, Encrypt) \
+    ``(node,)``, or ``(Encrypt[, σ], node)`` for a projection or
+    ``(Encrypt, node)`` for a selection over an Encrypt of the same
+    evaluator — no node below ``node`` one of the tables ``received`` (by
+    node ``id``) from another fragment."""
+    chain = [node]
+    if isinstance(node, Projection) and isinstance(node.left, Selection) \
             and id(node.left) not in received:
-        return (node.left, node)
+        chain.append(node.left)
+    top = chain[-1]
+    if isinstance(top, (Projection, Selection)) \
+            and isinstance(top.left, Encrypt) \
+            and id(top.left) not in received:
+        return (top.left, *reversed(chain))
     return (node,)
 
 
@@ -140,15 +148,19 @@ class Executor:
     def execute_step(self, step: tuple[PlanNode, ...],
                      children: list[Table]) -> Table:
         """Evaluate a :func:`physical_step` over its lowest node's
-        operands.  The selection of a pair runs first — same rows, order
-        and representations as plan order — unless a predicate column
-        is already stated encrypted: comparing it needs the Encrypt's
-        tokens, or note 2 on a column this evaluator did not seal."""
-        if len(step) == 2:
-            (source,), attributes = children, step[1].predicate.attributes()
+        operands.  A chain runs its σ and π first and its Encrypt last,
+        over the columns π kept — same rows, order and representations as
+        plan order — unless a predicate column is already stated
+        encrypted: comparing it needs the Encrypt's tokens, or note 2 on
+        a column this evaluator did not seal, so the chain runs in plan
+        order."""
+        if len(step) > 1:
+            (source,), above = children, step[1]
+            attributes = above.predicate.attributes() \
+                if isinstance(above, Selection) else ()
             if not any(isinstance(source.representation(a), tuple)
                        for a in attributes if a in source.columns):
-                step = step[::-1]
+                step = step[1:] + step[:1]
         for node in step:
             children = [self.execute_node(node, children)]
         return children[0]
@@ -273,7 +285,7 @@ class Executor:
         out_columns = [c for c in child.columns
                        if c not in node.inputs or c == node.output]
         table = child.with_column(node.output, results, name="µ")
-        return table.bulk_project(out_columns, name="µ", dedupe=False)
+        return table.bulk_project(out_columns, name="µ")
 
     # ------------------------------------------------------------------
     # Encryption operators
@@ -291,6 +303,8 @@ class Executor:
         table = child.rename("enc")
         for attribute in sorted(node.attributes):
             material = keystore.material_for_attribute(attribute)
+            if attribute not in child.columns:  # a π that ran first dropped it
+                continue
             sealed = encrypt_column(material, child.column(attribute),
                                     pool=self.pool)
             table = table.with_column(attribute, sealed)

@@ -146,23 +146,15 @@ class Table:
     # ------------------------------------------------------------------
     # Transformation
     # ------------------------------------------------------------------
-    def bulk_project(self, columns: Sequence[str], name: str | None = None,
-                     dedupe: bool = True) -> "Table":
-        """Projection: the kept columns are shared, not copied.
-
-        With ``dedupe`` (set semantics) a repeated row is dropped, first
-        occurrences kept in order (:func:`_distinct`), so a projection
-        onto no column keeps one row of a non-empty table.  Without it
-        the row count is preserved.
-        """
+    def bulk_project(self, columns: Sequence[str],
+                     name: str | None = None) -> "Table":
+        """Projection (a bag: every row kept, in order); the kept columns
+        are shared, not copied."""
         positions = self.positions(columns)
-        data = tuple(self.data[p] for p in positions)
-        count = self._count
-        if dedupe and count > 1:
-            data, count = _distinct(data, count)
         return Table._of(
-            name or self.name, tuple(columns), data,
-            tuple(self.representations[p] for p in positions), count)
+            name or self.name, tuple(columns),
+            tuple(self.data[p] for p in positions),
+            tuple(self.representations[p] for p in positions), self._count)
 
     def take(self, indices: Sequence[int], name: str) -> "Table":
         """The rows at ``indices``, in that order, one gather per
@@ -238,35 +230,3 @@ def gather(column: Sequence[object],
     if len(indices) > 1:
         return itemgetter(*indices)(column)
     return tuple(column[index] for index in indices)
-
-
-def _distinct(data: tuple[Sequence[object], ...],
-              count: int) -> tuple[tuple[Sequence[object], ...], int]:
-    """The columns of ``data``'s first-occurrence distinct rows, found
-    in one C-level ``dict.fromkeys``, and their count; the same columns
-    when no row repeats.  Rows with an unhashable cell are kept from the
-    first one onward."""
-    if not data:
-        return data, min(count, 1)
-    try:
-        if len(data) == 1:
-            unique = tuple(dict.fromkeys(data[0]))
-            return ((data, count) if len(unique) == count
-                    else ((unique,), len(unique)))
-        rows = list(dict.fromkeys(zip(*data)))
-    except TypeError:  # an unhashable cell: the row loop below
-        seen: set[tuple[object, ...]] = set()
-        rows = []
-        hashable = True
-        for row in zip(*data):
-            if hashable:
-                try:
-                    if row in seen:
-                        continue
-                    seen.add(row)
-                except TypeError:
-                    hashable = False  # keep duplicates from here on
-            rows.append(row)
-    if len(rows) == count:
-        return data, count
-    return tuple(zip(*rows)), len(rows)

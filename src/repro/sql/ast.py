@@ -99,11 +99,9 @@ class SelectQuery:
     where: list[ComparisonExpr] = field(default_factory=list)
     group_by: list[ColumnRef] = field(default_factory=list)
     having: list[ComparisonExpr] = field(default_factory=list)
-    distinct: bool = False
 
     def __str__(self) -> str:
         parts = ["select "
-                 + ("distinct " if self.distinct else "")
                  + ", ".join(str(i.expression) for i in self.select)]
         if self.from_table is not None:
             parts.append(f"from {self.from_table}")

@@ -2,8 +2,9 @@
 
 Grammar (conjunctive conditions only, matching §1's query class)::
 
-    query     := SELECT [DISTINCT] items FROM table joins* [WHERE conj]
+    query     := SELECT items FROM table joins* [WHERE conj]
                  [GROUP BY columns] [HAVING conj]
+                 (SELECT DISTINCT is refused: π keeps every row)
     items     := item (',' item)*
     item      := column | agg '(' column | '*' ')' [AS ident]
                  (agg '(' DISTINCT … ')' is refused, not read as agg)
@@ -116,8 +117,12 @@ class _Parser:
     def parse_query(self) -> SelectQuery:
         query = SelectQuery()
         self.expect_keyword("select")
-        if self.accept_keyword("distinct"):
-            query.distinct = True
+        if self.current.is_keyword("distinct"):
+            token = self.current
+            raise SqlUnsupportedError(
+                f"select distinct is not supported: no plan operator drops "
+                f"duplicate rows, so it would be evaluated as plain select "
+                f"(line {token.line}, column {token.column})")
         query.select.append(self.parse_select_item())
         while self._accept_comma():
             query.select.append(self.parse_select_item())

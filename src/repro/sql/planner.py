@@ -272,9 +272,11 @@ class _Planner:
                 for p in condition.predicates
             ]
             pending = [(i, c) for i, c in pending if i != index]
-            # Adopt cross-relation WHERE conditions once both sides exist.
+            # Adopt a cross-relation WHERE condition once every relation
+            # it names has joined; keep the others pending.
             adopted = [c for c in cross_where if c.relations <= joined]
-            cross_where = [c for c in cross_where if c.relations > joined]
+            cross_where = [c for c in cross_where
+                           if not c.relations <= joined]
             on_predicates.extend(p for c in adopted for p in c.predicates)
             comparison_predicates = [
                 p for p in on_predicates
@@ -304,13 +306,6 @@ class _Planner:
                 still_needed |= condition_attributes(condition)
             visible = self._visible_attributes(current)
             keep_now = still_needed & visible
-            if keep_now and keep_now < visible:
-                current = Projection(current, keep_now)
-        if cross_where:
-            leftover = [p for c in cross_where for p in c.predicates]
-            current = Selection(current, Conjunction(leftover))
-            visible = self._visible_attributes(current)
-            keep_now = final_needed & visible
             if keep_now and keep_now < visible:
                 current = Projection(current, keep_now)
 

@@ -46,9 +46,9 @@ class TestTable:
         with pytest.raises(ExecutionError):
             Table("t", ("a", "a"), [])
 
-    def test_project_dedups(self):
+    def test_project_keeps_duplicates(self):
         projected = T.bulk_project(["b"])
-        assert sorted(projected.rows) == [("x",), ("y",), ("z",)]
+        assert projected.rows == [("x",), ("y",), ("x",), ("z",)]
 
     def test_column_access(self):
         assert T.column_values("a") == [1, 2, 3, 4]

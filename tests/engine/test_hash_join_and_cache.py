@@ -304,21 +304,12 @@ class TestBulkTableApis:
         assert first == (2, 0)
         assert self.T.positions(["c", "a"]) is first
 
-    def test_bulk_project_without_dedupe_preserves_rows(self):
-        out = self.T.bulk_project(["a", "b"], dedupe=False)
-        assert out.rows == [(1, "x"), (2, "y"), (1, "x")]
-
-    def test_bulk_project_dedupes_by_default(self):
+    def test_bulk_project_keeps_every_row_in_order(self):
         out = self.T.bulk_project(["a", "b"])
-        assert out.rows == [(1, "x"), (2, "y")]
-
-    def test_bulk_project_dedupes_until_the_first_unhashable_cell(self):
-        table = Table("U", ("a", "b"), [
-            (1, "x"), (1, "x"), (2, ["list"]), (1, "x"), (2, ["list"]),
-        ])
-        out = table.bulk_project(["a", "b"])
-        assert out.rows == [(1, "x"), (2, ["list"]), (1, "x"), (2, ["list"])]
-        assert table.bulk_project(["a"]).rows == [(1,), (2,)]
+        assert out.rows == [(1, "x"), (2, "y"), (1, "x")]
+        assert out.data[0] is self.T.data[0]
+        table = Table("U", ("a", "b"), [(1, "x"), (2, ["list"]), (1, "x")])
+        assert table.bulk_project(["b"]).rows == [("x",), (["list"],), ("x",)]
 
     def test_with_column_shares_every_other_column(self):
         out = self.T.with_column("a", [10, 20, 10])

@@ -13,7 +13,12 @@ import pytest
 import repro.engine.codec as codec_module
 import repro.engine.executor as executor_module
 from repro.core.keys import QueryKey
-from repro.core.operators import BaseRelationNode, Encrypt, Selection
+from repro.core.operators import (
+    BaseRelationNode,
+    Encrypt,
+    Projection,
+    Selection,
+)
 from repro.core.predicates import (
     AttributeComparisonPredicate,
     AttributeValuePredicate,
@@ -25,7 +30,7 @@ from repro.core.schema import Relation
 from repro.crypto.keymanager import KeyStore
 from repro.crypto.symmetric import DeterministicCipher
 from repro.engine import EncryptedValue, Executor, Table
-from repro.engine.codec import encrypt_column
+from repro.engine.codec import decrypt_column, encrypt_column
 from repro.engine.executor import physical_step
 from repro.engine.expressions import ConstantEncryptor
 from repro.exceptions import CryptoError, ExecutionError
@@ -173,6 +178,65 @@ class TestFilterBeforeEncrypt:
         assert [row[1] for row in kept.rows] == [0, 1] and not calls
 
 
+class TestFusedSeal:
+    """``π(σ(enc(X)))`` and ``π(enc(X))`` inside one evaluator: σ and π
+    run on the plaintext, then the Encrypt seals only the columns π kept
+    (``tests/properties/test_filter_before_encrypt.py`` has the
+    equivalence with plan order)."""
+
+    sealed = Encrypt(BaseRelationNode(R), ["k", "d"])
+    selection = Selection(sealed, KEPT_FIRST)
+    plan = Projection(selection, ["k"])
+
+    def test_one_step_unless_a_node_below_the_projection_arrived(self):
+        assert physical_step(self.plan) == (
+            self.sealed, self.selection, self.plan)
+        bare = Projection(self.sealed, ["k"])
+        assert physical_step(bare) == (self.sealed, bare)
+        table = catalog(store_for(EncryptionScheme.DETERMINISTIC))["R"]
+        for arrived in (self.sealed, self.selection):
+            assert physical_step(self.plan, {id(arrived): table}) \
+                == (self.plan,)
+
+    def test_seals_the_kept_column_of_the_kept_rows(self, monkeypatch):
+        store = KeyStore.generate([QueryKey(
+            frozenset({"k", "d"}), EncryptionScheme.RANDOMIZED)])
+        plain = {"R": Table("R", ("k", "d"), [(n, n) for n in range(8)])}
+        calls = []
+        count_calls(monkeypatch, calls, executor_module, "encrypt_column")
+        kept = Executor(plain, keystore=store).execute(self.plan)
+        material = store.material_for_attribute("k")
+        assert kept.columns == ("k",)
+        assert kept.representation("k") == (material.name,
+                                            EncryptionScheme.RANDOMIZED)
+        assert list(decrypt_column(material, kept.column("k"))) == [4, 5, 6]
+        assert [len(args[1]) for _, args in calls] == [3]
+
+    def test_q7_seals_no_shipdate(self, tpch_data, monkeypatch):
+        """A2 runs ``π[l_extendedprice,l_orderkey,l_suppkey]`` over
+        ``σ[l_shipdate…]`` over ``enc[l_shipdate]`` (UAPenc): the
+        Encrypt still runs, and seals none of the >1,000 shipdates π
+        drops."""
+        service = uapenc_service(tpch_data(0.001, 107))
+        calls = []
+        count_calls(monkeypatch, calls, executor_module, "encrypt_column")
+        raw_encrypt = Executor._encrypt
+        sealed = {}
+
+        def recording(self, node, child):
+            before = len(calls)
+            try:
+                return raw_encrypt(self, node, child)
+            finally:
+                sealed[node.label()] = sealed.get(node.label(), 0) + sum(
+                    len(args[1]) for _, args in calls[before:])
+
+        monkeypatch.setattr(Executor, "_encrypt", recording)
+        service.execute(query(7).sql)
+        assert sealed["enc[l_shipdate]"] == 0
+        assert sealed["enc[l_extendedprice,l_orderkey,l_suppkey]"] > 1000
+
+
 class TestSelectionCost:
     def test_one_decrypt_serves_two_conjuncts_on_a_received_column(
             self, monkeypatch):
@@ -231,12 +295,19 @@ class TestSelectionCost:
         """One cold execution of each of the 17 SQL templates (UAPenc,
         scale 0.002, seed 107).  Before selections ran ahead of their
         own Encrypt: 122,808 sealed, 32,982 opened, 30,421 of those by
-        a selection re-opening what its subject had just sealed.
+        a selection re-opening what its subject had just sealed.  Then
+        96,500 sealed and 2,561 opened while π dropped duplicate rows;
+        bag π seals 9,621 more (Q4 +4,847, Q13 +2,700, Q16 +1,200, Q21
+        +874), and an Encrypt below its fragment's π no longer seals
+        the columns π drops, 5,178 fewer (Q7 3,624, Q17 963, Q5 476,
+        Q4 115).  Q5's plan keeps ``c_nationkey = s_nationkey`` and
+        opens 42 values instead of 948.
 
         Of the cells sealed, the DETERMINISTIC ones reach the cipher once
-        per distinct value of their column: 19,273 from ``Encrypt``
-        columns plus 5 constants (one ``encrypt`` each).  Cell by cell
-        it was 68,016 (constants apart)."""
+        per distinct value of their column: 19,298 from ``Encrypt``
+        columns plus 5 constants (one ``encrypt`` each), 25 more than
+        before Q5's new plan.  Cell by cell it was 68,016 (constants
+        apart)."""
         service = uapenc_service(tpch_data(0.002, 107))
         calls = []
         for name in ("encrypt_column", "decrypt_column"):
@@ -252,7 +323,7 @@ class TestSelectionCost:
         values = {name: sum(len(args[1]) for label, args in calls
                             if label == name)
                   for name in ("encrypt_column", "decrypt_column")}
-        assert values == {"encrypt_column": 96_500, "decrypt_column": 2_561}
+        assert values == {"encrypt_column": 100_943, "decrypt_column": 1_655}
         assert sum(len(column) for _, (_, column) in deterministic) \
-            == 19_278
+            == 19_303
         assert not any(made for _, _, made in selections)

@@ -3,9 +3,9 @@
 The reference the columnar :class:`~repro.engine.table.Table` is judged
 against (``tests/properties/test_columnar_table.py``).  Rows are what a
 table's ``rows`` view hands out, so a sealed cell is an
-:class:`~repro.engine.values.EncryptedValue`.  π keeps the first
-occurrence of each distinct row (set semantics; onto no column, one
-row of a non-empty input), σ is ``oracles.row_predicate``'s row closure,
+:class:`~repro.engine.values.EncryptedValue`.  π keeps every row, in
+order (a bag, as SQL's; onto no column, one empty row per input
+row), σ is ``oracles.row_predicate``'s row closure,
 × and ⋈ are ``oracles.nested_loop``'s ``σ_C(L × R)``, and γ groups rows
 in first-seen order, NULL with NULL, an encrypted cell by its token.
 Nothing here is imported from the table or the executor it judges.
@@ -26,10 +26,9 @@ Rows = list[tuple]
 
 def project(columns: tuple[str, ...], rows: Rows,
             kept: list[str]) -> Rows:
-    """π onto ``kept`` (in ``columns`` order), duplicates dropped."""
+    """π onto ``kept`` (in ``columns`` order), duplicates kept."""
     positions = [columns.index(column) for column in kept]
-    return list(dict.fromkeys(tuple(row[p] for p in positions)
-                              for row in rows))
+    return [tuple(row[p] for p in positions) for row in rows]
 
 
 def select(columns: tuple[str, ...], rows: Rows, predicate, encryptor,

@@ -3,8 +3,8 @@
 Over drawn tables — small domains, so rows repeat, NULLs anywhere, each
 column plaintext or sealed DETERMINISTIC, RANDOMIZED, OPE or Paillier —
 the ``rows`` view of every operator's result equals
-``oracles.row_table`` on the same rows: π (also onto no column of its
-input, which keeps one row of a non-empty table), a leaf's projection,
+``oracles.row_table`` on the same rows: π (a bag, also onto no column
+of its input), a leaf's projection,
 σ, ×, ⋈ with a residual conjunct, γ, and Encrypt followed by Decrypt.
 Where one raises, so must the other.  And Encrypt refuses a column its
 ``encrypt_column`` hands back sealed under another key or scheme,
@@ -98,7 +98,7 @@ def agree(node, catalog, reference, keystore=ALL):
 @given(tables(R), st.sets(st.sampled_from(["a", "b", "c", "k"]),
                           min_size=1), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_projection_keeps_first_occurrences(case, attributes, at_leaf):
+def test_projection_keeps_every_row(case, attributes, at_leaf):
     rows, table = case
     kept = [c for c in R.attribute_names if c in attributes]
     if at_leaf:

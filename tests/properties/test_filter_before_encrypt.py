@@ -1,4 +1,5 @@
-"""Hypothesis: ``σ_p(enc_A(X))`` run as ``enc_A(σ_p(X))`` ≡ plan order.
+"""Hypothesis: ``σ_p(enc_A(X))`` run as ``enc_A(σ_p(X))``, and
+``π_K([σ_p](enc_A(X)))`` as ``enc_{A∩K}(π_K([σ_p](X)))``, ≡ plan order.
 
 ``Executor.execute`` runs a selection before the Encrypt directly below
 it when every predicate column of the Encrypt's operand holds plaintext
@@ -11,7 +12,10 @@ three conjuncts over any of them, every operator; keys held or not —
 both return the same rows in the same order with every column in the
 same representation, or both refuse.  The engine filters first exactly
 when no predicate column of the source holds a ciphertext, and what it
-returns is then the plaintext executor's answer.
+returns is then the plaintext executor's answer.  A projection over
+the chain (π is a bag) runs before the Encrypt, which then seals only
+the columns π kept; an Encrypt or a selection received from another
+fragment is never part of a step.
 
 Columns are typed (one domain per table, constants drawn from it):
 DETERMINISTIC token equality between an int cell and a float constant
@@ -22,7 +26,13 @@ apart), so plan order itself is wrong there — see the last test.
 from hypothesis import given, settings, strategies as st
 
 from repro.core.keys import QueryKey
-from repro.core.operators import BaseRelationNode, Encrypt, Selection
+from repro.core.operators import (
+    BaseRelationNode,
+    Encrypt,
+    Projection,
+    Selection,
+)
+from repro.core.plan import QueryPlan
 from repro.core.predicates import (
     AttributeComparisonPredicate,
     AttributeValuePredicate,
@@ -35,9 +45,10 @@ from repro.crypto import primitives
 from repro.crypto.keymanager import KeyMaterial, KeyStore
 from repro.engine import EncryptedValue, Executor, Table
 from repro.engine.codec import decrypt_column, encrypt_column
+from repro.engine.executor import physical_step
 from repro.engine.values import representation
 
-from oracles.plan_order import execute_in_plan_order
+from oracles.plan_order import execute_in_plan_order, tables_in_plan_order
 from test_selection_kernel import INTS, MASTER, PATTERNS, WORDS, outcome
 
 COLUMNS = ("a", "b", "c")
@@ -120,15 +131,31 @@ def cases(draw):
 
 
 class Logged(Executor):
-    """An executor that records the order its operators ran in."""
+    """An executor that records the order its operators ran in, and the
+    steps it was handed."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.ran = []
+        self.steps = []
 
     def execute_node(self, node, children):
         self.ran.append(type(node))
         return super().execute_node(node, children)
+
+    def execute_step(self, step, children):
+        self.steps.append(tuple(map(type, step)))
+        return super().execute_step(step, children)
+
+
+def evaluate(executor, node, received):
+    """The runtime's recursion (``DistributedRuntime._evaluate``): a node
+    ``received`` (by ``id``) is another fragment's table."""
+    if id(node) in received:
+        return received[id(node)]
+    step = physical_step(node, received)
+    return executor.execute_step(step, [
+        evaluate(executor, child, received) for child in step[0].children])
 
 
 def opened(table, master):
@@ -167,6 +194,47 @@ def test_engine_agrees_with_plan_order_and_filters_first_on_plaintext(case):
     if plaintext_predicate and not isinstance(got, str):  # not refused
         kept = Executor(catalog).execute(Selection(leaf, predicate))
         assert got[0] == opened(kept, master)[0]
+
+
+@given(cases(), st.sets(st.sampled_from(COLUMNS), min_size=1),
+       st.booleans(), st.sampled_from([None, Encrypt, Selection]))
+@settings(max_examples=100, deadline=None)
+def test_projection_chain_agrees_with_plan_order(case, kept, filtered,
+                                                 arrived):
+    layout, rows, predicate, master, held, constants = case
+    own = [c for c, (role, _) in zip(COLUMNS, layout) if role is OWN]
+    encrypt = Encrypt(BaseRelationNode(R), own)
+    below = Selection(encrypt, predicate) if filtered else encrypt
+    plan = Projection(below, kept)
+    boundary = {Encrypt: encrypt, Selection: below, None: None}[arrived]
+    catalog = {"R": Table("R", COLUMNS, rows)}
+
+    def executor():
+        return Logged(catalog, keystore=held, constant_keystore=constants)
+
+    def run():
+        received = {} if boundary is None else {id(boundary): (
+            tables_in_plan_order(executor(), QueryPlan(boundary))[boundary])}
+        return opened(evaluate(engine, plan, received), master)
+
+    engine = executor()
+    got = outcome(run)
+    assert got == outcome(lambda: opened(
+        execute_in_plan_order(executor(), plan), master))
+
+    types = [type(node) for node in (encrypt, below, plan)]
+    chain = tuple(dict.fromkeys(types))
+    if boundary is not None:  # what arrived is an operand, never a step
+        assert all(step in [(Selection,), (Projection,)]
+                   for step in engine.steps)
+        return
+    assert engine.steps == [(BaseRelationNode,), chain]
+    plaintext_predicate = not filtered or not any(
+        isinstance(row[COLUMNS.index(attribute)], EncryptedValue)
+        for attribute in predicate.attributes() for row in rows)
+    order = [BaseRelationNode, *chain[1:], Encrypt] if plaintext_predicate \
+        else [BaseRelationNode, *chain]
+    assert engine.ran == order[:len(engine.ran)]
 
 
 def test_int_cell_against_float_constant_follows_the_plaintext_executor():

@@ -25,6 +25,7 @@ from repro.exceptions import (
 from repro.paper_example import build_schema
 from repro.sql import parse_sql, plan_query, tokenize
 from repro.sql.tokenizer import TokenType, unquote_string
+from repro.tpch import all_queries, build_tpch_schema
 
 
 class TestTokenizer:
@@ -98,6 +99,19 @@ class TestParser:
         # Without DISTINCT the same call is an ordinary aggregate.
         call = parse_sql(sql.replace("distinct ", "")).select[1].expression
         assert call.argument.name == "P"
+
+    def test_select_distinct_is_refused_not_read_as_plain(self):
+        """π keeps every row, and no plan operator drops duplicates."""
+        sql = "select distinct T from Hosp join Ins on S=C"
+        with pytest.raises(SqlUnsupportedError,
+                           match=r"select distinct is not supported") \
+                as error:
+            parse_sql(sql)
+        assert isinstance(error.value, SqlError)
+        assert "line 1, column 8)" in str(error.value)
+        with pytest.raises(SqlUnsupportedError):
+            plan_query(sql, build_schema())
+        assert len(parse_sql(sql.replace("distinct ", "")).select) == 1
 
     def test_syntax_errors(self):
         for bad in ("select", "select a from", "select a from R where",
@@ -230,3 +244,39 @@ class TestPlanner:
         group = plan.root
         assert isinstance(group, GroupBy)
         assert {a.output_name for a in group.aggregates} == {"s", "a", "n"}
+
+
+def conjuncts_as_written(sql):
+    """Every WHERE and ON conjunct of ``sql``, spaces dropped, BETWEEN as
+    its two range conditions."""
+    query = parse_sql(sql)
+    written = []
+    for condition in query.where + [c for join in query.joins
+                                    for c in join.condition]:
+        right = condition.right
+        if isinstance(right, tuple) and right[:1] == ("__between__",):
+            column = condition.left
+            written += [f"{column}>={right[1]}", f"{column}<={right[2]}"]
+        else:
+            written.append(str(condition))
+    return [text.replace(" ", "") for text in written]
+
+
+@pytest.mark.parametrize("template", [
+    pytest.param(q, id=f"Q{q.number}") for q in all_queries()
+    if q.sql is not None])
+def test_every_where_and_on_conjunct_lands_in_exactly_one_plan_node(
+        template):
+    """The planner places each conjunct once: none dropped (Q5 lost
+    ``c_nationkey = s_nationkey`` while it kept a cross-relation
+    condition pending only until one of its relations joined), none
+    applied twice."""
+    plan = template.plan(build_tpch_schema(0.002))
+    placed = [{str(basic).replace(" ", "")
+               for basic in condition.basic_conditions()}
+              for node in plan.postorder()
+              for condition in [getattr(node, "predicate", None)
+                                or getattr(node, "condition", None)]
+              if condition is not None]
+    for conjunct in conjuncts_as_written(template.sql):
+        assert sum(conjunct in node for node in placed) == 1, conjunct

@@ -116,8 +116,9 @@ SHRINK_ONLY = {
     "service/workload.py": 627,
 }
 
-#: ``engine/``'s total line count, pinned when tables became columnar.
-ENGINE_LINES = 1646
+#: ``engine/``'s total line count, pinned when tables became columnar
+#: and lowered when π became a bag.
+ENGINE_LINES = 1620
 
 #: What the retired per-layer ratio benches left their name on (spelled
 #: in halves so this file passes its own check) …

@@ -7,10 +7,10 @@ and the ``Executor``, and as the very same text through stdlib sqlite3
 with columns matched by name, because the ``Executor`` emits some
 templates' columns in operand order rather than SELECT order (Q3, Q18).
 
-The templates marked ``xfail(strict=True)`` are the ones the ``Executor``
-answers differently today (ROADMAP item 11: a projection that drops
-duplicate rows, a WHERE conjunct lost when a join is placed); the PR
-that fixes them removes the marks.
+All 17 agree.  Until projection kept every row and the planner kept
+every WHERE conjunct (ROADMAP item 11), seven did not: Q1, Q4, Q12,
+Q13, Q16 and Q18 counted or summed over distinct projected rows, and
+Q5 lost ``c_nationkey = s_nationkey``.
 """
 
 import ast
@@ -25,9 +25,6 @@ from oracles import sqlite_answer as oracle
 
 SCALE, SEED = 0.002, 107
 
-#: Templates whose ``Executor`` answer differs from sqlite's.
-DISAGREE = {1, 4, 5, 12, 13, 16, 18}
-
 TEMPLATES = [query for query in all_queries() if query.sql is not None]
 
 
@@ -41,10 +38,7 @@ def test_seventeen_templates_are_sql():
 
 
 @pytest.mark.parametrize("template", [
-    pytest.param(query, id=f"Q{query.number}", marks=[pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="ROADMAP item 11")]
-        if query.number in DISAGREE else [])
-    for query in TEMPLATES])
+    pytest.param(query, id=f"Q{query.number}") for query in TEMPLATES])
 def test_executor_answers_what_sqlite_answers(database, template):
     schema, data = database
     result = Executor(data.catalog(), udfs=TPCH_UDFS).execute(

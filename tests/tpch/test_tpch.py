@@ -192,12 +192,10 @@ class TestNullBearingData:
             schema,
         )
         result = Executor(sparse.catalog()).execute(plan)
-        # The leaf projection keeps set semantics, so the engine sees
-        # distinct (status, totalprice) pairs — mirror that here.
-        pairs = {
+        pairs = [
             (row["o_orderstatus"], row["o_totalprice"])
             for row in sparse.table("orders").iter_dicts()
-        }
+        ]
         manual: dict[str, list[float]] = {}
         counts: dict[str, int] = {}
         for status, total in pairs:
@@ -224,17 +222,16 @@ class TestNullBearingData:
             schema,
         )
         result = Executor(sparse.catalog()).execute(plan)
-        # Expected values, mirroring the leaves' set semantics: distinct
-        # projected pairs, joined on custkey, SUM skipping NULLs (an
-        # all-NULL customer sums to NULL, not 0).
+        # Expected values: every order joined on custkey, SUM skipping
+        # NULLs (an all-NULL customer sums to NULL, not 0).
         names = {
             row["c_custkey"]: row["c_name"]
             for row in sparse.table("customer").iter_dicts()
         }
-        order_pairs = {
+        order_pairs = [
             (row["o_custkey"], row["o_totalprice"])
             for row in sparse.table("orders").iter_dicts()
-        }
+        ]
         expected: dict[str, object] = {}
         totals: dict[str, list[float]] = {}
         for custkey, total in order_pairs:
