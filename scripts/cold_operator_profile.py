@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Per template and operator class: calls, input rows and ms of a cold round.
+"""Per template and operator class: calls, input rows, ms of a cold round
+and µs per input row (also per class, over all templates).
 
 Builds the UAPenc TPC-H service at scale 0.002, swaps the other dataset in
 before every round (as ``cold_exec`` does, so every fragment executes) and
@@ -95,14 +96,19 @@ def main(rounds: int = 2) -> None:
         for number, sql in sqls.items():
             running[:] = [number]
             service.execute(sql)
-    print("template operator          calls   rows in  ms/round")
+    print("template operator          calls   rows in  ms/round  µs/row")
     totals: Counter = Counter()
+    rows_in: Counter = Counter()
     for (number, operator), (calls, rows, seconds) in sorted(cells.items()):
         totals[operator] += seconds
+        rows_in[operator] += rows
         print(f"Q{number:<8}{operator:18}{calls // rounds:6}"
-              f"{rows // rounds:10}{1000 * seconds / rounds:10.1f}")
+              f"{rows // rounds:10}{1000 * seconds / rounds:10.1f}"
+              f"{per_row(seconds, rows)}")
     for operator, seconds in totals.most_common():
-        print(f"{'all':9}{operator:34}{1000 * seconds / rounds:10.1f}"
+        print(f"{'all':9}{operator:18}{'':6}{rows_in[operator] // rounds:10}"
+              f"{1000 * seconds / rounds:10.1f}"
+              f"{per_row(seconds, rows_in[operator])}"
               f"{100 * seconds / sum(totals.values()):6.1f} %")
     print("template   values sealed det cipher  det paid    opened"
           "  by note 2  (per round)")
@@ -114,6 +120,11 @@ def main(rounds: int = 2) -> None:
             for kind in ("sealed", "det", "paid", "opened", "note 2"))
         print(f"{number if number == 'all' else f'Q{number}':9}"
               f"{sealed:15}{det:11}{paid:10}{opened:10}{note2:11}")
+
+
+def per_row(seconds: float, rows: int) -> str:
+    """µs per input row, right-aligned; a leaf reads no input row."""
+    return f"{1e6 * seconds / rows:8.2f}" if rows else f"{'-':>8}"
 
 
 if __name__ == "__main__":

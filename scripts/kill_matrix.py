@@ -55,6 +55,7 @@ MESSAGES = "repro/distributed/messages.py"
 RSA = "repro/crypto/rsa.py"
 QUOTAS = "repro/gateway/quotas.py"
 CODEC = "repro/engine/codec.py"
+EXPRESSIONS = "repro/engine/expressions.py"
 
 MUTANTS = (
     # The run-time enforcement sites (PR 21).
@@ -248,6 +249,17 @@ MUTANTS = (
            "            keyring.put(names, keystore)\n",
            "a re-keyed run is handed the store of the keys it had before "
            "(the ring keyed on key names and attributes alone)"),
+    # The two shortcuts of the whole-column kernels.
+    Mutant("unique-probe-drops-a-duplicate-build-key", EXECUTOR,
+           "    if len(index) == len(build_keys):\n",
+           "    if True:\n",
+           "_hash_join takes the one-lookup probe on duplicate build keys, "
+           "so each key keeps only its last build row"),
+    Mutant("null-free-check-skipped", EXPRESSIONS,
+           "            if op is not ComparisonOp.NEQ or None not in cells:\n",
+           "            if True:\n",
+           "_column_mask maps operator.ne over a column holding a NULL, "
+           "so <> keeps the rows whose operand is NULL"),
 )
 
 

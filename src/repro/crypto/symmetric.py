@@ -21,7 +21,8 @@ whole columns with one Python-level dispatch.  A seal is one fused
 sweep per value over the cached keyed-HMAC functions — SIV
 (deterministic only), keystream block, XOR, tag — so a value costs the
 format's floor of two HMACs (randomized) or three (deterministic); the
-single-value ``encrypt`` is the same sweep over one value.  Opens verify
+single-value ``encrypt`` is the same sweep over one value.  Both modes
+encode through :func:`~repro.crypto.primitives.encode_many`.  Opens verify
 every tag, then derive the keystreams in one sweep (``_open_many``).
 Randomized IVs for a batch come from a single ``os.urandom`` draw.
 :class:`DeterministicCipher` keeps a bounded equality-aware memo: a
@@ -153,15 +154,14 @@ class RandomizedCipher(_StreamCipher):
         if not count:
             return []
         ivs = primitives.random_bytes(_IV_LEN * count)
-        encode = primitives.encode_value
         enc_key = self._enc_key
         stream = primitives.keyed_hmac(enc_key)
         mac = primitives.keyed_hmac(self._mac_key)
         out: list[bytes] = []
         append = out.append
-        for start, value in zip(range(0, _IV_LEN * count, _IV_LEN), values):
+        for start, encoded in zip(range(0, _IV_LEN * count, _IV_LEN),
+                                  primitives.encode_many(values)):
             iv = ivs[start:start + _IV_LEN]
-            encoded = encode(value)
             size = len(encoded)
             pad = stream(iv + _FIRST_BLOCK)[:size] if size <= _BLOCK \
                 else primitives.keystream(enc_key, iv, size)
@@ -203,15 +203,13 @@ class DeterministicCipher(_StreamCipher):
         """Bulk :meth:`encrypt`: a memoized plaintext is a dict hit, any
         other is one fused sweep — SIV, keystream block, XOR, tag."""
         memo = self._encrypt_memo
-        encode = primitives.encode_value
         enc_key = self._enc_key
         siv = primitives.keyed_hmac(self._siv_key)
         stream = primitives.keyed_hmac(enc_key)
         mac = primitives.keyed_hmac(self._mac_key)
         out: list[bytes] = []
         append = out.append
-        for value in values:
-            encoded = encode(value)
+        for encoded in primitives.encode_many(values):
             token = memo.get(encoded)
             if token is None:
                 iv = siv(encoded)[:_IV_LEN]

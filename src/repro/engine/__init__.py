@@ -10,16 +10,14 @@ NULL semantics
 SQL NULL is represented as Python ``None`` and follows the SQL standard
 throughout the engine:
 
-* *ordered* comparisons (``<``, ``<=``, ``>``, ``>=``) with a NULL
-  operand are UNKNOWN and collapse to False in filters
-  (``compare_plain`` short-circuits them); equality and inequality
-  keep the seed engine's Python semantics — ``NULL = NULL`` matches,
-  ``NULL <> x`` holds — and hash-join keys group NULL with NULL.
-  ``NULL LIKE p`` is UNKNOWN (False).  A comparison between NULL and a
-  ciphertext is not a representation mix (Encrypt passes NULL through
-  unencrypted) and mirrors the plaintext NULL semantics — only ``<>``
-  holds — so encrypted and plaintext plans agree.  Strict three-valued
-  equality end to end is a ROADMAP open item;
+* a comparison with a NULL operand is UNKNOWN and a filter drops it:
+  ``=``, ``<>``, the orders, ``IN`` and ``LIKE`` alike, in σ, a
+  hash-join key (a NULL key matches nothing, not even a NULL one) and a
+  join residual.  NULL against a ciphertext is not a representation
+  mix (Encrypt passes NULL through unencrypted) and is UNKNOWN too, so
+  encrypted and plaintext plans agree, and sqlite agrees with both
+  (``tests/tpch/test_sqlite_answer.py``).  GROUP BY groups NULL with
+  NULL, as SQL does;
 * aggregates *skip* NULLs: ``COUNT(attr)`` counts only non-NULL values
   (``COUNT(*)`` counts rows), and ``SUM``/``AVG``/``MIN``/``MAX`` over an
   all-NULL group return NULL instead of raising or returning 0;
@@ -40,7 +38,8 @@ column holds is taken once per column from it.  π and rename share the
 columns they keep; σ (a column kernel,
 :func:`~repro.engine.expressions.compile_predicate`), ⋈ (hash
 build/probe on the smaller operand) and γ gather each column by a list
-of row indices; Encrypt and Decrypt swap one column.  The codec
+of row indices and decide in one C-level pass per column, not one
+Python call per row; Encrypt and Decrypt swap one column.  The codec
 (:mod:`repro.engine.codec`) checks a column once and leaves the
 scheme's work to :meth:`~repro.crypto.keymanager.KeyMaterial.seal` /
 ``open``.  A sealed column (:class:`SealedColumn`) holds raw tokens and

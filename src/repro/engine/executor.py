@@ -11,11 +11,15 @@ runs end to end and produces the same answers as its plaintext original.
 Every operator works on columns (:class:`~repro.engine.table.Table`):
 π and rename pick columns; σ, ⋈ and γ compute row indices and gather
 each column by them in one C-level pass; Encrypt and Decrypt swap one
-column at a time.  Joins hash the smaller operand on every equality
-conjunct and test only the residual conjuncts on the matched pairs;
-selections are column kernels over a selection vector
-(:func:`~repro.engine.expressions.compile_predicate`).  An executor
-holds no results (the distributed runtime memoizes whole fragments).
+column at a time.  σ is a column kernel over a selection vector
+(:func:`~repro.engine.expressions.compile_predicate`).  ⋈ hashes the
+smaller operand on its equality conjuncts — a NULL key matches nothing,
+and when every build key is unique the pairs come out of one lookup
+map over the probe keys — then tests the residual conjuncts on the
+pairs.  γ gathers each aggregated column once, group after group, and
+folds every group in one map; only a column holding a NULL is filtered
+group by group.  An executor holds no results (the distributed runtime
+memoizes whole fragments).
 
 Encrypt states the representation read from the column
 :func:`~repro.engine.codec.encrypt_column` returned: a column sealed
@@ -41,8 +45,8 @@ carry the attribute implicit-plaintext past Def. 4.1.
 from __future__ import annotations
 
 from functools import partial
-from itertools import compress
-from operator import itemgetter
+from itertools import accumulate, chain, compress, repeat
+from operator import is_not, itemgetter
 from typing import Callable, Mapping, Sequence
 
 from repro.core.operators import (
@@ -242,17 +246,19 @@ class Executor:
         if not len(child) and not group_columns:
             # SQL standard: a global aggregate over an empty input yields
             # one row — COUNT is 0, every other aggregate is NULL.
-            output = tuple(
+            return Table("γ", out_columns, [tuple(
                 0 if a.function is AggregateFunction.COUNT else None
-                for a in node.aggregates
-            )
-            return Table("γ", out_columns, [output])
+                for a in node.aggregates)])
 
         groups = list(_buckets(_keys(child, group_columns)).values())
         firsts = [members[0] for members in groups]
         positions = child.positions(group_columns)
         data = [gather(child.data[p], firsts) for p in positions]
         kinds = [child.representations[p] for p in positions]
+        # An aggregated column is gathered once, group g at spans[g].
+        order = list(chain.from_iterable(groups))
+        bounds = list(accumulate(map(len, groups), initial=0))
+        spans = list(map(slice, bounds, bounds[1:]))
         # The group columns carry their representation; each aggregate's
         # is born here.
         for aggregate in node.aggregates:
@@ -261,11 +267,9 @@ class Executor:
                 kinds.append(PLAINTEXT if groups else None)
                 continue
             position = child.column_position(aggregate.attribute)
-            column = child.data[position]
             kind = child.representations[position]
-            cells = [_aggregate(aggregate.function, kind,
-                                gather(column, members))
-                     for members in groups]
+            cells = _aggregate(aggregate.function, kind,
+                               gather(child.data[position], order), spans)
             if is_sealed(kind) and aggregate.function in _ORDER:
                 # OPE min/max: tokens of the column's own key.
                 cells = as_column(kind, cells)
@@ -354,30 +358,42 @@ def _hash_join(left: Table, right: Table,
     build_is_left = len(left) <= len(right)
     if not build_is_left:
         build, probe = probe, build
-    buckets = _buckets(_keys(*build))
+    build_keys = _keys(*build)
     probe_keys = _keys(*probe)
-    # Incomparable key representations can never hash-collide
-    # (different-key group keys never match, plaintext never matches
-    # a token), so a hash join would silently return no matches
-    # where evaluating σ_C(L×R) raises when it reaches such a pair:
-    # refuse them — slightly eager versus σ_C(L×R)'s conjunct
-    # short-circuiting, but refusing loudly beats a silently empty
-    # result.
+    # Keys of two representations never collide, so hashing would return
+    # nothing where σ_C(L×R) raises on such a pair: refuse them up front.
     for l, r in equalities:
         kinds = [left.representation(l), right.representation(r)]
         if None not in kinds and kinds[0] != kinds[1]:
             raise ExecutionError(
                 f"join condition {l}={r} compares incompatible value "
-                f"representations: {sorted(map(str, kinds))}"
-            )
-    built: list[int] = []
-    probed: list[int] = []
-    for index, key in enumerate(probe_keys):
-        matches = buckets.get(key)
-        if matches:
-            built += matches
-            probed += [index] * len(matches)
+                f"representations: {sorted(map(str, kinds))}")
+    # A NULL key equals nothing: none is built, so none is found.
+    composite = len(equalities) > 1
+    index = dict(zip(build_keys, range(len(build_keys))))
+    if len(index) == len(build_keys):
+        # Every build key unique: at most one match per probe row, so
+        # the pairs come straight out of one lookup map.
+        _drop_null_keys(index, composite)
+        found = list(map(index.get, probe_keys))
+        hit = list(map(is_not, found, repeat(None)))
+        built = list(compress(found, hit))
+        probed = list(compress(range(len(found)), hit))
+    else:
+        buckets = _drop_null_keys(_buckets(build_keys), composite)
+        built, probed = [], []
+        for row, matches in enumerate(map(buckets.get, probe_keys)):
+            if matches:
+                built += matches
+                probed += [row] * len(matches)
     return (built, probed) if build_is_left else (probed, built)
+
+
+def _drop_null_keys(index: dict, composite: bool) -> dict:
+    """``index`` without the keys holding a NULL, which equals nothing."""
+    for key in [key for key in index if None in key] if composite else [None]:
+        index.pop(key, None)
+    return index
 
 
 def _residual(basic: AttributeComparisonPredicate, left: Table,
@@ -397,31 +413,31 @@ def _residual(basic: AttributeComparisonPredicate, left: Table,
             list(compress(right_indices, mask)))
 
 
-def _aggregate(function: AggregateFunction, kind: object,
-               values: Sequence[object]) -> object:
-    """One aggregate over one group's ``values`` of a column stated
-    ``kind``.
+#: A plaintext aggregate over one group's non-NULL cells.
+_PLAIN_FOLDS = {AggregateFunction.SUM: sum, AggregateFunction.MIN: min,
+                AggregateFunction.MAX: max,
+                AggregateFunction.AVG: lambda cells: sum(cells) / len(cells)}
 
-    SQL NULL semantics: aggregates skip NULLs; COUNT(attr) counts the
-    non-NULL values; every other aggregate over an all-NULL (or empty)
-    group is NULL.
-    """
-    non_null = [v for v in values if v is not None]
+
+def _aggregate(function: AggregateFunction, kind: object,
+               column: Sequence[object], spans: list[slice]) -> list:
+    """One aggregate of a column stated ``kind`` over each group, whose
+    cells are the span of ``column`` it names, in row order.
+
+    SQL NULL semantics: aggregates skip NULLs, so COUNT(attr) counts the
+    non-NULL values and any other aggregate of an all-NULL group is
+    NULL; only a column holding a NULL is filtered group by group."""
+    groups = list(map(column.__getitem__, spans))
+    nulls = None in column
+    if nulls:
+        groups = [[v for v in cells if v is not None] for cells in groups]
     if function is AggregateFunction.COUNT:
-        return len(non_null)
-    if not non_null:
-        return None
-    if isinstance(kind, tuple):
-        return _aggregate_encrypted(function, kind, non_null)
-    if function is AggregateFunction.SUM:
-        return sum(non_null)  # type: ignore[arg-type]
-    if function is AggregateFunction.AVG:
-        return sum(non_null) / len(non_null)  # type: ignore[arg-type]
-    if function is AggregateFunction.MIN:
-        return min(non_null)  # type: ignore[type-var]
-    if function is AggregateFunction.MAX:
-        return max(non_null)  # type: ignore[type-var]
-    raise ExecutionError(f"unsupported aggregate {function}")
+        return list(map(len, groups))
+    fold = partial(_aggregate_encrypted, function, kind) \
+        if isinstance(kind, tuple) else _PLAIN_FOLDS[function]
+    if nulls:
+        return [fold(cells) if cells else None for cells in groups]
+    return list(map(fold, groups))
 
 
 def _aggregate_encrypted(function: AggregateFunction,
@@ -433,15 +449,13 @@ def _aggregate_encrypted(function: AggregateFunction,
     if function in _ORDER:
         if scheme is not EncryptionScheme.OPE:
             raise ExecutionError(
-                f"min/max over {scheme} ciphertexts is not supported"
-            )
+                f"min/max over {scheme} ciphertexts is not supported")
         pick = min if function is AggregateFunction.MIN else max
         return pick(tokens, key=itemgetter(0))  # (token, recovery)
     if function in (AggregateFunction.SUM, AggregateFunction.AVG):
         if scheme is not EncryptionScheme.PAILLIER:
             raise ExecutionError(
-                f"sum/avg over {scheme} ciphertexts is not supported"
-            )
+                f"sum/avg over {scheme} ciphertexts is not supported")
         # PaillierCiphertext.__radd__ folds sum()'s integer 0 start
         # value to identity, so the whole group adds in one builtin.
         return EncryptedAggregate(

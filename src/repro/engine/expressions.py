@@ -15,7 +15,10 @@ the rows conjuncts 1…*k*−1 kept — and each one extracts its column
 once and decides how to compare once, from the representation the
 table states for the column (:attr:`~repro.engine.table.Table.representations`):
 
-* plaintext: one pass with the bound operator;
+* plaintext: one C-level pass (:func:`_column_mask`): the bound
+  operator mapped, ``IN`` one set-membership map, ``LIKE`` its compiled
+  regex mapped — a column that pass cannot take goes cell by cell
+  through :func:`compare_plain`, the per-value reference;
 * tokens the scheme can compare (:data:`_TOKEN_OPS`), with the
   constant's key in the *encryptor's* store: the constant is encrypted
   once and the column's raw tokens are compared in one pass;
@@ -26,17 +29,15 @@ table states for the column (:attr:`~repro.engine.table.Table.representations`):
   and the plaintexts are kept for later conjuncts on the same column.
   Without the key the selection raises.
 
-A NULL cell has no representation and compares as a plaintext NULL
-does: against a ciphertext, only ≠ holds.  A column the evaluator sealed
-itself one node below never gets here: the executor filters first, on
-the plaintext (``executor.physical_step`` and its two preconditions).
-The kernel returns the surviving row indices; the executor gathers
-each column by them.
-
-Join residuals, and a column compared with one of Figure 8's
-pre-encrypted constants, compare values one at a time
-(:func:`compile_comparison`): a sealed cell leaves its column as an
-:class:`~repro.engine.values.EncryptedValue` there.
+A NULL operand satisfies no comparison, ``<>`` included, on every
+path — plaintext, token or ciphertext, column or pair (SQL's UNKNOWN,
+which a filter drops).  A column the evaluator sealed itself one node
+below never gets here: the executor filters first, on the plaintext
+(``executor.physical_step``).  The kernel returns the surviving row
+indices; the executor gathers each column by them.  Join residuals and
+Figure 8's pre-encrypted constants compare one pair at a time
+(:func:`compile_comparison`), a sealed cell as an
+:class:`~repro.engine.values.EncryptedValue`.
 """
 
 from __future__ import annotations
@@ -67,61 +68,45 @@ ColumnDecryptor = Callable[[KeyMaterial, Sequence], list]
 #: A sealed column's stated representation: (key name, scheme).
 Kind = tuple[str, EncryptionScheme]
 
-#: Order comparisons short-circuit to False on NULL operands (SQL
-#: three-valued logic collapses UNKNOWN to False in a filter).
-_ORDERED_OPS: dict[ComparisonOp, Callable[[object, object], bool]] = {
-    ComparisonOp.LT: _operator.lt,
-    ComparisonOp.LE: _operator.le,
-    ComparisonOp.GT: _operator.gt,
-    ComparisonOp.GE: _operator.ge,
+#: ``=``, ``<>`` and the four orders, as the kernels bind them.
+_BINARY: dict[ComparisonOp, Callable[[object, object], bool]] = {
+    ComparisonOp.EQ: _operator.eq, ComparisonOp.NEQ: _operator.ne,
+    ComparisonOp.LT: _operator.lt, ComparisonOp.LE: _operator.le,
+    ComparisonOp.GT: _operator.gt, ComparisonOp.GE: _operator.ge,
 }
-
-_EXACT_OPS: dict[ComparisonOp, Callable[[object, object], bool]] = {
-    ComparisonOp.EQ: _operator.eq,
-    ComparisonOp.NEQ: _operator.ne,
-}
+_ORDERED = frozenset(_BINARY) - {ComparisonOp.EQ, ComparisonOp.NEQ}
+_COLLECTIONS = (tuple, list, set, frozenset)
 
 #: What can be decided on two tokens of a scheme alone (either scheme
 #: also serves ``IN`` against a collection constant: set membership of
 #: the token).  Everything else needs the plaintext.
 _TOKEN_OPS: dict[EncryptionScheme, frozenset[ComparisonOp]] = {
-    EncryptionScheme.DETERMINISTIC: frozenset(_EXACT_OPS),
-    EncryptionScheme.OPE: frozenset(_EXACT_OPS) | frozenset(_ORDERED_OPS),
+    EncryptionScheme.DETERMINISTIC: frozenset(_BINARY) - _ORDERED,
+    EncryptionScheme.OPE: frozenset(_BINARY),
 }
 
 
-def _compare_ordered(fn: Callable[[object, object], bool],
-                     left: object, right: object) -> bool:
-    """Ordered comparison with the NULL guard — the single source of
-    truth for ``<``/``<=``/``>``/``>=`` over plaintext values."""
+def compare_plain(left: object, op: ComparisonOp, right: object) -> bool:
+    """Comparison of two plaintext values, the reference the column
+    kernels answer as: a NULL operand satisfies none (SQL's UNKNOWN,
+    which a filter drops)."""
+    if op is ComparisonOp.IN:
+        if not isinstance(right, _COLLECTIONS):
+            raise ExecutionError("IN requires a collection right operand")
+        return left is not None and left in right
     if left is None or right is None:
         return False
-    try:
-        return fn(left, right)
-    except TypeError as error:
-        raise ExecutionError(f"incomparable values: {error}") from None
-
-
-def compare_plain(left: object, op: ComparisonOp, right: object) -> bool:
-    """Comparison of two plaintext values."""
-    if op is ComparisonOp.EQ:
-        return left == right
-    if op is ComparisonOp.NEQ:
-        return left != right
     if op is ComparisonOp.LIKE:
-        if left is None or right is None:
-            return False  # NULL LIKE p is UNKNOWN
         if not isinstance(left, str) or not isinstance(right, str):
             raise ExecutionError("LIKE requires string operands")
         return _like_regex(right).match(left) is not None
-    if op is ComparisonOp.IN:
-        if not isinstance(right, (tuple, list, set, frozenset)):
-            raise ExecutionError("IN requires a collection right operand")
-        return left in right
-    ordered = _ORDERED_OPS.get(op)
-    if ordered is not None:
-        return _compare_ordered(ordered, left, right)
-    raise ExecutionError(f"unsupported operator {op}")
+    compare = _BINARY.get(op)
+    if compare is None:
+        raise ExecutionError(f"unsupported operator {op}")
+    try:
+        return compare(left, right)
+    except TypeError as error:
+        raise ExecutionError(f"incomparable values: {error}") from None
 
 
 @lru_cache(maxsize=256)
@@ -131,34 +116,52 @@ def _like_regex(pattern: str) -> "re.Pattern[str]":
         "^" + re.escape(pattern).replace("%", ".*").replace("_", ".") + "$")
 
 
-def _plain_mask(op: ComparisonOp, lefts: Sequence[object],
-                rights) -> list[bool]:
-    """:func:`compare_plain` down two plaintext columns, operator bound
-    once (``rights`` may be ``repeat(constant)``)."""
-    exact = _EXACT_OPS.get(op)
-    if exact is not None:
-        return list(map(exact, lefts, rights))
-    ordered = _ORDERED_OPS.get(op)
-    if ordered is None:
-        return [compare_plain(left, op, right)
-                for left, right in zip(lefts, rights)]
+def _column_mask(op: ComparisonOp, cells: Sequence[object],
+                 constant: object) -> list[bool]:
+    """:func:`compare_plain` of each cell against ``constant`` in one
+    C-level pass: the operator mapped (``<>`` over a column checked
+    NULL-free once; an order raises on a NULL itself), ``IN`` one set
+    lookup map, ``LIKE`` its regex mapped.  A column that pass cannot
+    take goes through :func:`compare_plain` cell by cell."""
+    compare = _BINARY.get(op)
     try:
-        return [left is not None and right is not None
-                and ordered(left, right)
-                for left, right in zip(lefts, rights)]
-    except TypeError as error:
-        raise ExecutionError(f"incomparable values: {error}") from None
+        if compare is not None and constant is not None:
+            if op is not ComparisonOp.NEQ or None not in cells:
+                return list(map(compare, cells, repeat(constant)))
+        elif op is ComparisonOp.IN and isinstance(constant, _COLLECTIONS):
+            members = frozenset(constant).difference((None,))
+            return list(map(members.__contains__, cells))
+        elif op is ComparisonOp.LIKE and isinstance(constant, str):
+            return list(map(bool, map(_like_regex(constant).match, cells)))
+    except TypeError:
+        pass
+    return list(map(compare_plain, cells, repeat(op), repeat(constant)))
+
+
+def _pair_mask(op: ComparisonOp, lefts: Sequence[object],
+               rights: Sequence[object]) -> list[bool]:
+    """:func:`compare_plain` down two plaintext columns: the bound
+    operator mapped in one C-level pass over an order, or over ``=`` and
+    ``<>`` when neither column holds a NULL; otherwise cell by cell."""
+    compare = _BINARY.get(op)
+    if compare is not None and (op in _ORDERED or None not in lefts
+                                and None not in rights):
+        try:
+            return list(map(compare, lefts, rights))
+        except TypeError:
+            pass
+    return list(map(compare_plain, lefts, repeat(op), rights))
 
 
 def compare_encrypted(left: EncryptedValue, op: ComparisonOp,
                       right: EncryptedValue) -> bool:
     """Comparison of two encrypted tokens, capability-checked."""
-    compare = _EXACT_OPS.get(op) or _ORDERED_OPS.get(op)
+    compare = _BINARY.get(op)
     if compare is None:
         raise ExecutionError(
             f"operator {op} is not supported on encrypted values")
     left.require_comparable(right)
-    if op in _ORDERED_OPS and left.scheme is not EncryptionScheme.OPE:
+    if op in _ORDERED and left.scheme is not EncryptionScheme.OPE:
         raise ExecutionError(
             "order comparison requires order-preserving encryption")
     return compare(left.token, right.token)
@@ -167,34 +170,23 @@ def compare_encrypted(left: EncryptedValue, op: ComparisonOp,
 @lru_cache(maxsize=None)
 def compile_comparison(op: ComparisonOp,
                        ) -> Callable[[object, object], bool]:
-    """The comparator of one operator, on plaintext or encrypted values.
-
-    The returned two-argument comparator still dispatches on the *values*
-    (a column may hold encrypted tokens), but the operator resolution —
-    the long ``if op is ...`` chain — happens once, at compile time.
-    """
-    exact = _EXACT_OPS.get(op)
-    ordered = _ORDERED_OPS.get(op)
+    """The comparator of one operator, on plaintext or encrypted values,
+    one pair at a time: a NULL operand satisfies no comparison, also
+    against a ciphertext."""
 
     def compare(left: object, right: object) -> bool:
         if isinstance(left, EncryptedValue):
             if isinstance(right, EncryptedValue):
                 return compare_encrypted(left, op, right)
         elif not isinstance(right, EncryptedValue):
-            if exact is not None:
-                return exact(left, right)
-            if ordered is not None:
-                return _compare_ordered(ordered, left, right)
             return compare_plain(left, op, right)
         # NULL vs a ciphertext is not a representation mix (Encrypt
-        # passes NULL through); mirror the plaintext NULL semantics so
-        # encrypted and plaintext plans agree: only ≠ holds.
+        # passes NULL through); it is UNKNOWN, as against a plaintext.
         if left is None or right is None:
-            return op is ComparisonOp.NEQ
+            return False
         raise ExecutionError(
             "comparison mixes plaintext and encrypted values; the plan is "
-            "missing an encryption or decryption step"
-        )
+            "missing an encryption or decryption step")
 
     return compare
 
@@ -227,17 +219,14 @@ class ConstantEncryptor:
         key_name, scheme = kind
         if not self.holds(key_name):
             raise ExecutionError(
-                f"cannot encrypt constant: no key {key_name} held"
-            )
+                f"cannot encrypt constant: no key {key_name} held")
         if scheme not in _TOKEN_OPS:
             raise ExecutionError(
-                f"constants cannot be compared under {scheme}"
-            )
+                f"constants cannot be compared under {scheme}")
         material = self._keystore.material(key_name)
         if material.symmetric is None:
             raise ExecutionError(
-                f"key {material.name} lacks symmetric material"
-            )
+                f"key {material.name} lacks symmetric material")
         # Memoized per-material cipher: the subkeys derive once and the
         # deterministic/OPE memos are shared with the column kernels.
         if scheme is EncryptionScheme.DETERMINISTIC:
@@ -281,8 +270,7 @@ def compile_predicate(predicate: Predicate, columns: tuple[str, ...],
         for attribute in basic.attributes():
             if attribute not in positions:
                 raise ExecutionError(
-                    f"predicate references missing column {attribute!r}"
-                )
+                    f"predicate references missing column {attribute!r}")
         if isinstance(basic, AttributeValuePredicate):
             conjuncts.append(_value_conjunct(
                 basic, positions[basic.attribute], encryptor))
@@ -385,7 +373,7 @@ def _value_conjunct(basic: AttributeValuePredicate, position: int,
         kind = survivors.kinds[position]
         if not is_sealed(kind) or cells.count(None) == len(cells):
             # plaintext, aggregates or no value left
-            return _plain_mask(op, cells, repeat(constant))
+            return _column_mask(op, cells, constant)
         key_name, scheme = kind  # type: ignore[misc]
         token_ops = _TOKEN_OPS.get(scheme)
         if token_ops is not None and (in_collection or op in token_ops) \
@@ -394,13 +382,11 @@ def _value_conjunct(basic: AttributeValuePredicate, position: int,
             if in_collection:
                 matched = encryptor.match_tokens(
                     kind, tuple(constant))  # type: ignore[arg-type]
-                return [token in matched for token in tokens]
-            return _plain_mask(
-                op, tokens,
-                repeat(encryptor.match_constant(kind, constant).token))
-        return _plain_mask(
-            op, survivors.plaintext(position, survivors.alive),
-            repeat(constant))
+                return list(map(matched.__contains__, tokens))
+            return _column_mask(
+                op, tokens, encryptor.match_constant(kind, constant).token)
+        return _column_mask(
+            op, survivors.plaintext(position, survivors.alive), constant)
 
     return conjunct
 
@@ -416,12 +402,12 @@ def _attribute_conjunct(basic: AttributeComparisonPredicate,
         sealed = [is_sealed(kind) for kind in kinds]
         if all(sealed) and kinds[0] == kinds[1] \
                 and op in _TOKEN_OPS.get(kinds[0][1], ()):  # type: ignore
-            return _plain_mask(op, *(
+            return _pair_mask(op, *(
                 _comparable(kind, survivors.column(position))
                 for kind, position in zip(kinds, positions)))
-        if not (any(sealed) or op in _ORDERED_OPS
+        if not (any(sealed) or op in _ORDERED
                 and any(isinstance(kind, tuple) for kind in kinds)):
-            return _plain_mask(op, *map(survivors.column, positions))
+            return _pair_mask(op, *map(survivors.column, positions))
         # Note 2 for whichever side is not plaintext already, on the
         # rows where both cells hold a value (an aggregate alone asks
         # for it only where plaintext would not compare either: order).
@@ -436,6 +422,6 @@ def _attribute_conjunct(basic: AttributeComparisonPredicate,
                     plain = survivors.plaintext(position, indices)
                     for offset, value in zip(paired, plain):
                         side[offset] = value
-        return _plain_mask(op, *sides)
+        return _pair_mask(op, *sides)
 
     return conjunct

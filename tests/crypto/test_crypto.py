@@ -2,7 +2,7 @@
 
 import hashlib
 import hmac
-from datetime import date
+from datetime import date, datetime
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +42,39 @@ class TestEncoding:
     def test_unsupported_type(self):
         with pytest.raises(CryptoError):
             primitives.encode_value(object())
+
+
+class _Text(str):
+    """A ``str`` subclass: no exact-type encoder, so the chain's."""
+
+
+class TestEncodeMany:
+    """A seal encodes through a table keyed by each value's exact type;
+    it must hand out ``encode_value``'s bytes for every supported type,
+    subclasses, ``bool``, ``-0.0``, extreme ints and NULL included."""
+
+    @given(st.lists(st.one_of(
+        VALUES, st.none(), st.booleans(), st.binary(max_size=40),
+        st.integers(-(2**63), 2**63 - 1), st.just(-0.0),
+        st.floats(allow_nan=False), st.builds(_Text, st.text(max_size=8)),
+        st.datetimes(min_value=datetime(1900, 1, 1)),
+    ), max_size=8))
+    @settings(max_examples=80)
+    def test_encode_many_is_encode_value(self, values):
+        assert primitives.encode_many(values) \
+            == [primitives.encode_value(value) for value in values]
+
+    @pytest.mark.parametrize("out_of_range", [2**63, -(2**63) - 1])
+    def test_an_out_of_range_int_still_raises(self, out_of_range):
+        with pytest.raises(CryptoError, match="out of encodable range"):
+            primitives.encode_many([1, "a", out_of_range])
+        for cipher in (DeterministicCipher(KEY), RandomizedCipher(KEY)):
+            with pytest.raises(CryptoError, match="out of encodable range"):
+                cipher.encrypt_many([1, out_of_range])
+
+    def test_an_unsupported_type_still_raises(self):
+        with pytest.raises(CryptoError, match="unsupported value type"):
+            primitives.encode_many([1, object()])
 
 
 class TestPrf:

@@ -150,7 +150,8 @@ class TestEncryptedNullSkipping:
         # Encrypt passes NULL through, so comparisons may legitimately
         # see (None, EncryptedValue) pairs.  They must not raise, and
         # they must answer exactly like plaintext NULL comparisons so
-        # extended plans agree with their originals: only ≠ holds.
+        # extended plans agree with their originals: none holds, ≠
+        # included (SQL's UNKNOWN; ≠ held here until sqlite judged it).
         from repro.engine import compile_comparison
         from repro.core.predicates import ComparisonOp
 
@@ -162,7 +163,7 @@ class TestEncryptedNullSkipping:
             plain_want = compile_comparison(op)(None, 1)
             assert compile_comparison(op)(None, token) is plain_want
             assert compile_comparison(op)(token, None) is plain_want
-        assert compile_comparison(ComparisonOp.NEQ)(None, token) is True
+        assert compile_comparison(ComparisonOp.NEQ)(None, token) is False
 
     def test_like_over_null_is_unknown(self):
         from repro.core.predicates import AttributeValuePredicate, ComparisonOp

@@ -1,11 +1,10 @@
 """The join by its definition: ``σ_C(L × R)``, one predicate per pair.
 
 Every pair of the operands' ``rows`` views is tested against every
-conjunct of the condition, with this module's own comparison: ordered
-comparisons (``<``, ``<=``, ``>``, ``>=``) with a NULL operand are
-UNKNOWN, so the pair fails; ``=`` and ``<>`` keep the engine's
-documented Python semantics (``NULL = NULL`` holds, a NULL against a
-ciphertext satisfies only ``<>``).  Two ciphertexts compare only under
+conjunct of the condition, with this module's own comparison: any
+comparison with a NULL operand — ``=`` and ``<>`` too, against a
+plaintext or a ciphertext — is UNKNOWN, so the pair fails, as in SQL.
+Two ciphertexts compare only under
 one key and scheme that supports the operator — equality for
 DETERMINISTIC and OPE tokens, order for OPE — and by their tokens; a
 ciphertext against a plaintext, or any other pair, raises.  Nothing here
@@ -38,10 +37,10 @@ _TOKEN_OPS = {
 
 def holds(op: ComparisonOp, left: object, right: object) -> bool:
     """Whether ``left op right`` is TRUE (UNKNOWN and FALSE are not)."""
+    if left is None or right is None:
+        return False
     encrypted = [isinstance(side, EncryptedValue) for side in (left, right)]
     if any(encrypted):
-        if left is None or right is None:
-            return op is ComparisonOp.NEQ
         if not all(encrypted):
             raise ExecutionError("a ciphertext compared with a plaintext")
         if (left.key_name, left.scheme) != (right.key_name, right.scheme):
@@ -49,8 +48,6 @@ def holds(op: ComparisonOp, left: object, right: object) -> bool:
         if op not in _TOKEN_OPS.get(left.scheme, ()):
             raise ExecutionError(f"{left.scheme} tokens cannot do {op}")
         return _OPS[op](left.token, right.token)
-    if op not in _EQUALITY and (left is None or right is None):
-        return False
     return _OPS[op](left, right)
 
 

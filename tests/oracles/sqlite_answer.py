@@ -36,21 +36,33 @@ def sqlite_answer(tables: Mapping[str, object], sql: str) -> Answer:
     A table is anything with a ``columns`` sequence that iterates its
     rows as tuples.
     """
-    connection = sqlite3.connect(":memory:")
+    connection = load(tables)
     try:
-        connection.execute("pragma case_sensitive_like = on")
-        for name, table in tables.items():
-            columns = ", ".join(f'"{column}"' for column in table.columns)
-            marks = ", ".join("?" * len(table.columns))
-            connection.execute(f'create table "{name}" ({columns})')
-            connection.executemany(
-                f'insert into "{name}" values ({marks})',
-                (tuple(map(_stored, row)) for row in table))
-        cursor = connection.execute(_DATE_LITERAL.sub("'", sql))
-        names = tuple(column[0] for column in cursor.description)
-        return names, cursor.fetchall()
+        return answer(connection, sql)
     finally:
         connection.close()
+
+
+def load(tables: Mapping[str, object]) -> sqlite3.Connection:
+    """A fresh in-memory database holding ``tables``, for :func:`answer`
+    to run any number of statements over; the caller closes it."""
+    connection = sqlite3.connect(":memory:")
+    connection.execute("pragma case_sensitive_like = on")
+    for name, table in tables.items():
+        columns = ", ".join(f'"{column}"' for column in table.columns)
+        marks = ", ".join("?" * len(table.columns))
+        connection.execute(f'create table "{name}" ({columns})')
+        connection.executemany(
+            f'insert into "{name}" values ({marks})',
+            (tuple(map(_stored, row)) for row in table))
+    return connection
+
+
+def answer(connection: sqlite3.Connection, sql: str) -> Answer:
+    """``sql``'s answer over a database :func:`load` built."""
+    cursor = connection.execute(_DATE_LITERAL.sub("'", sql))
+    return tuple(column[0] for column in cursor.description), \
+        cursor.fetchall()
 
 
 def answer_difference(expected: Answer, actual: Answer) -> str | None:

@@ -6,7 +6,11 @@ the ``rows`` view of every operator's result equals
 ``oracles.row_table`` on the same rows: π (a bag, also onto no column
 of its input), a leaf's projection,
 σ, ×, ⋈ with a residual conjunct, γ, and Encrypt followed by Decrypt.
-Where one raises, so must the other.  And Encrypt refuses a column its
+Where one raises, so must the other.  The plaintext kernels are drawn
+on what each of their branches decides on: NULL-free and NULL-bearing
+columns, ``True`` beside ``1`` and ``1.0``, an unhashable cell under
+``IN`` and a non-string under ``LIKE``, unique, duplicate and NULL
+build keys (one or two key columns), and one-row groups.  And Encrypt refuses a column its
 ``encrypt_column`` hands back sealed under another key or scheme,
 holding what are not its scheme's tokens, or mixing sealed and
 plaintext cells.
@@ -203,3 +207,102 @@ def test_encrypt_refuses_what_a_faulty_codec_returns(scheme, fault, values,
         with pytest.raises(ExecutionError):
             Executor({"R": table}, keystore=KeyStore([material])).execute(
                 Encrypt(BaseRelationNode(R), {"a"}))
+
+
+#: Plaintext cells the kernels' branches tell apart: ``True``, ``1`` and
+#: ``1.0`` (equal and hashed alike), another float, an unhashable list.
+NUMBERS = [True, False, 0, 1, 1.0, 2, 2.5]
+WORDS = ["", "a", "ab", "ba", "b_"]
+
+
+@st.composite
+def plain_tables(draw, relation, domain, unique=None):
+    """(rows, table) of plaintext ``domain`` cells, NULL-free or not; the
+    first column holds distinct values when ``unique``, and some rows
+    repeat when not (drawn when not given)."""
+    cells = st.sampled_from(domain)
+    if draw(st.booleans()):
+        cells = st.one_of(st.none(), cells)
+    width = len(relation.attribute_names)
+    rows = draw(st.lists(st.tuples(*[cells] * width), max_size=5))
+    if unique if unique is not None else draw(st.booleans()):
+        rows = list({row[0]: row for row in rows}.values())
+    elif rows:
+        rows += draw(st.lists(st.sampled_from(rows), min_size=1,
+                              max_size=3))
+    return rows, Table(relation.name, relation.attribute_names, rows)
+
+
+@given(plain_tables(R, NUMBERS + [[1]], unique=False),
+       st.sampled_from(["a", "b"]), st.sampled_from(NUMBERS),
+       st.sampled_from(NUMBERS + WORDS))
+@settings(max_examples=50, deadline=None)
+def test_plaintext_kernels_keep_what_the_row_closure_keeps(
+        case, attribute, value, other):
+    rows, table = case
+    for op in ComparisonOp:
+        constant = {ComparisonOp.IN: (value, other),
+                    ComparisonOp.LIKE: other}.get(op, value)
+        predicate = AttributeValuePredicate(attribute, op, constant)
+        agree(Selection(BaseRelationNode(R), predicate), {"R": table},
+              lambda: row_table.select(table.columns, rows, predicate,
+                                       ConstantEncryptor(ALL), ALL))
+
+
+@given(plain_tables(R, WORDS), st.sampled_from(["a%", "%a", "_", "%"]),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_like_maps_its_regex_as_the_row_closure_matches(case, pattern,
+                                                       stray):
+    rows, table = case
+    if stray and rows:  # a number among the words: LIKE raises
+        rows = rows[:-1] + [(3,) + rows[-1][1:]]
+        table = Table("R", R.attribute_names, rows)
+    predicate = AttributeValuePredicate("a", ComparisonOp.LIKE, pattern)
+    agree(Selection(BaseRelationNode(R), predicate), {"R": table},
+          lambda: row_table.select(table.columns, rows, predicate,
+                                   ConstantEncryptor(ALL), ALL))
+
+
+@given(plain_tables(R, NUMBERS))
+@settings(max_examples=30, deadline=None)
+def test_column_pairs_compare_as_the_row_closure_does(case):
+    rows, table = case
+    for op in (ComparisonOp.EQ, ComparisonOp.NEQ, ComparisonOp.LT,
+               ComparisonOp.GE):
+        predicate = AttributeComparisonPredicate("a", op, "b")
+        agree(Selection(BaseRelationNode(R), predicate), {"R": table},
+              lambda: row_table.select(table.columns, rows, predicate,
+                                       ConstantEncryptor(ALL), ALL))
+
+
+@given(plain_tables(R, NUMBERS), plain_tables(S, NUMBERS), st.booleans(),
+       st.sampled_from([None, ComparisonOp.NEQ, ComparisonOp.LT]))
+@settings(max_examples=80, deadline=None)
+def test_unique_and_duplicate_build_keys_pair_as_the_nested_loop_does(
+        left_case, right_case, composite, residual):
+    (left, r), (right, s) = left_case, right_case
+    conjuncts = [AttributeComparisonPredicate("a", ComparisonOp.EQ, "k")]
+    if composite:
+        conjuncts.append(
+            AttributeComparisonPredicate("b", ComparisonOp.EQ, "w"))
+    if residual is not None:
+        conjuncts.append(AttributeComparisonPredicate("c", residual, "w"))
+    condition = Conjunction(conjuncts)
+    # A bag: the hash join emits pairs in its probe side's order.
+    got = Executor({"R": r, "S": s}).execute(
+        Join(BaseRelationNode(R), BaseRelationNode(S), condition)).rows
+    assert sorted(got, key=repr) == sorted(row_table.join(
+        condition, r.columns + s.columns, left, right), key=repr)
+
+
+@given(plain_tables(R, NUMBERS), st.sampled_from(list(AggregateFunction)))
+@settings(max_examples=60, deadline=None)
+def test_one_row_and_null_free_groups_fold_as_the_reference_does(
+        case, function):
+    rows, table = case
+    node = GroupBy(BaseRelationNode(R), ["a"], [
+        Aggregate(AggregateFunction.COUNT, alias="n"),
+        Aggregate(function, "c", alias="out")])
+    agree(node, {"R": table},
+          lambda: row_table.group_by(node, table.columns, rows))
