@@ -12,11 +12,17 @@ Two equivalence obligations from ISSUE 2:
   22 queries over a 24-provider federation, and the random scenarios;
   it scores only the senders that can win (:class:`_Senders`) and
   picks what the full scan picks.
+
+And a golden gate: the 88 ``plan_sweep`` cells (22 queries under UA,
+UAPenc, UAPmix and UAPmix over 24 providers) keep the chosen assignment,
+the standbys and the exact cost recorded in ``planner_cells.json``.
 """
 
 import dataclasses
+import json
 import math
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -423,7 +429,74 @@ class TestSenderFrontier:
                         rows, subject, entry, edge), (rows, parts, subject)
 
 
-def test_pairs_scored_over_the_88_planner_cells(monkeypatch):
+GOLDEN = Path(__file__).with_name("planner_cells.json")
+
+
+def cell_record(result, plan):
+    """One planned cell as post-order (label, assignee) pairs and the
+    ``float.hex`` of its exact cost, for the winner and every standby."""
+    def record(r):
+        return {"cost": float.hex(r.cost.total_usd),
+                "assignment": [[node.label(), r.assignment[node]]
+                               for node in plan.operations()]}
+    return {**record(result),
+            "standbys": [record(standby) for standby in result.portfolio]}
+
+
+def plan_sweep_cells():
+    """Plan the 88 cells once, counting what the DP scores.
+
+    Returns (cell name → record, counts): ``every`` sender rows over
+    the scored (receiver, edge) pairs, ``frontier`` the rows of each
+    edge's frontier plus each dominated receiver's own row, ``scored``
+    the rows actually scanned, ``receivers`` the (receiver, edge) pairs.
+    """
+    counts = dict.fromkeys(("every", "frontier", "scored", "receivers"), 0)
+    for_receiver = search._Senders.for_receiver
+
+    def counting(self, subject, entry, edge):
+        rows = for_receiver(self, subject, entry, edge)
+        counts["scored"] += len(rows)
+        counts["every"] += len(self.rows)
+        counts["frontier"] += len(self.kept) + any(
+            subject in dropped for dropped in self.dropped.values())
+        counts["receivers"] += 1
+        return rows
+
+    cells = {}
+    schema, settings = sweep_settings()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search._Senders, "for_receiver", counting)
+        for query in all_queries():
+            for name, setting in settings.items():
+                plan = query.plan(schema)
+                result = assign(plan, setting.policy, setting.subject_names,
+                                PriceList.from_subjects(setting.subjects),
+                                user=setting.user, owners=setting.owners)
+                cells[f"Q{query.number}/{name}"] = cell_record(result, plan)
+    return cells, counts
+
+
+@pytest.fixture(scope="module")
+def planned_sweep():
+    return plan_sweep_cells()
+
+
+def test_the_88_planner_cells_keep_their_plans(planned_sweep):
+    """Golden gate: every cell's chosen assignment, standbys and exact
+    cost (``float.hex``) are those in ``planner_cells.json``.  A change
+    that moves a plan on purpose rewrites the file by running this
+    module as a script (``PYTHONPATH=src:tests python
+    tests/properties/test_planner_kernel.py``) and says why."""
+    cells, _counts = planned_sweep
+    golden = json.loads(GOLDEN.read_text())
+    assert len(cells) == 88
+    assert sorted(cells) == sorted(golden)
+    moved = [name for name in golden if cells[name] != golden[name]]
+    assert not moved, moved
+
+
+def test_pairs_scored_over_the_88_planner_cells(planned_sweep):
     """(sender, receiver) pairs the DP scores over all 22 queries under
     UA, UAPenc, UAPmix and the 24-provider UAPmix: 206,292 for the scan
     over every sender, exactly 32,224 over the frontier plus each
@@ -431,26 +504,16 @@ def test_pairs_scored_over_the_88_planner_cells(monkeypatch):
     adds a few more: which sums come out −1 ulp follows the order
     attributes are interned in, hence the string hash (4–44 over 27
     seeds)."""
-    scored = every = frontier = 0
-    for_receiver = search._Senders.for_receiver
+    _cells, counts = planned_sweep
+    assert counts["every"] == 206_292
+    assert counts["frontier"] == 32_224
+    assert counts["frontier"] <= counts["scored"] <= counts["frontier"] + 160
+    assert counts["receivers"] == 16_428
 
-    def counting(self, subject, entry, edge):
-        nonlocal scored, every, frontier
-        rows = for_receiver(self, subject, entry, edge)
-        scored += len(rows)
-        every += len(self.rows)
-        frontier += len(self.kept) + any(
-            subject in dropped for dropped in self.dropped.values())
-        return rows
 
-    monkeypatch.setattr(search._Senders, "for_receiver", counting)
-    schema, settings = sweep_settings()
-    for query in all_queries():
-        for setting in settings.values():
-            assign(query.plan(schema), setting.policy,
-                   setting.subject_names,
-                   PriceList.from_subjects(setting.subjects),
-                   user=setting.user, owners=setting.owners)
-    assert every == 206_292
-    assert frontier == 32_224
-    assert frontier <= scored <= frontier + 160
+if __name__ == "__main__":
+    cells, counts = plan_sweep_cells()
+    GOLDEN.write_text("{\n" + ",\n".join(
+        f"{json.dumps(name)}: {json.dumps(cell, ensure_ascii=False)}"
+        for name, cell in cells.items()) + "\n}\n")
+    print(f"wrote {len(cells)} cells to {GOLDEN}; {counts}")
