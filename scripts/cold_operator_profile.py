@@ -18,9 +18,12 @@ opens inside a selection apart), averaged over the rounds — the two
 datasets in turn; a round on dataset 107 alone is the exact triple
 ``tests/engine/test_selection_safety_and_cost.py`` guards, and
 ``tests/distributed/test_keyring.py`` the seals paid.
-Read shares over a few rounds: the collector runs where it runs.
+The cyclic collector is run once before the timed rounds and kept off
+during them (re-enabled after), so no collection pause lands on
+whichever operator it happens to interrupt.
 Usage: ``PYTHONPATH=src python scripts/cold_operator_profile.py [ROUNDS]``
 """
+import gc
 import sys
 import time
 from collections import Counter, defaultdict
@@ -91,11 +94,16 @@ def main(rounds: int = 2) -> None:
     executor_module.encrypt_column = encrypt_column
     executor_module.decrypt_column = decrypt_column
     DeterministicCipher.encrypt_many = encrypt_many
-    for index in range(rounds):
-        service.refresh_tables(datasets[(index + 1) % 2])
-        for number, sql in sqls.items():
-            running[:] = [number]
-            service.execute(sql)
+    gc.collect()
+    gc.disable()
+    try:
+        for index in range(rounds):
+            service.refresh_tables(datasets[(index + 1) % 2])
+            for number, sql in sqls.items():
+                running[:] = [number]
+                service.execute(sql)
+    finally:
+        gc.enable()
     print("template operator          calls   rows in  ms/round  µs/row")
     totals: Counter = Counter()
     rows_in: Counter = Counter()

@@ -56,6 +56,7 @@ RSA = "repro/crypto/rsa.py"
 QUOTAS = "repro/gateway/quotas.py"
 CODEC = "repro/engine/codec.py"
 EXPRESSIONS = "repro/engine/expressions.py"
+SEARCH = "repro/core/search.py"
 
 MUTANTS = (
     # The run-time enforcement sites (PR 21).
@@ -260,6 +261,22 @@ MUTANTS = (
            "            if True:\n",
            "_column_mask maps operator.ne over a column holding a NULL, "
            "so <> keeps the rows whose operand is NULL"),
+    # The §6 DP's dominated subjects: not a safety site, an exactness one.
+    Mutant("dominance-ignores-sort-order", SEARCH,
+           "                dominator = next((other for other in "
+           "group[:index]\n",
+           "                dominator = next((other for other in group "
+           "if other != name\n",
+           "a subject's row is skipped for a group-mate that sorts after "
+           "it, so a tie goes to the later subject (or to neither)"),
+    Mutant("dominance-ignores-a-rate", SEARCH,
+           "            rates[name] = (r.cpu_usd_per_second, "
+           "r.io_usd_per_gb,\n"
+           "                           r.net_usd_per_gb)\n",
+           "            rates[name] = (r.cpu_usd_per_second, "
+           "r.io_usd_per_gb)\n",
+           "dominance compares cpu and io only, so a subject that ships "
+           "cheaper loses its row to a group-mate with a dearer net rate"),
 )
 
 

@@ -117,7 +117,10 @@ class _EdgeTable:
         self.mode = mode
         rows = estimate.rows
         self.rows = rows
-        self.bits = tuple(universe.bit(a) for a in estimate.plain_width)
+        # Ascending bits: the order memo_parts sums an overlap in, so a
+        # sender's overlap never sums to more than the receiver's total.
+        attributes = sorted(estimate.plain_width, key=universe.bit)
+        self.bits = tuple(map(universe.bit, attributes))
         self.visible_mask = universe.mask(estimate.plain_width)
         operand_mask = universe.mask(operand_attrs)
         self.none_mask = universe.mask(
@@ -139,7 +142,7 @@ class _EdgeTable:
         delta_rand: dict[int, float] = {}
         delta_demand: dict[int, float] = {}
         dec_w: dict[int, float] = {}
-        for attribute, bit in zip(estimate.plain_width, self.bits):
+        for attribute, bit in zip(attributes, self.bits):
             demand_scheme = schemes.get(
                 attribute, EncryptionScheme.DETERMINISTIC)
             if conservative or bit & operand_mask:
@@ -240,6 +243,18 @@ class _EdgeTable:
         entry.memo[mask] = parts
         return parts
 
+    def monotone(self, entry: _ReceiverEntry, mask: int) -> bool:
+        """Whether a pair ``((acc + cpu·A) + B·net) + C`` for this
+        receiver and sender-encrypted ``mask`` grows with the sender's
+        rates: A (encryption seconds left to the sender) and B (bytes
+        shipped) both ≥ 0.  C ≥ 0 always.  A subtracts the overlap from
+        the total; summed in one bit order, it cannot come out −1 ulp,
+        but the frontier and the dominance check rather than rely on
+        it."""
+        parts = entry.memo.get(mask) or self.memo_parts(entry, mask)
+        return entry.total_enc_seconds - parts[0] >= 0.0 \
+            and self.base_bytes + entry.vol_needs_bytes + parts[1] >= 0.0
+
     def cost(self, sender: str, receiver: str) -> float:
         """Exact edge cost of handing the child's output sender→receiver."""
         _plain, sender_enc, sender_cpu, sender_net = self.masks_of(sender)
@@ -255,6 +270,62 @@ class _EdgeTable:
                      * sender_net)
         cost += entry.cpu_rate * (entry.dec_base_seconds + dec_extra)
         return cost
+
+
+class _Senders:
+    """One child edge's sender rows in one pass, and those that can win.
+
+    Rows are (name, cost so far, visible encrypted mask, cpu $/s,
+    net $/byte) in table order.  For one receiver and one mask a pair
+    costs ``((acc + cpu·A) + B·net) + C`` with A, B, C fixed by
+    (receiver, mask); with A, B ≥ 0 every step is monotone under IEEE
+    rounding.  So a row no better than an *earlier* row of its mask on
+    all of acc, cpu and net is never the first strict minimum the full
+    scan picks, and :attr:`kept` drops it.  :meth:`for_receiver` adds
+    back the receiver's own row (it pays no transfer to itself) and
+    every row of a mask whose A or B is negative
+    (:meth:`_EdgeTable.monotone`).
+    """
+
+    __slots__ = ("rows", "kept", "dropped")
+
+    def __init__(self, rows: list[tuple]) -> None:
+        self.rows = rows
+        self.kept: list[tuple] = []
+        #: mask → name → (index in ``kept`` it sorts before, row)
+        self.dropped: dict[int, dict[str, tuple[int, tuple]]] = {}
+        by_mask: dict[int, list[tuple]] = {}
+        for row in rows:
+            _name, cost, mask, cpu, net = row
+            group = by_mask.setdefault(mask, [])
+            if any(c <= cost and p <= cpu and n <= net
+                   for _s, c, _m, p, n in group):
+                self.dropped.setdefault(mask, {})[row[0]] = (
+                    len(self.kept), row)
+            else:
+                group.append(row)
+                self.kept.append(row)
+
+    def for_receiver(self, subject: str, entry: _ReceiverEntry,
+                     edge: _EdgeTable) -> list[tuple]:
+        """The rows to score for ``subject``, in table order."""
+        if not self.dropped:
+            return self.kept
+        unsafe: set[int] = set()
+        own = None
+        for mask, dropped in self.dropped.items():
+            if not edge.monotone(entry, mask):
+                unsafe.add(mask)
+            elif own is None:
+                own = dropped.get(subject)
+        if unsafe:
+            return [row for row in self.rows
+                    if row[2] in unsafe or row[0] == subject
+                    or row[0] not in self.dropped.get(row[2], ())]
+        if own is None:
+            return self.kept
+        at, row = own
+        return self.kept[:at] + [row] + self.kept[at:]
 
 
 class EdgeTableCache:

@@ -63,7 +63,8 @@ def encrypt_column(material: KeyMaterial, values: Sequence[object],
     """
     if isinstance(values, SealedColumn):
         raise ExecutionError("value is already encrypted")
-    plain = [value for value in values if value is not None]
+    plain = [value for value in values if value is not None] \
+        if None in values else values  # copied only to drop NULLs
     kinds = set(map(type, plain))  # what the column holds, decided once
     if any(issubclass(kind, (EncryptedValue, EncryptedAggregate))
            for kind in kinds):

@@ -1,9 +1,12 @@
 """Cost-based assignment pipeline (§6–§7)."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.assignment import assign
+from repro.core.assignment import _AssignmentSearch, assign
 from repro.core.authorization import Authorization, Policy
+from repro.core.candidates import compute_candidates
 from repro.core.extension import minimally_extend
 from repro.core.lineage import augment_view, derived_lineage
 from repro.core.operators import (
@@ -13,8 +16,10 @@ from repro.core.operators import (
     GroupBy,
 )
 from repro.core.plan import QueryPlan
+from repro.core.requirements import chosen_schemes
 from repro.core.schema import Relation, Schema
 from repro.core.visibility import verify_assignment
+from repro.cost.estimator import PlanEstimator
 from repro.cost.pricing import PriceList
 from repro.exceptions import NoCandidateError, UnauthorizedError
 
@@ -102,6 +107,85 @@ class TestAssign:
     def test_describe_contains_cost(self, example, prices):
         outcome = assign_example(example, prices)
         assert "total=$" in outcome.describe()
+
+
+def with_twin(example, prices, template, name, **factors):
+    """``template``'s rules granted to ``name`` as well, at its rates
+    with each rate named in ``factors`` multiplied: (names, prices)."""
+    for rule in list(example.policy.rules()):
+        if rule.subject == template:
+            example.policy.grant(Authorization(
+                rule.relation, rule.plaintext, rule.encrypted, name))
+    rates = prices.rates(template)
+    rates = dataclasses.replace(rates, **{
+        field: getattr(rates, field) * factor
+        for field, factor in factors.items()})
+    return [*example.subject_names, name], prices.with_rates(name, rates)
+
+
+def dominators(example, names, prices):
+    candidates = compute_candidates(example.plan, example.policy, names)
+    schemes = chosen_schemes(example.plan)
+    return _AssignmentSearch(
+        plan=example.plan, policy=example.policy, candidates=candidates,
+        requirements=candidates.min_views.requirements, schemes=schemes,
+        prices=prices, estimator=PlanEstimator(schemes),
+        owners=dict(example.owners), user="U").dominators()
+
+
+def chosen(example, names, prices):
+    outcome = assign(example.plan, example.policy, names, prices,
+                     user="U", owners=example.owners)
+    return [outcome.assignment[node] for node in example.plan.operations()]
+
+
+class TestDominatedSubjects:
+    """A subject of the same view as an earlier-sorted one whose every
+    rate is ≤ its own gets no DP row; Y runs two of the running
+    example's operations, so a twin of Y shows who keeps them."""
+
+    def test_a_twin_at_equal_rates_sorting_after_is_skipped(
+            self, example, prices):
+        before = chosen(example, example.subject_names, prices)
+        names, twin_prices = with_twin(example, prices, "Y", "Y2")
+        assert dominators(example, names, twin_prices) == {"Y2": "Y"}
+        assert chosen(example, names, twin_prices) == before
+
+    def test_the_earlier_twin_at_equal_rates_takes_the_nodes(
+            self, example, prices):
+        before = chosen(example, example.subject_names, prices)
+        names, twin_prices = with_twin(example, prices, "Y", "W")
+        assert dominators(example, names, twin_prices) == {"Y": "W"}
+        assert chosen(example, names, twin_prices) == [
+            "W" if subject == "Y" else subject for subject in before]
+
+    def test_a_cheaper_twin_sorting_after_dominates_nothing(
+            self, example, prices):
+        before = chosen(example, example.subject_names, prices)
+        names, twin_prices = with_twin(example, prices, "Y", "Y2",
+                                       cpu_usd_per_second=0.5)
+        assert dominators(example, names, twin_prices) == {}
+        assert chosen(example, names, twin_prices) == [
+            "Y2" if subject == "Y" else subject for subject in before]
+
+    @pytest.mark.parametrize("rate", ["io_usd_per_gb", "net_usd_per_gb"])
+    def test_every_rate_is_compared(self, example, prices, rate):
+        """Y2 ships (or reads) cheaper than Y at Y's cpu rate: Y does
+        not dominate it, and where the plan ships, Y2 wins."""
+        before = chosen(example, example.subject_names, prices)
+        names, twin_prices = with_twin(example, prices, "Y", "Y2",
+                                       **{rate: 0.5})
+        assert dominators(example, names, twin_prices) == {}
+        if rate == "net_usd_per_gb":
+            assert chosen(example, names, twin_prices) == [
+                "Y2" if subject == "Y" else subject for subject in before]
+
+    def test_an_owner_is_never_dominated(self, example, prices):
+        names, twin_prices = with_twin(example, prices, "H", "A",
+                                       cpu_usd_per_second=0.5)
+        assert dominators(example, names, twin_prices) == {}
+        names, twin_prices = with_twin(example, prices, "H", "H2")
+        assert dominators(example, names, twin_prices) == {"H2": "H"}
 
 
 class TestPortfolioExtendsEachDistinctProposalOnce:

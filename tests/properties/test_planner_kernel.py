@@ -25,9 +25,11 @@ import random
 from pathlib import Path
 from types import SimpleNamespace
 
+import hypothesis
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.core import search
+from repro.core import edgecost
 from repro.core.assignment import _AssignmentSearch, assign
 from repro.core.attrsets import (
     AttributeUniverse,
@@ -39,16 +41,21 @@ from repro.core.authorization import (
     SubjectKind,
     SubjectView,
 )
+from repro.core.candidates import compute_candidates
 from repro.core.equivalence import EquivalenceClasses
 from repro.core.profile import RelationProfile
+from repro.core.requirements import chosen_schemes
 from repro.core.visibility import check_relation
-from repro.cost.pricing import PriceList
+from repro.cost.estimator import PlanEstimator
+from repro.cost.pricing import PriceList, ResourceRates
 from repro.exceptions import (
     NoCandidateError,
     ProfileError,
     ReproError,
 )
+from repro.paper_example import build_running_example
 from repro.tpch import all_queries, all_scenarios, build_tpch_schema, scenario
+from repro.tpch.queries import query_plan
 
 from oracles.dp_reference import dp_reference, edge_cost
 
@@ -351,6 +358,8 @@ def receiver_part(parts, base_bytes=10.0):
                             dec_base_seconds=0.0)
     edge = SimpleNamespace(base_bytes=base_bytes,
                            memo_parts=lambda entry, mask: entry.memo[mask])
+    edge.monotone = lambda entry, mask: edgecost._EdgeTable.monotone(
+        edge, entry, mask)
     return entry, edge
 
 
@@ -371,14 +380,14 @@ class TestSenderFrontier:
         return [row[0] for row in rows]
 
     def test_weak_dominance_within_one_mask(self):
-        senders = search._Senders(self.ROWS)
+        senders = edgecost._Senders(self.ROWS)
         assert self.names(senders.kept) == ["a", "c", "e"]
         entry, edge = receiver_part(self.SAFE)
         assert senders.for_receiver("x", entry, edge) is senders.kept
         assert senders.for_receiver("c", entry, edge) is senders.kept
 
     def test_a_dominated_receiver_still_scores_itself(self):
-        senders = search._Senders(self.ROWS)
+        senders = edgecost._Senders(self.ROWS)
         entry, edge = receiver_part(self.SAFE)
         own = senders.for_receiver("b", entry, edge)
         assert self.names(own) == ["a", "b", "c", "e"]  # in table order
@@ -392,7 +401,7 @@ class TestSenderFrontier:
         parts = (1.0 + math.ulp(1.0), 0.0, 0.0) if negative == "A" \
             else (0.0, -11.0, 0.0)
         entry, edge = receiver_part({**self.SAFE, 1: parts})
-        senders = search._Senders(self.ROWS)
+        senders = edgecost._Senders(self.ROWS)
         assert self.names(senders.for_receiver("x", entry, edge)) == \
             ["a", "b", "c", "d", "e"]
         entry, edge = receiver_part({**self.SAFE, 2: parts})
@@ -402,7 +411,7 @@ class TestSenderFrontier:
         """A = −ulp turns a dearer cpu rate into a cheaper pair."""
         rows = [("a", 0.0, 1, 1.0, 0.0), ("b", 0.0, 1, 2.0, 0.0)]
         entry, edge = receiver_part({1: (1.0 + math.ulp(1.0), 0.0, 0.0)})
-        senders = search._Senders(rows)
+        senders = edgecost._Senders(rows)
         assert self.names(senders.kept) == ["a"]
         scored = senders.for_receiver("x", entry, edge)
         assert first_strict_minimum(scored, "x", entry, edge)[1] == "b"
@@ -421,12 +430,132 @@ class TestSenderFrontier:
                             rng.choice((0.0, 1.0)), rng.choice((0.0, 0.25)))
                      for mask in (1, 2)}
             entry, edge = receiver_part(parts, rng.choice((0.0, 0.1)))
-            senders = search._Senders(rows)
+            senders = edgecost._Senders(rows)
             for subject in self.names(rows) + ["outsider"]:
                 assert first_strict_minimum(
                     senders.for_receiver(subject, entry, edge), subject,
                     entry, edge) == first_strict_minimum(
                         rows, subject, entry, edge), (rows, parts, subject)
+
+
+#: Names a twin may take: before, between and after P1–P3 and X–Z.
+TWIN_NAMES = ["A0", "M", "P0", "P15", "P9", "W", "X2", "Zz"]
+
+
+@st.composite
+def federations(draw):
+    """A plan and a federation holding subjects of one view at several
+    rates: a running-example or TPC-H base, plus twins of its providers
+    (each with the template's rules, under a drawn name, with the
+    template's rates or one of them — cpu, io or net — halved or
+    doubled: equal rates, a cheaper twin that sorts after its template,
+    one cheaper in a single rate only).  Returns (plan, policy, names,
+    prices, user, owners)."""
+    base = draw(st.sampled_from(["example", "UAPenc", "UAPmix"]))
+    if base == "example":
+        setting = build_running_example()
+        plan, user = setting.plan, "U"
+    else:
+        schema = build_tpch_schema(0.1)
+        setting = scenario(base, schema)
+        plan = query_plan(draw(st.sampled_from([3, 5, 10, 12, 18])), schema)
+        user = setting.user
+    prices = PriceList.from_subjects(setting.subjects)
+    names = list(setting.subject_names)
+    providers = [s.name for s in setting.subjects
+                 if s.kind is SubjectKind.PROVIDER]
+    rules = list(setting.policy.rules())
+    for name in draw(st.lists(st.sampled_from(TWIN_NAMES), min_size=1,
+                              max_size=3, unique=True)):
+        template = draw(st.sampled_from(providers))
+        for rule in rules:
+            if rule.subject == template:
+                setting.policy.grant(Authorization(
+                    rule.relation, rule.plaintext, rule.encrypted, name))
+        rates = prices.rates(template)
+        rates = [rates.cpu_usd_per_second, rates.io_usd_per_gb,
+                 rates.net_usd_per_gb]
+        changed = draw(st.sampled_from([None, 0, 1, 2]))
+        if changed is not None:
+            rates[changed] *= draw(st.sampled_from([0.5, 2.0]))
+        prices = prices.with_rates(name, ResourceRates(*rates))
+        names.append(name)
+    return plan, setting.policy, names, prices, user, dict(setting.owners)
+
+
+def negative_coefficient(size):
+    """``_EdgeTable.memo_parts`` with A < 0 wherever the sender already
+    holds encrypted every attribute the receiver needs encrypted: A
+    comes out −1 ulp (``"ulp"``, what summing the two sides in
+    different orders gives) or −total (``"large"``, so a dearer cpu
+    rate visibly buys a cheaper pair)."""
+    raw = edgecost._EdgeTable.memo_parts
+
+    def memo_parts(self, entry, mask):
+        enc, vol, dec = raw(self, entry, mask)
+        if enc > 0.0 and enc == entry.total_enc_seconds:
+            enc = math.nextafter(enc, math.inf) if size == "ulp" else 2 * enc
+        entry.memo[mask] = parts = (enc, vol, dec)
+        return parts
+    return memo_parts
+
+
+def outcome(run):
+    try:
+        return run()
+    except NoCandidateError:
+        return "no candidate"
+
+
+def without_dominance(run):
+    """``run()`` with the dominance map patched to empty."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_AssignmentSearch, "dominators", lambda self: {})
+        return outcome(run)
+
+
+class TestDominatedSubjects:
+    """Skipping dominated subjects' rows changes no proposal and no
+    exact cost: the search equals the same search with an empty
+    dominance map, pass by pass and through ``assign``."""
+
+    @given(federations(), st.sampled_from([None, "ulp", "large"]),
+           st.data())
+    @hypothesis.settings(max_examples=60, deadline=None)
+    def test_the_search_equals_the_search_without_dominance(
+            self, federation, perturb, data):
+        plan, policy, names, prices, user, owners = federation
+        with pytest.MonkeyPatch.context() as patch:
+            if perturb is not None:
+                patch.setattr(edgecost._EdgeTable, "memo_parts",
+                              negative_coefficient(perturb))
+            candidates = compute_candidates(plan, policy, names)
+            schemes = chosen_schemes(plan)
+            searcher = _AssignmentSearch(
+                plan=plan, policy=policy, candidates=candidates,
+                requirements=candidates.min_views.requirements,
+                schemes=schemes, prices=prices,
+                estimator=PlanEstimator(schemes), owners=owners, user=user)
+            # Restrictions: none, the trusted subjects, and one without
+            # a dominator (its dominated subjects keep their rows).
+            dominated = searcher.dominators()
+            excluded = data.draw(st.sampled_from(
+                sorted(set(dominated.values())) or names))
+            restrictions = [None, frozenset({user, *owners.values()}),
+                            frozenset(names) - {excluded}]
+            for mode in ("optimistic", "conservative"):
+                searcher.edge_scheme_mode = mode
+                for restrict_to in restrictions:
+                    def search():
+                        return searcher.dynamic_programming(restrict_to)
+                    assert outcome(search) == without_dominance(search), (
+                        mode, restrict_to, dominated)
+
+            def planned():
+                result = assign(plan, policy, names, prices, user=user,
+                                owners=owners)
+                return cell_record(result, plan)
+            assert outcome(planned) == without_dominance(planned)
 
 
 GOLDEN = Path(__file__).with_name("planner_cells.json")
@@ -452,7 +581,7 @@ def plan_sweep_cells():
     the rows actually scanned, ``receivers`` the (receiver, edge) pairs.
     """
     counts = dict.fromkeys(("every", "frontier", "scored", "receivers"), 0)
-    for_receiver = search._Senders.for_receiver
+    for_receiver = edgecost._Senders.for_receiver
 
     def counting(self, subject, entry, edge):
         rows = for_receiver(self, subject, entry, edge)
@@ -466,7 +595,7 @@ def plan_sweep_cells():
     cells = {}
     schema, settings = sweep_settings()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search._Senders, "for_receiver", counting)
+        patch.setattr(edgecost._Senders, "for_receiver", counting)
         for query in all_queries():
             for name, setting in settings.items():
                 plan = query.plan(schema)
@@ -498,17 +627,17 @@ def test_the_88_planner_cells_keep_their_plans(planned_sweep):
 
 def test_pairs_scored_over_the_88_planner_cells(planned_sweep):
     """(sender, receiver) pairs the DP scores over all 22 queries under
-    UA, UAPenc, UAPmix and the 24-provider UAPmix: 206,292 for the scan
-    over every sender, exactly 32,224 over the frontier plus each
-    dominated receiver's own row.  The negative-coefficient fallback
-    adds a few more: which sums come out −1 ulp follows the order
-    attributes are interned in, hence the string hash (4–44 over 27
-    seeds)."""
+    UA, UAPenc, UAPmix and the 24-provider UAPmix, under any string
+    hash.  A dominated subject gets no row (``dominators``): 4,946
+    (receiver, edge) pairs are scored where every subject's row took
+    16,428, and 8,624 sender rows are in their scans where 206,292
+    were.  The frontier (``_Senders``) keeps 7,550 of them, and that
+    is exactly what is scored: an edge table sums a sender's overlap in
+    the order it sums the receiver's total, so no coefficient comes out
+    −1 ulp and the negative-coefficient fallback adds no row."""
     _cells, counts = planned_sweep
-    assert counts["every"] == 206_292
-    assert counts["frontier"] == 32_224
-    assert counts["frontier"] <= counts["scored"] <= counts["frontier"] + 160
-    assert counts["receivers"] == 16_428
+    assert counts == {"every": 8_624, "frontier": 7_550, "scored": 7_550,
+                      "receivers": 4_946}
 
 
 if __name__ == "__main__":
