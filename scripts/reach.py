@@ -92,7 +92,7 @@ COMMANDS = {
 }
 
 #: Modules only tier-1 reaches on purpose until the benchmark grows the
-#: workloads that would (ROADMAP item 5: ``mixed_schemes`` for the
+#: workloads that would (ROADMAP item 7: ``mixed_schemes`` for the
 #: schemes and the pool, ``faulted_gateway`` for recovery).
 WAITING = {
     "crypto/ope.py": "OPE: no executing workload plans an order comparison",
@@ -220,7 +220,7 @@ def report(runs: dict[str, tuple[Path, str]]) -> str:
         "## Tier-1 only, waiting on the benchmark",
         "",
         "Lines only tier-1 runs in the modules the benchmark does not reach "
-        "on purpose yet. ROADMAP item 5's `mixed_schemes` and "
+        "on purpose yet. ROADMAP item 7's `mixed_schemes` and "
         "`faulted_gateway` workloads decide whether they are measured or "
         "said in `docs/operations.md` to need no workload.",
         "",

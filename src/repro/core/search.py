@@ -305,11 +305,13 @@ class _AssignmentSearch:
         subject, parent subject) loop is inlined over each edge's
         frontier (:class:`_Senders`), a table/memo lookup plus three
         multiply-adds per pair.  A dominated subject gets no row where
-        its dominator is allowed (:meth:`dominators`).
+        its dominator is allowed (:meth:`dominators`); a pass restricted
+        to the user and the owners, who never are, skips the grouping.
         """
         table: dict[PlanNode, dict[str, float]] = {}
         choice: dict[PlanNode, dict[str, dict[PlanNode, str]]] = {}
-        dominators = self.dominators()
+        dominators = {} if restrict_to is not None and restrict_to <= {
+            self.user, *self.owners.values()} else self.dominators()
 
         for node in self.plan.operations():
             table[node] = {}
@@ -376,10 +378,8 @@ class _AssignmentSearch:
                     choice[node][subject] = picks
 
         root = self.plan.root
-        root_costs = {
-            subject: cost + self.delivery_cost(subject)
-            for subject, cost in table[root].items()
-        }
+        root_costs = {subject: cost + self.delivery_cost(subject)
+                      for subject, cost in table[root].items()}
         if not root_costs:
             raise NoCandidateError(
                 "no feasible assignment for the plan root", node=root

@@ -167,11 +167,21 @@ class KeyStore:
 
     @classmethod
     def generate(cls, keys: Iterable[QueryKey]) -> "KeyStore":
-        """Generate fresh material for every query key."""
+        """Generate fresh material for every query key.
+
+        Two Paillier keys holding one modulus raise
+        :class:`KeyManagementError`: either could open the other's
+        ciphertexts."""
         store = cls()
+        moduli: set[int] = set()
         for key in keys:
             if key.scheme is EncryptionScheme.PAILLIER:
                 public, private = generate_keypair()
+                if public.n in moduli:
+                    raise KeyManagementError(
+                        f"Paillier key {key.name} shares a modulus with "
+                        "another key of the store")
+                moduli.add(public.n)
                 store.add(KeyMaterial(
                     query_key=key,
                     paillier_public=public,

@@ -1,13 +1,18 @@
 """Shared fixtures and plan generators for the test suite.
 
 What is costly to build and only read is built once per session: node
-RSA keypairs come from one pool, and each TPC-H dataset is generated
-once per (scale, seed, null rate).  Hypothesis runs one deterministic
-profile, so a run never depends on ``.hypothesis/`` or on fresh draws.
+RSA keypairs and query Paillier keypairs come from two pools, each
+TPC-H dataset is generated once per (scale, seed, null rate), and the
+17-template cold rounds run once.  Hypothesis is derandomized with no
+database, so a run never depends on ``.hypothesis/`` or on fresh draws.
+Tier-1 runs the ``deterministic`` profile, and each long property a
+slice of its draws (``helpers.draws``); ``REPRO_SOAK=1`` loads the
+``soak`` profile, under which every property runs its full count.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import random
@@ -36,51 +41,79 @@ from repro.core.predicates import (
     equals,
 )
 from repro.core.schema import Relation, Schema
-from repro.crypto import rsa
+from repro.crypto import keymanager, paillier, rsa
+from repro.crypto.symmetric import DeterministicCipher
 from repro.distributed import nodes
+from repro.engine import executor as executor_module
+from repro.engine.executor import Executor
 from repro.engine.table import Table
 from repro.paper_example import RunningExample, build_running_example
-from repro.tpch import TpchData, generate
+from repro.service import QueryService
+from repro.tpch import (
+    TPCH_UDFS,
+    TpchData,
+    all_queries,
+    build_tpch_schema,
+    generate,
+    scenario,
+)
 
-settings.register_profile("deterministic", derandomize=True, database=None)
-settings.load_profile("deterministic")
+from helpers import SOAK, authority_tables
 
-#: Keypairs in the session pool: more than any one run has subjects, so
-#: a ring drawn in one go never repeats a modulus (``build_nodes``
-#: refuses one that does).
-RSA_POOL_SIZE = 8
+#: Properties that name no count run 25 draws in tier-1; the soak
+#: profile gives them Hypothesis' default of 100.
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          max_examples=25)
+settings.register_profile("soak", derandomize=True, database=None,
+                          max_examples=100)
+settings.load_profile("soak" if SOAK else "deterministic")
+
+#: Keypairs in each session pool: more than any one run has subjects,
+#: and more than any one store draws Paillier keys, so a ring or a store
+#: drawn in one go never repeats a modulus (``build_nodes`` and
+#: ``KeyStore.generate`` refuse one that does).
+KEY_POOL_SIZE = 8
 
 
-class RsaKeyPool:
-    """Real RSA keypairs, each made once by ``generate_keypair`` and
-    handed out in turn.  A draw is a copy with cold sign, unwrap and
-    verify memos, so a test meets the key as if it were new: only the
-    primes repeat."""
+class KeyPool:
+    """Real keypairs, each made once by ``generate`` and handed out in
+    turn.  A draw is a copy of both halves with every per-key memo cold
+    (RSA sign, unwrap and verify memos; the Paillier fixed-base table
+    and CRT parts), so a test meets the key as if it were new: only the
+    primes repeat.  A Paillier copy draws its own obfuscator base, and
+    every ciphertext still draws a fresh exponent."""
 
-    def __init__(self, size: int) -> None:
+    def __init__(self, generate, size: int) -> None:
+        self.generate = generate
         self.size = size
-        self.keys: list[tuple[rsa.RsaPublicKey, rsa.RsaPrivateKey]] = []
+        self.keys: list[tuple] = []
         self.drawn = 0
         self.guard = threading.Lock()
 
-    def __call__(self, bits: int = rsa.DEFAULT_RSA_BITS):
+    def __call__(self, *args):
         with self.guard:
             slot = self.drawn % self.size
             self.drawn += 1
             if slot == len(self.keys):
-                self.keys.append(rsa.generate_keypair(bits))
+                self.keys.append(self.generate(*args))
             public, private = self.keys[slot]
         public = dataclasses.replace(public)
         return public, dataclasses.replace(private, public=public)
 
 
 @pytest.fixture(scope="session", autouse=True)
-def rsa_key_pool():
+def key_pools():
     """Every node keypair (``generate_subject_keys``, and through it
-    ``build_nodes``, ``build_runtime`` and ``QueryService``) is drawn
-    from one session pool instead of fresh primes."""
+    ``build_nodes``, ``build_runtime`` and ``QueryService``) and every
+    Paillier keypair of a ``KeyStore.generate`` (``establish_keys`` and
+    the stores tests build) is drawn from a session pool instead of
+    fresh primes.  Modules that build a store at import time, before
+    the pool is installed, get fresh keys."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nodes, "generate_keypair", RsaKeyPool(RSA_POOL_SIZE))
+        patch.setattr(nodes, "generate_keypair",
+                      KeyPool(rsa.generate_keypair, KEY_POOL_SIZE))
+        patch.setattr(keymanager, "generate_keypair",
+                      KeyPool(paillier.generate_keypair, KEY_POOL_SIZE))
         yield
 
 
@@ -102,6 +135,63 @@ def tpch_data():
         return generate(scale=scale, seed=seed, null_rate=null_rate)
 
     return build
+
+
+@pytest.fixture(scope="session")
+def cold_rounds(tpch_data):
+    """Two cold rounds of the 17 SQL templates on one UAPenc service
+    (scale 0.002, seed 107), the tables swapped in before each round so
+    every fragment executes.  Returns the service and one ``Counter``
+    per round: the values the executor hands ``encrypt_column`` and
+    ``decrypt_column``, the values reaching
+    ``DeterministicCipher.encrypt_many`` (``det cipher``), its memo
+    misses, that is the DETERMINISTIC seals paid (``det paid``), and
+    the codec calls made inside a selection (``selection codec
+    calls``).  Tests only read them."""
+    schema = build_tpch_schema(0.002)
+    setting = scenario("UAPenc", schema)
+    tables = authority_tables(tpch_data(0.002, 107))
+    service = QueryService(schema, setting.policy, setting.subjects,
+                           setting.owners, tables, user=setting.user,
+                           udfs=TPCH_UDFS)
+    rounds: list[collections.Counter] = []
+    selecting = [0]
+
+    def counted(name):
+        raw = getattr(executor_module, name)
+
+        def codec(material, values, *args, **kwargs):
+            rounds[-1][name] += len(values)
+            rounds[-1]["selection codec calls"] += selecting[0] > 0
+            return raw(material, values, *args, **kwargs)
+        return codec
+
+    def select(self, node, child, raw=Executor._select):
+        selecting[0] += 1
+        try:
+            return raw(self, node, child)
+        finally:
+            selecting[0] -= 1
+
+    def encrypt_many(cipher, values, raw=DeterministicCipher.encrypt_many):
+        before = len(cipher._encrypt_memo)
+        tokens = raw(cipher, values)
+        rounds[-1]["det cipher"] += len(values)
+        rounds[-1]["det paid"] += len(cipher._encrypt_memo) - before
+        return tokens
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("encrypt_column", "decrypt_column"):
+            patch.setattr(executor_module, name, counted(name))
+        patch.setattr(Executor, "_select", select)
+        patch.setattr(DeterministicCipher, "encrypt_many", encrypt_many)
+        for _ in range(2):
+            service.refresh_tables(tables)
+            rounds.append(collections.Counter())
+            for query in all_queries():
+                if query.sql is not None:
+                    service.execute(query.sql)
+    return service, rounds
 
 
 @pytest.fixture()

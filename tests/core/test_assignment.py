@@ -123,14 +123,18 @@ def with_twin(example, prices, template, name, **factors):
     return [*example.subject_names, name], prices.with_rates(name, rates)
 
 
-def dominators(example, names, prices):
+def searcher(example, names, prices):
     candidates = compute_candidates(example.plan, example.policy, names)
     schemes = chosen_schemes(example.plan)
     return _AssignmentSearch(
         plan=example.plan, policy=example.policy, candidates=candidates,
         requirements=candidates.min_views.requirements, schemes=schemes,
         prices=prices, estimator=PlanEstimator(schemes),
-        owners=dict(example.owners), user="U").dominators()
+        owners=dict(example.owners), user="U")
+
+
+def dominators(example, names, prices):
+    return searcher(example, names, prices).dominators()
 
 
 def chosen(example, names, prices):
@@ -186,6 +190,25 @@ class TestDominatedSubjects:
         assert dominators(example, names, twin_prices) == {}
         names, twin_prices = with_twin(example, prices, "H", "H2")
         assert dominators(example, names, twin_prices) == {"H2": "H"}
+
+    def test_a_pass_over_the_user_and_the_owners_groups_nobody(
+            self, example, prices, monkeypatch):
+        """Neither the user nor an owner is ever dominated, so the
+        portfolio's trusted pass skips the grouping; a restriction that
+        leaves an operation no candidate names it."""
+        names, twin_prices = with_twin(example, prices, "Y", "Y2")
+        search = searcher(example, names, twin_prices)
+        grouped = []
+        monkeypatch.setattr(_AssignmentSearch, "dominators",
+                            lambda self: grouped.append(self) or {})
+        trusted = frozenset({"U", *example.owners.values()})
+        assert set(search.dynamic_programming(trusted).values()) <= trusted
+        assert grouped == []
+        search.dynamic_programming(trusted | {"Y2"})
+        assert grouped == [search]
+        with pytest.raises(NoCandidateError,
+                           match="restriction leaves no candidate"):
+            search.dynamic_programming(frozenset({"Z2"}))
 
 
 class TestPortfolioExtendsEachDistinctProposalOnce:

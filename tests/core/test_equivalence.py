@@ -78,6 +78,9 @@ class TestBasics:
 
 
 class TestProperties:
+    """Each runs the profile's count: 25 draws in tier-1, 100 under the
+    soak switch (``tests/conftest.py``)."""
+
     @given(CLASSES)
     def test_classes_are_disjoint(self, classes):
         eq = EquivalenceClasses(classes)

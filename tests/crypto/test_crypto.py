@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.keys import QueryKey
 from repro.core.requirements import EncryptionScheme
-from repro.crypto import primitives
+from repro.crypto import keymanager, primitives
 from repro.crypto.keymanager import DistributedKeys, KeyStore
 from repro.crypto.ope import OpeCipher, decode_numeric, encode_orderable
 from repro.crypto.paillier import generate_keypair
@@ -281,3 +281,18 @@ class TestKeyManager:
         store = self.make_store()
         with pytest.raises(KeyManagementError):
             store.add(store.material("kCS"))
+
+    def test_paillier_keys_sharing_a_modulus_are_refused(self, monkeypatch):
+        """A store whose keypair source repeats a modulus (an undersized
+        key pool) refuses it rather than seal two keys' columns under
+        one Paillier key."""
+        keypair = generate_keypair(256)
+        monkeypatch.setattr(keymanager, "generate_keypair",
+                            lambda: keypair)
+        with pytest.raises(KeyManagementError, match="kQ shares a modulus"):
+            KeyStore.generate([
+                QueryKey(frozenset({"P"}), EncryptionScheme.PAILLIER),
+                QueryKey(frozenset({"Q"}), EncryptionScheme.PAILLIER)])
+        store = KeyStore.generate(
+            [QueryKey(frozenset({"P"}), EncryptionScheme.PAILLIER)])
+        assert store.material("kP").paillier_public is keypair[0]

@@ -19,7 +19,6 @@ from repro.core.keys import QueryKey, establish_keys
 from repro.core.requirements import EncryptionScheme
 from repro.crypto.keymanager import DistributedKeys, KeyStore
 from repro.crypto.rsa import generate_keypair
-from repro.crypto.symmetric import DeterministicCipher
 from repro.distributed import build_runtime
 from repro.distributed import runtime as runtime_module
 from repro.distributed.messages import (
@@ -31,63 +30,31 @@ from repro.distributed.messages import (
 )
 from repro.distributed.nodes import KEYRING_SIZE
 from repro.exceptions import CryptoError, DispatchError
-from repro.service import QueryService
-from repro.tpch import TPCH_UDFS, all_queries, build_tpch_schema, scenario
-
-from helpers import authority_tables
-
-
-@pytest.fixture(scope="module")
-def two_cold_rounds(tpch_data):
-    """The 17 SQL templates twice on one UAPenc service (scale 0.002,
-    seed 107), tables swapped in before each round so every fragment
-    executes; the DETERMINISTIC memo misses (seals paid) per round."""
-    schema = build_tpch_schema(0.002)
-    setting = scenario("UAPenc", schema)
-    tables = authority_tables(tpch_data(0.002, 107))
-    service = QueryService(schema, setting.policy, setting.subjects,
-                           setting.owners, tables, user=setting.user,
-                           udfs=TPCH_UDFS)
-    misses = []
-    raw = DeterministicCipher.encrypt_many
-
-    def encrypt_many(cipher, values):
-        before = len(cipher._encrypt_memo)
-        tokens = raw(cipher, values)
-        misses[-1] += len(cipher._encrypt_memo) - before
-        return tokens
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(DeterministicCipher, "encrypt_many", encrypt_many)
-        for _ in range(2):
-            service.refresh_tables(tables)
-            misses.append(0)
-            for query in all_queries():
-                if query.sql is not None:
-                    service.execute(query.sql)
-    return service, misses
 
 
 class TestColdRounds:
+    """The 17 SQL templates twice on one UAPenc service, tables swapped
+    in before each round (the session fixture ``cold_rounds``)."""
+
     def test_second_cold_round_pays_no_deterministic_seal(
-            self, two_cold_rounds):
+            self, cold_rounds):
         """Each run decoded a fresh store before, so its memo started
         cold and a second round paid 14,953 seals again; a section the
         node already holds brings its memo along.  The first round's
         14,973 is 14,960 plus 13 distinct values Q5 seals since its plan
         joins supplier on ``c_nationkey = s_nationkey``."""
-        _, misses = two_cold_rounds
-        assert misses == [14_973, 0]
+        _, rounds = cold_rounds
+        assert [counts["det paid"] for counts in rounds] == [14_973, 0]
 
-    def test_keyring_counters_reach_the_service(self, two_cold_rounds):
-        service, _ = two_cold_rounds
+    def test_keyring_counters_reach_the_service(self, cold_rounds):
+        service, _ = cold_rounds
         info = service.cache_info()
         assert info["keyring_hits"] > 0
         assert 0 < info["keyring_size"] <= info["keyring_misses"]
         assert "keyrings " in service.describe()
 
-    def test_no_store_is_shared_between_two_nodes(self, two_cold_rounds):
-        service, _ = two_cold_rounds
+    def test_no_store_is_shared_between_two_nodes(self, cold_rounds):
+        service, _ = cold_rounds
         owners = {}
         for name, node in service.runtime.nodes.items():
             assert len(node.keyring) <= KEYRING_SIZE

@@ -28,7 +28,6 @@ from repro.core.predicates import (
 from repro.core.requirements import EncryptionScheme
 from repro.core.schema import Relation
 from repro.crypto.keymanager import KeyStore
-from repro.crypto.symmetric import DeterministicCipher
 from repro.engine import EncryptedValue, Executor, Table
 from repro.engine.codec import decrypt_column, encrypt_column
 from repro.engine.executor import physical_step
@@ -37,7 +36,6 @@ from repro.exceptions import CryptoError, ExecutionError
 from repro.service import QueryService
 from repro.tpch import (
     TPCH_UDFS,
-    all_queries,
     build_tpch_schema,
     query,
     scenario,
@@ -291,7 +289,7 @@ class TestSelectionCost:
         assert not hasattr(codec_module, "try_decrypt")
 
     def test_cold_round_seals_and_opens_an_exact_number_of_values(
-            self, tpch_data, monkeypatch):
+            self, cold_rounds):
         """One cold execution of each of the 17 SQL templates (UAPenc,
         scale 0.002, seed 107).  Before selections ran ahead of their
         own Encrypt: 122,808 sealed, 32,982 opened, 30,421 of those by
@@ -308,22 +306,9 @@ class TestSelectionCost:
         columns plus 5 constants (one ``encrypt`` each), 25 more than
         before Q5's new plan.  Cell by cell it was 68,016 (constants
         apart)."""
-        service = uapenc_service(tpch_data(0.002, 107))
-        calls = []
-        for name in ("encrypt_column", "decrypt_column"):
-            count_calls(monkeypatch, calls, executor_module, name)
-        selections = record_selections(monkeypatch, calls)
-        deterministic = []
-        count_calls(monkeypatch, deterministic, DeterministicCipher,
-                    "encrypt_many")
-        templates = [q.sql for q in all_queries() if q.sql is not None]
-        assert len(templates) == 17
-        for sql in templates:
-            service.execute(sql)
-        values = {name: sum(len(args[1]) for label, args in calls
-                            if label == name)
-                  for name in ("encrypt_column", "decrypt_column")}
-        assert values == {"encrypt_column": 100_943, "decrypt_column": 1_655}
-        assert sum(len(column) for _, (_, column) in deterministic) \
-            == 19_303
-        assert not any(made for _, _, made in selections)
+        _, (counts, _) = cold_rounds
+        assert {name: counts[name]
+                for name in ("encrypt_column", "decrypt_column")} == \
+            {"encrypt_column": 100_943, "decrypt_column": 1_655}
+        assert counts["det cipher"] == 19_303
+        assert counts["selection codec calls"] == 0

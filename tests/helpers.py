@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import re
 import threading
 import time
@@ -16,6 +17,17 @@ from repro.engine.table import Table
 from repro.exceptions import UnauthorizedError
 from repro.tpch import TpchData
 from repro.tpch.schema import AUTHORITY_TABLES
+
+#: The one soak switch: ``REPRO_SOAK=1`` loads the ``soak`` Hypothesis
+#: profile (``conftest.py``) and gives every :func:`draws` its full count.
+SOAK = os.environ.get("REPRO_SOAK") == "1"
+
+
+def draws(full: int, tier1: int) -> int:
+    """How many examples (or cases) a long property runs: ``full`` under
+    the soak switch, else tier-1's derandomized slice ``tier1``."""
+    return full if SOAK else tier1
+
 
 #: One exposition sample: name, optional {labels}, value.
 _SAMPLE_LINE = re.compile(

@@ -49,7 +49,18 @@ from repro.engine.executor import physical_step
 from repro.engine.values import representation
 
 from oracles.plan_order import execute_in_plan_order, tables_in_plan_order
-from test_selection_kernel import INTS, MASTER, PATTERNS, WORDS, outcome
+from helpers import draws
+from test_selection_kernel import (
+    CELLS,
+    CONSTANT_LISTS,
+    INTS,
+    MASTER,
+    OPERATORS,
+    OTHER_COLUMNS,
+    PATTERNS,
+    WORDS,
+    outcome,
+)
 
 COLUMNS = ("a", "b", "c")
 R = Relation("R", list(COLUMNS), cardinality=8)
@@ -67,6 +78,12 @@ PAILLIER = (MASTER.material("kpai1").paillier_public,
             MASTER.material("kpai1").paillier_private)
 #: What a column is to the Encrypt under test.
 OWN, ARRIVED, PLAIN = "sealed by this Encrypt", "arrived encrypted", "plain"
+#: Strategies ``cases`` draws from, built once (``test_selection_kernel``
+#: says why): a column's role, and its pool entry given "words or not".
+ROLES = st.sampled_from([OWN, OWN, ARRIVED, PLAIN])
+ENTRIES = {words: st.sampled_from([entry for entry, scheme in POOL.items()
+                                   if not (words and scheme in NUMBERS_ONLY)])
+           for words in (False, True)}
 
 
 def keystore(layout):
@@ -89,10 +106,7 @@ def keystore(layout):
 def cases(draw):
     words = draw(st.booleans())
     domain = WORDS if words else INTS
-    entries = [entry for entry, scheme in POOL.items()
-               if not (words and scheme in NUMBERS_ONLY)]
-    layout = [(draw(st.sampled_from([OWN, OWN, ARRIVED, PLAIN])),
-               draw(st.sampled_from(entries))) for _ in COLUMNS]
+    layout = [(draw(ROLES), draw(ENTRIES[words])) for _ in COLUMNS]
     if all(role is not OWN for role, _ in layout):
         layout[0] = (OWN, layout[0][1])
     master = keystore(layout)
@@ -100,7 +114,7 @@ def cases(draw):
     for _ in range(draw(st.integers(0, 8))):
         row = []
         for column, (role, _) in zip(COLUMNS, layout):
-            value = draw(st.one_of(st.none(), domain, domain, domain))
+            value = draw(CELLS[domain])
             if role is ARRIVED and value is not None:
                 value = encrypt_column(
                     master.material_for_attribute(column), [value])[0]
@@ -109,18 +123,18 @@ def cases(draw):
 
     conjuncts = []
     for _ in range(draw(st.integers(1, 3))):
-        op = draw(st.sampled_from(list(ComparisonOp)))
+        op = draw(OPERATORS)
         left = draw(st.sampled_from(COLUMNS))
         if op is ComparisonOp.IN:
             conjuncts.append(AttributeValuePredicate(
-                left, op, tuple(draw(st.lists(domain, max_size=3)))))
+                left, op, tuple(draw(CONSTANT_LISTS[domain]))))
         elif op is ComparisonOp.LIKE:
             conjuncts.append(AttributeValuePredicate(
                 left, op, draw(PATTERNS)))
         elif draw(st.booleans()):
             conjuncts.append(AttributeValuePredicate(left, op, draw(domain)))
         else:
-            right = draw(st.sampled_from([c for c in COLUMNS if c != left]))
+            right = draw(OTHER_COLUMNS[left])
             conjuncts.append(AttributeComparisonPredicate(left, op, right))
     names = sorted(master.names())
     held = draw(st.one_of(st.none(), st.none(), st.none(),
@@ -169,7 +183,7 @@ def opened(table, master):
 
 
 @given(cases())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=draws(100, 30), deadline=None)
 def test_engine_agrees_with_plan_order_and_filters_first_on_plaintext(case):
     layout, rows, predicate, master, held, constants = case
     leaf = BaseRelationNode(R)
@@ -198,7 +212,7 @@ def test_engine_agrees_with_plan_order_and_filters_first_on_plaintext(case):
 
 @given(cases(), st.sets(st.sampled_from(COLUMNS), min_size=1),
        st.booleans(), st.sampled_from([None, Encrypt, Selection]))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=draws(100, 60), deadline=None)
 def test_projection_chain_agrees_with_plan_order(case, kept, filtered,
                                                  arrived):
     layout, rows, predicate, master, held, constants = case

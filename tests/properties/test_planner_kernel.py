@@ -58,6 +58,7 @@ from repro.tpch import all_queries, all_scenarios, build_tpch_schema, scenario
 from repro.tpch.queries import query_plan
 
 from oracles.dp_reference import dp_reference, edge_cost
+from helpers import draws
 
 POOL = list("ABCDEFGHJK")
 
@@ -288,11 +289,13 @@ class TestFastDpMatchesReference:
 
     def test_all_queries_over_24_providers(self):
         """Same assignment per node as the oracle, where most senders of
-        an edge are dominated and only the frontier is scored."""
+        an edge are dominated and only the frontier is scored: every
+        fifth query in tier-1 (Q1, Q6, Q11, Q16, Q21), all 22 under the
+        soak switch.  The golden gate plans all 22 in tier-1."""
         schema, settings = sweep_settings()
         wide = settings["wide"]
         prices = PriceList.from_subjects(wide.subjects)
-        for query in all_queries():
+        for query in all_queries()[::draws(1, 5)]:
             plan = query.plan(schema)
             fast, reference = (
                 run(plan, wide.policy, wide.subject_names, prices,
@@ -521,7 +524,7 @@ class TestDominatedSubjects:
 
     @given(federations(), st.sampled_from([None, "ulp", "large"]),
            st.data())
-    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.settings(max_examples=draws(60, 25), deadline=None)
     def test_the_search_equals_the_search_without_dominance(
             self, federation, perturb, data):
         plan, policy, names, prices, user, owners = federation
