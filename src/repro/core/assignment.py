@@ -167,10 +167,9 @@ def assign(
     # optimistic and conservative searches plus the no-provider
     # baseline, then compare *exact* extended-plan costs.  A pass that
     # repeats an earlier proposal would repeat its exact pipeline too.
-    trusted = frozenset({user}) | frozenset((owners or {}).values())
     proposals: list[dict[PlanNode, str]] = []
     for mode, restrict_to in (("optimistic", None), ("conservative", None),
-                              ("optimistic", trusted)):
+                              ("optimistic", searcher.trusted)):
         searcher.edge_scheme_mode = mode
         try:
             proposal = searcher.dynamic_programming(restrict_to=restrict_to)

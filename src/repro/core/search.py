@@ -86,6 +86,7 @@ class _AssignmentSearch:
         self.prices = prices
         self.owners = owners
         self.user = user
+        self.trusted = frozenset({user, *owners.values()})
         self.edge_cache = edge_cache
         self.estimates = estimator.estimate(plan)
         self._lineage = derived_lineage(plan)
@@ -260,7 +261,6 @@ class _AssignmentSearch:
     def dominators(self) -> dict[str, str]:
         """Dominated subject → the group-mate whose row always beats its
         own, in this pass's mode (module docstring: *Dominated subjects*)."""
-        fixed = {self.user, *self.owners.values()}
         operations = self.plan.operations()
         placed = frozenset().union(*(self.candidates[n] for n in operations))
         groups: dict[tuple[int, int], list[str]] = {}
@@ -276,7 +276,7 @@ class _AssignmentSearch:
                 dominator = next((other for other in group[:index]
                                   if all(map(le, rates[other], rates[name]))),
                                  None)
-                if dominator is not None and name not in fixed:
+                if dominator is not None and name not in self.trusted:
                     dominators[name] = dominator
         # The negative-coefficient fallback: every edge, every receiver.
         views = {self.subject_masks(name)[:2] for name in dominators}
@@ -310,8 +310,8 @@ class _AssignmentSearch:
         """
         table: dict[PlanNode, dict[str, float]] = {}
         choice: dict[PlanNode, dict[str, dict[PlanNode, str]]] = {}
-        dominators = {} if restrict_to is not None and restrict_to <= {
-            self.user, *self.owners.values()} else self.dominators()
+        trusted_pass = restrict_to is not None and restrict_to <= self.trusted
+        dominators = {} if trusted_pass else self.dominators()
 
         for node in self.plan.operations():
             table[node] = {}
@@ -344,7 +344,6 @@ class _AssignmentSearch:
                     continue
                 total = self.node_cost(node, subject)
                 picks: dict[PlanNode, str] = {}
-                feasible = True
                 for child, edge, is_leaf, senders in children_info:
                     entry = edge.receiver(subject)
                     memo = entry.memo
@@ -368,18 +367,19 @@ class _AssignmentSearch:
                             best_cost = cost
                             best_subject = sender
                     if best_subject is None:
-                        feasible = False
                         break
                     total += best_cost
                     if not is_leaf:
                         picks[child] = best_subject
-                if feasible:
+                else:
                     table[node][subject] = total
                     choice[node][subject] = picks
 
         root = self.plan.root
-        root_costs = {subject: cost + self.delivery_cost(subject)
-                      for subject, cost in table[root].items()}
+        root_costs = {
+            subject: cost + self.delivery_cost(subject)
+            for subject, cost in table[root].items()
+        }
         if not root_costs:
             raise NoCandidateError(
                 "no feasible assignment for the plan root", node=root

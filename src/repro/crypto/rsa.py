@@ -126,7 +126,8 @@ class RsaPublicKey:
         if not 0 < sig_int < n or pow(sig_int, self.e, n) != digest:
             return False
         with self._verified_guard:
-            if len(self._verified) >= _VERIFY_MEMO_LIMIT:
+            if digest not in self._verified \
+                    and len(self._verified) >= _VERIFY_MEMO_LIMIT:
                 del self._verified[next(iter(self._verified))]
             self._verified[digest] = bytes(signature)
         return True
@@ -199,7 +200,8 @@ class RsaPrivateKey:
                     "RSA self-check failed; signature withheld")
             signature = value.to_bytes(_modulus_bytes(n), "big")
             with self._signed_guard:
-                if len(self._signed) >= _SIGN_MEMO_LIMIT:
+                if digest not in self._signed \
+                        and len(self._signed) >= _SIGN_MEMO_LIMIT:
                     del self._signed[next(iter(self._signed))]
                 self._signed[digest] = signature
         return signature
@@ -233,7 +235,8 @@ class RsaPrivateKey:
             cipher = RandomizedCipher(self._unwrap(wrapped))
             plaintext = cipher.decrypt(body)
             with self._unwrapped_guard:
-                if len(self._unwrapped) >= _UNWRAP_MEMO_LIMIT:
+                if wrapped not in self._unwrapped \
+                        and len(self._unwrapped) >= _UNWRAP_MEMO_LIMIT:
                     del self._unwrapped[next(iter(self._unwrapped))]
                 self._unwrapped[wrapped] = cipher
         else:

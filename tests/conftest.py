@@ -60,12 +60,10 @@ from repro.tpch import (
 
 from helpers import SOAK, authority_tables
 
-#: Properties that name no count run 25 draws in tier-1; the soak
-#: profile gives them Hypothesis' default of 100.
-settings.register_profile("deterministic", derandomize=True, database=None,
-                          max_examples=25)
-settings.register_profile("soak", derandomize=True, database=None,
-                          max_examples=100)
+#: Both profiles leave a property that names no count at Hypothesis'
+#: default of 100; a sliced property names its count with ``draws``.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.register_profile("soak", derandomize=True, database=None)
 settings.load_profile("soak" if SOAK else "deterministic")
 
 #: Keypairs in each session pool: more than any one run has subjects,

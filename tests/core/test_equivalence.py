@@ -1,8 +1,10 @@
 """Unit and property tests for the equivalence-class partition (R≃)."""
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.equivalence import EquivalenceClasses
+
+from helpers import draws
 
 ATTRS = st.sampled_from(list("ABCDEFGH"))
 CLASSES = st.lists(
@@ -78,9 +80,7 @@ class TestBasics:
 
 
 class TestProperties:
-    """Each runs the profile's count: 25 draws in tier-1, 100 under the
-    soak switch (``tests/conftest.py``)."""
-
+    @settings(max_examples=draws(100, 25))
     @given(CLASSES)
     def test_classes_are_disjoint(self, classes):
         eq = EquivalenceClasses(classes)
@@ -89,6 +89,7 @@ class TestProperties:
             assert not (cls_ & seen)
             seen |= cls_
 
+    @settings(max_examples=draws(100, 25))
     @given(CLASSES, st.frozensets(ATTRS, min_size=2, max_size=4))
     def test_union_set_makes_members_equivalent(self, classes, added):
         eq = EquivalenceClasses(classes).union_set(added)
@@ -96,18 +97,21 @@ class TestProperties:
         for other in members[1:]:
             assert eq.are_equivalent(members[0], other)
 
+    @settings(max_examples=draws(100, 25))
     @given(CLASSES, CLASSES)
     def test_merge_is_commutative(self, first, second):
         a = EquivalenceClasses(first)
         b = EquivalenceClasses(second)
         assert a.merge(b) == b.merge(a)
 
+    @settings(max_examples=draws(100, 25))
     @given(CLASSES, st.frozensets(ATTRS, min_size=2, max_size=4))
     def test_union_only_coarsens(self, classes, added):
         before = EquivalenceClasses(classes)
         after = before.union_set(added)
         assert before.refines(after)
 
+    @settings(max_examples=draws(100, 25))
     @given(CLASSES)
     def test_equivalence_is_symmetric(self, classes):
         eq = EquivalenceClasses(classes)

@@ -409,6 +409,35 @@ class TestVerifyMemo:
         for digest, signature in verifier._verified.items():
             assert by_digest[digest] == signature
 
+    def test_a_store_racing_an_equal_store_evicts_nothing(
+            self, keys, monkeypatch):
+        """Two threads may both miss one digest and both store it: the
+        second store replaces an entry, so it must not evict another.
+        The memo below misses every lookup, as the second thread's did."""
+        for limit in ("_VERIFY_MEMO_LIMIT", "_SIGN_MEMO_LIMIT",
+                      "_UNWRAP_MEMO_LIMIT", "_SESSION_USES"):
+            monkeypatch.setattr(rsa, limit, 3 if "MEMO" in limit else 1)
+
+        class Raced(dict):
+            def get(self, key, default=None):
+                return default
+
+        public, private = keys
+        verifier = rsa.RsaPublicKey(public.n)
+        signer, opener = dataclasses.replace(private), dataclasses.replace(
+            private)
+        sealed = [signer.encrypt_for(public, b"m%d" % i) for i in range(3)]
+        for index in range(3):
+            assert verifier.verify(b"m%d" % index, signer.sign(b"m%d" % index))
+            assert opener.decrypt(sealed[index]) == b"m%d" % index
+        memos = ((verifier, "_verified"), (signer, "_signed"),
+                 (opener, "_unwrapped"))
+        for key, memo in memos:
+            object.__setattr__(key, memo, Raced(getattr(key, memo)))
+        assert verifier.verify(b"m2", signer.sign(b"m2"))
+        assert opener.decrypt(sealed[2]) == b"m2"
+        assert [len(getattr(key, memo)) for key, memo in memos] == [3, 3, 3]
+
 
 class TestKeySize:
     @pytest.mark.parametrize("bits", (0, 256, 263, 510, 511, 513, 1023))

@@ -27,8 +27,6 @@ from repro.distributed.messages import (
 )
 from repro.exceptions import DispatchError
 
-from helpers import draws
-
 #: Two Paillier keypairs, drawn from rather than generated per example.
 PAILLIER = [generate_keypair() for _ in range(2)]
 
@@ -84,7 +82,7 @@ def test_decoding_gives_back_every_field(payload):
     assert encode_payload(decoded) == encode_payload(payload)
 
 
-@settings(max_examples=draws(30, 10), deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(PAYLOADS)
 def test_every_strict_prefix_and_a_trailing_byte_are_refused(payload):
     body = encode_payload(payload)

@@ -18,8 +18,6 @@ from repro.crypto.keymanager import DistributedKeys
 from repro.exceptions import UnauthorizedError
 from repro.service import QueryService
 
-from helpers import draws
-
 TEMPLATES = (
     "select T, avg(P) from Hosp join Ins on S=C "
     "where D='stroke' group by T having avg(P)>100",
@@ -93,7 +91,7 @@ class TestOwnershipUnderChurn:
             self, example, service, built):
         keys, plans, made = built
         expected = [rows(service, sql) for sql in TEMPLATES]
-        cycles = draws(40, 10)
+        cycles = 40
         for _ in range(cycles):
             # Y is a candidate of every template: both halves of the
             # cycle touch every cached assignment.
