@@ -15,8 +15,8 @@ counted as a killer of everything::
     python scripts/kill_matrix.py stand-in-may-run-anything
     python scripts/kill_matrix.py --all tests/distributed tests/properties
 
-Test directories default to ``tests`` (≈46 s per mutant on a 2-CPU
-host, ≈18 min for ``--all``, so this is a tool, not a CI step).
+Test directories default to ``tests`` (≈1 min per mutant on a 2-CPU
+host, ≈33 min for ``--all``, so this is a tool, not a CI step).
 ``benchmarks/e2e/test_harness.py`` puts the repository's own ``src/``
 first on ``sys.path`` and so cannot judge a mutant.  The committed result is ``tests/KILL_MATRIX.md``;
 ``tests/test_kill_matrix.py`` keeps every ``old`` text findable.
@@ -57,6 +57,7 @@ QUOTAS = "repro/gateway/quotas.py"
 CODEC = "repro/engine/codec.py"
 EXPRESSIONS = "repro/engine/expressions.py"
 SEARCH = "repro/core/search.py"
+ASSIGNMENT = "repro/core/assignment.py"
 
 MUTANTS = (
     # The run-time enforcement sites (PR 21).
@@ -277,6 +278,21 @@ MUTANTS = (
            "r.io_usd_per_gb)\n",
            "dominance compares cpu and io only, so a subject that ships "
            "cheaper loses its row to a group-mate with a dearer net rate"),
+    # A re-plan that lands on the evicted plan keeps its dispatch plan.
+    Mutant("adoption-ignores-extension", ASSIGNMENT,
+           "        if not (self.assignment == predecessor.assignment\n"
+           "                and _pairs(self.extended) == "
+           "_pairs(predecessor.extended)\n"
+           "                and self.keys == predecessor.keys):\n",
+           "        if not (self.assignment == predecessor.assignment):\n",
+           "a re-plan adopts the evicted plan on an equal assignment "
+           "alone, keeping an extension and keys the new policy changed"),
+    Mutant("adoption-reuses-key-material", ASSIGNMENT,
+           "            self.derived.append((None, "
+           "predecessor.derived[0][1]))\n",
+           "            self.derived[:] = predecessor.derived\n",
+           "an adopting re-plan takes the whole derived cell, so the "
+           "evicted result's key material outlives its eviction"),
 )
 
 

@@ -24,6 +24,11 @@ Repeated queries over a stable policy can additionally pass an
 :class:`~repro.core.plancache.AssignmentCache`, which memoises full
 results keyed by the plan object itself and reconciled across policy
 versions; a structurally equal but distinct plan is planned afresh.
+A re-plan whose reconcile just evicted the cached result runs the full
+pipeline under the new policy and, when it lands on the same plan
+(:meth:`AssignmentResult.adopt`), keeps the evicted result's extended
+plan and dispatch plan, so fragment results the delta did not touch
+stay servable; key material is never carried over.
 """
 
 from __future__ import annotations
@@ -78,9 +83,11 @@ class AssignmentResult:
     #: mid-query, a standby that avoids it can be dispatched without
     #: re-planning.  Empty when every pass proposed the same assignment.
     portfolio: tuple["AssignmentResult", ...] = ()
-    #: One write-once cell (empty, or one item) for what a caller
-    #: derives from this result and wants to live exactly as long as it
-    #: — the service keeps its ``(DistributedKeys, DispatchPlan)`` here.
+    #: One cell (empty, or one item) for what a caller derives from
+    #: this result and wants to live exactly as long as it — the
+    #: service keeps its ``(DistributedKeys, DispatchPlan)`` here.  An
+    #: adopting re-plan starts it at ``(None, the evicted result's
+    #: dispatch plan)``: the rendering carries over, key material never.
     derived: list = field(default_factory=list, repr=False, compare=False)
 
     def assignee(self, node: PlanNode) -> str:
@@ -99,6 +106,30 @@ class AssignmentResult:
         lines = [self.extended.describe(), self.cost.describe()]
         return "\n".join(lines)
 
+    def adopt(self, predecessor: "AssignmentResult") -> bool:
+        """Run on ``predecessor``'s extended and dispatch plans if this
+        re-plan landed on the same plan: the same assignment, the same
+        post-order (label, assignee) pairs of the extended plan and an
+        equal :class:`KeyAssignment`.  Then ``dispatch`` would render
+        the same fragments, so the predecessor's dispatch plan (and the
+        fragment results the runtime keeps on it) stays in use; the
+        key material in its ``derived`` cell does not.
+        """
+        if not (self.assignment == predecessor.assignment
+                and _pairs(self.extended) == _pairs(predecessor.extended)
+                and self.keys == predecessor.keys):
+            return False
+        self.extended = predecessor.extended
+        if predecessor.derived:
+            self.derived.append((None, predecessor.derived[0][1]))
+        return True
+
+
+def _pairs(extended: ExtendedPlan) -> list[tuple[str, str]]:
+    """The extended plan's operations as post-order (label, assignee)."""
+    return [(node.label(), extended.assignment[node])
+            for node in extended.plan.operations()]
+
 
 def assign(
     plan: QueryPlan,
@@ -116,9 +147,11 @@ def assign(
     full results across calls: hits require the same plan object and
     the same live policy and price-list objects, and survive
     policy mutations whose deltas do not touch the plan's dependency
-    footprint (see :mod:`repro.core.cache`).  ``edge_cache`` shares
-    decomposed DP edge tables across queries.  Cached results are
-    shared, not copied.
+    footprint (see :mod:`repro.core.cache`).  A re-plan of an entry
+    the reconcile just evicted adopts it when it lands on the same plan
+    (:meth:`AssignmentResult.adopt`, counted as ``reconcile_adopted``).
+    ``edge_cache`` shares decomposed DP edge tables across queries.
+    Cached results are shared, not copied.
 
     Raises :class:`NoCandidateError` when some operation has no candidate,
     :class:`UnauthorizedError` when the querying user may not receive
@@ -135,10 +168,12 @@ def assign(
             f"subject names {reserved} are reserved for the stand-ins of "
             "relations nobody owns"
         )
+    evicted: list[AssignmentResult] = []
     if cache is not None:
         cache_key = assignment_cache_key(plan, subject_names, user, owners)
         cache_context = (policy, prices)
-        hit = cache.get(cache_key, cache_context, policy=policy)
+        hit = cache.get(cache_key, cache_context, policy=policy,
+                        evicted=evicted)
         if hit is not None:
             return hit
     candidates = compute_candidates(plan, policy, subject_names)
@@ -207,6 +242,8 @@ def assign(
         (r for r in results if r is not best),
         key=lambda r: r.cost.total_usd))
     if cache is not None:
+        if evicted and best.adopt(evicted.pop()):
+            cache.adopted += 1
         cache.put(cache_key, cache_context, best, policy=policy,
                   depends=plan_dependencies(plan, subject_names, user,
                                             owners))

@@ -137,15 +137,18 @@ class Reconciler:
     def __init__(self) -> None:
         self.counts = {KEPT: 0, EVICTED: 0, FLUSHED: 0}
 
-    def survives(self, policy, entry: Entry) -> bool:
-        """Whether ``entry`` may still be served; a kept one is rebased."""
+    def judge(self, policy, entry: Entry) -> str:
+        """:func:`reconcile`'s verdict, counted; a kept entry is rebased."""
         verdict = reconcile(policy, entry)
-        if verdict == CURRENT:
-            return True
-        self.counts[verdict] += 1
+        if verdict != CURRENT:
+            self.counts[verdict] += 1
         if verdict == KEPT:
             entry.version = policy.version
-        return verdict == KEPT
+        return verdict
+
+    def survives(self, policy, entry: Entry) -> bool:
+        """Whether ``entry`` may still be served."""
+        return self.judge(policy, entry) in (CURRENT, KEPT)
 
     def info(self, prefix: str = "reconcile_") -> dict[str, int]:
         return {prefix + verdict: count

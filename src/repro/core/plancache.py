@@ -37,6 +37,18 @@ Key and context
 
 Entries are evicted least-recently-used beyond ``maxsize``.  Cached
 results are shared (not copied); callers must treat them as immutable.
+
+Adoption
+--------
+A lookup whose reconcile *evicts* its entry (same policy and price-list
+objects, a delta touched the footprint) hands the evicted result back to
+the caller, which re-plans in full under the new policy.  When the
+re-plan lands on the same plan it adopts the predecessor's extended and
+dispatch plans (:meth:`~repro.core.assignment.AssignmentResult.adopt`),
+so the runtime's fragment cache keeps serving every fragment result its
+own reconcile kept; fresh key material is minted regardless.  Adoptions
+are counted as ``reconcile_adopted``.  The predecessor lives only for
+the duration of the re-plan: nothing here keeps it.
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.authorization import Policy
-from repro.core.cache import LRU, Entry, Reconciler
+from repro.core.cache import CURRENT, EVICTED, KEPT, LRU, Entry, Reconciler
 from repro.core.lineage import derived_lineage
 from repro.core.plan import QueryPlan
 
@@ -124,9 +136,12 @@ class AssignmentCache:
         #: key → Entry whose value is ``(context, result)``.
         self._entries = LRU(maxsize)
         self._reconciler = Reconciler()
+        #: Re-plans that adopted the result their lookup evicted.
+        self.adopted = 0
 
     def get(self, key: tuple, context: Context,
-            policy: Policy | None = None) -> "AssignmentResult | None":
+            policy: Policy | None = None,
+            evicted: list | None = None) -> "AssignmentResult | None":
         """The cached result for ``key``, or ``None``.
 
         ``context`` must match the stored context object-for-object
@@ -135,7 +150,8 @@ class AssignmentCache:
         given, the entry is first reconciled against the delta journal
         (see :mod:`repro.core.cache`); without it, version-stamped
         entries miss (safe default).  An entry that cannot be served is
-        dropped.
+        dropped; one a delta evicted is appended to ``evicted``, if
+        given, for the re-plan to compare against (*Adoption*).
         """
         def servable(entry: Entry) -> bool:
             stored = entry.value[0]
@@ -144,7 +160,10 @@ class AssignmentCache:
                 return False
             if policy is None:
                 return entry.policy is None
-            return self._reconciler.survives(policy, entry)
+            verdict = self._reconciler.judge(policy, entry)
+            if verdict == EVICTED and evicted is not None:
+                evicted.append(entry.value[1])
+            return verdict in (CURRENT, KEPT)
 
         entry = self._entries.get(key, servable)
         return None if entry is None else entry.value[1]
@@ -163,4 +182,9 @@ class AssignmentCache:
 
     def info(self) -> dict[str, int]:
         """Hit/miss/size counters plus reconcile statistics."""
-        return {**self._entries.info(), **self._reconciler.info()}
+        return {**self._entries.info(), **self.reconcile_info()}
+
+    def reconcile_info(self, prefix: str = "reconcile_") -> dict[str, int]:
+        """Kept / evicted / flushed / adopted counts under ``prefix``."""
+        return {**self._reconciler.info(prefix),
+                prefix + "adopted": self.adopted}

@@ -3,8 +3,11 @@
 The runtime is built to be *long-lived*, with one result cache, kept per
 dispatch plan and only as long as the plan itself is alive — the
 repeat-query regime the service layer (:mod:`repro.service`) serves.
-A fragment that misses is executed from scratch, re-running the
-model-level check at every node.
+A re-plan that lands on the plan a delta evicted adopts its dispatch
+plan (:mod:`repro.core.plancache`, *Adoption*), so the entries this
+cache's reconcile keeps serve it; fresh key material makes a keyed
+fragment miss.  A fragment that misses is executed from scratch,
+re-running the model-level check at every node.
 
 The hit rule
 ------------

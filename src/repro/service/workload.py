@@ -20,7 +20,9 @@ across queries and drives SQL text through it end to end:
   assignment, built once and kept on the assignment itself
   (``AssignmentResult.derived``), so repeated queries stop paying
   Paillier/symmetric keygen and fragment rendering, and an assignment
-  that leaves the cache takes them with it;
+  that leaves the cache takes them with it — except that a re-plan
+  which lands on the plan a delta evicted adopts its dispatch plan
+  (key material is always minted afresh);
 * one persistent :class:`~repro.distributed.DistributedRuntime` whose
   per-subject RSA keypairs are generated once and whose fragment cache
   — the runtime's only result cache, held per dispatch plan —
@@ -96,11 +98,9 @@ class QueryOutcome:
     assignment_cached: bool
     keys_reused: bool
     assignment: AssignmentResult
-    #: Reconcile activity this query observed across the delta-aware
-    #: caches (assignment/fragment entries kept, evicted or flushed),
-    #: as counter increments.  Empty
-    #: when the policy did not change between this query and the
-    #: previous one.
+    #: Reconcile activity this query observed (assignment entries kept,
+    #: evicted, flushed or adopted; fragment entries kept, evicted or
+    #: flushed), as counter increments; empty if the policy held still.
     reconcile: dict[str, int] = field(default_factory=dict)
     #: Whether the query was re-run on a warm §6 standby plan.
     standby_used: bool = False
@@ -562,11 +562,7 @@ class QueryService:
         neighbour's window — the counters are monotone, so totals stay
         exact even when per-query attribution is approximate.
         """
-        counters = {
-            f"assignment_{key[len('reconcile_'):]}": value
-            for key, value in self.assignment_cache.info().items()
-            if key.startswith("reconcile_")
-        }
+        counters = self.assignment_cache.reconcile_info("assignment_")
         counters.update(self.runtime.fragments.reconciler.info("fragment_"))
         return counters
 
@@ -576,24 +572,26 @@ class QueryService:
 
         Both ride in the assignment's own ``derived`` cell, so repeated
         queries redistribute the same Paillier/symmetric material and
-        fragment texts, and nothing outlives the assignment.  Key generation
-        (Paillier — the most expensive planning step) and fragment
-        rendering run outside the service lock so cold queries from
-        different users don't serialize on them; the cell is filled
-        compare-and-set under it.  The flag is True only when the first
-        look found the cell filled: a caller that loses the fill race
-        is handed the winner's pair but still paid for its own, so it
-        must not report reuse.
+        fragment texts, and nothing outlives the assignment; an adopting
+        re-plan's cell holds only its predecessor's dispatch plan, and
+        the material is minted here.  Key generation (Paillier — the
+        most expensive planning step) and fragment rendering run outside
+        the service lock so cold queries from different users don't
+        serialize on them; the cell is filled compare-and-set under it.
+        The flag is True only when the first look found key material: a
+        caller that loses the fill race is handed the winner's pair but
+        still paid for its own, so it must not report reuse.
         """
         with self._lock:
-            if outcome.derived:
-                return (*outcome.derived[0], True)
+            material, rendered = (outcome.derived or [(None, None)])[0]
+            if material is not None:
+                return material, rendered, True
         built = (DistributedKeys.from_assignment(outcome.keys),
-                 dispatch(outcome.extended, outcome.keys,
-                          owners=self.owners, user=user))
+                 rendered or dispatch(outcome.extended, outcome.keys,
+                                      owners=self.owners, user=user))
         with self._lock:
-            if not outcome.derived:
-                outcome.derived.append(built)
+            if not outcome.derived or outcome.derived[0][0] is None:
+                outcome.derived[:] = [built]
             return (*outcome.derived[0], False)
 
 

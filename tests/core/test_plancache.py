@@ -121,6 +121,30 @@ class TestAssignmentCache:
                         prices, user="U", owners=example.owners, cache=cache)
         assert second is not first
         assert second.cost.total_usd == pytest.approx(first.cost.total_usd)
+        # Re-planned in full, it lands on the evicted plan and adopts it.
+        assert second.keys is not first.keys
+        assert second.extended is first.extended
+        assert cache.info()["reconcile_adopted"] == 1
+
+    def test_only_an_evicted_entry_is_handed_back(self, example, prices):
+        # A flushed entry (the journal no longer reaches it) and one
+        # planned under another price list are not adopted.
+        cache = AssignmentCache()
+
+        def run(price_list):
+            return assign(example.plan, example.policy,
+                          example.subject_names, price_list, user="U",
+                          owners=example.owners, cache=cache)
+
+        first = run(prices)
+        example.policy.journal_limit = 0
+        example.policy.grant(example.policy.revoke("Ins", "Y"))
+        flushed = run(prices)
+        other = run(PriceList.from_subjects(example.subjects))
+        assert first.extended is not flushed.extended is not other.extended
+        info = cache.info()
+        assert info["reconcile_flushed"] == 1
+        assert info["reconcile_adopted"] == 0
 
     def test_different_prices_object_misses(self, example, prices):
         cache = AssignmentCache()

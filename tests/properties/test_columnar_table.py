@@ -190,6 +190,21 @@ def test_product_and_join_pair_as_the_nested_loop_does(key_scheme, data):
                                  left, right), bag=True)
 
 
+def test_a_key_twice_on_each_side_pairs_as_the_nested_loop_does():
+    """The property above pinned where its draws may miss: a join key
+    repeated on both sides, so whichever side the hash join builds on
+    holds a duplicate key and the one-lookup probe (for unique build
+    keys) may not be taken."""
+    r = Table("R", ("a", "b", "c"), [(1, 1, 1), (1, 2, 2), (2, 3, 3)])
+    s = Table("S", ("k", "w"), [(1, 3), (2, 4), (1, 5)])
+    condition = Conjunction([
+        AttributeComparisonPredicate("a", ComparisonOp.EQ, "k")])
+    agree(Join(BaseRelationNode(R), BaseRelationNode(S), condition),
+          {"R": r, "S": s},
+          lambda: row_table.join(condition, r.columns + s.columns,
+                                 r.rows, s.rows), bag=True)
+
+
 def test_join_rows_come_in_probe_order_and_match_as_a_bag():
     """⋈ is a bag, as in SQL (and the sqlite oracle): the hash join pairs
     rows in the order it probes them, the nested loop in the order of

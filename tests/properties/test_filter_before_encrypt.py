@@ -23,7 +23,7 @@ already disagrees with plaintext equality (``encode_value`` tags the two
 apart), so plan order itself is wrong there — see the last test.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.keys import QueryKey
 from repro.core.operators import (
@@ -210,9 +210,35 @@ def test_engine_agrees_with_plan_order_and_filters_first_on_plaintext(case):
         assert got[0] == opened(kept, master)[0]
 
 
+def written_case(layout, values, predicate):
+    """A draw of :func:`cases` written out: ``values`` in the clear,
+    sealed where their column arrived encrypted; every key held, and
+    constants sealed under the same store."""
+    master = keystore(layout)
+    rows = [tuple(
+        encrypt_column(master.material_for_attribute(column), [value])[0]
+        if role is ARRIVED and value is not None else value
+        for column, (role, _), value in zip(COLUMNS, layout, row))
+        for row in values]
+    return layout, rows, predicate, master, master, master
+
+
+#: ``b`` arrived sealed and is the predicate column; ``a`` and ``c`` are
+#: the Encrypt's own.  Filtered, σ may not run before the Encrypt;
+#: unfiltered, π keeping ``a`` alone runs first and the Encrypt must
+#: still seal the ``a`` π kept.  Each kills its kill-matrix row at any
+#: draw count.
+SEALED_PREDICATE = written_case(
+    [(OWN, "det1"), (ARRIVED, "det2"), (OWN, "rnd1")],
+    [(1, 2, 3), (2, 2, 4), (3, 1, None)],
+    AttributeValuePredicate("b", ComparisonOp.EQ, 2))
+
+
 @given(cases(), st.sets(st.sampled_from(COLUMNS), min_size=1),
        st.booleans(), st.sampled_from([None, Encrypt, Selection]))
 @settings(max_examples=draws(100, 60), deadline=None)
+@example(SEALED_PREDICATE, {"a", "b"}, True, None)
+@example(SEALED_PREDICATE, {"a"}, False, None)
 def test_projection_chain_agrees_with_plan_order(case, kept, filtered,
                                                  arrived):
     layout, rows, predicate, master, held, constants = case

@@ -445,6 +445,41 @@ class TestSenderFrontier:
 TWIN_NAMES = ["A0", "M", "P0", "P15", "P9", "W", "X2", "Zz"]
 
 
+def base_federation(base, number=None):
+    """The setting, plan and user of a federation's base: the running
+    example, or TPC-H query ``number`` under ``base`` (estimate scale)."""
+    if base == "example":
+        setting = build_running_example()
+        return setting, setting.plan, "U"
+    schema = build_tpch_schema(0.1)
+    setting = scenario(base, schema)
+    return setting, query_plan(number, schema), setting.user
+
+
+def with_twins(setting, plan, user, twins):
+    """``setting`` plus ``twins``, each (name, template provider, index
+    of the changed rate — cpu, io, net — or None, its factor): the
+    template's rules under the name, at the template's rates with the
+    one rate scaled.  Returns (plan, policy, names, prices, user,
+    owners)."""
+    prices = PriceList.from_subjects(setting.subjects)
+    names = list(setting.subject_names)
+    rules = list(setting.policy.rules())
+    for name, template, changed, factor in twins:
+        for rule in rules:
+            if rule.subject == template:
+                setting.policy.grant(Authorization(
+                    rule.relation, rule.plaintext, rule.encrypted, name))
+        rates = prices.rates(template)
+        rates = [rates.cpu_usd_per_second, rates.io_usd_per_gb,
+                 rates.net_usd_per_gb]
+        if changed is not None:
+            rates[changed] *= factor
+        prices = prices.with_rates(name, ResourceRates(*rates))
+        names.append(name)
+    return plan, setting.policy, names, prices, user, dict(setting.owners)
+
+
 @st.composite
 def federations(draw):
     """A plan and a federation holding subjects of one view at several
@@ -455,35 +490,20 @@ def federations(draw):
     one cheaper in a single rate only).  Returns (plan, policy, names,
     prices, user, owners)."""
     base = draw(st.sampled_from(["example", "UAPenc", "UAPmix"]))
-    if base == "example":
-        setting = build_running_example()
-        plan, user = setting.plan, "U"
-    else:
-        schema = build_tpch_schema(0.1)
-        setting = scenario(base, schema)
-        plan = query_plan(draw(st.sampled_from([3, 5, 10, 12, 18])), schema)
-        user = setting.user
-    prices = PriceList.from_subjects(setting.subjects)
-    names = list(setting.subject_names)
+    number = None if base == "example" \
+        else draw(st.sampled_from([3, 5, 10, 12, 18]))
+    setting, plan, user = base_federation(base, number)
     providers = [s.name for s in setting.subjects
                  if s.kind is SubjectKind.PROVIDER]
-    rules = list(setting.policy.rules())
+    twins = []
     for name in draw(st.lists(st.sampled_from(TWIN_NAMES), min_size=1,
                               max_size=3, unique=True)):
         template = draw(st.sampled_from(providers))
-        for rule in rules:
-            if rule.subject == template:
-                setting.policy.grant(Authorization(
-                    rule.relation, rule.plaintext, rule.encrypted, name))
-        rates = prices.rates(template)
-        rates = [rates.cpu_usd_per_second, rates.io_usd_per_gb,
-                 rates.net_usd_per_gb]
         changed = draw(st.sampled_from([None, 0, 1, 2]))
-        if changed is not None:
-            rates[changed] *= draw(st.sampled_from([0.5, 2.0]))
-        prices = prices.with_rates(name, ResourceRates(*rates))
-        names.append(name)
-    return plan, setting.policy, names, prices, user, dict(setting.owners)
+        factor = None if changed is None \
+            else draw(st.sampled_from([0.5, 2.0]))
+        twins.append((name, template, changed, factor))
+    return with_twins(setting, plan, user, twins)
 
 
 def negative_coefficient(size):
@@ -527,6 +547,31 @@ class TestDominatedSubjects:
     @hypothesis.settings(max_examples=draws(60, 25), deadline=None)
     def test_the_search_equals_the_search_without_dominance(
             self, federation, perturb, data):
+        self.check(federation, perturb,
+                   lambda options: data.draw(st.sampled_from(options)))
+
+    def test_a_twin_cheaper_in_net_only_keeps_its_row(self):
+        """Pinned where the draws may miss it: Y's twin ``Zz`` sorts
+        after Y, shares its view and its cpu and io rates, and ships at
+        half Y's net rate.  Y does not dominate it, so its row stays."""
+        federation = with_twins(*base_federation("example"),
+                                [("Zz", "Y", 2, 0.5)])
+        self.check(federation, None, min)
+
+    def test_a_restriction_that_leaves_no_candidate_refuses_alike(self):
+        """Pinned where the draws may miss it: restricted to provider X
+        alone, some operation has no candidate, with the dominance skip
+        (Y's twin at Y's rates is dominated) and without."""
+        federation = with_twins(*base_federation("example"),
+                                [("Zz", "Y", None, None)])
+        self.check(federation, None, min, restrict_to=frozenset({"X"}))
+
+    @staticmethod
+    def check(federation, perturb, pick, restrict_to=None):
+        """Every DP pass and ``assign`` over ``federation`` with and
+        without the dominance map: the same proposal, refusal or cost.
+        ``pick`` chooses, from its sorted options, the subject the last
+        restriction leaves out (``restrict_to`` replaces it)."""
         plan, policy, names, prices, user, owners = federation
         with pytest.MonkeyPatch.context() as patch:
             if perturb is not None:
@@ -542,17 +587,16 @@ class TestDominatedSubjects:
             # Restrictions: none, the trusted subjects, and one without
             # a dominator (its dominated subjects keep their rows).
             dominated = searcher.dominators()
-            excluded = data.draw(st.sampled_from(
-                sorted(set(dominated.values())) or names))
+            excluded = pick(sorted(set(dominated.values())) or names)
             restrictions = [None, frozenset({user, *owners.values()}),
-                            frozenset(names) - {excluded}]
+                            restrict_to or frozenset(names) - {excluded}]
             for mode in ("optimistic", "conservative"):
                 searcher.edge_scheme_mode = mode
-                for restrict_to in restrictions:
+                for restriction in restrictions:
                     def search():
-                        return searcher.dynamic_programming(restrict_to)
+                        return searcher.dynamic_programming(restriction)
                     assert outcome(search) == without_dominance(search), (
-                        mode, restrict_to, dominated)
+                        mode, restriction, dominated)
 
             def planned():
                 result = assign(plan, policy, names, prices, user=user,

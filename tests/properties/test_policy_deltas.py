@@ -11,7 +11,12 @@ state must match a from-scratch recomputation exactly:
   running example and the TPC-H ablation queries (Q3/Q5/Q18) alike,
   including under :data:`~repro.core.authorization.ANY` churn,
   revoke-then-regrant, and a truncated or disabled journal, and must
-  refuse exactly when the fresh run refuses.
+  refuse exactly when the fresh run refuses;
+* a :class:`~repro.service.QueryService` kept across the stream answers
+  exactly as a service built from scratch at each step's policy, every
+  re-plan mints fresh key material, and every dispatch plan a re-plan
+  adopted from the entry it evicted renders, fragment for fragment,
+  what ``dispatch`` renders for the from-scratch assignment.
 
 The streams are seeded, so failures reproduce deterministically.
 """
@@ -19,12 +24,18 @@ The streams are seeded, so failures reproduce deterministically.
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.assignment import EdgeTableCache, assign
 from repro.core.authorization import ANY, Authorization, Policy
 from repro.core.plancache import AssignmentCache
 from repro.cost.pricing import PriceList
 from repro.exceptions import ReproError
+from repro.paper_example import build_running_example
+from repro.service import QueryService
+from repro.tpch import TPCH_UDFS, build_tpch_schema, query, scenario
+
+from helpers import authority_tables, draws
 
 
 def churn(rng, policy, schema, relation_names, subject_pool):
@@ -46,6 +57,32 @@ def churn(rng, policy, schema, relation_names, subject_pool):
     split = rng.randint(0, count)
     policy.grant(Authorization(
         relation, names[:split], names[split:count], subject))
+
+
+def flip(rng, policy, schema, relation_names, subject_pool):
+    """Move one attribute of a pool subject's rule between plaintext and
+    encrypted, or reveal in plaintext all that one pool subject sees:
+    the deltas that may keep an assignment while changing what its
+    extension encrypts.  Without such a rule, :func:`churn`."""
+    rules = [rule for rule in policy.rules()
+             if rule.subject in subject_pool
+             and rule.relation in relation_names
+             and rule.plaintext | rule.encrypted]
+    if not rules:
+        churn(rng, policy, schema, relation_names, subject_pool)
+        return
+    chosen = rng.choice(rules)
+    if rng.random() < 0.5:
+        moved = {rng.choice(sorted(chosen.plaintext | chosen.encrypted))}
+        changes = [(chosen, moved)]
+    else:
+        changes = [(rule, rule.encrypted) for rule in rules
+                   if rule.subject == chosen.subject]
+    for rule, moved in changes:
+        policy.revoke(rule.relation, rule.subject)
+        policy.grant(Authorization(schema.relation(rule.relation),
+                                   rule.plaintext ^ moved,
+                                   rule.encrypted ^ moved, rule.subject))
 
 
 class TestCachedAssignMatchesFresh:
@@ -198,6 +235,106 @@ class TestCachedAssignMatchesFresh:
             seed=4242, steps=12)
         assert agreements > 0
         assert cache.info()["reconcile_flushed"] > 0
+
+
+def rendering(dispatched):
+    """A dispatch plan fragment by fragment, in call order: id, subject,
+    text, key names and the fragments it requests."""
+    return [(f.fragment_id, f.subject, f.text, f.key_names,
+             list(f.requests.values()))
+            for f in dispatched.in_call_order()]
+
+
+def replay_against_scratch(seed, steps, service, scratch, sqls, schema,
+                           relation_names, pool):
+    """Churn ``service``'s policy ``steps`` times; after each delta run
+    every query on ``service`` and on ``scratch()`` (a new service over
+    the same policy).  Returns how many re-plans adopted."""
+    rng = random.Random(seed)
+    adopted = 0
+    for step in range(steps):
+        delta = churn if rng.random() < 0.5 else flip
+        delta(rng, service.policy, schema, relation_names, pool)
+        fresh_service = scratch()
+        for sql in sqls:
+            try:
+                fresh = fresh_service.execute(sql)
+            except ReproError as error:
+                with pytest.raises(type(error)):
+                    service.execute(sql)
+                continue
+            warm = service.execute(sql)
+            assert warm.result.columns == fresh.result.columns, step
+            assert warm.result.sorted_rows() == \
+                fresh.result.sorted_rows(), step
+            if not warm.assignment_cached:
+                assert not warm.keys_reused, step
+            if warm.reconcile.get("assignment_adopted"):
+                adopted += 1
+                assert rendering(warm.assignment.derived[0][1]) == \
+                    rendering(fresh.assignment.derived[0][1]), step
+    return adopted
+
+
+def running_example_stream(seed, example_tables):
+    """One stream of six deltas on a new running example, on the rules
+    of the providers and of any subject (the user and the owners keep
+    theirs, so most steps answer)."""
+    example = build_running_example()
+    tables = {"H": {"Hosp": example_tables["Hosp"]},
+              "I": {"Ins": example_tables["Ins"]}}
+
+    def scratch():
+        return QueryService(example.schema, example.policy,
+                            example.subjects, example.owners, tables)
+
+    return replay_against_scratch(
+        seed, 6, scratch(), scratch, RUNNING_SQLS, example.schema,
+        ["Hosp", "Ins"], ["X", "Y", "Z", ANY])
+
+
+RUNNING_SQLS = (
+    "select T, avg(P) from Hosp join Ins on S=C "
+    "where D='stroke' group by T having avg(P)>100",
+    "select S, T from Hosp where D='stroke'",
+)
+
+
+class TestAdoptedReplansMatchScratch:
+    """A long-lived service over a churning policy ≡ a new service."""
+
+    # The tables are immutable and only read; the policy is built anew
+    # for every draw.  Seed 7's stream reveals Y's join keys in
+    # plaintext: the assignment stays, its extension loses both
+    # encryptions, and the re-plan must not adopt.
+    @settings(max_examples=draws(30, 6), deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @example(seed=7)
+    def test_running_example_stream(self, seed, example_tables):
+        running_example_stream(seed, example_tables)
+
+    @settings(max_examples=draws(12, 2), deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_tpch_uapenc_stream(self, seed, tpch_data):
+        schema = build_tpch_schema(0.002)
+        setting = scenario("UAPenc", schema)
+        tables = authority_tables(tpch_data(0.002, 107))
+
+        def scratch():
+            return QueryService(schema, setting.policy, setting.subjects,
+                                setting.owners, tables, user=setting.user,
+                                udfs=TPCH_UDFS)
+
+        replay_against_scratch(
+            seed, 5, scratch(), scratch,
+            [query(number).sql for number in (3, 10, 12)], schema,
+            sorted(schema.relations), ["P1", "P2", "P3"])
+
+    def test_the_running_example_stream_adopts(self, example_tables):
+        """The dispatch comparison above is not vacuous: a fixed seed's
+        stream adopts."""
+        assert running_example_stream(7, example_tables) > 0
 
 
 class TestJournalSemantics:

@@ -12,6 +12,8 @@ from helpers import authority_tables
 
 RUNNING_SQL = ("select T, avg(P) from Hosp join Ins on S=C "
                "where D='stroke' group by T having avg(P)>100")
+#: H's selection delivered to U in plaintext: one fragment, no key.
+PLAIN_SQL = "select S, T from Hosp where D='stroke'"
 
 
 @pytest.fixture()
@@ -132,17 +134,74 @@ class TestQueryService:
 
     def test_candidate_revoke_evicts_assignment_but_not_fragments(
             self, example, service):
-        # Z runs no fragment of this pipeline, but it *is* a candidate
+        # Z runs no fragment of either pipeline, but it *is* a candidate
         # the planner priced: revoking its Hosp rule must evict the
-        # memoised assignment (the optimum may have shifted).  Its
-        # fragment results go with it — the re-plan runs a new dispatch
-        # plan — but not because the delta touched them.
-        service.execute(RUNNING_SQL)
+        # memoised assignments (the optimum may have shifted).  Each
+        # re-plan lands where the evicted plan was, so it adopts that
+        # dispatch plan and the fragment results the delta did not touch
+        # stay servable; key material is minted afresh all the same.
+        cold = service.execute(RUNNING_SQL)
+        plain_cold = service.execute(PLAIN_SQL)
         example.policy.revoke("Hosp", "Z")
         warm = service.execute(RUNNING_SQL)
         assert not warm.assignment_cached
         assert warm.reconcile.get("assignment_evicted", 0) > 0
         assert warm.reconcile.get("fragment_evicted", 0) == 0
+        plain = service.execute(PLAIN_SQL)
+        for before, after in ((cold, warm), (plain_cold, plain)):
+            assert after.reconcile.get("assignment_adopted") == 1
+            assert not after.keys_reused
+            (old_keys, old_plan), = before.assignment.derived
+            (new_keys, new_plan), = after.assignment.derived
+            assert new_plan is old_plan and new_keys is not old_keys
+            assert after.result.sorted_rows() == before.result.sorted_rows()
+        # H and I seal the join keys: under the new material their
+        # fragments miss, and so does Y's over what they now send.
+        assert warm.trace.fragment_cache_hits == 0
+        assert len(warm.trace.fragments_run) == 3
+        # H's selection for U is keyless: served from cache.
+        assert plain.trace.fragment_cache_hits == \
+            len(plain.trace.fragments_run) == 1
+        assert service.cache_info()["assignment"]["reconcile_adopted"] == 2
+
+    def test_revoke_that_moves_the_plan_renders_a_fresh_dispatch_plan(
+            self, example, service):
+        # Without its Ins rule Y can no longer join, so X takes the join
+        # over encrypted operands: nothing is adopted and nothing cached.
+        cold = service.execute(RUNNING_SQL)
+        example.policy.revoke("Ins", "Y")
+        warm = service.execute(RUNNING_SQL)
+        assert "Y" not in warm.assignment.assignment.values()
+        assert "assignment_adopted" not in warm.reconcile
+        assert warm.assignment.derived[0][1] is not \
+            cold.assignment.derived[0][1]
+        assert warm.trace.fragment_cache_hits == 0
+        assert warm.result.sorted_rows() == cold.result.sorted_rows()
+
+    def test_grant_that_drops_an_encryption_keeps_no_dispatch_plan(
+            self, example, service):
+        # Y may now see the join keys in plaintext: the assignment stays
+        # where it was, but the extension no longer encrypts S and C and
+        # no key is established, so the evicted plan is not adopted.
+        from repro.core.authorization import Authorization
+        from repro.core.operators import Encrypt
+
+        cold = service.execute(RUNNING_SQL)
+        policy, schema = example.policy, example.schema
+        policy.revoke("Hosp", "Y")
+        policy.grant(Authorization(schema.relation("Hosp"), "BDST", "", "Y"))
+        policy.revoke("Ins", "Y")
+        policy.grant(Authorization(schema.relation("Ins"), "CP", "", "Y"))
+        warm = service.execute(RUNNING_SQL)
+        assert warm.assignment.assignment == cold.assignment.assignment
+        assert "assignment_adopted" not in warm.reconcile
+        assert not any(isinstance(node, Encrypt)
+                       for node in warm.assignment.extended.plan.nodes())
+        assert warm.assignment.keys.keys == ()
+        dispatched = warm.assignment.derived[0][1]
+        assert dispatched is not cold.assignment.derived[0][1]
+        assert not any(f.key_names for f in dispatched.fragments.values())
+        assert warm.result.sorted_rows() == cold.result.sorted_rows()
 
     def test_involved_revoke_traced_and_recomputed(self, example,
                                                    service):
