@@ -11,8 +11,9 @@ call over what they kept, also when π kept none of its columns (Q7's
 through the executor's ``encrypt_column`` (sealed), those of them that
 reach ``DeterministicCipher.encrypt_many`` (one per distinct value of a
 DETERMINISTIC column, constants included), those of these the cipher
-actually sealed (its memo's misses: a value a subject sealed under the
-same key in an earlier run is a hit, the subject's keyring kept the key)
+actually sealed (its memo's stores, one per miss: a value a subject
+sealed under the same key in an earlier run is a hit, the subject's
+keyring kept the key)
 and the values through ``decrypt_column`` (opened; those §5 note 2
 opens inside a selection apart), averaged over the rounds — the two
 datasets in turn; a round on dataset 107 alone is the exact triple
@@ -29,7 +30,8 @@ import time
 from collections import Counter, defaultdict
 
 import repro.engine.executor as executor_module
-from repro.crypto.symmetric import _MEMO_MAX, DeterministicCipher
+from repro.core.cache import Memo
+from repro.crypto.symmetric import DeterministicCipher
 from repro.engine import Executor
 from repro.service import QueryService
 from repro.tpch import (
@@ -56,6 +58,8 @@ def main(rounds: int = 2) -> None:
     raw_encrypt = executor_module.encrypt_column
     raw_decrypt = executor_module.decrypt_column
     raw_deterministic = DeterministicCipher.encrypt_many
+    raw_store = Memo.store
+    sealing = [None]  # the encrypt memo of the cipher now sealing
 
     def execute_node(self, node, children):
         running.append(type(node).__name__)
@@ -74,14 +78,16 @@ def main(rounds: int = 2) -> None:
 
     def encrypt_many(cipher, column):
         values[running[0], "det"] += len(column)
-        before = len(cipher._encrypt_memo)
-        tokens = raw_deterministic(cipher, column)
-        after = len(cipher._encrypt_memo)
-        # A full memo is dropped wholesale, then refills (one drop here:
-        # a column seals each distinct value once, far under the bound).
-        values[running[0], "paid"] += after - before if after >= before \
-            else _MEMO_MAX - before + after
-        return tokens
+        sealing[0] = cipher._encrypt_memo
+        try:
+            return raw_deterministic(cipher, column)
+        finally:
+            sealing[0] = None
+
+    def store(memo, key, value):
+        if memo is sealing[0]:  # a seal paid, exact also when full
+            values[running[0], "paid"] += 1
+        return raw_store(memo, key, value)
 
     def decrypt_column(material, column, pool=None):
         values[running[0], "opened"] += len(column)
@@ -94,6 +100,7 @@ def main(rounds: int = 2) -> None:
     executor_module.encrypt_column = encrypt_column
     executor_module.decrypt_column = decrypt_column
     DeterministicCipher.encrypt_many = encrypt_many
+    Memo.store = store
     gc.collect()
     gc.disable()
     try:

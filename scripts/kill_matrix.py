@@ -199,6 +199,13 @@ MUTANTS = (
            "        if digest in self._verified:\n",
            "a public key accepts any signature over a message it verified "
            "before"),
+    # The one memo bound: a re-store (two threads that both missed a key)
+    # replaces its entry and evicts nothing.
+    Mutant("memo-evicts-on-replace", "repro/core/cache.py",
+           "            if key not in self and len(self) >= self.maxsize:\n",
+           "            if len(self) >= self.maxsize:\n",
+           "Memo.store drops the oldest entry even when the key is already "
+           "present"),
     Mutant("quota-check-admits-everything", QUOTAS,
            "        spent = ledger.spend_usd(self.tenant)\n"
            "        if not self.account.admissible:\n",

@@ -1,4 +1,5 @@
-"""The one bounded LRU and the one policy reconcile every cache shares.
+"""The one bounded LRU and the one bounded memo, and the one policy
+reconcile every cache shares.
 
 Leaf module: imports nothing from the package; a policy is anything
 with ``version`` and ``deltas_since(version)``, a delta anything with
@@ -36,6 +37,7 @@ planner are security bugs.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 
 CURRENT, KEPT, EVICTED, FLUSHED = "current", "kept", "evicted", "flushed"
@@ -93,6 +95,40 @@ class LRU:
         """The uniform counter shape every cache reports through."""
         return {"hits": self._hits, "misses": self._misses,
                 "size": len(self._data), "maxsize": self.maxsize}
+
+
+class Memo(dict):
+    """A bounded memo of a pure function's results, oldest out.
+
+    Reads are plain dict reads — no lock, no recency, no counters — so
+    a hot loop pays one dict lookup per value.  Every write is
+    :meth:`store`, the one eviction rule.  The caller checks a value
+    before it stores it (a verified signature, an authenticated
+    session or ciphertext, a canonical image), so a hit is worth the
+    check it skips.  A memo pickles empty at its size: what it
+    remembers stays in the process that computed it.
+    """
+
+    __slots__ = ("maxsize", "_lock")
+
+    def __init__(self, maxsize: int) -> None:
+        super().__init__()
+        self.maxsize = maxsize
+        self._lock = threading.Lock()
+
+    def store(self, key, value):
+        """Remember ``value`` under ``key`` and return it.  Under the
+        memo's lock, a *new* key arriving at a full memo drops the
+        oldest entry; re-storing a present key (two threads that both
+        missed it) evicts nothing."""
+        with self._lock:
+            if key not in self and len(self) >= self.maxsize:
+                del self[next(iter(self))]
+            self[key] = value
+        return value
+
+    def __reduce__(self):
+        return type(self), (self.maxsize,)
 
 
 class Entry:

@@ -390,4 +390,4 @@ class EdgeTableCache:
 
     def info(self) -> dict[str, int]:
         """Hit/miss/size counters of the table store."""
-        return {**self._tables.info(), "tables": len(self._tables)}
+        return self._tables.info()

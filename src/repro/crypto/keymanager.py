@@ -113,14 +113,8 @@ class KeyMaterial:
         OPE tokens only compare; the recoverable plaintext travels in a
         randomized ciphertext under this derived subkey.
         """
-        cache = self._cipher_cache()
-        cipher = cache.get("recovery")
-        if cipher is None:
-            cipher = RandomizedCipher(
-                primitives.prf(_require_symmetric(self), b"recovery")
-            )
-            cache["recovery"] = cipher
-        return cipher
+        return self._cached_cipher("recovery", lambda key: RandomizedCipher(
+            primitives.prf(key, b"recovery")))
 
     def _cached_cipher(self, slot: str, factory):
         cache = self._cipher_cache()

@@ -13,12 +13,13 @@ their big-endian 5-byte prefix: strings sharing those five bytes tie, an
 approximation of the paper's OPE that is adequate for range predicates
 over the synthetic workloads (:func:`encode_orderable`).
 
-The PRF walk is ~48 levels deep, so a cipher instance keeps two bounded
-memos: a *pivot* memo (rectangle → PRF pivot — every value shares the
-top of the partition tree, so even all-distinct columns reuse most
-levels) and a *value* memo (plaintext ↔ ciphertext — equal plaintexts,
-ubiquitous in range and join columns, pay one walk total).  Both are
-transparent: ciphertexts are bit-identical to the memo-free walk.
+The PRF walk is ~48 levels deep, so a cipher instance keeps two kinds of
+:class:`~repro.core.cache.Memo`: a *pivot* memo (rectangle → PRF pivot —
+every value shares the top of the partition tree, so even all-distinct
+columns reuse most levels) and a *value* memo (plaintext ↔ ciphertext —
+equal plaintexts, ubiquitous in range and join columns, pay one walk
+total).  Both are transparent: ciphertexts are bit-identical to the
+memo-free walk.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ import struct
 from datetime import date
 from typing import Iterable, Sequence
 
+from repro.core.cache import Memo
 from repro.crypto import primitives
 from repro.exceptions import CryptoError
 
-#: Bounds on the per-cipher memos; a full memo is dropped wholesale.
+#: Entries in the per-cipher pivot memo and in each value memo.
 _PIVOT_MEMO_MAX = 1 << 16
 _VALUE_MEMO_MAX = 8192
 
@@ -63,10 +65,9 @@ class OpeCipher:
         if len(key) < 16:
             raise CryptoError("OPE keys must be at least 16 bytes")
         self._key = primitives.prf(key, b"ope")
-        self._pivot_memo: dict[tuple[int, int, int, int],
-                               tuple[int, int]] = {}
-        self._encrypt_memo: dict[int, int] = {}
-        self._decrypt_memo: dict[int, int] = {}
+        self._pivot_memo = Memo(_PIVOT_MEMO_MAX)
+        self._encrypt_memo = Memo(_VALUE_MEMO_MAX)
+        self._decrypt_memo = Memo(_VALUE_MEMO_MAX)
 
     # ------------------------------------------------------------------
     # Public API
@@ -134,10 +135,7 @@ class OpeCipher:
         left_need = dmid - dlo + 1
         right_need = dhi - dmid
         rmid = max(rlo + left_need - 1, min(rmid, rhi - right_need))
-        if len(memo) >= _PIVOT_MEMO_MAX:
-            memo.clear()
-        memo[rectangle] = (dmid, rmid)
-        return dmid, rmid
+        return memo.store(rectangle, (dmid, rmid))
 
     def _encrypt_int(self, value: int) -> int:
         memo = self._encrypt_memo
@@ -155,10 +153,7 @@ class OpeCipher:
                 dhi, rhi = dmid, rmid
             else:
                 dlo, rlo = dmid + 1, rmid + 1
-        if len(memo) >= _VALUE_MEMO_MAX:
-            memo.clear()
-        memo[value] = rlo
-        return rlo
+        return memo.store(value, rlo)
 
     def _decrypt_int(self, ciphertext: int) -> int:
         memo = self._decrypt_memo
@@ -182,10 +177,7 @@ class OpeCipher:
         # raise here.
         if self._encrypt_int(dlo) != ciphertext:
             raise CryptoError("ciphertext not produced under this OPE key")
-        if len(memo) >= _VALUE_MEMO_MAX:
-            memo.clear()
-        memo[ciphertext] = dlo
-        return dlo
+        return memo.store(ciphertext, dlo)
 
 
 def encode_orderable(value: object) -> int:

@@ -34,6 +34,7 @@ from datetime import date
 from functools import partial
 from typing import Callable, Sequence
 
+from repro.core.cache import Memo
 from repro.exceptions import CryptoError
 
 _BLOCK = 32  # SHA-256 output size
@@ -41,10 +42,9 @@ _BLOCK = 32  # SHA-256 output size
 #: Derive-once HMAC key schedules, keyed by the raw key bytes.  HMAC
 #: hashes both key pads before any data arrives; caching the two keyed
 #: states and ``copy()``-ing them per message halves the compression
-#: count for short inputs.  Bounded: a full cache is simply dropped
-#: (key counts are small and stable in practice).
+#: count for short inputs.
 _HMAC_CACHE_MAX = 512
-_hmac_cache: dict[bytes, Callable[[bytes], bytes]] = {}
+_hmac_cache = Memo(_HMAC_CACHE_MAX)
 _SHA256_BLOCK = 64
 _INNER_PAD = bytes(byte ^ 0x36 for byte in range(256))
 _OUTER_PAD = bytes(byte ^ 0x5C for byte in range(256))
@@ -78,8 +78,6 @@ def keyed_hmac(key: bytes) -> Callable[[bytes], bytes]:
     """
     mac = _hmac_cache.get(key)
     if mac is None:
-        if len(_hmac_cache) >= _HMAC_CACHE_MAX:
-            _hmac_cache.clear()
         block = hashlib.sha256(key).digest() if len(key) > _SHA256_BLOCK \
             else key
         block = block.ljust(_SHA256_BLOCK, b"\0")
@@ -93,7 +91,7 @@ def keyed_hmac(key: bytes) -> Callable[[bytes], bytes]:
             final.update(state.digest())
             return final.digest()
 
-        _hmac_cache[key] = mac
+        _hmac_cache.store(key, mac)
     return mac
 
 

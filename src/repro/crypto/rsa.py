@@ -26,8 +26,8 @@ half would let ``gcd(s^e - H(m), n)`` reveal a factor, so
 and withholds a signature that does not verify.
 
 **Sign memo.**  A full-domain-hash signature is a pure function of the
-key and the digest, so each private key remembers its last
-:data:`_SIGN_MEMO_LIMIT` (digest → signature) pairs and re-signing
+key and the digest, so each private key keeps (digest → signature)
+pairs in a :class:`~repro.core.cache.Memo` and re-signing
 byte-identical bytes — every warm re-dispatch of a query — costs the
 hash alone.  The memo hangs off the key object, never a name: another
 key signing the same bytes pays its own modexps and gets its own
@@ -35,14 +35,14 @@ signature.  Only signatures that passed the self-check are kept, and a
 pure-function memo needs no invalidation, only its size bound.
 
 **Verify memo.**  Verification is a pure function of the key, the
-digest and the signature bytes, so each public key remembers the last
-:data:`_VERIFY_MEMO_LIMIT` (digest → signature bytes) pairs that
-verified, and re-verifying a warm re-dispatch costs the hash alone.  The
-digest is computed on every call, and a hit needs the very same
-signature bytes: another signature over the same message — an
-impostor's, or one byte flipped — misses and pays its modexp.  Only a
-successful verify is stored, and the memo hangs off the key object, so
-another public key verifies for itself.
+digest and the signature bytes, so each public key keeps the (digest →
+signature bytes) pairs that verified in a
+:class:`~repro.core.cache.Memo`, and re-verifying a warm re-dispatch
+costs the hash alone.  The digest is computed on every call, and a hit
+needs the very same signature bytes: another signature over the same
+message — an impostor's, or one byte flipped — misses and pays its
+modexp.  Only a successful verify is stored, and the memo hangs off the
+key object, so another public key verifies for itself.
 
 **Session.**  A sender's private key keeps one session per recipient
 public key: a fresh 32-byte key, RSA-wrapped once under the recipient's
@@ -51,8 +51,8 @@ sealed under that cipher with a fresh IV and its own HMAC tag, and the
 session is replaced after :data:`_SESSION_USES` envelopes.  The table
 hangs off the *sender's* key object because one runtime dispatches for
 several users: keyed by recipient alone, user B's envelopes would ride
-user A's session key.  The recipient remembers wrapped bytes → session
-cipher (:data:`_UNWRAP_MEMO_LIMIT` of them), so it pays the RSA private
+user A's session key.  The recipient's :class:`~repro.core.cache.Memo`
+maps wrapped bytes → session cipher, so it pays the RSA private
 op once per session instead of once per envelope.  Like the sign memo
 this is a pure-function memo — the unwrap depends on (key, wrapped bytes)
 alone — and it is kept honest on every call: the width check always
@@ -69,6 +69,7 @@ import struct
 import threading
 from dataclasses import dataclass, field
 
+from repro.core.cache import Memo
 from repro.crypto import primitives
 from repro.crypto.symmetric import RandomizedCipher
 from repro.exceptions import CryptoError
@@ -80,20 +81,19 @@ PUBLIC_EXPONENT = 65537
 #: smallest :func:`generate_keypair` accepts.
 DEFAULT_RSA_BITS = 512
 
-#: Signatures one private key remembers (oldest dropped beyond it).
-_SIGN_MEMO_LIMIT = 256
-
-#: Verified signatures one public key remembers (oldest dropped beyond
-#: it).
-_VERIFY_MEMO_LIMIT = 256
+#: Entries in each of a key's memos: signatures, verified signatures,
+#: unwrapped sessions.
+_MEMO_LIMIT = 256
 
 #: Envelopes one sender seals under one session key before it wraps a
 #: fresh one for that recipient.
 _SESSION_USES = 1024
 
-#: Unwrapped session keys one private key remembers (oldest dropped
-#: beyond it).
-_UNWRAP_MEMO_LIMIT = 256
+
+def _memo():
+    """A per-key memo field, sized when the key is built."""
+    return field(default_factory=lambda: Memo(_MEMO_LIMIT), init=False,
+                 repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -102,14 +102,9 @@ class RsaPublicKey:
 
     n: int
     e: int = PUBLIC_EXPONENT
-    #: Digest → the signature bytes that verified for it, in insertion
-    #: order (module docstring, *Verify memo*); not part of the key's
-    #: value.
-    _verified: dict[int, bytes] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _verified_guard: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False,
-        compare=False)
+    #: Digest → the signature bytes that verified for it (module
+    #: docstring, *Verify memo*); not part of the key's value.
+    _verified: Memo = _memo()
 
     def verify(self, message: bytes, signature: bytes) -> bool:
         """Whether ``signature`` is valid for ``message``."""
@@ -125,11 +120,7 @@ class RsaPublicKey:
             return False
         if not 0 < sig_int < n or pow(sig_int, self.e, n) != digest:
             return False
-        with self._verified_guard:
-            if digest not in self._verified \
-                    and len(self._verified) >= _VERIFY_MEMO_LIMIT:
-                del self._verified[next(iter(self._verified))]
-            self._verified[digest] = bytes(signature)
+        self._verified.store(digest, bytes(signature))
         return True
 
 
@@ -160,13 +151,9 @@ class RsaPrivateKey:
     dp: int
     dq: int
     q_inv: int
-    #: Digest → self-checked signature, in insertion order (module
-    #: docstring, *Sign memo*); not part of the key's value.
-    _signed: dict[int, bytes] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _signed_guard: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False,
-        compare=False)
+    #: Digest → self-checked signature (module docstring, *Sign
+    #: memo*); not part of the key's value.
+    _signed: Memo = _memo()
     #: Recipient → this key's current session with it (module docstring,
     #: *Session*): one entry per recipient this key has sealed for.
     _sessions: dict[RsaPublicKey, _Session] = field(
@@ -174,13 +161,9 @@ class RsaPrivateKey:
     _sessions_guard: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False,
         compare=False)
-    #: Wrapped session key → its cipher, in insertion order; only
-    #: sessions whose body authenticated enter.
-    _unwrapped: dict[bytes, RandomizedCipher] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _unwrapped_guard: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False,
-        compare=False)
+    #: Wrapped session key → its cipher; only sessions whose body
+    #: authenticated enter.
+    _unwrapped: Memo = _memo()
 
     def _private_op(self, x: int) -> int:
         """``x^d mod n`` via two half-width exponentiations (Garner)."""
@@ -198,12 +181,8 @@ class RsaPrivateKey:
             if pow(value, self.public.e, n) != digest:
                 raise CryptoError(
                     "RSA self-check failed; signature withheld")
-            signature = value.to_bytes(_modulus_bytes(n), "big")
-            with self._signed_guard:
-                if digest not in self._signed \
-                        and len(self._signed) >= _SIGN_MEMO_LIMIT:
-                    del self._signed[next(iter(self._signed))]
-                self._signed[digest] = signature
+            signature = self._signed.store(
+                digest, value.to_bytes(_modulus_bytes(n), "big"))
         return signature
 
     def encrypt_for(self, recipient: RsaPublicKey, payload: bytes) -> bytes:
@@ -234,11 +213,7 @@ class RsaPrivateKey:
         if cipher is None:
             cipher = RandomizedCipher(self._unwrap(wrapped))
             plaintext = cipher.decrypt(body)
-            with self._unwrapped_guard:
-                if wrapped not in self._unwrapped \
-                        and len(self._unwrapped) >= _UNWRAP_MEMO_LIMIT:
-                    del self._unwrapped[next(iter(self._unwrapped))]
-                self._unwrapped[wrapped] = cipher
+            self._unwrapped.store(wrapped, cipher)
         else:
             plaintext = cipher.decrypt(body)
         if not isinstance(plaintext, bytes):

@@ -25,23 +25,21 @@ single-value ``encrypt`` is the same sweep over one value.  Both modes
 encode through :func:`~repro.crypto.primitives.encode_many`.  Opens verify
 every tag, then derive the keystreams in one sweep (``_open_many``).
 Randomized IVs for a batch come from a single ``os.urandom`` draw.
-:class:`DeterministicCipher` keeps a bounded equality-aware memo: a
-repeated plaintext costs a dict hit instead of a seal.  The memo lives
-on the cipher instance, so on its
-:class:`~repro.crypto.keymanager.KeyMaterial`, which a subject keeps in
-its keyring for as long as envelopes deliver it the same key bytes
-(:mod:`repro.distributed.nodes`): the memo carries over from run to
-run, and the engine seals each distinct value of a column once on its
-own (:func:`repro.engine.codec.encrypt_column`).  A full memo
-(:data:`_MEMO_MAX` entries) is dropped wholesale and refills from the
-next misses, so a key whose columns hold more distinct values than
-that pays for some of them again.
+:class:`DeterministicCipher` keeps an equality-aware
+:class:`~repro.core.cache.Memo` each way: a repeated plaintext costs a
+dict hit instead of a seal.  The memo lives on the cipher instance, so
+on its :class:`~repro.crypto.keymanager.KeyMaterial`, which a subject
+keeps in its keyring for as long as envelopes deliver it the same key
+bytes (:mod:`repro.distributed.nodes`): the memo carries over from run
+to run, and the engine seals each distinct value of a column once on
+its own (:func:`repro.engine.codec.encrypt_column`).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from repro.core.cache import Memo
 from repro.crypto import primitives
 from repro.exceptions import CryptoError
 
@@ -53,11 +51,13 @@ _SIV_DOMAIN = b"siv"
 _BLOCK = 32  # one HMAC-SHA256 keystream block
 _FIRST_BLOCK = bytes(8)  # the keystream's block counter 0, as ``>Q``
 
-#: Bound on the deterministic encrypt/decrypt memos (entries, per
-#: cipher).  A full memo is dropped wholesale — column value sets are
-#: small relative to this in every workload we run (the largest
-#: DETERMINISTIC column of the benchmark's TPC-H data has 3,000).
+#: Entries in each deterministic memo, per cipher and direction (the
+#: largest DETERMINISTIC column of the benchmark's TPC-H data has 3,000
+#: values).
 _MEMO_MAX = 8192
+
+#: What a decrypt memo miss reads (a plaintext may be ``None``).
+_ABSENT = object()
 
 
 def _check_tag(ciphertext: bytes, mac) -> None:
@@ -192,8 +192,8 @@ class DeterministicCipher(_StreamCipher):
     def __init__(self, key: bytes) -> None:
         super().__init__(key)
         self._siv_key = primitives.prf(key, _SIV_DOMAIN)
-        self._encrypt_memo: dict[bytes, bytes] = {}
-        self._decrypt_memo: dict[bytes, object] = {}
+        self._encrypt_memo = Memo(_MEMO_MAX)
+        self._decrypt_memo = Memo(_MEMO_MAX)
 
     def encrypt(self, value: object) -> bytes:
         """Encrypt ``value`` under a plaintext-derived synthetic IV."""
@@ -219,22 +219,16 @@ class DeterministicCipher(_StreamCipher):
                 sealed = iv + (int.from_bytes(encoded, "big")
                                ^ int.from_bytes(pad, "big")
                                ).to_bytes(size, "big")
-                token = sealed + mac(sealed)[:_TAG_LEN]
-                if len(memo) >= _MEMO_MAX:
-                    memo.clear()
-                memo[encoded] = token
+                token = memo.store(encoded, sealed + mac(sealed)[:_TAG_LEN])
             append(token)
         return out
 
     def decrypt(self, ciphertext: bytes) -> object:
         """Recover the plaintext value (memoized per ciphertext)."""
-        memo = self._decrypt_memo
-        if ciphertext in memo:
-            return memo[ciphertext]
-        value = primitives.decode_value(self._open(ciphertext))
-        if len(memo) >= _MEMO_MAX:
-            memo.clear()
-        memo[ciphertext] = value
+        value = self._decrypt_memo.get(ciphertext, _ABSENT)
+        if value is _ABSENT:
+            value = self._decrypt_memo.store(
+                ciphertext, primitives.decode_value(self._open(ciphertext)))
         return value
 
     def decrypt_many(self, ciphertexts: Iterable[bytes]) -> list[object]:

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import settings
 
 from repro.core.authorization import ANY, Authorization, Policy
+from repro.core.cache import Memo
 from repro.core.operators import (
     Aggregate,
     AggregateFunction,
@@ -143,7 +144,7 @@ def cold_rounds(tpch_data):
     per round: the values the executor hands ``encrypt_column`` and
     ``decrypt_column``, the values reaching
     ``DeterministicCipher.encrypt_many`` (``det cipher``), its memo
-    misses, that is the DETERMINISTIC seals paid (``det paid``), and
+    stores, that is the DETERMINISTIC seals paid (``det paid``), and
     the codec calls made inside a selection (``selection codec
     calls``).  Tests only read them."""
     schema = build_tpch_schema(0.002)
@@ -171,18 +172,28 @@ def cold_rounds(tpch_data):
         finally:
             selecting[0] -= 1
 
+    sealing = [None]  # the encrypt memo of the cipher now sealing
+
     def encrypt_many(cipher, values, raw=DeterministicCipher.encrypt_many):
-        before = len(cipher._encrypt_memo)
-        tokens = raw(cipher, values)
+        sealing[0] = cipher._encrypt_memo
+        try:
+            tokens = raw(cipher, values)
+        finally:
+            sealing[0] = None
         rounds[-1]["det cipher"] += len(values)
-        rounds[-1]["det paid"] += len(cipher._encrypt_memo) - before
         return tokens
+
+    def store(memo, key, value, raw=Memo.store):
+        if memo is sealing[0]:
+            rounds[-1]["det paid"] += 1
+        return raw(memo, key, value)
 
     with pytest.MonkeyPatch.context() as patch:
         for name in ("encrypt_column", "decrypt_column"):
             patch.setattr(executor_module, name, counted(name))
         patch.setattr(Executor, "_select", select)
         patch.setattr(DeterministicCipher, "encrypt_many", encrypt_many)
+        patch.setattr(Memo, "store", store)
         for _ in range(2):
             service.refresh_tables(tables)
             rounds.append(collections.Counter())

@@ -1,11 +1,15 @@
-"""core/cache.py: the one LRU and the one reconcile contract.
+"""core/cache.py: the one LRU, the one memo and the one reconcile
+contract.
 
 The reconcile function is checked against a brute-force model that
 keeps every delta ever journalled (so it never forgets) and decides
 survival by plain set algebra, over seeded random grant/revoke streams.
 """
 
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -17,9 +21,65 @@ from repro.core.cache import (
     KEPT,
     LRU,
     Entry,
+    Memo,
     Reconciler,
     reconcile,
 )
+
+
+class TestMemo:
+    def test_reads_are_dict_reads_and_store_returns_the_value(self):
+        memo = Memo(2)
+        assert memo.store("a", 1) == 1
+        assert memo.get("a") == 1 and memo["a"] == 1 and memo == {"a": 1}
+        assert memo.get("b") is None and "b" not in memo
+
+    def test_a_new_key_at_a_full_memo_drops_the_oldest(self):
+        memo = Memo(2)
+        memo.store("a", 1)
+        memo.store("b", 2)
+        assert memo.get("a") == 1   # a read refreshes nothing
+        memo.store("c", 3)
+        assert list(memo) == ["b", "c"]
+
+    def test_re_storing_a_present_key_evicts_nothing(self):
+        memo = Memo(2)
+        memo.store("a", 1)
+        memo.store("b", 2)
+        memo.store("b", 2)          # two threads that both missed "b"
+        assert list(memo) == ["a", "b"]
+        memo.store("a", 10)         # a replaced value keeps its place
+        assert list(memo.items()) == [("a", 10), ("b", 2)]
+
+    def test_bound_holds_under_concurrent_stores(self):
+        memo = Memo(5)
+
+        def worker(offset):
+            for step in range(300):
+                memo.store((offset + step) % 9, step)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(memo) == 5
+
+    def test_pickles_empty_at_its_size(self):
+        memo = Memo(3)
+        memo.store("k", "v")
+        restored = pickle.loads(pickle.dumps(memo))
+        assert type(restored) is Memo and restored == {}
+        assert restored.maxsize == 3
+        restored.store("k", "w")
+        assert memo == {"k": "v"}
 
 
 class TestLRU:

@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.core.cache import Memo
 from repro.crypto import rsa
 from repro.crypto.rsa import DEFAULT_RSA_BITS, generate_keypair
 from repro.crypto.symmetric import RandomizedCipher
@@ -252,9 +253,9 @@ class TestSession:
     def test_memos_stay_bounded_under_concurrent_sealers_and_openers(
             self, recipient, monkeypatch):
         monkeypatch.setattr(rsa, "_SESSION_USES", 2)
-        monkeypatch.setattr(rsa, "_UNWRAP_MEMO_LIMIT", 3)
-        monkeypatch.setattr(rsa, "_SIGN_MEMO_LIMIT", 3)
+        monkeypatch.setattr(rsa, "_MEMO_LIMIT", 3)
         public, private = recipient
+        monkeypatch.setattr(private._unwrapped, "maxsize", 3)
         sealers = [generate_keypair(512)[1] for _ in range(2)]
         failures = []
 
@@ -373,7 +374,7 @@ class TestVerifyMemo:
 
     def test_memo_stays_inside_its_bound_under_six_threads(
             self, keys, monkeypatch):
-        monkeypatch.setattr(rsa, "_VERIFY_MEMO_LIMIT", 3)
+        monkeypatch.setattr(rsa, "_MEMO_LIMIT", 3)
         public, private = keys
         signed = {b"m%d" % index: private.sign(b"m%d" % index)
                   for index in range(7)}
@@ -414,11 +415,10 @@ class TestVerifyMemo:
         """Two threads may both miss one digest and both store it: the
         second store replaces an entry, so it must not evict another.
         The memo below misses every lookup, as the second thread's did."""
-        for limit in ("_VERIFY_MEMO_LIMIT", "_SIGN_MEMO_LIMIT",
-                      "_UNWRAP_MEMO_LIMIT", "_SESSION_USES"):
+        for limit in ("_MEMO_LIMIT", "_SESSION_USES"):
             monkeypatch.setattr(rsa, limit, 3 if "MEMO" in limit else 1)
 
-        class Raced(dict):
+        class Raced(Memo):
             def get(self, key, default=None):
                 return default
 
@@ -433,7 +433,9 @@ class TestVerifyMemo:
         memos = ((verifier, "_verified"), (signer, "_signed"),
                  (opener, "_unwrapped"))
         for key, memo in memos:
-            object.__setattr__(key, memo, Raced(getattr(key, memo)))
+            raced = Raced(3)
+            raced.update(getattr(key, memo))
+            object.__setattr__(key, memo, raced)
         assert verifier.verify(b"m2", signer.sign(b"m2"))
         assert opener.decrypt(sealed[2]) == b"m2"
         assert [len(getattr(key, memo)) for key, memo in memos] == [3, 3, 3]

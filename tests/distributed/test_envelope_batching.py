@@ -431,7 +431,7 @@ class TestSignMemo:
         assert not faulty._signed
 
     def test_memo_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(rsa_module, "_SIGN_MEMO_LIMIT", 4)
+        monkeypatch.setattr(rsa_module, "_MEMO_LIMIT", 4)
         public, private = generate_keypair(512)
         signatures = {}
         for index in range(12):
@@ -445,7 +445,7 @@ class TestSignMemo:
             assert public.verify(message, signature)
 
     def test_concurrent_signers_stay_inside_the_bound(self, monkeypatch):
-        monkeypatch.setattr(rsa_module, "_SIGN_MEMO_LIMIT", 3)
+        monkeypatch.setattr(rsa_module, "_MEMO_LIMIT", 3)
         public, private = generate_keypair(512)
         failures = []
 

@@ -218,7 +218,7 @@ class TestQueryService:
     def test_cache_info_reports_edge_tables(self, service):
         service.execute(RUNNING_SQL)
         info = service.cache_info()
-        assert info["edge_tables"]["tables"] > 0
+        assert info["edge_tables"]["size"] > 0
         assert info["edge_tables"]["misses"] > 0
 
     def test_each_user_priced_from_own_seat(self, example, service):

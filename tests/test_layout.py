@@ -1,10 +1,10 @@
 """Where caching code may live, and which paths ``src/`` may not regrow.
 
-``repro/core/cache.py`` holds the only bounded LRU and the only
-reconcile of cached entries against the policy's delta journal; the
-service keeps per-assignment artifacts on the assignment, never in an
-``id()``-keyed side table, and the planner keys its per-node tables by
-the plan nodes themselves.  A query takes one path: the reference
+``repro/core/cache.py`` holds the one bounded LRU and the one bounded
+memo, and the only reconcile of cached entries against the policy's
+delta journal; the service keeps per-assignment artifacts on the
+assignment, never in an ``id()``-keyed side table, and the planner keys
+its per-node tables by the plan nodes themselves.  A query takes one path: the reference
 implementations the equivalence suites compare against live in
 ``tests/oracles/``, not behind a knob in ``src/``.  These checks fail
 when a hand-rolled copy of either grows back somewhere else, when a
@@ -168,6 +168,45 @@ def test_one_lru_and_one_journal_walk():
         offenders.extend(
             f"{path.relative_to(SRC)}: {needle}"
             for needle in FORBIDDEN if needle in code)
+    assert not offenders, offenders
+
+
+def hand_rolled_bounds(path: Path) -> list[str]:
+    """Each place ``path`` bounds a mapping by hand: a
+    ``del x[next(iter(x))]``, or a ``len(x) >= N`` guarding
+    ``x.clear()``."""
+    sites = []
+    for node in ast.walk(tree_of(path)):
+        if isinstance(node, ast.Delete):
+            sites.extend(
+                (node.lineno, ast.unparse(node)) for target in node.targets
+                if isinstance(target, ast.Subscript)
+                and ast.unparse(target.slice)
+                == f"next(iter({ast.unparse(target.value)}))")
+        elif isinstance(node, ast.If):
+            cleared = {
+                ast.unparse(call.func.value)
+                for statement in node.body for call in ast.walk(statement)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "clear"}
+            sites.extend(
+                (node.lineno, f"{ast.unparse(test)} → clear()")
+                for test in ast.walk(node.test)
+                if isinstance(test, ast.Compare)
+                and isinstance(test.ops[0], (ast.GtE, ast.Gt))
+                and isinstance(test.left, ast.Call)
+                and ast.unparse(test.left.func) == "len"
+                and ast.unparse(test.left.args[0]) in cleared)
+    return [f"{path.relative_to(SRC)}:{line}: {text}"
+            for line, text in sorted(sites)]
+
+
+def test_one_bounded_memo():
+    """A memo bounded by hand grows back nowhere: every bound outside
+    ``core/cache.py`` is a ``Memo`` (or an ``LRU``)."""
+    offenders = [site for path in MODULES if path != CACHE
+                 for site in hand_rolled_bounds(path)]
     assert not offenders, offenders
 
 
