@@ -51,6 +51,7 @@ ENFORCEMENT = "repro/distributed/enforcement.py"
 RUNTIME = "repro/distributed/runtime.py"
 EXECUTOR = "repro/engine/executor.py"
 VISIBILITY = "repro/core/visibility.py"
+ATTRSETS = "repro/core/attrsets.py"
 MESSAGES = "repro/distributed/messages.py"
 RSA = "repro/crypto/rsa.py"
 QUOTAS = "repro/gateway/quotas.py"
@@ -74,10 +75,9 @@ MUTANTS = (
            "        context.trace.rows_transferred += len(table)\n",
            "_receive_input no longer looks at what a subject is handed"),
     Mutant("check-profile-never-raises", ENFORCEMENT,
-           "    check = check_relation(view, profile)\n"
-           "    if not check.authorized:\n",
-           "    check = check_relation(view, profile)\n"
-           "    if False:\n",
+           "    if not relation_authorized(view_masks, profile_masks):\n",
+           "    if not relation_authorized(view_masks, profile_masks) "
+           "and False:\n",
            "check_profile accepts every relation"),
     Mutant("evaluate-skips-check-profile", RUNTIME,
            "            if not isinstance(checked, BaseRelationNode):\n",
@@ -88,11 +88,20 @@ MUTANTS = (
            "",
            "the result's columns are not checked against the user's view"),
     Mutant("delivery-skips-check-profile", RUNTIME,
-           "        check_profile(\n"
-           "            root_view, context.profiles[extended.plan.root], "
-           "\"query result\")\n",
+           "        check_profile(root_view, extended.plan, "
+           "extended.plan.root,\n"
+           "                      \"query result\")\n",
            "",
            "the root profile is not checked against the user's view"),
+    # The one statement of Def. 4.1: the planner, verify_assignment and
+    # check_profile all read it.
+    Mutant("relation-authorized-skips-condition-3", ATTRSETS,
+           "    for eq_class in profile.eq:\n"
+           "        if eq_class & ~plaintext and eq_class & ~encrypted:\n"
+           "            return False\n",
+           "",
+           "relation_authorized never checks uniform visibility over an "
+           "equivalence class"),
     # The two preconditions of filter-before-encrypt (PR 22).
     Mutant("filter-ahead-of-a-received-encrypt", EXECUTOR,
            "            and isinstance(top.left, Encrypt) \\\n"

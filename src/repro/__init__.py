@@ -57,7 +57,6 @@ from repro.core import (
     SubjectView,
     Udf,
     authorized_assignees,
-    check_relation,
     compute_candidates,
     equals,
     establish_keys,
@@ -80,7 +79,7 @@ __all__ = [
     "Join", "KeyAssignment", "PlanNode", "Policy", "Projection",
     "QueryKey", "QueryPlan", "Relation", "RelationProfile", "Schema",
     "Selection", "Subject", "SubjectKind",
-    "SubjectView", "Udf", "authorized_assignees", "check_relation",
+    "SubjectView", "Udf", "authorized_assignees",
     "compute_candidates", "equals", "establish_keys",
     "infer_plaintext_requirements", "minimally_extend",
     "minimum_view_profiles", "user_can_receive_result",

@@ -89,17 +89,14 @@ from repro.core.schema import (
     VARCHAR,
 )
 from repro.core.visibility import (
-    AuthorizationCheck,
     authorized_assignees,
-    check_assignee,
-    check_relation,
     verify_assignment,
 )
 
 __all__ = [
     "ANY", "Aggregate", "AggregateFunction", "AssignmentCache",
     "AttributeUniverse", "Authorization",
-    "AuthorizationCheck", "AttributeComparisonPredicate",
+    "AttributeComparisonPredicate",
     "AttributeValuePredicate", "AttributeSpec", "BaseRelationNode",
     "CancellationToken", "CandidateAssignment", "CartesianProduct",
     "ComparisonOp",
@@ -113,7 +110,7 @@ __all__ = [
     "Schema", "Selection", "Subject", "SubjectKind",
     "SubjectView", "Udf", "VARCHAR", "assignee_authorized",
     "authorized_assignees",
-    "active_token", "check_assignee", "check_relation", "chosen_schemes",
+    "active_token", "chosen_schemes",
     "cluster_encrypted_attributes", "compute_candidates", "equals",
     "establish_keys", "infer_plaintext_requirements", "minimally_extend",
     "minimum_required_view", "minimum_view_profiles",

@@ -11,11 +11,11 @@ AND/OR/subset operations:
 * :class:`AttributeUniverse` — the interning table.  Each distinct
   attribute name is assigned one bit, lazily, for the lifetime of the
   universe; a ``frozenset[str]`` maps to the OR of its members' bits.
-  The universe also memoises conversions of the model's immutable value
-  types (:class:`~repro.core.profile.RelationProfile`,
-  :class:`~repro.core.authorization.SubjectView`,
-  :class:`~repro.core.equivalence.EquivalenceClasses`), so equal values
-  share one mask representation.
+  It converts the model's value types
+  (:class:`~repro.core.profile.RelationProfile`,
+  :class:`~repro.core.authorization.SubjectView`) on every call, and
+  memoises :class:`~repro.core.equivalence.EquivalenceClasses`, which
+  profiles share.
 * :class:`MaskProfile` — a relation profile ``[Rvp, Rve, Rip, Rie, R≃]``
   with every component an ``int`` bitmask (``R≃`` a tuple of masks).  Of
   the Figure 2 algebra it carries the one row the planner applies to
@@ -24,11 +24,18 @@ AND/OR/subset operations:
   and the extension use ``RelationProfile``'s algebra.
 * :class:`MaskView` — a subject's overall view ``P_S`` / ``E_S`` as two
   masks.
-* :func:`relation_authorized` / :func:`assignee_authorized` — the
-  boolean forms of Definitions 4.1 and 4.2, diagnostics-free: condition 1
-  is ``(vp | ip) & ~P == 0``, condition 2 is
+* :func:`relation_authorized` / :func:`assignee_authorized` —
+  Definitions 4.1 and 4.2, the one statement of them in the package:
+  condition 1 is ``(vp | ip) & ~P == 0``, condition 2 is
   ``(ve | ie) & ~(P | E) == 0``, and condition 3 checks each equivalence
-  class mask against ``P`` and ``E``.
+  class mask against ``P`` and ``E``.  The planner (candidates,
+  authorized assignees, the user's result), ``verify_assignment`` and
+  the run-time ``check_profile`` all read them.  The verdict allocates
+  nothing; only after a ``False`` does :func:`relation_violations` /
+  :func:`assignee_violations` render why, mapping the failing masks back
+  to names.  The literal statement over frozensets is the test oracle,
+  ``tests/oracles/authorization_literal.py``, and a property there holds
+  verdicts and reasons equal.
 
 Interning scheme
 ----------------
@@ -36,8 +43,9 @@ Bits are allocated first-come-first-served and never reassigned, so a
 mask created early stays valid as the universe grows.  Masks from
 different universes must never be mixed (a :class:`MaskProfile` carries
 its universe and compares unequal across them).  A universe is
-cheap (two dicts); planners create one per planning session (or per
-plan) and throw it away, which also bounds the memoised conversions.
+cheap (two dicts and a list); planners create one per planning session
+(or per plan) and throw it away, which also bounds the memoised
+conversions.
 """
 
 from __future__ import annotations
@@ -147,13 +155,11 @@ class AttributeUniverse:
     ['C', 'S']
     """
 
-    __slots__ = ("_bits", "_names", "_profiles", "_views", "_equivalences")
+    __slots__ = ("_bits", "_names", "_equivalences")
 
     def __init__(self) -> None:
         self._bits: dict[str, int] = {}
         self._names: list[str] = []
-        self._profiles: dict["RelationProfile", MaskProfile] = {}
-        self._views: dict["SubjectView", MaskView] = {}
         self._equivalences: dict["EquivalenceClasses", tuple[int, ...]] = {}
 
     def bit(self, name: str) -> int:
@@ -190,31 +196,26 @@ class AttributeUniverse:
         return len(self._names)
 
     # ------------------------------------------------------------------
-    # Memoised conversions of the model's value types
+    # Conversions of the model's value types
     # ------------------------------------------------------------------
     def profile_masks(self, profile: "RelationProfile") -> MaskProfile:
-        """Mask form of a :class:`RelationProfile` (memoised by value)."""
-        cached = self._profiles.get(profile)
-        if cached is None:
-            cached = MaskProfile(
-                self,
-                vp=self.mask(profile.visible_plaintext),
-                ve=self.mask(profile.visible_encrypted),
-                ip=self.mask(profile.implicit_plaintext),
-                ie=self.mask(profile.implicit_encrypted),
-                eq=self.equivalence_masks(profile.equivalences),
-            )
-            self._profiles[profile] = cached
-        return cached
+        """Mask form of a :class:`RelationProfile`.
+
+        Not memoised: a profile is rarely converted twice into one
+        universe, and hashing it costs more than those few conversions.
+        """
+        return MaskProfile(
+            self,
+            vp=self.mask(profile.visible_plaintext),
+            ve=self.mask(profile.visible_encrypted),
+            ip=self.mask(profile.implicit_plaintext),
+            ie=self.mask(profile.implicit_encrypted),
+            eq=self.equivalence_masks(profile.equivalences),
+        )
 
     def view_masks(self, view: "SubjectView") -> MaskView:
-        """Mask form of a :class:`SubjectView` (memoised by value)."""
-        cached = self._views.get(view)
-        if cached is None:
-            cached = MaskView(self.mask(view.plaintext),
-                              self.mask(view.encrypted))
-            self._views[view] = cached
-        return cached
+        """Mask form of a :class:`SubjectView` (not memoised, as above)."""
+        return MaskView(self.mask(view.plaintext), self.mask(view.encrypted))
 
     def equivalence_masks(self, equivalences: "EquivalenceClasses",
                           ) -> tuple[int, ...]:
@@ -253,3 +254,41 @@ def assignee_authorized(view: MaskView,
         if not relation_authorized(view, operand):
             return False
     return relation_authorized(view, result_profile)
+
+
+def relation_violations(view: MaskView,
+                        profile: MaskProfile) -> tuple[str, ...]:
+    """Why Definition 4.1 refuses ``profile`` to ``view``: one reason per
+    failed condition (per class for condition 3), tagged with its number
+    and naming the attributes through the profile's universe.  Empty when
+    :func:`relation_authorized` holds; call it only after a ``False``."""
+    names = profile.universe.names
+    plaintext, encrypted = view.plaintext, view.encrypted
+    reasons = []
+    missing = (profile.vp | profile.ip) & ~plaintext
+    if missing:
+        reasons.append("condition 1: no plaintext authorization for "
+                       f"{sorted(names(missing))}")
+    missing = (profile.ve | profile.ie) & ~(plaintext | encrypted)
+    if missing:
+        reasons.append("condition 2: no visibility authorization for "
+                       f"{sorted(names(missing))}")
+    reasons.extend(sorted(
+        "condition 3: non-uniform visibility over "
+        f"{{{','.join(sorted(names(eq_class)))}}}"
+        for eq_class in profile.eq
+        if eq_class & ~plaintext and eq_class & ~encrypted))
+    return tuple(reasons)
+
+
+def assignee_violations(view: MaskView,
+                        operand_profiles: Iterable[MaskProfile],
+                        result_profile: MaskProfile) -> tuple[str, ...]:
+    """Why Definition 4.2 refuses: :func:`relation_violations` of each
+    operand (``operand i:``) and of the result (``result:``)."""
+    reasons = [f"operand {index}: {reason}"
+               for index, operand in enumerate(operand_profiles)
+               for reason in relation_violations(view, operand)]
+    reasons.extend(f"result: {reason}"
+                   for reason in relation_violations(view, result_profile))
+    return tuple(reasons)

@@ -169,8 +169,7 @@ class SubjectView:
         """Bitmask fast path: ``P_S`` / ``E_S`` interned into ``universe``.
 
         ``universe`` is an
-        :class:`~repro.core.attrsets.AttributeUniverse`; the conversion
-        is memoised there, so repeated calls are dictionary lookups.
+        :class:`~repro.core.attrsets.AttributeUniverse`.
         """
         return universe.view_masks(self)
 

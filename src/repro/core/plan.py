@@ -38,7 +38,7 @@ class QueryPlan:
     """
 
     __slots__ = ("root", "_postorder", "_parents", "_profiles",
-                 "_requirements", "_lineage")
+                 "_requirements", "_lineage", "_masks")
 
     def __init__(self, root: PlanNode) -> None:
         self.root = root
@@ -57,6 +57,9 @@ class QueryPlan:
         #: Alias → source attribute, filled by
         #: :func:`repro.core.lineage.derived_lineage`.
         self._lineage: dict[str, str | None] | None = None
+        #: The profiles interned, filled by
+        #: :func:`repro.core.visibility._plan_masks`.
+        self._masks: tuple | None = None
 
     # ------------------------------------------------------------------
     # Traversal

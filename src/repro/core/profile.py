@@ -100,7 +100,7 @@ class RelationProfile:
 
         ``universe`` is an
         :class:`~repro.core.attrsets.AttributeUniverse`; returns the
-        memoised :class:`~repro.core.attrsets.MaskProfile`, on which
+        :class:`~repro.core.attrsets.MaskProfile`, on which
         Definition 4.1/4.2 checks and the Figure 2 algebra are integer
         operations.
         """

@@ -1,25 +1,33 @@
 """Authorized visibility and operation assignment (Section 4).
 
-Implements Definition 4.1 (when a subject is *authorized for a relation*,
+Applies Definition 4.1 (when a subject is *authorized for a relation*,
 given its profile) and Definition 4.2 (when a subject is an *authorized
-assignee* of a plan operation, i.e. authorized for the operands and for the
-produced relation).
+assignee* of a plan operation, i.e. authorized for the operands and for
+the produced relation) to whole plans: who may run each operation
+(:func:`authorized_assignees`, Figure 3) and whether an assignment is
+authorized (:func:`verify_assignment`).
 
-The two definitions are stated twice in the package, each for a reason:
-here over attribute sets, saying *why* a subject is refused
-(:func:`check_relation` / :func:`check_assignee` — what
-:func:`verify_assignment` and the run-time enforcement call), and in
-:mod:`repro.core.attrsets` over bitmasks, answering yes or no
-(``relation_authorized`` / ``assignee_authorized`` — the planner's inner
-loop).  ``tests/properties/test_planner_kernel.py`` holds the two equal.
+The definitions themselves are stated once, over bitmasks, in
+:mod:`repro.core.attrsets` (``relation_authorized`` /
+``assignee_authorized``); a refusal names its reasons through
+``assignee_violations``.  A plan's profiles are interned once and cached
+on the plan (:func:`_plan_masks`): these functions and the run-time
+``check_profile`` all read that copy.  The literal statement over
+attribute sets, with the paper's Example 4.1, is the test oracle
+``tests/oracles/authorization_literal.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.core.attrsets import AttributeUniverse, assignee_authorized
+from repro.core.attrsets import (
+    AttributeUniverse,
+    MaskProfile,
+    MaskView,
+    assignee_authorized,
+    assignee_violations,
+)
 from repro.core.authorization import (
     Policy,
     Subject,
@@ -29,101 +37,7 @@ from repro.core.authorization import (
 from repro.core.lineage import augment_view, derived_lineage
 from repro.core.operators import BaseRelationNode, Encrypt, PlanNode
 from repro.core.plan import QueryPlan
-from repro.core.profile import RelationProfile
 from repro.exceptions import UnauthorizedError
-
-
-@dataclass(frozen=True)
-class AuthorizationCheck:
-    """Outcome of a Definition 4.1 check, with per-condition diagnostics.
-
-    ``violations`` lists human-readable reasons, each tagged with the
-    failing condition number of Definition 4.1.
-    """
-
-    subject: str
-    authorized: bool
-    violations: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.authorized
-
-
-def check_relation(view: SubjectView,
-                   profile: RelationProfile) -> AuthorizationCheck:
-    """Evaluate Definition 4.1 for a subject view and a relation profile.
-
-    The three conditions:
-
-    1. ``Rvp ∪ Rip ⊆ P_S`` — authorized for plaintext;
-    2. ``Rve ∪ Rie ⊆ P_S ∪ E_S`` — authorized for encrypted;
-    3. ``∀A ∈ R≃: A ⊆ P_S or A ⊆ E_S`` — uniform visibility.
-
-    Examples
-    --------
-    Example 4.1 of the paper: given Y's view ``P_Y=BDTP, E_Y=SC`` and a
-    relation with profile ``[P, BSC, -, -, {SC}]``, Y is authorized:
-
-    >>> from repro.core.authorization import SubjectView
-    >>> from repro.core.profile import RelationProfile
-    >>> from repro.core.equivalence import EquivalenceClasses
-    >>> y = SubjectView("Y", frozenset("BDTP"), frozenset("SC"))
-    >>> r = RelationProfile(frozenset("P"), frozenset("BSC"),
-    ...                     equivalences=EquivalenceClasses.of("SC"))
-    >>> check_relation(y, r).authorized
-    True
-    """
-    violations: list[str] = []
-
-    plaintext_needed = profile.visible_plaintext | profile.implicit_plaintext
-    not_plain = plaintext_needed - view.plaintext
-    if not_plain:
-        violations.append(
-            f"condition 1: no plaintext authorization for {sorted(not_plain)}"
-        )
-
-    encrypted_needed = profile.visible_encrypted | profile.implicit_encrypted
-    not_enc = encrypted_needed - (view.plaintext | view.encrypted)
-    if not_enc:
-        violations.append(
-            f"condition 2: no visibility authorization for {sorted(not_enc)}"
-        )
-
-    for eq_class in profile.equivalences:
-        if not (eq_class <= view.plaintext or eq_class <= view.encrypted):
-            violations.append(
-                "condition 3: non-uniform visibility over "
-                f"{{{','.join(sorted(eq_class))}}}"
-            )
-
-    return AuthorizationCheck(
-        subject=view.subject,
-        authorized=not violations,
-        violations=tuple(violations),
-    )
-
-
-def check_assignee(view: SubjectView, node: PlanNode,
-                   operand_profiles: Iterable[RelationProfile],
-                   result_profile: RelationProfile) -> AuthorizationCheck:
-    """Evaluate Definition 4.2: authorized for operands *and* result."""
-    violations: list[str] = []
-    for index, operand in enumerate(operand_profiles):
-        check = check_relation(view, operand)
-        if not check.authorized:
-            violations.extend(
-                f"operand {index}: {reason}" for reason in check.violations
-            )
-    result_check = check_relation(view, result_profile)
-    if not result_check.authorized:
-        violations.extend(
-            f"result: {reason}" for reason in result_check.violations
-        )
-    return AuthorizationCheck(
-        subject=view.subject,
-        authorized=not violations,
-        violations=tuple(violations),
-    )
 
 
 def is_source_encryption(node: PlanNode, relation: str) -> bool:
@@ -141,6 +55,30 @@ def is_source_encryption(node: PlanNode, relation: str) -> bool:
             and node.left.relation.name == relation)
 
 
+def _plan_masks(plan: QueryPlan) -> tuple[
+        AttributeUniverse, dict[PlanNode, MaskProfile], frozenset[str]]:
+    """Every node's profile of ``plan`` interned once, cached on the plan
+    like its profiles and lineage: the universe, node → mask profile, and
+    the names interned.  Nothing is interned into that universe later
+    (:func:`_view_masks` masks a view over those names only), so runs of
+    one plan on several threads share it without a lock."""
+    if plan._masks is None:
+        universe = AttributeUniverse()
+        masks = {node: profile.masks(universe)
+                 for node, profile in plan.profiles().items()}
+        plan._masks = (universe, masks,
+                       universe.names((1 << len(universe)) - 1))
+    return plan._masks
+
+
+def _view_masks(view: SubjectView, universe: AttributeUniverse,
+                names: frozenset[str]) -> MaskView:
+    """``view`` masked over ``names``, interning nothing: an attribute no
+    profile of the plan names cannot change a verdict about it."""
+    return MaskView(universe.mask(view.plaintext & names),
+                    universe.mask(view.encrypted & names))
+
+
 def authorized_assignees(plan: QueryPlan, policy: Policy,
                          subjects: Iterable[Subject | str],
                          ) -> dict[PlanNode, frozenset[str]]:
@@ -151,24 +89,22 @@ def authorized_assignees(plan: QueryPlan, policy: Policy,
     Definition 5.3, which do assume encryption-on-the-fly, live in
     :mod:`repro.core.candidates`.)
     """
-    profiles = plan.profiles()
+    universe, masks, names = _plan_masks(plan)
     lineage = derived_lineage(plan)
-    universe = AttributeUniverse()
     views = [
         augment_view(
             policy.view(s.name if isinstance(s, Subject) else s), lineage
         )
         for s in subjects
     ]
-    view_masks = [(view.subject, view.masks(universe)) for view in views]
+    view_masks = [(view.subject, _view_masks(view, universe, names))
+                  for view in views]
     result: dict[PlanNode, frozenset[str]] = {}
     for node in plan.operations():
-        operand_masks = [profiles[child].masks(universe)
-                         for child in node.children]
-        result_masks = profiles[node].masks(universe)
+        operand_masks = [masks[child] for child in node.children]
         result[node] = frozenset(
-            subject for subject, masks in view_masks
-            if assignee_authorized(masks, operand_masks, result_masks)
+            subject for subject, view in view_masks
+            if assignee_authorized(view, operand_masks, masks[node])
         )
     return result
 
@@ -180,8 +116,9 @@ def verify_assignment(plan: QueryPlan, policy: Policy,
     ``assignment`` must cover every non-leaf node of ``plan``.  Raises
     :class:`UnauthorizedError` naming the first violating node otherwise.
     """
-    profiles = plan.profiles()
+    universe, masks, names = _plan_masks(plan)
     lineage = derived_lineage(plan)
+    views: dict[str, MaskView] = {}
     for node in plan.operations():
         subject = assignment.get(node)
         if subject is None:
@@ -199,15 +136,17 @@ def verify_assignment(plan: QueryPlan, policy: Policy,
                     subject=subject,
                 )
             continue
-        view = augment_view(policy.view(subject), lineage)
-        check = check_assignee(
-            view, node, [profiles[c] for c in node.children], profiles[node]
-        )
-        if not check.authorized:
+        view = views.get(subject)
+        if view is None:
+            view = views[subject] = _view_masks(
+                augment_view(policy.view(subject), lineage), universe, names)
+        operands = [masks[child] for child in node.children]
+        if not assignee_authorized(view, operands, masks[node]):
+            violations = assignee_violations(view, operands, masks[node])
             raise UnauthorizedError(
                 f"subject {subject} is not an authorized assignee of "
-                f"{node.label()}: " + "; ".join(check.violations),
+                f"{node.label()}: " + "; ".join(violations),
                 subject=subject,
-                violations=check.violations,
+                violations=violations,
             )
     return True

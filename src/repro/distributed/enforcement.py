@@ -4,7 +4,11 @@ Two layers make violations fail loudly rather than silently, on every
 run — there is no switch that turns them off:
 
 * **model-level** (:func:`check_profile`) — before producing a relation,
-  a subject re-checks Definition 4.1 against the relation's profile;
+  a subject re-checks Definition 4.1 against the relation's profile,
+  through the package's one statement of it
+  (:func:`~repro.core.attrsets.relation_authorized`), over the copy of
+  the plan's profiles interned once per plan and read by
+  :func:`~repro.core.visibility.verify_assignment` too;
 * **value-level** (:func:`check_values`) — on receiving a table, a
   subject verifies it can legitimately see every column in the
   representation it arrives in (plaintext columns require plaintext
@@ -31,22 +35,30 @@ name anyway is judged by its policy view like everybody else.
 
 from __future__ import annotations
 
+from repro.core.attrsets import relation_authorized, relation_violations
 from repro.core.authorization import SubjectView
-from repro.core.visibility import check_relation
+from repro.core.operators import PlanNode
+from repro.core.plan import QueryPlan
+from repro.core.visibility import _plan_masks, _view_masks
 from repro.engine.table import Table
 from repro.engine.values import PLAINTEXT
 from repro.exceptions import UnauthorizedError
 
 
-def check_profile(view: SubjectView, profile, what: str) -> None:
-    """Model-level guard: Definition 4.1 of ``view`` over ``profile``."""
-    check = check_relation(view, profile)
-    if not check.authorized:
+def check_profile(view: SubjectView, plan: QueryPlan, node: PlanNode,
+                  what: str) -> None:
+    """Model-level guard: Definition 4.1 of ``view`` over the relation
+    ``node`` produces in ``plan``."""
+    universe, masks, names = _plan_masks(plan)
+    view_masks = _view_masks(view, universe, names)
+    profile_masks = masks[node]
+    if not relation_authorized(view_masks, profile_masks):
+        violations = relation_violations(view_masks, profile_masks)
         raise UnauthorizedError(
             f"{view.subject} is not authorized for {what}: "
-            + "; ".join(check.violations),
+            + "; ".join(violations),
             subject=view.subject,
-            violations=check.violations,
+            violations=violations,
         )
 
 

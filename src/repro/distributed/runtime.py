@@ -322,8 +322,8 @@ class DistributedRuntime:
         # Final delivery to the user: the user must be entitled to the
         # root relation, and to every column representation it contains.
         root_view = self._view_for(context, user)
-        check_profile(
-            root_view, context.profiles[extended.plan.root], "query result")
+        check_profile(root_view, extended.plan, extended.plan.root,
+                      "query result")
         check_values(root_view, result)
         trace.rows_transferred += len(result)
         # The result may live in (and be served again from) the fragment
@@ -623,7 +623,7 @@ class DistributedRuntime:
             for child in step[0].children])
         for checked in step:
             if not isinstance(checked, BaseRelationNode):
-                check_profile(view, context.profiles[checked],
+                check_profile(view, context.extended.plan, checked,
                               f"relation at {checked.label()}")
         return result
 

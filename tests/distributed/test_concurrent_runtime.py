@@ -355,13 +355,13 @@ class TestCrossRunCaches:
             self, example, example_tables, monkeypatch):
         runtime, run = pipeline_7a(example, example_tables)
         calls = []
-        original = enforcement.check_relation
+        original = enforcement.relation_authorized
 
         def counting(view, profile):
-            calls.append(view.subject)
+            calls.append(profile)
             return original(view, profile)
 
-        monkeypatch.setattr(enforcement, "check_relation", counting)
+        monkeypatch.setattr(enforcement, "relation_authorized", counting)
         # Def. 4.1 once per operator a subject evaluates (leaf scans are
         # the subject's own data), plus the delivery to the user.
         expected = 1 + sum(

@@ -104,11 +104,11 @@ def test_encrypt_received_from_another_subject_is_not_filtered_ahead_of(
     assert query.extended.assignee(sealed) == "A2"
 
     checked = []
-    check_relation = enforcement.check_relation
+    relation_authorized = enforcement.relation_authorized
     monkeypatch.setattr(
-        enforcement, "check_relation",
-        lambda view, profile: checked.append(view.subject)
-        or check_relation(view, profile))
+        enforcement, "relation_authorized",
+        lambda view, profile: checked.append(profile)
+        or relation_authorized(view, profile))
     query.run(query.runtime())
     assert len(checked) == 1 + sum(  # the delivery, then every operator
         not isinstance(node, BaseRelationNode)

@@ -4,8 +4,9 @@ Two equivalence obligations from ISSUE 2:
 
 * the mask-backed profile algebra and Definition 4.1/4.2 checks of
   :mod:`repro.core.attrsets` agree with the frozenset semantics of
-  :mod:`repro.core.profile` / :mod:`repro.core.visibility` on random
-  profiles and views;
+  :mod:`repro.core.profile` and the literal oracle
+  (``tests/oracles/authorization_literal.py``) on random profiles and
+  views;
 * the decomposed, memoized DP picks cost-identical assignments to the
   per-pair reference implementation (``tests/oracles/dp_reference.py``)
   on the running example, the TPC-H ablation queries (Q3/Q5/Q18), all
@@ -34,6 +35,7 @@ from repro.core.assignment import _AssignmentSearch, assign
 from repro.core.attrsets import (
     AttributeUniverse,
     relation_authorized,
+    relation_violations,
 )
 from repro.core.authorization import (
     Authorization,
@@ -45,7 +47,6 @@ from repro.core.candidates import compute_candidates
 from repro.core.equivalence import EquivalenceClasses
 from repro.core.profile import RelationProfile
 from repro.core.requirements import chosen_schemes
-from repro.core.visibility import check_relation
 from repro.cost.estimator import PlanEstimator
 from repro.cost.pricing import PriceList, ResourceRates
 from repro.exceptions import (
@@ -57,6 +58,7 @@ from repro.paper_example import build_running_example
 from repro.tpch import all_queries, all_scenarios, build_tpch_schema, scenario
 from repro.tpch.queries import query_plan
 
+from oracles.authorization_literal import check_relation
 from oracles.dp_reference import dp_reference, edge_cost
 from helpers import draws
 
@@ -105,10 +107,12 @@ class TestMaskChecksMatchFrozensets:
         for _ in range(500):
             profile = random_profile(rng)
             view = random_view(rng)
-            expected = check_relation(view, profile).authorized
-            actual = relation_authorized(
-                view.masks(universe), profile.masks(universe))
-            assert actual == expected, (view, profile)
+            expected = check_relation(view, profile)
+            masks = view.masks(universe), profile.masks(universe)
+            assert relation_authorized(*masks) == expected.authorized, \
+                (view, profile)
+            assert sorted(relation_violations(*masks)) \
+                == sorted(expected.violations), (view, profile)
 
     def test_mask_round_trip(self):
         rng = random.Random(7)
@@ -487,17 +491,24 @@ def federations(draw):
     (each with the template's rules, under a drawn name, with the
     template's rates or one of them — cpu, io or net — halved or
     doubled: equal rates, a cheaper twin that sorts after its template,
-    one cheaper in a single rate only).  Returns (plan, policy, names,
-    prices, user, owners)."""
+    one cheaper in a single rate only).  The first twin is always one
+    cheaper in net only, at half its template's net rate, sorting after
+    it: the twin a dominance test that ignored the net rate would drop
+    whatever else is drawn.  Returns (plan, policy, names, prices, user,
+    owners)."""
     base = draw(st.sampled_from(["example", "UAPenc", "UAPmix"]))
     number = None if base == "example" \
         else draw(st.sampled_from([3, 5, 10, 12, 18]))
     setting, plan, user = base_federation(base, number)
     providers = [s.name for s in setting.subjects
                  if s.kind is SubjectKind.PROVIDER]
-    twins = []
-    for name in draw(st.lists(st.sampled_from(TWIN_NAMES), min_size=1,
-                              max_size=3, unique=True)):
+    template = draw(st.sampled_from(providers))
+    first = draw(st.sampled_from([name for name in TWIN_NAMES
+                                  if name > template]))
+    twins = [(first, template, 2, 0.5)]
+    for name in draw(st.lists(st.sampled_from(
+            [name for name in TWIN_NAMES if name != first]),
+            max_size=2, unique=True)):
         template = draw(st.sampled_from(providers))
         changed = draw(st.sampled_from([None, 0, 1, 2]))
         factor = None if changed is None \

@@ -18,10 +18,7 @@ from repro.core.keys import establish_keys
 from repro.core.lineage import augment_view, derived_lineage
 from repro.core.operators import Decrypt, Encrypt, GroupBy
 from repro.core.plan import QueryPlan
-from repro.core.visibility import (
-    check_assignee,
-    verify_assignment,
-)
+from repro.core.visibility import verify_assignment
 from repro.exceptions import (
     AuthorizationError,
     KeyManagementError,
@@ -29,6 +26,8 @@ from repro.exceptions import (
     ReproError,
     UnauthorizedError,
 )
+
+from oracles.authorization_literal import check_assignee
 
 
 class TestTheorem31:
@@ -194,8 +193,7 @@ class TestTheorem52:
                 view = augment_view(
                     scenario.policy.view(subject), lineage)
                 authorized = check_assignee(
-                    view, counterpart, operand_profiles,
-                    profiles[counterpart],
+                    view, operand_profiles, profiles[counterpart],
                 ).authorized
                 # The plaintext requirements bound what extension may
                 # encrypt; a subject authorized under *this* extension

@@ -69,7 +69,9 @@ FORBIDDEN = ("OrderedDict", "popitem(last=False)", "deltas_since(")
 #: totals from the ledger, the controller and the service at scrape
 #: time), or the row-tuple storage a table's columns replaced (its
 #: column swap and transforms, the row-keyed join and group-by helpers,
-#: the per-cell token strip, the defensive copy of a result).
+#: the per-cell token strip, the defensive copy of a result), or the
+#: frozenset statement of Def. 4.1 / 4.2 and its result type beside the
+#: mask kernel (``tests/oracles/authorization_literal.py`` holds it).
 RETIRED = ("ThreadPoolExecutor", "search_impl", "nested-loop", "_reference(",
            "_column_decoder", "parallel-hash", "join_strategy",
            "ExecutionSettings", "min_parallel_items=", "_background_refill",
@@ -92,7 +94,8 @@ RETIRED = ("ThreadPoolExecutor", "search_impl", "nested-loop", "_reference(",
            "def _born(", "def _tokens(", "def _is_token(", "_from_trusted",
            "_residual_checks", "_residuals_hold", "_build_buckets",
            "_row_keys", "_join_key", "group_key", "less_than",
-           "result.copy()")
+           "result.copy()", "check_relation", "check_assignee",
+           "AuthorizationCheck")
 #: Parameters that selected between paths which no longer exist.
 RETIRED_PARAMETERS = ("schedule", "strategy", "failover")
 
@@ -305,6 +308,24 @@ def test_no_second_schedule_and_no_reference_knob():
                     for name in names
                     if name.split(".")[0] in ("tests", "oracles", "helpers"))
     assert not offenders, offenders
+
+
+def test_the_literal_authorization_oracle_is_independent():
+    """The frozenset Def. 4.1 / 4.2 judges the mask kernel, so it may not
+    be built from it: it imports neither ``repro.core.visibility`` nor
+    ``repro.core.attrsets``."""
+    oracle = REPO / "tests" / "oracles" / "authorization_literal.py"
+    imported = set()
+    for node in ast.walk(ast.parse(oracle.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module}.{alias.name}"
+                            for alias in node.names)
+    assert not {name for name in imported
+                if name.startswith(("repro.core.visibility",
+                                    "repro.core.attrsets"))}, imported
 
 
 def test_hybrid_encryption_has_one_path():
