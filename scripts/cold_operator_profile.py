@@ -4,21 +4,23 @@ and µs per input row (also per class, over all templates).
 
 Builds the UAPenc TPC-H service at scale 0.002, swaps the other dataset in
 before every round (as ``cold_exec`` does, so every fragment executes) and
-times each ``Executor.execute_node`` call — the operator's own work, its
-operands are materialized; an Encrypt whose σ and π ran first is one
-call over what they kept, also when π kept none of its columns (Q7's
-``enc[l_shipdate]``) — and counts, per template, the values that go
-through the executor's ``encrypt_column`` (sealed), those of them that
-reach ``DeterministicCipher.encrypt_many`` (one per distinct value of a
-DETERMINISTIC column, constants included), those of these the cipher
-actually sealed (its memo's stores, one per miss: a value a subject
-sealed under the same key in an earlier run is a hit, the subject's
-keyring kept the key)
-and the values through ``decrypt_column`` (opened; those §5 note 2
-opens inside a selection apart), averaged over the rounds — the two
-datasets in turn; a round on dataset 107 alone is the exact triple
-``tests/engine/test_selection_safety_and_cost.py`` guards, and
-``tests/distributed/test_keyring.py`` the seals paid.
+reads each query's node rows (``ExecutionTrace.nodes``, one per node an
+executor evaluated: the operator's own seconds, its operands already
+materialized; an Encrypt whose σ and π ran first is one row over what
+they kept, also when π kept none of its columns, Q7's
+``enc[l_shipdate]``).  Per template, the rows give the values sealed
+(the cells Encrypt hands ``encrypt_column``) and opened (through
+``decrypt_column``; those §5 note 2 opens inside a selection apart).
+Two counts live inside the cipher, where no row reaches, and are taken
+by rebinding it: the values that reach
+``DeterministicCipher.encrypt_many`` (one per distinct value of a
+DETERMINISTIC column, constants included) and those of these the
+cipher actually sealed (its memo's stores, one per miss: a value a
+subject sealed under the same key in an earlier run is a hit, the
+subject's keyring kept the key).  Everything is averaged over the
+rounds — the two datasets in turn; a round on dataset 107 alone is the
+exact triple ``tests/engine/test_selection_safety_and_cost.py`` guards,
+and ``tests/distributed/test_keyring.py`` the seals paid.
 The cyclic collector is run once before the timed rounds and kept off
 during them (re-enabled after), so no collection pause lands on
 whichever operator it happens to interrupt.
@@ -26,13 +28,11 @@ Usage: ``PYTHONPATH=src python scripts/cold_operator_profile.py [ROUNDS]``
 """
 import gc
 import sys
-import time
 from collections import Counter, defaultdict
 
-import repro.engine.executor as executor_module
 from repro.core.cache import Memo
+from repro.core.operators import Selection
 from repro.crypto.symmetric import DeterministicCipher
-from repro.engine import Executor
 from repro.service import QueryService
 from repro.tpch import (
     AUTHORITY_TABLES, TPCH_UDFS, all_queries, build_tpch_schema, generate,
@@ -52,29 +52,11 @@ def main(rounds: int = 2) -> None:
     for sql in sqls.values():  # plans, assignments and keys warm
         service.execute(sql)
     cells = defaultdict(lambda: [0, 0, 0.0])  # calls, input rows, seconds
-    values: Counter = Counter()  # (template, sealed | det | opened | note 2)
-    running = []  # the template, then the class of every open operator
-    raw_node = Executor.execute_node
-    raw_encrypt = executor_module.encrypt_column
-    raw_decrypt = executor_module.decrypt_column
+    values: Counter = Counter()  # (template, kind of value) → count
+    running = [None]  # the template now running
     raw_deterministic = DeterministicCipher.encrypt_many
     raw_store = Memo.store
     sealing = [None]  # the encrypt memo of the cipher now sealing
-
-    def execute_node(self, node, children):
-        running.append(type(node).__name__)
-        start = time.perf_counter()
-        try:
-            return raw_node(self, node, children)
-        finally:
-            cell = cells[running[0], running.pop()]
-            cell[0] += 1
-            cell[1] += sum(map(len, children))
-            cell[2] += time.perf_counter() - start
-
-    def encrypt_column(material, column, pool=None):
-        values[running[0], "sealed"] += len(column)
-        return raw_encrypt(material, column, pool=pool)
 
     def encrypt_many(cipher, column):
         values[running[0], "det"] += len(column)
@@ -89,16 +71,7 @@ def main(rounds: int = 2) -> None:
             values[running[0], "paid"] += 1
         return raw_store(memo, key, value)
 
-    def decrypt_column(material, column, pool=None):
-        values[running[0], "opened"] += len(column)
-        if running[-1] == "Selection":
-            values[running[0], "note 2"] += len(column)
-        return raw_decrypt(material, column, pool=pool)
-
     # Rebound for the life of the process: this script exits when done.
-    Executor.execute_node = execute_node
-    executor_module.encrypt_column = encrypt_column
-    executor_module.decrypt_column = decrypt_column
     DeterministicCipher.encrypt_many = encrypt_many
     Memo.store = store
     gc.collect()
@@ -107,8 +80,17 @@ def main(rounds: int = 2) -> None:
         for index in range(rounds):
             service.refresh_tables(datasets[(index + 1) % 2])
             for number, sql in sqls.items():
-                running[:] = [number]
-                service.execute(sql)
+                running[0] = number
+                for _, _, node, rows, _, sealed, opened, seconds in \
+                        service.execute(sql).trace.nodes:
+                    cell = cells[number, type(node).__name__]
+                    cell[0] += 1
+                    cell[1] += rows
+                    cell[2] += seconds
+                    values[number, "sealed"] += sealed
+                    values[number, "opened"] += opened
+                    if isinstance(node, Selection):
+                        values[number, "note 2"] += opened
     finally:
         gc.enable()
     print("template operator          calls   rows in  ms/round  µs/row")

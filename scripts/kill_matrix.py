@@ -309,6 +309,14 @@ MUTANTS = (
            "            self.derived[:] = predecessor.derived\n",
            "an adopting re-plan takes the whole derived cell, so the "
            "evicted result's key material outlives its eviction"),
+    # Mixed comparison operands are made uniform (§3.2) before Def. 4.1.
+    Mutant("harmonise-returns-its-input", "repro/core/extension.py",
+           "    groups = node.uniform_groups()\n"
+           "    if not groups:\n",
+           "    groups = node.uniform_groups()\n"
+           "    if True:\n",
+           "_harmonise_forms returns its operands, so a comparison whose "
+           "sides arrive in two representations stays mixed"),
 )
 
 

@@ -300,7 +300,9 @@ def _harmonise_forms(
     encrypted for the Definition 5.4(ii) trace term — this operation is
     about to turn them implicit and some ancestor may only see them
     encrypted — so they must never be decrypted here: their comparison
-    partners are encrypted instead.
+    partners are encrypted instead.  With opportunistic decryption an
+    encrypted side the assignee may read, and not protected, was already
+    decrypted as an operand, so only its ablation reaches the decrypt.
     """
     groups = node.uniform_groups()
     if not groups:

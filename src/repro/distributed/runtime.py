@@ -21,10 +21,10 @@ retried in :mod:`repro.distributed.retry`, and who the participants are
 in :mod:`repro.distributed.nodes`.  Whatever seals, opens or verifies
 stays here, as ``seal_envelope`` / ``open_envelope`` /
 ``verify_assignment`` resolved in this module's namespace and as the
-methods ``_open_and_record``, ``_receive_input``, ``_evaluate_fragment``,
-``_execute_with_retries`` and ``_evaluate``: the benchmark's tracer and
-the tamper / spoof / drop / envelope-counting suites rebind exactly
-those names, and they are the boundaries a span tree hangs on.
+methods ``_receive_input``, ``_evaluate_fragment``,
+``_execute_with_retries`` and ``_evaluate``, the names the benchmark's
+tracer and the tamper, envelope, concurrency and re-key suites rebind.
+What each executor did is read from ``ExecutionTrace.nodes``, not rebound.
 
 Scheduling
 ----------
@@ -174,6 +174,9 @@ class ExecutionTrace:
     #: (subject, seconds) per successful fragment execution, the wall
     #: time the health registry's latency EWMA is fed.
     executions: list[tuple[str, float]] = field(default_factory=list)
+    #: (fragment id, subject, *row) per executor row (``Executor.record``)
+    #: of every attempt that returned; a fragment-cache hit adds none.
+    nodes: list[tuple] = field(default_factory=list)
 
     def absorb(self, later: "ExecutionTrace") -> None:
         """Append a later run of the same query: counts add, lists join."""
@@ -345,10 +348,6 @@ class DistributedRuntime:
                 node.keyring.info()[name] for node in self.nodes.values())
         return info
 
-    def health_info(self) -> dict[str, dict[str, object]]:
-        """Per-subject health snapshot (breaker state, EWMA, counters)."""
-        return self.health.snapshot()
-
     # ------------------------------------------------------------------
     # Schedule
     # ------------------------------------------------------------------
@@ -477,8 +476,11 @@ class DistributedRuntime:
                 pool=self.pool,
             )
             with token_scope(token):
-                return self._evaluate(context, fragment.root, executor,
-                                      inputs, view)
+                result = self._evaluate(context, fragment.root, executor,
+                                        inputs, view)
+            context.trace.nodes += [(fragment.fragment_id, subject, *row)
+                                    for row in executor.record]
+            return result
 
         return run_with_retries(
             subject, fragment.fragment_id, attempt,

@@ -28,24 +28,6 @@ throughout the engine:
   through, a NULL cell has no representation, and encrypted aggregation
   skips NULLs, so encrypted and plaintext grouping agree on NULL-bearing
   data.
-
-Engine internals (the hot path)
--------------------------------
-A :class:`Table` stores one immutable sequence per column plus a row
-count, and states one representation per column, read from the cells
-only where the column is born; every decision that depends on what a
-column holds is taken once per column from it.  π and rename share the
-columns they keep; σ (a column kernel,
-:func:`~repro.engine.expressions.compile_predicate`), ⋈ (hash
-build/probe on the smaller operand) and γ gather each column by a list
-of row indices and decide in one C-level pass per column, not one
-Python call per row; Encrypt and Decrypt swap one column.  The codec
-(:mod:`repro.engine.codec`) checks a column once and leaves the
-scheme's work to :meth:`~repro.crypto.keymanager.KeyMaterial.seal` /
-``open``.  A sealed column (:class:`SealedColumn`) holds raw tokens and
-states their key and scheme; an :class:`EncryptedValue` is born only
-where a token leaves its column — the row views, udf arguments, join
-residuals and Figure 8's pre-encrypted constants.
 """
 
 from repro.engine.executor import Executor

@@ -31,6 +31,12 @@ With a :class:`~repro.parallel.WorkerPool` attached, the Encrypt/Decrypt
 operators (and §5 note 2's selection decrypts) fan column chunks across
 worker processes; everything else runs inline.
 
+What each node did is one record, kept always: :meth:`Executor.execute_step`
+appends to :attr:`Executor.record` one row per node it evaluates, ``(node,
+rows in, rows out, values sealed, values opened, seconds)``.  The values
+sealed are the cells Encrypt hands :func:`encrypt_column`; the values opened
+are every cell through :meth:`Executor._open`, Decrypt's and §5 note 2's.
+
 One physical rule reorders plan nodes (:func:`physical_step`,
 :meth:`Executor.execute_step`): a chain ``π(σ(enc_A(X)))``, ``π(enc_A(X))``
 or ``σ(enc_A(X))`` inside one evaluator runs as ``enc_{A∩kept}(π(σ(X)))``.
@@ -47,6 +53,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import accumulate, chain, compress, repeat
 from operator import is_not, itemgetter
+from time import perf_counter
 from typing import Callable, Mapping, Sequence
 
 from repro.core.operators import (
@@ -65,7 +72,7 @@ from repro.core.operators import (
 from repro.core.plan import QueryPlan
 from repro.core.predicates import AttributeComparisonPredicate
 from repro.core.requirements import EncryptionScheme
-from repro.crypto.keymanager import KeyStore
+from repro.crypto.keymanager import KeyMaterial, KeyStore
 from repro.engine.codec import decrypt_column, encrypt_column
 from repro.engine.expressions import (
     ConstantEncryptor,
@@ -138,6 +145,9 @@ class Executor:
         # Constants in dispatched conditions arrive pre-encrypted by the
         # user (Figure 8); simulate that with a dedicated store.
         self._constant_store = constant_keystore
+        #: One row per node evaluated, in order (module docstring).
+        self.record: list[tuple[PlanNode, int, int, int, int, float]] = []
+        self._sealed = self._opened = 0
 
     # ------------------------------------------------------------------
     # Entry points
@@ -166,11 +176,18 @@ class Executor:
                        for a in attributes if a in source.columns):
                 step = step[1:] + step[:1]
         for node in step:
-            children = [self.execute_node(node, children)]
+            self._sealed = self._opened = 0
+            start = perf_counter()
+            table = self.execute_node(node, children)
+            self.record.append((node, sum(map(len, children)), len(table),
+                                self._sealed, self._opened,
+                                perf_counter() - start))
+            children = [table]
         return children[0]
 
     def execute_node(self, node: PlanNode, children: list[Table]) -> Table:
-        """Evaluate one operator over already materialized operands."""
+        """Evaluate one operator over already materialized operands
+        (:meth:`execute_step` writes its row of :attr:`record`)."""
         if isinstance(node, BaseRelationNode):
             return self._scan(node)
         if isinstance(node, Projection):
@@ -213,9 +230,7 @@ class Executor:
         encryptor = ConstantEncryptor(self._constant_store or self.keystore)
         select = compile_predicate(node.predicate, child.columns, encryptor,
                                    local_keystore=self.keystore)
-        # Note 2 decrypts through this module's decrypt_column, like the
-        # Decrypt operator: same pool, same name for whoever observes it.
-        kept = select(child, partial(decrypt_column, pool=self.pool))
+        kept = select(child, self._open)
         if len(kept) == len(child):
             return child.rename("σ")
         return child.take(kept, "σ")
@@ -309,8 +324,9 @@ class Executor:
             material = keystore.material_for_attribute(attribute)
             if attribute not in child.columns:  # a π that ran first dropped it
                 continue
-            sealed = encrypt_column(material, child.column(attribute),
-                                    pool=self.pool)
+            column = child.column(attribute)
+            self._sealed += len(column)
+            sealed = encrypt_column(material, column, pool=self.pool)
             table = table.with_column(attribute, sealed)
             kind = table.representation(attribute)
             if isinstance(kind, tuple) \
@@ -325,9 +341,16 @@ class Executor:
         table = child.rename("dec")
         for attribute in sorted(node.attributes):
             material = keystore.material_for_attribute(attribute)
-            table = table.with_column(attribute, decrypt_column(
-                material, child.column(attribute), pool=self.pool))
+            table = table.with_column(attribute, self._open(
+                material, child.column(attribute)))
         return table
+
+    def _open(self, material: KeyMaterial,
+              column: Sequence[object]) -> list[object]:
+        """``decrypt_column`` (resolved at call time), counted: the one
+        route of the Decrypt operator and of §5 note 2 inside σ."""
+        self._opened += len(column)
+        return decrypt_column(material, column, pool=self.pool)
 
 
 def _joined(name: str, left: Table, right: Table,

@@ -61,8 +61,8 @@ from repro.engine.values import EncryptedValue, as_column, is_sealed
 from repro.exceptions import ExecutionError
 
 #: ``decrypt_column`` as the selection kernel calls it; the executor
-#: passes its own so note-2 decrypts run (and are traced) as column
-#: crypto, with its worker pool.
+#: passes its ``_open``, so note-2 decrypts use its worker pool and are
+#: counted in its record like the Decrypt operator's.
 ColumnDecryptor = Callable[[KeyMaterial, Sequence], list]
 
 #: A sealed column's stated representation: (key name, scheme).

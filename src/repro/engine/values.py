@@ -68,11 +68,6 @@ class EncryptedValue:
                 f"{self.scheme} ciphertexts do not support comparison"
             )
 
-    def equals(self, other: "EncryptedValue") -> bool:
-        """Equality over deterministic or OPE tokens."""
-        self.require_comparable(other)
-        return self.token == other.token
-
     @property
     def raw(self) -> object:
         """The cell as a :class:`SealedColumn` holds it."""

@@ -532,7 +532,7 @@ class QueryService:
 
     def health_info(self) -> dict[str, dict[str, object]]:
         """Per-subject health snapshot (breaker state, EWMA, counters)."""
-        return self.runtime.health_info()
+        return self.runtime.health.snapshot()
 
     def describe(self) -> str:
         """Service-level summary across every query it has run."""

@@ -45,8 +45,6 @@ from repro.core.schema import Relation, Schema
 from repro.crypto import keymanager, paillier, rsa
 from repro.crypto.symmetric import DeterministicCipher
 from repro.distributed import nodes
-from repro.engine import executor as executor_module
-from repro.engine.executor import Executor
 from repro.engine.table import Table
 from repro.paper_example import RunningExample, build_running_example
 from repro.service import QueryService
@@ -141,12 +139,14 @@ def cold_rounds(tpch_data):
     """Two cold rounds of the 17 SQL templates on one UAPenc service
     (scale 0.002, seed 107), the tables swapped in before each round so
     every fragment executes.  Returns the service and one ``Counter``
-    per round: the values the executor hands ``encrypt_column`` and
-    ``decrypt_column``, the values reaching
-    ``DeterministicCipher.encrypt_many`` (``det cipher``), its memo
-    stores, that is the DETERMINISTIC seals paid (``det paid``), and
-    the codec calls made inside a selection (``selection codec
-    calls``).  Tests only read them."""
+    per round.  Read from the outcomes' node rows
+    (``ExecutionTrace.nodes``): the values sealed (``encrypt_column``)
+    and opened (``decrypt_column``), and those opened by a selection
+    (``opened by σ``, §5 note 2).  Counted inside the cipher, where no
+    row reaches: the values reaching
+    ``DeterministicCipher.encrypt_many`` (``det cipher``) and its memo
+    stores, that is the DETERMINISTIC seals paid (``det paid``).  Tests
+    only read them."""
     schema = build_tpch_schema(0.002)
     setting = scenario("UAPenc", schema)
     tables = authority_tables(tpch_data(0.002, 107))
@@ -154,24 +154,6 @@ def cold_rounds(tpch_data):
                            setting.owners, tables, user=setting.user,
                            udfs=TPCH_UDFS)
     rounds: list[collections.Counter] = []
-    selecting = [0]
-
-    def counted(name):
-        raw = getattr(executor_module, name)
-
-        def codec(material, values, *args, **kwargs):
-            rounds[-1][name] += len(values)
-            rounds[-1]["selection codec calls"] += selecting[0] > 0
-            return raw(material, values, *args, **kwargs)
-        return codec
-
-    def select(self, node, child, raw=Executor._select):
-        selecting[0] += 1
-        try:
-            return raw(self, node, child)
-        finally:
-            selecting[0] -= 1
-
     sealing = [None]  # the encrypt memo of the cipher now sealing
 
     def encrypt_many(cipher, values, raw=DeterministicCipher.encrypt_many):
@@ -189,17 +171,21 @@ def cold_rounds(tpch_data):
         return raw(memo, key, value)
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("encrypt_column", "decrypt_column"):
-            patch.setattr(executor_module, name, counted(name))
-        patch.setattr(Executor, "_select", select)
         patch.setattr(DeterministicCipher, "encrypt_many", encrypt_many)
         patch.setattr(Memo, "store", store)
         for _ in range(2):
             service.refresh_tables(tables)
-            rounds.append(collections.Counter())
+            counts = collections.Counter()
+            rounds.append(counts)
             for query in all_queries():
-                if query.sql is not None:
-                    service.execute(query.sql)
+                if query.sql is None:
+                    continue
+                outcome = service.execute(query.sql)
+                for _, _, node, _, _, sealed, opened, _ in outcome.trace.nodes:
+                    counts["encrypt_column"] += sealed
+                    counts["decrypt_column"] += opened
+                    if isinstance(node, Selection):
+                        counts["opened by σ"] += opened
     return service, rounds
 
 

@@ -2,9 +2,22 @@
 
 import pytest
 
+from repro.core.authorization import Authorization, Policy
 from repro.core.extension import minimally_extend
-from repro.core.operators import Decrypt, Encrypt
+from repro.core.keys import establish_keys
+from repro.core.operators import (
+    BaseRelationNode,
+    Decrypt,
+    Encrypt,
+    Join,
+    Selection,
+)
+from repro.core.plan import QueryPlan
+from repro.core.predicates import AttributeValuePredicate, ComparisonOp, equals
+from repro.core.schema import Relation, Schema
 from repro.core.visibility import verify_assignment
+from repro.crypto.keymanager import DistributedKeys
+from repro.engine import Executor, Table
 from repro.exceptions import PlanError, UnauthorizedError
 
 
@@ -155,3 +168,44 @@ class TestHarmonisation:
             scenario.plan, scenario.policy, assignment)
         assert verify_assignment(
             extended.plan, scenario.policy, extended.assignment)
+
+    @pytest.mark.parametrize("opportunistic", (True, False))
+    def test_an_operand_sealed_below_is_opened_for_its_comparison(
+            self, opportunistic):
+        """``σ[c>1](R) ⋈[a=b] T``: P1 runs σ and may see ``a`` only
+        encrypted, so ``a`` reaches the join sealed and ``b`` plain, at
+        P2, who may read both.  With opportunistic decryption ``a`` is
+        opened as an operand P2 may read; without it (the ablation's
+        letter of Def. 5.4, where nothing requires ``a`` in plaintext)
+        ``_harmonise_forms`` finds the comparison mixed and opens its
+        encrypted side rather than seal ``b``.  Both give one plan, and
+        it answers as the plaintext one."""
+        schema = Schema()
+        r = schema.add(Relation("R", ["a", "c"], cardinality=6))
+        t = schema.add(Relation("T", ["b", "d"], cardinality=6))
+        policy = Policy(schema)
+        policy.grant_all([
+            Authorization(r, "ac", "", "A"), Authorization(t, "bd", "", "B"),
+            Authorization(r, "ac", "", "U"), Authorization(t, "bd", "", "U"),
+            Authorization(r, "c", "a", "P1"),
+            Authorization(r, "ac", "", "P2"),
+            Authorization(t, "bd", "", "P2")])
+        selection = Selection(BaseRelationNode(r), AttributeValuePredicate(
+            "c", ComparisonOp.GT, 1))
+        plan = QueryPlan(Join(selection, BaseRelationNode(t),
+                              equals("a", "b")))
+        extended = minimally_extend(
+            plan, policy, {selection: "P1", plan.root: "P2"},
+            owners={"R": "A", "T": "B"},
+            opportunistic_decryption=opportunistic)
+        opened, _ = extended.plan.root.children
+        assert isinstance(opened, Decrypt) and opened.attributes == {"a"}
+        assert extended.assignment[opened] == "P2"
+        assert extended.encrypted_attributes == {"a"}
+        tables = {"R": Table("R", ("a", "c"), [(n, n % 3) for n in range(6)]),
+                  "T": Table("T", ("b", "d"), [(n, -n) for n in range(6)])}
+        keys = DistributedKeys.from_assignment(
+            establish_keys(extended, policy))
+        assert Executor(tables, keystore=keys.master).execute(
+            extended.plan).sorted_rows() \
+            == Executor(tables).execute(plan).sorted_rows() != []

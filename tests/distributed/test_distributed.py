@@ -123,6 +123,39 @@ class TestRuntime:
             "reqH", "reqI", "reqX", "reqY",
         ]
 
+    def test_each_node_run_has_one_row_and_a_cache_hit_none(
+            self, example, example_tables):
+        """``trace.nodes``: every node a fragment evaluates has one row,
+        tagged with the fragment and the subject that ran it; a run
+        served from the fragment cache adds none."""
+        extended = minimally_extend(
+            example.plan, example.policy, example.assignment_7a(),
+            owners=example.owners)
+        keys = establish_keys(extended, example.policy)
+        plan = dispatch(extended, keys, owners=example.owners, user="U")
+        runtime = build_runtime(
+            example.policy, list(example.subjects),
+            {"H": {"Hosp": example_tables["Hosp"]},
+             "I": {"Ins": example_tables["Ins"]}}, user="U")
+        distributed = DistributedKeys.from_assignment(keys)
+        result, trace = runtime.run(plan, extended, keys, distributed)
+        assert sorted((fragment, subject, id(node))
+                      for fragment, subject, node, *_ in trace.nodes) \
+            == sorted((fragment.fragment_id, fragment.subject, id(node))
+                      for fragment in plan.fragments.values()
+                      for node in fragment.nodes)
+        root = plan.fragment(plan.root_fragment_id).root
+        (rows_out,) = [row[4] for row in trace.nodes if row[2] is root]
+        assert rows_out == len(result)
+        # enc[S] seals the 4 strokes, enc[C,P] 5 cells of each column;
+        # dec[P] opens the two groups' averages.
+        assert sum(row[5] for row in trace.nodes) == 4 + 5 + 5
+        assert sum(row[6] for row in trace.nodes) == 2
+        again, trace = runtime.run(plan, extended, keys, distributed)
+        assert again is result
+        assert trace.fragment_cache_hits == len(plan.fragments)
+        assert trace.nodes == []
+
     def test_enforcement_blocks_unauthorized_profile(self, example,
                                                      example_tables):
         # Build an extension without verification for an assignment NOT

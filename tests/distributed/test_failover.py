@@ -17,18 +17,22 @@ import time
 import pytest
 
 from helpers import FakeClock, parse_prometheus, steady_latency
+from repro.core.authorization import Authorization
+from repro.core.budget import QueryBudget
 from repro.core.visibility import verify_assignment
 from repro.distributed import FaultInjector
 from repro.distributed import runtime as runtime_module
-from repro.engine import Table
+from repro.engine import Executor, Table
 from repro.exceptions import (
     CryptoError,
+    DeadlineExceededError,
     DispatchError,
     UnrecoverableAssignmentError,
 )
 from repro.gateway import Gateway, TenantConfig
 from repro.paper_example import build_running_example
 from repro.service import QueryService
+from repro.sql import plan_query
 
 SQL = ("select T, avg(P) from Hosp join Ins on S=C "
        "where D='stroke' group by T having avg(P)>100")
@@ -43,8 +47,19 @@ def make_tables(rows=30):
     return {"H": {"Hosp": hosp}, "I": {"Ins": ins}}
 
 
-def make_service(injector=None, **kwargs):
+def make_service(injector=None, twins=False, **kwargs):
+    """The running example's service.  With ``twins``, X and Z hold Y's
+    authorizations, so Y's operations have three authorized providers
+    (the planner picks X, the first by name)."""
     example = build_running_example()
+    if twins:
+        hosp, ins = (example.schema.relation(name)
+                     for name in ("Hosp", "Ins"))
+        for name in ("X", "Z"):
+            for relation in (hosp, ins):
+                example.policy.revoke(relation, name)
+            example.policy.grant_all([Authorization(hosp, "BDT", "S", name),
+                                      Authorization(ins, "P", "C", name)])
     kwargs.setdefault("sleeper", lambda seconds: None)
     return QueryService(example.schema, example.policy, example.subjects,
                         example.owners, make_tables(), user="U",
@@ -82,6 +97,20 @@ def compute_victim(outcome, *, user="U"):
 def assert_rows_equal(a: Table, b: Table):
     assert a.columns == b.columns
     assert sorted(a.rows) == sorted(b.rows)
+
+
+def assert_plaintext_answer(outcome, service):
+    """``outcome`` is the single-site executor's answer on plaintext."""
+    catalog = {name: table for tables in make_tables().values()
+               for name, table in tables.items()}
+    assert_rows_equal(outcome.result, Executor(catalog).execute(
+        plan_query(SQL, service.schema)))
+
+
+def node_rows(trace):
+    """(fragment id, subject, node label) of every row of ``trace``."""
+    return [(fragment, subject, node.label())
+            for fragment, subject, node, *_ in trace.nodes]
 
 
 class TestRetries:
@@ -255,6 +284,109 @@ class TestServiceTierRepair:
         with pytest.raises(UnrecoverableAssignmentError,
                            match="data authority"):
             make_service(injector).execute(SQL)
+
+
+class TestReplanTier:
+    """The service's last tier: a re-plan over the healthy subjects,
+    and what happens while it runs.  In the running example every §6
+    standby places the query's top at the user U; with ``twins`` the
+    primary runs it at X."""
+
+    def test_every_standby_uses_a_dead_subject_so_the_query_is_replanned(
+            self, no_takeover):
+        primary = make_service(twins=True).execute(SQL).assignment
+        assert "X" in primary.extended.assignment.values()
+        assert primary.portfolio and all(
+            "U" in standby.extended.assignment.values()
+            for standby in primary.portfolio)
+        injector = FaultInjector(seed=5)
+        for name in ("X", "U"):
+            injector.kill(name)
+        service = make_service(injector, twins=True)
+        service.runtime.health.mark_dead("U")  # lost before this query
+        outcome = service.execute(SQL)
+        assert outcome.replanned and not outcome.standby_used
+        used = set(outcome.assignment.extended.assignment.values())
+        assert not used & {"X", "U"}
+        verify_assignment(outcome.assignment.extended.plan, service.policy,
+                          outcome.assignment.extended.assignment)
+        assert_plaintext_answer(outcome, service)
+        # The standby was never dispatched: U was asked for nothing.
+        assert "U" not in {subject for _, subject in
+                           outcome.trace.fragments_run}
+        assert {subject for _, subject, _ in node_rows(outcome.trace)} \
+            == {"H", "I", "Y"}
+
+    def test_a_second_provider_dies_while_the_standby_reruns(
+            self, no_takeover):
+        """X dies under the primary, U under the standby that replaced
+        it: the unavailable set widens and a re-plan over Y recovers.
+        The trace folds all three runs, the rows of the two that failed
+        included."""
+        injector = FaultInjector(seed=5)
+        for name in ("X", "U"):
+            injector.kill(name)
+        service = make_service(injector, twins=True)
+        outcome = service.execute(SQL)
+        assert outcome.replanned and not outcome.standby_used
+        assert not set(outcome.assignment.extended.assignment.values()) \
+            & {"X", "U"}
+        assert_plaintext_answer(outcome, service)
+        asked = [subject for _, subject in outcome.trace.fragments_run]
+        assert asked.index("X") < asked.index("U") < asked.index("Y")
+        rows = node_rows(outcome.trace)
+        assert ("reqI", "I", "enc[C]") in rows  # the primary's
+        assert ("reqI", "I", "enc[P]") in rows  # the standby's
+        assert {subject for _, subject, _ in rows} == {"H", "I", "Y"}
+        assert outcome.trace.breaker_trips == 2
+
+    def test_a_deadline_during_repair_carries_every_run_so_far(
+            self, no_takeover):
+        """A second of provider latency per fragment on a fake clock, a
+        3.5 s deadline: the primary runs H and I and loses X at 2 s; the
+        standby's re-run seals I's P by 3 s, and the deadline expires
+        waiting on H.  The error's trace holds both runs' node rows."""
+        clock = FakeClock()
+        injector = steady_latency(
+            1.0, build_running_example().subject_names,
+            FaultInjector(seed=5))
+        injector.kill("X")
+        service = make_service(injector, twins=True, clock=clock,
+                               sleeper=clock.sleep)
+        with pytest.raises(DeadlineExceededError) as raised:
+            service.execute(SQL, budget=QueryBudget(deadline_seconds=3.5))
+        assert clock.now == 3.5
+        assert node_rows(raised.value.trace) == [
+            ("reqH", "H", "π[S,D,T] Hosp(S,D,T)"),
+            ("reqH", "H", "σ[D='stroke']"),
+            ("reqH", "H", "π[S,T]"),
+            ("reqH", "H", "enc[S]"),
+            ("reqI", "I", "Ins(C,P)"),
+            ("reqI", "I", "enc[C]"),
+            ("reqI", "I", "Ins(C,P)"),
+            ("reqI", "I", "enc[P]"),
+        ]
+
+    def test_the_first_takeover_candidate_fails_too(self):
+        """X is lost; Y, the first candidate by name, is dead as well:
+        the fragment moves on to Z in the same takeover."""
+        injector = FaultInjector(seed=5)
+        for name in ("X", "Y"):
+            injector.kill(name)
+        service = make_service(injector, twins=True)
+        outcome = service.execute(SQL)
+        assert not (outcome.replanned or outcome.standby_used)
+        (event,) = outcome.failovers
+        assert (event.failed_subject, event.replacement) == ("X", "Z")
+        assert event.attempts == 2  # X's and Y's
+        verify_assignment(outcome.assignment.extended.plan, service.policy,
+                          event.repaired_assignment)
+        assert_plaintext_answer(outcome, service)
+        assert [pair for pair in outcome.trace.fragments_run
+                if pair[0] == "reqX"] == [("reqX", "X"), ("reqX", "Y"),
+                                          ("reqX", "Z")]
+        assert {subject for fragment, subject, _
+                in node_rows(outcome.trace) if fragment == "reqX"} == {"Z"}
 
 
 class TestOneClock:

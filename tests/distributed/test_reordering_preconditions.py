@@ -7,8 +7,10 @@ predicate is plaintext in what the Encrypt is about to seal
 (``repro.engine.executor.physical_step`` / ``Executor.execute_step``).
 Drop A and a provider evaluates an authority's sub-plan; drop B and a
 subject opens a column it was sent sealed.  Each case here runs a query
-whose plan has the shape one precondition exists for and watches what
-the evaluating subject's executor is handed and what it calls.
+whose plan has the shape one precondition exists for and reads, from
+the run's node rows (``ExecutionTrace.nodes``), which subject evaluated
+each node and what it sealed and opened, and from ``watched`` what the
+executor was handed.
 """
 
 import pytest
@@ -40,51 +42,31 @@ from repro.core.predicates import (
 from repro.core.schema import Relation, Schema
 from repro.crypto.keymanager import DistributedKeys
 from repro.distributed import build_runtime, enforcement
-from repro.distributed import runtime as runtime_module
 from repro.engine import EncryptedValue, Executor, Table
-from repro.engine import executor as executor_module
 
 from test_envelope_batching import Query, tpch  # noqa: F401  (fixture)
 
 
 @pytest.fixture
 def watched(monkeypatch):
-    """(subject, what) of every operator a subject's executor runs —
-    ``what`` is the node and its operand tables — and of every column
-    call it makes, ``what`` being the values."""
-    seen = []
-    subject = [None]  # outside any fragment: the test's own executor
-    run_fragment = runtime_module.DistributedRuntime._execute_with_retries
-
-    def as_subject(self, context, fragment, *rest):
-        subject.append(fragment.subject)
-        try:
-            return run_fragment(self, context, fragment, *rest)
-        finally:
-            subject.pop()
-
-    monkeypatch.setattr(runtime_module.DistributedRuntime,
-                        "_execute_with_retries", as_subject)
+    """Plan node → the operand tables an executor was handed for it."""
+    operands = {}
     execute_node = Executor.execute_node
 
     def node(self, node, children):
-        seen.append((subject[-1], "node", (node, children)))
+        operands[node] = children
         return execute_node(self, node, children)
 
     monkeypatch.setattr(Executor, "execute_node", node)
-    for name in ("encrypt_column", "decrypt_column"):
-        def column(material, values, pool=None, _name=name,
-                   _raw=getattr(executor_module, name)):
-            seen.append((subject[-1], _name, values))
-            return _raw(material, values, pool=pool)
-
-        monkeypatch.setattr(executor_module, name, column)
-    return seen
+    return operands
 
 
-def ran(seen, subject, kind):
-    return [what for who, label, what in seen
-            if who == subject and label == kind]
+def ran(trace, subject):
+    """(node, values sealed, values opened) of every node ``subject``
+    evaluated, in order."""
+    return [(node, sealed, opened)
+            for _, who, node, _, _, sealed, opened, _ in trace.nodes
+            if who == subject]
 
 
 def test_encrypt_received_from_another_subject_is_not_filtered_ahead_of(
@@ -109,28 +91,28 @@ def test_encrypt_received_from_another_subject_is_not_filtered_ahead_of(
         enforcement, "relation_authorized",
         lambda view, profile: checked.append(profile)
         or relation_authorized(view, profile))
-    query.run(query.runtime())
+    _, trace = query.run(query.runtime())
     assert len(checked) == 1 + sum(  # the delivery, then every operator
         not isinstance(node, BaseRelationNode)
         for fragment in query.plan.fragments.values()
         for node in fragment.nodes)
-    (operands,) = [children for node, children in ran(watched, "P1", "node")
-                   if node is selection]
+    at_p1 = ran(trace, "P1")
+    assert selection in [node for node, _, _ in at_p1]
     assert all(isinstance(cell, EncryptedValue)
-               for cell in operands[0].column_values("n_name"))
-    assert not ran(watched, "P1", "encrypt_column")
-    assert not [node for node, _ in ran(watched, "P1", "node")
+               for cell in watched[selection][0].column_values("n_name"))
+    assert not sum(sealed for _, sealed, _ in at_p1)
+    assert not [node for node, _, _ in at_p1
                 if isinstance(node, (Encrypt, BaseRelationNode))]
     # A2, whose Encrypt over lineitem it is, did filter first: it sealed
     # no l_shipdate at all (the next projection drops the column).
-    lineitem = [children[0] for node, children in ran(watched, "A2", "node")
+    lineitem = [watched[node][0] for node, _, _ in ran(trace, "A2")
                 if isinstance(node, Selection)]
     assert lineitem and not any(
         isinstance(cell, EncryptedValue)
         for table in lineitem for cell in table.column_values("l_shipdate"))
 
 
-def test_column_that_arrived_sealed_is_compared_sealed(watched):
+def test_column_that_arrived_sealed_is_compared_sealed():
     """B: ``σ[a=b ∧ b>=1]`` at authority A under a provider that sees
     only ciphertext.  Def. 5.4(ii) seals ``b`` below the selection (it
     turns implicit there), and the comparison's other side is then made
@@ -174,12 +156,12 @@ def test_column_that_arrived_sealed_is_compared_sealed(watched):
         [Subject("U", SubjectKind.USER), Subject("A", SubjectKind.AUTHORITY),
          Subject("P", SubjectKind.PROVIDER)],
         {"A": {"R": table}}, user="U")
-    result, _ = runtime.run(
+    result, trace = runtime.run(
         dispatch(extended, keys, owners=owners, user="U"), extended, keys,
         DistributedKeys.from_assignment(keys))
     assert result.sorted_rows() \
         == Executor({"R": table}).execute(plan).sorted_rows() != []
 
-    order = [node for node, _ in ran(watched, "A", "node")]
+    order = [node for node, _, _ in ran(trace, "A")]
     assert order[:4] == [inner.children[0], inner, outer, placed]
-    assert not ran(watched, "A", "decrypt_column")
+    assert not sum(opened for _, _, opened in ran(trace, "A"))

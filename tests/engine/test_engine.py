@@ -9,6 +9,8 @@ from repro.core.operators import (
     AggregateFunction,
     BaseRelationNode,
     CartesianProduct,
+    Decrypt,
+    Encrypt,
     GroupBy,
     Join,
     Projection,
@@ -29,7 +31,7 @@ from repro.core.schema import Relation
 from repro.crypto.keymanager import DistributedKeys, KeyStore
 from repro.engine import Executor, Table
 from repro.engine.codec import decrypt_column, encrypt_column
-from repro.engine.expressions import compare_plain
+from repro.engine.expressions import compare_encrypted, compare_plain
 from repro.engine.values import EncryptedValue
 from repro.exceptions import ExecutionError
 
@@ -181,8 +183,8 @@ class TestEncryptedValues:
     def test_cross_key_comparison_rejected(self):
         a = EncryptedValue("k1", EncryptionScheme.DETERMINISTIC, b"t")
         b = EncryptedValue("k2", EncryptionScheme.DETERMINISTIC, b"t")
-        with pytest.raises(ExecutionError):
-            a.equals(b)
+        with pytest.raises(ExecutionError, match="different keys"):
+            compare_encrypted(a, ComparisonOp.EQ, b)
 
 
 class TestEncryptedExecution:
@@ -199,6 +201,33 @@ class TestEncryptedExecution:
         ).execute(extended.plan)
         plain = Executor(example_tables).execute(example.plan)
         assert encrypted.same_content(plain)
+
+    @pytest.mark.parametrize("figure", ["7a", "7b"])
+    def test_record_has_one_row_per_node(self, example, example_tables,
+                                         figure):
+        """``Executor.record``: one row per node evaluated, ``(node, rows
+        in, rows out, values sealed, values opened, seconds)``; an
+        Encrypt seals, and a Decrypt opens, every cell of its columns."""
+        extended = minimally_extend(
+            example.plan, example.policy,
+            getattr(example, f"assignment_{figure}")(), owners=example.owners)
+        keys = establish_keys(extended, example.policy)
+        master = DistributedKeys.from_assignment(keys).master
+        engine = Executor(example_tables, keystore=master)
+        result = engine.execute(extended.plan)
+        assert sorted(id(row[0]) for row in engine.record) \
+            == sorted(map(id, extended.plan.postorder()))
+        assert engine.record[-1][:3] == (extended.plan.root, 2, len(result))
+        for node, rows_in, _, sealed, opened, seconds in engine.record:
+            width = len(node.attributes) \
+                if isinstance(node, (Encrypt, Decrypt)) else 0
+            assert sealed == (rows_in * width if isinstance(node, Encrypt)
+                              else 0)
+            assert opened == (rows_in * width if isinstance(node, Decrypt)
+                              else 0)
+            assert seconds >= 0.0
+        assert sum(row[3] for row in engine.record) > 0
+        assert sum(row[4] for row in engine.record) == 2
 
     def test_selection_on_encrypted_without_key_fails(self, example,
                                                       example_tables):

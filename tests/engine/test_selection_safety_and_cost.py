@@ -127,6 +127,11 @@ def count_calls(monkeypatch, calls, owner, name):
     monkeypatch.setattr(owner, name, wrapper)
 
 
+def opened(engine):
+    """The values ``engine`` opened, over every node it evaluated."""
+    return sum(row[4] for row in engine.record)
+
+
 def record_selections(monkeypatch, calls):
     """(node, operand, the ``calls`` it made) of every ``_select``."""
     raw_select = Executor._select
@@ -159,21 +164,25 @@ class TestFilterBeforeEncrypt:
             EncryptionScheme.DETERMINISTIC))["R"]}
         assert physical_step(self.plan, received) == (self.plan,)
 
-    def test_only_on_plaintext_predicate_columns(self, monkeypatch):
+    def test_only_on_plaintext_predicate_columns(self):
         """``d`` arrived sealed under the key ``k`` is sealed with: the
         tokens compare after ``enc[k]``; filtering first would have the
         evaluator open ``d``."""
         store = KeyStore.generate([QueryKey(
             frozenset({"k", "d"}), EncryptionScheme.DETERMINISTIC)])
-        calls = []
-        count_calls(monkeypatch, calls, executor_module, "decrypt_column")
-        kept = Executor(catalog(store), keystore=store).execute(self.plan)
-        assert len(kept) == 8 and not calls
+        engine = Executor(catalog(store), keystore=store)
+        kept = engine.execute(self.plan)
+        assert len(kept) == 8 and not opened(engine)
+        assert [type(row[0]) for row in engine.record] \
+            == [BaseRelationNode, Encrypt, Selection]
         assert all(isinstance(cell, EncryptedValue)
                    for row in kept.rows for cell in row)
         plain = {"R": Table("R", ("k", "d"), [(n, n % 2) for n in range(8)])}
-        kept = Executor(plain, keystore=store).execute(self.plan)
-        assert [row[1] for row in kept.rows] == [0, 1] and not calls
+        engine = Executor(plain, keystore=store)
+        kept = engine.execute(self.plan)
+        assert [row[1] for row in kept.rows] == [0, 1] and not opened(engine)
+        assert [type(row[0]) for row in engine.record] \
+            == [BaseRelationNode, Selection, Encrypt]
 
 
 class TestFusedSeal:
@@ -196,41 +205,35 @@ class TestFusedSeal:
             assert physical_step(self.plan, {id(arrived): table}) \
                 == (self.plan,)
 
-    def test_seals_the_kept_column_of_the_kept_rows(self, monkeypatch):
+    def test_seals_the_kept_column_of_the_kept_rows(self):
         store = KeyStore.generate([QueryKey(
             frozenset({"k", "d"}), EncryptionScheme.RANDOMIZED)])
         plain = {"R": Table("R", ("k", "d"), [(n, n) for n in range(8)])}
-        calls = []
-        count_calls(monkeypatch, calls, executor_module, "encrypt_column")
-        kept = Executor(plain, keystore=store).execute(self.plan)
+        engine = Executor(plain, keystore=store)
+        kept = engine.execute(self.plan)
         material = store.material_for_attribute("k")
         assert kept.columns == ("k",)
         assert kept.representation("k") == (material.name,
                                             EncryptionScheme.RANDOMIZED)
         assert list(decrypt_column(material, kept.column("k"))) == [4, 5, 6]
-        assert [len(args[1]) for _, args in calls] == [3]
+        # (node, rows in, rows out, sealed, opened): σ, π, then the seal.
+        assert [row[:5] for row in engine.record[1:]] == [
+            (self.selection, 8, 3, 0, 0), (self.plan, 3, 3, 0, 0),
+            (self.sealed, 3, 3, 3, 0)]
 
-    def test_q7_seals_no_shipdate(self, tpch_data, monkeypatch):
+    def test_q7_seals_no_shipdate(self, tpch_data):
         """A2 runs ``π[l_extendedprice,l_orderkey,l_suppkey]`` over
         ``σ[l_shipdate…]`` over ``enc[l_shipdate]`` (UAPenc): the
         Encrypt still runs, and seals none of the >1,000 shipdates π
         drops."""
         service = uapenc_service(tpch_data(0.001, 107))
-        calls = []
-        count_calls(monkeypatch, calls, executor_module, "encrypt_column")
-        raw_encrypt = Executor._encrypt
         sealed = {}
-
-        def recording(self, node, child):
-            before = len(calls)
-            try:
-                return raw_encrypt(self, node, child)
-            finally:
-                sealed[node.label()] = sealed.get(node.label(), 0) + sum(
-                    len(args[1]) for _, args in calls[before:])
-
-        monkeypatch.setattr(Executor, "_encrypt", recording)
-        service.execute(query(7).sql)
+        for _, subject, node, rows_in, _, values, _, _ in \
+                service.execute(query(7).sql).trace.nodes:
+            if isinstance(node, Encrypt):
+                sealed[node.label()] = sealed.get(node.label(), 0) + values
+                if node.label() == "enc[l_shipdate]":
+                    assert subject == "A2" and rows_in > 0
         assert sealed["enc[l_shipdate]"] == 0
         assert sealed["enc[l_extendedprice,l_orderkey,l_suppkey]"] > 1000
 
@@ -311,4 +314,4 @@ class TestSelectionCost:
                 for name in ("encrypt_column", "decrypt_column")} == \
             {"encrypt_column": 100_943, "decrypt_column": 1_655}
         assert counts["det cipher"] == 19_303
-        assert counts["selection codec calls"] == 0
+        assert "opened by σ" in counts and counts["opened by σ"] == 0

@@ -144,32 +144,23 @@ def cases(draw):
             master if draw(st.booleans()) else None)
 
 
-class Logged(Executor):
-    """An executor that records the order its operators ran in, and the
-    steps it was handed."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.ran = []
-        self.steps = []
-
-    def execute_node(self, node, children):
-        self.ran.append(type(node))
-        return super().execute_node(node, children)
-
-    def execute_step(self, step, children):
-        self.steps.append(tuple(map(type, step)))
-        return super().execute_step(step, children)
+def ran(executor):
+    """The class of every node ``executor`` evaluated, in order (its
+    record holds a row per node that returned)."""
+    return [type(row[0]) for row in executor.record]
 
 
-def evaluate(executor, node, received):
+def evaluate(executor, node, received, steps):
     """The runtime's recursion (``DistributedRuntime._evaluate``): a node
-    ``received`` (by ``id``) is another fragment's table."""
+    ``received`` (by ``id``) is another fragment's table.  The classes of
+    each step handed to the executor are appended to ``steps``."""
     if id(node) in received:
         return received[id(node)]
     step = physical_step(node, received)
-    return executor.execute_step(step, [
-        evaluate(executor, child, received) for child in step[0].children])
+    children = [evaluate(executor, child, received, steps)
+                for child in step[0].children]
+    steps.append(tuple(map(type, step)))
+    return executor.execute_step(step, children)
 
 
 def opened(table, master):
@@ -192,7 +183,7 @@ def test_engine_agrees_with_plan_order_and_filters_first_on_plaintext(case):
     catalog = {"R": Table("R", COLUMNS, rows)}
 
     def executor():
-        return Logged(catalog, keystore=held, constant_keystore=constants)
+        return Executor(catalog, keystore=held, constant_keystore=constants)
 
     engine = executor()
     got = outcome(lambda: opened(engine.execute(plan), master))
@@ -204,7 +195,7 @@ def test_engine_agrees_with_plan_order_and_filters_first_on_plaintext(case):
         for attribute in predicate.attributes() for row in rows)
     order = [BaseRelationNode, Selection, Encrypt] if plaintext_predicate \
         else [BaseRelationNode, Encrypt, Selection]
-    assert engine.ran == order[:len(engine.ran)]
+    assert ran(engine) == order[:len(ran(engine))]
     if plaintext_predicate and not isinstance(got, str):  # not refused
         kept = Executor(catalog).execute(Selection(leaf, predicate))
         assert got[0] == opened(kept, master)[0]
@@ -250,14 +241,14 @@ def test_projection_chain_agrees_with_plan_order(case, kept, filtered,
     catalog = {"R": Table("R", COLUMNS, rows)}
 
     def executor():
-        return Logged(catalog, keystore=held, constant_keystore=constants)
+        return Executor(catalog, keystore=held, constant_keystore=constants)
 
     def run():
         received = {} if boundary is None else {id(boundary): (
             tables_in_plan_order(executor(), QueryPlan(boundary))[boundary])}
-        return opened(evaluate(engine, plan, received), master)
+        return opened(evaluate(engine, plan, received, steps), master)
 
-    engine = executor()
+    engine, steps = executor(), []
     got = outcome(run)
     assert got == outcome(lambda: opened(
         execute_in_plan_order(executor(), plan), master))
@@ -265,16 +256,15 @@ def test_projection_chain_agrees_with_plan_order(case, kept, filtered,
     types = [type(node) for node in (encrypt, below, plan)]
     chain = tuple(dict.fromkeys(types))
     if boundary is not None:  # what arrived is an operand, never a step
-        assert all(step in [(Selection,), (Projection,)]
-                   for step in engine.steps)
+        assert all(step in [(Selection,), (Projection,)] for step in steps)
         return
-    assert engine.steps == [(BaseRelationNode,), chain]
+    assert steps == [(BaseRelationNode,), chain]
     plaintext_predicate = not filtered or not any(
         isinstance(row[COLUMNS.index(attribute)], EncryptedValue)
         for attribute in predicate.attributes() for row in rows)
     order = [BaseRelationNode, *chain[1:], Encrypt] if plaintext_predicate \
         else [BaseRelationNode, *chain]
-    assert engine.ran == order[:len(engine.ran)]
+    assert ran(engine) == order[:len(ran(engine))]
 
 
 def test_int_cell_against_float_constant_follows_the_plaintext_executor():

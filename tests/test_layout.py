@@ -455,6 +455,49 @@ def test_engine_does_not_regrow():
     assert total <= ENGINE_LINES, total
 
 
+#: The executor as a script may name it: the module and the class.
+EXECUTOR_NAMES = {"repro.engine.executor", "repro.engine.Executor",
+                  "repro.engine.executor.Executor"}
+
+
+def executor_rebindings(path: Path) -> list[str]:
+    """Each place ``path`` assigns to an attribute of ``Executor`` or of
+    ``repro.engine.executor``, or passes one to ``setattr``, however
+    the script imported it."""
+    tree = tree_of(path)
+    names = set(EXECUTOR_NAMES)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) \
+                and node.module in ("repro.engine", "repro.engine.executor"):
+            names |= {alias.asname or alias.name for alias in node.names
+                      if alias.name in ("Executor", "executor")}
+        elif isinstance(node, ast.Import):
+            names |= {alias.asname for alias in node.names
+                      if alias.name == "repro.engine.executor"
+                      and alias.asname}
+    owners = []  # (line, the object whose attribute is set)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            owners += [(node.lineno, part.value) for target in targets
+                       for part in ast.walk(target)
+                       if isinstance(part, ast.Attribute)]
+        elif isinstance(node, ast.Call) and node.args \
+                and ast.unparse(node.func).split(".")[-1] == "setattr":
+            owners.append((node.lineno, node.args[0]))
+    return [f"{path.name}:{line}" for line, owner in owners
+            if ast.unparse(owner) in names]
+
+
+def test_scripts_read_the_record_instead_of_rebinding_the_executor():
+    """What each operator did is the executor's record
+    (``Executor.record``, a run's ``ExecutionTrace.nodes``): no script
+    counts it by rebinding a name of ``Executor`` or of its module."""
+    offenders = [site for path in sorted((REPO / "scripts").glob("*.py"))
+                 for site in executor_rebindings(path)]
+    assert not offenders, offenders
+
+
 def table_rows(heading: str) -> list[list[str]]:
     """The cells of each body row of the first table under ``## heading``
     in ``docs/operations.md``."""
