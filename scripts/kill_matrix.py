@@ -215,6 +215,14 @@ MUTANTS = (
            "            if len(self) >= self.maxsize:\n",
            "Memo.store drops the oldest entry even when the key is already "
            "present"),
+    # The cancellation checkpoint every query passes, budgeted or not.
+    Mutant("check-ignores-cancel", "repro/core/budget.py",
+           "        if self._cancelled:\n"
+           "            raise QueryCancelledError(\n",
+           "        if False:\n"
+           "            raise QueryCancelledError(\n",
+           "CancellationToken.check never raises QueryCancelledError, so a "
+           "cancel stops no query"),
     Mutant("quota-check-admits-everything", QUOTAS,
            "        spent = ledger.spend_usd(self.tenant)\n"
            "        if not self.account.admissible:\n",

@@ -33,71 +33,32 @@ from repro.experiments.running_example import run_running_example
 MAX_TENANTS = 64
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {text!r}")
-    return value
+def _bounded(convert, accept, expected: str):
+    """A parse-time validator: ``convert`` the text and keep the value
+    if ``accept`` holds, else refuse it naming ``expected`` (argparse
+    prints the message and exits with status 2)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}")
+        return value
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 0 (0 = inline execution), "
-            f"got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = 0.0
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(
-            f"expected a number > 0, got {text!r}")
-    return value
-
-
-def _tenant_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if not 1 <= value <= MAX_TENANTS:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer in 1..{MAX_TENANTS}, got {text!r}")
-    return value
-
-
-def _deadline_ms(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = 0.0
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(
-            f"expected a deadline in milliseconds > 0, got {text!r}")
-    return value
-
-
-def _cost_ceiling(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = 0.0
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(
-            f"expected a cost ceiling in USD > 0, got {text!r}")
-    return value
+_positive_int = _bounded(int, lambda v: v >= 1, "an integer >= 1")
+_nonnegative_int = _bounded(int, lambda v: v >= 0,
+                            "an integer >= 0 (0 = inline execution)")
+_positive_float = _bounded(float, lambda v: v > 0.0, "a number > 0")
+_tenant_count = _bounded(int, lambda v: 1 <= v <= MAX_TENANTS,
+                         f"an integer in 1..{MAX_TENANTS}")
+_deadline_ms = _bounded(float, lambda v: v > 0.0,
+                        "a deadline in milliseconds > 0")
+_cost_ceiling = _bounded(float, lambda v: v > 0.0,
+                         "a cost ceiling in USD > 0")
 
 
 def _query_list(text: str) -> tuple[int, ...] | None:

@@ -16,7 +16,7 @@ Contract: the DP is exact only under its pairwise cost approximation
 trusted-subjects-only passes — drops proposals that repeat an earlier
 one, materialises each distinct proposal once (extension → schemes →
 keys → exact cost) and keeps the cheapest; the others stay on the
-winner as warm standby plans.  The reported cost is always the exact
+winner as its ``portfolio``.  The reported cost is always the exact
 cost of the materialised extended plan, and every proposal passes
 ``verify_assignment`` inside :func:`minimally_extend`.
 
@@ -78,10 +78,9 @@ class AssignmentResult:
     cost: CostBreakdown
     candidates: CandidateAssignment
     #: The losing §6 portfolio proposals (fully extended, keyed, and
-    #: costed), cheapest first.  The service layer keeps these as warm
-    #: standby plans: when a provider in the chosen assignment dies
-    #: mid-query, a standby that avoids it can be dispatched without
-    #: re-planning.  Empty when every pass proposed the same assignment.
+    #: costed), cheapest first: what the DP passes proposed and the
+    #: exact cost rejected, kept for inspection.  Empty when every pass
+    #: proposed the same assignment.
     portfolio: tuple["AssignmentResult", ...] = ()
     #: One cell (empty, or one item) for what a caller derives from
     #: this result and wants to live exactly as long as it — the
@@ -236,7 +235,7 @@ def assign(
             candidates=candidates,
         ))
     # min() and sorted() are stable: on equal cost the earlier pass wins
-    # and the standbys keep pass order.
+    # and the portfolio keeps pass order.
     best = min(results, key=lambda r: r.cost.total_usd)
     best.portfolio = tuple(sorted(
         (r for r in results if r is not best),

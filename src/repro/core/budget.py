@@ -20,7 +20,7 @@ checkpoint that observes it.  The checkpoints are:
   cycle);
 * **service** — on entry, after planning (where the cost ceiling is
   enforced against the assignment's exact §7 cost), and at every
-  standby/re-plan failover tier;
+  failover re-plan round;
 * **runtime** — at every fragment boundary, at every retry iteration
   (backoff sleeps are clamped to the remaining budget), and at every
   in-place failover candidate;
@@ -86,20 +86,18 @@ class QueryBudget:
                 f"cost_ceiling_usd must be > 0 (or None for no "
                 f"ceiling), got {self.cost_ceiling_usd!r}")
 
-    @property
-    def unlimited(self) -> bool:
-        """Whether this budget constrains nothing."""
-        return self.deadline_seconds is None \
-            and self.cost_ceiling_usd is None
-
 
 class CancellationToken:
     """One query's live budget state: deadline clock + cancel switch.
 
     Created when the query enters the system (the deadline countdown
     starts *then* — queue wait counts); passed by reference through
-    every layer.  Thread-safe: the client cancels from its own thread
-    while fragment workers call :meth:`check` concurrently.
+    every layer.  Every query carries one: the gateway, the service and
+    the runtime each mint an unlimited token for a caller that passed
+    none, so below them a token is never absent.  Thread-safe: the
+    client cancels from its own thread while fragment workers call
+    :meth:`check` concurrently; :meth:`cancel` writes the reason before
+    the flag, so :meth:`check` reads the flag without the lock.
     """
 
     def __init__(self, budget: QueryBudget | None = None, *,
@@ -121,18 +119,16 @@ class CancellationToken:
         """Request the query stop at its next checkpoint (idempotent)."""
         with self._lock:
             if not self._cancelled:
-                self._cancelled = True
                 self._cancel_reason = reason
+                self._cancelled = True
 
     @property
     def cancelled(self) -> bool:
-        with self._lock:
-            return self._cancelled
+        return self._cancelled
 
     @property
     def cancel_reason(self) -> str | None:
-        with self._lock:
-            return self._cancel_reason
+        return self._cancel_reason
 
     # ------------------------------------------------------------------
     # Budget arithmetic
@@ -180,10 +176,10 @@ class CancellationToken:
         names the checkpoint for the error message and the exception's
         ``where`` attribute.
         """
-        if self.cancelled:
+        if self._cancelled:
             raise QueryCancelledError(
-                f"query cancelled ({self.cancel_reason}) at {where}",
-                where=where, reason=self.cancel_reason)
+                f"query cancelled ({self._cancel_reason}) at {where}",
+                where=where, reason=self._cancel_reason)
         if self.expired():
             elapsed = self.elapsed_seconds()
             raise DeadlineExceededError(
@@ -212,12 +208,10 @@ def active_token() -> CancellationToken | None:
 
 
 @contextmanager
-def token_scope(token: CancellationToken | None) -> Iterator[None]:
+def token_scope(token: CancellationToken) -> Iterator[None]:
     """Scope ``token`` to the current thread for the ``with`` body.
 
-    Re-entrant (the previous scope is restored on exit); a ``None``
-    token clears the scope for the body, so unbudgeted work nested
-    inside budgeted work is never aborted by the outer token.
+    Re-entrant: the previous scope is restored on exit.
     """
     previous = getattr(_SCOPE, "token", None)
     _SCOPE.token = token

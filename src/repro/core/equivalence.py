@@ -117,15 +117,6 @@ class EquivalenceClasses:
             result |= cls_
         return frozenset(result)
 
-    def restrict(self, attributes: Iterable[str]) -> "EquivalenceClasses":
-        """Partition with every class intersected with ``attributes``.
-
-        Not used by the paper's profile rules (equivalences are never
-        dropped, per Theorem 3.1) but exposed for analyses and tooling.
-        """
-        keep = frozenset(attributes)
-        return EquivalenceClasses(cls_ & keep for cls_ in self._classes)
-
     def refines(self, other: "EquivalenceClasses") -> bool:
         """True if every class of ``self`` is contained in a class of ``other``.
 

@@ -161,9 +161,6 @@ class Relation:
         attrs = ", ".join(self.attribute_names)
         return f"Relation({self.name}: {attrs})"
 
-    def row_width(self) -> int:
-        """Total plaintext width of one tuple, in bytes."""
-        return sum(spec.width for spec in self._specs)
 
 
 @dataclass

@@ -253,23 +253,6 @@ class PaillierCiphertext:
             return other.__add__(self)
         return NotImplemented
 
-    def add_plain(self, value: int | float) -> "PaillierCiphertext":
-        """Homomorphically add a plaintext constant (binomial form)."""
-        message = _encode(value, self.public.n)
-        n2 = self.public.n_squared
-        return PaillierCiphertext(
-            self.public,
-            (self.value * (1 + self.public.n * message)) % n2,
-        )
-
-    def multiply_plain(self, factor: int) -> "PaillierCiphertext":
-        """Homomorphically multiply by a plaintext integer."""
-        if not isinstance(factor, int):
-            raise CryptoError("plaintext factors must be integers")
-        exponent = factor % self.public.n
-        return PaillierCiphertext(
-            self.public, pow(self.value, exponent, self.public.n_squared)
-        )
 
 
 def generate_keypair(bits: int = 512) -> tuple[PaillierPublicKey, PaillierPrivateKey]:

@@ -96,7 +96,7 @@ def run_with_retries(subject: str, label: str, attempt: Callable[[], T], *,
                      health: HealthRegistry,
                      clock: Callable[[], float],
                      sleep: Callable[[float], None],
-                     token: CancellationToken | None, trace) -> T:
+                     token: CancellationToken, trace) -> T:
     """``attempt()`` on ``subject``, absorbing transient faults.
 
     ``label`` names the work in checkpoints and salts the jitter;
@@ -106,8 +106,7 @@ def run_with_retries(subject: str, label: str, attempt: Callable[[], T], *,
     """
     attempts = 0
     while True:
-        if token is not None:
-            token.check(f"runtime:fragment {label} attempt {attempts + 1}")
+        token.check(f"runtime:fragment {label} attempt {attempts + 1}")
         if not health.admit(subject):
             raise FragmentFailed(
                 subject, attempts,
@@ -131,8 +130,7 @@ def run_with_retries(subject: str, label: str, attempt: Callable[[], T], *,
             # query budget and cannot overshoot it.
             sleep(backoff(
                 attempts, salt=f"{label}:{subject}",
-                remaining_seconds=None if token is None
-                else token.remaining_seconds()))
+                remaining_seconds=token.remaining_seconds()))
             continue
         except ProviderDeadError as fault:
             if health.mark_dead(subject):

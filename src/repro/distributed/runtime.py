@@ -59,11 +59,9 @@ augmented view for the runtime enforcement checks, and a fragment-cache
 key under the new subject.  When no authorized replacement exists the
 runtime raises
 :class:`~repro.exceptions.ProviderUnavailableError`; the service layer
-(:mod:`repro.service`) then tries its warm standby plans (the other §6
-portfolio assignments) and finally a full re-plan over the healthy
-subject pool, raising
-:class:`~repro.exceptions.UnrecoverableAssignmentError` only when no
-authorized candidate remains.
+(:mod:`repro.service`) then re-plans over the healthy subject pool,
+raising :class:`~repro.exceptions.UnrecoverableAssignmentError` only
+when no authorized candidate remains.
 
 Time is injectable (``clock``/``sleeper``): the latency a fault
 injector adds, backoff sleeps, and breaker timeouts all go through the
@@ -71,7 +69,8 @@ two callables, so resilience tests run fast and deterministic.
 
 Budgets and cancellation
 ------------------------
-``run`` accepts a :class:`~repro.core.budget.CancellationToken` and
+``run`` accepts a :class:`~repro.core.budget.CancellationToken` (and
+mints an unlimited one when given none, so every run carries one) and
 honors it cooperatively (the checkpoint contract lives in
 :mod:`repro.core.budget`): the token is checked before envelopes are
 sealed, at every fragment boundary, at every retry iteration, after each
@@ -199,8 +198,8 @@ class _RunContext:
     #: The extended plan under execution; failover repairs (and
     #: re-verifies) its assignment when a fragment loses its provider.
     extended: ExtendedPlan
-    #: The query's cancellation token (None = unbudgeted, no checks).
-    token: CancellationToken | None = None
+    #: The query's cancellation token, checked at every checkpoint.
+    token: CancellationToken
     #: Subject → its policy view augmented with the plan's lineage, read
     #: once per subject: a run is exactly one read of the policy.
     views: dict[str, SubjectView] = field(default_factory=dict)
@@ -269,9 +268,10 @@ class DistributedRuntime:
         fragments then execute by demand-driven root-down recursion,
         exactly the nested ``req`` calls of Figure 8.
 
-        ``token`` makes the run budget-aware: it is checked at every
-        cooperative checkpoint (see the module docstring), and an abort
-        raises :class:`~repro.exceptions.DeadlineExceededError` /
+        ``token`` (an unlimited one is minted when none is given) is
+        checked at every cooperative checkpoint (see the module
+        docstring), and an abort raises
+        :class:`~repro.exceptions.DeadlineExceededError` /
         :class:`~repro.exceptions.QueryCancelledError` with the partial
         trace attached.
 
@@ -290,11 +290,11 @@ class DistributedRuntime:
             trace=trace,
             user_node=user_node,
             extended=extended,
-            token=token,
+            token=token or CancellationToken(clock=self._clock),
         )
 
         try:
-            self._checkpoint(context, "runtime:dispatch")
+            context.token.check("runtime:dispatch")
             batches: dict[str, list[SubQuery]] = {}
             for fragment in dispatch_plan.fragments.values():
                 batches.setdefault(fragment.subject, []).append(fragment)
@@ -351,16 +351,10 @@ class DistributedRuntime:
     # ------------------------------------------------------------------
     # Schedule
     # ------------------------------------------------------------------
-    @staticmethod
-    def _checkpoint(context: _RunContext, where: str) -> None:
-        """Cooperative cancellation checkpoint (no-op without a token)."""
-        if context.token is not None:
-            context.token.check(where)
-
     def _run_fragment(self, context: _RunContext,
                       fragment_id: str) -> Table:
         """Demand-driven recursion: ask the children, then evaluate."""
-        self._checkpoint(context, f"runtime:fragment {fragment_id}")
+        context.token.check(f"runtime:fragment {fragment_id}")
         fragment = context.dispatch_plan.fragment(fragment_id)
         node = self._node_for(fragment.subject)
         lock = self._lock_for(fragment.subject)
@@ -463,12 +457,10 @@ class DistributedRuntime:
                 # remaining budget: past the deadline the response
                 # is worthless, so the checkpoint below aborts
                 # without waiting out the rest of the latency.
-                if token is not None:
-                    delay = token.clamp(delay)
+                delay = token.clamp(delay)
                 if delay:
                     self._sleep(delay)
-                self._checkpoint(
-                    context,
+                token.check(
                     f"runtime:fragment {fragment.fragment_id} response")
             executor = Executor(
                 node.tables, keystore=payload.keystore, udfs=node.udfs,
@@ -515,8 +507,7 @@ class DistributedRuntime:
         base_relations = [n for n in fragment.nodes
                           if isinstance(n, BaseRelationNode)]
         while True:
-            self._checkpoint(
-                context, f"runtime:failover {fragment.fragment_id}")
+            context.token.check(f"runtime:failover {fragment.fragment_id}")
             candidate = self._next_candidate(
                 context, fragment, excluded, base_relations, operations)
             if candidate is None:

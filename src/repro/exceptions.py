@@ -86,9 +86,9 @@ class ProviderUnavailableError(ProviderFaultError):
     """A fragment lost its provider and no in-place takeover succeeded.
 
     Raised by the runtime after retries and fragment-level failover are
-    exhausted; the service layer catches it to attempt a standby plan or
-    a full re-plan over the remaining healthy subjects.  ``excluded``
-    names every subject that was tried and failed.
+    exhausted; the service layer catches it to re-plan over the
+    remaining healthy subjects.  ``excluded`` names every subject that
+    was tried and failed.
     """
 
     def __init__(self, message: str, *, subject: str | None = None,
@@ -104,9 +104,9 @@ class ProviderUnavailableError(ProviderFaultError):
 class UnrecoverableAssignmentError(NoCandidateError):
     """No authorized candidate remains for some operation of the plan.
 
-    The terminal failover outcome: raised only after warm standby plans
-    and a full re-plan over the healthy subject pool have both failed to
-    produce an assignment that passes ``verify_assignment``.
+    The terminal failover outcome: raised only after a re-plan over the
+    healthy subject pool has failed to produce an assignment that passes
+    ``verify_assignment``.
     """
 
 

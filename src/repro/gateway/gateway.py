@@ -156,8 +156,7 @@ class _Request:
                  "dispatch_sequence", "token")
 
     def __init__(self, tenant: str, sql: str, user: str,
-                 enqueued_at: float,
-                 token: CancellationToken | None = None) -> None:
+                 enqueued_at: float, token: CancellationToken) -> None:
         self.tenant = tenant
         self.sql = sql
         self.user = user
@@ -333,10 +332,11 @@ class Gateway:
         (:meth:`~repro.gateway.quotas.TenantQuota.budget_for`) and a
         :class:`~repro.core.budget.CancellationToken` is minted for the
         result — its deadline counts from *now*, so queue wait draws
-        from it.  Pass ``token`` instead to keep a countdown that
-        started earlier, or to retain a ``cancel()`` handle (also
-        available afterwards via ``Future.cancellation_token``, set on
-        the returned future whenever the query runs budgeted).
+        from it; with neither a budget nor tenant defaults the token is
+        unlimited.  Pass ``token`` instead to keep a countdown that
+        started earlier.  Either way the query's token is the returned
+        future's ``cancellation_token``: its ``cancel()`` stops the
+        query at its next checkpoint, queued or running.
 
         Raises — all *before* any planning work is spent —
         ``ValueError`` for an unknown tenant,
@@ -360,10 +360,8 @@ class Gateway:
         except QuotaExceeded as refusal:
             self._count("rejected", tenant, refusal.reason)
             raise
-        if token is None:
-            merged = quota.budget_for(budget)
-            if merged is not None:
-                token = CancellationToken(merged, clock=self.clock)
+        token = token or CancellationToken(quota.budget_for(budget),
+                                           clock=self.clock)
         self._shed_if_predicted_over_budget(tenant, sql, token)
         request = _Request(tenant, sql, config.user or self.service.user,
                            self.clock(), token=token)
@@ -372,14 +370,11 @@ class Gateway:
         except AdmissionRejected:
             self._count("rejected", tenant, "queue_full")
             raise
-        # Expose the cancel handle on the future so callers who passed
-        # only a budget can still abort mid-flight.
         request.future.cancellation_token = token
         return request.future
 
     def _shed_if_predicted_over_budget(
-            self, tenant: str, sql: str,
-            token: CancellationToken | None) -> None:
+            self, tenant: str, sql: str, token: CancellationToken) -> None:
         """Refuse work the predictor expects to blow its budget.
 
         Deadline: the predicted run time (per-SQL EWMA, else the
@@ -393,8 +388,6 @@ class Gateway:
         starts must pass, and a wrong admit still dies cheaply at the
         dequeue/planning checkpoints.
         """
-        if token is None:
-            return
         remaining = token.remaining_seconds()
         if remaining is not None:
             run_seconds = self._predictor.predict_seconds(sql)
@@ -460,21 +453,20 @@ class Gateway:
         quota = self._quotas[tenant]
         started = self.clock()
         token = request.token
-        if token is not None:
-            # Shed-at-dequeue: an entry that died in the queue (client
-            # cancelled, or its deadline lapsed while it waited) is
-            # settled here without spending a byte of planning.  This
-            # is also what lets close(drain=True) flush a backlog of
-            # expired work instead of executing it.
-            try:
-                token.check("gateway:dequeue")
-            except QueryCancelledError as error:
-                self._settle_failure(tenant, request, started, error,
-                                     "cancelled")
-                return
-            except DeadlineExceededError as error:
-                self._settle_failure(tenant, request, started, error, "shed")
-                return
+        # Shed-at-dequeue: an entry that died in the queue (client
+        # cancelled, or its deadline lapsed while it waited) is settled
+        # here without spending a byte of planning.  This is also what
+        # lets close(drain=True) flush a backlog of expired work instead
+        # of executing it.
+        try:
+            token.check("gateway:dequeue")
+        except QueryCancelledError as error:
+            self._settle_failure(tenant, request, started, error,
+                                 "cancelled")
+            return
+        except DeadlineExceededError as error:
+            self._settle_failure(tenant, request, started, error, "shed")
+            return
         try:
             outcome = self.service.execute(request.sql, user=request.user,
                                            token=token)
@@ -492,10 +484,9 @@ class Gateway:
         self._query_seconds[tenant].observe(outcome.wall_seconds)
         self._predictor.observe(request.sql, outcome.wall_seconds,
                                 outcome.cost_usd)
-        if token is not None:
-            fraction = token.remaining_fraction()
-            if fraction is not None:
-                self._budget_fraction[tenant].observe(fraction)
+        fraction = token.remaining_fraction()
+        if fraction is not None:
+            self._budget_fraction[tenant].observe(fraction)
         self.ledger.record(
             tenant, user=request.user, sql=request.sql,
             cost_usd=outcome.cost_usd,

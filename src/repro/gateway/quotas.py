@@ -111,25 +111,23 @@ class TenantQuota:
             deadline_seconds=deadline_seconds,
             cost_ceiling_usd=cost_ceiling_usd)
 
-    def budget_for(self, requested: QueryBudget | None) -> QueryBudget | None:
+    def budget_for(self, requested: QueryBudget | None) -> QueryBudget:
         """The effective budget for one query: request over defaults.
 
         Field-by-field merge — a requested field wins, a ``None``
-        requested field falls back to the tenant default.  Returns
-        ``None`` when neither side constrains anything, so unbudgeted
-        tenants keep running token-free.
+        requested field falls back to the tenant default.  When neither
+        side constrains anything the budget is unlimited
+        (``QueryBudget()``): every query runs under a token.
         """
         default = self.default_budget
         if requested is None:
-            return None if default.unlimited else default
+            return default
         deadline = requested.deadline_seconds \
             if requested.deadline_seconds is not None \
             else default.deadline_seconds
         ceiling = requested.cost_ceiling_usd \
             if requested.cost_ceiling_usd is not None \
             else default.cost_ceiling_usd
-        if deadline is None and ceiling is None:
-            return None
         return QueryBudget(deadline_seconds=deadline,
                            cost_ceiling_usd=ceiling)
 

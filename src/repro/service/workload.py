@@ -83,9 +83,9 @@ class QueryOutcome:
     """One executed query: its result plus the per-query trace.
 
     ``trace`` covers every run of the query — the primary run and any
-    standby or re-plan re-run after a lost provider, failed runs
-    included — and is the one record of what moved: ``retries`` and
-    ``failovers`` read it, nothing is summed beside it.
+    re-plan re-run after a lost provider, failed runs included — and is
+    the one record of what moved: ``retries`` and ``failovers`` read
+    it, nothing is summed beside it.
     """
 
     sql: str
@@ -102,16 +102,14 @@ class QueryOutcome:
     #: evicted, flushed or adopted; fragment entries kept, evicted or
     #: flushed), as counter increments; empty if the policy held still.
     reconcile: dict[str, int] = field(default_factory=dict)
-    #: Whether the query was re-run on a warm §6 standby plan.
-    standby_used: bool = False
     #: Whether the query was re-planned from scratch over the healthy
     #: subject pool.
     replanned: bool = False
     #: Latency attributable to recovery (retries excluded): in-place
-    #: failover time plus standby/re-plan repair and re-run time.
+    #: failover time plus re-plan repair and re-run time.
     failover_seconds: float = 0.0
-    #: The budget the query ran under (None = unbudgeted).
-    budget: QueryBudget | None = None
+    #: The budget the query ran under (unlimited unless one was given).
+    budget: QueryBudget = QueryBudget()
     #: Seconds left on the deadline when the result was delivered
     #: (None = no deadline).
     budget_remaining_seconds: float | None = None
@@ -129,8 +127,8 @@ class QueryOutcome:
 
     @property
     def failed_over(self) -> bool:
-        """Whether any recovery path ran (takeover, standby, re-plan)."""
-        return bool(self.failovers) or self.standby_used or self.replanned
+        """Whether any recovery path ran (takeover, re-plan)."""
+        return bool(self.failovers) or self.replanned
 
     def describe(self) -> str:
         """One human-readable line per query (the workload CLI output)."""
@@ -149,15 +147,12 @@ class QueryOutcome:
             moves = ", ".join(
                 f"{e.fragment_id}:{e.failed_subject}->{e.replacement}"
                 for e in self.failovers)
-            mode = ("replanned" if self.replanned
-                    else "standby" if self.standby_used else "takeover")
+            mode = "replanned" if self.replanned else "takeover"
             recovery = (f" failover[{mode}"
                         + (f" {moves}" if moves else "")
                         + f" +{self.failover_seconds * 1000:.1f}ms]")
         budget_note = ""
-        if self.budget is not None \
-                and self.budget.deadline_seconds is not None \
-                and self.budget_remaining_seconds is not None:
+        if self.budget_remaining_seconds is not None:
             budget_note = (
                 f" budget[{self.budget_remaining_seconds * 1000:.0f}ms "
                 f"left of {self.budget.deadline_seconds * 1000:.0f}ms]")
@@ -268,10 +263,11 @@ class QueryService:
 
         ``budget`` bounds the query end to end (a fresh
         :class:`~repro.core.budget.CancellationToken` is minted for it
-        on the service's clock); pass ``token`` instead to share an
-        existing countdown — e.g. the gateway's, whose deadline started
-        at submission so queue wait already drew from it — or to allow
-        client-side ``cancel()``.  The cost ceiling is enforced right
+        on the service's clock, unlimited when no budget is given);
+        pass ``token`` instead to share an existing countdown — e.g.
+        the gateway's, whose deadline started at submission so queue
+        wait already drew from it — or to allow client-side
+        ``cancel()``.  The cost ceiling is enforced right
         after planning, against the assignment's exact §7 cost, before
         key generation or dispatch
         (:class:`~repro.exceptions.CostCeilingExceededError`); deadline
@@ -286,11 +282,9 @@ class QueryService:
         has no authorized assignee, and the usual SQL analysis errors.
         """
         user = user or self.user
-        if token is None and budget is not None:
-            token = CancellationToken(budget, clock=self.clock)
+        token = token or CancellationToken(budget, clock=self.clock)
         started = self.clock()
-        if token is not None:
-            token.check("service:admitted")
+        token.check("service:admitted")
         with self._lock:
             reconcile_before = self._reconcile_counters()
             plan_hits = self._plan_cache.info()["hits"]
@@ -306,12 +300,11 @@ class QueryService:
             assignment_cached = (
                 self.assignment_cache.info()["hits"] > hits_before
             )
-        if token is not None:
-            token.check("service:planned")
-            self._enforce_cost_ceiling(token, outcome)
+        token.check("service:planned")
+        self._enforce_cost_ceiling(token, outcome)
         distributed, dispatch_plan, keys_reused = self._derived(outcome,
                                                                 user)
-        standby_used = replanned = False
+        replanned = False
         repair_seconds = 0.0
         try:
             result, trace = self.runtime.run(
@@ -320,9 +313,9 @@ class QueryService:
             )
         except ProviderUnavailableError as failure:
             repair_started = self.clock()
-            outcome, result, trace, standby_used = self._repair_and_rerun(
-                plan, outcome, failure, user, token)
-            replanned = not standby_used
+            outcome, result, trace = self._repair_and_rerun(
+                plan, failure, user, token)
+            replanned = True
             repair_seconds = self.clock() - repair_started
         wall = self.clock() - started
         reconcile_after = self._reconcile_counters()
@@ -343,13 +336,11 @@ class QueryService:
             keys_reused=keys_reused,
             assignment=outcome,
             reconcile=reconcile,
-            standby_used=standby_used,
             replanned=replanned,
             failover_seconds=(repair_seconds
                               + sum(e.seconds for e in trace.failovers)),
-            budget=token.budget if token is not None else None,
-            budget_remaining_seconds=(token.remaining_seconds()
-                                      if token is not None else None),
+            budget=token.budget,
+            budget_remaining_seconds=token.remaining_seconds(),
         )
         with self._lock:
             self.total_stats.observe(executed)
@@ -363,25 +354,23 @@ class QueryService:
     # Failover repair
     # ------------------------------------------------------------------
     def _repair_and_rerun(
-        self, plan, primary: AssignmentResult,
-        failure: ProviderUnavailableError, user: str,
-        token: CancellationToken | None = None,
-    ) -> tuple[AssignmentResult, Table, ExecutionTrace, bool]:
+        self, plan, failure: ProviderUnavailableError, user: str,
+        token: CancellationToken,
+    ) -> tuple[AssignmentResult, Table, ExecutionTrace]:
         """Recover a query whose fragment lost every in-place candidate.
 
-        Two escalation tiers beyond the runtime's fragment takeover:
-        first the warm §6 standby plans kept on the primary assignment
-        (``portfolio``) — a standby that avoids every unavailable
-        subject and still passes :func:`verify_assignment` under the
-        *current* policy is dispatched as-is; otherwise a full re-plan
-        over the remaining healthy subjects.  Each re-run that loses yet
-        another provider widens the unavailable set and tries again, so
-        :class:`UnrecoverableAssignmentError` is raised only when no
-        authorized candidate remains (or the lost subject is a data
-        authority, whose stored relations cannot move).
+        The one tier beyond the runtime's fragment takeover is the §6
+        pipeline itself (Λ → DP → minimal extension → keys) re-run over
+        the healthy subjects, its result re-gated by
+        :func:`verify_assignment` before dispatch.  Each re-run that
+        loses yet another provider widens the unavailable set and
+        re-plans again, so :class:`UnrecoverableAssignmentError` is
+        raised only when no authorized candidate remains (or the lost
+        subject is a data authority, whose stored relations cannot
+        move).
 
         Recovery draws from the same query budget as the primary run:
-        each tier starts with a checkpoint (an expired query is not
+        each round starts with a checkpoint (an expired query is not
         worth re-planning) and a repaired assignment is re-gated against
         the cost ceiling before dispatch — failover may not buy a result
         the budget already refused.
@@ -394,19 +383,34 @@ class QueryService:
         unavailable = set(failure.excluded)
         try:
             while True:
-                if token is not None:
-                    token.check("service:failover")
+                token.check("service:failover")
                 unavailable |= self.runtime.health.unavailable_subjects()
                 if failure.subject in set(self.owners.values()):
                     raise UnrecoverableAssignmentError(
                         f"data authority {failure.subject!r} is "
                         "unavailable and its stored relations cannot be "
                         "reassigned") from failure
-                repaired, standby_used = self._repaired_for(
-                    plan, primary, unavailable, user)
-                if token is not None:
-                    self._enforce_cost_ceiling(token, repaired,
-                                               where="failover")
+                available = [name for name in self.subject_names
+                             if name not in unavailable]
+                try:
+                    with self._lock:
+                        repaired = assign(
+                            plan, self.policy, available, self.prices,
+                            user=user, owners=self.owners,
+                            cache=self.assignment_cache,
+                            edge_cache=self.edge_cache,
+                        )
+                except (NoCandidateError, UnauthorizedError) as exc:
+                    raise UnrecoverableAssignmentError(
+                        "no authorized candidate remains for the query "
+                        f"after losing {sorted(unavailable)}"
+                    ) from exc
+                # Defense in depth: the repaired plan must re-verify as
+                # an authorized assignment before anything is dispatched.
+                verify_assignment(repaired.extended.plan, self.policy,
+                                  repaired.extended.assignment)
+                self._enforce_cost_ceiling(token, repaired,
+                                           where="failover")
                 distributed, dispatch_plan, _ = self._derived(repaired,
                                                               user)
                 try:
@@ -416,14 +420,14 @@ class QueryService:
                     )
                 except ProviderUnavailableError as again:
                     # Another provider died during the re-run: widen the
-                    # exclusion set and escalate once more.  The subject
+                    # exclusion set and re-plan once more.  The subject
                     # pool strictly shrinks, so this terminates.
                     unavailable |= set(again.excluded)
                     record.absorb(again.trace)
                     failure = again
                     continue
                 record.absorb(trace)
-                return repaired, result, record, standby_used
+                return repaired, result, record
         except QueryAbortedError as abort:
             if abort.trace is not None:
                 record.absorb(abort.trace)
@@ -448,48 +452,6 @@ class QueryService:
                 f"planned query costs ${cost:.6f}, over the "
                 f"${ceiling:.6f} ceiling", where=where,
                 cost_usd=cost, ceiling_usd=ceiling)
-
-    def _repaired_for(self, plan, primary: AssignmentResult,
-                      unavailable: set[str], user: str,
-                      ) -> tuple[AssignmentResult, bool]:
-        """An assignment avoiding ``unavailable``, and whether it is a
-        standby: the cheapest warm standby if one qualifies, else a
-        re-plan over the remaining subjects.
-
-        Standbys were verified when planned; the policy may have changed
-        since, so each is re-gated with :func:`verify_assignment` before
-        use — a stale standby is skipped, never dispatched.
-        """
-        for standby in primary.portfolio:
-            used = set(standby.extended.assignment.values())
-            if used & unavailable:
-                continue
-            try:
-                verify_assignment(standby.extended.plan, self.policy,
-                                  standby.extended.assignment)
-            except UnauthorizedError:
-                continue
-            return standby, True
-        available = [name for name in self.subject_names
-                     if name not in unavailable]
-        try:
-            with self._lock:
-                repaired = assign(
-                    plan, self.policy, available, self.prices,
-                    user=user, owners=self.owners,
-                    cache=self.assignment_cache,
-                    edge_cache=self.edge_cache,
-                )
-        except (NoCandidateError, UnauthorizedError) as exc:
-            raise UnrecoverableAssignmentError(
-                "no authorized candidate remains for the query "
-                f"after losing {sorted(unavailable)}"
-            ) from exc
-        # Defense in depth: the repaired plan must re-verify as an
-        # authorized assignment before anything is dispatched.
-        verify_assignment(repaired.extended.plan, self.policy,
-                          repaired.extended.assignment)
-        return repaired, False
 
     # ------------------------------------------------------------------
     # Shared-state management

@@ -51,9 +51,6 @@ class SelectItem:
 
     expression: ColumnRef | AggregateCall
 
-    @property
-    def is_aggregate(self) -> bool:
-        return isinstance(self.expression, AggregateCall)
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,6 @@ def test_budget_validates_fields():
         QueryBudget(deadline_seconds=-1.0)
     with pytest.raises(ValueError, match="cost_ceiling_usd"):
         QueryBudget(cost_ceiling_usd=-0.5)
-    assert QueryBudget().unlimited
-    assert not QueryBudget(deadline_seconds=1.0).unlimited
-    assert not QueryBudget(cost_ceiling_usd=1.0).unlimited
 
 
 # ----------------------------------------------------------------------

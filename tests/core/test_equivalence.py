@@ -56,12 +56,6 @@ class TestBasics:
         eq = EquivalenceClasses.of({"A", "B"}, {"C", "D"})
         assert eq.members() == frozenset("ABCD")
 
-    def test_restrict(self):
-        eq = EquivalenceClasses.of({"A", "B", "C"})
-        restricted = eq.restrict({"A", "B"})
-        assert restricted.class_of("A") == frozenset({"A", "B"})
-        assert restricted.class_of("C") == frozenset({"C"})
-
     def test_refines(self):
         fine = EquivalenceClasses.of({"A", "B"})
         coarse = EquivalenceClasses.of({"A", "B", "C"})

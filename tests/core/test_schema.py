@@ -66,12 +66,6 @@ class TestRelation:
         with pytest.raises(SchemaError):
             Relation("R", ["a"], cardinality=-1)
 
-    def test_row_width_sums_attribute_widths(self):
-        relation = Relation("R", [
-            AttributeSpec("a", INTEGER), AttributeSpec("b", DECIMAL),
-        ])
-        assert relation.row_width() == 12
-
     def test_equality_and_hash(self):
         first = Relation("R", ["a", "b"])
         second = Relation("R", ["a", "b"])

@@ -197,12 +197,6 @@ class TestPaillier:
         total = public.encrypt(10) + public.encrypt(32)
         assert private.decrypt(total) == 42
 
-    def test_add_plain_and_multiply(self, keys):
-        public, private = keys
-        c = public.encrypt(10).add_plain(5)
-        assert private.decrypt(c) == 15
-        assert private.decrypt(public.encrypt(10).multiply_plain(4)) == 40
-
     def test_randomized_ciphertexts(self, keys):
         public, _ = keys
         assert public.encrypt(1).value != public.encrypt(1).value

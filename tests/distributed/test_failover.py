@@ -1,4 +1,4 @@
-"""Failover integration tests: retries, takeover, standby, re-plan.
+"""Failover integration tests: retries, takeover, re-plan.
 
 Each test runs the running-example query through a :class:`QueryService`
 wired with a deterministic :class:`FaultInjector` and a no-op sleeper
@@ -69,7 +69,7 @@ def make_service(injector=None, twins=False, **kwargs):
 @pytest.fixture()
 def no_takeover(monkeypatch):
     """The runtime finds no candidate to take a lost fragment over, so a
-    lost provider surfaces to the service's standby and re-plan tiers."""
+    lost provider surfaces to the service's re-plan."""
     monkeypatch.setattr(runtime_module.DistributedRuntime, "_next_candidate",
                         lambda *args: None)
 
@@ -215,21 +215,24 @@ class TestInPlaceTakeover:
 
 
 class TestServiceTierRepair:
-    def test_runtime_failover_disabled_uses_standby_or_replan(
-            self, clean_outcome, no_takeover):
+    def test_runtime_failover_disabled_replans(self, clean_outcome,
+                                               no_takeover):
         # With no in-place takeover candidate the runtime escalates
-        # ProviderUnavailableError and the service tier must recover
-        # via a warm standby plan or a full re-plan.
+        # ProviderUnavailableError and the service re-plans over the
+        # healthy subjects.
         victim = compute_victim(clean_outcome)
         injector = FaultInjector(seed=5)
         injector.kill(victim)
-        outcome = make_service(injector).execute(SQL)
-        assert outcome.failed_over
-        assert outcome.standby_used or outcome.replanned
+        service = make_service(injector)
+        outcome = service.execute(SQL)
+        assert outcome.failed_over and outcome.replanned
         assert outcome.failovers == ()  # no runtime-level takeover ran
-        assert_rows_equal(outcome.result, clean_outcome.result)
+        assert "failover[replanned" in outcome.describe()
+        assert_plaintext_answer(outcome, service)
         assert victim not in set(
             outcome.assignment.extended.assignment.values())
+        verify_assignment(outcome.assignment.extended.plan, service.policy,
+                          outcome.assignment.extended.assignment)
 
     def test_the_outcome_trace_covers_every_run(self, clean_outcome,
                                                 monkeypatch, no_takeover):
@@ -250,7 +253,8 @@ class TestServiceTierRepair:
 
         monkeypatch.setattr(runtime_module, "seal_envelope", counting_seal)
         outcome = service.execute(SQL)
-        assert outcome.standby_used or outcome.replanned
+        assert outcome.replanned
+        assert_plaintext_answer(outcome, service)
         assert outcome.trace.envelope_bytes == sum(sealed)
         assert outcome.trace.breaker_trips >= 1
 
@@ -262,14 +266,15 @@ class TestServiceTierRepair:
         victim = compute_victim(clean_outcome)
         injector = FaultInjector(seed=5)
         injector.kill(victim)
-        gateway = Gateway(make_service(injector),
-                          [TenantConfig("t")], max_inflight=1)
+        service = make_service(injector)
+        gateway = Gateway(service, [TenantConfig("t")], max_inflight=1)
         try:
             outcome = gateway.execute("t", SQL)
             families = parse_prometheus(gateway.metrics_text())
         finally:
             gateway.close()
-        assert outcome.replanned or outcome.standby_used
+        assert outcome.replanned
+        assert_plaintext_answer(outcome, service)
         counts = {labels["subject"]: value for name, labels, value
                   in families["repro_fragment_latency_seconds"]["samples"]
                   if name.endswith("_count")}
@@ -287,65 +292,63 @@ class TestServiceTierRepair:
 
 
 class TestReplanTier:
-    """The service's last tier: a re-plan over the healthy subjects,
-    and what happens while it runs.  In the running example every §6
-    standby places the query's top at the user U; with ``twins`` the
-    primary runs it at X."""
+    """The service's tier beyond takeover: a re-plan over the healthy
+    subjects, and what happens while it runs.  With ``twins`` the
+    primary runs the query's top at X, and Y and Z may run it too."""
 
-    def test_every_standby_uses_a_dead_subject_so_the_query_is_replanned(
+    def test_a_subject_lost_before_the_query_is_left_out_of_the_replan(
             self, no_takeover):
         primary = make_service(twins=True).execute(SQL).assignment
         assert "X" in primary.extended.assignment.values()
-        assert primary.portfolio and all(
-            "U" in standby.extended.assignment.values()
-            for standby in primary.portfolio)
         injector = FaultInjector(seed=5)
         for name in ("X", "U"):
             injector.kill(name)
         service = make_service(injector, twins=True)
         service.runtime.health.mark_dead("U")  # lost before this query
         outcome = service.execute(SQL)
-        assert outcome.replanned and not outcome.standby_used
+        assert outcome.replanned
         used = set(outcome.assignment.extended.assignment.values())
         assert not used & {"X", "U"}
         verify_assignment(outcome.assignment.extended.plan, service.policy,
                           outcome.assignment.extended.assignment)
         assert_plaintext_answer(outcome, service)
-        # The standby was never dispatched: U was asked for nothing.
+        # U was asked for nothing.
         assert "U" not in {subject for _, subject in
                            outcome.trace.fragments_run}
         assert {subject for _, subject, _ in node_rows(outcome.trace)} \
             == {"H", "I", "Y"}
 
-    def test_a_second_provider_dies_while_the_standby_reruns(
+    def test_a_second_provider_dies_while_the_replan_reruns(
             self, no_takeover):
-        """X dies under the primary, U under the standby that replaced
-        it: the unavailable set widens and a re-plan over Y recovers.
-        The trace folds all three runs, the rows of the two that failed
-        included."""
+        """X dies under the primary, Y under the re-plan that replaced
+        it: the unavailable set widens and a second re-plan over Z
+        recovers.  The trace folds all three runs, the rows of the two
+        that failed included."""
         injector = FaultInjector(seed=5)
-        for name in ("X", "U"):
+        for name in ("X", "Y"):
             injector.kill(name)
         service = make_service(injector, twins=True)
         outcome = service.execute(SQL)
-        assert outcome.replanned and not outcome.standby_used
+        assert outcome.replanned
         assert not set(outcome.assignment.extended.assignment.values()) \
-            & {"X", "U"}
+            & {"X", "Y"}
+        verify_assignment(outcome.assignment.extended.plan, service.policy,
+                          outcome.assignment.extended.assignment)
         assert_plaintext_answer(outcome, service)
         asked = [subject for _, subject in outcome.trace.fragments_run]
-        assert asked.index("X") < asked.index("U") < asked.index("Y")
+        assert asked.index("X") < asked.index("Y") < asked.index("Z")
         rows = node_rows(outcome.trace)
-        assert ("reqI", "I", "enc[C]") in rows  # the primary's
-        assert ("reqI", "I", "enc[P]") in rows  # the standby's
-        assert {subject for _, subject, _ in rows} == {"H", "I", "Y"}
+        # H and I ran under each of the three runs' fresh keys.
+        assert rows.count(("reqI", "I", "enc[C]")) == 3
+        assert {subject for _, subject, _ in rows} == {"H", "I", "Z"}
         assert outcome.trace.breaker_trips == 2
 
     def test_a_deadline_during_repair_carries_every_run_so_far(
             self, no_takeover):
         """A second of provider latency per fragment on a fake clock, a
         3.5 s deadline: the primary runs H and I and loses X at 2 s; the
-        standby's re-run seals I's P by 3 s, and the deadline expires
-        waiting on H.  The error's trace holds both runs' node rows."""
+        re-plan's run seals H's S by 3 s, and the deadline expires
+        waiting on I.  The error's trace holds both runs' node rows."""
         clock = FakeClock()
         injector = steady_latency(
             1.0, build_running_example().subject_names,
@@ -356,16 +359,16 @@ class TestReplanTier:
         with pytest.raises(DeadlineExceededError) as raised:
             service.execute(SQL, budget=QueryBudget(deadline_seconds=3.5))
         assert clock.now == 3.5
-        assert node_rows(raised.value.trace) == [
+        assert raised.value.where == "runtime:fragment reqI response"
+        primary = [
             ("reqH", "H", "π[S,D,T] Hosp(S,D,T)"),
             ("reqH", "H", "σ[D='stroke']"),
             ("reqH", "H", "π[S,T]"),
             ("reqH", "H", "enc[S]"),
             ("reqI", "I", "Ins(C,P)"),
             ("reqI", "I", "enc[C]"),
-            ("reqI", "I", "Ins(C,P)"),
-            ("reqI", "I", "enc[P]"),
         ]
+        assert node_rows(raised.value.trace) == primary + primary[:4]
 
     def test_the_first_takeover_candidate_fails_too(self):
         """X is lost; Y, the first candidate by name, is dead as well:
@@ -375,7 +378,7 @@ class TestReplanTier:
             injector.kill(name)
         service = make_service(injector, twins=True)
         outcome = service.execute(SQL)
-        assert not (outcome.replanned or outcome.standby_used)
+        assert not outcome.replanned
         (event,) = outcome.failovers
         assert (event.failed_subject, event.replacement) == ("X", "Z")
         assert event.attempts == 2  # X's and Y's
@@ -391,13 +394,13 @@ class TestReplanTier:
 
 class TestOneClock:
     @pytest.mark.parametrize("takeover", (True, False),
-                             ids=("takeover", "standby-or-replan"))
+                             ids=("takeover", "replan"))
     def test_wall_and_failover_seconds_read_the_injected_clock(
             self, clean_outcome, takeover, request):
         """Half a (fake) second of provider latency per fragment, slept
         on a clock that nothing else moves: the query took exactly the
         time that was slept, and recovery exactly the time from the loss
-        of the provider to delivery — whichever tier recovered.  Read on
+        of the provider to delivery — by takeover or by re-plan.  Read on
         any other clock, both are a few real milliseconds."""
         if not takeover:
             request.getfixturevalue("no_takeover")
@@ -415,10 +418,11 @@ class TestOneClock:
             return on_execute(subject)
 
         injector.on_execute = watched
-        outcome = make_service(
-            injector, clock=clock, sleeper=clock.sleep).execute(SQL)
+        service = make_service(injector, clock=clock, sleeper=clock.sleep)
+        outcome = service.execute(SQL)
         assert outcome.failed_over and bool(outcome.failovers) == takeover
-        assert_rows_equal(outcome.result, clean_outcome.result)
+        assert outcome.replanned != takeover
+        assert_plaintext_answer(outcome, service)
         assert 0.0 < lost_at[0] < clock.now
         assert outcome.wall_seconds == clock.now
         assert outcome.failover_seconds == clock.now - lost_at[0]

@@ -8,6 +8,7 @@ half-open → closed transitions are exact.
 
 import pytest
 
+from repro.core.budget import CancellationToken
 from repro.distributed.health import (
     CLOSED,
     HALF_OPEN,
@@ -206,7 +207,8 @@ class TestRunWithRetries:
     def run(self, registry, clock, attempt, trace):
         return run_with_retries(
             "Y", "reqY", attempt, health=registry,
-            clock=clock, sleep=clock.advance, token=None, trace=trace)
+            clock=clock, sleep=clock.advance,
+            token=CancellationToken(clock=clock), trace=trace)
 
     def test_transient_twice_then_success(self, registry, clock):
         trace = ExecutionTrace()

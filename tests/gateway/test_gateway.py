@@ -14,11 +14,13 @@ from helpers import (
     steady_latency,
     submitted_and_ended,
 )
+from repro.core.budget import QueryBudget
 from repro.engine.table import Table
 from repro.exceptions import (
     AdmissionRejected,
     DeadlineExceededError,
     GatewayError,
+    QueryCancelledError,
     QuotaExceeded,
     UnauthorizedError,
 )
@@ -73,6 +75,41 @@ def test_gateway_end_to_end_matches_direct_execution():
                    for entry in entries)
     finally:
         gateway.close()
+
+
+def test_an_unbudgeted_query_is_cancelled_queued_or_running():
+    """With no budget and no tenant default a query still carries a
+    token: its future's ``cancellation_token`` stops the running query
+    at its next checkpoint (after the provider H answers) and the
+    queued one at dequeue, before any planning."""
+    gate, asked = threading.Event(), threading.Event()
+
+    def sleeper(seconds):
+        asked.set()
+        assert gate.wait(timeout=30)
+
+    service = make_service(fault_injector=steady_latency(0.1, ["H"]),
+                           sleeper=sleeper)
+    gateway = Gateway(service, [TenantConfig("t", user="U")],
+                      max_inflight=1)
+    wheres = []
+    try:
+        running, queued = (gateway.submit("t", SQL) for _ in range(2))
+        assert asked.wait(timeout=30)
+        for future in (running, queued):
+            assert future.cancellation_token.budget == QueryBudget()
+            future.cancellation_token.cancel("no longer needed")
+        gate.set()
+        for future in (running, queued):
+            with pytest.raises(QueryCancelledError) as raised:
+                future.result(timeout=30)
+            wheres.append(raised.value.where)
+    finally:
+        gate.set()
+        gateway.close()
+    assert wheres == ["runtime:fragment reqH response", "gateway:dequeue"]
+    assert [entry.status for entry in gateway.ledger.entries("t")] \
+        == ["cancelled", "cancelled"]
 
 
 def test_gateway_metrics_cover_required_series():

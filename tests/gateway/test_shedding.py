@@ -272,7 +272,7 @@ def test_tenant_quota_budget_merge():
     assert merged.deadline_seconds == 2.0
     assert merged.cost_ceiling_usd == 1.0  # default fills the gap
     unlimited = TenantQuota("u")
-    assert unlimited.budget_for(None) is None
+    assert unlimited.budget_for(None) == QueryBudget()
     passthrough = unlimited.budget_for(QueryBudget(deadline_seconds=5.0))
     assert passthrough.deadline_seconds == 5.0
     assert passthrough.cost_ceiling_usd is None

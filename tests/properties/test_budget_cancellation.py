@@ -176,6 +176,14 @@ class TestRunningExampleCancellation:
         assert 0.0 < outcome.budget_remaining_seconds < 1000.0
         assert "budget[" in outcome.describe()
 
+    def test_an_unbudgeted_query_runs_under_an_unlimited_budget(self, clean):
+        """Given neither a budget nor a token, the service mints an
+        unlimited token: the outcome reports ``QueryBudget()``, and no
+        deadline, so no budget note."""
+        assert clean.budget == QueryBudget()
+        assert clean.budget_remaining_seconds is None
+        assert "budget[" not in clean.describe()
+
     def test_abort_carries_the_partial_trace(self):
         clock = FakeClock()
         service = self.make_service(clock=clock)

@@ -180,7 +180,7 @@ class TestCachedAssignMatchesFresh:
             self, example, case):
         """Every provider the plan uses loses all its rules, one at a
         time; each re-plan (through the same caches) and each of its
-        standbys must leave that provider out, or refuse."""
+        portfolio proposals must leave that provider out, or refuse."""
         if case == "example":
             plan, policy, names = example.plan, example.policy, \
                 example.subject_names

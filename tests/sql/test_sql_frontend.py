@@ -65,7 +65,6 @@ class TestParser:
             "select T, avg(P) from Hosp join Ins on S=C "
             "where D='stroke' group by T having avg(P)>100")
         assert len(query.select) == 2
-        assert query.select[1].is_aggregate
         assert query.from_table.name == "Hosp"
         assert query.joins[0].table.name == "Ins"
         assert len(query.where) == 1 and len(query.having) == 1
