@@ -80,6 +80,10 @@ class LRU:
         while len(self._data) > self.maxsize:
             self._data.popitem(last=False)
 
+    def discard(self, key) -> None:
+        """Drop the entry under ``key``, if any; no counter moves."""
+        self._data.pop(key, None)
+
     def clear(self) -> None:
         """Drop every entry; the hit and miss counters keep counting."""
         self._data.clear()

@@ -269,7 +269,7 @@ def minimally_extend(
         current_profile[node] = profile
 
     result = ExtendedPlan(
-        plan=QueryPlan(extended[plan.root]),
+        plan=QueryPlan(extended[plan.root], plan.columns),
         original=plan,
         assignment=new_assignment,
         encrypted_attributes=frozenset(encrypted_attributes),

@@ -37,11 +37,16 @@ class QueryPlan:
     ['Hosp(S,B,D,T)', 'π[D,S]']
     """
 
-    __slots__ = ("root", "_postorder", "_parents", "_profiles",
+    __slots__ = ("root", "columns", "_postorder", "_parents", "_profiles",
                  "_requirements", "_lineage", "_masks")
 
-    def __init__(self, root: PlanNode) -> None:
+    def __init__(self, root: PlanNode,
+                 columns: tuple[str, ...] | None = None) -> None:
         self.root = root
+        #: The result's column order (SELECT order for a plan from SQL),
+        #: applied where a result is handed back (:meth:`in_result_order`);
+        #: ``None`` keeps the operand order the operators produce.
+        self.columns = columns
         self._postorder: tuple[PlanNode, ...] = tuple(_postorder_walk(root))
         if len(set(self._postorder)) != len(self._postorder):
             raise PlanError("plan nodes must not be shared between positions")
@@ -150,7 +155,15 @@ class QueryPlan:
         for node in self._postorder:
             children = tuple(rebuilt[c] for c in node.children)
             rebuilt[node] = transform(node, children)
-        return QueryPlan(rebuilt[self.root])
+        return QueryPlan(rebuilt[self.root], self.columns)
+
+    def in_result_order(self, table):
+        """``table`` (the root's result) with its columns in
+        :attr:`columns` order: a permutation, not a plan node, so no
+        cost model prices it."""
+        if self.columns is None or tuple(table.columns) == self.columns:
+            return table
+        return table.bulk_project(self.columns)
 
     def strip_crypto_nodes(self) -> "QueryPlan":
         """Remove all Encrypt/Decrypt nodes, recovering the original plan."""

@@ -180,6 +180,10 @@ class AssignmentCache:
         self._entries.put(key, Entry((tuple(context), result), policy,
                                      *(depends or (None, None))))
 
+    def discard(self, key: tuple) -> None:
+        """Drop the entry under ``key``, if any; no counter moves."""
+        self._entries.discard(key)
+
     def info(self) -> dict[str, int]:
         """Hit/miss/size counters plus reconcile statistics."""
         return {**self._entries.info(), **self.reconcile_info()}

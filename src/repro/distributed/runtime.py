@@ -332,7 +332,7 @@ class DistributedRuntime:
         # The result may live in (and be served again from) the fragment
         # cache; a Table is immutable, so the cached object itself is
         # safe to hand out.
-        return result, trace
+        return extended.plan.in_result_order(result), trace
 
     def invalidate_caches(self) -> None:
         """Call after changing a node's ``tables`` or ``udfs`` in place

@@ -153,9 +153,10 @@ class Executor:
     # Entry points
     # ------------------------------------------------------------------
     def execute(self, plan: QueryPlan | PlanNode) -> Table:
-        """Evaluate a plan (or subtree) and return the result table."""
-        node = plan.root if isinstance(plan, QueryPlan) else plan
-        step = physical_step(node)
+        """Evaluate a plan (columns in its result order) or a subtree."""
+        if isinstance(plan, QueryPlan):
+            return plan.in_result_order(self.execute(plan.root))
+        step = physical_step(plan)
         return self.execute_step(
             step, [self.execute(child) for child in step[0].children])
 
@@ -195,7 +196,7 @@ class Executor:
         if isinstance(node, Selection):
             return self._select(node, children[0])
         if isinstance(node, CartesianProduct):
-            return self._product(children[0], children[1])
+            return _joined("×", *children, *_all_pairs(*children))
         if isinstance(node, Join):
             return self._join(node, children[0], children[1])
         if isinstance(node, GroupBy):
@@ -234,9 +235,6 @@ class Executor:
         if len(kept) == len(child):
             return child.rename("σ")
         return child.take(kept, "σ")
-
-    def _product(self, left: Table, right: Table) -> Table:
-        return _joined("×", left, right, *_all_pairs(left, right))
 
     # -- joins ----------------------------------------------------------
     def _join(self, node: Join, left: Table, right: Table) -> Table:

@@ -9,12 +9,8 @@ queries to one user.
 """
 
 from repro.core.budget import CancellationToken, QueryBudget
-from repro.service.workload import (
-    QueryOutcome,
-    QueryService,
-    SessionStats,
-    WorkloadSession,
-)
+from repro.service.outcome import QueryOutcome, SessionStats
+from repro.service.workload import QueryService, WorkloadSession
 
 __all__ = [
     "CancellationToken", "QueryBudget", "QueryOutcome", "QueryService",

@@ -6,8 +6,11 @@ every caller hand-wires parse → authorize → extend → dispatch → execute.
 :class:`QueryService` owns the long-lived state the pipeline can share
 across queries and drives SQL text through it end to end:
 
-* a **plan cache** (via :func:`repro.sql.planner.plan_query`'s ``cache``)
-  returning identity-stable plans for repeated SQL text;
+* a **plan cache** returning identity-stable plans for SQL text a user
+  repeats: on a miss the SQL is planned in FROM order and in owner-first
+  order (:func:`repro.sql.planner.join_orders`) and the cheaper under
+  ``assign`` from that user's seat is kept, once, for that user's later
+  runs and re-plans of the text;
 * the delta-reconciled
   :class:`~repro.core.plancache.AssignmentCache` memoising full
   assignment results keyed by the plan object the plan cache interned
@@ -49,14 +52,15 @@ from repro.core.budget import CancellationToken, QueryBudget
 from repro.core.cache import LRU
 from repro.core.dispatch import DispatchPlan, dispatch
 from repro.core.edgecost import EdgeTableCache
-from repro.core.plancache import AssignmentCache
+from repro.core.plan import QueryPlan
+from repro.core.plancache import AssignmentCache, assignment_cache_key
 from repro.core.schema import Schema
 from repro.core.visibility import verify_assignment
 from repro.cost.pricing import PriceList
 from repro.crypto.keymanager import DistributedKeys
 from repro.distributed import build_runtime, generate_subject_keys
 from repro.distributed.faults import FaultInjector
-from repro.distributed.runtime import ExecutionTrace, FailoverEvent
+from repro.distributed.runtime import ExecutionTrace
 from repro.engine.executor import UdfCallable
 from repro.engine.table import Table
 from repro.exceptions import (
@@ -68,7 +72,8 @@ from repro.exceptions import (
     UnauthorizedError,
     UnrecoverableAssignmentError,
 )
-from repro.sql.planner import plan_query
+from repro.service.outcome import QueryOutcome, SessionStats
+from repro.sql.planner import join_orders, plan_query
 
 #: Entries kept in the plan cache and in the assignment cache.
 _MEMO_LIMIT = 256
@@ -76,125 +81,6 @@ _MEMO_LIMIT = 256
 #: Most recent outcomes a :class:`WorkloadSession` retains (stats cover
 #: every query regardless; full results must not pin unbounded memory).
 _SESSION_OUTCOME_LIMIT = 128
-
-
-@dataclass
-class QueryOutcome:
-    """One executed query: its result plus the per-query trace.
-
-    ``trace`` covers every run of the query — the primary run and any
-    re-plan re-run after a lost provider, failed runs included — and is
-    the one record of what moved: ``retries`` and ``failovers`` read
-    it, nothing is summed beside it.
-    """
-
-    sql: str
-    user: str
-    result: Table
-    trace: ExecutionTrace
-    wall_seconds: float
-    cost_usd: float
-    plan_cached: bool
-    assignment_cached: bool
-    keys_reused: bool
-    assignment: AssignmentResult
-    #: Reconcile activity this query observed (assignment entries kept,
-    #: evicted, flushed or adopted; fragment entries kept, evicted or
-    #: flushed), as counter increments; empty if the policy held still.
-    reconcile: dict[str, int] = field(default_factory=dict)
-    #: Whether the query was re-planned from scratch over the healthy
-    #: subject pool.
-    replanned: bool = False
-    #: Latency attributable to recovery (retries excluded): in-place
-    #: failover time plus re-plan repair and re-run time.
-    failover_seconds: float = 0.0
-    #: The budget the query ran under (unlimited unless one was given).
-    budget: QueryBudget = QueryBudget()
-    #: Seconds left on the deadline when the result was delivered
-    #: (None = no deadline).
-    budget_remaining_seconds: float | None = None
-
-    @property
-    def retries(self) -> int:
-        """Transient-fault retries absorbed without failover."""
-        return self.trace.retries
-
-    @property
-    def failovers(self) -> tuple[FailoverEvent, ...]:
-        """Mid-query fragment re-dispatches, each carrying the repaired
-        assignment that :func:`verify_assignment` approved."""
-        return tuple(self.trace.failovers)
-
-    @property
-    def failed_over(self) -> bool:
-        """Whether any recovery path ran (takeover, re-plan)."""
-        return bool(self.failovers) or self.replanned
-
-    def describe(self) -> str:
-        """One human-readable line per query (the workload CLI output)."""
-        flags = "".join((
-            "p" if self.plan_cached else "-",
-            "a" if self.assignment_cached else "-",
-            "k" if self.keys_reused else "-",
-        ))
-        churn = ""
-        if self.reconcile:
-            inner = ", ".join(f"{key}={value}" for key, value
-                              in sorted(self.reconcile.items()))
-            churn = f" reconcile[{inner}]"
-        recovery = ""
-        if self.failed_over:
-            moves = ", ".join(
-                f"{e.fragment_id}:{e.failed_subject}->{e.replacement}"
-                for e in self.failovers)
-            mode = "replanned" if self.replanned else "takeover"
-            recovery = (f" failover[{mode}"
-                        + (f" {moves}" if moves else "")
-                        + f" +{self.failover_seconds * 1000:.1f}ms]")
-        budget_note = ""
-        if self.budget_remaining_seconds is not None:
-            budget_note = (
-                f" budget[{self.budget_remaining_seconds * 1000:.0f}ms "
-                f"left of {self.budget.deadline_seconds * 1000:.0f}ms]")
-        return (
-            f"{self.user}: {len(self.result)} rows in "
-            f"{self.wall_seconds * 1000:.1f} ms "
-            f"[{len(self.trace.fragments_run)} fragments, "
-            f"{self.trace.fragment_cache_hits} cached, "
-            f"caches={flags}, ${self.cost_usd:.6f}]"
-            f"{churn}{recovery}{budget_note}"
-        )
-
-
-@dataclass
-class SessionStats:
-    """Aggregated counters for one :class:`WorkloadSession`."""
-
-    queries: int = 0
-    wall_seconds: float = 0.0
-    rows_returned: int = 0
-    plan_cache_hits: int = 0
-    assignment_cache_hits: int = 0
-    fragment_cache_hits: int = 0
-    fragments_run: int = 0
-
-    def observe(self, outcome: QueryOutcome) -> None:
-        self.queries += 1
-        self.wall_seconds += outcome.wall_seconds
-        self.rows_returned += len(outcome.result)
-        self.plan_cache_hits += int(outcome.plan_cached)
-        self.assignment_cache_hits += int(outcome.assignment_cached)
-        self.fragment_cache_hits += outcome.trace.fragment_cache_hits
-        self.fragments_run += len(outcome.trace.fragments_run)
-
-    def describe(self) -> str:
-        return (
-            f"{self.queries} queries, {self.rows_returned} rows, "
-            f"{self.wall_seconds * 1000:.1f} ms total; cache hits: "
-            f"{self.plan_cache_hits} plan, "
-            f"{self.assignment_cache_hits} assignment, "
-            f"{self.fragment_cache_hits}/{self.fragments_run} fragments"
-        )
 
 
 class QueryService:
@@ -248,7 +134,9 @@ class QueryService:
             clock=self.clock, sleeper=sleeper,
             fault_injector=fault_injector, workers=workers,
         )
-        #: SQL text → identity-stable plan; see plan_query.
+        #: (SQL text, user) → the plan chosen for that user
+        #: (``_choose_plan``); the same object on every hit, so
+        #: identity-keyed layers hit too.
         self._plan_cache = LRU(_MEMO_LIMIT)
         self._lock = threading.Lock()
         self.total_stats = SessionStats()
@@ -287,16 +175,13 @@ class QueryService:
         token.check("service:admitted")
         with self._lock:
             reconcile_before = self._reconcile_counters()
-            plan_hits = self._plan_cache.info()["hits"]
-            plan = plan_query(sql, self.schema, cache=self._plan_cache)
-            plan_cached = self._plan_cache.info()["hits"] > plan_hits
             hits_before = self.assignment_cache.info()["hits"]
-            outcome = assign(
-                plan, self.policy, self.subject_names, self.prices,
-                user=user, owners=self.owners,
-                cache=self.assignment_cache,
-                edge_cache=self.edge_cache,
-            )
+            plan = self._plan_cache.get((sql, user))
+            plan_cached = plan is not None
+            if plan_cached:
+                outcome = self._assign(plan, self.subject_names, user)
+            else:
+                plan, outcome = self._choose_plan(sql, user)
             assignment_cached = (
                 self.assignment_cache.info()["hits"] > hits_before
             )
@@ -394,12 +279,7 @@ class QueryService:
                              if name not in unavailable]
                 try:
                     with self._lock:
-                        repaired = assign(
-                            plan, self.policy, available, self.prices,
-                            user=user, owners=self.owners,
-                            cache=self.assignment_cache,
-                            edge_cache=self.edge_cache,
-                        )
+                        repaired = self._assign(plan, available, user)
                 except (NoCandidateError, UnauthorizedError) as exc:
                     raise UnrecoverableAssignmentError(
                         "no authorized candidate remains for the query "
@@ -433,6 +313,37 @@ class QueryService:
                 record.absorb(abort.trace)
             abort.trace = record
             raise
+
+    def _choose_plan(self, sql: str, user: str,
+                     ) -> tuple[QueryPlan, AssignmentResult]:
+        """Plan ``sql`` in each of :func:`join_orders`' orders and keep
+        the cheapest under ``assign`` from ``user``'s seat (exact §7
+        cost, FROM order on a tie) for that user's later runs and
+        re-plans; the others' assignments leave the cache.  An order no
+        assignment serves loses, unless it is FROM order: that failure
+        is the query's."""
+        priced = []
+        for order in join_orders(sql, self.schema, self.owners):
+            plan = plan_query(sql, self.schema, order)
+            try:
+                priced.append((plan, self._assign(plan, self.subject_names,
+                                                  user)))
+            except (NoCandidateError, UnauthorizedError):
+                if not priced:
+                    raise
+        chosen = min(priced, key=lambda entry: entry[1].cost.total_usd)
+        for plan, _ in priced:
+            if plan is not chosen[0]:
+                self.assignment_cache.discard(assignment_cache_key(
+                    plan, self.subject_names, user, self.owners))
+        self._plan_cache.put((sql, user), chosen[0])
+        return chosen
+
+    def _assign(self, plan, subjects, user: str) -> AssignmentResult:
+        """``assign`` under the service's policy, prices and caches."""
+        return assign(plan, self.policy, subjects, self.prices, user=user,
+                      owners=self.owners, cache=self.assignment_cache,
+                      edge_cache=self.edge_cache)
 
     @staticmethod
     def _enforce_cost_ceiling(token: CancellationToken,

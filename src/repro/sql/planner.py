@@ -3,16 +3,27 @@
 Applies the classical optimization criteria the paper assumes (§1):
 projections are pushed down into the leaves so relations expose only the
 attributes the query touches, single-relation selections are pushed below
-the joins, and joins are built left-deep in FROM order.  The produced
+the joins, and joins are built left-deep in a given relation order — FROM
+order unless the caller names another.  The produced
 :class:`~repro.core.plan.QueryPlan` is exactly what the authorization
-pipeline (profiles → candidates → extension) consumes.
+pipeline (profiles → candidates → extension) consumes; it carries the
+SELECT order of the result columns as data (``QueryPlan.columns``), not
+as a plan node, so the join order never changes what the user receives
+or what §7 prices above the joins.
+
+:func:`join_orders` offers the orders worth pricing: FROM order and, when
+it differs, the *owner-first* order, which grows the tree from the
+largest relation through the relations its owner also holds, so that
+authority can join them in plaintext before anything crosses to another
+party.  Choosing between them is the caller's (the service prices each
+with ``assign``); :func:`plan_query` alone never reorders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
-from repro.core.cache import LRU
 from repro.core.operators import (
     Aggregate,
     BaseRelationNode,
@@ -45,17 +56,15 @@ from repro.sql.parser import parse_sql
 
 
 def plan_query(query: SelectQuery | str, schema: Schema,
-               cache: LRU | None = None) -> QueryPlan:
+               order: Sequence[str] | None = None) -> QueryPlan:
     """Build the query plan for ``query`` against ``schema``.
 
-    ``cache`` (an :class:`~repro.core.cache.LRU`, keyed by the SQL text
-    and the schema's identity) memoises whole plans for repeated queries: returning the *same* plan object —
-    not merely an equal one — lets every identity-keyed layer downstream
-    (assignment cache short-circuit, fragment reuse) hit as well.
-    Entries store ``(plan, schema)``: pinning the schema keeps its
-    ``id`` from being recycled onto a different schema while the entry
-    lives.  Only usable with string queries; callers
-    must treat cached plans as immutable.
+    ``order`` names every FROM relation once: the left-deep join tree
+    takes them in that order (FROM order by default), and each ON or
+    cross-relation WHERE condition joins the tree as soon as every
+    relation it names has joined.  Callers must treat plans as
+    immutable: every identity-keyed layer downstream (assignment cache,
+    fragment reuse) keys on the plan object.
 
     Examples
     --------
@@ -64,20 +73,32 @@ def plan_query(query: SelectQuery | str, schema: Schema,
     ...     "select T, avg(P) from Hosp join Ins on S=C "
     ...     "where D='stroke' group by T having avg(P)>100",
     ...     build_schema())
-    >>> plan.root.label()
-    'σ[P>100]'
+    >>> plan.root.label(), plan.columns
+    ('σ[P>100]', ('T', 'P'))
     """
     if isinstance(query, str):
-        if cache is not None:
-            key = (query, id(schema))
-            entry = cache.get(key)
-            if entry is None:
-                entry = (_Planner(parse_sql(query), schema).build(),
-                         schema)
-                cache.put(key, entry)
-            return entry[0]
         query = parse_sql(query)
-    return _Planner(query, schema).build()
+    return _Planner(query, schema).build(order)
+
+
+def join_orders(query: SelectQuery | str, schema: Schema,
+                owners: Mapping[str, str]) -> tuple[tuple[str, ...], ...]:
+    """FROM order, then the owner-first order if it differs.
+
+    Owner-first starts at the FROM relation with the largest
+    ``Relation.cardinality`` (the first in FROM order on a tie).  Each
+    next relation is the first connected one, in FROM order, that
+    ``owners`` gives the start's owner, or else the first connected
+    one.  A relation is *connected* once some ON or WHERE condition
+    links it to the relations already taken; when none is, the next in
+    FROM order follows (a cartesian product).
+    """
+    if isinstance(query, str):
+        query = parse_sql(query)
+    planner = _Planner(query, schema)
+    first = tuple(planner.tables)
+    other = planner.owner_first(owners)
+    return (first,) if other == first else (first, other)
 
 
 @dataclass
@@ -87,6 +108,13 @@ class _ResolvedCondition:
     expr: ComparisonExpr
     relations: frozenset[str]
     predicates: tuple[Predicate, ...]
+
+
+def _attributes_of(conditions: list[_ResolvedCondition]) -> set[str]:
+    """Every attribute the predicates of ``conditions`` name."""
+    return {attribute for condition in conditions
+            for predicate in condition.predicates
+            for attribute in predicate.attributes()}
 
 
 class _Planner:
@@ -189,14 +217,38 @@ class _Planner:
     # ------------------------------------------------------------------
     # Plan construction
     # ------------------------------------------------------------------
-    def build(self) -> QueryPlan:
+    def conditions(self) -> tuple[list[_ResolvedCondition],
+                                  list[_ResolvedCondition]]:
+        """The WHERE conditions, and the ON conditions in join order."""
         where = [self.translate_condition(c) for c in self.query.where]
-        join_conditions: list[tuple[int, _ResolvedCondition]] = []
-        for index, join in enumerate(self.query.joins):
-            for expr in join.condition:
-                condition = self.translate_condition(expr)
-                join_conditions.append((index, condition))
+        on = [self.translate_condition(expr)
+              for join in self.query.joins for expr in join.condition]
+        return where, on
 
+    def owner_first(self, owners: Mapping[str, str]) -> tuple[str, ...]:
+        """The owner-first relation order (:func:`join_orders`)."""
+        where, on = self.conditions()
+        links = [c.relations for c in on + where if len(c.relations) > 1]
+        start = max(self.tables,
+                    key=lambda n: self.schema.relation(n).cardinality)
+        order, rest = [start], [n for n in self.tables if n != start]
+        while rest:
+            taken = set(order)
+            linked = [n for n in rest if any(
+                n in r and r - {n} <= taken for r in links)]
+            same = [n for n in linked
+                    if owners.get(n) == owners.get(start)]
+            order.append((same or linked or rest)[0])
+            rest.remove(order[-1])
+        return tuple(order)
+
+    def build(self, order: Sequence[str] | None = None) -> QueryPlan:
+        order = tuple(order or self.tables)
+        if sorted(order) != sorted(self.tables):
+            raise SqlAnalysisError(
+                f"join order {list(order)} is not a permutation of the "
+                f"FROM relations {self.tables}")
+        where, on = self.conditions()
         aggregates = self._collect_aggregates()
         group_attrs = [self.resolve_column(c) for c in self.query.group_by]
         select_columns = [
@@ -204,41 +256,29 @@ class _Planner:
             for item in self.query.select
             if isinstance(item.expression, ColumnRef)
         ]
+        # Conditions that join the tree once every relation they name
+        # has: the ON conditions in source order, then the
+        # cross-relation WHERE conditions.
+        pending = on + [c for c in where if len(c.relations) > 1]
 
-        needed = self._needed_attributes(
-            where, join_conditions, aggregates, group_attrs, select_columns
-        )
-
+        # Attributes the query reads: its outputs, grouping and
+        # aggregated attributes, and those its WHERE / ON conditions name.
+        outputs = set(select_columns) | set(group_attrs) | {
+            a.attribute for a in aggregates if a.attribute is not None}
+        needed = outputs | _attributes_of(where + on)
         # Attributes consumed above the join tree (outputs, grouping,
         # aggregation, and plain-column HAVING conditions).
-        final_needed: set[str] = set(select_columns) | set(group_attrs)
-        for aggregate in aggregates:
-            if aggregate.attribute is not None:
-                final_needed.add(aggregate.attribute)
-        for expr in self.query.having:
-            for operand in (expr.left, expr.right):
-                if isinstance(operand, ColumnRef):
-                    final_needed.add(self.resolve_column(operand))
-
-        # Attributes each pending join/cross condition still needs, keyed
-        # by the earliest stage at which the condition can be applied.
-        def condition_attributes(condition: _ResolvedCondition) -> set[str]:
-            out: set[str] = set()
-            for predicate in condition.predicates:
-                out |= predicate.attributes()
-            return out
+        final_needed = outputs | {
+            self.resolve_column(operand) for expr in self.query.having
+            for operand in (expr.left, expr.right)
+            if isinstance(operand, ColumnRef)}
 
         # Leaves with pushed-down projections and local selections; the
         # paper assumes "projections are pushed down to avoid retrieving
         # data that are not of interest for the query", so attributes used
         # only in a leaf's local predicates are projected away afterwards.
         subtrees: dict[str, PlanNode] = {}
-        upstream_needed: set[str] = set(final_needed)
-        for _, condition in join_conditions:
-            upstream_needed |= condition_attributes(condition)
-        for condition in where:
-            if len(condition.relations) > 1:
-                upstream_needed |= condition_attributes(condition)
+        upstream_needed = final_needed | _attributes_of(pending)
         for name in self.tables:
             relation = self.schema.relation(name)
             keep = needed & relation.attribute_set
@@ -255,29 +295,16 @@ class _Planner:
                     node = Projection(node, survivors)
             subtrees[name] = node
 
-        # Left-deep join tree in FROM order, pruning dead attributes after
+        # Left-deep join tree in ``order``, pruning dead attributes after
         # every join.
-        joined = {self.tables[0]}
-        current = subtrees[self.tables[0]]
-        cross_where = [c for c in where if len(c.relations) > 1]
-        pending = list(join_conditions)
-        for index, join in enumerate(self.query.joins):
-            name = join.table.name
+        joined = {order[0]}
+        current = subtrees[order[0]]
+        for name in order[1:]:
             right = subtrees[name]
             joined.add(name)
-            on_predicates = [
-                p
-                for join_index, condition in pending
-                if join_index == index
-                for p in condition.predicates
-            ]
-            pending = [(i, c) for i, c in pending if i != index]
-            # Adopt a cross-relation WHERE condition once every relation
-            # it names has joined; keep the others pending.
-            adopted = [c for c in cross_where if c.relations <= joined]
-            cross_where = [c for c in cross_where
-                           if not c.relations <= joined]
-            on_predicates.extend(p for c in adopted for p in c.predicates)
+            adopted = [c for c in pending if c.relations <= joined]
+            pending = [c for c in pending if not c.relations <= joined]
+            on_predicates = [p for c in adopted for p in c.predicates]
             comparison_predicates = [
                 p for p in on_predicates
                 if isinstance(p, AttributeComparisonPredicate)
@@ -299,11 +326,7 @@ class _Planner:
                 current = CartesianProduct(current, right)
             if residual:
                 current = Selection(current, Conjunction(residual))
-            still_needed = set(final_needed)
-            for _, condition in pending:
-                still_needed |= condition_attributes(condition)
-            for condition in cross_where:
-                still_needed |= condition_attributes(condition)
+            still_needed = final_needed | _attributes_of(pending)
             visible = self._visible_attributes(current)
             keep_now = still_needed & visible
             if keep_now and keep_now < visible:
@@ -329,7 +352,15 @@ class _Planner:
             current_attrs = self._visible_attributes(current)
             if frozenset(select_columns) < current_attrs:
                 current = Projection(current, select_columns)
-        return QueryPlan(current)
+        # The result's columns: SELECT order, then any other column the
+        # root keeps (a grouping attribute not selected) by name.
+        selected = list(dict.fromkeys(
+            self.resolve_column(item.expression)
+            if isinstance(item.expression, ColumnRef)
+            else self._match_aggregate(item.expression, aggregates)
+            for item in self.query.select))
+        rest = sorted(self._visible_attributes(current) - set(selected))
+        return QueryPlan(current, columns=tuple(selected + rest))
 
     def _collect_aggregates(self) -> list[Aggregate]:
         aggregates: list[Aggregate] = []
@@ -379,20 +410,6 @@ class _Planner:
         raise SqlAnalysisError(
             f"HAVING references {call}, which is not in the select list"
         )
-
-    def _needed_attributes(self, where, join_conditions, aggregates,
-                           group_attrs, select_columns) -> frozenset[str]:
-        needed: set[str] = set(select_columns) | set(group_attrs)
-        for aggregate in aggregates:
-            if aggregate.attribute is not None:
-                needed.add(aggregate.attribute)
-        for condition in where:
-            for predicate in condition.predicates:
-                needed |= predicate.attributes()
-        for _, condition in join_conditions:
-            for predicate in condition.predicates:
-                needed |= predicate.attributes()
-        return frozenset(needed)
 
     def _visible_attributes(self, node: PlanNode) -> frozenset[str]:
         return self._profile(node).visible

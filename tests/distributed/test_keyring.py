@@ -41,10 +41,10 @@ class TestColdRounds:
         """Each run decoded a fresh store before, so its memo started
         cold and a second round paid 14,953 seals again; a section the
         node already holds brings its memo along.  The first round's
-        14,973 is 14,960 plus 13 distinct values Q5 seals since its plan
-        joins supplier on ``c_nationkey = s_nationkey``."""
+        11,973 was 14,973 while Q5 joined in FROM order: owner-first,
+        Q5 pays 640 seals, not 3,640."""
         _, rounds = cold_rounds
-        assert [counts["det paid"] for counts in rounds] == [14_973, 0]
+        assert [counts["det paid"] for counts in rounds] == [11_973, 0]
 
     def test_keyring_counters_reach_the_service(self, cold_rounds):
         service, _ = cold_rounds

@@ -302,16 +302,18 @@ class TestSelectionCost:
         +874), and an Encrypt below its fragment's π no longer seals
         the columns π drops, 5,178 fewer (Q7 3,624, Q17 963, Q5 476,
         Q4 115).  Q5's plan keeps ``c_nationkey = s_nationkey`` and
-        opens 42 values instead of 948.
+        opens 42 values instead of 948.  Since the service plans Q5
+        owner-first (``lineitem ⋈ orders`` at A2, then ``customer``),
+        Q5 seals 6,428 values, not 37,677: 69,694 in all, was 100,943.
 
         Of the cells sealed, the DETERMINISTIC ones reach the cipher once
-        per distinct value of their column: 19,298 from ``Encrypt``
-        columns plus 5 constants (one ``encrypt`` each), 25 more than
-        before Q5's new plan.  Cell by cell it was 68,016 (constants
-        apart)."""
+        per distinct value of their column: 15,822 from ``Encrypt``
+        columns plus 5 constants (one ``encrypt`` each); Q5's were
+        4,128 in FROM order, 652 owner-first.  Cell by cell it was
+        68,016 (constants apart) before the join order was chosen."""
         _, (counts, _) = cold_rounds
         assert {name: counts[name]
                 for name in ("encrypt_column", "decrypt_column")} == \
-            {"encrypt_column": 100_943, "decrypt_column": 1_655}
-        assert counts["det cipher"] == 19_303
+            {"encrypt_column": 69_694, "decrypt_column": 1_655}
+        assert counts["det cipher"] == 15_827
         assert "opened by σ" in counts and counts["opened by σ"] == 0

@@ -1,11 +1,15 @@
 """CLI surface and experiment-module behaviours."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from helpers import parse_prometheus
 from repro.cli import main
 from repro.experiments.economics import EconomicResults, run_economics
 from repro.exceptions import ReproError
+from repro.tpch.scenarios import SCENARIOS
 
 
 class TestCli:
@@ -144,12 +148,12 @@ class TestEconomicsApi:
         rows = results.cumulative_rows()
         assert rows[-1][1] == pytest.approx(len(rows))  # UA sums to N
 
-    def test_paper_shape_over_all_22_queries(self):
+    def test_paper_shape_over_all_22_queries(self, paper_scale):
         # §7's result at the paper's scale: per query UA = 1 ≥ UAPenc ≥
         # UAPmix (Fig. 9), cumulative series monotone and ordered, and
         # involving providers saves, more so under the looser policy
         # (Fig. 10; the paper reports 54.2 % and 71.3 %).
-        full = run_economics(scale=0.1)
+        full = paper_scale
         rows = full.per_query_rows()
         assert [query for query, *_ in rows] == list(range(1, 23))
         for query, ua, enc, mix in rows:
@@ -164,3 +168,46 @@ class TestEconomicsApi:
             previous = (ua, enc, mix)
         assert 0.10 <= full.saving("UAPenc") < full.saving("UAPmix") < 1.0
         assert full.saving("UAPmix") >= 0.40
+
+    def test_figures_9_and_10_keep_their_values(self, paper_scale):
+        """Golden gate: Fig. 9's 66 normalised costs and Fig. 10's two
+        savings, bit for bit (``float.hex``), are those in
+        ``figures_9_10.json``.  The service's join-order choice stays out
+        of this path: §7 plans each query in FROM order.  A change that
+        moves a value on purpose rewrites the file by running this
+        module as a script (``PYTHONPATH=src:tests python
+        tests/integration/test_cli_and_experiments.py``) and names the
+        moved cells."""
+        golden = json.loads(FIGURES.read_text())
+        now = figure_values(paper_scale)
+        assert len(now["fig9"]) == 66 and sorted(now) == sorted(golden)
+        moved = [f"{figure} {cell}" for figure in golden
+                 for cell in golden[figure]
+                 if now[figure].get(cell) != golden[figure][cell]]
+        assert not moved, moved
+
+
+FIGURES = Path(__file__).with_name("figures_9_10.json")
+
+
+@pytest.fixture(scope="module")
+def paper_scale():
+    return run_economics(scale=0.1)
+
+
+def figure_values(results):
+    """Fig. 9's normalised cost per (query, scenario) and Fig. 10's
+    savings, each as ``float.hex``."""
+    return {
+        "fig9": {f"Q{query}/{name}": float.hex(value)
+                 for query, *values in results.per_query_rows()
+                 for name, value in zip(SCENARIOS, values)},
+        "fig10": {name: float.hex(results.saving(name))
+                  for name in SCENARIOS[1:]},
+    }
+
+
+if __name__ == "__main__":
+    FIGURES.write_text(json.dumps(
+        figure_values(run_economics(scale=0.1)), indent=1) + "\n")
+    print(f"wrote {FIGURES}")

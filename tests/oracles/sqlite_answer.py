@@ -7,8 +7,9 @@ template runs there, with three adaptations and no others:
 * dates are stored as ISO strings, and each ``date '…'`` literal is
   rewritten to ``'…'``, so dates compare in date order;
 * ``LIKE`` is case-sensitive (``pragma case_sensitive_like``), as in SQL;
-* an answer is a bag of rows: columns are matched by name, rows in any
-  order, and numbers compared to 1e-6.
+* an answer is a bag of rows: columns are compared by position, name
+  and all (SQL's result order is the SELECT list's, whatever order the
+  joins ran in), rows in any order, and numbers to 1e-6.
 
 Nothing here is imported from ``repro.engine`` or ``repro.sql``.
 """
@@ -67,16 +68,14 @@ def answer(connection: sqlite3.Connection, sql: str) -> Answer:
 
 def answer_difference(expected: Answer, actual: Answer) -> str | None:
     """``None`` when the two answers are the same bag of rows, columns
-    matched by name; else what differs first."""
+    compared by position, name and all; else what differs first."""
     names, rows = expected
     actual_names, actual_rows = actual
-    if sorted(names) != sorted(actual_names):
-        return f"columns {sorted(names)} != {sorted(actual_names)}"
-    order = [actual_names.index(name) for name in names]
-    reordered = [tuple(row[i] for i in order) for row in actual_rows]
-    if len(rows) != len(reordered):
-        return f"{len(rows)} rows != {len(reordered)} rows"
-    for want, got in zip(_bag(rows), _bag(reordered)):
+    if tuple(names) != tuple(actual_names):
+        return f"columns {list(names)} != {list(actual_names)}"
+    if len(rows) != len(actual_rows):
+        return f"{len(rows)} rows != {len(actual_rows)} rows"
+    for want, got in zip(_bag(rows), _bag(actual_rows)):
         if not all(map(_same_value, want, got)):
             return f"row {want} != {got}"
     return None

@@ -33,6 +33,7 @@ from repro.cost.pricing import PriceList
 from repro.exceptions import ReproError
 from repro.paper_example import build_running_example
 from repro.service import QueryService
+from repro.sql.planner import plan_query
 from repro.tpch import TPCH_UDFS, build_tpch_schema, query, scenario
 
 from helpers import authority_tables, draws
@@ -249,13 +250,24 @@ def replay_against_scratch(seed, steps, service, scratch, sqls, schema,
                            relation_names, pool):
     """Churn ``service``'s policy ``steps`` times; after each delta run
     every query on ``service`` and on ``scratch()`` (a new service over
-    the same policy).  Returns how many re-plans adopted."""
+    the same policy, planning each SQL text in the join order
+    ``service`` chose for its user: the choice is made once per text
+    and user and outlives every delta, so a new service could pick the
+    other order).
+    Returns how many re-plans adopted."""
     rng = random.Random(seed)
     adopted = 0
     for step in range(steps):
         delta = churn if rng.random() < 0.5 else flip
         delta(rng, service.policy, schema, relation_names, pool)
         fresh_service = scratch()
+        for sql in sqls:
+            key = (sql, service.user)
+            chosen = service._plan_cache.peek(key)
+            if chosen is not None:
+                fresh_service._plan_cache.put(key, plan_query(
+                    sql, schema,
+                    [leaf.relation.name for leaf in chosen.leaves()]))
         for sql in sqls:
             try:
                 fresh = fresh_service.execute(sql)

@@ -243,18 +243,21 @@ class TestQueryService:
         assert own_seat.assignment.cost.elapsed_seconds == elapsed("Y") \
             != elapsed("U")
 
-    def test_plan_cache_hot_entry_survives_one_off_queries(self, example):
+    def test_plan_cache_hot_entry_survives_one_off_queries(self, service):
         from repro.core.cache import LRU
-        from repro.sql.planner import plan_query
 
-        cache = LRU(2)
-        hot = plan_query(RUNNING_SQL, example.schema, cache=cache)
-        plan_query("select T from Hosp", example.schema, cache=cache)
+        service._plan_cache = LRU(2)
+
+        def plan_of(sql):
+            return service.execute(sql).assignment.extended.original
+
+        hot = plan_of(RUNNING_SQL)
+        plan_of(RUNNING_SQL.replace("stroke", "flu"))
         # The hit refreshes recency, so the next one-off insert evicts
         # the earlier one-off, not the hot plan (identity preserved).
-        assert plan_query(RUNNING_SQL, example.schema, cache=cache) is hot
-        plan_query("select D from Hosp", example.schema, cache=cache)
-        assert plan_query(RUNNING_SQL, example.schema, cache=cache) is hot
+        assert plan_of(RUNNING_SQL) is hot
+        plan_of(RUNNING_SQL.replace("stroke", "cold"))
+        assert plan_of(RUNNING_SQL) is hot
 
     def test_refresh_tables_unknown_subject_leaves_state_intact(
             self, service, example_tables):

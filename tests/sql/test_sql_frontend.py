@@ -22,10 +22,13 @@ from repro.exceptions import (
     SqlSyntaxError,
     SqlUnsupportedError,
 )
+from repro.core.schema import Relation, Schema
 from repro.paper_example import build_schema
 from repro.sql import parse_sql, plan_query, tokenize
+from repro.sql.planner import join_orders
 from repro.sql.tokenizer import TokenType, unquote_string
 from repro.tpch import all_queries, build_tpch_schema
+from repro.tpch.schema import table_owners
 
 
 class TestTokenizer:
@@ -266,16 +269,93 @@ def conjuncts_as_written(sql):
     if q.sql is not None])
 def test_every_where_and_on_conjunct_lands_in_exactly_one_plan_node(
         template):
-    """The planner places each conjunct once: none dropped (Q5 lost
-    ``c_nationkey = s_nationkey`` while it kept a cross-relation
-    condition pending only until one of its relations joined), none
-    applied twice."""
-    plan = template.plan(build_tpch_schema(0.002))
-    placed = [{str(basic).replace(" ", "")
-               for basic in condition.basic_conditions()}
-              for node in plan.postorder()
-              for condition in [getattr(node, "predicate", None)
-                                or getattr(node, "condition", None)]
-              if condition is not None]
-    for conjunct in conjuncts_as_written(template.sql):
-        assert sum(conjunct in node for node in placed) == 1, conjunct
+    """The planner places each conjunct once, in every join order it is
+    offered: none dropped (Q5 lost ``c_nationkey = s_nationkey`` while
+    it kept a cross-relation condition pending only until one of its
+    relations joined), none applied twice."""
+    schema = build_tpch_schema(0.002)
+    for order in join_orders(template.sql, schema, table_owners()):
+        plan = plan_query(template.sql, schema, order)
+        placed = [{str(basic).replace(" ", "")
+                   for basic in condition.basic_conditions()}
+                  for node in plan.postorder()
+                  for condition in [getattr(node, "predicate", None)
+                                    or getattr(node, "condition", None)]
+                  if condition is not None]
+        for conjunct in conjuncts_as_written(template.sql):
+            assert sum(conjunct in node for node in placed) == 1, \
+                (order, conjunct)
+
+
+def _chain_schema():
+    """R1 -- R2 -- R3 -- R4 on shared keys; owners A, B, B, A."""
+    schema = Schema()
+    for name, attributes, rows in (
+            ("R1", ["a1", "k12"], 50), ("R2", ["k21", "k23"], 90),
+            ("R3", ["k32", "k34"], 10), ("R4", ["k43", "a4"], 90)):
+        schema.add(Relation(name, attributes, cardinality=rows))
+    return schema, {"R1": "A", "R2": "B", "R3": "B", "R4": "A"}
+
+
+CHAIN = ("select a1, a4 from R1 join R2 on k12 = k21 "
+         "join R3 on k23 = k32 join R4 on k34 = k43")
+
+
+class TestJoinOrder:
+    def test_default_is_from_order(self):
+        schema, _ = _chain_schema()
+        plan = plan_query(CHAIN, schema)
+        assert [leaf.relation.name for leaf in plan.leaves()] == \
+            ["R1", "R2", "R3", "R4"]
+
+    def test_owner_first_starts_at_the_largest_and_keeps_its_owner(self):
+        """R2 and R4 tie on rows, so R2 (first in FROM) starts; R3 is
+        connected and B's; then nothing of B's is left, so R1 (first in
+        FROM order among the connected) precedes R4."""
+        schema, owners = _chain_schema()
+        assert join_orders(CHAIN, schema, owners) == (
+            ("R1", "R2", "R3", "R4"), ("R2", "R3", "R1", "R4"))
+
+    def test_a_relation_of_the_start_owner_joins_as_soon_as_connected(
+            self):
+        schema, owners = _chain_schema()
+        owners = {**owners, "R1": "B", "R3": "A", "R4": "B"}
+        # R2 starts (B); R1 is B's and connected; R3 is not B's but the
+        # only connected one; then R4, B's again.
+        assert join_orders(CHAIN, schema, owners)[1] == \
+            ("R2", "R1", "R3", "R4")
+
+    def test_one_order_when_owner_first_is_from_order(self):
+        schema, _ = _chain_schema()
+        owners = {"R1": "A", "R2": "A", "R3": "A", "R4": "A"}
+        sql = CHAIN.replace("select a1, a4 from R1 join R2 on k12 = k21",
+                            "select a1, a4 from R2 join R1 on k12 = k21")
+        assert join_orders(sql, schema, owners) == (
+            ("R2", "R1", "R3", "R4"),)
+
+    def test_a_condition_joins_once_every_relation_it_names_has(self):
+        schema = build_tpch_schema(0.002)
+        q5 = all_queries()[4].sql
+        _, owner_first = join_orders(q5, schema, table_owners())
+        assert owner_first == ("lineitem", "orders", "customer",
+                               "supplier", "nation", "region")
+        plan = plan_query(q5, schema, owner_first)
+        joins = [node for node in plan.postorder()
+                 if isinstance(node, Join)]
+        # The fourth leaf (supplier) brings both of its conditions.
+        assert {str(p).replace(" ", "")
+                for p in joins[2].condition.basic_conditions()} == \
+            {"l_suppkey=s_suppkey", "c_nationkey=s_nationkey"}
+
+    def test_order_must_name_each_from_relation_once(self):
+        schema, _ = _chain_schema()
+        for order in (("R1", "R2", "R3"), ("R1", "R2", "R3", "R3"),
+                      ("R1", "R2", "R3", "R9")):
+            with pytest.raises(SqlAnalysisError):
+                plan_query(CHAIN, schema, order)
+
+    def test_the_select_order_is_data_on_the_plan(self):
+        schema, owners = _chain_schema()
+        for order in join_orders(CHAIN, schema, owners):
+            assert plan_query(CHAIN, schema, order).columns == \
+                ("a1", "a4")

@@ -4,8 +4,10 @@ Each of the 17 TPC-H templates written as SQL runs twice on dataset 107
 at scale 0.002 (the benchmark's first data seed): through the planner
 and the ``Executor``, and as the very same text through stdlib sqlite3
 (``tests/oracles/sqlite_answer.py``).  Answers compare as bags of rows
-with columns matched by name, because the ``Executor`` emits some
-templates' columns in operand order rather than SELECT order (Q3, Q18).
+with columns by position: a plan carries the SELECT order and the
+``Executor`` hands its result back in it, in every join order
+:func:`~repro.sql.planner.join_orders` offers (Q3 and Q18 came back in
+operand order until then, and their owner-first plans in another).
 Each template also runs over the same dataset with a tenth of its
 non-key measures NULL (``generate(null_rate=0.1)``), so the kernels'
 NULL branches answer to sqlite too.
@@ -29,8 +31,9 @@ import pytest
 
 from repro.engine import Executor, Table
 from repro.paper_example import build_schema
-from repro.sql.planner import plan_query
+from repro.sql.planner import join_orders, plan_query
 from repro.tpch import TPCH_UDFS, all_queries, build_tpch_schema
+from repro.tpch.schema import table_owners
 
 from oracles import sqlite_answer as oracle
 
@@ -110,6 +113,25 @@ def test_executor_answers_what_sqlite_answers_over_nulls(sparse_database,
     schema, data, connection = sparse_database
     assert difference(data.catalog(), connection, template.sql,
                       template.plan(schema)) is None
+
+
+@pytest.mark.parametrize("template", [
+    pytest.param(query, id=f"Q{query.number}") for query in TEMPLATES])
+def test_every_join_order_answers_what_sqlite_answers(database, template):
+    schema, data, connection = database
+    orders = join_orders(template.sql, schema, table_owners())
+    for order in orders:
+        assert difference(data.catalog(), connection, template.sql,
+                          plan_query(template.sql, schema, order)) is None
+
+
+def test_result_columns_come_back_in_select_order(database):
+    schema, data, _ = database
+    q3 = TEMPLATES[2]
+    executor = Executor(data.catalog(), udfs=TPCH_UDFS)
+    for order in join_orders(q3.sql, schema, table_owners()):
+        assert executor.execute(plan_query(q3.sql, schema, order)).columns \
+            == ("l_orderkey", "o_orderdate", "o_shippriority", "revenue")
 
 
 @pytest.mark.parametrize("sql", NULL_OPERANDS)
