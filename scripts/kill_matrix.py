@@ -50,6 +50,7 @@ class Mutant(NamedTuple):
 ENFORCEMENT = "repro/distributed/enforcement.py"
 RUNTIME = "repro/distributed/runtime.py"
 EXECUTOR = "repro/engine/executor.py"
+PLAN = "repro/core/plan.py"
 VISIBILITY = "repro/core/visibility.py"
 ATTRSETS = "repro/core/attrsets.py"
 MESSAGES = "repro/distributed/messages.py"
@@ -102,18 +103,19 @@ MUTANTS = (
            "",
            "relation_authorized never checks uniform visibility over an "
            "equivalence class"),
-    # The two preconditions of filter-before-encrypt (PR 22).
-    Mutant("filter-ahead-of-a-received-encrypt", EXECUTOR,
-           "            and isinstance(top.left, Encrypt) \\\n"
-           "            and id(top.left) not in received:\n",
-           "            and isinstance(top.left, Encrypt):\n",
+    # The two preconditions of filter-before-encrypt (PR 22), stated on
+    # the extended plan.
+    Mutant("filter-ahead-of-a-received-encrypt", PLAN,
+           "            or not isinstance(top.left, Encrypt) "
+           "or top.left not in runs:\n",
+           "            or not isinstance(top.left, Encrypt):\n",
            "a selection or projection runs ahead of an Encrypt another "
            "subject sent"),
-    Mutant("filter-first-on-sealed-columns", EXECUTOR,
-           "            if not any(isinstance(source.representation(a), "
-           "tuple)\n",
-           "            if True or not any("
-           "isinstance(source.representation(a), tuple)\n",
+    Mutant("filter-first-on-sealed-columns", PLAN,
+           "    if isinstance(top, Selection) "
+           "and not top.predicate.attributes() \\\n",
+           "    if False and isinstance(top, Selection) "
+           "and not top.predicate.attributes() \\\n",
            "a selection runs first even when a predicate column arrived "
            "sealed"),
     # The fused seal: π runs first, the Encrypt seals what π kept.

@@ -3,18 +3,22 @@
 A :class:`QueryPlan` wraps the root :class:`~repro.core.operators.PlanNode`
 of an operator tree and offers the tree-level services that Sections 3–6 of
 the paper rely on: post-order visits, parent/ancestor lookup, per-node
-profile computation (Figure 3), and structural validation.
+profile computation (Figure 3), structural validation, and the one rule
+that runs plan nodes in another order than the plan writes them
+(:func:`physical_step`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Container, Iterator, Mapping
 
 from repro.core.operators import (
     BaseRelationNode,
     Decrypt,
     Encrypt,
     PlanNode,
+    Projection,
+    Selection,
 )
 from repro.core.profile import RelationProfile
 from repro.exceptions import PlanError
@@ -129,7 +133,12 @@ class QueryPlan:
         return self._profiles
 
     def profile(self, node: PlanNode) -> RelationProfile:
-        """Profile of the relation produced by ``node``."""
+        """Profile of the relation produced by ``node``: until
+        :meth:`profiles` has run, over its own subtree alone (a node above
+        it that Fig. 2 refuses does not stop it)."""
+        if self._profiles is None and node is not self.root \
+                and node in self:
+            return node.output_profile(*map(self.profile, node.children))
         try:
             return self.profiles()[node]
         except KeyError:
@@ -171,8 +180,7 @@ class QueryPlan:
         def strip(node: PlanNode, children: tuple[PlanNode, ...]) -> PlanNode:
             if isinstance(node, (Encrypt, Decrypt)):
                 return children[0]
-            return node.with_children(children) if children else \
-                node.with_children(())
+            return node.with_children(children)
 
         return self.rewrite(strip)
 
@@ -200,6 +208,34 @@ class QueryPlan:
         """The tree annotated with each node's profile tag (Figure 3)."""
         profiles = self.profiles()
         return self.pretty({n: profiles[n].describe() for n in self.nodes()})
+
+
+def physical_step(plan: QueryPlan, node: PlanNode,
+                  runs: Container[PlanNode]) -> tuple[PlanNode, ...]:
+    """The nodes evaluated together to produce ``node``, in run order, by
+    an evaluator running the nodes ``runs`` (its fragment's
+    ``SubQuery.nodes``; single-site, the plan itself).
+
+    Figure 8's ``select encrypt(…) from X where …``: a chain
+    ``π(σ(enc_A(X)))``, ``π(enc_A(X))`` or ``σ(enc_A(X))`` runs as
+    ``(σ, π, Encrypt)`` over the Encrypt's operands, the Encrypt sealing
+    only the columns π kept (π is a bag), when (A) the Encrypt and the σ
+    are in ``runs`` and (B) no predicate column is visible encrypted in
+    the Encrypt's operand.  Otherwise ``(node,)``.  The plan keeps the
+    Encrypt below: Fig. 2's encrypt row leaves ``Rip`` alone.
+    """
+    chain = [node]
+    if isinstance(node, Projection) and isinstance(node.left, Selection) \
+            and node.left in runs:
+        chain.append(node.left)
+    top = chain[-1]
+    if not isinstance(top, (Projection, Selection)) \
+            or not isinstance(top.left, Encrypt) or top.left not in runs:
+        return (node,)
+    if isinstance(top, Selection) and not top.predicate.attributes() \
+            .isdisjoint(plan.profile(top.left.left).visible_encrypted):
+        return (node,)
+    return (*reversed(chain), top.left)
 
 
 def _postorder_walk(root: PlanNode) -> Iterator[PlanNode]:

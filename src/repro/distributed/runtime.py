@@ -99,6 +99,7 @@ from repro.core.extension import ExtendedPlan
 from repro.core.keys import KeyAssignment
 from repro.core.lineage import Lineage, augment_view, derived_lineage
 from repro.core.operators import BaseRelationNode, PlanNode
+from repro.core.plan import physical_step
 from repro.core.visibility import verify_assignment
 from repro.crypto.keymanager import DistributedKeys, KeyStore
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
@@ -117,7 +118,7 @@ from repro.distributed.nodes import (
     generate_subject_keys,  # noqa: F401  (the benchmark imports it here)
 )
 from repro.distributed.retry import FragmentFailed, run_with_retries
-from repro.engine.executor import Executor, UdfCallable, physical_step
+from repro.engine.executor import Executor, UdfCallable
 from repro.engine.table import Table
 from repro.parallel.pool import shared_pool
 from repro.exceptions import (
@@ -468,8 +469,8 @@ class DistributedRuntime:
                 pool=self.pool,
             )
             with token_scope(token):
-                result = self._evaluate(context, fragment.root, executor,
-                                        inputs, view)
+                result = self._evaluate(context, fragment, fragment.root,
+                                        executor, inputs, view)
             context.trace.nodes += [(fragment.fragment_id, subject, *row)
                                     for row in executor.record]
             return result
@@ -604,16 +605,15 @@ class DistributedRuntime:
             trace=context.trace,
         )
 
-    def _evaluate(self, context: _RunContext, node: PlanNode,
-                  executor: Executor, inputs: dict[int, Table],
-                  view: SubjectView) -> Table:
+    def _evaluate(self, context: _RunContext, fragment: SubQuery,
+                  node: PlanNode, executor: Executor,
+                  inputs: dict[int, Table], view: SubjectView) -> Table:
         if id(node) in inputs:
             return inputs[id(node)]
-        # One node, or (own Encrypt[, σ], π | σ): σ and π may run first.
-        step = physical_step(node, inputs)
+        step = physical_step(context.extended.plan, node, fragment.nodes)
         result = executor.execute_step(step, [
-            self._evaluate(context, child, executor, inputs, view)
-            for child in step[0].children])
+            self._evaluate(context, fragment, child, executor, inputs, view)
+            for child in step[-1].children])
         for checked in step:
             if not isinstance(checked, BaseRelationNode):
                 check_profile(view, context.extended.plan, checked,

@@ -31,21 +31,12 @@ With a :class:`~repro.parallel.WorkerPool` attached, the Encrypt/Decrypt
 operators (and §5 note 2's selection decrypts) fan column chunks across
 worker processes; everything else runs inline.
 
-What each node did is one record, kept always: :meth:`Executor.execute_step`
-appends to :attr:`Executor.record` one row per node it evaluates, ``(node,
+The executor makes no ordering decision: :meth:`Executor.execute_step`
+runs the nodes of a :func:`repro.core.plan.physical_step` in the order
+given and appends to :attr:`Executor.record` one row per node, ``(node,
 rows in, rows out, values sealed, values opened, seconds)``.  The values
 sealed are the cells Encrypt hands :func:`encrypt_column`; the values opened
 are every cell through :meth:`Executor._open`, Decrypt's and §5 note 2's.
-
-One physical rule reorders plan nodes (:func:`physical_step`,
-:meth:`Executor.execute_step`): a chain ``π(σ(enc_A(X)))``, ``π(enc_A(X))``
-or ``σ(enc_A(X))`` inside one evaluator runs as ``enc_{A∩kept}(π(σ(X)))``.
-A selection is decided on the Encrypt's operand when that operand holds
-every predicate column in plaintext (``σ_p(enc_A(X)) = enc_A(σ_p(X))``);
-π is a bag, so it commutes with per-column encryption, and the Encrypt
-seals only the columns π kept.  The *plan* keeps the Encrypt below:
-Fig. 2's encrypt row leaves ``Rip`` alone, so the reordered plan would
-carry the attribute implicit-plaintext past Def. 4.1.
 """
 
 from __future__ import annotations
@@ -69,7 +60,7 @@ from repro.core.operators import (
     Selection,
     Udf,
 )
-from repro.core.plan import QueryPlan
+from repro.core.plan import QueryPlan, physical_step
 from repro.core.predicates import AttributeComparisonPredicate
 from repro.core.requirements import EncryptionScheme
 from repro.crypto.keymanager import KeyMaterial, KeyStore
@@ -94,24 +85,6 @@ from repro.parallel.pool import WorkerPool
 UdfCallable = Callable[[dict[str, object]], object]
 
 _ORDER = (AggregateFunction.MIN, AggregateFunction.MAX)
-
-
-def physical_step(node: PlanNode, received=()) -> tuple[PlanNode, ...]:
-    """The plan nodes evaluated together to produce ``node``, bottom-up:
-    ``(node,)``, or ``(Encrypt[, σ], node)`` for a projection or
-    ``(Encrypt, node)`` for a selection over an Encrypt of the same
-    evaluator — no node below ``node`` one of the tables ``received`` (by
-    node ``id``) from another fragment."""
-    chain = [node]
-    if isinstance(node, Projection) and isinstance(node.left, Selection) \
-            and id(node.left) not in received:
-        chain.append(node.left)
-    top = chain[-1]
-    if isinstance(top, (Projection, Selection)) \
-            and isinstance(top.left, Encrypt) \
-            and id(top.left) not in received:
-        return (top.left, *reversed(chain))
-    return (node,)
 
 
 class Executor:
@@ -152,30 +125,21 @@ class Executor:
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
-    def execute(self, plan: QueryPlan | PlanNode) -> Table:
-        """Evaluate a plan (columns in its result order) or a subtree."""
-        if isinstance(plan, QueryPlan):
-            return plan.in_result_order(self.execute(plan.root))
-        step = physical_step(plan)
-        return self.execute_step(
-            step, [self.execute(child) for child in step[0].children])
+    def execute(self, plan: QueryPlan | PlanNode,
+                node: PlanNode | None = None) -> Table:
+        """Evaluate a plan (columns in its result order), every node
+        single-site, or its subtree at ``node``."""
+        if node is None:
+            plan = plan if isinstance(plan, QueryPlan) else QueryPlan(plan)
+            return plan.in_result_order(self.execute(plan, plan.root))
+        step = physical_step(plan, node, plan)
+        return self.execute_step(step, [
+            self.execute(plan, child) for child in step[-1].children])
 
     def execute_step(self, step: tuple[PlanNode, ...],
                      children: list[Table]) -> Table:
-        """Evaluate a :func:`physical_step` over its lowest node's
-        operands.  A chain runs its σ and π first and its Encrypt last,
-        over the columns π kept — same rows, order and representations as
-        plan order — unless a predicate column is already stated
-        encrypted: comparing it needs the Encrypt's tokens, or note 2 on
-        a column this evaluator did not seal, so the chain runs in plan
-        order."""
-        if len(step) > 1:
-            (source,), above = children, step[1]
-            attributes = above.predicate.attributes() \
-                if isinstance(above, Selection) else ()
-            if not any(isinstance(source.representation(a), tuple)
-                       for a in attributes if a in source.columns):
-                step = step[1:] + step[:1]
+        """Run a :func:`~repro.core.plan.physical_step`'s nodes in order,
+        the first over ``children``, each over the one before."""
         for node in step:
             self._sealed = self._opened = 0
             start = perf_counter()

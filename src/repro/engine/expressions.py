@@ -33,8 +33,8 @@ A NULL operand satisfies no comparison, ``<>`` included, on every
 path — plaintext, token or ciphertext, column or pair (SQL's UNKNOWN,
 which a filter drops).  A column the evaluator sealed itself one node
 below never gets here: the executor filters first, on the plaintext
-(``executor.physical_step``).  The kernel returns the surviving row
-indices; the executor gathers each column by them.  Join residuals and
+(``repro.core.plan.physical_step``).  The kernel returns the surviving
+row indices; the executor gathers each column by them.  Join residuals and
 Figure 8's pre-encrypted constants compare one pair at a time
 (:func:`compile_comparison`), a sealed cell as an
 :class:`~repro.engine.values.EncryptedValue`.

@@ -394,13 +394,13 @@ class TestCrossRunCaches:
         original = runtime_module.DistributedRuntime._evaluate
         fired = []
 
-        def invalidating(self, context, node, executor, inputs, view):
+        def invalidating(self, *arguments):
             # Simulate a concurrent refresh landing while the first
             # fragment (reqH, sequentially innermost) is mid-evaluation.
             if not fired:
                 fired.append(True)
                 self.invalidate_caches()
-            return original(self, context, node, executor, inputs, view)
+            return original(self, *arguments)
 
         monkeypatch.setattr(runtime_module.DistributedRuntime,
                             "_evaluate", invalidating)

@@ -1,10 +1,10 @@
 """The two preconditions of filter-before-encrypt, as enforcement sites.
 
 A subject may decide a selection ahead of the Encrypt below it only when
-(A) that Encrypt is its own — evaluated in the same fragment, not a
-table another subject sealed and sent — and (B) every column of the
-predicate is plaintext in what the Encrypt is about to seal
-(``repro.engine.executor.physical_step`` / ``Executor.execute_step``).
+(A) that Encrypt is its own — in the same fragment, not a table another
+subject sealed and sent — and (B) no column of the predicate is visible
+encrypted in the Encrypt's operand, both read off the extended plan and
+its dispatch (``repro.core.plan.physical_step``).
 Drop A and a provider evaluates an authority's sub-plan; drop B and a
 subject opens a column it was sent sealed.  Each case here runs a query
 whose plan has the shape one precondition exists for and reads, from

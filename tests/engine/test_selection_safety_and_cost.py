@@ -19,6 +19,7 @@ from repro.core.operators import (
     Projection,
     Selection,
 )
+from repro.core.plan import QueryPlan, physical_step
 from repro.core.predicates import (
     AttributeComparisonPredicate,
     AttributeValuePredicate,
@@ -30,7 +31,6 @@ from repro.core.schema import Relation
 from repro.crypto.keymanager import KeyStore
 from repro.engine import EncryptedValue, Executor, Table
 from repro.engine.codec import decrypt_column, encrypt_column
-from repro.engine.executor import physical_step
 from repro.engine.expressions import ConstantEncryptor
 from repro.exceptions import CryptoError, ExecutionError
 from repro.service import QueryService
@@ -158,23 +158,27 @@ class TestFilterBeforeEncrypt:
 
     def test_only_over_an_encrypt_the_evaluator_runs_itself(self):
         sealed = self.plan.children[0]
-        assert physical_step(self.plan) == (sealed, self.plan)
-        assert physical_step(sealed) == (sealed,)
-        received = {id(sealed): catalog(store_for(
-            EncryptionScheme.DETERMINISTIC))["R"]}
-        assert physical_step(self.plan, received) == (self.plan,)
+        plan = QueryPlan(self.plan)
+        assert physical_step(plan, self.plan, plan) == (self.plan, sealed)
+        assert physical_step(plan, sealed, plan) == (sealed,)
+        # The selection's fragment alone: the Encrypt is another's.
+        assert physical_step(plan, self.plan, (self.plan,)) == (self.plan,)
 
     def test_only_on_plaintext_predicate_columns(self):
-        """``d`` arrived sealed under the key ``k`` is sealed with: the
-        tokens compare after ``enc[k]``; filtering first would have the
-        evaluator open ``d``."""
+        """``d`` is sealed below ``enc[k]``, under the key ``k`` is
+        sealed with (the profile of ``enc[k]``'s operand shows ``d``
+        encrypted): the tokens compare after ``enc[k]``; filtering first
+        would compare ``d``'s tokens with ``k``'s plaintext."""
         store = KeyStore.generate([QueryKey(
             frozenset({"k", "d"}), EncryptionScheme.DETERMINISTIC)])
-        engine = Executor(catalog(store), keystore=store)
-        kept = engine.execute(self.plan)
+        below = Encrypt(BaseRelationNode(R), ["d"])
+        sealed = Selection(Encrypt(below, ["k"]), self.plan.predicate)
+        plain = {"R": Table("R", ("k", "d"), [(n, n) for n in range(8)])}
+        engine = Executor(plain, keystore=store)
+        kept = engine.execute(sealed)
         assert len(kept) == 8 and not opened(engine)
         assert [type(row[0]) for row in engine.record] \
-            == [BaseRelationNode, Encrypt, Selection]
+            == [BaseRelationNode, Encrypt, Encrypt, Selection]
         assert all(isinstance(cell, EncryptedValue)
                    for row in kept.rows for cell in row)
         plain = {"R": Table("R", ("k", "d"), [(n, n % 2) for n in range(8)])}
@@ -196,14 +200,16 @@ class TestFusedSeal:
     plan = Projection(selection, ["k"])
 
     def test_one_step_unless_a_node_below_the_projection_arrived(self):
-        assert physical_step(self.plan) == (
-            self.sealed, self.selection, self.plan)
-        bare = Projection(self.sealed, ["k"])
-        assert physical_step(bare) == (self.sealed, bare)
-        table = catalog(store_for(EncryptionScheme.DETERMINISTIC))["R"]
-        for arrived in (self.sealed, self.selection):
-            assert physical_step(self.plan, {id(arrived): table}) \
-                == (self.plan,)
+        plan = QueryPlan(self.plan)
+        assert physical_step(plan, self.plan, plan) == (
+            self.selection, self.plan, self.sealed)
+        bare = QueryPlan(Projection(Encrypt(BaseRelationNode(R), ["k"]),
+                                    ["k"]))
+        assert physical_step(bare, bare.root, bare) == (
+            bare.root, bare.root.left)
+        # The fragment stops above what arrived from another subject.
+        for runs in ((self.plan, self.selection), (self.plan,)):
+            assert physical_step(plan, self.plan, runs) == (self.plan,)
 
     def test_seals_the_kept_column_of_the_kept_rows(self):
         store = KeyStore.generate([QueryKey(

@@ -14,9 +14,11 @@ from repro.tpch.scenarios import SCENARIOS
 
 class TestCli:
     def test_example_command(self, capsys):
+        """Figures 3–8 and the cost line, byte for byte
+        (``figures_3_8.txt`` is ``python -m repro example``'s stdout)."""
         assert main(["example"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 3" in out and "Figure 8" in out
+        golden = Path(__file__).with_name("figures_3_8.txt")
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     def test_fig9_subset(self, capsys):
         assert main(["fig9", "--scale", "0.05", "--queries", "3,13"]) == 0

@@ -2,20 +2,21 @@
 ``π_K([σ_p](enc_A(X)))`` as ``enc_{A∩K}(π_K([σ_p](X)))``, ≡ plan order.
 
 ``Executor.execute`` runs a selection before the Encrypt directly below
-it when every predicate column of the Encrypt's operand holds plaintext
-(``engine/executor.py``); ``oracles.plan_order`` runs the two nodes as
-the extended plan wrote them, through ``Executor.execute_node``.  Over
-generated sources — NULLs anywhere; columns the Encrypt seals itself
-under RANDOMIZED / DETERMINISTIC / OPE / PAILLIER (two may share a key),
-columns that arrived encrypted and columns left in the clear; one to
-three conjuncts over any of them, every operator; keys held or not —
-both return the same rows in the same order with every column in the
-same representation, or both refuse.  The engine filters first exactly
-when no predicate column of the source holds a ciphertext, and what it
-returns is then the plaintext executor's answer.  A projection over
-the chain (π is a bag) runs before the Encrypt, which then seals only
-the columns π kept; an Encrypt or a selection received from another
-fragment is never part of a step.
+it when no predicate column is visible encrypted in the Encrypt's
+operand (``repro.core.plan.physical_step``); ``oracles.plan_order`` runs
+the nodes as the extended plan wrote them, through
+``Executor.execute_node``.  Over generated sources — NULLs anywhere;
+columns the Encrypt seals itself under RANDOMIZED / DETERMINISTIC / OPE /
+PAILLIER (two may share a key), columns that arrived encrypted (sealed by
+an Encrypt below, another fragment's, whose table the evaluator is
+handed) and columns left in the clear; one to three conjuncts over any
+of them, every operator; keys held or not — both return the same rows
+in the same order with every column in the same representation, or both
+refuse.  The engine filters first exactly when no predicate column
+arrived encrypted, and what it returns is then the plaintext executor's
+answer.  A projection over the chain (π is a bag) runs before the
+Encrypt, which then seals only the columns π kept; an Encrypt or a
+selection received from another fragment is never part of a step.
 
 Columns are typed (one domain per table, constants drawn from it):
 DETERMINISTIC token equality between an int cell and a float constant
@@ -32,7 +33,7 @@ from repro.core.operators import (
     Projection,
     Selection,
 )
-from repro.core.plan import QueryPlan
+from repro.core.plan import QueryPlan, physical_step
 from repro.core.predicates import (
     AttributeComparisonPredicate,
     AttributeValuePredicate,
@@ -44,11 +45,10 @@ from repro.core.schema import Relation
 from repro.crypto import primitives
 from repro.crypto.keymanager import KeyMaterial, KeyStore
 from repro.engine import EncryptedValue, Executor, Table
-from repro.engine.codec import decrypt_column, encrypt_column
-from repro.engine.executor import physical_step
+from repro.engine.codec import decrypt_column
 from repro.engine.values import representation
 
-from oracles.plan_order import execute_in_plan_order, tables_in_plan_order
+from oracles.plan_order import execute_in_plan_order
 from helpers import draws
 from test_selection_kernel import (
     CELLS,
@@ -110,16 +110,8 @@ def cases(draw):
     if all(role is not OWN for role, _ in layout):
         layout[0] = (OWN, layout[0][1])
     master = keystore(layout)
-    rows = []
-    for _ in range(draw(st.integers(0, 8))):
-        row = []
-        for column, (role, _) in zip(COLUMNS, layout):
-            value = draw(CELLS[domain])
-            if role is ARRIVED and value is not None:
-                value = encrypt_column(
-                    master.material_for_attribute(column), [value])[0]
-            row.append(value)
-        rows.append(tuple(row))
+    rows = [tuple(draw(CELLS[domain]) for _ in COLUMNS)
+            for _ in range(draw(st.integers(0, 8)))]
 
     conjuncts = []
     for _ in range(draw(st.integers(1, 3))):
@@ -150,17 +142,39 @@ def ran(executor):
     return [type(row[0]) for row in executor.record]
 
 
-def evaluate(executor, node, received, steps):
-    """The runtime's recursion (``DistributedRuntime._evaluate``): a node
-    ``received`` (by ``id``) is another fragment's table.  The classes of
-    each step handed to the executor are appended to ``steps``."""
-    if id(node) in received:
-        return received[id(node)]
-    step = physical_step(node, received)
-    children = [evaluate(executor, child, received, steps)
-                for child in step[0].children]
-    steps.append(tuple(map(type, step)))
-    return executor.execute_step(step, children)
+def source(layout):
+    """``R``, under an Encrypt of the columns that arrived encrypted."""
+    arrived = [c for c, (role, _) in zip(COLUMNS, layout) if role is ARRIVED]
+    leaf = BaseRelationNode(R)
+    return Encrypt(leaf, arrived) if arrived else leaf
+
+
+def arrivals(below, catalog, master):
+    """Node → table another fragment sent: ``below``'s, if an Encrypt."""
+    if not isinstance(below, Encrypt):
+        return {}
+    return {below: Executor(catalog, keystore=master).execute(below)}
+
+
+def evaluate(executor, plan, received, steps):
+    """The runtime's recursion (``DistributedRuntime._evaluate``) over
+    the fragment of ``plan`` above the tables ``received`` (node →
+    another fragment's table).  The classes of each step handed to the
+    executor are appended to ``steps``."""
+    plan = QueryPlan(plan)
+    runs = [node for node in plan.nodes() if not any(
+        node is other or plan.is_descendant(node, other)
+        for other in received)]
+
+    def run(node):
+        if node in received:
+            return received[node]
+        step = physical_step(plan, node, runs)
+        children = [run(child) for child in step[-1].children]
+        steps.append(tuple(map(type, step)))
+        return executor.execute_step(step, children)
+
+    return run(plan.root)
 
 
 def opened(table, master):
@@ -177,40 +191,41 @@ def opened(table, master):
 @settings(max_examples=draws(100, 30), deadline=None)
 def test_engine_agrees_with_plan_order_and_filters_first_on_plaintext(case):
     layout, rows, predicate, master, held, constants = case
-    leaf = BaseRelationNode(R)
+    below = source(layout)
     own = [c for c, (role, _) in zip(COLUMNS, layout) if role is OWN]
-    plan = Selection(Encrypt(leaf, own), predicate)
+    plan = Selection(Encrypt(below, own), predicate)
     catalog = {"R": Table("R", COLUMNS, rows)}
+    received = arrivals(below, catalog, master)
 
     def executor():
         return Executor(catalog, keystore=held, constant_keystore=constants)
 
-    engine = executor()
-    got = outcome(lambda: opened(engine.execute(plan), master))
-    assert got == outcome(lambda: opened(
-        execute_in_plan_order(executor(), plan), master))
+    def run():  # single-site unless a column arrived from elsewhere
+        if received:
+            return evaluate(engine, plan, received, [])
+        return engine.execute(plan)
 
-    plaintext_predicate = not any(
-        isinstance(row[COLUMNS.index(attribute)], EncryptedValue)
-        for attribute in predicate.attributes() for row in rows)
-    order = [BaseRelationNode, Selection, Encrypt] if plaintext_predicate \
-        else [BaseRelationNode, Encrypt, Selection]
+    engine = executor()
+    got = outcome(lambda: opened(run(), master))
+    assert got == outcome(lambda: opened(
+        execute_in_plan_order(executor(), plan, received), master))
+
+    plaintext_predicate = not predicate.attributes() & set(
+        getattr(below, "attributes", ()))
+    order = [Selection, Encrypt] if plaintext_predicate \
+        else [Encrypt, Selection]
+    order = order if received else [BaseRelationNode, *order]
     assert ran(engine) == order[:len(ran(engine))]
     if plaintext_predicate and not isinstance(got, str):  # not refused
-        kept = Executor(catalog).execute(Selection(leaf, predicate))
+        kept = Executor(catalog).execute(
+            Selection(BaseRelationNode(R), predicate))
         assert got[0] == opened(kept, master)[0]
 
 
-def written_case(layout, values, predicate):
-    """A draw of :func:`cases` written out: ``values`` in the clear,
-    sealed where their column arrived encrypted; every key held, and
+def written_case(layout, rows, predicate):
+    """A draw of :func:`cases` written out: every key held, and
     constants sealed under the same store."""
     master = keystore(layout)
-    rows = [tuple(
-        encrypt_column(master.material_for_attribute(column), [value])[0]
-        if role is ARRIVED and value is not None else value
-        for column, (role, _), value in zip(COLUMNS, layout, row))
-        for row in values]
     return layout, rows, predicate, master, master, master
 
 
@@ -233,37 +248,42 @@ SEALED_PREDICATE = written_case(
 def test_projection_chain_agrees_with_plan_order(case, kept, filtered,
                                                  arrived):
     layout, rows, predicate, master, held, constants = case
+    sealed = source(layout)
     own = [c for c, (role, _) in zip(COLUMNS, layout) if role is OWN]
-    encrypt = Encrypt(BaseRelationNode(R), own)
+    encrypt = Encrypt(sealed, own)
     below = Selection(encrypt, predicate) if filtered else encrypt
     plan = Projection(below, kept)
     boundary = {Encrypt: encrypt, Selection: below, None: None}[arrived]
     catalog = {"R": Table("R", COLUMNS, rows)}
+    received = arrivals(sealed, catalog, master)
 
     def executor():
         return Executor(catalog, keystore=held, constant_keystore=constants)
 
     def run():
-        received = {} if boundary is None else {id(boundary): (
-            tables_in_plan_order(executor(), QueryPlan(boundary))[boundary])}
-        return opened(evaluate(engine, plan, received, steps), master)
+        handed = received if boundary is None else {boundary: (
+            execute_in_plan_order(executor(), boundary, received))}
+        return opened(evaluate(engine, plan, handed, steps), master)
 
     engine, steps = executor(), []
     got = outcome(run)
     assert got == outcome(lambda: opened(
-        execute_in_plan_order(executor(), plan), master))
+        execute_in_plan_order(executor(), plan, received), master))
 
-    types = [type(node) for node in (encrypt, below, plan)]
-    chain = tuple(dict.fromkeys(types))
     if boundary is not None:  # what arrived is an operand, never a step
         assert all(step in [(Selection,), (Projection,)] for step in steps)
         return
-    assert steps == [(BaseRelationNode,), chain]
-    plaintext_predicate = not filtered or not any(
-        isinstance(row[COLUMNS.index(attribute)], EncryptedValue)
-        for attribute in predicate.attributes() for row in rows)
-    order = [BaseRelationNode, *chain[1:], Encrypt] if plaintext_predicate \
-        else [BaseRelationNode, *chain]
+    plan_order = [type(node) for node in (encrypt, below, plan)]
+    plan_order = list(dict.fromkeys(plan_order))
+    first = [] if received else [BaseRelationNode]
+    if not filtered or not predicate.attributes() & set(
+            getattr(sealed, "attributes", ())):
+        step = (*plan_order[1:], Encrypt)  # σ and π run first
+        assert steps == [(kind,) for kind in first] + [step]
+        order = [*first, *step]
+    else:  # a step per node, handed over until one refuses
+        order = [*first, *plan_order]
+        assert steps == [(kind,) for kind in order][:len(steps)]
     assert ran(engine) == order[:len(ran(engine))]
 
 
