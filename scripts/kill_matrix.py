@@ -277,6 +277,28 @@ MUTANTS = (
            "            keyring.put(names, keystore)\n",
            "a re-keyed run is handed the store of the keys it had before "
            "(the ring keyed on key names and attributes alone)"),
+    # Warm dispatch: a body is remembered only once it verified, and
+    # framed only for the key set it carries.
+    Mutant("opened-body-kept-before-verify", MESSAGES,
+           "    if not sender_public.verify(body, signature):\n"
+           "        raise DispatchError(\"envelope signature verification "
+           "failed\")\n"
+           "    payload = decode_payload(body, keyring)\n"
+           "    if keyring is not None:\n"
+           "        keyring.put(opened, payload)\n",
+           "    payload = decode_payload(body, keyring)\n"
+           "    if keyring is not None:\n"
+           "        keyring.put(opened, payload)\n"
+           "    if not sender_public.verify(body, signature):\n"
+           "        raise DispatchError(\"envelope signature verification "
+           "failed\")\n",
+           "the keyring stores an opened body before its signature "
+           "verified, so a refused envelope sent again is accepted"),
+    Mutant("framed-body-outlives-its-keys", MESSAGES,
+           "    bodies = payload.keystore.bodies\n",
+           "    bodies = sender_private._signed\n",
+           "the sender keeps framed bodies on the user's key, keyed without "
+           "the key set, so a re-key re-sends the old keys"),
     # The two shortcuts of the whole-column kernels.
     Mutant("unique-probe-drops-a-duplicate-build-key", EXECUTOR,
            "    if len(index) == len(build_keys):\n",

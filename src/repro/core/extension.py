@@ -188,7 +188,8 @@ def minimally_extend(
             ancestor_encrypted[child] = inherited
 
     extended: dict[PlanNode, PlanNode] = {}
-    current_profile: dict[PlanNode, RelationProfile] = {}
+    #: Every node built → its Figure 2 profile, handed to the plan.
+    profiles: dict[PlanNode, RelationProfile] = {}
     new_assignment: dict[PlanNode, str] = {}
     encrypted_attributes: set[str] = set()
     source_encryption: dict[str, frozenset[str]] = {}
@@ -196,7 +197,7 @@ def minimally_extend(
     for node in plan.postorder():
         if node.is_leaf:
             built: PlanNode = node.with_children(())
-            profile = built.output_profile()
+            profile = profiles[built] = built.output_profile()
             subject = None
         else:
             subject = lam(node)
@@ -216,21 +217,23 @@ def minimally_extend(
             operand_profiles: list[RelationProfile] = []
             for child in node.children:
                 child_built = extended[child]
-                child_profile = current_profile[child]
+                child_profile = profiles[child_built]
                 to_decrypt = needed & child_profile.visible_encrypted
                 if to_decrypt:
                     child_built = Decrypt(child_built, to_decrypt)
-                    child_profile = child_profile.decrypt(to_decrypt)
+                    child_profile = profiles[child_built] = \
+                        child_profile.decrypt(to_decrypt)
                     new_assignment[child_built] = subject
                 operands.append(child_built)
                 operand_profiles.append(child_profile)
 
             operands, operand_profiles = _harmonise_forms(
                 node, operands, operand_profiles, subject_view(subject),
-                subject, new_assignment, encrypted_attributes, protected,
+                subject, new_assignment, encrypted_attributes, profiles,
+                protected,
             )
             built = node.with_children(operands)
-            profile = node.output_profile(*operand_profiles)
+            profile = profiles[built] = node.output_profile(*operand_profiles)
             new_assignment[built] = subject
 
         parent = plan.parent(node)
@@ -251,7 +254,7 @@ def minimally_extend(
             to_encrypt = (encrypted_only & profile.visible_plaintext) | trace_term
             if to_encrypt:
                 built = Encrypt(built, to_encrypt)
-                profile = profile.encrypt(to_encrypt)
+                profile = profiles[built] = profile.encrypt(to_encrypt)
                 encrypted_attributes |= to_encrypt
                 if node.is_leaf:
                     assert isinstance(node, BaseRelationNode)
@@ -262,14 +265,13 @@ def minimally_extend(
                     new_assignment[built] = subject
         elif deliver_to is not None and profile.visible_encrypted:
             built = Decrypt(built, profile.visible_encrypted)
-            profile = profile.decrypt(profile.visible_encrypted)
+            profiles[built] = profile.decrypt(profile.visible_encrypted)
             new_assignment[built] = deliver_to
 
         extended[node] = built
-        current_profile[node] = profile
 
     result = ExtendedPlan(
-        plan=QueryPlan(extended[plan.root], plan.columns),
+        plan=QueryPlan(extended[plan.root], plan.columns, profiles),
         original=plan,
         assignment=new_assignment,
         encrypted_attributes=frozenset(encrypted_attributes),
@@ -288,6 +290,7 @@ def _harmonise_forms(
     subject: str,
     new_assignment: dict[PlanNode, str],
     encrypted_attributes: set[str],
+    profiles: dict[PlanNode, RelationProfile],
     protected: frozenset[str] = frozenset(),
 ) -> tuple[list[PlanNode], list[RelationProfile]]:
     """Make the operation's uniform groups representation-uniform.
@@ -303,6 +306,7 @@ def _harmonise_forms(
     partners are encrypted instead.  With opportunistic decryption an
     encrypted side the assignee may read, and not protected, was already
     decrypted as an operand, so only its ablation reaches the decrypt.
+    Each node added is entered in ``profiles`` with its profile.
     """
     groups = node.uniform_groups()
     if not groups:
@@ -360,15 +364,13 @@ def _harmonise_forms(
     for index in range(len(operands)):
         if decrypt_per_operand[index]:
             operands[index] = Decrypt(operands[index], decrypt_per_operand[index])
-            operand_profiles[index] = operand_profiles[index].decrypt(
-                decrypt_per_operand[index]
-            )
+            operand_profiles[index] = profiles[operands[index]] = \
+                operand_profiles[index].decrypt(decrypt_per_operand[index])
             new_assignment[operands[index]] = subject
         if encrypt_per_operand[index]:
             operands[index] = Encrypt(operands[index], encrypt_per_operand[index])
-            operand_profiles[index] = operand_profiles[index].encrypt(
-                encrypt_per_operand[index]
-            )
+            operand_profiles[index] = profiles[operands[index]] = \
+                operand_profiles[index].encrypt(encrypt_per_operand[index])
             encrypted_attributes |= encrypt_per_operand[index]
             new_assignment[operands[index]] = subject
     return operands, operand_profiles

@@ -45,7 +45,9 @@ class QueryPlan:
                  "_requirements", "_lineage", "_masks")
 
     def __init__(self, root: PlanNode,
-                 columns: tuple[str, ...] | None = None) -> None:
+                 columns: tuple[str, ...] | None = None,
+                 profiles: dict[PlanNode, RelationProfile] | None = None,
+                 ) -> None:
         self.root = root
         #: The result's column order (SELECT order for a plan from SQL),
         #: applied where a result is handed back (:meth:`in_result_order`);
@@ -59,7 +61,12 @@ class QueryPlan:
             for child in node.children:
                 parents[child] = node
         self._parents = parents
-        self._profiles: dict[PlanNode, RelationProfile] | None = None
+        if profiles is not None and len(profiles) != len(self._postorder):
+            raise PlanError("handed profiles must cover every node")
+        #: Node → profile: handed over by a builder that derived every
+        #: node's profile as it built the tree (``minimally_extend``), or
+        #: computed on first use by :meth:`profiles`.
+        self._profiles = profiles
         #: ``Ap`` per operation, filled by
         #: :func:`repro.core.requirements.infer_plaintext_requirements`.
         self._requirements: dict | None = None

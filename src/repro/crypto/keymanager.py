@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from repro.core.cache import Memo
 from repro.core.keys import KeyAssignment, QueryKey
 from repro.core.requirements import EncryptionScheme
 from repro.crypto import primitives
@@ -24,6 +25,11 @@ from repro.crypto.paillier import (
 )
 from repro.crypto.symmetric import DeterministicCipher, RandomizedCipher
 from repro.exceptions import KeyManagementError
+
+#: Signed bodies one store keeps (:attr:`KeyStore.bodies`): a store is
+#: one subject's keys for one query, dispatched under one plan, so one
+#: body per user that sends it.
+BODIES_PER_STORE = 4
 
 
 @dataclass
@@ -152,10 +158,18 @@ class KeyStore:
     >>> material = store.material_for_attribute("P")
     >>> material.open(material.seal([42, "x"]))
     [42, 'x']
+
+    :attr:`bodies` is where a sender keeps the envelope bodies framed
+    around this store (:func:`repro.distributed.messages.seal_envelope`,
+    *Warm dispatch*): a body is a pure function of the sub-queries, the
+    sender's key and this store's material, so it lives and dies with
+    the store, and a re-key, which builds new stores, frames afresh.
     """
 
     def __init__(self, materials: Iterable[KeyMaterial] = ()) -> None:
         self._materials: dict[str, KeyMaterial] = {}
+        #: (sub-queries, sender key) → ``u32 len ‖ body ‖ signature``.
+        self.bodies = Memo(BODIES_PER_STORE)
         for material in materials:
             self.add(material)
 
@@ -192,6 +206,7 @@ class KeyStore:
         if material.name in self._materials:
             raise KeyManagementError(f"duplicate key {material.name}")
         self._materials[material.name] = material
+        self.bodies.clear()  # a body framed before carries other keys
 
     def material(self, name: str) -> KeyMaterial:
         """Key material by query-key name."""
@@ -232,7 +247,11 @@ class KeyStore:
 
 @dataclass
 class DistributedKeys:
-    """Per-subject key stores implementing the §6 distribution."""
+    """Per-subject key stores implementing the §6 distribution.
+
+    Each subject has one store for the life of the key set, a keyless
+    subject included (:meth:`store_for`), so what is kept per store —
+    the bodies framed around it — is kept per (key set, subject)."""
 
     master: KeyStore
     per_subject: dict[str, KeyStore] = field(default_factory=dict)
@@ -248,8 +267,12 @@ class DistributedKeys:
         return cls(master=master, per_subject=per_subject)
 
     def store_for(self, subject: str) -> KeyStore:
-        """The keys ``subject`` received (empty store if none)."""
-        return self.per_subject.get(subject, KeyStore())
+        """The keys ``subject`` received: the same store on every call,
+        an empty one, made on the first, for a subject sent no key."""
+        store = self.per_subject.get(subject)
+        if store is None:
+            store = self.per_subject.setdefault(subject, KeyStore())
+        return store
 
 
 def _require_symmetric(material: KeyMaterial) -> bytes:

@@ -8,20 +8,32 @@ authority's tables at their owner.
 The keyring
 -----------
 The query keys a node works with are only ever the ones this run's
-envelope delivered, but a node remembers the key sections it accepted:
-its :attr:`SubjectNode.keyring` maps the SHA-256 of a section, as it
-arrived, to the :class:`~repro.crypto.keymanager.KeyStore` decoded from
-it (:func:`~repro.distributed.messages.decode_payload`).  A run whose
-authenticated envelope carries a byte-identical section gets that store
-back, so its DETERMINISTIC and OPE memos carry over and a join key
-sealed last run is a dict hit; a re-keyed run carries other bytes and
-decodes a new store.  The ring holds :data:`KEYRING_SIZE` sections,
-least recently used dropped first, lives as long as its node, and is
-emptied when the policy version it is opened under moves
-(:meth:`SubjectNode.keyring_at`): the service re-keys only after a
-grant or revoke, so the stores of dead keys go with it.  Table changes
-leave it alone, keys do not depend on tables.  Every read and write of
-a ring happens under its subject's runtime lock.
+envelope delivered, but a node remembers what it authenticated.  Its
+:attr:`SubjectNode.keyring` holds two kinds of entry:
+
+* the SHA-256 of a key section, as it arrived → the
+  :class:`~repro.crypto.keymanager.KeyStore` decoded from it
+  (:func:`~repro.distributed.messages.decode_payload`).  A run whose
+  authenticated envelope carries a byte-identical section gets that
+  store back, so its DETERMINISTIC and OPE memos carry over and a join
+  key sealed last run is a dict hit; a re-keyed run carries other bytes
+  and decodes a new store;
+* ``(sender key, framed body and signature)`` → the payload opened from
+  it (:func:`~repro.distributed.messages.open_envelope`, *Warm
+  dispatch*), stored only once the signature verified, so a warm
+  envelope is decrypted and tag-checked and then answered without a
+  parse, a verify or a decode.
+
+Every open through the ring counts once: a hit when the ring answered
+(a remembered body, or a new body whose section it holds), a miss when
+a section was decoded; a refused envelope counts nothing and leaves the
+ring as it was.  The ring holds :data:`KEYRING_SIZE` entries of both
+kinds, least recently used dropped first, lives as long as its node,
+and is emptied when the policy version it is opened under moves
+(:meth:`SubjectNode.keyring_at`): the service re-keys only after a grant
+or revoke, so the stores and bodies of dead keys go with it.  Table
+changes leave it alone, keys do not depend on tables.  Every read and
+write of a ring happens under its subject's runtime lock.
 """
 
 from __future__ import annotations
@@ -42,8 +54,9 @@ from repro.engine.table import Table
 from repro.exceptions import AuthorizationError, CryptoError
 
 
-#: Key sections one node remembers: above the 17 SQL templates of TPC-H,
-#: so a node serving each of them keeps every plan's keys.
+#: Entries one node's keyring holds: above a section and a body for
+#: each of the 17 SQL templates of TPC-H, so a node serving each of them
+#: keeps every plan's keys and envelope.
 KEYRING_SIZE = 64
 
 
@@ -56,7 +69,8 @@ class SubjectNode:
     rsa_private: RsaPrivateKey
     tables: dict[str, Table] = field(default_factory=dict)
     udfs: dict[str, UdfCallable] = field(default_factory=dict)
-    #: Section digest → decoded store (module docstring, *The keyring*).
+    #: Section digest → decoded store, and (sender key, framed body) →
+    #: opened payload (module docstring, *The keyring*).
     keyring: LRU = field(default_factory=lambda: LRU(KEYRING_SIZE),
                          init=False, repr=False, compare=False)
     _keyring_version: int | None = field(default=None, init=False,

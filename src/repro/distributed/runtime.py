@@ -9,8 +9,8 @@ subject runs for the query and its keys once; each subject opens its
 envelope once per run, verifies the user's signature before acting on
 anything in it, pulls its input fragments from the subjects below, and
 evaluates its own operators locally.  What was opened lives in the run's
-own context and is dropped with it; only the key stores decoded from it
-outlive the run, in the node's keyring (:mod:`repro.distributed.nodes`).
+own context; only the node's keyring keeps, beyond the run, the stores
+and payloads it authenticated and decoded (:mod:`repro.distributed.nodes`).
 
 This module is the recursion, the envelope I/O and the takeover.  Every
 other decision is stated once, by the part that owns it: what a subject
@@ -388,12 +388,12 @@ class DistributedRuntime:
         """What ``node`` was sent for ``fragment`` (caller holds its lock).
 
         The subject unwraps its envelope and verifies the user's
-        signature once per run; its other fragments reuse the opened
-        payload.  ``resealed`` is a failover envelope carrying this
-        fragment alone: opened on its own and never shared, whatever the
-        replacement already holds.  Both decode through the node's
-        keyring (:mod:`repro.distributed.nodes`), flushed here when the
-        policy version moved.
+        signature, or finds those bytes verified in its keyring, once
+        per run; its other fragments reuse the opened payload.
+        ``resealed`` is a failover envelope carrying this fragment alone:
+        opened on its own and never kept in the run, whatever the
+        replacement already holds.  Both open through the node's keyring
+        (:mod:`repro.distributed.nodes`), flushed here when the policy moved.
         """
         user_public = context.user_node.rsa_public
         keyring = node.keyring_at(self.policy.version)

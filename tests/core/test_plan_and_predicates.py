@@ -115,6 +115,14 @@ class TestQueryPlan:
         assert profiles[select].implicit_plaintext == frozenset({"a"})
         assert plan.profiles() is not None  # cached path
 
+    def test_handed_profiles_are_used_and_must_cover_every_node(self):
+        plan, leaf, select = self.build()
+        handed = dict(plan.profiles())
+        assert QueryPlan(select, profiles=handed).profiles() is handed
+        del handed[leaf]
+        with pytest.raises(PlanError, match="every node"):
+            QueryPlan(select, profiles=handed)
+
     def test_operations_and_leaves(self):
         plan, leaf, select = self.build()
         assert plan.operations() == (select,)

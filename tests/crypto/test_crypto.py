@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.keys import QueryKey
 from repro.core.requirements import EncryptionScheme
 from repro.crypto import keymanager, primitives
-from repro.crypto.keymanager import DistributedKeys, KeyStore
+from repro.crypto.keymanager import DistributedKeys, KeyMaterial, KeyStore
 from repro.crypto.ope import OpeCipher, decode_numeric, encode_orderable
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.symmetric import DeterministicCipher, RandomizedCipher
@@ -270,6 +270,31 @@ class TestKeyManager:
         distributed = DistributedKeys.from_assignment(assignment)
         assert "kP" in distributed.store_for("I")
         assert "kP" not in distributed.store_for("X")
+
+    def test_one_store_per_subject_per_key_set(self):
+        """What is kept per store (the bodies a sender framed around it)
+        is kept per (key set, subject): a keyless subject's empty store
+        is made once, and two key sets share no store."""
+        from repro.core.keys import KeyAssignment
+
+        keys = [QueryKey(frozenset({"P"}), EncryptionScheme.PAILLIER)]
+        assignment = KeyAssignment(keys=tuple(keys),
+                                   distribution={"I": frozenset(keys)})
+        first, second = (DistributedKeys.from_assignment(assignment)
+                         for _ in range(2))
+        for subject in ("I", "X"):
+            assert first.store_for(subject) is first.store_for(subject)
+            assert first.store_for(subject) is not second.store_for(subject)
+        assert len(first.store_for("X")) == 0
+        assert first.store_for("X") is not first.store_for("Y")
+
+    def test_adding_a_key_forgets_the_bodies_framed_around_the_store(self):
+        store = self.make_store()
+        store.bodies.store("framed", b"body")
+        store.add(KeyMaterial(
+            QueryKey(frozenset({"Q"}), EncryptionScheme.DETERMINISTIC),
+            symmetric=bytes(32)))
+        assert not store.bodies
 
     def test_duplicate_key_rejected(self):
         store = self.make_store()

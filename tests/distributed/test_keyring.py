@@ -1,5 +1,6 @@
 """A subject's keyring: the key stores it decoded, kept per accepted key
-section (:mod:`repro.distributed.nodes`, *The keyring*).
+section, and the payloads it opened, kept per authenticated body
+(:mod:`repro.distributed.nodes`, *The keyring*).
 
 A byte-identical section hands back the store decoded before, so the
 DETERMINISTIC memos carry over between runs; any other section decodes
@@ -47,20 +48,30 @@ class TestColdRounds:
         assert [counts["det paid"] for counts in rounds] == [11_973, 0]
 
     def test_keyring_counters_reach_the_service(self, cold_rounds):
+        """Each round opens 53 envelopes.  The first decodes 30 sections
+        and finds 23 already held (a keyless subject's empty section, and
+        sections two templates share); the second is answered by the 53
+        bodies the first remembered.  Every open counts once, so the
+        counters read as they did before bodies were kept (76 / 30); the
+        size was 30, sections alone."""
         service, _ = cold_rounds
         info = service.cache_info()
-        assert info["keyring_hits"] > 0
-        assert 0 < info["keyring_size"] <= info["keyring_misses"]
+        assert (info["keyring_hits"], info["keyring_misses"]) == (76, 30)
+        assert info["keyring_size"] == 30 + 53
         assert "keyrings " in service.describe()
 
     def test_no_store_is_shared_between_two_nodes(self, cold_rounds):
+        """A remembered body's payload holds a store of its own node's
+        ring: 30 stores over 83 entries."""
         service, _ = cold_rounds
         owners = {}
         for name, node in service.runtime.nodes.items():
             assert len(node.keyring) <= KEYRING_SIZE
-            for store in node.keyring.values():
+            for entry in node.keyring.values():
+                store = getattr(entry, "keystore", entry)
+                assert isinstance(store, KeyStore)
                 assert owners.setdefault(id(store), name) == name
-        assert len(owners) == service.cache_info()["keyring_size"]
+        assert len(owners) == service.cache_info()["keyring_misses"] == 30
 
 
 @pytest.fixture()
@@ -140,7 +151,8 @@ class TestSections:
     def test_a_disjoint_delta_empties_every_ring(self, example, fig_7a,
                                                  delta):
         """Z plays no part in Fig. 7(a), so the plan stands; the
-        keyrings, holding two sections per subject, do not survive."""
+        keyrings, holding two sections and two bodies per subject, do
+        not survive: after one run they hold one of each."""
         if delta == "grant":
             rule = example.policy.revoke("Hosp", "Z")
         held = fig_7a.fresh()
@@ -150,7 +162,7 @@ class TestSections:
         keyed = {subject for subject in fig_7a.subjects
                  if len(held.store_for(subject))}
         assert len(keyed) >= 3
-        assert {len(runtime.nodes[s].keyring) for s in keyed} == {2}
+        assert {len(runtime.nodes[s].keyring) for s in keyed} == {4}
         if delta == "grant":
             example.policy.grant(rule)
         else:
@@ -160,14 +172,15 @@ class TestSections:
         assert runtime.cache_info()["keyring_hits"] == hits
         for node in runtime.nodes.values():
             assert len(node.keyring_at(example.policy.version)) \
-                == (node.name in fig_7a.subjects)
+                == 2 * (node.name in fig_7a.subjects)
 
     def test_concurrent_runs_count_every_open_once(self, fig_7a,
                                                    monkeypatch):
         """Six threads run the plan under two key sets at once, switching
         often: the ring is read and written under the subject's lock, so
         hits + misses is exactly the number of opens, no node holds more
-        than the two sections, and every answer is right."""
+        than the two sections and their two bodies, every store framed
+        one body, and every answer is right."""
         key_sets = [fig_7a.fresh(), fig_7a.fresh()]
         opened = opened_stores(monkeypatch)
         results, failures = [], []
@@ -199,7 +212,11 @@ class TestSections:
         info = fig_7a.runtime.cache_info()
         assert info["keyring_hits"] + info["keyring_misses"] == len(opened)
         assert max(len(node.keyring)
-                   for node in fig_7a.runtime.nodes.values()) == 2
+                   for node in fig_7a.runtime.nodes.values()) == 4
+        # Two threads that both missed a body store one value: each
+        # subject's store of each key set holds exactly its one body.
+        assert {len(keys.store_for(subject).bodies) for keys in key_sets
+                for subject in fig_7a.subjects} == {1}
 
     def test_ring_holds_at_most_its_bound(self):
         ring = LRU(KEYRING_SIZE)

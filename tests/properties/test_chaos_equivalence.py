@@ -162,6 +162,32 @@ class TestRunningExampleChaos:
         assert sum(injector.calls(s.name)
                    for s in service.subjects) == 0
 
+    def test_a_refused_spoof_sent_again_is_refused_again(self, monkeypatch):
+        """The impostor's framed body is the same every time it is sent
+        (a pure function of the sub-queries, the keys and the signing
+        key); a subject remembers only bodies that verified, so each
+        resend is verified again and refused, however many subjects a
+        query has."""
+        from repro.crypto.rsa import generate_keypair
+
+        _, impostor_private = generate_keypair(512)
+        injector = make_injector("provider-death", 3,
+                                 {"X", "Y", "Z", "U"})
+        service = self.make_service(injector)
+        original = runtime_module.seal_envelope
+
+        def spoofing_seal(payload, sender_private, recipient_public):
+            return original(payload, impostor_private, recipient_public)
+
+        monkeypatch.setattr(runtime_module, "seal_envelope",
+                            spoofing_seal)
+        for _ in range(len(service.subjects) + 1):
+            with pytest.raises(DispatchError, match="signature"):
+                service.execute(RUNNING_SQL)
+        assert service.cache_info()["keyring_size"] == 0
+        assert sum(injector.calls(s.name)
+                   for s in service.subjects) == 0
+
 
 class TestTpchChaos:
     SCALE = 0.002

@@ -19,6 +19,7 @@ from repro.core.candidates import compute_candidates
 from repro.core.dispatch import dispatch
 from repro.core.extension import minimally_extend
 from repro.core.keys import establish_keys
+from repro.core.plan import QueryPlan
 from repro.crypto.keymanager import DistributedKeys
 from repro.distributed import build_runtime
 from repro.paper_example import build_running_example
@@ -68,6 +69,25 @@ def run_member(labels: dict[str, str], tables) -> list:
 
 def test_lambda_holds_the_300_assignments():
     assert len(LAMBDA) == 300
+
+
+@pytest.mark.parametrize("opportunistic", [True, False])
+def test_every_member_is_extended_with_the_profiles_it_computes(
+        opportunistic):
+    """The profiles ``minimally_extend`` hands the extended plan (it
+    derived them as it built each node) equal ``profiles()`` computed
+    afresh, for all 300 members; without opportunistic decryption the
+    harmonising Decrypt is built too."""
+    example = build_running_example()
+    operations = example.plan.operations()
+    for member in LAMBDA:
+        extended = minimally_extend(
+            example.plan, example.policy, dict(zip(operations, member)),
+            owners=example.owners, deliver_to="U",
+            opportunistic_decryption=opportunistic)
+        plan = extended.plan
+        fresh = QueryPlan(plan.root, plan.columns).profiles()
+        assert plan.profiles() == fresh, member
 
 
 @pytest.mark.parametrize("member", DRAWN, ids="-".join)

@@ -45,6 +45,7 @@ from repro.core.authorization import (
 )
 from repro.core.candidates import compute_candidates
 from repro.core.equivalence import EquivalenceClasses
+from repro.core.plan import QueryPlan
 from repro.core.profile import RelationProfile
 from repro.core.requirements import chosen_schemes
 from repro.cost.estimator import PlanEstimator
@@ -633,10 +634,12 @@ def cell_record(result, plan):
 def plan_sweep_cells():
     """Plan the 88 cells once, counting what the DP scores.
 
-    Returns (cell name → record, counts): ``every`` sender rows over
-    the scored (receiver, edge) pairs, ``frontier`` the rows of each
-    edge's frontier plus each dominated receiver's own row, ``scored``
-    the rows actually scanned, ``receivers`` the (receiver, edge) pairs.
+    Returns (cell name → record, counts, extended): ``every`` sender
+    rows over the scored (receiver, edge) pairs, ``frontier`` the rows
+    of each edge's frontier plus each dominated receiver's own row,
+    ``scored`` the rows actually scanned, ``receivers`` the (receiver,
+    edge) pairs; ``extended`` is (cell name, extended plan) of every
+    cell's winner and standbys.
     """
     counts = dict.fromkeys(("every", "frontier", "scored", "receivers"), 0)
     for_receiver = edgecost._Senders.for_receiver
@@ -651,6 +654,7 @@ def plan_sweep_cells():
         return rows
 
     cells = {}
+    extended = []
     schema, settings = sweep_settings()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(edgecost._Senders, "for_receiver", counting)
@@ -661,7 +665,9 @@ def plan_sweep_cells():
                                 PriceList.from_subjects(setting.subjects),
                                 user=setting.user, owners=setting.owners)
                 cells[f"Q{query.number}/{name}"] = cell_record(result, plan)
-    return cells, counts
+                extended += ((f"Q{query.number}/{name}", r.extended.plan)
+                             for r in (result, *result.portfolio))
+    return cells, counts, extended
 
 
 @pytest.fixture(scope="module")
@@ -675,7 +681,7 @@ def test_the_88_planner_cells_keep_their_plans(planned_sweep):
     that moves a plan on purpose rewrites the file by running this
     module as a script (``PYTHONPATH=src:tests python
     tests/properties/test_planner_kernel.py``) and says why."""
-    cells, _counts = planned_sweep
+    cells, _counts, _extended = planned_sweep
     golden = json.loads(GOLDEN.read_text())
     assert len(cells) == 88
     assert sorted(cells) == sorted(golden)
@@ -693,13 +699,29 @@ def test_pairs_scored_over_the_88_planner_cells(planned_sweep):
     is exactly what is scored: an edge table sums a sender's overlap in
     the order it sums the receiver's total, so no coefficient comes out
     −1 ulp and the negative-coefficient fallback adds no row."""
-    _cells, counts = planned_sweep
+    _cells, counts, _extended = planned_sweep
     assert counts == {"every": 8_624, "frontier": 7_550, "scored": 7_550,
                       "receivers": 4_946}
 
 
+def test_the_extension_hands_over_the_profiles_it_derived(planned_sweep):
+    """``minimally_extend`` derives every node's Figure 2 profile as it
+    builds the extended plan and hands the map to it, so
+    ``verify_assignment`` does not derive it again.  Over every winner
+    and standby of the 88 cells (source encryptions, harmonising
+    Encrypt / Decrypt and the user's final Decrypt included) the map
+    handed over is exactly the one ``profiles()`` computes afresh."""
+    _cells, _counts, extended = planned_sweep
+    assert len({name for name, _ in extended}) == 88
+    for name, plan in extended:
+        handed = plan.profiles()
+        fresh = QueryPlan(plan.root, plan.columns).profiles()
+        assert handed is not fresh
+        assert handed == fresh, name
+
+
 if __name__ == "__main__":
-    cells, counts = plan_sweep_cells()
+    cells, counts, _extended = plan_sweep_cells()
     GOLDEN.write_text("{\n" + ",\n".join(
         f"{json.dumps(name)}: {json.dumps(cell, ensure_ascii=False)}"
         for name, cell in cells.items()) + "\n}\n")
