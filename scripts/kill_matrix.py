@@ -71,10 +71,10 @@ MUTANTS = (
            "table.representations):\n",
            "check_values accepts every table"),
     Mutant("receive-skips-check-values", RUNTIME,
-           "        context.trace.rows_transferred += len(table)\n"
            "        check_values(view, table)\n",
-           "        context.trace.rows_transferred += len(table)\n",
-           "_receive_input no longer looks at what a subject is handed"),
+           "        if consumer is None:\n"
+           "            check_values(view, table)\n",
+           "_receive_input no longer looks at what a fragment is handed"),
     Mutant("check-profile-never-raises", ENFORCEMENT,
            "    if not relation_authorized(view_masks, profile_masks):\n",
            "    if not relation_authorized(view_masks, profile_masks) "
@@ -85,8 +85,9 @@ MUTANTS = (
            "            if False:\n",
            "_evaluate no longer checks Def. 4.1 on what a subject produces"),
     Mutant("delivery-skips-check-values", RUNTIME,
-           "        check_values(root_view, result)\n",
-           "",
+           "        check_values(view, table)\n",
+           "        if consumer is not None:\n"
+           "            check_values(view, table)\n",
            "the result's columns are not checked against the user's view"),
     Mutant("delivery-skips-check-profile", RUNTIME,
            "        check_profile(root_view, extended.plan, "
@@ -94,6 +95,11 @@ MUTANTS = (
            "                      \"query result\")\n",
            "",
            "the root profile is not checked against the user's view"),
+    # The delivery record (ROADMAP 22(a)): every table handed over is a row.
+    Mutant("receipt-leaves-no-row", RUNTIME,
+           "        context.trace.deliveries.append(tuple.__new__(TableRow, (\n",
+           "        (tuple.__new__(TableRow, (\n",
+           "_receive_input hands a table over and records no row"),
     # The one statement of Def. 4.1: the planner, verify_assignment and
     # check_profile all read it.
     Mutant("relation-authorized-skips-condition-3", ATTRSETS,

@@ -25,7 +25,7 @@ from repro.core.attrsets import (
     relation_authorized,
 )
 from repro.core.authorization import Policy, Subject, SubjectView
-from repro.core.lineage import augment_view, derived_lineage
+from repro.core.lineage import plan_view
 from repro.core.operators import PlanNode
 from repro.core.plan import QueryPlan
 from repro.core.profile import RelationProfile
@@ -171,14 +171,8 @@ def compute_candidates(
     the operands and the resulting minimum-view profile.
     """
     min_views = minimum_view_profiles(plan)
-    lineage = derived_lineage(plan)
     universe = AttributeUniverse()
-    views: list[SubjectView] = [
-        augment_view(
-            policy.view(s.name if isinstance(s, Subject) else s), lineage
-        )
-        for s in subjects
-    ]
+    views: list[SubjectView] = [plan_view(policy, s, plan) for s in subjects]
     # Definition 4.2 over the minimum views, mask-backed: profiles and
     # views are interned once, so the subject × node loop is a handful
     # of integer subset tests per check instead of frozenset algebra.
@@ -211,8 +205,5 @@ def user_can_receive_result(plan: QueryPlan, policy: Policy,
     universe = AttributeUniverse()
     root_masks = min_views.result_profile(plan.root).masks(universe)
     delivered = root_masks.decrypt(root_masks.ve)
-    view = augment_view(
-        policy.view(user.name if isinstance(user, Subject) else user),
-        derived_lineage(plan),
-    )
+    view = plan_view(policy, user, plan)
     return relation_authorized(view.masks(universe), delivered)

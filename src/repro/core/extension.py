@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.core.authorization import Policy, SubjectView, holder_of
-from repro.core.lineage import augment_view, derived_lineage
+from repro.core.lineage import plan_view
 from repro.core.operators import BaseRelationNode, Decrypt, Encrypt, PlanNode
 from repro.core.plan import QueryPlan
 from repro.core.profile import RelationProfile
@@ -154,14 +154,12 @@ def minimally_extend(
             raise PlanError(
                 "minimally_extend expects a plan without crypto operations"
             )
-    lineage = derived_lineage(plan)
     views: dict[str, SubjectView] = {}
 
     def subject_view(subject: str) -> SubjectView:
         view = views.get(subject)
         if view is None:
-            view = views[subject] = augment_view(policy.view(subject),
-                                                 lineage)
+            view = views[subject] = plan_view(policy, subject, plan)
         return view
 
     requirements = infer_plaintext_requirements(plan)

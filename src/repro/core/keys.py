@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 from repro.core.authorization import Policy, stands_in_for
 from repro.core.extension import ExtendedPlan
-from repro.core.lineage import augment_view, derived_lineage
+from repro.core.lineage import plan_view
 from repro.core.operators import Decrypt, Encrypt
 from repro.core.requirements import EncryptionScheme, select_scheme
 from repro.core.visibility import is_source_encryption
@@ -138,12 +138,10 @@ def schemes_for_extended_plan(
             for attribute in node.attributes:
                 key_holders.setdefault(attribute, set()).add(subject)
 
-    lineage = derived_lineage(plan) if policy is not None else {}
-
     def note2_applies(subject: str, attribute: str) -> bool:
         if policy is None:
             return False
-        view = augment_view(policy.view(subject), lineage)
+        view = plan_view(policy, subject, plan)
         return (attribute in view.plaintext
                 and subject in key_holders.get(attribute, ()))
 
@@ -249,7 +247,6 @@ def establish_keys(
 def _validate_distribution(extended: ExtendedPlan, policy: Policy,
                            assignment: KeyAssignment) -> None:
     """Check that key holders may see the covered attributes in plaintext."""
-    lineage = derived_lineage(extended.plan)
     for node in extended.plan.postorder():
         if not isinstance(node, (Encrypt, Decrypt)):
             continue
@@ -264,7 +261,7 @@ def _validate_distribution(extended: ExtendedPlan, policy: Policy,
                     f"for {node.label()}"
                 )
             continue
-        view = augment_view(policy.view(subject), lineage)
+        view = plan_view(policy, subject, extended.plan)
         unauthorized = frozenset(node.attributes) - view.plaintext
         if unauthorized:
             raise KeyManagementError(

@@ -18,7 +18,7 @@ as unrestricted.
 
 from __future__ import annotations
 
-from repro.core.authorization import SubjectView
+from repro.core.authorization import Policy, Subject, SubjectView
 from repro.core.operators import GroupBy
 from repro.core.plan import QueryPlan
 
@@ -57,6 +57,14 @@ def derived_lineage(plan: QueryPlan) -> Lineage:
         resolved[name] = source
     plan._lineage = resolved
     return resolved
+
+
+def plan_view(policy: Policy, subject: str | Subject,
+              plan: QueryPlan) -> SubjectView:
+    """``subject``'s view ``P_S`` / ``E_S`` over ``plan``: its policy view
+    augmented with the plan's lineage.  Not memoised here: each caller
+    keeps the views it reads for as long as it needs them."""
+    return augment_view(policy.view(subject), derived_lineage(plan))
 
 
 def augment_view(view: SubjectView, lineage: Lineage) -> SubjectView:

@@ -55,7 +55,7 @@ from repro.core.authorization import (
     Policy, SubjectView, holder_of, stands_in_for)
 from repro.core.candidates import CandidateAssignment
 from repro.core.edgecost import EdgeTableCache, _EdgeTable, _Senders
-from repro.core.lineage import augment_view, derived_lineage
+from repro.core.lineage import plan_view
 from repro.core.operators import BaseRelationNode, PlanNode
 from repro.core.plan import QueryPlan
 from repro.core.predicates import EncryptedCapability
@@ -89,7 +89,6 @@ class _AssignmentSearch:
         self.trusted = frozenset({user, *owners.values()})
         self.edge_cache = edge_cache
         self.estimates = estimator.estimate(plan)
-        self._lineage = derived_lineage(plan)
         self._views: dict[str, SubjectView] = {}
         self._requirements = requirements
         # DP state, shared across the three portfolio passes.
@@ -113,9 +112,8 @@ class _AssignmentSearch:
     # ------------------------------------------------------------------
     def view(self, subject: str) -> SubjectView:
         if subject not in self._views:
-            self._views[subject] = augment_view(
-                self.policy.view(subject), self._lineage
-            )
+            self._views[subject] = plan_view(self.policy, subject,
+                                             self.plan)
         return self._views[subject]
 
     def owner_of(self, leaf: BaseRelationNode) -> str:

@@ -34,7 +34,7 @@ from repro.core.authorization import (
     SubjectView,
     stands_in_for,
 )
-from repro.core.lineage import augment_view, derived_lineage
+from repro.core.lineage import plan_view
 from repro.core.operators import BaseRelationNode, Encrypt, PlanNode
 from repro.core.plan import QueryPlan
 from repro.exceptions import UnauthorizedError
@@ -90,13 +90,7 @@ def authorized_assignees(plan: QueryPlan, policy: Policy,
     :mod:`repro.core.candidates`.)
     """
     universe, masks, names = _plan_masks(plan)
-    lineage = derived_lineage(plan)
-    views = [
-        augment_view(
-            policy.view(s.name if isinstance(s, Subject) else s), lineage
-        )
-        for s in subjects
-    ]
+    views = [plan_view(policy, s, plan) for s in subjects]
     view_masks = [(view.subject, _view_masks(view, universe, names))
                   for view in views]
     result: dict[PlanNode, frozenset[str]] = {}
@@ -117,7 +111,6 @@ def verify_assignment(plan: QueryPlan, policy: Policy,
     :class:`UnauthorizedError` naming the first violating node otherwise.
     """
     universe, masks, names = _plan_masks(plan)
-    lineage = derived_lineage(plan)
     views: dict[str, MaskView] = {}
     for node in plan.operations():
         subject = assignment.get(node)
@@ -139,7 +132,7 @@ def verify_assignment(plan: QueryPlan, policy: Policy,
         view = views.get(subject)
         if view is None:
             view = views[subject] = _view_masks(
-                augment_view(policy.view(subject), lineage), universe, names)
+                plan_view(policy, subject, plan), universe, names)
         operands = [masks[child] for child in node.children]
         if not assignee_authorized(view, operands, masks[node]):
             violations = assignee_violations(view, operands, masks[node])

@@ -19,16 +19,17 @@ from repro.distributed.messages import (
     seal_envelope,
 )
 from repro.distributed.nodes import SubjectNode, generate_subject_keys
-from repro.distributed.runtime import (
-    DistributedRuntime,
+from repro.distributed.runtime import DistributedRuntime, build_runtime
+from repro.distributed.trace import (
+    EnvelopeRow,
     ExecutionTrace,
     FailoverEvent,
-    build_runtime,
+    TableRow,
 )
 
 __all__ = [
-    "DistributedRuntime", "ExecutionTrace", "FailoverEvent",
-    "FaultInjector", "FaultSpec", "HealthRegistry",
+    "DistributedRuntime", "EnvelopeRow", "ExecutionTrace", "FailoverEvent",
+    "FaultInjector", "FaultSpec", "HealthRegistry", "TableRow",
     "SubQueryPayload", "SubjectHealth", "SubjectNode", "build_runtime",
     "decode_payload", "encode_payload", "generate_subject_keys",
     "keystore_signature", "open_envelope", "seal_envelope",

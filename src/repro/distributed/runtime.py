@@ -24,7 +24,17 @@ stays here, as ``seal_envelope`` / ``open_envelope`` /
 methods ``_receive_input``, ``_evaluate_fragment``,
 ``_execute_with_retries`` and ``_evaluate``, the names the benchmark's
 tracer and the tamper, envelope, concurrency and re-key suites rebind.
-What each executor did is read from ``ExecutionTrace.nodes``, not rebound.
+
+What happened is read from the run's
+:class:`~repro.distributed.trace.ExecutionTrace`, never by rebinding:
+one row per delivery — each envelope the user seals (``_seal``: sender,
+recipient, the fragment ids and key names it carries, its bytes) and
+each table a subject is handed (``_receive_input``: producing fragment,
+sender, recipient, the plan node, each column's representation, the row
+count), the final result to the user included — each with the policy
+version it was sealed at, or of the recipient's view that judged it; the
+transfer counters are views of those rows.  Beside them, ``nodes`` holds
+what each executor did.
 
 Scheduling
 ----------
@@ -89,7 +99,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from repro.core.authorization import Policy, Subject, SubjectView
@@ -97,7 +107,7 @@ from repro.core.budget import CancellationToken, token_scope
 from repro.core.dispatch import DispatchPlan, SubQuery
 from repro.core.extension import ExtendedPlan
 from repro.core.keys import KeyAssignment
-from repro.core.lineage import Lineage, augment_view, derived_lineage
+from repro.core.lineage import Lineage, derived_lineage, plan_view
 from repro.core.operators import BaseRelationNode, PlanNode
 from repro.core.plan import physical_step
 from repro.core.visibility import verify_assignment
@@ -118,6 +128,12 @@ from repro.distributed.nodes import (
     generate_subject_keys,  # noqa: F401  (the benchmark imports it here)
 )
 from repro.distributed.retry import FragmentFailed, run_with_retries
+from repro.distributed.trace import (
+    EnvelopeRow,
+    ExecutionTrace,
+    FailoverEvent,
+    TableRow,
+)
 from repro.engine.executor import Executor, UdfCallable
 from repro.engine.table import Table
 from repro.parallel.pool import shared_pool
@@ -127,61 +143,6 @@ from repro.exceptions import (
     QueryAbortedError,
     UnauthorizedError,
 )
-
-
-@dataclass
-class FailoverEvent:
-    """One mid-query fragment re-dispatch, for tracing and audit.
-
-    ``repaired_assignment`` is the full extended-plan assignment after
-    the takeover (the mapping :func:`verify_assignment` approved), so
-    auditors can re-verify independently that the re-dispatch never
-    widened visibility.
-    """
-
-    fragment_id: str
-    failed_subject: str
-    replacement: str
-    attempts: int
-    seconds: float
-    repaired_assignment: dict[PlanNode, str] = field(default_factory=dict)
-
-
-@dataclass
-class ExecutionTrace:
-    """What moved where during one run; folded with :meth:`absorb`, the
-    one record of every run of a query, which every counter reads."""
-
-    #: Sealed envelopes (one per subject, plus one per failover reseal)
-    #: and inter-fragment table transfers.
-    messages: int = 0
-    #: Total size of those envelopes.
-    envelope_bytes: int = 0
-    rows_transferred: int = 0
-    #: Every (fragment id, subject) requested, in call order, cache hits
-    #: and failover takeovers included.
-    fragments_run: list[tuple[str, str]] = field(default_factory=list)
-    fragment_cache_hits: int = 0
-    #: Fragment execution attempts (first tries + retries; cache hits
-    #: excluded — they never touch a provider).
-    attempts: int = 0
-    #: Transient-fault retries on the same subject.
-    retries: int = 0
-    #: Circuit-breaker trips (including permanent provider deaths).
-    breaker_trips: int = 0
-    #: Mid-query fragment re-dispatches, in completion order.
-    failovers: list[FailoverEvent] = field(default_factory=list)
-    #: (subject, seconds) per successful fragment execution, the wall
-    #: time the health registry's latency EWMA is fed.
-    executions: list[tuple[str, float]] = field(default_factory=list)
-    #: (fragment id, subject, *row) per executor row (``Executor.record``)
-    #: of every attempt that returned; a fragment-cache hit adds none.
-    nodes: list[tuple] = field(default_factory=list)
-
-    def absorb(self, later: "ExecutionTrace") -> None:
-        """Append a later run of the same query: counts add, lists join."""
-        for name in (f.name for f in fields(self)):
-            setattr(self, name, getattr(self, name) + getattr(later, name))
 
 
 @dataclass
@@ -201,9 +162,10 @@ class _RunContext:
     extended: ExtendedPlan
     #: The query's cancellation token, checked at every checkpoint.
     token: CancellationToken
-    #: Subject → its policy view augmented with the plan's lineage, read
-    #: once per subject: a run is exactly one read of the policy.
-    views: dict[str, SubjectView] = field(default_factory=dict)
+    #: Subject → its policy view augmented with the plan's lineage and
+    #: the policy version it was read at, read once per subject: a run
+    #: is exactly one read of the policy.
+    views: dict[str, tuple[SubjectView, int]] = field(default_factory=dict)
     #: Subject → the payload it opened and verified from its envelope,
     #: written under the subject's lock.  Per run by design: a repeated
     #: query is delivered, opened and verified again.
@@ -299,22 +261,12 @@ class DistributedRuntime:
             batches: dict[str, list[SubQuery]] = {}
             for fragment in dispatch_plan.fragments.values():
                 batches.setdefault(fragment.subject, []).append(fragment)
-            for subject, (first, *rest) in batches.items():
-                subject_node = self._node_for(subject)
-                payload = SubQueryPayload(
-                    fragment_id=first.fragment_id,
-                    query_text=first.text,
-                    keystore=distributed_keys.store_for(subject),
-                    more=tuple((f.fragment_id, f.text) for f in rest),
-                )
-                blob = seal_envelope(
-                    payload, user_node.rsa_private, subject_node.rsa_public
-                )
-                context.envelopes[subject] = blob
-                trace.messages += 1
-                trace.envelope_bytes += len(blob)
+            for subject, fragments in batches.items():
+                context.envelopes[subject] = self._seal(
+                    context, subject, fragments,
+                    distributed_keys.store_for(subject))
 
-            result = self._run_fragment(
+            root, result = self._run_fragment(
                 context, dispatch_plan.root_fragment_id)
         except QueryAbortedError as abort:
             # Hand the caller whatever ran before the abort: the partial
@@ -325,11 +277,10 @@ class DistributedRuntime:
 
         # Final delivery to the user: the user must be entitled to the
         # root relation, and to every column representation it contains.
-        root_view = self._view_for(context, user)
+        root_view, _ = self._view_for(context, user)
         check_profile(root_view, extended.plan, extended.plan.root,
                       "query result")
-        check_values(root_view, result)
-        trace.rows_transferred += len(result)
+        self._receive_input(context, root, None, result)
         # The result may live in (and be served again from) the fragment
         # cache; a Table is immutable, so the cached object itself is
         # safe to hand out.
@@ -353,31 +304,35 @@ class DistributedRuntime:
     # Schedule
     # ------------------------------------------------------------------
     def _run_fragment(self, context: _RunContext,
-                      fragment_id: str) -> Table:
-        """Demand-driven recursion: ask the children, then evaluate."""
+                      fragment_id: str) -> tuple[SubQuery, Table]:
+        """Demand-driven recursion: ask the children, then evaluate.
+        Returns the fragment as it ran (its subject is the replacement's
+        after a takeover) and its result."""
         context.token.check(f"runtime:fragment {fragment_id}")
         fragment = context.dispatch_plan.fragment(fragment_id)
         node = self._node_for(fragment.subject)
         lock = self._lock_for(fragment.subject)
         with lock:
             payload = self._open_and_record(context, fragment, node)
-        view = self._view_for(context, fragment.subject)
+        view, _ = self._view_for(context, fragment.subject)
         inputs: dict[int, Table] = {}
+        producers: dict[int, SubQuery] = {}
         for boundary_id, child_fragment_id in fragment.requests.items():
-            table = self._run_fragment(context, child_fragment_id)
-            self._receive_input(context, view, table)
+            producer, table = self._run_fragment(context, child_fragment_id)
+            self._receive_input(context, producer, fragment, table)
             inputs[boundary_id] = table
+            producers[boundary_id] = producer
         # The subject lock serializes this subject's fragments across
         # concurrent runs; it is taken around the open and the evaluation
         # only (never while recursing into children) so same-subject
         # nesting cannot deadlock.
         try:
             with lock:
-                return self._evaluate_fragment(context, fragment, node,
-                                               payload, view, inputs)
+                return fragment, self._evaluate_fragment(
+                    context, fragment, node, payload, view, inputs)
         except FragmentFailed as failure:
             return self._failover_fragment(context, fragment, inputs,
-                                           failure)
+                                           producers, failure)
 
     # ------------------------------------------------------------------
     # Fragment execution
@@ -412,10 +367,40 @@ class DistributedRuntime:
             (fragment.fragment_id, fragment.subject))
         return payload
 
-    def _receive_input(self, context: _RunContext, view: SubjectView,
-                       table: Table) -> None:
-        context.trace.messages += 1
-        context.trace.rows_transferred += len(table)
+    def _seal(self, context: _RunContext, recipient: str,
+              fragments: list[SubQuery], store: KeyStore | None) -> bytes:
+        """The user's envelope carrying ``fragments`` and ``store`` to
+        ``recipient``, recorded as it is sealed."""
+        first, *rest = fragments
+        payload = SubQueryPayload(
+            fragment_id=first.fragment_id,
+            query_text=first.text,
+            keystore=store,
+            more=tuple([(f.fragment_id, f.text) for f in rest]),
+        )
+        user = context.user_node
+        blob = seal_envelope(payload, user.rsa_private,
+                             self._node_for(recipient).rsa_public)
+        # Rows are built by tuple.__new__, which skips the NamedTuple
+        # constructor's Python frame: every delivery of every run makes one.
+        context.trace.deliveries.append(tuple.__new__(EnvelopeRow, (
+            user.name, recipient, tuple([f.fragment_id for f in fragments]),
+            frozenset() if store is None else store.names(), len(blob),
+            self.policy.version)))
+        return blob
+
+    def _receive_input(self, context: _RunContext, producer: SubQuery,
+                       consumer: SubQuery | None, table: Table) -> None:
+        """``producer``'s result handed to ``consumer``'s subject, or to
+        the user when ``consumer`` is None: recorded, then checked."""
+        recipient = context.user_node.name if consumer is None \
+            else consumer.subject
+        view, version = self._view_for(context, recipient)
+        context.trace.deliveries.append(tuple.__new__(TableRow, (
+            producer.fragment_id, producer.subject, recipient,
+            None if consumer is None else consumer.fragment_id,
+            producer.root, table.columns, table.representations,
+            len(table), version)))
         check_values(view, table)
 
     def _evaluate_fragment(self, context: _RunContext, fragment: SubQuery,
@@ -486,7 +471,9 @@ class DistributedRuntime:
     # ------------------------------------------------------------------
     def _failover_fragment(self, context: _RunContext, fragment: SubQuery,
                            inputs: dict[int, Table],
-                           failure: FragmentFailed) -> Table:
+                           producers: dict[int, SubQuery],
+                           failure: FragmentFailed
+                           ) -> tuple[SubQuery, Table]:
         """Re-dispatch a failed fragment to the next authorized candidate.
 
         Walks healthy candidate subjects (cheapest latency EWMA first)
@@ -496,8 +483,10 @@ class DistributedRuntime:
         plan's actual profiles — failover may never widen visibility),
         reseals the fragment envelope for the candidate with exactly the
         key subset the fragment's operations name, and re-executes just
-        this fragment with the already-computed input tables.  The
-        caller must *not* hold the failed subject's lock.
+        this fragment with the already-computed input tables, each
+        handed to the replacement again (``producers`` names the
+        fragment that produced each).  The caller must *not* hold the
+        failed subject's lock.
         """
         started = self._clock()
         extended = context.extended
@@ -526,23 +515,16 @@ class DistributedRuntime:
             store = None
             if context.constant_store is not None:
                 store = context.constant_store.subset(fragment.key_names)
-            payload = SubQueryPayload(
-                fragment_id=fragment.fragment_id,
-                query_text=fragment.text,
-                keystore=store,
-            )
-            blob = seal_envelope(payload, context.user_node.rsa_private,
-                                 candidate_node.rsa_public)
-            context.trace.messages += 1
-            context.trace.envelope_bytes += len(blob)
+            blob = self._seal(context, candidate, [fragment], store)
             takeover = replace(fragment, subject=candidate)
-            view = self._view_for(context, candidate)
+            view, _ = self._view_for(context, candidate)
             try:
                 with self._lock_for(candidate):
                     opened = self._open_and_record(context, takeover,
                                                    candidate_node, blob)
-                    for table in inputs.values():
-                        self._receive_input(context, view, table)
+                    for boundary_id, table in inputs.items():
+                        self._receive_input(context, producers[boundary_id],
+                                            takeover, table)
                     result = self._evaluate_fragment(
                         context, takeover, candidate_node, opened, view,
                         inputs)
@@ -558,7 +540,7 @@ class DistributedRuntime:
                 repaired_assignment=repaired,
             )
             context.trace.failovers.append(event)
-            return result
+            return takeover, result
 
     def _next_candidate(self, context: _RunContext, fragment: SubQuery,
                         excluded: set[str],
@@ -628,12 +610,19 @@ class DistributedRuntime:
             raise DispatchError(f"no runtime node for subject {subject!r}")
         return self.nodes[subject]
 
-    def _view_for(self, context: _RunContext, subject: str) -> SubjectView:
-        view = context.views.get(subject)
-        if view is None:
-            view = context.views[subject] = augment_view(
-                self.policy.view(subject), context.lineage)
-        return view
+    def _view_for(self, context: _RunContext,
+                  subject: str) -> tuple[SubjectView, int]:
+        """``subject``'s view over the plan and the policy version it was
+        read at.  A grant or revoke drops the view memo before it bumps
+        the version, so a version that reads the same on both sides of
+        the view read is the view's own."""
+        read = context.views.get(subject)
+        while read is None:
+            version = self.policy.version
+            view = plan_view(self.policy, subject, context.extended.plan)
+            if version == self.policy.version:
+                read = context.views[subject] = view, version
+        return read
 
     def _lock_for(self, subject: str) -> threading.Lock:
         with self._locks_guard:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from repro.core.assignment import AssignmentResult
 from repro.core.budget import QueryBudget
-from repro.distributed.runtime import ExecutionTrace, FailoverEvent
+from repro.distributed.trace import ExecutionTrace, FailoverEvent
 from repro.engine.table import Table
 
 

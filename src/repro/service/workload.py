@@ -60,7 +60,7 @@ from repro.cost.pricing import PriceList
 from repro.crypto.keymanager import DistributedKeys
 from repro.distributed import build_runtime, generate_subject_keys
 from repro.distributed.faults import FaultInjector
-from repro.distributed.runtime import ExecutionTrace
+from repro.distributed.trace import ExecutionTrace
 from repro.engine.executor import UdfCallable
 from repro.engine.table import Table
 from repro.exceptions import (

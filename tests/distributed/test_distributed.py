@@ -8,7 +8,7 @@ from repro.core.keys import QueryKey, establish_keys
 from repro.core.requirements import EncryptionScheme
 from repro.crypto.keymanager import DistributedKeys, KeyStore
 from repro.crypto.rsa import generate_keypair
-from repro.distributed import build_runtime
+from repro.distributed import EnvelopeRow, TableRow, build_runtime
 from repro.distributed.messages import (
     SubQueryPayload,
     decode_payload,
@@ -16,6 +16,7 @@ from repro.distributed.messages import (
     open_envelope,
     seal_envelope,
 )
+from repro.engine.values import AGGREGATE, PLAINTEXT
 from repro.exceptions import DispatchError, UnauthorizedError
 
 
@@ -113,6 +114,53 @@ class TestRuntime:
         assert [f for f, _ in trace.fragments_run] == [
             "reqY", "reqX", "reqH", "reqI",
         ]
+
+    def test_figure_8_delivery_by_delivery(self, example, example_tables):
+        """Fig. 7(a) run as Fig. 8 dispatches it: one envelope per
+        subject carrying its sub-query and Fig. 8's key column, then
+        the relations of Fig. 6, each column sealed exactly where its
+        profile has it visible encrypted, and one final row to U.  The
+        transfer counters read these rows."""
+        _, trace = self.run_7a(example, example_tables)
+        envelopes = [row for row in trace.deliveries
+                     if isinstance(row, EnvelopeRow)]
+        tables = [row for row in trace.deliveries
+                  if isinstance(row, TableRow)]
+        assert [(row.sender, row.recipient, row.fragments, row.keys)
+                for row in envelopes] == [
+            ("U", "H", ("reqH",), {"kCS"}),
+            ("U", "I", ("reqI",), {"kCS", "kP"}),
+            ("U", "X", ("reqX",), set()),
+            ("U", "Y", ("reqY",), {"kP"}),
+        ]
+        det = ("kCS", EncryptionScheme.DETERMINISTIC)
+        assert [(row.fragment, row.sender, row.recipient, row.into,
+                 row.node.label(), row.columns, row.representations,
+                 row.cardinality) for row in tables] == [
+            ("reqH", "H", "X", "reqX", "enc[S]", ("S", "D", "T"),
+             (det, PLAINTEXT, PLAINTEXT), 4),
+            ("reqI", "I", "X", "reqX", "enc[C,P]", ("C", "P"),
+             (det, ("kP", EncryptionScheme.PAILLIER)), 5),
+            ("reqX", "X", "Y", "reqY", "γ[T; avg(P)]", ("T", "P"),
+             (PLAINTEXT, ("kP", AGGREGATE)), 2),
+            ("reqY", "Y", "U", None, "σ[P>100]", ("T", "P"),
+             (PLAINTEXT, PLAINTEXT), 1),
+        ]
+        extended = minimally_extend(
+            example.plan, example.policy, example.assignment_7a(),
+            owners=example.owners)
+        profiles = {node.label(): profile for node, profile
+                    in extended.plan.profiles().items()}
+        for row in tables:
+            assert {column for column, kind
+                    in zip(row.columns, row.representations)
+                    if kind != PLAINTEXT} \
+                == profiles[row.node.label()].visible_encrypted
+        assert {row.version for row in trace.deliveries} \
+            == {example.policy.version}
+        assert trace.messages == len(envelopes) + len(tables) - 1
+        assert trace.envelope_bytes == sum(row.bytes for row in envelopes)
+        assert trace.rows_transferred == 4 + 5 + 2 + 1
 
     def test_trace_accounting_parallel(self, example, example_tables):
         _, trace = self.run_7a(example, example_tables)

@@ -14,9 +14,13 @@ delivers a result instead of raising.
 The last case is the one nobody is exempt from: a provider that takes
 the reserved name of a stand-in (``authority:<relation>``) and is
 assigned the whole running example must be refused by every layer on
-its own.
+its own.  With both run-time checks rebound away, its run completes, and
+the delivery monitor (``tests/oracles/delivery_monitor.py``), reading
+the trace's delivery rows, still names each column it was handed.
 """
 
+import ast
+import inspect
 import types
 
 import pytest
@@ -35,7 +39,7 @@ from repro.distributed.nodes import SubjectNode, build_nodes, \
     generate_subject_keys
 from repro.distributed.runtime import DistributedRuntime
 from repro.engine import executor as executor_module
-from repro.engine.values import EncryptedValue, SealedColumn
+from repro.engine.values import PLAINTEXT, EncryptedValue, SealedColumn
 from repro.exceptions import (
     AuthorizationError,
     ExecutionError,
@@ -44,6 +48,8 @@ from repro.exceptions import (
 )
 from repro.tpch import TPCH_UDFS, all_scenarios
 
+from oracles import delivery_monitor
+from oracles.delivery_monitor import violations
 from test_envelope_batching import Query, tpch  # noqa: F401  (fixture)
 
 
@@ -196,6 +202,22 @@ def test_plan_run_under_a_policy_without_provider_rules_is_refused(
 EVIL = "authority:evil"
 
 
+def impostor_run(example, example_tables, extended):
+    """A run of ``extended`` (the running example with every operation
+    at ``EVIL``), keyed with no policy to refuse it, on a runtime that
+    gives ``EVIL`` a node."""
+    keys = establish_keys(extended)
+    plan = dispatch(extended, keys, owners=example.owners, user="U")
+    nodes = build_nodes(list(example.subjects),
+                        {"H": {"Hosp": example_tables["Hosp"]},
+                         "I": {"Ins": example_tables["Ins"]}})
+    nodes[EVIL] = SubjectNode(types.SimpleNamespace(name=EVIL),
+                              *generate_subject_keys([EVIL])[EVIL])
+    runtime = DistributedRuntime(example.policy, nodes, "U")
+    return lambda: runtime.run(plan, extended, keys,
+                               DistributedKeys.from_assignment(keys))
+
+
 def test_provider_named_like_a_stand_in_is_refused_by_every_layer(
         example, example_tables, monkeypatch):
     """``authority:evil`` is a provider like X: the policy's ``any``
@@ -230,19 +252,7 @@ def test_provider_named_like_a_stand_in_is_refused_by_every_layer(
     with pytest.raises(KeyManagementError, match=r"not for dec\[P\]"):
         establish_keys(extended, example.policy)
 
-    keys = establish_keys(extended)
-    plan = dispatch(extended, keys, owners=example.owners, user="U")
-    nodes = build_nodes(list(example.subjects),
-                        {"H": {"Hosp": example_tables["Hosp"]},
-                         "I": {"Ins": example_tables["Ins"]}})
-    nodes[EVIL] = SubjectNode(impostor,
-                              *generate_subject_keys([EVIL])[EVIL])
-    runtime = DistributedRuntime(example.policy, nodes, "U")
-
-    def run():
-        return runtime.run(plan, extended, keys,
-                           DistributedKeys.from_assignment(keys))
-
+    run = impostor_run(example, example_tables, extended)
     with pytest.raises(
             UnauthorizedError,
             match=f"{EVIL} received plaintext column [SC] "
@@ -254,3 +264,50 @@ def test_provider_named_like_a_stand_in_is_refused_by_every_layer(
         run()
     assert refused.value.subject == EVIL
     assert refused.value.violations
+
+
+def test_a_leak_past_both_run_time_checks_is_named_by_the_monitor(
+        example, example_tables, monkeypatch):
+    """The impostor above, with ``check_values`` and ``check_profile``
+    both rebound to no-ops: the run completes, and only the delivery
+    monitor, judging the trace's rows from the policy's rules, names
+    what ``authority:evil`` was handed that its ``any`` default
+    (``P=DT, E=P``) does not cover."""
+    assignment = {node: EVIL for node in example.plan.operations()}
+    extended = minimally_extend(
+        example.plan, example.policy, assignment, owners=example.owners,
+        deliver_to="U", verify=False)
+    monkeypatch.setattr(runtime_module, "check_values",
+                        lambda view, table: None)
+    monkeypatch.setattr(runtime_module, "check_profile",
+                        lambda view, plan, node, what: None)
+    result, trace = impostor_run(example, example_tables, extended)()
+    assert len(result) > 0
+    found = violations(trace.deliveries, example.policy)
+    assert {(v.recipient, v.column, v.representation)
+            for v in found if v.column is not None} == {
+        (EVIL, "S", PLAINTEXT), (EVIL, "C", PLAINTEXT)}
+    assert {v.recipient for v in found} == {EVIL}
+    assert any("condition 1" in v.reason for v in found)
+
+
+def test_the_delivery_monitor_shares_no_code_with_what_it_judges():
+    """The monitor builds views from ``Policy.rules()`` and aliases from
+    γ nodes itself: it imports nothing of the planner, the views or the
+    run-time checks, and calls neither ``Policy.view`` nor a lineage
+    helper."""
+    tree = ast.parse(inspect.getsource(delivery_monitor))
+    imported = {node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)} | {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.Import) for alias in node.names}
+    assert not imported & {
+        "repro.core.visibility", "repro.core.attrsets",
+        "repro.core.lineage", "repro.core.candidates",
+        "repro.core.extension", "repro.core.search",
+        "repro.core.assignment", "repro.core.keys",
+        "repro.distributed.enforcement"}, imported
+    called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not called & {"view", "augment_view", "derived_lineage",
+                         "plan_view", "check_values", "check_profile"}

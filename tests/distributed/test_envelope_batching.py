@@ -26,6 +26,7 @@ from repro.distributed import (
     generate_subject_keys,
 )
 from repro.distributed import runtime as runtime_module
+from repro.distributed.trace import EnvelopeRow
 from repro.distributed.messages import (
     SubQueryPayload,
     decode_payload,
@@ -105,22 +106,24 @@ def assert_same_answer(table, reference):
         assert row == pytest.approx(other)
 
 
-def count_envelopes(monkeypatch):
-    """Rebind the runtime's seal/open; returns the (name, payload) log."""
-    log = []
+def sealed(trace):
+    """The envelope rows of ``trace``, in the order they were sealed."""
+    return [row for row in trace.deliveries if isinstance(row, EnvelopeRow)]
 
-    def counted(name):
-        original = getattr(runtime_module, name)
 
-        def wrapper(first, *rest):
-            result = original(first, *rest)
-            log.append((name, first if name == "seal_envelope" else result))
-            return result
-        return wrapper
+def count_opens(monkeypatch):
+    """Rebind the runtime's open; returns every payload opened.  What was
+    sealed is read from the trace's envelope rows (:func:`sealed`)."""
+    opened = []
+    original = runtime_module.open_envelope
 
-    for name in ("seal_envelope", "open_envelope"):
-        monkeypatch.setattr(runtime_module, name, counted(name))
-    return log
+    def counted(*args):
+        payload = original(*args)
+        opened.append(payload)
+        return payload
+
+    monkeypatch.setattr(runtime_module, "open_envelope", counted)
+    return opened
 
 
 def record_reached(monkeypatch):
@@ -150,24 +153,25 @@ class TestOneEnvelopePerSubject:
         assert max(map(len, query.by_subject.values())) >= 2
         transfers = sum(len(f.requests)
                         for f in query.plan.fragments.values())
-        log = count_envelopes(monkeypatch)
+        opened = count_opens(monkeypatch)
         result, trace = query.run(query.runtime())
         assert trace.messages == len(query.by_subject) + transfers
         assert sorted(trace.fragments_run) == sorted(
             (f.fragment_id, f.subject)
             for f in query.plan.fragments.values())
-        names = [name for name, _ in log]
-        assert names.count("seal_envelope") \
-            == names.count("open_envelope") == len(query.by_subject)
+        envelopes = sealed(trace)
+        assert len(envelopes) == len(opened) == len(query.by_subject)
         # Every sub-query travels exactly once, to its own subject,
         # next to that subject's key set and nothing else.
-        for name, payload in log:
-            fragments = query.by_subject[
-                query.plan.fragment(payload.fragment_id).subject]
-            assert [payload.fragment_id] + [f for f, _ in payload.more] \
-                == [f.fragment_id for f in fragments]
-            assert payload.keystore.names() == query.distributed \
-                .store_for(fragments[0].subject).names()
+        carried = [(row.recipient, list(row.fragments), row.keys)
+                   for row in envelopes] + [
+            (query.plan.fragment(payload.fragment_id).subject,
+             [payload.fragment_id] + [f for f, _ in payload.more],
+             payload.keystore.names()) for payload in opened]
+        for subject, fragment_ids, keys in carried:
+            assert fragment_ids == [
+                f.fragment_id for f in query.by_subject[subject]]
+            assert keys == query.distributed.store_for(subject).names()
         assert_same_answer(result, query.plaintext())
 
     def test_payload_roundtrip_keeps_every_sub_query(self):
@@ -259,18 +263,18 @@ class TestBatchedEnvelopeIntegrity:
         _, impostor_private = generate_keypair(512)
         query = Query(tpch, 3)
         runtime = query.runtime()
-        log = count_envelopes(monkeypatch)
-        counted_seal = runtime_module.seal_envelope
+        opened = count_opens(monkeypatch)
+        original = runtime_module.seal_envelope
         blobs = {}
 
         def recording_seal(payload, sender_private, recipient_public):
-            blob = counted_seal(payload, sender_private, recipient_public)
+            blob = original(payload, sender_private, recipient_public)
             blobs.setdefault(payload.fragment_id, []).append(blob)
             return blob
 
         monkeypatch.setattr(runtime_module, "seal_envelope", recording_seal)
-        query.run(runtime)
-        assert len(log) == 2 * len(query.by_subject)
+        _, trace = query.run(runtime)
+        assert len(sealed(trace)) == len(opened) == len(query.by_subject)
 
         def spoofing_seal(payload, sender_private, recipient_public):
             if not payload.more:
@@ -305,7 +309,7 @@ class TestFailoverResealsOneFragment:
         injector.kill("P1")
         runtime = query.runtime(fault_injector=injector,
                                 sleeper=lambda seconds: None)
-        log = count_envelopes(monkeypatch)
+        opened = count_opens(monkeypatch)
         verified = []
         original = runtime_module.verify_assignment
 
@@ -320,16 +324,16 @@ class TestFailoverResealsOneFragment:
         assert result.columns == clean.columns
         assert sorted(result.rows, key=repr) == sorted(clean.rows, key=repr)
         assert sorted(e.fragment_id for e in trace.failovers) == lost
-        sealed = [p for name, p in log if name == "seal_envelope"]
-        resealed = sealed[len(query.by_subject):]
-        assert sorted(p.fragment_id for p in resealed) == lost
+        envelopes = sealed(trace)
+        resealed = envelopes[len(query.by_subject):]
+        assert sorted(fragment_id for row in resealed
+                      for fragment_id in row.fragments) == lost
         master = query.distributed.master.names()
-        for payload, event in zip(resealed, trace.failovers):
-            fragment = query.plan.fragment(payload.fragment_id)
-            assert payload.more == ()
-            assert payload.query_text == fragment.text
-            assert payload.keystore.names() \
-                == master & set(fragment.key_names)
+        for row, event in zip(resealed, trace.failovers):
+            (fragment_id,) = row.fragments
+            fragment = query.plan.fragment(fragment_id)
+            assert row.recipient == event.replacement != "P1"
+            assert row.keys == master & set(fragment.key_names)
             assert event.failed_subject == "P1"
             assert event.repaired_assignment in verified
             verify_assignment(query.extended.plan, query.scenario.policy,
@@ -337,10 +341,17 @@ class TestFailoverResealsOneFragment:
         # One envelope per subject plus one per takeover, each opened
         # once: P1's batch by P1 (which then fails to execute), every
         # reseal by its replacement — never a batch by another subject.
-        opened = [p for name, p in log if name == "open_envelope"]
         assert sorted(p.fragment_id for p in opened) \
-            == sorted(p.fragment_id for p in sealed)
-        assert len(sealed) == len(query.by_subject) + len(lost)
+            == sorted(row.fragments[0] for row in envelopes)
+        assert len(envelopes) == len(query.by_subject) + len(lost)
+        reopened = [payload for payload in opened if not payload.more
+                    and payload.fragment_id in lost]
+        assert sorted(payload.fragment_id for payload in reopened) == lost
+        for payload in reopened:
+            fragment = query.plan.fragment(payload.fragment_id)
+            assert payload.query_text == fragment.text
+            assert payload.keystore.names() \
+                == master & set(fragment.key_names)
 
     def test_reseal_carries_only_the_fragments_own_keys(
             self, example, example_tables, monkeypatch):
@@ -350,13 +361,13 @@ class TestFailoverResealsOneFragment:
         injector.kill("Y")
         runtime.fault_injector = injector
         runtime.invalidate_caches()
-        log = count_envelopes(monkeypatch)
         result, trace = run()
         assert result.rows == clean.rows
         (event,) = trace.failovers
-        resealed = [p for name, p in log if name == "seal_envelope"][-1]
-        assert (resealed.fragment_id, resealed.more) == ("reqY", ())
-        assert resealed.keystore.names() == {"kP"} \
+        resealed = sealed(trace)[-1]
+        assert (resealed.recipient, resealed.fragments) \
+            == (event.replacement, ("reqY",))
+        assert resealed.keys == {"kP"} \
             == set(run.dispatch_plan.fragment("reqY").key_names)
         assert event.replacement != "Y"
 
@@ -520,29 +531,27 @@ class TestRunStateAndPoolLifetime:
         runtime, run = pipeline_7a(example, example_tables)
         before = self.runtime_state(runtime)
         token = CancellationToken()
-        log = count_envelopes(monkeypatch)
-        counting_seal = runtime_module.seal_envelope
+        opened = count_opens(monkeypatch)
+        original = runtime_module.seal_envelope
         subjects = {f.subject for f in run.dispatch_plan.fragments.values()}
+        seals = []
 
         def cancelling_seal(*args):
-            blob = counting_seal(*args)
-            if len(log) == len(subjects):  # the last envelope is sealed
+            seals.append(original(*args))
+            if len(seals) == len(subjects):  # the last envelope is sealed
                 token.cancel()
-            return blob
+            return seals[-1]
 
         monkeypatch.setattr(runtime_module, "seal_envelope",
                             cancelling_seal)
         with pytest.raises(QueryCancelledError) as aborted:
             run(token=token)
-        assert [name for name, _ in log] == ["seal_envelope"] * 4
+        assert len(sealed(aborted.value.trace)) == 4 and opened == []
         assert aborted.value.trace.fragments_run == []
         assert self.runtime_state(runtime) == before
         assert runtime.cache_info()["fragment_entries"] == 0
 
-        del log[:]
         result, trace = run()
         assert result.sorted_rows() == [("tpa", 120.0)]
-        names = [name for name, _ in log]
-        assert names.count("seal_envelope") \
-            == names.count("open_envelope") == 4
+        assert len(sealed(trace)) == len(opened) == 4
         assert len(trace.fragments_run) == 4

@@ -17,11 +17,13 @@ import time
 import pytest
 
 from helpers import FakeClock, parse_prometheus, steady_latency
+from oracles.delivery_monitor import violations
 from repro.core.authorization import Authorization
 from repro.core.budget import QueryBudget
 from repro.core.visibility import verify_assignment
 from repro.distributed import FaultInjector
 from repro.distributed import runtime as runtime_module
+from repro.distributed.trace import EnvelopeRow, TableRow
 from repro.engine import Executor, Table
 from repro.exceptions import (
     CryptoError,
@@ -100,11 +102,20 @@ def assert_rows_equal(a: Table, b: Table):
 
 
 def assert_plaintext_answer(outcome, service):
-    """``outcome`` is the single-site executor's answer on plaintext."""
+    """``outcome`` is the single-site executor's answer on plaintext, and
+    the delivery monitor finds nothing wrong with any table handed to a
+    subject in any of its runs (a re-plan's failed primary included)."""
+    assert not violations(outcome.trace.deliveries, service.policy)
     catalog = {name: table for tables in make_tables().values()
                for name, table in tables.items()}
     assert_rows_equal(outcome.result, Executor(catalog).execute(
         plan_query(SQL, service.schema)))
+
+
+def envelopes_to(trace):
+    """The recipient of every envelope ``trace`` records, in order."""
+    return [row.recipient for row in trace.deliveries
+            if isinstance(row, EnvelopeRow)]
 
 
 def node_rows(trace):
@@ -238,7 +249,9 @@ class TestServiceTierRepair:
                                                 monkeypatch, no_takeover):
         """The primary run that lost its provider and the re-run that
         recovered are one query: every envelope sealed for it is in the
-        outcome's trace, not only the last run's."""
+        outcome's trace, not only the last run's — first the primary's,
+        which dispatches as the fault-free run does, then the re-plan's,
+        none of them to the lost provider."""
         victim = compute_victim(clean_outcome)
         injector = FaultInjector(seed=5)
         injector.kill(victim)
@@ -257,6 +270,14 @@ class TestServiceTierRepair:
         assert_plaintext_answer(outcome, service)
         assert outcome.trace.envelope_bytes == sum(sealed)
         assert outcome.trace.breaker_trips >= 1
+        primary = envelopes_to(clean_outcome.trace)
+        recipients = envelopes_to(outcome.trace)
+        assert victim in primary
+        assert recipients[:len(primary)] == primary
+        replan = recipients[len(primary):]
+        assert victim not in replan
+        assert sorted(replan) == sorted(
+            set(outcome.assignment.extended.assignment.values()))
 
     def test_fragment_latency_is_read_off_the_trace(self, clean_outcome,
                                                     no_takeover):
@@ -390,6 +411,19 @@ class TestReplanTier:
                                           ("reqX", "Z")]
         assert {subject for fragment, subject, _
                 in node_rows(outcome.trace) if fragment == "reqX"} == {"Z"}
+        # Each candidate is sealed reqX alone and re-fed both its inputs,
+        # and the result reaches U from the subject that computed it.
+        assert envelopes_to(outcome.trace) == ["H", "I", "X", "Y", "Z"]
+        assert [(row.fragment, row.sender, row.recipient, row.into,
+                 row.node.label(), row.columns)
+                for row in outcome.trace.deliveries
+                if isinstance(row, TableRow)] == [
+            (fragment, sender, recipient, "reqX", node, columns)
+            for recipient in ("X", "Y", "Z")
+            for fragment, sender, node, columns in (
+                ("reqH", "H", "enc[S]", ("S", "T")),
+                ("reqI", "I", "enc[C]", ("C", "P")))] + [
+            ("reqX", "Z", "U", None, "σ[P>100]", ("T", "P"))]
 
 
 class TestOneClock:

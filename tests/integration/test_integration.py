@@ -187,9 +187,9 @@ def test_rerun_under_fresh_keys_ships_tokens_of_the_fresh_keys(
     moved = []
     receive = DistributedRuntime._receive_input
 
-    def recording(self, context, view, table):
+    def recording(self, context, producer, consumer, table):
         moved.append(table)
-        return receive(self, context, view, table)
+        return receive(self, context, producer, consumer, table)
 
     monkeypatch.setattr(DistributedRuntime, "_receive_input", recording)
     fresh = DistributedKeys.from_assignment(keys)

@@ -12,6 +12,7 @@ running example and on TPC-H Q3/Q5/Q18 under the UAPenc scenario.
 import pytest
 
 from helpers import authority_tables
+from oracles.delivery_monitor import violations
 from repro.core.visibility import verify_assignment
 from repro.distributed import FaultInjector
 from repro.distributed import runtime as runtime_module
@@ -66,11 +67,15 @@ def make_injector(schedule_name, seed, subject_names):
 
 
 def run_and_audit(service, sql):
-    """Execute, re-verifying every failover event independently."""
+    """Execute, re-verifying every failover event independently and
+    judging every table handed to a subject — in each run, the takeover's
+    re-fed inputs and a re-plan's failed primary included — with the
+    delivery monitor."""
     outcome = service.execute(sql)
     for event in outcome.failovers:
         verify_assignment(outcome.assignment.extended.plan,
                           service.policy, event.repaired_assignment)
+    assert not violations(outcome.trace.deliveries, service.policy)
     return outcome
 
 

@@ -4,7 +4,8 @@ picks (Theorem 5.3 with §6).
 The running example's Λ (Definition 5.3) holds 300 assignments.  Each
 one is minimally extended (so it passes ``verify_assignment``), keyed,
 dispatched and run by the distributed runtime (so every node it
-evaluates passes ``check_profile``), and stdlib ``sqlite3`` judges the
+evaluates passes ``check_profile``), the delivery monitor judges every
+table the run handed a subject, and stdlib ``sqlite3`` judges the
 answer from the query's own SQL.  The soak switch runs all 300; tier-1
 runs a seeded slice.  A test id is the assignment itself, one assignee
 per operation in plan order, and a failure prints it as
@@ -25,6 +26,7 @@ from repro.distributed import build_runtime
 from repro.paper_example import build_running_example
 
 from helpers import draws
+from oracles.delivery_monitor import violations
 from oracles.sqlite_answer import answer_difference, sqlite_answer
 
 #: The running example's query, its aggregate named as the plan names it.
@@ -50,7 +52,8 @@ DRAWN = random.Random(20170828).sample(LAMBDA, draws(len(LAMBDA), 20))
 
 def run_member(labels: dict[str, str], tables) -> list:
     """Run the running example under ``labels`` (operation label →
-    subject) and return ``(columns, rows)`` of the user's answer."""
+    subject), judge every table it handed a subject with the delivery
+    monitor, and return ``(columns, rows)`` of the user's answer."""
     example = build_running_example()
     assignment = {node: labels[node.label()]
                   for node in example.plan.operations()}
@@ -62,8 +65,9 @@ def run_member(labels: dict[str, str], tables) -> list:
         example.policy, list(example.subjects),
         {"H": {"Hosp": tables["Hosp"]}, "I": {"Ins": tables["Ins"]}},
         user="U")
-    result, _trace = runtime.run(
+    result, trace = runtime.run(
         plan, extended, keys, DistributedKeys.from_assignment(keys))
+    assert not violations(trace.deliveries, example.policy)
     return tuple(result.columns), list(result)
 
 

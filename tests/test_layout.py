@@ -109,13 +109,14 @@ PLANNER_BUDGETS = {
 }
 #: … so do the parts cut out of the runtime, each one decision with its
 #: contract in its docstring …
-RUNTIME_PARTS = ("fragcache.py", "retry.py", "enforcement.py", "nodes.py")
+RUNTIME_PARTS = ("fragcache.py", "retry.py", "enforcement.py", "nodes.py",
+                 "trace.py")
 RUNTIME_PART_BUDGETS = {
     f"distributed/{name}": 200 for name in RUNTIME_PARTS}
 #: … and the files already over it may only shrink: lower a ceiling
 #: with the file, never raise it, and drop the row once it fits.
 SHRINK_ONLY = {
-    "distributed/runtime.py": 665,
+    "distributed/runtime.py": 654,
     "core/operators.py": 611,
 }
 

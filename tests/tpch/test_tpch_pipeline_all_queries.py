@@ -25,6 +25,7 @@ from repro.tpch import SCENARIOS, TPCH_UDFS, all_queries, all_scenarios, \
     build_tpch_schema, query, query_plan
 
 from helpers import authority_tables
+from oracles.delivery_monitor import violations
 
 SCALE = 0.05
 
@@ -201,6 +202,7 @@ def test_every_sql_template_executes_under_every_scenario(
     schema, data, _ = executed_data
     sql = query(number).sql
     outcome = scenario_service.execute(sql)
+    assert not violations(outcome.trace.deliveries, scenario_service.policy)
     plain = Executor(data.catalog(), udfs=TPCH_UDFS).execute(
         plan_query(sql, schema))
     assert outcome.result.columns == plain.columns
